@@ -41,7 +41,8 @@ fn bench_sorted_drain(c: &mut Criterion) {
             &BuildConfig::with_page_size(page_size),
         )
         .expect("build store");
-        let store = PagedStore::open(&path, StoreOptions::with_pool_pages(4096)).expect("open store");
+        let store =
+            PagedStore::open(&path, StoreOptions::with_pool_pages(4096)).expect("open store");
 
         group.bench_function(BenchmarkId::new("cold", page_size), |b| {
             b.iter(|| {

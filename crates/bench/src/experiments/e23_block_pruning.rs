@@ -241,9 +241,14 @@ pub fn run(cfg: &RunCfg) -> Report {
         ..AccessStats::ZERO
     };
     let plan = PlanQuery::fuzzy(sn, 1, 10);
-    let undiscounted =
-        estimate_cost(PhysicalPlan::FullScan, &plan, None, &CostModel::UNIFORM, 0.0)
-            .expect("full scan always applies");
+    let undiscounted = estimate_cost(
+        PhysicalPlan::FullScan,
+        &plan,
+        None,
+        &CostModel::UNIFORM,
+        0.0,
+    )
+    .expect("full scan always applies");
     let discounted = estimate_cost(
         PhysicalPlan::FullScan,
         &plan.expected_skip(page_skip_rate),

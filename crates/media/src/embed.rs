@@ -1107,10 +1107,7 @@ mod tests {
             assert_eq!(bstats.completed, 200);
             assert_eq!(bstats.blocks_skipped, 0, "the oracle never prunes blocks");
             assert_eq!(
-                fstats.filter_pruned
-                    + fstats.abandoned
-                    + fstats.completed
-                    + fstats.block_pruned,
+                fstats.filter_pruned + fstats.abandoned + fstats.completed + fstats.block_pruned,
                 200
             );
             assert!(
@@ -1201,10 +1198,7 @@ mod tests {
             assert_eq!(bounded, want, "cut={cut}");
             assert_eq!(ostats.blocks_skipped, 0);
             assert_eq!(
-                bstats.filter_pruned
-                    + bstats.abandoned
-                    + bstats.completed
-                    + bstats.block_pruned,
+                bstats.filter_pruned + bstats.abandoned + bstats.completed + bstats.block_pruned,
                 180
             );
         }

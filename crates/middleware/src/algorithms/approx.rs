@@ -21,24 +21,21 @@
 use fmdb_core::score::Score;
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::algorithms::nra::nra_core;
-use crate::algorithms::ta::ta_core;
+use crate::algorithms::threshold::{Family, Probe, Report};
 use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
 use crate::source::GradedSource;
 
 /// TA's relaxed certification: does grade `g` certify against the
-/// threshold `τ` under slack `θ`? Exact `Score` comparison at θ ≤ 0 so
-/// the θ = 0 path is bit-identical to the exact algorithm.
+/// threshold `τ` under slack `θ`? The same comparison as NRA's
+/// exclusion with the roles swapped — `τ` is the bound on the unseen,
+/// `g` the k-th grade that must dismiss it.
 pub(crate) fn grade_certifies(g: Score, tau: Score, theta: f64) -> bool {
-    if theta <= 0.0 {
-        g >= tau
-    } else {
-        g.value() * (1.0 + theta) >= tau.value()
-    }
+    upper_excluded(tau, g, theta)
 }
 
 /// NRA's relaxed exclusion: is an `upper` bound excluded by the k-th
-/// lower bound `tau` under slack `θ`? Exact comparison at θ ≤ 0.
+/// lower bound `tau` under slack `θ`? Exact `Score` comparison at θ ≤ 0
+/// so the θ = 0 path is bit-identical to the exact algorithm.
 pub(crate) fn upper_excluded(upper: Score, tau: Score, theta: f64) -> bool {
     if theta <= 0.0 {
         upper <= tau
@@ -88,8 +85,8 @@ impl TopKAlgorithm for ApproxTa {
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        validate_theta(self.theta)?;
-        ta_core(sources, scoring, k, self.theta)
+        let family = Family::new(Probe::OnSight, self.theta, Report::AsHalted);
+        Ok(family.top_k(sources, scoring, k)?.into_lower_bounds())
     }
 }
 
@@ -124,16 +121,8 @@ impl TopKAlgorithm for ApproxNra {
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        validate_theta(self.theta)?;
-        let result = nra_core(sources, scoring, k, self.theta)?;
-        Ok(TopKResult {
-            answers: result
-                .answers
-                .iter()
-                .map(|b| fmdb_core::score::ScoredObject::new(b.id, b.lower))
-                .collect(),
-            stats: result.stats,
-        })
+        let family = Family::new(Probe::Never, self.theta, Report::AsHalted);
+        Ok(family.top_k(sources, scoring, k)?.into_lower_bounds())
     }
 }
 

@@ -22,15 +22,12 @@
 //! probe), so the result satisfies the workspace's exact-grade oracle
 //! checks for θ = 0 regardless of the cost ratio.
 
-use std::collections::HashMap;
-
-use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::algorithms::approx::{upper_excluded, validate_theta};
-use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::{GradedSource, Oid};
-use crate::stats::{AccessStats, CostModel};
+use crate::algorithms::threshold::{Family, Probe, Report};
+use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
+use crate::source::GradedSource;
+use crate::stats::CostModel;
 
 /// The Combined Algorithm, parameterized by the interleave depth `h`
 /// (sorted-access rounds per random-access step) and the approximation
@@ -64,178 +61,21 @@ impl CombinedAlgorithm {
     }
 }
 
-/// One seen object's interval during a CA run.
-struct CaBound {
-    id: Oid,
-    lower: Score,
-    upper: Score,
-    incomplete: bool,
-}
-
-/// Intervals for every seen object, sorted by descending lower bound
-/// (ties by ascending oid).
-fn ca_bounds(
-    seen: &HashMap<Oid, Vec<Option<Score>>>,
-    bottoms: &[Score],
-    scoring: &dyn ScoringFunction,
-) -> Vec<CaBound> {
-    let m = bottoms.len();
-    let mut low_buf = Vec::with_capacity(m);
-    let mut high_buf = Vec::with_capacity(m);
-    let mut bounded = Vec::with_capacity(seen.len());
-    for (&oid, slots) in seen {
-        low_buf.clear();
-        high_buf.clear();
-        let mut incomplete = false;
-        for (i, &g) in slots.iter().enumerate() {
-            incomplete |= g.is_none();
-            low_buf.push(g.unwrap_or(Score::ZERO));
-            high_buf.push(g.unwrap_or(bottoms[i]));
-        }
-        bounded.push(CaBound {
-            id: oid,
-            lower: scoring.combine(&low_buf),
-            upper: scoring.combine(&high_buf),
-            incomplete,
-        });
-    }
-    bounded.sort_by(|a, b| b.lower.cmp(&a.lower).then(a.id.cmp(&b.id)));
-    bounded
-}
-
 impl TopKAlgorithm for CombinedAlgorithm {
     fn name(&self) -> &'static str {
         "combined-ca"
     }
 
+    /// The threshold kernel probing every `h`-th round, with the
+    /// answers' open intervals closed after the halt.
     fn top_k(
         &self,
         sources: &mut [&mut dyn GradedSource],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        validate_theta(self.theta)?;
-        validate(sources, scoring, k)?;
-        let m = sources.len();
-        for source in sources.iter_mut() {
-            source.rewind();
-        }
-        let mut stats = AccessStats::ZERO;
-        let mut seen: HashMap<Oid, Vec<Option<Score>>> = HashMap::new();
-        let mut bottoms = vec![Score::ONE; m];
-        let mut exhausted = vec![false; m];
-        let mut round = 0usize;
-        // Threshold feeding, same contract as in TA/NRA: only under a
-        // zero-absorbing combiner is the k-th lower bound a valid
-        // per-source hint for [`GradedSource::note_threshold`] (purely
-        // physical — read-ahead gating — never answers or charges).
-        let feed = matches!(
-            crate::planner::classify_combiner(scoring, m),
-            crate::planner::CombinerKind::ZeroAbsorbing
-        );
-
-        let answers = loop {
-            round += 1;
-            // One round of sorted access on every live list.
-            let mut progressed = false;
-            for i in 0..m {
-                if exhausted[i] {
-                    continue;
-                }
-                match sources[i].sorted_next() {
-                    Some(so) => {
-                        stats.sorted += 1;
-                        progressed = true;
-                        bottoms[i] = so.grade;
-                        let slots = seen.entry(so.id).or_insert_with(|| vec![None; m]);
-                        slots[i] = Some(so.grade);
-                    }
-                    None => {
-                        exhausted[i] = true;
-                        bottoms[i] = Score::ZERO;
-                    }
-                }
-            }
-
-            // Every h-th round: completely resolve the most promising
-            // unresolved object (largest upper bound, ties by oid)
-            // that the current k-th lower bound cannot exclude.
-            if round.is_multiple_of(self.h) {
-                let bounded = ca_bounds(&seen, &bottoms, scoring);
-                let tau = if bounded.len() >= k {
-                    bounded[k - 1].lower
-                } else {
-                    Score::ZERO
-                };
-                let target = bounded
-                    .iter()
-                    .enumerate()
-                    .filter(|(rank, b)| {
-                        b.incomplete
-                            && (*rank < k
-                                || bounded.len() < k
-                                || !upper_excluded(b.upper, tau, self.theta))
-                    })
-                    .map(|(_, b)| b)
-                    .max_by(|a, b| a.upper.cmp(&b.upper).then(b.id.cmp(&a.id)))
-                    .map(|b| b.id);
-                if let Some(oid) = target {
-                    if let Some(slots) = seen.get_mut(&oid) {
-                        for (j, slot) in slots.iter_mut().enumerate() {
-                            if slot.is_none() {
-                                *slot = Some(sources[j].random_access(oid));
-                                stats.random += 1;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // NRA's (θ-relaxed) halting rule on the fresh bounds.
-            let mut bounded = ca_bounds(&seen, &bottoms, scoring);
-            if bounded.len() >= k {
-                let tau = bounded[k - 1].lower;
-                if feed {
-                    for source in sources.iter_mut() {
-                        source.note_threshold(tau);
-                    }
-                }
-                let unseen_upper = scoring.combine(&bottoms);
-                let rest_ok = bounded[k..]
-                    .iter()
-                    .all(|b| upper_excluded(b.upper, tau, self.theta));
-                let unseen_ok = upper_excluded(unseen_upper, tau, self.theta) || !progressed;
-                if rest_ok && unseen_ok {
-                    bounded.truncate(k);
-                    break bounded;
-                }
-            }
-            if !progressed {
-                bounded.truncate(k);
-                break bounded;
-            }
-        };
-
-        // Close any intervals still open on the answers: the set is
-        // already certified, but the workspace contract (and the
-        // oracle's grade check) wants exact grades.
-        let mut slot_buf = vec![Score::ZERO; m];
-        let mut combined: Vec<ScoredObject<Oid>> = Vec::with_capacity(answers.len());
-        for bound in &answers {
-            if let Some(slots) = seen.get_mut(&bound.id) {
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        *slot = Some(sources[j].random_access(bound.id));
-                        stats.random += 1;
-                    }
-                }
-                for (buf, &slot) in slot_buf.iter_mut().zip(slots.iter()) {
-                    *buf = slot.unwrap_or(Score::ZERO);
-                }
-                combined.push(ScoredObject::new(bound.id, scoring.combine(&slot_buf)));
-            }
-        }
-        Ok(finalize(combined, k, stats))
+        let family = Family::new(Probe::Every(self.h), self.theta, Report::Closed);
+        Ok(family.top_k(sources, scoring, k)?.into_lower_bounds())
     }
 }
 
@@ -245,8 +85,9 @@ mod tests {
     use crate::algorithms::naive::Naive;
     use crate::algorithms::ta::ThresholdAlgorithm;
     use crate::oracle::verify_top_k;
-    use crate::source::VecSource;
+    use crate::source::{Oid, VecSource};
     use crate::workload::independent_uniform;
+    use fmdb_core::score::Score;
     use fmdb_core::scoring::means::ArithmeticMean;
     use fmdb_core::scoring::tnorms::Min;
 

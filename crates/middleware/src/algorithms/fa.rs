@@ -26,6 +26,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
@@ -38,33 +39,48 @@ use crate::stats::AccessStats;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaginsAlgorithm;
 
-/// Mutable working state shared by the one-shot and resumable variants.
+/// Mutable working state shared by A₀, its resumable sessions and
+/// [`crate::algorithms::pruned_fa::PrunedFa`].
 #[derive(Debug, Default)]
-struct FaState {
+pub(crate) struct FaState {
     /// Per-object slot vector: `Some(grade)` once list `i` has revealed
     /// the grade (by either access kind).
-    seen: HashMap<Oid, Vec<Option<Score>>>,
+    pub(crate) seen: HashMap<Oid, Vec<Option<Score>>>,
+    /// The last grade each list streamed: an upper bound on every grade
+    /// it has not revealed yet (0 once the list is drained).
+    pub(crate) bottoms: Vec<Score>,
     /// Objects every list has output under *sorted* access (the set L).
     matches: usize,
     /// Which lists are fully drained.
     exhausted: Vec<bool>,
-    stats: AccessStats,
+    pub(crate) stats: AccessStats,
+    /// Session state: objects already returned by earlier batches, and
+    /// the cumulative number of answers requested so far.
+    emitted: Vec<Oid>,
+    requested: usize,
 }
 
 impl FaState {
-    fn new(m: usize) -> FaState {
+    /// Rewinds the sources and starts from nothing seen.
+    pub(crate) fn new(sources: &mut [&mut dyn GradedSource]) -> FaState {
+        for source in sources.iter_mut() {
+            source.rewind();
+        }
+        let m = sources.len();
         FaState {
-            seen: HashMap::new(),
-            matches: 0,
+            bottoms: vec![Score::ONE; m],
             exhausted: vec![false; m],
-            stats: AccessStats::ZERO,
+            ..FaState::default()
         }
     }
 
     /// Phase 1: round-robin sorted access until `|L| ≥ target` or all
     /// lists are drained. `sorted_seen` tracking rides on the slot
     /// vectors: a slot filled during phase 1 counts toward L.
-    fn sorted_phase(&mut self, sources: &mut [&mut dyn GradedSource], target: usize) {
+    ///
+    /// The halt is *mid-round*, the moment `|L|` reaches the target:
+    /// finishing the round would charge sorted accesses A₀ never makes.
+    pub(crate) fn sorted_phase(&mut self, sources: &mut [&mut dyn GradedSource], target: usize) {
         let m = sources.len();
         if self.matches >= target {
             return;
@@ -79,6 +95,7 @@ impl FaState {
                     Some(so) => {
                         self.stats.sorted += 1;
                         progressed = true;
+                        self.bottoms[i] = so.grade;
                         let slots = self.seen.entry(so.id).or_insert_with(|| vec![None; m]);
                         if slots[i].is_none() {
                             slots[i] = Some(so.grade);
@@ -87,7 +104,11 @@ impl FaState {
                             }
                         }
                     }
-                    None => self.exhausted[i] = true,
+                    None => {
+                        self.exhausted[i] = true;
+                        // A drained list bounds all unseen objects by 0.
+                        self.bottoms[i] = Score::ZERO;
+                    }
                 }
                 if self.matches >= target {
                     return;
@@ -100,34 +121,49 @@ impl FaState {
         }
     }
 
-    /// Phase 2: random access for every missing slot of every seen
-    /// object.
-    fn random_phase(&mut self, sources: &mut [&mut dyn GradedSource]) {
+    /// Phases 2 and 3: random access for every missing slot of every
+    /// seen object, then combine its grades.
+    fn resolve_all(
+        &mut self,
+        sources: &mut [&mut dyn GradedSource],
+        scoring: &dyn ScoringFunction,
+    ) -> Vec<ScoredObject<Oid>> {
+        let mut combined = Vec::with_capacity(self.seen.len());
+        let mut grades = Vec::new();
         for (&oid, slots) in self.seen.iter_mut() {
+            grades.clear();
             for (i, slot) in slots.iter_mut().enumerate() {
-                if slot.is_none() {
-                    *slot = Some(sources[i].random_access(oid));
+                grades.push(*slot.get_or_insert_with(|| {
                     self.stats.random += 1;
-                }
+                    sources[i].random_access(oid)
+                }));
             }
+            combined.push(ScoredObject::new(oid, scoring.combine(&grades)));
         }
+        combined
     }
 
-    /// Phase 3: combine every fully-graded object.
-    fn combine(&self, scoring: &dyn ScoringFunction) -> Vec<ScoredObject<Oid>> {
-        let mut buf = Vec::with_capacity(self.seen.len());
-        let mut grades = Vec::new();
-        for (&oid, slots) in &self.seen {
-            grades.clear();
-            grades.extend(
-                slots
-                    .iter()
-                    // lint:allow(no-panic): phase 2 random-accesses every missing grade before combine runs
-                    .map(|&slot| slot.expect("phase 2 filled all slots")),
-            );
-            buf.push(ScoredObject::new(oid, scoring.combine(&grades)));
+    /// The next `k` best answers not yet emitted — the body of both
+    /// session types, and (as the first batch) of the one-shot run.
+    ///
+    /// The top `requested` answers require `|L| ≥ requested`, by the
+    /// same correctness argument as the one-shot run.
+    fn next_k(
+        &mut self,
+        sources: &mut [&mut dyn GradedSource],
+        scoring: &dyn ScoringFunction,
+        k: usize,
+    ) -> Result<TopKResult, AlgoError> {
+        if k == 0 {
+            return Err(AlgoError::ZeroK);
         }
-        buf
+        self.requested += k;
+        self.sorted_phase(sources, self.requested);
+        let mut combined = self.resolve_all(sources, scoring);
+        combined.retain(|so| !self.emitted.contains(&so.id));
+        let result = finalize(combined, k, self.stats);
+        self.emitted.extend(result.answers.iter().map(|a| a.id));
+        Ok(result)
     }
 }
 
@@ -143,66 +179,68 @@ impl TopKAlgorithm for FaginsAlgorithm {
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
         validate(sources, scoring, k)?;
-        for source in sources.iter_mut() {
-            source.rewind();
-        }
-        let mut state = FaState::new(sources.len());
-        state.sorted_phase(sources, k);
-        state.random_phase(sources);
-        let combined = state.combine(scoring);
-        Ok(finalize(combined, k, state.stats))
+        FaState::new(sources).next_k(sources, scoring, k)
     }
 }
 
-/// A resumable A₀ run: each [`FaSession::next_k`] call returns the next
+/// A resumable A₀ run: each [`Session::next_k`] call returns the next
 /// best batch of answers, continuing sorted access where the previous
 /// call left off (§4.1's "continue where we left off").
 ///
-/// The session owns its sources for the duration of the query.
-pub struct FaSession<'a> {
-    sources: Vec<&'a mut dyn GradedSource>,
-    scoring: &'a dyn ScoringFunction,
+/// The session holds its sources for the duration of the query, either
+/// borrowed ([`FaSession`]) or by value ([`OwnedFaSession`]).
+pub struct Session<S, F> {
+    sources: Vec<S>,
+    scoring: F,
     state: FaState,
-    /// Objects already returned by earlier batches.
-    emitted: Vec<Oid>,
-    /// Cumulative number of answers requested so far.
-    requested: usize,
 }
+
+/// A session over borrowed sources and scoring function.
+pub type FaSession<'a> = Session<&'a mut dyn GradedSource, &'a dyn ScoringFunction>;
+
+/// An **owning** session: it holds its sources (and scoring function)
+/// by value, so it can be stored in long-lived query cursors (the
+/// Garlic layer's "top 10, then the next 10" interaction from §4).
+pub type OwnedFaSession = Session<Box<dyn GradedSource>, Box<dyn ScoringFunction>>;
 
 // Sessions hold `dyn` sources/scoring with no `Debug` bound; a
 // state-level summary satisfies `missing_debug_implementations`.
-impl fmt::Debug for FaSession<'_> {
+impl<S, F> fmt::Debug for Session<S, F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FaSession")
             .field("arity", &self.sources.len())
-            .field("emitted", &self.emitted.len())
-            .field("requested", &self.requested)
+            .field("emitted", &self.state.emitted.len())
+            .field("requested", &self.state.requested)
             .finish_non_exhaustive()
     }
 }
 
-impl<'a> FaSession<'a> {
+/// Borrows held sources the way the algorithms take them.
+fn borrowed<'s, 'a: 's, S>(sources: &'s mut [S]) -> Vec<&'s mut dyn GradedSource>
+where
+    S: DerefMut<Target = dyn GradedSource + 'a>,
+{
+    sources.iter_mut().map(|s| &mut **s as _).collect()
+}
+
+impl<'a, S, F> Session<S, F>
+where
+    S: DerefMut<Target = dyn GradedSource + 'a>,
+    F: Deref<Target = dyn ScoringFunction + 'a>,
+{
     /// Starts a session. Rewinds the sources.
-    pub fn new(
-        mut sources: Vec<&'a mut dyn GradedSource>,
-        scoring: &'a dyn ScoringFunction,
-    ) -> Result<FaSession<'a>, AlgoError> {
+    pub fn new(mut sources: Vec<S>, scoring: F) -> Result<Self, AlgoError> {
         if sources.is_empty() {
             return Err(AlgoError::NoSources);
         }
         if !scoring.is_monotone() {
             return Err(AlgoError::NonMonotoneScoring(scoring.name()));
         }
-        for source in sources.iter_mut() {
-            source.rewind();
-        }
-        let m = sources.len();
-        Ok(FaSession {
+        let state = FaState::new(&mut borrowed(&mut sources));
+        Ok(Session {
             sources,
             scoring,
-            state: FaState::new(m),
-            emitted: Vec::new(),
-            requested: 0,
+            state,
         })
     }
 
@@ -213,93 +251,8 @@ impl<'a> FaSession<'a> {
     /// reported in the result — resuming is cheaper than starting over,
     /// which experiment E1's `resume` column quantifies.
     pub fn next_k(&mut self, k: usize) -> Result<TopKResult, AlgoError> {
-        if k == 0 {
-            return Err(AlgoError::ZeroK);
-        }
-        self.requested += k;
-        // The top (requested) answers require |L| ≥ requested, by the
-        // same correctness argument as the one-shot run.
-        self.state.sorted_phase(&mut self.sources, self.requested);
-        self.state.random_phase(&mut self.sources);
-        let mut combined = self.state.combine(self.scoring);
-        combined.retain(|so| !self.emitted.contains(&so.id));
-        let result = finalize(combined, k, self.state.stats);
-        self.emitted.extend(result.answers.iter().map(|a| a.id));
-        Ok(result)
-    }
-
-    /// Cumulative access statistics for the session.
-    pub fn stats(&self) -> AccessStats {
-        self.state.stats
-    }
-}
-
-/// An **owning** resumable A₀ session: like [`FaSession`] but holding
-/// its sources (and scoring function) by value, so it can be stored in
-/// long-lived query cursors (the Garlic layer's "top 10, then the next
-/// 10" interaction from §4).
-pub struct OwnedFaSession {
-    sources: Vec<Box<dyn GradedSource>>,
-    scoring: Box<dyn ScoringFunction>,
-    state: FaState,
-    emitted: Vec<Oid>,
-    requested: usize,
-}
-
-// Same story as [`FaSession`]: boxed `dyn` members, opaque summary.
-impl fmt::Debug for OwnedFaSession {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OwnedFaSession")
-            .field("arity", &self.sources.len())
-            .field("emitted", &self.emitted.len())
-            .field("requested", &self.requested)
-            .finish_non_exhaustive()
-    }
-}
-
-impl OwnedFaSession {
-    /// Starts a session over owned sources. Rewinds them.
-    pub fn new(
-        mut sources: Vec<Box<dyn GradedSource>>,
-        scoring: Box<dyn ScoringFunction>,
-    ) -> Result<OwnedFaSession, AlgoError> {
-        if sources.is_empty() {
-            return Err(AlgoError::NoSources);
-        }
-        if !scoring.is_monotone() {
-            return Err(AlgoError::NonMonotoneScoring(scoring.name()));
-        }
-        for source in sources.iter_mut() {
-            source.rewind();
-        }
-        let m = sources.len();
-        Ok(OwnedFaSession {
-            sources,
-            scoring,
-            state: FaState::new(m),
-            emitted: Vec::new(),
-            requested: 0,
-        })
-    }
-
-    /// Returns the next `k` best answers; see [`FaSession::next_k`].
-    pub fn next_k(&mut self, k: usize) -> Result<TopKResult, AlgoError> {
-        if k == 0 {
-            return Err(AlgoError::ZeroK);
-        }
-        self.requested += k;
-        let mut refs: Vec<&mut dyn GradedSource> = self
-            .sources
-            .iter_mut()
-            .map(|b| b.as_mut() as &mut dyn GradedSource)
-            .collect();
-        self.state.sorted_phase(&mut refs, self.requested);
-        self.state.random_phase(&mut refs);
-        let mut combined = self.state.combine(self.scoring.as_ref());
-        combined.retain(|so| !self.emitted.contains(&so.id));
-        let result = finalize(combined, k, self.state.stats);
-        self.emitted.extend(result.answers.iter().map(|a| a.id));
-        Ok(result)
+        let mut refs = borrowed(&mut self.sources);
+        self.state.next_k(&mut refs, &*self.scoring, k)
     }
 
     /// Cumulative access statistics for the session.
@@ -309,7 +262,7 @@ impl OwnedFaSession {
 
     /// Number of answers already returned.
     pub fn emitted(&self) -> usize {
-        self.emitted.len()
+        self.state.emitted.len()
     }
 }
 

@@ -13,6 +13,21 @@
 //! | [`approx::ApproxTa`]/[`approx::ApproxNra`] | extension: FLN θ-approximation | `(1+θ)` grade slack |
 //! | [`cg_filter::CgFilter`] | Chaudhuri–Gravano \[CG96\] filter-condition simulation | τ-schedule dependent |
 //!
+//! The extension rows are one loop — the crate-private `threshold`
+//! module — and each public name is a thin constructor choosing when
+//! it probes, its slack θ, whether shard workers share a bound, and
+//! how grades are reported (`DESIGN.md` §10):
+//!
+//! | Name | Probes | θ | Shared bound | Grades reported |
+//! |------|--------|---|--------------|-----------------|
+//! | [`ta::ThresholdAlgorithm`] | on sight | 0 | — | as halted (exact: no interval is ever open) |
+//! | [`approx::ApproxTa`] | on sight | θ | — | as halted (exact) |
+//! | [`nra::Nra`], [`nra::NraLowerBound`] | never | 0 | — | as halted (intervals / lower bounds) |
+//! | [`approx::ApproxNra`] | never | θ | — | as halted (lower bounds) |
+//! | [`ca::CombinedAlgorithm`] | every `h` rounds | θ | — | closed at the halt (exact) |
+//! | [`crate::sharded::ShardKernel::Ta`] | on sight | 0 | yes | as halted (exact) |
+//! | [`crate::sharded::ShardKernel::Nra`] | never | 0 | yes | collapsed only (exact) |
+//!
 //! All algorithms consume [`GradedSource`]s, meter every access into an
 //! [`AccessStats`], and return answers with **exact** grades — returning
 //! an object with an under- or over-stated grade counts as wrong, and
@@ -30,13 +45,13 @@ pub mod naive;
 pub mod nra;
 pub mod pruned_fa;
 pub mod ta;
+pub(crate) mod threshold;
 
 use std::fmt;
 
 use fmdb_core::score::ScoredObject;
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::request::TopKRequest;
 use crate::source::{GradedSource, Oid};
 use crate::stats::AccessStats;
 
@@ -72,7 +87,7 @@ pub enum AlgoError {
         /// The offending function's name.
         scoring: String,
     },
-    /// A [`TopKRequest`] could not be assembled (missing scoring
+    /// A [`crate::request::TopKRequest`] could not be assembled (missing scoring
     /// function, malformed weights, weight/source arity mismatch, …).
     InvalidRequest(String),
     /// The execution engine failed mid-query (e.g. a prefetch worker
@@ -137,36 +152,6 @@ pub trait TopKAlgorithm {
     /// on the serial path.
     fn shard_kernel(&self) -> Option<crate::sharded::ShardKernel> {
         None
-    }
-}
-
-/// The unified evaluation interface: any strategy that can answer a
-/// [`TopKRequest`].
-///
-/// Every [`TopKAlgorithm`] implements this automatically (the blanket
-/// impl locks the request's shared sources and runs the scalar code
-/// path unchanged); strategies with richer native results — like
-/// [`nra::Nra`]'s grade intervals — implement it directly. The batched
-/// parallel engine ([`crate::engine::Engine`]) accepts the same
-/// requests, so callers pick a strategy without changing how they
-/// describe the query.
-pub trait Algorithm {
-    /// The strategy's display name.
-    fn name(&self) -> &'static str;
-
-    /// Answers `request`, consuming sorted/random access from its
-    /// sources' current cursors (implementations rewind first).
-    fn run(&mut self, request: &TopKRequest) -> Result<TopKResult, AlgoError>;
-}
-
-impl<T: TopKAlgorithm> Algorithm for T {
-    fn name(&self) -> &'static str {
-        TopKAlgorithm::name(self)
-    }
-
-    fn run(&mut self, request: &TopKRequest) -> Result<TopKResult, AlgoError> {
-        let scoring = request.scoring();
-        request.with_sources(|refs| self.top_k(refs, &scoring, request.k()))
     }
 }
 

@@ -14,14 +14,11 @@
 //! upper bound (seen or unseen). The price of skipping random access is
 //! that reported grades may remain intervals rather than exact values.
 
-use std::collections::HashMap;
-
-use fmdb_core::score::Score;
+use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::algorithms::approx::upper_excluded;
-use crate::algorithms::{validate, AlgoError, Algorithm, TopKResult};
-use crate::request::TopKRequest;
+use crate::algorithms::threshold::{Family, Probe, Report};
+use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
 use crate::source::{GradedSource, Oid};
 use crate::stats::AccessStats;
 
@@ -54,157 +51,47 @@ pub struct NraResult {
     pub stats: AccessStats,
 }
 
+impl NraResult {
+    /// Flattens each [`BoundedAnswer`] to its certified **lower**
+    /// bound. The answer *set* is a valid top-k set; reported grades
+    /// may understate the truth wherever the interval had not
+    /// collapsed — that is the price of the no-random-access regime.
+    pub fn into_lower_bounds(self) -> TopKResult {
+        TopKResult {
+            answers: self
+                .answers
+                .iter()
+                .map(|b| ScoredObject::new(b.id, b.lower))
+                .collect(),
+            stats: self.stats,
+        }
+    }
+}
+
 /// The no-random-access algorithm.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Nra;
 
 impl Nra {
-    /// Finds a top-`k` set using sorted access only.
+    /// Finds a top-`k` set using sorted access only: the threshold
+    /// kernel with no probes, reporting the intervals as they stand at
+    /// the halt.
     pub fn top_k(
         &self,
         sources: &mut [&mut dyn GradedSource],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<NraResult, AlgoError> {
-        nra_core(sources, scoring, k, 0.0)
-    }
-}
-
-/// The NRA round loop, shared with
-/// [`crate::algorithms::approx::ApproxNra`]. At `theta = 0` the
-/// exclusion comparison is the exact `Score` ordering, so the exact
-/// algorithm is literally this function.
-pub(crate) fn nra_core(
-    sources: &mut [&mut dyn GradedSource],
-    scoring: &dyn ScoringFunction,
-    k: usize,
-    theta: f64,
-) -> Result<NraResult, AlgoError> {
-    validate(sources, scoring, k)?;
-    let m = sources.len();
-    for source in sources.iter_mut() {
-        source.rewind();
-    }
-    let mut stats = AccessStats::ZERO;
-    let mut seen: HashMap<Oid, Vec<Option<Score>>> = HashMap::new();
-    let mut bottoms = vec![Score::ONE; m];
-    let mut exhausted = vec![false; m];
-    let mut low_buf = Vec::with_capacity(m);
-    let mut high_buf = Vec::with_capacity(m);
-    // Threshold feeding: under a zero-absorbing combiner (t-norms:
-    // combine ≤ min), a sorted entry graded below the current k-th
-    // lower bound cannot reach the top k, so τ is a valid per-source
-    // hint for [`GradedSource::note_threshold`] — purely physical
-    // (e.g. gating read-ahead), never affecting answers or charges.
-    let feed = matches!(
-        crate::planner::classify_combiner(scoring, m),
-        crate::planner::CombinerKind::ZeroAbsorbing
-    );
-
-    loop {
-        // One round of sorted access on every live list.
-        let mut progressed = false;
-        for i in 0..m {
-            if exhausted[i] {
-                continue;
-            }
-            match sources[i].sorted_next() {
-                Some(so) => {
-                    stats.sorted += 1;
-                    progressed = true;
-                    bottoms[i] = so.grade;
-                    let slots = seen.entry(so.id).or_insert_with(|| vec![None; m]);
-                    slots[i] = Some(so.grade);
-                }
-                None => {
-                    exhausted[i] = true;
-                    bottoms[i] = Score::ZERO;
-                }
-            }
-        }
-
-        // Bounds for every seen object.
-        let mut bounded: Vec<BoundedAnswer> = Vec::with_capacity(seen.len());
-        for (&oid, slots) in &seen {
-            low_buf.clear();
-            high_buf.clear();
-            for (i, &g) in slots.iter().enumerate() {
-                low_buf.push(g.unwrap_or(Score::ZERO));
-                high_buf.push(g.unwrap_or(bottoms[i]));
-            }
-            bounded.push(BoundedAnswer {
-                id: oid,
-                lower: scoring.combine(&low_buf),
-                upper: scoring.combine(&high_buf),
-            });
-        }
-        // Descending lower bound; ties by ascending oid for
-        // determinism.
-        bounded.sort_by(|a, b| b.lower.cmp(&a.lower).then(a.id.cmp(&b.id)));
-
-        let enough_candidates = bounded.len() >= k;
-        if enough_candidates {
-            let tau = bounded[k - 1].lower;
-            if feed {
-                for source in sources.iter_mut() {
-                    source.note_threshold(tau);
-                }
-            }
-            // Unseen objects are bounded by combine(bottoms).
-            let unseen_upper = scoring.combine(&bottoms);
-            let rest_ok = bounded[k..]
-                .iter()
-                .all(|b| upper_excluded(b.upper, tau, theta));
-            let unseen_ok = upper_excluded(unseen_upper, tau, theta) || !progressed;
-            if rest_ok && unseen_ok {
-                bounded.truncate(k);
-                return Ok(NraResult {
-                    answers: bounded,
-                    stats,
-                });
-            }
-        }
-        if !progressed {
-            // Everything streamed: bounds are exact.
-            bounded.truncate(k);
-            return Ok(NraResult {
-                answers: bounded,
-                stats,
-            });
-        }
-    }
-}
-
-impl Algorithm for Nra {
-    fn name(&self) -> &'static str {
-        "nra"
-    }
-
-    /// Runs NRA against a [`TopKRequest`], flattening each
-    /// [`BoundedAnswer`] to its certified **lower** bound. The answer
-    /// *set* is a valid top-k set; reported grades may understate the
-    /// truth wherever the interval had not collapsed — that is the
-    /// price of the no-random-access regime. Callers needing the
-    /// intervals should use [`Nra::top_k`] directly.
-    fn run(&mut self, request: &TopKRequest) -> Result<TopKResult, AlgoError> {
-        let scoring = request.scoring();
-        let result = request.with_sources(|refs| Nra::top_k(self, refs, &scoring, request.k()))?;
-        Ok(TopKResult {
-            answers: result
-                .answers
-                .iter()
-                .map(|b| fmdb_core::score::ScoredObject::new(b.id, b.lower))
-                .collect(),
-            stats: result.stats,
-        })
+        Family::new(Probe::Never, 0.0, Report::AsHalted).top_k(sources, scoring, k)
     }
 }
 
 /// NRA packaged as a [`TopKAlgorithm`]: flattens every answer to its
-/// certified **lower** bound, exactly like `<Nra as Algorithm>::run`,
-/// but usable wherever a `&dyn TopKAlgorithm` is required (notably
+/// certified **lower** bound ([`NraResult::into_lower_bounds`]), so it
+/// is usable wherever a `&dyn TopKAlgorithm` is required (notably
 /// [`crate::engine::Engine::run_algorithm`], where it advertises the
-/// sharded NRA kernel).
+/// sharded NRA kernel). Callers needing the intervals should use
+/// [`Nra::top_k`] directly.
 ///
 /// Grade caveat carried over from [`Nra`]: the answer *set* is a valid
 /// top-k set, but serial grades may understate the truth wherever the
@@ -214,7 +101,7 @@ impl Algorithm for Nra {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NraLowerBound;
 
-impl crate::algorithms::TopKAlgorithm for NraLowerBound {
+impl TopKAlgorithm for NraLowerBound {
     fn name(&self) -> &'static str {
         "nra-lower-bound"
     }
@@ -225,15 +112,7 @@ impl crate::algorithms::TopKAlgorithm for NraLowerBound {
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        let result = Nra.top_k(sources, scoring, k)?;
-        Ok(TopKResult {
-            answers: result
-                .answers
-                .iter()
-                .map(|b| fmdb_core::score::ScoredObject::new(b.id, b.lower))
-                .collect(),
-            stats: result.stats,
-        })
+        Ok(Nra.top_k(sources, scoring, k)?.into_lower_bounds())
     }
 
     fn shard_kernel(&self) -> Option<crate::sharded::ShardKernel> {
@@ -245,7 +124,6 @@ impl crate::algorithms::TopKAlgorithm for NraLowerBound {
 mod tests {
     use super::*;
     use crate::algorithms::naive::Naive;
-    use crate::algorithms::TopKAlgorithm;
     use crate::oracle::all_grades;
     use crate::source::VecSource;
     use crate::workload::independent_uniform;

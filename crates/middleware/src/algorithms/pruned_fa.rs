@@ -23,14 +23,12 @@
 //! resolutions are correct per the paper's arbitrary tie-breaking).
 //! Only the random access cost shrinks; experiment E3 quantifies it.
 
-use std::collections::HashMap;
-
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
+use crate::algorithms::fa::FaState;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
 use crate::source::{GradedSource, Oid};
-use crate::stats::AccessStats;
 
 /// A₀ with upper-bound pruning of phase-2 random accesses.
 ///
@@ -74,49 +72,10 @@ impl TopKAlgorithm for PrunedFa {
     ) -> Result<TopKResult, AlgoError> {
         validate(sources, scoring, k)?;
         let m = sources.len();
-        for source in sources.iter_mut() {
-            source.rewind();
-        }
-        let mut stats = AccessStats::ZERO;
-        let mut seen: HashMap<Oid, Vec<Option<Score>>> = HashMap::new();
-        let mut bottoms = vec![Score::ONE; m];
-        let mut exhausted = vec![false; m];
-        let mut matches = 0usize;
-
-        // Phase 1 — identical to A₀.
-        'sorted: loop {
-            let mut progressed = false;
-            for i in 0..m {
-                if exhausted[i] {
-                    continue;
-                }
-                match sources[i].sorted_next() {
-                    Some(so) => {
-                        stats.sorted += 1;
-                        progressed = true;
-                        bottoms[i] = so.grade;
-                        let slots = seen.entry(so.id).or_insert_with(|| vec![None; m]);
-                        if slots[i].is_none() {
-                            slots[i] = Some(so.grade);
-                            if slots.iter().all(Option::is_some) {
-                                matches += 1;
-                            }
-                        }
-                    }
-                    None => {
-                        exhausted[i] = true;
-                        // A drained list bounds all unseen objects by 0.
-                        bottoms[i] = Score::ZERO;
-                    }
-                }
-                if matches >= k {
-                    break 'sorted;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
+        // Phase 1 — A₀'s own.
+        let mut state = FaState::new(sources);
+        state.sorted_phase(sources, k);
+        let (seen, bottoms, mut stats) = (state.seen, state.bottoms, state.stats);
 
         // Phase 2 — pruned random access.
         // Split into fully-known objects and candidates with holes.
@@ -135,12 +94,11 @@ impl TopKAlgorithm for PrunedFa {
         let mut candidates: Vec<(Oid, Vec<Option<Score>>, Score)> = Vec::new();
         let mut buf = Vec::with_capacity(m);
         for (oid, slots) in seen {
+            // With no unknown slot the upper bound is the exact grade.
+            let upper = upper_of(&slots, &mut buf);
             if slots.iter().all(Option::is_some) {
-                buf.clear();
-                buf.extend(slots.iter().copied().flatten());
-                known.push(ScoredObject::new(oid, scoring.combine(&buf)));
+                known.push(ScoredObject::new(oid, upper));
             } else {
-                let upper = upper_of(&slots, &mut buf);
                 candidates.push((oid, slots, upper));
             }
         }
@@ -174,10 +132,7 @@ impl TopKAlgorithm for PrunedFa {
             if abandoned {
                 continue;
             }
-            buf.clear();
-            // lint:allow(no-panic): the probe loop above filled every None slot for this object
-            buf.extend(slots.iter().map(|&g| g.expect("just filled")));
-            known.push(ScoredObject::new(oid, scoring.combine(&buf)));
+            known.push(ScoredObject::new(oid, upper_of(&slots, &mut buf)));
             tau = kth_best(&known, k);
         }
 

@@ -20,15 +20,11 @@
 //! gracefully on the correlated instances where A₀'s probabilistic
 //! analysis does not apply (experiment E11).
 
-use std::collections::HashMap;
-
-use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::algorithms::approx::grade_certifies;
-use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::{GradedSource, Oid};
-use crate::stats::AccessStats;
+use crate::algorithms::threshold::{Family, Probe, Report};
+use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
+use crate::source::GradedSource;
 
 /// The Threshold Algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -46,105 +42,17 @@ impl TopKAlgorithm for ThresholdAlgorithm {
         Some(crate::sharded::ShardKernel::Ta)
     }
 
+    /// The threshold kernel probing on sight: every seen object is
+    /// resolved at once, so the intervals it reports are exact grades.
     fn top_k(
         &self,
         sources: &mut [&mut dyn GradedSource],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        ta_core(sources, scoring, k, 0.0)
+        let family = Family::new(Probe::OnSight, 0.0, Report::AsHalted);
+        Ok(family.top_k(sources, scoring, k)?.into_lower_bounds())
     }
-}
-
-/// The TA round loop, shared with
-/// [`crate::algorithms::approx::ApproxTa`]. At `theta = 0` the halting
-/// comparison is the exact `Score` ordering, so the exact algorithm is
-/// literally this function.
-pub(crate) fn ta_core(
-    sources: &mut [&mut dyn GradedSource],
-    scoring: &dyn ScoringFunction,
-    k: usize,
-    theta: f64,
-) -> Result<TopKResult, AlgoError> {
-    validate(sources, scoring, k)?;
-    let m = sources.len();
-    for source in sources.iter_mut() {
-        source.rewind();
-    }
-    let mut stats = AccessStats::ZERO;
-    let mut grades: HashMap<Oid, Score> = HashMap::new();
-    let mut bottoms = vec![Score::ONE; m];
-    let mut exhausted = vec![false; m];
-    let mut slot_buf = vec![Score::ZERO; m];
-    // Threshold feeding: under a zero-absorbing combiner (t-norms:
-    // combine ≤ min), a sorted entry graded below the current k-th
-    // best overall grade cannot reach the top k, so that grade is a
-    // valid per-source bound to hint ([`GradedSource::note_threshold`]
-    // — purely physical, e.g. gating read-ahead of provably useless
-    // pages). `topk` holds the best overall grades seen, descending.
-    let feed = matches!(
-        crate::planner::classify_combiner(scoring, m),
-        crate::planner::CombinerKind::ZeroAbsorbing
-    );
-    let mut topk: Vec<Score> = Vec::new();
-
-    loop {
-        let mut progressed = false;
-        for i in 0..m {
-            if exhausted[i] {
-                continue;
-            }
-            let Some(so) = sources[i].sorted_next() else {
-                exhausted[i] = true;
-                bottoms[i] = Score::ZERO;
-                continue;
-            };
-            stats.sorted += 1;
-            progressed = true;
-            bottoms[i] = so.grade;
-            if let std::collections::hash_map::Entry::Vacant(entry) = grades.entry(so.id) {
-                // Immediately resolve every other list's grade.
-                for (j, slot) in slot_buf.iter_mut().enumerate() {
-                    if j == i {
-                        *slot = so.grade;
-                    } else {
-                        *slot = sources[j].random_access(so.id);
-                        stats.random += 1;
-                    }
-                }
-                let overall = scoring.combine(&slot_buf);
-                entry.insert(overall);
-                if feed {
-                    let pos = topk.partition_point(|&g| g >= overall);
-                    if pos < k {
-                        topk.insert(pos, overall);
-                        topk.truncate(k);
-                    }
-                }
-            }
-        }
-        if feed && topk.len() == k {
-            let bound = topk[k - 1];
-            for source in sources.iter_mut() {
-                source.note_threshold(bound);
-            }
-        }
-
-        let tau = scoring.combine(&bottoms);
-        let at_or_above = grades
-            .values()
-            .filter(|&&g| grade_certifies(g, tau, theta))
-            .count();
-        if at_or_above >= k || !progressed {
-            break;
-        }
-    }
-
-    let combined: Vec<ScoredObject<Oid>> = grades
-        .into_iter()
-        .map(|(oid, g)| ScoredObject::new(oid, g))
-        .collect();
-    Ok(finalize(combined, k, stats))
 }
 
 #[cfg(test)]
@@ -153,6 +61,7 @@ mod tests {
     use crate::algorithms::fa::FaginsAlgorithm;
     use crate::algorithms::naive::Naive;
     use crate::source::VecSource;
+    use fmdb_core::score::Score;
     use fmdb_core::scoring::means::ArithmeticMean;
     use fmdb_core::scoring::tnorms::Min;
 

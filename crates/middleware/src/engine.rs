@@ -44,7 +44,7 @@ use std::thread;
 
 use fmdb_core::score::{Score, ScoredObject};
 
-use crate::algorithms::{AlgoError, Algorithm, TopKAlgorithm, TopKResult};
+use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
 use crate::lru::LruCore;
 use crate::planner::{Explain, PhysicalPlan, PlanQuery, QueryStats};
 use crate::policy::Algo;
@@ -1148,16 +1148,6 @@ fn run_over(
     Ok((result, hits, misses))
 }
 
-impl Algorithm for Engine {
-    fn name(&self) -> &'static str {
-        "engine"
-    }
-
-    fn run(&mut self, request: &TopKRequest) -> Result<TopKResult, AlgoError> {
-        Engine::run(self, request).map_err(AlgoError::from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1440,15 +1430,6 @@ mod tests {
             let reference = scalar(&FaginsAlgorithm, 300, 2, i as u64, 1 + i);
             assert_eq!(result.unwrap().answers, reference.answers, "request {i}");
         }
-    }
-
-    #[test]
-    fn engine_implements_the_algorithm_trait() {
-        let mut engine = Engine::default();
-        let strategy: &mut dyn Algorithm = &mut engine;
-        assert_eq!(strategy.name(), "engine");
-        let result = strategy.run(&request(100, 2, 1, 3)).unwrap();
-        assert_eq!(result.answers.len(), 3);
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub mod prelude {
     pub use crate::algorithms::nra::{BoundedAnswer, Nra, NraLowerBound, NraResult};
     pub use crate::algorithms::pruned_fa::PrunedFa;
     pub use crate::algorithms::ta::ThresholdAlgorithm;
-    pub use crate::algorithms::{AlgoError, Algorithm, TopKAlgorithm, TopKResult};
+    pub use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
     pub use crate::engine::{Engine, EngineConfig, EngineError, GradeCache, StripedGradeCache};
     pub use crate::optimality::OptimalityOracle;
     pub use crate::oracle::verify_top_k;

@@ -38,9 +38,6 @@
 //! guarantees alignment by partitioning all sources of a request with
 //! one partitioner.
 
-use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -50,7 +47,7 @@ use std::thread;
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::algorithms::nra::BoundedAnswer;
+use crate::algorithms::threshold::{Family, Probe, Report};
 use crate::algorithms::TopKResult;
 use crate::engine::{panic_message, EngineError};
 use crate::request::SharedScoring;
@@ -246,225 +243,13 @@ impl Iterator for ShardMerger {
     }
 }
 
-/// Per-shard TA: the serial TA loop plus cooperative threshold
-/// sharing.
+/// Runs one shard's kernel: the threshold loop of
+/// [`crate::algorithms::threshold`] with the cooperative bound attached.
 ///
-/// The shard maintains its top-k of *seen* objects in a bounded
-/// min-heap (so the local k-th exact grade is always at hand to
-/// publish) and stops on whichever fires first: the classic TA rule
-/// (k seen grades at or above the shard's own `τ`), the cooperative
-/// rule (`τ` strictly below the shared global bound), or stream
-/// exhaustion.
-fn shard_ta<S: GradedSource>(
-    sources: &mut [S],
-    scoring: &dyn ScoringFunction,
-    k: usize,
-    global: &AtomicThreshold,
-) -> (Vec<ScoredObject<Oid>>, AccessStats) {
-    let m = sources.len();
-    let mut stats = AccessStats::ZERO;
-    let mut seen: HashMap<Oid, ()> = HashMap::new();
-    // Min-heap of the best k (grade, oid) seen, worst on top; `Reverse`
-    // on the oid makes heap order agree with the output tie-break.
-    let mut top: BinaryHeap<Reverse<(Score, Reverse<Oid>)>> = BinaryHeap::with_capacity(k + 1);
-    let mut bottoms = vec![Score::ONE; m];
-    let mut exhausted = vec![false; m];
-    let mut slot_buf = vec![Score::ZERO; m];
-    // Threshold feeding (same contract as serial TA): under a
-    // zero-absorbing combiner the shared bound — max of the local k-th
-    // grade and every other shard's published k-th — is a valid
-    // per-source [`GradedSource::note_threshold`] hint. Purely
-    // physical (read-ahead gating); answers and charges never change.
-    let feed = matches!(
-        crate::planner::classify_combiner(scoring, m),
-        crate::planner::CombinerKind::ZeroAbsorbing
-    );
-
-    loop {
-        let mut progressed = false;
-        for i in 0..m {
-            if exhausted[i] {
-                continue;
-            }
-            let Some(so) = sources[i].sorted_next() else {
-                exhausted[i] = true;
-                bottoms[i] = Score::ZERO;
-                continue;
-            };
-            stats.sorted += 1;
-            progressed = true;
-            bottoms[i] = so.grade;
-            if let Entry::Vacant(entry) = seen.entry(so.id) {
-                for (j, slot) in slot_buf.iter_mut().enumerate() {
-                    if j == i {
-                        *slot = so.grade;
-                    } else {
-                        *slot = sources[j].random_access(so.id);
-                        stats.random += 1;
-                    }
-                }
-                entry.insert(());
-                top.push(Reverse((scoring.combine(&slot_buf), Reverse(so.id))));
-                if top.len() > k {
-                    top.pop();
-                }
-            }
-        }
-
-        let kth = if top.len() >= k {
-            top.peek().map(|&Reverse((g, _))| g)
-        } else {
-            None
-        };
-        if let Some(kth) = kth {
-            // k objects of this shard have exact grade ≥ kth, so the
-            // global k-th grade is ≥ kth: a certified bound to share.
-            global.observe(kth);
-        }
-        if feed {
-            let bound = global.get();
-            for source in sources.iter_mut() {
-                source.note_threshold(bound);
-            }
-        }
-        let tau = scoring.combine(&bottoms);
-        let locally_done = kth.is_some_and(|kth| kth >= tau);
-        // Strict <: every unseen object here grades ≤ τ < global k-th,
-        // so it loses to all k global answers even under tie-breaks.
-        let globally_pruned = tau < global.get();
-        if locally_done || globally_pruned || !progressed {
-            break;
-        }
-    }
-
-    let mut answers: Vec<ScoredObject<Oid>> = top
-        .into_iter()
-        .map(|Reverse((grade, Reverse(id)))| ScoredObject::new(id, grade))
-        .collect();
-    answers.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
-    (answers, stats)
-}
-
-/// Per-shard NRA: sorted access only, cooperative threshold sharing.
-///
-/// Beyond serial NRA's stopping rule, the reported local top-k must
-/// have *collapsed* intervals (exact grades): the cross-shard merge
-/// selects by grade, and selecting by uncollapsed lower bounds could
-/// prefer a shard's mediocre-but-certain candidate over another
-/// shard's better-but-uncertain one. A shard also stops (returning no
-/// answers) as soon as the shared bound proves that neither its unseen
-/// objects nor any of its current candidates can reach the global
-/// top-k.
-fn shard_nra<S: GradedSource>(
-    sources: &mut [S],
-    scoring: &dyn ScoringFunction,
-    k: usize,
-    global: &AtomicThreshold,
-) -> (Vec<ScoredObject<Oid>>, AccessStats) {
-    let m = sources.len();
-    let mut stats = AccessStats::ZERO;
-    let mut seen: HashMap<Oid, Vec<Option<Score>>> = HashMap::new();
-    let mut bottoms = vec![Score::ONE; m];
-    let mut exhausted = vec![false; m];
-    let mut low_buf = Vec::with_capacity(m);
-    let mut high_buf = Vec::with_capacity(m);
-    // Threshold feeding, same contract as in [`shard_ta`].
-    let feed = matches!(
-        crate::planner::classify_combiner(scoring, m),
-        crate::planner::CombinerKind::ZeroAbsorbing
-    );
-
-    loop {
-        let mut progressed = false;
-        for i in 0..m {
-            if exhausted[i] {
-                continue;
-            }
-            match sources[i].sorted_next() {
-                Some(so) => {
-                    stats.sorted += 1;
-                    progressed = true;
-                    bottoms[i] = so.grade;
-                    let slots = seen.entry(so.id).or_insert_with(|| vec![None; m]);
-                    slots[i] = Some(so.grade);
-                }
-                None => {
-                    exhausted[i] = true;
-                    bottoms[i] = Score::ZERO;
-                }
-            }
-        }
-
-        let mut bounded: Vec<BoundedAnswer> = Vec::with_capacity(seen.len());
-        for (&oid, slots) in &seen {
-            low_buf.clear();
-            high_buf.clear();
-            for (i, &g) in slots.iter().enumerate() {
-                low_buf.push(g.unwrap_or(Score::ZERO));
-                high_buf.push(g.unwrap_or(bottoms[i]));
-            }
-            bounded.push(BoundedAnswer {
-                id: oid,
-                lower: scoring.combine(&low_buf),
-                upper: scoring.combine(&high_buf),
-            });
-        }
-        bounded.sort_by(|a, b| b.lower.cmp(&a.lower).then(a.id.cmp(&b.id)));
-
-        if bounded.len() >= k {
-            // k objects of this shard have true grade ≥ their lower
-            // bounds ≥ the k-th lower bound: a certified global bound.
-            global.observe(bounded[k - 1].lower);
-        }
-        let theta = global.get();
-        if feed {
-            for source in sources.iter_mut() {
-                source.note_threshold(theta);
-            }
-        }
-        let unseen_upper = scoring.combine(&bottoms);
-
-        // Cooperative prune: nothing this shard has seen — or could
-        // still see — can reach the global top-k (strict <, so ties at
-        // the k-th grade are never discarded).
-        let unseen_hopeless = !progressed || unseen_upper < theta;
-        if unseen_hopeless && bounded.iter().all(|b| b.upper < theta) {
-            return (Vec::new(), stats);
-        }
-
-        if bounded.len() >= k {
-            let tau = bounded[k - 1].lower;
-            let exact_ok = bounded[..k].iter().all(BoundedAnswer::is_exact);
-            // A non-answer is dismissible once its upper bound cannot
-            // beat the local k-th lower bound — or falls strictly below
-            // the shared global bound.
-            let rest_ok = bounded[k..]
-                .iter()
-                .all(|b| b.upper <= tau || b.upper < theta);
-            let unseen_ok = !progressed || unseen_upper <= tau || unseen_upper < theta;
-            if exact_ok && rest_ok && unseen_ok {
-                bounded.truncate(k);
-                let answers = bounded
-                    .iter()
-                    .map(|b| ScoredObject::new(b.id, b.lower))
-                    .collect();
-                return (answers, stats);
-            }
-        }
-        if !progressed {
-            // Fully drained with fewer than k candidates: all bottoms
-            // are 0, every interval has collapsed, report everything.
-            bounded.truncate(k);
-            let answers = bounded
-                .iter()
-                .map(|b| ScoredObject::new(b.id, b.lower))
-                .collect();
-            return (answers, stats);
-        }
-    }
-}
-
-/// Runs one shard's kernel.
+/// On top of its serial stopping rule the shard publishes its local
+/// k-th (lower-bound) grade into `global` every round and stops as soon
+/// as the shared bound rules out everything it has not reported yet;
+/// the module docs argue why both are sound.
 fn run_kernel(
     kernel: ShardKernel,
     sources: &mut [ShardedSource],
@@ -472,10 +257,17 @@ fn run_kernel(
     k: usize,
     global: &AtomicThreshold,
 ) -> (Vec<ScoredObject<Oid>>, AccessStats) {
-    match kernel {
-        ShardKernel::Ta => shard_ta(sources, scoring, k, global),
-        ShardKernel::Nra => shard_nra(sources, scoring, k, global),
-    }
+    let (probe, report) = match kernel {
+        ShardKernel::Ta => (Probe::OnSight, Report::AsHalted),
+        ShardKernel::Nra => (Probe::Never, Report::Collapsed),
+    };
+    let mut refs: Vec<&mut dyn GradedSource> = sources
+        .iter_mut()
+        .map(|s| s as &mut dyn GradedSource)
+        .collect();
+    let result = Family::new(probe, 0.0, report).run(Some(global), &mut refs, scoring, k);
+    let result = result.into_lower_bounds();
+    (result.answers, result.stats)
 }
 
 /// Drives `P` shard workers on a scoped pool and merges their answers.
@@ -737,7 +529,7 @@ mod tests {
         );
         let mut parts = src.partition(SourcePartitioner::Modulo, 2).unwrap();
         let global = AtomicThreshold::new();
-        let (answers, stats) = shard_ta(&mut parts[..1], &Min, 3, &global);
+        let (answers, stats) = run_kernel(ShardKernel::Ta, &mut parts[..1], &Min, 3, &global);
         assert_eq!(answers.len(), 3);
         assert!(stats.sorted > 0);
         assert_eq!(stats.random, 0, "single source: nothing to probe");
@@ -750,7 +542,13 @@ mod tests {
         );
         let mut parts2 = src2.partition(SourcePartitioner::Modulo, 2).unwrap();
         let mut pair = vec![parts.remove(0), parts2.remove(0)];
-        let (_, nra_stats) = shard_nra(&mut pair, &Min, 3, &AtomicThreshold::new());
+        let (_, nra_stats) = run_kernel(
+            ShardKernel::Nra,
+            &mut pair,
+            &Min,
+            3,
+            &AtomicThreshold::new(),
+        );
         assert_eq!(nra_stats.random, 0);
     }
 
@@ -763,14 +561,14 @@ mod tests {
         let mut parts = src.partition(SourcePartitioner::Modulo, 1).unwrap();
         let global = AtomicThreshold::new();
         global.observe(s(0.9));
-        let (_, stats) = shard_ta(&mut parts, &Min, 5, &global);
+        let (_, stats) = run_kernel(ShardKernel::Ta, &mut parts, &Min, 5, &global);
         assert!(
             stats.sorted <= 10,
             "cooperative bound should stop the scan, streamed {}",
             stats.sorted
         );
         let mut parts_nra = src.partition(SourcePartitioner::Modulo, 1).unwrap();
-        let (answers, stats) = shard_nra(&mut parts_nra, &Min, 5, &global);
+        let (answers, stats) = run_kernel(ShardKernel::Nra, &mut parts_nra, &Min, 5, &global);
         assert!(answers.is_empty(), "pruned shard reports no answers");
         assert!(stats.sorted <= 10, "streamed {}", stats.sorted);
     }

@@ -649,6 +649,12 @@ impl<S: GradedSource> GradedSource for CountingSource<S> {
         self.inner.random_access_bounded(oid, bound)
     }
 
+    // Optimizer-time metadata charges nothing: forwarded unmetered, so
+    // the planner sees the same statistics with or without the wrapper.
+    fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
+        self.inner.grade_histogram(bins)
+    }
+
     fn page_io(&self) -> Option<crate::stats::PageIoStats> {
         self.inner.page_io()
     }
@@ -794,6 +800,16 @@ impl<S: GradedSource> GradedSource for ValidatingSource<S> {
         // nothing.
         self.inner.note_threshold(bound);
     }
+
+    // Read-only planner statistics: nothing to validate, and dropping
+    // them would silently push `choose_plan` onto its stats-free basis.
+    fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
+        self.inner.grade_histogram(bins)
+    }
+
+    fn page_io(&self) -> Option<crate::stats::PageIoStats> {
+        self.inner.page_io()
+    }
 }
 
 #[cfg(test)]
@@ -904,6 +920,23 @@ mod tests {
             let _ = v.random_access(so.id);
         }
         assert!(v.is_clean(), "{:?}", v.violations());
+    }
+
+    /// Planner statistics survive wrapping: `QueryStats::from_sources`
+    /// over a wrapped `VecSource` sees the histogram the bare source
+    /// reports.
+    #[test]
+    fn wrappers_forward_planner_statistics() {
+        let bare = VecSource::from_dense("t", &[s(0.3), s(0.9), s(0.5), s(0.1)]);
+        let want = bare.grade_histogram(4);
+        assert!(want.is_some());
+        let mut validating = ValidatingSource::new(bare.clone());
+        let mut counting = CountingSource::new(bare.clone());
+        assert_eq!(validating.grade_histogram(4), want);
+        assert_eq!(counting.grade_histogram(4), want);
+        assert_eq!(validating.page_io(), bare.page_io());
+        let mut refs: Vec<&mut dyn GradedSource> = vec![&mut validating, &mut counting];
+        assert!(crate::planner::QueryStats::from_sources(&mut refs).is_some());
     }
 
     #[test]

@@ -603,8 +603,7 @@ pub(crate) fn decode_header(page: &[u8]) -> Result<Header, StoreError> {
         (0u64, HEADER_FIXED_BYTES_V1)
     } else {
         let bounds_pages = read_u32(page, 60) as u64;
-        let expected_bounds =
-            (sorted_pages + random_pages).div_ceil(entries_per_page as u64);
+        let expected_bounds = (sorted_pages + random_pages).div_ceil(entries_per_page as u64);
         if bounds_pages != expected_bounds {
             return Err(StoreError::InvalidHeader(
                 "bounds page count disagrees with data pages",
@@ -724,7 +723,11 @@ mod tests {
         let decoded = decode_header(&page).unwrap();
         assert_eq!(decoded, header);
         assert_eq!(decoded.bounds_pages, 0, "v1 has no bounds section");
-        assert_eq!(decoded.sorted_start(), 3, "v1 sorted run follows the directory");
+        assert_eq!(
+            decoded.sorted_start(),
+            3,
+            "v1 sorted run follows the directory"
+        );
     }
 
     #[test]

@@ -1190,7 +1190,13 @@ mod tests {
     fn bounded_drain_matches_vecsource_and_skips_pages() {
         let pairs = sample_pairs(2000, 21);
         let path = scratch("bounded-drain.fmdb");
-        build_store(&path, "bd", pairs.clone(), &BuildConfig::with_page_size(256)).unwrap();
+        build_store(
+            &path,
+            "bd",
+            pairs.clone(),
+            &BuildConfig::with_page_size(256),
+        )
+        .unwrap();
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
         for bound in [0.0, 0.25, 0.5, 0.9, 0.999, 1.0] {
             let bound = Score::clamped(bound);
@@ -1225,7 +1231,13 @@ mod tests {
             .map(|i| (i, Score::clamped(i as f64 / 1000.0)))
             .collect();
         let path = scratch("bounded-probe.fmdb");
-        build_store(&path, "bp", pairs.clone(), &BuildConfig::with_page_size(256)).unwrap();
+        build_store(
+            &path,
+            "bp",
+            pairs.clone(),
+            &BuildConfig::with_page_size(256),
+        )
+        .unwrap();
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
         let mut paged = store.source();
         let mut vec = VecSource::new("bp", pairs);

@@ -81,8 +81,12 @@ fn build_pair(s: Scenario, tag: &str) -> (VecSource, PagedStore) {
         vec_src = VecSource::from_dense("flat", &grades);
     }
     let path = scratch(tag);
-    build_store_from_source(&path, &mut vec_src, &BuildConfig::with_page_size(s.page_size))
-        .expect("build store");
+    build_store_from_source(
+        &path,
+        &mut vec_src,
+        &BuildConfig::with_page_size(s.page_size),
+    )
+    .expect("build store");
     vec_src.rewind();
     let store = PagedStore::open(&path, StoreOptions::DEFAULT).expect("open store");
     (vec_src, store)
@@ -113,7 +117,11 @@ fn drain_script<S: GradedSource>(
     while let Some(so) = counted.sorted_next() {
         observed.push(so);
     }
-    (observed, counted.sorted_accesses(), counted.random_accesses())
+    (
+        observed,
+        counted.sorted_accesses(),
+        counted.random_accesses(),
+    )
 }
 
 proptest! {
@@ -182,7 +190,7 @@ proptest! {
     #[test]
     fn ta_with_threshold_feeding_matches_in_memory(s in scenario()) {
         let (vec_src, store) = build_pair(s, "ta");
-        let mut mem = vec![vec_src.clone(), vec_src.clone()];
+        let mut mem = [vec_src.clone(), vec_src.clone()];
         let mut mem_refs: Vec<&mut dyn GradedSource> = mem
             .iter_mut()
             .map(|x| x as &mut dyn GradedSource)
@@ -191,8 +199,8 @@ proptest! {
             .top_k(&mut mem_refs, &Min, s.k)
             .expect("valid run");
 
-        let mut paged = vec![store.source()];
-        let mut mixed = vec![vec_src.clone()];
+        let mut paged = [store.source()];
+        let mut mixed = [vec_src.clone()];
         let mut refs: Vec<&mut dyn GradedSource> = Vec::new();
         refs.push(&mut paged[0]);
         refs.push(&mut mixed[0]);

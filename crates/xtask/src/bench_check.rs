@@ -413,8 +413,7 @@ pub fn check(content: &str) -> Result<String, String> {
         ));
     }
 
-    let corpus_speedup =
-        e23_corpus_speedup.ok_or("E23 is missing the `corpus_speedup` metric")?;
+    let corpus_speedup = e23_corpus_speedup.ok_or("E23 is missing the `corpus_speedup` metric")?;
     let drain_speedup = e23_drain_speedup.ok_or("E23 is missing the `drain_speedup` metric")?;
     for (name, v) in [
         ("corpus_speedup", corpus_speedup),

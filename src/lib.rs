@@ -64,10 +64,10 @@ pub mod prelude {
         SynthConfig, SyntheticDb,
     };
     pub use fmdb_middleware::prelude::{
-        AccessStats, Algo, AlgoError, Algorithm, ApproxNra, ApproxTa, Approximation,
-        CombinedAlgorithm, CostModel, Engine, EngineConfig, ExecPolicy, FaSession, FaginsAlgorithm,
-        GradeCache, GradedSource, MaxMerge, Naive, Nra, Oid, OptimalityOracle, OwnedFaSession,
-        PagedSource, PagedStore, PrunedFa, ShardPolicy, SharedScoring, SourceInfo, StoreError,
+        AccessStats, Algo, AlgoError, ApproxNra, ApproxTa, Approximation, CombinedAlgorithm,
+        CostModel, Engine, EngineConfig, ExecPolicy, FaSession, FaginsAlgorithm, GradeCache,
+        GradedSource, MaxMerge, Naive, Nra, Oid, OptimalityOracle, OwnedFaSession, PagedSource,
+        PagedStore, PrunedFa, ShardPolicy, SharedScoring, SourceInfo, StoreError,
         ThresholdAlgorithm, TopKAlgorithm, TopKQuery, TopKRequest, TopKResult, ValidatingSource,
         VecSource,
     };
