@@ -153,11 +153,11 @@ impl Catalog {
     pub fn source_for(&self, query: &AtomicQuery) -> Result<VecSource, CatalogError> {
         let repo = self.repository_for(&query.attribute)?;
         let mut local = repo.source_for(query)?;
-        let name = repo.name().to_owned();
+        let to_global = self.mapper.translator(repo.name());
         let mut grades: Vec<(Oid, Score)> = Vec::with_capacity(local.info().universe_size);
         local.rewind();
         while let Some(so) = local.sorted_next() {
-            grades.push((self.mapper.to_global(&name, so.id)?, so.grade));
+            grades.push((to_global(so.id)?, so.grade));
         }
         Ok(VecSource::new(local.info().label, grades))
     }
@@ -166,18 +166,15 @@ impl Catalog {
     /// `None` if the attribute is fuzzy.
     pub fn crisp_matches(&self, query: &AtomicQuery) -> Result<Option<Vec<Oid>>, CatalogError> {
         let repo = self.repository_for(&query.attribute)?;
-        let name = repo.name().to_owned();
-        match repo.crisp_matches(query)? {
-            None => Ok(None),
-            Some(locals) => {
-                let mut globals = locals
-                    .into_iter()
-                    .map(|l| self.mapper.to_global(&name, l))
-                    .collect::<Result<Vec<_>, _>>()?;
-                globals.sort_unstable();
-                Ok(Some(globals))
-            }
-        }
+        let Some(locals) = repo.crisp_matches(query)? else {
+            return Ok(None);
+        };
+        let mut globals = locals
+            .into_iter()
+            .map(self.mapper.translator(repo.name()))
+            .collect::<Result<Vec<_>, _>>()?;
+        globals.sort_unstable();
+        Ok(Some(globals))
     }
 
     /// The largest universe size among registered repositories — the
@@ -252,6 +249,24 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(matches, vec![100]);
+    }
+
+    #[test]
+    fn an_unmapped_local_id_fails_the_whole_source() {
+        let mut c = Catalog::new();
+        // Rows 0 and 1 are mapped; row 2 of the table is not.
+        for l in 0..2 {
+            c.mapper_mut().register("cds", l, 100 + l).unwrap();
+        }
+        c.register_with_existing_mapping(Box::new(table("cds", 3)))
+            .unwrap();
+        let beatles = atom("Artist", Target::Text("Beatles".into()));
+        assert!(matches!(
+            c.source_for(&beatles),
+            Err(CatalogError::IdMap(IdMapError::Unmapped { id: 2, .. }))
+        ));
+        // The match set {0} only needs the mapped row.
+        assert_eq!(c.crisp_matches(&beatles).unwrap(), Some(vec![100]));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use fmdb_middleware::stats::AccessStats;
 use crate::catalog::{Catalog, CatalogError};
 use crate::cost::CostEstimator;
 use crate::object::{Oid, SubObjectIndex};
-use crate::planner::{plan, plan_costed, Combiner, FlatQuery, PlanKind};
+use crate::planner::{bind, optimize, plan, plan_costed, BoundQuery, Combiner, Plan, PlanKind};
 
 /// Which top-k algorithm executes flat monotone plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -219,8 +219,9 @@ impl Garlic {
     }
 
     /// Finds the top `k` answers with a **cost-based** plan choice
-    /// (§4.2's optimizer): strategies are priced through `estimator`
-    /// and the cheapest valid one runs.
+    /// (§4.2's optimizer): every atom is graded once ([`bind`]),
+    /// strategies are priced through `estimator` on those lists
+    /// ([`optimize`]), and the cheapest valid one runs on them.
     pub fn top_k_optimized(
         &self,
         query: &Query,
@@ -230,8 +231,9 @@ impl Garlic {
         if k == 0 {
             return Err(ExecError::ZeroK);
         }
-        let p = plan_costed(query, &self.catalog, k, estimator);
-        self.execute_plan(p, query, k)
+        let bound = bind(query, &self.catalog)?;
+        let p = optimize(&bound, k, estimator);
+        self.execute_plan(p, bound, query, k)
     }
 
     /// Finds the top `k` answers with an explicit algorithm override
@@ -248,34 +250,19 @@ impl Garlic {
         if matches!(choice, AlgoChoice::Auto) {
             return self.top_k_optimized(query, k, &CostEstimator::default());
         }
+        let bound = bind(query, &self.catalog)?;
         let p = plan(query, &self.catalog);
-        match (p.kind, choice) {
-            (PlanKind::FullScan, _) => self.full_scan(query, k, p.explanation),
-            (_, AlgoChoice::Naive) => {
-                let Some(flat) = p.flat else {
-                    return Err(ExecError::Internal("non-FullScan plans carry a flat query"));
-                };
-                self.run_flat(
-                    &flat,
-                    k,
-                    &Naive,
-                    PlanKind::FaginA0,
-                    "forced naive".to_owned(),
-                )
-            }
-            (_, choice) => {
-                let Some(flat) = p.flat else {
-                    return Err(ExecError::Internal("non-FullScan plans carry a flat query"));
-                };
-                let pruned = PrunedFa::default();
-                let (algo, label): (&dyn TopKAlgorithm, &str) = match choice {
-                    AlgoChoice::PrunedFa => (&pruned, "forced pruned A0"),
-                    AlgoChoice::Ta => (&ThresholdAlgorithm, "forced TA"),
-                    _ => (&FaginsAlgorithm, "algorithm A0"),
-                };
-                self.run_flat(&flat, k, algo, PlanKind::FaginA0, label.to_owned())
-            }
+        if p.kind == PlanKind::FullScan {
+            return self.full_scan(query, bound, k, p.explanation);
         }
+        let pruned = PrunedFa::default();
+        let (algo, label): (&dyn TopKAlgorithm, &str) = match choice {
+            AlgoChoice::Naive => (&Naive, "forced naive"),
+            AlgoChoice::PrunedFa => (&pruned, "forced pruned A0"),
+            AlgoChoice::Ta => (&ThresholdAlgorithm, "forced TA"),
+            _ => (&FaginsAlgorithm, "algorithm A0"),
+        };
+        self.run_flat(bound, k, algo, PlanKind::FaginA0, label.to_owned())
     }
 
     /// Finds the top `k` answers for a flat monotone query under an
@@ -294,13 +281,14 @@ impl Garlic {
         if k == 0 {
             return Err(ExecError::ZeroK);
         }
-        let p = plan(query, &self.catalog);
-        let Some(flat) = p.flat else {
-            return self.execute_plan(p, query, k);
-        };
+        let bound = bind(query, &self.catalog)?;
+        if bound.flat.is_none() {
+            return self.execute_plan(plan(query, &self.catalog), bound, query, k);
+        }
+        let (combiner, sources) = flat_parts(bound)?;
         let request = TopKQuery::compose()
-            .sources(self.build_sources(&flat)?)
-            .scoring(OwnedCombiner(flat.combiner.clone()))
+            .sources(sources)
+            .scoring(OwnedCombiner(combiner))
             .k(k)
             .policy(policy)
             .request()?;
@@ -316,73 +304,42 @@ impl Garlic {
         })
     }
 
-    /// Runs a planner-selected plan.
+    /// Runs a planner-selected plan on the bound sources.
     fn execute_plan(
         &self,
-        p: crate::planner::Plan,
+        p: Plan,
+        bound: BoundQuery,
         query: &Query,
         k: usize,
     ) -> Result<QueryResult, ExecError> {
         match p.kind {
-            PlanKind::FullScan => self.full_scan(query, k, p.explanation),
-            PlanKind::MaxMerge => {
-                let Some(flat) = p.flat else {
-                    return Err(ExecError::Internal("max-merge plans carry a flat query"));
-                };
-                self.run_max_merge(&flat, k, p.explanation)
-            }
-            PlanKind::CrispFilter => {
-                let Some(flat) = p.flat else {
-                    return Err(ExecError::Internal("crisp-filter plans carry a flat query"));
-                };
-                self.run_crisp_filter(&flat, k, p.explanation)
-            }
-            PlanKind::FaginA0 => {
-                let Some(flat) = p.flat else {
-                    return Err(ExecError::Internal("A0 plans carry a flat query"));
-                };
-                self.run_flat(&flat, k, &FaginsAlgorithm, PlanKind::FaginA0, p.explanation)
-            }
-            PlanKind::Ta => {
-                let Some(flat) = p.flat else {
-                    return Err(ExecError::Internal("TA plans carry a flat query"));
-                };
-                self.run_flat(&flat, k, &ThresholdAlgorithm, PlanKind::Ta, p.explanation)
-            }
-            PlanKind::Ca { h } => {
-                let Some(flat) = p.flat else {
-                    return Err(ExecError::Internal("CA plans carry a flat query"));
-                };
-                self.run_flat(
-                    &flat,
-                    k,
-                    &CombinedAlgorithm::new(h, 0.0),
-                    PlanKind::Ca { h },
-                    p.explanation,
-                )
-            }
+            PlanKind::FullScan => self.full_scan(query, bound, k, p.explanation),
+            PlanKind::MaxMerge => self.run_max_merge(bound, k, p.explanation),
+            PlanKind::CrispFilter => self.run_crisp_filter(bound, k, p.explanation),
+            PlanKind::FaginA0 => self.run_flat(bound, k, &FaginsAlgorithm, p.kind, p.explanation),
+            PlanKind::Ta => self.run_flat(bound, k, &ThresholdAlgorithm, p.kind, p.explanation),
+            PlanKind::Ca { h } => self.run_flat(
+                bound,
+                k,
+                &CombinedAlgorithm::new(h, 0.0),
+                p.kind,
+                p.explanation,
+            ),
         }
-    }
-
-    /// Builds global-id sources for each atom of a flat query.
-    fn build_sources(&self, flat: &FlatQuery) -> Result<Vec<VecSource>, ExecError> {
-        flat.atoms
-            .iter()
-            .map(|a| self.catalog.source_for(a).map_err(ExecError::from))
-            .collect()
     }
 
     fn run_flat(
         &self,
-        flat: &FlatQuery,
+        bound: BoundQuery,
         k: usize,
         algo: &dyn TopKAlgorithm,
         kind: PlanKind,
         explanation: String,
     ) -> Result<QueryResult, ExecError> {
+        let (combiner, sources) = flat_parts(bound)?;
         let request = TopKQuery::compose()
-            .sources(self.build_sources(flat)?)
-            .scoring(OwnedCombiner(flat.combiner.clone()))
+            .sources(sources)
+            .scoring(OwnedCombiner(combiner))
             .k(k)
             .request()?;
         let result = self.engine.run_algorithm(algo, &request)?;
@@ -396,14 +353,14 @@ impl Garlic {
 
     fn run_max_merge(
         &self,
-        flat: &FlatQuery,
+        bound: BoundQuery,
         k: usize,
         explanation: String,
     ) -> Result<QueryResult, ExecError> {
         // The planner probed max-likeness; run the merge under the
         // canonical max so the middleware's own probe also accepts it.
         let request = TopKQuery::compose()
-            .sources(self.build_sources(flat)?)
+            .sources(flat_parts(bound)?.1)
             .scoring(ConormScoring(Max))
             .k(k)
             .request()?;
@@ -420,58 +377,55 @@ impl Garlic {
     /// set S, then random-access only S's fuzzy grades.
     fn run_crisp_filter(
         &self,
-        flat: &FlatQuery,
+        mut bound: BoundQuery,
         k: usize,
         explanation: String,
     ) -> Result<QueryResult, ExecError> {
+        let Some(combiner) = bound.flat.as_ref().map(|flat| flat.combiner.clone()) else {
+            return Err(ExecError::Internal("crisp-filter plans carry a flat query"));
+        };
         let mut stats = AccessStats::ZERO;
         let mut survivors: Option<HashSet<Oid>> = None;
-        let mut crisp_positions = Vec::new();
-        for (i, atom) in flat.atoms.iter().enumerate() {
-            if let Some(matches) = self.catalog.crisp_matches(atom)? {
+        let mut first_crisp = None;
+        for &at in &bound.positions {
+            let atom = &bound.atoms[at];
+            if let Some(matches) = &atom.matches {
                 // Cost model: streaming the grade-1 prefix under sorted
                 // access costs |matches| accesses, plus one more to
                 // observe the stream dropping to grade 0.
                 let universe = self
                     .catalog
-                    .repository_for(&atom.attribute)?
+                    .repository_for(&atom.atom.attribute)?
                     .universe_size() as u64;
                 stats.sorted += (matches.len() as u64 + 1).min(universe);
-                let set: HashSet<Oid> = matches.into_iter().collect();
+                let set: HashSet<Oid> = matches.iter().copied().collect();
                 survivors = Some(match survivors {
                     None => set,
                     Some(prev) => prev.intersection(&set).copied().collect(),
                 });
-                crisp_positions.push(i);
+                first_crisp = first_crisp.or(Some(at));
             }
         }
-        let Some(survivors) = survivors else {
+        let (Some(survivors), Some(first_crisp)) = (survivors, first_crisp) else {
             return Err(ExecError::Internal(
                 "crisp-filter plans have >= 1 crisp conjunct",
             ));
         };
 
         // Random-access every fuzzy conjunct for each survivor.
-        let mut fuzzy_sources: HashMap<usize, VecSource> = HashMap::new();
-        for (i, atom) in flat.atoms.iter().enumerate() {
-            if !crisp_positions.contains(&i) {
-                fuzzy_sources.insert(i, self.catalog.source_for(atom)?);
-            }
-        }
         let mut answers: Vec<ScoredObject<Oid>> = Vec::with_capacity(survivors.len());
-        let mut grades = vec![Score::ONE; flat.atoms.len()];
+        let mut grades = vec![Score::ONE; bound.positions.len()];
         let mut ordered: Vec<Oid> = survivors.iter().copied().collect();
         ordered.sort_unstable();
         for oid in ordered {
-            for (i, grade) in grades.iter_mut().enumerate() {
-                if let Some(src) = fuzzy_sources.get_mut(&i) {
-                    *grade = src.random_access(oid);
+            for (grade, &at) in grades.iter_mut().zip(&bound.positions) {
+                let atom = &mut bound.atoms[at];
+                if atom.matches.is_none() {
+                    *grade = atom.source.random_access(oid);
                     stats.random += 1;
-                } else {
-                    *grade = Score::ONE; // crisp conjunct matched
-                }
+                } // else: crisp conjunct matched, grade stays 1
             }
-            answers.push(ScoredObject::new(oid, flat.combiner.combine(&grades)));
+            answers.push(ScoredObject::new(oid, combiner.combine(&grades)));
         }
         answers.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
         answers.truncate(k);
@@ -481,8 +435,7 @@ impl Garlic {
         // their overall grade is exactly 0). Padding costs a drain of
         // one crisp source's universe.
         if answers.len() < k {
-            let crisp_atom = &flat.atoms[crisp_positions[0]];
-            let mut src = self.catalog.source_for(crisp_atom)?;
+            let src = &mut bound.atoms[first_crisp].source;
             src.rewind();
             let mut seen_ids: HashSet<Oid> = answers.iter().map(|a| a.id).collect();
             while answers.len() < k {
@@ -507,19 +460,16 @@ impl Garlic {
     fn full_scan(
         &self,
         query: &Query,
+        bound: BoundQuery,
         k: usize,
         explanation: String,
     ) -> Result<QueryResult, ExecError> {
         let mut stats = AccessStats::ZERO;
-        let atoms: Vec<&AtomicQuery> = query.atoms();
-        // Per-atom grade maps (atoms may repeat; build each once).
+        // Per-atom grade maps (the binding holds each distinct atom once).
         let mut grade_maps: Vec<(AtomicQuery, HashMap<Oid, Score>)> = Vec::new();
         let mut universe: HashSet<Oid> = HashSet::new();
-        for atom in &atoms {
-            if grade_maps.iter().any(|(a, _)| a == *atom) {
-                continue;
-            }
-            let mut src = self.catalog.source_for(atom)?;
+        for mut atom in bound.atoms {
+            let src = &mut atom.source;
             src.rewind();
             let mut map = HashMap::with_capacity(src.info().universe_size);
             while let Some(so) = src.sorted_next() {
@@ -527,7 +477,7 @@ impl Garlic {
                 map.insert(so.id, so.grade);
                 universe.insert(so.id);
             }
-            grade_maps.push(((*atom).clone(), map));
+            grade_maps.push((atom.atom, map));
         }
 
         let mut answers: Vec<ScoredObject<Oid>> = Vec::with_capacity(universe.len());
@@ -561,19 +511,18 @@ impl Garlic {
     /// Queries that cannot be flattened (negation, nesting) are
     /// rejected; run them through [`Garlic::top_k`] instead.
     pub fn cursor(&self, query: &Query) -> Result<QueryCursor, ExecError> {
-        let Some(flat) = crate::planner::flatten(query) else {
+        let Some((combiner, sources)) = bind(query, &self.catalog)?.into_flat() else {
             return Err(ExecError::Algo(AlgoError::UnsupportedScoring {
                 algorithm: "cursor",
                 requirement: "a flat monotone combination of atomic queries",
                 scoring: query.to_string(),
             }));
         };
-        let sources = self.build_sources(&flat)?;
         let boxed: Vec<Box<dyn GradedSource>> = sources
             .into_iter()
             .map(|s| Box::new(s) as Box<dyn GradedSource>)
             .collect();
-        let session = OwnedFaSession::new(boxed, Box::new(OwnedCombiner(flat.combiner)))?;
+        let session = OwnedFaSession::new(boxed, Box::new(OwnedCombiner(combiner)))?;
         Ok(QueryCursor { session })
     }
 
@@ -602,6 +551,14 @@ impl Garlic {
         out.truncate(k);
         out
     }
+}
+
+/// The combiner and positional sources of a plan that needs a flat
+/// query.
+fn flat_parts(bound: BoundQuery) -> Result<(Combiner, Vec<VecSource>), ExecError> {
+    bound
+        .into_flat()
+        .ok_or(ExecError::Internal("non-FullScan plans carry a flat query"))
 }
 
 #[cfg(test)]

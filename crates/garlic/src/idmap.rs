@@ -136,14 +136,26 @@ impl IdMapper {
 
     /// Translates a subsystem-local id to the global id.
     pub fn to_global(&self, subsystem: &str, local: LocalId) -> Result<Oid, IdMapError> {
-        self.to_global
-            .get(subsystem)
-            .and_then(|m| m.get(&local))
-            .copied()
-            .ok_or_else(|| IdMapError::Unmapped {
-                subsystem: subsystem.to_owned(),
-                id: local,
-            })
+        self.translator(subsystem)(local)
+    }
+
+    /// The local → global translation of one subsystem, with the
+    /// subsystem's table looked up once: translating a whole graded
+    /// list costs one id hash per entry, not a name hash as well.
+    pub fn translator<'a>(
+        &'a self,
+        subsystem: &'a str,
+    ) -> impl Fn(LocalId) -> Result<Oid, IdMapError> + 'a {
+        let table = self.to_global.get(subsystem);
+        move |local| {
+            table
+                .and_then(|m| m.get(&local))
+                .copied()
+                .ok_or_else(|| IdMapError::Unmapped {
+                    subsystem: subsystem.to_owned(),
+                    id: local,
+                })
+        }
     }
 
     /// Translates a global id to the subsystem-local id.

@@ -13,8 +13,9 @@
 //! * [`repository`] — the relational table and QBIC-style image
 //!   repositories;
 //! * [`catalog`] — attribute routing + id translation;
-//! * [`planner`] — strategy selection with numeric property probes,
-//!   plus a cost-based optimizer mode (§4.2's cost-modeling issue);
+//! * [`planner`] — `bind` (grade each distinct atom once) then
+//!   `optimize` (cost-based strategy selection on the bound lists,
+//!   §4.2's cost-modeling issue), with numeric property probes;
 //! * [`cost`] — calibratable per-plan cost estimates;
 //! * [`executor`] — the [`executor::Garlic`] facade;
 //! * [`sql`] — a small SQL-ish query syntax (extension);

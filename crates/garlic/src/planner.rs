@@ -17,6 +17,13 @@
 //! symbolically, so — like Garlic, which had to "somehow guarantee
 //! monotonicity" — it *probes* the function numerically before
 //! committing to a plan that depends on an algebraic property.
+//!
+//! Planning is two steps. [`bind`] hands every distinct atom to its
+//! subsystem once and keeps the graded lists; [`optimize`] prices the
+//! strategies on those lists (their histograms are the statistics) and
+//! the executor runs the winner on the same lists. [`plan`] is the
+//! statistics-free shape ladder above, for callers that force an
+//! algorithm.
 
 use fmdb_core::query::{AtomicQuery, Query, ScoringHandle};
 use fmdb_core::score::Score;
@@ -25,11 +32,12 @@ use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
 use fmdb_core::weights::Weighting;
 use fmdb_middleware::planner::{choose_plan, CombinerKind, PhysicalPlan, PlanQuery, QueryStats};
 use fmdb_middleware::policy::ExecPolicy;
-use fmdb_middleware::source::GradedSource;
+use fmdb_middleware::source::{GradedSource, VecSource};
 use fmdb_middleware::stats::SourceStats;
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, CatalogError};
 use crate::cost::CostEstimator;
+use crate::object::Oid;
 use crate::repository::AttributeKind;
 
 /// How the flat query combines its atoms' grades.
@@ -246,9 +254,16 @@ pub fn probe_max_like(combiner: &Combiner, arity: usize) -> bool {
     true
 }
 
-/// Chooses a plan for `query` against `catalog`.
+/// Chooses a plan for `query` against `catalog` by shape alone.
 pub fn plan(query: &Query, catalog: &Catalog) -> Plan {
-    let Some(flat) = flatten(query) else {
+    plan_flat(flatten(query), |atom| {
+        catalog.attribute_kind(&atom.attribute) == Some(AttributeKind::Crisp)
+    })
+}
+
+/// The shape rules, over an already flattened query.
+fn plan_flat(flat: Option<FlatQuery>, is_crisp: impl Fn(&AtomicQuery) -> bool) -> Plan {
+    let Some(flat) = flat else {
         return Plan {
             kind: PlanKind::FullScan,
             flat: None,
@@ -275,10 +290,7 @@ pub fn plan(query: &Query, catalog: &Catalog) -> Plan {
 
     // Crisp filter applies when some conjunct is crisp and a 0 grade
     // annihilates the combination.
-    let has_crisp = flat
-        .atoms
-        .iter()
-        .any(|a| catalog.attribute_kind(&a.attribute) == Some(AttributeKind::Crisp));
+    let has_crisp = flat.atoms.iter().any(is_crisp);
     if has_crisp && arity > 1 && probe_zero_absorbing(&flat.combiner, arity) {
         return Plan {
             kind: PlanKind::CrispFilter,
@@ -296,42 +308,125 @@ pub fn plan(query: &Query, catalog: &Catalog) -> Plan {
     }
 }
 
-/// Chooses a plan by *estimated cost* (§4.2's optimizer), routing
-/// through the unified cost-based planner
+/// One distinct atom of a query, graded: what the subsystem returned
+/// for it, in global ids.
+#[derive(Debug)]
+pub struct BoundAtom {
+    pub(crate) atom: AtomicQuery,
+    /// The atom's graded list — the only materialisation of this atom
+    /// the query pays for.
+    pub(crate) source: VecSource,
+    /// The exact match set, for crisp attributes of flat queries.
+    pub(crate) matches: Option<Vec<Oid>>,
+}
+
+/// A query whose atoms have been handed to their subsystems (§4: "ask
+/// each subsystem for a graded list"): the one-off grading job is
+/// done, and everything downstream — optimizer statistics, then
+/// execution — pays only sorted and random accesses against these
+/// lists.
+#[derive(Debug)]
+pub struct BoundQuery {
+    /// The flattened query, when one exists.
+    pub(crate) flat: Option<FlatQuery>,
+    /// The distinct atoms of `Query::atoms()`, in first-occurrence
+    /// order.
+    pub(crate) atoms: Vec<BoundAtom>,
+    /// For each atom occurrence, left to right (the flat query's
+    /// positional order), its index in `atoms`.
+    pub(crate) positions: Vec<usize>,
+    /// The catalog's `N`.
+    universe: usize,
+}
+
+impl BoundQuery {
+    /// The flat query's combiner and its sources in positional order.
+    /// An atom's first occurrence takes its list; a repeat clones the
+    /// one already placed.
+    pub(crate) fn into_flat(self) -> Option<(Combiner, Vec<VecSource>)> {
+        let combiner = self.flat?.combiner;
+        let mut bound: Vec<Option<VecSource>> =
+            self.atoms.into_iter().map(|a| Some(a.source)).collect();
+        let mut sources: Vec<VecSource> = Vec::with_capacity(self.positions.len());
+        for &at in &self.positions {
+            let source = match bound.get_mut(at)?.take() {
+                Some(first) => first,
+                None => {
+                    let first = self.positions.iter().position(|&p| p == at)?;
+                    sources.get(first)?.clone()
+                }
+            };
+            sources.push(source);
+        }
+        Some((combiner, sources))
+    }
+}
+
+/// Grades every distinct atom of `query` exactly once: one
+/// `Repository::source_for` per atom and, for the crisp attributes of
+/// a flat query, one `crisp_matches`. A repository's refusal
+/// (`UnknownTarget`, `TargetMismatch`, an unmapped id, …) surfaces
+/// here, before any plan is priced.
+pub fn bind(query: &Query, catalog: &Catalog) -> Result<BoundQuery, CatalogError> {
+    let flat = flatten(query);
+    let mut atoms: Vec<BoundAtom> = Vec::new();
+    let mut positions = Vec::new();
+    for atom in query.atoms() {
+        let known = atoms.iter().position(|bound| &bound.atom == atom);
+        positions.push(known.unwrap_or(atoms.len()));
+        if known.is_some() {
+            continue;
+        }
+        let crisp = catalog.attribute_kind(&atom.attribute) == Some(AttributeKind::Crisp);
+        atoms.push(BoundAtom {
+            atom: atom.clone(),
+            source: catalog.source_for(atom)?,
+            matches: if crisp && flat.is_some() {
+                catalog.crisp_matches(atom)?
+            } else {
+                None
+            },
+        });
+    }
+    Ok(BoundQuery {
+        flat,
+        atoms,
+        positions,
+        universe: catalog.universe_size(),
+    })
+}
+
+/// Chooses a plan for a bound query by *estimated cost* (§4.2's
+/// optimizer), routing through the unified cost-based planner
 /// ([`fmdb_middleware::planner::choose_plan`]) — the same decision
 /// procedure `ExecPolicy::Algo::Auto` uses at the engine level.
 ///
-/// The catalog supplies the statistics: per-atom grade histograms read
-/// from the materialized sources and exact crisp match counts
-/// (optimizer-time probes, not charged to the query). Garlic's result
+/// The statistics are read from the bound sources themselves — per-atom
+/// grade histograms and exact crisp match counts — so pricing a plan
+/// costs no grading beyond what execution needs anyway. Garlic's result
 /// grades are user-facing, so the planner is asked for **exact
-/// grades** — the NRA family is never chosen here. Falls back to
-/// [`plan`]'s shape rules when the query is not flat or not monotone.
-pub fn plan_costed(query: &Query, catalog: &Catalog, k: usize, estimator: &CostEstimator) -> Plan {
-    let Some(flat) = flatten(query) else {
-        return plan(query, catalog);
+/// grades** — the NRA family is never chosen here. Queries that are
+/// not flat or not monotone get [`plan`]'s full scan.
+pub fn optimize(bound: &BoundQuery, k: usize, estimator: &CostEstimator) -> Plan {
+    let Some(flat) = bound.flat.as_ref().filter(|f| f.combiner.is_monotone()) else {
+        // Both of `plan`'s full-scan rules fire before it looks at an
+        // attribute's kind.
+        return plan_flat(bound.flat.clone(), |_| false);
     };
-    if !flat.combiner.is_monotone() {
-        return plan(query, catalog);
-    }
     let arity = flat.atoms.len();
     // An empty catalog makes every estimate 0; keep the formulas
     // meaningful with a floor of one object.
-    let n = catalog.universe_size().max(1);
+    let n = bound.universe.max(1);
+    let positional = || bound.positions.iter().filter_map(|&at| bound.atoms.get(at));
 
-    // Gather crisp statistics (a real optimizer would consult stored
-    // statistics; our in-memory repositories can afford exact counts,
-    // and these optimizer-time probes are not charged to the query).
+    // Crisp statistics: our in-memory repositories can afford exact
+    // counts where a real optimizer would consult stored statistics.
     let mut crisp_count = 0usize;
     let mut survivors: Option<u64> = None;
-    for atom in &flat.atoms {
-        if catalog.attribute_kind(&atom.attribute) == Some(AttributeKind::Crisp) {
-            if let Ok(Some(matches)) = catalog.crisp_matches(atom) {
-                crisp_count += 1;
-                let count = matches.len() as u64;
-                survivors = Some(survivors.map_or(count, |s| s.min(count)));
-            }
-        }
+    for matches in positional().filter_map(|atom| atom.matches.as_ref()) {
+        crisp_count += 1;
+        let count = matches.len() as u64;
+        survivors = Some(survivors.map_or(count, |s| s.min(count)));
     }
 
     // Classify the combiner with the numeric probes (max-like first:
@@ -357,14 +452,10 @@ pub fn plan_costed(query: &Query, catalog: &Catalog, k: usize, estimator: &CostE
 
     // Per-source equi-depth histograms, all-or-nothing: partial
     // statistics would skew the comparison between plans.
-    let stats: Option<QueryStats> = flat
-        .atoms
-        .iter()
-        .map(|a| {
-            catalog
-                .source_for(a)
-                .ok()
-                .and_then(|s| s.grade_histogram(DEFAULT_HISTOGRAM_BINS))
+    let stats: Option<QueryStats> = positional()
+        .map(|atom| {
+            atom.source
+                .grade_histogram(DEFAULT_HISTOGRAM_BINS)
                 .map(SourceStats::new)
         })
         .collect::<Option<Vec<_>>>()
@@ -377,8 +468,19 @@ pub fn plan_costed(query: &Query, catalog: &Catalog, k: usize, estimator: &CostE
         .unwrap_or(PlanKind::FullScan);
     Plan {
         kind,
-        flat: Some(flat),
+        flat: Some(flat.clone()),
         explanation: format!("cost-based choice: {explain}"),
+    }
+}
+
+/// [`bind`] then [`optimize`], with the graded lists dropped: the plan
+/// [`crate::executor::Garlic::top_k`] would run, without running it.
+/// When a subsystem refuses an atom there is nothing to price, and the
+/// answer is [`plan`]'s shape rules.
+pub fn plan_costed(query: &Query, catalog: &Catalog, k: usize, estimator: &CostEstimator) -> Plan {
+    match bind(query, catalog) {
+        Ok(bound) => optimize(&bound, k, estimator),
+        Err(_) => plan(query, catalog),
     }
 }
 
@@ -386,12 +488,13 @@ pub fn plan_costed(query: &Query, catalog: &Catalog, k: usize, estimator: &CostE
 mod tests {
     use super::*;
     use crate::object::Value;
-    use crate::repository::TableRepository;
+    use crate::repository::{QbicRepository, RepoError, TableRepository};
     use fmdb_core::query::Target;
     use fmdb_core::scoring::conorms::Max;
     use fmdb_core::scoring::means::ArithmeticMean;
     use fmdb_core::scoring::tnorms::Min;
     use fmdb_core::scoring::ConormScoring;
+    use fmdb_media::synth::{SynthConfig, SyntheticDb};
     use std::sync::Arc;
 
     fn catalog_with_crisp_artist() -> Catalog {
@@ -492,26 +595,73 @@ mod tests {
         assert_eq!(p.flat.unwrap().atoms.len(), 1);
     }
 
+    /// `n` albums whose first `beatles` rows are Beatles records, with
+    /// QBIC-graded `AlbumColor`.
+    fn album_catalog(n: usize, beatles: usize) -> Catalog {
+        let mut t = TableRepository::new("cds", n as u64);
+        for i in 0..beatles as u64 {
+            t.set(i, "Artist", Value::text("Beatles"));
+        }
+        let db = SyntheticDb::generate(&SynthConfig {
+            count: n,
+            bins_per_channel: 3,
+            seed: 5,
+            ..SynthConfig::default()
+        });
+        let mut c = Catalog::new();
+        c.register(Box::new(t)).unwrap();
+        c.register(Box::new(
+            QbicRepository::new("covers", db).with_attribute_prefix("Album"),
+        ))
+        .unwrap();
+        c
+    }
+
     #[test]
     fn costed_planner_picks_crisp_filter_only_when_selective() {
         let estimator = CostEstimator::default();
-        // Selective crisp conjunct (1 of 3 objects): crisp filter wins.
-        let c = catalog_with_crisp_artist();
         let q = Query::and(vec![artist(), color()]);
-        let p = plan_costed(&q, &c, 2, &estimator);
+        // Selective crisp conjunct (1 of 30 objects): crisp filter wins.
+        let p = plan_costed(&q, &album_catalog(30, 1), 2, &estimator);
         assert_eq!(p.kind, PlanKind::CrispFilter, "{}", p.explanation);
 
         // Unselective crisp conjunct (everything matches): A0 or scan
-        // should win over filtering. Build a catalog where all rows are
-        // Beatles.
-        let mut t = TableRepository::new("cds", 1000);
-        for i in 0..1000 {
-            t.set(i, "Artist", Value::text("Beatles"));
-        }
-        let mut c2 = Catalog::new();
-        c2.register(Box::new(t)).unwrap();
-        let p2 = plan_costed(&q, &c2, 2, &estimator);
+        // should win over filtering.
+        let p2 = plan_costed(&q, &album_catalog(1000, 1000), 2, &estimator);
         assert_ne!(p2.kind, PlanKind::CrispFilter, "{}", p2.explanation);
+    }
+
+    #[test]
+    fn bind_grades_each_distinct_atom_once_and_reports_refusals() {
+        let c = album_catalog(30, 3);
+        let twice = Query::and(vec![color(), artist(), color()]);
+        let bound = bind(&twice, &c).unwrap();
+        assert_eq!(bound.atoms.len(), 2);
+        assert_eq!(bound.positions, vec![0, 1, 0]);
+        assert_eq!(bound.atoms[1].matches.as_deref(), Some(&[0, 1, 2][..]));
+        assert!(bound.atoms[0].matches.is_none());
+        let (_, sources) = bound.into_flat().unwrap();
+        assert_eq!(sources.len(), 3);
+        assert_eq!(sources[0].info().label, sources[2].info().label);
+
+        // A non-flat query needs no match sets.
+        let negated = Query::and(vec![artist(), Query::not(color())]);
+        let bound = bind(&negated, &c).unwrap();
+        assert!(bound.flat.is_none());
+        assert!(bound.atoms.iter().all(|a| a.matches.is_none()));
+
+        // The repository's refusal is the planner's error, not a
+        // statistics-free plan.
+        let unknown = Query::atomic("AlbumColor", Target::Similar("chartreuse-ish".into()));
+        assert!(matches!(
+            bind(&unknown, &c),
+            Err(CatalogError::Repo(RepoError::UnknownTarget(_)))
+        ));
+        // The infallible entry point answers with the shape rules.
+        assert_eq!(
+            plan_costed(&unknown, &c, 5, &CostEstimator::default()).kind,
+            plan(&unknown, &c).kind
+        );
     }
 
     #[test]

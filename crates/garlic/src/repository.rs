@@ -20,7 +20,7 @@ use fmdb_core::score::Score;
 use fmdb_media::color::{ColorError, ColorHistogram, Rgb};
 use fmdb_media::distance::DistanceError;
 use fmdb_media::embed::{EmbedError, EmbeddedCorpus, EmbeddedSpace};
-use fmdb_media::shape::{turning_distance, Polygon};
+use fmdb_media::shape::{Polygon, TurningCorpus};
 use fmdb_media::synth::SyntheticDb;
 use fmdb_media::texture::named_texture;
 use fmdb_middleware::source::VecSource;
@@ -269,10 +269,11 @@ pub struct QbicRepository {
     /// query embedding plus n O(k) norms instead of n O(k²) quadratic
     /// forms.
     color_corpus: EmbeddedCorpus,
+    /// Pre-resampled turning functions: `Shape` queries cost one
+    /// resampling of the prototype plus the shift kernel per object.
+    shape_corpus: TurningCorpus,
     /// Named shape prototypes ("round", "boxy", "spiky", …).
     shape_prototypes: HashMap<String, Polygon>,
-    /// Resampling resolution for turning-function comparisons.
-    turning_samples: usize,
     /// Attribute-name prefix, so several image repositories can coexist
     /// in one catalog (`"Album"` ⇒ `AlbumColor`, `AlbumShape`,
     /// `AlbumTexture` — the paper's own attribute spelling).
@@ -289,6 +290,9 @@ impl fmt::Debug for QbicRepository {
         )
     }
 }
+
+/// Resampling resolution for turning-function comparisons.
+const TURNING_SAMPLES: usize = 64;
 
 /// Resolves a color name to RGB; the vocabulary a color-wheel UI would
 /// offer.
@@ -321,6 +325,8 @@ impl QbicRepository {
         let color_corpus = EmbeddedCorpus::build(space, &histograms)
             // lint:allow(no-panic): histograms come from the same SyntheticDb space, so dimensions match by construction
             .expect("database histograms share the space's dimension");
+        let shape_corpus =
+            TurningCorpus::build(db.objects.iter().map(|o| &o.shape), TURNING_SAMPLES);
         let mut shape_prototypes = HashMap::new();
         shape_prototypes.insert(
             "round".to_owned(),
@@ -341,8 +347,8 @@ impl QbicRepository {
             name: name.into(),
             db,
             color_corpus,
+            shape_corpus,
             shape_prototypes,
-            turning_samples: 64,
             attribute_prefix: String::new(),
         }
     }
@@ -439,12 +445,7 @@ impl QbicRepository {
                 })
             }
         };
-        let distances: Vec<f64> = self
-            .db
-            .objects
-            .iter()
-            .map(|o| turning_distance(&o.shape, prototype, self.turning_samples))
-            .collect();
+        let distances = self.shape_corpus.distances(prototype);
         Ok(self.source_from_distances(query, &distances))
     }
 

@@ -18,8 +18,8 @@
 //!   `A = LLᵀ` once, embed `x′ = Lᵀx` per object, and every
 //!   quadratic-form distance collapses to an O(k) norm, with batched
 //!   early-abandoning kNN over pre-embedded corpora;
-//! * [`shape`] — turning functions, Fourier descriptors, Hu moments
-//!   over polygons;
+//! * [`shape`] — turning functions (pairwise and as a precomputed
+//!   corpus), Fourier descriptors, Hu moments over polygons;
 //! * [`texture`] — Tamura-style texture features (coarseness,
 //!   contrast, directionality) over grayscale patches;
 //! * [`synth`] — synthetic image databases with controllable
@@ -48,7 +48,9 @@ pub mod prelude {
     pub use crate::distance::{HistogramDistance, L2Distance, QuadraticFormDistance};
     pub use crate::embed::{EmbeddedCorpus, EmbeddedDistance, EmbeddedSpace};
     pub use crate::scorer::{DistanceScorer, ExpDecay, LinearCutoff};
-    pub use crate::shape::{turning_distance, FourierDescriptor, HuMoments, Polygon};
+    pub use crate::shape::{
+        turning_distance, FourierDescriptor, HuMoments, Polygon, TurningCorpus,
+    };
     pub use crate::synth::{MediaObject, ShapeFamily, SynthConfig, SyntheticDb};
     pub use crate::texture::{named_texture, TextureDescriptor, TexturePatch};
 }

@@ -8,7 +8,8 @@
 //! * [`turning_distance`] — the Arkin et al. metric between turning
 //!   functions, minimized over starting-point shifts (rotation
 //!   invariant by construction, scale invariant via arc-length
-//!   normalization);
+//!   normalization); [`TurningCorpus`] grades a whole collection
+//!   against one prototype from turning functions resampled once;
 //! * [`FourierDescriptor`] — magnitudes of the low-frequency DFT
 //!   coefficients of the centered contour, normalized for scale
 //!   (translation/rotation/start-point invariant);
@@ -110,10 +111,10 @@ impl Polygon {
         cx: f64,
         cy: f64,
     ) -> Result<Polygon, ShapeError> {
+        let n = spikes.saturating_mul(2);
         if spikes < 2 {
-            return Err(ShapeError::TooFewVertices(spikes * 2));
+            return Err(ShapeError::TooFewVertices(n));
         }
-        let n = spikes * 2;
         let vertices = (0..n)
             .map(|i| {
                 let r = if i % 2 == 0 { r_outer } else { r_inner };
@@ -254,23 +255,119 @@ pub fn turning_function(poly: &Polygon, n: usize) -> Vec<f64> {
 /// shift minimization).
 pub fn turning_distance(a: &Polygon, b: &Polygon, n: usize) -> f64 {
     let ta = turning_function(a, n);
-    let tb = turning_function(b, n);
+    min_shift_distance(&ta, &doubled(turning_function(b, n)))
+}
+
+/// Starting-point shifts the kernel carries per pass over `ta`.
+const SHIFT_LANES: usize = 8;
+
+/// `t ++ t`: position `i + shift` of the result is `t[(i + shift) % n]`
+/// for every `i, shift < n`, so the shift loop needs no modulo.
+fn doubled(mut t: Vec<f64>) -> Vec<f64> {
+    t.extend_from_within(..);
+    t
+}
+
+/// For each of `L` consecutive starting-point shifts from `shift` on:
+/// the mean squared difference between `ta` and the shifted prototype
+/// under that shift's optimal rotation offset (the mean difference).
+///
+/// Every lane has its own accumulators and adds its terms in index
+/// order, so a lane's result does not depend on `L`.
+fn shifted_errors<const L: usize>(ta: &[f64], tb2: &[f64], shift: usize) -> [f64; L] {
+    let n = ta.len() as f64;
+    let shifted = &tb2[shift..];
+    let mut sums = [0.0_f64; L];
+    for (&a, window) in ta.iter().zip(shifted.windows(L)) {
+        for (sum, &b) in sums.iter_mut().zip(window) {
+            *sum += a - b;
+        }
+    }
+    let offsets = sums.map(|sum| sum / n);
+    let mut errs = [0.0_f64; L];
+    for (&a, window) in ta.iter().zip(shifted.windows(L)) {
+        for ((err, &offset), &b) in errs.iter_mut().zip(&offsets).zip(window) {
+            let d = a - b - offset;
+            *err += d * d;
+        }
+    }
+    errs.map(|err| err / n)
+}
+
+/// The Arkin distance between a turning function and a prototype given
+/// doubled (`tb2 = tb ++ tb`, `tb.len() == ta.len()`): the root of the
+/// smallest per-shift error, shifts visited in ascending order.
+fn min_shift_distance(ta: &[f64], tb2: &[f64]) -> f64 {
+    let n = ta.len();
+    debug_assert_eq!(tb2.len(), n.saturating_mul(2));
     let mut best = f64::INFINITY;
-    for shift in 0..n {
-        // Optimal rotation offset for this shift is the mean difference.
-        let mut diff_sum = 0.0;
-        for i in 0..n {
-            diff_sum += ta[i] - tb[(i + shift) % n];
+    for block in (0..n).step_by(SHIFT_LANES) {
+        if n.saturating_sub(block) >= SHIFT_LANES {
+            for err in shifted_errors::<SHIFT_LANES>(ta, tb2, block) {
+                best = best.min(err);
+            }
+        } else {
+            for shift in block..n {
+                let [err] = shifted_errors::<1>(ta, tb2, shift);
+                best = best.min(err);
+            }
         }
-        let offset = diff_sum / n as f64;
-        let mut err = 0.0;
-        for i in 0..n {
-            let d = ta[i] - tb[(i + shift) % n] - offset;
-            err += d * d;
-        }
-        best = best.min(err / n as f64);
     }
     best.max(0.0).sqrt()
+}
+
+/// The turning functions of a shape collection, resampled once.
+///
+/// §2.1's recipe applied to shape: everything that depends only on the
+/// database is computed when the database is loaded, so grading a
+/// query costs one resampling of the prototype plus the shift kernel
+/// per object. Row `i` is `turning_function(shape i, samples)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TurningCorpus {
+    samples: usize,
+    len: usize,
+    /// Row-major `len × samples`.
+    rows: Vec<f64>,
+}
+
+impl TurningCorpus {
+    /// Resamples every shape to `samples` points.
+    pub fn build<'a>(
+        shapes: impl IntoIterator<Item = &'a Polygon>,
+        samples: usize,
+    ) -> TurningCorpus {
+        let mut len = 0usize;
+        let mut rows = Vec::new();
+        for shape in shapes {
+            rows.extend(turning_function(shape, samples));
+            len = len.saturating_add(1);
+        }
+        TurningCorpus { samples, len, rows }
+    }
+
+    /// Number of shapes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the corpus holds no shape.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// `turning_distance(shape i, prototype, samples)` for every shape,
+    /// bit for bit, in corpus order.
+    pub fn distances(&self, prototype: &Polygon) -> Vec<f64> {
+        if self.samples == 0 {
+            // No samples, no shifts: `turning_distance(_, _, 0)`.
+            return vec![f64::INFINITY; self.len];
+        }
+        let tb2 = doubled(turning_function(prototype, self.samples));
+        self.rows
+            .chunks_exact(self.samples)
+            .map(|ta| min_shift_distance(ta, &tb2))
+            .collect()
+    }
 }
 
 /// Fourier shape descriptor: magnitudes of DFT coefficients 1..=h of
@@ -303,7 +400,9 @@ impl FourierDescriptor {
             (sr * sr + si * si).sqrt()
         };
         let base = mag(1).max(1e-12);
-        let coefficients = (2..=harmonics + 1).map(|f| mag(f) / base).collect();
+        let coefficients = (2..=harmonics.saturating_add(1))
+            .map(|f| mag(f) / base)
+            .collect();
         FourierDescriptor { coefficients }
     }
 

@@ -35,7 +35,7 @@
 //! `run` takes `&self`, and [`Engine::run_many`] evaluates a batch of
 //! requests on parallel threads against the shared cache.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -298,7 +298,10 @@ impl GradeCache {
         self.core.evictions()
     }
 
-    /// Cumulative (hits, misses) charged against one source identity.
+    /// Cumulative (hits, misses) charged against one source identity
+    /// while it has had grades in the cache; `(0, 0)` for a source
+    /// whose grades have all been evicted and whose split was dropped
+    /// with them.
     pub fn source_counters(&self, source_id: u64) -> (u64, u64) {
         self.per_source.get(&source_id).copied().unwrap_or((0, 0))
     }
@@ -320,6 +323,12 @@ impl GradeCache {
     /// Looks `key` up, refreshing its recency on a hit.
     fn get(&mut self, key: CacheKey) -> Option<Score> {
         let found = self.core.get(key);
+        if self.per_source.len() >= self.split_limit() && !self.per_source.contains_key(&key.0) {
+            // A new identity with the splits at their bound: keep only
+            // those of sources that still have a grade resident.
+            let resident: HashSet<u64> = self.core.keys().map(|key| key.0).collect();
+            self.per_source.retain(|id, _| resident.contains(id));
+        }
         let split = self.per_source.entry(key.0).or_insert((0, 0));
         if found.is_some() {
             split.0 += 1;
@@ -333,6 +342,19 @@ impl GradeCache {
     /// entries beyond capacity.
     fn insert(&mut self, key: CacheKey, grade: Score) {
         self.core.insert(key, grade);
+    }
+
+    /// The bound on `per_source`. A caller that wraps fresh lists per
+    /// query (the garlic layer) presents a new source identity every
+    /// time, and a split kept for each of them forever is a leak. At
+    /// most `capacity` sources can have a grade resident, so once the
+    /// splits number twice that, those of sources with nothing left in
+    /// the cache are dropped — like [`GradeCache::clear`], counters go
+    /// with the content they describe. A sweep leaves at most half the
+    /// bound behind, so its cost is amortised O(1) per new source; the
+    /// floor keeps tiny caches from sweeping on every other source.
+    fn split_limit(&self) -> usize {
+        self.core.capacity().saturating_mul(2).max(64)
     }
 }
 
@@ -1043,9 +1065,10 @@ impl Engine {
     /// The pool spawns `min(available_parallelism, requests.len())`
     /// workers that claim request slots from a shared counter, instead
     /// of one thread per request: a batch of 10 000 requests costs a
-    /// handful of spawns, not 10 000. Each pool worker charges one
-    /// [`crate::stats::AccessStats::worker_spawns`] to the first
-    /// request it completes successfully (per-request prefetch/shard
+    /// handful of spawns, not 10 000. The pool's spawns are charged as
+    /// [`crate::stats::AccessStats::worker_spawns`] to the batch's
+    /// first successful result — every spawned worker, including one
+    /// that found the queue already drained (per-request prefetch/shard
     /// workers are charged to their own requests as usual).
     pub fn run_many(&self, requests: &[TopKRequest]) -> Vec<Result<TopKResult, EngineError>> {
         if requests.is_empty() {
@@ -1063,7 +1086,6 @@ impl Engine {
                 let next = &next;
                 let slots = &slots;
                 scope.spawn(move || {
-                    let mut charged = false;
                     loop {
                         let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         let Some(request) = requests.get(i) else {
@@ -1073,29 +1095,19 @@ impl Engine {
                         // own workers; this net also catches panics on
                         // the pool thread itself (e.g. a subsystem
                         // exploding under a serial feed).
-                        let mut outcome = match catch_unwind(AssertUnwindSafe(|| self.run(request)))
-                        {
+                        let outcome = match catch_unwind(AssertUnwindSafe(|| self.run(request))) {
                             Ok(result) => result,
                             Err(payload) => Err(EngineError::WorkerPanicked {
                                 stream: format!("request {i}"),
                                 message: panic_message(payload.as_ref()),
                             }),
                         };
-                        if !charged {
-                            if let Ok(result) = &mut outcome {
-                                result.stats.worker_spawns += 1;
-                                self.totals
-                                    .worker_spawns
-                                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                charged = true;
-                            }
-                        }
                         *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
                     }
                 });
             }
         });
-        slots
+        let mut results: Vec<Result<TopKResult, EngineError>> = slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
@@ -1110,7 +1122,18 @@ impl Engine {
                         })
                     })
             })
-            .collect()
+            .collect();
+        // Charged here, after the join, so the count states what was
+        // spawned whichever worker happened to serve which request.
+        let spawned = workers as u64;
+        self.totals.fold(&crate::stats::AccessStats {
+            worker_spawns: spawned,
+            ..crate::stats::AccessStats::ZERO
+        });
+        if let Some(first) = results.iter_mut().flatten().next() {
+            first.stats.worker_spawns += spawned;
+        }
+        results
     }
 }
 
@@ -1355,6 +1378,28 @@ mod tests {
         let (hits, misses) = engine.cache_counters();
         assert_eq!(hits, second.stats.cache_hits);
         assert_eq!(misses, first.stats.cache_misses);
+    }
+
+    #[test]
+    fn per_source_splits_stay_bounded_under_fresh_source_identities() {
+        // One probe and one cached grade per fresh identity, the way a
+        // garlic query's per-request lists arrive.
+        let mut cache = GradeCache::new(8);
+        for source in 0..10_000u64 {
+            assert_eq!(cache.get((source, 0)), None);
+            cache.insert((source, 0), Score::ONE);
+        }
+        assert!(
+            cache.per_source.len() <= 64,
+            "{} splits kept",
+            cache.per_source.len()
+        );
+        // The newest identities still have their grade resident, and
+        // their split with it.
+        assert_eq!(cache.get((9_999, 0)), Some(Score::ONE));
+        assert_eq!(cache.source_counters(9_999), (1, 1));
+        // Dropped splits never touch the engine-wide totals.
+        assert_eq!((cache.hits(), cache.misses()), (1, 10_000));
     }
 
     #[test]
@@ -1648,6 +1693,7 @@ mod tests {
             .unwrap_or(1)
             .min(requests.len()) as u64;
         assert_eq!(spawns, pool, "one charge per pool worker, not per request");
+        assert_eq!(engine.access_totals().worker_spawns, pool);
     }
 
     #[test]

@@ -66,6 +66,11 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCore<K, V> {
         self.capacity
     }
 
+    /// The keys currently held, in no particular order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> {
+        self.entries.keys()
+    }
+
     /// Cumulative lookups answered from the map.
     pub(crate) fn hits(&self) -> u64 {
         self.hits

@@ -1,6 +1,6 @@
 //! `unchecked-arith`: bare `+`/`-`/`*` on untyped integer counters in
-//! the hot kernels (the embed distance loops and the store's page
-//! machinery) must use `saturating_*`/`checked_*`/`wrapping_*` — or be
+//! the hot kernels (the embed distance loops, the turning-function
+//! shift kernel and the store's page machinery) must use `saturating_*`/`checked_*`/`wrapping_*` — or be
 //! justified.
 //!
 //! These paths process attacker-sized inputs (object counts, page
@@ -18,7 +18,7 @@ use crate::workspace::FileClass;
 pub const RULE: &str = "unchecked-arith";
 
 /// Path fragments that mark a file as a hot kernel.
-const KERNEL_PATHS: &[&str] = &["media/src/embed", "middleware/src/store"];
+const KERNEL_PATHS: &[&str] = &["media/src/embed", "media/src/shape", "middleware/src/store"];
 
 fn in_kernel(rel_path: &str) -> bool {
     KERNEL_PATHS.iter().any(|k| rel_path.contains(k))

@@ -238,6 +238,24 @@ fn seeded_unchecked_arith_fails_and_justified_passes() {
     let out = run_xtask("analyze", &tc.root, &[]);
     assert!(out.status.success(), "{}", stdout_of(&out));
 
+    // The turning-function shift kernel is policed the same way.
+    let tc_shape = TempCrate::new("arith-shape");
+    tc_shape.write("crates/media/src/shape.rs", seeded);
+    tc_shape.write("crates/demo/src/lib.rs", "pub fn ok() {}\n");
+    let out = run_xtask("analyze", &tc_shape.root, &[]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout_of(&out));
+    assert!(
+        stdout_of(&out).contains("unchecked-arith"),
+        "{}",
+        stdout_of(&out)
+    );
+    tc_shape.write(
+        "crates/media/src/shape.rs",
+        "pub fn offset(i: usize, k: usize) -> usize { i.saturating_mul(k) }\n",
+    );
+    let out = run_xtask("analyze", &tc_shape.root, &[]);
+    assert!(out.status.success(), "{}", stdout_of(&out));
+
     // The same expression outside a kernel path is not flagged.
     let tc2 = TempCrate::new("arith-out");
     tc2.write("crates/demo/src/lib.rs", seeded);
