@@ -1,15 +1,14 @@
-//! Criterion benchmarks: the batched, parallel [`Engine`] vs scalar A₀.
+//! Criterion benchmarks: the batched [`Engine`] vs scalar A₀.
 //!
 //! In-memory `VecSource` accesses cost nanoseconds, so the engine's
 //! value shows where it matters: against *remote* subsystems — the
 //! paper's actual setting, Garlic middleware over autonomous systems
 //! like QBIC (§4). [`RemoteSource`] models that: every sorted-access
-//! call is one subsystem round-trip (a real `thread::sleep`, so
-//! overlapping it genuinely helps), while random access is a local
-//! index probe (§4.2's "through an index"). Scalar A₀ pays one
-//! round-trip per object; the engine fetches whole batches per
-//! round-trip and its per-stream workers keep the `m = 4` streams'
-//! round-trips in flight concurrently.
+//! call is one subsystem round-trip (a real `thread::sleep`), while
+//! random access is a local index probe (§4.2's "through an index").
+//! Scalar A₀ pays one round-trip per object; the engine fetches a whole
+//! batch per round-trip. `engine_batched/remote` is the latency
+//! witness for that: ~32× here (2.1 s → 66 ms on the 2-core sandbox).
 //!
 //! The raw in-memory case is also measured so the engine's overhead on
 //! trivially cheap sources stays visible. This is a wall-clock
@@ -111,12 +110,6 @@ fn bench_remote(c: &mut Criterion) {
     });
 
     group.bench_function(BenchmarkId::new("engine_batched", "remote"), |b| {
-        let engine = Engine::new(EngineConfig::serial());
-        let request = remote_request();
-        b.iter(|| engine.run(&request).expect("valid run"));
-    });
-
-    group.bench_function(BenchmarkId::new("engine_parallel", "remote"), |b| {
         let engine = Engine::default();
         let request = remote_request();
         b.iter(|| engine.run(&request).expect("valid run"));
@@ -130,7 +123,7 @@ fn bench_in_memory(c: &mut Criterion) {
     group.sample_size(10);
 
     // Raw in-memory sources: accesses are ~free, so this measures the
-    // engine's own overhead (threads, channels, mutexes).
+    // engine's own overhead (proxies, batch copies, mutexes).
     group.bench_function(BenchmarkId::new("scalar_fa", "mem"), |b| {
         let mut sources = independent_uniform(N, M, 7);
         b.iter(|| {
@@ -144,7 +137,7 @@ fn bench_in_memory(c: &mut Criterion) {
         });
     });
 
-    group.bench_function(BenchmarkId::new("engine_parallel", "mem"), |b| {
+    group.bench_function(BenchmarkId::new("engine_batched", "mem"), |b| {
         let engine = Engine::new(EngineConfig {
             cache_capacity: 0,
             ..EngineConfig::DEFAULT
@@ -185,7 +178,7 @@ fn bench_sharded(c: &mut Criterion) {
     };
 
     group.bench_function(BenchmarkId::new("engine_serial", "ta"), |b| {
-        let engine = Engine::new(EngineConfig::serial());
+        let engine = Engine::default();
         let request = request(ExecPolicy::new());
         b.iter(|| {
             engine

@@ -16,7 +16,7 @@ use std::time::Instant;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::engine::Engine;
-use fmdb_middleware::policy::{ExecPolicy, ShardPolicy};
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::{SharedScoring, TopKQuery, TopKRequest};
 use fmdb_middleware::workload::independent_uniform;
 
@@ -37,14 +37,14 @@ pub fn run(cfg: &RunCfg) -> Report {
     let m = 2usize;
     let k = 10usize;
 
-    // Sharding is a per-request policy now: the same default engine
-    // serves every shard count.
-    let make_request = |seed: u64, sharding: ShardPolicy| -> TopKRequest {
+    // Sharding is a per-request policy: the same default engine serves
+    // every shard count, and one shard is the serial path.
+    let make_request = |seed: u64, shards: usize| -> TopKRequest {
         TopKQuery::compose()
             .sources(independent_uniform(n, m, seed))
             .shared_scoring(Arc::clone(&min))
             .k(k)
-            .policy(ExecPolicy::new().sharding(sharding))
+            .policy(ExecPolicy::new().sharded_over(shards))
             .request()
             .expect("valid request")
     };
@@ -57,20 +57,12 @@ pub fn run(cfg: &RunCfg) -> Report {
     let mut serial_wall = 0.0f64;
     let mut mismatches = 0usize;
     for shards in [1usize, 2, 4, 8] {
-        let sharding = if shards > 1 {
-            ShardPolicy::Shards {
-                shards,
-                min_items: 1,
-            }
-        } else {
-            ShardPolicy::Serial
-        };
         let mut wall = 0.0f64;
         let mut sorted = 0u64;
         let mut random = 0u64;
         let mut spawns = 0u64;
         for seed in 0..cfg.seeds {
-            let request = make_request(seed, sharding);
+            let request = make_request(seed, shards);
             let t0 = Instant::now();
             let result = engine
                 .run_algorithm(&ThresholdAlgorithm, &request)
@@ -82,10 +74,7 @@ pub fn run(cfg: &RunCfg) -> Report {
             // Headline invariant, re-checked on the measured corpora
             // against a request pinned to the serial path.
             let serial = engine
-                .run_algorithm(
-                    &ThresholdAlgorithm,
-                    &make_request(seed, ShardPolicy::Serial),
-                )
+                .run_algorithm(&ThresholdAlgorithm, &make_request(seed, 1))
                 .expect("serial TA run");
             if serial.answers != result.answers {
                 mismatches += 1;

@@ -2,10 +2,10 @@
 //!
 //! Every experiment routes its top-k runs through one process-wide
 //! [`Engine`] behind the unified [`TopKRequest`] API: sorted access is
-//! batched and prefetched on worker threads, random access flows
-//! through the shared grade cache. The engine is bit-identical to the
-//! scalar algorithms — same answers, same charged `sorted`/`random`
-//! counts — so the reproduced numbers are unaffected by the plumbing.
+//! batched, random access flows through the shared grade cache. The
+//! engine is bit-identical to the scalar algorithms — same answers,
+//! same charged `sorted`/`random` counts — so the reproduced numbers
+//! are unaffected by the plumbing.
 
 use std::sync::{Arc, OnceLock};
 
@@ -56,8 +56,7 @@ impl RunCfg {
 }
 
 /// The experiments' shared execution engine (default configuration:
-/// batched sorted access, one prefetch worker per stream, LRU grade
-/// cache).
+/// batched sorted access, LRU grade cache).
 pub fn engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
     ENGINE.get_or_init(Engine::default)

@@ -16,7 +16,7 @@ use fmdb_middleware::algorithms::naive::Naive;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{AlgoError, TopKAlgorithm};
-use fmdb_middleware::engine::{Engine, EngineConfig, EngineError};
+use fmdb_middleware::engine::{Engine, EngineError};
 use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::TopKQuery;
 use fmdb_middleware::source::{GradedSource, VecSource};
@@ -165,9 +165,9 @@ impl QueryCursor {
 
 /// The Garlic facade: a catalog plus query execution.
 ///
-/// Flat monotone plans are evaluated through the middleware's batched,
-/// parallel [`Engine`]; answers and charged access counts are
-/// bit-identical to the scalar algorithms.
+/// Flat monotone plans are evaluated through the middleware's batched
+/// [`Engine`]; answers and charged access counts are bit-identical to
+/// the scalar algorithms.
 pub struct Garlic {
     catalog: Catalog,
     engine: Engine,
@@ -182,15 +182,9 @@ impl fmt::Debug for Garlic {
 impl Garlic {
     /// Wraps a catalog, executing through a default-configured engine.
     pub fn new(catalog: Catalog) -> Garlic {
-        Garlic::with_engine_config(catalog, EngineConfig::default())
-    }
-
-    /// Wraps a catalog with an explicit engine configuration (batch
-    /// size, parallelism, grade-cache capacity).
-    pub fn with_engine_config(catalog: Catalog, config: EngineConfig) -> Garlic {
         Garlic {
             catalog,
-            engine: Engine::new(config),
+            engine: Engine::default(),
         }
     }
 
@@ -653,24 +647,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_config_preserves_ta_answers() {
-        // Two Garlic facades over identical catalogs: one serial
-        // engine, one sharded. AlgoChoice::Ta advertises the sharded
-        // TA kernel, so the second facade takes the partition-parallel
-        // path — answers must not change.
+    fn shard_policy_preserves_ta_answers() {
+        use fmdb_middleware::policy::Algo;
+
+        // One facade, the same query serial and sharded. TA advertises
+        // the sharded TA kernel, so a `sharded_over` policy takes the
+        // partition-parallel path — answers must not change.
         let q = Query::and(vec![
             Query::atomic("Color", Target::Similar("red".into())),
             Query::atomic("Shape", Target::Similar("round".into())),
         ]);
-        let serial = g_with(EngineConfig::serial());
-        let want = serial.top_k_with(&q, 6, AlgoChoice::Ta).unwrap();
+        let g = small_qbic_garlic();
+        let want = g.top_k_with(&q, 6, AlgoChoice::Ta).unwrap();
+        assert_eq!(want.stats.worker_spawns, 0, "forced TA runs serial");
         for shards in [2usize, 4] {
-            let sharded = g_with(EngineConfig {
-                shards,
-                shard_min_items: 1,
-                ..EngineConfig::DEFAULT
-            });
-            let got = sharded.top_k_with(&q, 6, AlgoChoice::Ta).unwrap();
+            let policy = ExecPolicy::new().algo(Algo::Ta).sharded_over(shards);
+            let got = g.top_k_policy(&q, 6, policy).unwrap();
             assert_eq!(got.answers, want.answers, "shards={shards}");
             assert!(
                 got.stats.worker_spawns >= shards as u64,
@@ -689,7 +681,7 @@ mod tests {
             Query::atomic("Color", Target::Similar("red".into())),
             Query::atomic("Shape", Target::Similar("round".into())),
         ]);
-        let g = g_with(EngineConfig::default());
+        let g = small_qbic_garlic();
         let reference = g.top_k(&q, 6).unwrap();
 
         // CA under an expensive-random-access cost model: same answer
@@ -713,7 +705,7 @@ mod tests {
         assert_eq!(approx.answers.len(), 6);
     }
 
-    fn g_with(config: EngineConfig) -> Garlic {
+    fn small_qbic_garlic() -> Garlic {
         let db = SyntheticDb::generate(&SynthConfig {
             count: 60,
             bins_per_channel: 3,
@@ -724,7 +716,7 @@ mod tests {
         catalog
             .register(Box::new(QbicRepository::new("qbic", db)))
             .unwrap();
-        Garlic::with_engine_config(catalog, config)
+        Garlic::new(catalog)
     }
 
     #[test]

@@ -90,8 +90,8 @@ pub enum AlgoError {
     /// A [`crate::request::TopKRequest`] could not be assembled (missing scoring
     /// function, malformed weights, weight/source arity mismatch, …).
     InvalidRequest(String),
-    /// The execution engine failed mid-query (e.g. a prefetch worker
-    /// panicked inside a subsystem). Carries the engine's description
+    /// The execution engine failed mid-query (e.g. a subsystem
+    /// panicked under the kernel). Carries the engine's description
     /// of the failure; see `crate::engine::EngineError` for the
     /// structured form.
     Engine(String),
@@ -155,9 +155,10 @@ pub trait TopKAlgorithm {
     }
 }
 
-/// Shared argument validation for the A₀ family.
-fn validate(
-    sources: &[&mut dyn GradedSource],
+/// Shared argument validation for the A₀ family (and the engine's
+/// sharded path, whose kernels skip the scalar entry points).
+pub(crate) fn validate<S>(
+    sources: &[S],
     scoring: &dyn ScoringFunction,
     k: usize,
 ) -> Result<(), AlgoError> {

@@ -1,45 +1,53 @@
-//! The batched, parallel top-k execution engine.
+//! The batched top-k execution engine.
 //!
 //! The paper's algorithms are specified — and implemented in
 //! [`crate::algorithms`] — as strictly sequential consumers of sorted
 //! and random access. A real middleware system (Garlic over QBIC et
 //! al., §4) would not call a remote subsystem one object at a time: it
-//! would *batch* sorted access, *overlap* the `m` independent streams,
-//! and *cache* random-access grades it has already paid for. The
-//! [`Engine`] adds exactly those three mechanics **without changing a
-//! single answer or a single charged access**:
+//! would *batch* sorted access and *cache* random-access grades it has
+//! already paid for. The [`Engine`] adds exactly those two mechanics
+//! **without changing a single answer or a single charged access**:
 //!
 //! * **Batched sorted access** — each stream is drained through
-//!   [`GradedSource::sorted_batch`] in configurable chunks instead of
-//!   per-object calls.
-//! * **Worker threads** — with [`EngineConfig::parallel`] set, one
-//!   prefetch worker per source keeps a bounded channel of batches full
-//!   while the algorithm consumes them; the merge itself stays the
-//!   existing scalar algorithm, so correctness is inherited.
+//!   [`GradedSource::sorted_batch`] in chunks of
+//!   [`EngineConfig::batch_size`] instead of per-object calls, lazily,
+//!   on the caller's thread: one subsystem round-trip serves a whole
+//!   batch.
 //! * **A bounded LRU grade cache** — random-access grades are memoized
-//!   in a [`GradeCache`] shared by every request the engine serves.
-//!   A hit skips the subsystem probe but is *still charged* as one
-//!   random access: the paper's cost measure counts what the algorithm
-//!   asked for, not how the middleware happened to serve it. The
-//!   hit/miss split is folded into
+//!   in a [`StripedGradeCache`] shared by every request the engine
+//!   serves. A hit skips the subsystem probe but is *still charged* as
+//!   one random access: the paper's cost measure counts what the
+//!   algorithm asked for, not how the middleware happened to serve it.
+//!   The hit/miss split is folded into
 //!   [`AccessStats::cache_hits`]/[`AccessStats::cache_misses`].
 //!
-//! Because batching preserves per-stream order, prefetching only moves
-//! *when* items are fetched (never *which* or *in what order* the
-//! algorithm consumes them), and cache hits return the same grade the
-//! probe would (grades are immutable snapshots in the paper's model),
-//! the engine's results are **bit-identical** to the scalar reference:
+//! There is one execution path. A query runs its kernel — the existing
+//! scalar algorithm, so correctness is inherited — on the calling
+//! thread over one proxy per source. The engine spawns threads in two
+//! places only: [`Engine::run_many`]'s request pool, and the shard
+//! workers of a request whose [`crate::policy::ShardPolicy`] asks for
+//! them ([`crate::sharded`]). A source is in memory or brings its own
+//! read-ahead ([`crate::store`]); against a remote subsystem it is
+//! batching that pays (`benches/engine.rs`, `engine_batched/remote`).
+//!
+//! Because batching preserves per-stream order and only moves *when*
+//! items are fetched (never *which* or *in what order* the algorithm
+//! consumes them), and cache hits return the same grade the probe
+//! would (grades are immutable snapshots in the paper's model), the
+//! engine's results are **bit-identical** to the scalar reference:
 //! same answer ids, same grades, same `sorted`/`random` counts.
 //!
 //! One engine value serves any number of concurrent [`TopKRequest`]s —
 //! `run` takes `&self`, and [`Engine::run_many`] evaluates a batch of
-//! requests on parallel threads against the shared cache.
+//! requests on a bounded thread pool against the shared cache.
+//!
+//! [`AccessStats::cache_hits`]: crate::stats::AccessStats::cache_hits
+//! [`AccessStats::cache_misses`]: crate::stats::AccessStats::cache_misses
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread;
 
 use fmdb_core::score::{Score, ScoredObject};
@@ -50,30 +58,29 @@ use crate::planner::{Explain, PhysicalPlan, PlanQuery, QueryStats};
 use crate::policy::Algo;
 use crate::request::{SharedSource, TopKRequest};
 use crate::source::{GradedSource, Oid, SourceInfo};
-
-/// How many prefetched batches a worker may buffer ahead of the
-/// consumer (per stream) before it blocks.
-const PREFETCH_DEPTH: usize = 2;
+use crate::stats::{AccessStats, PageIoStats};
 
 /// Failures the engine can surface for a request.
 ///
 /// The engine must never take down a whole process mid-query: a
-/// subsystem panicking inside a prefetch worker (or a request thread
-/// dying under [`Engine::run_many`]) is reported as a value, so the
-/// caller can fail that one request and keep serving others. This is
-/// the error path the workspace linter's `no-panic` rule points
-/// library code at.
+/// subsystem panicking under the kernel (or a request thread dying
+/// under [`Engine::run_many`], or a shard worker) is reported as a
+/// value, so the caller can fail that one request and keep serving
+/// others. This is the error path the workspace linter's `no-panic`
+/// rule points library code at.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// Algorithm-level validation or execution error, unchanged from
     /// the scalar path.
     Algo(AlgoError),
-    /// A worker thread panicked while the query still needed its
-    /// stream. `stream` names the source (its [`SourceInfo::label`]) or
-    /// the request slot under [`Engine::run_many`]; `message` is the
-    /// panic payload when it was a string.
+    /// A subsystem, the kernel or a worker thread panicked while
+    /// serving the request. `stream` names the source whose subsystem
+    /// was being called (its [`SourceInfo::label`]), the algorithm when
+    /// no subsystem call was in flight, the shard, or the request slot
+    /// under [`Engine::run_many`]; `message` is the panic payload when
+    /// it was a string.
     WorkerPanicked {
-        /// Which stream or request died.
+        /// Which stream, shard or request died.
         stream: String,
         /// The panic message, best effort.
         message: String,
@@ -126,70 +133,40 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Tuning knobs for the [`Engine`].
+/// The two sizes an [`Engine`] is built with. How a *request* runs —
+/// algorithm, cost model, θ, intra-query sharding — is the request's
+/// [`crate::policy::ExecPolicy`], not engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Objects fetched per [`GradedSource::sorted_batch`] call.
     /// Clamped to at least 1.
     pub batch_size: usize,
-    /// Spawn one prefetch worker thread per sorted stream. When false
-    /// the engine still batches, but fetches lazily on the caller's
-    /// thread.
-    pub parallel: bool,
-    /// Capacity (entries) of the shared random-access [`GradeCache`];
+    /// Capacity (entries) of the shared random-access grade cache;
     /// 0 disables caching entirely.
     pub cache_capacity: usize,
-    /// Upper bound on intra-query shards for shard-capable algorithms
-    /// (those reporting a [`crate::sharded::ShardKernel`]); `0` or `1`
-    /// keeps every query on the serial path. See [`crate::sharded`].
-    pub shards: usize,
-    /// Minimum number of objects each shard should receive: a query
-    /// over a universe of `n` objects runs on at most
-    /// `n / shard_min_items` shards (at least 1), so tiny queries never
-    /// pay thread overhead. Clamped to at least 1.
-    pub shard_min_items: usize,
 }
 
 impl EngineConfig {
-    /// The default: batches of 64, parallel prefetch, 4096 cached
-    /// grades, no intra-query sharding.
+    /// The default: batches of 64, 4096 cached grades.
     pub const DEFAULT: EngineConfig = EngineConfig {
         batch_size: 64,
-        parallel: true,
         cache_capacity: 4096,
-        shards: 1,
-        shard_min_items: 256,
     };
-
-    /// A single-threaded configuration (batched access, no workers).
-    pub fn serial() -> EngineConfig {
-        EngineConfig {
-            parallel: false,
-            ..EngineConfig::DEFAULT
-        }
-    }
-
-    /// A configuration running shard-capable algorithms on up to
-    /// `shards` intra-query workers (no minimum shard size — callers
-    /// wanting the guard can set
-    /// [`EngineConfig::shard_min_items`] themselves).
-    #[deprecated(
-        note = "shard settings are per-request now: set `ExecPolicy::sharded_over(shards)` \
-                (or `ShardPolicy::Shards`) on the request policy"
-    )]
-    pub fn sharded(shards: usize) -> EngineConfig {
-        EngineConfig {
-            shards,
-            shard_min_items: 1,
-            ..EngineConfig::DEFAULT
-        }
-    }
 }
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig::DEFAULT
     }
+}
+
+/// Locks tolerating poison. A subsystem that panics under its own
+/// source mutex poisons it; the request fails with
+/// [`EngineError::WorkerPanicked`], and the engine — registry, cache
+/// stripes and totals included, whose updates are single assignments —
+/// must keep serving the requests that follow.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Cache key: the registered identity of the shared source handle
@@ -239,87 +216,21 @@ impl SourceRegistry {
     }
 }
 
-/// A bounded LRU memo of random-access grades.
-///
-/// The paper's model makes grades immutable for the duration of a
-/// query ("repeated random access for the same object returns the same
-/// grade"), so memoization is safe. The cache tracks cumulative
-/// [`GradeCache::hits`]/[`GradeCache::misses`]/[`GradeCache::evictions`]
-/// across every request it served. The replacement machinery itself is
-/// the shared [`LruCore`], which also backs the paged store's buffer
-/// pool ([`crate::store`]).
+/// Number of independent LRU segments in the engine's cache.
+const CACHE_STRIPES: usize = 8;
+
+/// One segment of the [`StripedGradeCache`]: the shared [`LruCore`]
+/// replacement machinery (which also backs the paged store's buffer
+/// pool, [`crate::store`]) plus the per-source split of its counters.
 #[derive(Debug)]
-pub struct GradeCache {
+struct Stripe {
     core: LruCore<CacheKey, Score>,
     /// Per-source-identity (hits, misses) split of the core's totals —
     /// the raw signal behind the planner's cache-residency hints.
     per_source: HashMap<u64, (u64, u64)>,
 }
 
-impl GradeCache {
-    /// Creates a cache holding at most `capacity` grades.
-    pub fn new(capacity: usize) -> GradeCache {
-        GradeCache {
-            core: LruCore::new(capacity),
-            per_source: HashMap::new(),
-        }
-    }
-
-    /// Number of grades currently cached.
-    pub fn len(&self) -> usize {
-        self.core.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.core.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.core.capacity()
-    }
-
-    /// Cumulative lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.core.hits()
-    }
-
-    /// Cumulative lookups that had to go to the subsystem.
-    pub fn misses(&self) -> u64 {
-        self.core.misses()
-    }
-
-    /// Cumulative grades dropped to make room for newer ones. Together
-    /// with [`GradeCache::hits`]/[`GradeCache::misses`] this completes
-    /// the replacement picture: a high eviction rate at a given hit
-    /// rate means the working set exceeds capacity.
-    pub fn evictions(&self) -> u64 {
-        self.core.evictions()
-    }
-
-    /// Cumulative (hits, misses) charged against one source identity
-    /// while it has had grades in the cache; `(0, 0)` for a source
-    /// whose grades have all been evicted and whose split was dropped
-    /// with them.
-    pub fn source_counters(&self, source_id: u64) -> (u64, u64) {
-        self.per_source.get(&source_id).copied().unwrap_or((0, 0))
-    }
-
-    /// Drops every cached grade **and** resets the hit/miss/eviction
-    /// counters.
-    ///
-    /// The counters describe the lifetime of the cached content; under
-    /// the striped cache ([`StripedGradeCache`]) each segment is
-    /// cleared independently, and a segment that kept stale counters
-    /// after dropping its entries would make the summed snapshot
-    /// unintelligible (hits against grades that no longer exist,
-    /// mixed across generations). Content and counters reset together.
-    pub fn clear(&mut self) {
-        self.core.clear();
-        self.per_source.clear();
-    }
-
+impl Stripe {
     /// Looks `key` up, refreshing its recency on a hit.
     fn get(&mut self, key: CacheKey) -> Option<Score> {
         let found = self.core.get(key);
@@ -338,35 +249,34 @@ impl GradeCache {
         found
     }
 
-    /// Inserts (or refreshes) a grade, evicting the least recently used
-    /// entries beyond capacity.
-    fn insert(&mut self, key: CacheKey, grade: Score) {
-        self.core.insert(key, grade);
-    }
-
     /// The bound on `per_source`. A caller that wraps fresh lists per
     /// query (the garlic layer) presents a new source identity every
     /// time, and a split kept for each of them forever is a leak. At
     /// most `capacity` sources can have a grade resident, so once the
     /// splits number twice that, those of sources with nothing left in
-    /// the cache are dropped — like [`GradeCache::clear`], counters go
-    /// with the content they describe. A sweep leaves at most half the
-    /// bound behind, so its cost is amortised O(1) per new source; the
-    /// floor keeps tiny caches from sweeping on every other source.
+    /// the cache are dropped — like [`StripedGradeCache::clear`],
+    /// counters go with the content they describe. A sweep leaves at
+    /// most half the bound behind, so its cost is amortised O(1) per
+    /// new source; the floor keeps tiny caches from sweeping on every
+    /// other source.
     fn split_limit(&self) -> usize {
         self.core.capacity().saturating_mul(2).max(64)
     }
 }
 
-/// Number of independent LRU segments in the engine's striped cache.
-const CACHE_STRIPES: usize = 8;
-
-/// A lock-striped [`GradeCache`]: `N` independent LRU segments, each
-/// behind its own mutex, selected by key hash.
+/// A bounded, lock-striped LRU memo of random-access grades: `N`
+/// independent segments, each behind its own mutex, selected by key
+/// hash.
 ///
-/// A single-mutex cache serializes every random access of every
-/// concurrent worker — request threads under [`Engine::run_many`] and
-/// shard workers under the sharded path ([`crate::sharded`]) would all
+/// The paper's model makes grades immutable for the duration of a
+/// query ("repeated random access for the same object returns the same
+/// grade"), so memoization is safe. The cache tracks cumulative hits,
+/// misses and evictions across every request it served; a high
+/// eviction rate at a given hit rate means the working set exceeds
+/// capacity.
+///
+/// A single-mutex cache would serialize every random access of every
+/// concurrent worker — request threads under [`Engine::run_many`] all
 /// contend on one lock. Striping keeps the hit path a short critical
 /// section on 1/N of the key space.
 ///
@@ -380,7 +290,7 @@ const CACHE_STRIPES: usize = 8;
 /// guarantee is all the engine promises (and all telemetry needs).
 #[derive(Debug)]
 pub struct StripedGradeCache {
-    stripes: Vec<Mutex<GradeCache>>,
+    stripes: Vec<Mutex<Stripe>>,
 }
 
 impl StripedGradeCache {
@@ -396,97 +306,108 @@ impl StripedGradeCache {
         } else {
             capacity.div_ceil(n)
         };
+        let stripe = || Stripe {
+            core: LruCore::new(per),
+            per_source: HashMap::new(),
+        };
         StripedGradeCache {
-            stripes: (0..n).map(|_| Mutex::new(GradeCache::new(per))).collect(),
+            stripes: (0..n).map(|_| Mutex::new(stripe())).collect(),
         }
     }
 
-    /// The segment owning `key`.
-    fn stripe(&self, key: CacheKey) -> &Mutex<GradeCache> {
+    /// The segment owning `key`, locked.
+    fn stripe(&self, key: CacheKey) -> MutexGuard<'_, Stripe> {
         // Multiplicative mixing of both key halves; the high bits are
         // the best-mixed, so index with them.
         let h = key
             .0
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(key.1.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        &self.stripes[(h >> 32) as usize % self.stripes.len()]
+        lock(&self.stripes[(h >> 32) as usize % self.stripes.len()])
     }
 
     fn get(&self, key: CacheKey) -> Option<Score> {
-        lock_cache(self.stripe(key)).get(key)
+        self.stripe(key).get(key)
     }
 
+    /// Inserts (or refreshes) a grade, evicting the least recently used
+    /// entries of its stripe beyond capacity.
     fn insert(&self, key: CacheKey, grade: Score) {
-        lock_cache(self.stripe(key)).insert(key, grade);
+        self.stripe(key).core.insert(key, grade);
     }
 
     /// Cumulative (hits, misses) summed over all stripes — see the
     /// type docs for the snapshot guarantee.
     pub fn counters(&self) -> (u64, u64) {
         self.stripes.iter().fold((0, 0), |(h, m), s| {
-            let guard = lock_cache(s);
-            (h + guard.hits(), m + guard.misses())
+            let guard = lock(s);
+            (h + guard.core.hits(), m + guard.core.misses())
         })
     }
 
-    /// Cumulative evictions summed over all stripes (same snapshot
-    /// guarantee as [`StripedGradeCache::counters`]). Reset together
-    /// with the hit/miss counters by [`StripedGradeCache::clear`].
+    /// Cumulative grades dropped to make room for newer ones, summed
+    /// over all stripes (same snapshot guarantee as
+    /// [`StripedGradeCache::counters`]). Reset together with the
+    /// hit/miss counters by [`StripedGradeCache::clear`].
     pub fn evictions(&self) -> u64 {
-        self.stripes.iter().map(|s| lock_cache(s).evictions()).sum()
+        self.stripes.iter().map(|s| lock(s).core.evictions()).sum()
     }
 
-    /// Cumulative (hits, misses) for one source identity, summed over
-    /// all stripes (same snapshot guarantee as
-    /// [`StripedGradeCache::counters`]). This is the signal the planner
-    /// turns into a cache-residency hint.
+    /// Cumulative (hits, misses) charged against one source identity
+    /// while it has had grades in the cache, summed over all stripes
+    /// (same snapshot guarantee as [`StripedGradeCache::counters`]);
+    /// `(0, 0)` for a source whose grades have all been evicted and
+    /// whose split was dropped with them. This is the signal the
+    /// planner turns into a cache-residency hint.
     pub fn source_counters(&self, source_id: u64) -> (u64, u64) {
         self.stripes.iter().fold((0, 0), |(h, m), s| {
-            let (sh, sm) = lock_cache(s).source_counters(source_id);
+            let (sh, sm) = lock(s)
+                .per_source
+                .get(&source_id)
+                .copied()
+                .unwrap_or((0, 0));
             (h + sh, m + sm)
         })
     }
 
     /// Grades currently cached, summed over all stripes.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| lock_cache(s).len()).sum()
+        self.stripes.iter().map(|s| lock(s).core.len()).sum()
     }
 
     /// True when no stripe holds anything.
     pub fn is_empty(&self) -> bool {
-        self.stripes.iter().all(|s| lock_cache(s).is_empty())
+        self.stripes.iter().all(|s| lock(s).core.is_empty())
     }
 
     /// Total capacity across stripes.
     pub fn capacity(&self) -> usize {
-        self.stripes.iter().map(|s| lock_cache(s).capacity()).sum()
+        self.stripes.iter().map(|s| lock(s).core.capacity()).sum()
     }
 
-    /// Clears every stripe — entries and counters together (see
-    /// [`GradeCache::clear`]). Stripes are cleared one at a time; a
-    /// concurrent request may land hits in an already-cleared stripe
-    /// before the last one is reached, which the snapshot semantics
-    /// above already admit.
+    /// Drops every cached grade **and** resets the hit/miss/eviction
+    /// counters and per-source splits.
+    ///
+    /// The counters describe the lifetime of the cached content; each
+    /// stripe is cleared independently, and a stripe that kept stale
+    /// counters after dropping its entries would make the summed
+    /// snapshot unintelligible (hits against grades that no longer
+    /// exist, mixed across generations). Content and counters reset
+    /// together. Stripes are cleared one at a time; a concurrent
+    /// request may land hits in an already-cleared stripe before the
+    /// last one is reached, which the snapshot semantics above already
+    /// admit.
     pub fn clear(&self) {
         for s in &self.stripes {
-            lock_cache(s).clear();
+            let mut stripe = lock(s);
+            stripe.core.clear();
+            stripe.per_source.clear();
         }
     }
 }
 
-/// The feed behind one proxied stream: either lazily batch-fetched on
-/// the consumer's thread, or streamed from a prefetch worker.
-enum Feed {
-    Serial {
-        batch: usize,
-    },
-    Parallel {
-        rx: Receiver<Result<Vec<ScoredObject<Oid>>, String>>,
-    },
-}
-
 /// The engine's view of one source: sorted access is served from
-/// prefetched batches; random access is routed through the grade
+/// lazily refilled batches; random access is routed through the grade
 /// cache. Implements [`GradedSource`], so the scalar algorithms run on
 /// top of it unchanged — and charge exactly the accesses they would
 /// charge against the raw source.
@@ -494,79 +415,55 @@ struct EngineSource<'a> {
     underlying: &'a SharedSource,
     info: SourceInfo,
     key: u64,
-    buffer: VecDeque<ScoredObject<Oid>>,
+    batch: usize,
+    buffer: std::vec::IntoIter<ScoredObject<Oid>>,
     drained: bool,
-    feed: Feed,
+    /// Whether anything was fetched since the stream last stood at the
+    /// top: the engine rewinds the subsystem before building a proxy,
+    /// so only a *used* proxy has to rewind it again.
+    fetched: bool,
     cache: Option<&'a StripedGradeCache>,
     hits: u64,
     misses: u64,
-    /// Set when the prefetch worker died and the algorithm went on to
-    /// consume the (now truncated) stream: the run's outcome can no
-    /// longer be trusted and is replaced by
-    /// [`EngineError::WorkerPanicked`].
-    failure: Option<String>,
+    /// The highest bound forwarded to the subsystem since the stream
+    /// last stood at the top.
+    noted: Score,
+    /// The subsystem's page counters before the run (`None` for purely
+    /// in-memory sources), diffed afterwards.
+    page_before: Option<PageIoStats>,
+    /// Set for the duration of every call into the subsystem, so a
+    /// panic caught around the kernel can name the stream it came from.
+    in_flight: bool,
 }
 
-impl<'a> EngineSource<'a> {
-    fn new(
-        underlying: &'a SharedSource,
-        info: SourceInfo,
-        key: u64,
-        feed: Feed,
-        cache: Option<&'a StripedGradeCache>,
-    ) -> EngineSource<'a> {
-        EngineSource {
-            key,
-            underlying,
-            info,
-            buffer: VecDeque::new(),
-            drained: false,
-            feed,
-            cache,
-            hits: 0,
-            misses: 0,
-            failure: None,
-        }
-    }
-
-    /// Refills the buffer with the next batch, if any remains.
-    fn refill(&mut self) {
-        while self.buffer.is_empty() && !self.drained {
-            match &self.feed {
-                Feed::Serial { batch } => {
-                    let items = lock(self.underlying).sorted_batch(*batch);
-                    if items.len() < *batch {
-                        self.drained = true;
-                    }
-                    self.buffer.extend(items);
-                }
-                Feed::Parallel { rx } => match rx.recv() {
-                    Ok(Ok(items)) => self.buffer.extend(items),
-                    Ok(Err(message)) => {
-                        // The worker panicked *and* the algorithm asked
-                        // for the batch it was fetching: record the
-                        // failure so the run is rejected, and present
-                        // the stream as drained so the algorithm
-                        // terminates instead of blocking forever.
-                        self.failure = Some(message);
-                        self.drained = true;
-                    }
-                    Err(_) => self.drained = true,
-                },
-            }
-        }
+impl EngineSource<'_> {
+    /// Runs `call` on the locked subsystem.
+    fn with_source<R>(
+        &mut self,
+        call: impl FnOnce(&mut (dyn GradedSource + Send + 'static)) -> R,
+    ) -> R {
+        self.in_flight = true;
+        let out = call(&mut *lock(self.underlying));
+        self.in_flight = false;
+        out
     }
 }
 
 impl GradedSource for EngineSource<'_> {
     fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        self.refill();
-        self.buffer.pop_front()
+        if self.buffer.as_slice().is_empty() && !self.drained {
+            let batch = self.batch;
+            let items = self.with_source(|s| s.sorted_batch(batch));
+            self.drained = items.len() < batch;
+            self.fetched = true;
+            self.buffer = items.into_iter();
+        }
+        self.buffer.next()
     }
 
     fn random_access(&mut self, oid: Oid) -> Score {
         let Some(cache) = self.cache else {
-            return lock(self.underlying).random_access(oid);
+            return self.with_source(|s| s.random_access(oid));
         };
         let key = (self.key, oid);
         if let Some(grade) = cache.get(key) {
@@ -574,8 +471,8 @@ impl GradedSource for EngineSource<'_> {
             return grade;
         }
         // Probe outside the stripe lock: the subsystem may be slow, and
-        // prefetch workers contend on the same source mutex.
-        let grade = lock(self.underlying).random_access(oid);
+        // concurrent requests share the stripe.
+        let grade = self.with_source(|s| s.random_access(oid));
         self.misses += 1;
         cache.insert(key, grade);
         grade
@@ -583,64 +480,32 @@ impl GradedSource for EngineSource<'_> {
 
     /// The engine rewinds the underlying sources before constructing
     /// its proxies, so the initial `rewind()` every algorithm issues is
-    /// a no-op here. Mid-run rewinds are only honoured on the serial
-    /// feed (a parallel prefetch stream cannot be replayed).
+    /// a no-op here.
     fn rewind(&mut self) {
-        if let Feed::Serial { .. } = self.feed {
-            if self.drained || !self.buffer.is_empty() {
-                lock(self.underlying).rewind();
-            }
-            self.buffer.clear();
-            self.drained = false;
+        if self.fetched {
+            self.with_source(|s| s.rewind());
+            self.buffer = Vec::new().into_iter();
+            (self.drained, self.fetched, self.noted) = (false, false, Score::ZERO);
         }
     }
 
     fn info(&self) -> SourceInfo {
         self.info.clone()
     }
-}
 
-fn lock(source: &SharedSource) -> std::sync::MutexGuard<'_, dyn GradedSource + Send + 'static> {
-    source.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock_cache(cache: &Mutex<GradeCache>) -> std::sync::MutexGuard<'_, GradeCache> {
-    cache.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One prefetch worker: drains a source in batches into a bounded
-/// channel until the stream ends, the consumer hangs up, or the
-/// subsystem panics (the panic is caught and forwarded as a value —
-/// a dying worker must fail its request, never the process).
-fn prefetch_worker(
-    source: SharedSource,
-    tx: SyncSender<Result<Vec<ScoredObject<Oid>>, String>>,
-    batch: usize,
-) {
-    loop {
-        // Fetch under the lock, send after releasing it: a blocking
-        // send must never hold the source mutex (random access needs
-        // it). The panic is caught *inside* the guard's scope, so the
-        // mutex is unlocked normally and never poisoned.
-        let items = {
-            let mut guard = source.lock().unwrap_or_else(PoisonError::into_inner);
-            match catch_unwind(AssertUnwindSafe(|| guard.sorted_batch(batch))) {
-                Ok(items) => items,
-                Err(payload) => {
-                    let _ = tx.send(Err(panic_message(payload.as_ref())));
-                    return;
-                }
-            }
-        };
-        let last = items.len() < batch;
-        if tx.send(Ok(items)).is_err() || last {
-            break;
+    /// The kernel feeds its bound every round; the subsystem only has
+    /// to hear of it when it rises (it is monotone within a run), which
+    /// one compare decides before the source lock is taken.
+    fn note_threshold(&mut self, bound: Score) {
+        if bound > self.noted {
+            self.noted = bound;
+            self.with_source(|s| s.note_threshold(bound));
         }
     }
 }
 
-/// The batched, parallel execution engine. See the [module
-/// docs](crate::engine) for the design.
+/// The batched execution engine. See the [module docs](crate::engine)
+/// for the design.
 ///
 /// `run` takes `&self`: share one engine (e.g. behind an `Arc`) and
 /// issue any number of requests concurrently — they cooperate through
@@ -650,65 +515,9 @@ pub struct Engine {
     config: EngineConfig,
     cache: StripedGradeCache,
     registry: Mutex<SourceRegistry>,
-    totals: EngineTotals,
-}
-
-/// Cumulative access totals over every request an engine served, for
-/// cross-run telemetry (`BENCH_engine.json`). Relaxed atomics: the
-/// counters are monotone and independent, so a reader gets a valid
-/// per-counter snapshot, not a cross-counter linearization.
-#[derive(Debug, Default)]
-struct EngineTotals {
-    sorted: std::sync::atomic::AtomicU64,
-    random: std::sync::atomic::AtomicU64,
-    cache_hits: std::sync::atomic::AtomicU64,
-    cache_misses: std::sync::atomic::AtomicU64,
-    worker_spawns: std::sync::atomic::AtomicU64,
-    page_reads: std::sync::atomic::AtomicU64,
-    page_hits: std::sync::atomic::AtomicU64,
-    page_evictions: std::sync::atomic::AtomicU64,
-    pages_skipped: std::sync::atomic::AtomicU64,
-    blocks_skipped: std::sync::atomic::AtomicU64,
-}
-
-impl EngineTotals {
-    fn fold(&self, stats: &crate::stats::AccessStats) {
-        use std::sync::atomic::Ordering::Relaxed;
-        // ordering(Relaxed): telemetry-only counter merge — each field
-        // is an independent monotone sum, no reader orders decisions
-        // against these values, and the final fold happens after the
-        // shard threads are joined (the join is the synchronization).
-        self.sorted.fetch_add(stats.sorted, Relaxed);
-        self.random.fetch_add(stats.random, Relaxed);
-        self.cache_hits.fetch_add(stats.cache_hits, Relaxed);
-        self.cache_misses.fetch_add(stats.cache_misses, Relaxed);
-        self.worker_spawns.fetch_add(stats.worker_spawns, Relaxed);
-        self.page_reads.fetch_add(stats.page_reads, Relaxed);
-        self.page_hits.fetch_add(stats.page_hits, Relaxed);
-        self.page_evictions.fetch_add(stats.page_evictions, Relaxed);
-        self.pages_skipped.fetch_add(stats.pages_skipped, Relaxed);
-        self.blocks_skipped.fetch_add(stats.blocks_skipped, Relaxed);
-    }
-
-    fn snapshot(&self) -> crate::stats::AccessStats {
-        use std::sync::atomic::Ordering::Relaxed;
-        crate::stats::AccessStats {
-            // ordering(Relaxed): report-time read of telemetry
-            // counters; a snapshot taken concurrently with updates may
-            // be slightly stale per field, which the stats contract
-            // permits — nothing branches on these values.
-            sorted: self.sorted.load(Relaxed),
-            random: self.random.load(Relaxed),
-            cache_hits: self.cache_hits.load(Relaxed),
-            cache_misses: self.cache_misses.load(Relaxed),
-            worker_spawns: self.worker_spawns.load(Relaxed),
-            page_reads: self.page_reads.load(Relaxed),
-            page_hits: self.page_hits.load(Relaxed),
-            page_evictions: self.page_evictions.load(Relaxed),
-            pages_skipped: self.pages_skipped.load(Relaxed),
-            blocks_skipped: self.blocks_skipped.load(Relaxed),
-        }
-    }
+    /// Cumulative stats over every successful request, for cross-run
+    /// telemetry (`BENCH_engine.json`).
+    totals: Mutex<AccessStats>,
 }
 
 impl Default for Engine {
@@ -724,13 +533,8 @@ impl Engine {
             config,
             cache: StripedGradeCache::new(config.cache_capacity, CACHE_STRIPES),
             registry: Mutex::new(SourceRegistry::default()),
-            totals: EngineTotals::default(),
+            totals: Mutex::new(AccessStats::ZERO),
         }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.config
     }
 
     /// Cumulative cache (hits, misses) over every request served —
@@ -748,7 +552,7 @@ impl Engine {
     }
 
     /// Drops every cached grade and resets the cache counters (see
-    /// [`GradeCache::clear`]).
+    /// [`StripedGradeCache::clear`]).
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
@@ -760,18 +564,15 @@ impl Engine {
     /// cache-served random access all the same, so residency never
     /// changes which plan the charged-cost comparison picks.
     pub fn source_cache_counters(&self, source: &SharedSource) -> (u64, u64) {
-        let id = {
-            let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
-            registry.identify(source)
-        };
+        let id = lock(&self.registry).identify(source);
         self.cache.source_counters(id)
     }
 
-    /// Cumulative [`crate::stats::AccessStats`] folded over every
-    /// *successful* request this engine has served. Monotone; diff two
-    /// snapshots to meter a workload.
-    pub fn access_totals(&self) -> crate::stats::AccessStats {
-        self.totals.snapshot()
+    /// Cumulative [`AccessStats`] folded over every *successful*
+    /// request this engine has served. Monotone; diff two snapshots to
+    /// meter a workload.
+    pub fn access_totals(&self) -> AccessStats {
+        *lock(&self.totals)
     }
 
     /// Evaluates a request as its [`crate::policy::ExecPolicy`]
@@ -799,25 +600,10 @@ impl Engine {
     /// (non-`Auto`) policy the record reflects that forced choice.
     pub fn explain(&self, request: &TopKRequest) -> Result<Explain, EngineError> {
         // Surface invalid-knob errors exactly like `run`.
-        let algorithm = request.policy().algorithm()?;
+        let forced = request.policy().plan()?;
         let mut explain = self.plan(request);
-        if !matches!(request.policy().algo, Algo::Auto) {
-            let forced = [
-                PhysicalPlan::Fa,
-                PhysicalPlan::Ta,
-                PhysicalPlan::Nra,
-                PhysicalPlan::Ca {
-                    h: request.policy().interleave(),
-                },
-                PhysicalPlan::ApproxTa,
-                PhysicalPlan::ApproxNra,
-                PhysicalPlan::MaxMerge,
-            ]
-            .into_iter()
-            .find(|p| p.name() == algorithm.name());
-            if let Some(plan) = forced {
-                explain.chosen = plan;
-            }
+        if request.policy().algo != Algo::Auto {
+            explain.chosen = forced;
         }
         Ok(explain)
     }
@@ -829,27 +615,23 @@ impl Engine {
         &self,
         request: &TopKRequest,
     ) -> Result<Box<dyn TopKAlgorithm + Send + Sync>, EngineError> {
+        let policy = request.policy();
         // Always resolve statically first: it validates the policy
         // knobs (θ, cost units) and is the documented fallback.
-        let fallback = request.policy().algorithm()?;
-        if !matches!(request.policy().algo, Algo::Auto) {
-            return Ok(fallback);
+        let mut plan = policy.plan()?;
+        if policy.algo == Algo::Auto {
+            plan = self.plan(request).chosen;
         }
-        let explain = self.plan(request);
-        let theta = request.policy().approximation.theta();
-        Ok(
-            match crate::planner::plan_algorithm(explain.chosen, theta) {
-                Some(algorithm) => algorithm,
-                // Plans above the algorithm layer: a full scan is the
-                // naive drain; anything else falls back to the static
-                // choice (unreachable for engine-shaped queries, which
-                // have no crisp structure).
-                None => match explain.chosen {
-                    PhysicalPlan::FullScan => Box::new(crate::algorithms::naive::Naive),
-                    _ => fallback,
-                },
-            },
-        )
+        let theta = policy.approximation.theta();
+        Ok(match crate::planner::plan_algorithm(plan, theta) {
+            Some(algorithm) => algorithm,
+            // Plans above the algorithm layer: a full scan is the naive
+            // drain; anything else falls back to the static choice
+            // (unreachable for engine-shaped queries, which have no
+            // crisp structure).
+            None if plan == PhysicalPlan::FullScan => Box::new(crate::algorithms::naive::Naive),
+            None => policy.algorithm()?,
+        })
     }
 
     /// Gathers statistics and runs the planner for `request` under its
@@ -893,159 +675,104 @@ impl Engine {
     /// result (answers *and* charged `sorted`/`random` counts) is
     /// bit-identical to the scalar run; the engine only adds the
     /// [`AccessStats::cache_hits`]/[`AccessStats::cache_misses`] split.
+    ///
+    /// A shard-capable algorithm (one reporting a
+    /// [`crate::sharded::ShardKernel`]) takes the sharded path when the
+    /// request's [`crate::policy::ShardPolicy`] asks for it.
     pub fn run_algorithm(
         &self,
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
     ) -> Result<TopKResult, EngineError> {
-        let result = match algorithm.shard_kernel() {
-            Some(kernel) => match self.try_sharded(kernel, request)? {
-                Some(result) => Ok(result),
-                None => self.run_serial(algorithm, request),
-            },
-            None => self.run_serial(algorithm, request),
-        }?;
-        self.totals.fold(&result.stats);
+        let sharded = match algorithm.shard_kernel() {
+            Some(kernel) => try_sharded(kernel, request)?,
+            None => None,
+        };
+        let result = match sharded {
+            Some(result) => result,
+            None => self.run_serial(algorithm, request)?,
+        };
+        *lock(&self.totals) += result.stats;
         Ok(result)
     }
 
-    /// The sharded execution path (see [`crate::sharded`]): partitions
-    /// every source with one consistent partitioner and fans the query
-    /// out over shard workers. Returns `Ok(None)` — "use the serial
-    /// path" — when the effective configuration disables sharding, the
-    /// universe is too small for the configured minimum shard size, or
-    /// any source cannot be partitioned.
-    ///
-    /// The effective shard settings are the engine's, unless the
-    /// request's [`crate::policy::ShardPolicy`] overrides them.
-    fn try_sharded(
-        &self,
-        kernel: crate::sharded::ShardKernel,
-        request: &TopKRequest,
-    ) -> Result<Option<TopKResult>, EngineError> {
-        let (max_shards, min_items) = request
-            .policy()
-            .effective_shards(self.config.shards, self.config.shard_min_items);
-        if max_shards < 2 {
-            return Ok(None);
-        }
-        // Mirror the scalar `validate` checks (same errors, same
-        // order) so the two paths reject bad requests identically.
-        let scoring = request.scoring();
-        if request.sources().is_empty() {
-            return Err(AlgoError::NoSources.into());
-        }
-        if request.k() == 0 {
-            return Err(AlgoError::ZeroK.into());
-        }
-        if !scoring.is_monotone() {
-            return Err(AlgoError::NonMonotoneScoring(scoring.name()).into());
-        }
-        let universe = request
-            .sources()
-            .iter()
-            .map(|s| lock(s).info().universe_size)
-            .min()
-            .unwrap_or(0);
-        let shards = max_shards.min(universe / min_items.max(1));
-        if shards < 2 {
-            return Ok(None);
-        }
-        let Some(partitioned) = crate::sharded::partition_aligned(
-            request.sources(),
-            crate::source::SourcePartitioner::Modulo,
-            shards,
-        ) else {
-            return Ok(None);
-        };
-        crate::sharded::run_shards(kernel, partitioned, &scoring, request.k()).map(Some)
-    }
-
-    /// The serial (per-request single-threaded merge) path: batched
-    /// sorted access, optional prefetch workers, shared grade cache.
+    /// The one non-sharded path: the kernel runs on the caller's thread
+    /// over batch-refilled proxies sharing the grade cache. No thread
+    /// is spawned, so `stats.worker_spawns` stays 0.
     fn run_serial(
         &self,
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
     ) -> Result<TopKResult, EngineError> {
         let scoring = request.scoring();
-        let k = request.k();
         let batch = self.config.batch_size.max(1);
-        // Rewind and snapshot metadata before any worker starts
-        // pulling, so every stream begins at the top grade.
-        let infos: Vec<SourceInfo> = request
+        let cache = (self.config.cache_capacity > 0).then_some(&self.cache);
+        let mut proxies: Vec<EngineSource> = request
             .sources()
             .iter()
-            .map(|s| {
-                let mut guard = lock(s);
+            .map(|underlying| {
+                // (The registry lock is released before the source's
+                // is taken: the two never nest.)
+                let key = lock(&self.registry).identify(underlying);
+                // Rewind before the kernel pulls, so every stream
+                // begins at the top grade, and snapshot the metadata
+                // and page counters under the same lock.
+                let mut guard = lock(underlying);
                 guard.rewind();
-                guard.info()
+                EngineSource {
+                    underlying,
+                    info: guard.info(),
+                    key,
+                    batch,
+                    buffer: Vec::new().into_iter(),
+                    drained: false,
+                    fetched: false,
+                    cache,
+                    hits: 0,
+                    misses: 0,
+                    noted: Score::ZERO,
+                    page_before: guard.page_io(),
+                    in_flight: false,
+                }
             })
             .collect();
-        let cache = (self.config.cache_capacity > 0).then_some(&self.cache);
-        // Snapshot per-source page counters so disk-backed sources'
-        // buffer-pool traffic can be attributed to this request
-        // afterwards (purely in-memory sources report `None`).
-        let page_before: Vec<Option<crate::stats::PageIoStats>> = request
-            .sources()
-            .iter()
-            .map(|s| lock(s).page_io())
-            .collect();
-        let keys: Vec<u64> = {
-            let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
-            request
-                .sources()
-                .iter()
-                .map(|s| registry.identify(s))
-                .collect()
+
+        // A subsystem (or a user scoring function) panicking under the
+        // kernel fails this request, never the caller's thread.
+        let outcome = {
+            let mut refs: Vec<&mut dyn GradedSource> = proxies
+                .iter_mut()
+                .map(|p| p as &mut dyn GradedSource)
+                .collect();
+            catch_unwind(AssertUnwindSafe(|| {
+                algorithm.top_k(&mut refs, &*scoring, request.k())
+            }))
+        };
+        let mut result = match outcome {
+            Ok(result) => result?,
+            Err(payload) => {
+                let stream = proxies
+                    .iter()
+                    .find(|p| p.in_flight)
+                    .map_or_else(|| algorithm.name().to_owned(), |p| p.info.label.clone());
+                return Err(EngineError::WorkerPanicked {
+                    stream,
+                    message: panic_message(payload.as_ref()),
+                });
+            }
         };
 
-        let (mut result, hits, misses) = if self.config.parallel {
-            thread::scope(|scope| {
-                let mut proxies: Vec<EngineSource> = Vec::with_capacity(infos.len());
-                for ((source, info), &key) in request.sources().iter().zip(&infos).zip(&keys) {
-                    let (tx, rx) = sync_channel(PREFETCH_DEPTH);
-                    let worker_source = Arc::clone(source);
-                    scope.spawn(move || prefetch_worker(worker_source, tx, batch));
-                    proxies.push(EngineSource::new(
-                        source,
-                        info.clone(),
-                        key,
-                        Feed::Parallel { rx },
-                        cache,
-                    ));
-                }
-                run_over(algorithm, &mut proxies, &*scoring, k)
-                // Proxies (and their receivers) drop here; workers
-                // observe the hang-up and exit before the scope joins.
-            })
-        } else {
-            let mut proxies: Vec<EngineSource> = request
-                .sources()
-                .iter()
-                .zip(&infos)
-                .zip(&keys)
-                .map(|((source, info), &key)| {
-                    EngineSource::new(source, info.clone(), key, Feed::Serial { batch }, cache)
-                })
-                .collect();
-            run_over(algorithm, &mut proxies, &*scoring, k)
-        }?;
-
-        result.stats.cache_hits = hits;
-        result.stats.cache_misses = misses;
-        if self.config.parallel {
-            // One prefetch worker was spawned per stream.
-            result.stats.worker_spawns += infos.len() as u64;
-        }
-        // Fold the page-traffic delta of every paged source into the
-        // request's stats. Sources sharing one store's pool would be
-        // double counted — each query source is expected to map to its
-        // own store file. (The sharded path skips this: shards run on
-        // materialized partitions, their page reads happened at
-        // partition time.)
-        for (source, before) in request.sources().iter().zip(page_before) {
-            if let (Some(now), Some(before)) = (lock(source).page_io(), before) {
+        // Fold the proxies' cache split and the page-traffic delta of
+        // every paged source into the request's stats. Sources sharing
+        // one store's pool would be double counted — each query source
+        // is expected to map to its own store file. (The sharded path
+        // skips this: shards run on materialized partitions, their page
+        // reads happened at partition time.)
+        for proxy in &proxies {
+            result.stats.cache_hits += proxy.hits;
+            result.stats.cache_misses += proxy.misses;
+            if let (Some(now), Some(before)) = (lock(proxy.underlying).page_io(), proxy.page_before)
+            {
                 let delta = now - before;
                 result.stats.page_reads += delta.reads;
                 result.stats.page_hits += delta.hits;
@@ -1066,10 +793,10 @@ impl Engine {
     /// workers that claim request slots from a shared counter, instead
     /// of one thread per request: a batch of 10 000 requests costs a
     /// handful of spawns, not 10 000. The pool's spawns are charged as
-    /// [`crate::stats::AccessStats::worker_spawns`] to the batch's
-    /// first successful result — every spawned worker, including one
-    /// that found the queue already drained (per-request prefetch/shard
-    /// workers are charged to their own requests as usual).
+    /// [`AccessStats::worker_spawns`] to the batch's first successful
+    /// result — every spawned worker, including one that found the
+    /// queue already drained (shard workers are charged to their own
+    /// requests as usual).
     pub fn run_many(&self, requests: &[TopKRequest]) -> Vec<Result<TopKResult, EngineError>> {
         if requests.is_empty() {
             return Vec::new();
@@ -1091,10 +818,10 @@ impl Engine {
                         let Some(request) = requests.get(i) else {
                             break;
                         };
-                        // The engine already contains panics from its
-                        // own workers; this net also catches panics on
-                        // the pool thread itself (e.g. a subsystem
-                        // exploding under a serial feed).
+                        // `run` contains panics under the kernel; this
+                        // net also catches one raised while resolving
+                        // the request (a subsystem exploding under the
+                        // planner's histogram call, say).
                         let outcome = match catch_unwind(AssertUnwindSafe(|| self.run(request))) {
                             Ok(result) => result,
                             Err(payload) => Err(EngineError::WorkerPanicked {
@@ -1102,7 +829,7 @@ impl Engine {
                                 message: panic_message(payload.as_ref()),
                             }),
                         };
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+                        *lock(&slots[i]) = Some(outcome);
                     }
                 });
             }
@@ -1126,10 +853,7 @@ impl Engine {
         // Charged here, after the join, so the count states what was
         // spawned whichever worker happened to serve which request.
         let spawned = workers as u64;
-        self.totals.fold(&crate::stats::AccessStats {
-            worker_spawns: spawned,
-            ..crate::stats::AccessStats::ZERO
-        });
+        lock(&self.totals).worker_spawns += spawned;
         if let Some(first) = results.iter_mut().flatten().next() {
             first.stats.worker_spawns += spawned;
         }
@@ -1137,38 +861,42 @@ impl Engine {
     }
 }
 
-/// Runs the scalar algorithm over the proxies and folds the proxies'
-/// cache counters into the outcome.
-///
-/// A recorded stream failure takes precedence over whatever the
-/// algorithm produced: once a worker died on a batch the algorithm
-/// actually consumed, neither its answers nor its error are
-/// trustworthy. Panics on batches the algorithm never asked for
-/// (speculative read-ahead past the run's needs) leave no trace and
-/// don't fail the request — the scalar reference would not have
-/// fetched them either.
-fn run_over(
-    algorithm: &dyn TopKAlgorithm,
-    proxies: &mut [EngineSource<'_>],
-    scoring: &dyn fmdb_core::scoring::ScoringFunction,
-    k: usize,
-) -> Result<(TopKResult, u64, u64), EngineError> {
-    let mut refs: Vec<&mut dyn GradedSource> = proxies
-        .iter_mut()
-        .map(|p| p as &mut dyn GradedSource)
-        .collect();
-    let outcome = algorithm.top_k(&mut refs, scoring, k);
-    drop(refs);
-    if let Some((stream, message)) = proxies
-        .iter_mut()
-        .find_map(|p| p.failure.take().map(|m| (p.info.label.clone(), m)))
-    {
-        return Err(EngineError::WorkerPanicked { stream, message });
+/// The sharded execution path (see [`crate::sharded`]): partitions
+/// every source with one consistent partitioner and fans the query out
+/// over shard workers. Returns `Ok(None)` — "use the serial path" —
+/// when the request's [`crate::policy::ShardPolicy`] does not ask for
+/// shards, the universe is too small for its minimum shard size, or any
+/// source cannot be partitioned.
+fn try_sharded(
+    kernel: crate::sharded::ShardKernel,
+    request: &TopKRequest,
+) -> Result<Option<TopKResult>, EngineError> {
+    let (max_shards, min_items) = request.policy().effective_shards();
+    if max_shards < 2 {
+        return Ok(None);
     }
-    let result = outcome?;
-    let hits = proxies.iter().map(|p| p.hits).sum();
-    let misses = proxies.iter().map(|p| p.misses).sum();
-    Ok((result, hits, misses))
+    // The shard kernels skip the scalar entry point, so reject bad
+    // requests here with the same checks (same errors, same order).
+    let scoring = request.scoring();
+    crate::algorithms::validate(request.sources(), &*scoring, request.k())?;
+    let universe = request
+        .sources()
+        .iter()
+        .map(|s| lock(s).info().universe_size)
+        .min()
+        .unwrap_or(0);
+    let shards = max_shards.min(universe / min_items.max(1));
+    if shards < 2 {
+        return Ok(None);
+    }
+    let Some(partitioned) = crate::sharded::partition_aligned(
+        request.sources(),
+        crate::source::SourcePartitioner::Modulo,
+        shards,
+    ) else {
+        return Ok(None);
+    };
+    crate::sharded::run_shards(kernel, partitioned, &scoring, request.k()).map(Some)
 }
 
 #[cfg(test)]
@@ -1178,7 +906,7 @@ mod tests {
     use crate::algorithms::naive::Naive;
     use crate::algorithms::ta::ThresholdAlgorithm;
     use crate::oracle::verify_top_k;
-    use crate::policy::{ExecPolicy, ShardPolicy};
+    use crate::policy::{Algo, ExecPolicy, ShardPolicy};
     use crate::request::{shared_source, TopKQuery};
     use crate::stats::CostModel;
     use crate::workload::independent_uniform;
@@ -1201,20 +929,15 @@ mod tests {
             .sources(independent_uniform(n, m, seed))
             .scoring(Min)
             .k(k)
-            .policy(ExecPolicy::new().algo(crate::policy::Algo::Fa))
+            .policy(ExecPolicy::new().algo(Algo::Fa))
             .request()
             .unwrap()
     }
 
-    /// `EngineConfig::sharded` is deprecated (sharding is a request
-    /// policy now); the struct-literal spelling configures the same
-    /// engine-level default.
-    fn sharded_config(shards: usize) -> EngineConfig {
-        EngineConfig {
-            shards,
-            shard_min_items: 1,
-            ..EngineConfig::DEFAULT
-        }
+    /// The same query as [`request`] under another policy (the TA
+    /// tests name their algorithm through `run_algorithm`).
+    fn request_under(policy: ExecPolicy, n: usize, m: usize, seed: u64, k: usize) -> TopKRequest {
+        request(n, m, seed, k).query().clone().into_request(policy)
     }
 
     /// Regression: one long-lived engine serving a run of short-lived
@@ -1298,18 +1021,13 @@ mod tests {
             let reference = scalar(&FaginsAlgorithm, n, m, 99, k);
             for config in [
                 EngineConfig::DEFAULT,
-                EngineConfig::serial(),
                 EngineConfig {
                     batch_size: 1,
-                    parallel: true,
                     cache_capacity: 8,
-                    ..EngineConfig::DEFAULT
                 },
                 EngineConfig {
                     batch_size: 1000,
-                    parallel: false,
                     cache_capacity: 0,
-                    ..EngineConfig::DEFAULT
                 },
             ] {
                 let engine = Engine::new(config);
@@ -1318,6 +1036,54 @@ mod tests {
                 assert_eq!(got.stats.sorted, reference.stats.sorted, "{config:?}");
                 assert_eq!(got.stats.random, reference.stats.random, "{config:?}");
             }
+        }
+    }
+
+    /// A probe algorithm: pulls `pulls` items from the first stream,
+    /// rewinds it, and answers with the item that comes next.
+    struct RewindAfter {
+        pulls: usize,
+    }
+
+    impl TopKAlgorithm for RewindAfter {
+        fn name(&self) -> &'static str {
+            "rewind-after"
+        }
+        fn top_k(
+            &self,
+            sources: &mut [&mut dyn GradedSource],
+            _: &dyn fmdb_core::scoring::ScoringFunction,
+            _: usize,
+        ) -> Result<TopKResult, AlgoError> {
+            let first = &mut sources[0];
+            for _ in 0..self.pulls {
+                first.sorted_next();
+            }
+            first.rewind();
+            Ok(TopKResult {
+                answers: first.sorted_next().into_iter().collect(),
+                stats: AccessStats::default(),
+            })
+        }
+    }
+
+    /// A mid-run rewind must reach the subsystem wherever the proxy's
+    /// buffer stands — also right after a batch was consumed to its
+    /// last item, when the buffer is empty but the subsystem's cursor
+    /// sits one batch down the list.
+    #[test]
+    fn proxy_rewind_reaches_the_subsystem_after_an_exactly_consumed_batch() {
+        let batch_size = 8;
+        let engine = Engine::new(EngineConfig {
+            batch_size,
+            cache_capacity: 0,
+        });
+        let top = independent_uniform(100, 1, 5).remove(0).sorted_next();
+        for pulls in 0..=2 * batch_size {
+            let got = engine
+                .run_algorithm(&RewindAfter { pulls }, &request(100, 1, 5, 1))
+                .unwrap();
+            assert_eq!(got.answers.first().copied(), top, "after {pulls} pulls");
         }
     }
 
@@ -1361,7 +1127,7 @@ mod tests {
             // sorted-only NRA here, which never touches the cache.
             b.scoring(Min)
                 .k(6)
-                .policy(ExecPolicy::new().algo(crate::policy::Algo::Fa))
+                .policy(ExecPolicy::new().algo(Algo::Fa))
                 .request()
                 .unwrap()
         };
@@ -1384,22 +1150,19 @@ mod tests {
     fn per_source_splits_stay_bounded_under_fresh_source_identities() {
         // One probe and one cached grade per fresh identity, the way a
         // garlic query's per-request lists arrive.
-        let mut cache = GradeCache::new(8);
+        let cache = StripedGradeCache::new(8, 1);
         for source in 0..10_000u64 {
             assert_eq!(cache.get((source, 0)), None);
             cache.insert((source, 0), Score::ONE);
         }
-        assert!(
-            cache.per_source.len() <= 64,
-            "{} splits kept",
-            cache.per_source.len()
-        );
+        let splits = lock(&cache.stripes[0]).per_source.len();
+        assert!(splits <= 64, "{splits} splits kept");
         // The newest identities still have their grade resident, and
         // their split with it.
         assert_eq!(cache.get((9_999, 0)), Some(Score::ONE));
         assert_eq!(cache.source_counters(9_999), (1, 1));
         // Dropped splits never touch the engine-wide totals.
-        assert_eq!((cache.hits(), cache.misses()), (1, 10_000));
+        assert_eq!(cache.counters(), (1, 10_000));
     }
 
     #[test]
@@ -1415,7 +1178,7 @@ mod tests {
             }
             b.scoring(Min)
                 .k(6)
-                .policy(ExecPolicy::new().algo(crate::policy::Algo::Fa))
+                .policy(ExecPolicy::new().algo(Algo::Fa))
                 .request()
                 .unwrap()
         };
@@ -1477,24 +1240,25 @@ mod tests {
         }
     }
 
+    #[derive(Debug)]
+    struct NotMonotone;
+    impl fmdb_core::scoring::ScoringFunction for NotMonotone {
+        fn name(&self) -> String {
+            "not-monotone".into()
+        }
+        fn combine(&self, grades: &[Score]) -> Score {
+            grades.first().copied().unwrap_or(Score::ZERO)
+        }
+        fn is_strict(&self) -> bool {
+            false
+        }
+        fn is_monotone(&self) -> bool {
+            false
+        }
+    }
+
     #[test]
     fn engine_propagates_validation_errors() {
-        #[derive(Debug)]
-        struct NotMonotone;
-        impl fmdb_core::scoring::ScoringFunction for NotMonotone {
-            fn name(&self) -> String {
-                "not-monotone".into()
-            }
-            fn combine(&self, grades: &[Score]) -> Score {
-                grades.first().copied().unwrap_or(Score::ZERO)
-            }
-            fn is_strict(&self) -> bool {
-                false
-            }
-            fn is_monotone(&self) -> bool {
-                false
-            }
-        }
         let engine = Engine::default();
         let non_monotone = TopKQuery::compose()
             .sources(independent_uniform(50, 2, 1))
@@ -1542,6 +1306,7 @@ mod tests {
             served: 0,
             fuse: 5,
         };
+        let label = exploding.info().label;
         let bad = TopKQuery::compose()
             .source(exploding)
             .source(healthy)
@@ -1551,7 +1316,8 @@ mod tests {
             .unwrap();
         let engine = Engine::default();
         match engine.run(&bad) {
-            Err(EngineError::WorkerPanicked { message, .. }) => {
+            Err(EngineError::WorkerPanicked { stream, message }) => {
+                assert_eq!(stream, label, "names the stream that exploded");
                 assert!(message.contains("exploded"), "got: {message}");
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
@@ -1559,6 +1325,39 @@ mod tests {
         // The engine survives and keeps serving healthy requests.
         let ok = engine.run(&request(300, 2, 1, 5)).unwrap();
         assert_eq!(ok.answers.len(), 5);
+    }
+
+    /// A panic raised with no subsystem call in flight (here: by the
+    /// scoring function) is contained too, and names the algorithm.
+    #[test]
+    fn panic_in_the_kernel_itself_names_the_algorithm() {
+        #[derive(Debug)]
+        struct ExplodingScore;
+        impl fmdb_core::scoring::ScoringFunction for ExplodingScore {
+            fn name(&self) -> String {
+                "exploding".into()
+            }
+            fn combine(&self, _: &[Score]) -> Score {
+                panic!("scoring exploded")
+            }
+            fn is_strict(&self) -> bool {
+                true
+            }
+        }
+        let bad = TopKQuery::compose()
+            .sources(independent_uniform(50, 2, 1))
+            .scoring(ExplodingScore)
+            .k(3)
+            .policy(ExecPolicy::new().algo(Algo::Ta))
+            .request()
+            .unwrap();
+        match Engine::default().run(&bad) {
+            Err(EngineError::WorkerPanicked { stream, message }) => {
+                assert_eq!(stream, "threshold-ta");
+                assert!(message.contains("scoring exploded"), "got: {message}");
+            }
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1584,30 +1383,6 @@ mod tests {
             Err(EngineError::WorkerPanicked { .. })
         ));
         assert_eq!(results[1].as_ref().unwrap().answers.len(), 4);
-    }
-
-    #[test]
-    fn grade_cache_is_bounded_and_lru() {
-        let mut cache = GradeCache::new(2);
-        let g = Score::clamped(0.5);
-        cache.insert((0, 1), g);
-        cache.insert((0, 2), g);
-        assert_eq!(cache.len(), 2);
-        // Touch key 1 so key 2 becomes the eviction victim.
-        assert!(cache.get((0, 1)).is_some());
-        cache.insert((0, 3), g);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get((0, 1)).is_some(), "recently used survives");
-        assert!(cache.get((0, 2)).is_none(), "LRU victim evicted");
-        assert!(cache.get((0, 3)).is_some());
-        assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.misses(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.capacity(), 2);
-        // Counters reset with the content (see `GradeCache::clear`).
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 0);
     }
 
     #[test]
@@ -1668,20 +1443,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_runs_charge_one_prefetch_spawn_per_stream() {
+    fn non_sharded_runs_spawn_no_threads() {
         let engine = Engine::default();
         let result = engine.run(&request(200, 3, 9, 5)).unwrap();
-        assert_eq!(result.stats.worker_spawns, 3);
-        let serial = Engine::new(EngineConfig::serial());
-        let result = serial.run(&request(200, 3, 9, 5)).unwrap();
         assert_eq!(result.stats.worker_spawns, 0);
+        // TA has a shard kernel, but the default policy never asks.
+        let result = engine
+            .run_algorithm(&ThresholdAlgorithm, &request(200, 3, 9, 5))
+            .unwrap();
+        assert_eq!(result.stats.worker_spawns, 0);
+        assert_eq!(engine.access_totals().worker_spawns, 0);
     }
 
     #[test]
     fn run_many_reuses_a_bounded_worker_pool() {
-        // With the serial config no prefetch workers muddy the count:
-        // total spawns must equal the pool size, not the batch size.
-        let engine = Engine::new(EngineConfig::serial());
+        // Total spawns must equal the pool size, not the batch size.
+        let engine = Engine::default();
         let requests: Vec<TopKRequest> = (0..12).map(|i| request(120, 2, i as u64, 3)).collect();
         let results = engine.run_many(&requests);
         let spawns: u64 = results
@@ -1699,17 +1476,13 @@ mod tests {
     #[test]
     fn sharded_ta_through_the_engine_matches_serial() {
         for &(n, m, k) in &[(400usize, 2usize, 7usize), (301, 3, 12), (64, 2, 100)] {
-            let reference = {
-                let serial = Engine::new(EngineConfig::serial());
-                serial
-                    .run_algorithm(&ThresholdAlgorithm, &request(n, m, 77, k))
-                    .unwrap()
-            };
+            let engine = Engine::default();
+            let reference = engine
+                .run_algorithm(&ThresholdAlgorithm, &request(n, m, 77, k))
+                .unwrap();
             for shards in [2usize, 3, 8] {
-                let engine = Engine::new(sharded_config(shards));
-                let got = engine
-                    .run_algorithm(&ThresholdAlgorithm, &request(n, m, 77, k))
-                    .unwrap();
+                let sharded = request_under(ExecPolicy::new().sharded_over(shards), n, m, 77, k);
+                let got = engine.run_algorithm(&ThresholdAlgorithm, &sharded).unwrap();
                 assert_eq!(
                     got.answers, reference.answers,
                     "n={n} m={m} k={k} p={shards}"
@@ -1724,42 +1497,26 @@ mod tests {
 
     #[test]
     fn shard_min_items_keeps_small_queries_serial() {
-        let engine = Engine::new(EngineConfig {
+        let policy = ExecPolicy::new().sharding(ShardPolicy::Shards {
             shards: 4,
-            shard_min_items: 1000,
-            ..EngineConfig::DEFAULT
+            min_items: 1000,
         });
-        // Universe 100 < 2 * 1000: the serial path runs (spawns are the
-        // m prefetch workers, not shard workers).
-        let result = engine
-            .run_algorithm(&ThresholdAlgorithm, &request(100, 2, 5, 4))
+        // Universe 100 < 2 * 1000: the serial path runs, no shard
+        // workers are spawned.
+        let result = Engine::default()
+            .run_algorithm(&ThresholdAlgorithm, &request_under(policy, 100, 2, 5, 4))
             .unwrap();
-        assert_eq!(result.stats.worker_spawns, 2);
+        assert_eq!(result.stats.worker_spawns, 0);
     }
 
     #[test]
     fn sharded_path_rejects_invalid_requests_like_serial() {
-        #[derive(Debug)]
-        struct NotMonotone;
-        impl fmdb_core::scoring::ScoringFunction for NotMonotone {
-            fn name(&self) -> String {
-                "not-monotone".into()
-            }
-            fn combine(&self, grades: &[Score]) -> Score {
-                grades.first().copied().unwrap_or(Score::ZERO)
-            }
-            fn is_strict(&self) -> bool {
-                false
-            }
-            fn is_monotone(&self) -> bool {
-                false
-            }
-        }
-        let engine = Engine::new(sharded_config(4));
+        let engine = Engine::default();
         let bad = TopKQuery::compose()
             .sources(independent_uniform(50, 2, 1))
             .scoring(NotMonotone)
             .k(3)
+            .policy(ExecPolicy::new().sharded_over(4))
             .request()
             .unwrap();
         assert!(matches!(
@@ -1768,57 +1525,75 @@ mod tests {
         ));
     }
 
-    /// A request-level shard policy turns sharding on for an engine
-    /// whose own config never shards — and the answers still match the
-    /// serial reference.
+    /// One `Algo` → plan table: `explain`, `resolve` and
+    /// `ExecPolicy::algorithm` all read [`ExecPolicy::plan`]. The
+    /// sources hide their histograms, so `Auto` takes the documented
+    /// static fallback — the one case where the planner's choice and
+    /// the policy's stats-free plan must coincide.
     #[test]
-    fn policy_sharding_overrides_engine_config() {
+    fn explain_and_resolve_follow_the_policy_plan() {
+        let ratio10 = CostModel::random_to_sorted_ratio(10.0).unwrap();
+        // (algo, [exact/uniform, exact/10, θ/uniform, θ/10]); "" = rejected.
+        let names: [(Algo, [&str; 4]); 5] = [
+            (
+                Algo::Auto,
+                ["threshold-ta", "nra-lower-bound", "approx-ta", "approx-nra"],
+            ),
+            (Algo::Fa, ["fagin-a0", "fagin-a0", "", ""]),
+            (
+                Algo::Ta,
+                ["threshold-ta", "threshold-ta", "approx-ta", "approx-ta"],
+            ),
+            (
+                Algo::Nra,
+                [
+                    "nra-lower-bound",
+                    "nra-lower-bound",
+                    "approx-nra",
+                    "approx-nra",
+                ],
+            ),
+            (Algo::Ca, ["combined-ca"; 4]),
+        ];
         let engine = Engine::default();
-        let query = request(600, 2, 21, 8).query().clone();
-        let sharded = query
-            .clone()
-            .into_request(ExecPolicy::new().sharded_over(4));
-        let serial = query.into_request(ExecPolicy::new().sharding(ShardPolicy::Serial));
-        let a = engine.run_algorithm(&ThresholdAlgorithm, &sharded).unwrap();
-        let b = engine.run_algorithm(&ThresholdAlgorithm, &serial).unwrap();
-        assert_eq!(a.answers, b.answers);
-        assert!(
-            a.stats.worker_spawns > b.stats.worker_spawns,
-            "shard policy spawned workers ({} vs {})",
-            a.stats.worker_spawns,
-            b.stats.worker_spawns
-        );
-    }
-
-    /// `ShardPolicy::Serial` pins a request to the serial path even on
-    /// an engine configured to shard.
-    #[test]
-    fn policy_serial_pins_request_on_sharded_engine() {
-        let engine = Engine::new(EngineConfig {
-            parallel: false,
-            ..sharded_config(4)
-        });
-        let query = request(600, 2, 22, 8).query().clone();
-        let serial = query.into_request(ExecPolicy::new().sharding(ShardPolicy::Serial));
-        let result = engine.run_algorithm(&ThresholdAlgorithm, &serial).unwrap();
-        assert_eq!(result.stats.worker_spawns, 0, "no shard workers");
-        verify_top_k(
-            &mut independent_uniform(600, 2, 22)
-                .iter_mut()
-                .map(|s| s as &mut dyn GradedSource)
-                .collect::<Vec<_>>(),
-            &Min,
-            &result.answers,
-            8,
-        )
-        .unwrap();
+        for (algo, want) in names {
+            for (cell, want) in want.into_iter().enumerate() {
+                let mut policy = ExecPolicy::new().algo(algo);
+                if cell % 2 == 1 {
+                    policy = policy.cost_model(ratio10);
+                }
+                if cell >= 2 {
+                    policy = policy.theta(0.1);
+                }
+                let mut query = TopKQuery::compose();
+                for inner in independent_uniform(300, 2, 3) {
+                    query = query.source(ExplodingSource {
+                        inner,
+                        served: 0,
+                        fuse: usize::MAX,
+                    });
+                }
+                let req = query.scoring(Min).k(5).policy(policy).request().unwrap();
+                if want.is_empty() {
+                    assert!(policy.plan().is_err(), "{policy:?}");
+                    assert!(policy.algorithm().is_err(), "{policy:?}");
+                    assert!(engine.explain(&req).is_err(), "{policy:?}");
+                    assert!(engine.run(&req).is_err(), "{policy:?}");
+                    continue;
+                }
+                let plan = policy.plan().unwrap();
+                assert_eq!(plan.name(), want, "{policy:?}");
+                assert_eq!(policy.algorithm().unwrap().name(), want, "{policy:?}");
+                assert_eq!(engine.explain(&req).unwrap().chosen, plan, "{policy:?}");
+                assert_eq!(engine.resolve(&req).unwrap().name(), want, "{policy:?}");
+            }
+        }
     }
 
     /// `Engine::run` resolves the policy's algorithm: CA and the
     /// θ-approximations are reachable without naming an algorithm value.
     #[test]
     fn policy_algorithms_run_through_the_engine() {
-        use crate::policy::Algo;
         let engine = Engine::default();
         let query = request(400, 2, 23, 10).query().clone();
 
@@ -1841,22 +1616,6 @@ mod tests {
         assert!(
             relaxed.stats.database_access_cost() <= exact.stats.database_access_cost() * 4,
             "θ-approximation stayed in the same cost regime"
-        );
-    }
-
-    #[test]
-    fn grade_cache_queue_stays_bounded_under_churn() {
-        let mut cache = GradeCache::new(4);
-        let g = Score::clamped(0.1);
-        for i in 0..10_000u64 {
-            cache.insert((0, i % 16), g);
-            let _ = cache.get((0, i % 16));
-        }
-        assert!(cache.len() <= 4);
-        assert!(
-            cache.core.queue_len() <= 4 * 4 + 8,
-            "lazy queue compacted (len {})",
-            cache.core.queue_len()
         );
     }
 }

@@ -19,9 +19,10 @@
 //! * [`policy`] — the [`policy::ExecPolicy`] execution policy:
 //!   algorithm choice, charged cost model, θ-approximation, and
 //!   per-request shard settings;
-//! * [`engine`] — the batched, parallel execution engine: worker
-//!   threads per sorted stream, batched access, and a lock-striped LRU
-//!   grade cache, bit-identical to the scalar algorithms;
+//! * [`engine`] — the batched execution engine: the scalar kernels
+//!   run on the caller's thread over batch-refilled sorted streams and
+//!   a lock-striped LRU grade cache, bit-identical to the scalar
+//!   algorithms; a bounded pool serves request batches;
 //! * [`sharded`] — partition-parallel intra-query execution: per-shard
 //!   TA/NRA kernels cooperating through a shared [`sharded::AtomicThreshold`]
 //!   and merged by a loser-tree [`sharded::ShardMerger`];
@@ -94,7 +95,7 @@ pub mod prelude {
     pub use crate::algorithms::pruned_fa::PrunedFa;
     pub use crate::algorithms::ta::ThresholdAlgorithm;
     pub use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
-    pub use crate::engine::{Engine, EngineConfig, EngineError, GradeCache, StripedGradeCache};
+    pub use crate::engine::{Engine, EngineConfig, EngineError, StripedGradeCache};
     pub use crate::optimality::OptimalityOracle;
     pub use crate::oracle::verify_top_k;
     pub use crate::planner::{

@@ -1,6 +1,6 @@
 //! A generic bounded LRU map with lazy-deletion recency tracking.
 //!
-//! Extracted from the engine's [`crate::engine::GradeCache`] so the
+//! Extracted from the engine's grade cache so the
 //! same replacement machinery serves both cached grades and the page
 //! frames of the paged store's buffer pool ([`crate::store`]). The
 //! core keeps three cumulative counters — hits, misses, evictions —
@@ -90,7 +90,7 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCore<K, V> {
 
     /// Drops every entry **and** resets all three counters. The
     /// counters describe the lifetime of the held content; content and
-    /// counters reset together (see `GradeCache::clear` for the
+    /// counters reset together (see `StripedGradeCache::clear` for the
     /// rationale).
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
@@ -286,5 +286,20 @@ mod tests {
         lru.insert(100, 100);
         assert_eq!(lru.peek(0), Some(&0), "hot key must survive");
         assert_eq!(lru.evictions(), 1);
+    }
+
+    #[test]
+    fn queue_stays_bounded_under_churn() {
+        let mut lru: LruCore<u64, u32> = LruCore::new(4);
+        for i in 0..10_000u64 {
+            lru.insert(i % 16, 1);
+            let _ = lru.get(i % 16);
+        }
+        assert!(lru.len() <= 4);
+        assert!(
+            lru.queue_len() <= 4 * 4 + 8,
+            "lazy queue compacted (len {})",
+            lru.queue_len()
+        );
     }
 }

@@ -700,8 +700,8 @@ pub fn sharded_latency(work: f64, fanout: usize) -> f64 {
 
 /// The fanout minimizing [`sharded_latency`], gated by the corpus:
 /// never more than `max_shards`, and at least `min_items` objects per
-/// partition (the same gate `Engine::try_sharded` applies). Returns 1
-/// (serial) when sharding cannot pay for its setup.
+/// partition (the same gate the engine's sharded path applies).
+/// Returns 1 (serial) when sharding cannot pay for its setup.
 pub fn preferred_fanout(work: f64, universe: usize, max_shards: usize, min_items: usize) -> usize {
     let gate = max_shards.min(universe / min_items.max(1)).max(1);
     let mut best = 1usize;
@@ -743,7 +743,7 @@ pub fn choose_plan(query: &PlanQuery, stats: Option<&QueryStats>, policy: &ExecP
     let theta = policy.approximation.theta().max(0.0);
     let approximate = policy.approximation.is_approximate();
     let h = policy.interleave();
-    let fanout = match policy.effective_shards(1, 1) {
+    let fanout = match policy.effective_shards() {
         (shards, min_items) if shards >= 2 => {
             preferred_fanout(query.n as f64 * query.m as f64, query.n, shards, min_items)
         }
@@ -806,7 +806,7 @@ pub fn choose_plan(query: &PlanQuery, stats: Option<&QueryStats>, policy: &ExecP
 }
 
 /// The documented stats-free fallback (see [`choose_plan`]): the plan
-/// [`crate::policy::ExecPolicy::algorithm`] resolves `Algo::Auto` to
+/// [`crate::policy::ExecPolicy::plan`] resolves `Algo::Auto` to
 /// when no statistics are in reach.
 pub fn static_plan(exact_grades: bool, approximate: bool, h: usize) -> PhysicalPlan {
     let sorted_only_ok = !exact_grades;

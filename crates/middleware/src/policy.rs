@@ -7,9 +7,9 @@
 //!   ([`crate::request::TopKQuery`]): *what* to compute;
 //! * the **policy** — [`ExecPolicy`]: *how* to compute it. Algorithm
 //!   choice ([`Algo`]), the access [`CostModel`] (Fagin–Lotem–Naor's
-//!   `c_S`/`c_R`), the grade slack ([`Approximation`]), and the
-//!   intra-query sharding override ([`ShardPolicy`]) folded in from
-//!   [`crate::engine::EngineConfig`].
+//!   `c_S`/`c_R`), the grade slack ([`Approximation`]), and
+//!   intra-query sharding ([`ShardPolicy`]) — a per-request setting
+//!   only; the engine has no shard count of its own.
 //!
 //! [`Algo::Auto`] defers the choice to the unified cost-based planner
 //! ([`crate::planner`]). [`crate::engine::Engine::run`] gathers
@@ -35,12 +35,8 @@
 //! assert_eq!(policy.interleave(), 30);
 //! ```
 
-use crate::algorithms::approx::{ApproxNra, ApproxTa};
-use crate::algorithms::ca::CombinedAlgorithm;
-use crate::algorithms::fa::FaginsAlgorithm;
-use crate::algorithms::nra::NraLowerBound;
-use crate::algorithms::ta::ThresholdAlgorithm;
 use crate::algorithms::{AlgoError, TopKAlgorithm};
+use crate::planner::{plan_algorithm, static_plan, PhysicalPlan};
 use crate::stats::CostModel;
 
 /// Which aggregation algorithm evaluates the query.
@@ -101,16 +97,14 @@ impl Approximation {
     }
 }
 
-/// Intra-query sharding, folded into the policy from what used to be
-/// engine-level configuration.
+/// Intra-query sharding: whether this request may fan out over shard
+/// workers ([`crate::sharded`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
-    /// Defer to the executing engine's configured shard count.
+    /// Run the kernel on the caller's thread (the default).
     #[default]
-    Engine,
-    /// Force the serial path regardless of engine configuration.
     Serial,
-    /// Force up to `shards` partitions, each at least `min_items`
+    /// Ask for up to `shards` partitions, each at least `min_items`
     /// objects (the engine still degrades to serial when the corpus is
     /// too small or the algorithm has no shard kernel).
     Shards {
@@ -132,7 +126,7 @@ pub struct ExecPolicy {
     pub cost: CostModel,
     /// Tolerated grade slack.
     pub approximation: Approximation,
-    /// Intra-query sharding override.
+    /// Intra-query sharding.
     pub sharding: ShardPolicy,
 }
 
@@ -144,12 +138,12 @@ impl Default for ExecPolicy {
 
 impl ExecPolicy {
     /// The default policy: `Auto` under the paper's uniform cost
-    /// measure, exact answers, engine-configured sharding.
+    /// measure, exact answers, no intra-query sharding.
     pub const DEFAULT: ExecPolicy = ExecPolicy {
         algo: Algo::Auto,
         cost: CostModel::UNIFORM,
         approximation: Approximation::Exact,
-        sharding: ShardPolicy::Engine,
+        sharding: ShardPolicy::Serial,
     };
 
     /// Starts from the defaults; chain the setters to specialize.
@@ -181,7 +175,7 @@ impl ExecPolicy {
         self
     }
 
-    /// Sets the sharding override.
+    /// Sets the intra-query sharding.
     pub fn sharding(mut self, sharding: ShardPolicy) -> Self {
         self.sharding = sharding;
         self
@@ -203,16 +197,11 @@ impl ExecPolicy {
         interleave_depth(&self.cost)
     }
 
-    /// The effective `(shards, min_items)` pair for an engine
-    /// configured with `engine_shards`/`engine_min_items`.
-    pub fn effective_shards(
-        &self,
-        engine_shards: usize,
-        engine_min_items: usize,
-    ) -> (usize, usize) {
+    /// The `(shards, min_items)` pair this request asks for; fewer
+    /// than 2 shards means the serial path.
+    pub fn effective_shards(&self) -> (usize, usize) {
         match self.sharding {
-            ShardPolicy::Engine => (engine_shards, engine_min_items),
-            ShardPolicy::Serial => (1, engine_min_items),
+            ShardPolicy::Serial => (1, 1),
             ShardPolicy::Shards { shards, min_items } => (shards, min_items),
         }
     }
@@ -232,49 +221,46 @@ impl ExecPolicy {
         }
     }
 
-    /// Resolves the policy to a concrete algorithm instance, or an
+    /// The physical plan this policy names without looking at any
+    /// statistics — the one `Algo` → plan table — or an
     /// [`AlgoError::InvalidRequest`] for inconsistent knobs (negative
     /// or non-finite θ, non-positive cost units, θ-approximate FA).
-    pub fn algorithm(&self) -> Result<Box<dyn TopKAlgorithm + Send + Sync>, AlgoError> {
+    ///
+    /// An explicit [`Algo`] is that algorithm (its θ-variant under
+    /// `θ > 0`). [`Algo::Auto`] is the planner's stats-free fallback
+    /// ([`static_plan`]); the engine substitutes the stats-driven
+    /// choice when it can gather histograms (`Engine::run`).
+    pub fn plan(&self) -> Result<PhysicalPlan, AlgoError> {
         self.validate_cost()?;
         self.approximation.validate()?;
-        let theta = self.approximation.theta();
         let approximate = self.approximation.is_approximate();
-        Ok(match self.algo {
-            Algo::Auto => {
-                // The stats-free fallback of the unified planner; the
-                // engine substitutes the stats-driven choice when it
-                // can gather histograms (`Engine::run`).
-                let plan = crate::planner::static_plan(false, approximate, self.interleave());
-                crate::planner::plan_algorithm(plan, theta)
-                    // The fallback only ever names algorithm-backed
-                    // plans; keep a non-panicking default regardless.
-                    .unwrap_or_else(|| Box::new(ThresholdAlgorithm))
+        Ok(match (self.algo, approximate) {
+            (Algo::Auto, _) => static_plan(false, approximate, self.interleave()),
+            (Algo::Fa, true) => {
+                return Err(AlgoError::InvalidRequest(
+                    "θ-approximation is not defined for Fagin's A₀; pick Ta, Nra, Ca, or Auto"
+                        .to_owned(),
+                ));
             }
-            Algo::Fa => {
-                if approximate {
-                    return Err(AlgoError::InvalidRequest(
-                        "θ-approximation is not defined for Fagin's A₀; pick Ta, Nra, Ca, or Auto"
-                            .to_owned(),
-                    ));
-                }
-                Box::new(FaginsAlgorithm)
-            }
-            Algo::Ta => {
-                if approximate {
-                    Box::new(ApproxTa::new(theta))
-                } else {
-                    Box::new(ThresholdAlgorithm)
-                }
-            }
-            Algo::Nra => {
-                if approximate {
-                    Box::new(ApproxNra::new(theta))
-                } else {
-                    Box::new(NraLowerBound)
-                }
-            }
-            Algo::Ca => Box::new(CombinedAlgorithm::new(self.interleave(), theta)),
+            (Algo::Fa, false) => PhysicalPlan::Fa,
+            (Algo::Ta, true) => PhysicalPlan::ApproxTa,
+            (Algo::Ta, false) => PhysicalPlan::Ta,
+            (Algo::Nra, true) => PhysicalPlan::ApproxNra,
+            (Algo::Nra, false) => PhysicalPlan::Nra,
+            (Algo::Ca, _) => PhysicalPlan::Ca {
+                h: self.interleave(),
+            },
+        })
+    }
+
+    /// Resolves the policy to a concrete algorithm instance: the
+    /// algorithm executing [`ExecPolicy::plan`], with the same errors.
+    pub fn algorithm(&self) -> Result<Box<dyn TopKAlgorithm + Send + Sync>, AlgoError> {
+        let plan = self.plan()?;
+        plan_algorithm(plan, self.approximation.theta()).ok_or_else(|| {
+            // `plan` only ever names algorithm-backed plans; keep a
+            // non-panicking answer regardless.
+            AlgoError::InvalidRequest(format!("plan {plan} is not a middleware algorithm"))
         })
     }
 }
@@ -384,13 +370,15 @@ mod tests {
     }
 
     #[test]
-    fn sharding_overrides_fold_engine_settings() {
+    fn sharding_is_per_request_only() {
         let p = ExecPolicy::new();
-        assert_eq!(p.effective_shards(8, 256), (8, 256));
+        assert_eq!(p.effective_shards(), (1, 1));
+        assert_eq!(p.sharded_over(4).effective_shards(), (4, 1));
         assert_eq!(
-            p.sharding(ShardPolicy::Serial).effective_shards(8, 256),
-            (1, 256)
+            p.sharded_over(4)
+                .sharding(ShardPolicy::Serial)
+                .effective_shards(),
+            (1, 1)
         );
-        assert_eq!(p.sharded_over(4).effective_shards(8, 256), (4, 1));
     }
 }

@@ -13,7 +13,7 @@
 //! * [`ExecPolicy`] — algorithm, [`crate::stats::CostModel`], θ-slack,
 //!   sharding. Built with [`ExecPolicy::new`].
 //! * [`TopKRequest`] — the pair, accepted by every algorithm and by
-//!   the batched parallel [`crate::engine::Engine`].
+//!   the batched [`crate::engine::Engine`].
 //!
 //! ```
 //! use fmdb_core::scoring::tnorms::Min;

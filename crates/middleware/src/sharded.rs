@@ -49,7 +49,7 @@ use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::threshold::{Family, Probe, Report};
 use crate::algorithms::TopKResult;
-use crate::engine::{panic_message, EngineError};
+use crate::engine::{lock, panic_message, EngineError};
 use crate::request::SharedScoring;
 use crate::source::{GradedSource, Oid, ShardedSource, SourcePartitioner};
 use crate::stats::AccessStats;
@@ -339,10 +339,7 @@ pub(crate) fn partition_aligned(
 ) -> Option<Vec<Vec<ShardedSource>>> {
     let mut per_shard: Vec<Vec<ShardedSource>> = (0..shards).map(|_| Vec::new()).collect();
     for source in sources {
-        let guard = source
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let parts = guard.partition(partitioner, shards)?;
+        let parts = lock(source).partition(partitioner, shards)?;
         if parts.len() != shards {
             return None;
         }

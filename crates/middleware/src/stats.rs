@@ -38,11 +38,12 @@ pub struct AccessStats {
     /// metered when a cache is in play; 0 means "no cache involved").
     pub cache_misses: u64,
     /// Worker threads the engine spawned while serving this request:
-    /// prefetch workers (one per stream when parallel), shard workers
-    /// under the sharded path, and — under `Engine::run_many` — the
-    /// pooled batch workers, each charged once to the first request it
-    /// completes. Like the cache counters this is physical-execution
-    /// telemetry, not part of the paper's access cost.
+    /// shard workers under the sharded path, and — under
+    /// `Engine::run_many` — the pooled batch workers, charged once to
+    /// the batch's first successful result. 0 for a non-sharded
+    /// `Engine::run`. Like the cache counters this is
+    /// physical-execution telemetry, not part of the paper's access
+    /// cost.
     pub worker_spawns: u64,
     /// Pages read from storage while serving this request, summed over
     /// every paged source ([`crate::store::PagedSource`]) the request

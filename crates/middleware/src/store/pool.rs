@@ -1,6 +1,6 @@
 //! The buffer pool: lock-striped LRU page frames with pin counts.
 //!
-//! This is the engine's [`crate::engine::GradeCache`] machinery
+//! This is the engine's [`crate::engine::StripedGradeCache`] machinery
 //! ([`LruCore`]) generalized to page frames: `N` independent LRU
 //! segments behind their own mutexes, selected by page-number hash,
 //! each counting hits, misses, and evictions. Frames are

@@ -1,10 +1,10 @@
-//! Property suite: the batched, parallel [`Engine`] is observationally
+//! Property suite: the batched [`Engine`] is observationally
 //! identical to the scalar reference algorithms.
 //!
 //! For seeded workloads spanning m ∈ {2, 3, 4} and k ∈ {1, 10, 50},
-//! and for *any* engine configuration (batch size, worker threads
-//! on/off, grade cache on/off), the engine must return the same
-//! answers — same objects, same grades, same order — and charge
+//! and for *any* engine configuration (batch size, grade cache
+//! on/off), the engine must return the same answers — same objects,
+//! same grades, same order — and charge
 //! exactly the same `sorted`/`random` access counts as the scalar
 //! `FaginsAlgorithm` / `ThresholdAlgorithm` / `Nra` run. Answers are
 //! additionally checked against the exhaustive oracle, so a bug that
@@ -31,7 +31,6 @@ struct Scenario {
     k: usize,
     seed: u64,
     batch_size: usize,
-    parallel: bool,
     cache_capacity: usize,
 }
 
@@ -45,21 +44,17 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         (
             0u64..1_000_000,
             1usize..=130,
-            0u64..2,
             prop_oneof![Just(0usize), Just(16usize), Just(4096usize)],
         ),
     )
-        .prop_map(
-            |((n, m, k), (seed, batch_size, parallel, cache_capacity))| Scenario {
-                n,
-                m,
-                k,
-                seed,
-                batch_size,
-                parallel: parallel == 1,
-                cache_capacity,
-            },
-        )
+        .prop_map(|((n, m, k), (seed, batch_size, cache_capacity))| Scenario {
+            n,
+            m,
+            k,
+            seed,
+            batch_size,
+            cache_capacity,
+        })
 }
 
 fn scalar_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
@@ -76,9 +71,7 @@ fn scalar_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
 fn engine_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
     let engine = Engine::new(EngineConfig {
         batch_size: s.batch_size,
-        parallel: s.parallel,
         cache_capacity: s.cache_capacity,
-        ..EngineConfig::DEFAULT
     });
     let request = TopKQuery::compose()
         .sources(independent_uniform(s.n, s.m, s.seed))
@@ -197,14 +190,13 @@ proptest! {
 fn engine_matches_scalar_on_the_full_named_grid() {
     for m in [2usize, 3, 4] {
         for k in [1usize, 10, 50] {
-            for (batch_size, parallel) in [(1, false), (7, true), (64, true), (1000, false)] {
+            for batch_size in [1, 7, 64, 1000] {
                 let s = Scenario {
                     n: 256,
                     m,
                     k,
                     seed: 41 * m as u64 + k as u64,
                     batch_size,
-                    parallel,
                     cache_capacity: 64,
                 };
                 let scalar = scalar_run(&FaginsAlgorithm, s);

@@ -17,8 +17,9 @@
 //!   run.
 //!
 //! `shards: 1` is exercised on purpose: the engine must fall back to
-//! the serial path (sharding needs ≥ 2 effective shards), proving the
-//! knob degrades to the PR-1 engine rather than to a third behaviour.
+//! the serial path (sharding needs ≥ 2 effective shards), proving a
+//! one-shard policy degrades to the serial engine rather than to a
+//! third behaviour.
 
 use proptest::prelude::*;
 
@@ -27,8 +28,9 @@ use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::nra::NraLowerBound;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
-use fmdb_middleware::engine::{Engine, EngineConfig};
+use fmdb_middleware::engine::Engine;
 use fmdb_middleware::oracle::{all_grades, verify_top_k};
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::{TopKQuery, TopKRequest};
 use fmdb_middleware::source::GradedSource;
 use fmdb_middleware::workload::independent_uniform;
@@ -64,29 +66,31 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
-fn request(s: Scenario) -> TopKRequest {
+fn request(s: Scenario, policy: ExecPolicy) -> TopKRequest {
     TopKQuery::compose()
         .sources(independent_uniform(s.n, s.m, s.seed))
         .scoring(Min)
         .k(s.k)
+        .policy(policy)
         .request()
         .expect("request must validate")
 }
 
-fn run(algorithm: &dyn TopKAlgorithm, s: Scenario, config: EngineConfig) -> TopKResult {
-    Engine::new(config)
-        .run_algorithm(algorithm, &request(s))
+fn run(algorithm: &dyn TopKAlgorithm, s: Scenario, policy: ExecPolicy) -> TopKResult {
+    Engine::default()
+        .run_algorithm(algorithm, &request(s, policy))
         .expect("engine run must succeed")
 }
 
-fn sharded_config(shards: usize) -> EngineConfig {
-    EngineConfig {
-        shards,
-        // Never veto sharding on corpus size: the suite wants the
-        // sharded kernels exercised even on its smallest corpora.
-        shard_min_items: 1,
-        ..EngineConfig::DEFAULT
-    }
+/// The default policy: the kernel runs on the caller's thread.
+fn serial() -> ExecPolicy {
+    ExecPolicy::new()
+}
+
+/// `sharded_over` never vetoes sharding on corpus size: the suite wants
+/// the sharded kernels exercised even on its smallest corpora.
+fn sharded(shards: usize) -> ExecPolicy {
+    ExecPolicy::new().sharded_over(shards)
 }
 
 fn true_grades(s: Scenario) -> std::collections::HashMap<u64, Score> {
@@ -121,8 +125,8 @@ proptest! {
     /// both validated against the oracle.
     #[test]
     fn sharded_ta_equals_serial_ta_and_the_oracle(s in scenario()) {
-        let serial = run(&ThresholdAlgorithm, s, EngineConfig::serial());
-        let sharded = run(&ThresholdAlgorithm, s, sharded_config(s.shards));
+        let serial = run(&ThresholdAlgorithm, s, serial());
+        let sharded = run(&ThresholdAlgorithm, s, sharded(s.shards));
         prop_assert_eq!(
             &sharded.answers,
             &serial.answers,
@@ -136,8 +140,8 @@ proptest! {
     /// objects whose true-grade multiset equals the serial NRA set's.
     #[test]
     fn sharded_nra_is_an_exact_valid_set_matching_serial(s in scenario()) {
-        let serial = run(&NraLowerBound, s, EngineConfig::serial());
-        let sharded = run(&NraLowerBound, s, sharded_config(s.shards));
+        let serial = run(&NraLowerBound, s, serial());
+        let sharded = run(&NraLowerBound, s, sharded(s.shards));
         assert_oracle(s, &sharded)?;
         prop_assert_eq!(sharded.answers.len(), serial.answers.len());
 
@@ -176,11 +180,11 @@ fn k_at_least_corpus_size_returns_everything() {
                 seed: 5,
                 shards,
             };
-            let ta = run(&ThresholdAlgorithm, s, sharded_config(shards));
+            let ta = run(&ThresholdAlgorithm, s, sharded(shards));
             assert_eq!(ta.answers.len(), n, "TA n={n} k={k} p={shards}");
-            let serial = run(&ThresholdAlgorithm, s, EngineConfig::serial());
+            let serial = run(&ThresholdAlgorithm, s, serial());
             assert_eq!(ta.answers, serial.answers, "TA n={n} k={k} p={shards}");
-            let nra = run(&NraLowerBound, s, sharded_config(shards));
+            let nra = run(&NraLowerBound, s, sharded(shards));
             assert_eq!(nra.answers.len(), n, "NRA n={n} k={k} p={shards}");
             let truth = true_grades(s);
             for a in &nra.answers {
@@ -201,7 +205,7 @@ fn more_shards_than_objects_still_exact() {
         seed: 11,
         shards: 8,
     };
-    let sharded = run(&ThresholdAlgorithm, s, sharded_config(8));
-    let serial = run(&ThresholdAlgorithm, s, EngineConfig::serial());
+    let sharded = run(&ThresholdAlgorithm, s, sharded(8));
+    let serial = run(&ThresholdAlgorithm, s, serial());
     assert_eq!(sharded.answers, serial.answers);
 }

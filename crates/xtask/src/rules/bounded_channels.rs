@@ -1,10 +1,10 @@
 //! Rule `bounded-channels` (L3): the middleware crate must not create
 //! unbounded `mpsc::channel()`s.
 //!
-//! The engine's prefetch workers produce batches faster than a slow
-//! consumer drains them; an unbounded channel turns that imbalance
-//! into unbounded memory growth. `mpsc::sync_channel(bound)` applies
-//! backpressure instead. The rule is scoped to `crates/middleware`
+//! The store's read-ahead worker and the shard workers produce faster
+//! than a slow consumer drains them; an unbounded channel turns that
+//! imbalance into unbounded memory growth. `mpsc::sync_channel(bound)`
+//! applies backpressure instead. The rule is scoped to `crates/middleware`
 //! because that is where worker pipelines live; other crates don't
 //! spawn producer threads.
 //!
@@ -14,8 +14,8 @@
 //! * importing the constructor: `use std::sync::mpsc::channel` (which
 //!   would let later bare `channel()` calls evade the first pattern);
 //! * importing it through a brace group:
-//!   `use std::sync::mpsc::{channel, …}` — the shard/prefetch worker
-//!   pipelines import `sync_channel` this way, and a `channel` slipped
+//!   `use std::sync::mpsc::{channel, …}` — the read-ahead worker
+//!   pipeline imports `sync_channel` this way, and a `channel` slipped
 //!   into the same group must not evade the rule.
 
 use crate::diagnostics::Diagnostic;

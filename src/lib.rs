@@ -65,11 +65,10 @@ pub mod prelude {
     };
     pub use fmdb_middleware::prelude::{
         AccessStats, Algo, AlgoError, ApproxNra, ApproxTa, Approximation, CombinedAlgorithm,
-        CostModel, Engine, EngineConfig, ExecPolicy, FaSession, FaginsAlgorithm, GradeCache,
-        GradedSource, MaxMerge, Naive, Nra, Oid, OptimalityOracle, OwnedFaSession, PagedSource,
-        PagedStore, PrunedFa, ShardPolicy, SharedScoring, SourceInfo, StoreError,
-        ThresholdAlgorithm, TopKAlgorithm, TopKQuery, TopKRequest, TopKResult, ValidatingSource,
-        VecSource,
+        CostModel, Engine, EngineConfig, ExecPolicy, FaSession, FaginsAlgorithm, GradedSource,
+        MaxMerge, Naive, Nra, Oid, OptimalityOracle, OwnedFaSession, PagedSource, PagedStore,
+        PrunedFa, ShardPolicy, SharedScoring, SourceInfo, StoreError, ThresholdAlgorithm,
+        TopKAlgorithm, TopKQuery, TopKRequest, TopKResult, ValidatingSource, VecSource,
     };
     pub use fmdb_middleware::workload::independent_uniform;
 }
