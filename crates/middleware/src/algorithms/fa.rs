@@ -43,9 +43,15 @@ pub struct FaginsAlgorithm;
 /// [`crate::algorithms::pruned_fa::PrunedFa`].
 #[derive(Debug, Default)]
 pub(crate) struct FaState {
-    /// Per-object slot vector: `Some(grade)` once list `i` has revealed
-    /// the grade (by either access kind).
-    pub(crate) seen: HashMap<Oid, Vec<Option<Score>>>,
+    /// Row of each seen object in `oids` / `slots`.
+    rows: HashMap<Oid, usize>,
+    /// The seen objects, in first-sighting order.
+    oids: Vec<Oid>,
+    /// One row of `m` slots per seen object, flat: `Some(grade)` once
+    /// list `i` has revealed the grade (by either access kind). One
+    /// allocation for all rows, and every walk over the seen set is a
+    /// linear scan in an order that repeats from run to run.
+    slots: Vec<Option<Score>>,
     /// The last grade each list streamed: an upper bound on every grade
     /// it has not revealed yet (0 once the list is drained).
     pub(crate) bottoms: Vec<Score>,
@@ -74,6 +80,19 @@ impl FaState {
         }
     }
 
+    /// Slots per row (never 0, so the rows can always be chunked).
+    fn arity(&self) -> usize {
+        self.bottoms.len().max(1)
+    }
+
+    /// Every seen object with its slot row, in first-sighting order.
+    pub(crate) fn seen(&self) -> impl Iterator<Item = (Oid, &[Option<Score>])> {
+        self.oids
+            .iter()
+            .copied()
+            .zip(self.slots.chunks(self.arity()))
+    }
+
     /// Phase 1: round-robin sorted access until `|L| ≥ target` or all
     /// lists are drained. `sorted_seen` tracking rides on the slot
     /// vectors: a slot filled during phase 1 counts toward L.
@@ -96,7 +115,12 @@ impl FaState {
                         self.stats.sorted += 1;
                         progressed = true;
                         self.bottoms[i] = so.grade;
-                        let slots = self.seen.entry(so.id).or_insert_with(|| vec![None; m]);
+                        let row = *self.rows.entry(so.id).or_insert_with(|| {
+                            self.oids.push(so.id);
+                            self.slots.resize(self.slots.len() + m, None);
+                            self.oids.len() - 1
+                        });
+                        let slots = &mut self.slots[row * m..(row + 1) * m];
                         if slots[i].is_none() {
                             slots[i] = Some(so.grade);
                             if slots.iter().all(Option::is_some) {
@@ -123,24 +147,58 @@ impl FaState {
 
     /// Phases 2 and 3: random access for every missing slot of every
     /// seen object, then combine its grades.
+    ///
+    /// A₀ probes *every* hole whatever the other probes return, so the
+    /// order is free: phase 2 is one [`GradedSource::random_batch`] per
+    /// list — the seen objects that list has not revealed — charged at
+    /// the batch's length, and a source that can serve a batch better
+    /// than probe by probe (a paged store reads each page once) does.
     fn resolve_all(
         &mut self,
         sources: &mut [&mut dyn GradedSource],
         scoring: &dyn ScoringFunction,
     ) -> Vec<ScoredObject<Oid>> {
-        let mut combined = Vec::with_capacity(self.seen.len());
-        let mut grades = Vec::new();
-        for (&oid, slots) in self.seen.iter_mut() {
-            grades.clear();
-            for (i, slot) in slots.iter_mut().enumerate() {
-                grades.push(*slot.get_or_insert_with(|| {
-                    self.stats.random += 1;
-                    sources[i].random_access(oid)
-                }));
+        // One walk collects every list's holes, ...
+        let mut missing: Vec<Vec<Oid>> = vec![Vec::new(); sources.len()];
+        for (oid, slots) in self.seen() {
+            for (slot, holes) in slots.iter().zip(&mut missing) {
+                if slot.is_none() {
+                    holes.push(oid);
+                }
             }
-            combined.push(ScoredObject::new(oid, scoring.combine(&grades)));
         }
-        combined
+        let mut answers = Vec::with_capacity(sources.len());
+        for (source, oids) in sources.iter_mut().zip(&missing) {
+            // A list with no holes is not called at all.
+            let grades = if oids.is_empty() {
+                Vec::new()
+            } else {
+                source.random_batch(oids)
+            };
+            self.stats.random += oids.len() as u64;
+            answers.push(grades.into_iter());
+        }
+        // ... and a second one, meeting the same holes in the same
+        // order, fills and combines.
+        let mut grades = Vec::with_capacity(sources.len());
+        let m = self.arity();
+        self.oids
+            .iter()
+            .zip(self.slots.chunks_mut(m))
+            .map(|(&oid, slots)| {
+                grades.clear();
+                for (slot, answers) in slots.iter_mut().zip(&mut answers) {
+                    if slot.is_none() {
+                        *slot = answers.next();
+                    }
+                    // Still a hole only if the source answered its
+                    // batch short: what it withheld grades zero, like
+                    // any object a subsystem has no opinion about.
+                    grades.push(slot.unwrap_or(Score::ZERO));
+                }
+                ScoredObject::new(oid, scoring.combine(&grades))
+            })
+            .collect()
     }
 
     /// The next `k` best answers not yet emitted — the body of both
@@ -318,6 +376,102 @@ mod tests {
         let r = FaginsAlgorithm.top_k(&mut srcs, &Min, 2).unwrap();
         assert_eq!(r.stats.sorted, ca.sorted_accesses() + cb.sorted_accesses());
         assert_eq!(r.stats.random, ca.random_accesses() + cb.random_accesses());
+    }
+
+    /// A list that logs what each access kind asked of it.
+    struct Recording {
+        inner: VecSource,
+        /// Oids whose grade the list has revealed, by either kind.
+        revealed: Vec<Oid>,
+        /// Probes for a grade the list had already revealed.
+        repeated: usize,
+        scalar_probes: usize,
+        batch_lengths: Vec<usize>,
+    }
+
+    impl Recording {
+        fn new(inner: VecSource) -> Recording {
+            Recording {
+                inner,
+                revealed: Vec::new(),
+                repeated: 0,
+                scalar_probes: 0,
+                batch_lengths: Vec::new(),
+            }
+        }
+    }
+
+    impl GradedSource for Recording {
+        fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
+            let item = self.inner.sorted_next()?;
+            self.revealed.push(item.id);
+            Some(item)
+        }
+        fn random_access(&mut self, oid: Oid) -> Score {
+            self.scalar_probes += 1;
+            self.inner.random_access(oid)
+        }
+        fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
+            self.batch_lengths.push(oids.len());
+            self.repeated += oids.iter().filter(|o| self.revealed.contains(o)).count();
+            self.revealed.extend_from_slice(oids);
+            self.inner.random_batch(oids)
+        }
+        fn rewind(&mut self) {
+            self.inner.rewind();
+        }
+        fn info(&self) -> crate::source::SourceInfo {
+            self.inner.info()
+        }
+    }
+
+    fn recorded(m: usize) -> Vec<Recording> {
+        crate::workload::independent_uniform(400, m, 7)
+            .into_iter()
+            .map(Recording::new)
+            .collect()
+    }
+
+    #[test]
+    fn phase_two_is_one_batch_per_list() {
+        let mut lists = recorded(3);
+        let mut srcs: Vec<&mut dyn GradedSource> = lists
+            .iter_mut()
+            .map(|l| l as &mut dyn GradedSource)
+            .collect();
+        let result = FaginsAlgorithm.top_k(&mut srcs, &Min, 5).unwrap();
+        let mut batched = 0;
+        for list in &lists {
+            assert_eq!(list.scalar_probes, 0);
+            assert!(list.batch_lengths.len() <= 1, "{:?}", list.batch_lengths);
+            assert_eq!(list.repeated, 0);
+            batched += list.batch_lengths.iter().sum::<usize>();
+        }
+        assert!(batched > 0, "the fixture leaves holes to probe");
+        assert_eq!(result.stats.random, batched as u64);
+    }
+
+    #[test]
+    fn resumed_session_never_probes_a_filled_slot() {
+        let mut lists = recorded(3);
+        let srcs: Vec<&mut dyn GradedSource> = lists
+            .iter_mut()
+            .map(|l| l as &mut dyn GradedSource)
+            .collect();
+        let mut session = FaSession::new(srcs, &Min).unwrap();
+        session.next_k(5).unwrap();
+        let first = session.stats().random;
+        session.next_k(5).unwrap();
+        let stats = session.stats();
+        assert!(stats.random > first, "the second batch probes new objects");
+        let mut batched = 0;
+        for list in &lists {
+            assert_eq!(list.scalar_probes, 0);
+            assert!(list.batch_lengths.len() <= 2, "{:?}", list.batch_lengths);
+            assert_eq!(list.repeated, 0, "a grade was asked for twice");
+            batched += list.batch_lengths.iter().sum::<usize>();
+        }
+        assert_eq!(stats.random, batched as u64);
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl TopKAlgorithm for PrunedFa {
         // Phase 1 — A₀'s own.
         let mut state = FaState::new(sources);
         state.sorted_phase(sources, k);
-        let (seen, bottoms, mut stats) = (state.seen, state.bottoms, state.stats);
+        let (bottoms, mut stats) = (&state.bottoms, state.stats);
 
         // Phase 2 — pruned random access.
         // Split into fully-known objects and candidates with holes.
@@ -93,13 +93,13 @@ impl TopKAlgorithm for PrunedFa {
         let mut known: Vec<ScoredObject<Oid>> = Vec::new();
         let mut candidates: Vec<(Oid, Vec<Option<Score>>, Score)> = Vec::new();
         let mut buf = Vec::with_capacity(m);
-        for (oid, slots) in seen {
+        for (oid, slots) in state.seen() {
             // With no unknown slot the upper bound is the exact grade.
-            let upper = upper_of(&slots, &mut buf);
+            let upper = upper_of(slots, &mut buf);
             if slots.iter().all(Option::is_some) {
                 known.push(ScoredObject::new(oid, upper));
             } else {
-                candidates.push((oid, slots, upper));
+                candidates.push((oid, slots.to_vec(), upper));
             }
         }
 

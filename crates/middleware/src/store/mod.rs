@@ -68,8 +68,9 @@ pub struct StoreOptions {
     /// Page frames the buffer pool holds, or `None` for no caching —
     /// every access reads storage.
     pub pool_pages: Option<usize>,
-    /// Sorted-run pages the read-ahead worker keeps ahead of the
-    /// cursor, or `None` for no worker.
+    /// Sorted-run pages each cursor keeps hinted to the read-ahead
+    /// worker ahead of the page it is decoding, or `None` for no
+    /// worker.
     pub readahead: Option<usize>,
 }
 
@@ -163,6 +164,9 @@ struct StoreInner {
     /// is simply disabled, never an error.
     bounds: Vec<(Score, Score)>,
     pool: PagePool,
+    /// Sorted-run pages a cursor keeps hinted ahead of itself (0: no
+    /// read-ahead worker).
+    readahead_depth: u64,
     /// Pages bounded drains/probes proved unnecessary and never
     /// visited (folded into [`PageIoStats::skipped`]).
     pages_skipped: std::sync::atomic::AtomicU64,
@@ -172,13 +176,21 @@ struct StoreInner {
 }
 
 impl StoreInner {
-    /// Reads page `page` from storage, verifying its checksum.
-    fn read_page_raw(&self, page: u64) -> Result<Vec<u8>, StoreError> {
-        let mut buf = vec![0u8; self.header.page_size];
-        self.file
-            .read_exact_at(&mut buf, page * self.header.page_size as u64)?;
-        verify_page(&buf, page)?;
-        Ok(buf)
+    /// Reads page `page` from storage, verifying its checksum. A frame
+    /// is a single allocation, so frames allocated and freed on
+    /// different threads (demand reads, the read-ahead worker,
+    /// evictions by either) recycle same-size chunks instead of
+    /// fragmenting the threads' malloc arenas.
+    fn read_page_raw(&self, page: u64) -> Result<pool::Frame, StoreError> {
+        let mut frame: pool::Frame = std::iter::repeat_n(0u8, self.header.page_size).collect();
+        // Nobody else has seen the frame yet, so it is uniquely owned;
+        // a page left zeroed would fail its checksum below.
+        if let Some(buf) = Arc::get_mut(&mut frame) {
+            self.file
+                .read_exact_at(buf, page * self.header.page_size as u64)?;
+        }
+        verify_page(&frame, page)?;
+        Ok(frame)
     }
 
     /// Fetches a page through the pool: pool hit, or storage read +
@@ -187,9 +199,70 @@ impl StoreInner {
         if let Some(frame) = self.pool.get(page) {
             return Ok(frame);
         }
-        let frame = Arc::new(self.read_page_raw(page)?);
+        let frame = self.read_page_raw(page)?;
         self.pool.insert(page, Arc::clone(&frame));
         Ok(frame)
+    }
+
+    /// The random-table page (0-based within the table) that alone can
+    /// hold `oid` — the greatest directory entry ≤ `oid` — or `None`
+    /// when `oid` sorts before every entry (or the store is empty).
+    /// Every probe path starts here.
+    fn locate(&self, oid: Oid) -> Option<u64> {
+        match self.directory.binary_search(&oid) {
+            Ok(i) => Some(i as u64),
+            Err(0) => None,
+            Err(i) => Some(i as u64 - 1),
+        }
+    }
+
+    /// Fetches random-table page `idx` (as [`StoreInner::locate`]
+    /// numbers them), parking the error of a failed read.
+    fn random_page(&self, idx: u64) -> Option<(u64, pool::Frame)> {
+        let page = self.header.random_start() + idx;
+        match self.load_page(page) {
+            Ok(frame) => Some((page, frame)),
+            Err(e) => {
+                self.record_error(e);
+                None
+            }
+        }
+    }
+
+    /// The grade of `oid` on the pinned random-table page `frame`:
+    /// binary search over the page's raw entries (no full-page decode
+    /// for a probe), zero when absent. The one in-page search scalar,
+    /// batched and bounded probes share.
+    fn find_in_page(&self, frame: &[u8], page: u64, oid: Oid) -> Score {
+        let count = page_entry_count(frame, self.header.entries_per_page);
+        let (mut lo, mut hi) = (0usize, count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let mid_oid = read_u64(frame, format::PAGE_HEADER_BYTES + mid * format::ENTRY_BYTES);
+            match mid_oid.cmp(&oid) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => {
+                    return match decode_entry(frame, mid, page) {
+                        Ok(so) => so.grade,
+                        Err(e) => {
+                            self.record_error(e);
+                            Score::ZERO
+                        }
+                    }
+                }
+            }
+        }
+        Score::ZERO
+    }
+
+    /// One probe of located page `idx`: a page fetch and the in-page
+    /// search; zero when the page cannot be read.
+    fn probe(&self, idx: u64, oid: Oid) -> Score {
+        match self.random_page(idx) {
+            Some((page, frame)) => self.find_in_page(&frame, page, oid),
+            None => Score::ZERO,
+        }
     }
 
     /// Parks the first runtime error for later retrieval.
@@ -247,7 +320,7 @@ fn readahead_worker(inner: Arc<StoreInner>, rx: Receiver<u64>) {
             continue;
         }
         if let Ok(buf) = inner.read_page_raw(page) {
-            inner.pool.insert_readahead(page, Arc::new(buf));
+            inner.pool.insert_readahead(page, buf);
         }
     }
 }
@@ -377,6 +450,7 @@ impl PagedStore {
             histogram,
             bounds,
             pool: PagePool::new(pool_pages),
+            readahead_depth: readahead_depth as u64,
             pages_skipped: std::sync::atomic::AtomicU64::new(0),
             error: Mutex::new(None),
         });
@@ -406,6 +480,7 @@ impl PagedStore {
             pos: 0,
             cached_page: u64::MAX,
             cached: Vec::new(),
+            hinted: 0,
             threshold: Score::ZERO,
         }
     }
@@ -492,6 +567,10 @@ pub struct PagedSource {
     /// Decoded entries of `cached_page` — one decode per page visit,
     /// so a sequential drain is slice copies, not per-entry reads.
     cached: Vec<ScoredObject<Oid>>,
+    /// The last sorted-run page already hinted to the read-ahead
+    /// worker (0 = none): each page turn hints only the pages that
+    /// entered the window.
+    hinted: u64,
     /// The caller's live grade threshold
     /// ([`GradedSource::note_threshold`]): a physical hint that gates
     /// read-ahead of provably useless pages, never a demand read.
@@ -513,14 +592,21 @@ impl PagedSource {
         if page == self.cached_page {
             return true;
         }
-        // Hint the pages after this one while we decode it — except
-        // pages whose persisted max grade is below the caller's noted
-        // threshold: prefetching those would be provably wasted I/O.
-        // Demand reads are never gated, so answers cannot change.
+        // Keep the `readahead` pages after this one hinted while we
+        // decode it: a page turn hints only the pages that entered the
+        // window (one, on a sequential drain) — except pages whose
+        // persisted max grade is below the caller's noted threshold:
+        // prefetching those would be provably wasted I/O. Demand reads
+        // are never gated, so answers cannot change.
         if let Some(tx) = &self.readahead {
-            let last = header.random_start();
             let sorted_start = header.sorted_start();
-            for ahead in (page + 1)..(page + 3).min(last) {
+            let last_sorted = header.random_start().saturating_sub(1);
+            let window_end = page
+                .saturating_add(self.inner.readahead_depth)
+                .min(last_sorted);
+            let fresh = self.hinted.max(page).saturating_add(1)..=window_end;
+            self.hinted = self.hinted.max(window_end);
+            for ahead in fresh {
                 let below = self
                     .inner
                     .sorted_page_bounds(ahead - sorted_start)
@@ -558,54 +644,6 @@ impl PagedSource {
         true
     }
 
-    /// Looks one oid up in the random table: directory binary search,
-    /// one page fetch, then binary search over the page's raw entries
-    /// (no full-page decode for a single probe).
-    fn lookup(&mut self, oid: Oid) -> Score {
-        let header = &self.inner.header;
-        if header.n == 0 {
-            return Score::ZERO;
-        }
-        // Greatest directory entry ≤ oid names the only page that can
-        // hold it.
-        let idx = match self.inner.directory.binary_search(&oid) {
-            Ok(i) => i,
-            Err(0) => return Score::ZERO,
-            Err(i) => i - 1,
-        };
-        let page = header.random_start() + idx as u64;
-        let frame = match self.inner.load_page(page) {
-            Ok(frame) => frame,
-            Err(e) => {
-                self.inner.record_error(e);
-                return Score::ZERO;
-            }
-        };
-        let count = page_entry_count(&frame, header.entries_per_page);
-        let (mut lo, mut hi) = (0usize, count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let mid_oid = read_u64(
-                &frame,
-                format::PAGE_HEADER_BYTES + mid * format::ENTRY_BYTES,
-            );
-            match mid_oid.cmp(&oid) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    return match decode_entry(&frame, mid, page) {
-                        Ok(so) => so.grade,
-                        Err(e) => {
-                            self.inner.record_error(e);
-                            Score::ZERO
-                        }
-                    }
-                }
-            }
-        }
-        Score::ZERO
-    }
-
     /// Cumulative buffer-pool counters of the shared store.
     pub fn pool_stats(&self) -> PageIoStats {
         self.inner.page_io()
@@ -633,13 +671,17 @@ impl GradedSource for PagedSource {
     }
 
     fn random_access(&mut self, oid: Oid) -> Score {
-        self.lookup(oid)
+        match self.inner.locate(oid) {
+            Some(idx) => self.inner.probe(idx, oid),
+            None => Score::ZERO,
+        }
     }
 
     fn rewind(&mut self) {
         self.pos = 0;
         self.cached_page = u64::MAX;
         self.cached.clear();
+        self.hinted = 0;
         self.threshold = Score::ZERO;
     }
 
@@ -668,8 +710,33 @@ impl GradedSource for PagedSource {
         out
     }
 
+    // Page-ordered: each oid is located through the directory once,
+    // the `(page, input position)` pairs are sorted, and every distinct
+    // page is fetched once and searched for all of its oids while
+    // pinned — a batch never re-reads a page, however small the pool.
+    // Answers go back in input order; an oid no page can hold, or one
+    // on a page that fails to read (error parked), grades zero exactly
+    // as a scalar probe would.
     fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-        oids.iter().map(|&oid| self.lookup(oid)).collect()
+        let inner = &*self.inner;
+        let mut out = vec![Score::ZERO; oids.len()];
+        let mut located: Vec<(u64, usize)> = oids
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, &oid)| Some((inner.locate(oid)?, pos)))
+            .collect();
+        located.sort_unstable();
+        let mut rest = located.as_slice();
+        while let Some(&(idx, _)) = rest.first() {
+            let run = rest.partition_point(|&(p, _)| p == idx);
+            if let Some((page, frame)) = inner.random_page(idx) {
+                for &(_, pos) in &rest[..run] {
+                    out[pos] = inner.find_in_page(&frame, page, oids[pos]);
+                }
+            }
+            rest = &rest[run..];
+        }
+        out
     }
 
     fn note_threshold(&mut self, bound: Score) {
@@ -732,21 +799,16 @@ impl GradedSource for PagedSource {
     // (`Score::ZERO`, "cannot affect the caller") is known without
     // reading the page.
     fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Score {
-        if self.inner.header.n == 0 {
+        let Some(idx) = self.inner.locate(oid) else {
             return Score::ZERO;
-        }
-        let idx = match self.inner.directory.binary_search(&oid) {
-            Ok(i) => i,
-            Err(0) => return Score::ZERO,
-            Err(i) => i - 1,
         };
-        if let Some((_, hi)) = self.inner.random_page_bounds(idx as u64) {
+        if let Some((_, hi)) = self.inner.random_page_bounds(idx) {
             if hi < bound {
                 self.inner.note_skipped(1);
                 return Score::ZERO;
             }
         }
-        let grade = self.lookup(oid);
+        let grade = self.inner.probe(idx, oid);
         if grade >= bound {
             grade
         } else {
@@ -838,6 +900,43 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// FNV-1a 64 over a whole file — a digest that shares no code with
+    /// the page checksum it pins.
+    fn file_digest(path: &Path) -> (usize, u64) {
+        let bytes = std::fs::read(path).unwrap();
+        let digest = bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        (bytes.len(), digest)
+    }
+
+    /// The format is pinned: the literals were captured at the commit
+    /// before `crc32` became table-driven, so a file this build writes
+    /// is byte-identical to one the bitwise build wrote (and each opens
+    /// under the other).
+    #[test]
+    fn built_files_are_byte_identical_to_the_pinned_format() {
+        let pairs = sample_pairs(1000, 17);
+        for (page_size, version, want) in [
+            (
+                512,
+                format::VERSION,
+                (36_864usize, 0x6CB3_5A69_6155_D676u64),
+            ),
+            (4096, format::VERSION, (49_152, 0x8D83_93EE_2B29_B898)),
+            (512, format::VERSION_1, (35_328, 0xE768_7A29_71DF_1477)),
+        ] {
+            let path = scratch(&format!("golden-{page_size}-v{version}.fmdb"));
+            let cfg = BuildConfig::with_page_size(page_size);
+            format::build_store_versioned(&path, "golden", pairs.clone(), &cfg, version).unwrap();
+            assert_eq!(
+                file_digest(&path),
+                want,
+                "page size {page_size}, version {version}"
+            );
+        }
     }
 
     #[test]
@@ -1044,6 +1143,38 @@ mod tests {
         };
         assert_eq!(drained.len(), 2000);
         assert!(store.take_error().is_none());
+    }
+
+    #[test]
+    fn readahead_window_follows_the_configured_depth() {
+        let path = scratch("readahead-depth.fmdb");
+        build_store(
+            &path,
+            "rd",
+            sample_pairs(2000, 31),
+            &BuildConfig::with_page_size(256),
+        )
+        .unwrap();
+        for depth in [1usize, 6] {
+            let options = StoreOptions {
+                pool_pages: Some(512),
+                readahead: Some(depth),
+            };
+            let store = PagedStore::open(&path, options).unwrap();
+            let mut src = store.source();
+            // One page turn hints exactly the `depth` pages after the
+            // first; the worker loads them in its own time.
+            assert!(src.sorted_next().is_some());
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while store.readahead_loads() < depth as u64 && std::time::Instant::now() < deadline {
+                thread::yield_now();
+            }
+            assert_eq!(store.readahead_loads(), depth as u64);
+            assert_eq!(store.resident_pages(), depth + 1);
+            // Staying on the page hints nothing more.
+            assert!(src.sorted_next().is_some());
+            assert_eq!(store.readahead_loads(), depth as u64);
+        }
     }
 
     #[test]
@@ -1254,6 +1385,119 @@ mod tests {
             "low-grade pages answered from bounds"
         );
         assert!(store.take_error().is_none());
+    }
+
+    /// The oids of `sample_pairs(n, _)` in a scattered order.
+    fn scattered_oids(n: u64) -> Vec<Oid> {
+        // 7919 is prime and divides no `n` used here: a permutation.
+        (0..n).map(|i| (i * 7919 % n) * 3).collect()
+    }
+
+    #[test]
+    fn random_batch_equals_scalar_probes() {
+        // Shifted up so that some oids sort below the first entry.
+        let pairs: Vec<(Oid, Score)> = sample_pairs(700, 19)
+            .into_iter()
+            .map(|(oid, g)| (oid + 30, g))
+            .collect();
+        let last = 30 + 699 * 3;
+        // Below the first entry, duplicates, between entries, the last
+        // entry, above it — then a scattered sweep with repeats.
+        let mut oids: Vec<Oid> = vec![0, 29, 30, 30, 31, 33, last, last + 1, u64::MAX, 33];
+        oids.extend((0..900u64).map(|i| i * 7919 % (last + 40)));
+        let want = VecSource::new("b", pairs.clone()).random_batch(&oids);
+        let cfg = BuildConfig::with_page_size(256);
+        for version in [format::VERSION_1, format::VERSION] {
+            let path = scratch(&format!("batch-v{version}.fmdb"));
+            format::build_store_versioned(&path, "b", pairs.clone(), &cfg, version).unwrap();
+            for pool_pages in [None, Some(1), Some(8), Some(256)] {
+                let options = StoreOptions {
+                    pool_pages,
+                    readahead: None,
+                };
+                let store = PagedStore::open(&path, options).unwrap();
+                let mut src = store.source();
+                let scalar: Vec<Score> = oids.iter().map(|&oid| src.random_access(oid)).collect();
+                assert_eq!(scalar, want, "scalar, v{version}, pool {pool_pages:?}");
+                store.clear_pool();
+                assert_eq!(
+                    src.random_batch(&oids),
+                    want,
+                    "batch, v{version}, pool {pool_pages:?}"
+                );
+                assert!(src.random_batch(&[]).is_empty());
+                assert!(store.take_error().is_none());
+            }
+        }
+
+        let empty = scratch("batch-empty.fmdb");
+        build_store(&empty, "e", Vec::new(), &cfg).unwrap();
+        let store = PagedStore::open(&empty, StoreOptions::DEFAULT).unwrap();
+        assert_eq!(
+            store.source().random_batch(&[0, 7, 7, u64::MAX]),
+            [Score::ZERO; 4]
+        );
+        assert_eq!(store.page_io().reads, 0);
+    }
+
+    #[test]
+    fn cold_batch_reads_each_random_page_once() {
+        let pairs = sample_pairs(2000, 23);
+        let path = scratch("batch-once.fmdb");
+        build_store(&path, "o", pairs.clone(), &BuildConfig::with_page_size(256)).unwrap();
+        let options = StoreOptions {
+            pool_pages: Some(8),
+            readahead: None,
+        };
+        let store = PagedStore::open(&path, options).unwrap();
+        let random_pages = store.header().random_pages;
+        assert!(random_pages > 100, "far more pages than frames");
+        let oids = scattered_oids(2000);
+        let mut src = store.source();
+        assert_eq!(
+            src.random_batch(&oids),
+            VecSource::new("o", pairs).random_batch(&oids)
+        );
+        assert_eq!(store.page_io().reads, random_pages);
+        // The same probes one by one thrash the eight frames.
+        store.clear_pool();
+        for &oid in &oids {
+            let _ = src.random_access(oid);
+        }
+        assert!(store.page_io().reads > 4 * random_pages);
+    }
+
+    #[test]
+    fn corrupt_page_in_a_batch_zeroes_only_its_oids() {
+        let pairs = sample_pairs(600, 29);
+        let path = scratch("batch-corrupt.fmdb");
+        build_store(&path, "x", pairs.clone(), &BuildConfig::with_page_size(512)).unwrap();
+        let (bad_page, epp) = {
+            let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+            let header = store.header();
+            (header.random_start() + 3, header.entries_per_page as u64)
+        };
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[512 * bad_page as usize + 100] ^= 0x08;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+        let oids = scattered_oids(600);
+        let got = store.source().random_batch(&oids);
+        let mut vec = VecSource::new("x", pairs);
+        for (&oid, &grade) in oids.iter().zip(&got) {
+            // Entry `i` (oid `3 i`) sits on random-table page `i / epp`.
+            let want = if oid / 3 / epp == 3 {
+                Score::ZERO
+            } else {
+                vec.random_access(oid)
+            };
+            assert_eq!(grade, want, "oid {oid}");
+        }
+        assert!(matches!(
+            store.take_error(),
+            Some(StoreError::ChecksumMismatch { page }) if page == bad_page
+        ));
     }
 
     #[test]

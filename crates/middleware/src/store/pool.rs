@@ -23,7 +23,7 @@ use crate::lru::LruCore;
 use crate::stats::PageIoStats;
 
 /// One page frame: immutable page bytes shared with readers.
-pub(crate) type Frame = Arc<Vec<u8>>;
+pub(crate) type Frame = Arc<[u8]>;
 
 /// Number of independent LRU segments (mirrors the grade cache).
 const POOL_STRIPES: usize = 8;
@@ -139,13 +139,13 @@ mod tests {
     fn counters_track_hits_reads_and_evictions() {
         let pool = PagePool::new(8);
         assert!(pool.get(0).is_none());
-        pool.insert(0, Arc::new(vec![0u8; 16]));
+        pool.insert(0, Arc::from([0u8; 16]));
         assert!(pool.get(0).is_some());
         let s = pool.stats();
         assert_eq!((s.reads, s.hits), (1, 1));
 
         for p in 1..100 {
-            pool.insert(p, Arc::new(vec![0u8; 16]));
+            pool.insert(p, Arc::from([0u8; 16]));
         }
         assert!(pool.stats().evictions > 0);
         assert!(pool.resident() <= 16, "capacity is per-stripe rounded up");
@@ -154,10 +154,10 @@ mod tests {
     #[test]
     fn pinned_frames_survive_pressure() {
         let pool = PagePool::new(8);
-        pool.insert(0, Arc::new(vec![7u8; 16]));
+        pool.insert(0, Arc::from([7u8; 16]));
         let pinned = pool.get(0).expect("just inserted");
         for p in 1..200 {
-            pool.insert(p, Arc::new(vec![0u8; 16]));
+            pool.insert(p, Arc::from([0u8; 16]));
         }
         assert!(
             pool.contains(0),
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let pool = PagePool::new(4);
-        pool.insert(0, Arc::new(Vec::new()));
+        pool.insert(0, Arc::from([]));
         let _ = pool.get(0);
         pool.clear();
         assert_eq!(pool.resident(), 0);
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn zero_capacity_pool_never_caches() {
         let pool = PagePool::new(0);
-        pool.insert(0, Arc::new(Vec::new()));
+        pool.insert(0, Arc::from([]));
         assert!(pool.get(0).is_none());
         assert_eq!(pool.stats().reads, 1, "the read still happened");
     }

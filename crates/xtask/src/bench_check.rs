@@ -13,7 +13,9 @@
 //! quality bar), E18 paged-store telemetry that is missing or
 //! nonsensical (cold/warm wall-clock present, `warm_hit_rate` in
 //! [0, 1], `cold_page_reads` > 0 — a zero means the experiment never
-//! touched the store — and `warm_ta_vs_mem` a positive finite ratio),
+//! touched the store — `warm_ta_vs_mem` a positive finite ratio, and
+//! `cold_us_per_page_read` at most 12 µs: a page miss with the file in
+//! the OS cache cost 24 µs while its checksum ran bit by bit),
 //! or E23 block-max pruning telemetry that is missing or nonsensical
 //! (`corpus_speedup`/`drain_speedup` positive — pruned runs that take
 //! no time at all mean the timer broke — and both skip rates in
@@ -255,6 +257,12 @@ pub fn parse(content: &str) -> Result<Json, String> {
 /// The experiment ids the suite must have produced.
 const REQUIRED: std::ops::RangeInclusive<u32> = 1..=23;
 
+/// Ceiling on E18's `cold_us_per_page_read`: half of what a page miss
+/// cost under the bit-at-a-time checksum (≈ 24 µs), four times what it
+/// costs under the table kernel (≈ 3 µs) — room for a slow host, none
+/// for the old kernel.
+const E18_MAX_COLD_US_PER_PAGE: f64 = 12.0;
+
 /// Validates a `BENCH_engine.json` payload. Returns a human-readable
 /// summary on success, the first failure otherwise.
 pub fn check(content: &str) -> Result<String, String> {
@@ -279,6 +287,7 @@ pub fn check(content: &str) -> Result<String, String> {
     let mut e18_hit_rate: Option<f64> = None;
     let mut e18_page_reads: Option<f64> = None;
     let mut e18_ta_ratio: Option<f64> = None;
+    let mut e18_cold_page_us: Option<f64> = None;
     let mut e23_corpus_speedup: Option<f64> = None;
     let mut e23_drain_speedup: Option<f64> = None;
     let mut e23_corpus_skip: Option<f64> = None;
@@ -324,6 +333,7 @@ pub fn check(content: &str) -> Result<String, String> {
                         "warm_hit_rate" => e18_hit_rate = Some(v),
                         "cold_page_reads" => e18_page_reads = Some(v),
                         "warm_ta_vs_mem" => e18_ta_ratio = Some(v),
+                        "cold_us_per_page_read" => e18_cold_page_us = Some(v),
                         _ => {}
                     }
                 }
@@ -413,6 +423,16 @@ pub fn check(content: &str) -> Result<String, String> {
         ));
     }
 
+    let cold_page_us =
+        e18_cold_page_us.ok_or("E18 is missing the `cold_us_per_page_read` metric")?;
+    if !(cold_page_us > 0.0 && cold_page_us <= E18_MAX_COLD_US_PER_PAGE) {
+        return Err(format!(
+            "E18: cold_us_per_page_read = {cold_page_us} is outside (0, \
+             {E18_MAX_COLD_US_PER_PAGE}] µs — a page miss is back above half of what \
+             it cost under the bit-at-a-time checksum; look at `store::format::crc32` first"
+        ));
+    }
+
     let corpus_speedup = e23_corpus_speedup.ok_or("E23 is missing the `corpus_speedup` metric")?;
     let drain_speedup = e23_drain_speedup.ok_or("E23 is missing the `drain_speedup` metric")?;
     for (name, v) in [
@@ -451,7 +471,8 @@ pub fn check(content: &str) -> Result<String, String> {
         summary,
         "; {ratio_count} optimality ratios ≥ 1 (min {min_ratio:.3}); \
          {regret_count} planner regrets (median {median:.3}, max {max:.3}); \
-         E18 paged store: {page_reads:.0} cold page reads, warm hit rate {hit_rate:.3}; \
+         E18 paged store: {page_reads:.0} cold page reads, warm hit rate {hit_rate:.3}, \
+         {cold_page_us:.2} µs per cold page read; \
          E23 pruning: corpus {corpus_speedup:.2}x, drain {drain_speedup:.2}x"
     );
     Ok(summary)
@@ -465,7 +486,7 @@ mod tests {
 
     const GOOD_E18: &str = "{\"cold_wall_ms\":8.0,\"warm_wall_ms\":2.0,\
                             \"warm_hit_rate\":0.95,\"cold_page_reads\":64.0,\
-                            \"warm_ta_vs_mem\":1.4}";
+                            \"warm_ta_vs_mem\":1.4,\"cold_us_per_page_read\":3.0}";
 
     const GOOD_E23: &str = "{\"corpus_speedup\":2.5,\"corpus_skip_rate\":0.8,\
                             \"drain_speedup\":15.0,\"page_skip_rate\":0.94}";
@@ -642,6 +663,20 @@ mod tests {
                     \"warm_ta_vs_mem\":1.4}";
         let err = check(&artifact_full(&refs, GOOD_E22, GOOD_E16, e18)).unwrap_err();
         assert!(err.contains("cold_page_reads"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_slow_or_missing_cold_page_read() {
+        let ids = all_ids();
+        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+        for cold_page in ["", ",\"cold_us_per_page_read\":23.7"] {
+            let e18 = format!(
+                "{{\"cold_wall_ms\":8.0,\"warm_wall_ms\":2.0,\"warm_hit_rate\":0.9,\
+                 \"cold_page_reads\":64.0,\"warm_ta_vs_mem\":1.4{cold_page}}}"
+            );
+            let err = check(&artifact_full(&refs, GOOD_E22, GOOD_E16, &e18)).unwrap_err();
+            assert!(err.contains("cold_us_per_page_read"), "{err}");
+        }
     }
 
     #[test]
