@@ -17,11 +17,11 @@
 
 use fmdb_core::query::{Query, Target};
 use fmdb_garlic::catalog::Catalog;
-use fmdb_garlic::cost::CostEstimator;
 use fmdb_garlic::executor::{AlgoChoice, Garlic};
 use fmdb_garlic::object::Value;
 use fmdb_garlic::repository::{QbicRepository, TableRepository};
 use fmdb_media::synth::{SynthConfig, SyntheticDb};
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::stats::{AccessStats, CostModel};
 
 use crate::report::{f3, int, Report, Table};
@@ -91,11 +91,9 @@ pub fn run(cfg: &RunCfg) -> Report {
             let garlic = garlic_with_selectivity(n, sel, 21);
             for &(ratio, rname) in &ratios {
                 let model = CostModel::random_to_sorted_ratio(ratio).expect("valid ratio");
-                let estimator = CostEstimator {
-                    cost_model: model,
-                    ..CostEstimator::default()
-                };
-                let optimized = garlic.top_k_optimized(&q, k, &estimator).expect("runs");
+                let optimized = garlic
+                    .top_k_policy(&q, k, ExecPolicy::new().cost_model(model))
+                    .expect("runs");
                 if example_explanation.is_none() {
                     example_explanation = Some(optimized.explanation.clone());
                 }

@@ -1,7 +1,8 @@
 //! Shared helpers for the experiment binaries.
 //!
 //! Every experiment routes its top-k runs through one process-wide
-//! [`Engine`] behind the unified [`TopKRequest`] API: sorted access is
+//! [`Engine`] behind the unified
+//! [`TopKRequest`](fmdb_middleware::request::TopKRequest) API: sorted access is
 //! batched, random access flows through the shared grade cache. The
 //! engine is bit-identical to the scalar algorithms — same answers,
 //! same charged `sorted`/`random` counts — so the reproduced numbers

@@ -17,9 +17,6 @@
 //!   importance of subqueries (§5, \[FW97\]);
 //! * [`query`] — the query AST (atomic queries and their Boolean
 //!   combinations) with reference grading semantics;
-//! * [`request`] — validated, source-independent top-k request
-//!   parameters ([`request::TopKSpec`]), bound to concrete sources by
-//!   the middleware's `TopKRequest`;
 //! * [`stats`] — equi-depth grade-distribution histograms
 //!   ([`stats::GradeHistogram`]), the per-source statistics the
 //!   middleware's cost-based planner prices strategies with.
@@ -54,7 +51,6 @@
 pub mod float;
 pub mod graded_set;
 pub mod query;
-pub mod request;
 pub mod score;
 pub mod scoring;
 pub mod stats;
@@ -64,7 +60,6 @@ pub mod weights;
 pub mod prelude {
     pub use crate::graded_set::GradedSet;
     pub use crate::query::{AtomicQuery, Query, Target};
-    pub use crate::request::TopKSpec;
     pub use crate::score::{Score, ScoredObject};
     pub use crate::scoring::conorms::Max;
     pub use crate::scoring::means::ArithmeticMean;

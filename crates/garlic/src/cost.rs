@@ -1,215 +1,10 @@
-//! Cost-based plan selection (§4.2).
+//! Access pricing (§4.2, §6) is the middleware's [`CostModel`]; every
+//! estimate is `fmdb_middleware::planner::estimate_cost`'s.
 //!
-//! "Finally, there are cost modeling issues. In order to use an
-//! optimizer, we need to understand the cost of applying various
-//! operators over various data in various repositories." This module
-//! supplies that understanding for the four strategies the executor
-//! implements, using the paper's own cost formulas:
+//! The frozen `perfbench/` and `tests/pinned_answers.rs` spell the cost
+//! model `cost::CostEstimator`; the next `benchmark` PR drops this
+//! module.
 //!
-//! | plan | estimated accesses |
-//! |------|--------------------|
-//! | crisp-filter | `Σ_crisp (|S_c|+1)` sorted + `|S|·#fuzzy` random |
-//! | A₀ | `c·N^((m−1)/m)·k^(1/m)` (Theorem 4.1), split evenly between sorted and random |
-//! | max-merge | `m·k` sorted |
-//! | full scan | `m·N` sorted |
-//!
-//! The A₀ constant `c` is calibratable — [`CostEstimator::calibrate_fa`]
-//! fits it by probing a synthetic instance, mirroring how a real
-//! optimizer would maintain statistics. Estimates are priced through a
-//! [`CostModel`], so the §6 request for "a more realistic cost measure"
-//! is honored: re-pricing random accesses changes which plan wins.
+//! [`CostModel`]: fmdb_middleware::stats::CostModel
 
-use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::TopKAlgorithm;
-use fmdb_middleware::planner::{estimate_cost, CombinerKind, PhysicalPlan, PlanQuery};
-use fmdb_middleware::source::GradedSource;
-use fmdb_middleware::stats::CostModel;
-use fmdb_middleware::workload::independent_uniform;
-
-use crate::planner::PlanKind;
-
-/// Statistics a plan estimate needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanContext {
-    /// Universe size.
-    pub n: usize,
-    /// Number of conjuncts.
-    pub m: usize,
-    /// Answers requested.
-    pub k: usize,
-    /// Per-crisp-conjunct match counts, with the running intersection
-    /// bound in `crisp_survivors` (None when no crisp conjunct).
-    pub crisp_survivors: Option<u64>,
-    /// Number of crisp conjuncts.
-    pub crisp_count: usize,
-}
-
-impl PlanContext {
-    /// Context for a fully fuzzy query.
-    pub fn fuzzy(n: usize, m: usize, k: usize) -> PlanContext {
-        PlanContext {
-            n,
-            m,
-            k,
-            crisp_survivors: None,
-            crisp_count: 0,
-        }
-    }
-}
-
-/// Estimates the (priced) database access cost of each plan kind.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostEstimator {
-    /// The constant in A₀'s `c·N^((m−1)/m)·k^(1/m)` law. The default
-    /// 4.0 sits in the band measured by experiment E3 on independent
-    /// uniform grades.
-    pub fa_constant: f64,
-    /// Access pricing.
-    pub cost_model: CostModel,
-}
-
-impl Default for CostEstimator {
-    fn default() -> Self {
-        CostEstimator {
-            fa_constant: 4.0,
-            cost_model: CostModel::UNIFORM,
-        }
-    }
-}
-
-impl CostEstimator {
-    /// Calibrates the A₀ constant by probing a synthetic independent
-    /// instance of size `probe_n` (the statistics-gathering step a
-    /// production optimizer would run offline).
-    pub fn calibrate_fa(&mut self, probe_n: usize, m: usize, k: usize, seed: u64) {
-        let probe_n = probe_n.max(64);
-        let k = k.max(1).min(probe_n);
-        let m = m.max(2);
-        let mut sources = independent_uniform(probe_n, m, seed);
-        let mut refs: Vec<&mut dyn GradedSource> = sources
-            .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
-            .collect();
-        let result = FaginsAlgorithm
-            .top_k(&mut refs, &Min, k)
-            // lint:allow(no-panic): calibration probe over two synthetic in-memory sources; a failure is a bug in the probe itself
-            .expect("probe configuration is valid");
-        let law =
-            (probe_n as f64).powf((m as f64 - 1.0) / m as f64) * (k as f64).powf(1.0 / m as f64);
-        self.fa_constant = result.stats.database_access_cost() as f64 / law;
-    }
-
-    /// The estimated priced cost of running `kind` under `ctx`, or
-    /// `None` when the plan does not apply (crisp filter without a
-    /// crisp conjunct).
-    ///
-    /// The arithmetic lives in [`fmdb_middleware::planner::estimate_cost`]
-    /// — this is a thin adapter that translates garlic's [`PlanContext`]
-    /// into the unified planner's query description, so both entry
-    /// points price plans through one formula set.
-    pub fn estimate(&self, kind: PlanKind, ctx: &PlanContext) -> Option<f64> {
-        let mut query = PlanQuery::fuzzy(ctx.n, ctx.m, ctx.k).fa_constant(self.fa_constant);
-        let plan = match kind {
-            PlanKind::CrispFilter => {
-                query = query.crisp(ctx.crisp_count, ctx.crisp_survivors?);
-                PhysicalPlan::CrispFilter
-            }
-            PlanKind::FaginA0 => PhysicalPlan::Fa,
-            PlanKind::Ta => PhysicalPlan::Ta,
-            PlanKind::Ca { h } => PhysicalPlan::Ca { h },
-            PlanKind::MaxMerge => {
-                query = query.combiner(CombinerKind::MaxLike);
-                PhysicalPlan::MaxMerge
-            }
-            PlanKind::FullScan => PhysicalPlan::FullScan,
-        };
-        estimate_cost(plan, &query, None, &self.cost_model, 0.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn estimates_reproduce_the_paper_formulas() {
-        let e = CostEstimator::default();
-        let ctx = PlanContext::fuzzy(10_000, 2, 10);
-        assert_eq!(e.estimate(PlanKind::FullScan, &ctx), Some(20_000.0));
-        assert_eq!(e.estimate(PlanKind::MaxMerge, &ctx), Some(20.0));
-        let fa = e.estimate(PlanKind::FaginA0, &ctx).unwrap();
-        assert!((fa - 4.0 * (10_000.0f64 * 10.0).sqrt()).abs() < 1e-9);
-        // No crisp conjunct → no crisp-filter estimate.
-        assert_eq!(e.estimate(PlanKind::CrispFilter, &ctx), None);
-    }
-
-    #[test]
-    fn crisp_filter_estimate_tracks_selectivity() {
-        let e = CostEstimator::default();
-        let mut ctx = PlanContext::fuzzy(10_000, 2, 10);
-        ctx.crisp_survivors = Some(50);
-        ctx.crisp_count = 1;
-        // (50+1) sorted + 50·1 random = 101.
-        assert_eq!(e.estimate(PlanKind::CrispFilter, &ctx), Some(101.0));
-        ctx.crisp_survivors = Some(5_000);
-        assert_eq!(e.estimate(PlanKind::CrispFilter, &ctx), Some(10_001.0));
-    }
-
-    #[test]
-    fn pricing_changes_the_winner() {
-        let mut e = CostEstimator::default();
-        let mut ctx = PlanContext::fuzzy(1_000, 2, 10);
-        ctx.crisp_survivors = Some(400);
-        ctx.crisp_count = 1;
-        // Uniform pricing: crisp filter (801) beats A₀ (4·√10⁴ = 400)…
-        // actually A₀ wins here; raise the random price and the
-        // random-heavy plans lose ground to the scan.
-        let fa_uniform = e.estimate(PlanKind::FaginA0, &ctx).unwrap();
-        let scan_uniform = e.estimate(PlanKind::FullScan, &ctx).unwrap();
-        assert!(fa_uniform < scan_uniform);
-        e.cost_model = CostModel::random_to_sorted_ratio(50.0).expect("valid ratio");
-        let fa_pricey = e.estimate(PlanKind::FaginA0, &ctx).unwrap();
-        let scan_pricey = e.estimate(PlanKind::FullScan, &ctx).unwrap();
-        assert!(
-            fa_pricey > scan_pricey,
-            "expensive random access must favor the scan: {fa_pricey} vs {scan_pricey}"
-        );
-    }
-
-    #[test]
-    fn calibration_fits_the_observed_constant() {
-        let mut e = CostEstimator::default();
-        e.calibrate_fa(4_096, 2, 10, 7);
-        assert!(
-            (1.0..=8.0).contains(&e.fa_constant),
-            "calibrated constant {} outside plausible band",
-            e.fa_constant
-        );
-        // The calibrated estimate should predict a same-size run well.
-        let ctx = PlanContext::fuzzy(4_096, 2, 10);
-        let predicted = e.estimate(PlanKind::FaginA0, &ctx).unwrap();
-        let mut sources = independent_uniform(4_096, 2, 13);
-        let mut refs: Vec<&mut dyn GradedSource> = sources
-            .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
-            .collect();
-        let actual = FaginsAlgorithm
-            .top_k(&mut refs, &Min, 10)
-            .expect("valid run")
-            .stats
-            .database_access_cost() as f64;
-        assert!(
-            (predicted - actual).abs() / actual < 0.5,
-            "prediction {predicted} vs actual {actual}"
-        );
-    }
-
-    #[test]
-    fn k_is_capped_by_n() {
-        let e = CostEstimator::default();
-        let ctx = PlanContext::fuzzy(5, 2, 100);
-        let merge = e.estimate(PlanKind::MaxMerge, &ctx).unwrap();
-        assert_eq!(merge, 10.0); // m·min(k, N) = 2·5
-    }
-}
+pub use fmdb_middleware::stats::CostModel as CostEstimator;

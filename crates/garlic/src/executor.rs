@@ -3,43 +3,44 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 use fmdb_core::graded_set::GradedSet;
-use fmdb_core::query::{AtomicQuery, Query, QueryError};
+use fmdb_core::query::{AtomicQuery, Query, QueryError, ScoringHandle};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::conorms::Max;
 use fmdb_core::scoring::{ConormScoring, ScoringFunction};
-use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
-use fmdb_middleware::algorithms::fa::{FaginsAlgorithm, OwnedFaSession};
-use fmdb_middleware::algorithms::max_merge::MaxMerge;
+use fmdb_middleware::algorithms::fa::OwnedFaSession;
 use fmdb_middleware::algorithms::naive::Naive;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{AlgoError, TopKAlgorithm};
 use fmdb_middleware::engine::{Engine, EngineError};
-use fmdb_middleware::policy::ExecPolicy;
+use fmdb_middleware::planner::plan_algorithm;
+use fmdb_middleware::policy::{Algo, ExecPolicy};
 use fmdb_middleware::request::TopKQuery;
-use fmdb_middleware::source::{GradedSource, VecSource};
-use fmdb_middleware::stats::AccessStats;
+use fmdb_middleware::source::GradedSource;
+use fmdb_middleware::stats::{AccessStats, CostModel};
 
 use crate::catalog::{Catalog, CatalogError};
-use crate::cost::CostEstimator;
 use crate::object::{Oid, SubObjectIndex};
-use crate::planner::{bind, optimize, plan, plan_costed, BoundQuery, Combiner, Plan, PlanKind};
+use crate::planner::{bind, optimize, plan_costed, BoundQuery, Plan, PlanKind};
 
-/// Which top-k algorithm executes flat monotone plans.
+/// Which top-k algorithm executes flat monotone plans (the override
+/// [`Garlic::top_k_with`] takes; used by the experiments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AlgoChoice {
-    /// Let the planner decide (A₀ for conjunctions).
+    /// Let the planner decide.
     #[default]
     Auto,
-    /// Force plain A₀.
+    /// Force plain A₀ ([`Algo::Fa`]).
     Fa,
-    /// Force A₀ with pruned random access.
+    /// Force A₀ with pruned random access — a reference algorithm no
+    /// [`Algo`] names; reported as [`PlanKind::Fa`].
     PrunedFa,
-    /// Force the Threshold Algorithm (extension).
+    /// Force the Threshold Algorithm ([`Algo::Ta`]).
     Ta,
-    /// Force the naive full drain.
+    /// Force the naive full drain — the other reference algorithm;
+    /// reported as [`PlanKind::FullScan`].
     Naive,
 }
 
@@ -119,25 +120,6 @@ impl QueryResult {
     }
 }
 
-/// An adapter exposing a [`Combiner`] as a [`ScoringFunction`] for the
-/// middleware algorithms and the engine's shared requests.
-struct OwnedCombiner(Combiner);
-
-impl ScoringFunction for OwnedCombiner {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-    fn combine(&self, scores: &[Score]) -> Score {
-        self.0.combine(scores)
-    }
-    fn is_strict(&self) -> bool {
-        false // conservative; strictness is not needed for execution
-    }
-    fn is_monotone(&self) -> bool {
-        self.0.is_monotone()
-    }
-}
-
 /// A resumable top-k cursor over one query; see [`Garlic::cursor`].
 #[derive(Debug)]
 pub struct QueryCursor {
@@ -152,7 +134,7 @@ impl QueryCursor {
         Ok(QueryResult {
             answers: result.answers,
             stats: result.stats,
-            plan: PlanKind::FaginA0,
+            plan: PlanKind::Fa,
             explanation: "resumable A0 session (continue where we left off)".to_owned(),
         })
     }
@@ -202,32 +184,14 @@ impl Garlic {
     /// the unified planner's decision record for a nominal `k` of 10
     /// (plan chosen, per-candidate estimated costs, statistics basis).
     pub fn explain(&self, query: &Query) -> String {
-        let p = plan_costed(query, &self.catalog, 10, &CostEstimator::default());
+        let p = plan_costed(query, &self.catalog, 10, &CostModel::UNIFORM);
         format!("{}: {}", p.kind, p.explanation)
     }
 
-    /// Finds the top `k` answers, choosing the strategy through the
-    /// unified cost-based planner under the default estimator.
+    /// Finds the top `k` answers under the default [`ExecPolicy`]: the
+    /// cost-based choice under the paper's uniform cost measure.
     pub fn top_k(&self, query: &Query, k: usize) -> Result<QueryResult, ExecError> {
-        self.top_k_optimized(query, k, &CostEstimator::default())
-    }
-
-    /// Finds the top `k` answers with a **cost-based** plan choice
-    /// (§4.2's optimizer): every atom is graded once ([`bind`]),
-    /// strategies are priced through `estimator` on those lists
-    /// ([`optimize`]), and the cheapest valid one runs on them.
-    pub fn top_k_optimized(
-        &self,
-        query: &Query,
-        k: usize,
-        estimator: &CostEstimator,
-    ) -> Result<QueryResult, ExecError> {
-        if k == 0 {
-            return Err(ExecError::ZeroK);
-        }
-        let bound = bind(query, &self.catalog)?;
-        let p = optimize(&bound, k, estimator);
-        self.execute_plan(p, bound, query, k)
+        self.top_k_policy(query, k, ExecPolicy::default())
     }
 
     /// Finds the top `k` answers with an explicit algorithm override
@@ -238,34 +202,36 @@ impl Garlic {
         k: usize,
         choice: AlgoChoice,
     ) -> Result<QueryResult, ExecError> {
+        let forced = |algo| self.top_k_policy(query, k, ExecPolicy::new().algo(algo));
+        let pruned = PrunedFa::default();
+        let (reference, kind): (&dyn TopKAlgorithm, _) = match choice {
+            AlgoChoice::Auto => return self.top_k(query, k),
+            AlgoChoice::Fa => return forced(Algo::Fa),
+            AlgoChoice::Ta => return forced(Algo::Ta),
+            AlgoChoice::PrunedFa => (&pruned, PlanKind::Fa),
+            AlgoChoice::Naive => (&Naive, PlanKind::FullScan),
+        };
         if k == 0 {
             return Err(ExecError::ZeroK);
         }
-        if matches!(choice, AlgoChoice::Auto) {
-            return self.top_k_optimized(query, k, &CostEstimator::default());
-        }
         let bound = bind(query, &self.catalog)?;
-        let p = plan(query, &self.catalog);
+        // Where a forced algorithm may run is the planner's call.
+        let policy = ExecPolicy::new().algo(Algo::Fa);
+        let p = optimize(&bound, k, &policy)?;
         if p.kind == PlanKind::FullScan {
             return self.full_scan(query, bound, k, p.explanation);
         }
-        let pruned = PrunedFa::default();
-        let (algo, label): (&dyn TopKAlgorithm, &str) = match choice {
-            AlgoChoice::Naive => (&Naive, "forced naive"),
-            AlgoChoice::PrunedFa => (&pruned, "forced pruned A0"),
-            AlgoChoice::Ta => (&ThresholdAlgorithm, "forced TA"),
-            _ => (&FaginsAlgorithm, "algorithm A0"),
-        };
-        self.run_flat(bound, k, algo, PlanKind::FaginA0, label.to_owned())
+        let explanation = format!("forced reference algorithm {}", reference.name());
+        self.run_flat(bound, k, reference, Plan { kind, explanation }, policy)
     }
 
-    /// Finds the top `k` answers for a flat monotone query under an
-    /// explicit [`ExecPolicy`] — the policy picks the algorithm (CA,
-    /// the θ-approximations, …), the charged cost model, and the
-    /// per-request shard settings; the engine resolves it in
-    /// [`Engine::run`]. Plans without a flat form (full scans for
-    /// negation/reference semantics) ignore the policy and execute as
-    /// [`Garlic::top_k`] would.
+    /// Finds the top `k` answers under an explicit [`ExecPolicy`]:
+    /// every atom is graded once ([`bind`]), [`optimize`] picks the
+    /// strategy the policy names — or, for [`Algo::Auto`], prices the
+    /// candidates under the policy's cost model and θ on those lists —
+    /// and the winner runs on them with the policy's shard settings.
+    /// Full scans (negation, nesting, non-monotone scoring) run with
+    /// reference semantics whatever the policy says.
     pub fn top_k_policy(
         &self,
         query: &Query,
@@ -276,94 +242,52 @@ impl Garlic {
             return Err(ExecError::ZeroK);
         }
         let bound = bind(query, &self.catalog)?;
-        if bound.flat.is_none() {
-            return self.execute_plan(plan(query, &self.catalog), bound, query, k);
-        }
-        let (combiner, sources) = flat_parts(bound)?;
-        let request = TopKQuery::compose()
-            .sources(sources)
-            .scoring(OwnedCombiner(combiner))
-            .k(k)
-            .policy(policy)
-            .request()?;
-        // The engine's planner record: for explicit policies it names
-        // the forced algorithm, for `Algo::Auto` the cost-based choice.
-        let explain = self.engine.explain(&request)?;
-        let result = self.engine.run(&request)?;
-        Ok(QueryResult {
-            answers: result.answers,
-            stats: result.stats,
-            plan: PlanKind::from_physical(explain.chosen).unwrap_or(PlanKind::FaginA0),
-            explanation: format!("execution policy: {explain}"),
-        })
-    }
-
-    /// Runs a planner-selected plan on the bound sources.
-    fn execute_plan(
-        &self,
-        p: Plan,
-        bound: BoundQuery,
-        query: &Query,
-        k: usize,
-    ) -> Result<QueryResult, ExecError> {
+        let p = optimize(&bound, k, &policy)?;
         match p.kind {
+            // The two strategies above the algorithm layer.
             PlanKind::FullScan => self.full_scan(query, bound, k, p.explanation),
-            PlanKind::MaxMerge => self.run_max_merge(bound, k, p.explanation),
             PlanKind::CrispFilter => self.run_crisp_filter(bound, k, p.explanation),
-            PlanKind::FaginA0 => self.run_flat(bound, k, &FaginsAlgorithm, p.kind, p.explanation),
-            PlanKind::Ta => self.run_flat(bound, k, &ThresholdAlgorithm, p.kind, p.explanation),
-            PlanKind::Ca { h } => self.run_flat(
-                bound,
-                k,
-                &CombinedAlgorithm::new(h, 0.0),
-                p.kind,
-                p.explanation,
-            ),
+            kind => {
+                let algorithm = plan_algorithm(kind, policy.approximation.theta())
+                    .ok_or(ExecError::Internal("plan has no middleware algorithm"))?;
+                self.run_flat(bound, k, algorithm.as_ref(), p, policy)
+            }
         }
     }
 
+    /// Runs `algorithm` over the bound lists through the engine,
+    /// reporting `p`.
     fn run_flat(
         &self,
         bound: BoundQuery,
         k: usize,
-        algo: &dyn TopKAlgorithm,
-        kind: PlanKind,
-        explanation: String,
+        algorithm: &dyn TopKAlgorithm,
+        p: Plan,
+        policy: ExecPolicy,
     ) -> Result<QueryResult, ExecError> {
-        let (combiner, sources) = flat_parts(bound)?;
+        let Some((combiner, sources)) = bound.into_flat() else {
+            return Err(ExecError::Internal("non-FullScan plans carry a flat query"));
+        };
+        // The planner classified a merged combiner as max-like; run the
+        // merge under the canonical max so the algorithm's own guard
+        // accepts it too.
+        let scoring: ScoringHandle = if p.kind == PlanKind::MaxMerge {
+            Arc::new(ConormScoring(Max))
+        } else {
+            combiner
+        };
         let request = TopKQuery::compose()
             .sources(sources)
-            .scoring(OwnedCombiner(combiner))
+            .shared_scoring(scoring)
             .k(k)
+            .policy(policy)
             .request()?;
-        let result = self.engine.run_algorithm(algo, &request)?;
+        let result = self.engine.run_algorithm(algorithm, &request)?;
         Ok(QueryResult {
             answers: result.answers,
             stats: result.stats,
-            plan: kind,
-            explanation,
-        })
-    }
-
-    fn run_max_merge(
-        &self,
-        bound: BoundQuery,
-        k: usize,
-        explanation: String,
-    ) -> Result<QueryResult, ExecError> {
-        // The planner probed max-likeness; run the merge under the
-        // canonical max so the middleware's own probe also accepts it.
-        let request = TopKQuery::compose()
-            .sources(flat_parts(bound)?.1)
-            .scoring(ConormScoring(Max))
-            .k(k)
-            .request()?;
-        let result = self.engine.run_algorithm(&MaxMerge, &request)?;
-        Ok(QueryResult {
-            answers: result.answers,
-            stats: result.stats,
-            plan: PlanKind::MaxMerge,
-            explanation,
+            plan: p.kind,
+            explanation: p.explanation,
         })
     }
 
@@ -516,7 +440,7 @@ impl Garlic {
             .into_iter()
             .map(|s| Box::new(s) as Box<dyn GradedSource>)
             .collect();
-        let session = OwnedFaSession::new(boxed, Box::new(OwnedCombiner(combiner)))?;
+        let session = OwnedFaSession::new(boxed, Box::new(combiner))?;
         Ok(QueryCursor { session })
     }
 
@@ -545,14 +469,6 @@ impl Garlic {
         out.truncate(k);
         out
     }
-}
-
-/// The combiner and positional sources of a plan that needs a flat
-/// query.
-fn flat_parts(bound: BoundQuery) -> Result<(Combiner, Vec<VecSource>), ExecError> {
-    bound
-        .into_flat()
-        .ok_or(ExecError::Internal("non-FullScan plans carry a flat query"))
 }
 
 #[cfg(test)]
@@ -703,6 +619,50 @@ mod tests {
         // A θ-approximate policy still returns a full answer set.
         let approx = g.top_k_policy(&q, 6, ExecPolicy::new().theta(0.1)).unwrap();
         assert_eq!(approx.answers.len(), 6);
+    }
+
+    #[test]
+    fn every_door_reports_the_plan_that_ran() {
+        use fmdb_middleware::policy::Algo;
+
+        let fuzzy = Query::and(vec![
+            Query::atomic("Color", Target::Similar("red".into())),
+            Query::atomic("Shape", Target::Similar("round".into())),
+        ]);
+        let negated = Query::not(fuzzy.clone());
+        let g = small_qbic_garlic();
+        let auto = g.top_k(&fuzzy, 4).unwrap().plan;
+        assert_eq!(auto, PlanKind::Ta);
+
+        for (choice, ran) in [
+            (AlgoChoice::Auto, auto),
+            (AlgoChoice::Fa, PlanKind::Fa),
+            (AlgoChoice::Ta, PlanKind::Ta),
+            (AlgoChoice::PrunedFa, PlanKind::Fa),
+            (AlgoChoice::Naive, PlanKind::FullScan),
+        ] {
+            let flat = g.top_k_with(&fuzzy, 4, choice).unwrap();
+            assert_eq!(flat.plan, ran, "{choice:?}");
+            let scanned = g.top_k_with(&negated, 4, choice).unwrap();
+            assert_eq!(scanned.plan, PlanKind::FullScan, "{choice:?}, negated");
+        }
+        // The naive drain reads both 60-object lists to the end.
+        let naive = g.top_k_with(&fuzzy, 4, AlgoChoice::Naive).unwrap();
+        assert_eq!((naive.stats.sorted, naive.stats.random), (120, 0));
+
+        let nra = ExecPolicy::new().algo(Algo::Nra);
+        for (policy, ran) in [
+            (ExecPolicy::new(), auto),
+            (nra, PlanKind::Nra),
+            (nra.theta(0.1), PlanKind::ApproxNra),
+            (ExecPolicy::new().theta(0.1), PlanKind::ApproxTa),
+            (ExecPolicy::new().algo(Algo::Ca), PlanKind::Ca { h: 1 }),
+        ] {
+            let flat = g.top_k_policy(&fuzzy, 4, policy).unwrap();
+            assert_eq!(flat.plan, ran, "{policy:?}");
+            let scanned = g.top_k_policy(&negated, 4, policy).unwrap();
+            assert_eq!(scanned.plan, PlanKind::FullScan, "{policy:?}, negated");
+        }
     }
 
     fn small_qbic_garlic() -> Garlic {

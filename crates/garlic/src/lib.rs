@@ -3,9 +3,9 @@
 //! The Garlic-like integration layer (§4) of the reproduction of
 //! Fagin, *"Fuzzy Queries in Multimedia Database Systems"*
 //! (PODS 1998): autonomous repositories behind a catalog, a planner
-//! choosing between the crisp-filter strategy, algorithm A₀, the m·k
-//! disjunction merge, and reference-semantics full scans, and an
-//! executor that meters every database access.
+//! choosing between the crisp-filter strategy, the A₀ / threshold
+//! family, the m·k disjunction merge, and reference-semantics full
+//! scans, and an executor that meters every database access.
 //!
 //! * [`object`] — global ids, values, complex objects
 //!   (Advertisement/AdPhoto) with shared sub-objects;
@@ -14,9 +14,10 @@
 //!   repositories;
 //! * [`catalog`] — attribute routing + id translation;
 //! * [`planner`] — `bind` (grade each distinct atom once) then
-//!   `optimize` (cost-based strategy selection on the bound lists,
-//!   §4.2's cost-modeling issue), with numeric property probes;
-//! * [`cost`] — calibratable per-plan cost estimates;
+//!   `optimize` (§4.2's optimizer: the bound lists described to
+//!   `fmdb_middleware::planner::choose_plan`, whose plan enum, cost
+//!   formulas and combiner classifier garlic shares);
+//! * [`cost`] — a re-export of the middleware's cost model;
 //! * [`executor`] — the [`executor::Garlic`] facade;
 //! * [`sql`] — a small SQL-ish query syntax (extension);
 //! * [`demo`] — the paper's CD-store and advertisement examples,
@@ -50,12 +51,11 @@ pub mod sql;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::catalog::Catalog;
-    pub use crate::cost::{CostEstimator, PlanContext};
     pub use crate::demo::{ad_database, cd_store};
     pub use crate::executor::{AlgoChoice, ExecError, Garlic, QueryCursor, QueryResult};
     pub use crate::idmap::IdMapper;
     pub use crate::object::{ComplexObject, Oid, SubObjectIndex, Value};
-    pub use crate::planner::{plan, plan_costed, PlanKind};
+    pub use crate::planner::{plan_costed, PlanKind};
     pub use crate::repository::{named_color, QbicRepository, Repository, TableRepository};
     pub use crate::sql::parse;
 }

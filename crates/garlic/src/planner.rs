@@ -2,117 +2,78 @@
 //!
 //! Garlic's implementers "ultimately decided to treat A₀ as a join";
 //! picking the right physical strategy for a fuzzy query is exactly a
-//! planning problem, and the paper describes three regimes:
+//! planning problem, and the paper describes these regimes:
 //!
 //! * a conjunction with a selective **crisp** conjunct (the Beatles
 //!   example): evaluate the crisp predicate first, then random-access
 //!   the fuzzy grades of the survivors — cost proportional to the
 //!   selectivity, not to N^(1/2);
-//! * a monotone conjunction of fuzzy conjuncts: **algorithm A₀**;
+//! * a monotone conjunction of fuzzy conjuncts: **algorithm A₀** and
+//!   its threshold-family successors;
 //! * a disjunction under max: the **m·k merge**;
 //! * anything else (negation, nested mixes, non-monotone scoring):
 //!   fall back to a **full scan** with reference semantics.
 //!
-//! The planner cannot introspect a user-supplied scoring function
-//! symbolically, so — like Garlic, which had to "somehow guarantee
-//! monotonicity" — it *probes* the function numerically before
-//! committing to a plan that depends on an algebraic property.
-//!
 //! Planning is two steps. [`bind`] hands every distinct atom to its
-//! subsystem once and keeps the graded lists; [`optimize`] prices the
-//! strategies on those lists (their histograms are the statistics) and
-//! the executor runs the winner on the same lists. [`plan`] is the
-//! statistics-free shape ladder above, for callers that force an
-//! algorithm.
+//! subsystem once and keeps the graded lists; [`optimize`] describes
+//! the bound query in [`fmdb_middleware::planner`]'s terms — a
+//! [`PlanQuery`], [`QueryStats`] read off the lists, the combiner as
+//! classified by [`classify_combiner`] — and lets [`choose_plan`] price
+//! the strategies under the caller's [`ExecPolicy`]. The executor runs
+//! the winner on the same lists. This module owns no plan enum, cost
+//! formula or property probe of its own.
 
 use fmdb_core::query::{AtomicQuery, Query, ScoringHandle};
-use fmdb_core::score::Score;
 use fmdb_core::scoring::ScoringFunction;
-use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
-use fmdb_core::weights::Weighting;
-use fmdb_middleware::planner::{choose_plan, CombinerKind, PhysicalPlan, PlanQuery, QueryStats};
-use fmdb_middleware::policy::ExecPolicy;
-use fmdb_middleware::source::{GradedSource, VecSource};
-use fmdb_middleware::stats::SourceStats;
+use fmdb_core::weights::Weighted;
+use fmdb_middleware::algorithms::AlgoError;
+use fmdb_middleware::planner::{
+    choose_plan, classify_combiner, CombinerKind, PlanQuery, QueryStats,
+};
+use fmdb_middleware::policy::{Algo, ExecPolicy};
+use fmdb_middleware::source::VecSource;
+use fmdb_middleware::stats::CostModel;
 
 use crate::catalog::{Catalog, CatalogError};
-use crate::cost::CostEstimator;
 use crate::object::Oid;
 use crate::repository::AttributeKind;
 
-/// How the flat query combines its atoms' grades.
+/// The physical strategies: the unified planner's own enum.
+pub use fmdb_middleware::planner::PhysicalPlan as PlanKind;
+
+/// A query flattened to one combination level over atomic children.
 #[derive(Clone)]
-pub enum Combiner {
-    /// Plain m-ary scoring function.
-    Plain(ScoringHandle),
-    /// Fagin–Wimmers weighted rule.
-    Weighted(ScoringHandle, Weighting),
+pub struct FlatQuery {
+    /// The atomic subqueries in positional order.
+    pub atoms: Vec<AtomicQuery>,
+    /// The grade combiner (a Fagin–Wimmers weighted query carries its
+    /// [`Weighted`] rule).
+    pub combiner: ScoringHandle,
 }
 
 // `ScoringHandle` is a `dyn` function without a `Debug` bound, but it
 // does carry a display name — render that.
-impl std::fmt::Debug for Combiner {
+impl std::fmt::Debug for FlatQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Combiner::Plain(s) => f.debug_tuple("Plain").field(&s.name()).finish(),
-            Combiner::Weighted(s, w) => {
-                f.debug_tuple("Weighted").field(&s.name()).field(w).finish()
-            }
-        }
+        f.debug_struct("FlatQuery")
+            .field("atoms", &self.atoms)
+            .field("combiner", &self.combiner.name())
+            .finish()
     }
-}
-
-impl Combiner {
-    /// Evaluates the combiner on a grade tuple.
-    pub fn combine(&self, grades: &[Score]) -> Score {
-        match self {
-            Combiner::Plain(f) => f.combine(grades),
-            Combiner::Weighted(f, theta) => {
-                fmdb_core::weights::weighted_combine(&**f, theta, grades)
-            }
-        }
-    }
-
-    /// Display name.
-    pub fn name(&self) -> String {
-        match self {
-            Combiner::Plain(f) => f.name(),
-            Combiner::Weighted(f, theta) => {
-                format!("weighted({}, {:?})", f.name(), theta.weights())
-            }
-        }
-    }
-
-    /// Monotonicity as declared by the underlying function.
-    pub fn is_monotone(&self) -> bool {
-        match self {
-            Combiner::Plain(f) => f.is_monotone(),
-            Combiner::Weighted(f, _) => f.is_monotone(),
-        }
-    }
-}
-
-/// A query flattened to one combination level over atomic children.
-#[derive(Debug, Clone)]
-pub struct FlatQuery {
-    /// The atomic subqueries in positional order.
-    pub atoms: Vec<AtomicQuery>,
-    /// The grade combiner.
-    pub combiner: Combiner,
 }
 
 /// Flattens a query if it is a single And/Or/Weighted (or bare atom)
 /// over atomic children; returns `None` for nested or negated shapes.
 pub fn flatten(query: &Query) -> Option<FlatQuery> {
-    let (children, combiner) = match query {
+    let (children, combiner): (_, ScoringHandle) = match query {
         Query::Atomic(a) => {
             return Some(FlatQuery {
                 atoms: vec![a.clone()],
-                combiner: Combiner::Plain(std::sync::Arc::new(fmdb_core::scoring::tnorms::Min)),
+                combiner: std::sync::Arc::new(fmdb_core::scoring::tnorms::Min),
             })
         }
         Query::And { children, scoring } | Query::Or { children, scoring } => {
-            (children, Combiner::Plain(scoring.clone()))
+            (children, scoring.clone())
         }
         Query::Weighted {
             children,
@@ -120,7 +81,7 @@ pub fn flatten(query: &Query) -> Option<FlatQuery> {
             weighting,
         } => (
             children,
-            Combiner::Weighted(scoring.clone(), weighting.clone()),
+            std::sync::Arc::new(Weighted::new(scoring.clone(), weighting.clone())),
         ),
         Query::Not(_) => return None,
     };
@@ -137,174 +98,21 @@ pub fn flatten(query: &Query) -> Option<FlatQuery> {
     Some(FlatQuery { atoms, combiner })
 }
 
-/// The physical strategies the executor implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanKind {
-    /// Crisp conjuncts filter; fuzzy grades fetched by random access.
-    CrispFilter,
-    /// Algorithm A₀ over all conjuncts.
-    FaginA0,
-    /// The Threshold Algorithm over all conjuncts.
-    Ta,
-    /// The Combined Algorithm with interleave depth `h`.
-    Ca {
-        /// One random-access round per `h` sorted rounds.
-        h: usize,
-    },
-    /// The m·k disjunction merge.
-    MaxMerge,
-    /// Full scan with reference semantics.
-    FullScan,
-}
-
-impl PlanKind {
-    /// Maps a unified-planner choice onto a Garlic-executable plan.
-    /// `None` for the NRA family: Garlic's result grades are
-    /// user-facing, so the planner is always asked for exact grades
-    /// and never picks those.
-    pub fn from_physical(plan: PhysicalPlan) -> Option<PlanKind> {
-        match plan {
-            PhysicalPlan::Fa => Some(PlanKind::FaginA0),
-            PhysicalPlan::Ta => Some(PlanKind::Ta),
-            PhysicalPlan::Ca { h } => Some(PlanKind::Ca { h }),
-            PhysicalPlan::CrispFilter => Some(PlanKind::CrispFilter),
-            PhysicalPlan::MaxMerge => Some(PlanKind::MaxMerge),
-            PhysicalPlan::FullScan => Some(PlanKind::FullScan),
-            PhysicalPlan::Nra | PhysicalPlan::ApproxTa | PhysicalPlan::ApproxNra => None,
-        }
-    }
-}
-
-impl std::fmt::Display for PlanKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanKind::CrispFilter => write!(f, "crisp-filter"),
-            PlanKind::FaginA0 => write!(f, "fagin-a0"),
-            PlanKind::Ta => write!(f, "threshold-ta"),
-            PlanKind::Ca { .. } => write!(f, "combined-ca"),
-            PlanKind::MaxMerge => write!(f, "max-merge"),
-            PlanKind::FullScan => write!(f, "full-scan"),
-        }
-    }
-}
-
-/// A chosen plan plus the flattened query it applies to (absent for
-/// full scans of non-flat queries).
+/// A chosen plan and why.
 #[derive(Debug)]
 pub struct Plan {
     /// The strategy.
     pub kind: PlanKind,
-    /// The flattened query, when one exists.
-    pub flat: Option<FlatQuery>,
     /// Human-readable explanation of the choice.
     pub explanation: String,
 }
 
-/// Sample grid used by the numeric probes.
-const PROBE_SAMPLES: [f64; 4] = [0.15, 0.5, 0.85, 1.0];
-
-/// Probes whether a grade of 0 in any position forces the combined
-/// grade to 0 — the property the crisp-filter plan needs (true for
-/// every t-norm, false for means and for weighted rules with unequal
-/// weights).
-pub fn probe_zero_absorbing(combiner: &Combiner, arity: usize) -> bool {
-    if arity == 0 {
-        return false;
-    }
-    let mut args = vec![Score::ZERO; arity];
-    for pos in 0..arity {
-        for &fill in &PROBE_SAMPLES {
-            for (i, a) in args.iter_mut().enumerate() {
-                *a = if i == pos {
-                    Score::ZERO
-                } else {
-                    Score::clamped(fill)
-                };
-            }
-            if combiner.combine(&args) != Score::ZERO {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Probes whether the combiner behaves like max (the disjunction merge
-/// requirement).
-pub fn probe_max_like(combiner: &Combiner, arity: usize) -> bool {
-    if arity == 0 {
-        return false;
-    }
-    let mut args = vec![Score::ZERO; arity];
-    for &hi in &PROBE_SAMPLES {
-        for pos in 0..arity {
-            for (i, a) in args.iter_mut().enumerate() {
-                *a = if i == pos {
-                    Score::clamped(hi)
-                } else {
-                    Score::clamped(hi * 0.4)
-                };
-            }
-            let expect = args.iter().copied().fold(Score::ZERO, Score::max);
-            if !combiner.combine(&args).approx_eq(expect, 1e-9) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Chooses a plan for `query` against `catalog` by shape alone.
-pub fn plan(query: &Query, catalog: &Catalog) -> Plan {
-    plan_flat(flatten(query), |atom| {
-        catalog.attribute_kind(&atom.attribute) == Some(AttributeKind::Crisp)
-    })
-}
-
-/// The shape rules, over an already flattened query.
-fn plan_flat(flat: Option<FlatQuery>, is_crisp: impl Fn(&AtomicQuery) -> bool) -> Plan {
-    let Some(flat) = flat else {
-        return Plan {
+impl Plan {
+    fn full_scan(why: impl std::fmt::Display) -> Plan {
+        Plan {
             kind: PlanKind::FullScan,
-            flat: None,
-            explanation: "query is nested or negated; falling back to full scan".to_owned(),
-        };
-    };
-    let arity = flat.atoms.len();
-
-    if !flat.combiner.is_monotone() {
-        return Plan {
-            kind: PlanKind::FullScan,
-            flat: Some(flat),
-            explanation: "scoring function is not monotone; A0 would be incorrect".to_owned(),
-        };
-    }
-
-    if probe_max_like(&flat.combiner, arity) {
-        return Plan {
-            kind: PlanKind::MaxMerge,
-            flat: Some(flat),
-            explanation: format!("disjunction under max: m·k merge over {arity} lists"),
-        };
-    }
-
-    // Crisp filter applies when some conjunct is crisp and a 0 grade
-    // annihilates the combination.
-    let has_crisp = flat.atoms.iter().any(is_crisp);
-    if has_crisp && arity > 1 && probe_zero_absorbing(&flat.combiner, arity) {
-        return Plan {
-            kind: PlanKind::CrispFilter,
-            flat: Some(flat),
-            explanation:
-                "selective crisp conjunct filters candidates; fuzzy grades fetched by random access"
-                    .to_owned(),
-        };
-    }
-
-    Plan {
-        kind: PlanKind::FaginA0,
-        flat: Some(flat),
-        explanation: format!("monotone combination of {arity} graded lists: algorithm A0"),
+            explanation: format!("{why}; falling back to full scan"),
+        }
     }
 }
 
@@ -343,7 +151,7 @@ impl BoundQuery {
     /// The flat query's combiner and its sources in positional order.
     /// An atom's first occurrence takes its list; a repeat clones the
     /// one already placed.
-    pub(crate) fn into_flat(self) -> Option<(Combiner, Vec<VecSource>)> {
+    pub(crate) fn into_flat(self) -> Option<(ScoringHandle, Vec<VecSource>)> {
         let combiner = self.flat?.combiner;
         let mut bound: Vec<Option<VecSource>> =
             self.atoms.into_iter().map(|a| Some(a.source)).collect();
@@ -396,91 +204,85 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<BoundQuery, CatalogError
     })
 }
 
-/// Chooses a plan for a bound query by *estimated cost* (§4.2's
-/// optimizer), routing through the unified cost-based planner
-/// ([`fmdb_middleware::planner::choose_plan`]) — the same decision
-/// procedure `ExecPolicy::Algo::Auto` uses at the engine level.
-///
-/// The statistics are read from the bound sources themselves — per-atom
-/// grade histograms and exact crisp match counts — so pricing a plan
-/// costs no grading beyond what execution needs anyway. Garlic's result
-/// grades are user-facing, so the planner is asked for **exact
-/// grades** — the NRA family is never chosen here. Queries that are
-/// not flat or not monotone get [`plan`]'s full scan.
-pub fn optimize(bound: &BoundQuery, k: usize, estimator: &CostEstimator) -> Plan {
-    let Some(flat) = bound.flat.as_ref().filter(|f| f.combiner.is_monotone()) else {
-        // Both of `plan`'s full-scan rules fire before it looks at an
-        // attribute's kind.
-        return plan_flat(bound.flat.clone(), |_| false);
-    };
-    let arity = flat.atoms.len();
-    // An empty catalog makes every estimate 0; keep the formulas
-    // meaningful with a floor of one object.
-    let n = bound.universe.max(1);
-    let positional = || bound.positions.iter().filter_map(|&at| bound.atoms.get(at));
-
-    // Crisp statistics: our in-memory repositories can afford exact
-    // counts where a real optimizer would consult stored statistics.
-    let mut crisp_count = 0usize;
-    let mut survivors: Option<u64> = None;
-    for matches in positional().filter_map(|atom| atom.matches.as_ref()) {
-        crisp_count += 1;
-        let count = matches.len() as u64;
-        survivors = Some(survivors.map_or(count, |s| s.min(count)));
-    }
-
-    // Classify the combiner with the numeric probes (max-like first:
-    // at arity 1 both probes accept, and the k-prefix merge is then
-    // the cheapest correct plan).
-    let combiner = if probe_max_like(&flat.combiner, arity) {
+/// How `combiner` behaves over `arity` lists, for the cost model.
+fn combiner_kind(combiner: &dyn ScoringFunction, arity: usize) -> CombinerKind {
+    if arity == 1 {
+        // A one-list query is a k-prefix read: every t-norm, co-norm
+        // and mean is the identity on one argument, so the m·k merge
+        // (k sorted accesses) is the cheapest correct plan.
         CombinerKind::MaxLike
-    } else if probe_zero_absorbing(&flat.combiner, arity) {
-        CombinerKind::ZeroAbsorbing
     } else {
-        CombinerKind::Other
-    };
-
-    let mut pq = PlanQuery::fuzzy(n, arity, k)
-        .combiner(combiner)
-        .exact_grades()
-        .fa_constant(estimator.fa_constant);
-    if crisp_count > 0 && arity > 1 {
-        if let Some(s) = survivors {
-            pq = pq.crisp(crisp_count, s);
-        }
-    }
-
-    // Per-source equi-depth histograms, all-or-nothing: partial
-    // statistics would skew the comparison between plans.
-    let stats: Option<QueryStats> = positional()
-        .map(|atom| {
-            atom.source
-                .grade_histogram(DEFAULT_HISTOGRAM_BINS)
-                .map(SourceStats::new)
-        })
-        .collect::<Option<Vec<_>>>()
-        .map(QueryStats::new);
-
-    let policy = ExecPolicy::new().cost_model(estimator.cost_model);
-    let explain = choose_plan(&pq, stats.as_ref(), &policy);
-    let kind = PlanKind::from_physical(explain.chosen)
-        // Unreachable under `exact_grades`, but never panic on it.
-        .unwrap_or(PlanKind::FullScan);
-    Plan {
-        kind,
-        flat: Some(flat.clone()),
-        explanation: format!("cost-based choice: {explain}"),
+        classify_combiner(combiner, arity)
     }
 }
 
-/// [`bind`] then [`optimize`], with the graded lists dropped: the plan
-/// [`crate::executor::Garlic::top_k`] would run, without running it.
-/// When a subsystem refuses an atom there is nothing to price, and the
-/// answer is [`plan`]'s shape rules.
-pub fn plan_costed(query: &Query, catalog: &Catalog, k: usize, estimator: &CostEstimator) -> Plan {
+/// The one planner (§4.2's optimizer): chooses the strategy for a
+/// bound query under the caller's `policy`.
+///
+/// * A query that is not flat, or whose combiner is not monotone, gets
+///   a full scan with reference semantics — whatever the policy says.
+/// * A policy naming an algorithm gets [`ExecPolicy::plan`].
+/// * [`Algo::Auto`] is priced by [`choose_plan`] — the same decision
+///   procedure `Engine::run` uses — under the policy's cost model and
+///   θ. The statistics are read from the bound sources themselves
+///   (per-atom grade histograms, exact crisp match counts), so pricing
+///   costs no grading beyond what execution needs anyway. Garlic's
+///   result grades are user-facing, so the planner is asked for
+///   **exact grades** — the NRA family is never chosen here.
+///
+/// Fails only on a policy [`ExecPolicy::plan`] rejects (bad θ or cost
+/// units).
+pub fn optimize(bound: &BoundQuery, k: usize, policy: &ExecPolicy) -> Result<Plan, AlgoError> {
+    let Some(flat) = bound.flat.as_ref() else {
+        return Ok(Plan::full_scan("query is nested or negated"));
+    };
+    if !flat.combiner.is_monotone() {
+        return Ok(Plan::full_scan(
+            "scoring function is not monotone (A0 would be incorrect)",
+        ));
+    }
+    // Validates the policy's knobs even when `Auto` overrides the pick.
+    let forced = policy.plan()?;
+    if policy.algo != Algo::Auto {
+        return Ok(Plan {
+            kind: forced,
+            explanation: format!("execution policy names {forced}"),
+        });
+    }
+
+    let arity = flat.atoms.len();
+    let positional = || bound.positions.iter().filter_map(|&at| bound.atoms.get(at));
+    // An empty catalog makes every estimate 0; keep the formulas
+    // meaningful with a floor of one object.
+    let mut pq = PlanQuery::fuzzy(bound.universe.max(1), arity, k)
+        .combiner(combiner_kind(&flat.combiner, arity))
+        .exact_grades();
+    // Crisp statistics: our in-memory repositories can afford exact
+    // counts where a real optimizer would consult stored statistics.
+    let crisp = positional().filter_map(|atom| atom.matches.as_ref());
+    let fewest = crisp.clone().map(|m| m.len() as u64).min();
+    if let Some(survivors) = fewest.filter(|_| arity > 1) {
+        pq = pq.crisp(crisp.count(), survivors);
+    }
+    let stats = QueryStats::from_sources(positional().map(|atom| &atom.source));
+    let explain = choose_plan(&pq, stats.as_ref(), policy);
+    Ok(Plan {
+        kind: explain.chosen,
+        explanation: format!("cost-based choice: {explain}"),
+    })
+}
+
+/// [`bind`] then [`optimize`] under `cost`, with the graded lists
+/// dropped: the plan [`crate::executor::Garlic::top_k_policy`] would
+/// run under `ExecPolicy::new().cost_model(*cost)`, without running
+/// it. A query no subsystem will grade (or a cost model the policy
+/// rejects) has nothing to price: the answer is a full-scan plan whose
+/// explanation carries the error.
+pub fn plan_costed(query: &Query, catalog: &Catalog, k: usize, cost: &CostModel) -> Plan {
+    let policy = ExecPolicy::new().cost_model(*cost);
     match bind(query, catalog) {
-        Ok(bound) => optimize(&bound, k, estimator),
-        Err(_) => plan(query, catalog),
+        Ok(bound) => optimize(&bound, k, &policy).unwrap_or_else(Plan::full_scan),
+        Err(refused) => Plan::full_scan(refused),
     }
 }
 
@@ -490,20 +292,19 @@ mod tests {
     use crate::object::Value;
     use crate::repository::{QbicRepository, RepoError, TableRepository};
     use fmdb_core::query::Target;
-    use fmdb_core::scoring::conorms::Max;
-    use fmdb_core::scoring::means::ArithmeticMean;
-    use fmdb_core::scoring::tnorms::Min;
+    use fmdb_core::score::Score;
+    use fmdb_core::scoring::conorms::{
+        BoundedSum, DrasticSum, EinsteinSum, Max, ProbabilisticSum, YagerSum,
+    };
+    use fmdb_core::scoring::means::{ArithmeticMean, GeometricMean, HarmonicMean};
+    use fmdb_core::scoring::tnorms::{
+        Drastic, Einstein, Hamacher, Lukasiewicz, Min, Product, Yager,
+    };
     use fmdb_core::scoring::ConormScoring;
+    use fmdb_core::weights::Weighting;
     use fmdb_media::synth::{SynthConfig, SyntheticDb};
+    use fmdb_middleware::source::GradedSource;
     use std::sync::Arc;
-
-    fn catalog_with_crisp_artist() -> Catalog {
-        let mut t = TableRepository::new("cds", 3);
-        t.set(0, "Artist", Value::text("Beatles"));
-        let mut c = Catalog::new();
-        c.register(Box::new(t)).unwrap();
-        c
-    }
 
     fn artist() -> Query {
         Query::atomic("Artist", Target::Text("Beatles".into()))
@@ -513,90 +314,12 @@ mod tests {
         Query::atomic("AlbumColor", Target::Similar("red".into()))
     }
 
-    #[test]
-    fn beatles_query_gets_crisp_filter() {
-        let c = catalog_with_crisp_artist();
-        let q = Query::and(vec![artist(), color()]);
-        let p = plan(&q, &c);
-        assert_eq!(p.kind, PlanKind::CrispFilter);
-    }
-
-    #[test]
-    fn fuzzy_conjunction_gets_fa() {
-        let c = Catalog::new();
-        let q = Query::and(vec![
-            color(),
-            Query::atomic("Shape", Target::Similar("round".into())),
-        ]);
-        assert_eq!(plan(&q, &c).kind, PlanKind::FaginA0);
-    }
-
-    #[test]
-    fn mean_conjunction_with_crisp_cannot_use_crisp_filter() {
-        // The arithmetic mean is not zero-absorbing, so filtering on
-        // the crisp conjunct would drop objects with positive grades.
-        let c = catalog_with_crisp_artist();
-        let q = Query::and_with(vec![artist(), color()], Arc::new(ArithmeticMean));
-        assert_eq!(plan(&q, &c).kind, PlanKind::FaginA0);
-    }
-
-    #[test]
-    fn weighted_min_cannot_use_crisp_filter() {
-        let c = catalog_with_crisp_artist();
-        let theta = Weighting::from_ratios(&[2.0, 1.0]).unwrap();
-        let q = Query::weighted(vec![artist(), color()], Arc::new(Min), theta).unwrap();
-        // f_θ(0.9, 0) > 0 under weighted min, so crisp filtering is
-        // unsound; the planner must pick A0 instead.
-        assert_eq!(plan(&q, &c).kind, PlanKind::FaginA0);
-    }
-
-    #[test]
-    fn uniform_weighted_min_is_zero_absorbing_again() {
-        let c = catalog_with_crisp_artist();
-        let theta = Weighting::uniform(2).unwrap();
-        let q = Query::weighted(vec![artist(), color()], Arc::new(Min), theta).unwrap();
-        assert_eq!(plan(&q, &c).kind, PlanKind::CrispFilter);
-    }
-
-    #[test]
-    fn disjunction_gets_max_merge() {
-        let c = Catalog::new();
-        let q = Query::or(vec![color(), artist()]);
-        assert_eq!(plan(&q, &c).kind, PlanKind::MaxMerge);
-    }
-
-    #[test]
-    fn non_max_disjunction_gets_fa() {
-        let c = Catalog::new();
-        let q = Query::or_with(
-            vec![color(), artist()],
-            Arc::new(ConormScoring(fmdb_core::scoring::conorms::ProbabilisticSum)),
-        );
-        assert_eq!(plan(&q, &c).kind, PlanKind::FaginA0);
-    }
-
-    #[test]
-    fn negation_and_nesting_get_full_scan() {
-        let c = Catalog::new();
-        assert_eq!(plan(&Query::not(color()), &c).kind, PlanKind::FullScan);
-        let nested = Query::and(vec![color(), Query::or(vec![artist(), color()])]);
-        assert_eq!(plan(&nested, &c).kind, PlanKind::FullScan);
-    }
-
-    #[test]
-    fn bare_atom_is_planned_as_single_list_merge() {
-        // At arity 1 every monotone combiner degenerates to the
-        // identity, which the max probe accepts — and the m·k merge is
-        // then exactly "read the top k of the one list", the cheapest
-        // correct plan.
-        let c = Catalog::new();
-        let p = plan(&color(), &c);
-        assert_eq!(p.kind, PlanKind::MaxMerge);
-        assert_eq!(p.flat.unwrap().atoms.len(), 1);
+    fn shape() -> Query {
+        Query::atomic("AlbumShape", Target::Similar("round".into()))
     }
 
     /// `n` albums whose first `beatles` rows are Beatles records, with
-    /// QBIC-graded `AlbumColor`.
+    /// QBIC-graded `AlbumColor` / `AlbumShape` / `AlbumTexture`.
     fn album_catalog(n: usize, beatles: usize) -> Catalog {
         let mut t = TableRepository::new("cds", n as u64);
         for i in 0..beatles as u64 {
@@ -617,18 +340,110 @@ mod tests {
         c
     }
 
-    #[test]
-    fn costed_planner_picks_crisp_filter_only_when_selective() {
-        let estimator = CostEstimator::default();
-        let q = Query::and(vec![artist(), color()]);
-        // Selective crisp conjunct (1 of 30 objects): crisp filter wins.
-        let p = plan_costed(&q, &album_catalog(30, 1), 2, &estimator);
-        assert_eq!(p.kind, PlanKind::CrispFilter, "{}", p.explanation);
+    /// The plan for `q` where one album in 30 is a Beatles record: a
+    /// crisp conjunct as selective as it gets, so the crisp filter
+    /// wins wherever it applies.
+    fn selective(q: &Query) -> Plan {
+        plan_costed(q, &album_catalog(30, 1), 2, &CostModel::UNIFORM)
+    }
 
-        // Unselective crisp conjunct (everything matches): A0 or scan
-        // should win over filtering.
-        let p2 = plan_costed(&q, &album_catalog(1000, 1000), 2, &estimator);
-        assert_ne!(p2.kind, PlanKind::CrispFilter, "{}", p2.explanation);
+    #[test]
+    fn crisp_filter_applies_only_under_zero_absorbing_combiners() {
+        let min = selective(&Query::and(vec![artist(), color()]));
+        assert_eq!(min.kind, PlanKind::CrispFilter, "{}", min.explanation);
+
+        // The arithmetic mean is not zero-absorbing, so filtering on
+        // the crisp conjunct would drop objects with positive grades.
+        let mean = selective(&Query::and_with(
+            vec![artist(), color()],
+            Arc::new(ArithmeticMean),
+        ));
+        assert_ne!(mean.kind, PlanKind::CrispFilter, "{}", mean.explanation);
+
+        // f_θ(0.9, 0) > 0 under skew-weighted min: filtering is unsound…
+        let skew = Weighting::from_ratios(&[2.0, 1.0]).unwrap();
+        let q = Query::weighted(vec![artist(), color()], Arc::new(Min), skew).unwrap();
+        let skewed = selective(&q);
+        assert_ne!(skewed.kind, PlanKind::CrispFilter, "{}", skewed.explanation);
+
+        // …and sound again under uniform weights (D1: the plain rule).
+        let uniform = Weighting::uniform(2).unwrap();
+        let q = Query::weighted(vec![artist(), color()], Arc::new(Min), uniform).unwrap();
+        let even = selective(&q);
+        assert_eq!(even.kind, PlanKind::CrispFilter, "{}", even.explanation);
+    }
+
+    #[test]
+    fn crisp_filter_loses_when_unselective() {
+        // Everything matches: A0's family or a scan beats filtering.
+        let q = Query::and(vec![artist(), color()]);
+        let p = plan_costed(&q, &album_catalog(1000, 1000), 2, &CostModel::UNIFORM);
+        assert_ne!(p.kind, PlanKind::CrispFilter, "{}", p.explanation);
+    }
+
+    #[test]
+    fn fuzzy_conjunction_gets_an_exact_threshold_family_plan() {
+        let p = selective(&Query::and(vec![color(), shape()]));
+        assert!(
+            matches!(p.kind, PlanKind::Fa | PlanKind::Ta | PlanKind::Ca { .. }),
+            "{}",
+            p.explanation
+        );
+    }
+
+    #[test]
+    fn only_max_disjunctions_get_the_merge() {
+        // A realistic universe: the m·k merge (10 accesses) must beat
+        // every other estimate.
+        let c = album_catalog(1000, 10);
+        let max = plan_costed(
+            &Query::or(vec![color(), artist()]),
+            &c,
+            5,
+            &CostModel::UNIFORM,
+        );
+        assert_eq!(max.kind, PlanKind::MaxMerge, "{}", max.explanation);
+
+        let q = Query::or_with(
+            vec![color(), artist()],
+            Arc::new(ConormScoring(ProbabilisticSum)),
+        );
+        let other = plan_costed(&q, &c, 5, &CostModel::UNIFORM);
+        assert_ne!(other.kind, PlanKind::MaxMerge, "{}", other.explanation);
+        assert_ne!(other.kind, PlanKind::FullScan, "{}", other.explanation);
+    }
+
+    #[test]
+    fn negation_and_nesting_get_full_scan() {
+        assert_eq!(selective(&Query::not(color())).kind, PlanKind::FullScan);
+        let nested = Query::and(vec![color(), Query::or(vec![artist(), color()])]);
+        assert_eq!(selective(&nested).kind, PlanKind::FullScan);
+    }
+
+    #[test]
+    fn bare_atom_is_planned_as_single_list_merge() {
+        // A one-list query is a k-prefix read: the m·k merge over the
+        // one list is the cheapest correct plan.
+        assert_eq!(flatten(&color()).unwrap().atoms.len(), 1);
+        assert_eq!(selective(&color()).kind, PlanKind::MaxMerge);
+    }
+
+    #[test]
+    fn a_forced_policy_is_the_plan_where_an_algorithm_may_run() {
+        let c = album_catalog(30, 3);
+        let forced = ExecPolicy::new().algo(Algo::Nra).theta(0.1);
+        let flat = bind(&Query::and(vec![artist(), color()]), &c).unwrap();
+        assert_eq!(
+            optimize(&flat, 5, &forced).unwrap().kind,
+            PlanKind::ApproxNra
+        );
+        let negated = bind(&Query::not(color()), &c).unwrap();
+        assert_eq!(
+            optimize(&negated, 5, &forced).unwrap().kind,
+            PlanKind::FullScan
+        );
+        // Bad knobs are the caller's error, under `Auto` too.
+        assert!(optimize(&flat, 5, &ExecPolicy::new().theta(-1.0)).is_err());
     }
 
     #[test]
@@ -657,43 +472,145 @@ mod tests {
             bind(&unknown, &c),
             Err(CatalogError::Repo(RepoError::UnknownTarget(_)))
         ));
-        // The infallible entry point answers with the shape rules.
-        assert_eq!(
-            plan_costed(&unknown, &c, 5, &CostEstimator::default()).kind,
-            plan(&unknown, &c).kind
+        // The infallible entry point has nothing to price and says why.
+        let p = plan_costed(&unknown, &c, 5, &CostModel::UNIFORM);
+        assert_eq!(p.kind, PlanKind::FullScan);
+        assert!(
+            p.explanation.contains("chartreuse-ish"),
+            "{}",
+            p.explanation
         );
     }
 
-    #[test]
-    fn costed_planner_prefers_merge_for_disjunctions() {
-        let estimator = CostEstimator::default();
-        // A realistic universe: the m·k merge (10 accesses) must beat
-        // A0's ≈ 4·√(kN) estimate.
-        let mut c = Catalog::new();
-        c.register(Box::new(TableRepository::new("rows", 1000)))
-            .unwrap();
-        let q = Query::or(vec![color(), artist()]);
-        let p = plan_costed(&q, &c, 5, &estimator);
-        assert_eq!(p.kind, PlanKind::MaxMerge, "{}", p.explanation);
+    /// The shipped scoring functions, in the order of the tables below.
+    fn shipped() -> Vec<ScoringHandle> {
+        vec![
+            Arc::new(Min),
+            Arc::new(Product),
+            Arc::new(Lukasiewicz),
+            Arc::new(Drastic),
+            Arc::new(Einstein),
+            Arc::new(Hamacher::new(0.5).unwrap()),
+            Arc::new(Yager::new(2.0).unwrap()),
+            Arc::new(ConormScoring(Max)),
+            Arc::new(ConormScoring(ProbabilisticSum)),
+            Arc::new(ConormScoring(BoundedSum)),
+            Arc::new(ConormScoring(DrasticSum)),
+            Arc::new(ConormScoring(EinsteinSum)),
+            Arc::new(ConormScoring(YagerSum::new(2.0).unwrap())),
+            Arc::new(ArithmeticMean),
+            Arc::new(GeometricMean),
+            Arc::new(HarmonicMean),
+        ]
     }
 
-    #[test]
-    fn costed_planner_falls_back_for_non_flat_queries() {
-        let estimator = CostEstimator::default();
-        let c = Catalog::new();
-        let q = Query::not(color());
-        assert_eq!(plan_costed(&q, &c, 5, &estimator).kind, PlanKind::FullScan);
+    /// Skewed weight ratios; the first `m` weight an `m`-ary query.
+    const SKEW: [f64; 4] = [4.0, 3.0, 2.0, 1.0];
+
+    fn weighted(f: &ScoringHandle, weighting: Weighting) -> ScoringHandle {
+        Arc::new(Weighted::new(f.clone(), weighting))
     }
 
+    /// What garlic's own two probes (max-like first, then
+    /// zero-absorbing) answered at 02d7b6e, before they were deleted
+    /// for [`classify_combiner`]: per function, arity 1–4 ×
+    /// (plain, uniform-weighted, `SKEW`-weighted); `M`ax-like,
+    /// `Z`ero-absorbing, `O`ther.
+    const KINDS: [(&str, &str); 16] = [
+        ("min", "MMM ZZO ZZO ZZO"),
+        ("product", "MMM ZZO ZZO ZZO"),
+        ("lukasiewicz", "MMM ZZO ZZO ZZO"),
+        ("drastic", "MMM ZZO ZZO ZZO"),
+        ("einstein", "MMM ZZO ZZO ZZO"),
+        ("hamacher(0.5)", "MMM ZZO ZZO ZZO"),
+        ("yager(2)", "MMM ZZO ZZO ZZO"),
+        ("max", "MMM MMO MMO MMO"),
+        ("prob-sum", "MMM OOO OOO OOO"),
+        ("bounded-sum", "MMM OOO OOO OOO"),
+        ("drastic-sum", "MMM OOO OOO OOO"),
+        ("einstein-sum", "MMM OOO OOO OOO"),
+        ("yager-sum(2)", "MMM OOO OOO OOO"),
+        ("arith-mean", "MMM OOO OOO OOO"),
+        ("geo-mean", "MMM ZZO ZZO ZZO"),
+        ("harm-mean", "MMM ZZO ZZO ZZO"),
+    ];
+
     #[test]
-    fn probes_classify_shipped_functions() {
-        let min = Combiner::Plain(Arc::new(Min));
-        assert!(probe_zero_absorbing(&min, 3));
-        assert!(!probe_max_like(&min, 3));
-        let mean = Combiner::Plain(Arc::new(ArithmeticMean));
-        assert!(!probe_zero_absorbing(&mean, 3));
-        let max = Combiner::Plain(Arc::new(ConormScoring(Max)));
-        assert!(probe_max_like(&max, 3));
-        assert!(!probe_zero_absorbing(&max, 3));
+    fn classification_matches_the_deleted_probes() {
+        for (f, (name, want)) in shipped().iter().zip(KINDS) {
+            assert_eq!(f.name(), name);
+            let mut got = String::new();
+            for arity in 1..=4usize {
+                let uniform = Weighting::uniform(arity).unwrap();
+                let skew = Weighting::from_ratios(&SKEW[..arity]).unwrap();
+                for combiner in [f.clone(), weighted(f, uniform), weighted(f, skew)] {
+                    got.push(match combiner_kind(&combiner, arity) {
+                        CombinerKind::MaxLike => 'M',
+                        CombinerKind::ZeroAbsorbing => 'Z',
+                        CombinerKind::Other => 'O',
+                    });
+                }
+                got.push(' ');
+            }
+            assert_eq!(got.trim_end(), want, "{name}");
+        }
+    }
+
+    /// FNV-1a digests of the deleted `Combiner::Weighted(f, SKEW)`'s
+    /// grade bits over `{0, .15, .5, .85, 1}^m` (first argument
+    /// fastest) for m = 2 then m = 3, captured at 02d7b6e.
+    const WEIGHTED_DIGESTS: [u64; 16] = [
+        0xa734_17d0_4c21_65cc,
+        0xf9c7_1155_f537_4c78,
+        0xdfc7_f23c_3ac9_5829,
+        0xf435_1f12_b8f1_1a73,
+        0x3eb3_4189_36d7_bc29,
+        0xf26b_ec04_3ea4_5195,
+        0x1cbe_8420_4c1c_1f3d,
+        0xee2d_8e39_06fa_3fa8,
+        0xc2a2_ec1e_c4cf_809b,
+        0xc55b_0090_a3d7_9630,
+        0xff43_d16b_7873_a43e,
+        0x0027_8ba7_3303_8ce8,
+        0xe573_2d93_539c_deb3,
+        0x7057_a3de_2190_6465,
+        0x918d_bcaf_ae93_ffc1,
+        0xec30_6625_71b4_ede8,
+    ];
+
+    #[test]
+    fn a_weighted_query_combines_as_the_deleted_combiner_did() {
+        const GRID: [f64; 5] = [0.0, 0.15, 0.5, 0.85, 1.0];
+        for (f, want) in shipped().iter().zip(WEIGHTED_DIGESTS) {
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for arity in 2..=3usize {
+                // Through `flatten`, as a query's combiner is built.
+                let weighting = Weighting::from_ratios(&SKEW[..arity]).unwrap();
+                let q = Query::weighted(vec![color(); arity], f.clone(), weighting).unwrap();
+                let combiner = flatten(&q).unwrap().combiner;
+                for point in 0..GRID.len().pow(arity as u32) {
+                    let grades: Vec<Score> = (0..arity as u32)
+                        .map(|i| Score::clamped(GRID[point / GRID.len().pow(i) % GRID.len()]))
+                        .collect();
+                    for byte in combiner.combine(&grades).value().to_bits().to_le_bytes() {
+                        digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+            assert_eq!(digest, want, "{}", f.name());
+        }
+        let q = Query::weighted(
+            vec![artist(), color()],
+            Arc::new(Min),
+            Weighting::from_ratios(&[2.0, 1.0]).unwrap(),
+        )
+        .unwrap();
+        let combiner = flatten(&q).unwrap().combiner;
+        assert_eq!(
+            combiner.name(),
+            "weighted(min, [0.6666666666666666, 0.3333333333333333])"
+        );
+        let third = combiner.combine(&[Score::ONE, Score::ZERO]).value();
+        assert_eq!(third.to_bits(), 0x3fd5_5555_5555_5555);
     }
 }

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use fmdb_core::query::{AtomicQuery, Query, Target};
 use fmdb_garlic::catalog::{Catalog, CatalogError};
-use fmdb_garlic::cost::CostEstimator;
 use fmdb_garlic::demo::ARTISTS;
 use fmdb_garlic::executor::{AlgoChoice, ExecError, Garlic, QueryResult};
 use fmdb_garlic::object::{Oid, Value};
@@ -126,12 +125,9 @@ fn every_plan_grades_each_distinct_atom_once() {
     let fuzzy = || Query::and(vec![similar("Color", "red"), similar("Texture", "coarse")]);
     check("ta", PlanKind::Ta, 2, 0, |g| g.top_k(&fuzzy(), 5));
 
-    let pricey = CostEstimator {
-        cost_model: CostModel::random_to_sorted_ratio(10.0).unwrap(),
-        ..CostEstimator::default()
-    };
+    let pricey = ExecPolicy::new().cost_model(CostModel::random_to_sorted_ratio(10.0).unwrap());
     let (garlic, calls) = counted_store();
-    let ca = garlic.top_k_optimized(&fuzzy(), 5, &pricey).unwrap();
+    let ca = garlic.top_k_policy(&fuzzy(), 5, pricey).unwrap();
     assert!(
         matches!(ca.plan, PlanKind::Ca { .. }),
         "c_R/c_S = 10 should interleave: {}",
@@ -139,7 +135,7 @@ fn every_plan_grades_each_distinct_atom_once() {
     );
     assert_eq!(calls.take(), (2, 0), "ca");
 
-    check("forced a0", PlanKind::FaginA0, 2, 0, |g| {
+    check("forced a0", PlanKind::Fa, 2, 0, |g| {
         g.top_k_with(&fuzzy(), 5, AlgoChoice::Fa)
     });
 

@@ -40,7 +40,7 @@
 //! results are identical to the brute-force scan, bit for bit. The
 //! zone-map bound is computed with the *same* unrolled kernel in the
 //! same accumulation order as the per-object distances (see
-//! [`EmbeddedCorpus::block_lower_bound`]), which makes whole-block
+//! `EmbeddedCorpus::block_lower_bound`), which makes whole-block
 //! skipping exact too, not just approximately safe.
 
 use std::fmt;
@@ -196,7 +196,7 @@ pub fn squared_euclidean_4wide(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// The squared Euclidean distance between two embedded coordinate
-/// slices. Accumulated block-by-block through [`squared_block`]'s
+/// slices. Accumulated block-by-block through `squared_block`'s
 /// fixed eight-lane order, so it is bitwise identical to a completed
 /// [`EmbeddedCorpus::squared_distance_abandoning`] evaluation.
 #[inline]
@@ -587,11 +587,11 @@ impl EmbeddedCorpus {
     /// soon as the running sum strictly exceeds `threshold_sq`, else
     /// the exact squared distance.
     ///
-    /// The sum is accumulated block-by-block in [`squared_block`]'s
+    /// The sum is accumulated block-by-block in `squared_block`'s
     /// fixed eight-lane order — the same order [`squared_euclidean`]
     /// uses — so a completed evaluation is bitwise identical to the
     /// plain scan. The abandon check runs once per
-    /// [`ABANDON_STRIDE`]-dimension block, not per lane, keeping the
+    /// `ABANDON_STRIDE`-dimension block, not per lane, keeping the
     /// unrolled lanes free of branches;
     /// `threshold_sq = f64::INFINITY` never abandons.
     pub fn squared_distance_abandoning(

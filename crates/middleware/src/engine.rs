@@ -639,31 +639,29 @@ impl Engine {
     /// has no crisp-predicate structure; the Garlic layer adds that).
     fn plan(&self, request: &TopKRequest) -> Explain {
         let m = request.sources().len();
-        let mut n = 0usize;
-        let mut per_source = Vec::with_capacity(m);
-        for source in request.sources() {
-            // Residency hint: the fraction of this source's past random
-            // accesses the grade cache answered (0 when never probed).
-            let (hits, misses) = self.source_cache_counters(source);
-            let probed = hits + misses;
-            let residency = if probed == 0 {
-                0.0
-            } else {
-                hits as f64 / probed as f64
-            };
-            let guard = lock(source);
-            n = n.max(guard.info().universe_size);
-            per_source.push(
-                guard
-                    .grade_histogram(fmdb_core::stats::DEFAULT_HISTOGRAM_BINS)
-                    .map(|h| crate::stats::SourceStats::new(h).with_residency(residency)),
-            );
-        }
-        // Partial statistics would skew the comparison: all-or-nothing.
-        let stats: Option<QueryStats> = per_source
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .map(QueryStats::new);
+        // One source lock at a time: requests may share handles.
+        let sources = request.sources().iter();
+        let sizes = sources.clone().map(|s| lock(s).info().universe_size);
+        let n = sizes.max().unwrap_or(0);
+        let stats = QueryStats::from_sources(sources.clone().map(|s| lock(s))).map(|stats| {
+            let with_residency = stats
+                .per_source
+                .into_iter()
+                .zip(sources)
+                .map(|(s, source)| {
+                    // Residency hint: the fraction of this source's past
+                    // random accesses the grade cache answered (0 when
+                    // never probed).
+                    let (hits, misses) = self.source_cache_counters(source);
+                    let probed = hits + misses;
+                    s.with_residency(if probed == 0 {
+                        0.0
+                    } else {
+                        hits as f64 / probed as f64
+                    })
+                });
+            QueryStats::new(with_residency.collect())
+        });
         let combiner = crate::planner::classify_combiner(request.scoring().as_ref(), m.max(1));
         let query = PlanQuery::fuzzy(n, m, request.k()).combiner(combiner);
         crate::planner::choose_plan(&query, stats.as_ref(), request.policy())

@@ -5,10 +5,11 @@
 //! repositories." This module is that understanding, in one place:
 //! a [`PhysicalPlan`] enum naming every strategy the workspace can
 //! execute, cost formulas pricing each of them through the caller's
-//! [`CostModel`], and one [`choose_plan`] entry point that *both*
-//! auto-selection paths — `ExecPolicy::Algo::Auto` resolved by
-//! `Engine::run`, and the Garlic planner's cost-based mode — route
-//! through. The old per-layer heuristics are gone, not wrapped.
+//! [`CostModel`], and one [`choose_plan`] entry point with exactly two
+//! callers — `Engine::run` resolving `ExecPolicy::Algo::Auto`, and the
+//! Garlic planner's `optimize`, which adds the crisp structure — so
+//! the Garlic layer plans, classifies, prices and labels in this
+//! module's terms and owns no planning noun of its own.
 //!
 //! ## The cost model
 //!
@@ -168,9 +169,12 @@ pub enum CombinerKind {
     Other,
 }
 
-/// Classifies a scoring function by probing it on a small grade grid —
-/// the same technique the Garlic planner uses on query combiners, now
-/// shared so the engine can classify arbitrary request scorings.
+/// Classifies a scoring function by probing it on a small grade grid:
+/// a user-supplied function cannot be introspected symbolically, so —
+/// like Garlic, which had to "somehow guarantee monotonicity" (§4.2) —
+/// the planner probes it numerically before committing to a plan that
+/// depends on an algebraic property. The engine (request scorings) and
+/// the Garlic planner (query combiners) both classify through here.
 pub fn classify_combiner(scoring: &dyn ScoringFunction, arity: usize) -> CombinerKind {
     use fmdb_core::score::Score;
     let m = arity.max(1);
@@ -235,10 +239,8 @@ pub struct PlanQuery {
     /// than true grades (NRA, θ-NRA) are excluded from the candidate
     /// set. The Garlic facade sets this: its results are user-facing.
     pub exact_grades: bool,
-    /// Calibrated constant for Theorem 4.1's closed-form A₀ estimate,
-    /// used when no histograms are available (see
-    /// [`fa_theorem41_cost`]). Garlic's `CostEstimator::calibrate_fa`
-    /// fits it by measuring a live A₀ run.
+    /// Constant for Theorem 4.1's closed-form A₀ estimate, used only
+    /// when no histograms are available (see [`fa_theorem41_cost`]).
     pub fa_constant: f64,
     /// Expected fraction of sorted entries a full scan can skip via
     /// block-max pruning (zone maps over the embedded corpus, page
@@ -323,19 +325,26 @@ impl QueryStats {
         QueryStats { per_source }
     }
 
-    /// Gathers statistics from sources via the
-    /// [`GradedSource::grade_histogram`] hook. Returns `None` unless
-    /// *every* source can provide a histogram — partial statistics
-    /// would silently skew the comparison between plans.
-    pub fn from_sources(sources: &mut [&mut dyn GradedSource]) -> Option<QueryStats> {
-        let per_source: Option<Vec<SourceStats>> = sources
-            .iter()
+    /// Gathers statistics from sources, in order, via the
+    /// [`GradedSource::grade_histogram`] hook — the one place planning
+    /// statistics are collected. Returns `None` unless *every* source
+    /// can provide a histogram — partial statistics would silently
+    /// skew the comparison between plans. Items are anything that
+    /// dereferences to a source (`&VecSource`, a lock guard, …), each
+    /// dropped before the next is produced.
+    pub fn from_sources<S>(sources: impl IntoIterator<Item = S>) -> Option<QueryStats>
+    where
+        S: std::ops::Deref,
+        S::Target: GradedSource,
+    {
+        sources
+            .into_iter()
             .map(|s| {
                 s.grade_histogram(DEFAULT_HISTOGRAM_BINS)
                     .map(SourceStats::new)
             })
-            .collect();
-        Some(QueryStats::new(per_source?))
+            .collect::<Option<Vec<_>>>()
+            .map(QueryStats::new)
     }
 }
 
@@ -403,8 +412,7 @@ impl fmt::Display for Explain {
 
 /// Theorem 4.1's closed-form A₀ cost, `c · N^{(m−1)/m} · k^{1/m}`,
 /// charged half as sorted and half as random access — the stats-free
-/// estimate Garlic's calibrated estimator has always used, now owned
-/// by the unified planner.
+/// A₀ estimate.
 pub fn fa_theorem41_cost(n: usize, m: usize, k: usize, constant: f64, cost: &CostModel) -> f64 {
     let n = n.max(1) as f64;
     let m = m.max(1) as f64;
@@ -901,6 +909,35 @@ mod tests {
                 "{plan}: estimated {est:.0}, measured {measured:.0}"
             );
         }
+    }
+
+    #[test]
+    fn stats_free_estimates_reproduce_the_paper_formulas() {
+        let u = CostModel::UNIFORM;
+        let price = |plan, q: &PlanQuery, cost: &CostModel| estimate_cost(plan, q, None, cost, 0.0);
+        let q = PlanQuery::fuzzy(10_000, 2, 10).fa_constant(4.0);
+        // m·N, m·k, and Theorem 4.1's c·√(N·k) at m = 2.
+        assert_eq!(price(PhysicalPlan::FullScan, &q, &u), Some(20_000.0));
+        let max = q.clone().combiner(CombinerKind::MaxLike);
+        assert_eq!(price(PhysicalPlan::MaxMerge, &max, &u), Some(20.0));
+        assert_eq!(price(PhysicalPlan::MaxMerge, &q, &u), None);
+        let fa = price(PhysicalPlan::Fa, &q, &u).unwrap();
+        assert!((fa - 4.0 * (10_000.0f64 * 10.0).sqrt()).abs() < 1e-9);
+        // Crisp filter: (s+1) sorted + s·#fuzzy random; no crisp
+        // conjunct → no estimate.
+        assert_eq!(price(PhysicalPlan::CrispFilter, &q, &u), None);
+        let crisp = |s| price(PhysicalPlan::CrispFilter, &q.clone().crisp(1, s), &u);
+        assert_eq!(crisp(50), Some(101.0));
+        assert_eq!(crisp(5_000), Some(10_001.0));
+        // k is capped by N: m·min(k, N) = 2·5.
+        let tiny = PlanQuery::fuzzy(5, 2, 100).combiner(CombinerKind::MaxLike);
+        assert_eq!(price(PhysicalPlan::MaxMerge, &tiny, &u), Some(10.0));
+        // Pricing changes the winner: expensive random access moves the
+        // random-heavy A₀ behind the sorted-only scan.
+        let q = PlanQuery::fuzzy(1_000, 2, 10).fa_constant(4.0);
+        assert!(price(PhysicalPlan::Fa, &q, &u) < price(PhysicalPlan::FullScan, &q, &u));
+        let pricey = CostModel::random_to_sorted_ratio(50.0).unwrap();
+        assert!(price(PhysicalPlan::Fa, &q, &pricey) > price(PhysicalPlan::FullScan, &q, &pricey));
     }
 
     #[test]

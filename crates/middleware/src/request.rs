@@ -38,7 +38,6 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use fmdb_core::request::{SpecError, TopKSpec};
 use fmdb_core::scoring::ScoringFunction;
 use fmdb_core::weights::{Weighted, Weighting};
 
@@ -69,7 +68,8 @@ pub fn shared_source(source: impl GradedSource + Send + 'static) -> SharedSource
 pub struct TopKQuery {
     sources: Vec<SharedSource>,
     scoring: SharedScoring,
-    spec: TopKSpec,
+    k: usize,
+    weights: Option<Weighting>,
 }
 
 impl std::fmt::Debug for TopKQuery {
@@ -101,12 +101,12 @@ impl TopKQuery {
 
     /// How many answers are requested.
     pub fn k(&self) -> usize {
-        self.spec.k()
+        self.k
     }
 
     /// The normalized subquery weights, if the query is weighted.
     pub fn weights(&self) -> Option<&Weighting> {
-        self.spec.weights().filter(|w| !w.is_uniform())
+        self.weights.as_ref().filter(|w| !w.is_uniform())
     }
 
     /// The effective scoring function: the one supplied to the
@@ -306,25 +306,26 @@ impl TopKQueryBuilder {
         if self.sources.is_empty() {
             return Err(AlgoError::NoSources);
         }
-        let spec = match &self.weights {
-            None => TopKSpec::new(self.k),
-            Some(ratios) => TopKSpec::weighted(self.k, ratios),
+        if self.k == 0 {
+            return Err(AlgoError::ZeroK);
         }
-        .map_err(|e| match e {
-            SpecError::ZeroK => AlgoError::ZeroK,
-            SpecError::Weights(w) => AlgoError::InvalidRequest(format!("invalid weights: {w}")),
-        })?;
-        if !spec.fits_arity(self.sources.len()) {
+        let weights = self
+            .weights
+            .map(|ratios| Weighting::from_ratios(&ratios))
+            .transpose()
+            .map_err(|w| AlgoError::InvalidRequest(format!("invalid weights: {w}")))?;
+        // An unweighted query fits any arity; a weighted one only its own.
+        if let Some(w) = weights.as_ref().filter(|w| w.arity() != self.sources.len()) {
             return Err(AlgoError::InvalidRequest(format!(
                 "{} weights for {} sources",
-                spec.weights().map_or(0, Weighting::arity),
+                w.arity(),
                 self.sources.len()
             )));
         }
         let base = self
             .scoring
             .ok_or_else(|| AlgoError::InvalidRequest("no scoring function supplied".to_owned()))?;
-        let scoring = match spec.weights() {
+        let scoring = match &weights {
             // Uniform weights are the unweighted rule (property D1) —
             // skip the wrapper so counts and grades match the plain
             // scoring exactly.
@@ -334,7 +335,8 @@ impl TopKQueryBuilder {
         Ok(TopKQuery {
             sources: self.sources,
             scoring,
-            spec,
+            k: self.k,
+            weights,
         })
     }
 
@@ -428,14 +430,27 @@ mod tests {
                 .build(),
             Err(AlgoError::InvalidRequest(_))
         ));
+        // Bad weight vectors: negative, empty, all-zero.
+        for bad in [&[-1.0][..], &[], &[0.0]] {
+            assert!(matches!(
+                TopKQuery::compose()
+                    .source(src(&[0.5]))
+                    .scoring(Min)
+                    .k(1)
+                    .weights(bad)
+                    .build(),
+                Err(AlgoError::InvalidRequest(_))
+            ));
+        }
+        // A zero k is reported before anything about the weights.
         assert!(matches!(
             TopKQuery::compose()
                 .source(src(&[0.5]))
                 .scoring(Min)
-                .k(1)
-                .weights(&[-1.0])
+                .k(0)
+                .weights(&[])
                 .build(),
-            Err(AlgoError::InvalidRequest(_))
+            Err(AlgoError::ZeroK)
         ));
     }
 
@@ -449,7 +464,10 @@ mod tests {
             .weights(&[2.0, 1.0])
             .build()
             .unwrap();
-        assert!(query.weights().is_some());
+        // Ratios are normalised to sum to 1.
+        let w = query.weights().expect("skewed weights are kept");
+        assert_eq!(w.arity(), 2);
+        assert!((w.weights()[0] - 2.0 / 3.0).abs() < 1e-12);
         // Weighted-min of (1.0, 0.0) under θ=(2/3, 1/3): the formula
         // gives θ₁−θ₂ + 2θ₂·min = 1/3 ≠ plain min = 0.
         let g = query.scoring().combine(&[s(1.0), s(0.0)]);

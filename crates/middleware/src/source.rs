@@ -460,7 +460,7 @@ impl VecSource {
         )
     }
 
-    /// Builds a source from a [`GradedSet`] over oids — the natural
+    /// Builds a source from a [`fmdb_core::graded_set::GradedSet`] over oids — the natural
     /// bridge when a subsystem's answer was materialized as a fuzzy set
     /// (§3) and must now be re-exposed through the access model (§4).
     pub fn from_graded_set(
@@ -930,13 +930,13 @@ mod tests {
         let bare = VecSource::from_dense("t", &[s(0.3), s(0.9), s(0.5), s(0.1)]);
         let want = bare.grade_histogram(4);
         assert!(want.is_some());
-        let mut validating = ValidatingSource::new(bare.clone());
-        let mut counting = CountingSource::new(bare.clone());
+        let validating = ValidatingSource::new(bare.clone());
+        let counting = CountingSource::new(bare.clone());
         assert_eq!(validating.grade_histogram(4), want);
         assert_eq!(counting.grade_histogram(4), want);
         assert_eq!(validating.page_io(), bare.page_io());
-        let mut refs: Vec<&mut dyn GradedSource> = vec![&mut validating, &mut counting];
-        assert!(crate::planner::QueryStats::from_sources(&mut refs).is_some());
+        let refs: [&dyn GradedSource; 2] = [&validating, &counting];
+        assert!(crate::planner::QueryStats::from_sources(refs).is_some());
     }
 
     #[test]

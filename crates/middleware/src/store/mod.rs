@@ -6,8 +6,8 @@
 //! module makes the Fagin–Lotem–Naor cost model *physical*: a store
 //! file lays out a grade-descending **sorted run** and an
 //! oid-ascending **random table** in fixed-size checksummed pages
-//! ([`format`]), read through a lock-striped LRU **buffer pool** with
-//! pin counts ([`PagePool`] — the engine's grade-cache machinery
+//! ([`mod@format`]), read through a lock-striped LRU **buffer pool** with
+//! pin counts (`PagePool` — the engine's grade-cache machinery
 //! generalized to page frames), with an optional **read-ahead worker**
 //! that streams the sorted run's next pages over a bounded channel,
 //! mirroring the engine's prefetch-worker idiom.

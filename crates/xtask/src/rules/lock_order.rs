@@ -19,7 +19,7 @@
 //!   types collapse into one node (collisions are curated by renaming
 //!   or a justified `lint:allow(lock-order)`);
 //! * *any* guard-returning definition makes a call an acquisition
-//!   ([`SymbolTable::any_returns_guard`]) — missing an acquisition
+//!   ([`crate::symbols::SymbolTable::any_returns_guard`]) — missing an acquisition
 //!   would hide an edge;
 //! * self-edges (`A → A`) are ignored: re-acquiring the same *class*
 //!   is usually a different stripe of a striped structure, and

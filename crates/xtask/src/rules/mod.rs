@@ -1,7 +1,8 @@
 //! The lint rules and the driver that applies them.
 //!
-//! Every rule is a pure function from an analyzed [`SourceFile`] (plus
-//! occasionally workspace-wide context) to diagnostics. The driver
+//! Every rule is a pure function from an analyzed
+//! [`crate::workspace::SourceFile`] (plus occasionally workspace-wide
+//! context) to diagnostics. The driver
 //! here applies scoping policy uniformly: findings inside
 //! `#[cfg(test)]` regions, test/bench/example files, or under a valid
 //! `lint:allow` suppression are dropped **after** the rule runs, so

@@ -10,10 +10,11 @@
 //! cargo run --release --example ad_campaign
 //! ```
 
-use fuzzymm::garlic::cost::CostEstimator;
 use fuzzymm::garlic::demo::{ad_database, cd_store};
 use fuzzymm::garlic::executor::Garlic;
 use fuzzymm::garlic::sql::parse;
+use fuzzymm::middleware::policy::ExecPolicy;
+use fuzzymm::middleware::stats::CostModel;
 
 fn main() {
     // --- Part 1: complex objects -------------------------------------
@@ -43,23 +44,29 @@ fn main() {
     }
 
     // --- Part 2: the cost-based optimizer ----------------------------
+    // The same queries under the paper's uniform cost measure and under
+    // "a random access costs 20 sorted ones" (Fagin–Lotem–Naor's
+    // c_R/c_S): re-pricing flips the fuzzy conjunction off TA.
     let store = cd_store(1_000, 55);
-    let mut estimator = CostEstimator::default();
-    estimator.calibrate_fa(4_096, 2, 10, 9);
-    println!(
-        "\ncost-based optimizer (A0 constant calibrated to {:.2}):",
-        estimator.fa_constant
-    );
-    for sql in [
-        "SELECT TOP 10 WHERE Artist='Beatles' AND Color~'red'", // selective crisp → filter
-        "SELECT TOP 10 WHERE Color~'red' AND Shape~'round'",    // fuzzy only → A0
-        "SELECT TOP 10 WHERE Color~'red' OR Texture~'coarse'",  // disjunction → m·k merge
+    let pricey = CostModel::random_to_sorted_ratio(20.0).expect("a valid ratio");
+    for (label, cost) in [
+        ("c_R/c_S = 1", CostModel::UNIFORM),
+        ("c_R/c_S = 20", pricey),
     ] {
-        let stmt = parse(sql).expect("well-formed");
-        let result = store
-            .top_k_optimized(&stmt.query, stmt.k, &estimator)
-            .expect("query runs");
-        println!("  {sql}");
-        println!("    {} — actual cost {}", result.explanation, result.stats);
+        println!("\ncost-based optimizer under {label}:");
+        for sql in [
+            // A crisp conjunct matching 1 album in 5 is too unselective
+            // to filter on: TA, then CA once probes are expensive.
+            "SELECT TOP 10 WHERE Artist='Beatles' AND Color~'red'",
+            "SELECT TOP 10 WHERE Color~'red' AND Shape~'round'", // fuzzy only: TA, then CA
+            "SELECT TOP 10 WHERE Color~'red' OR Texture~'coarse'", // disjunction: m·k merge
+        ] {
+            let stmt = parse(sql).expect("well-formed");
+            let result = store
+                .top_k_policy(&stmt.query, stmt.k, ExecPolicy::new().cost_model(cost))
+                .expect("query runs");
+            println!("  {sql}");
+            println!("    {} — actual cost {}", result.explanation, result.stats);
+        }
     }
 }

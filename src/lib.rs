@@ -50,7 +50,6 @@ pub mod prelude {
     pub use fmdb_core::scoring::{Conorm, ConormScoring, ScoringFunction, TNorm};
     pub use fmdb_core::weights::{weighted_combine, Weighted, Weighting};
     pub use fmdb_garlic::catalog::Catalog;
-    pub use fmdb_garlic::cost::CostEstimator;
     pub use fmdb_garlic::demo::{ad_database, cd_store};
     pub use fmdb_garlic::executor::{AlgoChoice, Garlic, QueryCursor, QueryResult};
     pub use fmdb_garlic::planner::PlanKind;

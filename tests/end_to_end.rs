@@ -306,7 +306,7 @@ fn optimizer_and_heuristic_agree_on_answers() {
         let stmt = parse(sql).expect("well-formed");
         let heuristic = garlic.top_k(&stmt.query, stmt.k).expect("runs");
         let optimized = garlic
-            .top_k_optimized(&stmt.query, stmt.k, &estimator)
+            .top_k_policy(&stmt.query, stmt.k, ExecPolicy::new().cost_model(estimator))
             .expect("runs");
         let hg: Vec<Score> = heuristic.answers.iter().map(|a| a.grade).collect();
         let og: Vec<Score> = optimized.answers.iter().map(|a| a.grade).collect();
