@@ -44,14 +44,7 @@ fn persist(sources: &mut [VecSource], page_size: usize, pool_pages: usize) -> Ve
             let path = store_dir().join(format!("e18-p{page_size}-s{i}.fmdb"));
             build_store_from_source(&path, s, &BuildConfig::with_page_size(page_size))
                 .expect("build store");
-            PagedStore::open(
-                &path,
-                StoreOptions {
-                    pool_pages: (pool_pages > 0).then_some(pool_pages),
-                    readahead: Some(4),
-                },
-            )
-            .expect("open store")
+            PagedStore::open(&path, StoreOptions::with_pool_pages(pool_pages)).expect("open store")
         })
         .collect()
 }
@@ -98,20 +91,15 @@ fn drain_stores(stores: &[PagedStore]) -> f64 {
 
 /// Wall-clock µs per page read of a full cold sorted drain: one
 /// 65 536-entry list at the default page size (258 sorted-run pages),
-/// pool cleared before each of three drains, fastest kept. Read-ahead
-/// is off, so every read is a demand read on the measuring thread and
-/// the figure is the whole price of a page miss — `pread` from the OS
-/// cache, checksum, frame install, entry decode — not a cold − warm
-/// difference.
+/// pool cleared before each of three drains, fastest kept. Every read
+/// is a demand read on the measuring thread, so the figure is the
+/// whole price of a page miss — `pread` from the OS cache, checksum,
+/// frame install, entry decode — not a cold − warm difference.
 fn cold_us_per_page_read() -> f64 {
     let path = store_dir().join("e18-cold-drain.fmdb");
     let mut list = independent_uniform(1 << 16, 1, 18).remove(0);
     build_store_from_source(&path, &mut list, &BuildConfig::DEFAULT).expect("build store");
-    let options = StoreOptions {
-        pool_pages: Some(1024),
-        readahead: None,
-    };
-    let store = PagedStore::open(&path, options).expect("open store");
+    let store = PagedStore::open(&path, StoreOptions::with_pool_pages(1024)).expect("open store");
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         store.clear_pool();
@@ -169,7 +157,6 @@ pub fn run(cfg: &RunCfg) -> Report {
             "cold page reads",
             "warm ms",
             "warm hit rate",
-            "readahead loads",
         ],
     );
 
@@ -196,14 +183,12 @@ pub fn run(cfg: &RunCfg) -> Report {
         } else {
             warm_io.hits as f64 / warm_total as f64
         };
-        let readahead: u64 = stores.iter().map(|s| s.readahead_loads()).sum();
         t.row(vec![
             page_size.to_string(),
             f3(cold_ms),
             int(cold_io.reads),
             f3(warm_ms),
             f3(hit_rate),
-            int(readahead),
         ]);
         for err in stores_errors(&stores) {
             report.note(format!("store error (should not happen): {err}"));
@@ -284,9 +269,9 @@ pub fn run(cfg: &RunCfg) -> Report {
     ));
 
     report.note(
-        "cold queries pay one read per distinct page touched (sorted pages stream \
-         sequentially with read-ahead; TA's random probes each fault a random-table \
-         page); warm queries re-run with every frame resident and read nothing — the \
+        "cold queries pay one read per distinct page touched (sorted pages are read \
+         in order as the cursor reaches them; TA's random probes each fault a \
+         random-table page); warm queries re-run with every frame resident and read nothing — the \
          flat access count of [Fa96] is identical in both runs, which is exactly the \
          mispricing §6 warns about.",
     );

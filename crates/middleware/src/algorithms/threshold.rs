@@ -256,9 +256,9 @@ impl Family {
         // lower bound — or below the shared bound on the global k-th
         // grade — cannot reach the top k, so that grade is a valid
         // per-source [`GradedSource::note_threshold`] hint. Purely
-        // physical (e.g. gating read-ahead of provably useless pages):
-        // answers and charges never change. Mean-like combiners never
-        // feed.
+        // physical (a streaming source may stop grading below it; no
+        // shipped source listens yet): answers and charges never
+        // change. Mean-like combiners never feed.
         let feed = classify_combiner(scoring, m) == CombinerKind::ZeroAbsorbing;
         let (mut bottoms, mut exhausted) = (vec![Score::ONE; m], vec![false; m]);
         let mut seen = Seen::default();

@@ -26,8 +26,8 @@
 //! thread over one proxy per source. The engine spawns threads in two
 //! places only: [`Engine::run_many`]'s request pool, and the shard
 //! workers of a request whose [`crate::policy::ShardPolicy`] asks for
-//! them ([`crate::sharded`]). A source is in memory or brings its own
-//! read-ahead ([`crate::store`]); against a remote subsystem it is
+//! them ([`crate::sharded`]). A source is in memory or reads its pages
+//! on demand ([`crate::store`]); against a remote subsystem it is
 //! batching that pays (`benches/engine.rs`, `engine_batched/remote`).
 //!
 //! Because batching preserves per-stream order and only moves *when*
@@ -44,7 +44,7 @@
 //! [`AccessStats::cache_hits`]: crate::stats::AccessStats::cache_hits
 //! [`AccessStats::cache_misses`]: crate::stats::AccessStats::cache_misses
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
@@ -219,54 +219,10 @@ impl SourceRegistry {
 /// Number of independent LRU segments in the engine's cache.
 const CACHE_STRIPES: usize = 8;
 
-/// One segment of the [`StripedGradeCache`]: the shared [`LruCore`]
-/// replacement machinery (which also backs the paged store's buffer
-/// pool, [`crate::store`]) plus the per-source split of its counters.
-#[derive(Debug)]
-struct Stripe {
-    core: LruCore<CacheKey, Score>,
-    /// Per-source-identity (hits, misses) split of the core's totals —
-    /// the raw signal behind the planner's cache-residency hints.
-    per_source: HashMap<u64, (u64, u64)>,
-}
-
-impl Stripe {
-    /// Looks `key` up, refreshing its recency on a hit.
-    fn get(&mut self, key: CacheKey) -> Option<Score> {
-        let found = self.core.get(key);
-        if self.per_source.len() >= self.split_limit() && !self.per_source.contains_key(&key.0) {
-            // A new identity with the splits at their bound: keep only
-            // those of sources that still have a grade resident.
-            let resident: HashSet<u64> = self.core.keys().map(|key| key.0).collect();
-            self.per_source.retain(|id, _| resident.contains(id));
-        }
-        let split = self.per_source.entry(key.0).or_insert((0, 0));
-        if found.is_some() {
-            split.0 += 1;
-        } else {
-            split.1 += 1;
-        }
-        found
-    }
-
-    /// The bound on `per_source`. A caller that wraps fresh lists per
-    /// query (the garlic layer) presents a new source identity every
-    /// time, and a split kept for each of them forever is a leak. At
-    /// most `capacity` sources can have a grade resident, so once the
-    /// splits number twice that, those of sources with nothing left in
-    /// the cache are dropped — like [`StripedGradeCache::clear`],
-    /// counters go with the content they describe. A sweep leaves at
-    /// most half the bound behind, so its cost is amortised O(1) per
-    /// new source; the floor keeps tiny caches from sweeping on every
-    /// other source.
-    fn split_limit(&self) -> usize {
-        self.core.capacity().saturating_mul(2).max(64)
-    }
-}
-
 /// A bounded, lock-striped LRU memo of random-access grades: `N`
-/// independent segments, each behind its own mutex, selected by key
-/// hash.
+/// independent segments — the `LruCore` replacement machinery that
+/// also backs the paged store's buffer pool ([`crate::store`]) — each
+/// behind its own mutex, selected by key hash.
 ///
 /// The paper's model makes grades immutable for the duration of a
 /// query ("repeated random access for the same object returns the same
@@ -290,7 +246,7 @@ impl Stripe {
 /// guarantee is all the engine promises (and all telemetry needs).
 #[derive(Debug)]
 pub struct StripedGradeCache {
-    stripes: Vec<Mutex<Stripe>>,
+    stripes: Vec<Mutex<LruCore<CacheKey, Score>>>,
 }
 
 impl StripedGradeCache {
@@ -306,17 +262,13 @@ impl StripedGradeCache {
         } else {
             capacity.div_ceil(n)
         };
-        let stripe = || Stripe {
-            core: LruCore::new(per),
-            per_source: HashMap::new(),
-        };
         StripedGradeCache {
-            stripes: (0..n).map(|_| Mutex::new(stripe())).collect(),
+            stripes: (0..n).map(|_| Mutex::new(LruCore::new(per))).collect(),
         }
     }
 
     /// The segment owning `key`, locked.
-    fn stripe(&self, key: CacheKey) -> MutexGuard<'_, Stripe> {
+    fn stripe(&self, key: CacheKey) -> MutexGuard<'_, LruCore<CacheKey, Score>> {
         // Multiplicative mixing of both key halves; the high bits are
         // the best-mixed, so index with them.
         let h = key
@@ -333,7 +285,7 @@ impl StripedGradeCache {
     /// Inserts (or refreshes) a grade, evicting the least recently used
     /// entries of its stripe beyond capacity.
     fn insert(&self, key: CacheKey, grade: Score) {
-        self.stripe(key).core.insert(key, grade);
+        self.stripe(key).insert(key, grade);
     }
 
     /// Cumulative (hits, misses) summed over all stripes — see the
@@ -341,7 +293,7 @@ impl StripedGradeCache {
     pub fn counters(&self) -> (u64, u64) {
         self.stripes.iter().fold((0, 0), |(h, m), s| {
             let guard = lock(s);
-            (h + guard.core.hits(), m + guard.core.misses())
+            (h + guard.hits(), m + guard.misses())
         })
     }
 
@@ -350,43 +302,26 @@ impl StripedGradeCache {
     /// [`StripedGradeCache::counters`]). Reset together with the
     /// hit/miss counters by [`StripedGradeCache::clear`].
     pub fn evictions(&self) -> u64 {
-        self.stripes.iter().map(|s| lock(s).core.evictions()).sum()
-    }
-
-    /// Cumulative (hits, misses) charged against one source identity
-    /// while it has had grades in the cache, summed over all stripes
-    /// (same snapshot guarantee as [`StripedGradeCache::counters`]);
-    /// `(0, 0)` for a source whose grades have all been evicted and
-    /// whose split was dropped with them. This is the signal the
-    /// planner turns into a cache-residency hint.
-    pub fn source_counters(&self, source_id: u64) -> (u64, u64) {
-        self.stripes.iter().fold((0, 0), |(h, m), s| {
-            let (sh, sm) = lock(s)
-                .per_source
-                .get(&source_id)
-                .copied()
-                .unwrap_or((0, 0));
-            (h + sh, m + sm)
-        })
+        self.stripes.iter().map(|s| lock(s).evictions()).sum()
     }
 
     /// Grades currently cached, summed over all stripes.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| lock(s).core.len()).sum()
+        self.stripes.iter().map(|s| lock(s).len()).sum()
     }
 
     /// True when no stripe holds anything.
     pub fn is_empty(&self) -> bool {
-        self.stripes.iter().all(|s| lock(s).core.is_empty())
+        self.stripes.iter().all(|s| lock(s).is_empty())
     }
 
     /// Total capacity across stripes.
     pub fn capacity(&self) -> usize {
-        self.stripes.iter().map(|s| lock(s).core.capacity()).sum()
+        self.stripes.iter().map(|s| lock(s).capacity()).sum()
     }
 
     /// Drops every cached grade **and** resets the hit/miss/eviction
-    /// counters and per-source splits.
+    /// counters.
     ///
     /// The counters describe the lifetime of the cached content; each
     /// stripe is cleared independently, and a stripe that kept stale
@@ -399,9 +334,7 @@ impl StripedGradeCache {
     /// admit.
     pub fn clear(&self) {
         for s in &self.stripes {
-            let mut stripe = lock(s);
-            stripe.core.clear();
-            stripe.per_source.clear();
+            lock(s).clear();
         }
     }
 }
@@ -557,17 +490,6 @@ impl Engine {
         self.cache.clear();
     }
 
-    /// Cumulative cache (hits, misses) charged against `source` across
-    /// every request served. The hit fraction is the cache-residency
-    /// hint [`Engine::explain`] attaches to the source's statistics —
-    /// a *latency* signal only: the paper's charged cost counts a
-    /// cache-served random access all the same, so residency never
-    /// changes which plan the charged-cost comparison picks.
-    pub fn source_cache_counters(&self, source: &SharedSource) -> (u64, u64) {
-        let id = lock(&self.registry).identify(source);
-        self.cache.source_counters(id)
-    }
-
     /// Cumulative [`AccessStats`] folded over every *successful*
     /// request this engine has served. Monotone; diff two snapshots to
     /// meter a workload.
@@ -638,30 +560,12 @@ impl Engine {
     /// policy, treating the query as a plain fuzzy top-k (the engine
     /// has no crisp-predicate structure; the Garlic layer adds that).
     fn plan(&self, request: &TopKRequest) -> Explain {
-        let m = request.sources().len();
+        let sources = request.sources();
+        let m = sources.len();
         // One source lock at a time: requests may share handles.
-        let sources = request.sources().iter();
-        let sizes = sources.clone().map(|s| lock(s).info().universe_size);
+        let sizes = sources.iter().map(|s| lock(s).info().universe_size);
         let n = sizes.max().unwrap_or(0);
-        let stats = QueryStats::from_sources(sources.clone().map(|s| lock(s))).map(|stats| {
-            let with_residency = stats
-                .per_source
-                .into_iter()
-                .zip(sources)
-                .map(|(s, source)| {
-                    // Residency hint: the fraction of this source's past
-                    // random accesses the grade cache answered (0 when
-                    // never probed).
-                    let (hits, misses) = self.source_cache_counters(source);
-                    let probed = hits + misses;
-                    s.with_residency(if probed == 0 {
-                        0.0
-                    } else {
-                        hits as f64 / probed as f64
-                    })
-                });
-            QueryStats::new(with_residency.collect())
-        });
+        let stats = QueryStats::from_sources(sources.iter().map(|s| lock(s)));
         let combiner = crate::planner::classify_combiner(request.scoring().as_ref(), m.max(1));
         let query = PlanQuery::fuzzy(n, m, request.k()).combiner(combiner);
         crate::planner::choose_plan(&query, stats.as_ref(), request.policy())
@@ -1142,64 +1046,6 @@ mod tests {
         let (hits, misses) = engine.cache_counters();
         assert_eq!(hits, second.stats.cache_hits);
         assert_eq!(misses, first.stats.cache_misses);
-    }
-
-    #[test]
-    fn per_source_splits_stay_bounded_under_fresh_source_identities() {
-        // One probe and one cached grade per fresh identity, the way a
-        // garlic query's per-request lists arrive.
-        let cache = StripedGradeCache::new(8, 1);
-        for source in 0..10_000u64 {
-            assert_eq!(cache.get((source, 0)), None);
-            cache.insert((source, 0), Score::ONE);
-        }
-        let splits = lock(&cache.stripes[0]).per_source.len();
-        assert!(splits <= 64, "{splits} splits kept");
-        // The newest identities still have their grade resident, and
-        // their split with it.
-        assert_eq!(cache.get((9_999, 0)), Some(Score::ONE));
-        assert_eq!(cache.source_counters(9_999), (1, 1));
-        // Dropped splits never touch the engine-wide totals.
-        assert_eq!(cache.counters(), (1, 10_000));
-    }
-
-    #[test]
-    fn per_source_counters_split_the_totals_and_reset_on_clear() {
-        let handles: Vec<SharedSource> = independent_uniform(400, 2, 21)
-            .into_iter()
-            .map(shared_source)
-            .collect();
-        let build = || {
-            let mut b = TopKQuery::compose();
-            for h in &handles {
-                b = b.shared_source(Arc::clone(h));
-            }
-            b.scoring(Min)
-                .k(6)
-                .policy(ExecPolicy::new().algo(Algo::Fa))
-                .request()
-                .unwrap()
-        };
-        let engine = Engine::default();
-        engine.run(&build()).unwrap();
-        engine.run(&build()).unwrap();
-        let per: Vec<(u64, u64)> = handles
-            .iter()
-            .map(|h| engine.source_cache_counters(h))
-            .collect();
-        // The per-source splits partition the engine-wide totals …
-        let (hits, misses) = engine.cache_counters();
-        assert_eq!(per.iter().map(|p| p.0).sum::<u64>(), hits);
-        assert_eq!(per.iter().map(|p| p.1).sum::<u64>(), misses);
-        // … and A₀ random-accessed (and re-hit) every source.
-        for (i, &(h, m)) in per.iter().enumerate() {
-            assert!(h > 0 && m > 0, "source {i} counters {h}/{m}");
-        }
-        // clear() drops the per-source splits with the totals.
-        engine.clear_cache();
-        for h in &handles {
-            assert_eq!(engine.source_cache_counters(h), (0, 0));
-        }
     }
 
     #[test]

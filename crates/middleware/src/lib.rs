@@ -39,8 +39,8 @@
 //! * [`store`] — the persistent paged column store (§6's "more
 //!   realistic cost measure" made physical): checksummed fixed-size
 //!   pages holding a sorted run and a random-access grade table,
-//!   written crash-safely in one shot, read through a pinned
-//!   lock-striped LRU buffer pool with read-ahead, and exposed as
+//!   written crash-safely in one shot, read on demand through a
+//!   pinned lock-striped LRU buffer pool, and exposed as
 //!   [`store::PagedSource`] — bit-identical to a
 //!   [`source::VecSource`] over the same pairs;
 //! * [`workload`] — synthetic grade distributions: independent

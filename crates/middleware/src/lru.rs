@@ -66,11 +66,6 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCore<K, V> {
         self.capacity
     }
 
-    /// The keys currently held, in no particular order.
-    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.keys()
-    }
-
     /// Cumulative lookups answered from the map.
     pub(crate) fn hits(&self) -> u64 {
         self.hits
@@ -124,6 +119,7 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCore<K, V> {
     }
 
     /// Peeks at `key` without touching recency or counters.
+    #[cfg(test)]
     pub(crate) fn peek(&self, key: K) -> Option<&V> {
         self.entries.get(&key).map(|(v, _)| v)
     }

@@ -84,10 +84,6 @@ const NRA_DEPTH_FACTOR: f64 = 1.2;
 /// skips objects already resolved; fitted against measured CA runs.
 const CA_RANDOM_FACTOR: f64 = 0.75;
 
-/// Charged-cost equivalent of spawning and coordinating one shard
-/// worker — the setup side of the sharded-vs-serial latency tradeoff.
-const SHARD_SETUP_COST: f64 = 256.0;
-
 /// Every physical top-k strategy the workspace can execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhysicalPlan {
@@ -361,8 +357,8 @@ pub enum StatsBasis {
 }
 
 /// The planner's decision record: chosen plan, every candidate's
-/// estimated charged cost, the statistics basis, and the gated shard
-/// fanout advice. Surfaced by `Engine::explain` and dumped by E16.
+/// estimated charged cost, and the statistics basis. Surfaced by
+/// `Engine::explain` and dumped by E16.
 #[derive(Debug, Clone)]
 pub struct Explain {
     /// The winning plan.
@@ -374,9 +370,6 @@ pub struct Explain {
     pub cost: CostModel,
     /// Statistics the choice was based on.
     pub basis: StatsBasis,
-    /// Shard fanout advice after gating (1 = run serial); see
-    /// [`preferred_fanout`].
-    pub fanout: usize,
 }
 
 impl Explain {
@@ -397,8 +390,8 @@ impl fmt::Display for Explain {
         }
         write!(
             f,
-            " under c_S={} c_R={}, fanout {}",
-            self.cost.sorted_unit, self.cost.random_unit, self.fanout
+            " under c_S={} c_R={}",
+            self.cost.sorted_unit, self.cost.random_unit
         )?;
         if !self.candidates.is_empty() {
             write!(f, "; candidates:")?;
@@ -699,31 +692,6 @@ pub fn estimate_cost(
         .map(|a| a.charged(cost))
 }
 
-/// The latency proxy for running `work` charged-cost units over
-/// `fanout` partitions: per-partition work plus per-worker setup.
-pub fn sharded_latency(work: f64, fanout: usize) -> f64 {
-    let p = fanout.max(1) as f64;
-    work / p + SHARD_SETUP_COST * (p - 1.0)
-}
-
-/// The fanout minimizing [`sharded_latency`], gated by the corpus:
-/// never more than `max_shards`, and at least `min_items` objects per
-/// partition (the same gate the engine's sharded path applies).
-/// Returns 1 (serial) when sharding cannot pay for its setup.
-pub fn preferred_fanout(work: f64, universe: usize, max_shards: usize, min_items: usize) -> usize {
-    let gate = max_shards.min(universe / min_items.max(1)).max(1);
-    let mut best = 1usize;
-    let mut best_latency = sharded_latency(work, 1);
-    for p in 2..=gate {
-        let latency = sharded_latency(work, p);
-        if latency < best_latency {
-            best = p;
-            best_latency = latency;
-        }
-    }
-    best
-}
-
 /// Picks the cheapest applicable [`PhysicalPlan`] for `query` under
 /// `policy`, returning the full decision record.
 ///
@@ -751,12 +719,6 @@ pub fn choose_plan(query: &PlanQuery, stats: Option<&QueryStats>, policy: &ExecP
     let theta = policy.approximation.theta().max(0.0);
     let approximate = policy.approximation.is_approximate();
     let h = policy.interleave();
-    let fanout = match policy.effective_shards() {
-        (shards, min_items) if shards >= 2 => {
-            preferred_fanout(query.n as f64 * query.m as f64, query.n, shards, min_items)
-        }
-        _ => 1,
-    };
 
     let mut candidates: Vec<PhysicalPlan> = Vec::new();
     if stats.is_some() {
@@ -809,7 +771,6 @@ pub fn choose_plan(query: &PlanQuery, stats: Option<&QueryStats>, policy: &ExecP
             },
             None => StatsBasis::StaticFallback,
         },
-        fanout,
     }
 }
 
@@ -849,7 +810,6 @@ pub fn plan_algorithm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Algo, ShardPolicy};
     use crate::workload::independent_uniform;
 
     fn uniform_stats(n: usize, m: usize, seed: u64) -> QueryStats {
@@ -1093,27 +1053,6 @@ mod tests {
             CombinerKind::MaxLike
         );
         assert_eq!(classify_combiner(&ArithmeticMean, 2), CombinerKind::Other);
-    }
-
-    #[test]
-    fn fanout_advice_is_gated_and_deterministic() {
-        // Tiny corpora stay serial regardless of requested shards.
-        assert_eq!(preferred_fanout(100.0, 64, 8, 256), 1);
-        // Big work over a big corpus fans out, but never past the gate.
-        let f = preferred_fanout(1_000_000.0, 100_000, 8, 256);
-        assert!((2..=8).contains(&f), "fanout {f}");
-        // Monotone consistency with the policy fold.
-        let q = PlanQuery::fuzzy(100_000, 2, 10);
-        let policy = ExecPolicy::new().sharding(ShardPolicy::Shards {
-            shards: 8,
-            min_items: 256,
-        });
-        let e = choose_plan(&q, None, &policy);
-        assert!(e.fanout >= 1 && e.fanout <= 8);
-        // Auto resolution of the plan maps back to a runnable algorithm.
-        let algo = plan_algorithm(e.chosen, 0.0).expect("fallback plans are algorithms");
-        assert_eq!(algo.name(), e.chosen.name());
-        let _ = Algo::Auto; // silence unused import in cfg(test) builds
     }
 
     #[test]

@@ -168,8 +168,8 @@ pub trait GradedSource {
     /// (TA/NRA/CA feed their running τ / k-th grade here as it rises).
     ///
     /// Purely a *physical* hint — a source may use it to stop
-    /// prefetching provably useless pages, but every access method
-    /// keeps its exact contract: same entries, same grades, same
+    /// preparing entries that provably cannot matter, but every access
+    /// method keeps its exact contract: same entries, same grades, same
     /// charged accounting. The default does nothing.
     fn note_threshold(&mut self, bound: Score) {
         let _ = bound;

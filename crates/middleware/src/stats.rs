@@ -173,8 +173,7 @@ impl fmt::Display for AccessStats {
 /// request ([`AccessStats::page_reads`] and friends).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageIoStats {
-    /// Pages actually read from storage (buffer-pool misses plus
-    /// read-ahead loads).
+    /// Pages actually read from storage (buffer-pool misses).
     pub reads: u64,
     /// Page lookups answered from the buffer pool.
     pub hits: u64,
@@ -256,40 +255,18 @@ impl Default for CostModel {
 }
 
 /// Per-source statistics the cost-based planner prices plans with:
-/// the grade distribution plus a cache-residency hint.
+/// the grade distribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceStats {
     /// Equi-depth grade-distribution histogram (built from the sorted
     /// list, a sorted-access prefix, or a sample).
     pub histogram: GradeHistogram,
-    /// Fraction of this source's universe currently resident in the
-    /// engine's grade cache, in `[0, 1]`.
-    ///
-    /// This is a *physical latency* hint: the paper's charged cost
-    /// counts a cache-served random access all the same (the algorithm
-    /// asked the question), so residency never changes which plan the
-    /// charged-cost comparison picks — it is surfaced in `Explain` and
-    /// feeds the sharded-vs-serial latency advice.
-    pub cache_residency: f64,
 }
 
 impl SourceStats {
-    /// Stats with no cache-residency information.
+    /// Stats over one source's grade distribution.
     pub fn new(histogram: GradeHistogram) -> SourceStats {
-        SourceStats {
-            histogram,
-            cache_residency: 0.0,
-        }
-    }
-
-    /// Attaches a cache-residency hint (clamped to `[0, 1]`).
-    pub fn with_residency(mut self, residency: f64) -> SourceStats {
-        self.cache_residency = if residency.is_finite() {
-            residency.clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        self
+        SourceStats { histogram }
     }
 
     /// The source's universe size per its histogram.
@@ -485,31 +462,5 @@ mod tests {
         let mut src = crate::workload::independent_uniform(16, 1, 1).remove(0);
         let model = calibrate_cost_model(&mut src, 4, &mut clock).unwrap();
         assert!((model.random_unit - model.sorted_unit).abs() < 1e-12);
-    }
-
-    #[test]
-    fn source_stats_residency_is_clamped() {
-        use fmdb_core::score::Score;
-        let grades: Vec<Score> = (0..10)
-            .map(|i| Score::clamped(1.0 - i as f64 / 10.0))
-            .collect();
-        let h = GradeHistogram::from_sorted(&grades, 4);
-        let s = SourceStats::new(h.clone());
-        assert!(s.cache_residency.abs() < 1e-12);
-        assert!(
-            (SourceStats::new(h.clone())
-                .with_residency(2.0)
-                .cache_residency
-                - 1.0)
-                .abs()
-                < 1e-12
-        );
-        assert!(
-            SourceStats::new(h)
-                .with_residency(f64::NAN)
-                .cache_residency
-                .abs()
-                < 1e-12
-        );
     }
 }

@@ -8,9 +8,9 @@
 //! oid-ascending **random table** in fixed-size checksummed pages
 //! ([`mod@format`]), read through a lock-striped LRU **buffer pool** with
 //! pin counts (`PagePool` — the engine's grade-cache machinery
-//! generalized to page frames), with an optional **read-ahead worker**
-//! that streams the sorted run's next pages over a bounded channel,
-//! mirroring the engine's prefetch-worker idiom.
+//! generalized to page frames). Every page is read on demand, on the
+//! thread that asked for it: the store starts no thread, and a sorted
+//! access is a sequential page read and nothing more.
 //!
 //! * [`build_store`] / [`build_store_from_source`] write a file crash
 //!   safely in one shot (tmp + fsync + rename + parent fsync).
@@ -40,9 +40,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread;
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::stats::GradeHistogram;
@@ -54,11 +52,10 @@ pub use format::{build_store, BuildConfig, Header, StoreError};
 use format::{decode_entry, decode_header, page_entry_count, read_u32, read_u64, verify_page};
 use pool::PagePool;
 
-/// Open-time knobs: buffer-pool capacity and read-ahead depth.
+/// The open-time knob: buffer-pool capacity.
 ///
-/// Each knob is either `Some(n)` with `n > 0`, or `None` to disable
-/// the feature explicitly (run uncached / no read-ahead worker).
-/// `Some(0)` is rejected by [`PagedStore::open`] with
+/// `Some(n)` with `n > 0`, or `None` to run uncached. `Some(0)` is
+/// rejected by [`PagedStore::open`] with
 /// [`StoreError::InvalidOptions`] — a zero capacity used to fall
 /// through and silently behave like "disabled", which is exactly the
 /// kind of obscure downstream failure a typed error should catch at
@@ -68,50 +65,31 @@ pub struct StoreOptions {
     /// Page frames the buffer pool holds, or `None` for no caching —
     /// every access reads storage.
     pub pool_pages: Option<usize>,
-    /// Sorted-run pages each cursor keeps hinted to the read-ahead
-    /// worker ahead of the page it is decoding, or `None` for no
-    /// worker.
-    pub readahead: Option<usize>,
 }
 
 impl StoreOptions {
-    /// 256 frames (1 MiB at the default page size), read-ahead 4.
+    /// 256 frames (1 MiB at the default page size).
     pub const DEFAULT: StoreOptions = StoreOptions {
         pool_pages: Some(256),
-        readahead: Some(4),
     };
 
-    /// The default with a different pool capacity (`None` disables
-    /// caching).
+    /// A different pool capacity (`0` disables caching).
     pub fn with_pool_pages(pool_pages: usize) -> StoreOptions {
         StoreOptions {
             pool_pages: (pool_pages > 0).then_some(pool_pages),
-            ..StoreOptions::DEFAULT
         }
     }
 
-    /// Validates the knobs, returning each feature's effective
-    /// capacity (0 = disabled) for the pool/worker internals.
-    fn validate(&self) -> Result<(usize, usize), StoreError> {
-        let pool_pages = match self.pool_pages {
-            Some(0) => {
-                return Err(StoreError::InvalidOptions(
-                    "pool_pages must be positive; use None to disable caching",
-                ))
-            }
-            Some(n) => n,
-            None => 0,
-        };
-        let readahead = match self.readahead {
-            Some(0) => {
-                return Err(StoreError::InvalidOptions(
-                    "readahead must be positive; use None to disable the worker",
-                ))
-            }
-            Some(n) => n,
-            None => 0,
-        };
-        Ok((pool_pages, readahead))
+    /// Validates the knob, returning the pool's effective capacity
+    /// (0 = disabled).
+    fn validate(&self) -> Result<usize, StoreError> {
+        match self.pool_pages {
+            Some(0) => Err(StoreError::InvalidOptions(
+                "pool_pages must be positive; use None to disable caching",
+            )),
+            Some(n) => Ok(n),
+            None => Ok(0),
+        }
     }
 }
 
@@ -164,9 +142,6 @@ struct StoreInner {
     /// is simply disabled, never an error.
     bounds: Vec<(Score, Score)>,
     pool: PagePool,
-    /// Sorted-run pages a cursor keeps hinted ahead of itself (0: no
-    /// read-ahead worker).
-    readahead_depth: u64,
     /// Pages bounded drains/probes proved unnecessary and never
     /// visited (folded into [`PageIoStats::skipped`]).
     pages_skipped: std::sync::atomic::AtomicU64,
@@ -176,12 +151,16 @@ struct StoreInner {
 }
 
 impl StoreInner {
-    /// Reads page `page` from storage, verifying its checksum. A frame
-    /// is a single allocation, so frames allocated and freed on
-    /// different threads (demand reads, the read-ahead worker,
-    /// evictions by either) recycle same-size chunks instead of
-    /// fragmenting the threads' malloc arenas.
-    fn read_page_raw(&self, page: u64) -> Result<pool::Frame, StoreError> {
+    /// Fetches a page through the pool: a pool hit, or a checksummed
+    /// storage read installed for the next caller. A frame is a single
+    /// allocation, so frames allocated and freed on different threads
+    /// (requests under `Engine::run_many` share a pool) recycle
+    /// same-size chunks instead of fragmenting the threads' malloc
+    /// arenas.
+    fn load_page(&self, page: u64) -> Result<pool::Frame, StoreError> {
+        if let Some(frame) = self.pool.get(page) {
+            return Ok(frame);
+        }
         let mut frame: pool::Frame = std::iter::repeat_n(0u8, self.header.page_size).collect();
         // Nobody else has seen the frame yet, so it is uniquely owned;
         // a page left zeroed would fail its checksum below.
@@ -190,16 +169,6 @@ impl StoreInner {
                 .read_exact_at(buf, page * self.header.page_size as u64)?;
         }
         verify_page(&frame, page)?;
-        Ok(frame)
-    }
-
-    /// Fetches a page through the pool: pool hit, or storage read +
-    /// install.
-    fn load_page(&self, page: u64) -> Result<pool::Frame, StoreError> {
-        if let Some(frame) = self.pool.get(page) {
-            return Ok(frame);
-        }
-        let frame = self.read_page_raw(page)?;
         self.pool.insert(page, Arc::clone(&frame));
         Ok(frame)
     }
@@ -311,29 +280,14 @@ impl StoreInner {
     }
 }
 
-/// The read-ahead worker: loads hinted sorted-run pages into the pool
-/// until every sender hangs up. Prefetch failures are ignored — the
-/// demand read will hit the same error and surface it.
-fn readahead_worker(inner: Arc<StoreInner>, rx: Receiver<u64>) {
-    while let Ok(page) = rx.recv() {
-        if inner.pool.contains(page) {
-            continue;
-        }
-        if let Ok(buf) = inner.read_page_raw(page) {
-            inner.pool.insert_readahead(page, buf);
-        }
-    }
-}
-
 /// An open store file: the handle sources are created from.
 ///
-/// Dropping the store and every [`PagedSource`] created from it
-/// disconnects the read-ahead channel, so the worker (which holds its
-/// own `Arc` of the innards) exits and releases the file.
+/// The store and the [`PagedSource`]s created from it are the only
+/// owners of the file and the pool: dropping the last of them closes
+/// the file at once.
 #[derive(Debug)]
 pub struct PagedStore {
     inner: Arc<StoreInner>,
-    readahead: Option<SyncSender<u64>>,
 }
 
 impl PagedStore {
@@ -341,11 +295,11 @@ impl PagedStore {
     ///
     /// Validation is eager where it is cheap and page-local where it
     /// is not: the header's magic/version/geometry/checksum, the
-    /// file's exact expected length, the stats page, and the whole
-    /// directory are checked here; data pages are checksummed when
-    /// first read.
+    /// file's exact expected length, the stats page, the whole
+    /// directory and the bounds section are checked here; data pages
+    /// are checksummed when first read.
     pub fn open(path: &Path, cfg: StoreOptions) -> Result<PagedStore, StoreError> {
-        let (pool_pages, readahead_depth) = cfg.validate()?;
+        let pool_pages = cfg.validate()?;
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         if len < format::MIN_PAGE_SIZE as u64 {
@@ -371,9 +325,15 @@ impl PagedStore {
                 actual: len,
             });
         }
-        let mut header_page = vec![0u8; page_size];
-        file.read_exact_at(&mut header_page, 0)?;
-        let header = decode_header(&header_page)?;
+        // Every metadata page comes through here: read page `p` whole,
+        // verify its checksum, hand back the bytes.
+        let read_page = |p: u64| -> Result<Vec<u8>, StoreError> {
+            let mut buf = vec![0u8; page_size];
+            file.read_exact_at(&mut buf, p.saturating_mul(page_size as u64))?;
+            verify_page(&buf, p)?;
+            Ok(buf)
+        };
+        let header = decode_header(&read_page(0)?)?;
         if len != header.total_bytes() {
             return Err(StoreError::Truncated {
                 expected: header.total_bytes(),
@@ -382,9 +342,7 @@ impl PagedStore {
         }
 
         // Stats page.
-        let mut stats_page = vec![0u8; page_size];
-        file.read_exact_at(&mut stats_page, page_size as u64)?;
-        verify_page(&stats_page, 1)?;
+        let stats_page = read_page(1)?;
         let bound_count = read_u32(&stats_page, 4) as usize;
         if bound_count > (page_size - format::PAGE_HEADER_BYTES) / 8
             || (bound_count > 0 && bound_count != header.hist_bins as usize + 1)
@@ -401,10 +359,7 @@ impl PagedStore {
         let dir_entries_per_page = (page_size - format::PAGE_HEADER_BYTES) / 8;
         let mut directory: Vec<Oid> = Vec::with_capacity(header.random_pages as usize);
         for d in 0..header.dir_pages {
-            let page_no = header.dir_start() + d;
-            let mut buf = vec![0u8; page_size];
-            file.read_exact_at(&mut buf, page_no * page_size as u64)?;
-            verify_page(&buf, page_no)?;
+            let buf = read_page(header.dir_start() + d)?;
             let count = (read_u32(&buf, 4) as usize).min(dir_entries_per_page);
             for i in 0..count {
                 directory.push(read_u64(&buf, format::PAGE_HEADER_BYTES + i * 8));
@@ -427,10 +382,8 @@ impl PagedStore {
         let mut bounds: Vec<(Score, Score)> = Vec::with_capacity(data_pages as usize);
         for b in 0..header.bounds_pages {
             let page_no = header.bounds_start().saturating_add(b);
-            let mut buf = vec![0u8; page_size];
-            file.read_exact_at(&mut buf, page_no.saturating_mul(page_size as u64))?;
-            verify_page(&buf, page_no)?;
-            let count = format::page_entry_count(&buf, header.entries_per_page);
+            let buf = read_page(page_no)?;
+            let count = page_entry_count(&buf, header.entries_per_page);
             for i in 0..count {
                 if (bounds.len() as u64) < data_pages {
                     bounds.push(format::decode_bound(&buf, i, page_no)?);
@@ -450,39 +403,16 @@ impl PagedStore {
             histogram,
             bounds,
             pool: PagePool::new(pool_pages),
-            readahead_depth: readahead_depth as u64,
             pages_skipped: std::sync::atomic::AtomicU64::new(0),
             error: Mutex::new(None),
         });
-        // The worker gets its own Arc; the sender lives only in store
-        // and source handles, so dropping them all disconnects it.
-        let readahead = (readahead_depth > 0).then(|| {
-            let (tx, rx) = sync_channel(readahead_depth.saturating_mul(2).max(1));
-            let worker_inner = Arc::clone(&inner);
-            // lint:allow(detached-thread): the read-ahead worker's
-            // lifetime is bounded by its channel — every sender lives
-            // in a store/source handle, and when the last one drops
-            // the recv() disconnects and the worker returns. Joining
-            // would require the Drop impl to block on I/O in flight.
-            thread::spawn(move || readahead_worker(worker_inner, rx));
-            tx
-        });
-        Ok(PagedStore { inner, readahead })
+        Ok(PagedStore { inner })
     }
 
     /// A fresh [`PagedSource`] cursor over this store. Sources share
-    /// the store's buffer pool (and read-ahead worker), so a warm pool
-    /// serves every cursor.
+    /// the store's buffer pool, so a warm pool serves every cursor.
     pub fn source(&self) -> PagedSource {
-        PagedSource {
-            inner: Arc::clone(&self.inner),
-            readahead: self.readahead.clone(),
-            pos: 0,
-            cached_page: u64::MAX,
-            cached: Vec::new(),
-            hinted: 0,
-            threshold: Score::ZERO,
-        }
+        PagedSource::new(Arc::clone(&self.inner))
     }
 
     /// True when the store persists per-page grade bounds (format
@@ -519,9 +449,10 @@ impl PagedStore {
         self.inner.page_io()
     }
 
-    /// Pages the read-ahead worker loaded so far.
+    /// Always 0: `perfbench/src/workloads/paged.rs` still reads it;
+    /// the next `benchmark` PR drops both.
     pub fn readahead_loads(&self) -> u64 {
-        self.inner.pool.readahead_loads()
+        0
     }
 
     /// Page frames currently resident in the buffer pool.
@@ -559,7 +490,6 @@ impl PagedStore {
 #[derive(Debug)]
 pub struct PagedSource {
     inner: Arc<StoreInner>,
-    readahead: Option<SyncSender<u64>>,
     /// Sorted-run cursor: global entry index.
     pos: u64,
     /// Which sorted page `cached` holds (`u64::MAX` = none).
@@ -567,81 +497,51 @@ pub struct PagedSource {
     /// Decoded entries of `cached_page` — one decode per page visit,
     /// so a sequential drain is slice copies, not per-entry reads.
     cached: Vec<ScoredObject<Oid>>,
-    /// The last sorted-run page already hinted to the read-ahead
-    /// worker (0 = none): each page turn hints only the pages that
-    /// entered the window.
-    hinted: u64,
-    /// The caller's live grade threshold
-    /// ([`GradedSource::note_threshold`]): a physical hint that gates
-    /// read-ahead of provably useless pages, never a demand read.
-    threshold: Score,
 }
 
 impl PagedSource {
-    /// Decodes the sorted page holding entry `pos` into the cursor
-    /// cache (hinting the read-ahead worker about upcoming pages) and
-    /// returns false when the position is past the end or the page
-    /// could not be read.
-    fn ensure_sorted_page(&mut self) -> bool {
+    /// A cursor at the top of `inner`'s sorted run.
+    fn new(inner: Arc<StoreInner>) -> PagedSource {
+        PagedSource {
+            inner,
+            pos: 0,
+            cached_page: u64::MAX,
+            cached: Vec::new(),
+        }
+    }
+
+    /// The undelivered tail of the current sorted page — the entries
+    /// from the cursor to the page's end — decoding the next page into
+    /// the cursor cache when the cached one is spent. Empty when the
+    /// run is drained or the page could not be read (error parked).
+    /// Every sorted access is a prefix of this slice.
+    fn sorted_tail(&mut self) -> &[ScoredObject<Oid>] {
         let header = &self.inner.header;
         if self.pos >= header.n {
-            return false;
+            return &[];
         }
         let epp = header.entries_per_page as u64;
         let page = header.sorted_start() + self.pos / epp;
-        if page == self.cached_page {
-            return true;
-        }
-        // Keep the `readahead` pages after this one hinted while we
-        // decode it: a page turn hints only the pages that entered the
-        // window (one, on a sequential drain) — except pages whose
-        // persisted max grade is below the caller's noted threshold:
-        // prefetching those would be provably wasted I/O. Demand reads
-        // are never gated, so answers cannot change.
-        if let Some(tx) = &self.readahead {
-            let sorted_start = header.sorted_start();
-            let last_sorted = header.random_start().saturating_sub(1);
-            let window_end = page
-                .saturating_add(self.inner.readahead_depth)
-                .min(last_sorted);
-            let fresh = self.hinted.max(page).saturating_add(1)..=window_end;
-            self.hinted = self.hinted.max(window_end);
-            for ahead in fresh {
-                let below = self
-                    .inner
-                    .sorted_page_bounds(ahead - sorted_start)
-                    .is_some_and(|(_, hi)| hi < self.threshold);
-                if below {
-                    continue;
+        if page != self.cached_page {
+            // The cache names no page until this one has decoded whole.
+            self.cached_page = u64::MAX;
+            self.cached.clear();
+            let decoded = self.inner.load_page(page).and_then(|frame| {
+                let count = page_entry_count(&frame, header.entries_per_page);
+                self.cached.reserve(count);
+                for i in 0..count {
+                    self.cached.push(decode_entry(&frame, i, page)?);
                 }
-                match tx.try_send(ahead) {
-                    Ok(()) | Err(TrySendError::Full(_)) => {}
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-        }
-        let frame = match self.inner.load_page(page) {
-            Ok(frame) => frame,
-            Err(e) => {
+                Ok(())
+            });
+            if let Err(e) = decoded {
                 self.inner.record_error(e);
-                return false;
+                self.cached.clear();
+                return &[];
             }
-        };
-        let count = page_entry_count(&frame, header.entries_per_page);
-        self.cached.clear();
-        self.cached.reserve(count);
-        for i in 0..count {
-            match decode_entry(&frame, i, page) {
-                Ok(so) => self.cached.push(so),
-                Err(e) => {
-                    self.inner.record_error(e);
-                    self.cached.clear();
-                    return false;
-                }
-            }
+            self.cached_page = page;
         }
-        self.cached_page = page;
-        true
+        self.cached.get((self.pos % epp) as usize..).unwrap_or(&[])
     }
 
     /// Cumulative buffer-pool counters of the shared store.
@@ -658,12 +558,7 @@ impl PagedSource {
 
 impl GradedSource for PagedSource {
     fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        if !self.ensure_sorted_page() {
-            return None;
-        }
-        let epp = self.inner.header.entries_per_page as u64;
-        let slot = (self.pos % epp) as usize;
-        let item = self.cached.get(slot).copied();
+        let item = self.sorted_tail().first().copied();
         if item.is_some() {
             self.pos += 1;
         }
@@ -681,8 +576,6 @@ impl GradedSource for PagedSource {
         self.pos = 0;
         self.cached_page = u64::MAX;
         self.cached.clear();
-        self.hinted = 0;
-        self.threshold = Score::ZERO;
     }
 
     fn info(&self) -> SourceInfo {
@@ -695,16 +588,12 @@ impl GradedSource for PagedSource {
     fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
         let mut out = Vec::with_capacity(n.min(self.inner.header.n as usize));
         while out.len() < n {
-            if !self.ensure_sorted_page() {
-                break;
-            }
-            let epp = self.inner.header.entries_per_page as u64;
-            let slot = (self.pos % epp) as usize;
-            let take = (n - out.len()).min(self.cached.len() - slot);
+            let tail = self.sorted_tail();
+            let take = tail.len().min(n - out.len());
             if take == 0 {
                 break;
             }
-            out.extend_from_slice(&self.cached[slot..slot + take]);
+            out.extend_from_slice(&tail[..take]);
             self.pos += take as u64;
         }
         out
@@ -739,10 +628,6 @@ impl GradedSource for PagedSource {
         out
     }
 
-    fn note_threshold(&mut self, bound: Score) {
-        self.threshold = bound;
-    }
-
     // Bounded drain answered from the persisted per-page bounds: the
     // sorted run is globally descending, so page max grades are
     // non-increasing — the first page whose persisted max is below
@@ -766,15 +651,15 @@ impl GradedSource for PagedSource {
                     break;
                 }
             }
-            if !self.ensure_sorted_page() {
+            let tail = self.sorted_tail();
+            if tail.is_empty() {
                 break;
             }
-            let slot = (self.pos % epp) as usize;
-            let tail = &self.cached[slot..];
             let take = tail.partition_point(|so| so.grade >= bound);
+            let boundary_inside = take < tail.len();
             out.extend_from_slice(&tail[..take]);
             self.pos += take as u64;
-            if take < tail.len() {
+            if boundary_inside {
                 // The boundary fell inside this page. When the store
                 // carries bounds, every later page is individually
                 // provable useless (its persisted max is ≤ the
@@ -816,9 +701,10 @@ impl GradedSource for PagedSource {
         }
     }
 
-    // Partitioning materializes the sorted run once (sequential page
-    // reads through the pool) and shares the random index across
-    // shards, exactly like `VecSource::partition`.
+    // Partitioning materializes the sorted run once (a fresh cursor's
+    // sequential drain through the pool) and shares the random index
+    // across shards, exactly like `VecSource::partition`. A drain that
+    // comes up short hit a read error, which is parked.
     fn partition(
         &self,
         partitioner: SourcePartitioner,
@@ -828,26 +714,9 @@ impl GradedSource for PagedSource {
             return None;
         }
         let header = &self.inner.header;
-        let mut sorted = Vec::with_capacity(header.n as usize);
-        for p in 0..header.sorted_pages {
-            let page = header.sorted_start() + p;
-            let frame = match self.inner.load_page(page) {
-                Ok(frame) => frame,
-                Err(e) => {
-                    self.inner.record_error(e);
-                    return None;
-                }
-            };
-            let count = page_entry_count(&frame, header.entries_per_page);
-            for i in 0..count {
-                match decode_entry(&frame, i, page) {
-                    Ok(so) => sorted.push(so),
-                    Err(e) => {
-                        self.inner.record_error(e);
-                        return None;
-                    }
-                }
-            }
+        let sorted = PagedSource::new(Arc::clone(&self.inner)).sorted_batch(usize::MAX);
+        if sorted.len() as u64 != header.n {
+            return None;
         }
         let by_oid: HashMap<Oid, Score> = sorted.iter().map(|so| (so.id, so.grade)).collect();
         Some(ShardedSource::split(
@@ -1120,61 +989,44 @@ mod tests {
     }
 
     #[test]
-    fn readahead_worker_warms_the_pool() {
-        let pairs = sample_pairs(2000, 9);
-        let path = scratch("readahead.fmdb");
-        build_store(&path, "ra", pairs, &BuildConfig::with_page_size(256)).unwrap();
-        let store = PagedStore::open(
+    fn a_cold_sequential_drain_reads_each_sorted_page_exactly_once() {
+        let path = scratch("drain-once.fmdb");
+        build_store(
             &path,
-            StoreOptions {
-                pool_pages: Some(512),
-                readahead: Some(8),
-            },
+            "d",
+            sample_pairs(2000, 9),
+            &BuildConfig::with_page_size(256),
         )
         .unwrap();
+        let store = PagedStore::open(&path, StoreOptions::with_pool_pages(8)).unwrap();
+        let sorted_pages = store.header().sorted_pages;
+        assert!(sorted_pages > 100, "far more pages than frames");
         let mut src = store.source();
-        while src.sorted_next().is_some() {}
-        // The worker is asynchronous; all we assert is that it ran and
-        // its loads landed in the shared pool without corrupting the
-        // stream (the drain above checked every entry decoded).
-        let drained: Vec<_> = {
-            src.rewind();
-            src.sorted_batch(usize::MAX)
-        };
-        assert_eq!(drained.len(), 2000);
+        let mut drained = 0;
+        loop {
+            let batch = src.sorted_batch(97);
+            drained += batch.len();
+            if batch.len() < 97 {
+                break;
+            }
+        }
+        assert_eq!(drained, 2000);
+        let io = store.page_io();
+        assert_eq!((io.reads, io.hits), (sorted_pages, 0));
         assert!(store.take_error().is_none());
     }
 
     #[test]
-    fn readahead_window_follows_the_configured_depth() {
-        let path = scratch("readahead-depth.fmdb");
-        build_store(
-            &path,
-            "rd",
-            sample_pairs(2000, 31),
-            &BuildConfig::with_page_size(256),
-        )
-        .unwrap();
-        for depth in [1usize, 6] {
-            let options = StoreOptions {
-                pool_pages: Some(512),
-                readahead: Some(depth),
-            };
-            let store = PagedStore::open(&path, options).unwrap();
-            let mut src = store.source();
-            // One page turn hints exactly the `depth` pages after the
-            // first; the worker loads them in its own time.
-            assert!(src.sorted_next().is_some());
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while store.readahead_loads() < depth as u64 && std::time::Instant::now() < deadline {
-                thread::yield_now();
-            }
-            assert_eq!(store.readahead_loads(), depth as u64);
-            assert_eq!(store.resident_pages(), depth + 1);
-            // Staying on the page hints nothing more.
-            assert!(src.sorted_next().is_some());
-            assert_eq!(store.readahead_loads(), depth as u64);
-        }
+    fn handles_are_the_only_owners_of_the_store() {
+        let path = scratch("owners.fmdb");
+        build_store(&path, "o", sample_pairs(10, 5), &BuildConfig::DEFAULT).unwrap();
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+        assert_eq!(Arc::strong_count(&store.inner), 1);
+        let source = store.source();
+        assert_eq!(Arc::strong_count(&store.inner), 2);
+        drop(source);
+        // So dropping the last handle closes the file at once.
+        assert_eq!(Arc::strong_count(&store.inner), 1);
     }
 
     #[test]
@@ -1182,14 +1034,7 @@ mod tests {
         let pairs = sample_pairs(1000, 4);
         let path = scratch("coldwarm.fmdb");
         build_store(&path, "cw", pairs, &BuildConfig::with_page_size(512)).unwrap();
-        let store = PagedStore::open(
-            &path,
-            StoreOptions {
-                pool_pages: Some(256),
-                readahead: None,
-            },
-        )
-        .unwrap();
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
         let mut src = store.source();
         while src.sorted_next().is_some() {}
         let cold = store.page_io();
@@ -1209,14 +1054,7 @@ mod tests {
         let pairs = sample_pairs(4000, 11);
         let path = scratch("calibrate.fmdb");
         build_store(&path, "cal", pairs, &BuildConfig::with_page_size(512)).unwrap();
-        let store = PagedStore::open(
-            &path,
-            StoreOptions {
-                pool_pages: Some(8),
-                readahead: None,
-            },
-        )
-        .unwrap();
+        let store = PagedStore::open(&path, StoreOptions::with_pool_pages(8)).unwrap();
         let mut src = store.source();
         let model = crate::stats::calibrate_cost_model_io(&mut src, 64).expect("paged source");
         assert!(
@@ -1237,31 +1075,13 @@ mod tests {
             PagedStore::open(
                 &path,
                 StoreOptions {
-                    pool_pages: Some(0),
-                    readahead: Some(4),
-                },
-            ),
-            Err(StoreError::InvalidOptions(_))
-        ));
-        assert!(matches!(
-            PagedStore::open(
-                &path,
-                StoreOptions {
-                    pool_pages: Some(256),
-                    readahead: Some(0),
-                },
+                    pool_pages: Some(0)
+                }
             ),
             Err(StoreError::InvalidOptions(_))
         ));
         // `None` is the explicit disable and still opens.
-        let store = PagedStore::open(
-            &path,
-            StoreOptions {
-                pool_pages: None,
-                readahead: None,
-            },
-        )
-        .unwrap();
+        let store = PagedStore::open(&path, StoreOptions { pool_pages: None }).unwrap();
         assert_eq!(store.len(), 10);
     }
 
@@ -1411,11 +1231,7 @@ mod tests {
             let path = scratch(&format!("batch-v{version}.fmdb"));
             format::build_store_versioned(&path, "b", pairs.clone(), &cfg, version).unwrap();
             for pool_pages in [None, Some(1), Some(8), Some(256)] {
-                let options = StoreOptions {
-                    pool_pages,
-                    readahead: None,
-                };
-                let store = PagedStore::open(&path, options).unwrap();
+                let store = PagedStore::open(&path, StoreOptions { pool_pages }).unwrap();
                 let mut src = store.source();
                 let scalar: Vec<Score> = oids.iter().map(|&oid| src.random_access(oid)).collect();
                 assert_eq!(scalar, want, "scalar, v{version}, pool {pool_pages:?}");
@@ -1445,11 +1261,7 @@ mod tests {
         let pairs = sample_pairs(2000, 23);
         let path = scratch("batch-once.fmdb");
         build_store(&path, "o", pairs.clone(), &BuildConfig::with_page_size(256)).unwrap();
-        let options = StoreOptions {
-            pool_pages: Some(8),
-            readahead: None,
-        };
-        let store = PagedStore::open(&path, options).unwrap();
+        let store = PagedStore::open(&path, StoreOptions::with_pool_pages(8)).unwrap();
         let random_pages = store.header().random_pages;
         assert!(random_pages > 100, "far more pages than frames");
         let oids = scattered_oids(2000);

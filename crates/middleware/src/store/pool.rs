@@ -3,18 +3,19 @@
 //! This is the engine's [`crate::engine::StripedGradeCache`] machinery
 //! ([`LruCore`]) generalized to page frames: `N` independent LRU
 //! segments behind their own mutexes, selected by page-number hash,
-//! each counting hits, misses, and evictions. Frames are
-//! `Arc<Vec<u8>>`; a frame whose `Arc` is still held by a reader is
-//! *pinned* — the eviction loop refreshes it instead of dropping it,
-//! so a page a cursor is decoding can never be yanked out from under
-//! it (the pool temporarily exceeds capacity if every frame is
-//! pinned).
+//! each counting hits, misses, and evictions. Frames are `Arc<[u8]>`
+//! (one allocation each); a frame whose `Arc` is still held by a
+//! reader is *pinned* — the eviction loop refreshes it instead of
+//! dropping it, so a page a cursor is decoding can never be yanked out
+//! from under it (the pool temporarily exceeds capacity if every frame
+//! is pinned).
 //!
 //! Actual storage reads happen *outside* the stripe locks (the caller
 //! reads, then [`PagePool::insert`]s), so a slow disk never serializes
-//! unrelated pages. Two threads missing the same page concurrently may
-//! both read it — a benign duplicated read, counted twice, which is
-//! exactly what happened physically.
+//! unrelated pages. Two cursors on different threads (requests under
+//! `Engine::run_many`) missing the same page concurrently may both
+//! read it — a benign duplicated read, counted twice, which is exactly
+//! what happened physically; on one thread each miss is one read.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -33,11 +34,8 @@ const POOL_STRIPES: usize = 8;
 #[derive(Debug)]
 pub(crate) struct PagePool {
     stripes: Vec<Mutex<LruCore<u64, Frame>>>,
-    /// Pages actually read from storage (misses the caller resolved
-    /// plus read-ahead loads).
+    /// Pages actually read from storage (misses the caller resolved).
     reads: AtomicU64,
-    /// The subset of `reads` issued by the read-ahead worker.
-    readahead_loads: AtomicU64,
 }
 
 impl PagePool {
@@ -55,7 +53,6 @@ impl PagePool {
                 .map(|_| Mutex::new(LruCore::new(per)))
                 .collect(),
             reads: AtomicU64::new(0),
-            readahead_loads: AtomicU64::new(0),
         }
     }
 
@@ -73,24 +70,11 @@ impl PagePool {
         Self::lock(self.stripe(page)).get(page)
     }
 
-    /// True when the page is resident (no counters touched) — the
-    /// read-ahead worker's guard against redundant loads.
-    pub(crate) fn contains(&self, page: u64) -> bool {
-        Self::lock(self.stripe(page)).peek(page).is_some()
-    }
-
     /// Installs a freshly read page, evicting unpinned LRU frames
     /// beyond capacity, and counts the storage read that produced it.
     pub(crate) fn insert(&self, page: u64, frame: Frame) {
         self.reads.fetch_add(1, Relaxed);
         Self::lock(self.stripe(page)).insert_with(page, frame, |f| Arc::strong_count(f) > 1);
-    }
-
-    /// [`PagePool::insert`] for the read-ahead worker: also counted in
-    /// [`PageIoStats`]-adjacent telemetry as a read-ahead load.
-    pub(crate) fn insert_readahead(&self, page: u64, frame: Frame) {
-        self.readahead_loads.fetch_add(1, Relaxed);
-        self.insert(page, frame);
     }
 
     /// Cumulative pool counters (per-stripe-consistent snapshot, like
@@ -110,11 +94,6 @@ impl PagePool {
         }
     }
 
-    /// Pages loaded by the read-ahead worker so far.
-    pub(crate) fn readahead_loads(&self) -> u64 {
-        self.readahead_loads.load(Relaxed)
-    }
-
     /// Frames currently resident.
     pub(crate) fn resident(&self) -> usize {
         self.stripes.iter().map(|s| Self::lock(s).len()).sum()
@@ -127,7 +106,6 @@ impl PagePool {
             Self::lock(s).clear();
         }
         self.reads.store(0, Relaxed);
-        self.readahead_loads.store(0, Relaxed);
     }
 }
 
@@ -160,7 +138,7 @@ mod tests {
             pool.insert(p, Arc::from([0u8; 16]));
         }
         assert!(
-            pool.contains(0),
+            pool.get(0).is_some(),
             "a frame with a live reader must not be evicted"
         );
         drop(pinned);

@@ -52,7 +52,6 @@ struct Scenario {
     seed: u64,
     page_size: usize,
     pool_pages: usize,
-    readahead: usize,
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
@@ -66,20 +65,16 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             0u64..1_000_000,
             prop_oneof![Just(256usize), Just(512usize), Just(2048usize)],
             prop_oneof![Just(2usize), Just(16usize), Just(256usize)],
-            prop_oneof![Just(0usize), Just(4usize)],
         ),
     )
-        .prop_map(
-            |((n, m, k), (seed, page_size, pool_pages, readahead))| Scenario {
-                n,
-                m,
-                k,
-                seed,
-                page_size,
-                pool_pages,
-                readahead,
-            },
-        )
+        .prop_map(|((n, m, k), (seed, page_size, pool_pages))| Scenario {
+            n,
+            m,
+            k,
+            seed,
+            page_size,
+            pool_pages,
+        })
 }
 
 /// Persists every workload source to its own store and opens them.
@@ -97,7 +92,6 @@ fn paged_copies(s: Scenario) -> Vec<PagedStore> {
                     // The strategy uses 0 for "feature off" — the
                     // options API spells that `None`.
                     pool_pages: (s.pool_pages > 0).then_some(s.pool_pages),
-                    readahead: (s.readahead > 0).then_some(s.readahead),
                 },
             )
             .expect("open store")
@@ -293,7 +287,6 @@ fn io_calibrated_cost_model_shifts_the_plan() {
         &path,
         StoreOptions {
             pool_pages: Some(4),
-            readahead: None,
         },
     )
     .expect("open store");

@@ -1,8 +1,8 @@
 //! Rule `bounded-channels` (L3): the middleware crate must not create
 //! unbounded `mpsc::channel()`s.
 //!
-//! The store's read-ahead worker and the shard workers produce faster
-//! than a slow consumer drains them; an unbounded channel turns that
+//! Worker threads (today: the shard workers) can produce faster than
+//! a slow consumer drains them; an unbounded channel turns that
 //! imbalance into unbounded memory growth. `mpsc::sync_channel(bound)`
 //! applies backpressure instead. The rule is scoped to `crates/middleware`
 //! because that is where worker pipelines live; other crates don't
@@ -14,9 +14,8 @@
 //! * importing the constructor: `use std::sync::mpsc::channel` (which
 //!   would let later bare `channel()` calls evade the first pattern);
 //! * importing it through a brace group:
-//!   `use std::sync::mpsc::{channel, …}` — the read-ahead worker
-//!   pipeline imports `sync_channel` this way, and a `channel` slipped
-//!   into the same group must not evade the rule.
+//!   `use std::sync::mpsc::{channel, …}` — a `channel` slipped into
+//!   a group beside `sync_channel` must not evade the rule.
 
 use crate::diagnostics::Diagnostic;
 use crate::workspace::{FileClass, SourceFile};

@@ -3,11 +3,13 @@
 //! explicitly justified.
 //!
 //! A detached thread outlives the scope that can observe its panics
-//! and races teardown: the engine's shard workers are all joined, and
-//! the one legitimately detached thread in the workspace — the store's
-//! read-ahead worker — is detached *because* its channel disconnect is
-//! the shutdown signal, which is exactly the kind of argument a
-//! `lint:allow(detached-thread): …` comment must record.
+//! and races teardown. Every thread this workspace starts — the
+//! engine's `run_many` pool, the shard workers — is scoped and joined
+//! before the call that started it returns, and the gate test holds
+//! the workspace to zero `lint:allow(detached-thread)` markers. A
+//! thread that must outlive its spawner (a worker whose channel
+//! disconnect is the shutdown signal, say) has to argue that in a
+//! `lint:allow(detached-thread): …` comment.
 
 use crate::analyze::AnalyzedFile;
 use crate::diagnostics::Diagnostic;

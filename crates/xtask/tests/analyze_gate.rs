@@ -8,7 +8,8 @@
 //!
 //! The final test points `analyze --root` at the real repository:
 //! every workspace `.rs` file must parse with zero `parse-error`
-//! diagnostics and the gate must be green, which is the bar CI holds.
+//! diagnostics and the gate must be green, which is the bar CI holds;
+//! `suppressions --root` must list no `detached-thread` marker.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -414,5 +415,14 @@ fn real_workspace_parses_clean_and_passes_the_gate() {
     assert!(
         out.status.success(),
         "analyze must be green on the real workspace:\n{json}"
+    );
+    // Every thread this workspace starts is scoped and joined before
+    // the call that started it returns: no spawn is excused.
+    let out = run_xtask("suppressions", &repo_root, &[]);
+    let listing = stdout_of(&out);
+    assert!(out.status.success(), "{listing}");
+    assert!(
+        !listing.contains("detached-thread"),
+        "a detached thread is back in the workspace:\n{listing}"
     );
 }

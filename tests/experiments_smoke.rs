@@ -85,7 +85,7 @@ fn e18_paged_store_is_cold_expensive_and_warm_cheap() {
     let mut prev_reads = u64::MAX;
     for row in &table.rows {
         // Columns: page size, cold ms, cold page reads, warm ms,
-        // warm hit rate, readahead loads.
+        // warm hit rate.
         let cold_reads: u64 = row[2].parse().expect("numeric reads");
         let hit_rate: f64 = row[4].parse().expect("numeric hit rate");
         assert!(cold_reads > 0, "cold run must touch the store: {row:?}");
