@@ -25,7 +25,7 @@ use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::TopKAlgorithm;
 use fmdb_middleware::engine::{Engine, EngineConfig};
-use fmdb_middleware::policy::ExecPolicy;
+use fmdb_middleware::policy::{Algo, ExecPolicy};
 use fmdb_middleware::request::{TopKQuery, TopKRequest};
 use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, VecSource};
 use fmdb_middleware::workload::independent_uniform;
@@ -150,6 +150,45 @@ fn bench_in_memory(c: &mut Criterion) {
             .expect("valid request");
         b.iter(|| engine.run(&request).expect("valid run"));
     });
+
+    // What the grade cache costs a memory-speed source: eight forced-TA
+    // requests over lists of 4 096 (the arities of perfbench's
+    // `run_many8`), one by one and through `run_many`, with the default
+    // cache and with none. At 4 096 entries against ~4 700 probes a
+    // query the cache mostly misses, and a miss is two stripe locks, a
+    // source lock and an eviction in front of a ~30 ns `VecSource`
+    // probe (ROADMAP, "the grade cache taxes memory-speed sources").
+    // Ungated: a witness, not a claim.
+    let many8: Vec<TopKRequest> = [3usize, 3, 3, 2, 3, 4, 3, 2]
+        .into_iter()
+        .zip(0u64..)
+        .map(|(arity, seed)| {
+            TopKQuery::compose()
+                .sources(independent_uniform(1 << 12, arity, seed))
+                .scoring(Min)
+                .k(K)
+                .policy(ExecPolicy::new().algo(Algo::Ta))
+                .request()
+                .expect("valid request")
+        })
+        .collect();
+    for cache_capacity in [EngineConfig::DEFAULT.cache_capacity, 0] {
+        let engine = Engine::new(EngineConfig {
+            cache_capacity,
+            ..EngineConfig::DEFAULT
+        });
+        let cache = format!("cache_{cache_capacity}");
+        group.bench_function(BenchmarkId::new("ta_many8/one_by_one", &cache), |b| {
+            b.iter(|| {
+                for request in &many8 {
+                    engine.run(request).expect("valid run");
+                }
+            });
+        });
+        group.bench_function(BenchmarkId::new("ta_many8/run_many", &cache), |b| {
+            b.iter(|| engine.run_many(&many8));
+        });
+    }
 
     group.finish();
 }

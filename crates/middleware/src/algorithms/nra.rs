@@ -45,7 +45,11 @@ impl BoundedAnswer {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NraResult {
     /// A valid top-k *set* (every member's true grade ties or beats
-    /// every non-member's), ordered by descending lower bound.
+    /// every non-member's), in the one order the threshold kernel
+    /// reports in: descending [`BoundedAnswer::lower`], ties by
+    /// ascending oid. Where the lower bounds are exact grades — under
+    /// TA, and under CA once its closing probes have run — that is the
+    /// workspace's output order (descending grade, then ascending oid).
     pub answers: Vec<BoundedAnswer>,
     /// Access statistics — `random` is 0 by construction.
     pub stats: AccessStats,

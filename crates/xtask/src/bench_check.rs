@@ -15,7 +15,11 @@
 //! [0, 1], `cold_page_reads` > 0 — a zero means the experiment never
 //! touched the store — `warm_ta_vs_mem` a positive finite ratio, and
 //! `cold_us_per_page_read` at most 12 µs: a page miss with the file in
-//! the OS cache cost 24 µs while its checksum ran bit by bit),
+//! the OS cache cost 24 µs while its checksum ran bit by bit), E19
+//! bookkeeping costs that are missing or out of line (`ta_`, `nra_`,
+//! `ca_h10_ns_per_access` positive, `nra_vs_ta_ns_per_access` at most
+//! 10: the planner prices accesses only, which holds up just as long as
+//! an access costs about the same CPU whichever schedule charged it),
 //! or E23 block-max pruning telemetry that is missing or nonsensical
 //! (`corpus_speedup`/`drain_speedup` positive — pruned runs that take
 //! no time at all mean the timer broke — and both skip rates in
@@ -263,6 +267,19 @@ const REQUIRED: std::ops::RangeInclusive<u32> = 1..=23;
 /// for the old kernel.
 const E18_MAX_COLD_US_PER_PAGE: f64 = 12.0;
 
+/// E19's wall-clock metrics, the ratio last.
+const E19_PER_ACCESS: [&str; 4] = [
+    "ta_ns_per_access",
+    "nra_ns_per_access",
+    "ca_h10_ns_per_access",
+    "nra_vs_ta_ns_per_access",
+];
+
+/// Ceiling on E19's `nra_vs_ta_ns_per_access`: ≈ 70 while the threshold
+/// kernel re-ranked every open object every round, ≈ 2.5 since its
+/// bookkeeping is incremental.
+const E19_MAX_NRA_VS_TA: f64 = 10.0;
+
 /// Validates a `BENCH_engine.json` payload. Returns a human-readable
 /// summary on success, the first failure otherwise.
 pub fn check(content: &str) -> Result<String, String> {
@@ -288,6 +305,7 @@ pub fn check(content: &str) -> Result<String, String> {
     let mut e18_page_reads: Option<f64> = None;
     let mut e18_ta_ratio: Option<f64> = None;
     let mut e18_cold_page_us: Option<f64> = None;
+    let mut e19_per_access: [Option<f64>; 4] = [None; 4];
     let mut e23_corpus_speedup: Option<f64> = None;
     let mut e23_drain_speedup: Option<f64> = None;
     let mut e23_corpus_skip: Option<f64> = None;
@@ -335,6 +353,11 @@ pub fn check(content: &str) -> Result<String, String> {
                         "warm_ta_vs_mem" => e18_ta_ratio = Some(v),
                         "cold_us_per_page_read" => e18_cold_page_us = Some(v),
                         _ => {}
+                    }
+                }
+                if id == "E19" {
+                    if let Some(at) = E19_PER_ACCESS.iter().position(|n| n == name) {
+                        e19_per_access[at] = Some(v);
                     }
                 }
                 if id == "E23" {
@@ -433,6 +456,26 @@ pub fn check(content: &str) -> Result<String, String> {
         ));
     }
 
+    let mut nra_vs_ta = 0.0;
+    for (name, found) in E19_PER_ACCESS.iter().zip(e19_per_access) {
+        let v = found.ok_or_else(|| format!("E19 is missing the `{name}` metric"))?;
+        if v <= 0.0 {
+            return Err(format!(
+                "E19: `{name}` = {v} — a cost per charged access must be positive"
+            ));
+        }
+        // The ratio is the last of the four.
+        nra_vs_ta = v;
+    }
+    if nra_vs_ta > E19_MAX_NRA_VS_TA {
+        return Err(format!(
+            "E19: nra_vs_ta_ns_per_access = {nra_vs_ta} exceeds {E19_MAX_NRA_VS_TA} — an \
+             access under NRA costs that many times the CPU of one under TA, and the \
+             planner prices accesses only; look at the per-round path of \
+             `algorithms/threshold.rs` first"
+        ));
+    }
+
     let corpus_speedup = e23_corpus_speedup.ok_or("E23 is missing the `corpus_speedup` metric")?;
     let drain_speedup = e23_drain_speedup.ok_or("E23 is missing the `drain_speedup` metric")?;
     for (name, v) in [
@@ -473,6 +516,7 @@ pub fn check(content: &str) -> Result<String, String> {
          {regret_count} planner regrets (median {median:.3}, max {max:.3}); \
          E18 paged store: {page_reads:.0} cold page reads, warm hit rate {hit_rate:.3}, \
          {cold_page_us:.2} µs per cold page read; \
+         E19 bookkeeping: an NRA access at {nra_vs_ta:.2}x a TA access; \
          E23 pruning: corpus {corpus_speedup:.2}x, drain {drain_speedup:.2}x"
     );
     Ok(summary)
@@ -491,12 +535,16 @@ mod tests {
     const GOOD_E23: &str = "{\"corpus_speedup\":2.5,\"corpus_skip_rate\":0.8,\
                             \"drain_speedup\":15.0,\"page_skip_rate\":0.94}";
 
-    fn artifact_e23(
+    const GOOD_E19: &str = "{\"ta_ns_per_access\":40.0,\"nra_ns_per_access\":90.0,\
+                            \"ca_h10_ns_per_access\":370.0,\"nra_vs_ta_ns_per_access\":2.25}";
+
+    fn artifact_e19(
         ids: &[&str],
         e22_metrics: &str,
         e16_metrics: &str,
         e18_metrics: &str,
         e23_metrics: &str,
+        e19_metrics: &str,
     ) -> String {
         let entries: Vec<String> = ids
             .iter()
@@ -505,6 +553,7 @@ mod tests {
                     "E22" => e22_metrics,
                     "E16" => e16_metrics,
                     "E18" => e18_metrics,
+                    "E19" => e19_metrics,
                     "E23" => e23_metrics,
                     _ => "{}",
                 };
@@ -518,6 +567,23 @@ mod tests {
         format!(
             "{{\"schema\":\"fmdb-bench-engine/v1\",\"quick\":true,\"experiments\":[{}]}}",
             entries.join(",")
+        )
+    }
+
+    fn artifact_e23(
+        ids: &[&str],
+        e22_metrics: &str,
+        e16_metrics: &str,
+        e18_metrics: &str,
+        e23_metrics: &str,
+    ) -> String {
+        artifact_e19(
+            ids,
+            e22_metrics,
+            e16_metrics,
+            e18_metrics,
+            e23_metrics,
+            GOOD_E19,
         )
     }
 
@@ -555,6 +621,7 @@ mod tests {
         assert!(summary.contains("min 1.000"), "{summary}");
         assert!(summary.contains("median 1.050"), "{summary}");
         assert!(summary.contains("drain 15.00x"), "{summary}");
+        assert!(summary.contains("NRA access at 2.25x"), "{summary}");
     }
 
     #[test]
@@ -698,6 +765,36 @@ mod tests {
                     \"warm_ta_vs_mem\":0.0}";
         let err = check(&artifact_full(&refs, GOOD_E22, GOOD_E16, e18)).unwrap_err();
         assert!(err.contains("warm_ta_vs_mem"), "{err}");
+    }
+
+    #[test]
+    fn rejects_e19_without_its_per_access_costs() {
+        let ids = all_ids();
+        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+        for missing in E19_PER_ACCESS {
+            let e19: Vec<String> = E19_PER_ACCESS
+                .iter()
+                .filter(|name| **name != missing)
+                .map(|name| format!("\"{name}\":2.0"))
+                .collect();
+            let e19 = format!("{{{}}}", e19.join(","));
+            let doc = artifact_e19(&refs, GOOD_E22, GOOD_E16, GOOD_E18, GOOD_E23, &e19);
+            let err = check(&doc).unwrap_err();
+            assert!(err.contains(missing), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_an_nra_access_far_dearer_than_a_ta_access() {
+        let ids = all_ids();
+        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+        // What the artifact read while every round re-ranked every open
+        // object.
+        let e19 = "{\"ta_ns_per_access\":200.0,\"nra_ns_per_access\":14000.0,\
+                    \"ca_h10_ns_per_access\":17000.0,\"nra_vs_ta_ns_per_access\":70.0}";
+        let doc = artifact_e19(&refs, GOOD_E22, GOOD_E16, GOOD_E18, GOOD_E23, e19);
+        let err = check(&doc).unwrap_err();
+        assert!(err.contains("nra_vs_ta_ns_per_access = 70"), "{err}");
     }
 
     #[test]
