@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
@@ -27,7 +27,7 @@ use fmdb_middleware::algorithms::TopKAlgorithm;
 use fmdb_middleware::engine::{Engine, EngineConfig};
 use fmdb_middleware::policy::{Algo, ExecPolicy};
 use fmdb_middleware::request::{TopKQuery, TopKRequest};
-use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, VecSource};
+use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, SourcePartitioner, VecSource};
 use fmdb_middleware::workload::independent_uniform;
 
 const N: usize = 1 << 16; // 65,536
@@ -241,5 +241,76 @@ fn bench_sharded(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_remote, bench_in_memory, bench_sharded);
+/// The in-memory list itself, so the next change to `VecSource` has a
+/// before: building it from pairs (already ascending by oid, scrambled,
+/// scrambled with every oid given twice), probing it (a dense `0..n`
+/// list hits its slot directly, a sparse one binary-searches) and
+/// splitting it into two shards.
+fn bench_source(c: &mut Criterion) {
+    /// A fixed scramble of `i`: the grade bits and the shuffle key.
+    fn mix(i: u64) -> u64 {
+        i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+    fn pairs(oids: impl Iterator<Item = Oid>) -> Vec<(Oid, Score)> {
+        oids.map(|oid| {
+            let unit = (mix(oid) >> 11) as f64 / (1u64 << 53) as f64;
+            (oid, Score::clamped(unit))
+        })
+        .collect()
+    }
+    fn shuffled(mut pairs: Vec<(Oid, Score)>) -> Vec<(Oid, Score)> {
+        pairs.sort_by_key(|&(oid, grade)| mix(oid ^ grade.value().to_bits()));
+        pairs
+    }
+
+    let mut build = c.benchmark_group("source_build");
+    for n in [2000u64, 1 << 16] {
+        let dense = pairs(0..n);
+        // `n` pairs over `n / 2` oids: each oid twice, grades differing.
+        let twice = pairs(0..n)
+            .into_iter()
+            .map(|(oid, grade)| (oid / 2, grade))
+            .collect();
+        for (shape, input) in [
+            ("dense", dense.clone()),
+            ("shuffled", shuffled(dense)),
+            ("duplicates", shuffled(twice)),
+        ] {
+            build.bench_function(BenchmarkId::new(shape, n), |b| {
+                b.iter_batched(
+                    || input.clone(),
+                    |input| VecSource::new("built", input),
+                    BatchSize::LargeInput,
+                );
+            });
+        }
+    }
+    build.finish();
+
+    let n = N as u64;
+    let mut probe = c.benchmark_group("source_probe");
+    for (shape, stride) in [("dense", 1u64), ("sparse", 3)] {
+        let mut source = VecSource::new(shape, pairs((0..n).map(|i| i * stride)));
+        let oids: Vec<Oid> = (0..2048).map(|i| mix(i) % n * stride).collect();
+        probe.bench_function(BenchmarkId::new(shape, n), |b| {
+            b.iter(|| source.random_batch(&oids));
+        });
+    }
+    probe.finish();
+
+    let mut partition = c.benchmark_group("source_partition");
+    let source = VecSource::new("split", pairs(0..n));
+    partition.bench_function(BenchmarkId::new("2", n), |b| {
+        b.iter(|| source.partition(SourcePartitioner::Modulo, 2));
+    });
+    partition.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_remote,
+    bench_in_memory,
+    bench_sharded,
+    bench_source
+);
 criterion_main!(benches);

@@ -18,10 +18,11 @@ use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::engine::Engine;
 use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::{SharedScoring, TopKQuery, TopKRequest};
+use fmdb_middleware::source::{GradedSource, SourcePartitioner};
 use fmdb_middleware::workload::independent_uniform;
 
 use crate::report::{f3, int, Report, Table};
-use crate::runners::RunCfg;
+use crate::runners::{fastest_us, RunCfg};
 
 /// Runs the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
@@ -55,6 +56,7 @@ pub fn run(cfg: &RunCfg) -> Report {
         &["shards", "wall µs", "sorted", "random", "spawns", "speedup"],
     );
     let mut serial_wall = 0.0f64;
+    let mut serial_cost = 0u64;
     let mut mismatches = 0usize;
     for shards in [1usize, 2, 4, 8] {
         let mut wall = 0.0f64;
@@ -83,6 +85,15 @@ pub fn run(cfg: &RunCfg) -> Report {
         wall /= cfg.seeds as f64;
         if shards == 1 {
             serial_wall = wall;
+            serial_cost = sorted + random;
+        }
+        if shards == 2 {
+            report
+                .metric("speedup_2", serial_wall / wall.max(1e-9))
+                .metric(
+                    "cost_ratio_2",
+                    (sorted + random) as f64 / serial_cost.max(1) as f64,
+                );
         }
         t.row(vec![
             int(shards as u64),
@@ -94,6 +105,22 @@ pub fn run(cfg: &RunCfg) -> Report {
         ]);
     }
     report.table(t);
+    // What every sharded request pays before a worker starts: the
+    // engine's own split (`Modulo`) of both lists into two shards.
+    let lists = independent_uniform(n, m, 0);
+    let partition_us = fastest_us(20, || {
+        lists
+            .iter()
+            .map(|list| list.partition(SourcePartitioner::Modulo, 2))
+            .collect::<Vec<_>>()
+    });
+    report.metric("partition_us", partition_us);
+    report.note(format!(
+        "partitioning the request's {m} lists into 2 shards costs {} µs (fastest of 20): \
+         one pass copying each sorted stream into its slices — the random-access index \
+         is shared with the parent, not cloned.",
+        f3(partition_us)
+    ));
     report.note(format!(
         "answer mismatches vs the serial engine: {mismatches} (must be 0; the \
          shard_equivalence proptest suite proves the same equality on random corpora)."

@@ -9,6 +9,7 @@
 //! are unaffected by the plumbing.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
 use fmdb_middleware::engine::Engine;
@@ -54,6 +55,19 @@ impl RunCfg {
             full
         }
     }
+}
+
+/// The fastest of `reps` timed calls of `work`, in microseconds — a
+/// floor, which a host that takes the processor away in bursts cannot
+/// inflate.
+pub fn fastest_us<T>(reps: usize, mut work: impl FnMut() -> T) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(work());
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// The experiments' shared execution engine (default configuration:

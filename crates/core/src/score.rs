@@ -64,7 +64,7 @@ impl Score {
         } else if !(0.0..=1.0).contains(&value) {
             Err(ScoreError::OutOfRange(value))
         } else {
-            Ok(Score(value).debug_checked())
+            Ok(Score::canonical(value))
         }
     }
 
@@ -78,8 +78,18 @@ impl Score {
         if value.is_nan() {
             Score::ZERO
         } else {
-            Score(value.clamp(0.0, 1.0)).debug_checked()
+            Score::canonical(value.clamp(0.0, 1.0))
         }
+    }
+
+    /// Wraps an in-range value with `-0.0` folded into `+0.0`: IEEE
+    /// addition gives `-0.0 + 0.0 == +0.0` and leaves every other
+    /// value alone. `-0.0` passes the range check, but `==` calls the
+    /// two zeros equal while [`Ord`] (`total_cmp`) and `to_bits` do
+    /// not — so no constructor may let it in.
+    #[inline]
+    fn canonical(value: f64) -> Score {
+        Score(value + 0.0).debug_checked()
     }
 
     /// The runtime half of the workspace's invariant story: every
@@ -95,6 +105,10 @@ impl Score {
             self.0.is_finite() && (0.0..=1.0).contains(&self.0),
             "Score invariant violated: {} is not a grade in [0, 1]",
             self.0
+        );
+        debug_assert!(
+            self.0.is_sign_positive(),
+            "Score invariant violated: -0.0 must be stored as +0.0"
         );
         self
     }
@@ -253,6 +267,20 @@ mod tests {
         assert_eq!(Score::clamped(42.0), Score::ONE);
         assert_eq!(Score::clamped(0.25).value(), 0.25);
         assert_eq!(Score::clamped(f64::NAN), Score::ZERO);
+    }
+
+    /// `-0.0` is in range but must not survive construction: `==` and
+    /// `cmp` would disagree on it and grade-bit digests would differ.
+    #[test]
+    fn negative_zero_is_stored_as_positive_zero() {
+        for zero in [Score::new(-0.0).unwrap(), Score::clamped(-0.0)] {
+            assert_eq!(zero, Score::ZERO);
+            assert_eq!(zero.cmp(&Score::ZERO), Ordering::Equal);
+            assert_eq!(zero.value().to_bits(), 0.0_f64.to_bits());
+        }
+        // Values that clamp or compute to zero from below, too.
+        assert_eq!(Score::clamped(-1e-300).value().to_bits(), 0);
+        assert_eq!(Score::ONE.negate().value().to_bits(), 0);
     }
 
     #[test]

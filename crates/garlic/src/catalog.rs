@@ -3,6 +3,13 @@
 //! Garlic knows which subsystem evaluates which attribute; the catalog
 //! records that routing, owns the [`IdMapper`] (§4.2's one-to-one
 //! requirement), and hands the executor *global-id* graded sources.
+//!
+//! Translation is the exception, not the rule: a repository registered
+//! through [`Catalog::register`] maps `0..n` to itself, the mapper
+//! records that as a range, and [`Catalog::source_for`] then returns
+//! the repository's list as built — an atom is bound with one list
+//! construction. Only a custom mapping pays a translation pass and a
+//! second construction.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -150,15 +157,27 @@ impl Catalog {
     /// Builds a **global-id** graded source for an atomic query: asks
     /// the owning repository, then translates every local id through
     /// the one-to-one mapping.
+    ///
+    /// When the mapper says the repository's whole mapping is the
+    /// identity on `0..n` and the list holds no id beyond it, local
+    /// ids *are* global ids and the repository's list is returned as
+    /// built. Otherwise every id is translated once, in stream order —
+    /// the first one the mapping does not cover fails the whole source
+    /// — and the list is built once from the translated pairs.
     pub fn source_for(&self, query: &AtomicQuery) -> Result<VecSource, CatalogError> {
         let repo = self.repository_for(&query.attribute)?;
         let mut local = repo.source_for(query)?;
-        let to_global = self.mapper.translator(repo.name());
-        let mut grades: Vec<(Oid, Score)> = Vec::with_capacity(local.info().universe_size);
         local.rewind();
-        while let Some(so) = local.sorted_next() {
-            grades.push((to_global(so.id)?, so.grade));
+        let identity = self.mapper.identity_range(repo.name());
+        if identity.is_some_and(|n| local.max_oid().is_none_or(|oid| oid < n)) {
+            return Ok(local);
         }
+        let to_global = self.mapper.translator(repo.name());
+        let grades = local
+            .sorted_batch(usize::MAX)
+            .into_iter()
+            .map(|so| Ok((to_global(so.id)?, so.grade)))
+            .collect::<Result<Vec<(Oid, Score)>, IdMapError>>()?;
         Ok(VecSource::new(local.info().label, grades))
     }
 
@@ -173,7 +192,9 @@ impl Catalog {
             .into_iter()
             .map(self.mapper.translator(repo.name()))
             .collect::<Result<Vec<_>, _>>()?;
+        // A set: the executor relies on ascending and unique.
         globals.sort_unstable();
+        globals.dedup();
         Ok(Some(globals))
     }
 
@@ -267,6 +288,39 @@ mod tests {
         ));
         // The match set {0} only needs the mapped row.
         assert_eq!(c.crisp_matches(&beatles).unwrap(), Some(vec![100]));
+    }
+
+    /// The identity shortcut is the mapper's word *and* the list's: a
+    /// list naming an id past the registered range is translated, and
+    /// fails as any unmapped id does.
+    #[test]
+    fn an_id_beyond_the_identity_range_still_fails_the_source() {
+        /// Claims two objects, grades three ids.
+        struct Overreaching;
+        impl Repository for Overreaching {
+            fn name(&self) -> &str {
+                "over"
+            }
+            fn attributes(&self) -> Vec<(String, AttributeKind)> {
+                vec![("Hue".to_owned(), AttributeKind::Fuzzy)]
+            }
+            fn universe_size(&self) -> usize {
+                2
+            }
+            fn source_for(&self, _: &AtomicQuery) -> Result<VecSource, RepoError> {
+                let grades = vec![(0, Score::ONE), (1, Score::HALF), (5, Score::HALF)];
+                Ok(VecSource::new("over:Hue", grades))
+            }
+            fn crisp_matches(&self, _: &AtomicQuery) -> Result<Option<Vec<Oid>>, RepoError> {
+                Ok(None)
+            }
+        }
+        let mut c = Catalog::new();
+        c.register(Box::new(Overreaching)).unwrap();
+        assert!(matches!(
+            c.source_for(&atom("Hue", Target::Similar("red".into()))),
+            Err(CatalogError::IdMap(IdMapError::Unmapped { id: 5, .. }))
+        ));
     }
 
     #[test]

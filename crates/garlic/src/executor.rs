@@ -1,7 +1,7 @@
 //! The query executor: runs planner-chosen strategies against catalog
 //! sources, metering every database access.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -303,7 +303,9 @@ impl Garlic {
             return Err(ExecError::Internal("crisp-filter plans carry a flat query"));
         };
         let mut stats = AccessStats::ZERO;
-        let mut survivors: Option<HashSet<Oid>> = None;
+        // The match sets arrive ascending, and so does their
+        // intersection.
+        let mut survivors: Option<Vec<Oid>> = None;
         let mut first_crisp = None;
         for &at in &bound.positions {
             let atom = &bound.atoms[at];
@@ -316,10 +318,12 @@ impl Garlic {
                     .repository_for(&atom.atom.attribute)?
                     .universe_size() as u64;
                 stats.sorted += (matches.len() as u64 + 1).min(universe);
-                let set: HashSet<Oid> = matches.iter().copied().collect();
                 survivors = Some(match survivors {
-                    None => set,
-                    Some(prev) => prev.intersection(&set).copied().collect(),
+                    None => matches.clone(),
+                    Some(mut prev) => {
+                        prev.retain(|oid| matches.binary_search(oid).is_ok());
+                        prev
+                    }
                 });
                 first_crisp = first_crisp.or(Some(at));
             }
@@ -333,9 +337,7 @@ impl Garlic {
         // Random-access every fuzzy conjunct for each survivor.
         let mut answers: Vec<ScoredObject<Oid>> = Vec::with_capacity(survivors.len());
         let mut grades = vec![Score::ONE; bound.positions.len()];
-        let mut ordered: Vec<Oid> = survivors.iter().copied().collect();
-        ordered.sort_unstable();
-        for oid in ordered {
+        for &oid in &survivors {
             for (grade, &at) in grades.iter_mut().zip(&bound.positions) {
                 let atom = &mut bound.atoms[at];
                 if atom.matches.is_none() {
@@ -351,15 +353,16 @@ impl Garlic {
         // If the filter kept fewer than k objects, pad with grade-0
         // objects from outside S (the combiner is zero-absorbing, so
         // their overall grade is exactly 0). Padding costs a drain of
-        // one crisp source's universe.
+        // one crisp source's universe. Every answer so far is in S, and
+        // a list streams an object once, so "outside S" is the whole
+        // test.
         if answers.len() < k {
             let src = &mut bound.atoms[first_crisp].source;
             src.rewind();
-            let mut seen_ids: HashSet<Oid> = answers.iter().map(|a| a.id).collect();
             while answers.len() < k {
                 let Some(so) = src.sorted_next() else { break };
                 stats.sorted += 1;
-                if seen_ids.insert(so.id) && !survivors.contains(&so.id) {
+                if survivors.binary_search(&so.id).is_err() {
                     answers.push(ScoredObject::new(so.id, Score::ZERO));
                 }
             }
@@ -383,29 +386,37 @@ impl Garlic {
         explanation: String,
     ) -> Result<QueryResult, ExecError> {
         let mut stats = AccessStats::ZERO;
-        // Per-atom grade maps (the binding holds each distinct atom once).
-        let mut grade_maps: Vec<(AtomicQuery, HashMap<Oid, Score>)> = Vec::new();
-        let mut universe: HashSet<Oid> = HashSet::new();
+        // Per-atom lists, drained once and kept in oid order (the
+        // binding holds each distinct atom once).
+        let mut lists: Vec<(AtomicQuery, Vec<ScoredObject<Oid>>)> = Vec::new();
+        let mut universe: Vec<Oid> = Vec::new();
         for mut atom in bound.atoms {
-            let src = &mut atom.source;
-            src.rewind();
-            let mut map = HashMap::with_capacity(src.info().universe_size);
-            while let Some(so) = src.sorted_next() {
-                stats.sorted += 1;
-                map.insert(so.id, so.grade);
-                universe.insert(so.id);
-            }
-            grade_maps.push((atom.atom, map));
+            atom.source.rewind();
+            let mut list = atom.source.sorted_batch(usize::MAX);
+            stats.sorted += list.len() as u64;
+            list.sort_unstable_by_key(|so| so.id);
+            universe.extend(list.iter().map(|so| so.id));
+            lists.push((atom.atom, list));
         }
+        universe.sort_unstable();
+        universe.dedup();
+        // A list's own lookup rule: in a list over `0..n` object `oid`
+        // sits at position `oid`; otherwise binary search. Objects
+        // absent from a source have grade 0 there.
+        let grade_in = |list: &[ScoredObject<Oid>], oid: Oid| match list.get(oid as usize) {
+            Some(so) if so.id == oid => so.grade,
+            _ => list
+                .binary_search_by_key(&oid, |so| so.id)
+                .map_or(Score::ZERO, |at| list[at].grade),
+        };
 
         let mut answers: Vec<ScoredObject<Oid>> = Vec::with_capacity(universe.len());
         for &oid in &universe {
             let grade = query.grade(&|atom: &AtomicQuery| {
-                grade_maps
+                lists
                     .iter()
                     .find(|(a, _)| a == atom)
-                    // Objects absent from a source have grade 0 there.
-                    .map(|(_, m)| m.get(&oid).copied().unwrap_or(Score::ZERO))
+                    .map(|(_, list)| grade_in(list, oid))
             })?;
             answers.push(ScoredObject::new(oid, grade));
         }

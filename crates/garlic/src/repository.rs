@@ -11,8 +11,15 @@
 //! when the source is built — the middleware's cost model deliberately
 //! meters only the accesses the *algorithm* performs against the
 //! source, matching the paper's black-box view of subsystems.
+//!
+//! Both repositories grade the dense local universe `0..n` and hand
+//! [`VecSource::new`] / [`VecSource::from_dense`] their pairs in oid
+//! order, which is the list's random-access array as it stands: what a
+//! list costs beyond its kernel (a distance per object, or one pass
+//! over a column) is the distance → grade pass and one sort into
+//! sorted-access order.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use fmdb_core::query::{AtomicQuery, Target};
@@ -167,9 +174,10 @@ pub fn persist_source(
 #[derive(Debug, Clone)]
 pub struct TableRepository {
     name: String,
-    /// attr → (oid → value); all rows share the same oid universe.
-    columns: HashMap<String, HashMap<Oid, Value>>,
-    universe: Vec<Oid>,
+    /// attr → its column: row `oid`'s value at position `oid`, over
+    /// the declared universe `0..n`.
+    columns: BTreeMap<String, Vec<Option<Value>>>,
+    universe: usize,
 }
 
 impl TableRepository {
@@ -177,19 +185,30 @@ impl TableRepository {
     pub fn new(name: impl Into<String>, n: u64) -> TableRepository {
         TableRepository {
             name: name.into(),
-            columns: HashMap::new(),
-            universe: (0..n).collect(),
+            columns: BTreeMap::new(),
+            universe: n as usize,
         }
     }
 
     /// Sets `attr` of object `oid` to `value`.
+    ///
+    /// The table's rows are `0..n`: a value set for an `oid` outside
+    /// them declares the attribute but belongs to no row — it is never
+    /// matched and never streamed.
     pub fn set(&mut self, oid: Oid, attr: impl Into<String>, value: Value) {
-        self.columns
+        let column = self
+            .columns
             .entry(attr.into())
-            .or_default()
-            .insert(oid, value);
+            .or_insert_with(|| vec![None; self.universe]);
+        if let Some(cell) = usize::try_from(oid)
+            .ok()
+            .and_then(|row| column.get_mut(row))
+        {
+            *cell = Some(value);
+        }
     }
 
+    /// The rows matching a crisp query, ascending.
     fn matches(&self, query: &AtomicQuery) -> Result<Vec<Oid>, RepoError> {
         let column =
             self.columns
@@ -208,14 +227,12 @@ impl TableRepository {
                 })
             }
         };
-        let mut out: Vec<Oid> = self
-            .universe
+        Ok(column
             .iter()
-            .filter(|oid| column.get(oid) == Some(&wanted))
-            .copied()
-            .collect();
-        out.sort_unstable();
-        Ok(out)
+            .enumerate()
+            .filter(|(_, cell)| cell.as_ref() == Some(&wanted))
+            .map(|(row, _)| row as Oid)
+            .collect())
     }
 }
 
@@ -225,28 +242,25 @@ impl Repository for TableRepository {
     }
 
     fn attributes(&self) -> Vec<(String, AttributeKind)> {
-        let mut v: Vec<_> = self
-            .columns
+        self.columns
             .keys()
             .map(|a| (a.clone(), AttributeKind::Crisp))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
+            .collect()
     }
 
     fn universe_size(&self) -> usize {
-        self.universe.len()
+        self.universe
     }
 
     fn source_for(&self, query: &AtomicQuery) -> Result<VecSource, RepoError> {
-        let matches = self.matches(query)?;
-        let matched: std::collections::HashSet<Oid> = matches.into_iter().collect();
-        let grades: Vec<(Oid, Score)> = self
-            .universe
-            .iter()
-            .map(|&oid| (oid, Score::crisp(matched.contains(&oid))))
-            .collect();
-        Ok(VecSource::new(format!("{}:{}", self.name, query), grades))
+        let mut grades = vec![Score::ZERO; self.universe];
+        for row in self.matches(query)? {
+            grades[row as usize] = Score::ONE;
+        }
+        Ok(VecSource::from_dense(
+            format!("{}:{}", self.name, query),
+            &grades,
+        ))
     }
 
     fn crisp_matches(&self, query: &AtomicQuery) -> Result<Option<Vec<Oid>>, RepoError> {
@@ -531,6 +545,30 @@ mod tests {
         assert_eq!(src.random_access(1), Score::ZERO);
         assert_eq!(src.random_access(3), Score::ZERO); // no value set
         assert_eq!(t.crisp_matches(&q).unwrap(), Some(vec![0, 2]));
+    }
+
+    /// A value set outside the declared rows `0..n` declares its
+    /// attribute and nothing else: no match, no streamed entry.
+    #[test]
+    fn a_value_set_outside_the_universe_belongs_to_no_row() {
+        let mut t = TableRepository::new("cds", 2);
+        t.set(1, "Artist", Value::text("Beatles"));
+        t.set(2, "Artist", Value::text("Beatles"));
+        t.set(u64::MAX, "Label", Value::text("Apple"));
+        assert_eq!(
+            t.attributes(),
+            vec![
+                ("Artist".to_owned(), AttributeKind::Crisp),
+                ("Label".to_owned(), AttributeKind::Crisp)
+            ]
+        );
+        let q = atom("Artist", Target::Text("Beatles".into()));
+        assert_eq!(t.crisp_matches(&q).unwrap(), Some(vec![1]));
+        let mut src = t.source_for(&q).unwrap();
+        assert_eq!(src.info().universe_size, 2);
+        assert_eq!(src.random_access(2), Score::ZERO);
+        let apple = atom("Label", Target::Text("Apple".into()));
+        assert_eq!(t.crisp_matches(&apple).unwrap(), Some(vec![]));
     }
 
     #[test]

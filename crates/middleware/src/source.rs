@@ -14,8 +14,11 @@
 //! algorithms are allowed to learn about a subquery flows through it,
 //! which is what makes the *database access cost* (sorted accesses +
 //! random accesses) a meaningful complexity measure.
+//!
+//! The materialized implementations ([`VecSource`], [`ShardedSource`])
+//! keep a list as two arrays, one per access mode; see DESIGN §17.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -288,14 +291,89 @@ impl SourcePartitioner {
     }
 }
 
+/// The random-access half of a materialized graded list: its
+/// `(oid, grade)` pairs in one array, ascending by oid, every oid once.
+///
+/// [`OidIndex::new`] is the one normalisation of "pairs a caller
+/// handed us" that [`VecSource::new`], the store builder and
+/// [`crate::store::PagedSource`]'s `partition` share, and
+/// [`OidIndex::sorted_stream`] is the one derivation of the sorted
+/// half from it. Cloning shares the array.
+#[derive(Debug, Clone)]
+pub(crate) struct OidIndex(Arc<[(Oid, Score)]>);
+
+impl OidIndex {
+    /// Normalises `pairs`: ascending by oid, duplicate oids keeping the
+    /// *last* grade given. Pairs that already arrive strictly
+    /// increasing — every dense list, every repository list — are
+    /// taken as they are.
+    pub(crate) fn new(mut pairs: Vec<(Oid, Score)>) -> OidIndex {
+        if !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+            // Stable: equal oids stay in input order, so the last one
+            // given ends its run and is the one kept.
+            pairs.sort_by_key(|&(oid, _)| oid);
+            pairs.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    *kept = *later;
+                }
+                same
+            });
+        }
+        OidIndex(pairs.into())
+    }
+
+    /// The pairs, ascending by oid.
+    pub(crate) fn entries(&self) -> &[(Oid, Score)] {
+        &self.0
+    }
+
+    /// The grade of `oid`; [`Score::ZERO`] when the list does not hold
+    /// it.
+    ///
+    /// One array, two ways to find a slot in it. A list over the dense
+    /// universe `0..n` keeps object `oid` at position `oid`: one load
+    /// and one compare, and requiring the oid found there to *equal*
+    /// the one asked for also rejects an `as usize` that truncated.
+    /// Anything else is a binary search. (Not a `Vec<Score>` indexed
+    /// by oid: a list holding oid `u64::MAX` must not be sized by its
+    /// largest id.)
+    #[inline]
+    pub(crate) fn grade(&self, oid: Oid) -> Score {
+        match self.0.get(oid as usize) {
+            Some(&(at, grade)) if at == oid => grade,
+            _ => match self.0.binary_search_by_key(&oid, |&(at, _)| at) {
+                Ok(slot) => self.0[slot].1,
+                Err(_) => Score::ZERO,
+            },
+        }
+    }
+
+    /// The sorted-access half: the same pairs by descending grade,
+    /// ties by ascending oid.
+    pub(crate) fn sorted_stream(&self) -> Vec<ScoredObject<Oid>> {
+        let mut sorted: Vec<ScoredObject<Oid>> = self
+            .0
+            .iter()
+            .map(|&(oid, grade)| ScoredObject::new(oid, grade))
+            .collect();
+        // Every oid occurs once, so (grade, oid) is a unique key and
+        // an unstable sort has no equal elements to reorder: it gives
+        // exactly the order a stable one would.
+        sorted.sort_unstable_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
+        sorted
+    }
+}
+
 /// One shard of a partitioned [`GradedSource`].
 ///
 /// Sorted access streams only the objects this shard owns (in the
 /// parent's descending order); random access still answers over the
 /// parent's full universe, so the wrapper honors the source contract
-/// even if probed about out-of-shard objects. The full random index is
-/// shared between sibling shards via an [`Arc`], so partitioning an
-/// `n`-object source into `p` shards costs one index clone, not `p`.
+/// even if probed about out-of-shard objects. The parent's random
+/// index is one array behind an [`Arc`]: sibling shards and the parent
+/// itself all read the same one, so partitioning copies the sorted
+/// stream into its slices and nothing else.
 #[derive(Debug, Clone)]
 pub struct ShardedSource {
     label: String,
@@ -304,8 +382,9 @@ pub struct ShardedSource {
     /// This shard's slice of the stream, descending grade / ascending
     /// oid (inherited from the parent order).
     sorted: Vec<ScoredObject<Oid>>,
-    /// Parent-universe random-access index, shared across siblings.
-    by_oid: Arc<HashMap<Oid, Score>>,
+    /// Parent-universe random-access index, shared with the parent and
+    /// across siblings.
+    by_oid: OidIndex,
     cursor: usize,
 }
 
@@ -315,10 +394,10 @@ impl ShardedSource {
     /// `sorted` must be in descending-grade / ascending-oid order (the
     /// source contract); each shard inherits that order. `by_oid` is
     /// the parent's full random-access index.
-    pub fn split(
+    pub(crate) fn split(
         label: &str,
         sorted: &[ScoredObject<Oid>],
-        by_oid: Arc<HashMap<Oid, Score>>,
+        by_oid: OidIndex,
         partitioner: SourcePartitioner,
         shards: usize,
     ) -> Vec<ShardedSource> {
@@ -335,7 +414,7 @@ impl ShardedSource {
                 shard: i,
                 shards: p,
                 sorted: part,
-                by_oid: Arc::clone(&by_oid),
+                by_oid: by_oid.clone(),
                 cursor: 0,
             })
             .collect()
@@ -362,7 +441,7 @@ impl GradedSource for ShardedSource {
     }
 
     fn random_access(&mut self, oid: Oid) -> Score {
-        self.by_oid.get(&oid).copied().unwrap_or(Score::ZERO)
+        self.by_oid.grade(oid)
     }
 
     fn rewind(&mut self) {
@@ -384,9 +463,7 @@ impl GradedSource for ShardedSource {
     }
 
     fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-        oids.iter()
-            .map(|oid| self.by_oid.get(oid).copied().unwrap_or(Score::ZERO))
-            .collect()
+        oids.iter().map(|&oid| self.by_oid.grade(oid)).collect()
     }
 
     fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
@@ -412,13 +489,19 @@ impl GradedSource for ShardedSource {
 ///
 /// This is both the test double for the algorithms and the adapter the
 /// Garlic layer uses to expose repository attributes.
+///
+/// A list is what §4 says it is, twice: one array in grade order for
+/// sorted access and one in oid order for random access, both derived
+/// from the caller's pairs by the normalisation the paged store's
+/// builder shares (`OidIndex`). No hash table: a probe of a list
+/// over `0..n` is an array index, of any other list a binary search.
 #[derive(Debug, Clone)]
 pub struct VecSource {
     label: String,
     /// `(oid, grade)` sorted by descending grade, then ascending oid.
     sorted: Vec<ScoredObject<Oid>>,
-    /// Random-access index.
-    by_oid: HashMap<Oid, Score>,
+    /// Random-access index: the same pairs, ascending by oid.
+    by_oid: OidIndex,
     cursor: usize,
 }
 
@@ -430,18 +513,10 @@ impl VecSource {
     /// random access but are **not** streamed by sorted access; use
     /// [`VecSource::from_dense`] when every object should be streamed.
     pub fn new(label: impl Into<String>, grades: Vec<(Oid, Score)>) -> VecSource {
-        let mut by_oid = HashMap::with_capacity(grades.len());
-        for (oid, g) in grades {
-            by_oid.insert(oid, g);
-        }
-        let mut sorted: Vec<ScoredObject<Oid>> = by_oid
-            .iter()
-            .map(|(&oid, &grade)| ScoredObject::new(oid, grade))
-            .collect();
-        sorted.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
+        let by_oid = OidIndex::new(grades);
         VecSource {
             label: label.into(),
-            sorted,
+            sorted: by_oid.sorted_stream(),
             by_oid,
             cursor: 0,
         }
@@ -475,6 +550,11 @@ impl VecSource {
     pub fn min_grade(&self) -> Option<Score> {
         self.sorted.last().map(|s| s.grade)
     }
+
+    /// The largest oid the source grades, if any.
+    pub fn max_oid(&self) -> Option<Oid> {
+        self.by_oid.entries().last().map(|&(oid, _)| oid)
+    }
 }
 
 impl GradedSource for VecSource {
@@ -487,7 +567,7 @@ impl GradedSource for VecSource {
     }
 
     fn random_access(&mut self, oid: Oid) -> Score {
-        self.by_oid.get(&oid).copied().unwrap_or(Score::ZERO)
+        self.by_oid.grade(oid)
     }
 
     fn rewind(&mut self) {
@@ -499,7 +579,7 @@ impl GradedSource for VecSource {
     }
 
     // Batched access over the in-memory representation is a slice copy
-    // / a sequence of hash probes — no per-item cursor bookkeeping.
+    // / a sequence of index probes — no per-item cursor bookkeeping.
     fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
         let end = self.cursor.saturating_add(n).min(self.sorted.len());
         let out = self.sorted[self.cursor..end].to_vec();
@@ -508,14 +588,12 @@ impl GradedSource for VecSource {
     }
 
     fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-        oids.iter()
-            .map(|oid| self.by_oid.get(oid).copied().unwrap_or(Score::ZERO))
-            .collect()
+        oids.iter().map(|&oid| self.by_oid.grade(oid)).collect()
     }
 
     // In-memory sources are trivially partitionable: the sorted stream
-    // is already materialized and the random index is cloned once into
-    // an `Arc` shared by all shards.
+    // is already materialized and the shards read this source's own
+    // random index.
     fn partition(
         &self,
         partitioner: SourcePartitioner,
@@ -524,11 +602,10 @@ impl GradedSource for VecSource {
         if shards == 0 {
             return None;
         }
-        let by_oid = Arc::new(self.by_oid.clone());
         Some(ShardedSource::split(
             &self.label,
             &self.sorted,
-            by_oid,
+            self.by_oid.clone(),
             partitioner,
             shards,
         ))
@@ -720,7 +797,7 @@ impl std::error::Error for SourceViolation {}
 pub struct ValidatingSource<S> {
     inner: S,
     last_grade: Option<Score>,
-    seen: std::collections::HashMap<Oid, Score>,
+    seen: BTreeMap<Oid, Score>,
     violations: Vec<SourceViolation>,
 }
 
@@ -730,7 +807,7 @@ impl<S: GradedSource> ValidatingSource<S> {
         ValidatingSource {
             inner,
             last_grade: None,
-            seen: std::collections::HashMap::new(),
+            seen: BTreeMap::new(),
             violations: Vec::new(),
         }
     }
@@ -854,6 +931,15 @@ mod tests {
         let mut src = VecSource::new("t", vec![(7, s(0.1)), (7, s(0.8))]);
         assert_eq!(src.info().universe_size, 1);
         assert_eq!(src.random_access(7), s(0.8));
+    }
+
+    /// The two zeros are one grade: they tie, and ties stream in oid
+    /// order — a `-0.0` that sorted below `+0.0` would put oid 9 first.
+    #[test]
+    fn signed_zeros_tie_and_stream_in_oid_order() {
+        let mut src = VecSource::new("x", vec![(1, s(-0.0)), (9, s(0.0)), (5, s(0.5))]);
+        let order: Vec<Oid> = src.sorted_batch(3).iter().map(|so| so.id).collect();
+        assert_eq!(order, vec![5, 1, 9]);
     }
 
     #[test]
@@ -1146,5 +1232,199 @@ mod tests {
         let _ = src.sorted_next();
         let _ = src.sorted_next();
         assert_eq!(src.sorted_accesses(), 2);
+    }
+
+    /// The `HashMap`-based `VecSource` / `ShardedSource` this module
+    /// shipped before lists became arrays, kept as the oracle of
+    /// [`array_index_matches_the_hash_model`]: construction, random
+    /// access and partitioning exactly as they were.
+    mod hash_model {
+        use super::super::*;
+        use std::collections::HashMap;
+
+        #[derive(Debug, Clone)]
+        pub struct HashSource {
+            pub label: String,
+            pub sorted: Vec<ScoredObject<Oid>>,
+            pub by_oid: Arc<HashMap<Oid, Score>>,
+            pub cursor: usize,
+        }
+
+        impl HashSource {
+            pub fn new(label: impl Into<String>, grades: Vec<(Oid, Score)>) -> HashSource {
+                let mut by_oid = HashMap::with_capacity(grades.len());
+                for (oid, g) in grades {
+                    by_oid.insert(oid, g);
+                }
+                let mut sorted: Vec<ScoredObject<Oid>> = by_oid
+                    .iter()
+                    .map(|(&oid, &grade)| ScoredObject::new(oid, grade))
+                    .collect();
+                sorted.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
+                HashSource {
+                    label: label.into(),
+                    sorted,
+                    by_oid: Arc::new(by_oid),
+                    cursor: 0,
+                }
+            }
+
+            /// `VecSource::partition` over `ShardedSource::split`: a
+            /// shard is the same struct over its slice of the stream
+            /// and the parent's whole index.
+            pub fn partition(&self, partitioner: SourcePartitioner, shards: usize) -> Vec<Self> {
+                let p = shards.max(1);
+                let mut parts: Vec<Vec<ScoredObject<Oid>>> = vec![Vec::new(); p];
+                for &item in &self.sorted {
+                    parts[partitioner.shard_of(item.id, p)].push(item);
+                }
+                parts
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, part)| HashSource {
+                        label: format!("{}[shard {i}/{p}]", self.label),
+                        sorted: part,
+                        by_oid: Arc::clone(&self.by_oid),
+                        cursor: 0,
+                    })
+                    .collect()
+            }
+        }
+
+        impl GradedSource for HashSource {
+            fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
+                let item = self.sorted.get(self.cursor).copied();
+                if item.is_some() {
+                    self.cursor += 1;
+                }
+                item
+            }
+
+            fn random_access(&mut self, oid: Oid) -> Score {
+                self.by_oid.get(&oid).copied().unwrap_or(Score::ZERO)
+            }
+
+            fn rewind(&mut self) {
+                self.cursor = 0;
+            }
+
+            fn info(&self) -> SourceInfo {
+                SourceInfo::new(self.label.clone(), self.sorted.len())
+            }
+
+            fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
+                let end = self.cursor.saturating_add(n).min(self.sorted.len());
+                let out = self.sorted[self.cursor..end].to_vec();
+                self.cursor = end;
+                out
+            }
+
+            fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
+                oids.iter()
+                    .map(|oid| self.by_oid.get(oid).copied().unwrap_or(Score::ZERO))
+                    .collect()
+            }
+
+            fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
+                Some(GradeHistogram::from_sorted_by(
+                    self.sorted.len(),
+                    bins,
+                    |i| self.sorted.get(i).map(|s| s.grade).unwrap_or(Score::ZERO),
+                ))
+            }
+
+            fn sorted_drain_bounded(&mut self, bound: Score) -> Option<Vec<ScoredObject<Oid>>> {
+                let tail = &self.sorted[self.cursor.min(self.sorted.len())..];
+                let take = tail.partition_point(|so| so.grade >= bound);
+                let out = tail[..take].to_vec();
+                self.cursor += take;
+                Some(out)
+            }
+        }
+    }
+
+    /// Everything a caller can observe of `got` equals `want`: info,
+    /// the whole stream (scalar, batched and bounded, from a rewound
+    /// cursor each), the histogram, and probes — scalar and batched —
+    /// of `probes`.
+    fn assert_observably_equal(
+        got: &mut dyn GradedSource,
+        want: &mut dyn GradedSource,
+        probes: &[Oid],
+        bound: Score,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.info(), want.info());
+        prop_assert_eq!(got.grade_histogram(4), want.grade_histogram(4));
+        prop_assert_eq!(
+            std::iter::from_fn(|| got.sorted_next()).collect::<Vec<_>>(),
+            std::iter::from_fn(|| want.sorted_next()).collect::<Vec<_>>()
+        );
+        got.rewind();
+        want.rewind();
+        prop_assert_eq!(got.sorted_batch(3), want.sorted_batch(3));
+        prop_assert_eq!(
+            got.sorted_drain_bounded(bound),
+            want.sorted_drain_bounded(bound)
+        );
+        prop_assert_eq!(got.sorted_batch(usize::MAX), want.sorted_batch(usize::MAX));
+        prop_assert_eq!(got.random_batch(probes), want.random_batch(probes));
+        for &oid in probes {
+            prop_assert_eq!(
+                got.random_access(oid),
+                want.random_access(oid),
+                "oid {}",
+                oid
+            );
+        }
+        Ok(())
+    }
+
+    use proptest::prelude::*;
+
+    /// Oids that are dense (`0..n` in order), sparse, unordered and
+    /// duplicated, with `u64::MAX` among them; grades on five levels,
+    /// so ties are the rule.
+    fn pairs_strategy() -> impl Strategy<Value = Vec<(Oid, Score)>> {
+        let level = (0u8..5).prop_map(|l| Score::clamped(f64::from(l) / 4.0));
+        let dense = proptest::collection::vec(level.clone(), 0..48)
+            .prop_map(|grades| (0..).zip(grades).collect::<Vec<(Oid, Score)>>());
+        let oid = prop_oneof![0u64..40, 0u64..4_000_000_000, Just(u64::MAX)];
+        prop_oneof![dense, proptest::collection::vec((oid, level), 0..48)]
+    }
+
+    proptest! {
+        /// The array index against the hash tables it replaced.
+        #[test]
+        fn array_index_matches_the_hash_model(
+            pairs in pairs_strategy(),
+            absent in proptest::collection::vec(0u64..5_000_000_000, 8),
+            bound in (0u8..6).prop_map(|l| Score::clamped(f64::from(l) / 5.0)),
+        ) {
+            let mut probes: Vec<Oid> = pairs.iter().map(|&(oid, _)| oid).collect();
+            probes.extend(absent);
+            probes.extend([0, 1, u64::MAX - 1, u64::MAX, 1 << 32]);
+
+            let mut got = VecSource::new("t", pairs.clone());
+            let mut want = hash_model::HashSource::new("t", pairs);
+            assert_observably_equal(&mut got, &mut want, &probes, bound)?;
+            prop_assert_eq!(got.max_oid(), want.by_oid.keys().copied().max());
+
+            let universe = got.info().universe_size;
+            for partitioner in [
+                SourcePartitioner::Modulo,
+                SourcePartitioner::Contiguous { universe },
+            ] {
+                for shards in 1..=4 {
+                    let got_shards = got.partition(partitioner, shards).unwrap();
+                    let want_shards = want.partition(partitioner, shards);
+                    prop_assert_eq!(got_shards.len(), want_shards.len());
+                    // `probes` holds every oid of the parent, so each
+                    // shard is probed about its siblings' objects too.
+                    for (mut g, mut w) in got_shards.into_iter().zip(want_shards) {
+                        assert_observably_equal(&mut g, &mut w, &probes, bound)?;
+                    }
+                }
+            }
+        }
     }
 }

@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::stats::{GradeHistogram, DEFAULT_HISTOGRAM_BINS};
 
-use crate::source::Oid;
+use crate::source::{Oid, OidIndex};
 
 /// Magic bytes opening every store file (version baked into the name).
 pub const MAGIC: [u8; 8] = *b"FMDBPGS1";
@@ -424,18 +424,13 @@ pub(crate) fn build_store_versioned(
 
     // Normalize exactly like VecSource::new: dedupe keep-last, then
     // sort by (grade desc, oid asc).
-    let mut by_oid: std::collections::HashMap<Oid, Score> =
-        std::collections::HashMap::with_capacity(pairs.len());
-    for (oid, g) in pairs {
-        by_oid.insert(oid, g);
-    }
-    let mut sorted: Vec<ScoredObject<Oid>> = by_oid
+    let index = OidIndex::new(pairs);
+    let sorted = index.sorted_stream();
+    let by_id: Vec<ScoredObject<Oid>> = index
+        .entries()
         .iter()
-        .map(|(&oid, &grade)| ScoredObject::new(oid, grade))
+        .map(|&(oid, grade)| ScoredObject::new(oid, grade))
         .collect();
-    sorted.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
-    let mut by_id: Vec<ScoredObject<Oid>> = sorted.clone();
-    by_id.sort_by_key(|so| so.id);
 
     let n = sorted.len() as u64;
     let pages_for = |count: u64| count.div_ceil(entries_per_page as u64);

@@ -36,7 +36,6 @@
 pub mod format;
 mod pool;
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
@@ -45,7 +44,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::stats::GradeHistogram;
 
-use crate::source::{GradedSource, Oid, ShardedSource, SourceInfo, SourcePartitioner};
+use crate::source::{GradedSource, Oid, OidIndex, ShardedSource, SourceInfo, SourcePartitioner};
 use crate::stats::PageIoStats;
 
 pub use format::{build_store, BuildConfig, Header, StoreError};
@@ -718,11 +717,11 @@ impl GradedSource for PagedSource {
         if sorted.len() as u64 != header.n {
             return None;
         }
-        let by_oid: HashMap<Oid, Score> = sorted.iter().map(|so| (so.id, so.grade)).collect();
+        let by_oid = OidIndex::new(sorted.iter().map(|so| (so.id, so.grade)).collect());
         Some(ShardedSource::split(
             &header.label,
             &sorted,
-            Arc::new(by_oid),
+            by_oid,
             partitioner,
             shards,
         ))
@@ -806,6 +805,30 @@ mod tests {
                 "page size {page_size}, version {version}"
             );
         }
+    }
+
+    /// The writer normalises by calling what `VecSource::new` calls: a
+    /// scrambled input carrying stale duplicates writes the bytes its
+    /// normalised form (ascending, each oid once) writes.
+    #[test]
+    fn shuffled_duplicated_input_builds_the_same_bytes() {
+        let normal = sample_pairs(1000, 17);
+        // Stale grades first, the real pairs after them in a scrambled
+        // order: keep-last must drop every stale one.
+        let mut messy: Vec<(Oid, Score)> = normal
+            .iter()
+            .step_by(7)
+            .map(|&(oid, grade)| (oid, grade.negate()))
+            .collect();
+        let mut scrambled = normal.clone();
+        scrambled.sort_by_key(|&(oid, _)| oid.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        messy.extend(scrambled);
+
+        let cfg = BuildConfig::with_page_size(512);
+        let (tidy_path, messy_path) = (scratch("tidy.fmdb"), scratch("messy.fmdb"));
+        build_store(&tidy_path, "same", normal, &cfg).unwrap();
+        build_store(&messy_path, "same", messy, &cfg).unwrap();
+        assert!(std::fs::read(&tidy_path).unwrap() == std::fs::read(&messy_path).unwrap());
     }
 
     #[test]

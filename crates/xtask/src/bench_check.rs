@@ -20,6 +20,14 @@
 //! `ca_h10_ns_per_access` positive, `nra_vs_ta_ns_per_access` at most
 //! 10: the planner prices accesses only, which holds up just as long as
 //! an access costs about the same CPU whichever schedule charged it),
+//! an E20 bind path that is missing or has grown back around its
+//! kernel (`kernel_us`, `bind_us` positive, `bind_vs_kernel` at most 4:
+//! `Catalog::source_for` cost 6–8 colour kernels while every atom went
+//! through two hash tables and two sorts, ≈ 2 since a list is built
+//! once, as arrays), E21 sharding numbers that are missing
+//! (`speedup_2`, `cost_ratio_2`, `partition_us` present and positive —
+//! whether sharding stays is ROADMAP item 3's call; the gate only keeps
+//! the numbers it is decided on in the artifact),
 //! or E23 block-max pruning telemetry that is missing or nonsensical
 //! (`corpus_speedup`/`drain_speedup` positive — pruned runs that take
 //! no time at all mean the timer broke — and both skip rates in
@@ -280,6 +288,30 @@ const E19_PER_ACCESS: [&str; 4] = [
 /// bookkeeping is incremental.
 const E19_MAX_NRA_VS_TA: f64 = 10.0;
 
+/// E20's bind-path metrics, the ratio last.
+const E20_BIND: [&str; 3] = ["kernel_us", "bind_us", "bind_vs_kernel"];
+
+/// Ceiling on E20's `bind_vs_kernel`: 6–8 while `Catalog::source_for`
+/// hashed, sorted, drained and re-hashed every list, ≈ 2 since it
+/// builds one array once.
+const E20_MAX_BIND_VS_KERNEL: f64 = 4.0;
+
+/// E21's sharding metrics: present and positive, nothing more.
+const E21_SHARDING: [&str; 3] = ["speedup_2", "cost_ratio_2", "partition_us"];
+
+/// Every metric of `names` was `found` and is positive; returns the
+/// last one's value (the families above keep their gated ratio last).
+fn all_positive(id: &str, names: &[&str], found: &[Option<f64>]) -> Result<f64, String> {
+    let mut last = 0.0;
+    for (name, found) in names.iter().zip(found) {
+        last = found.ok_or_else(|| format!("{id} is missing the `{name}` metric"))?;
+        if last <= 0.0 {
+            return Err(format!("{id}: `{name}` = {last} must be positive"));
+        }
+    }
+    Ok(last)
+}
+
 /// Validates a `BENCH_engine.json` payload. Returns a human-readable
 /// summary on success, the first failure otherwise.
 pub fn check(content: &str) -> Result<String, String> {
@@ -306,6 +338,8 @@ pub fn check(content: &str) -> Result<String, String> {
     let mut e18_ta_ratio: Option<f64> = None;
     let mut e18_cold_page_us: Option<f64> = None;
     let mut e19_per_access: [Option<f64>; 4] = [None; 4];
+    let mut e20_bind: [Option<f64>; 3] = [None; 3];
+    let mut e21_sharding: [Option<f64>; 3] = [None; 3];
     let mut e23_corpus_speedup: Option<f64> = None;
     let mut e23_drain_speedup: Option<f64> = None;
     let mut e23_corpus_skip: Option<f64> = None;
@@ -355,9 +389,13 @@ pub fn check(content: &str) -> Result<String, String> {
                         _ => {}
                     }
                 }
-                if id == "E19" {
-                    if let Some(at) = E19_PER_ACCESS.iter().position(|n| n == name) {
-                        e19_per_access[at] = Some(v);
+                for (family, names, found) in [
+                    ("E19", &E19_PER_ACCESS[..], &mut e19_per_access[..]),
+                    ("E20", &E20_BIND[..], &mut e20_bind[..]),
+                    ("E21", &E21_SHARDING[..], &mut e21_sharding[..]),
+                ] {
+                    if let Some(at) = names.iter().position(|n| id == family && n == name) {
+                        found[at] = Some(v);
                     }
                 }
                 if id == "E23" {
@@ -456,17 +494,7 @@ pub fn check(content: &str) -> Result<String, String> {
         ));
     }
 
-    let mut nra_vs_ta = 0.0;
-    for (name, found) in E19_PER_ACCESS.iter().zip(e19_per_access) {
-        let v = found.ok_or_else(|| format!("E19 is missing the `{name}` metric"))?;
-        if v <= 0.0 {
-            return Err(format!(
-                "E19: `{name}` = {v} — a cost per charged access must be positive"
-            ));
-        }
-        // The ratio is the last of the four.
-        nra_vs_ta = v;
-    }
+    let nra_vs_ta = all_positive("E19", &E19_PER_ACCESS, &e19_per_access)?;
     if nra_vs_ta > E19_MAX_NRA_VS_TA {
         return Err(format!(
             "E19: nra_vs_ta_ns_per_access = {nra_vs_ta} exceeds {E19_MAX_NRA_VS_TA} — an \
@@ -475,6 +503,19 @@ pub fn check(content: &str) -> Result<String, String> {
              `algorithms/threshold.rs` first"
         ));
     }
+
+    let bind_vs_kernel = all_positive("E20", &E20_BIND, &e20_bind)?;
+    if bind_vs_kernel > E20_MAX_BIND_VS_KERNEL {
+        return Err(format!(
+            "E20: bind_vs_kernel = {bind_vs_kernel} exceeds {E20_MAX_BIND_VS_KERNEL} — \
+             `Catalog::source_for` costs that many colour kernels, so the middleware is \
+             again spending more on wrapping a graded list than the subsystem spends \
+             grading it; look for a second build or a hash table between \
+             `Repository::source_for` and `BoundAtom` first"
+        ));
+    }
+    all_positive("E21", &E21_SHARDING, &e21_sharding)?;
+    let [speedup_2, _, partition_us] = e21_sharding.map(Option::unwrap_or_default);
 
     let corpus_speedup = e23_corpus_speedup.ok_or("E23 is missing the `corpus_speedup` metric")?;
     let drain_speedup = e23_drain_speedup.ok_or("E23 is missing the `drain_speedup` metric")?;
@@ -517,6 +558,8 @@ pub fn check(content: &str) -> Result<String, String> {
          E18 paged store: {page_reads:.0} cold page reads, warm hit rate {hit_rate:.3}, \
          {cold_page_us:.2} µs per cold page read; \
          E19 bookkeeping: an NRA access at {nra_vs_ta:.2}x a TA access; \
+         E20 bind: {bind_vs_kernel:.2} kernels per atom; \
+         E21 sharding: 2 shards at {speedup_2:.2}x serial, {partition_us:.0} µs to partition; \
          E23 pruning: corpus {corpus_speedup:.2}x, drain {drain_speedup:.2}x"
     );
     Ok(summary)
@@ -538,13 +581,18 @@ mod tests {
     const GOOD_E19: &str = "{\"ta_ns_per_access\":40.0,\"nra_ns_per_access\":90.0,\
                             \"ca_h10_ns_per_access\":370.0,\"nra_vs_ta_ns_per_access\":2.25}";
 
-    fn artifact_e19(
+    const GOOD_E20: &str = "{\"kernel_us\":35.0,\"bind_us\":77.0,\"bind_vs_kernel\":2.2}";
+
+    const GOOD_E21: &str = "{\"speedup_2\":0.3,\"cost_ratio_2\":1.33,\"partition_us\":450.0}";
+
+    fn artifact_e21(
         ids: &[&str],
         e22_metrics: &str,
         e16_metrics: &str,
         e18_metrics: &str,
         e23_metrics: &str,
         e19_metrics: &str,
+        [e20_metrics, e21_metrics]: [&str; 2],
     ) -> String {
         let entries: Vec<String> = ids
             .iter()
@@ -554,6 +602,8 @@ mod tests {
                     "E16" => e16_metrics,
                     "E18" => e18_metrics,
                     "E19" => e19_metrics,
+                    "E20" => e20_metrics,
+                    "E21" => e21_metrics,
                     "E23" => e23_metrics,
                     _ => "{}",
                 };
@@ -567,6 +617,40 @@ mod tests {
         format!(
             "{{\"schema\":\"fmdb-bench-engine/v1\",\"quick\":true,\"experiments\":[{}]}}",
             entries.join(",")
+        )
+    }
+
+    fn artifact_e19(
+        ids: &[&str],
+        e22_metrics: &str,
+        e16_metrics: &str,
+        e18_metrics: &str,
+        e23_metrics: &str,
+        e19_metrics: &str,
+    ) -> String {
+        artifact_e21(
+            ids,
+            e22_metrics,
+            e16_metrics,
+            e18_metrics,
+            e23_metrics,
+            e19_metrics,
+            [GOOD_E20, GOOD_E21],
+        )
+    }
+
+    /// A complete, acceptable artifact but for E20's and E21's metrics.
+    fn artifact_bind_and_sharding(e20_metrics: &str, e21_metrics: &str) -> String {
+        let ids = all_ids();
+        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+        artifact_e21(
+            &refs,
+            GOOD_E22,
+            GOOD_E16,
+            GOOD_E18,
+            GOOD_E23,
+            GOOD_E19,
+            [e20_metrics, e21_metrics],
         )
     }
 
@@ -622,6 +706,8 @@ mod tests {
         assert!(summary.contains("median 1.050"), "{summary}");
         assert!(summary.contains("drain 15.00x"), "{summary}");
         assert!(summary.contains("NRA access at 2.25x"), "{summary}");
+        assert!(summary.contains("2.20 kernels per atom"), "{summary}");
+        assert!(summary.contains("2 shards at 0.30x serial"), "{summary}");
     }
 
     #[test]
@@ -795,6 +881,50 @@ mod tests {
         let doc = artifact_e19(&refs, GOOD_E22, GOOD_E16, GOOD_E18, GOOD_E23, e19);
         let err = check(&doc).unwrap_err();
         assert!(err.contains("nra_vs_ta_ns_per_access = 70"), "{err}");
+    }
+
+    #[test]
+    fn rejects_e20_without_its_bind_metrics() {
+        for missing in E20_BIND {
+            let e20: Vec<String> = E20_BIND
+                .iter()
+                .filter(|name| **name != missing)
+                .map(|name| format!("\"{name}\":2.0"))
+                .collect();
+            let doc = artifact_bind_and_sharding(&format!("{{{}}}", e20.join(",")), GOOD_E21);
+            let err = check(&doc).unwrap_err();
+            assert!(err.contains("E20") && err.contains(missing), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_bind_path_grown_back_around_its_kernel() {
+        // What the artifact would have read while every atom was hashed
+        // twice and sorted twice.
+        let e20 = "{\"kernel_us\":35.0,\"bind_us\":250.0,\"bind_vs_kernel\":7.1}";
+        let err = check(&artifact_bind_and_sharding(e20, GOOD_E21)).unwrap_err();
+        assert!(err.contains("bind_vs_kernel = 7.1"), "{err}");
+        // At the ceiling it passes.
+        let e20 = "{\"kernel_us\":35.0,\"bind_us\":140.0,\"bind_vs_kernel\":4.0}";
+        check(&artifact_bind_and_sharding(e20, GOOD_E21)).expect("4.0 is within the gate");
+    }
+
+    #[test]
+    fn rejects_e21_without_its_sharding_metrics() {
+        for missing in E21_SHARDING {
+            let e21: Vec<String> = E21_SHARDING
+                .iter()
+                .filter(|name| **name != missing)
+                .map(|name| format!("\"{name}\":0.5"))
+                .collect();
+            let doc = artifact_bind_and_sharding(GOOD_E20, &format!("{{{}}}", e21.join(",")));
+            let err = check(&doc).unwrap_err();
+            assert!(err.contains("E21") && err.contains(missing), "{err}");
+        }
+        // Present but zero: the timer or the counters broke.
+        let e21 = "{\"speedup_2\":0.3,\"cost_ratio_2\":1.3,\"partition_us\":0.0}";
+        let err = check(&artifact_bind_and_sharding(GOOD_E20, e21)).unwrap_err();
+        assert!(err.contains("partition_us"), "{err}");
     }
 
     #[test]
