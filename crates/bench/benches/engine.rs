@@ -24,7 +24,7 @@ use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::TopKAlgorithm;
-use fmdb_middleware::engine::{Engine, EngineConfig};
+use fmdb_middleware::engine::Engine;
 use fmdb_middleware::policy::{Algo, ExecPolicy};
 use fmdb_middleware::request::{TopKQuery, TopKRequest};
 use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, SourcePartitioner, VecSource};
@@ -138,10 +138,7 @@ fn bench_in_memory(c: &mut Criterion) {
     });
 
     group.bench_function(BenchmarkId::new("engine_batched", "mem"), |b| {
-        let engine = Engine::new(EngineConfig {
-            cache_capacity: 0,
-            ..EngineConfig::DEFAULT
-        });
+        let engine = Engine::default();
         let request = TopKQuery::compose()
             .sources(independent_uniform(N, M, 7))
             .scoring(Min)
@@ -151,14 +148,8 @@ fn bench_in_memory(c: &mut Criterion) {
         b.iter(|| engine.run(&request).expect("valid run"));
     });
 
-    // What the grade cache costs a memory-speed source: eight forced-TA
-    // requests over lists of 4 096 (the arities of perfbench's
-    // `run_many8`), one by one and through `run_many`, with the default
-    // cache and with none. At 4 096 entries against ~4 700 probes a
-    // query the cache mostly misses, and a miss is two stripe locks, a
-    // source lock and an eviction in front of a ~30 ns `VecSource`
-    // probe (ROADMAP, "the grade cache taxes memory-speed sources").
-    // Ungated: a witness, not a claim.
+    // Eight forced-TA requests over lists of 4 096 (the arities of
+    // perfbench's `run_many8`), one by one and through `run_many`.
     let many8: Vec<TopKRequest> = [3usize, 3, 3, 2, 3, 4, 3, 2]
         .into_iter()
         .zip(0u64..)
@@ -172,23 +163,17 @@ fn bench_in_memory(c: &mut Criterion) {
                 .expect("valid request")
         })
         .collect();
-    for cache_capacity in [EngineConfig::DEFAULT.cache_capacity, 0] {
-        let engine = Engine::new(EngineConfig {
-            cache_capacity,
-            ..EngineConfig::DEFAULT
+    let engine = Engine::default();
+    group.bench_function(BenchmarkId::new("ta_many8", "one_by_one"), |b| {
+        b.iter(|| {
+            for request in &many8 {
+                engine.run(request).expect("valid run");
+            }
         });
-        let cache = format!("cache_{cache_capacity}");
-        group.bench_function(BenchmarkId::new("ta_many8/one_by_one", &cache), |b| {
-            b.iter(|| {
-                for request in &many8 {
-                    engine.run(request).expect("valid run");
-                }
-            });
-        });
-        group.bench_function(BenchmarkId::new("ta_many8/run_many", &cache), |b| {
-            b.iter(|| engine.run_many(&many8));
-        });
-    }
+    });
+    group.bench_function(BenchmarkId::new("ta_many8", "run_many"), |b| {
+        b.iter(|| engine.run_many(&many8));
+    });
 
     group.finish();
 }

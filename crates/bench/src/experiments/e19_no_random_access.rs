@@ -11,7 +11,9 @@
 //! access costs in bookkeeping under TA, NRA and CA. The planner prices
 //! accesses only (`DESIGN.md` §11), which is honest as long as these
 //! stay within a small factor of each other — `cargo xtask check-bench`
-//! gates `nra_vs_ta_ns_per_access`.
+//! gates `nra_vs_ta_ns_per_access`. Its last row is what the engine
+//! adds to that price on memory-speed lists (`engine_vs_scalar_many8`,
+//! gated too).
 
 use std::time::Instant;
 
@@ -21,11 +23,14 @@ use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::nra::{Nra, NraLowerBound};
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::TopKAlgorithm;
+use fmdb_middleware::engine::Engine;
+use fmdb_middleware::policy::{Algo, ExecPolicy};
+use fmdb_middleware::request::{TopKQuery, TopKRequest};
 use fmdb_middleware::source::{GradedSource, VecSource};
 use fmdb_middleware::workload::{correlated_pair, independent_uniform};
 
 use crate::report::{f3, int, Report, Table};
-use crate::runners::RunCfg;
+use crate::runners::{fastest_us, RunCfg};
 
 /// Charged accesses and wall-clock nanoseconds per charged access of
 /// one scalar run, the fastest of five.
@@ -43,6 +48,56 @@ fn ns_per_access(algo: &dyn TopKAlgorithm, sources: &mut [VecSource], k: usize) 
         accesses = result.stats.database_access_cost();
     }
     (accesses, best / accesses.max(1) as f64)
+}
+
+/// perfbench's `run_many8` — eight forced-TA requests over lists of
+/// 4 096, arities 3, 3, 3, 2, 3, 4, 3, 2 — through `Engine::run` and
+/// under scalar `ThresholdAlgorithm::top_k`: charged accesses of the
+/// eight, then the two floors in microseconds. The engine is a private
+/// one, so the experiment's own access totals stay what they were.
+fn many8(k: usize) -> (u64, f64, f64) {
+    let mut sets: Vec<Vec<VecSource>> = [3usize, 3, 3, 2, 3, 4, 3, 2]
+        .into_iter()
+        .zip(0u64..)
+        .map(|(arity, seed)| independent_uniform(1 << 12, arity, seed))
+        .collect();
+    let requests: Vec<TopKRequest> = sets
+        .iter()
+        .map(|set| {
+            TopKQuery::compose()
+                .sources(set.iter().cloned())
+                .scoring(Min)
+                .k(k)
+                .policy(ExecPolicy::new().algo(Algo::Ta))
+                .request()
+                .expect("valid request")
+        })
+        .collect();
+    let engine = Engine::default();
+    let accesses = requests
+        .iter()
+        .map(|request| engine.run(request).expect("valid run").stats)
+        .map(|stats| stats.database_access_cost())
+        .sum();
+    // The two sides take turns, so a burst on the host hits both.
+    let (mut through_engine, mut scalar) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..100 {
+        through_engine = through_engine.min(fastest_us(1, || {
+            for request in &requests {
+                engine.run(request).expect("valid run");
+            }
+        }));
+        scalar = scalar.min(fastest_us(1, || {
+            for set in &mut sets {
+                let mut refs: Vec<&mut dyn GradedSource> =
+                    set.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
+                ThresholdAlgorithm
+                    .top_k(&mut refs, &Min, k)
+                    .expect("valid run");
+            }
+        }));
+    }
+    (accesses, through_engine, scalar)
 }
 
 /// Runs the experiment.
@@ -131,12 +186,22 @@ pub fn run(cfg: &RunCfg) -> Report {
     ] {
         t.row(vec![name.to_owned(), int(accesses), f3(ns), f3(ns / ta)]);
     }
+    // Not the list above: its own eight queries, against scalar TA on
+    // the same eight.
+    let (many8_accesses, through_engine, scalar) = many8(10);
+    t.row(vec![
+        "TA x8 via Engine::run".to_owned(),
+        int(many8_accesses),
+        f3(through_engine * 1e3 / many8_accesses.max(1) as f64),
+        f3(through_engine / scalar),
+    ]);
     report.table(t);
     report
         .metric("ta_ns_per_access", ta)
         .metric("nra_ns_per_access", nra)
         .metric("ca_h10_ns_per_access", ca)
-        .metric("nra_vs_ta_ns_per_access", nra / ta);
+        .metric("nra_vs_ta_ns_per_access", nra / ta)
+        .metric("engine_vs_scalar_many8", through_engine / scalar);
 
     report.note(
         "NRA's sorted streams run only slightly deeper than A0's, and since it never pays \
@@ -155,6 +220,14 @@ pub fn run(cfg: &RunCfg) -> Report {
          CA pays for its target scan every h-th round. `cargo xtask check-bench` fails \
          if an NRA access costs more than 10x a TA access (it was ~70x while every open \
          object was re-ranked every round).",
+    );
+    report.note(
+        "The last row is the engine's own price on memory-speed lists — proxies, batch \
+         copies and one source lock per call: perfbench's `run_many8` (eight forced-TA \
+         requests, N = 4096, m = 2-4) through `Engine::run`, against scalar TA on the same \
+         eight (fastest of 100 passes each, same N in quick and full mode). `cargo xtask \
+         check-bench` fails above 2x — it read 3.7-4.6x while every probe went through a \
+         shared LRU grade cache that no query ever hit (DESIGN.md §18).",
     );
     report
 }

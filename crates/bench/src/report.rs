@@ -279,12 +279,10 @@ pub fn bench_engine_json(entries: &[BenchEntry], quick: bool) -> String {
         out.push(',');
         json_field(&mut out, "title", &e.title);
         out.push_str(&format!(
-            ",\"wall_ms\":{:.3},\"sorted\":{},\"random\":{},\"cache_hits\":{},\"cache_misses\":{},\"worker_spawns\":{},\"page_reads\":{},\"page_hits\":{},\"page_evictions\":{},\"pages_skipped\":{},\"blocks_skipped\":{}",
+            ",\"wall_ms\":{:.3},\"sorted\":{},\"random\":{},\"worker_spawns\":{},\"page_reads\":{},\"page_hits\":{},\"page_evictions\":{},\"pages_skipped\":{},\"blocks_skipped\":{}",
             e.wall_ms,
             e.stats.sorted,
             e.stats.random,
-            e.stats.cache_hits,
-            e.stats.cache_misses,
             e.stats.worker_spawns,
             e.stats.page_reads,
             e.stats.page_hits,
@@ -397,8 +395,6 @@ mod tests {
                 stats: AccessStats {
                     sorted: 100,
                     random: 40,
-                    cache_hits: 3,
-                    cache_misses: 37,
                     worker_spawns: 8,
                     page_reads: 12,
                     page_hits: 5,

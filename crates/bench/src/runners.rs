@@ -3,7 +3,7 @@
 //! Every experiment routes its top-k runs through one process-wide
 //! [`Engine`] behind the unified
 //! [`TopKRequest`](fmdb_middleware::request::TopKRequest) API: sorted access is
-//! batched, random access flows through the shared grade cache. The
+//! batched, random access goes to the source as the kernel asks. The
 //! engine is bit-identical to the scalar algorithms — same answers,
 //! same charged `sorted`/`random` counts — so the reproduced numbers
 //! are unaffected by the plumbing.
@@ -71,7 +71,7 @@ pub fn fastest_us<T>(reps: usize, mut work: impl FnMut() -> T) -> f64 {
 }
 
 /// The experiments' shared execution engine (default configuration:
-/// batched sorted access, LRU grade cache).
+/// sorted access in batches of 64).
 pub fn engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
     ENGINE.get_or_init(Engine::default)

@@ -176,7 +176,11 @@ pub(crate) fn validate<S>(
 
 /// Sorts combined `(oid, grade)` pairs into output order and truncates
 /// to `k`.
-fn finalize(mut combined: Vec<ScoredObject<Oid>>, k: usize, stats: AccessStats) -> TopKResult {
+pub(crate) fn finalize(
+    mut combined: Vec<ScoredObject<Oid>>,
+    k: usize,
+    stats: AccessStats,
+) -> TopKResult {
     combined.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
     combined.truncate(k);
     TopKResult {

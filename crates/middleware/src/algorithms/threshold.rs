@@ -954,6 +954,16 @@ mod tests {
         members
     }
 
+    /// A member's shared bound, standing where its row of [`members`]
+    /// says.
+    fn preheated(preheat: Option<f64>) -> Option<AtomicThreshold> {
+        preheat.map(|bound| {
+            let shared = AtomicThreshold::new();
+            shared.observe(Score::clamped(bound));
+            shared
+        })
+    }
+
     /// One kernel's whole observable outcome: the result and the value
     /// left in the shared bound.
     fn outcome(
@@ -968,11 +978,7 @@ mod tests {
             .iter_mut()
             .map(|s| s as &mut dyn GradedSource)
             .collect();
-        let shared = preheat.map(|bound| {
-            let shared = AtomicThreshold::new();
-            shared.observe(Score::clamped(bound));
-            shared
-        });
+        let shared = preheated(preheat);
         let result = if lazy {
             family.run(shared.as_ref(), &mut refs, scoring, k)
         } else {
@@ -1033,6 +1039,71 @@ mod tests {
             }
         }
         assert_eq!(case, 38_400);
+    }
+
+    /// A list that counts probes for a grade it had already revealed,
+    /// by either access kind.
+    struct Recording {
+        inner: VecSource,
+        revealed: std::collections::BTreeSet<Oid>,
+        repeated: usize,
+    }
+
+    impl GradedSource for Recording {
+        fn sorted_next(&mut self) -> Option<fmdb_core::score::ScoredObject<Oid>> {
+            let item = self.inner.sorted_next()?;
+            self.revealed.insert(item.id);
+            Some(item)
+        }
+        fn random_access(&mut self, oid: Oid) -> Score {
+            self.repeated += usize::from(!self.revealed.insert(oid));
+            self.inner.random_access(oid)
+        }
+        fn rewind(&mut self) {
+            self.inner.rewind();
+        }
+        fn info(&self) -> crate::source::SourceInfo {
+            self.inner.info()
+        }
+    }
+
+    /// `tests/no_kernel_asks_a_list_twice.rs` for the members it cannot
+    /// name — the shard kernels under a preheated bound, CA as halted —
+    /// and, since they come with [`members`], the public ones again.
+    #[test]
+    fn no_member_asks_a_list_twice() {
+        let scorings: [&dyn ScoringFunction; 2] = [&Min, &ArithmeticMean];
+        for shape in SHAPES {
+            for m in 2..=3 {
+                let lists = lists(shape, 300, m, 7);
+                for scoring in scorings {
+                    for k in [1, 10] {
+                        for (family, preheat) in members() {
+                            let mut recording: Vec<Recording> = lists
+                                .iter()
+                                .map(|inner| Recording {
+                                    inner: inner.clone(),
+                                    revealed: Default::default(),
+                                    repeated: 0,
+                                })
+                                .collect();
+                            let mut refs: Vec<&mut dyn GradedSource> = recording
+                                .iter_mut()
+                                .map(|s| s as &mut dyn GradedSource)
+                                .collect();
+                            family.run(preheated(preheat).as_ref(), &mut refs, scoring, k);
+                            let repeated: usize = recording.iter().map(|r| r.repeated).sum();
+                            assert_eq!(
+                                repeated,
+                                0,
+                                "{shape:?} m={m} {} k={k} {family:?} {preheat:?}",
+                                scoring.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Module docs, *Dismissed is not dead*: an object the walk dropped

@@ -4,22 +4,23 @@
 //! [`crate::algorithms`] — as strictly sequential consumers of sorted
 //! and random access. A real middleware system (Garlic over QBIC et
 //! al., §4) would not call a remote subsystem one object at a time: it
-//! would *batch* sorted access and *cache* random-access grades it has
-//! already paid for. The [`Engine`] adds exactly those two mechanics
-//! **without changing a single answer or a single charged access**:
+//! would *batch*. The [`Engine`] adds exactly that **without changing a
+//! single answer or a single charged access**:
 //!
 //! * **Batched sorted access** — each stream is drained through
 //!   [`GradedSource::sorted_batch`] in chunks of
 //!   [`EngineConfig::batch_size`] instead of per-object calls, lazily,
 //!   on the caller's thread: one subsystem round-trip serves a whole
 //!   batch.
-//! * **A bounded LRU grade cache** — random-access grades are memoized
-//!   in a [`StripedGradeCache`] shared by every request the engine
-//!   serves. A hit skips the subsystem probe but is *still charged* as
-//!   one random access: the paper's cost measure counts what the
-//!   algorithm asked for, not how the middleware happened to serve it.
-//!   The hit/miss split is folded into
-//!   [`AccessStats::cache_hits`]/[`AccessStats::cache_misses`].
+//! * **Random access as the kernel asks for it** — a probe is one lock
+//!   of the source and one call; a kernel that probes in batches (A₀'s
+//!   phase 2) reaches the subsystem's [`GradedSource::random_batch`]
+//!   whole. The engine memoizes no grades: every kernel remembers the
+//!   fields it has seen, so no list is asked for the same object twice
+//!   within a query (`tests/no_kernel_asks_a_list_twice.rs`), and
+//!   across queries a memo could only hit for requests sharing one
+//!   source handle, which no caller but a benchmark loop does
+//!   (`DESIGN.md` §18).
 //!
 //! There is one execution path. A query runs its kernel — the existing
 //! scalar algorithm, so correctness is inherited — on the calling
@@ -32,28 +33,23 @@
 //!
 //! Because batching preserves per-stream order and only moves *when*
 //! items are fetched (never *which* or *in what order* the algorithm
-//! consumes them), and cache hits return the same grade the probe
-//! would (grades are immutable snapshots in the paper's model), the
-//! engine's results are **bit-identical** to the scalar reference:
-//! same answer ids, same grades, same `sorted`/`random` counts.
+//! consumes them), the engine's results are **bit-identical** to the
+//! scalar reference: same answer ids, same grades, same
+//! `sorted`/`random` counts.
 //!
 //! One engine value serves any number of concurrent [`TopKRequest`]s —
 //! `run` takes `&self`, and [`Engine::run_many`] evaluates a batch of
-//! requests on a bounded thread pool against the shared cache.
-//!
-//! [`AccessStats::cache_hits`]: crate::stats::AccessStats::cache_hits
-//! [`AccessStats::cache_misses`]: crate::stats::AccessStats::cache_misses
+//! requests on a bounded thread pool. Requests share nothing through
+//! the engine but its cumulative [`Engine::access_totals`].
 
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use fmdb_core::score::{Score, ScoredObject};
 
 use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
-use crate::lru::LruCore;
 use crate::planner::{Explain, PhysicalPlan, PlanQuery, QueryStats};
 use crate::policy::Algo;
 use crate::request::{SharedSource, TopKRequest};
@@ -133,7 +129,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The two sizes an [`Engine`] is built with. How a *request* runs —
+/// The one size an [`Engine`] is built with. How a *request* runs —
 /// algorithm, cost model, θ, intra-query sharding — is the request's
 /// [`crate::policy::ExecPolicy`], not engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,17 +137,11 @@ pub struct EngineConfig {
     /// Objects fetched per [`GradedSource::sorted_batch`] call.
     /// Clamped to at least 1.
     pub batch_size: usize,
-    /// Capacity (entries) of the shared random-access grade cache;
-    /// 0 disables caching entirely.
-    pub cache_capacity: usize,
 }
 
 impl EngineConfig {
-    /// The default: batches of 64, 4096 cached grades.
-    pub const DEFAULT: EngineConfig = EngineConfig {
-        batch_size: 64,
-        cache_capacity: 4096,
-    };
+    /// The default: batches of 64.
+    pub const DEFAULT: EngineConfig = EngineConfig { batch_size: 64 };
 }
 
 impl Default for EngineConfig {
@@ -162,192 +152,22 @@ impl Default for EngineConfig {
 
 /// Locks tolerating poison. A subsystem that panics under its own
 /// source mutex poisons it; the request fails with
-/// [`EngineError::WorkerPanicked`], and the engine — registry, cache
-/// stripes and totals included, whose updates are single assignments —
-/// must keep serving the requests that follow.
+/// [`EngineError::WorkerPanicked`], and the engine — its totals
+/// included, whose updates are single assignments — must keep serving
+/// the requests that follow.
 pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Cache key: the registered identity of the shared source handle
-/// ([`SourceRegistry`]) plus the oid.
-///
-/// Keying by handle identity means two requests holding clones of the
-/// same [`SharedSource`] share each other's cached grades, while
-/// distinct sources never collide — even when a later source's
-/// allocation lands on a dead source's address, because identities are
-/// never reissued.
-type CacheKey = (u64, Oid);
-
-/// Issues a stable, never-reused identity per [`SharedSource`].
-///
-/// A raw `Arc::as_ptr` key is unsound across requests: once a source
-/// dies, its cache entries linger, and a *new* source allocated at the
-/// recycled address would hit them and be served another subsystem's
-/// grades. The registry therefore keeps a [`Weak`] per known address —
-/// which also pins the allocation, so an address cannot be recycled
-/// while it is still mapped — and hands out a fresh id whenever the
-/// address's previous occupant is gone. Stale entries for dead ids
-/// simply age out of the LRU cache.
-#[derive(Debug, Default)]
-struct SourceRegistry {
-    next_id: u64,
-    by_ptr: HashMap<usize, (Weak<Mutex<dyn GradedSource + Send>>, u64)>,
-}
-
-impl SourceRegistry {
-    fn identify(&mut self, source: &SharedSource) -> u64 {
-        let ptr = Arc::as_ptr(source) as *const () as usize;
-        if let Some((weak, id)) = self.by_ptr.get(&ptr) {
-            if weak
-                .upgrade()
-                .is_some_and(|live| Arc::ptr_eq(&live, source))
-            {
-                return *id;
-            }
-        }
-        if self.by_ptr.len() >= 4096 {
-            self.by_ptr.retain(|_, (weak, _)| weak.strong_count() > 0);
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.by_ptr.insert(ptr, (Arc::downgrade(source), id));
-        id
-    }
-}
-
-/// Number of independent LRU segments in the engine's cache.
-const CACHE_STRIPES: usize = 8;
-
-/// A bounded, lock-striped LRU memo of random-access grades: `N`
-/// independent segments — the `LruCore` replacement machinery that
-/// also backs the paged store's buffer pool ([`crate::store`]) — each
-/// behind its own mutex, selected by key hash.
-///
-/// The paper's model makes grades immutable for the duration of a
-/// query ("repeated random access for the same object returns the same
-/// grade"), so memoization is safe. The cache tracks cumulative hits,
-/// misses and evictions across every request it served; a high
-/// eviction rate at a given hit rate means the working set exceeds
-/// capacity.
-///
-/// A single-mutex cache would serialize every random access of every
-/// concurrent worker — request threads under [`Engine::run_many`] all
-/// contend on one lock. Striping keeps the hit path a short critical
-/// section on 1/N of the key space.
-///
-/// **Snapshot semantics**: [`StripedGradeCache::counters`] locks the
-/// stripes one at a time, so under concurrent traffic the summed pair
-/// is a per-stripe-consistent snapshot, not a global linearization —
-/// a stripe counted *after* a concurrent hit lands includes it, one
-/// counted *before* does not. Both counters are monotone between
-/// [`StripedGradeCache::clear`] calls, so any snapshot is bracketed by
-/// the true counts at the first and last stripe lock. That "relaxed"
-/// guarantee is all the engine promises (and all telemetry needs).
-#[derive(Debug)]
-pub struct StripedGradeCache {
-    stripes: Vec<Mutex<LruCore<CacheKey, Score>>>,
-}
-
-impl StripedGradeCache {
-    /// Creates `stripes` segments jointly holding at least `capacity`
-    /// grades (`capacity` 0 disables caching; `stripes` is clamped to
-    /// at least 1).
-    pub fn new(capacity: usize, stripes: usize) -> StripedGradeCache {
-        let n = stripes.max(1);
-        // Round the per-stripe share up so the total never undercuts
-        // the requested capacity.
-        let per = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(n)
-        };
-        StripedGradeCache {
-            stripes: (0..n).map(|_| Mutex::new(LruCore::new(per))).collect(),
-        }
-    }
-
-    /// The segment owning `key`, locked.
-    fn stripe(&self, key: CacheKey) -> MutexGuard<'_, LruCore<CacheKey, Score>> {
-        // Multiplicative mixing of both key halves; the high bits are
-        // the best-mixed, so index with them.
-        let h = key
-            .0
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(key.1.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        lock(&self.stripes[(h >> 32) as usize % self.stripes.len()])
-    }
-
-    fn get(&self, key: CacheKey) -> Option<Score> {
-        self.stripe(key).get(key)
-    }
-
-    /// Inserts (or refreshes) a grade, evicting the least recently used
-    /// entries of its stripe beyond capacity.
-    fn insert(&self, key: CacheKey, grade: Score) {
-        self.stripe(key).insert(key, grade);
-    }
-
-    /// Cumulative (hits, misses) summed over all stripes — see the
-    /// type docs for the snapshot guarantee.
-    pub fn counters(&self) -> (u64, u64) {
-        self.stripes.iter().fold((0, 0), |(h, m), s| {
-            let guard = lock(s);
-            (h + guard.hits(), m + guard.misses())
-        })
-    }
-
-    /// Cumulative grades dropped to make room for newer ones, summed
-    /// over all stripes (same snapshot guarantee as
-    /// [`StripedGradeCache::counters`]). Reset together with the
-    /// hit/miss counters by [`StripedGradeCache::clear`].
-    pub fn evictions(&self) -> u64 {
-        self.stripes.iter().map(|s| lock(s).evictions()).sum()
-    }
-
-    /// Grades currently cached, summed over all stripes.
-    pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| lock(s).len()).sum()
-    }
-
-    /// True when no stripe holds anything.
-    pub fn is_empty(&self) -> bool {
-        self.stripes.iter().all(|s| lock(s).is_empty())
-    }
-
-    /// Total capacity across stripes.
-    pub fn capacity(&self) -> usize {
-        self.stripes.iter().map(|s| lock(s).capacity()).sum()
-    }
-
-    /// Drops every cached grade **and** resets the hit/miss/eviction
-    /// counters.
-    ///
-    /// The counters describe the lifetime of the cached content; each
-    /// stripe is cleared independently, and a stripe that kept stale
-    /// counters after dropping its entries would make the summed
-    /// snapshot unintelligible (hits against grades that no longer
-    /// exist, mixed across generations). Content and counters reset
-    /// together. Stripes are cleared one at a time; a concurrent
-    /// request may land hits in an already-cleared stripe before the
-    /// last one is reached, which the snapshot semantics above already
-    /// admit.
-    pub fn clear(&self) {
-        for s in &self.stripes {
-            lock(s).clear();
-        }
-    }
-}
-
 /// The engine's view of one source: sorted access is served from
-/// lazily refilled batches; random access is routed through the grade
-/// cache. Implements [`GradedSource`], so the scalar algorithms run on
-/// top of it unchanged — and charge exactly the accesses they would
-/// charge against the raw source.
+/// lazily refilled batches; random access goes to the subsystem as the
+/// kernel asks for it, scalar, batched or bounded. Implements
+/// [`GradedSource`], so the scalar algorithms run on top of it
+/// unchanged — and charge exactly the accesses they would charge
+/// against the raw source.
 struct EngineSource<'a> {
     underlying: &'a SharedSource,
     info: SourceInfo,
-    key: u64,
     batch: usize,
     buffer: std::vec::IntoIter<ScoredObject<Oid>>,
     drained: bool,
@@ -355,9 +175,6 @@ struct EngineSource<'a> {
     /// top: the engine rewinds the subsystem before building a proxy,
     /// so only a *used* proxy has to rewind it again.
     fetched: bool,
-    cache: Option<&'a StripedGradeCache>,
-    hits: u64,
-    misses: u64,
     /// The highest bound forwarded to the subsystem since the stream
     /// last stood at the top.
     noted: Score,
@@ -395,20 +212,15 @@ impl GradedSource for EngineSource<'_> {
     }
 
     fn random_access(&mut self, oid: Oid) -> Score {
-        let Some(cache) = self.cache else {
-            return self.with_source(|s| s.random_access(oid));
-        };
-        let key = (self.key, oid);
-        if let Some(grade) = cache.get(key) {
-            self.hits += 1;
-            return grade;
-        }
-        // Probe outside the stripe lock: the subsystem may be slow, and
-        // concurrent requests share the stripe.
-        let grade = self.with_source(|s| s.random_access(oid));
-        self.misses += 1;
-        cache.insert(key, grade);
-        grade
+        self.with_source(|s| s.random_access(oid))
+    }
+
+    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
+        self.with_source(|s| s.random_batch(oids))
+    }
+
+    fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Score {
+        self.with_source(|s| s.random_access_bounded(oid, bound))
     }
 
     /// The engine rewinds the underlying sources before constructing
@@ -441,13 +253,10 @@ impl GradedSource for EngineSource<'_> {
 /// for the design.
 ///
 /// `run` takes `&self`: share one engine (e.g. behind an `Arc`) and
-/// issue any number of requests concurrently — they cooperate through
-/// the same bounded grade cache.
+/// issue any number of requests concurrently.
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
-    cache: StripedGradeCache,
-    registry: Mutex<SourceRegistry>,
     /// Cumulative stats over every successful request, for cross-run
     /// telemetry (`BENCH_engine.json`).
     totals: Mutex<AccessStats>,
@@ -464,30 +273,20 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Engine {
         Engine {
             config,
-            cache: StripedGradeCache::new(config.cache_capacity, CACHE_STRIPES),
-            registry: Mutex::new(SourceRegistry::default()),
             totals: Mutex::new(AccessStats::ZERO),
         }
     }
 
-    /// Cumulative cache (hits, misses) over every request served —
-    /// summed over the cache stripes, with the snapshot semantics
-    /// documented on [`StripedGradeCache::counters`].
+    /// Always `(0, 0)`: the engine keeps no grade cache.
+    /// `perfbench/src/workloads/{mem_topk,garlic_sql}.rs` still read
+    /// it; the next `benchmark` PR drops both.
     pub fn cache_counters(&self) -> (u64, u64) {
-        self.cache.counters()
+        (0, 0)
     }
 
-    /// Cumulative cache evictions over every request served — the
-    /// third replacement counter alongside [`Engine::cache_counters`],
-    /// reset together with them by [`Engine::clear_cache`].
+    /// Always 0, kept for the same two readers.
     pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
-    }
-
-    /// Drops every cached grade and resets the cache counters (see
-    /// [`StripedGradeCache::clear`]).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
+        0
     }
 
     /// Cumulative [`AccessStats`] folded over every *successful*
@@ -575,8 +374,9 @@ impl Engine {
     /// merge strategy. The algorithm's code path is unchanged — it
     /// consumes engine-buffered proxies instead of raw sources — so the
     /// result (answers *and* charged `sorted`/`random` counts) is
-    /// bit-identical to the scalar run; the engine only adds the
-    /// [`AccessStats::cache_hits`]/[`AccessStats::cache_misses`] split.
+    /// bit-identical to the scalar run; the engine only adds the page
+    /// traffic of paged sources ([`AccessStats::page_reads`] and
+    /// friends).
     ///
     /// A shard-capable algorithm (one reporting a
     /// [`crate::sharded::ShardKernel`]) takes the sharded path when the
@@ -599,8 +399,8 @@ impl Engine {
     }
 
     /// The one non-sharded path: the kernel runs on the caller's thread
-    /// over batch-refilled proxies sharing the grade cache. No thread
-    /// is spawned, so `stats.worker_spawns` stays 0.
+    /// over batch-refilled proxies. No thread is spawned, so
+    /// `stats.worker_spawns` stays 0.
     fn run_serial(
         &self,
         algorithm: &dyn TopKAlgorithm,
@@ -608,14 +408,10 @@ impl Engine {
     ) -> Result<TopKResult, EngineError> {
         let scoring = request.scoring();
         let batch = self.config.batch_size.max(1);
-        let cache = (self.config.cache_capacity > 0).then_some(&self.cache);
         let mut proxies: Vec<EngineSource> = request
             .sources()
             .iter()
             .map(|underlying| {
-                // (The registry lock is released before the source's
-                // is taken: the two never nest.)
-                let key = lock(&self.registry).identify(underlying);
                 // Rewind before the kernel pulls, so every stream
                 // begins at the top grade, and snapshot the metadata
                 // and page counters under the same lock.
@@ -624,14 +420,10 @@ impl Engine {
                 EngineSource {
                     underlying,
                     info: guard.info(),
-                    key,
                     batch,
                     buffer: Vec::new().into_iter(),
                     drained: false,
                     fetched: false,
-                    cache,
-                    hits: 0,
-                    misses: 0,
                     noted: Score::ZERO,
                     page_before: guard.page_io(),
                     in_flight: false,
@@ -664,15 +456,13 @@ impl Engine {
             }
         };
 
-        // Fold the proxies' cache split and the page-traffic delta of
-        // every paged source into the request's stats. Sources sharing
+        // Fold the page-traffic delta of every paged source into the
+        // request's stats. Sources sharing
         // one store's pool would be double counted — each query source
         // is expected to map to its own store file. (The sharded path
         // skips this: shards run on materialized partitions, their page
         // reads happened at partition time.)
         for proxy in &proxies {
-            result.stats.cache_hits += proxy.hits;
-            result.stats.cache_misses += proxy.misses;
             if let (Some(now), Some(before)) = (lock(proxy.underlying).page_io(), proxy.page_before)
             {
                 let delta = now - before;
@@ -686,8 +476,7 @@ impl Engine {
     }
 
     /// Evaluates several requests concurrently on a scoped worker
-    /// *pool*, sharing the engine's grade cache. Results are returned
-    /// in request order. A request that panics on a pool thread yields
+    /// *pool*. Results are returned in request order. A request that panics on a pool thread yields
     /// [`EngineError::WorkerPanicked`] in its slot — one bad request
     /// never takes down its batch.
     ///
@@ -809,7 +598,7 @@ mod tests {
     use crate::algorithms::ta::ThresholdAlgorithm;
     use crate::oracle::verify_top_k;
     use crate::policy::{Algo, ExecPolicy, ShardPolicy};
-    use crate::request::{shared_source, TopKQuery};
+    use crate::request::TopKQuery;
     use crate::stats::CostModel;
     use crate::workload::independent_uniform;
     use fmdb_core::scoring::tnorms::Min;
@@ -840,24 +629,6 @@ mod tests {
     /// tests name their algorithm through `run_algorithm`).
     fn request_under(policy: ExecPolicy, n: usize, m: usize, seed: u64, k: usize) -> TopKRequest {
         request(n, m, seed, k).query().clone().into_request(policy)
-    }
-
-    /// Regression: one long-lived engine serving a run of short-lived
-    /// requests. Each round's sources die before the next round's are
-    /// allocated, so without registered source identities the new
-    /// allocations can land on cached addresses and be served the
-    /// *previous* workload's grades (observed as nondeterministic TA
-    /// costs in the e13 experiment binary).
-    #[test]
-    fn fresh_sources_never_see_stale_cached_grades() {
-        let engine = Engine::default();
-        for round in 0..25u64 {
-            let result = engine.run(&request(300, 3, round, 10)).unwrap();
-            let reference = scalar(&FaginsAlgorithm, 300, 3, round, 10);
-            assert_eq!(result.answers, reference.answers, "round {round}");
-            assert_eq!(result.stats.sorted, reference.stats.sorted, "round {round}");
-            assert_eq!(result.stats.random, reference.stats.random, "round {round}");
-        }
     }
 
     /// The default policy (`Algo::Auto`) routes through the unified
@@ -901,36 +672,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_reuses_ids_for_live_sources_only() {
-        let mut registry = SourceRegistry::default();
-        let a = shared_source(independent_uniform(10, 1, 1).remove(0));
-        let id_a = registry.identify(&a);
-        assert_eq!(registry.identify(&a), id_a, "same handle, same id");
-        assert_eq!(registry.identify(&Arc::clone(&a)), id_a, "clone, same id");
-        let b = shared_source(independent_uniform(10, 1, 2).remove(0));
-        assert_ne!(registry.identify(&b), id_a, "distinct handle, fresh id");
-        drop(a);
-        // While the registry's weak handle pins the dead allocation, no
-        // new source can occupy its address, so ids never alias.
-        let c = shared_source(independent_uniform(10, 1, 3).remove(0));
-        let id_c = registry.identify(&c);
-        assert_ne!(id_c, id_a);
-    }
-
-    #[test]
     fn engine_fa_is_bit_identical_to_scalar_fa() {
         for &(n, m, k) in &[(500usize, 2usize, 5usize), (300, 3, 10), (200, 4, 7)] {
             let reference = scalar(&FaginsAlgorithm, n, m, 99, k);
             for config in [
                 EngineConfig::DEFAULT,
-                EngineConfig {
-                    batch_size: 1,
-                    cache_capacity: 8,
-                },
-                EngineConfig {
-                    batch_size: 1000,
-                    cache_capacity: 0,
-                },
+                EngineConfig { batch_size: 1 },
+                EngineConfig { batch_size: 1000 },
             ] {
                 let engine = Engine::new(config);
                 let got = engine.run(&request(n, m, 99, k)).unwrap();
@@ -976,10 +724,7 @@ mod tests {
     #[test]
     fn proxy_rewind_reaches_the_subsystem_after_an_exactly_consumed_batch() {
         let batch_size = 8;
-        let engine = Engine::new(EngineConfig {
-            batch_size,
-            cache_capacity: 0,
-        });
+        let engine = Engine::new(EngineConfig { batch_size });
         let top = independent_uniform(100, 1, 5).remove(0).sorted_next();
         for pulls in 0..=2 * batch_size {
             let got = engine
@@ -1001,63 +746,65 @@ mod tests {
         verify_top_k(&mut refs, &Min, &result.answers, 12).unwrap();
     }
 
+    /// A₀'s phase 2 reaches a store behind the engine as one batch per
+    /// list, so a cold pool far smaller than the file reads each probed
+    /// page once — hole by hole, in sighting order, it thrashes.
     #[test]
-    fn cache_split_accounts_for_every_random_access() {
-        let engine = Engine::default();
-        let result = engine.run(&request(400, 2, 3, 8)).unwrap();
-        assert_eq!(
-            result.stats.cache_hits + result.stats.cache_misses,
-            result.stats.random,
-            "with the cache on, every random access is a hit or a miss"
-        );
-    }
-
-    #[test]
-    fn shared_sources_hit_the_cache_across_requests() {
-        // Two requests over the *same* shared handles: the second run's
-        // random accesses were all probed (and cached) by the first.
-        let handles: Vec<SharedSource> = independent_uniform(500, 2, 11)
-            .into_iter()
-            .map(shared_source)
+    fn engine_fa_reads_each_probed_page_once() {
+        use crate::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
+        let (n, k) = (1 << 14, 10);
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/store-tests");
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let paths: Vec<_> = independent_uniform(n, 2, 31)
+            .iter_mut()
+            .zip(0..)
+            .map(|(list, i)| {
+                let path = dir.join(format!("engine-fa-{i}.fmdb"));
+                build_store_from_source(&path, list, &BuildConfig::DEFAULT).expect("build");
+                path
+            })
             .collect();
-        let build = || {
-            let mut b = TopKQuery::compose();
-            for h in &handles {
-                b = b.shared_source(Arc::clone(h));
-            }
-            // Pin A₀: under `Algo::Auto` the planner picks the
-            // sorted-only NRA here, which never touches the cache.
-            b.scoring(Min)
-                .k(6)
-                .policy(ExecPolicy::new().algo(Algo::Fa))
-                .request()
-                .unwrap()
+        // Fresh stores, so every run starts from a cold pool of 8
+        // frames over a file of well over a hundred pages.
+        let cold = || {
+            paths.iter().map(|path| {
+                let store = PagedStore::open(path, StoreOptions::with_pool_pages(8)).expect("open");
+                assert!(store.header().total_pages() > 100);
+                store.source()
+            })
         };
-        let engine = Engine::default();
-        let first = engine.run(&build()).unwrap();
-        let second = engine.run(&build()).unwrap();
-        // Logical charges are unaffected by caching …
-        assert_eq!(first.answers, second.answers);
-        assert_eq!(first.stats.sorted, second.stats.sorted);
-        assert_eq!(first.stats.random, second.stats.random);
-        // … but the second run is served from the cache.
-        assert_eq!(second.stats.cache_hits, second.stats.random);
-        assert_eq!(second.stats.cache_misses, 0);
-        let (hits, misses) = engine.cache_counters();
-        assert_eq!(hits, second.stats.cache_hits);
-        assert_eq!(misses, first.stats.cache_misses);
-    }
 
-    #[test]
-    fn disabled_cache_reports_no_counters() {
-        let engine = Engine::new(EngineConfig {
-            cache_capacity: 0,
-            ..EngineConfig::DEFAULT
-        });
-        let result = engine.run(&request(200, 2, 5, 4)).unwrap();
-        assert!(result.stats.random > 0);
-        assert_eq!(result.stats.cache_hits, 0);
-        assert_eq!(result.stats.cache_misses, 0);
+        let mut lists: Vec<_> = cold().collect();
+        let mut refs: Vec<&mut dyn GradedSource> = lists
+            .iter_mut()
+            .map(|s| s as &mut dyn GradedSource)
+            .collect();
+        let scalar = FaginsAlgorithm.top_k(&mut refs, &Min, k).unwrap();
+        let scalar_reads: u64 = lists
+            .iter()
+            .map(|s| s.page_io().expect("paged").reads)
+            .sum();
+
+        let mut query = TopKQuery::compose();
+        for list in cold() {
+            query = query.source(list);
+        }
+        let request = query.scoring(Min).k(k).request().unwrap();
+        let engine = Engine::default()
+            .run_algorithm(&FaginsAlgorithm, &request)
+            .unwrap();
+        assert_eq!(engine.answers, scalar.answers);
+        assert_eq!(engine.stats.sorted, scalar.stats.sorted);
+        assert_eq!(engine.stats.random, scalar.stats.random);
+        // A sorted page holds more entries than a batch, so fetching
+        // ahead by at most one batch turns at most one page per list.
+        assert!(
+            engine.stats.page_reads <= scalar_reads + lists.len() as u64,
+            "engine read {} pages, scalar {scalar_reads}, for {} probes",
+            engine.stats.page_reads,
+            scalar.stats.random
+        );
+        assert!(scalar_reads * 2 < scalar.stats.random, "fixture must batch");
     }
 
     #[test]
@@ -1227,43 +974,6 @@ mod tests {
             Err(EngineError::WorkerPanicked { .. })
         ));
         assert_eq!(results[1].as_ref().unwrap().answers.len(), 4);
-    }
-
-    #[test]
-    fn striped_cache_roundtrips_and_clears_consistently() {
-        let cache = StripedGradeCache::new(64, 8);
-        assert!(cache.capacity() >= 64);
-        let g = Score::clamped(0.7);
-        for oid in 0..32u64 {
-            cache.insert((1, oid), g);
-        }
-        assert_eq!(cache.len(), 32);
-        for oid in 0..32u64 {
-            assert_eq!(cache.get((1, oid)), Some(g), "oid {oid}");
-        }
-        assert_eq!(cache.get((1, 999)), None);
-        assert_eq!(cache.counters(), (32, 1));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.counters(), (0, 0), "clear resets every stripe");
-        // Disabled cache stays disabled per stripe.
-        let off = StripedGradeCache::new(0, 8);
-        off.insert((0, 1), g);
-        assert!(off.is_empty());
-    }
-
-    #[test]
-    fn engine_clear_cache_resets_counters() {
-        let engine = Engine::default();
-        // Same request value both times: cache keys are per source
-        // *instance*, so only identical handles can hit.
-        let req = request(300, 2, 8, 5);
-        let _ = engine.run(&req).unwrap();
-        let _ = engine.run(&req).unwrap();
-        let (hits, _) = engine.cache_counters();
-        assert!(hits > 0, "second identical run must hit the cache");
-        engine.clear_cache();
-        assert_eq!(engine.cache_counters(), (0, 0));
     }
 
     #[test]

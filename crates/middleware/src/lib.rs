@@ -20,12 +20,13 @@
 //!   algorithm choice, charged cost model, θ-approximation, and
 //!   per-request shard settings;
 //! * [`engine`] — the batched execution engine: the scalar kernels
-//!   run on the caller's thread over batch-refilled sorted streams and
-//!   a lock-striped LRU grade cache, bit-identical to the scalar
-//!   algorithms; a bounded pool serves request batches;
+//!   run on the caller's thread over batch-refilled sorted streams,
+//!   bit-identical to the scalar algorithms; a bounded pool serves
+//!   request batches;
 //! * [`sharded`] — partition-parallel intra-query execution: per-shard
-//!   TA/NRA kernels cooperating through a shared [`sharded::AtomicThreshold`]
-//!   and merged by a loser-tree [`sharded::ShardMerger`];
+//!   TA/NRA kernels cooperating through a shared
+//!   [`sharded::AtomicThreshold`], their answers merged by the output
+//!   comparator every kernel ends in;
 //! * [`oracle`] — brute-force reference grading and top-k validity
 //!   checking (used pervasively in tests);
 //! * [`optimality`] — the per-instance optimality oracle: the cheapest
@@ -95,7 +96,7 @@ pub mod prelude {
     pub use crate::algorithms::pruned_fa::PrunedFa;
     pub use crate::algorithms::ta::ThresholdAlgorithm;
     pub use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
-    pub use crate::engine::{Engine, EngineConfig, EngineError, StripedGradeCache};
+    pub use crate::engine::{Engine, EngineConfig, EngineError};
     pub use crate::optimality::OptimalityOracle;
     pub use crate::oracle::verify_top_k;
     pub use crate::planner::{
@@ -106,7 +107,7 @@ pub mod prelude {
     pub use crate::request::{
         shared_source, SharedScoring, SharedSource, TopKQuery, TopKQueryBuilder, TopKRequest,
     };
-    pub use crate::sharded::{AtomicThreshold, ShardKernel, ShardMerger};
+    pub use crate::sharded::{AtomicThreshold, ShardKernel};
     pub use crate::source::{
         GradedSource, Oid, ShardedSource, SourceInfo, SourcePartitioner, SourceViolation,
         ValidatingSource, VecSource,

@@ -1,27 +1,24 @@
-//! A generic bounded LRU map with lazy-deletion recency tracking.
+//! A generic bounded LRU map with lazy-deletion recency tracking: the
+//! replacement machinery under the page frames of the paged store's
+//! buffer pool ([`crate::store`]), its one user.
 //!
-//! Extracted from the engine's grade cache so the
-//! same replacement machinery serves both cached grades and the page
-//! frames of the paged store's buffer pool ([`crate::store`]). The
-//! core keeps three cumulative counters — hits, misses, evictions —
-//! and supports *pinned* entries: an entry the caller's `retain`
-//! predicate claims is still in use is skipped (and refreshed) at
-//! eviction time, the way a buffer pool must never drop a page a
-//! reader still holds.
+//! The core keeps two cumulative counters — hits and evictions — and
+//! supports *pinned* entries: an entry the caller's `retain` predicate
+//! claims is still in use is skipped (and refreshed) at eviction time,
+//! the way a buffer pool must never drop a page a reader still holds.
 //!
-//! Recency is tracked with the lazy-deletion idiom the grade cache
-//! established: every touch pushes a `(key, stamp)` pair onto a queue,
-//! and only a queue entry carrying the key's *current* stamp
-//! represents its true recency; stale pairs are discarded when popped.
-//! The queue is rebuilt from live entries when stale pairs dominate.
+//! Recency is tracked by lazy deletion: every touch pushes a
+//! `(key, stamp)` pair onto a queue, and only a queue entry carrying
+//! the key's *current* stamp represents its true recency; stale pairs
+//! are discarded when popped. The queue is rebuilt from live entries
+//! when stale pairs dominate.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
-/// A bounded LRU map: `capacity` entries, hit/miss/eviction counters,
-/// and pin-aware eviction. Not thread-safe — callers wrap it in a
-/// mutex (usually striped, as in [`crate::engine::StripedGradeCache`]
-/// and the store's buffer pool).
+/// A bounded LRU map: `capacity` entries, hit and eviction counters,
+/// and pin-aware eviction. Not thread-safe — the store's buffer pool
+/// keeps one per stripe, each behind its own mutex.
 #[derive(Debug)]
 pub(crate) struct LruCore<K, V> {
     capacity: usize,
@@ -32,7 +29,6 @@ pub(crate) struct LruCore<K, V> {
     queue: VecDeque<(K, u64)>,
     tick: u64,
     hits: u64,
-    misses: u64,
     evictions: u64,
 }
 
@@ -46,7 +42,6 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCore<K, V> {
             queue: VecDeque::new(),
             tick: 0,
             hits: 0,
-            misses: 0,
             evictions: 0,
         }
     }
@@ -56,24 +51,9 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCore<K, V> {
         self.entries.len()
     }
 
-    /// True when nothing is held.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The configured capacity.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Cumulative lookups answered from the map.
     pub(crate) fn hits(&self) -> u64 {
         self.hits
-    }
-
-    /// Cumulative lookups that found nothing.
-    pub(crate) fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Cumulative entries dropped to make room (lazy-deletion stale
@@ -83,39 +63,28 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCore<K, V> {
         self.evictions
     }
 
-    /// Drops every entry **and** resets all three counters. The
-    /// counters describe the lifetime of the held content; content and
-    /// counters reset together (see `StripedGradeCache::clear` for the
-    /// rationale).
+    /// Drops every entry **and** resets both counters. The counters
+    /// describe the lifetime of the held content — hits against frames
+    /// that no longer exist would mix generations — so content and
+    /// counters reset together.
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.queue.clear();
         self.hits = 0;
-        self.misses = 0;
         self.evictions = 0;
     }
 
-    /// Looks `key` up, refreshing its recency and counting a hit or a
-    /// miss.
+    /// Looks `key` up; a hit refreshes its recency and is counted.
     pub(crate) fn get(&mut self, key: K) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
-        let found = match self.entries.get_mut(&key) {
-            Some((value, stamp)) => {
-                *stamp = tick;
-                let value = value.clone();
-                self.queue.push_back((key, tick));
-                Some(value)
-            }
-            None => None,
-        };
-        if found.is_some() {
-            self.hits += 1;
-            self.maybe_compact();
-        } else {
-            self.misses += 1;
-        }
-        found
+        let (value, stamp) = self.entries.get_mut(&key)?;
+        *stamp = tick;
+        let value = value.clone();
+        self.queue.push_back((key, tick));
+        self.hits += 1;
+        self.maybe_compact();
+        Some(value)
     }
 
     /// Peeks at `key` without touching recency or counters.
@@ -169,11 +138,6 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCore<K, V> {
         self.maybe_compact();
     }
 
-    /// Inserts with no pinning.
-    pub(crate) fn insert(&mut self, key: K, value: V) {
-        self.insert_with(key, value, |_| false);
-    }
-
     /// Current length of the lazy recency queue (tests assert the
     /// compaction bound).
     #[cfg(test)]
@@ -202,21 +166,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn get_counts_hits_and_misses() {
+    fn get_counts_hits() {
         let mut lru: LruCore<u32, u32> = LruCore::new(4);
         assert_eq!(lru.get(1), None);
-        lru.insert(1, 10);
+        lru.insert_with(1, 10, |_| false);
         assert_eq!(lru.get(1), Some(10));
-        assert_eq!((lru.hits(), lru.misses()), (1, 1));
+        assert_eq!(lru.hits(), 1);
     }
 
     #[test]
     fn eviction_is_lru_and_counted() {
         let mut lru: LruCore<u32, u32> = LruCore::new(2);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
+        lru.insert_with(1, 10, |_| false);
+        lru.insert_with(2, 20, |_| false);
         assert_eq!(lru.get(1), Some(10)); // refresh 1 → 2 is LRU
-        lru.insert(3, 30);
+        lru.insert_with(3, 30, |_| false);
         assert_eq!(lru.evictions(), 1);
         assert_eq!(lru.get(2), None, "LRU entry 2 must be the one evicted");
         assert_eq!(lru.get(1), Some(10));
@@ -226,8 +190,8 @@ mod tests {
     #[test]
     fn pinned_entries_survive_eviction() {
         let mut lru: LruCore<u32, u32> = LruCore::new(2);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
+        lru.insert_with(1, 10, |_| false);
+        lru.insert_with(2, 20, |_| false);
         // Pin value 10: inserting a third entry must evict 2, not 1,
         // even though 1 is least recently used.
         lru.insert_with(3, 30, |&v| v == 10);
@@ -249,22 +213,22 @@ mod tests {
     #[test]
     fn clear_resets_counters_and_content() {
         let mut lru: LruCore<u32, u32> = LruCore::new(2);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        lru.insert(3, 30);
+        lru.insert_with(1, 10, |_| false);
+        lru.insert_with(2, 20, |_| false);
+        lru.insert_with(3, 30, |_| false);
         let _ = lru.get(3);
         let _ = lru.get(99);
-        assert!(lru.hits() > 0 && lru.misses() > 0 && lru.evictions() > 0);
+        assert!(lru.hits() > 0 && lru.evictions() > 0);
         lru.clear();
-        assert!(lru.is_empty());
-        assert_eq!((lru.hits(), lru.misses(), lru.evictions()), (0, 0, 0));
+        assert_eq!(lru.len(), 0);
+        assert_eq!((lru.hits(), lru.evictions()), (0, 0));
     }
 
     #[test]
     fn zero_capacity_never_stores() {
         let mut lru: LruCore<u32, u32> = LruCore::new(0);
-        lru.insert(1, 10);
-        assert!(lru.is_empty());
+        lru.insert_with(1, 10, |_| false);
+        assert_eq!(lru.len(), 0);
         assert_eq!(lru.get(1), None);
     }
 
@@ -272,14 +236,14 @@ mod tests {
     fn queue_compaction_preserves_recency() {
         let mut lru: LruCore<u32, u32> = LruCore::new(4);
         for i in 0..4 {
-            lru.insert(i, i);
+            lru.insert_with(i, i, |_| false);
         }
         // Hammer one key until the lazy queue compacts, then verify
         // recency order is still honoured at the next eviction.
         for _ in 0..100 {
             let _ = lru.get(0);
         }
-        lru.insert(100, 100);
+        lru.insert_with(100, 100, |_| false);
         assert_eq!(lru.peek(0), Some(&0), "hot key must survive");
         assert_eq!(lru.evictions(), 1);
     }
@@ -288,7 +252,7 @@ mod tests {
     fn queue_stays_bounded_under_churn() {
         let mut lru: LruCore<u64, u32> = LruCore::new(4);
         for i in 0..10_000u64 {
-            lru.insert(i % 16, 1);
+            lru.insert_with(i % 16, 1, |_| false);
             let _ = lru.get(i % 16);
         }
         assert!(lru.len() <= 4);

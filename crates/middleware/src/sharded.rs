@@ -5,18 +5,17 @@
 //! expensive top-k still drains its sources on one thread. This module
 //! splits one query into `P` disjoint shards (every source partitioned
 //! by the *same* [`SourcePartitioner`]), runs a threshold-style kernel
-//! per shard on a scoped thread pool, and merges the per-shard answers
-//! through a loser-tree [`ShardMerger`].
+//! per shard on scoped threads, and merges the per-shard answers — at
+//! most `P·k` of them — with the sort-and-truncate every kernel ends in.
 //!
 //! # Why the merge is exact
 //!
-//! All kernels report per-shard answers ordered by the global output
-//! comparator (descending grade, ties by ascending oid) and with
-//! **exact** grades. Any object of the true global top-k lives in
-//! exactly one shard, and within that shard at most `k − 1` objects
-//! beat it — so it appears in that shard's local top-k. The k-way merge
-//! of local top-k lists under the same comparator therefore returns
-//! exactly the global top-k.
+//! All kernels report per-shard answers with **exact** grades. Any
+//! object of the true global top-k lives in exactly one shard, and
+//! within that shard at most `k − 1` objects beat it — so it appears in
+//! that shard's local top-k. The best `k` of the local top-k lists
+//! under the output comparator (descending grade, ties by ascending
+//! oid) are therefore exactly the global top-k.
 //!
 //! # Why the shared threshold is a valid stopping bound
 //!
@@ -38,9 +37,7 @@
 //! guarantees alignment by partitioning all sources of a request with
 //! one partitioner.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::thread;
 
@@ -117,132 +114,6 @@ pub enum ShardKernel {
     Nra,
 }
 
-/// A loser-tree k-way merger over per-shard answer lists.
-///
-/// Each input list must already be ordered by the output comparator
-/// (descending grade, ties by ascending oid); [`ShardMerger::pop`]
-/// yields the globally next answer in `O(log P)` comparisons. With
-/// answer lists of length ≤ k this is modest machinery, but it is the
-/// same structure a later distributed merge needs, and it never
-/// materializes the concatenated list.
-#[derive(Debug)]
-pub struct ShardMerger {
-    lists: Vec<Vec<ScoredObject<Oid>>>,
-    cursors: Vec<usize>,
-    /// Internal tournament nodes; `losers[0]` holds the overall winner,
-    /// `losers[1..]` the loser of the match played at that node.
-    losers: Vec<usize>,
-}
-
-/// Marks an internal node that has not hosted a match yet (during
-/// initialization only).
-const UNPLAYED: usize = usize::MAX;
-
-impl ShardMerger {
-    /// Builds a merger over `lists` (each descending grade / ascending
-    /// oid).
-    pub fn new(lists: Vec<Vec<ScoredObject<Oid>>>) -> ShardMerger {
-        let p = lists.len();
-        let mut merger = ShardMerger {
-            cursors: vec![0; p],
-            losers: vec![UNPLAYED; p.max(1)],
-            lists,
-        };
-        for t in 0..p {
-            merger.seed(t);
-        }
-        merger
-    }
-
-    /// Merges the next `k` answers out of `lists` — the convenience
-    /// entry point the sharded driver uses.
-    pub fn merge_top_k(lists: Vec<Vec<ScoredObject<Oid>>>, k: usize) -> Vec<ScoredObject<Oid>> {
-        let mut merger = ShardMerger::new(lists);
-        let mut out = Vec::with_capacity(k);
-        while out.len() < k {
-            match merger.pop() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// The next answer across all lists, or `None` when every list is
-    /// exhausted.
-    pub fn pop(&mut self) -> Option<ScoredObject<Oid>> {
-        if self.lists.is_empty() {
-            return None;
-        }
-        let t = self.losers[0];
-        let item = self.head(t)?;
-        self.cursors[t] += 1;
-        self.replay(t);
-        Some(item)
-    }
-
-    fn head(&self, t: usize) -> Option<ScoredObject<Oid>> {
-        self.lists[t].get(self.cursors[t]).copied()
-    }
-
-    /// Does list `a`'s head beat list `b`'s under the output
-    /// comparator? Exhausted lists lose to everything.
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (self.head(a), self.head(b)) {
-            (Some(x), Some(y)) => match x.grade.cmp(&y.grade) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Less => false,
-                std::cmp::Ordering::Equal => x.id < y.id,
-            },
-            (Some(_), None) => true,
-            (None, _) => false,
-        }
-    }
-
-    /// Initialization ascent for leaf `t`: deposit at the first
-    /// unplayed node (waiting for an opponent), otherwise play the
-    /// match — the loser stays, the winner ascends. Exactly one seed
-    /// ascent reaches the root and crowns `losers[0]`.
-    fn seed(&mut self, t: usize) {
-        let p = self.lists.len();
-        let mut winner = t;
-        let mut node = (t + p) / 2;
-        while node > 0 {
-            if self.losers[node] == UNPLAYED {
-                self.losers[node] = winner;
-                return;
-            }
-            if self.beats(self.losers[node], winner) {
-                std::mem::swap(&mut self.losers[node], &mut winner);
-            }
-            node /= 2;
-        }
-        self.losers[0] = winner;
-    }
-
-    /// Post-pop ascent: replay the matches on leaf `t`'s path to the
-    /// root against the stored losers.
-    fn replay(&mut self, t: usize) {
-        let p = self.lists.len();
-        let mut winner = t;
-        let mut node = (t + p) / 2;
-        while node > 0 {
-            if self.beats(self.losers[node], winner) {
-                std::mem::swap(&mut self.losers[node], &mut winner);
-            }
-            node /= 2;
-        }
-        self.losers[0] = winner;
-    }
-}
-
-impl Iterator for ShardMerger {
-    type Item = ScoredObject<Oid>;
-    fn next(&mut self) -> Option<ScoredObject<Oid>> {
-        self.pop()
-    }
-}
-
 /// Runs one shard's kernel: the threshold loop of
 /// [`crate::algorithms::threshold`] with the cooperative bound attached.
 ///
@@ -283,50 +154,34 @@ pub(crate) fn run_shards(
     scoring: &SharedScoring,
     k: usize,
 ) -> Result<TopKResult, EngineError> {
-    type ShardOutcome = (usize, Result<(Vec<ScoredObject<Oid>>, AccessStats), String>);
-    let p = shards.len();
     let global = AtomicThreshold::new();
-    // One slot per worker: the channel is bounded by construction.
-    let (tx, rx) = sync_channel(p.max(1));
-    let mut outcomes: Vec<ShardOutcome> = thread::scope(|scope| {
-        for (idx, mut sources) in shards.into_iter().enumerate() {
-            let tx = tx.clone();
-            let scoring = Arc::clone(scoring);
-            let global = &global;
-            scope.spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_kernel(kernel, &mut sources, &*scoring, k, global)
-                }))
-                .map_err(|payload| panic_message(payload.as_ref()));
-                let _ = tx.send((idx, outcome));
-            });
-        }
-        drop(tx);
-        rx.iter().take(p).collect()
+    let outcomes: Vec<_> = thread::scope(|scope| {
+        let workers: Vec<_> = shards
+            .into_iter()
+            .map(|mut sources| {
+                let scoring = Arc::clone(scoring);
+                let global = &global;
+                scope.spawn(move || run_kernel(kernel, &mut sources, &*scoring, k, global))
+            })
+            .collect();
+        // Joined in shard order; a worker that panicked hands back its
+        // payload instead of a result.
+        workers.into_iter().map(|worker| worker.join()).collect()
     });
-    outcomes.sort_by_key(|&(idx, _)| idx);
 
     let mut stats = AccessStats::ZERO;
-    stats.worker_spawns = p as u64;
-    let mut lists = Vec::with_capacity(p);
-    for (idx, outcome) in outcomes {
-        match outcome {
-            Ok((answers, shard_stats)) => {
-                stats += shard_stats;
-                lists.push(answers);
-            }
-            Err(message) => {
-                return Err(EngineError::WorkerPanicked {
-                    stream: format!("shard {idx}"),
-                    message,
-                });
-            }
-        }
+    stats.worker_spawns = outcomes.len() as u64;
+    let mut answers = Vec::new();
+    for (idx, outcome) in outcomes.into_iter().enumerate() {
+        let (shard_answers, shard_stats) =
+            outcome.map_err(|payload| EngineError::WorkerPanicked {
+                stream: format!("shard {idx}"),
+                message: panic_message(payload.as_ref()),
+            })?;
+        stats += shard_stats;
+        answers.extend(shard_answers);
     }
-    Ok(TopKResult {
-        answers: ShardMerger::merge_top_k(lists, k),
-        stats,
-    })
+    Ok(crate::algorithms::finalize(answers, k, stats))
 }
 
 /// Partitions every source of a request consistently and runs the
@@ -392,76 +247,12 @@ mod tests {
         assert_eq!(t.get(), s(0.999));
     }
 
-    /// Pseudo-random descending lists for merger tests.
-    fn descending_lists(shape: &[usize], seed: u64) -> Vec<Vec<ScoredObject<Oid>>> {
-        let mut oid = 0u64;
-        shape
-            .iter()
-            .enumerate()
-            .map(|(li, &len)| {
-                let mut list: Vec<ScoredObject<Oid>> = (0..len)
-                    .map(|_| {
-                        oid += 1;
-                        let g = ((oid.wrapping_mul(seed + li as u64 + 7919)) % 97) as f64 / 97.0;
-                        ScoredObject::new(oid, s(g))
-                    })
-                    .collect();
-                list.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
-                list
-            })
-            .collect()
-    }
-
-    #[test]
-    fn merger_matches_flatten_and_sort() {
-        for shape in [
-            vec![],
-            vec![0],
-            vec![5],
-            vec![3, 0, 7, 1],
-            vec![4, 4, 4],
-            vec![1, 9, 2, 6, 3, 5, 8, 7],
-        ] {
-            for seed in [3, 17, 101] {
-                let lists = descending_lists(&shape, seed);
-                let mut expected: Vec<ScoredObject<Oid>> =
-                    lists.iter().flatten().copied().collect();
-                expected.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
-                let merged: Vec<ScoredObject<Oid>> = ShardMerger::new(lists).collect();
-                assert_eq!(merged, expected, "shape {shape:?} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn merge_top_k_truncates_and_tolerates_short_input() {
-        let lists = descending_lists(&[3, 2], 5);
-        assert_eq!(ShardMerger::merge_top_k(lists.clone(), 2).len(), 2);
-        assert_eq!(ShardMerger::merge_top_k(lists, 50).len(), 5);
-        assert!(ShardMerger::merge_top_k(vec![], 3).is_empty());
-    }
-
-    /// Ties across lists resolve by ascending oid, like `finalize`.
-    #[test]
-    fn merger_breaks_ties_by_oid() {
-        let a = vec![ScoredObject::new(5, s(0.5)), ScoredObject::new(9, s(0.5))];
-        let b = vec![ScoredObject::new(2, s(0.5))];
-        let merged: Vec<Oid> = ShardMerger::new(vec![a, b]).map(|x| x.id).collect();
-        assert_eq!(merged, vec![2, 5, 9]);
-    }
-
-    fn shard_workload(
-        n: usize,
-        m: usize,
-        seed: u64,
-        p: usize,
-        partitioner: SourcePartitioner,
-    ) -> Vec<Vec<ShardedSource>> {
+    fn shard_workload(n: usize, m: usize, seed: u64, p: usize) -> Vec<Vec<ShardedSource>> {
         let sources = independent_uniform(n, m, seed);
         let mut per_shard: Vec<Vec<ShardedSource>> = (0..p).map(|_| Vec::new()).collect();
         for src in &sources {
             for (s_idx, part) in src
-                .partition(partitioner, p)
+                .partition(SourcePartitioner::Modulo, p)
                 .unwrap()
                 .into_iter()
                 .enumerate()
@@ -485,17 +276,12 @@ mod tests {
     fn sharded_ta_answers_equal_serial_ta() {
         for &(n, m, k) in &[(200usize, 2usize, 5usize), (157, 3, 10), (64, 2, 64)] {
             for p in [1usize, 2, 3, 8] {
-                for partitioner in [
-                    SourcePartitioner::Modulo,
-                    SourcePartitioner::Contiguous { universe: n },
-                ] {
-                    let shards = shard_workload(n, m, 42, p, partitioner);
-                    let scoring: SharedScoring = Arc::new(Min);
-                    let got = run_shards(ShardKernel::Ta, shards, &scoring, k).unwrap();
-                    let want = serial_ta(n, m, 42, k);
-                    assert_eq!(got.answers, want.answers, "n={n} m={m} k={k} p={p}");
-                    assert_eq!(got.stats.worker_spawns, p as u64);
-                }
+                let shards = shard_workload(n, m, 42, p);
+                let scoring: SharedScoring = Arc::new(Min);
+                let got = run_shards(ShardKernel::Ta, shards, &scoring, k).unwrap();
+                let want = serial_ta(n, m, 42, k);
+                assert_eq!(got.answers, want.answers, "n={n} m={m} k={k} p={p}");
+                assert_eq!(got.stats.worker_spawns, p as u64);
             }
         }
     }
@@ -503,7 +289,7 @@ mod tests {
     #[test]
     fn sharded_nra_returns_an_exact_valid_top_k_set() {
         for &(n, k) in &[(180usize, 7usize), (60, 60), (33, 50)] {
-            let shards = shard_workload(n, 2, 9, 4, SourcePartitioner::Modulo);
+            let shards = shard_workload(n, 2, 9, 4);
             let scoring: SharedScoring = Arc::new(ArithmeticMean);
             let got = run_shards(ShardKernel::Nra, shards, &scoring, k).unwrap();
             // Exact grades: verify directly against the oracle.
@@ -572,7 +358,7 @@ mod tests {
 
     #[test]
     fn sharded_nra_grade_multiset_matches_truth() {
-        let shards = shard_workload(120, 3, 5, 3, SourcePartitioner::Modulo);
+        let shards = shard_workload(120, 3, 5, 3);
         let scoring: SharedScoring = Arc::new(Min);
         let got = run_shards(ShardKernel::Nra, shards, &scoring, 10).unwrap();
         let mut sources = independent_uniform(120, 3, 5);
@@ -607,7 +393,7 @@ mod tests {
                 true
             }
         }
-        let shards = shard_workload(40, 2, 1, 2, SourcePartitioner::Modulo);
+        let shards = shard_workload(40, 2, 1, 2);
         let scoring: SharedScoring = Arc::new(Bomb);
         match run_shards(ShardKernel::Ta, shards, &scoring, 3) {
             Err(EngineError::WorkerPanicked { stream, message }) => {

@@ -15,8 +15,9 @@
 //! which is what makes the *database access cost* (sorted accesses +
 //! random accesses) a meaningful complexity measure.
 //!
-//! The materialized implementations ([`VecSource`], [`ShardedSource`])
-//! keep a list as two arrays, one per access mode; see DESIGN §17.
+//! The materialized implementation, [`VecSource`] — a shard of a list
+//! is one too — keeps a list as two arrays, one per access mode; see
+//! DESIGN §17.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -240,54 +241,14 @@ impl fmt::Debug for dyn GradedSource + Send + '_ {
 pub enum SourcePartitioner {
     /// `oid % shards` — balanced for arbitrary (sparse) oid spaces.
     Modulo,
-    /// Contiguous index ranges over a dense `0..universe` oid space:
-    /// shard `i` owns `[ceil(i·n/p), ceil((i+1)·n/p))`. Oids at or
-    /// beyond `universe` fall into the last shard. This is the layout
-    /// that lines up with contiguous storage scans
-    /// (`EmbeddedCorpus::shard_ranges` in `fmdb-media`,
-    /// `PrecomputedDistances::shard_ranges` in `fmdb-index` use the
-    /// same formula).
-    Contiguous {
-        /// The dense universe size `n` the ranges are computed over.
-        universe: usize,
-    },
 }
 
 impl SourcePartitioner {
     /// The shard (in `0..shards`) that owns `oid`.
     pub fn shard_of(&self, oid: Oid, shards: usize) -> usize {
-        let p = shards.max(1);
         match *self {
-            SourcePartitioner::Modulo => (oid % p as u64) as usize,
-            SourcePartitioner::Contiguous { universe } => {
-                if universe == 0 {
-                    return 0;
-                }
-                // floor(oid·p / n), clamped so out-of-universe oids
-                // land in the last shard. u128 avoids overflow for
-                // huge oids.
-                let raw = (oid as u128 * p as u128 / universe as u128) as usize;
-                raw.min(p - 1)
-            }
+            SourcePartitioner::Modulo => (oid % shards.max(1) as u64) as usize,
         }
-    }
-
-    /// The contiguous index range shard `shard` owns under
-    /// [`SourcePartitioner::Contiguous`] over a dense universe of size
-    /// `universe`: `[ceil(i·n/p), ceil((i+1)·n/p))`.
-    ///
-    /// This is the inverse of [`SourcePartitioner::shard_of`]: for a
-    /// dense oid space, `shard_of(oid) == i` exactly when `oid` lies in
-    /// `contiguous_range(universe, i, shards)`.
-    pub fn contiguous_range(
-        universe: usize,
-        shard: usize,
-        shards: usize,
-    ) -> std::ops::Range<usize> {
-        let p = shards.max(1);
-        let lo = (shard.min(p) * universe).div_ceil(p);
-        let hi = ((shard.min(p) + 1).min(p) * universe).div_ceil(p);
-        lo..hi.max(lo)
     }
 }
 
@@ -365,125 +326,16 @@ impl OidIndex {
     }
 }
 
-/// One shard of a partitioned [`GradedSource`].
+/// One shard of a partitioned [`GradedSource`]: a list like any other.
 ///
-/// Sorted access streams only the objects this shard owns (in the
+/// Sorted access streams only the objects the shard owns (in the
 /// parent's descending order); random access still answers over the
-/// parent's full universe, so the wrapper honors the source contract
-/// even if probed about out-of-shard objects. The parent's random
-/// index is one array behind an [`Arc`]: sibling shards and the parent
-/// itself all read the same one, so partitioning copies the sorted
-/// stream into its slices and nothing else.
-#[derive(Debug, Clone)]
-pub struct ShardedSource {
-    label: String,
-    shard: usize,
-    shards: usize,
-    /// This shard's slice of the stream, descending grade / ascending
-    /// oid (inherited from the parent order).
-    sorted: Vec<ScoredObject<Oid>>,
-    /// Parent-universe random-access index, shared with the parent and
-    /// across siblings.
-    by_oid: OidIndex,
-    cursor: usize,
-}
-
-impl ShardedSource {
-    /// Splits a materialized stream into shards.
-    ///
-    /// `sorted` must be in descending-grade / ascending-oid order (the
-    /// source contract); each shard inherits that order. `by_oid` is
-    /// the parent's full random-access index.
-    pub(crate) fn split(
-        label: &str,
-        sorted: &[ScoredObject<Oid>],
-        by_oid: OidIndex,
-        partitioner: SourcePartitioner,
-        shards: usize,
-    ) -> Vec<ShardedSource> {
-        let p = shards.max(1);
-        let mut parts: Vec<Vec<ScoredObject<Oid>>> = vec![Vec::new(); p];
-        for &item in sorted {
-            parts[partitioner.shard_of(item.id, p)].push(item);
-        }
-        parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, part)| ShardedSource {
-                label: format!("{label}[shard {i}/{p}]"),
-                shard: i,
-                shards: p,
-                sorted: part,
-                by_oid: by_oid.clone(),
-                cursor: 0,
-            })
-            .collect()
-    }
-
-    /// Which shard (in `0..shard_count()`) this is.
-    pub fn shard_index(&self) -> usize {
-        self.shard
-    }
-
-    /// How many sibling shards the parent was split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-}
-
-impl GradedSource for ShardedSource {
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        let item = self.sorted.get(self.cursor).copied();
-        if item.is_some() {
-            self.cursor += 1;
-        }
-        item
-    }
-
-    fn random_access(&mut self, oid: Oid) -> Score {
-        self.by_oid.grade(oid)
-    }
-
-    fn rewind(&mut self) {
-        self.cursor = 0;
-    }
-
-    fn info(&self) -> SourceInfo {
-        // The universe a shard reports is its own slice: that is what
-        // its sorted stream can produce, and what per-shard algorithms
-        // should size their work by.
-        SourceInfo::new(self.label.clone(), self.sorted.len())
-    }
-
-    fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
-        let end = self.cursor.saturating_add(n).min(self.sorted.len());
-        let out = self.sorted[self.cursor..end].to_vec();
-        self.cursor = end;
-        out
-    }
-
-    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-        oids.iter().map(|&oid| self.by_oid.grade(oid)).collect()
-    }
-
-    fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
-        Some(GradeHistogram::from_sorted_by(
-            self.sorted.len(),
-            bins,
-            |i| self.sorted.get(i).map(|s| s.grade).unwrap_or(Score::ZERO),
-        ))
-    }
-
-    // The shard's slice is materialized and grade-descending, so the
-    // ≥-bound prefix is one partition point.
-    fn sorted_drain_bounded(&mut self, bound: Score) -> Option<Vec<ScoredObject<Oid>>> {
-        let tail = &self.sorted[self.cursor.min(self.sorted.len())..];
-        let take = tail.partition_point(|so| so.grade >= bound);
-        let out = tail[..take].to_vec();
-        self.cursor += take;
-        Some(out)
-    }
-}
+/// parent's full universe, so a shard honors the source contract even
+/// if probed about out-of-shard objects. The parent's random index is
+/// one array behind an [`Arc`]: sibling shards and the parent itself
+/// all read the same one, so partitioning copies the sorted stream into
+/// its slices and nothing else.
+pub type ShardedSource = VecSource;
 
 /// An in-memory [`GradedSource`] over an explicit grade assignment.
 ///
@@ -500,7 +352,8 @@ pub struct VecSource {
     label: String,
     /// `(oid, grade)` sorted by descending grade, then ascending oid.
     sorted: Vec<ScoredObject<Oid>>,
-    /// Random-access index: the same pairs, ascending by oid.
+    /// Random-access index: the same pairs, ascending by oid — for a
+    /// shard, the parent's, shared with it and across siblings.
     by_oid: OidIndex,
     cursor: usize,
 }
@@ -555,6 +408,37 @@ impl VecSource {
     pub fn max_oid(&self) -> Option<Oid> {
         self.by_oid.entries().last().map(|&(oid, _)| oid)
     }
+
+    /// Splits a materialized stream into shards.
+    ///
+    /// `sorted` must be in descending-grade / ascending-oid order (the
+    /// source contract); each shard inherits that order, and reports
+    /// its own slice as its universe: that is what its sorted stream
+    /// can produce, and what per-shard algorithms should size their
+    /// work by. `by_oid` is the parent's full random-access index.
+    pub(crate) fn split(
+        label: &str,
+        sorted: &[ScoredObject<Oid>],
+        by_oid: OidIndex,
+        partitioner: SourcePartitioner,
+        shards: usize,
+    ) -> Vec<ShardedSource> {
+        let p = shards.max(1);
+        let mut parts: Vec<Vec<ScoredObject<Oid>>> = vec![Vec::new(); p];
+        for &item in sorted {
+            parts[partitioner.shard_of(item.id, p)].push(item);
+        }
+        parts
+            .into_iter()
+            .enumerate()
+            .map(|(i, part)| VecSource {
+                label: format!("{label}[shard {i}/{p}]"),
+                sorted: part,
+                by_oid: by_oid.clone(),
+                cursor: 0,
+            })
+            .collect()
+    }
 }
 
 impl GradedSource for VecSource {
@@ -602,7 +486,7 @@ impl GradedSource for VecSource {
         if shards == 0 {
             return None;
         }
-        Some(ShardedSource::split(
+        Some(VecSource::split(
             &self.label,
             &self.sorted,
             self.by_oid.clone(),
@@ -1127,34 +1011,6 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_range_inverts_shard_of() {
-        // Every (universe, shards) pair in a small grid: the ranges
-        // tile [0, n) exactly and agree with shard_of on every oid.
-        for n in [0usize, 1, 2, 5, 7, 16, 33] {
-            for p in [1usize, 2, 3, 4, 5, 8] {
-                let part = SourcePartitioner::Contiguous { universe: n };
-                let mut covered = 0usize;
-                for i in 0..p {
-                    let r = SourcePartitioner::contiguous_range(n, i, p);
-                    assert_eq!(r.start, covered, "n={n} p={p} shard {i}");
-                    covered = r.end;
-                    for oid in r.clone() {
-                        assert_eq!(part.shard_of(oid as Oid, p), i, "n={n} p={p} oid={oid}");
-                    }
-                }
-                assert_eq!(covered, n, "ranges must tile the universe");
-            }
-        }
-        // Out-of-universe oids clamp to the last shard.
-        let part = SourcePartitioner::Contiguous { universe: 10 };
-        assert_eq!(part.shard_of(10_000, 4), 3);
-        assert_eq!(
-            SourcePartitioner::Contiguous { universe: 0 }.shard_of(3, 4),
-            0
-        );
-    }
-
-    #[test]
     fn modulo_partitioner_spreads_sparse_oids() {
         let part = SourcePartitioner::Modulo;
         assert_eq!(part.shard_of(0, 3), 0);
@@ -1168,34 +1024,28 @@ mod tests {
     fn partition_covers_stream_and_preserves_order() {
         let grades: Vec<Score> = (0..23).map(|i| s((i as f64 * 7.3) % 1.0)).collect();
         let src = VecSource::from_dense("t", &grades);
+        let part = SourcePartitioner::Modulo;
         for &p in &[1usize, 2, 3, 8] {
-            for part in [
-                SourcePartitioner::Modulo,
-                SourcePartitioner::Contiguous { universe: 23 },
-            ] {
-                let mut shards = src.partition(part, p).unwrap();
-                assert_eq!(shards.len(), p);
-                let mut seen: Vec<Oid> = Vec::new();
-                for (i, shard) in shards.iter_mut().enumerate() {
-                    assert_eq!(shard.shard_index(), i);
-                    assert_eq!(shard.shard_count(), p);
-                    let mut last: Option<Score> = None;
-                    while let Some(item) = shard.sorted_next() {
-                        // Membership matches the partitioner...
-                        assert_eq!(part.shard_of(item.id, p), i);
-                        // ...stream order stays descending...
-                        if let Some(prev) = last {
-                            assert!(item.grade <= prev);
-                        }
-                        last = Some(item.grade);
-                        seen.push(item.id);
-                        // ...and random access agrees with the parent.
-                        assert_eq!(shard.random_access(item.id), item.grade);
+            let mut shards = src.partition(part, p).unwrap();
+            assert_eq!(shards.len(), p);
+            let mut seen: Vec<Oid> = Vec::new();
+            for (i, shard) in shards.iter_mut().enumerate() {
+                let mut last: Option<Score> = None;
+                while let Some(item) = shard.sorted_next() {
+                    // Membership matches the partitioner...
+                    assert_eq!(part.shard_of(item.id, p), i);
+                    // ...stream order stays descending...
+                    if let Some(prev) = last {
+                        assert!(item.grade <= prev);
                     }
+                    last = Some(item.grade);
+                    seen.push(item.id);
+                    // ...and random access agrees with the parent.
+                    assert_eq!(shard.random_access(item.id), item.grade);
                 }
-                seen.sort_unstable();
-                assert_eq!(seen, (0..23).collect::<Vec<Oid>>(), "shards must tile");
             }
+            seen.sort_unstable();
+            assert_eq!(seen, (0..23).collect::<Vec<Oid>>(), "shards must tile");
         }
     }
 
@@ -1269,7 +1119,7 @@ mod tests {
                 }
             }
 
-            /// `VecSource::partition` over `ShardedSource::split`: a
+            /// `VecSource::partition` over `VecSource::split`: a
             /// shard is the same struct over its slice of the stream
             /// and the parent's whole index.
             pub fn partition(&self, partitioner: SourcePartitioner, shards: usize) -> Vec<Self> {
@@ -1409,20 +1259,14 @@ mod tests {
             assert_observably_equal(&mut got, &mut want, &probes, bound)?;
             prop_assert_eq!(got.max_oid(), want.by_oid.keys().copied().max());
 
-            let universe = got.info().universe_size;
-            for partitioner in [
-                SourcePartitioner::Modulo,
-                SourcePartitioner::Contiguous { universe },
-            ] {
-                for shards in 1..=4 {
-                    let got_shards = got.partition(partitioner, shards).unwrap();
-                    let want_shards = want.partition(partitioner, shards);
-                    prop_assert_eq!(got_shards.len(), want_shards.len());
-                    // `probes` holds every oid of the parent, so each
-                    // shard is probed about its siblings' objects too.
-                    for (mut g, mut w) in got_shards.into_iter().zip(want_shards) {
-                        assert_observably_equal(&mut g, &mut w, &probes, bound)?;
-                    }
+            for shards in 1..=4 {
+                let got_shards = got.partition(SourcePartitioner::Modulo, shards).unwrap();
+                let want_shards = want.partition(SourcePartitioner::Modulo, shards);
+                prop_assert_eq!(got_shards.len(), want_shards.len());
+                // `probes` holds every oid of the parent, so each
+                // shard is probed about its siblings' objects too.
+                for (mut g, mut w) in got_shards.into_iter().zip(want_shards) {
+                    assert_observably_equal(&mut g, &mut w, &probes, bound)?;
                 }
             }
         }

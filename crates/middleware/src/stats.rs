@@ -17,39 +17,31 @@ use std::ops::{Add, AddAssign, Sub};
 
 use fmdb_core::stats::GradeHistogram;
 
-/// Counts of the two access kinds an algorithm performed, plus the
-/// engine's grade-cache counters.
+/// Counts of the two access kinds an algorithm performed, plus
+/// telemetry on how they were served.
 ///
-/// `sorted`/`random` are the paper's *logical* measure: a random access
-/// answered from the engine's grade cache still counts as one random
-/// access (the algorithm asked the question; caching is a physical
-/// optimization). The `cache_hits`/`cache_misses` pair records how many
-/// of those `random` accesses were absorbed by the cache — they split
-/// `random`, they never add to it.
+/// `sorted`/`random` are the paper's *logical* measure: what the
+/// algorithm asked for, whichever way the middleware served it. The
+/// remaining fields are physical telemetry — threads, pages, blocks —
+/// and never add to the access cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Objects obtained under sorted access, summed over all sources.
     pub sorted: u64,
     /// Objects obtained under random access, summed over all sources.
     pub random: u64,
-    /// Random accesses served from the engine's grade cache.
-    pub cache_hits: u64,
-    /// Random accesses that went through to the subsystem (only
-    /// metered when a cache is in play; 0 means "no cache involved").
-    pub cache_misses: u64,
     /// Worker threads the engine spawned while serving this request:
     /// shard workers under the sharded path, and — under
     /// `Engine::run_many` — the pooled batch workers, charged once to
     /// the batch's first successful result. 0 for a non-sharded
-    /// `Engine::run`. Like the cache counters this is
-    /// physical-execution telemetry, not part of the paper's access
-    /// cost.
+    /// `Engine::run`. Physical-execution telemetry, not part of the
+    /// paper's access cost.
     pub worker_spawns: u64,
     /// Pages read from storage while serving this request, summed over
     /// every paged source ([`crate::store::PagedSource`]) the request
-    /// touched. Like the cache counters this is physical telemetry:
-    /// it describes how the logical accesses were *served*, never
-    /// changes what was charged. 0 means "no paged source involved".
+    /// touched. It describes how the logical accesses were *served*,
+    /// never changes what was charged. 0 means "no paged source
+    /// involved".
     pub page_reads: u64,
     /// Page lookups answered from a buffer pool without touching
     /// storage.
@@ -73,8 +65,6 @@ impl AccessStats {
     pub const ZERO: AccessStats = AccessStats {
         sorted: 0,
         random: 0,
-        cache_hits: 0,
-        cache_misses: 0,
         worker_spawns: 0,
         page_reads: 0,
         page_hits: 0,
@@ -83,7 +73,7 @@ impl AccessStats {
         blocks_skipped: 0,
     };
 
-    /// Creates explicit stats (no cache activity).
+    /// Creates explicit stats (no physical telemetry).
     pub fn new(sorted: u64, random: u64) -> AccessStats {
         AccessStats {
             sorted,
@@ -93,9 +83,6 @@ impl AccessStats {
     }
 
     /// The paper's database access cost: `sorted + random`.
-    ///
-    /// Cache counters do not contribute: they describe *how* the
-    /// random accesses were served, not additional accesses.
     pub fn database_access_cost(&self) -> u64 {
         self.sorted + self.random
     }
@@ -112,8 +99,6 @@ impl Add for AccessStats {
         AccessStats {
             sorted: self.sorted + rhs.sorted,
             random: self.random + rhs.random,
-            cache_hits: self.cache_hits + rhs.cache_hits,
-            cache_misses: self.cache_misses + rhs.cache_misses,
             worker_spawns: self.worker_spawns + rhs.worker_spawns,
             page_reads: self.page_reads + rhs.page_reads,
             page_hits: self.page_hits + rhs.page_hits,
@@ -141,8 +126,6 @@ impl Sub for AccessStats {
         AccessStats {
             sorted: self.sorted.saturating_sub(rhs.sorted),
             random: self.random.saturating_sub(rhs.random),
-            cache_hits: self.cache_hits.saturating_sub(rhs.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(rhs.cache_misses),
             worker_spawns: self.worker_spawns.saturating_sub(rhs.worker_spawns),
             page_reads: self.page_reads.saturating_sub(rhs.page_reads),
             page_hits: self.page_hits.saturating_sub(rhs.page_hits),

@@ -7,10 +7,9 @@
 //! file lays out a grade-descending **sorted run** and an
 //! oid-ascending **random table** in fixed-size checksummed pages
 //! ([`mod@format`]), read through a lock-striped LRU **buffer pool** with
-//! pin counts (`PagePool` — the engine's grade-cache machinery
-//! generalized to page frames). Every page is read on demand, on the
-//! thread that asked for it: the store starts no thread, and a sorted
-//! access is a sequential page read and nothing more.
+//! pin counts (`PagePool`). Every page is read on demand, on the thread
+//! that asked for it: the store starts no thread, and a sorted access
+//! is a sequential page read and nothing more.
 //!
 //! * [`build_store`] / [`build_store_from_source`] write a file crash
 //!   safely in one shot (tmp + fsync + rename + parent fsync).
@@ -44,7 +43,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::stats::GradeHistogram;
 
-use crate::source::{GradedSource, Oid, OidIndex, ShardedSource, SourceInfo, SourcePartitioner};
+use crate::source::{
+    GradedSource, Oid, OidIndex, ShardedSource, SourceInfo, SourcePartitioner, VecSource,
+};
 use crate::stats::PageIoStats;
 
 pub use format::{build_store, BuildConfig, Header, StoreError};
@@ -718,7 +719,7 @@ impl GradedSource for PagedSource {
             return None;
         }
         let by_oid = OidIndex::new(sorted.iter().map(|so| (so.id, so.grade)).collect());
-        Some(ShardedSource::split(
+        Some(VecSource::split(
             &header.label,
             &sorted,
             by_oid,

@@ -1,10 +1,10 @@
 //! The buffer pool: lock-striped LRU page frames with pin counts.
 //!
-//! This is the engine's [`crate::engine::StripedGradeCache`] machinery
-//! ([`LruCore`]) generalized to page frames: `N` independent LRU
-//! segments behind their own mutexes, selected by page-number hash,
-//! each counting hits, misses, and evictions. Frames are `Arc<[u8]>`
-//! (one allocation each); a frame whose `Arc` is still held by a
+//! `N` independent LRU segments ([`LruCore`]) behind their own
+//! mutexes, selected by page-number hash, each counting hits and
+//! evictions — a single mutex would serialize every page lookup of
+//! every concurrent cursor. Frames are `Arc<[u8]>` (one allocation
+//! each); a frame whose `Arc` is still held by a
 //! reader is *pinned* — the eviction loop refreshes it instead of
 //! dropping it, so a page a cursor is decoding can never be yanked out
 //! from under it (the pool temporarily exceeds capacity if every frame
@@ -26,7 +26,7 @@ use crate::stats::PageIoStats;
 /// One page frame: immutable page bytes shared with readers.
 pub(crate) type Frame = Arc<[u8]>;
 
-/// Number of independent LRU segments (mirrors the grade cache).
+/// Number of independent LRU segments.
 const POOL_STRIPES: usize = 8;
 
 /// A lock-striped LRU pool of page frames with pin-aware eviction and
@@ -65,7 +65,8 @@ impl PagePool {
         stripe.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks a page up, counting a hit or a miss.
+    /// Looks a page up, counting a hit (a miss is counted as the read
+    /// that resolves it, by [`PagePool::insert`]).
     pub(crate) fn get(&self, page: u64) -> Option<Frame> {
         Self::lock(self.stripe(page)).get(page)
     }
@@ -77,8 +78,11 @@ impl PagePool {
         Self::lock(self.stripe(page)).insert_with(page, frame, |f| Arc::strong_count(f) > 1);
     }
 
-    /// Cumulative pool counters (per-stripe-consistent snapshot, like
-    /// [`crate::engine::StripedGradeCache::counters`]).
+    /// Cumulative pool counters. The stripes are locked one at a time,
+    /// so under concurrent traffic the sums are a per-stripe-consistent
+    /// snapshot, not a global linearization; the counters are monotone
+    /// between [`PagePool::clear`] calls, which brackets any snapshot
+    /// by the true counts at the first and last stripe lock.
     pub(crate) fn stats(&self) -> PageIoStats {
         let (hits, evictions) = self.stripes.iter().fold((0, 0), |(h, e), s| {
             let guard = Self::lock(s);

@@ -2,16 +2,18 @@
 //! identical to the scalar reference algorithms.
 //!
 //! For seeded workloads spanning m ∈ {2, 3, 4} and k ∈ {1, 10, 50},
-//! and for *any* engine configuration (batch size, grade cache
-//! on/off), the engine must return the same answers — same objects,
-//! same grades, same order — and charge
+//! and for *any* engine batch size, the engine must return the same
+//! answers — same objects, same grades, same order — and charge
 //! exactly the same `sorted`/`random` access counts as the scalar
 //! `FaginsAlgorithm` / `ThresholdAlgorithm` / `Nra` run. Answers are
 //! additionally checked against the exhaustive oracle, so a bug that
 //! broke engine and scalar paths identically would still be caught.
 
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
 
+use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::nra::NraLowerBound;
@@ -20,7 +22,7 @@ use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
 use fmdb_middleware::engine::{Engine, EngineConfig};
 use fmdb_middleware::oracle::{all_grades, verify_top_k};
 use fmdb_middleware::request::TopKQuery;
-use fmdb_middleware::source::GradedSource;
+use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, VecSource};
 use fmdb_middleware::workload::independent_uniform;
 
 /// One randomly drawn engine-vs-scalar comparison.
@@ -31,7 +33,6 @@ struct Scenario {
     k: usize,
     seed: u64,
     batch_size: usize,
-    cache_capacity: usize,
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
@@ -41,19 +42,14 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             2usize..=4,
             prop_oneof![Just(1usize), Just(10usize), Just(50usize)],
         ),
-        (
-            0u64..1_000_000,
-            1usize..=130,
-            prop_oneof![Just(0usize), Just(16usize), Just(4096usize)],
-        ),
+        (0u64..1_000_000, 1usize..=130),
     )
-        .prop_map(|((n, m, k), (seed, batch_size, cache_capacity))| Scenario {
+        .prop_map(|((n, m, k), (seed, batch_size))| Scenario {
             n,
             m,
             k,
             seed,
             batch_size,
-            cache_capacity,
         })
 }
 
@@ -71,7 +67,6 @@ fn scalar_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
 fn engine_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
     let engine = Engine::new(EngineConfig {
         batch_size: s.batch_size,
-        cache_capacity: s.cache_capacity,
     });
     let request = TopKQuery::compose()
         .sources(independent_uniform(s.n, s.m, s.seed))
@@ -85,7 +80,7 @@ fn engine_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
 }
 
 /// Engine answers and charged counts must match the scalar reference
-/// bit for bit; the cache split must partition `random` exactly.
+/// bit for bit.
 fn assert_equivalent(
     algorithm: &dyn TopKAlgorithm,
     s: Scenario,
@@ -101,14 +96,6 @@ fn assert_equivalent(
     );
     prop_assert_eq!(engine.stats.sorted, scalar.stats.sorted);
     prop_assert_eq!(engine.stats.random, scalar.stats.random);
-    if s.cache_capacity > 0 {
-        prop_assert_eq!(
-            engine.stats.cache_hits + engine.stats.cache_misses,
-            engine.stats.random
-        );
-    } else {
-        prop_assert_eq!(engine.stats.cache_hits + engine.stats.cache_misses, 0);
-    }
     Ok((scalar, engine))
 }
 
@@ -197,7 +184,6 @@ fn engine_matches_scalar_on_the_full_named_grid() {
                     k,
                     seed: 41 * m as u64 + k as u64,
                     batch_size,
-                    cache_capacity: 64,
                 };
                 let scalar = scalar_run(&FaginsAlgorithm, s);
                 let engine = engine_run(&FaginsAlgorithm, s);
@@ -207,4 +193,67 @@ fn engine_matches_scalar_on_the_full_named_grid() {
             }
         }
     }
+}
+
+/// What random access asked of one list.
+#[derive(Debug, Default)]
+struct Probes {
+    scalar: usize,
+    batch_lengths: Vec<usize>,
+}
+
+/// A list that logs its random accesses where the test can read them
+/// after the request has taken the list.
+struct Recording {
+    inner: VecSource,
+    probes: Arc<Mutex<Probes>>,
+}
+
+impl GradedSource for Recording {
+    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
+        self.inner.sorted_next()
+    }
+    fn random_access(&mut self, oid: Oid) -> Score {
+        self.probes.lock().expect("probe log").scalar += 1;
+        self.inner.random_access(oid)
+    }
+    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
+        let mut probes = self.probes.lock().expect("probe log");
+        probes.batch_lengths.push(oids.len());
+        self.inner.random_batch(oids)
+    }
+    fn rewind(&mut self) {
+        self.inner.rewind();
+    }
+    fn info(&self) -> SourceInfo {
+        self.inner.info()
+    }
+}
+
+/// `fa::tests::phase_two_is_one_batch_per_list`, held through the
+/// engine: A₀'s phase 2 reaches each subsystem as one `random_batch`,
+/// never as scalar probes.
+#[test]
+fn engine_fa_phase_two_is_one_batch_per_list() {
+    let logs: Vec<Arc<Mutex<Probes>>> = (0..3).map(|_| Arc::default()).collect();
+    let mut query = TopKQuery::compose();
+    for (inner, probes) in independent_uniform(400, 3, 7).into_iter().zip(&logs) {
+        query = query.source(Recording {
+            inner,
+            probes: Arc::clone(probes),
+        });
+    }
+    let request = query.scoring(Min).k(5).request().expect("valid request");
+    let result = Engine::default()
+        .run_algorithm(&FaginsAlgorithm, &request)
+        .expect("engine run must succeed");
+    let mut batched = 0;
+    for log in &logs {
+        let probes = log.lock().expect("probe log");
+        assert_eq!(probes.scalar, 0);
+        assert!(probes.batch_lengths.len() <= 1, "{probes:?}");
+        batched += probes.batch_lengths.iter().sum::<usize>();
+    }
+    assert!(batched > 0, "the fixture leaves holes to probe");
+    assert_eq!(result.stats.random, batched as u64);
 }

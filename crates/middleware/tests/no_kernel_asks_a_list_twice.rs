@@ -1,0 +1,182 @@
+//! No kernel asks a list for a grade it already holds.
+//!
+//! The engine memoizes no grades (`DESIGN.md` §18). That is sound as
+//! long as every kernel remembers the fields it has seen, so within a
+//! query no `(list, object)` is random-accessed twice and none is
+//! probed after that list's own sorted access revealed it. This suite
+//! makes that a gate: every `TopKAlgorithm` the workspace ships runs
+//! over recording lists, on the scorings × arities × k grid of
+//! `family_charges.rs` over two list shapes. A member that fails is
+//! fixed in its own state — the access it repeats is a *charged* one —
+//! not by caching under it.
+//!
+//! The family members with no public name (the shard kernels, CA as
+//! halted) are held to the same rule beside the kernel, in
+//! `algorithms::threshold::tests`.
+
+use std::collections::BTreeSet;
+
+use fmdb_core::score::{Score, ScoredObject};
+use fmdb_core::scoring::conorms::Max;
+use fmdb_core::scoring::means::ArithmeticMean;
+use fmdb_core::scoring::tnorms::Min;
+use fmdb_core::scoring::{ConormScoring, ScoringFunction};
+use fmdb_middleware::algorithms::approx::{ApproxNra, ApproxTa};
+use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
+use fmdb_middleware::algorithms::cg_filter::CgFilter;
+use fmdb_middleware::algorithms::fa::{FaSession, FaginsAlgorithm};
+use fmdb_middleware::algorithms::max_merge::MaxMerge;
+use fmdb_middleware::algorithms::naive::Naive;
+use fmdb_middleware::algorithms::nra::NraLowerBound;
+use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
+use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
+use fmdb_middleware::algorithms::{AlgoError, TopKAlgorithm};
+use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, VecSource};
+use fmdb_middleware::workload::{crisp_plus_fuzzy, independent_uniform};
+
+const N: usize = 400;
+const SEED: u64 = 7;
+
+/// A list that remembers every grade it has revealed, by either access
+/// kind, and logs each probe for one of them.
+struct Recording {
+    inner: VecSource,
+    revealed: BTreeSet<Oid>,
+    repeated: Vec<Oid>,
+}
+
+impl Recording {
+    fn probed(&mut self, oid: Oid) {
+        if !self.revealed.insert(oid) {
+            self.repeated.push(oid);
+        }
+    }
+}
+
+impl GradedSource for Recording {
+    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
+        let item = self.inner.sorted_next()?;
+        self.revealed.insert(item.id);
+        Some(item)
+    }
+    fn random_access(&mut self, oid: Oid) -> Score {
+        self.probed(oid);
+        self.inner.random_access(oid)
+    }
+    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
+        oids.iter().for_each(|&oid| self.probed(oid));
+        self.inner.random_batch(oids)
+    }
+    fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Score {
+        self.probed(oid);
+        self.inner.random_access_bounded(oid, bound)
+    }
+    // A rewind forgets nothing: a grade revealed before it is still a
+    // grade the kernel was given.
+    fn rewind(&mut self) {
+        self.inner.rewind();
+    }
+    fn info(&self) -> SourceInfo {
+        self.inner.info()
+    }
+    // The other sorted entry points stay at their defaults, which come
+    // through `sorted_next`.
+}
+
+/// Runs `run` over recording copies of `lists`; `Some(repeats)` — the
+/// `(list, oid)` pairs asked for a grade already revealed — unless the
+/// algorithm refuses the scoring function.
+fn repeats(
+    lists: &[VecSource],
+    run: impl FnOnce(Vec<&mut dyn GradedSource>) -> Result<(), AlgoError>,
+) -> Option<Vec<(usize, Oid)>> {
+    let mut recording: Vec<Recording> = lists
+        .iter()
+        .map(|inner| Recording {
+            inner: inner.clone(),
+            revealed: BTreeSet::new(),
+            repeated: Vec::new(),
+        })
+        .collect();
+    let refs = recording
+        .iter_mut()
+        .map(|list| list as &mut dyn GradedSource)
+        .collect();
+    match run(refs) {
+        Ok(()) => {}
+        Err(AlgoError::UnsupportedScoring { .. }) => return None,
+        Err(other) => panic!("run failed: {other}"),
+    }
+    let per_list = recording.iter().zip(0..);
+    Some(
+        per_list
+            .flat_map(|(list, i)| list.repeated.iter().map(move |&oid| (i, oid)))
+            .collect(),
+    )
+}
+
+fn roster() -> Vec<(&'static str, Box<dyn TopKAlgorithm>)> {
+    let mut roster: Vec<(&'static str, Box<dyn TopKAlgorithm>)> = vec![
+        ("fa", Box::new(FaginsAlgorithm)),
+        ("pruned-fa", Box::new(PrunedFa::default())),
+        (
+            "pruned-fa(no-short-circuit)",
+            Box::new(PrunedFa::without_short_circuit()),
+        ),
+        ("ta", Box::new(ThresholdAlgorithm)),
+        ("approx-ta(0.1)", Box::new(ApproxTa::new(0.1))),
+        ("nra", Box::new(NraLowerBound)),
+        ("approx-nra(0.1)", Box::new(ApproxNra::new(0.1))),
+        ("max-merge", Box::new(MaxMerge)),
+        ("cg-filter", Box::new(CgFilter::default())),
+        ("naive", Box::new(Naive)),
+    ];
+    for (name, h, theta) in [
+        ("ca(h=1)", 1, 0.0),
+        ("ca(h=3)", 3, 0.0),
+        ("ca(h=10)", 10, 0.0),
+        ("approx-ca(h=3, 0.1)", 3, 0.1),
+    ] {
+        roster.push((name, Box::new(CombinedAlgorithm::new(h, theta))));
+    }
+    roster
+}
+
+#[test]
+fn no_kernel_asks_a_list_twice() {
+    let scorings: [&dyn ScoringFunction; 3] = [&Min, &ArithmeticMean, &ConormScoring(Max)];
+    let roster = roster();
+    let mut ran = BTreeSet::new();
+    for m in [2usize, 3] {
+        for (shape, lists) in [
+            ("uniform", independent_uniform(N, m, SEED)),
+            ("crisp+fuzzy", crisp_plus_fuzzy(N, m, 0.1, SEED)),
+        ] {
+            for scoring in scorings {
+                for k in [1usize, 10] {
+                    let at = format!("{shape} m={m} {} k={k}", scoring.name());
+                    for (name, algorithm) in &roster {
+                        let got = repeats(&lists, |mut refs| {
+                            algorithm.top_k(&mut refs, scoring, k).map(drop)
+                        });
+                        if let Some(repeated) = got {
+                            assert_eq!(repeated, [], "{name} on {at}");
+                            ran.insert(*name);
+                        }
+                    }
+                    // A₀ resumed: the second batch must not probe what
+                    // the first one filled.
+                    let resumed = repeats(&lists, |refs| {
+                        let mut session = FaSession::new(refs, scoring)?;
+                        session.next_k(k)?;
+                        session.next_k(k).map(drop)
+                    });
+                    assert_eq!(resumed, Some(Vec::new()), "fa session on {at}");
+                }
+            }
+        }
+    }
+    // Refusing a scoring function is fine; never running is not.
+    let names: BTreeSet<_> = roster.iter().map(|(name, _)| *name).collect();
+    assert_eq!(ran, names);
+}

@@ -63,7 +63,7 @@ const METHODS: [(&str, Call); 12] = [
 
 /// `(wrapper, method, why the inner method of that name is not
 /// reached)`.
-const ALLOWED: [(&str, &str, &str); 14] = [
+const ALLOWED: [(&str, &str, &str); 12] = [
     (
         "counting",
         "partition",
@@ -123,16 +123,6 @@ const ALLOWED: [(&str, &str, &str); 14] = [
         "engine",
         "sorted_drain_bounded",
         "declines (`None`): the read-ahead buffer has moved the inner cursor past the proxy's",
-    ),
-    (
-        "engine",
-        "random_batch",
-        "per oid through the grade cache: the inner source sees `random_access`",
-    ),
-    (
-        "engine",
-        "random_access_bounded",
-        "the grade cache may only hold exact grades: the inner source sees `random_access`",
     ),
 ];
 

@@ -19,7 +19,11 @@
 //! bookkeeping costs that are missing or out of line (`ta_`, `nra_`,
 //! `ca_h10_ns_per_access` positive, `nra_vs_ta_ns_per_access` at most
 //! 10: the planner prices accesses only, which holds up just as long as
-//! an access costs about the same CPU whichever schedule charged it),
+//! an access costs about the same CPU whichever schedule charged it;
+//! `engine_vs_scalar_many8` positive and at most 2: eight forced-TA
+//! requests through `Engine::run` cost 3.7–4.6 times the scalar runs
+//! while every probe paid for an LRU grade cache no query ever hit,
+//! ≈ 1 since the engine keeps none),
 //! an E20 bind path that is missing or has grown back around its
 //! kernel (`kernel_us`, `bind_us` positive, `bind_vs_kernel` at most 4:
 //! `Catalog::source_for` cost 6–8 colour kernels while every atom went
@@ -288,6 +292,14 @@ const E19_PER_ACCESS: [&str; 4] = [
 /// bookkeeping is incremental.
 const E19_MAX_NRA_VS_TA: f64 = 10.0;
 
+/// E19's engine-overhead metric.
+const E19_ENGINE: [&str; 1] = ["engine_vs_scalar_many8"];
+
+/// Ceiling on E19's `engine_vs_scalar_many8`: 3.7–4.6 while the engine
+/// put a lock-striped LRU grade cache and a source registry in front of
+/// every probe of a memory-speed list, 0.9–1.5 since it keeps neither.
+const E19_MAX_ENGINE_VS_SCALAR: f64 = 2.0;
+
 /// E20's bind-path metrics, the ratio last.
 const E20_BIND: [&str; 3] = ["kernel_us", "bind_us", "bind_vs_kernel"];
 
@@ -338,6 +350,7 @@ pub fn check(content: &str) -> Result<String, String> {
     let mut e18_ta_ratio: Option<f64> = None;
     let mut e18_cold_page_us: Option<f64> = None;
     let mut e19_per_access: [Option<f64>; 4] = [None; 4];
+    let mut e19_engine: [Option<f64>; 1] = [None; 1];
     let mut e20_bind: [Option<f64>; 3] = [None; 3];
     let mut e21_sharding: [Option<f64>; 3] = [None; 3];
     let mut e23_corpus_speedup: Option<f64> = None;
@@ -391,6 +404,7 @@ pub fn check(content: &str) -> Result<String, String> {
                 }
                 for (family, names, found) in [
                     ("E19", &E19_PER_ACCESS[..], &mut e19_per_access[..]),
+                    ("E19", &E19_ENGINE[..], &mut e19_engine[..]),
                     ("E20", &E20_BIND[..], &mut e20_bind[..]),
                     ("E21", &E21_SHARDING[..], &mut e21_sharding[..]),
                 ] {
@@ -504,6 +518,16 @@ pub fn check(content: &str) -> Result<String, String> {
         ));
     }
 
+    let engine_vs_scalar = all_positive("E19", &E19_ENGINE, &e19_engine)?;
+    if engine_vs_scalar > E19_MAX_ENGINE_VS_SCALAR {
+        return Err(format!(
+            "E19: engine_vs_scalar_many8 = {engine_vs_scalar} exceeds \
+             {E19_MAX_ENGINE_VS_SCALAR} — `Engine::run` costs that many times the scalar \
+             kernel on memory-speed lists; look at what `engine::EngineSource` does per \
+             random access first (it should be one source lock and one call)"
+        ));
+    }
+
     let bind_vs_kernel = all_positive("E20", &E20_BIND, &e20_bind)?;
     if bind_vs_kernel > E20_MAX_BIND_VS_KERNEL {
         return Err(format!(
@@ -557,7 +581,8 @@ pub fn check(content: &str) -> Result<String, String> {
          {regret_count} planner regrets (median {median:.3}, max {max:.3}); \
          E18 paged store: {page_reads:.0} cold page reads, warm hit rate {hit_rate:.3}, \
          {cold_page_us:.2} µs per cold page read; \
-         E19 bookkeeping: an NRA access at {nra_vs_ta:.2}x a TA access; \
+         E19 bookkeeping: an NRA access at {nra_vs_ta:.2}x a TA access, \
+         the engine at {engine_vs_scalar:.2}x scalar TA; \
          E20 bind: {bind_vs_kernel:.2} kernels per atom; \
          E21 sharding: 2 shards at {speedup_2:.2}x serial, {partition_us:.0} µs to partition; \
          E23 pruning: corpus {corpus_speedup:.2}x, drain {drain_speedup:.2}x"
@@ -579,7 +604,8 @@ mod tests {
                             \"drain_speedup\":15.0,\"page_skip_rate\":0.94}";
 
     const GOOD_E19: &str = "{\"ta_ns_per_access\":40.0,\"nra_ns_per_access\":90.0,\
-                            \"ca_h10_ns_per_access\":370.0,\"nra_vs_ta_ns_per_access\":2.25}";
+                            \"ca_h10_ns_per_access\":370.0,\"nra_vs_ta_ns_per_access\":2.25,\
+                            \"engine_vs_scalar_many8\":1.1}";
 
     const GOOD_E20: &str = "{\"kernel_us\":35.0,\"bind_us\":77.0,\"bind_vs_kernel\":2.2}";
 
@@ -609,7 +635,7 @@ mod tests {
                 };
                 format!(
                     "{{\"id\":\"{id}\",\"title\":\"t\",\"wall_ms\":1.0,\"sorted\":10,\
-                     \"random\":2,\"cache_hits\":0,\"cache_misses\":2,\"worker_spawns\":0,\
+                     \"random\":2,\"worker_spawns\":0,\
                      \"metrics\":{metrics}}}"
                 )
             })
@@ -706,6 +732,7 @@ mod tests {
         assert!(summary.contains("median 1.050"), "{summary}");
         assert!(summary.contains("drain 15.00x"), "{summary}");
         assert!(summary.contains("NRA access at 2.25x"), "{summary}");
+        assert!(summary.contains("engine at 1.10x scalar TA"), "{summary}");
         assert!(summary.contains("2.20 kernels per atom"), "{summary}");
         assert!(summary.contains("2 shards at 0.30x serial"), "{summary}");
     }
@@ -857,10 +884,11 @@ mod tests {
     fn rejects_e19_without_its_per_access_costs() {
         let ids = all_ids();
         let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-        for missing in E19_PER_ACCESS {
-            let e19: Vec<String> = E19_PER_ACCESS
-                .iter()
-                .filter(|name| **name != missing)
+        let all = E19_PER_ACCESS.iter().chain(&E19_ENGINE);
+        for missing in all.clone() {
+            let e19: Vec<String> = all
+                .clone()
+                .filter(|name| *name != missing)
                 .map(|name| format!("\"{name}\":2.0"))
                 .collect();
             let e19 = format!("{{{}}}", e19.join(","));
@@ -881,6 +909,24 @@ mod tests {
         let doc = artifact_e19(&refs, GOOD_E22, GOOD_E16, GOOD_E18, GOOD_E23, e19);
         let err = check(&doc).unwrap_err();
         assert!(err.contains("nra_vs_ta_ns_per_access = 70"), "{err}");
+    }
+
+    #[test]
+    fn rejects_an_engine_far_dearer_than_its_kernel() {
+        let ids = all_ids();
+        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+        // What the artifact would have read while every probe went
+        // through the grade cache.
+        let e19 = GOOD_E19.replace("many8\":1.1", "many8\":4.3");
+        let doc = artifact_e19(&refs, GOOD_E22, GOOD_E16, GOOD_E18, GOOD_E23, &e19);
+        let err = check(&doc).unwrap_err();
+        assert!(err.contains("engine_vs_scalar_many8 = 4.3"), "{err}");
+        // At the ceiling it passes.
+        let e19 = GOOD_E19.replace("many8\":1.1", "many8\":2.0");
+        check(&artifact_e19(
+            &refs, GOOD_E22, GOOD_E16, GOOD_E18, GOOD_E23, &e19,
+        ))
+        .expect("2.0 is within the gate");
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl SourceFile {
             if (o.line..=o.end_line + 1).contains(&line) {
                 return true;
             }
-            // Contiguous-run coverage: every line strictly between the
+            // Coverage of a contiguous run: every line strictly between the
             // comment's end and the site must itself carry an atomic
             // site.
             (o.end_line + 1..line).all(|l| atomic_lines.contains(&l))
