@@ -6,10 +6,6 @@
 //! (or `FMDB_QUICK=1`) shrinks the sweeps for smoke runs; `FMDB_JSON=1`
 //! additionally emits machine-readable reports on stderr.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
-
 pub mod experiments;
 pub mod report;
 pub mod runners;

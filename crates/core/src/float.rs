@@ -1,13 +1,12 @@
 //! Shared float-comparison helpers: the workspace's single epsilon.
 //!
 //! Raw `==`/`!=` on floating-point expressions is banned in library
-//! code by the workspace linter (`cargo xtask lint`, rule
-//! `no-float-eq`): after any arithmetic, two mathematically equal
-//! grades may differ in their last bits, so exact comparison silently
-//! turns into "did the round-off happen to agree". Code that needs
-//! equality semantics on floats goes through this module instead, so
-//! there is exactly one tolerance in the codebase and one place to
-//! document it.
+//! code by the workspace lints table (`clippy::float_cmp`): after any
+//! arithmetic, two mathematically equal grades may differ in their
+//! last bits, so exact comparison silently turns into "did the
+//! round-off happen to agree". Code that needs equality semantics on
+//! floats goes through this module instead, so there is exactly one
+//! tolerance in the codebase and one place to document it.
 //!
 //! # Choice of epsilon
 //!

@@ -227,7 +227,10 @@ impl Query {
     }
 
     /// Standard negation.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "a constructor beside `and` / `or` / `weighted`, taking the query by value; `!q` on an AST would read as evaluation"
+    )]
     pub fn not(query: Query) -> Query {
         Query::Not(Box::new(query))
     }

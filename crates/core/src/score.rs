@@ -97,8 +97,8 @@ impl Score {
     /// grade that escapes `[0, 1]` (or goes NaN) panics immediately in
     /// debug/test builds instead of corrupting a top-k answer three
     /// layers later. Release builds compile it away. What this traps
-    /// dynamically, `cargo xtask lint` complements statically (rules
-    /// `no-panic`, `no-float-eq`).
+    /// dynamically, the workspace lints table complements statically
+    /// (`clippy::unwrap_used`, `expect_used`, `panic`, `float_cmp`).
     #[inline]
     fn debug_checked(self) -> Score {
         debug_assert!(

@@ -137,7 +137,10 @@ pub fn all_conorms() -> Vec<Box<dyn Conorm>> {
         Box::new(BoundedSum),
         Box::new(DrasticSum),
         Box::new(EinsteinSum),
-        // lint:allow(no-panic): constant parameter; YagerSum::new accepts any p >= 1
+        #[expect(
+            clippy::expect_used,
+            reason = "constant parameter; YagerSum::new accepts any p >= 1"
+        )]
         Box::new(YagerSum::new(2.0).expect("2 is a valid p")),
     ]
 }

@@ -115,11 +115,20 @@ impl Negation for YagerNeg {
 pub fn all_negations() -> Vec<Box<dyn Negation>> {
     vec![
         Box::new(Standard),
-        // lint:allow(no-panic): constant parameter; Sugeno::new accepts any lambda > -1
+        #[expect(
+            clippy::expect_used,
+            reason = "constant parameter; Sugeno::new accepts any lambda > -1"
+        )]
         Box::new(Sugeno::new(-0.5).expect("-0.5 is a valid lambda")),
-        // lint:allow(no-panic): constant parameter; Sugeno::new accepts any lambda > -1
+        #[expect(
+            clippy::expect_used,
+            reason = "constant parameter; Sugeno::new accepts any lambda > -1"
+        )]
         Box::new(Sugeno::new(2.0).expect("2 is a valid lambda")),
-        // lint:allow(no-panic): constant parameter; YagerNeg::new accepts any w > 0
+        #[expect(
+            clippy::expect_used,
+            reason = "constant parameter; YagerNeg::new accepts any w > 0"
+        )]
         Box::new(YagerNeg::new(2.0).expect("2 is a valid w")),
     ]
 }

@@ -193,14 +193,26 @@ pub fn all_tnorms() -> Vec<Box<dyn TNorm>> {
         Box::new(Product),
         Box::new(Lukasiewicz),
         Box::new(Drastic),
-        // lint:allow(no-panic): constant parameter; Hamacher::new accepts any gamma >= 0
+        #[expect(
+            clippy::expect_used,
+            reason = "constant parameter; Hamacher::new accepts any gamma >= 0"
+        )]
         Box::new(Hamacher::new(0.0).expect("0 is a valid gamma")),
-        // lint:allow(no-panic): constant parameter; Hamacher::new accepts any gamma >= 0
+        #[expect(
+            clippy::expect_used,
+            reason = "constant parameter; Hamacher::new accepts any gamma >= 0"
+        )]
         Box::new(Hamacher::new(0.5).expect("0.5 is a valid gamma")),
         Box::new(Einstein),
-        // lint:allow(no-panic): constant parameter; Yager::new accepts any p >= 1
+        #[expect(
+            clippy::expect_used,
+            reason = "constant parameter; Yager::new accepts any p >= 1"
+        )]
         Box::new(Yager::new(2.0).expect("2 is a valid p")),
-        // lint:allow(no-panic): constant parameter; Yager::new accepts any p >= 1
+        #[expect(
+            clippy::expect_used,
+            reason = "constant parameter; Yager::new accepts any p >= 1"
+        )]
         Box::new(Yager::new(5.0).expect("5 is a valid p")),
     ]
 }

@@ -1,9 +1,10 @@
 //! Runtime-invariant suite: the dynamic half of the workspace's
 //! correctness tooling.
 //!
-//! `cargo xtask lint` enforces hygiene the type system can't (no
-//! panicking paths in library code, no raw float equality, mandatory
-//! crate attributes). What the linter cannot prove statically —
+//! `cargo clippy`, under the workspace lints table, enforces hygiene
+//! the type system can't (`unwrap_used` / `expect_used` / `panic`: no
+//! panicking paths in library code; `float_cmp`: no raw float equality;
+//! `unsafe_code`, `missing_docs`). What a lint cannot prove statically —
 //! *values* staying inside the paper's domains — is trapped here:
 //! `Score` construction funnels through a `debug_assert!` range check,
 //! so every test in this suite doubles as a tripwire. These tests run

@@ -31,13 +31,19 @@ pub fn cd_store(n: usize, seed: u64) -> Garlic {
         table.set(i as u64, "Year", Value::Int(1960 + (i % 10) as i64));
     }
     let mut catalog = Catalog::new();
+    #[expect(
+        clippy::expect_used,
+        reason = "freshly built catalog, attribute names are distinct string literals"
+    )]
     catalog
         .register(Box::new(table))
-        // lint:allow(no-panic): freshly built catalog, attribute names are distinct string literals
         .expect("fresh catalog accepts the table");
+    #[expect(
+        clippy::expect_used,
+        reason = "freshly built catalog, attribute names are distinct string literals"
+    )]
     catalog
         .register(Box::new(QbicRepository::new("qbic", db)))
-        // lint:allow(no-panic): freshly built catalog, attribute names are distinct string literals
         .expect("fresh catalog accepts qbic");
     Garlic::new(catalog)
 }
@@ -61,9 +67,12 @@ pub fn ad_database(
         ..SynthConfig::default()
     });
     let mut catalog = Catalog::new();
+    #[expect(
+        clippy::expect_used,
+        reason = "freshly built catalog, attribute names are distinct string literals"
+    )]
     catalog
         .register(Box::new(QbicRepository::new("photos", db)))
-        // lint:allow(no-panic): freshly built catalog, attribute names are distinct string literals
         .expect("fresh catalog accepts qbic");
     let garlic = Garlic::new(catalog);
 

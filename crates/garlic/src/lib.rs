@@ -34,10 +34,6 @@
 //! println!("plan: {} cost: {}", result.plan, result.stats);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
-
 pub mod catalog;
 pub mod cost;
 pub mod demo;

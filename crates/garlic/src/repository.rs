@@ -331,30 +331,45 @@ pub fn named_color(name: &str) -> Option<Rgb> {
 impl QbicRepository {
     /// Wraps a synthetic image database.
     pub fn new(name: impl Into<String>, db: SyntheticDb) -> QbicRepository {
+        #[expect(
+            clippy::expect_used,
+            reason = "the constant QBIC similarity matrix is PD after zero-sum projection; the embed tests prove it"
+        )]
         let space = EmbeddedSpace::for_space(&db.space)
-            // lint:allow(no-panic): the constant QBIC similarity matrix is PD after zero-sum projection; the embed tests prove it
             .expect("QBIC similarity matrix embeds (PD after zero-sum projection)");
         let histograms: Vec<ColorHistogram> =
             db.objects.iter().map(|o| o.histogram.clone()).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "histograms come from the same SyntheticDb space, so dimensions match by construction"
+        )]
         let color_corpus = EmbeddedCorpus::build(space, &histograms)
-            // lint:allow(no-panic): histograms come from the same SyntheticDb space, so dimensions match by construction
             .expect("database histograms share the space's dimension");
         let shape_corpus =
             TurningCorpus::build(db.objects.iter().map(|o| &o.shape), TURNING_SAMPLES);
         let mut shape_prototypes = HashMap::new();
         shape_prototypes.insert(
             "round".to_owned(),
-            // lint:allow(no-panic): constant prototype geometry with positive radii
+            #[expect(
+                clippy::expect_used,
+                reason = "constant prototype geometry with positive radii"
+            )]
             Polygon::ellipse(0.0, 0.0, 1.0, 1.0, 40).expect("unit circle is valid"),
         );
         shape_prototypes.insert(
             "boxy".to_owned(),
-            // lint:allow(no-panic): constant prototype geometry with positive extent
+            #[expect(
+                clippy::expect_used,
+                reason = "constant prototype geometry with positive extent"
+            )]
             Polygon::rectangle(0.0, 0.0, 2.0, 1.0).expect("2x1 rectangle is valid"),
         );
         shape_prototypes.insert(
             "spiky".to_owned(),
-            // lint:allow(no-panic): constant prototype geometry with positive radii
+            #[expect(
+                clippy::expect_used,
+                reason = "constant prototype geometry with positive radii"
+            )]
             Polygon::star(6, 1.0, 0.35, 0.0, 0.0).expect("6-spike star is valid"),
         );
         QbicRepository {

@@ -225,7 +225,10 @@ impl Parser {
             parts.push(self.conj()?);
         }
         Ok(if parts.len() == 1 {
-            // lint:allow(no-panic): guarded by the len() == 1 check on the previous line
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by the len() == 1 check on the previous line"
+            )]
             parts.pop().expect("non-empty")
         } else {
             Query::or(parts)
@@ -239,7 +242,10 @@ impl Parser {
             parts.push(self.unit()?);
         }
         Ok(if parts.len() == 1 {
-            // lint:allow(no-panic): guarded by the len() == 1 check on the previous line
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by the len() == 1 check on the previous line"
+            )]
             parts.pop().expect("non-empty")
         } else {
             Query::and(parts)
@@ -404,7 +410,10 @@ pub fn parse(input: &str) -> Result<Statement, ParseError> {
             });
         }
         let rule: ScoringHandle = using.unwrap_or_else(|| Arc::new(Min));
-        // lint:allow(no-panic): theta length was validated against children two lines up
+        #[expect(
+            clippy::expect_used,
+            reason = "theta length was validated against children two lines up"
+        )]
         Query::weighted(children, rule, theta).expect("arity checked just above")
     } else {
         query

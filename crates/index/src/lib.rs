@@ -15,10 +15,6 @@
 //!   color histograms (\[HSE+95\], zero false dismissals);
 //! * [`geometry`] — shared MBR/point machinery.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
-
 pub mod filter_refine;
 pub mod geometry;
 pub mod gridfile;

@@ -150,9 +150,12 @@ impl PrecomputedDistances {
                 n: self.n,
             });
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "both indices were bounds-checked at function entry"
+        )]
         let mut all: Vec<(usize, f64)> = (0..self.n)
             .filter(|&j| j != query)
-            // lint:allow(no-panic): both indices were bounds-checked at function entry
             .map(|j| (j, self.distance(query, j).expect("indices validated above")))
             .collect();
         all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -183,10 +186,13 @@ impl PrecomputedDistances {
         }
         let take = sample.max(1).min(self.n);
         let stride = (self.n / take).max(1);
+        #[expect(
+            clippy::expect_used,
+            reason = "both indices were bounds-checked (query above, j < n by construction)"
+        )]
         let grades: Vec<Score> = (0..self.n)
             .step_by(stride)
             .take(take)
-            // lint:allow(no-panic): both indices were bounds-checked (query above, j < n by construction)
             .map(|j| scorer.score(self.distance(query, j).expect("indices validated above")))
             .collect();
         Ok(GradeHistogram::from_sample(&grades, self.n, bins))
@@ -212,7 +218,10 @@ impl PrecomputedDistances {
         }
         Ok((0..self.n)
             .map(|j| {
-                // lint:allow(no-panic): query was bounds-checked above, j < n by construction
+                #[expect(
+                    clippy::expect_used,
+                    reason = "query was bounds-checked above, j < n by construction"
+                )]
                 let d = self.distance(query, j).expect("indices validated above");
                 (j as u64, scorer.score(d))
             })
@@ -247,9 +256,12 @@ impl PrecomputedDistances {
         }
         let lo = range.start.min(self.n);
         let hi = range.end.min(self.n).max(lo);
+        #[expect(
+            clippy::expect_used,
+            reason = "both indices were bounds-checked at function entry"
+        )]
         let mut all: Vec<(usize, f64)> = (lo..hi)
             .filter(|&j| j != query)
-            // lint:allow(no-panic): both indices were bounds-checked at function entry
             .map(|j| (j, self.distance(query, j).expect("indices validated above")))
             .collect();
         all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));

@@ -160,10 +160,13 @@ impl ColorSpace {
             }
         }
         let dmax = dmax.max(1e-12);
+        #[expect(
+            clippy::expect_used,
+            reason = "centroid distances are finite and dmax > 0 was checked above"
+        )]
         SymMatrix::from_fn(k, |i, j| {
             1.0 - self.centroids[i].distance(&self.centroids[j]) / dmax
         })
-        // lint:allow(no-panic): centroid distances are finite and dmax > 0 was checked above
         .expect("similarity entries are finite by construction")
     }
 
@@ -178,7 +181,10 @@ impl ColorSpace {
             data[k + j] = c.g;
             data[2 * k + j] = c.b;
         }
-        // lint:allow(no-panic): row/column counts are taken from the same centroid vector
+        #[expect(
+            clippy::expect_used,
+            reason = "row/column counts are taken from the same centroid vector"
+        )]
         Matrix::from_rows(3, k, data).expect("3×k is a valid shape")
     }
 }

@@ -242,9 +242,12 @@ impl EmbeddedSpace {
             let diag_max = (0..k).map(|i| projected.get(i, i)).fold(1e-12, f64::max);
             for eps in RIDGE_STEPS {
                 ridge = eps * diag_max;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the identity matrix is built with this projection’s own dimension k"
+                )]
                 let jittered = projected
                     .add_scaled(&SymMatrix::identity(k), ridge)
-                    // lint:allow(no-panic): the identity matrix is built with this projection’s own dimension k
                     .expect("identity has matching dimension");
                 attempt = jittered.cholesky();
                 if attempt.is_ok() {
@@ -341,9 +344,15 @@ impl HistogramDistance for EmbeddedDistance {
         };
         check(x)?;
         check(y)?;
-        // lint:allow(no-panic): check(x) at function entry validated the dimension
+        #[expect(
+            clippy::expect_used,
+            reason = "check(x) at function entry validated the dimension"
+        )]
         let ex = self.space.embed(x).expect("dimensions checked above");
-        // lint:allow(no-panic): check(y) at function entry validated the dimension
+        #[expect(
+            clippy::expect_used,
+            reason = "check(y) at function entry validated the dimension"
+        )]
         let ey = self.space.embed(y).expect("dimensions checked above");
         Ok(euclidean(&ex, &ey))
     }
@@ -512,11 +521,11 @@ impl EmbeddedCorpus {
     /// approximate — a strict `bound > kth` skip can never drop an
     /// object the unpruned scan would have kept.
     fn block_lower_bound(&self, q: &[f64], b: usize, clamped: &mut [f64]) -> f64 {
-        // lint:allow(unchecked-arith): b indexes an existing zone-map
+        // No overflow: b indexes an existing zone-map
         // block, so b·k stays within the blocks·k vectors; the slice
         // ops bounds-check regardless.
         let lo = &self.block_lo[b * self.k..(b + 1) * self.k];
-        // lint:allow(unchecked-arith): same blocks·k sizing.
+        // No overflow: same blocks·k sizing.
         let hi = &self.block_hi[b * self.k..(b + 1) * self.k];
         for (((slot, &q_d), &lo_d), &hi_d) in clamped.iter_mut().zip(q).zip(lo).zip(hi) {
             *slot = q_d.clamp(lo_d, hi_d);
@@ -570,7 +579,7 @@ impl EmbeddedCorpus {
 
     /// The embedded coordinates of object `i`.
     pub fn embedded(&self, i: usize) -> &[f64] {
-        // lint:allow(unchecked-arith): i < n and n·k == coords.len(),
+        // No overflow: i < n and n·k == coords.len(),
         // so both products stay within the existing allocation's
         // length; the slice op bounds-checks the result regardless.
         &self.coords[i * self.k..(i + 1) * self.k]
@@ -880,7 +889,10 @@ impl EmbeddedCorpus {
     /// the k-th best (inclusively: an object at exactly `bound_sq`
     /// is admitted), so all three pruning stages engage from the
     /// first row. `bound_sq = ∞` recovers the plain top-k scan.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "private scan kernel; its two public callers each fix some of the knobs, and a parameter struct would only be unpacked again on the hot path"
+    )]
     fn scan_bounded(
         &self,
         q: &[f64],

@@ -27,10 +27,6 @@
 //!   image collections);
 //! * [`scorer`] — distance → grade conversion.
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
-
 pub mod bounding;
 pub mod color;
 pub mod distance;

@@ -103,8 +103,11 @@ impl SyntheticDb {
             (0.0..=1.0).contains(&config.color_shape_correlation),
             "correlation must lie in [0, 1]"
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "SynthConfig::validate rejected zero bins before generation starts"
+        )]
         let space = ColorSpace::rgb_grid(config.bins_per_channel)
-            // lint:allow(no-panic): SynthConfig::validate rejected zero bins before generation starts
             .expect("bins_per_channel must be positive");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut objects = Vec::with_capacity(config.count);
@@ -120,8 +123,11 @@ impl SyntheticDb {
                     )
                 })
                 .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "the sample loop above always pushes samples_per_object >= 1 colors"
+            )]
             let histogram =
-                // lint:allow(no-panic): the sample loop above always pushes samples_per_object >= 1 colors
                 ColorHistogram::from_colors(&space, &colors).expect("samples are non-empty");
 
             // Redness of the dominant color drives (with probability
@@ -168,20 +174,29 @@ fn sample_shape(family: ShapeFamily, rng: &mut StdRng) -> Polygon {
         ShapeFamily::Round => {
             let a = rng.gen_range(0.8..1.6);
             let b = a * rng.gen_range(0.85..1.0);
-            // lint:allow(no-panic): radii are drawn from strictly positive ranges
+            #[expect(
+                clippy::expect_used,
+                reason = "radii are drawn from strictly positive ranges"
+            )]
             Polygon::ellipse(cx, cy, a, b, 40).expect("ellipse parameters are valid")
         }
         ShapeFamily::Boxy => {
             let w = rng.gen_range(0.8..3.0);
             let h = rng.gen_range(0.5..1.5);
-            // lint:allow(no-panic): extents are drawn from strictly positive ranges
+            #[expect(
+                clippy::expect_used,
+                reason = "extents are drawn from strictly positive ranges"
+            )]
             Polygon::rectangle(cx, cy, w, h).expect("rectangle parameters are valid")
         }
         ShapeFamily::Spiky => {
             let spikes = rng.gen_range(5..9);
             let outer = rng.gen_range(1.0..1.8);
             let inner = outer * rng.gen_range(0.25..0.45);
-            // lint:allow(no-panic): spike count and radii are drawn from strictly positive ranges
+            #[expect(
+                clippy::expect_used,
+                reason = "spike count and radii are drawn from strictly positive ranges"
+            )]
             Polygon::star(spikes, outer, inner, cx, cy).expect("star parameters are valid")
         }
     }
@@ -194,8 +209,11 @@ fn sample_texture(rng: &mut StdRng, seed: u64) -> TextureDescriptor {
     let orientation = rng.gen_range(0.0..std::f64::consts::PI);
     let contrast = rng.gen_range(0.1..1.0);
     let noise = rng.gen_range(0.0..0.3);
+    #[expect(
+        clippy::expect_used,
+        reason = "frequency/contrast/noise are drawn from ranges inside the accepted domain"
+    )]
     let patch = TexturePatch::grating(32, frequency, orientation, contrast, noise, seed)
-        // lint:allow(no-panic): frequency/contrast/noise are drawn from ranges inside the accepted domain
         .expect("generator parameters are valid");
     TextureDescriptor::of(&patch)
 }

@@ -295,7 +295,10 @@ pub fn named_texture(name: &str) -> Option<TextureDescriptor> {
         _ => return None,
     };
     Some(TextureDescriptor::of(
-        // lint:allow(no-panic): the prototype table holds constant in-domain parameters
+        #[expect(
+            clippy::expect_used,
+            reason = "the prototype table holds constant in-domain parameters"
+        )]
         &patch.expect("prototype parameters are valid"),
     ))
 }

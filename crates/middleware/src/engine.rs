@@ -62,8 +62,8 @@ use crate::stats::{AccessStats, PageIoStats};
 /// subsystem panicking under the kernel (or a request thread dying
 /// under [`Engine::run_many`], or a shard worker) is reported as a
 /// value, so the caller can fail that one request and keep serving
-/// others. This is the error path the workspace linter's `no-panic`
-/// rule points library code at.
+/// others. This is the error path `clippy::unwrap_used`, `expect_used`
+/// and `panic` point library code at.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// Algorithm-level validation or execution error, unchanged from
@@ -505,6 +505,10 @@ impl Engine {
                 let slots = &slots;
                 scope.spawn(move || {
                     loop {
+                        // ordering(Relaxed): a work-claim ticket — the
+                        // read-modify-write hands each index to exactly one
+                        // worker whatever the ordering; results travel
+                        // through the slot mutexes and the scope's join.
                         let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         let Some(request) = requests.get(i) else {
                             break;

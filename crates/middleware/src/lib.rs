@@ -66,10 +66,6 @@
 //! assert!(result.stats.database_access_cost() < 10_000);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
-
 pub mod algorithms;
 pub mod engine;
 mod lru;

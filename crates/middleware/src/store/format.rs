@@ -76,9 +76,9 @@ const HEADER_FIXED_BYTES: usize = 64;
 
 /// Everything that can go wrong opening, reading, or building a store.
 ///
-/// This is the typed-error surface the lint regime's `no-panic` rule
-/// demands: a truncated file, a corrupt page, or an undecodable grade
-/// is a value the caller handles, never a panic.
+/// This is the typed-error surface `clippy::unwrap_used`, `expect_used`
+/// and `panic` demand: a truncated file, a corrupt page, or an
+/// undecodable grade is a value the caller handles, never a panic.
 #[derive(Debug)]
 pub enum StoreError {
     /// An underlying filesystem operation failed.
@@ -239,7 +239,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// (pages are fixed-size buffers the reader allocated itself).
 pub(crate) fn read_u32(buf: &[u8], off: usize) -> u32 {
     let mut b = [0u8; 4];
-    // lint:allow(unchecked-arith): off is a within-page field offset
+    // No overflow: off is a within-page field offset
     // (< PAGE_SIZE), so off + 4 cannot wrap; the slice op
     // bounds-checks against the page buffer regardless.
     b.copy_from_slice(&buf[off..off + 4]);
@@ -249,20 +249,20 @@ pub(crate) fn read_u32(buf: &[u8], off: usize) -> u32 {
 /// Reads a little-endian `u64` at `off` (same bounds contract).
 pub(crate) fn read_u64(buf: &[u8], off: usize) -> u64 {
     let mut b = [0u8; 8];
-    // lint:allow(unchecked-arith): same within-page contract — off + 8
+    // No overflow: same within-page contract — off + 8
     // cannot wrap and the slice op bounds-checks.
     b.copy_from_slice(&buf[off..off + 8]);
     u64::from_le_bytes(b)
 }
 
 fn write_u32(buf: &mut [u8], off: usize, v: u32) {
-    // lint:allow(unchecked-arith): within-page field offset, cannot
+    // No overflow: within-page field offset, cannot
     // wrap; slice op bounds-checks.
     buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
 }
 
 fn write_u64(buf: &mut [u8], off: usize, v: u64) {
-    // lint:allow(unchecked-arith): within-page field offset, cannot
+    // No overflow: within-page field offset, cannot
     // wrap; slice op bounds-checks.
     buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
 }
@@ -473,6 +473,10 @@ pub(crate) fn build_store_versioned(
     let staging = staging_path(path);
     let result = write_all_pages(&staging, &header, &sorted, &by_id, &histogram);
     if result.is_err() {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort cleanup of the staging file; the write error in `result` is the one the caller needs"
+        )]
         let _ = std::fs::remove_file(&staging);
         return result;
     }
@@ -906,6 +910,56 @@ mod tests {
             decode_header(&page),
             Err(StoreError::UnsupportedVersion(99))
         ));
+    }
+
+    /// Under the test profile's overflow checks, a geometry field at
+    /// either extreme never wraps, never panics and never opens.
+    #[test]
+    fn hostile_header_fields_are_typed_errors() {
+        use crate::store::{PagedStore, StoreOptions};
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/store-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hostile-header.fmdb");
+        let pairs = (0..1000u64)
+            .map(|i| (i, Score::clamped(i as f64 / 1000.0)))
+            .collect();
+        build_store(&path, "color", pairs, &BuildConfig::with_page_size(256)).unwrap();
+        let honest = std::fs::read(&path).unwrap();
+        let header = decode_header(&honest[..256]).unwrap();
+        assert!(
+            header.dir_pages > 1 && header.bounds_pages > 1 && !header.label.is_empty(),
+            "every field below is non-zero in the honest file: {header:?}"
+        );
+
+        // (field, offset in the header page, width in bytes)
+        let fields = [
+            ("n", 20, 8),
+            ("entries_per_page", 28, 4),
+            ("dir_pages", 32, 4),
+            ("sorted_pages", 36, 4),
+            ("random_pages", 40, 4),
+            ("label_len", 56, 4),
+            ("bounds_pages", 60, 4),
+        ];
+        for (field, off, width) in fields {
+            for hostile in [0u64, u64::MAX] {
+                if field == "label_len" && hostile == 0 {
+                    continue; // the empty label is a valid label
+                }
+                let mut bytes = honest.clone();
+                bytes[off..off + width].copy_from_slice(&hostile.to_le_bytes()[..width]);
+                seal_page(&mut bytes[..256]);
+                std::fs::write(&path, &bytes).unwrap();
+                let opened = PagedStore::open(&path, StoreOptions::DEFAULT).map(|_| ());
+                let typed = match field {
+                    // Nothing else in the header fixes the directory's
+                    // size, so a wrong one is a wrong file length.
+                    "dir_pages" => matches!(opened, Err(StoreError::Truncated { .. })),
+                    _ => matches!(opened, Err(StoreError::InvalidHeader(_))),
+                };
+                assert!(typed, "{field} = {hostile:#x} opened as {opened:?}");
+            }
+        }
     }
 
     #[test]

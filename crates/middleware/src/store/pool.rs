@@ -74,6 +74,8 @@ impl PagePool {
     /// Installs a freshly read page, evicting unpinned LRU frames
     /// beyond capacity, and counts the storage read that produced it.
     pub(crate) fn insert(&self, page: u64, frame: Frame) {
+        // ordering(Relaxed): telemetry-only read counter — nothing
+        // branches on it; the frame itself is published by the stripe lock.
         self.reads.fetch_add(1, Relaxed);
         Self::lock(self.stripe(page)).insert_with(page, frame, |f| Arc::strong_count(f) > 1);
     }
@@ -91,6 +93,8 @@ impl PagePool {
         // `skipped` is a drain-level notion (pages never requested at
         // all), so the store tracks it outside the pool and folds it in.
         PageIoStats {
+            // ordering(Relaxed): report-time read of the telemetry
+            // counter; a slightly stale value is acceptable.
             reads: self.reads.load(Relaxed),
             hits,
             evictions,
@@ -109,6 +113,8 @@ impl PagePool {
         for s in &self.stripes {
             Self::lock(s).clear();
         }
+        // ordering(Relaxed): resetting the telemetry counter — readers
+        // only ever report it, never branch on it.
         self.reads.store(0, Relaxed);
     }
 }

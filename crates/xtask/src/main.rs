@@ -1,64 +1,31 @@
-//! `xtask` — workspace automation, home of the **fmdb-lint**
-//! static-analysis driver.
+//! `xtask` — workspace automation: the two checks no off-the-shelf
+//! tool can make.
 //!
-//! Run as `cargo xtask lint` (the alias lives in
-//! `.cargo/config.toml`). The linter walks every first-party `.rs`
-//! file, lexes it with a hand-rolled lexer (the build environment is
-//! offline, so no `syn`), and enforces the workspace's invariant
-//! rules:
+//! The workspace's other invariants (no panicking shortcut in library
+//! code, no float `==`, no ignored `Result`, no detached thread, no
+//! unbounded queue, crate hygiene) are `[workspace.lints]` in the root
+//! `Cargo.toml` plus `clippy.toml`, enforced by `cargo clippy` and
+//! excused only by `#[expect(…, reason = "…")]`; see DESIGN §8.
 //!
-//! | rule | invariant |
-//! |------|-----------|
-//! | `no-panic` | no `unwrap`/`expect`/`panic!`/`todo!` in library code |
-//! | `no-float-eq` | no `==`/`!=` on floating-point expressions |
-//! | `bounded-channels` | no unbounded `mpsc::channel()` in middleware |
-//! | `crate-hygiene` | crate roots carry the baseline inner attributes |
-//! | `no-deprecated` | no calls to workspace-deprecated items |
+//! `cargo xtask atomic-ordering` (the alias lives in
+//! `.cargo/config.toml`) requires a written reason beside every memory
+//! ordering in library source (see [`mod@atomic_ordering`]).
 //!
-//! `cargo xtask analyze` is the deeper **fmdb-analyze** pass: it
-//! parses every file into an item tree (hand-rolled recursive-descent
-//! parser over the same lexer), links call sites to definitions
-//! through a workspace-wide symbol table, and enforces the
-//! concurrency/invariant rules:
+//! `cargo xtask check-bench [PATH]` gates the `BENCH_engine.json` perf
+//! trajectory: every experiment E1–E23 must be present with numeric
+//! measurements, E18's cold/warm persistence split must be coherent,
+//! E22's instance-optimality ratios must be ≥ 1, and E23's pruning
+//! speedups/skip rates must be sane (see `bench_check`).
 //!
-//! | rule | invariant |
-//! |------|-----------|
-//! | `atomic-ordering` | every `Ordering::*` matches a whitelisted idiom or is justified |
-//! | `lock-order` | the workspace lock-acquisition graph is acyclic |
-//! | `detached-thread` | every `thread::spawn` keeps its handle or is justified |
-//! | `ignored-result` | discarding a workspace `Result` needs a written reason |
-//! | `unchecked-arith` | hot-kernel integer `+ - *` is saturating/checked or justified |
-//! | `parse-error` | the analyzer modelled every first-party construct |
-//!
-//! `cargo xtask suppressions` audits every `lint:allow(...)` /
-//! `ordering(...)` marker and fails on stale ones (markers that no
-//! longer excuse any finding).
-//!
-//! Findings print rustc-style (`error[rule]: … --> path:line:col`), or
-//! as a JSON array with `--format json`. Exit status for every
-//! subcommand: `0` clean, `1` violations found, `2` usage or I/O
+//! Exit status: `0` clean, `1` violations found, `2` usage or I/O
 //! error.
-//!
-//! `cargo xtask check-bench [PATH]` additionally gates the
-//! `BENCH_engine.json` perf trajectory: every experiment E1–E23 must be
-//! present with numeric measurements, E18's cold/warm persistence
-//! split must be coherent, E22's instance-optimality ratios must be
-//! ≥ 1, and E23's pruning speedups/skip rates must be sane (see
-//! `bench_check`).
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
-
-mod analyze;
+mod atomic_ordering;
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "one `let _ = write!(..)` into a String, which cannot fail; the module is kept byte-identical across the lint migration"
+)]
 mod bench_check;
-mod diagnostics;
-mod lexer;
-mod parser;
-mod rules;
-mod suppressions;
-mod symbols;
-mod workspace;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -67,17 +34,9 @@ const USAGE: &str = "\
 usage: cargo xtask <command>
 
 commands:
-  lint [--format text|json] [--root PATH]
-      Run the fmdb-lint invariant rules over the workspace.
-      --format json   emit findings as a JSON array (default: text)
-      --root PATH     lint PATH instead of the enclosing workspace
-  analyze [--format text|json] [--root PATH]
-      Run the fmdb-analyze concurrency/invariant rules: parse every
-      file, link the symbol table, enforce atomic-ordering,
-      lock-order, detached-thread, ignored-result, unchecked-arith.
-  suppressions [--format text|json] [--root PATH]
-      List every lint:allow(...)/ordering(...) marker with its
-      justification; exit 1 if any marker is stale (excuses nothing).
+  atomic-ordering
+      Require `// ordering(<Ordering>): <why>` beside every memory
+      ordering named under src/ and crates/*/src/.
   check-bench [PATH]
       Validate the BENCH_engine.json perf trajectory (default path:
       BENCH_engine.json in the workspace root): experiments E1-E23
@@ -91,9 +50,7 @@ exit status: 0 clean, 1 violations, 2 usage or I/O error
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint(&args[1..]),
-        Some("analyze") => run_analyze(&args[1..]),
-        Some("suppressions") => run_suppressions(&args[1..]),
+        Some("atomic-ordering") => atomic_ordering(&args[1..]),
         Some("check-bench") => check_bench(&args[1..]),
         Some("--help" | "-h" | "help") => {
             print!("{USAGE}");
@@ -110,127 +67,27 @@ fn main() -> ExitCode {
     }
 }
 
-/// Output format for diagnostics.
-#[derive(Debug, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-}
-
-/// Parses the `--format`/`--root` flags shared by the diagnostic
-/// subcommands, and collects the target workspace. `Err` carries the
-/// exit code (always 2: usage or I/O).
-fn diag_setup(args: &[String]) -> Result<(Format, workspace::Workspace), ExitCode> {
-    let mut format = Format::Text;
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                other => {
-                    eprintln!(
-                        "error: --format takes `text` or `json`, got {}",
-                        other.unwrap_or("nothing")
-                    );
-                    return Err(ExitCode::from(2));
-                }
-            },
-            "--root" => match it.next() {
-                Some(path) => root = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("error: --root takes a path");
-                    return Err(ExitCode::from(2));
-                }
-            },
-            other => {
-                eprintln!("error: unknown flag `{other}`\n\n{USAGE}");
-                return Err(ExitCode::from(2));
-            }
-        }
+fn atomic_ordering(args: &[String]) -> ExitCode {
+    if !args.is_empty() {
+        eprintln!("error: atomic-ordering takes no arguments\n\n{USAGE}");
+        return ExitCode::from(2);
     }
-    let root = root.unwrap_or_else(workspace_root);
-    match workspace::collect(&root) {
-        Ok(ws) => Ok((format, ws)),
+    match atomic_ordering::check_workspace(&workspace_root()) {
+        Ok(findings) if findings.is_empty() => {
+            println!("atomic-ordering: every memory ordering carries its reason");
+            ExitCode::SUCCESS
+        }
+        Ok(findings) => {
+            for finding in &findings {
+                println!("{finding}\n");
+            }
+            println!("atomic-ordering: {} violation(s)", findings.len());
+            ExitCode::FAILURE
+        }
         Err(e) => {
             eprintln!("error: {e}");
-            Err(ExitCode::from(2))
+            ExitCode::from(2)
         }
-    }
-}
-
-/// Prints diagnostics in the requested format with a `name:` summary
-/// line, returning exit 0/1.
-fn report(
-    name: &str,
-    rule_names: &[&str],
-    format: &Format,
-    ws: &workspace::Workspace,
-    diags: &[diagnostics::Diagnostic],
-) -> ExitCode {
-    match format {
-        Format::Json => println!("{}", diagnostics::to_json(diags)),
-        Format::Text => {
-            for d in diags {
-                println!("{d}\n");
-            }
-            if diags.is_empty() {
-                println!(
-                    "{name}: {} files clean ({})",
-                    ws.files.len(),
-                    rule_names.join(", ")
-                );
-            } else {
-                println!("{name}: {} violation(s)", diags.len());
-            }
-        }
-    }
-    if diags.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn lint(args: &[String]) -> ExitCode {
-    let (format, ws) = match diag_setup(args) {
-        Ok(ok) => ok,
-        Err(code) => return code,
-    };
-    let diags = rules::run_all(&ws);
-    report("fmdb-lint", workspace::RULES, &format, &ws, &diags)
-}
-
-fn run_analyze(args: &[String]) -> ExitCode {
-    let (format, ws) = match diag_setup(args) {
-        Ok(ok) => ok,
-        Err(code) => return code,
-    };
-    let diags = analyze::run_all(&ws);
-    report(
-        "fmdb-analyze",
-        workspace::ANALYZE_RULES,
-        &format,
-        &ws,
-        &diags,
-    )
-}
-
-fn run_suppressions(args: &[String]) -> ExitCode {
-    let (format, ws) = match diag_setup(args) {
-        Ok(ok) => ok,
-        Err(code) => return code,
-    };
-    let reports = suppressions::audit(&ws);
-    match format {
-        Format::Json => println!("{}", suppressions::render_json(&reports)),
-        Format::Text => print!("{}", suppressions::render(&reports)),
-    }
-    if reports.iter().any(|r| r.stale) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }
 
@@ -263,7 +120,7 @@ fn check_bench(args: &[String]) -> ExitCode {
 }
 
 /// The workspace root: two levels above this crate's manifest
-/// (`crates/xtask` → repo root). `--root` overrides for tests.
+/// (`crates/xtask` → repo root).
 fn workspace_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest

@@ -30,10 +30,6 @@
 //! assert_eq!(hits.answers.len(), 3);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
-
 pub use fmdb_core as core;
 pub use fmdb_garlic as garlic;
 pub use fmdb_index as index;
