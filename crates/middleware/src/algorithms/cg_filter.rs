@@ -22,13 +22,13 @@
 //! grade < τ, and cannot displace the `k` found answers. The
 //! constructor probes this property and refuses means and co-norms.
 
-use std::collections::HashMap;
-
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
+use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::{GradedSource, Oid};
+use crate::planner::bounded_by_min;
+use crate::source::GradedSource;
 use crate::stats::AccessStats;
 
 /// Filter-condition top-k evaluation with a geometric τ schedule.
@@ -60,32 +60,6 @@ pub struct CgRun {
     pub final_tau: f64,
 }
 
-/// Probes that `combine` is bounded by min on a sample grid.
-fn bounded_by_min(scoring: &dyn ScoringFunction, arity: usize) -> bool {
-    let samples = [0.0, 0.2, 0.5, 0.8, 1.0];
-    let mut args = vec![Score::ZERO; arity];
-    // Axis sweeps: one coordinate low, the rest high — where means
-    // visibly exceed min.
-    for &lo in &samples {
-        for &hi in &samples {
-            for pos in 0..arity {
-                for (i, a) in args.iter_mut().enumerate() {
-                    *a = if i == pos {
-                        Score::clamped(lo)
-                    } else {
-                        Score::clamped(hi)
-                    };
-                }
-                let min = args.iter().copied().fold(Score::ONE, Score::min);
-                if scoring.combine(&args).value() > min.value() + 1e-9 {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 impl CgFilter {
     /// Creates a filter strategy. Returns `None` unless
     /// `0 < initial_tau < 1` and `0 < decay < 1`.
@@ -112,44 +86,36 @@ impl CgFilter {
                 scoring: scoring.name(),
             });
         }
-        let m = sources.len();
         let mut stats = AccessStats::ZERO;
         let mut tau = self.initial_tau;
         let mut rounds = 0u32;
 
         loop {
             rounds += 1;
-            // One filter round: stream each list down to grade < τ.
-            let mut slots: HashMap<Oid, Vec<Option<Score>>> = HashMap::new();
-            let mut all_exhausted = true;
-            for (i, source) in sources.iter_mut().enumerate() {
-                source.rewind();
-                let mut drained = true;
-                while let Some(so) = source.sorted_next() {
-                    stats.sorted += 1;
-                    if so.grade.value() < tau {
-                        drained = false;
-                        break;
-                    }
-                    slots.entry(so.id).or_insert_with(|| vec![None; m])[i] = Some(so.grade);
-                }
-                all_exhausted &= drained;
+            // One filter round: stream each list down to grade < τ. A
+            // restart re-executes the filter queries, so it pays for —
+            // and forgets — everything the last round saw.
+            let mut book = Book::open(sources);
+            for i in 0..sources.len() {
+                while book
+                    .pull(i, sources)
+                    .is_some_and(|(.., grade)| grade.value() >= tau)
+                {}
             }
+            stats += book.frontier.stats;
+            let all_exhausted = book.frontier.exhausted.iter().all(|&drained| drained);
 
             // Candidates present in every filter result have exact
-            // grades. Once every list is fully drained, a missing slot
-            // definitively means "not in that list" — grade 0.
-            let mut answers: Vec<ScoredObject<Oid>> = Vec::new();
-            let mut buf = Vec::with_capacity(m);
-            for (&oid, s) in &slots {
-                if all_exhausted {
-                    buf.clear();
-                    buf.extend(s.iter().map(|&g| g.unwrap_or(Score::ZERO)));
-                    answers.push(ScoredObject::new(oid, scoring.combine(&buf)));
-                } else if s.iter().all(Option::is_some) {
-                    buf.clear();
-                    buf.extend(s.iter().copied().flatten());
-                    answers.push(ScoredObject::new(oid, scoring.combine(&buf)));
+            // grades (the entry that showed a stream had fallen below τ
+            // is in none). Once every list is fully drained, a missing
+            // slot definitively means "not in that list" — grade 0.
+            let table = &mut book.table;
+            let passed = |g: &Option<Score>| g.is_some_and(|g| g.value() >= tau);
+            let mut answers = Vec::new();
+            for row in 0..table.len() {
+                if all_exhausted || table.fields(row).iter().all(passed) {
+                    let grade = table.bound(row, |_| Score::ZERO, scoring);
+                    answers.push(ScoredObject::new(table.oid(row), grade));
                 }
             }
             let enough = answers.iter().filter(|a| a.grade.value() >= tau).count() >= k;

@@ -24,13 +24,13 @@
 //! after finding the top k answers, in order to find the next k best
 //! answers we can continue where we left off".
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
+use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
 use crate::source::{GradedSource, Oid};
 use crate::stats::AccessStats;
@@ -39,27 +39,12 @@ use crate::stats::AccessStats;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaginsAlgorithm;
 
-/// Mutable working state shared by A₀, its resumable sessions and
-/// [`crate::algorithms::pruned_fa::PrunedFa`].
-#[derive(Debug, Default)]
+/// What A₀, its resumable sessions and
+/// [`crate::algorithms::pruned_fa::PrunedFa`] keep beside the book.
 pub(crate) struct FaState {
-    /// Row of each seen object in `oids` / `slots`.
-    rows: HashMap<Oid, usize>,
-    /// The seen objects, in first-sighting order.
-    oids: Vec<Oid>,
-    /// One row of `m` slots per seen object, flat: `Some(grade)` once
-    /// list `i` has revealed the grade (by either access kind). One
-    /// allocation for all rows, and every walk over the seen set is a
-    /// linear scan in an order that repeats from run to run.
-    slots: Vec<Option<Score>>,
-    /// The last grade each list streamed: an upper bound on every grade
-    /// it has not revealed yet (0 once the list is drained).
-    pub(crate) bottoms: Vec<Score>,
+    pub(crate) book: Book,
     /// Objects every list has output under *sorted* access (the set L).
     matches: usize,
-    /// Which lists are fully drained.
-    exhausted: Vec<bool>,
-    pub(crate) stats: AccessStats,
     /// Session state: objects already returned by earlier batches, and
     /// the cumulative number of answers requested so far.
     emitted: Vec<Oid>,
@@ -69,73 +54,35 @@ pub(crate) struct FaState {
 impl FaState {
     /// Rewinds the sources and starts from nothing seen.
     pub(crate) fn new(sources: &mut [&mut dyn GradedSource]) -> FaState {
-        for source in sources.iter_mut() {
-            source.rewind();
-        }
-        let m = sources.len();
         FaState {
-            bottoms: vec![Score::ONE; m],
-            exhausted: vec![false; m],
-            ..FaState::default()
+            book: Book::open(sources),
+            matches: 0,
+            emitted: Vec::new(),
+            requested: 0,
         }
-    }
-
-    /// Slots per row (never 0, so the rows can always be chunked).
-    fn arity(&self) -> usize {
-        self.bottoms.len().max(1)
-    }
-
-    /// Every seen object with its slot row, in first-sighting order.
-    pub(crate) fn seen(&self) -> impl Iterator<Item = (Oid, &[Option<Score>])> {
-        self.oids
-            .iter()
-            .copied()
-            .zip(self.slots.chunks(self.arity()))
     }
 
     /// Phase 1: round-robin sorted access until `|L| ≥ target` or all
-    /// lists are drained. `sorted_seen` tracking rides on the slot
-    /// vectors: a slot filled during phase 1 counts toward L.
+    /// lists are drained. A row joins L when *sorted* access reveals
+    /// its last unknown field: one a probe of an earlier batch filled
+    /// never counts, so a resumed session streams on as if it had not
+    /// probed.
     ///
     /// The halt is *mid-round*, the moment `|L|` reaches the target:
     /// finishing the round would charge sorted accesses A₀ never makes.
     pub(crate) fn sorted_phase(&mut self, sources: &mut [&mut dyn GradedSource], target: usize) {
-        let m = sources.len();
-        if self.matches >= target {
-            return;
-        }
-        loop {
+        while self.matches < target {
             let mut progressed = false;
-            for i in 0..m {
-                if self.exhausted[i] {
+            for i in 0..sources.len() {
+                let Some((row, _, news, _)) = self.book.pull(i, sources) else {
                     continue;
-                }
-                match sources[i].sorted_next() {
-                    Some(so) => {
-                        self.stats.sorted += 1;
-                        progressed = true;
-                        self.bottoms[i] = so.grade;
-                        let row = *self.rows.entry(so.id).or_insert_with(|| {
-                            self.oids.push(so.id);
-                            self.slots.resize(self.slots.len() + m, None);
-                            self.oids.len() - 1
-                        });
-                        let slots = &mut self.slots[row * m..(row + 1) * m];
-                        if slots[i].is_none() {
-                            slots[i] = Some(so.grade);
-                            if slots.iter().all(Option::is_some) {
-                                self.matches += 1;
-                            }
-                        }
+                };
+                progressed = true;
+                if news && self.book.table.missing(row) == 0 {
+                    self.matches += 1;
+                    if self.matches >= target {
+                        return;
                     }
-                    None => {
-                        self.exhausted[i] = true;
-                        // A drained list bounds all unseen objects by 0.
-                        self.bottoms[i] = Score::ZERO;
-                    }
-                }
-                if self.matches >= target {
-                    return;
                 }
             }
             if !progressed {
@@ -158,12 +105,13 @@ impl FaState {
         sources: &mut [&mut dyn GradedSource],
         scoring: &dyn ScoringFunction,
     ) -> Vec<ScoredObject<Oid>> {
+        let Book { table, frontier } = &mut self.book;
         // One walk collects every list's holes, ...
         let mut missing: Vec<Vec<Oid>> = vec![Vec::new(); sources.len()];
-        for (oid, slots) in self.seen() {
-            for (slot, holes) in slots.iter().zip(&mut missing) {
+        for row in 0..table.len() {
+            for (slot, holes) in table.fields(row).iter().zip(&mut missing) {
                 if slot.is_none() {
-                    holes.push(oid);
+                    holes.push(table.oid(row));
                 }
             }
         }
@@ -175,28 +123,24 @@ impl FaState {
             } else {
                 source.random_batch(oids)
             };
-            self.stats.random += oids.len() as u64;
+            frontier.stats.random += oids.len() as u64;
             answers.push(grades.into_iter());
         }
         // ... and a second one, meeting the same holes in the same
         // order, fills and combines.
-        let mut grades = Vec::with_capacity(sources.len());
-        let m = self.arity();
-        self.oids
-            .iter()
-            .zip(self.slots.chunks_mut(m))
-            .map(|(&oid, slots)| {
-                grades.clear();
-                for (slot, answers) in slots.iter_mut().zip(&mut answers) {
-                    if slot.is_none() {
-                        *slot = answers.next();
+        (0..table.len())
+            .map(|row| {
+                for (j, answers) in answers.iter_mut().enumerate() {
+                    if table.fields(row)[j].is_none() {
+                        if let Some(grade) = answers.next() {
+                            table.reveal(row, j, grade);
+                        }
                     }
-                    // Still a hole only if the source answered its
-                    // batch short: what it withheld grades zero, like
-                    // any object a subsystem has no opinion about.
-                    grades.push(slot.unwrap_or(Score::ZERO));
                 }
-                ScoredObject::new(oid, scoring.combine(&grades))
+                // Still a hole only if the source answered its batch
+                // short: what it withheld grades zero, like any object
+                // a subsystem has no opinion about.
+                ScoredObject::new(table.oid(row), table.bound(row, |_| Score::ZERO, scoring))
             })
             .collect()
     }
@@ -219,7 +163,7 @@ impl FaState {
         self.sorted_phase(sources, self.requested);
         let mut combined = self.resolve_all(sources, scoring);
         combined.retain(|so| !self.emitted.contains(&so.id));
-        let result = finalize(combined, k, self.stats);
+        let result = finalize(combined, k, self.book.frontier.stats);
         self.emitted.extend(result.answers.iter().map(|a| a.id));
         Ok(result)
     }
@@ -315,7 +259,7 @@ where
 
     /// Cumulative access statistics for the session.
     pub fn stats(&self) -> AccessStats {
-        self.state.stats
+        self.state.book.frontier.stats
     }
 
     /// Number of answers already returned.

@@ -18,44 +18,17 @@
 //! Contradiction; hence observed = true for everything returned, and by
 //! the same argument the returned set is a valid top-k.
 
-use std::collections::HashMap;
-
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
+use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::{GradedSource, Oid};
-use crate::stats::AccessStats;
+use crate::planner::behaves_like_max;
+use crate::source::GradedSource;
 
 /// The `m·k` disjunction (max) algorithm.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaxMerge;
-
-/// Probes whether `scoring` behaves like max at a few sample points.
-///
-/// A grid probe cannot *prove* max semantics, but it reliably rejects
-/// every other shipped scoring function, and MaxMerge is only correct
-/// for max — silently accepting min would return wrong answers.
-fn behaves_like_max(scoring: &dyn ScoringFunction, arity: usize) -> bool {
-    let samples = [0.0, 0.3, 0.5, 0.8, 1.0];
-    let mut args = vec![Score::ZERO; arity];
-    for &hi in &samples {
-        for pos in 0..arity {
-            for (i, arg) in args.iter_mut().enumerate() {
-                *arg = if i == pos {
-                    Score::clamped(hi)
-                } else {
-                    Score::clamped(hi * 0.5)
-                };
-            }
-            let expect = args.iter().copied().fold(Score::ZERO, Score::max);
-            if !scoring.combine(&args).approx_eq(expect, 1e-9) {
-                return false;
-            }
-        }
-    }
-    true
-}
 
 impl TopKAlgorithm for MaxMerge {
     fn name(&self) -> &'static str {
@@ -69,6 +42,8 @@ impl TopKAlgorithm for MaxMerge {
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
         validate(sources, scoring, k)?;
+        // Only correct for max: silently accepting min would return
+        // wrong answers.
         if !behaves_like_max(scoring, sources.len()) {
             return Err(AlgoError::UnsupportedScoring {
                 algorithm: "max-merge",
@@ -77,27 +52,22 @@ impl TopKAlgorithm for MaxMerge {
             });
         }
 
-        let mut stats = AccessStats::ZERO;
-        let mut best: HashMap<Oid, Score> = HashMap::new();
-        for source in sources.iter_mut() {
-            source.rewind();
+        let mut book = Book::open(sources);
+        for i in 0..sources.len() {
             for _ in 0..k {
-                match source.sorted_next() {
-                    Some(so) => {
-                        stats.sorted += 1;
-                        let entry = best.entry(so.id).or_insert(Score::ZERO);
-                        *entry = (*entry).max(so.grade);
-                    }
-                    None => break,
+                if book.pull(i, sources).is_none() {
+                    break;
                 }
             }
         }
-
-        let combined: Vec<ScoredObject<Oid>> = best
-            .into_iter()
-            .map(|(oid, g)| ScoredObject::new(oid, g))
+        let table = &book.table;
+        let combined = (0..table.len())
+            .map(|row| {
+                let observed = table.fields(row).iter().flatten();
+                ScoredObject::new(table.oid(row), observed.fold(Score::ZERO, |a, &g| a.max(g)))
+            })
             .collect();
-        Ok(finalize(combined, k, stats))
+        Ok(finalize(combined, k, book.frontier.stats))
     }
 }
 

@@ -28,6 +28,15 @@
 //! | [`crate::sharded::ShardKernel::Ta`] | on sight | 0 | yes | as halted (exact) |
 //! | [`crate::sharded::ShardKernel::Nra`] | never | 0 | yes | collapsed only (exact) |
 //!
+//! Every row of both tables keeps the same book — the crate-private
+//! `book` module: per seen object the `m` fields revealed so far, per
+//! list its bottom grade and whether it is drained, and the charges.
+//! Its `pull` is the only sorted access in this directory and opening
+//! one the only rewind; a strategy is what it does between pulls. A₀ is
+//! a user of the book, not a row of the second table: it halts
+//! mid-round, probes everything afterwards, and resumes (`DESIGN.md`
+//! §10).
+//!
 //! All algorithms consume [`GradedSource`]s, meter every access into an
 //! [`AccessStats`], and return answers with **exact** grades — returning
 //! an object with an under- or over-stated grade counts as wrong, and
@@ -37,6 +46,7 @@
 //! relaxed *set* semantics are specified in `DESIGN.md` §10.
 
 pub mod approx;
+pub(crate) mod book;
 pub mod ca;
 pub mod cg_filter;
 pub mod fa;

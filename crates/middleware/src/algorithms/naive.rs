@@ -7,14 +7,12 @@
 //! (the paper quotes `2N` for the two-conjunct example), which
 //! Theorem 4.1 shows A₀ beats by a polynomial factor.
 
-use std::collections::HashMap;
-
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
+use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::{GradedSource, Oid};
-use crate::stats::AccessStats;
+use crate::source::GradedSource;
 
 /// The full-scan baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,27 +30,19 @@ impl TopKAlgorithm for Naive {
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
         validate(sources, scoring, k)?;
-        let m = sources.len();
-        let mut stats = AccessStats::ZERO;
-        let mut grades: HashMap<Oid, Vec<Score>> = HashMap::new();
-
-        for (i, source) in sources.iter_mut().enumerate() {
-            source.rewind();
-            while let Some(so) = source.sorted_next() {
-                stats.sorted += 1;
-                grades
-                    .entry(so.id)
-                    // Objects a sparse source never streams keep grade 0
-                    // in that slot.
-                    .or_insert_with(|| vec![Score::ZERO; m])[i] = so.grade;
-            }
+        let mut book = Book::open(sources);
+        for i in 0..sources.len() {
+            while book.pull(i, sources).is_some() {}
         }
-
-        let combined: Vec<ScoredObject<Oid>> = grades
-            .into_iter()
-            .map(|(oid, gs)| ScoredObject::new(oid, scoring.combine(&gs)))
+        let table = &mut book.table;
+        let combined = (0..table.len())
+            // Objects a sparse source never streams keep grade 0 in
+            // that slot.
+            .map(|row| {
+                ScoredObject::new(table.oid(row), table.bound(row, |_| Score::ZERO, scoring))
+            })
             .collect();
-        Ok(finalize(combined, k, stats))
+        Ok(finalize(combined, k, book.frontier.stats))
     }
 }
 

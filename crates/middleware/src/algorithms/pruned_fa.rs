@@ -23,6 +23,9 @@
 //! resolutions are correct per the paper's arbitrary tie-breaking).
 //! Only the random access cost shrinks; experiment E3 quantifies it.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
@@ -59,6 +62,27 @@ impl PrunedFa {
     }
 }
 
+/// The `k` best fully known grades, the smallest on top: τ once there
+/// are `k` of them.
+struct KthBest {
+    k: usize,
+    best: BinaryHeap<Reverse<Score>>,
+}
+
+impl KthBest {
+    fn push(&mut self, grade: Score) {
+        self.best.push(Reverse(grade));
+        if self.best.len() > self.k {
+            self.best.pop();
+        }
+    }
+
+    /// Whether `k` objects are known to tie or beat `upper`.
+    fn excludes(&self, upper: Score) -> bool {
+        self.best.len() >= self.k && self.best.peek().is_some_and(|kth| upper <= kth.0)
+    }
+}
+
 impl TopKAlgorithm for PrunedFa {
     fn name(&self) -> &'static str {
         "pruned-fa"
@@ -71,84 +95,57 @@ impl TopKAlgorithm for PrunedFa {
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
         validate(sources, scoring, k)?;
-        let m = sources.len();
         // Phase 1 — A₀'s own.
         let mut state = FaState::new(sources);
         state.sorted_phase(sources, k);
-        let (bottoms, mut stats) = (&state.bottoms, state.stats);
+        let book = &mut state.book;
 
         // Phase 2 — pruned random access.
         // Split into fully-known objects and candidates with holes.
-        let upper_of = |slots: &[Option<Score>], buf: &mut Vec<Score>| -> Score {
-            buf.clear();
-            buf.extend(
-                slots
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &g)| g.unwrap_or(bottoms[i])),
-            );
-            scoring.combine(buf)
-        };
-
         let mut known: Vec<ScoredObject<Oid>> = Vec::new();
-        let mut candidates: Vec<(Oid, Vec<Option<Score>>, Score)> = Vec::new();
-        let mut buf = Vec::with_capacity(m);
-        for (oid, slots) in state.seen() {
+        let mut tau = KthBest {
+            k,
+            best: BinaryHeap::new(),
+        };
+        let mut candidates: Vec<(Score, Oid, usize)> = Vec::new();
+        for row in 0..book.table.len() {
             // With no unknown slot the upper bound is the exact grade.
-            let upper = upper_of(slots, &mut buf);
-            if slots.iter().all(Option::is_some) {
+            let upper = book.upper(row, scoring);
+            let oid = book.table.oid(row);
+            if book.table.missing(row) == 0 {
                 known.push(ScoredObject::new(oid, upper));
+                tau.push(upper);
             } else {
-                candidates.push((oid, slots.to_vec(), upper));
+                candidates.push((upper, oid, row));
             }
         }
 
         // Process candidates in descending upper-bound order so the
         // threshold tightens as fast as possible.
-        candidates.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-        let mut tau = kth_best(&known, k);
-        for (oid, mut slots, upper) in candidates {
+        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        'candidates: for (upper, oid, row) in candidates {
             // Skip prune: μ(oid) ≤ upper ≤ τ — the k fully-known
             // objects already tie or beat it.
-            if tau.is_some_and(|t| upper <= t) {
+            if tau.excludes(upper) {
                 continue;
             }
             // Short-circuit probe.
-            let mut abandoned = false;
-            for i in 0..m {
-                if slots[i].is_some() {
+            for j in 0..sources.len() {
+                if book.table.fields(row)[j].is_some() {
                     continue;
                 }
-                slots[i] = Some(sources[i].random_access(oid));
-                stats.random += 1;
-                if self.short_circuit {
-                    let cur_upper = upper_of(&slots, &mut buf);
-                    if tau.is_some_and(|t| cur_upper <= t) {
-                        abandoned = true;
-                        break;
-                    }
+                book.probe(row, j, sources);
+                if self.short_circuit && tau.excludes(book.upper(row, scoring)) {
+                    continue 'candidates;
                 }
             }
-            if abandoned {
-                continue;
-            }
-            known.push(ScoredObject::new(oid, upper_of(&slots, &mut buf)));
-            tau = kth_best(&known, k);
+            let grade = book.upper(row, scoring);
+            known.push(ScoredObject::new(oid, grade));
+            tau.push(grade);
         }
 
-        Ok(finalize(known, k, stats))
+        Ok(finalize(known, k, book.frontier.stats))
     }
-}
-
-/// The k-th best grade among `known`, or `None` if fewer than `k`
-/// objects are fully known.
-fn kth_best(known: &[ScoredObject<Oid>], k: usize) -> Option<Score> {
-    if known.len() < k {
-        return None;
-    }
-    let mut grades: Vec<Score> = known.iter().map(|o| o.grade).collect();
-    grades.sort_unstable_by(|a, b| b.cmp(a));
-    Some(grades[k - 1])
 }
 
 #[cfg(test)]

@@ -14,7 +14,9 @@
 //!
 //! # Bookkeeping
 //!
-//! Between two rounds only the bottoms move (FLN §8), so a round costs
+//! Which list has revealed which field, the bottoms and the charges are
+//! the [`Book`]'s; this module keeps the ranking over its rows. Between
+//! two rounds only the bottoms move (FLN §8), so a round costs
 //! `O(m + 1)` calls of `t`, not one per open object:
 //!
 //! * **Lower bounds are maintained.** A lower bound changes only when
@@ -47,18 +49,18 @@
 //! and a resolved grade costs the one comparison against `Mₖ`.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use fmdb_core::score::Score;
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::approx::{upper_excluded, validate_theta};
+use crate::algorithms::book::Book;
 use crate::algorithms::nra::{BoundedAnswer, NraResult};
 use crate::algorithms::{validate, AlgoError};
-use crate::planner::{classify_combiner, CombinerKind};
+use crate::planner::bounded_by_min;
 use crate::sharded::AtomicThreshold;
 use crate::source::{GradedSource, Oid};
-use crate::stats::AccessStats;
 
 /// When the loop spends random accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,15 +112,13 @@ pub(crate) struct Family {
 struct Key {
     lower: Reverse<Score>,
     id: Oid,
-    /// The object's number in [`Seen`].
+    /// The object's row in the book.
     obj: usize,
 }
 
-/// What the kernel remembers of one seen object besides its grades.
+/// What the kernel remembers of one seen object besides its row in the
+/// book.
 struct Object {
-    id: Oid,
-    /// Fields no access has revealed yet; 0 once resolved.
-    missing: usize,
     /// The lower bound as of the last [`Seen::rebound`] — the object's
     /// key while it sits in the top k.
     lower: Score,
@@ -127,34 +127,14 @@ struct Object {
     listed: bool,
 }
 
-/// `t` over one object's fields, an unknown field `j` read as `fill(j)`.
-fn bound(
-    fields: &[Option<Score>],
-    fill: impl Fn(usize) -> Score,
-    scratch: &mut Vec<Score>,
-    scoring: &dyn ScoringFunction,
-) -> Score {
-    scratch.clear();
-    scratch.extend(
-        fields
-            .iter()
-            .enumerate()
-            .map(|(j, g)| g.unwrap_or_else(|| fill(j))),
-    );
-    scoring.combine(scratch)
-}
-
-/// Per-object bookkeeping: which grades each seen object has revealed,
-/// the best `k` lower bounds, and the open objects still in the way of
-/// the halt (module docs, *Bookkeeping*).
+/// The ranking the kernel keeps over the book's rows: the best `k`
+/// lower bounds, and the open objects still in the way of the halt
+/// (module docs, *Bookkeeping*).
 #[derive(Default)]
 struct Seen {
-    m: usize,
     k: usize,
-    numbers: HashMap<Oid, usize>,
+    /// Parallel to the book's rows.
     objects: Vec<Object>,
-    /// `m` slots per object; `None` until an access reveals the grade.
-    slots: Vec<Option<Score>>,
     /// The best `k` seen objects, open or resolved, in answer order. A
     /// resolved object that fails to enter, or is evicted, is below
     /// `Mₖ` for good and is forgotten.
@@ -163,54 +143,22 @@ struct Seen {
     /// order but for the halting witness at the front. Objects resolved
     /// since the last walk linger until the next one drops them.
     candidates: Vec<usize>,
-    scratch: Vec<Score>,
-    stats: AccessStats,
+}
+
+/// Random-accesses every field `obj` still misses.
+fn resolve(book: &mut Book, obj: usize, sources: &mut [&mut dyn GradedSource]) {
+    for j in 0..sources.len() {
+        if book.table.fields(obj)[j].is_none() {
+            book.probe(obj, j, sources);
+        }
+    }
 }
 
 impl Seen {
-    /// The object's number and whether this is its first sighting.
-    fn number(&mut self, id: Oid) -> (usize, bool) {
-        let next = self.objects.len();
-        let obj = *self.numbers.entry(id).or_insert(next);
-        if obj == next {
-            self.slots.resize(self.slots.len() + self.m, None);
-            self.objects.push(Object {
-                id,
-                missing: self.m,
-                lower: Score::ZERO,
-                in_top: false,
-                listed: false,
-            });
-        }
-        (obj, obj == next)
-    }
-
-    /// Records list `j`'s grade for `obj`; false if it was known.
-    fn reveal(&mut self, obj: usize, j: usize, grade: Score) -> bool {
-        let slot = &mut self.slots[obj * self.m + j];
-        let news = slot.is_none();
-        if news {
-            *slot = Some(grade);
-            self.objects[obj].missing -= 1;
-        }
-        news
-    }
-
-    /// Random-accesses every field `obj` still misses.
-    fn resolve(&mut self, obj: usize, sources: &mut [&mut dyn GradedSource]) {
-        for (j, source) in sources.iter_mut().enumerate() {
-            if self.slots[obj * self.m + j].is_none() {
-                let grade = source.random_access(self.objects[obj].id);
-                self.stats.random += 1;
-                self.reveal(obj, j, grade);
-            }
-        }
-    }
-
     /// Puts an open object (back) on the candidate list.
-    fn enlist(&mut self, obj: usize) {
+    fn enlist(&mut self, obj: usize, book: &Book) {
         let object = &mut self.objects[obj];
-        if object.missing > 0 && !object.listed {
+        if book.table.missing(obj) > 0 && !object.listed {
             object.listed = true;
             self.candidates.push(obj);
         }
@@ -226,11 +174,10 @@ impl Seen {
     /// Recomputes `obj`'s lower bound after a reveal and re-seats it in
     /// the top k: one comparison against the k-th key rejects it,
     /// otherwise it enters (evicting the k-th) or moves up.
-    fn rebound(&mut self, obj: usize, scoring: &dyn ScoringFunction) {
-        let fields = &self.slots[obj * self.m..(obj + 1) * self.m];
-        let lower = bound(fields, |_| Score::ZERO, &mut self.scratch, scoring);
+    fn rebound(&mut self, obj: usize, book: &mut Book, scoring: &dyn ScoringFunction) {
+        let lower = book.table.bound(obj, |_| Score::ZERO, scoring);
         let was = std::mem::replace(&mut self.objects[obj].lower, lower);
-        let id = self.objects[obj].id;
+        let id = book.table.oid(obj);
         let key = |lower| Key {
             lower: Reverse(lower),
             id,
@@ -253,7 +200,7 @@ impl Seen {
         }
         self.top.insert(key(lower));
         self.objects[obj].in_top = true;
-        self.enlist(obj);
+        self.enlist(obj, book);
     }
 
     /// `Mₖ`: the k-th best lower bound, once `k` objects are seen.
@@ -262,30 +209,23 @@ impl Seen {
         Some(kth.lower.0)
     }
 
-    /// An open object's upper bound under the current bottoms.
-    fn upper(&mut self, obj: usize, bottoms: &[Score], scoring: &dyn ScoringFunction) -> Score {
-        let fields = &self.slots[obj * self.m..(obj + 1) * self.m];
-        bound(fields, |j| bottoms[j], &mut self.scratch, scoring)
-    }
-
     /// Whether every open object outside the top k is `dismissed`.
     /// Stops at the first that is not — the witness — and moves it to
     /// the front for the next call; whatever it passes on the way is
     /// dismissed for good and leaves the list.
     fn rest_dismissed(
         &mut self,
-        bottoms: &[Score],
+        book: &mut Book,
         scoring: &dyn ScoringFunction,
         dismissed: impl Fn(Score) -> bool,
     ) -> bool {
         let mut at = 0;
         while let Some(&obj) = self.candidates.get(at) {
-            let object = &self.objects[obj];
-            if object.missing == 0 {
+            if book.table.missing(obj) == 0 {
                 self.drop_candidate(at);
-            } else if object.in_top {
+            } else if self.objects[obj].in_top {
                 at += 1;
-            } else if dismissed(self.upper(obj, bottoms, scoring)) {
+            } else if dismissed(book.upper(obj, scoring)) {
                 self.drop_candidate(at);
             } else {
                 self.candidates.swap(0, at);
@@ -302,7 +242,7 @@ impl Seen {
     /// the way leaves the list as in [`Seen::rest_dismissed`].
     fn most_promising(
         &mut self,
-        bottoms: &[Score],
+        book: &mut Book,
         scoring: &dyn ScoringFunction,
         theta: f64,
     ) -> Option<usize> {
@@ -310,15 +250,15 @@ impl Seen {
         let mut best = None;
         let mut at = 0;
         while let Some(&obj) = self.candidates.get(at) {
-            if self.objects[obj].missing == 0 {
+            if book.table.missing(obj) == 0 {
                 self.drop_candidate(at);
                 continue;
             }
-            let upper = self.upper(obj, bottoms, scoring);
+            let upper = book.upper(obj, scoring);
             let live = self.objects[obj].in_top
                 || !tau.is_some_and(|tau| upper_excluded(upper, tau, theta));
             if live {
-                best = best.max(Some((upper, Reverse(self.objects[obj].id), obj)));
+                best = best.max(Some((upper, Reverse(book.table.oid(obj)), obj)));
                 at += 1;
             } else {
                 self.drop_candidate(at);
@@ -329,25 +269,16 @@ impl Seen {
 
     /// The top k in answer order, upper bounds fresh.
     fn top_k<'a>(
-        &'a mut self,
-        bottoms: &'a [Score],
+        &'a self,
+        book: &'a mut Book,
         scoring: &'a dyn ScoringFunction,
     ) -> impl Iterator<Item = BoundedAnswer> + 'a {
-        let Seen {
-            m,
-            objects,
-            slots,
-            top,
-            scratch,
-            ..
-        } = self;
-        top.iter().map(move |&Key { lower, id, obj }| {
+        self.top.iter().map(move |&Key { lower, id, obj }| {
             let lower = lower.0;
-            let upper = if objects[obj].missing == 0 {
+            let upper = if book.table.missing(obj) == 0 {
                 lower
             } else {
-                let fields = &slots[obj * *m..(obj + 1) * *m];
-                bound(fields, |j| bottoms[j], scratch, scoring)
+                book.upper(obj, scoring)
             };
             BoundedAnswer { id, lower, upper }
         })
@@ -357,18 +288,13 @@ impl Seen {
     /// each with its fresh upper bound. A scan of everything seen: for
     /// the idle shard worker and the debug checks only.
     fn open_rest<'a>(
-        &'a mut self,
-        bottoms: &'a [Score],
+        &'a self,
+        book: &'a mut Book,
         scoring: &'a dyn ScoringFunction,
     ) -> impl Iterator<Item = (bool, Score)> + 'a {
-        (0..self.objects.len()).filter_map(move |obj| {
-            let Object {
-                missing,
-                in_top,
-                listed,
-                ..
-            } = self.objects[obj];
-            (missing > 0 && !in_top).then(|| (listed, self.upper(obj, bottoms, scoring)))
+        self.objects.iter().enumerate().filter_map(move |(obj, o)| {
+            let open = book.table.missing(obj) > 0 && !o.in_top;
+            open.then(|| (o.listed, book.upper(obj, scoring)))
         })
     }
 }
@@ -412,21 +338,20 @@ impl Family {
              shared bound dismisses leaves the candidate list, and would no longer be a CA target"
         );
         let m = sources.len();
-        for source in sources.iter_mut() {
-            source.rewind();
-        }
-        // Threshold feeding: under a zero-absorbing combiner (t-norms:
-        // combine ≤ min), a sorted entry graded below the k-th best
-        // lower bound — or below the shared bound on the global k-th
-        // grade — cannot reach the top k, so that grade is a valid
-        // per-source [`GradedSource::note_threshold`] hint. Purely
-        // physical (a streaming source may stop grading below it; no
-        // shipped source listens yet): answers and charges never
-        // change. Mean-like combiners never feed.
-        let feed = classify_combiner(scoring, m) == CombinerKind::ZeroAbsorbing;
-        let (mut bottoms, mut exhausted) = (vec![Score::ONE; m], vec![false; m]);
-        let mut seen = Seen::default();
-        (seen.m, seen.k) = (m, k);
+        let mut book = Book::open(sources);
+        // Threshold feeding: where `t ≤ min` (t-norms), a sorted entry
+        // graded below the k-th best lower bound — or below the shared
+        // bound on the global k-th grade — cannot reach the top k, so
+        // that grade is a valid per-source
+        // [`GradedSource::note_threshold`] hint. Purely physical (a
+        // streaming source may stop grading below it; no shipped source
+        // listens yet): answers and charges never change. Means never
+        // feed, the zero-absorbing ones included.
+        let feed = bounded_by_min(scoring, m);
+        let mut seen = Seen {
+            k,
+            ..Seen::default()
+        };
         let mut round = 0usize;
         let mut last_kth = None;
 
@@ -435,40 +360,37 @@ impl Family {
             // One round of sorted access on every live list.
             let mut progressed = false;
             for i in 0..m {
-                if exhausted[i] {
-                    continue;
-                }
-                let Some(so) = sources[i].sorted_next() else {
-                    exhausted[i] = true;
-                    // A drained list bounds all unseen objects by 0.
-                    bottoms[i] = Score::ZERO;
+                let Some((obj, new, news, _)) = book.pull(i, sources) else {
                     continue;
                 };
-                seen.stats.sorted += 1;
                 progressed = true;
-                bottoms[i] = so.grade;
-                let (obj, new) = seen.number(so.id);
-                let news = seen.reveal(obj, i, so.grade);
+                if new {
+                    seen.objects.push(Object {
+                        lower: Score::ZERO,
+                        in_top: false,
+                        listed: false,
+                    });
+                }
                 if new && self.probe == Probe::OnSight {
                     // TA probes at the sighting, not at the end of the
                     // round: a later list may stream this same object
                     // in this round, and waiting for it would save the
                     // probe TA charges — a different `stats.random`.
                     // Its lower bound is not looked at before then.
-                    seen.resolve(obj, sources);
+                    resolve(&mut book, obj, sources);
                 } else if new {
-                    seen.enlist(obj);
+                    seen.enlist(obj, &book);
                 }
                 if news {
-                    seen.rebound(obj, scoring);
+                    seen.rebound(obj, &mut book, scoring);
                 }
             }
 
             if let Probe::Every(h) = self.probe {
                 if round.is_multiple_of(h) {
-                    if let Some(obj) = seen.most_promising(&bottoms, scoring, self.theta) {
-                        seen.resolve(obj, sources);
-                        seen.rebound(obj, scoring);
+                    if let Some(obj) = seen.most_promising(&mut book, scoring, self.theta) {
+                        resolve(&mut book, obj, sources);
+                        seen.rebound(obj, &mut book, scoring);
                     }
                 }
             }
@@ -503,23 +425,23 @@ impl Family {
             let dismissed = |upper: Score, tau: Score| {
                 upper_excluded(upper, tau, self.theta) || below_floor(upper)
             };
-            let unseen = scoring.combine(&bottoms);
+            let unseen = scoring.combine(&book.frontier.bottoms);
             // Nothing unseen can still matter: all streamed, or pruned.
             let idle = !progressed || below_floor(unseen);
             // The seen are asked only once the unseen are out of the
             // way: until then the candidates just queue up.
             let settled = kth.is_some_and(|tau| {
                 (idle || upper_excluded(unseen, tau, self.theta))
-                    && seen.rest_dismissed(&bottoms, scoring, |upper| dismissed(upper, tau))
+                    && seen.rest_dismissed(&mut book, scoring, |upper| dismissed(upper, tau))
                     && (self.report != Report::Collapsed
-                        || seen.top_k(&bottoms, scoring).all(|a| a.is_exact()))
+                        || seen.top_k(&mut book, scoring).all(|a| a.is_exact()))
             });
             if settled || idle {
                 let hopeless = self.report == Report::Collapsed
                     && idle
-                    && seen.top_k(&bottoms, scoring).all(|a| below_floor(a.upper))
+                    && seen.top_k(&mut book, scoring).all(|a| below_floor(a.upper))
                     && seen
-                        .open_rest(&bottoms, scoring)
+                        .open_rest(&mut book, scoring)
                         .all(|(_, upper)| below_floor(upper));
                 // A pruned shard that resolves on sight has nothing
                 // left to wait for, even short of k answers; the others
@@ -530,7 +452,7 @@ impl Family {
                     // monotonicity facts; Mₖ's is checked above, this
                     // is the uppers': no dismissed object has come back.
                     debug_assert!(
-                        seen.open_rest(&bottoms, scoring)
+                        seen.open_rest(&mut book, scoring)
                             .all(|(listed, upper)| listed
                                 || kth.is_some_and(|tau| dismissed(upper, tau))),
                         "a dismissed upper bound rose again: '{}' is not monotone",
@@ -550,13 +472,13 @@ impl Family {
             // on exact grades.
             let members: Vec<usize> = seen.top.iter().map(|key| key.obj).collect();
             for obj in members {
-                seen.resolve(obj, sources);
-                seen.rebound(obj, scoring);
+                resolve(&mut book, obj, sources);
+                seen.rebound(obj, &mut book, scoring);
             }
         }
         NraResult {
-            answers: seen.top_k(&bottoms, scoring).collect(),
-            stats: seen.stats,
+            answers: seen.top_k(&mut book, scoring).collect(),
+            stats: book.frontier.stats,
         }
     }
 }
@@ -586,7 +508,7 @@ mod tests {
         use super::super::{Family, Probe, Report};
         use crate::algorithms::approx::upper_excluded;
         use crate::algorithms::nra::{BoundedAnswer, NraResult};
-        use crate::planner::{classify_combiner, CombinerKind};
+        use crate::planner::bounded_by_min;
         use crate::sharded::AtomicThreshold;
         use crate::source::{GradedSource, Oid};
         use crate::stats::AccessStats;
@@ -758,15 +680,8 @@ mod tests {
                 for source in sources.iter_mut() {
                     source.rewind();
                 }
-                // Threshold feeding: under a zero-absorbing combiner (t-norms:
-                // combine ≤ min), a sorted entry graded below the k-th best
-                // lower bound — or below the shared bound on the global k-th
-                // grade — cannot reach the top k, so that grade is a valid
-                // per-source [`GradedSource::note_threshold`] hint. Purely
-                // physical (a streaming source may stop grading below it; no
-                // shipped source listens yet): answers and charges never
-                // change. Mean-like combiners never feed.
-                let feed = classify_combiner(scoring, m) == CombinerKind::ZeroAbsorbing;
+                // Threshold feeding, as in [`Family::run`].
+                let feed = bounded_by_min(scoring, m);
                 let (mut bottoms, mut exhausted) = (vec![Score::ONE; m], vec![false; m]);
                 let mut seen = Seen::default();
                 (seen.m, seen.k) = (m, k);
@@ -1104,6 +1019,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A list that listens: it remembers the highest bound it was told
+    /// entries may be dropped below.
+    struct Listening {
+        inner: VecSource,
+        noted: Score,
+    }
+
+    impl GradedSource for Listening {
+        fn sorted_next(&mut self) -> Option<fmdb_core::score::ScoredObject<Oid>> {
+            self.inner.sorted_next()
+        }
+        fn random_access(&mut self, oid: Oid) -> Score {
+            self.inner.random_access(oid)
+        }
+        fn note_threshold(&mut self, bound: Score) {
+            self.noted = self.noted.max(bound);
+        }
+        fn rewind(&mut self) {
+            self.inner.rewind();
+        }
+        fn info(&self) -> crate::source::SourceInfo {
+            self.inner.info()
+        }
+    }
+
+    /// A source may stop preparing entries below the bound it is fed,
+    /// so none may be fed above the list grade of an object that ends
+    /// in the top k. Mₖ is such a bound only when `t ≤ min`; the
+    /// geometric and harmonic means absorb zeros like a t-norm and
+    /// still exceed min (√(0.1·1) > 0.1), the arithmetic mean never
+    /// fed at all.
+    #[test]
+    fn no_list_is_told_to_drop_an_answer() {
+        use fmdb_core::scoring::means::{GeometricMean, HarmonicMean};
+        let scorings: [&dyn ScoringFunction; 5] = [
+            &Min,
+            &Product,
+            &GeometricMean,
+            &HarmonicMean,
+            &ArithmeticMean,
+        ];
+        let mut fed = 0;
+        for scoring in scorings {
+            for m in 2..=3 {
+                let lists = lists(Shape::AntiCorrelated, 300, m, 7);
+                // A preheated bound stands for answers of *other* shards:
+                // it is theirs to justify, so those rows sit this out.
+                for (family, _) in members().into_iter().filter(|(_, heat)| heat.is_none()) {
+                    let mut listening: Vec<Listening> = lists
+                        .iter()
+                        .map(|inner| Listening {
+                            inner: inner.clone(),
+                            noted: Score::ZERO,
+                        })
+                        .collect();
+                    let mut refs: Vec<&mut dyn GradedSource> = listening
+                        .iter_mut()
+                        .map(|s| s as &mut dyn GradedSource)
+                        .collect();
+                    let result = family.run(None, &mut refs, scoring, 10);
+                    for list in &mut listening {
+                        fed += usize::from(list.noted > Score::ZERO);
+                        for answer in &result.answers {
+                            assert!(
+                                list.noted <= list.inner.random_access(answer.id),
+                                "{} m={m} {family:?}: {} was told to drop below {} and holds answer {answer:?}",
+                                scoring.name(),
+                                list.inner.info().label,
+                                list.noted
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fed > 0, "min and product feed their lists");
     }
 
     /// Module docs, *Dismissed is not dead*: an object the walk dropped

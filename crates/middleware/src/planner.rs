@@ -61,6 +61,7 @@
 
 use std::fmt;
 
+use fmdb_core::score::Score;
 use fmdb_core::scoring::ScoringFunction;
 use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
 
@@ -165,53 +166,83 @@ pub enum CombinerKind {
     Other,
 }
 
-/// Classifies a scoring function by probing it on a small grade grid:
-/// a user-supplied function cannot be introspected symbolically, so —
-/// like Garlic, which had to "somehow guarantee monotonicity" (§4.2) —
-/// the planner probes it numerically before committing to a plan that
-/// depends on an algebraic property. The engine (request scorings) and
-/// the Garlic planner (query combiners) both classify through here.
+/// Whether `holds(t(x), x)` at every grid point `x` that grades one
+/// argument `one` and all the others `rest`, for each `(one, rest)` of
+/// `points` and each position of the odd one out. A user-supplied
+/// function cannot be introspected symbolically, so — like Garlic,
+/// which had to "somehow guarantee monotonicity" (§4.2) — whoever
+/// depends on an algebraic property of `t` probes it numerically here
+/// before committing. A probe proves nothing; it reliably tells the
+/// shipped functions apart.
+fn holds_on_grid(
+    scoring: &dyn ScoringFunction,
+    arity: usize,
+    points: impl IntoIterator<Item = (f64, f64)>,
+    holds: impl Fn(Score, &[Score]) -> bool,
+) -> bool {
+    let mut args = vec![Score::ZERO; arity];
+    points.into_iter().all(|(one, rest)| {
+        (0..arity).all(|pos| {
+            args.fill(Score::clamped(rest));
+            args[pos] = Score::clamped(one);
+            holds(scoring.combine(&args), &args)
+        })
+    })
+}
+
+/// `t(x) = max(x)`, to rounding.
+fn equals_max(t: Score, args: &[Score]) -> bool {
+    t.approx_eq(args.iter().copied().fold(Score::ZERO, Score::max), 1e-9)
+}
+
+/// Classifies a scoring function for cost estimation. The engine
+/// (request scorings) and the Garlic planner (query combiners) both
+/// classify through here.
 pub fn classify_combiner(scoring: &dyn ScoringFunction, arity: usize) -> CombinerKind {
-    use fmdb_core::score::Score;
     let m = arity.max(1);
     let samples = [0.15f64, 0.5, 0.85, 1.0];
     // Zero-absorbing: any single zero argument annihilates.
-    let mut zero_absorbing = true;
-    'outer_zero: for pos in 0..m {
-        for &s in &samples {
-            let mut grades = vec![Score::clamped(s); m];
-            grades[pos] = Score::ZERO;
-            if scoring.combine(&grades) > Score::ZERO {
-                zero_absorbing = false;
-                break 'outer_zero;
-            }
-        }
-    }
-    if zero_absorbing {
-        return CombinerKind::ZeroAbsorbing;
-    }
+    let zero_one = samples.map(|s| (0.0, s));
     // Max-like: the combination equals the max argument on the grid.
-    let mut max_like = true;
-    'outer_max: for pos in 0..m {
-        for &hi in &samples {
-            for &lo in &samples {
-                if lo > hi {
-                    continue;
-                }
-                let mut grades = vec![Score::clamped(lo); m];
-                grades[pos] = Score::clamped(hi);
-                if !scoring.combine(&grades).approx_eq(Score::clamped(hi), 1e-9) {
-                    max_like = false;
-                    break 'outer_max;
-                }
-            }
-        }
-    }
-    if max_like {
+    let high_one = samples
+        .iter()
+        .flat_map(|&hi| samples.iter().map(move |&lo| (hi, lo)))
+        .filter(|&(hi, lo)| lo <= hi);
+    if holds_on_grid(scoring, m, zero_one, |t, _| t <= Score::ZERO) {
+        CombinerKind::ZeroAbsorbing
+    } else if holds_on_grid(scoring, m, high_one, equals_max) {
         CombinerKind::MaxLike
     } else {
         CombinerKind::Other
     }
+}
+
+/// Whether `scoring` is max, as [`crate::algorithms::max_merge`] needs
+/// it: one argument high, the rest at half of it. Stricter than
+/// [`CombinerKind::MaxLike`] on nothing shipped, but not the same
+/// question: at arity 1 every mean and t-norm *is* max.
+pub(crate) fn behaves_like_max(scoring: &dyn ScoringFunction, arity: usize) -> bool {
+    let points = [0.0, 0.3, 0.5, 0.8, 1.0].map(|hi| (hi, hi * 0.5));
+    holds_on_grid(scoring, arity, points, equals_max)
+}
+
+/// Whether `t ≤ min`: true of every t-norm (`t(x, y) ≤ t(x, 1) = x`),
+/// false of every mean — the geometric and harmonic ones included,
+/// which absorb zeros and still exceed min (`√(0.2·1) > 0.2`). It is
+/// what lets a grade in *one* list bound the overall grade:
+/// [`crate::algorithms::cg_filter`]'s filter conditions and the
+/// threshold kernel's [`GradedSource::note_threshold`] hints rest on it.
+pub(crate) fn bounded_by_min(scoring: &dyn ScoringFunction, arity: usize) -> bool {
+    let samples = [0.0, 0.2, 0.5, 0.8, 1.0];
+    // One coordinate low, the rest high — where means visibly exceed
+    // min — and the other way round.
+    let points = samples
+        .iter()
+        .flat_map(|&one| samples.iter().map(move |&rest| (one, rest)));
+    holds_on_grid(scoring, arity, points, |t, args| {
+        let min = args.iter().copied().fold(Score::ONE, Score::min);
+        t.value() <= min.value() + 1e-9
+    })
 }
 
 /// The planner's view of *what* is being asked — enough shape to know
@@ -1053,6 +1084,43 @@ mod tests {
             CombinerKind::MaxLike
         );
         assert_eq!(classify_combiner(&ArithmeticMean, 2), CombinerKind::Other);
+    }
+
+    /// The two probes the algorithms gate themselves on, beside
+    /// `classify_combiner`'s verdict: at arity 1 every shipped function
+    /// is the identity — max and its own minimum — whatever it absorbs.
+    #[test]
+    fn the_gating_probes_tell_the_shipped_functions_apart() {
+        use fmdb_core::scoring::conorms::Max;
+        use fmdb_core::scoring::means::{ArithmeticMean, GeometricMean, HarmonicMean};
+        use fmdb_core::scoring::tnorms::{Lukasiewicz, Min, Product};
+        use fmdb_core::scoring::ConormScoring;
+        use CombinerKind::{MaxLike, Other, ZeroAbsorbing};
+        // (function, kind, max at m ≥ 2, bounded by min at m ≥ 2)
+        let shipped: [(&dyn ScoringFunction, CombinerKind, bool, bool); 7] = [
+            (&Min, ZeroAbsorbing, false, true),
+            (&Product, ZeroAbsorbing, false, true),
+            (&Lukasiewicz, ZeroAbsorbing, false, true),
+            (&ConormScoring(Max), MaxLike, true, false),
+            (&ArithmeticMean, Other, false, false),
+            (&GeometricMean, ZeroAbsorbing, false, false),
+            (&HarmonicMean, ZeroAbsorbing, false, false),
+        ];
+        for (f, kind, max, below_min) in shipped {
+            assert!(
+                behaves_like_max(f, 1) && bounded_by_min(f, 1),
+                "{}",
+                f.name()
+            );
+            for m in 2..=4 {
+                let got = (
+                    classify_combiner(f, m),
+                    behaves_like_max(f, m),
+                    bounded_by_min(f, m),
+                );
+                assert_eq!(got, (kind, max, below_min), "{} at arity {m}", f.name());
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 
 use proptest::prelude::*;
 
+use fuzzymm::core::scoring::conorms::Max;
 use fuzzymm::core::scoring::means::ArithmeticMean;
 use fuzzymm::core::scoring::tnorms::{Lukasiewicz, Product};
 use fuzzymm::middleware::algorithms::cg_filter::CgFilter;
-use fuzzymm::middleware::oracle::verify_top_k;
+use fuzzymm::middleware::oracle::{all_grades, verify_top_k};
 use fuzzymm::prelude::*;
 
 /// Strategy: m grade lists over a shared dense universe.
@@ -28,13 +29,46 @@ fn to_sources(lists: &[Vec<f64>]) -> Vec<VecSource> {
         .collect()
 }
 
+/// Strategy: m lists over a shared universe, each with holes — a
+/// negative grade stands for an object the list leaves out: never
+/// streamed, grade 0 on a probe.
+fn sparse_lists(max_n: usize, max_m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (2usize..=max_m, 1usize..=max_n).prop_flat_map(|(m, n)| {
+        proptest::collection::vec(proptest::collection::vec(-0.5f64..=1.0, n..=n), m..=m)
+    })
+}
+
+fn to_sparse_sources(lists: &[Vec<f64>]) -> Vec<VecSource> {
+    lists
+        .iter()
+        .enumerate()
+        .map(|(i, grades)| {
+            let kept = grades
+                .iter()
+                .enumerate()
+                .filter(|(_, &g)| g >= 0.0)
+                .map(|(oid, &g)| (oid as Oid, Score::clamped(g)))
+                .collect();
+            VecSource::new(format!("sparse-{i}"), kept)
+        })
+        .collect()
+}
+
 fn check_valid(
     algo: &dyn TopKAlgorithm,
     lists: &[Vec<f64>],
     scoring: &dyn ScoringFunction,
     k: usize,
 ) {
-    let mut sources = to_sources(lists);
+    check_valid_on(to_sources(lists), algo, scoring, k);
+}
+
+fn check_valid_on(
+    mut sources: Vec<VecSource>,
+    algo: &dyn TopKAlgorithm,
+    scoring: &dyn ScoringFunction,
+    k: usize,
+) {
     let mut refs: Vec<&mut dyn GradedSource> = sources
         .iter_mut()
         .map(|s| s as &mut dyn GradedSource)
@@ -84,6 +118,44 @@ proptest! {
     fn cg_filter_is_always_valid_for_tnorms(lists in grade_lists(40, 3), k in 1usize..=5) {
         check_valid(&CgFilter::default(), &lists, &Min, k);
         check_valid(&CgFilter::default(), &lists, &Product, k);
+    }
+
+    #[test]
+    fn every_algorithm_is_valid_on_sparse_lists(lists in sparse_lists(60, 4), k in 1usize..=8) {
+        let sparse = || to_sparse_sources(&lists);
+        let exact: [&dyn TopKAlgorithm; 7] = [
+            &Naive,
+            &FaginsAlgorithm,
+            &PrunedFa::default(),
+            &PrunedFa::without_short_circuit(),
+            &ThresholdAlgorithm,
+            &CombinedAlgorithm::new(2, 0.0),
+            &ApproxTa::new(0.0),
+        ];
+        for algo in exact {
+            check_valid_on(sparse(), algo, &Min, k);
+            check_valid_on(sparse(), algo, &ArithmeticMean, k);
+        }
+        check_valid_on(sparse(), &CgFilter::default(), &Min, k);
+        check_valid_on(sparse(), &CgFilter::default(), &Product, k);
+        check_valid_on(sparse(), &MaxMerge, &ConormScoring(Max), k);
+
+        // NRA certifies the set; its grades are lower bounds, so the
+        // oracle is shown the members under their true grades.
+        let mut sources = sparse();
+        let mut refs: Vec<&mut dyn GradedSource> = sources
+            .iter_mut()
+            .map(|s| s as &mut dyn GradedSource)
+            .collect();
+        let nra = Nra.top_k(&mut refs, &ArithmeticMean, k).expect("valid run");
+        let truth = all_grades(&mut refs, &ArithmeticMean);
+        let members: Vec<ScoredObject<Oid>> = nra
+            .answers
+            .iter()
+            .map(|a| ScoredObject::new(a.id, truth[&a.id]))
+            .collect();
+        verify_top_k(&mut refs, &ArithmeticMean, &members, k)
+            .unwrap_or_else(|v| panic!("nra certified an invalid set: {v}"));
     }
 
     #[test]
