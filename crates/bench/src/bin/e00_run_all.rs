@@ -1,40 +1,84 @@
-//! Runs the full experiment suite in order, timing each experiment and
-//! metering its shared-engine accesses, then writes the
-//! machine-readable `BENCH_engine.json` perf trajectory
-//! (`FMDB_BENCH_JSON` overrides the output path).
+//! `e00_run_all [--quick] [ID…]` — runs the experiment suite in order,
+//! or only the experiments named (`E18 E20`), timing each and metering
+//! its shared-engine accesses, and gates what it ran: every metric
+//! finite, every gated metric inside the bound stated where it is
+//! computed. A full run with no violation writes the machine-readable
+//! `BENCH_engine.json` perf trajectory (`FMDB_BENCH_JSON` overrides
+//! the output path); a run of named experiments writes nothing.
+//!
+//! Exit status: `0` clean, `1` violations (listed on stderr, artifact
+//! untouched), `2` unknown experiment id or the artifact could not be
+//! written.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use fmdb_bench::experiments::EXPERIMENTS;
 use fmdb_bench::report::{bench_engine_json, BenchEntry};
 use fmdb_bench::runners::{engine, RunCfg};
 
-fn main() {
+fn main() -> ExitCode {
     let cfg = RunCfg::from_env();
+    // Flags other than `--quick` are ignored, as they always were.
+    let wanted: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|arg| !arg.starts_with('-'))
+        .collect();
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+    let known = |want: &&String| ids.iter().any(|id| id.eq_ignore_ascii_case(want));
+    if let Some(unknown) = wanted.iter().find(|want| !known(want)) {
+        eprintln!(
+            "error: no experiment `{unknown}`; the ids are {}",
+            ids.join(" ")
+        );
+        return ExitCode::from(2);
+    }
+
     let mut entries = Vec::new();
+    let mut violations = Vec::new();
     let mut before = engine().access_totals();
-    for run in fmdb_bench::experiments::experiments() {
+    for (id, run) in EXPERIMENTS {
+        if !wanted.is_empty() && !wanted.iter().any(|w| w.eq_ignore_ascii_case(id)) {
+            continue;
+        }
         let t0 = Instant::now();
         let report = run(&cfg);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let after = engine().access_totals();
-        report.print();
+        println!("{}", report.render());
         println!("{}", "=".repeat(72));
+        violations.extend(report.violations());
         entries.push(BenchEntry {
-            id: report.id.clone(),
-            title: report.title.clone(),
+            report,
             wall_ms,
             // The shared engine's totals only grow, so the per-
             // experiment delta is exact even though the engine value
             // is process-global.
             stats: after - before,
-            metrics: report.metrics.clone(),
         });
         before = after;
+    }
+
+    if !violations.is_empty() {
+        for violation in &violations {
+            eprintln!("error: {violation}");
+        }
+        eprintln!("{} violation(s); nothing written", violations.len());
+        return ExitCode::FAILURE;
+    }
+    if !wanted.is_empty() {
+        return ExitCode::SUCCESS;
     }
     let json = bench_engine_json(&entries, cfg.quick);
     let path = std::env::var("FMDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_engine.json".to_owned());
     match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+        Ok(()) => {
+            eprintln!("wrote {path}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: could not write {path}: {e}");
+            ExitCode::from(2)
+        }
     }
 }

@@ -7,8 +7,9 @@
 //! per-source grade histograms and the measured crisp selectivity)
 //! picks a plan, every applicable strategy is then *actually executed*,
 //! and the regret — the optimizer's executed charged cost over the
-//! cheapest executed charged cost — is reported per cell and gated by
-//! `cargo xtask check-bench` (every cell ≥ 1, median ≤ 2, max ≤ 10).
+//! cheapest executed charged cost — is reported per cell and gated
+//! where it is computed: the run itself fails on a cell below 1 or on
+//! a median or maximum above its bound.
 //!
 //! The sweep crosses crisp selectivity × k × the c_R/c_S price ratio:
 //! the same executed access counts are priced under each ratio, and the
@@ -24,8 +25,12 @@ use fmdb_media::synth::{SynthConfig, SyntheticDb};
 use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::stats::{AccessStats, CostModel};
 
-use crate::report::{f3, int, Report, Table};
+use crate::report::{f3, int, Bound, Report, Table};
 use crate::runners::RunCfg;
+
+/// Slack on the regret bounds: a regret is a quotient of two charged
+/// costs.
+const EPS: f64 = 1e-9;
 
 fn garlic_with_selectivity(n: usize, selectivity: f64, seed: u64) -> Garlic {
     let db = SyntheticDb::generate(&SynthConfig {
@@ -121,7 +126,13 @@ pub fn run(cfg: &RunCfg) -> Report {
                 };
                 regrets.push(regret);
                 let cell = format!("regret_sel{}_k{k}_{rname}", (sel * 1000.0).round() as u64);
-                report.metric(cell, regret);
+                report.gated(
+                    cell,
+                    regret,
+                    Bound::AtLeast(1.0 - EPS),
+                    "regret compares against a pool that includes the optimizer's own run, \
+                     so this is a harness bug",
+                );
                 t.row(vec![
                     f3(sel),
                     k.to_string(),
@@ -141,8 +152,18 @@ pub fn run(cfg: &RunCfg) -> Report {
     sorted.sort_by(f64::total_cmp);
     let median = sorted[sorted.len() / 2];
     let max = sorted.last().copied().unwrap_or(1.0);
-    report.metric("regret_median", median);
-    report.metric("regret_max", max);
+    report.gated(
+        "regret_median",
+        median,
+        Bound::Within(1.0 - EPS, 2.0 + EPS),
+        "above 2x the unified planner is mispricing the common case (below 1 is a harness bug)",
+    );
+    report.gated(
+        "regret_max",
+        max,
+        Bound::Within(1.0 - EPS, 10.0 + EPS),
+        "above 10x some sweep cell picks a catastrophically wrong plan (below 1 is a harness bug)",
+    );
     report.note(format!(
         "median regret {median:.2}x, max {max:.2}x over {} cells — the unified planner's \
          pick stays within a small factor of the cheapest executed strategy as the crisp \

@@ -24,7 +24,7 @@ use fmdb_middleware::stats::PageIoStats;
 use fmdb_middleware::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
 use fmdb_middleware::workload::independent_uniform;
 
-use crate::report::{f3, int, Report, Table};
+use crate::report::{f3, int, Bound, Report, Table};
 use crate::runners::RunCfg;
 
 /// Scratch directory for store files, inside the workspace `target/`
@@ -254,14 +254,46 @@ pub fn run(cfg: &RunCfg) -> Report {
     ]);
     report.table(s);
 
-    report.metric("cold_wall_ms", cold_wall_ms);
-    report.metric("warm_wall_ms", warm_wall_ms);
-    report.metric("warm_hit_rate", warm_hit_rate);
-    report.metric("cold_page_reads", cold_page_reads as f64);
+    let wall_clock = "a negative wall-clock means the timer broke";
+    report.gated(
+        "cold_wall_ms",
+        cold_wall_ms,
+        Bound::AtLeast(0.0),
+        wall_clock,
+    );
+    report.gated(
+        "warm_wall_ms",
+        warm_wall_ms,
+        Bound::AtLeast(0.0),
+        wall_clock,
+    );
+    report.gated(
+        "warm_hit_rate",
+        warm_hit_rate,
+        Bound::Within(0.0, 1.0),
+        "the buffer-pool counters are broken",
+    );
+    report.gated(
+        "cold_page_reads",
+        cold_page_reads as f64,
+        Bound::AtLeast(1.0),
+        "a cold run that reads no pages never touched the store",
+    );
     report.metric("warm_scan_vs_mem", warm_scan_vs_mem);
-    report.metric("warm_ta_vs_mem", warm_ta_vs_mem);
+    report.gated(
+        "warm_ta_vs_mem",
+        warm_ta_vs_mem,
+        Bound::Positive,
+        "the warm-paged vs in-memory TA ratio must be a positive number",
+    );
     let cold_page_us = cold_us_per_page_read();
-    report.metric("cold_us_per_page_read", cold_page_us);
+    report.gated(
+        "cold_us_per_page_read",
+        cold_page_us,
+        Bound::PositiveAtMost(12.0),
+        "a page miss (file in the OS cache) is back above half of the 24 µs it cost under \
+         the bit-at-a-time checksum; look at `store::format::crc32` first",
+    );
     report.note(format!(
         "a cold page read costs {cold_page_us:.2} µs all in (full cold drain of 258 4 KiB \
          pages, file in the OS cache, best of 3); the bit-at-a-time CRC32 the store \

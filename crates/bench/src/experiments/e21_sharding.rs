@@ -21,7 +21,12 @@ use fmdb_middleware::request::{SharedScoring, TopKQuery, TopKRequest};
 use fmdb_middleware::source::{GradedSource, SourcePartitioner};
 use fmdb_middleware::workload::independent_uniform;
 
-use crate::report::{f3, int, Report, Table};
+use crate::report::{f3, int, Bound, Report, Table};
+
+/// Why E21's three metrics are gated at all: whether sharding stays is
+/// ROADMAP item 3's call, and these are the numbers it is decided on.
+const KEPT_FOR_ITEM_3: &str =
+    "present and positive is all that is asked: the numbers ROADMAP item 3 decides sharding on";
 use crate::runners::{fastest_us, RunCfg};
 
 /// Runs the experiment.
@@ -89,10 +94,17 @@ pub fn run(cfg: &RunCfg) -> Report {
         }
         if shards == 2 {
             report
-                .metric("speedup_2", serial_wall / wall.max(1e-9))
-                .metric(
+                .gated(
+                    "speedup_2",
+                    serial_wall / wall.max(1e-9),
+                    Bound::Positive,
+                    KEPT_FOR_ITEM_3,
+                )
+                .gated(
                     "cost_ratio_2",
                     (sorted + random) as f64 / serial_cost.max(1) as f64,
+                    Bound::Positive,
+                    KEPT_FOR_ITEM_3,
                 );
         }
         t.row(vec![
@@ -114,7 +126,12 @@ pub fn run(cfg: &RunCfg) -> Report {
             .map(|list| list.partition(SourcePartitioner::Modulo, 2))
             .collect::<Vec<_>>()
     });
-    report.metric("partition_us", partition_us);
+    report.gated(
+        "partition_us",
+        partition_us,
+        Bound::Positive,
+        KEPT_FOR_ITEM_3,
+    );
     report.note(format!(
         "partitioning the request's {m} lists into 2 shards costs {} µs (fastest of 20): \
          one pass copying each sorted stream into its slices — the random-access index \

@@ -26,7 +26,7 @@ use fmdb_middleware::stats::{AccessStats, CostModel};
 use fmdb_middleware::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
 use fmdb_middleware::workload::independent_uniform;
 
-use crate::report::{f3, int, Report, Table};
+use crate::report::{f3, int, Bound, Report, Table};
 use crate::runners::RunCfg;
 
 /// Scratch directory for store files, inside the workspace `target/`
@@ -265,10 +265,24 @@ pub fn run(cfg: &RunCfg) -> Report {
         telemetry.blocks_skipped, telemetry.pages_skipped,
     ));
 
-    report.metric("corpus_speedup", corpus_speedup);
-    report.metric("corpus_skip_rate", corpus_skip_rate);
-    report.metric("drain_speedup", drain_speedup);
-    report.metric("page_skip_rate", page_skip_rate);
+    let speedup = "a pruned-vs-unpruned wall-clock ratio must be positive: pruned runs that \
+                   take no time at all mean the timer broke";
+    let skip_rate = "the skip counters are broken";
+    report
+        .gated("corpus_speedup", corpus_speedup, Bound::Positive, speedup)
+        .gated(
+            "corpus_skip_rate",
+            corpus_skip_rate,
+            Bound::Within(0.0, 1.0),
+            skip_rate,
+        )
+        .gated("drain_speedup", drain_speedup, Bound::Positive, speedup)
+        .gated(
+            "page_skip_rate",
+            page_skip_rate,
+            Bound::Within(0.0, 1.0),
+            skip_rate,
+        );
 
     report.note(
         "zone maps engage harder the tighter the threshold: at q = 10 the bound is the \

@@ -28,38 +28,176 @@ pub mod e23_block_pruning;
 use crate::report::Report;
 use crate::runners::RunCfg;
 
-/// The experiment registry in run order — one runner per paper claim.
-/// `e00_run_all` iterates this to time and meter each experiment
-/// individually (the `BENCH_engine.json` trajectory).
-pub fn experiments() -> Vec<fn(&RunCfg) -> Report> {
-    vec![
-        e01_fa_scaling::run,
-        e02_disjunction::run,
-        e03_lower_bound::run,
-        e04_scoring_sweep::run,
-        e05_access_costs::run,
-        e06_weighted_queries::run,
-        e07_distance_bounding::run,
-        e08_dimensionality::run,
-        e09_precomputed::run,
-        e10_crisp_filter::run,
-        e11_correlation::run,
-        e12_filter_conditions::run,
-        e13_ta_extension::run,
-        e14_axiom_table::run,
-        e15_weighting_laws::run,
-        e16_optimizer::run,
-        e17_ablations::run,
-        e18_page_costs::run,
-        e19_no_random_access::run,
-        e20_embedding::run,
-        e21_sharding::run,
-        e22_optimality::run,
-        e23_block_pruning::run,
-    ]
-}
+/// An experiment's entry point.
+pub type Runner = fn(&RunCfg) -> Report;
 
-/// Runs every experiment in order (the `e00_run_all` binary).
-pub fn run_all(cfg: &RunCfg) -> Vec<Report> {
-    experiments().into_iter().map(|run| run(cfg)).collect()
+/// The experiment registry in run order — one `(id, runner)` per paper
+/// claim, the id being the runner's [`Report::id`]. `e00_run_all` runs
+/// the rows it is asked for, times and meters each, and fails on
+/// [`Report::violations`].
+pub const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("E1", e01_fa_scaling::run),
+    ("E2", e02_disjunction::run),
+    ("E3", e03_lower_bound::run),
+    ("E4", e04_scoring_sweep::run),
+    ("E5", e05_access_costs::run),
+    ("E6", e06_weighted_queries::run),
+    ("E7", e07_distance_bounding::run),
+    ("E8", e08_dimensionality::run),
+    ("E9", e09_precomputed::run),
+    ("E10", e10_crisp_filter::run),
+    ("E11", e11_correlation::run),
+    ("E12", e12_filter_conditions::run),
+    ("E13", e13_ta_extension::run),
+    ("E14", e14_axiom_table::run),
+    ("E15", e15_weighting_laws::run),
+    ("E16", e16_optimizer::run),
+    ("E17", e17_ablations::run),
+    ("E18", e18_page_costs::run),
+    ("E19", e19_no_random_access::run),
+    ("E20", e20_embedding::run),
+    ("E21", e21_sharding::run),
+    ("E22", e22_optimality::run),
+    ("E23", e23_block_pruning::run),
+];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::Bound;
+
+    /// Gates that read a wall-clock ceiling: an unoptimized build may
+    /// sit above them, so only the release run of CI holds them to it.
+    const WALL_CLOCK_CEILINGS: [&str; 4] = [
+        "cold_us_per_page_read",
+        "nra_vs_ta_ns_per_access",
+        "engine_vs_scalar_many8",
+        "bind_vs_kernel",
+    ];
+
+    /// Every gated metric of the suite (families of per-cell metrics by
+    /// their prefix). Deleting an emit line, or turning a `gated` back
+    /// into a `metric`, fails here rather than silently dropping a gate.
+    const GATED: [(&str, &[&str]); 7] = [
+        ("E16", &["regret_sel*", "regret_median", "regret_max"]),
+        (
+            "E18",
+            &[
+                "cold_wall_ms",
+                "warm_wall_ms",
+                "warm_hit_rate",
+                "cold_page_reads",
+                "warm_ta_vs_mem",
+                "cold_us_per_page_read",
+            ],
+        ),
+        (
+            "E19",
+            &[
+                "ta_ns_per_access",
+                "nra_ns_per_access",
+                "ca_h10_ns_per_access",
+                "nra_vs_ta_ns_per_access",
+                "engine_vs_scalar_many8",
+            ],
+        ),
+        ("E20", &["kernel_us", "bind_us", "bind_vs_kernel"]),
+        ("E21", &["speedup_2", "cost_ratio_2", "partition_us"]),
+        ("E22", &["opt_ratio_*"]),
+        (
+            "E23",
+            &[
+                "corpus_speedup",
+                "corpus_skip_rate",
+                "drain_speedup",
+                "page_skip_rate",
+            ],
+        ),
+    ];
+
+    /// Values on the bound's edges, and values just outside them.
+    fn edges(bound: Bound) -> (Vec<f64>, Vec<f64>) {
+        let below = |x: f64| x - x.abs().max(1.0) * 1e-6;
+        let above = |x: f64| x + x.abs().max(1.0) * 1e-6;
+        match bound {
+            Bound::AtLeast(lo) => (vec![lo, above(lo)], vec![below(lo)]),
+            Bound::PositiveAtMost(hi) => (vec![f64::MIN_POSITIVE, hi], vec![0.0, -1.0, above(hi)]),
+            Bound::Within(lo, hi) => (vec![lo, hi], vec![below(lo), above(hi)]),
+            Bound::Positive => (vec![f64::MIN_POSITIVE, 1e300], vec![0.0, -1.0]),
+        }
+    }
+
+    /// The violations that name metric `at` once its value is `v`.
+    fn violations_at(report: &Report, at: usize, v: f64) -> Vec<String> {
+        let mut changed = report.clone();
+        changed.metrics[at].value = v;
+        let name = format!("{}: `{}`", report.id, report.metrics[at].name);
+        let mut lines = changed.violations();
+        lines.retain(|line| line.starts_with(&name));
+        lines
+    }
+
+    #[test]
+    fn the_quick_suite_is_the_registry_and_every_gate_bites() {
+        let ids: Vec<String> = (1..=23).map(|i| format!("E{i}")).collect();
+        let registered: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+        assert_eq!(
+            registered, ids,
+            "registry ids are E1…E23, once each, in order"
+        );
+
+        let cfg = RunCfg::quick();
+        let mut gated: Vec<(&str, Vec<String>)> = Vec::new();
+        for &(id, run) in EXPERIMENTS {
+            let report = run(&cfg);
+            assert_eq!(report.id, id, "a report carries its registry id");
+            let mut names: Vec<String> = Vec::new();
+            for (at, metric) in report.metrics.iter().enumerate() {
+                let name = &metric.name;
+                assert!(metric.value.is_finite(), "{id}: {name} = {}", metric.value);
+                assert_eq!(
+                    violations_at(&report, at, f64::NAN).len(),
+                    1,
+                    "{id}: {name}"
+                );
+
+                let Some(gate) = metric.gate else { continue };
+                let family = ["regret_sel", "opt_ratio_"]
+                    .iter()
+                    .find(|prefix| name.starts_with(**prefix))
+                    .map_or(name.clone(), |prefix| format!("{prefix}*"));
+                if !names.contains(&family) {
+                    names.push(family);
+                }
+                assert!(!gate.look_here_first.is_empty(), "{id}: {name}");
+                let bound = gate.bound;
+                if !WALL_CLOCK_CEILINGS.contains(&name.as_str()) {
+                    assert!(
+                        bound.admits(metric.value),
+                        "{id}: {name} = {} is not {bound}",
+                        metric.value
+                    );
+                }
+                let (inside, outside) = edges(bound);
+                for v in inside {
+                    assert!(bound.admits(v), "{id}: {name} {bound} admits {v}");
+                    assert!(violations_at(&report, at, v).is_empty());
+                }
+                for v in outside {
+                    assert!(!bound.admits(v), "{id}: {name} {bound} rejects {v}");
+                    let failed = violations_at(&report, at, v);
+                    assert_eq!(failed.len(), 1, "{id}: {name} = {v}");
+                    assert!(failed[0].ends_with(gate.look_here_first));
+                }
+            }
+            if !names.is_empty() {
+                gated.push((id, names));
+            }
+        }
+        let expected: Vec<(&str, Vec<String>)> = GATED
+            .iter()
+            .map(|&(id, names)| (id, names.iter().map(|n| (*n).to_owned()).collect()))
+            .collect();
+        assert_eq!(gated, expected);
+    }
 }

@@ -1,6 +1,9 @@
-//! Experiment reporting: aligned text tables, JSON dumps, the log-log
-//! exponent fits used to check the paper's asymptotic claims, and the
-//! machine-readable `BENCH_engine.json` perf-trajectory file.
+//! Experiment reporting: aligned text tables, the log-log exponent
+//! fits used to check the paper's asymptotic claims, metrics with the
+//! bounds that gate them, and the machine-readable `BENCH_engine.json`
+//! perf-trajectory file.
+
+use std::fmt;
 
 use fmdb_middleware::stats::AccessStats;
 
@@ -88,7 +91,66 @@ pub struct Report {
     pub notes: Vec<String>,
     /// Named numeric results the perf trajectory tracks: folded into
     /// the experiment's `BENCH_engine.json` entry by `e00_run_all`.
-    pub metrics: Vec<(String, f64)>,
+    pub metrics: Vec<Metric>,
+}
+
+/// One named numeric result of an experiment.
+#[derive(Debug, Clone)]
+pub struct Metric {
+    /// Name, unique within its report.
+    pub name: String,
+    /// The measured value.
+    pub value: f64,
+    /// What the value must satisfy, for a gated metric.
+    pub gate: Option<Gate>,
+}
+
+/// The bound a gated metric is held to, and where to look when it
+/// fails.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// What the value must satisfy.
+    pub bound: Bound,
+    /// What a violation means and which code to read first.
+    pub look_here_first: &'static str,
+}
+
+/// What a gated metric must satisfy, beyond being finite (which every
+/// metric must be).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// `v ≥ lo`.
+    AtLeast(f64),
+    /// `0 < v ≤ hi`: a cost, or a ratio of costs, with a ceiling.
+    PositiveAtMost(f64),
+    /// `lo ≤ v ≤ hi`.
+    Within(f64, f64),
+    /// `v > 0`: a cost, or a ratio of costs — zero means its timer or
+    /// counter broke.
+    Positive,
+}
+
+impl Bound {
+    /// Whether `v` satisfies the bound (never, for a NaN).
+    pub fn admits(self, v: f64) -> bool {
+        match self {
+            Bound::AtLeast(lo) => v >= lo,
+            Bound::PositiveAtMost(hi) => v > 0.0 && v <= hi,
+            Bound::Within(lo, hi) => v >= lo && v <= hi,
+            Bound::Positive => v > 0.0,
+        }
+    }
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::AtLeast(lo) => write!(f, "≥ {lo}"),
+            Bound::PositiveAtMost(hi) => write!(f, "in (0, {hi}]"),
+            Bound::Within(lo, hi) => write!(f, "in [{lo}, {hi}]"),
+            Bound::Positive => write!(f, "> 0"),
+        }
+    }
 }
 
 impl Report {
@@ -119,8 +181,47 @@ impl Report {
     /// Records a named numeric result for the machine-readable
     /// trajectory (`BENCH_engine.json`).
     pub fn metric(&mut self, name: impl Into<String>, value: f64) -> &mut Self {
-        self.metrics.push((name.into(), value));
+        self.push(name.into(), value, None)
+    }
+
+    /// Records a metric as [`Report::metric`] does, and the bound a run
+    /// fails on ([`Report::violations`]) when the value is outside it.
+    pub fn gated(
+        &mut self,
+        name: impl Into<String>,
+        value: f64,
+        bound: Bound,
+        look_here_first: &'static str,
+    ) -> &mut Self {
+        let gate = Gate {
+            bound,
+            look_here_first,
+        };
+        self.push(name.into(), value, Some(gate))
+    }
+
+    fn push(&mut self, name: String, value: f64, gate: Option<Gate>) -> &mut Self {
+        self.metrics.push(Metric { name, value, gate });
         self
+    }
+
+    /// What fails this run, one line each: every metric that is not
+    /// finite, and every gated metric outside its bound.
+    pub fn violations(&self) -> Vec<String> {
+        let id = &self.id;
+        self.metrics
+            .iter()
+            .filter_map(|Metric { name, value, gate }| {
+                if !value.is_finite() {
+                    return Some(format!("{id}: `{name}` = {value} is not finite"));
+                }
+                let gate = gate.filter(|gate| !gate.bound.admits(*value))?;
+                Some(format!(
+                    "{id}: `{name}` = {value} is not {} — {}",
+                    gate.bound, gate.look_here_first
+                ))
+            })
+            .collect()
     }
 
     /// Renders the whole report.
@@ -137,51 +238,6 @@ impl Report {
             out.push_str(&format!("* {n}\n"));
         }
         out
-    }
-
-    /// Serializes the report as one JSON object (hand-rolled — the
-    /// report shape is strings all the way down, so a serializer
-    /// dependency is not warranted).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        json_field(&mut out, "id", &self.id);
-        out.push(',');
-        json_field(&mut out, "title", &self.title);
-        out.push(',');
-        json_field(&mut out, "claim", &self.claim);
-        out.push_str(",\"tables\":[");
-        for (i, t) in self.tables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json_field(&mut out, "title", &t.title);
-            out.push_str(",\"headers\":");
-            json_string_array(&mut out, &t.headers);
-            out.push_str(",\"rows\":[");
-            for (j, row) in t.rows.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json_string_array(&mut out, row);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"notes\":");
-        json_string_array(&mut out, &self.notes);
-        out.push_str(",\"metrics\":");
-        json_metrics(&mut out, &self.metrics);
-        out.push('}');
-        out
-    }
-
-    /// Prints to stdout (and a JSON line to stderr when
-    /// `FMDB_JSON=1`, for tooling).
-    pub fn print(&self) {
-        println!("{}", self.render());
-        if std::env::var_os("FMDB_JSON").is_some() {
-            eprintln!("{}", self.to_json());
-        }
     }
 }
 
@@ -211,13 +267,11 @@ fn json_field(out: &mut String, key: &str, value: &str) {
     out.push('"');
 }
 
-/// Emits a `{name: number}` object. Non-finite values serialize to
-/// bare `NaN`/`inf` tokens — invalid JSON by design, so the
-/// `check-bench` gate fails loudly instead of shipping a poisoned
-/// trajectory.
-fn json_metrics(out: &mut String, metrics: &[(String, f64)]) {
+/// Emits a `{name: number}` object; the values are finite (a report
+/// with [`Report::violations`] is never written).
+fn json_metrics(out: &mut String, metrics: &[Metric]) {
     out.push('{');
-    for (i, (name, value)) in metrics.iter().enumerate() {
+    for (i, Metric { name, value, .. }) in metrics.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -229,27 +283,13 @@ fn json_metrics(out: &mut String, metrics: &[(String, f64)]) {
     out.push('}');
 }
 
-fn json_string_array(out: &mut String, items: &[String]) {
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&json_escape(item));
-        out.push('"');
-    }
-    out.push(']');
-}
-
 /// One experiment's measured cost for the machine-readable perf
 /// trajectory (`BENCH_engine.json`, written by `e00_run_all`).
 #[derive(Debug, Clone)]
 pub struct BenchEntry {
-    /// Experiment id ("E1", …).
-    pub id: String,
-    /// Experiment title.
-    pub title: String,
+    /// The experiment's report: id, title and named numeric results
+    /// ([`Report::metric`]) — e.g. E22's empirical optimality ratios.
+    pub report: Report,
     /// Wall-clock time of the whole experiment, milliseconds.
     pub wall_ms: f64,
     /// Accesses the experiment drove through the shared engine
@@ -257,9 +297,6 @@ pub struct BenchEntry {
     /// running private engines contribute zeros here but still report
     /// wall-clock).
     pub stats: AccessStats,
-    /// The experiment's named numeric results ([`Report::metric`]) —
-    /// e.g. E22's empirical optimality ratios.
-    pub metrics: Vec<(String, f64)>,
 }
 
 /// Serializes the suite's per-experiment wall-clock and access counts
@@ -275,9 +312,9 @@ pub fn bench_engine_json(entries: &[BenchEntry], quick: bool) -> String {
             out.push(',');
         }
         out.push('{');
-        json_field(&mut out, "id", &e.id);
+        json_field(&mut out, "id", &e.report.id);
         out.push(',');
-        json_field(&mut out, "title", &e.title);
+        json_field(&mut out, "title", &e.report.title);
         out.push_str(&format!(
             ",\"wall_ms\":{:.3},\"sorted\":{},\"random\":{},\"worker_spawns\":{},\"page_reads\":{},\"page_hits\":{},\"page_evictions\":{},\"pages_skipped\":{},\"blocks_skipped\":{}",
             e.wall_ms,
@@ -291,7 +328,7 @@ pub fn bench_engine_json(entries: &[BenchEntry], quick: bool) -> String {
             e.stats.blocks_skipped,
         ));
         out.push_str(",\"metrics\":");
-        json_metrics(&mut out, &e.metrics);
+        json_metrics(&mut out, &e.report.metrics);
         out.push('}');
     }
     out.push_str("]}");
@@ -370,27 +407,12 @@ mod tests {
     }
 
     #[test]
-    fn report_serializes_to_json() {
-        let mut r = Report::new("E0", "demo \"quoted\"", "claim\nwith newline");
-        let mut t = Table::new("t", &["x", "y"]);
-        t.row(vec!["1".into(), "2".into()]);
-        r.table(t);
-        r.note("note");
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains(r#""id":"E0""#));
-        assert!(j.contains(r#"demo \"quoted\""#));
-        assert!(j.contains(r#"claim\nwith newline"#));
-        assert!(j.contains(r#""rows":[["1","2"]]"#));
-        assert!(j.contains(r#""notes":["note"]"#));
-    }
-
-    #[test]
     fn bench_engine_json_is_well_formed() {
+        let mut e1 = Report::new("E1", "FA \"scaling\"", "");
+        e1.metric("opt_ratio_ta", 1.25);
         let entries = vec![
             BenchEntry {
-                id: "E1".into(),
-                title: "FA \"scaling\"".into(),
+                report: e1,
                 wall_ms: 12.5,
                 stats: AccessStats {
                     sorted: 100,
@@ -402,14 +424,11 @@ mod tests {
                     pages_skipped: 6,
                     blocks_skipped: 9,
                 },
-                metrics: vec![("opt_ratio_ta".to_owned(), 1.25)],
             },
             BenchEntry {
-                id: "E21".into(),
-                title: "sharding".into(),
+                report: Report::new("E21", "sharding", ""),
                 wall_ms: 0.0,
                 stats: AccessStats::ZERO,
-                metrics: Vec::new(),
             },
         ];
         let j = bench_engine_json(&entries, true);

@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries.
+//! Shared helpers for the experiments.
 //!
 //! Every experiment routes its top-k runs through one process-wide
 //! [`Engine`] behind the unified

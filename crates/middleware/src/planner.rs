@@ -266,9 +266,6 @@ pub struct PlanQuery {
     /// than true grades (NRA, θ-NRA) are excluded from the candidate
     /// set. The Garlic facade sets this: its results are user-facing.
     pub exact_grades: bool,
-    /// Constant for Theorem 4.1's closed-form A₀ estimate, used only
-    /// when no histograms are available (see [`fa_theorem41_cost`]).
-    pub fa_constant: f64,
     /// Expected fraction of sorted entries a full scan can skip via
     /// block-max pruning (zone maps over the embedded corpus, page
     /// bounds in the paged store), in `[0, 1]`. `0` — the default —
@@ -292,7 +289,6 @@ impl PlanQuery {
             crisp_count: 0,
             crisp_survivors: None,
             exact_grades: false,
-            fa_constant: 1.0,
             expected_skip: 0.0,
         }
     }
@@ -315,15 +311,6 @@ impl PlanQuery {
     /// NRA family from the candidates).
     pub fn exact_grades(mut self) -> PlanQuery {
         self.exact_grades = true;
-        self
-    }
-
-    /// Sets the Theorem 4.1 constant used by the stats-free A₀
-    /// estimate.
-    pub fn fa_constant(mut self, c: f64) -> PlanQuery {
-        if c.is_finite() && c > 0.0 {
-            self.fa_constant = c;
-        }
         self
     }
 
@@ -434,14 +421,14 @@ impl fmt::Display for Explain {
     }
 }
 
-/// Theorem 4.1's closed-form A₀ cost, `c · N^{(m−1)/m} · k^{1/m}`,
-/// charged half as sorted and half as random access — the stats-free
-/// A₀ estimate.
-pub fn fa_theorem41_cost(n: usize, m: usize, k: usize, constant: f64, cost: &CostModel) -> f64 {
+/// Theorem 4.1's closed-form A₀ cost, `N^{(m−1)/m} · k^{1/m}` (the
+/// theorem's constant taken as 1), charged half as sorted and half as
+/// random access — the stats-free A₀ estimate.
+pub fn fa_theorem41_cost(n: usize, m: usize, k: usize, cost: &CostModel) -> f64 {
     let n = n.max(1) as f64;
     let m = m.max(1) as f64;
     let k = (k.max(1) as f64).min(n);
-    let accesses = constant * n.powf((m - 1.0) / m) * k.powf(1.0 / m);
+    let accesses = n.powf((m - 1.0) / m) * k.powf(1.0 / m);
     let half = accesses / 2.0;
     half * cost.sorted_unit + half * cost.random_unit
 }
@@ -699,9 +686,9 @@ impl<'a> Estimator<'a> {
 /// `None` when the plan does not apply (e.g. a crisp filter without
 /// crisp atoms, a max-merge under a conjunction).
 ///
-/// With `stats == None`, FA uses the calibrated Theorem 4.1 closed
-/// form ([`fa_theorem41_cost`] with [`PlanQuery::fa_constant`]); every
-/// other plan falls back to the uniform-grade assumption.
+/// With `stats == None`, FA uses the Theorem 4.1 closed form
+/// ([`fa_theorem41_cost`]); every other plan falls back to the
+/// uniform-grade assumption.
 pub fn estimate_cost(
     plan: PhysicalPlan,
     query: &PlanQuery,
@@ -710,13 +697,7 @@ pub fn estimate_cost(
     theta: f64,
 ) -> Option<f64> {
     if stats.is_none() && matches!(plan, PhysicalPlan::Fa) {
-        return Some(fa_theorem41_cost(
-            query.n,
-            query.m,
-            query.k,
-            query.fa_constant,
-            cost,
-        ));
+        return Some(fa_theorem41_cost(query.n, query.m, query.k, cost));
     }
     Estimator::new(query, stats)
         .accesses(plan, theta)
@@ -906,14 +887,14 @@ mod tests {
     fn stats_free_estimates_reproduce_the_paper_formulas() {
         let u = CostModel::UNIFORM;
         let price = |plan, q: &PlanQuery, cost: &CostModel| estimate_cost(plan, q, None, cost, 0.0);
-        let q = PlanQuery::fuzzy(10_000, 2, 10).fa_constant(4.0);
-        // m·N, m·k, and Theorem 4.1's c·√(N·k) at m = 2.
+        let q = PlanQuery::fuzzy(10_000, 2, 10);
+        // m·N, m·k, and Theorem 4.1's √(N·k) at m = 2.
         assert_eq!(price(PhysicalPlan::FullScan, &q, &u), Some(20_000.0));
         let max = q.clone().combiner(CombinerKind::MaxLike);
         assert_eq!(price(PhysicalPlan::MaxMerge, &max, &u), Some(20.0));
         assert_eq!(price(PhysicalPlan::MaxMerge, &q, &u), None);
         let fa = price(PhysicalPlan::Fa, &q, &u).unwrap();
-        assert!((fa - 4.0 * (10_000.0f64 * 10.0).sqrt()).abs() < 1e-9);
+        assert!((fa - (10_000.0f64 * 10.0).sqrt()).abs() < 1e-9);
         // Crisp filter: (s+1) sorted + s·#fuzzy random; no crisp
         // conjunct → no estimate.
         assert_eq!(price(PhysicalPlan::CrispFilter, &q, &u), None);
@@ -925,7 +906,7 @@ mod tests {
         assert_eq!(price(PhysicalPlan::MaxMerge, &tiny, &u), Some(10.0));
         // Pricing changes the winner: expensive random access moves the
         // random-heavy A₀ behind the sorted-only scan.
-        let q = PlanQuery::fuzzy(1_000, 2, 10).fa_constant(4.0);
+        let q = PlanQuery::fuzzy(1_000, 2, 10);
         assert!(price(PhysicalPlan::Fa, &q, &u) < price(PhysicalPlan::FullScan, &q, &u));
         let pricey = CostModel::random_to_sorted_ratio(50.0).unwrap();
         assert!(price(PhysicalPlan::Fa, &q, &pricey) > price(PhysicalPlan::FullScan, &q, &pricey));

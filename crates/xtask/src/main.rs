@@ -1,4 +1,4 @@
-//! `xtask` — workspace automation: the two checks no off-the-shelf
+//! `xtask` — workspace automation: the one check no off-the-shelf
 //! tool can make.
 //!
 //! The workspace's other invariants (no panicking shortcut in library
@@ -11,21 +11,10 @@
 //! `.cargo/config.toml`) requires a written reason beside every memory
 //! ordering in library source (see [`mod@atomic_ordering`]).
 //!
-//! `cargo xtask check-bench [PATH]` gates the `BENCH_engine.json` perf
-//! trajectory: every experiment E1–E23 must be present with numeric
-//! measurements, E18's cold/warm persistence split must be coherent,
-//! E22's instance-optimality ratios must be ≥ 1, and E23's pruning
-//! speedups/skip rates must be sane (see `bench_check`).
-//!
 //! Exit status: `0` clean, `1` violations found, `2` usage or I/O
 //! error.
 
 mod atomic_ordering;
-#[expect(
-    clippy::let_underscore_must_use,
-    reason = "one `let _ = write!(..)` into a String, which cannot fail; the module is kept byte-identical across the lint migration"
-)]
-mod bench_check;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -37,12 +26,6 @@ commands:
   atomic-ordering
       Require `// ordering(<Ordering>): <why>` beside every memory
       ordering named under src/ and crates/*/src/.
-  check-bench [PATH]
-      Validate the BENCH_engine.json perf trajectory (default path:
-      BENCH_engine.json in the workspace root): experiments E1-E23
-      present, measurements numeric, E18 cold/warm split coherent,
-      E22 optimality ratios >= 1, E23 pruning speedups positive and
-      skip rates in [0, 1].
 
 exit status: 0 clean, 1 violations, 2 usage or I/O error
 ";
@@ -51,7 +34,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("atomic-ordering") => atomic_ordering(&args[1..]),
-        Some("check-bench") => check_bench(&args[1..]),
         Some("--help" | "-h" | "help") => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -87,34 +69,6 @@ fn atomic_ordering(args: &[String]) -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)
-        }
-    }
-}
-
-fn check_bench(args: &[String]) -> ExitCode {
-    let path = match args {
-        [] => workspace_root().join("BENCH_engine.json"),
-        [p] => PathBuf::from(p),
-        _ => {
-            eprintln!("error: check-bench takes at most one path\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let content = match std::fs::read_to_string(&path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    };
-    match bench_check::check(&content) {
-        Ok(summary) => {
-            println!("{summary}");
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            eprintln!("error: {}: {message}", path.display());
-            ExitCode::FAILURE
         }
     }
 }

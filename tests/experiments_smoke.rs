@@ -1,6 +1,7 @@
 //! Smoke tests: the cheap experiment harnesses run end-to-end in quick
-//! mode and produce non-degenerate reports. (The heavyweight sweeps
-//! are exercised by `cargo run -p fmdb-bench --bin e00_run_all`.)
+//! mode and produce non-degenerate reports. (The heavyweight sweeps,
+//! and the wall-clock gates, are exercised by
+//! `cargo run --release -p fmdb-bench --bin e00_run_all`.)
 
 use fmdb_bench::experiments;
 use fmdb_bench::report::fit_exponent;
@@ -99,19 +100,6 @@ fn e18_paged_store_is_cold_expensive_and_warm_cheap() {
         );
         prev_reads = cold_reads;
     }
-    // The metrics check-bench gates on are present and sane.
-    let metric = |name: &str| {
-        report
-            .metrics
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("metric {name} missing"))
-    };
-    assert!(metric("cold_page_reads") >= 1.0);
-    assert!((0.0..=1.0).contains(&metric("warm_hit_rate")));
-    assert!(metric("cold_wall_ms") >= 0.0);
-    assert!(metric("warm_wall_ms") >= 0.0);
 }
 
 #[test]
@@ -128,25 +116,21 @@ fn e19_nra_never_random_accesses_and_stays_close_to_a0() {
 #[test]
 fn e16_optimizer_regret_is_small() {
     let report = experiments::e16_optimizer::run(&quick());
-    // The sweep emits one regret metric per cell plus the two
-    // aggregates check-bench gates on; all are ≥ 1 by construction.
-    let metric = |name: &str| {
-        report
-            .metrics
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("metric {name} missing"))
-    };
+    // One regret per cell plus the two aggregates, each gated where
+    // the experiment computes it; E16 counts accesses, so its gates
+    // hold in any build.
     let cells = report
         .metrics
         .iter()
-        .filter(|(n, _)| n.starts_with("regret_sel"))
+        .filter(|m| m.name.starts_with("regret_sel"))
         .count();
     assert!(cells >= 8, "expected a full sweep, got {cells} cells");
-    for (name, v) in &report.metrics {
-        assert!(*v >= 1.0 - 1e-9, "{name} below 1: {v}");
-    }
-    assert!(metric("regret_median") <= 2.0, "median regret too high");
-    assert!(metric("regret_max") <= 10.0, "max regret too high");
+    assert_eq!(report.violations(), Vec::<String>::new());
+}
+
+#[test]
+fn e22_optimality_ratios_are_at_least_one() {
+    let report = experiments::e22_optimality::run(&quick());
+    assert!(!report.metrics.is_empty());
+    assert_eq!(report.violations(), Vec::<String>::new());
 }
