@@ -2,7 +2,7 @@
 //! (eq. (1)) vs the O(k) distance-bounding filter of \[HSE+95\] and the
 //! Cholesky-embedded Euclidean kernel — the per-pair costs behind
 //! experiments E7 and E20 — plus whole-corpus kNN scans (brute force vs
-//! early abandoning vs parallel).
+//! early abandoning).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fmdb_media::bounding::BoundedDistance;
@@ -192,7 +192,7 @@ fn bench_kernel_unroll(c: &mut Criterion) {
 }
 
 /// Whole-corpus 10-NN over 64-bin histograms: brute force vs
-/// early-abandoning (+ bounding filter) vs 4-thread parallel scan.
+/// early-abandoning (+ bounding filter).
 fn bench_knn_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("knn_scan");
     for n in [256usize, 1024, 4096] {
@@ -211,13 +211,6 @@ fn bench_knn_scan(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("early_abandon", n), |b| {
             b.iter(|| corpus.knn(black_box(query), 10).expect("same space"))
-        });
-        group.bench_function(BenchmarkId::new("parallel4", n), |b| {
-            b.iter(|| {
-                corpus
-                    .knn_parallel(black_box(query), 10, 4)
-                    .expect("same space")
-            })
         });
     }
     group.finish();

@@ -36,8 +36,8 @@ pub fn run(cfg: &RunCfg) -> Report {
         "E21",
         "sharded intra-query execution (partition-parallel TA)",
         "extension: Fagin-style middleware merges are partitionable — per-shard TA with a \
-         shared global threshold returns the identical top-k while spreading the scan over \
-         worker threads",
+         shared global threshold returns the identical top-k on tie-free lists while \
+         spreading the scan over worker threads",
     );
     let n = cfg.pick(1 << 16, 1 << 11);
     let m = 2usize;
@@ -140,7 +140,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     ));
     report.note(format!(
         "answer mismatches vs the serial engine: {mismatches} (must be 0; the \
-         shard_equivalence proptest suite proves the same equality on random corpora)."
+         shard_equivalence proptest suite proves the same equality on tie-free lists)."
     ));
     report.note(
         "speedup is hardware-bound: on a single-core host the sharded path can only tie or \

@@ -227,47 +227,6 @@ impl PrecomputedDistances {
             })
             .collect())
     }
-
-    /// Splits the object indices into `shards` contiguous ranges using
-    /// the same decomposition as [`fmdb_media::embed::contiguous_ranges`]
-    /// (and the middleware's contiguous source partitioner): shard `s`
-    /// owns `[⌈s·n/p⌉, ⌈(s+1)·n/p⌉)`.
-    pub fn shard_ranges(&self, shards: usize) -> Vec<std::ops::Range<usize>> {
-        fmdb_media::embed::contiguous_ranges(self.n, shards)
-    }
-
-    /// [`PrecomputedDistances::knn`] restricted to candidate objects
-    /// whose index lies in `range` (clamped to the matrix; the query
-    /// object is still excluded) — the per-shard kernel for
-    /// partitioned execution. Merging each shard's answers by
-    /// ascending `(distance, index)` and truncating to `k` reproduces
-    /// the full [`PrecomputedDistances::knn`] exactly.
-    pub fn knn_in_range(
-        &self,
-        query: usize,
-        k: usize,
-        range: std::ops::Range<usize>,
-    ) -> Result<Vec<(usize, f64)>, PrecomputeError> {
-        if query >= self.n {
-            return Err(PrecomputeError::OutOfRange {
-                index: query,
-                n: self.n,
-            });
-        }
-        let lo = range.start.min(self.n);
-        let hi = range.end.min(self.n).max(lo);
-        #[expect(
-            clippy::expect_used,
-            reason = "both indices were bounds-checked at function entry"
-        )]
-        let mut all: Vec<(usize, f64)> = (lo..hi)
-            .filter(|&j| j != query)
-            .map(|j| (j, self.distance(query, j).expect("indices validated above")))
-            .collect();
-        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        Ok(all)
-    }
 }
 
 #[cfg(test)]
@@ -378,30 +337,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-6, "({i},{j}): {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn sharded_knn_merge_equals_full_knn() {
-        let p = PrecomputedDistances::build(157, |i, j| {
-            ((i.wrapping_mul(31) ^ j.wrapping_mul(17)) % 101) as f64 / 101.0 + line_metric(i, j)
-        })
-        .unwrap();
-        let want = p.knn(40, 9).unwrap();
-        for shards in [1usize, 2, 3, 8] {
-            let ranges = p.shard_ranges(shards);
-            assert_eq!(ranges.len(), shards);
-            assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), p.len());
-            let mut merged: Vec<(usize, f64)> = Vec::new();
-            for r in ranges {
-                merged.extend(p.knn_in_range(40, 9, r).unwrap());
-            }
-            merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            merged.truncate(9);
-            assert_eq!(merged, want, "shards={shards}");
-        }
-        // Clamped out-of-matrix range; invalid query still rejected.
-        assert!(p.knn_in_range(40, 3, 500..900).unwrap().is_empty());
-        assert!(p.knn_in_range(500, 3, 0..10).is_err());
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //! bounding box lower-bounds every member's distance), (2) prunes
 //! single objects via the §2.1 short-vector bounding filter, then
 //! (3) **early-abandons** the running squared sum against the current
-//! k-th best distance, and (4) optionally fans the scan out over
-//! worker threads. The abandon invariant: the running sum of squares
+//! k-th best distance. The abandon invariant: the running sum of squares
 //! is monotone non-decreasing, so once a partial sum strictly exceeds
 //! the current k-th best *squared* distance the object's final
 //! distance is strictly larger too and it can never enter the top k —
@@ -44,8 +43,6 @@
 //! skipping exact too, not just approximately safe.
 
 use std::fmt;
-use std::ops::Range;
-use std::thread;
 
 use fmdb_core::score::Score;
 use fmdb_core::stats::GradeHistogram;
@@ -379,7 +376,7 @@ pub struct ScanStats {
     /// Objects inside skipped blocks — never individually examined.
     /// Every scanned object lands in exactly one bucket, so
     /// `filter_pruned + abandoned + completed + block_pruned` equals
-    /// the number of objects in the scanned range.
+    /// the number of objects in the corpus.
     pub block_pruned: u64,
 }
 
@@ -392,16 +389,6 @@ impl ScanStats {
         } else {
             1.0 - self.completed as f64 / total as f64
         }
-    }
-}
-
-impl std::ops::AddAssign for ScanStats {
-    fn add_assign(&mut self, rhs: ScanStats) {
-        self.filter_pruned += rhs.filter_pruned;
-        self.abandoned += rhs.abandoned;
-        self.completed += rhs.completed;
-        self.blocks_skipped += rhs.blocks_skipped;
-        self.block_pruned += rhs.block_pruned;
     }
 }
 
@@ -698,7 +685,7 @@ impl EmbeddedCorpus {
     ) -> Result<(Vec<(usize, f64)>, ScanStats), EmbedError> {
         let q = self.embed_query(query)?;
         let q_short = self.query_short(query)?;
-        let (heap, stats) = self.scan_range(&q, q_short.as_ref(), 0..self.n, k_nearest, true, true);
+        let (heap, stats) = self.scan(&q, q_short.as_ref(), k_nearest, f64::INFINITY, true, true);
         Ok((finalize(heap), stats))
     }
 
@@ -714,8 +701,7 @@ impl EmbeddedCorpus {
     ) -> Result<(Vec<(usize, f64)>, ScanStats), EmbedError> {
         let q = self.embed_query(query)?;
         let q_short = self.query_short(query)?;
-        let (heap, stats) =
-            self.scan_range(&q, q_short.as_ref(), 0..self.n, k_nearest, true, false);
+        let (heap, stats) = self.scan(&q, q_short.as_ref(), k_nearest, f64::INFINITY, true, false);
         Ok((finalize(heap), stats))
     }
 
@@ -728,7 +714,7 @@ impl EmbeddedCorpus {
         k_nearest: usize,
     ) -> Result<(Vec<(usize, f64)>, ScanStats), EmbedError> {
         let q = self.embed_query(query)?;
-        let (heap, stats) = self.scan_range(&q, None, 0..self.n, k_nearest, false, false);
+        let (heap, stats) = self.scan(&q, None, k_nearest, f64::INFINITY, false, false);
         Ok((finalize(heap), stats))
     }
 
@@ -757,89 +743,7 @@ impl EmbeddedCorpus {
         } else {
             f64::INFINITY
         };
-        let (heap, stats) = self.scan_bounded(
-            &q,
-            q_short.as_ref(),
-            0..self.n,
-            k_nearest,
-            bound_sq,
-            true,
-            pruned,
-        );
-        Ok((finalize(heap), stats))
-    }
-
-    /// [`EmbeddedCorpus::knn`] fanned out over `threads` worker
-    /// threads scanning contiguous chunks (the engine's
-    /// scoped-thread/worker idiom). Each worker early-abandons against
-    /// its own running k-th best; the merged result is identical to
-    /// the serial scan.
-    pub fn knn_parallel(
-        &self,
-        query: &ColorHistogram,
-        k_nearest: usize,
-        threads: usize,
-    ) -> Result<(Vec<(usize, f64)>, ScanStats), EmbedError> {
-        let threads = threads.max(1).min(self.n.max(1));
-        if threads == 1 {
-            return self.knn(query, k_nearest);
-        }
-        let q = self.embed_query(query)?;
-        let q_short = self.query_short(query)?;
-        let chunk = self.n.div_ceil(threads);
-        let results: Vec<(Vec<(f64, usize)>, ScanStats)> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let q = &q;
-                    let q_short = q_short.as_ref();
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(self.n);
-                    scope.spawn(move || self.scan_range(q, q_short, lo..hi, k_nearest, true, true))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        let mut stats = ScanStats::default();
-        let mut merged: Vec<(f64, usize)> = Vec::with_capacity(threads.saturating_mul(k_nearest));
-        for (local, local_stats) in results {
-            stats += local_stats;
-            merged.extend(local);
-        }
-        sort_candidates(&mut merged);
-        merged.truncate(k_nearest);
-        Ok((finalize(merged), stats))
-    }
-
-    /// Splits the object indices into `shards` contiguous ranges using
-    /// the same decomposition as the middleware's contiguous source
-    /// partitioner: shard `s` owns `[⌈s·n/p⌉, ⌈(s+1)·n/p⌉)`, so object
-    /// `i` lands in shard `min(p−1, ⌊i·p/n⌋)`. Ranges tile `0..n`
-    /// exactly; sizes differ by at most one. With `shards = 0` a
-    /// single full-corpus range is returned.
-    pub fn shard_ranges(&self, shards: usize) -> Vec<Range<usize>> {
-        contiguous_ranges(self.n, shards)
-    }
-
-    /// [`EmbeddedCorpus::knn`] restricted to objects whose index lies
-    /// in `range` (clamped to the corpus) — the per-shard kernel for
-    /// partitioned execution. Merging each shard's answers by
-    /// ascending `(distance, index)` and truncating to `k_nearest`
-    /// reproduces the full-corpus [`EmbeddedCorpus::knn`] exactly:
-    /// every global winner is a winner of its own shard.
-    pub fn knn_in_range(
-        &self,
-        query: &ColorHistogram,
-        k_nearest: usize,
-        range: Range<usize>,
-    ) -> Result<(Vec<(usize, f64)>, ScanStats), EmbedError> {
-        let q = self.embed_query(query)?;
-        let q_short = self.query_short(query)?;
-        let lo = range.start.min(self.n);
-        let hi = range.end.min(self.n).max(lo);
-        let (heap, stats) = self.scan_range(&q, q_short.as_ref(), lo..hi, k_nearest, true, true);
+        let (heap, stats) = self.scan(&q, q_short.as_ref(), k_nearest, bound_sq, true, pruned);
         Ok((finalize(heap), stats))
     }
 
@@ -850,15 +754,18 @@ impl EmbeddedCorpus {
         }
     }
 
-    /// Scans `range`, returning up to `k_nearest` best
+    /// Scans the corpus, returning up to `k_nearest` best
     /// `(squared_distance, index)` candidates in ascending
-    /// `(distance, index)` order plus the cost counters.
+    /// `(distance, index)` order plus the cost counters. While fewer
+    /// than `k_nearest` candidates are held, `bound_sq` plays the role
+    /// of the k-th best (inclusively: an object at exactly `bound_sq`
+    /// is admitted), so all three pruning stages engage from the first
+    /// row; `bound_sq = ∞` is the plain top-k scan.
     ///
     /// Early-abandon invariant: the running sum of squares only grows,
     /// so `partial > kth_sq` implies the final squared distance
     /// strictly exceeds the current k-th best and the object can be
-    /// dropped without changing the result. Pruning and abandoning
-    /// only ever engage once `k_nearest` candidates are held.
+    /// dropped without changing the result.
     ///
     /// Zone-map invariant (`prune`): a block is skipped only when its
     /// [`EmbeddedCorpus::block_lower_bound`] strictly exceeds the
@@ -868,36 +775,10 @@ impl EmbeddedCorpus {
     /// block has `sum ≥ bound > kth_sq` (for the computed values; see
     /// `block_lower_bound`). Skipping therefore never changes the
     /// answer, only `blocks_skipped`/`block_pruned` and the work done.
-    /// An edge block truncated by `range` is still validly bounded:
-    /// its box covers a superset of the rows scanned.
-    fn scan_range(
+    fn scan(
         &self,
         q: &[f64],
         q_short: Option<&ShortVector>,
-        range: Range<usize>,
-        k_nearest: usize,
-        abandon: bool,
-        prune: bool,
-    ) -> (Vec<(f64, usize)>, ScanStats) {
-        self.scan_bounded(q, q_short, range, k_nearest, f64::INFINITY, abandon, prune)
-    }
-
-    /// The scan workhorse behind [`EmbeddedCorpus::scan_range`] and
-    /// [`EmbeddedCorpus::knn_within`]: like `scan_range`, but seeded
-    /// with an initial squared-distance bound. While fewer than
-    /// `k_nearest` candidates are held, `bound_sq` plays the role of
-    /// the k-th best (inclusively: an object at exactly `bound_sq`
-    /// is admitted), so all three pruning stages engage from the
-    /// first row. `bound_sq = ∞` recovers the plain top-k scan.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "private scan kernel; its two public callers each fix some of the knobs, and a parameter struct would only be unpacked again on the hot path"
-    )]
-    fn scan_bounded(
-        &self,
-        q: &[f64],
-        q_short: Option<&ShortVector>,
-        range: Range<usize>,
         k_nearest: usize,
         bound_sq: f64,
         abandon: bool,
@@ -911,12 +792,12 @@ impl EmbeddedCorpus {
         let shorts = self.filter.as_ref().map(|f| f.shorts.as_slice());
         let prune = prune && !self.block_lo.is_empty();
         let mut clamped = if prune { vec![0.0; self.k] } else { Vec::new() };
-        let mut i = range.start;
-        while i < range.end {
+        let mut i = 0;
+        while i < self.n {
             let block = i / self.prune_block;
             // block < ⌈n/prune_block⌉ so the +1 cannot overflow; the
-            // min clamps the product to the scanned range.
-            let block_end = ((block + 1) * self.prune_block).min(range.end);
+            // min clamps the product to the corpus.
+            let block_end = ((block + 1) * self.prune_block).min(self.n);
             if prune {
                 // `best` is sorted and truncated, so its last element
                 // is the current k-th best; below `k_nearest`
@@ -982,21 +863,6 @@ impl EmbeddedCorpus {
         }
         (best, stats)
     }
-}
-
-/// The contiguous shard decomposition shared with the middleware's
-/// contiguous source partitioner: shard `s` of `p` owns
-/// `[⌈s·n/p⌉, ⌈(s+1)·n/p⌉)`. The ranges tile `0..n` exactly and their
-/// sizes differ by at most one; `shards = 0` is treated as 1.
-pub fn contiguous_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
-    let p = shards.max(1);
-    (0..p)
-        .map(|s| {
-            let lo = (s * n).div_ceil(p);
-            let hi = ((s + 1) * n).div_ceil(p);
-            lo..hi
-        })
-        .collect()
 }
 
 /// Ascending `(squared_distance, index)` with the index tie-break —
@@ -1248,23 +1114,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_knn_matches_serial() {
-        let sp = space();
-        let hists = sample_histograms(&sp, 157, 8);
-        let corpus = EmbeddedCorpus::build_filtered(&sp, &hists).unwrap();
-        let q = &sample_histograms(&sp, 1, 41)[0];
-        let (serial, _) = corpus.knn(q, 9).unwrap();
-        for threads in [2, 3, 8, 64] {
-            let (par, stats) = corpus.knn_parallel(q, 9, threads).unwrap();
-            assert_eq!(serial, par, "threads={threads}");
-            assert_eq!(
-                stats.filter_pruned + stats.abandoned + stats.completed + stats.block_pruned,
-                157
-            );
-        }
-    }
-
-    #[test]
     fn corpus_distances_match_pairwise_quadratic_form() {
         let sp = space();
         let qf = QuadraticFormDistance::new(sp.similarity_matrix());
@@ -1287,7 +1136,6 @@ mod tests {
         let q = &hists[0];
         assert!(corpus.knn(q, 0).unwrap().0.is_empty());
         assert_eq!(corpus.knn(q, 50).unwrap().0.len(), 5);
-        assert_eq!(corpus.knn_parallel(q, 50, 16).unwrap().0.len(), 5);
         // The query is object 0: it must rank itself first at ~0.
         let (res, _) = corpus.knn(q, 1).unwrap();
         assert_eq!(res[0].0, 0);
@@ -1296,60 +1144,6 @@ mod tests {
         let empty = EmbeddedCorpus::build(EmbeddedSpace::for_space(&sp).unwrap(), &[]).unwrap();
         assert!(empty.is_empty());
         assert!(empty.knn(q, 3).unwrap().0.is_empty());
-    }
-
-    #[test]
-    fn contiguous_ranges_tile_and_agree_with_the_floor_formula() {
-        for n in [0usize, 1, 2, 5, 7, 16, 33, 157] {
-            for p in [1usize, 2, 3, 4, 5, 8] {
-                let ranges = contiguous_ranges(n, p);
-                assert_eq!(ranges.len(), p);
-                // Tiling: concatenation covers 0..n with no gaps.
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "n={n} p={p}");
-                    assert!(r.end >= r.start);
-                    next = r.end;
-                }
-                assert_eq!(next, n, "n={n} p={p}");
-                // Balance and inverse: the owner of i is min(p−1, ⌊i·p/n⌋).
-                for (s, r) in ranges.iter().enumerate() {
-                    assert!(r.len() <= n.div_ceil(p), "n={n} p={p}");
-                    for i in r.clone() {
-                        assert_eq!((i * p / n).min(p - 1), s, "n={n} p={p} i={i}");
-                    }
-                }
-            }
-        }
-        assert_eq!(contiguous_ranges(10, 0), vec![0..10]);
-    }
-
-    #[test]
-    fn sharded_knn_merge_equals_full_scan() {
-        let sp = space();
-        let hists = sample_histograms(&sp, 143, 13);
-        let corpus = EmbeddedCorpus::build_filtered(&sp, &hists).unwrap();
-        let q = &sample_histograms(&sp, 1, 77)[0];
-        let (want, _) = corpus.knn(q, 9).unwrap();
-        for shards in [1usize, 2, 3, 8] {
-            let mut merged: Vec<(usize, f64)> = Vec::new();
-            let mut scanned = 0;
-            for r in corpus.shard_ranges(shards) {
-                scanned += r.len();
-                let (local, _) = corpus.knn_in_range(q, 9, r).unwrap();
-                merged.extend(local);
-            }
-            assert_eq!(scanned, corpus.len(), "shards={shards}");
-            merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            merged.truncate(9);
-            assert_eq!(merged, want, "shards={shards}");
-        }
-        // Out-of-corpus ranges clamp instead of panicking.
-        assert!(corpus
-            .knn_in_range(q, 3, 1_000..2_000)
-            .unwrap()
-            .0
-            .is_empty());
     }
 
     #[test]

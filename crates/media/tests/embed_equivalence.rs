@@ -4,9 +4,9 @@
 //! * [`EmbeddedDistance`] agrees with [`QuadraticFormDistance`] within
 //!   1e-9 on random normalized histograms, across grid sizes;
 //! * the early-abandoning corpus scan (with and without the §2.1
-//!   bounding-filter first stage) and the thread-parallel scan return
-//!   results identical to the brute-force oracle — same indices, same
-//!   distances, same (distance, index) order, including ties.
+//!   bounding-filter first stage) returns results identical to the
+//!   brute-force oracle — same indices, same distances, same
+//!   (distance, index) order, including ties.
 
 use proptest::prelude::*;
 
@@ -20,7 +20,6 @@ struct Scenario {
     bins_per_channel: usize,
     n: usize,
     k_nearest: usize,
-    threads: usize,
     seed: u64,
 }
 
@@ -29,14 +28,12 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         2usize..=4,
         5usize..80,
         prop_oneof![Just(1usize), Just(5usize), Just(100usize)],
-        1usize..=5,
         0u64..1_000_000,
     )
-        .prop_map(|(bins_per_channel, n, k_nearest, threads, seed)| Scenario {
+        .prop_map(|(bins_per_channel, n, k_nearest, seed)| Scenario {
             bins_per_channel,
             n,
             k_nearest,
-            threads,
             seed,
         })
 }
@@ -142,8 +139,8 @@ proptest! {
         }
     }
 
-    /// Early-abandoning, filtered, and parallel scans all equal the
-    /// brute-force oracle exactly.
+    /// Early-abandoning and filtered scans both equal the brute-force
+    /// oracle exactly.
     #[test]
     fn knn_variants_match_brute_force_oracle(s in scenario()) {
         let space = ColorSpace::rgb_grid(s.bins_per_channel).expect("valid grid");
@@ -161,20 +158,6 @@ proptest! {
         for (label, got) in [
             ("abandon", plain.knn(query, s.k_nearest).expect("same space").0),
             ("filtered", filtered.knn(query, s.k_nearest).expect("same space").0),
-            (
-                "parallel",
-                plain
-                    .knn_parallel(query, s.k_nearest, s.threads)
-                    .expect("same space")
-                    .0,
-            ),
-            (
-                "filtered-parallel",
-                filtered
-                    .knn_parallel(query, s.k_nearest, s.threads)
-                    .expect("same space")
-                    .0,
-            ),
         ] {
             prop_assert_eq!(oracle.len(), got.len(), "{}: length mismatch", label);
             for (o, g) in oracle.iter().zip(&got) {

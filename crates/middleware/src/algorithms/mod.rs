@@ -25,8 +25,7 @@
 //! | [`nra::Nra`], [`nra::NraLowerBound`] | never | 0 | — | as halted (intervals / lower bounds) |
 //! | [`approx::ApproxNra`] | never | θ | — | as halted (lower bounds) |
 //! | [`ca::CombinedAlgorithm`] | every `h` rounds | θ | — | closed at the halt (exact) |
-//! | [`crate::sharded::ShardKernel::Ta`] | on sight | 0 | yes | as halted (exact) |
-//! | [`crate::sharded::ShardKernel::Nra`] | never | 0 | yes | collapsed only (exact) |
+//! | TA's shard kernel ([`crate::sharded`]) | on sight | 0 | yes | as halted (exact) |
 //!
 //! Every row of both tables keeps the same book — the crate-private
 //! `book` module: per seen object the `m` fields revealed so far, per
@@ -152,16 +151,12 @@ pub trait TopKAlgorithm {
         k: usize,
     ) -> Result<TopKResult, AlgoError>;
 
-    /// The per-shard kernel the sharded engine path may substitute for
-    /// this algorithm, or `None` to always run serially.
-    ///
-    /// An algorithm may only advertise a kernel whose sharded execution
-    /// (run the kernel per shard, merge local top-k lists, see
-    /// [`crate::sharded`]) returns an oracle-valid top-k for every
-    /// monotone query — the default keeps algorithms with no such proof
-    /// on the serial path.
-    fn shard_kernel(&self) -> Option<crate::sharded::ShardKernel> {
-        None
+    /// Whether the sharded engine path ([`crate::sharded`]) may run
+    /// TA's shard kernel in place of this algorithm. Only
+    /// [`ta::ThresholdAlgorithm`] says yes; every other algorithm runs
+    /// serially under any shard count.
+    fn shard_kernel(&self) -> bool {
+        false
     }
 }
 

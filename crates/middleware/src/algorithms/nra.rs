@@ -93,15 +93,12 @@ impl Nra {
 /// NRA packaged as a [`TopKAlgorithm`]: flattens every answer to its
 /// certified **lower** bound ([`NraResult::into_lower_bounds`]), so it
 /// is usable wherever a `&dyn TopKAlgorithm` is required (notably
-/// [`crate::engine::Engine::run_algorithm`], where it advertises the
-/// sharded NRA kernel). Callers needing the intervals should use
-/// [`Nra::top_k`] directly.
+/// [`crate::engine::Engine::run_algorithm`]). Callers needing the
+/// intervals should use [`Nra::top_k`] directly.
 ///
 /// Grade caveat carried over from [`Nra`]: the answer *set* is a valid
-/// top-k set, but serial grades may understate the truth wherever the
-/// interval had not collapsed. The sharded kernel only stops on
-/// collapsed intervals, so its grades are exact — equivalence tests
-/// must therefore compare true-grade multisets, not reported grades.
+/// top-k set, but grades may understate the truth wherever the interval
+/// had not collapsed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NraLowerBound;
 
@@ -117,10 +114,6 @@ impl TopKAlgorithm for NraLowerBound {
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
         Ok(Nra.top_k(sources, scoring, k)?.into_lower_bounds())
-    }
-
-    fn shard_kernel(&self) -> Option<crate::sharded::ShardKernel> {
-        Some(crate::sharded::ShardKernel::Nra)
     }
 }
 

@@ -36,10 +36,10 @@ impl TopKAlgorithm for ThresholdAlgorithm {
     }
 
     /// TA reports its local top-k with exact grades in output order, so
-    /// merging per-shard TA answers reproduces the serial answer list
-    /// bit for bit (see [`crate::sharded`] for the argument).
-    fn shard_kernel(&self) -> Option<crate::sharded::ShardKernel> {
-        Some(crate::sharded::ShardKernel::Ta)
+    /// merging per-shard TA answers is a valid top-k — the serial
+    /// answer list itself on tie-free lists ([`crate::sharded`]).
+    fn shard_kernel(&self) -> bool {
+        true
     }
 
     /// The threshold kernel probing on sight: every seen object is

@@ -1,5 +1,5 @@
 //! The threshold kernel: the one loop behind TA, NRA, CA, their
-//! θ-approximations and both shard kernels.
+//! θ-approximations and the shard kernel.
 //!
 //! Fagin–Lotem–Naor ("Optimal Aggregation Algorithms for Middleware")
 //! present the family as a single algorithm. Every round does one
@@ -85,13 +85,6 @@ pub(crate) enum Report {
     /// (and the oracle's grade check) wants exact grades, so the
     /// answers' missing fields are probed after the halt.
     Closed,
-    /// Shard NRA: halt only once the answers' intervals have collapsed.
-    /// The cross-shard merge selects by grade, and selecting by
-    /// uncollapsed lower bounds could prefer a shard's
-    /// mediocre-but-certain candidate over another shard's
-    /// better-but-uncertain one. A shard whose every candidate the
-    /// shared bound rules out reports nothing instead.
-    Collapsed,
 }
 
 /// One member of the family.
@@ -286,7 +279,7 @@ impl Seen {
 
     /// The open objects outside the top k, dismissed ones included,
     /// each with its fresh upper bound. A scan of everything seen: for
-    /// the idle shard worker and the debug checks only.
+    /// the debug checks only.
     fn open_rest<'a>(
         &'a self,
         book: &'a mut Book,
@@ -333,9 +326,9 @@ impl Family {
         k: usize,
     ) -> NraResult {
         debug_assert!(
-            shared.is_none() || !matches!(self.probe, Probe::Every(_)),
-            "`Probe::Every` with a shared bound is constructed nowhere: an object only the \
-             shared bound dismisses leaves the candidate list, and would no longer be a CA target"
+            shared.is_none() || self.probe == Probe::OnSight,
+            "a shared bound is the TA shard kernel's alone: the cross-shard merge selects by \
+             grade, and only on-sight probing reports exact ones"
         );
         let m = sources.len();
         let mut book = Book::open(sources);
@@ -433,36 +426,23 @@ impl Family {
             let settled = kth.is_some_and(|tau| {
                 (idle || upper_excluded(unseen, tau, self.theta))
                     && seen.rest_dismissed(&mut book, scoring, |upper| dismissed(upper, tau))
-                    && (self.report != Report::Collapsed
-                        || seen.top_k(&mut book, scoring).all(|a| a.is_exact()))
             });
+            // Idle, everything has streamed and the bounds are exact —
+            // or the shared bound rules out the rest of a shard, which
+            // probes on sight and so has no open object to wait for,
+            // even short of k answers.
             if settled || idle {
-                let hopeless = self.report == Report::Collapsed
-                    && idle
-                    && seen.top_k(&mut book, scoring).all(|a| below_floor(a.upper))
-                    && seen
-                        .open_rest(&mut book, scoring)
-                        .all(|(_, upper)| below_floor(upper));
-                // A pruned shard that resolves on sight has nothing
-                // left to wait for, even short of k answers; the others
-                // stream on until their candidates settle. When nothing
-                // progressed everything has streamed: bounds are exact.
-                if settled || hopeless || !progressed || self.probe == Probe::OnSight {
-                    // Dismissals were permanent on the strength of two
-                    // monotonicity facts; Mₖ's is checked above, this
-                    // is the uppers': no dismissed object has come back.
-                    debug_assert!(
-                        seen.open_rest(&mut book, scoring)
-                            .all(|(listed, upper)| listed
-                                || kth.is_some_and(|tau| dismissed(upper, tau))),
-                        "a dismissed upper bound rose again: '{}' is not monotone",
-                        scoring.name()
-                    );
-                    if hopeless {
-                        seen.top.clear();
-                    }
-                    break;
-                }
+                // Dismissals were permanent on the strength of two
+                // monotonicity facts; Mₖ's is checked above, this is
+                // the uppers': no dismissed object has come back.
+                debug_assert!(
+                    seen.open_rest(&mut book, scoring)
+                        .all(|(listed, upper)| listed
+                            || kth.is_some_and(|tau| dismissed(upper, tau))),
+                    "a dismissed upper bound rose again: '{}' is not monotone",
+                    scoring.name()
+                );
+                break;
             }
         }
 
@@ -765,28 +745,13 @@ mod tests {
                     let idle = !progressed || below_floor(unseen);
                     let settled = kth.is_some_and(|tau| {
                         let rest = || seen.ranked[k..].iter().all(|r| dismissed(r, tau));
-                        let collapsed = || seen.ranked[..k].iter().all(|r| r.answer.is_exact());
-                        (idle || upper_excluded(unseen, tau, self.theta))
-                            && (tight
-                                || rest() && (self.report != Report::Collapsed || collapsed()))
+                        (idle || upper_excluded(unseen, tau, self.theta)) && (tight || rest())
                     });
                     if settled || idle {
                         if tight {
                             seen.rank(&bottoms, scoring);
                         }
-                        let hopeless = self.report == Report::Collapsed
-                            && idle
-                            && seen.ranked.iter().all(|r| below_floor(r.answer.upper));
-                        if hopeless {
-                            seen.ranked.clear();
-                        }
-                        // A pruned shard that resolves on sight has nothing
-                        // left to wait for, even short of k answers; the others
-                        // stream on until their candidates settle. When nothing
-                        // progressed everything has streamed: bounds are exact.
-                        if settled || hopeless || !progressed || self.probe == Probe::OnSight {
-                            break;
-                        }
+                        break;
                     }
                 }
 
@@ -842,12 +807,12 @@ mod tests {
             .collect()
     }
 
-    /// The members `algorithms/mod.rs` tabulates, shard kernels with
-    /// their bound preheated — and CA *as halted*, which has no public
+    /// The members `algorithms/mod.rs` tabulates, the shard kernel with
+    /// its bound preheated — and CA *as halted*, which has no public
     /// name but shows which objects the schedule probed: the closing
-    /// pass of `Report::Closed` probes whatever it skipped. `Probe::Every`
-    /// with a shared bound is in no row — see the assertion at the top
-    /// of [`Family::run`].
+    /// pass of `Report::Closed` probes whatever it skipped. Only on-sight
+    /// probing takes a shared bound — see the assertion at the top of
+    /// [`Family::run`].
     fn members() -> Vec<(Family, Option<f64>)> {
         let mut members = Vec::new();
         for theta in [0.0, 0.1, 0.5] {
@@ -862,9 +827,7 @@ mod tests {
         }
         for preheat in [0.0, 0.3, 0.7, 1.0] {
             let shard_ta = Family::new(Probe::OnSight, 0.0, Report::AsHalted);
-            let shard_nra = Family::new(Probe::Never, 0.0, Report::Collapsed);
             members.push((shard_ta, Some(preheat)));
-            members.push((shard_nra, Some(preheat)));
         }
         members
     }
@@ -931,7 +894,7 @@ mod tests {
     fn lazy_bookkeeping_matches_the_full_re_rank() {
         let scorings: [&dyn ScoringFunction; 3] = [&Min, &ArithmeticMean, &Product];
         let members = members();
-        // The full grid is 38 400 cases; every STRIDE-th runs. STRIDE is
+        // The full grid is 33 600 cases; every STRIDE-th runs. STRIDE is
         // coprime to every axis length, so each value of each axis — and
         // each pair of values of two axes — still meets the others.
         const STRIDE: usize = 11;
@@ -953,7 +916,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(case, 38_400);
+        assert_eq!(case, 33_600);
     }
 
     /// A list that counts probes for a grade it had already revealed,
@@ -983,7 +946,7 @@ mod tests {
     }
 
     /// `tests/no_kernel_asks_a_list_twice.rs` for the members it cannot
-    /// name — the shard kernels under a preheated bound, CA as halted —
+    /// name — the shard kernel under a preheated bound, CA as halted —
     /// and, since they come with [`members`], the public ones again.
     #[test]
     fn no_member_asks_a_list_twice() {

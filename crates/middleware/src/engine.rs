@@ -26,10 +26,11 @@
 //! scalar algorithm, so correctness is inherited — on the calling
 //! thread over one proxy per source. The engine spawns threads in two
 //! places only: [`Engine::run_many`]'s request pool, and the shard
-//! workers of a request whose [`crate::policy::ShardPolicy`] asks for
-//! them ([`crate::sharded`]). A source is in memory or reads its pages
-//! on demand ([`crate::store`]); against a remote subsystem it is
-//! batching that pays (`benches/engine.rs`, `engine_batched/remote`).
+//! workers of a TA request whose [`crate::policy::ExecPolicy::shards`]
+//! asks for them ([`crate::sharded`]). A source is in memory or reads
+//! its pages on demand ([`crate::store`]); against a remote subsystem
+//! it is batching that pays (`benches/engine.rs`,
+//! `engine_batched/remote`).
 //!
 //! Because batching preserves per-stream order and only moves *when*
 //! items are fetched (never *which* or *in what order* the algorithm
@@ -178,9 +179,6 @@ struct EngineSource<'a> {
     /// The highest bound forwarded to the subsystem since the stream
     /// last stood at the top.
     noted: Score,
-    /// The subsystem's page counters before the run (`None` for purely
-    /// in-memory sources), diffed afterwards.
-    page_before: Option<PageIoStats>,
     /// Set for the duration of every call into the subsystem, so a
     /// panic caught around the kernel can name the stream it came from.
     in_flight: bool,
@@ -378,36 +376,61 @@ impl Engine {
     /// traffic of paged sources ([`AccessStats::page_reads`] and
     /// friends).
     ///
-    /// A shard-capable algorithm (one reporting a
-    /// [`crate::sharded::ShardKernel`]) takes the sharded path when the
-    /// request's [`crate::policy::ShardPolicy`] asks for it.
+    /// TA, the one algorithm with a shard kernel, takes the sharded
+    /// path when the request's [`crate::policy::ExecPolicy::shards`]
+    /// asks for two or more.
     pub fn run_algorithm(
         &self,
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
     ) -> Result<TopKResult, EngineError> {
-        let sharded = match algorithm.shard_kernel() {
-            Some(kernel) => try_sharded(kernel, request)?,
-            None => None,
+        let (mut result, page_before) = if algorithm.shard_kernel() && request.policy().shards > 1 {
+            // Partitioning reads pages: count from before it, even
+            // when the request falls back to the serial path.
+            let before = request
+                .sources()
+                .iter()
+                .map(|s| lock(s).page_io())
+                .collect();
+            let result = match try_sharded(request)? {
+                Some(result) => result,
+                None => self.run_serial(algorithm, request)?.0,
+            };
+            (result, before)
+        } else {
+            self.run_serial(algorithm, request)?
         };
-        let result = match sharded {
-            Some(result) => result,
-            None => self.run_serial(algorithm, request)?,
-        };
+
+        // Fold the page-traffic delta of every paged source into the
+        // request's stats. Sources sharing one store's pool would be
+        // double counted — each query source is expected to map to its
+        // own store file.
+        for (source, before) in request.sources().iter().zip(page_before) {
+            if let (Some(now), Some(before)) = (lock(source).page_io(), before) {
+                let delta = now - before;
+                result.stats.page_reads += delta.reads;
+                result.stats.page_hits += delta.hits;
+                result.stats.page_evictions += delta.evictions;
+                result.stats.pages_skipped += delta.skipped;
+            }
+        }
         *lock(&self.totals) += result.stats;
         Ok(result)
     }
 
     /// The one non-sharded path: the kernel runs on the caller's thread
     /// over batch-refilled proxies. No thread is spawned, so
-    /// `stats.worker_spawns` stays 0.
+    /// `stats.worker_spawns` stays 0. Returns each source's page
+    /// counters from before the run (`None` for in-memory sources)
+    /// beside the result.
     fn run_serial(
         &self,
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
-    ) -> Result<TopKResult, EngineError> {
+    ) -> Result<(TopKResult, Vec<Option<PageIoStats>>), EngineError> {
         let scoring = request.scoring();
         let batch = self.config.batch_size.max(1);
+        let mut page_before = Vec::with_capacity(request.sources().len());
         let mut proxies: Vec<EngineSource> = request
             .sources()
             .iter()
@@ -417,6 +440,7 @@ impl Engine {
                 // and page counters under the same lock.
                 let mut guard = lock(underlying);
                 guard.rewind();
+                page_before.push(guard.page_io());
                 EngineSource {
                     underlying,
                     info: guard.info(),
@@ -425,7 +449,6 @@ impl Engine {
                     drained: false,
                     fetched: false,
                     noted: Score::ZERO,
-                    page_before: guard.page_io(),
                     in_flight: false,
                 }
             })
@@ -442,37 +465,19 @@ impl Engine {
                 algorithm.top_k(&mut refs, &*scoring, request.k())
             }))
         };
-        let mut result = match outcome {
-            Ok(result) => result?,
+        match outcome {
+            Ok(result) => Ok((result?, page_before)),
             Err(payload) => {
                 let stream = proxies
                     .iter()
                     .find(|p| p.in_flight)
                     .map_or_else(|| algorithm.name().to_owned(), |p| p.info.label.clone());
-                return Err(EngineError::WorkerPanicked {
+                Err(EngineError::WorkerPanicked {
                     stream,
                     message: panic_message(payload.as_ref()),
-                });
-            }
-        };
-
-        // Fold the page-traffic delta of every paged source into the
-        // request's stats. Sources sharing
-        // one store's pool would be double counted — each query source
-        // is expected to map to its own store file. (The sharded path
-        // skips this: shards run on materialized partitions, their page
-        // reads happened at partition time.)
-        for proxy in &proxies {
-            if let (Some(now), Some(before)) = (lock(proxy.underlying).page_io(), proxy.page_before)
-            {
-                let delta = now - before;
-                result.stats.page_reads += delta.reads;
-                result.stats.page_hits += delta.hits;
-                result.stats.page_evictions += delta.evictions;
-                result.stats.pages_skipped += delta.skipped;
+                })
             }
         }
-        Ok(result)
     }
 
     /// Evaluates several requests concurrently on a scoped worker
@@ -499,6 +504,10 @@ impl Engine {
         let next = std::sync::atomic::AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<TopKResult, EngineError>>>> =
             requests.iter().map(|_| Mutex::new(None)).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the request pool: one of the two library thread sites, joined before the results are read"
+        )]
         thread::scope(|scope| {
             for _ in 0..workers {
                 let next = &next;
@@ -557,20 +566,12 @@ impl Engine {
 }
 
 /// The sharded execution path (see [`crate::sharded`]): partitions
-/// every source with one consistent partitioner and fans the query out
-/// over shard workers. Returns `Ok(None)` — "use the serial path" —
-/// when the request's [`crate::policy::ShardPolicy`] does not ask for
-/// shards, the universe is too small for its minimum shard size, or any
-/// source cannot be partitioned.
-fn try_sharded(
-    kernel: crate::sharded::ShardKernel,
-    request: &TopKRequest,
-) -> Result<Option<TopKResult>, EngineError> {
-    let (max_shards, min_items) = request.policy().effective_shards();
-    if max_shards < 2 {
-        return Ok(None);
-    }
-    // The shard kernels skip the scalar entry point, so reject bad
+/// every source with one consistent partitioner and fans TA out over
+/// `min(shards, universe)` shard workers. Returns `Ok(None)` — "use the
+/// serial path" — when that is fewer than two or any source cannot be
+/// partitioned.
+fn try_sharded(request: &TopKRequest) -> Result<Option<TopKResult>, EngineError> {
+    // The shard kernel skips the scalar entry point, so reject bad
     // requests here with the same checks (same errors, same order).
     let scoring = request.scoring();
     crate::algorithms::validate(request.sources(), &*scoring, request.k())?;
@@ -580,7 +581,7 @@ fn try_sharded(
         .map(|s| lock(s).info().universe_size)
         .min()
         .unwrap_or(0);
-    let shards = max_shards.min(universe / min_items.max(1));
+    let shards = request.policy().shards.min(universe);
     if shards < 2 {
         return Ok(None);
     }
@@ -591,7 +592,7 @@ fn try_sharded(
     ) else {
         return Ok(None);
     };
-    crate::sharded::run_shards(kernel, partitioned, &scoring, request.k()).map(Some)
+    crate::sharded::run_shards(partitioned, &scoring, request.k()).map(Some)
 }
 
 #[cfg(test)]
@@ -601,7 +602,7 @@ mod tests {
     use crate::algorithms::naive::Naive;
     use crate::algorithms::ta::ThresholdAlgorithm;
     use crate::oracle::verify_top_k;
-    use crate::policy::{Algo, ExecPolicy, ShardPolicy};
+    use crate::policy::{Algo, ExecPolicy};
     use crate::request::TopKQuery;
     use crate::stats::CostModel;
     use crate::workload::independent_uniform;
@@ -1053,18 +1054,36 @@ mod tests {
         }
     }
 
+    /// Partitioning a paged source reads its pages, and those reads
+    /// are the request's: sharded TA reports what the stores read.
     #[test]
-    fn shard_min_items_keeps_small_queries_serial() {
-        let policy = ExecPolicy::new().sharding(ShardPolicy::Shards {
-            shards: 4,
-            min_items: 1000,
-        });
-        // Universe 100 < 2 * 1000: the serial path runs, no shard
-        // workers are spawned.
-        let result = Engine::default()
-            .run_algorithm(&ThresholdAlgorithm, &request_under(policy, 100, 2, 5, 4))
+    fn sharded_ta_reports_the_pages_partitioning_reads() {
+        use crate::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/store-tests");
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let stores: Vec<PagedStore> = independent_uniform(20_000, 2, 37)
+            .iter_mut()
+            .zip(0..)
+            .map(|(list, i)| {
+                let path = dir.join(format!("engine-sharded-{i}.fmdb"));
+                build_store_from_source(&path, list, &BuildConfig::DEFAULT).expect("build");
+                PagedStore::open(&path, StoreOptions::with_pool_pages(8)).expect("open")
+            })
+            .collect();
+        let reads = || stores.iter().map(|s| s.page_io().reads).sum::<u64>();
+        let mut query = TopKQuery::compose();
+        for store in &stores {
+            query = query.source(store.source());
+        }
+        let policy = ExecPolicy::new().sharded_over(2);
+        let request = query.scoring(Min).k(10).policy(policy).request().unwrap();
+        let before = reads();
+        let got = Engine::default()
+            .run_algorithm(&ThresholdAlgorithm, &request)
             .unwrap();
-        assert_eq!(result.stats.worker_spawns, 0);
+        assert_eq!(got.stats.worker_spawns, 2, "the request sharded");
+        assert!(got.stats.page_reads > 0, "cold stores read pages");
+        assert_eq!(got.stats.page_reads, reads() - before);
     }
 
     #[test]

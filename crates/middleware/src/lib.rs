@@ -24,9 +24,9 @@
 //!   bit-identical to the scalar algorithms; a bounded pool serves
 //!   request batches;
 //! * [`sharded`] — partition-parallel intra-query execution: per-shard
-//!   TA/NRA kernels cooperating through a shared
-//!   [`sharded::AtomicThreshold`], their answers merged by the output
-//!   comparator every kernel ends in;
+//!   TA kernels cooperating through a shared bound on the k-th grade,
+//!   their answers merged by the output comparator every kernel ends
+//!   in;
 //! * [`oracle`] — brute-force reference grading and top-k validity
 //!   checking (used pervasively in tests);
 //! * [`optimality`] — the per-instance optimality oracle: the cheapest
@@ -99,11 +99,10 @@ pub mod prelude {
         choose_plan, classify_combiner, CombinerKind, Explain, PhysicalPlan, PlanQuery, QueryStats,
         StatsBasis,
     };
-    pub use crate::policy::{Algo, Approximation, ExecPolicy, ShardPolicy};
+    pub use crate::policy::{Algo, Approximation, ExecPolicy};
     pub use crate::request::{
         shared_source, SharedScoring, SharedSource, TopKQuery, TopKQueryBuilder, TopKRequest,
     };
-    pub use crate::sharded::{AtomicThreshold, ShardKernel};
     pub use crate::source::{
         GradedSource, Oid, ShardedSource, SourceInfo, SourcePartitioner, SourceViolation,
         ValidatingSource, VecSource,

@@ -8,8 +8,8 @@
 //! * the **policy** — [`ExecPolicy`]: *how* to compute it. Algorithm
 //!   choice ([`Algo`]), the access [`CostModel`] (Fagin–Lotem–Naor's
 //!   `c_S`/`c_R`), the grade slack ([`Approximation`]), and
-//!   intra-query sharding ([`ShardPolicy`]) — a per-request setting
-//!   only; the engine has no shard count of its own.
+//!   intra-query sharding ([`ExecPolicy::shards`]) — a per-request
+//!   setting only; the engine has no shard count of its own.
 //!
 //! [`Algo::Auto`] defers the choice to the unified cost-based planner
 //! ([`crate::planner`]). [`crate::engine::Engine::run`] gathers
@@ -97,24 +97,6 @@ impl Approximation {
     }
 }
 
-/// Intra-query sharding: whether this request may fan out over shard
-/// workers ([`crate::sharded`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Run the kernel on the caller's thread (the default).
-    #[default]
-    Serial,
-    /// Ask for up to `shards` partitions, each at least `min_items`
-    /// objects (the engine still degrades to serial when the corpus is
-    /// too small or the algorithm has no shard kernel).
-    Shards {
-        /// Maximum worker partitions for this request.
-        shards: usize,
-        /// Smallest per-shard corpus worth a worker thread.
-        min_items: usize,
-    },
-}
-
 /// How a [`crate::request::TopKRequest`] should be executed; see the
 /// module docs for the split against [`crate::request::TopKQuery`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,8 +108,10 @@ pub struct ExecPolicy {
     pub cost: CostModel,
     /// Tolerated grade slack.
     pub approximation: Approximation,
-    /// Intra-query sharding.
-    pub sharding: ShardPolicy,
+    /// Intra-query sharding: up to this many shard workers
+    /// ([`crate::sharded`]); 0 or 1 runs the kernel on the caller's
+    /// thread. Only TA shards — every other algorithm runs serial.
+    pub shards: usize,
 }
 
 impl Default for ExecPolicy {
@@ -138,12 +122,12 @@ impl Default for ExecPolicy {
 
 impl ExecPolicy {
     /// The default policy: `Auto` under the paper's uniform cost
-    /// measure, exact answers, no intra-query sharding.
+    /// measure, exact answers, one shard (no intra-query sharding).
     pub const DEFAULT: ExecPolicy = ExecPolicy {
         algo: Algo::Auto,
         cost: CostModel::UNIFORM,
         approximation: Approximation::Exact,
-        sharding: ShardPolicy::Serial,
+        shards: 1,
     };
 
     /// Starts from the defaults; chain the setters to specialize.
@@ -175,35 +159,16 @@ impl ExecPolicy {
         self
     }
 
-    /// Sets the intra-query sharding.
-    pub fn sharding(mut self, sharding: ShardPolicy) -> Self {
-        self.sharding = sharding;
+    /// Requests up to `shards` shard workers ([`ExecPolicy::shards`]).
+    pub fn sharded_over(mut self, shards: usize) -> Self {
+        self.shards = shards;
         self
-    }
-
-    /// Requests up to `shards` partitions with no corpus-size veto —
-    /// shorthand for `sharding(ShardPolicy::Shards { shards,
-    /// min_items: 1 })`.
-    pub fn sharded_over(self, shards: usize) -> Self {
-        self.sharding(ShardPolicy::Shards {
-            shards,
-            min_items: 1,
-        })
     }
 
     /// CA's interleave depth `h = max(1, ⌊c_R/c_S⌋)`: one random-access
     /// step per `h` sorted-access rounds.
     pub fn interleave(&self) -> usize {
         interleave_depth(&self.cost)
-    }
-
-    /// The `(shards, min_items)` pair this request asks for; fewer
-    /// than 2 shards means the serial path.
-    pub fn effective_shards(&self) -> (usize, usize) {
-        match self.sharding {
-            ShardPolicy::Serial => (1, 1),
-            ShardPolicy::Shards { shards, min_items } => (shards, min_items),
-        }
     }
 
     fn validate_cost(&self) -> Result<(), AlgoError> {
@@ -372,13 +337,8 @@ mod tests {
     #[test]
     fn sharding_is_per_request_only() {
         let p = ExecPolicy::new();
-        assert_eq!(p.effective_shards(), (1, 1));
-        assert_eq!(p.sharded_over(4).effective_shards(), (4, 1));
-        assert_eq!(
-            p.sharded_over(4)
-                .sharding(ShardPolicy::Serial)
-                .effective_shards(),
-            (1, 1)
-        );
+        assert_eq!(p.shards, 1);
+        assert_eq!(p.sharded_over(4).shards, 4);
+        assert_eq!(p.sharded_over(4).sharded_over(1), p);
     }
 }

@@ -1,28 +1,34 @@
-//! Sharded intra-query execution: partition-parallel TA/NRA with
+//! Sharded intra-query execution: partition-parallel TA with
 //! cooperative threshold sharing.
 //!
 //! The engine of PR 1 parallelizes *across* requests; a single
 //! expensive top-k still drains its sources on one thread. This module
 //! splits one query into `P` disjoint shards (every source partitioned
-//! by the *same* [`SourcePartitioner`]), runs a threshold-style kernel
-//! per shard on scoped threads, and merges the per-shard answers — at
-//! most `P·k` of them — with the sort-and-truncate every kernel ends in.
+//! by the *same* [`SourcePartitioner`]), runs the TA kernel per shard
+//! on scoped threads, and merges the per-shard answers — at most `P·k`
+//! of them — with the sort-and-truncate every kernel ends in. TA is the
+//! only algorithm with a shard kernel
+//! ([`crate::algorithms::TopKAlgorithm::shard_kernel`]); every other
+//! one runs serial under any shard count.
 //!
-//! # Why the merge is exact
+//! # Why the merge is valid
 //!
-//! All kernels report per-shard answers with **exact** grades. Any
-//! object of the true global top-k lives in exactly one shard, and
-//! within that shard at most `k − 1` objects beat it — so it appears in
-//! that shard's local top-k. The best `k` of the local top-k lists
-//! under the output comparator (descending grade, ties by ascending
-//! oid) are therefore exactly the global top-k.
+//! TA reports per-shard answers with **exact** grades. Any object of
+//! the true global top-k lives in exactly one shard, and within that
+//! shard at most `k − 1` objects beat it — so it appears in that
+//! shard's local top-k. The best `k` of the local top-k lists under the
+//! output comparator (descending grade, ties by ascending oid) are
+//! therefore a valid global top-k. On tie-free lists it is the serial
+//! answer list bit for bit. Where objects tie at the k-th grade, which
+//! of them TA reports depends on how deep it read, and every shard
+//! reads its own lists to its own depth: sharded TA may then return
+//! other, equally valid, tied objects than serial TA.
 //!
 //! # Why the shared threshold is a valid stopping bound
 //!
-//! Each shard publishes into an [`AtomicThreshold`] a certified lower
-//! bound `T` on the global k-th overall grade (for TA: its local k-th
-//! *exact* grade — k real objects score at least that much; for NRA:
-//! its local k-th certified *lower* bound). Because scoring is
+//! Each shard publishes into an `AtomicThreshold` a certified lower
+//! bound `T` on the global k-th overall grade: its local k-th exact
+//! grade — k real objects score at least that much. Because scoring is
 //! monotone, a shard whose own threshold `τ = t(b₁, …, b_m)` falls
 //! strictly below `T` knows every object it has not yet seen grades at
 //! most `τ < T ≤` (global k-th grade), i.e. strictly below the weakest
@@ -66,13 +72,13 @@ use crate::stats::AccessStats;
 /// only on never seeing a value larger than some published certified
 /// bound, which atomicity alone guarantees.
 #[derive(Debug, Default)]
-pub struct AtomicThreshold {
+pub(crate) struct AtomicThreshold {
     bits: AtomicU64,
 }
 
 impl AtomicThreshold {
     /// Starts at zero (no bound known).
-    pub fn new() -> AtomicThreshold {
+    pub(crate) fn new() -> AtomicThreshold {
         // Score::ZERO is +0.0, whose bit pattern is 0.
         AtomicThreshold {
             bits: AtomicU64::new(0),
@@ -80,7 +86,7 @@ impl AtomicThreshold {
     }
 
     /// Raises the bound to `candidate` if it is an improvement.
-    pub fn observe(&self, candidate: Score) {
+    pub(crate) fn observe(&self, candidate: Score) {
         // ordering(Relaxed): the threshold is a monotone advisory
         // bound. Scores are in [0,1], so their IEEE-754 bit patterns
         // order like the values and fetch_max never lowers the bound;
@@ -91,7 +97,7 @@ impl AtomicThreshold {
     }
 
     /// The current bound (possibly stale, never overstated).
-    pub fn get(&self) -> Score {
+    pub(crate) fn get(&self) -> Score {
         // ordering(Relaxed): reading a stale bound is safe by the same
         // monotonicity argument — the value can only be under the true
         // maximum, which weakens pruning but never drops a result.
@@ -99,44 +105,26 @@ impl AtomicThreshold {
     }
 }
 
-/// Which per-shard kernel a sharded algorithm runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardKernel {
-    /// Threshold-algorithm kernel: sorted access plus immediate random
-    /// access; per-shard answers carry exact grades, so the merged
-    /// answer list is **identical** to the serial TA answer list.
-    Ta,
-    /// No-random-access kernel. Each shard streams until its reported
-    /// top-k intervals collapse to exact grades (or the global bound
-    /// proves it holds no global answers), so the merged *set* is a
-    /// valid top-k set with exact grades — serial NRA may report the
-    /// same set with understated lower-bound grades instead.
-    Nra,
-}
-
 /// Runs one shard's kernel: the threshold loop of
-/// [`crate::algorithms::threshold`] with the cooperative bound attached.
+/// [`crate::algorithms::threshold`] probing on sight (TA), with the
+/// cooperative bound attached.
 ///
 /// On top of its serial stopping rule the shard publishes its local
-/// k-th (lower-bound) grade into `global` every round and stops as soon
-/// as the shared bound rules out everything it has not reported yet;
-/// the module docs argue why both are sound.
+/// k-th grade into `global` every round and stops as soon as the shared
+/// bound rules out everything it has not reported yet; the module docs
+/// argue why both are sound.
 fn run_kernel(
-    kernel: ShardKernel,
     sources: &mut [ShardedSource],
     scoring: &dyn ScoringFunction,
     k: usize,
     global: &AtomicThreshold,
 ) -> (Vec<ScoredObject<Oid>>, AccessStats) {
-    let (probe, report) = match kernel {
-        ShardKernel::Ta => (Probe::OnSight, Report::AsHalted),
-        ShardKernel::Nra => (Probe::Never, Report::Collapsed),
-    };
     let mut refs: Vec<&mut dyn GradedSource> = sources
         .iter_mut()
         .map(|s| s as &mut dyn GradedSource)
         .collect();
-    let result = Family::new(probe, 0.0, report).run(Some(global), &mut refs, scoring, k);
+    let family = Family::new(Probe::OnSight, 0.0, Report::AsHalted);
+    let result = family.run(Some(global), &mut refs, scoring, k);
     let result = result.into_lower_bounds();
     (result.answers, result.stats)
 }
@@ -149,26 +137,28 @@ fn run_kernel(
 /// request, never the process. The returned stats are the fold of all
 /// per-shard stats plus one `worker_spawns` per shard.
 pub(crate) fn run_shards(
-    kernel: ShardKernel,
     shards: Vec<Vec<ShardedSource>>,
     scoring: &SharedScoring,
     k: usize,
 ) -> Result<TopKResult, EngineError> {
     let global = AtomicThreshold::new();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the shard workers: one of the two library thread sites, joined in shard order before the merge"
+    )]
     let outcomes: Vec<_> = thread::scope(|scope| {
         let workers: Vec<_> = shards
             .into_iter()
             .map(|mut sources| {
                 let scoring = Arc::clone(scoring);
                 let global = &global;
-                scope.spawn(move || run_kernel(kernel, &mut sources, &*scoring, k, global))
+                scope.spawn(move || run_kernel(&mut sources, &*scoring, k, global))
             })
             .collect();
         // Joined in shard order; a worker that panicked hands back its
         // payload instead of a result.
         workers.into_iter().map(|worker| worker.join()).collect()
     });
-
     let mut stats = AccessStats::ZERO;
     stats.worker_spawns = outcomes.len() as u64;
     let mut answers = Vec::new();
@@ -210,10 +200,8 @@ mod tests {
     use super::*;
     use crate::algorithms::ta::ThresholdAlgorithm;
     use crate::algorithms::TopKAlgorithm;
-    use crate::oracle::{all_grades, verify_top_k};
     use crate::source::VecSource;
     use crate::workload::independent_uniform;
-    use fmdb_core::scoring::means::ArithmeticMean;
     use fmdb_core::scoring::tnorms::Min;
 
     fn s(v: f64) -> Score {
@@ -234,6 +222,10 @@ mod tests {
     #[test]
     fn atomic_threshold_is_race_free_across_threads() {
         let t = AtomicThreshold::new();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "four racing writers are what this test is about"
+        )]
         thread::scope(|scope| {
             for part in 0..4u64 {
                 let t = &t;
@@ -278,7 +270,7 @@ mod tests {
             for p in [1usize, 2, 3, 8] {
                 let shards = shard_workload(n, m, 42, p);
                 let scoring: SharedScoring = Arc::new(Min);
-                let got = run_shards(ShardKernel::Ta, shards, &scoring, k).unwrap();
+                let got = run_shards(shards, &scoring, k).unwrap();
                 let want = serial_ta(n, m, 42, k);
                 assert_eq!(got.answers, want.answers, "n={n} m={m} k={k} p={p}");
                 assert_eq!(got.stats.worker_spawns, p as u64);
@@ -287,24 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_nra_returns_an_exact_valid_top_k_set() {
-        for &(n, k) in &[(180usize, 7usize), (60, 60), (33, 50)] {
-            let shards = shard_workload(n, 2, 9, 4);
-            let scoring: SharedScoring = Arc::new(ArithmeticMean);
-            let got = run_shards(ShardKernel::Nra, shards, &scoring, k).unwrap();
-            // Exact grades: verify directly against the oracle.
-            let mut sources = independent_uniform(n, 2, 9);
-            let mut refs: Vec<&mut dyn GradedSource> = sources
-                .iter_mut()
-                .map(|x| x as &mut dyn GradedSource)
-                .collect();
-            verify_top_k(&mut refs, &ArithmeticMean, &got.answers, k).unwrap();
-            assert_eq!(got.answers.len(), k.min(n));
-        }
-    }
-
-    #[test]
-    fn shard_kernels_meter_their_accesses() {
+    fn shard_kernel_meters_its_accesses() {
         // Wrap each shard in a counter and check self-reported stats.
         let src = VecSource::from_dense(
             "t",
@@ -312,27 +287,10 @@ mod tests {
         );
         let mut parts = src.partition(SourcePartitioner::Modulo, 2).unwrap();
         let global = AtomicThreshold::new();
-        let (answers, stats) = run_kernel(ShardKernel::Ta, &mut parts[..1], &Min, 3, &global);
+        let (answers, stats) = run_kernel(&mut parts[..1], &Min, 3, &global);
         assert_eq!(answers.len(), 3);
         assert!(stats.sorted > 0);
         assert_eq!(stats.random, 0, "single source: nothing to probe");
-        // NRA never random-accesses by construction.
-        let src2 = VecSource::from_dense(
-            "u",
-            &(0..50)
-                .map(|i| s((i as f64 * 0.37) % 1.0))
-                .collect::<Vec<_>>(),
-        );
-        let mut parts2 = src2.partition(SourcePartitioner::Modulo, 2).unwrap();
-        let mut pair = vec![parts.remove(0), parts2.remove(0)];
-        let (_, nra_stats) = run_kernel(
-            ShardKernel::Nra,
-            &mut pair,
-            &Min,
-            3,
-            &AtomicThreshold::new(),
-        );
-        assert_eq!(nra_stats.random, 0);
     }
 
     #[test]
@@ -344,35 +302,12 @@ mod tests {
         let mut parts = src.partition(SourcePartitioner::Modulo, 1).unwrap();
         let global = AtomicThreshold::new();
         global.observe(s(0.9));
-        let (_, stats) = run_kernel(ShardKernel::Ta, &mut parts, &Min, 5, &global);
+        let (_, stats) = run_kernel(&mut parts, &Min, 5, &global);
         assert!(
             stats.sorted <= 10,
             "cooperative bound should stop the scan, streamed {}",
             stats.sorted
         );
-        let mut parts_nra = src.partition(SourcePartitioner::Modulo, 1).unwrap();
-        let (answers, stats) = run_kernel(ShardKernel::Nra, &mut parts_nra, &Min, 5, &global);
-        assert!(answers.is_empty(), "pruned shard reports no answers");
-        assert!(stats.sorted <= 10, "streamed {}", stats.sorted);
-    }
-
-    #[test]
-    fn sharded_nra_grade_multiset_matches_truth() {
-        let shards = shard_workload(120, 3, 5, 3);
-        let scoring: SharedScoring = Arc::new(Min);
-        let got = run_shards(ShardKernel::Nra, shards, &scoring, 10).unwrap();
-        let mut sources = independent_uniform(120, 3, 5);
-        let mut refs: Vec<&mut dyn GradedSource> = sources
-            .iter_mut()
-            .map(|x| x as &mut dyn GradedSource)
-            .collect();
-        let truth = all_grades(&mut refs, &Min);
-        for a in &got.answers {
-            assert!(
-                a.grade.approx_eq(truth[&a.id], 1e-9),
-                "reported grade is exact"
-            );
-        }
     }
 
     #[test]
@@ -395,7 +330,7 @@ mod tests {
         }
         let shards = shard_workload(40, 2, 1, 2);
         let scoring: SharedScoring = Arc::new(Bomb);
-        match run_shards(ShardKernel::Ta, shards, &scoring, 3) {
+        match run_shards(shards, &scoring, 3) {
             Err(EngineError::WorkerPanicked { stream, message }) => {
                 assert!(stream.starts_with("shard"), "{stream}");
                 assert!(message.contains("exploded"), "{message}");

@@ -52,6 +52,7 @@ pub fn violations(x: Option<f64>, y: Result<f64, String>, which: u8) -> bool {
     drop(worker);
     let (tx, rx) = std::sync::mpsc::channel::<u8>();
     drop((tx, rx));
+    std::thread::scope(|_| ());
     unsafe {}
     match which {
         0 => panic!("seeded"),
@@ -75,6 +76,7 @@ const EXPECTED: &[(&str, &str)] = &[
     ("deprecated", ""),
     ("clippy::disallowed_methods", "std::thread::spawn"),
     ("clippy::disallowed_methods", "std::sync::mpsc::channel"),
+    ("clippy::disallowed_methods", "std::thread::scope"),
     ("unsafe_code", ""),
     ("missing_debug_implementations", ""),
     ("missing_docs", ""),

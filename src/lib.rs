@@ -62,8 +62,8 @@ pub mod prelude {
         AccessStats, Algo, AlgoError, ApproxNra, ApproxTa, Approximation, CombinedAlgorithm,
         CostModel, Engine, EngineConfig, ExecPolicy, FaSession, FaginsAlgorithm, GradedSource,
         MaxMerge, Naive, Nra, Oid, OptimalityOracle, OwnedFaSession, PagedSource, PagedStore,
-        PrunedFa, ShardPolicy, SharedScoring, SourceInfo, StoreError, ThresholdAlgorithm,
-        TopKAlgorithm, TopKQuery, TopKRequest, TopKResult, ValidatingSource, VecSource,
+        PrunedFa, SharedScoring, SourceInfo, StoreError, ThresholdAlgorithm, TopKAlgorithm,
+        TopKQuery, TopKRequest, TopKResult, ValidatingSource, VecSource,
     };
     pub use fmdb_middleware::workload::independent_uniform;
 }
