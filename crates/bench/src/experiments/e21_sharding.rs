@@ -143,10 +143,10 @@ pub fn run(cfg: &RunCfg) -> Report {
          shard_equivalence proptest suite proves the same equality on tie-free lists)."
     ));
     report.note(
-        "speedup is hardware-bound: on a single-core host the sharded path can only tie or \
-         lose to serial (thread setup is pure overhead), while the per-shard sorted-access \
-         totals show the cooperative threshold keeping total work near the serial cost. The \
-         Criterion `sharded` bench group measures the same sweep under steady state.",
+        "speedup is hardware-bound: with more shards than cores the sharded path can only \
+         tie or lose to serial (thread setup is pure overhead), and on a 2-core host even 2 \
+         shards lose at this N, while the per-shard sorted-access totals show the \
+         cooperative threshold keeping total work near the serial cost.",
     );
     report
 }

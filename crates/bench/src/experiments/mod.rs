@@ -99,6 +99,7 @@ mod tests {
                 "ca_h10_ns_per_access",
                 "nra_vs_ta_ns_per_access",
                 "engine_vs_scalar_many8",
+                "engine_vs_scalar_sorted_calls",
             ],
         ),
         ("E20", &["kernel_us", "bind_us", "bind_vs_kernel"]),

@@ -29,9 +29,8 @@
 //! structure-of-arrays column store of pre-embedded coordinates with a
 //! batched kNN scan that (1) skips whole blocks via per-block
 //! coordinate **zone maps** (the distance from the query to a block's
-//! bounding box lower-bounds every member's distance), (2) prunes
-//! single objects via the §2.1 short-vector bounding filter, then
-//! (3) **early-abandons** the running squared sum against the current
+//! bounding box lower-bounds every member's distance), then
+//! (2) **early-abandons** the running squared sum against the current
 //! k-th best distance. The abandon invariant: the running sum of squares
 //! is monotone non-decreasing, so once a partial sum strictly exceeds
 //! the current k-th best *squared* distance the object's final
@@ -47,7 +46,6 @@ use std::fmt;
 use fmdb_core::score::Score;
 use fmdb_core::stats::GradeHistogram;
 
-use crate::bounding::{BoundError, DistanceBound, ShortVector};
 use crate::color::{ColorHistogram, ColorSpace};
 use crate::distance::{DistanceError, HistogramDistance};
 use crate::linalg::{Cholesky, LinalgError, SymMatrix};
@@ -86,8 +84,6 @@ pub enum EmbedError {
         /// The offending dimension.
         got: usize,
     },
-    /// Deriving the §2.1 bounding filter failed.
-    Bound(BoundError),
 }
 
 impl fmt::Display for EmbedError {
@@ -100,18 +96,11 @@ impl fmt::Display for EmbedError {
             EmbedError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
-            EmbedError::Bound(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for EmbedError {}
-
-impl From<BoundError> for EmbedError {
-    fn from(e: BoundError) -> Self {
-        EmbedError::Bound(e)
-    }
-}
 
 /// One block's squared-distance contribution, manually unrolled eight
 /// lanes wide with **two independent accumulators**: each iteration
@@ -143,48 +132,6 @@ fn squared_block(a: &[f64], b: &[f64]) -> f64 {
         s1 += (d4 * d4 + d5 * d5) + (d6 * d6 + d7 * d7);
     }
     let mut sum = s0 + s1;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        let d = x - y;
-        sum += d * d;
-    }
-    sum
-}
-
-/// The plain scalar squared-distance loop — the reference the unrolled
-/// kernels are benchmarked against (`pruned_scan` bench group) and the
-/// numerical oracle of the kernel tests. Not used by any scan path.
-#[inline]
-pub fn squared_euclidean_scalar(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let d = x - y;
-            d * d
-        })
-        .sum()
-}
-
-/// The previous production kernel, four lanes with one accumulator
-/// per lane, kept as a benchmark reference so the 8-wide kernel's win
-/// stays measurable. Not used by any scan path.
-#[inline]
-pub fn squared_euclidean_4wide(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0, 0.0, 0.0);
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        let d0 = xa[0] - xb[0];
-        let d1 = xa[1] - xb[1];
-        let d2 = xa[2] - xb[2];
-        let d3 = xa[3] - xb[3];
-        s0 += d0 * d0;
-        s1 += d1 * d1;
-        s2 += d2 * d2;
-        s3 += d3 * d3;
-    }
-    let mut sum = (s0 + s1) + (s2 + s3);
     for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
         let d = x - y;
         sum += d * d;
@@ -362,9 +309,6 @@ impl HistogramDistance for EmbeddedDistance {
 /// Cost counters for one [`EmbeddedCorpus`] kNN scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Objects skipped by the §2.1 short-vector bounding filter
-    /// without touching their embedded coordinates.
-    pub filter_pruned: u64,
     /// Objects whose distance evaluation was cut short by the running
     /// sum exceeding the k-th best.
     pub abandoned: u64,
@@ -375,7 +319,7 @@ pub struct ScanStats {
     pub blocks_skipped: u64,
     /// Objects inside skipped blocks — never individually examined.
     /// Every scanned object lands in exactly one bucket, so
-    /// `filter_pruned + abandoned + completed + block_pruned` equals
+    /// `abandoned + completed + block_pruned` equals
     /// the number of objects in the corpus.
     pub block_pruned: u64,
 }
@@ -383,7 +327,7 @@ pub struct ScanStats {
 impl ScanStats {
     /// Fraction of objects that never paid the full O(k) loop.
     pub fn savings(&self) -> f64 {
-        let total = self.filter_pruned + self.abandoned + self.completed + self.block_pruned;
+        let total = self.abandoned + self.completed + self.block_pruned;
         if total == 0 {
             0.0
         } else {
@@ -394,8 +338,8 @@ impl ScanStats {
 
 /// A flat column store of pre-embedded histogram coordinates
 /// (structure of arrays: one contiguous `n×k` coordinate block, one
-/// `n×3` short-vector block, one bounding box per
-/// [`EmbeddedCorpus::prune_block`] rows), with batched zone-map-pruned
+/// bounding box per [`EmbeddedCorpus::prune_block`] rows), with batched
+/// zone-map-pruned
 /// early-abandoning kNN.
 #[derive(Debug, Clone)]
 pub struct EmbeddedCorpus {
@@ -405,9 +349,6 @@ pub struct EmbeddedCorpus {
     /// Object-major embedded coordinates (`n·k` entries; object `i`
     /// owns `coords[i·k .. (i+1)·k]`).
     coords: Vec<f64>,
-    /// The §2.1 first-stage filter, when derivable: the bound plus a
-    /// flat `n·3` block of short vectors.
-    filter: Option<CorpusFilter>,
     /// Zone-map block size: rows per bounding box.
     prune_block: usize,
     /// Per-block coordinate minima (`⌈n/prune_block⌉·k` entries; block
@@ -417,17 +358,8 @@ pub struct EmbeddedCorpus {
     block_hi: Vec<f64>,
 }
 
-#[derive(Debug, Clone)]
-struct CorpusFilter {
-    bound: DistanceBound,
-    /// Flat `n·3` scaled short-vector coordinates.
-    shorts: Vec<f64>,
-}
-
 impl EmbeddedCorpus {
-    /// Embeds every histogram into `space` (O(n·k²) once). No bounding
-    /// filter — every scan pays at least the zone-map/abandon stages
-    /// per object.
+    /// Embeds every histogram into `space` (O(n·k²) once).
     pub fn build(
         space: EmbeddedSpace,
         hists: &[ColorHistogram],
@@ -442,7 +374,6 @@ impl EmbeddedCorpus {
             n: hists.len(),
             k,
             coords,
-            filter: None,
             prune_block: DEFAULT_PRUNE_BLOCK,
             block_lo: Vec::new(),
             block_hi: Vec::new(),
@@ -452,7 +383,7 @@ impl EmbeddedCorpus {
     }
 
     /// Rebuilds this corpus's zone maps at a different block size
-    /// (clamped to ≥ 1) — the proptest grid and benchmarks sweep this;
+    /// (clamped to ≥ 1) — the tests sweep this;
     /// production uses [`DEFAULT_PRUNE_BLOCK`]. O(n·k).
     pub fn with_prune_block(mut self, block: usize) -> EmbeddedCorpus {
         self.prune_block = block.max(1);
@@ -520,24 +451,6 @@ impl EmbeddedCorpus {
         squared_euclidean(q, clamped)
     }
 
-    /// Builds the corpus for a color space **with** the §2.1
-    /// short-vector bounding filter as the scan's first stage.
-    pub fn build_filtered(
-        color_space: &ColorSpace,
-        hists: &[ColorHistogram],
-    ) -> Result<EmbeddedCorpus, EmbedError> {
-        let space = EmbeddedSpace::for_space(color_space)?;
-        let mut corpus = EmbeddedCorpus::build(space, hists)?;
-        let bound = DistanceBound::for_space(color_space)?;
-        let mut shorts = vec![0.0; hists.len() * 3];
-        for (h, chunk) in hists.iter().zip(shorts.chunks_mut(3)) {
-            let s = bound.project(h)?;
-            chunk.copy_from_slice(&s.coords);
-        }
-        corpus.filter = Some(CorpusFilter { bound, shorts });
-        Ok(corpus)
-    }
-
     /// Number of objects.
     pub fn len(&self) -> usize {
         self.n
@@ -556,12 +469,6 @@ impl EmbeddedCorpus {
     /// The embedding shared by all stored objects.
     pub fn space(&self) -> &EmbeddedSpace {
         &self.space
-    }
-
-    /// Whether the §2.1 bounding filter is active as the scan's first
-    /// stage.
-    pub fn has_filter(&self) -> bool {
-        self.filter.is_some()
     }
 
     /// The embedded coordinates of object `i`.
@@ -671,9 +578,8 @@ impl EmbeddedCorpus {
     }
 
     /// The `k_nearest` objects closest to `query` under the exact
-    /// quadratic-form distance, by early-abandoning scan (plus the
-    /// bounding-filter first stage when built with
-    /// [`EmbeddedCorpus::build_filtered`]).
+    /// quadratic-form distance, by zone-map-pruned early-abandoning
+    /// scan.
     ///
     /// Returns `(index, distance)` pairs in ascending
     /// `(distance, index)` order — identical to the brute-force
@@ -683,30 +589,11 @@ impl EmbeddedCorpus {
         query: &ColorHistogram,
         k_nearest: usize,
     ) -> Result<(Vec<(usize, f64)>, ScanStats), EmbedError> {
-        let q = self.embed_query(query)?;
-        let q_short = self.query_short(query)?;
-        let (heap, stats) = self.scan(&q, q_short.as_ref(), k_nearest, f64::INFINITY, true, true);
-        Ok((finalize(heap), stats))
-    }
-
-    /// [`EmbeddedCorpus::knn`] with the zone-map block pruning turned
-    /// off (filter and early abandoning still on) — the unpruned
-    /// reference the `pruned_equivalence` suite and the bench group
-    /// compare against. Answers are bit-identical to
-    /// [`EmbeddedCorpus::knn`]; only the work differs.
-    pub fn knn_unpruned(
-        &self,
-        query: &ColorHistogram,
-        k_nearest: usize,
-    ) -> Result<(Vec<(usize, f64)>, ScanStats), EmbedError> {
-        let q = self.embed_query(query)?;
-        let q_short = self.query_short(query)?;
-        let (heap, stats) = self.scan(&q, q_short.as_ref(), k_nearest, f64::INFINITY, true, false);
-        Ok((finalize(heap), stats))
+        self.knn_within(query, k_nearest, f64::INFINITY, true)
     }
 
     /// The brute-force oracle: every distance run to completion, no
-    /// filter, no abandoning, no zone maps. Same ordering contract as
+    /// abandoning, no zone maps. Same ordering contract as
     /// [`EmbeddedCorpus::knn`].
     pub fn knn_brute(
         &self,
@@ -714,7 +601,7 @@ impl EmbeddedCorpus {
         k_nearest: usize,
     ) -> Result<(Vec<(usize, f64)>, ScanStats), EmbedError> {
         let q = self.embed_query(query)?;
-        let (heap, stats) = self.scan(&q, None, k_nearest, f64::INFINITY, false, false);
+        let (heap, stats) = self.scan(&q, k_nearest, f64::INFINITY, false, false);
         Ok((finalize(heap), stats))
     }
 
@@ -722,13 +609,14 @@ impl EmbeddedCorpus {
     /// to `query` **among those within `max_distance`** — a caller
     /// holding a live threshold (a top-k algorithm's current k-th
     /// grade, mapped back to a distance) seeds the scan with it, so
-    /// zone-map skipping, the §2.1 filter, and early abandoning all
-    /// engage from the first row instead of waiting for `k_nearest`
-    /// candidates to accumulate.
+    /// zone-map skipping and early abandoning engage from the first
+    /// row instead of waiting for `k_nearest` candidates to accumulate.
     ///
-    /// Objects at exactly `max_distance` are kept. `pruned = false`
-    /// runs the same bounded scan without zone maps (the equivalence
-    /// oracle); both variants return bit-identical answers.
+    /// Objects at exactly `max_distance` are kept. No distance is
+    /// negative, so a negative bound returns no object; `+∞` and NaN
+    /// bound nothing (the plain top-k scan). `pruned = false` runs the
+    /// same bounded scan without zone maps (the equivalence oracle);
+    /// both variants return bit-identical answers.
     pub fn knn_within(
         &self,
         query: &ColorHistogram,
@@ -737,21 +625,16 @@ impl EmbeddedCorpus {
         pruned: bool,
     ) -> Result<(Vec<(usize, f64)>, ScanStats), EmbedError> {
         let q = self.embed_query(query)?;
-        let q_short = self.query_short(query)?;
-        let bound_sq = if max_distance.is_finite() && max_distance >= 0.0 {
+        if max_distance < 0.0 {
+            return Ok((Vec::new(), ScanStats::default()));
+        }
+        let bound_sq = if max_distance.is_finite() {
             max_distance * max_distance
         } else {
             f64::INFINITY
         };
-        let (heap, stats) = self.scan(&q, q_short.as_ref(), k_nearest, bound_sq, true, pruned);
+        let (heap, stats) = self.scan(&q, k_nearest, bound_sq, true, pruned);
         Ok((finalize(heap), stats))
-    }
-
-    fn query_short(&self, query: &ColorHistogram) -> Result<Option<ShortVector>, EmbedError> {
-        match &self.filter {
-            Some(f) => Ok(Some(f.bound.project(query)?)),
-            None => Ok(None),
-        }
     }
 
     /// Scans the corpus, returning up to `k_nearest` best
@@ -759,7 +642,7 @@ impl EmbeddedCorpus {
     /// `(distance, index)` order plus the cost counters. While fewer
     /// than `k_nearest` candidates are held, `bound_sq` plays the role
     /// of the k-th best (inclusively: an object at exactly `bound_sq`
-    /// is admitted), so all three pruning stages engage from the first
+    /// is admitted), so both pruning stages engage from the first
     /// row; `bound_sq = ∞` is the plain top-k scan.
     ///
     /// Early-abandon invariant: the running sum of squares only grows,
@@ -778,7 +661,6 @@ impl EmbeddedCorpus {
     fn scan(
         &self,
         q: &[f64],
-        q_short: Option<&ShortVector>,
         k_nearest: usize,
         bound_sq: f64,
         abandon: bool,
@@ -789,7 +671,6 @@ impl EmbeddedCorpus {
         if k_nearest == 0 {
             return (best, stats);
         }
-        let shorts = self.filter.as_ref().map(|f| f.shorts.as_slice());
         let prune = prune && !self.block_lo.is_empty();
         let mut clamped = if prune { vec![0.0; self.k] } else { Vec::new() };
         let mut i = 0;
@@ -822,25 +703,8 @@ impl EmbeddedCorpus {
                     Some(&(d, tie)) if full => (d, tie),
                     _ => (bound_sq, usize::MAX),
                 };
-                // Stage 1: the §2.1 bounding filter. d ≥ d̂, so
-                // d̂² > kth_sq ⇒ d² > kth_sq and the object cannot
-                // improve the answer. `kth_sq` is infinite exactly
-                // when neither a full candidate set nor a seeded
-                // bound gates admission, and then nothing prunes.
-                if kth_sq < f64::INFINITY {
-                    if let (Some(q_s), Some(shorts)) = (q_short, shorts) {
-                        let s = &shorts[j * 3..j * 3 + 3];
-                        let lb_sq = (q_s.coords[0] - s[0]).powi(2)
-                            + (q_s.coords[1] - s[1]).powi(2)
-                            + (q_s.coords[2] - s[2]).powi(2);
-                        if lb_sq > kth_sq {
-                            stats.filter_pruned += 1;
-                            continue;
-                        }
-                    }
-                }
-                // Stage 2: running-sum early abandoning (against the
-                // seeded bound while the candidate set is short).
+                // Running-sum early abandoning (against the seeded
+                // bound while the candidate set is short).
                 let threshold_sq = if abandon { kth_sq } else { f64::INFINITY };
                 let sum = match self.squared_distance_abandoning(q, j, threshold_sq) {
                     Some(sum) => sum,
@@ -885,6 +749,22 @@ mod tests {
 
     fn space() -> ColorSpace {
         ColorSpace::rgb_grid(3).unwrap()
+    }
+
+    fn plain_corpus(sp: &ColorSpace, hists: &[ColorHistogram]) -> EmbeddedCorpus {
+        EmbeddedCorpus::build(EmbeddedSpace::for_space(sp).unwrap(), hists).unwrap()
+    }
+
+    /// The plain scalar squared-distance loop: the numerical oracle of
+    /// the unrolled kernel.
+    fn squared_euclidean_scalar(a: &[f64], b: &[f64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| {
+                let d = x - y;
+                d * d
+            })
+            .sum()
     }
 
     fn sample_histograms(space: &ColorSpace, count: usize, seed: u64) -> Vec<ColorHistogram> {
@@ -940,14 +820,11 @@ mod tests {
             let a: Vec<f64> = (0..len).map(|i| (i as f64 * 0.37).sin()).collect();
             let b: Vec<f64> = (0..len).map(|i| (i as f64 * 0.73).cos()).collect();
             let scalar = squared_euclidean_scalar(&a, &b);
-            let four = squared_euclidean_4wide(&a, &b);
             let unrolled = squared_euclidean(&a, &b);
-            for (name, got) in [("4-wide", four), ("8-wide", unrolled)] {
-                assert!(
-                    (scalar - got).abs() <= 1e-12 * scalar.max(1.0),
-                    "len {len}: scalar {scalar} vs {name} {got}"
-                );
-            }
+            assert!(
+                (scalar - unrolled).abs() <= 1e-12 * scalar.max(1.0),
+                "len {len}: scalar {scalar} vs 8-wide {unrolled}"
+            );
             // The block helper alone agrees with the full function on
             // sub-block inputs (the abandoning scan relies on this).
             if len <= ABANDON_STRIDE {
@@ -960,7 +837,7 @@ mod tests {
     fn abandoning_scan_is_bitwise_identical_to_plain_scan() {
         let sp = space();
         let hists = sample_histograms(&sp, 40, 13);
-        let corpus = EmbeddedCorpus::build(EmbeddedSpace::for_space(&sp).unwrap(), &hists).unwrap();
+        let corpus = plain_corpus(&sp, &hists);
         let q = corpus.embedded(0).to_vec();
         for i in 0..corpus.len() {
             let plain = squared_euclidean(&q, corpus.embedded(i));
@@ -975,8 +852,7 @@ mod tests {
     fn corpus_knn_matches_brute_force_and_counts_work_saved() {
         let sp = space();
         let hists = sample_histograms(&sp, 200, 3);
-        let corpus = EmbeddedCorpus::build_filtered(&sp, &hists).unwrap();
-        assert!(corpus.has_filter());
+        let corpus = plain_corpus(&sp, &hists);
         let queries = sample_histograms(&sp, 6, 99);
         for q in &queries {
             let (brute, bstats) = corpus.knn_brute(q, 7).unwrap();
@@ -985,13 +861,10 @@ mod tests {
             assert_eq!(bstats.completed, 200);
             assert_eq!(bstats.blocks_skipped, 0, "the oracle never prunes blocks");
             assert_eq!(
-                fstats.filter_pruned + fstats.abandoned + fstats.completed + fstats.block_pruned,
+                fstats.abandoned + fstats.completed + fstats.block_pruned,
                 200
             );
-            assert!(
-                fstats.filter_pruned + fstats.abandoned > 0,
-                "no work was saved: {fstats:?}"
-            );
+            assert!(fstats.abandoned > 0, "no work was saved: {fstats:?}");
             assert!(fstats.savings() > 0.0);
         }
     }
@@ -1000,7 +873,7 @@ mod tests {
     fn zone_map_pruning_preserves_answers_across_block_sizes() {
         let sp = space();
         let hists = sample_histograms(&sp, 230, 21);
-        let base = EmbeddedCorpus::build_filtered(&sp, &hists).unwrap();
+        let base = plain_corpus(&sp, &hists);
         let queries = sample_histograms(&sp, 4, 131);
         for block in [1usize, 3, 16, 64, 500] {
             let corpus = base.clone().with_prune_block(block);
@@ -1008,7 +881,7 @@ mod tests {
             for q in &queries {
                 for k in [1usize, 7, 229, 230, 400] {
                     let (pruned, pstats) = corpus.knn(q, k).unwrap();
-                    let (plain, ustats) = corpus.knn_unpruned(q, k).unwrap();
+                    let (plain, ustats) = corpus.knn_within(q, k, f64::INFINITY, false).unwrap();
                     // Bit-identical answers — indices AND distances.
                     assert_eq!(pruned.len(), plain.len(), "block={block} k={k}");
                     for (a, b) in pruned.iter().zip(&plain) {
@@ -1018,10 +891,7 @@ mod tests {
                     assert_eq!(ustats.blocks_skipped, 0);
                     assert_eq!(ustats.block_pruned, 0);
                     assert_eq!(
-                        pstats.filter_pruned
-                            + pstats.abandoned
-                            + pstats.completed
-                            + pstats.block_pruned,
+                        pstats.abandoned + pstats.completed + pstats.block_pruned,
                         230,
                         "block={block} k={k}: every object lands in one bucket"
                     );
@@ -1036,9 +906,7 @@ mod tests {
         // k-th best, so whole blocks must be skipped.
         let sp = space();
         let hists = sample_histograms(&sp, 512, 33);
-        let corpus = EmbeddedCorpus::build_filtered(&sp, &hists)
-            .unwrap()
-            .with_prune_block(16);
+        let corpus = plain_corpus(&sp, &hists).with_prune_block(16);
         let q = &hists[5];
         let (_, stats) = corpus.knn(q, 1).unwrap();
         assert!(
@@ -1055,12 +923,10 @@ mod tests {
     }
 
     #[test]
-    fn bounded_scan_matches_filtered_unbounded_scan() {
+    fn bounded_scan_matches_unbounded_scan() {
         let sp = space();
         let hists = sample_histograms(&sp, 180, 47);
-        let corpus = EmbeddedCorpus::build_filtered(&sp, &hists)
-            .unwrap()
-            .with_prune_block(8);
+        let corpus = plain_corpus(&sp, &hists).with_prune_block(8);
         let q = &sample_histograms(&sp, 1, 7)[0];
         let (all, _) = corpus.knn(q, 180).unwrap();
         for cut in [5usize, 40, 120] {
@@ -1076,7 +942,7 @@ mod tests {
             assert_eq!(bounded, want, "cut={cut}");
             assert_eq!(ostats.blocks_skipped, 0);
             assert_eq!(
-                bstats.filter_pruned + bstats.abandoned + bstats.completed + bstats.block_pruned,
+                bstats.abandoned + bstats.completed + bstats.block_pruned,
                 180
             );
         }
@@ -1092,6 +958,14 @@ mod tests {
             nstats.blocks_skipped > 0,
             "a zero bound must skip blocks outright: {nstats:?}"
         );
+        // No distance is negative, so a negative bound admits nothing;
+        // a NaN bound bounds nothing.
+        for pruned in [true, false] {
+            let (below_zero, _) = corpus.knn_within(q, 25, -1.0, pruned).unwrap();
+            assert!(below_zero.is_empty(), "within -1: {below_zero:?}");
+            let (nan, _) = corpus.knn_within(q, 25, f64::NAN, pruned).unwrap();
+            assert_eq!(nan, plain);
+        }
     }
 
     #[test]
@@ -1100,9 +974,7 @@ mod tests {
         // All-equal rows: every distance ties, zone boxes are points.
         let hist = sample_histograms(&sp, 1, 3).remove(0);
         let hists: Vec<ColorHistogram> = (0..40).map(|_| hist.clone()).collect();
-        let corpus = EmbeddedCorpus::build(EmbeddedSpace::for_space(&sp).unwrap(), &hists)
-            .unwrap()
-            .with_prune_block(7);
+        let corpus = plain_corpus(&sp, &hists).with_prune_block(7);
         let q = &sample_histograms(&sp, 1, 9)[0];
         let (pruned, _) = corpus.knn(q, 5).unwrap();
         let (brute, _) = corpus.knn_brute(q, 5).unwrap();
@@ -1118,7 +990,7 @@ mod tests {
         let sp = space();
         let qf = QuadraticFormDistance::new(sp.similarity_matrix());
         let hists = sample_histograms(&sp, 20, 17);
-        let corpus = EmbeddedCorpus::build(EmbeddedSpace::for_space(&sp).unwrap(), &hists).unwrap();
+        let corpus = plain_corpus(&sp, &hists);
         let ds = corpus.distances(&hists[4]).unwrap();
         for (i, h) in hists.iter().enumerate() {
             let want = qf.distance(&hists[4], h).unwrap();
@@ -1132,7 +1004,7 @@ mod tests {
     fn knn_edge_cases() {
         let sp = space();
         let hists = sample_histograms(&sp, 5, 2);
-        let corpus = EmbeddedCorpus::build_filtered(&sp, &hists).unwrap();
+        let corpus = plain_corpus(&sp, &hists);
         let q = &hists[0];
         assert!(corpus.knn(q, 0).unwrap().0.is_empty());
         assert_eq!(corpus.knn(q, 50).unwrap().0.len(), 5);
@@ -1141,7 +1013,7 @@ mod tests {
         assert_eq!(res[0].0, 0);
         assert!(res[0].1 < 1e-9);
         // Empty corpus.
-        let empty = EmbeddedCorpus::build(EmbeddedSpace::for_space(&sp).unwrap(), &[]).unwrap();
+        let empty = plain_corpus(&sp, &[]);
         assert!(empty.is_empty());
         assert!(empty.knn(q, 3).unwrap().0.is_empty());
     }
@@ -1152,7 +1024,7 @@ mod tests {
 
         let sp = space();
         let hists = sample_histograms(&sp, 240, 19);
-        let corpus = EmbeddedCorpus::build(EmbeddedSpace::for_space(&sp).unwrap(), &hists).unwrap();
+        let corpus = plain_corpus(&sp, &hists);
         let q = &sample_histograms(&sp, 1, 55)[0];
         let scorer = ExpDecay::new(0.5).unwrap();
 
@@ -1188,7 +1060,7 @@ mod tests {
     #[test]
     fn dimension_mismatch_is_reported() {
         let sp = space();
-        let corpus = EmbeddedCorpus::build_filtered(&sp, &sample_histograms(&sp, 4, 1)).unwrap();
+        let corpus = plain_corpus(&sp, &sample_histograms(&sp, 4, 1));
         let wrong = ColorHistogram::pure(&ColorSpace::rgb_grid(2).unwrap(), Rgb::RED);
         assert!(matches!(
             corpus.knn(&wrong, 2),
@@ -1205,8 +1077,7 @@ mod tests {
     #[test]
     fn synthetic_line_matrix_embeds_too() {
         // a_ij = 1 − |i−j|/(k−1) is conditionally PD on the zero-sum
-        // subspace (1-D Euclidean distance matrix) — the shape the
-        // distance bench sweeps at arbitrary k.
+        // subspace (1-D Euclidean distance matrix), at any k.
         let k = 16;
         let a = SymMatrix::from_fn(k, |i, j| {
             1.0 - (i as f64 - j as f64).abs() / (k as f64 - 1.0)

@@ -3,10 +3,9 @@
 //!
 //! * [`EmbeddedDistance`] agrees with [`QuadraticFormDistance`] within
 //!   1e-9 on random normalized histograms, across grid sizes;
-//! * the early-abandoning corpus scan (with and without the §2.1
-//!   bounding-filter first stage) returns results identical to the
-//!   brute-force oracle — same indices, same distances, same
-//!   (distance, index) order, including ties.
+//! * the zone-map-pruned early-abandoning corpus scan returns results
+//!   identical to the brute-force oracle — same indices, same
+//!   distances, same (distance, index) order, including ties.
 
 use proptest::prelude::*;
 
@@ -115,7 +114,9 @@ proptest! {
 
         // k ≥ n is in the sweep (k_nearest = 100 > n ≤ 80).
         let (pruned, pstats) = corpus.knn(query, s.k_nearest).expect("same space");
-        let (unpruned, ustats) = corpus.knn_unpruned(query, s.k_nearest).expect("same space");
+        let (unpruned, ustats) = corpus
+            .knn_within(query, s.k_nearest, f64::INFINITY, false)
+            .expect("same space");
         prop_assert_eq!(&pruned, &unpruned, "block={}", block);
         prop_assert!(
             pstats.completed <= ustats.completed,
@@ -125,10 +126,11 @@ proptest! {
         );
 
         // Threshold-seeded scans: a live bound (drawn from the true
-        // distance spread, plus extremes) never changes the answer.
+        // distance spread, plus extremes) never changes the answer; a
+        // negative one admits nothing.
         let (oracle, _) = corpus.knn_brute(query, s.n.max(1)).expect("same space");
         let mid = oracle[oracle.len() / 2].1;
-        for bound in [0.0, mid, f64::INFINITY] {
+        for bound in [-1.0, 0.0, mid, f64::INFINITY] {
             let (p, _) = corpus
                 .knn_within(query, s.k_nearest, bound, true)
                 .expect("same space");
@@ -136,11 +138,11 @@ proptest! {
                 .knn_within(query, s.k_nearest, bound, false)
                 .expect("same space");
             prop_assert_eq!(&p, &u, "block={} bound={}", block, bound);
+            prop_assert!(bound >= 0.0 || p.is_empty(), "within {}: {:?}", bound, p);
         }
     }
 
-    /// Early-abandoning and filtered scans both equal the brute-force
-    /// oracle exactly.
+    /// The early-abandoning scan equals the brute-force oracle exactly.
     #[test]
     fn knn_variants_match_brute_force_oracle(s in scenario()) {
         let space = ColorSpace::rgb_grid(s.bins_per_channel).expect("valid grid");
@@ -152,18 +154,13 @@ proptest! {
             &hists,
         )
         .expect("same space");
-        let filtered = EmbeddedCorpus::build_filtered(&space, &hists).expect("filter derivable");
 
         let (oracle, _) = plain.knn_brute(query, s.k_nearest).expect("same space");
-        for (label, got) in [
-            ("abandon", plain.knn(query, s.k_nearest).expect("same space").0),
-            ("filtered", filtered.knn(query, s.k_nearest).expect("same space").0),
-        ] {
-            prop_assert_eq!(oracle.len(), got.len(), "{}: length mismatch", label);
-            for (o, g) in oracle.iter().zip(&got) {
-                prop_assert_eq!(o.0, g.0, "{}: index order differs", label);
-                prop_assert_eq!(o.1, g.1, "{}: distance differs at {}", label, o.0);
-            }
+        let (got, _) = plain.knn(query, s.k_nearest).expect("same space");
+        prop_assert_eq!(oracle.len(), got.len(), "length mismatch");
+        for (o, g) in oracle.iter().zip(&got) {
+            prop_assert_eq!(o.0, g.0, "index order differs");
+            prop_assert_eq!(o.1, g.1, "distance differs at {}", o.0);
         }
     }
 }

@@ -28,9 +28,10 @@
 //! places only: [`Engine::run_many`]'s request pool, and the shard
 //! workers of a TA request whose [`crate::policy::ExecPolicy::shards`]
 //! asks for them ([`crate::sharded`]). A source is in memory or reads
-//! its pages on demand ([`crate::store`]); against a remote subsystem
-//! it is batching that pays (`benches/engine.rs`,
-//! `engine_batched/remote`).
+//! its pages on demand ([`crate::store`]); against a subsystem that
+//! charges per call it is batching that pays: one call per
+//! [`EngineConfig::batch_size`] objects instead of one per object (E19,
+//! `engine_vs_scalar_sorted_calls`).
 //!
 //! Because batching preserves per-stream order and only moves *when*
 //! items are fetched (never *which* or *in what order* the algorithm

@@ -31,10 +31,12 @@
 //! assert_eq!(request.k(), 5);
 //! ```
 //!
-//! Sources are held as [`SharedSource`] (`Arc<Mutex<…>>`) so one
-//! request can be executed by worker threads that each drive a
-//! different source; scalar algorithms simply lock all sources up
-//! front and run exactly as before.
+//! Sources are held as [`SharedSource`] (`Arc<Mutex<…>>`) so that
+//! [`crate::engine::Engine::run_many`]'s pool can hand requests to its
+//! workers by reference and requests may share a handle
+//! ([`TopKQueryBuilder::shared_source`]). Within one request the kernel
+//! drives every source from a single thread; TA's shard workers read
+//! partitions of the sources, not the handles.
 
 use std::sync::{Arc, Mutex, PoisonError};
 

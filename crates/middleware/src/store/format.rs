@@ -210,11 +210,10 @@ const fn crc_tables() -> [[u32; 256]; CRC_SLICES] {
 ///
 /// Every page is checksummed once at build and once per storage read,
 /// so this is the unit cost of a page miss. Measured on one 4 KiB page
-/// (4 092 checksummed bytes; `cargo bench -p fmdb-bench --bench paged`,
-/// group `crc32`):
-/// the bit-at-a-time loop this replaced took 21.4 µs — all of the
-/// 23.7 µs a cold page read cost with the file in the OS cache;
-/// slice-by-8 takes 2.5 µs and slice-by-16 1.8 µs.
+/// (4 092 checksummed bytes): the bit-at-a-time loop this replaced took
+/// 21.4 µs — all of the 23.7 µs a cold page read cost with the file in
+/// the OS cache; slice-by-8 takes 2.5 µs and slice-by-16 1.8 µs. E18's
+/// `cold_us_per_page_read` gates the whole page miss at 12 µs.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     let mut blocks = bytes.chunks_exact(CRC_SLICES);

@@ -10,7 +10,7 @@
 //! fixed in its own state — the access it repeats is a *charged* one —
 //! not by caching under it.
 //!
-//! The family members with no public name (the shard kernels, CA as
+//! The family members with no public name (the shard kernel, CA as
 //! halted) are held to the same rule beside the kernel, in
 //! `algorithms::threshold::tests`.
 

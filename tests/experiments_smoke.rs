@@ -111,6 +111,14 @@ fn e19_nra_never_random_accesses_and_stays_close_to_a0() {
         let ratio: f64 = row[6].parse().expect("numeric ratio");
         assert!(ratio < 10.0, "NRA blew up: {row:?}");
     }
+    // Per-call subsystems: the engine asks a list for a batch per call,
+    // scalar A0 for one object, at the same charge (the run asserts the
+    // charges and answers equal).
+    let row = &report.tables[2].rows[0];
+    let count = |i: usize| -> u64 { row[i].parse().expect("a count") };
+    let (charged, scalar_calls, engine_calls) = (count(0), count(1), count(2));
+    assert!(charged > 0 && scalar_calls > 0, "{row:?}");
+    assert!(16 * engine_calls <= scalar_calls, "batching lost: {row:?}");
 }
 
 #[test]
