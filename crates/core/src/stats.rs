@@ -5,12 +5,11 @@
 //! read before grades fall below a target — exactly the quantile
 //! function of the source's grade distribution. A [`GradeHistogram`]
 //! records that function compactly: `bins` equi-depth bucket
-//! boundaries taken from a descending grade list (the whole list, a
-//! sorted-access prefix, or a random sample scaled to the universe).
+//! boundaries taken from a descending grade list.
 //!
-//! This lives in `fmdb-core` so media and index subsystems — which
-//! depend only on the core — can act as statistics providers without a
-//! dependency on the middleware.
+//! Its builders are the sources that hold such a list — a materialised
+//! `VecSource` and the paged store's persisted stats page; the planner
+//! is its one reader.
 
 use crate::score::Score;
 
@@ -23,9 +22,7 @@ pub const DEFAULT_HISTOGRAM_BINS: usize = 16;
 /// Stores `bins + 1` boundary grades `b_0 ≥ b_1 ≥ … ≥ b_bins` where
 /// `b_i` is the grade at depth `i/bins · n` of the descending grade
 /// list. Between boundaries the distribution is interpolated linearly,
-/// so [`GradeHistogram::fraction_above`] and
-/// [`GradeHistogram::grade_at_depth`] are continuous inverses of each
-/// other (up to interpolation error).
+/// so [`GradeHistogram::fraction_above`] is continuous in the grade.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradeHistogram {
     universe: usize,
@@ -68,17 +65,6 @@ impl GradeHistogram {
             universe: n,
             bounds,
         }
-    }
-
-    /// Builds a histogram from an *unsorted sample* of grades drawn
-    /// from a universe of `universe` objects (e.g. `EmbeddedCorpus`
-    /// sampling): the sample's quantiles estimate the population's.
-    pub fn from_sample(sample: &[Score], universe: usize, bins: usize) -> GradeHistogram {
-        let mut sorted: Vec<Score> = sample.to_vec();
-        sorted.sort_by(|a, b| b.cmp(a));
-        let mut h = Self::from_sorted(&sorted, bins);
-        h.universe = universe.max(sorted.len());
-        h
     }
 
     /// Reassembles a histogram from persisted parts — the inverse of
@@ -156,28 +142,6 @@ impl GradeHistogram {
         }
         1.0
     }
-
-    /// Estimated number of objects whose grade is ≥ `grade` (the sorted
-    /// depth at which the stream falls below `grade`).
-    pub fn depth_above(&self, grade: f64) -> f64 {
-        self.fraction_above(grade) * self.universe as f64
-    }
-
-    /// Estimated grade at sorted depth `depth` (1-based-ish; clamped to
-    /// the universe).
-    pub fn grade_at_depth(&self, depth: f64) -> f64 {
-        let bins = self.bins();
-        if self.universe == 0 || bins == 0 {
-            return 0.0;
-        }
-        let f = (depth / self.universe as f64).clamp(0.0, 1.0);
-        let pos = f * bins as f64;
-        let i = (pos.floor() as usize).min(bins - 1);
-        let t = (pos - i as f64).clamp(0.0, 1.0);
-        let hi = self.bounds[i];
-        let lo = self.bounds[i + 1];
-        hi + (lo - hi) * t
-    }
 }
 
 #[cfg(test)]
@@ -204,15 +168,6 @@ mod tests {
                 "fraction_above({g}) = {got}"
             );
         }
-        // grade_at_depth is the inverse.
-        for &d in &[10.0, 250.0, 500.0, 900.0] {
-            let g = h.grade_at_depth(d);
-            assert!(
-                (h.depth_above(g) - d).abs() < 20.0,
-                "roundtrip at depth {d}: grade {g}, depth {}",
-                h.depth_above(g)
-            );
-        }
     }
 
     #[test]
@@ -228,26 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn sampling_scales_to_the_universe() {
-        // A 100-grade sample standing in for 10_000 objects.
-        let sample: Vec<Score> = (0..100)
-            .map(|i| Score::clamped(1.0 - i as f64 / 100.0))
-            .collect();
-        let h = GradeHistogram::from_sample(&sample, 10_000, 8);
-        assert_eq!(h.universe(), 10_000);
-        let d = h.depth_above(0.5);
-        assert!(
-            (d - 5_000.0).abs() < 700.0,
-            "depth_above(0.5) = {d}, want ≈ 5000"
-        );
-    }
-
-    #[test]
     fn degenerate_histograms_are_safe() {
         let empty = GradeHistogram::from_sorted(&[], 16);
         assert_eq!(empty.universe(), 0);
         assert!(empty.fraction_above(0.5).abs() < 1e-12);
-        assert!(empty.grade_at_depth(3.0).abs() < 1e-12);
 
         let one = GradeHistogram::from_sorted(&[Score::HALF], 16);
         assert_eq!(one.universe(), 1);

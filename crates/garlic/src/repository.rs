@@ -771,47 +771,6 @@ mod tests {
         ));
     }
 
-    /// The media layer's graded-pairs export feeds `build_store`
-    /// directly — the one-shot path for an embedded corpus too large
-    /// to re-grade per query.
-    #[test]
-    fn media_graded_pairs_persist_and_roundtrip() {
-        use fmdb_media::prelude::ExpDecay;
-        use fmdb_middleware::store::{build_store, PagedStore, StoreOptions};
-        let repo = small_qbic();
-        let corpus = EmbeddedCorpus::build(
-            EmbeddedSpace::for_space(&repo.db().space).unwrap(),
-            &repo
-                .db()
-                .objects
-                .iter()
-                .map(|o| o.histogram.clone())
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let query = repo.db().objects[3].histogram.clone();
-        let scorer = ExpDecay::new(1.0).unwrap();
-        let pairs = corpus.graded_pairs(&query, &scorer).unwrap();
-        assert_eq!(pairs.len(), corpus.len());
-
-        let path = scratch("garlic-corpus.fmdb");
-        build_store(&path, "corpus", pairs.clone(), &BuildConfig::DEFAULT).unwrap();
-        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
-        let mut paged = store.source();
-        let mut mem = VecSource::new("corpus", pairs);
-        loop {
-            let (a, b) = (paged.sorted_next(), mem.sorted_next());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        // The example object grades 1 (zero self-distance) and tops
-        // the persisted sorted run.
-        paged.rewind();
-        assert_eq!(paged.sorted_next().map(|so| so.id), Some(3));
-    }
-
     #[test]
     fn qbic_feature_targets_work() {
         let repo = small_qbic();

@@ -133,11 +133,6 @@ impl Mbr {
         self.min.iter().zip(&self.max).map(|(a, b)| b - a).sum()
     }
 
-    /// Volume increase required to also cover `other`.
-    pub fn enlargement(&self, other: &Mbr) -> f64 {
-        self.union(other).volume() - self.volume()
-    }
-
     /// Volume of the intersection with `other` (0 if disjoint).
     pub fn overlap(&self, other: &Mbr) -> f64 {
         let mut v = 1.0;
@@ -152,26 +147,9 @@ impl Mbr {
         v
     }
 
-    /// True if the MBRs intersect (closed boxes).
-    pub fn intersects(&self, other: &Mbr) -> bool {
-        self.min
-            .iter()
-            .zip(&self.max)
-            .zip(other.min.iter().zip(&other.max))
-            .all(|((alo, ahi), (blo, bhi))| alo <= bhi && blo <= ahi)
-    }
-
-    /// True if `p` lies inside (closed).
-    pub fn contains_point(&self, p: &[f64]) -> bool {
-        self.min
-            .iter()
-            .zip(&self.max)
-            .zip(p)
-            .all(|((lo, hi), v)| lo <= v && v <= hi)
-    }
-
     /// Squared minimum distance from `p` to this box (0 if inside) —
-    /// the MINDIST bound driving best-first k-NN search.
+    /// the MINDIST bound driving the incremental nearest-neighbour
+    /// search.
     pub fn min_dist2(&self, p: &[f64]) -> f64 {
         let mut s = 0.0;
         for (d, &v) in p.iter().enumerate() {
@@ -219,26 +197,20 @@ mod tests {
         let u = a.union(&b);
         assert_eq!(u.min(), &[0.0, 0.0]);
         assert_eq!(u.max(), &[4.0, 3.0]);
-        assert_eq!(a.enlargement(&b), 12.0 - 6.0);
     }
 
     #[test]
-    fn overlap_and_intersection() {
+    fn overlap() {
         let a = mbr(&[0.0, 0.0], &[2.0, 2.0]);
         let b = mbr(&[1.0, 1.0], &[3.0, 3.0]);
         assert_eq!(a.overlap(&b), 1.0);
-        assert!(a.intersects(&b));
         let c = mbr(&[5.0, 5.0], &[6.0, 6.0]);
         assert_eq!(a.overlap(&c), 0.0);
-        assert!(!a.intersects(&c));
     }
 
     #[test]
-    fn contains_and_min_dist() {
+    fn min_dist() {
         let a = mbr(&[0.0, 0.0], &[2.0, 2.0]);
-        assert!(a.contains_point(&[1.0, 1.0]));
-        assert!(a.contains_point(&[0.0, 2.0]));
-        assert!(!a.contains_point(&[2.1, 1.0]));
         assert_eq!(a.min_dist2(&[1.0, 1.0]), 0.0);
         assert_eq!(a.min_dist2(&[3.0, 2.0]), 1.0);
         assert_eq!(a.min_dist2(&[3.0, 3.0]), 2.0);

@@ -13,14 +13,14 @@
 //! sparsely (a full dense directory would OOM long before the curve
 //! gets interesting — the sparse map stores the same information while
 //! letting us *report* the dense directory size the classic structure
-//! would have allocated). Splits rehash the affected points; k-NN
-//! visits occupied cells in MINDIST order.
+//! would have allocated). Splits rehash the affected points. The
+//! structure is measured, not queried: E8 reads its size accounting.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::geometry::{dist2, validate_point, GeometryError};
-use crate::rtree::{IndexAccess, ItemId, Neighbor};
+use crate::geometry::{validate_point, GeometryError};
+use crate::rtree::ItemId;
 
 /// Error raised by grid-file operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,6 +35,9 @@ pub enum GridError {
         /// The configured cap.
         limit: u128,
     },
+    /// A point outside the unit cube `[0, 1]^d` was inserted: the
+    /// scales partition `[0, 1]`, so its bucket could never split.
+    OutOfBounds,
 }
 
 impl fmt::Display for GridError {
@@ -45,6 +48,7 @@ impl fmt::Display for GridError {
                 f,
                 "grid directory would need {required} cells (limit {limit})"
             ),
+            GridError::OutOfBounds => write!(f, "grid-file points must lie in [0, 1]^d"),
         }
     }
 }
@@ -146,7 +150,7 @@ impl GridFile {
         (lo, hi)
     }
 
-    /// Inserts a point with its id.
+    /// Inserts a point in `[0, 1]^d` with its id.
     pub fn insert(&mut self, point: &[f64], id: ItemId) -> Result<(), GridError> {
         validate_point(point)?;
         if point.len() != self.dim {
@@ -154,6 +158,9 @@ impl GridFile {
                 expected: self.dim,
                 got: point.len(),
             }));
+        }
+        if point.iter().any(|&v| !(0.0..=1.0).contains(&v)) {
+            return Err(GridError::OutOfBounds);
         }
         let cell = self.cell_of(point);
         self.cells
@@ -241,68 +248,6 @@ impl GridFile {
             self.cells.entry(cell).or_default().push((p, id));
         }
     }
-
-    /// The `k` nearest neighbors of `query`, visiting occupied buckets
-    /// in MINDIST order.
-    pub fn knn(&self, query: &[f64], k: usize) -> Result<(Vec<Neighbor>, IndexAccess), GridError> {
-        validate_point(query)?;
-        if query.len() != self.dim {
-            return Err(GridError::Geometry(GeometryError::DimensionMismatch {
-                expected: self.dim,
-                got: query.len(),
-            }));
-        }
-        let mut access = IndexAccess::default();
-        if k == 0 || self.is_empty() {
-            return Ok((Vec::new(), access));
-        }
-        // Min-dist² from query to each occupied cell.
-        let mut order: Vec<(f64, &Cell)> = self
-            .cells
-            .keys()
-            .map(|cell| {
-                let mut d2 = 0.0;
-                for (d, &v) in query.iter().enumerate() {
-                    let (lo, hi) = self.cell_bounds(cell, d);
-                    let delta = if v < lo {
-                        lo - v
-                    } else if v > hi {
-                        v - hi
-                    } else {
-                        0.0
-                    };
-                    d2 += delta * delta;
-                }
-                (d2, cell)
-            })
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-        let mut result: Vec<Neighbor> = Vec::new();
-        let mut kth = f64::INFINITY;
-        for (cell_d2, cell) in order {
-            if result.len() == k && cell_d2 > kth {
-                break;
-            }
-            access.nodes_visited += 1;
-            for (p, id) in &self.cells[cell] {
-                access.distance_computations += 1;
-                let d2 = dist2(p, query);
-                if result.len() < k || d2 < kth {
-                    result.push(Neighbor {
-                        id: *id,
-                        distance: d2.sqrt(),
-                    });
-                    result.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-                    result.truncate(k);
-                    if result.len() == k {
-                        kth = result[k - 1].distance * result[k - 1].distance;
-                    }
-                }
-            }
-        }
-        Ok((result, access))
-    }
 }
 
 #[cfg(test)]
@@ -342,24 +287,23 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_brute_force() {
-        let points = random_points(300, 2, 17);
-        let mut g = GridFile::new(2, 4, 1_000_000).unwrap();
-        for (i, p) in points.iter().enumerate() {
-            g.insert(p, i as ItemId).unwrap();
+    fn points_outside_the_unit_cube_are_rejected() {
+        // Such a bucket could never split (every split point must lie
+        // strictly inside [0, 1]), so accepting these five would leave
+        // one bucket of 5 at capacity 2 and a directory of 1.
+        let mut g = GridFile::new(2, 2, 1 << 20).unwrap();
+        for (i, x) in [1.5, 1.6, 1.7, 1.8, 1.9].into_iter().enumerate() {
+            assert_eq!(
+                g.insert(&[x, 0.5], i as ItemId),
+                Err(GridError::OutOfBounds)
+            );
         }
-        for q in random_points(10, 2, 23) {
-            let (got, _) = g.knn(&q, 7).unwrap();
-            let mut expect: Vec<(f64, ItemId)> = points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (dist2(p, &q).sqrt(), i as ItemId))
-                .collect();
-            expect.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-            let expect_ids: Vec<ItemId> = expect.iter().take(7).map(|&(_, id)| id).collect();
-            let got_ids: Vec<ItemId> = got.iter().map(|n| n.id).collect();
-            assert_eq!(got_ids, expect_ids);
-        }
+        assert_eq!(g.insert(&[0.5, -0.1], 5), Err(GridError::OutOfBounds));
+        assert!(g.is_empty());
+        assert_eq!(g.directory_size(), 1);
+        // The closed cube's faces are inside.
+        g.insert(&[0.0, 1.0], 6).unwrap();
+        assert_eq!(g.len(), 1);
     }
 
     #[test]
@@ -411,14 +355,6 @@ mod tests {
             g.insert(&[0.5, 0.5], i).unwrap();
         }
         assert_eq!(g.len(), 50);
-        let (res, _) = g.knn(&[0.5, 0.5], 5).unwrap();
-        assert_eq!(res.len(), 5);
-    }
-
-    #[test]
-    fn knn_on_empty_file() {
-        let g = GridFile::new(3, 4, 1_000).unwrap();
-        let (res, _) = g.knn(&[0.1, 0.2, 0.3], 4).unwrap();
-        assert!(res.is_empty());
+        assert_eq!(g.occupied_cells(), 1);
     }
 }

@@ -15,10 +15,7 @@
 
 use std::fmt;
 
-use fmdb_core::score::Score;
-use fmdb_core::stats::GradeHistogram;
 use fmdb_media::embed::EmbeddedCorpus;
-use fmdb_media::scorer::DistanceScorer;
 
 /// Error raised by the precomputed matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,71 +159,6 @@ impl PrecomputedDistances {
         all.truncate(k);
         Ok(all)
     }
-
-    /// An equi-depth grade histogram for query-by-example retrieval
-    /// around object `query` — the planner's statistics hook for
-    /// precomputed sources, costing **zero** distance evaluations.
-    ///
-    /// Up to `sample` stored distances are read on a deterministic
-    /// stride through the query's row, mapped through `scorer`, and
-    /// summarized by [`GradeHistogram::from_sample`] scaled to the
-    /// full matrix size.
-    pub fn grade_histogram(
-        &self,
-        query: usize,
-        scorer: &dyn DistanceScorer,
-        bins: usize,
-        sample: usize,
-    ) -> Result<GradeHistogram, PrecomputeError> {
-        if query >= self.n {
-            return Err(PrecomputeError::OutOfRange {
-                index: query,
-                n: self.n,
-            });
-        }
-        let take = sample.max(1).min(self.n);
-        let stride = (self.n / take).max(1);
-        #[expect(
-            clippy::expect_used,
-            reason = "both indices were bounds-checked (query above, j < n by construction)"
-        )]
-        let grades: Vec<Score> = (0..self.n)
-            .step_by(stride)
-            .take(take)
-            .map(|j| scorer.score(self.distance(query, j).expect("indices validated above")))
-            .collect();
-        Ok(GradeHistogram::from_sample(&grades, self.n, bins))
-    }
-
-    /// Every object's `(oid, grade)` pair for query-by-example
-    /// retrieval around object `query` — oid is the matrix index,
-    /// grade the stored distance mapped through `scorer` (the query
-    /// object itself grades via its zero self-distance). This is the
-    /// one-shot export feeding a persistent graded store; the index
-    /// layer cannot see the middleware's store types, so it hands over
-    /// plain pairs and the caller does the persisting.
-    pub fn graded_pairs(
-        &self,
-        query: usize,
-        scorer: &dyn DistanceScorer,
-    ) -> Result<Vec<(u64, Score)>, PrecomputeError> {
-        if query >= self.n {
-            return Err(PrecomputeError::OutOfRange {
-                index: query,
-                n: self.n,
-            });
-        }
-        Ok((0..self.n)
-            .map(|j| {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "query was bounds-checked above, j < n by construction"
-                )]
-                let d = self.distance(query, j).expect("indices validated above");
-                (j as u64, scorer.score(d))
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -266,27 +198,6 @@ mod tests {
         assert!(matches!(
             p.distance(0, 5),
             Err(PrecomputeError::OutOfRange { index: 5, n: 5 })
-        ));
-    }
-
-    #[test]
-    fn graded_pairs_export_is_complete_and_ordered_by_distance() {
-        use fmdb_media::prelude::{DistanceScorer, ExpDecay};
-        let p = PrecomputedDistances::build(6, line_metric).unwrap();
-        let scorer = ExpDecay::new(2.0).unwrap();
-        let pairs = p.graded_pairs(3, &scorer).unwrap();
-        assert_eq!(pairs.len(), 6);
-        // Every object appears once, under its own index.
-        for (j, &(oid, grade)) in pairs.iter().enumerate() {
-            assert_eq!(oid, j as u64);
-            assert_eq!(grade, scorer.score(line_metric(3, j)));
-        }
-        // The example grades best (zero self-distance).
-        let best = pairs.iter().max_by_key(|&&(_, g)| g).unwrap();
-        assert_eq!(best.0, 3);
-        assert!(matches!(
-            p.graded_pairs(6, &scorer),
-            Err(PrecomputeError::OutOfRange { index: 6, n: 6 })
         ));
     }
 
@@ -337,36 +248,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-6, "({i},{j}): {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn grade_histogram_reads_the_stored_row_deterministically() {
-        use fmdb_media::scorer::{DistanceScorer, ExpDecay};
-
-        let p = PrecomputedDistances::build(120, |i, j| line_metric(i, j) / 10.0).unwrap();
-        let scorer = ExpDecay::new(1.0).unwrap();
-        let full = p.grade_histogram(40, &scorer, 16, 120).unwrap();
-        let sampled = p.grade_histogram(40, &scorer, 16, 30).unwrap();
-        assert_eq!(full.universe(), 120);
-        assert_eq!(sampled.universe(), 120);
-        for g in [0.2, 0.5, 0.8] {
-            let exact = (0..120)
-                .filter(|&j| scorer.score(p.distance(40, j).unwrap()).value() >= g)
-                .count() as f64
-                / 120.0;
-            assert!(
-                (full.fraction_above(g) - exact).abs() < 0.1,
-                "full off at {g}: {} vs {exact}",
-                full.fraction_above(g)
-            );
-            assert!(
-                (sampled.fraction_above(g) - exact).abs() < 0.2,
-                "sampled off at {g}: {} vs {exact}",
-                sampled.fraction_above(g)
-            );
-        }
-        assert_eq!(p.grade_histogram(40, &scorer, 16, 30).unwrap(), sampled);
-        assert!(p.grade_histogram(500, &scorer, 16, 30).is_err());
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! quadtree of \[Sa89\] stores the same leaves as a sorted list of
 //! Morton codes, with identical cell counts — the metric the paper's
 //! claim is about is the number of cells, which we report exactly.
+//! Like the grid file, the structure is measured, not queried.
 
 use std::fmt;
 
-use crate::geometry::{dist2, validate_point, GeometryError};
-use crate::rtree::{IndexAccess, ItemId, Neighbor};
+use crate::geometry::{validate_point, GeometryError};
+use crate::rtree::ItemId;
 
 /// Error raised by quadtree operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -207,94 +208,6 @@ impl QuadTree {
             }
         }
     }
-
-    /// The `k` nearest neighbors, best-first over cells.
-    pub fn knn(&self, query: &[f64], k: usize) -> Result<(Vec<Neighbor>, IndexAccess), QuadError> {
-        validate_point(query)?;
-        if query.len() != self.dim {
-            return Err(QuadError::Geometry(GeometryError::DimensionMismatch {
-                expected: self.dim,
-                got: query.len(),
-            }));
-        }
-        let mut access = IndexAccess::default();
-        let mut result: Vec<Neighbor> = Vec::new();
-        if k == 0 {
-            return Ok((result, access));
-        }
-
-        // Depth-first with box pruning (cells carry their bounds).
-        struct Frame<'a> {
-            node: &'a Node,
-            lo: Vec<f64>,
-            hi: Vec<f64>,
-        }
-        let mut kth = f64::INFINITY;
-        let mut stack = vec![Frame {
-            node: &self.root,
-            lo: vec![0.0; self.dim],
-            hi: vec![1.0; self.dim],
-        }];
-        while let Some(Frame { node, lo, hi }) = stack.pop() {
-            // MINDIST² to the cell box.
-            let mut d2 = 0.0;
-            for (d, &q) in query.iter().enumerate() {
-                let delta = if q < lo[d] {
-                    lo[d] - q
-                } else if q > hi[d] {
-                    q - hi[d]
-                } else {
-                    0.0
-                };
-                d2 += delta * delta;
-            }
-            if result.len() == k && d2 > kth {
-                continue;
-            }
-            access.nodes_visited += 1;
-            match node {
-                Node::Leaf(bucket) => {
-                    for (p, id) in bucket {
-                        access.distance_computations += 1;
-                        let pd2 = dist2(p, query);
-                        if result.len() < k || pd2 < kth {
-                            result.push(Neighbor {
-                                id: *id,
-                                distance: pd2.sqrt(),
-                            });
-                            result.sort_by(|a, b| {
-                                a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id))
-                            });
-                            result.truncate(k);
-                            if result.len() == k {
-                                kth = result[k - 1].distance * result[k - 1].distance;
-                            }
-                        }
-                    }
-                }
-                Node::Internal(children) => {
-                    for (idx, child) in children.iter().enumerate() {
-                        let mut clo = lo.clone();
-                        let mut chi = hi.clone();
-                        for d in 0..self.dim {
-                            let mid = (lo[d] + hi[d]) / 2.0;
-                            if idx & (1 << d) != 0 {
-                                clo[d] = mid;
-                            } else {
-                                chi[d] = mid;
-                            }
-                        }
-                        stack.push(Frame {
-                            node: child,
-                            lo: clo,
-                            hi: chi,
-                        });
-                    }
-                }
-            }
-        }
-        Ok((result, access))
-    }
 }
 
 #[cfg(test)]
@@ -364,47 +277,14 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_brute_force() {
-        let points = random_points(400, 2, 9);
-        let mut t = QuadTree::new(2, 8, 1 << 20).unwrap();
-        for (i, p) in points.iter().enumerate() {
-            t.insert(p, i as ItemId).unwrap();
-        }
-        for q in random_points(10, 2, 21) {
-            let (got, _) = t.knn(&q, 7).unwrap();
-            let mut expect: Vec<(f64, ItemId)> = points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (dist2(p, &q).sqrt(), i as ItemId))
-                .collect();
-            expect.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-            let got_ids: Vec<ItemId> = got.iter().map(|n| n.id).collect();
-            let exp_ids: Vec<ItemId> = expect.iter().take(7).map(|&(_, id)| id).collect();
-            assert_eq!(got_ids, exp_ids);
-        }
-    }
-
-    #[test]
-    fn knn_prunes_in_low_dimensions() {
-        let points = random_points(2000, 2, 3);
-        let mut t = QuadTree::new(2, 8, 1 << 24).unwrap();
-        for (i, p) in points.iter().enumerate() {
-            t.insert(p, i as ItemId).unwrap();
-        }
-        let (_, access) = t.knn(&[0.5, 0.5], 5).unwrap();
-        assert!(access.distance_computations < 500, "no pruning: {access:?}");
-    }
-
-    #[test]
     fn duplicate_points_hit_max_depth_not_infinite_split() {
         let mut t = QuadTree::new(2, 2, 1 << 30).unwrap();
         for i in 0..50 {
             t.insert(&[0.3, 0.3], i).unwrap();
         }
         assert_eq!(t.len(), 50);
-        let (res, _) = t.knn(&[0.3, 0.3], 5).unwrap();
-        assert_eq!(res.len(), 5);
-        assert!(res.iter().all(|n| n.distance == 0.0));
+        // One split per level down to the depth cap, three new cells each.
+        assert_eq!(t.leaf_cells(), 1 + 3 * 24);
     }
 
     #[test]
@@ -432,12 +312,5 @@ mod tests {
         // against the 2-D baseline rather than consecutively.
         assert!(cells[1] > 5 * cells[0], "{cells:?}");
         assert!(cells[2] > 10 * cells[0], "{cells:?}");
-    }
-
-    #[test]
-    fn knn_on_empty_tree() {
-        let t = QuadTree::new(3, 4, 100).unwrap();
-        let (res, _) = t.knn(&[0.5, 0.5, 0.5], 3).unwrap();
-        assert!(res.is_empty());
     }
 }

@@ -1,4 +1,5 @@
-//! An R-tree with R*-style splits \[BKSS90\] and best-first k-NN search.
+//! An R-tree with R*-style splits \[BKSS90\] and incremental
+//! nearest-neighbour search.
 //!
 //! §2.1: "Another popular multidimensional indexing method is R-trees
 //! \[BKSS90\]. These tend to be more robust for higher dimensions, at
@@ -11,10 +12,11 @@
 //! minimum volume enlargement above), the R*-tree topological split
 //! (choose axis by minimum margin sum, then the distribution with
 //! minimum overlap), and R*-style **forced reinsertion** at the leaf
-//! level (on first overflow, the 30% of entries farthest from the node
-//! center are re-inserted from the root instead of splitting).
-//! k-NN is the Hjaltason–Samet best-first traversal with a priority
-//! queue over MINDIST, plus a streaming variant ([`RTree::nearest_iter`]).
+//! level, always on (on first overflow, the 30% of entries farthest
+//! from the node center are re-inserted from the root instead of
+//! splitting). There is one search: [`RTree::nearest_iter`], the
+//! Hjaltason–Samet incremental traversal with a priority queue over
+//! MINDIST; [`RTree::knn`] is its first `k` items.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -93,19 +95,11 @@ pub struct RTree {
     dim: usize,
     root: Option<Node>,
     len: usize,
-    forced_reinsert: bool,
 }
 
 impl RTree {
-    /// An empty tree for points of dimension `dim`, with R*-style
-    /// forced reinsertion enabled.
+    /// An empty tree for points of dimension `dim`.
     pub fn new(dim: usize) -> Result<RTree, GeometryError> {
-        RTree::with_options(dim, true)
-    }
-
-    /// An empty tree with forced reinsertion toggled explicitly
-    /// (disabling it isolates the split policy for comparisons).
-    pub fn with_options(dim: usize, forced_reinsert: bool) -> Result<RTree, GeometryError> {
         if dim == 0 {
             return Err(GeometryError::EmptyDimension);
         }
@@ -113,7 +107,6 @@ impl RTree {
             dim,
             root: None,
             len: 0,
-            forced_reinsert,
         })
     }
 
@@ -156,7 +149,7 @@ impl RTree {
             });
         }
         self.len += 1;
-        self.insert_entry(point.to_vec(), id, self.forced_reinsert);
+        self.insert_entry(point.to_vec(), id, true);
         Ok(())
     }
 
@@ -198,94 +191,17 @@ impl RTree {
         }
     }
 
-    /// The `k` nearest stored points to `query`, with access metering.
+    /// The `k` nearest stored points to `query`, nearest first: the
+    /// first `k` items of [`RTree::nearest_iter`], with the accesses
+    /// the cursor made to produce them.
     pub fn knn(
         &self,
         query: &[f64],
         k: usize,
     ) -> Result<(Vec<Neighbor>, IndexAccess), GeometryError> {
-        validate_point(query)?;
-        if query.len() != self.dim {
-            return Err(GeometryError::DimensionMismatch {
-                expected: self.dim,
-                got: query.len(),
-            });
-        }
-        let mut access = IndexAccess::default();
-        let mut result: Vec<Neighbor> = Vec::new();
-        let Some(root) = &self.root else {
-            return Ok((result, access));
-        };
-        if k == 0 {
-            return Ok((result, access));
-        }
-
-        // Best-first: a min-heap over MINDIST² of pending nodes.
-        struct Pending<'a> {
-            key: f64,
-            node: &'a Node,
-        }
-        impl PartialEq for Pending<'_> {
-            fn eq(&self, other: &Self) -> bool {
-                self.key == other.key
-            }
-        }
-        impl Eq for Pending<'_> {}
-        impl PartialOrd for Pending<'_> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Pending<'_> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Reverse for a min-heap; keys are finite by validation.
-                other.key.total_cmp(&self.key)
-            }
-        }
-
-        let mut heap = BinaryHeap::new();
-        heap.push(Pending {
-            key: root.mbr().min_dist2(query),
-            node: root,
-        });
-        // Current k-th best distance² (∞ until k found).
-        let mut kth = f64::INFINITY;
-        while let Some(Pending { key, node }) = heap.pop() {
-            if key > kth {
-                break; // No remaining node can improve the result.
-            }
-            access.nodes_visited += 1;
-            match node {
-                Node::Leaf { entries, .. } => {
-                    for (p, id) in entries {
-                        access.distance_computations += 1;
-                        let d2 = dist2(p, query);
-                        if d2 < kth || result.len() < k {
-                            result.push(Neighbor {
-                                id: *id,
-                                distance: d2.sqrt(),
-                            });
-                            result.sort_by(|a, b| {
-                                a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id))
-                            });
-                            result.truncate(k);
-                            if result.len() == k {
-                                kth = result[k - 1].distance * result[k - 1].distance;
-                            }
-                        }
-                    }
-                }
-                Node::Internal { children, .. } => {
-                    for c in children {
-                        let d = c.mbr().min_dist2(query);
-                        if d <= kth {
-                            heap.push(Pending { key: d, node: c });
-                        }
-                    }
-                }
-            }
-        }
-        Ok((result, access))
+        let mut cursor = self.nearest_iter(query)?;
+        let hits = cursor.by_ref().take(k).collect();
+        Ok((hits, cursor.access()))
     }
 
     /// A **streaming** nearest-neighbor iterator (Hjaltason–Samet
@@ -316,48 +232,6 @@ impl RTree {
             heap,
             access: IndexAccess::default(),
         })
-    }
-
-    /// All items whose point lies within `radius` of `query`.
-    pub fn range(
-        &self,
-        query: &[f64],
-        radius: f64,
-    ) -> Result<(Vec<Neighbor>, IndexAccess), GeometryError> {
-        validate_point(query)?;
-        if query.len() != self.dim {
-            return Err(GeometryError::DimensionMismatch {
-                expected: self.dim,
-                got: query.len(),
-            });
-        }
-        let mut access = IndexAccess::default();
-        let mut out = Vec::new();
-        let r2 = radius * radius;
-        let mut stack: Vec<&Node> = self.root.iter().collect();
-        while let Some(node) = stack.pop() {
-            if node.mbr().min_dist2(query) > r2 {
-                continue;
-            }
-            access.nodes_visited += 1;
-            match node {
-                Node::Leaf { entries, .. } => {
-                    for (p, id) in entries {
-                        access.distance_computations += 1;
-                        let d2 = dist2(p, query);
-                        if d2 <= r2 {
-                            out.push(Neighbor {
-                                id: *id,
-                                distance: d2.sqrt(),
-                            });
-                        }
-                    }
-                }
-                Node::Internal { children, .. } => stack.extend(children.iter()),
-            }
-        }
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-        Ok((out, access))
     }
 }
 
@@ -782,28 +656,95 @@ mod tests {
         assert!(res0.is_empty());
     }
 
+    /// Answers and accesses of `knn`, captured when it still ran a
+    /// best-first loop of its own: the incremental cursor's first `k`
+    /// items must reproduce them exactly. Rows are `(dim, k, ids,
+    /// distances, nodes_visited, distance_computations)` over 500
+    /// seeded uniform points and one seeded query per dimension.
     #[test]
-    fn range_query_matches_brute_force() {
-        let points = random_points(400, 3, 5);
-        let mut tree = RTree::new(3).unwrap();
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(p, i as ItemId).unwrap();
+    fn knn_reproduces_pinned_answers_and_accesses() {
+        type Pin = (usize, usize, &'static [ItemId], &'static [f64], u64, u64);
+        const PINS: [Pin; 6] = [
+            (2, 1, &[40], &[0.03355739155962395], 3, 10),
+            (
+                2,
+                10,
+                &[40, 160, 279, 338, 173, 479, 193, 89, 212, 422],
+                &[
+                    0.03355739155962395,
+                    0.05222163013654016,
+                    0.06621181343609724,
+                    0.06811683202329183,
+                    0.07681686241559425,
+                    0.08559365750546917,
+                    0.09353476656122359,
+                    0.0969064429595006,
+                    0.09775632718139611,
+                    0.09802884739825,
+                ],
+                5,
+                31,
+            ),
+            (8, 1, &[374], &[0.5045450794633315], 29, 286),
+            (
+                8,
+                10,
+                &[374, 397, 27, 283, 2, 10, 425, 227, 421, 32],
+                &[
+                    0.5045450794633315,
+                    0.5457797871123735,
+                    0.5467175024026322,
+                    0.5614555081497796,
+                    0.5797024634541629,
+                    0.587436731040395,
+                    0.5890760321875472,
+                    0.5948400747220812,
+                    0.6060416169329552,
+                    0.6116196475898331,
+                ],
+                38,
+                384,
+            ),
+            (20, 1, &[83], &[1.1282356012590238], 48, 500),
+            (
+                20,
+                10,
+                &[83, 322, 73, 434, 343, 303, 14, 203, 421, 171],
+                &[
+                    1.1282356012590238,
+                    1.2359996645578246,
+                    1.386507229401538,
+                    1.3908399578635686,
+                    1.4116175791321308,
+                    1.4292768147721817,
+                    1.4438813413685945,
+                    1.44990783775235,
+                    1.4587006625956485,
+                    1.4606687966957288,
+                ],
+                48,
+                500,
+            ),
+        ];
+        for (dim, k, ids, distances, nodes_visited, distance_computations) in PINS {
+            let mut tree = RTree::new(dim).unwrap();
+            for (i, p) in random_points(500, dim, 2024).iter().enumerate() {
+                tree.insert(p, i as ItemId).unwrap();
+            }
+            let (hits, access) = tree.knn(&random_points(1, dim, 7)[0], k).unwrap();
+            let got_ids: Vec<ItemId> = hits.iter().map(|n| n.id).collect();
+            let got_distances: Vec<f64> = hits.iter().map(|n| n.distance).collect();
+            assert_eq!(got_ids, ids, "dim={dim} k={k}");
+            assert_eq!(got_distances, distances, "dim={dim} k={k}");
+            assert_eq!(
+                access,
+                IndexAccess {
+                    nodes_visited,
+                    distance_computations
+                },
+                "dim={dim} k={k}"
+            );
         }
-        let q = [0.5, 0.5, 0.5];
-        let r = 0.3;
-        let (got, _) = tree.range(&q, r).unwrap();
-        let expect: Vec<ItemId> = {
-            let mut v: Vec<(f64, ItemId)> = points
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| dist2(p, &q).sqrt() <= r)
-                .map(|(i, p)| (dist2(p, &q).sqrt(), i as ItemId))
-                .collect();
-            v.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-            v.into_iter().map(|(_, id)| id).collect()
-        };
-        let got_ids: Vec<_> = got.iter().map(|n| n.id).collect();
-        assert_eq!(got_ids, expect);
     }
 
     #[test]
@@ -844,15 +785,6 @@ mod tests {
         for w in collected.windows(2) {
             assert!(w[0].distance <= w[1].distance + 1e-12);
         }
-        // The prefix equals batch k-NN.
-        let (batch, _) = tree.knn(&q, 15).unwrap();
-        let prefix_ids: Vec<ItemId> = collected.iter().take(15).map(|n| n.id).collect();
-        let batch_d: Vec<f64> = batch.iter().map(|n| n.distance).collect();
-        let prefix_d: Vec<f64> = collected.iter().take(15).map(|n| n.distance).collect();
-        for (a, b) in batch_d.iter().zip(&prefix_d) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        assert_eq!(prefix_ids.len(), 15);
     }
 
     #[test]
@@ -882,7 +814,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_reinsertion_preserves_correctness() {
+    fn clustered_data_matches_brute_force() {
         // Clustered data stresses reinsertion; answers must still match
         // brute force exactly.
         let mut rng_points = Vec::new();
@@ -892,45 +824,18 @@ mod tests {
                 rng_points.push(vec![cx + p[0] * 0.05, p[1] * 0.05]);
             }
         }
-        let mut with = RTree::with_options(2, true).unwrap();
-        let mut without = RTree::with_options(2, false).unwrap();
+        let mut tree = RTree::new(2).unwrap();
         for (i, p) in rng_points.iter().enumerate() {
-            with.insert(p, i as ItemId).unwrap();
-            without.insert(p, i as ItemId).unwrap();
+            tree.insert(p, i as ItemId).unwrap();
         }
-        assert_eq!(with.len(), rng_points.len());
+        assert_eq!(tree.len(), rng_points.len());
         for q in random_points(10, 2, 77) {
             let expect = brute_knn(&rng_points, &q, 9);
-            for tree in [&with, &without] {
-                let (got, _) = tree.knn(&q, 9).unwrap();
-                let got_ids: Vec<_> = got.iter().map(|n| n.id).collect();
-                let exp_ids: Vec<_> = expect.iter().map(|n| n.id).collect();
-                assert_eq!(got_ids, exp_ids);
-            }
+            let (got, _) = tree.knn(&q, 9).unwrap();
+            let got_ids: Vec<_> = got.iter().map(|n| n.id).collect();
+            let exp_ids: Vec<_> = expect.iter().map(|n| n.id).collect();
+            assert_eq!(got_ids, exp_ids);
         }
-    }
-
-    #[test]
-    fn forced_reinsertion_improves_or_matches_packing() {
-        // Query-time node accesses on clustered data, averaged over
-        // queries: the R* reinsertion should not make pruning worse.
-        let points = random_points(3000, 3, 21);
-        let mut with = RTree::with_options(3, true).unwrap();
-        let mut without = RTree::with_options(3, false).unwrap();
-        for (i, p) in points.iter().enumerate() {
-            with.insert(p, i as ItemId).unwrap();
-            without.insert(p, i as ItemId).unwrap();
-        }
-        let mut with_nodes = 0u64;
-        let mut without_nodes = 0u64;
-        for q in random_points(25, 3, 5) {
-            with_nodes += with.knn(&q, 10).unwrap().1.nodes_visited;
-            without_nodes += without.knn(&q, 10).unwrap().1.nodes_visited;
-        }
-        assert!(
-            (with_nodes as f64) <= without_nodes as f64 * 1.15,
-            "reinsertion should not noticeably hurt: {with_nodes} vs {without_nodes}"
-        );
     }
 
     #[test]

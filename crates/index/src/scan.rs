@@ -78,76 +78,6 @@ impl LinearScan {
         };
         Ok((all, access))
     }
-
-    /// The `k` nearest neighbors with running-sum early abandoning:
-    /// once `k` candidates are held, a partial sum of squares that
-    /// already exceeds the current k-th best squared distance proves
-    /// the point cannot qualify, so the remaining coordinates are
-    /// skipped. Results are identical to [`LinearScan::knn`];
-    /// `distance_computations` counts only fully evaluated points.
-    pub fn knn_abandoning(
-        &self,
-        query: &[f64],
-        k: usize,
-    ) -> Result<(Vec<Neighbor>, IndexAccess), GeometryError> {
-        validate_point(query)?;
-        if query.len() != self.dim {
-            return Err(GeometryError::DimensionMismatch {
-                expected: self.dim,
-                got: query.len(),
-            });
-        }
-        // (squared distance, id) so ties and ordering match `knn`
-        // exactly; sqrt only on the way out.
-        let mut best: Vec<(f64, ItemId)> = Vec::with_capacity(k.saturating_add(1));
-        let mut completed = 0u64;
-        for (p, id) in &self.points {
-            if k == 0 {
-                break;
-            }
-            let threshold = if best.len() == k {
-                best[k - 1].0
-            } else {
-                f64::INFINITY
-            };
-            let mut sum = 0.0;
-            let mut abandoned = false;
-            for (chunk_p, chunk_q) in p.chunks(16).zip(query.chunks(16)) {
-                for (a, b) in chunk_p.iter().zip(chunk_q) {
-                    let d = a - b;
-                    sum += d * d;
-                }
-                if sum > threshold {
-                    abandoned = true;
-                    break;
-                }
-            }
-            if abandoned {
-                continue;
-            }
-            completed += 1;
-            if best.len() < k || (sum, *id) < (threshold, best[k - 1].1) {
-                let pos = best
-                    .iter()
-                    .position(|&(d, i)| (sum, *id) < (d, i))
-                    .unwrap_or(best.len());
-                best.insert(pos, (sum, *id));
-                best.truncate(k);
-            }
-        }
-        let result = best
-            .into_iter()
-            .map(|(d_sq, id)| Neighbor {
-                id,
-                distance: d_sq.sqrt(),
-            })
-            .collect();
-        let access = IndexAccess {
-            nodes_visited: 1,
-            distance_computations: completed,
-        };
-        Ok((result, access))
-    }
 }
 
 #[cfg(test)]
@@ -173,41 +103,6 @@ mod tests {
         assert!(s.insert(&[1.0], 0).is_err());
         assert!(s.knn(&[1.0], 1).is_err());
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn abandoning_scan_matches_plain_scan() {
-        // Deterministic pseudo-random points, no RNG dependency.
-        let dim = 24;
-        let mut s = LinearScan::new(dim).unwrap();
-        let mut state = 0x9e37_79b9_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for id in 0..200 {
-            let p: Vec<f64> = (0..dim).map(|_| next()).collect();
-            s.insert(&p, id).unwrap();
-        }
-        let q: Vec<f64> = (0..dim).map(|_| next()).collect();
-        for k in [1, 5, 17, 200, 500] {
-            let (plain, plain_access) = s.knn(&q, k).unwrap();
-            let (fast, fast_access) = s.knn_abandoning(&q, k).unwrap();
-            assert_eq!(plain.len(), fast.len());
-            for (a, b) in plain.iter().zip(&fast) {
-                assert_eq!(a.id, b.id, "k={k}");
-                assert_eq!(a.distance, b.distance, "k={k}");
-            }
-            if k < 200 {
-                assert!(
-                    fast_access.distance_computations < plain_access.distance_computations,
-                    "k={k}: no abandoning happened"
-                );
-            }
-        }
-        assert!(s.knn_abandoning(&q, 0).unwrap().0.is_empty());
     }
 
     #[test]

@@ -43,13 +43,9 @@
 
 use std::fmt;
 
-use fmdb_core::score::Score;
-use fmdb_core::stats::GradeHistogram;
-
 use crate::color::{ColorHistogram, ColorSpace};
 use crate::distance::{DistanceError, HistogramDistance};
 use crate::linalg::{Cholesky, LinalgError, SymMatrix};
-use crate::scorer::DistanceScorer;
 
 /// Relative ridge magnitudes tried (in order) when the projected
 /// matrix is numerically on the PSD boundary.
@@ -526,55 +522,8 @@ impl EmbeddedCorpus {
             .collect())
     }
 
-    /// Every stored object's `(oid, grade)` pair for retrieval around
-    /// `query` — oid is the corpus index, grade the exact distance
-    /// mapped through `scorer`. This is the one-shot export feeding a
-    /// persistent graded store (the media layer cannot see the
-    /// middleware's store types, so it hands over plain pairs and the
-    /// caller — bench, garlic — does the persisting).
-    pub fn graded_pairs(
-        &self,
-        query: &ColorHistogram,
-        scorer: &dyn DistanceScorer,
-    ) -> Result<Vec<(u64, Score)>, EmbedError> {
-        let distances = self.distances(query)?;
-        Ok(distances
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| (i as u64, scorer.score(d)))
-            .collect())
-    }
-
     fn embed_query(&self, query: &ColorHistogram) -> Result<Vec<f64>, EmbedError> {
         self.space.embed(query)
-    }
-
-    /// An equi-depth grade histogram for query-by-`query` retrieval,
-    /// estimated from a deterministic stride sample of the corpus —
-    /// the planner's statistics hook for media sources with no
-    /// materialized sorted list.
-    ///
-    /// Up to `sample` objects are probed (one O(k) norm each — a tiny
-    /// fraction of a full scan for `sample ≪ n`), their distances
-    /// mapped through `scorer`, and the resulting grades summarized by
-    /// [`GradeHistogram::from_sample`] scaled to the full corpus size.
-    /// The stride sample is deterministic, so repeated calls agree.
-    pub fn grade_histogram(
-        &self,
-        query: &ColorHistogram,
-        scorer: &dyn DistanceScorer,
-        bins: usize,
-        sample: usize,
-    ) -> Result<GradeHistogram, EmbedError> {
-        let q = self.embed_query(query)?;
-        let take = sample.max(1).min(self.n);
-        let stride = self.n.checked_div(take).unwrap_or(1).max(1);
-        let grades: Vec<Score> = (0..self.n)
-            .step_by(stride)
-            .take(take)
-            .map(|i| scorer.score(euclidean(&q, self.embedded(i))))
-            .collect();
-        Ok(GradeHistogram::from_sample(&grades, self.n, bins))
     }
 
     /// The `k_nearest` objects closest to `query` under the exact
@@ -1016,45 +965,6 @@ mod tests {
         let empty = plain_corpus(&sp, &[]);
         assert!(empty.is_empty());
         assert!(empty.knn(q, 3).unwrap().0.is_empty());
-    }
-
-    #[test]
-    fn sampled_grade_histogram_tracks_the_full_distribution() {
-        use crate::scorer::{DistanceScorer, ExpDecay};
-
-        let sp = space();
-        let hists = sample_histograms(&sp, 240, 19);
-        let corpus = plain_corpus(&sp, &hists);
-        let q = &sample_histograms(&sp, 1, 55)[0];
-        let scorer = ExpDecay::new(0.5).unwrap();
-
-        let full = corpus.grade_histogram(q, &scorer, 16, 240).unwrap();
-        let sampled = corpus.grade_histogram(q, &scorer, 16, 48).unwrap();
-        assert_eq!(full.universe(), 240);
-        assert_eq!(sampled.universe(), 240, "sample scales to the corpus");
-        // The sampled selectivity curve tracks the exhaustive one.
-        let truth: Vec<f64> = corpus
-            .distances(q)
-            .unwrap()
-            .iter()
-            .map(|&d| scorer.score(d).value())
-            .collect();
-        for g in [0.2, 0.5, 0.8] {
-            let exact = truth.iter().filter(|&&t| t >= g).count() as f64 / 240.0;
-            assert!(
-                (full.fraction_above(g) - exact).abs() < 0.1,
-                "full histogram off at {g}: {} vs {exact}",
-                full.fraction_above(g)
-            );
-            assert!(
-                (sampled.fraction_above(g) - exact).abs() < 0.2,
-                "sampled histogram off at {g}: {} vs {exact}",
-                sampled.fraction_above(g)
-            );
-        }
-        // Determinism: the stride sample has no hidden state.
-        let again = corpus.grade_histogram(q, &scorer, 16, 48).unwrap();
-        assert_eq!(sampled, again);
     }
 
     #[test]

@@ -24,15 +24,18 @@
 //!   contrast, directionality) over grayscale patches;
 //! * [`synth`] — synthetic image databases with controllable
 //!   attribute correlation (the substitution for QBIC's proprietary
-//!   image collections);
-//! * [`scorer`] — distance → grade conversion.
+//!   image collections).
+//!
+//! The crate computes distances, not grades: garlic's
+//! `QbicRepository` turns a query's distances into grades (a linear
+//! cutoff at the largest distance it observed), so the one
+//! distance → grade rule lives beside the one caller that needs it.
 
 pub mod bounding;
 pub mod color;
 pub mod distance;
 pub mod embed;
 pub mod linalg;
-pub mod scorer;
 pub mod shape;
 pub mod synth;
 pub mod texture;
@@ -43,7 +46,6 @@ pub mod prelude {
     pub use crate::color::{ColorHistogram, ColorSpace, Rgb};
     pub use crate::distance::{HistogramDistance, L2Distance, QuadraticFormDistance};
     pub use crate::embed::{EmbeddedCorpus, EmbeddedDistance, EmbeddedSpace};
-    pub use crate::scorer::{DistanceScorer, ExpDecay, LinearCutoff};
     pub use crate::shape::{
         turning_distance, FourierDescriptor, HuMoments, Polygon, TurningCorpus,
     };

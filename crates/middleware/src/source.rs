@@ -145,8 +145,8 @@ pub trait GradedSource {
     /// An equi-depth grade histogram over this source's full
     /// distribution, or `None` when the implementation cannot produce
     /// one without charging accesses (a truly remote stream would have
-    /// to be drained; its statistics come from prefixes or sampling
-    /// instead — see `fmdb_core::stats::GradeHistogram::from_sample`).
+    /// to be drained, so it answers `None` and the planner falls back
+    /// to its uniform-grade assumption).
     ///
     /// Implementations must not advance the sorted cursor or charge
     /// accesses: histograms are optimizer-time metadata, like

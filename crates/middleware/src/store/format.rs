@@ -333,6 +333,20 @@ impl Header {
         self.sorted_start() + self.sorted_pages
     }
 
+    /// Entries data page `page` (a file page of the sorted run or the
+    /// random table) must declare: a full page, except that the last
+    /// page of each section holds the remainder.
+    pub(crate) fn data_page_entries(&self, page: u64) -> u64 {
+        let section = if page >= self.random_start() {
+            self.random_start()
+        } else {
+            self.sorted_start()
+        };
+        let epp = self.entries_per_page as u64;
+        let before = page.saturating_sub(section).saturating_mul(epp);
+        self.n.saturating_sub(before).min(epp)
+    }
+
     /// Total pages in the file.
     pub fn total_pages(&self) -> u64 {
         self.random_start() + self.random_pages

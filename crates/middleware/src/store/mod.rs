@@ -25,8 +25,10 @@
 //!   which the `paged_equivalence` proptest suite proves.
 //!
 //! Failure model: *opening* and *building* return typed
-//! [`StoreError`]s. A runtime I/O failure after a successful open
-//! (disk yanked mid-query) cannot surface through the infallible
+//! [`StoreError`]s. A runtime failure after a successful open (disk
+//! yanked mid-query, a data page failing its checksum or declaring an
+//! entry count its section's geometry rules out) cannot surface through
+//! the infallible
 //! [`GradedSource`] methods, so the source degrades — the sorted
 //! stream appears drained, random access grades to zero — and the
 //! first error is parked where [`PagedSource::take_error`] /
@@ -151,8 +153,11 @@ struct StoreInner {
 }
 
 impl StoreInner {
-    /// Fetches a page through the pool: a pool hit, or a checksummed
-    /// storage read installed for the next caller. A frame is a single
+    /// Fetches a data page through the pool: a pool hit, or a
+    /// checksummed storage read installed for the next caller once its
+    /// declared entry count matches the header's geometry (a CRC-valid
+    /// page that under-declares would otherwise shorten the source
+    /// silently). A frame is a single
     /// allocation, so frames allocated and freed on different threads
     /// (requests under `Engine::run_many` share a pool) recycle
     /// same-size chunks instead of fragmenting the threads' malloc
@@ -169,6 +174,11 @@ impl StoreInner {
                 .read_exact_at(buf, page * self.header.page_size as u64)?;
         }
         verify_page(&frame, page)?;
+        if u64::from(read_u32(&frame, 4)) != self.header.data_page_entries(page) {
+            return Err(StoreError::InvalidHeader(
+                "data page entry count disagrees with the header",
+            ));
+        }
         self.pool.insert(page, Arc::clone(&frame));
         Ok(frame)
     }
@@ -1000,6 +1010,63 @@ mod tests {
             Some(StoreError::ChecksumMismatch { .. })
         );
         assert!(hit_sorted || hit_random, "the corrupt page must surface");
+    }
+
+    /// A data page whose checksum is valid but whose entry count is
+    /// short of what the header's geometry requires must not shorten
+    /// the source silently: the read degrades like a checksum failure
+    /// and the typed error is parked.
+    #[test]
+    fn under_declared_entry_count_is_a_typed_error() {
+        let path = scratch("under-declared.fmdb");
+        build_store(
+            &path,
+            "u",
+            sample_pairs(1000, 4),
+            &BuildConfig::with_page_size(512),
+        )
+        .unwrap();
+        let header = PagedStore::open(&path, StoreOptions::DEFAULT)
+            .unwrap()
+            .header()
+            .clone();
+        assert_eq!(header.entries_per_page, 31);
+        let mut bytes = std::fs::read(&path).unwrap();
+        for page in [header.sorted_start() + 2, header.random_start() + 3] {
+            let at = 512 * page as usize;
+            let frame = &mut bytes[at..at + 512];
+            assert_eq!(read_u32(frame, 4), 31);
+            frame[4..8].copy_from_slice(&3u32.to_le_bytes());
+            let crc = format::crc32(&frame[4..]);
+            frame[..4].copy_from_slice(&crc.to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).expect("open is page-local");
+        let mut src = store.source();
+        let mut drained = 0;
+        while src.sorted_next().is_some() {
+            drained += 1;
+        }
+        // Pages 0 and 1 deliver; page 2 is refused whole.
+        assert_eq!(drained, 62);
+        assert!(matches!(
+            store.take_error(),
+            Some(StoreError::InvalidHeader(
+                "data page entry count disagrees with the header"
+            ))
+        ));
+        // The random table's page 3 is refused the same way.
+        let first_oid_on_page_3 = 3 * 3 * 31; // pairs use oids 0, 3, 6, …
+        assert_eq!(src.random_access(first_oid_on_page_3), Score::ZERO);
+        assert!(matches!(
+            store.take_error(),
+            Some(StoreError::InvalidHeader(_))
+        ));
+        // A whole page left alone still answers.
+        let mut vec = VecSource::new("u", sample_pairs(1000, 4));
+        assert_eq!(src.random_access(0), vec.random_access(0));
+        assert!(store.take_error().is_none());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property-based tests across the media and index substrates: the
 //! distance-bounding guarantee (zero false dismissals), metric
-//! properties of the quadratic form, and agreement of every k-NN
-//! structure with the linear scan.
+//! properties of the quadratic form, agreement of the R-tree and the
+//! filter-and-refine index with exhaustive search, and the size
+//! accounting of the grid file and the quadtree.
 
 use proptest::prelude::*;
 
-use fuzzymm::index::gridfile::GridFile;
 use fuzzymm::media::bounding::BoundedDistance;
 use fuzzymm::media::color::{ColorHistogram, ColorSpace};
 use fuzzymm::prelude::*;
@@ -67,26 +67,28 @@ proptest! {
         prop_assert_eq!(a_ids, b_ids);
     }
 
+    /// The size accounting E8 reads: the grid file keeps every point and
+    /// never occupies more cells than its dense directory has, and every
+    /// quadtree split turns one leaf into 2^d.
     #[test]
-    fn gridfile_knn_agrees_with_scan(
+    fn gridfile_and_quadtree_accounting_holds(
+        dim in 2usize..=3,
         points in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..1.0, 2..=2),
-            1..60,
+            proptest::collection::vec(0.0f64..1.0, 3..=3),
+            1..80,
         ),
-        k in 1usize..=5,
-        query in proptest::collection::vec(0.0f64..1.0, 2..=2),
+        capacity in 1usize..=4,
     ) {
-        let mut grid = GridFile::new(2, 4, 1 << 20).expect("positive dim");
-        let mut scan = LinearScan::new(2).expect("positive dim");
+        let mut grid = GridFile::new(dim, capacity, 1 << 20).expect("positive dim");
+        let mut quad = QuadTree::new(dim, capacity, 1 << 20).expect("supported dim");
         for (i, p) in points.iter().enumerate() {
-            grid.insert(p, i as u64).expect("valid point");
-            scan.insert(p, i as u64).expect("valid point");
+            grid.insert(&p[..dim], i as u64).expect("point in the unit cube");
+            quad.insert(&p[..dim], i as u64).expect("point in the unit cube");
         }
-        let (a, _) = grid.knn(&query, k).expect("valid query");
-        let (b, _) = scan.knn(&query, k).expect("valid query");
-        let a_ids: Vec<u64> = a.iter().map(|n| n.id).collect();
-        let b_ids: Vec<u64> = b.iter().map(|n| n.id).collect();
-        prop_assert_eq!(a_ids, b_ids);
+        prop_assert_eq!(grid.len(), points.len());
+        prop_assert!(grid.occupied_cells() as u128 <= grid.directory_size());
+        prop_assert_eq!(quad.len(), points.len());
+        prop_assert_eq!(quad.leaf_cells() % ((1u128 << dim) - 1), 1);
     }
 
     #[test]
