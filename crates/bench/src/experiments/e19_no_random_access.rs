@@ -8,10 +8,11 @@
 //! and (sometimes) returning grade intervals instead of exact values.
 //!
 //! The second table is the same regime in wall-clock: what one charged
-//! access costs in bookkeeping under TA, NRA and CA. The planner prices
-//! accesses only (`DESIGN.md` §11), which is honest as long as these
-//! stay within a small factor of each other — `nra_vs_ta_ns_per_access`
-//! is gated where it is emitted. Its last row is what the engine adds
+//! access costs in bookkeeping under TA, NRA, CA, A₀ and the naive scan.
+//! The planner prices accesses only (`DESIGN.md` §11), which is honest
+//! as long as these stay within a small factor of each other —
+//! `nra_vs_ta_ns_per_access` and `naive_vs_ta_ns_per_access` are gated
+//! where they are emitted. Its last row is what the engine adds
 //! to that price on memory-speed lists (`engine_vs_scalar_many8`, gated
 //! too).
 //!
@@ -29,6 +30,7 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
 use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
+use fmdb_middleware::algorithms::naive::Naive;
 use fmdb_middleware::algorithms::nra::{Nra, NraLowerBound};
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::TopKAlgorithm;
@@ -44,6 +46,12 @@ use crate::report::{f3, int, Bound, Report, Table};
 /// kernel re-ranked every open object every round, ≈ 2.5 since its
 /// bookkeeping is incremental.
 const MAX_NRA_VS_TA: f64 = 10.0;
+
+/// Ceiling on `naive_vs_ta_ns_per_access`: 1.5–1.8 while the book
+/// hashed every sighting and the answer was a sort of everything seen,
+/// 0.85–1.05 since objects are numbered through an array and the top k
+/// selected.
+const MAX_NAIVE_VS_TA: f64 = 1.4;
 
 /// Ceiling on `engine_vs_scalar_many8`: 3.7–4.6 while the engine put a
 /// lock-striped LRU grade cache and a source registry in front of every
@@ -286,7 +294,11 @@ pub fn run(cfg: &RunCfg) -> Report {
     }
     report.table(t);
 
-    let n = cfg.pick(1 << 14, 1 << 12);
+    // The same N in quick and full mode. At 16 384 a naive scan grows a
+    // book of ≈ 1 MiB per run, and first-touch page faults (≈ 10 ns per
+    // access there, run to run as the allocator's state goes) would
+    // decide its gate instead of the bookkeeping.
+    let n = 1 << 12;
     let mut t = Table::new(
         format!("bookkeeping per charged access, N = {n}, m = 3, min, k = 10 (scalar, best of 5)"),
         &["algorithm", "charged accesses", "ns / access", "vs TA"],
@@ -295,10 +307,14 @@ pub fn run(cfg: &RunCfg) -> Report {
     let (ta_accesses, ta) = ns_per_access(&ThresholdAlgorithm, &mut sources, 10);
     let (nra_accesses, nra) = ns_per_access(&NraLowerBound, &mut sources, 10);
     let (ca_accesses, ca) = ns_per_access(&CombinedAlgorithm::new(10, 0.0), &mut sources, 10);
+    let (fa_accesses, fa) = ns_per_access(&FaginsAlgorithm, &mut sources, 10);
+    let (naive_accesses, naive) = ns_per_access(&Naive, &mut sources, 10);
     for (name, accesses, ns) in [
         ("TA", ta_accesses, ta),
         ("NRA", nra_accesses, nra),
         ("CA (h = 10)", ca_accesses, ca),
+        ("A0", fa_accesses, fa),
+        ("naive", naive_accesses, naive),
     ] {
         t.row(vec![name.to_owned(), int(accesses), f3(ns), f3(ns / ta)]);
     }
@@ -346,6 +362,16 @@ pub fn run(cfg: &RunCfg) -> Report {
              `algorithms/threshold.rs` first",
         )
         .gated(
+            "naive_vs_ta_ns_per_access",
+            naive / ta,
+            Bound::PositiveAtMost(MAX_NAIVE_VS_TA),
+            "an access of the naive scan costs that many times one under TA, though it does \
+             less per access (number the object, record the grade; no probe, no bound until \
+             the end); look at `Table::number` in `algorithms/book.rs` (one array load per \
+             dense oid) and `algorithms::finalize` (a selection of k, not a sort of everything \
+             seen) first",
+        )
+        .gated(
             "engine_vs_scalar_many8",
             through_engine / scalar,
             Bound::PositiveAtMost(MAX_ENGINE_VS_SCALAR),
@@ -377,7 +403,12 @@ pub fn run(cfg: &RunCfg) -> Report {
          charged — picking the schedule with fewer accesses is right in wall-clock too. \
          CA pays for its target scan every h-th round. The run fails if an NRA access \
          costs more than {MAX_NRA_VS_TA}x a TA access (it was ~70x while every open object \
-         was re-ranked every round).",
+         was re-ranked every round). A0 and the naive scan keep the same book: an object is \
+         numbered by one array load, and the answer is a selection of the best k, so a \
+         naive access, which probes nothing, costs about what a TA access does. The run \
+         fails above {MAX_NAIVE_VS_TA}x (it was 1.5-1.8x while every sighting was hashed \
+         and everything seen was sorted to keep ten). This table uses N = 4096 in quick and \
+         full mode alike.",
     ));
     report.note(format!(
         "The last row is the engine's own price on memory-speed lists — proxies, batch \

@@ -45,9 +45,11 @@ pub(crate) struct FaState {
     pub(crate) book: Book,
     /// Objects every list has output under *sorted* access (the set L).
     matches: usize,
-    /// Session state: objects already returned by earlier batches, and
-    /// the cumulative number of answers requested so far.
-    emitted: Vec<Oid>,
+    /// Session state: per book row, whether an earlier batch returned
+    /// it; how many it returned; and the cumulative number of answers
+    /// requested so far.
+    emitted_rows: Vec<bool>,
+    emitted: usize,
     requested: usize,
 }
 
@@ -57,7 +59,8 @@ impl FaState {
         FaState {
             book: Book::open(sources),
             matches: 0,
-            emitted: Vec::new(),
+            emitted_rows: Vec::new(),
+            emitted: 0,
             requested: 0,
         }
     }
@@ -161,10 +164,21 @@ impl FaState {
         }
         self.requested += k;
         self.sorted_phase(sources, self.requested);
-        let mut combined = self.resolve_all(sources, scoring);
-        combined.retain(|so| !self.emitted.contains(&so.id));
-        let result = finalize(combined, k, self.book.frontier.stats);
-        self.emitted.extend(result.answers.iter().map(|a| a.id));
+        // One answer per row, in row order.
+        let combined = self.resolve_all(sources, scoring);
+        self.emitted_rows.resize(combined.len(), false);
+        let fresh = combined
+            .into_iter()
+            .zip(&self.emitted_rows)
+            .filter_map(|(so, &emitted)| (!emitted).then_some(so))
+            .collect();
+        let result = finalize(fresh, k, self.book.frontier.stats);
+        for answer in &result.answers {
+            if let Some(row) = self.book.table.row(answer.id) {
+                self.emitted_rows[row] = true;
+            }
+        }
+        self.emitted += result.answers.len();
         Ok(result)
     }
 }
@@ -211,7 +225,7 @@ impl<S, F> fmt::Debug for Session<S, F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FaSession")
             .field("arity", &self.sources.len())
-            .field("emitted", &self.state.emitted.len())
+            .field("emitted", &self.state.emitted)
             .field("requested", &self.state.requested)
             .finish_non_exhaustive()
     }
@@ -264,7 +278,7 @@ where
 
     /// Number of answers already returned.
     pub fn emitted(&self) -> usize {
-        self.state.emitted.len()
+        self.state.emitted
     }
 }
 

@@ -179,15 +179,25 @@ pub(crate) fn validate<S>(
     Ok(())
 }
 
-/// Sorts combined `(oid, grade)` pairs into output order and truncates
-/// to `k`.
+/// The best `k` of the combined `(oid, grade)` pairs, in output order.
+///
+/// A selection moves the best `k` to the front and only they are
+/// sorted: a naive scan hands over every object of the universe to
+/// keep ten. Output order — grade descending, then oid ascending — is total
+/// over distinct oids, so the unstable selection and sort return
+/// exactly what a stable sort of everything and a truncation would.
 pub(crate) fn finalize(
     mut combined: Vec<ScoredObject<Oid>>,
     k: usize,
     stats: AccessStats,
 ) -> TopKResult {
-    combined.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
+    let order =
+        |a: &ScoredObject<Oid>, b: &ScoredObject<Oid>| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id));
+    if 0 < k && k < combined.len() {
+        combined.select_nth_unstable_by(k - 1, order);
+    }
     combined.truncate(k);
+    combined.sort_unstable_by(order);
     TopKResult {
         answers: combined,
         stats,
@@ -211,5 +221,28 @@ mod tests {
             scoring: "min".into(),
         };
         assert!(e.to_string().contains("max-merge"));
+    }
+
+    #[test]
+    fn the_selection_keeps_the_answer_contract_at_ties() {
+        use fmdb_core::score::Score;
+
+        // 337 is prime to 1 000, so this visits every oid once, out of
+        // order; five grade levels leave 200 objects tied on each.
+        let objects: Vec<ScoredObject<Oid>> = (0..1_000u64)
+            .map(|i| i * 337 % 1_000)
+            .map(|oid| ScoredObject::new(oid, Score::clamped((oid % 5) as f64 / 4.0)))
+            .collect();
+        let stats = AccessStats::ZERO;
+        for k in [0, 1, 7, 200, 999, 1_000, 1_500] {
+            let mut sorted = objects.clone();
+            sorted.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
+            sorted.truncate(k);
+            assert_eq!(
+                finalize(objects.clone(), k, stats).answers,
+                sorted,
+                "k = {k}"
+            );
+        }
     }
 }

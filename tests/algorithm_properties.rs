@@ -8,6 +8,8 @@ use fuzzymm::core::scoring::conorms::Max;
 use fuzzymm::core::scoring::means::ArithmeticMean;
 use fuzzymm::core::scoring::tnorms::{Lukasiewicz, Product};
 use fuzzymm::middleware::algorithms::cg_filter::CgFilter;
+use fuzzymm::middleware::algorithms::nra::NraLowerBound;
+use fuzzymm::middleware::algorithms::TopKResult;
 use fuzzymm::middleware::oracle::{all_grades, verify_top_k};
 use fuzzymm::prelude::*;
 
@@ -52,6 +54,43 @@ fn to_sparse_sources(lists: &[Vec<f64>]) -> Vec<VecSource> {
             VecSource::new(format!("sparse-{i}"), kept)
         })
         .collect()
+}
+
+/// Strategy: m lists over a shared dense universe, each grade one of
+/// five levels, so ties are everywhere and the oid tie-break decides.
+fn level_lists(max_n: usize, max_m: usize) -> impl Strategy<Value = Vec<Vec<u8>>> {
+    (2usize..=max_m, 1usize..=max_n).prop_flat_map(|(m, n)| {
+        proptest::collection::vec(proptest::collection::vec(0u8..=4, n..=n), m..=m)
+    })
+}
+
+/// The lists with object `i` renamed `label(i)`.
+fn to_labelled_sources(lists: &[Vec<u8>], label: impl Fn(Oid) -> Oid) -> Vec<VecSource> {
+    lists
+        .iter()
+        .enumerate()
+        .map(|(i, levels)| {
+            let pairs = (0..)
+                .zip(levels)
+                .map(|(oid, &level)| (label(oid), Score::clamped(f64::from(level) / 4.0)))
+                .collect();
+            VecSource::new(format!("labelled-{i}"), pairs)
+        })
+        .collect()
+}
+
+fn run_on(
+    mut sources: Vec<VecSource>,
+    algo: &dyn TopKAlgorithm,
+    scoring: &dyn ScoringFunction,
+    k: usize,
+) -> TopKResult {
+    let mut refs: Vec<&mut dyn GradedSource> = sources
+        .iter_mut()
+        .map(|s| s as &mut dyn GradedSource)
+        .collect();
+    algo.top_k(&mut refs, scoring, k)
+        .unwrap_or_else(|e| panic!("{}: {e}", algo.name()))
 }
 
 fn check_valid(
@@ -156,6 +195,42 @@ proptest! {
             .collect();
         verify_top_k(&mut refs, &ArithmeticMean, &members, k)
             .unwrap_or_else(|v| panic!("nra certified an invalid set: {v}"));
+    }
+
+    /// Renaming object `i` to `3·i + c` (most oids past the universe a
+    /// list reports) or to `i + 2^33` (every oid past `u32`) preserves
+    /// the oid order, so every algorithm must return the renamed answers
+    /// at the same charge, however the book numbers the objects.
+    #[test]
+    fn oids_outside_the_dense_range_change_nothing(
+        lists in level_lists(40, 4),
+        k in 1usize..=8,
+        c in 0u64..=2,
+        wide in 0u8..=1,
+    ) {
+        let label = |oid: Oid| if wide == 1 { oid + (1 << 33) } else { 3 * oid + c };
+        let max = ConormScoring(Max);
+        let runs: [(&dyn TopKAlgorithm, &dyn ScoringFunction); 8] = [
+            (&Naive, &Min),
+            (&FaginsAlgorithm, &Min),
+            (&PrunedFa::default(), &Min),
+            (&MaxMerge, &max),
+            (&ThresholdAlgorithm, &Min),
+            (&ThresholdAlgorithm, &ArithmeticMean),
+            (&NraLowerBound, &ArithmeticMean),
+            (&CombinedAlgorithm::new(2, 0.0), &Min),
+        ];
+        for (algo, scoring) in runs {
+            let dense = run_on(to_labelled_sources(&lists, |oid| oid), algo, scoring, k);
+            let moved = run_on(to_labelled_sources(&lists, label), algo, scoring, k);
+            let renamed: Vec<ScoredObject<Oid>> = dense
+                .answers
+                .iter()
+                .map(|a| ScoredObject::new(label(a.id), a.grade))
+                .collect();
+            prop_assert_eq!(&moved.answers, &renamed, "{} under {}", algo.name(), scoring.name());
+            prop_assert_eq!(moved.stats, dense.stats, "{} under {}", algo.name(), scoring.name());
+        }
     }
 
     #[test]
