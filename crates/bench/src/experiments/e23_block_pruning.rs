@@ -192,7 +192,7 @@ pub fn run(cfg: &RunCfg) -> Report {
             let mut cursor = store.source();
             while cursor.sorted_next().is_some() {}
         }
-        let before = store.pages_skipped();
+        let before = store.page_io().skipped;
         let mut cursor = store.source();
         let drained = cursor.sorted_drain_bounded(bound).map_or(0, |v| {
             // The drained prefix must agree with the in-memory
@@ -203,7 +203,7 @@ pub fn run(cfg: &RunCfg) -> Report {
             assert_eq!(v, want, "bounded drain must match the in-memory source");
             v.len()
         });
-        let skipped = store.pages_skipped().saturating_sub(before);
+        let skipped = store.page_io().skipped.saturating_sub(before);
         let skip_rate = if sorted_pages > 0.0 {
             (skipped as f64 / sorted_pages).clamp(0.0, 1.0)
         } else {

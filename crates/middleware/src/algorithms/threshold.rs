@@ -336,11 +336,13 @@ impl Family {
         // graded below the k-th best lower bound — or below the shared
         // bound on the global k-th grade — cannot reach the top k, so
         // that grade is a valid per-source
-        // [`GradedSource::note_threshold`] hint. Purely physical (a
-        // streaming source may stop grading below it; no shipped source
-        // listens yet): answers and charges never change. Means never
-        // feed, the zero-absorbing ones included.
+        // [`GradedSource::note_threshold`] hint, fed when it rises (it
+        // never falls within a run). Purely physical (a streaming source
+        // may stop grading below it; no shipped source listens yet):
+        // answers and charges never change. Means never feed, the
+        // zero-absorbing ones included.
         let feed = bounded_by_min(scoring, m);
+        let mut noted = Score::ZERO;
         let mut seen = Seen {
             k,
             ..Seen::default()
@@ -402,7 +404,8 @@ impl Family {
                 shared.observe(kth);
             }
             let floor = shared.map(AtomicThreshold::get);
-            if let (true, Some(bound)) = (feed, floor.or(kth)) {
+            if let Some(bound) = floor.or(kth).filter(|&bound| feed && bound > noted) {
+                noted = bound;
                 for source in sources.iter_mut() {
                     source.note_threshold(bound);
                 }
@@ -985,7 +988,8 @@ mod tests {
     }
 
     /// A list that listens: it remembers the highest bound it was told
-    /// entries may be dropped below.
+    /// entries may be dropped below, and insists that every bound it is
+    /// fed rises above the last one.
     struct Listening {
         inner: VecSource,
         noted: Score,
@@ -999,7 +1003,8 @@ mod tests {
             self.inner.random_access(oid)
         }
         fn note_threshold(&mut self, bound: Score) {
-            self.noted = self.noted.max(bound);
+            assert!(bound > self.noted, "fed {bound} after {}", self.noted);
+            self.noted = bound;
         }
         fn rewind(&mut self) {
             self.inner.rewind();

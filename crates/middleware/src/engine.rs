@@ -12,22 +12,26 @@
 //!   [`EngineConfig::batch_size`] instead of per-object calls, lazily,
 //!   on the caller's thread: one subsystem round-trip serves a whole
 //!   batch.
-//! * **Random access as the kernel asks for it** — a probe is one lock
-//!   of the source and one call; a kernel that probes in batches (A₀'s
-//!   phase 2) reaches the subsystem's [`GradedSource::random_batch`]
-//!   whole. The engine memoizes no grades: every kernel remembers the
-//!   fields it has seen, so no list is asked for the same object twice
-//!   within a query (`tests/no_kernel_asks_a_list_twice.rs`), and
-//!   across queries a memo could only hit for requests sharing one
-//!   source handle, which no caller but a benchmark loop does
-//!   (`DESIGN.md` §18).
+//! * **Random access as the kernel asks for it** — a probe is one call
+//!   to the subsystem; a kernel that probes in batches (A₀'s phase 2)
+//!   reaches the subsystem's [`GradedSource::random_batch`] whole. The
+//!   engine memoizes no grades: every kernel remembers the fields it
+//!   has seen, so no list is asked for the same object twice within a
+//!   query (`tests/no_kernel_asks_a_list_twice.rs`), and across queries
+//!   a memo could only hit for requests sharing one source handle,
+//!   which no caller but a benchmark loop does (`DESIGN.md` §18).
 //!
-//! There is one execution path. A query runs its kernel — the existing
-//! scalar algorithm, so correctness is inherited — on the calling
-//! thread over one proxy per source. The engine spawns threads in two
-//! places only: [`Engine::run_many`]'s request pool, and the shard
-//! workers of a TA request whose [`crate::policy::ExecPolicy::shards`]
-//! asks for them ([`crate::sharded`]). A source is in memory or reads
+//! There is one execution path. A request first locks every source
+//! handle it names, once and in one order, and holds them to its end:
+//! planning, the page-counter snapshot, partitioning and the kernel all
+//! read cursors no other request can move, and requests sharing a
+//! handle run one after the other. It then runs its kernel — the
+//! existing scalar algorithm, so correctness is inherited — on the
+//! calling thread over one proxy per source. The engine spawns threads
+//! in two places only: [`Engine::run_many`]'s request pool, and the
+//! shard workers of a TA request whose
+//! [`crate::policy::ExecPolicy::shards`] asks for them
+//! ([`crate::sharded`]). A source is in memory or reads
 //! its pages on demand ([`crate::store`]); against a subsystem that
 //! charges per call it is batching that pays: one call per
 //! [`EngineConfig::batch_size`] objects instead of one per object (E19,
@@ -54,7 +58,7 @@ use fmdb_core::score::{Score, ScoredObject};
 use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
 use crate::planner::{Explain, PhysicalPlan, PlanQuery, QueryStats};
 use crate::policy::Algo;
-use crate::request::{SharedSource, TopKRequest};
+use crate::request::{lock_all, SourceGuard, TopKRequest};
 use crate::source::{GradedSource, Oid, SourceInfo};
 use crate::stats::{AccessStats, PageIoStats};
 
@@ -152,47 +156,39 @@ impl Default for EngineConfig {
     }
 }
 
-/// Locks tolerating poison. A subsystem that panics under its own
-/// source mutex poisons it; the request fails with
-/// [`EngineError::WorkerPanicked`], and the engine — its totals
-/// included, whose updates are single assignments — must keep serving
-/// the requests that follow.
+/// Locks tolerating poison: the engine's totals and `run_many`'s result
+/// slots, whose updates are single assignments. A request that panics
+/// fails with [`EngineError::WorkerPanicked`], and the engine must keep
+/// serving the requests that follow. (Source handles are locked in one
+/// place only, `request::lock_all`.)
 pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The engine's view of one source: sorted access is served from
-/// lazily refilled batches; random access goes to the subsystem as the
-/// kernel asks for it, scalar, batched or bounded. Implements
-/// [`GradedSource`], so the scalar algorithms run on top of it
-/// unchanged — and charge exactly the accesses they would charge
+/// The engine's view of one source, which the request holds locked:
+/// sorted access is served from lazily refilled batches; every other
+/// call goes straight to the subsystem, as the kernel makes it.
+/// Implements [`GradedSource`], so the scalar algorithms run on top of
+/// it unchanged — and charge exactly the accesses they would charge
 /// against the raw source.
 struct EngineSource<'a> {
-    underlying: &'a SharedSource,
+    source: &'a mut (dyn GradedSource + Send),
+    /// Read once when the proxy is built; a panic report names the
+    /// stream by its label.
     info: SourceInfo,
     batch: usize,
     buffer: std::vec::IntoIter<ScoredObject<Oid>>,
     drained: bool,
-    /// Whether anything was fetched since the stream last stood at the
-    /// top: the engine rewinds the subsystem before building a proxy,
-    /// so only a *used* proxy has to rewind it again.
-    fetched: bool,
-    /// The highest bound forwarded to the subsystem since the stream
-    /// last stood at the top.
-    noted: Score,
     /// Set for the duration of every call into the subsystem, so a
     /// panic caught around the kernel can name the stream it came from.
     in_flight: bool,
 }
 
 impl EngineSource<'_> {
-    /// Runs `call` on the locked subsystem.
-    fn with_source<R>(
-        &mut self,
-        call: impl FnOnce(&mut (dyn GradedSource + Send + 'static)) -> R,
-    ) -> R {
+    /// Runs `call` on the subsystem, flagged as in flight.
+    fn call<R>(&mut self, call: impl FnOnce(&mut (dyn GradedSource + Send)) -> R) -> R {
         self.in_flight = true;
-        let out = call(&mut *lock(self.underlying));
+        let out = call(&mut *self.source);
         self.in_flight = false;
         out
     }
@@ -202,49 +198,37 @@ impl GradedSource for EngineSource<'_> {
     fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
         if self.buffer.as_slice().is_empty() && !self.drained {
             let batch = self.batch;
-            let items = self.with_source(|s| s.sorted_batch(batch));
+            let items = self.call(|s| s.sorted_batch(batch));
             self.drained = items.len() < batch;
-            self.fetched = true;
             self.buffer = items.into_iter();
         }
         self.buffer.next()
     }
 
     fn random_access(&mut self, oid: Oid) -> Score {
-        self.with_source(|s| s.random_access(oid))
+        self.call(|s| s.random_access(oid))
     }
 
     fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-        self.with_source(|s| s.random_batch(oids))
+        self.call(|s| s.random_batch(oids))
     }
 
     fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Score {
-        self.with_source(|s| s.random_access_bounded(oid, bound))
+        self.call(|s| s.random_access_bounded(oid, bound))
     }
 
-    /// The engine rewinds the underlying sources before constructing
-    /// its proxies, so the initial `rewind()` every algorithm issues is
-    /// a no-op here.
     fn rewind(&mut self) {
-        if self.fetched {
-            self.with_source(|s| s.rewind());
-            self.buffer = Vec::new().into_iter();
-            (self.drained, self.fetched, self.noted) = (false, false, Score::ZERO);
-        }
+        self.call(|s| s.rewind());
+        self.buffer = Vec::new().into_iter();
+        self.drained = false;
     }
 
     fn info(&self) -> SourceInfo {
         self.info.clone()
     }
 
-    /// The kernel feeds its bound every round; the subsystem only has
-    /// to hear of it when it rises (it is monotone within a run), which
-    /// one compare decides before the source lock is taken.
     fn note_threshold(&mut self, bound: Score) {
-        if bound > self.noted {
-            self.noted = bound;
-            self.with_source(|s| s.note_threshold(bound));
-        }
+        self.call(|s| s.note_threshold(bound));
     }
 }
 
@@ -252,7 +236,9 @@ impl GradedSource for EngineSource<'_> {
 /// for the design.
 ///
 /// `run` takes `&self`: share one engine (e.g. behind an `Arc`) and
-/// issue any number of requests concurrently.
+/// issue any number of requests concurrently. Each holds its source
+/// handles for its whole run, so requests sharing a handle run one
+/// after the other.
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
@@ -309,8 +295,9 @@ impl Engine {
     /// applies. [`Engine::explain`] exposes the same decision without
     /// executing it.
     pub fn run(&self, request: &TopKRequest) -> Result<TopKResult, EngineError> {
-        let algorithm = self.resolve(request)?;
-        self.run_algorithm(algorithm.as_ref(), request)
+        let mut sources = lock_all(request.sources());
+        let algorithm = self.resolve(request, &sources)?;
+        self.execute(algorithm.as_ref(), request, &mut sources)
     }
 
     /// The planner's decision record for `request` — the plan
@@ -321,7 +308,7 @@ impl Engine {
     pub fn explain(&self, request: &TopKRequest) -> Result<Explain, EngineError> {
         // Surface invalid-knob errors exactly like `run`.
         let forced = request.policy().plan()?;
-        let mut explain = self.plan(request);
+        let mut explain = self.plan(request, &lock_all(request.sources()));
         if request.policy().algo != Algo::Auto {
             explain.chosen = forced;
         }
@@ -334,13 +321,14 @@ impl Engine {
     fn resolve(
         &self,
         request: &TopKRequest,
+        sources: &[SourceGuard<'_>],
     ) -> Result<Box<dyn TopKAlgorithm + Send + Sync>, EngineError> {
         let policy = request.policy();
         // Always resolve statically first: it validates the policy
         // knobs (θ, cost units) and is the documented fallback.
         let mut plan = policy.plan()?;
         if policy.algo == Algo::Auto {
-            plan = self.plan(request).chosen;
+            plan = self.plan(request, sources).chosen;
         }
         let theta = policy.approximation.theta();
         Ok(match crate::planner::plan_algorithm(plan, theta) {
@@ -354,16 +342,15 @@ impl Engine {
         })
     }
 
-    /// Gathers statistics and runs the planner for `request` under its
-    /// policy, treating the query as a plain fuzzy top-k (the engine
-    /// has no crisp-predicate structure; the Garlic layer adds that).
-    fn plan(&self, request: &TopKRequest) -> Explain {
-        let sources = request.sources();
+    /// Gathers statistics from the held `sources` and runs the planner
+    /// for `request` under its policy, treating the query as a plain
+    /// fuzzy top-k (the engine has no crisp-predicate structure; the
+    /// Garlic layer adds that).
+    fn plan(&self, request: &TopKRequest, sources: &[SourceGuard<'_>]) -> Explain {
         let m = sources.len();
-        // One source lock at a time: requests may share handles.
-        let sizes = sources.iter().map(|s| lock(s).info().universe_size);
+        let sizes = sources.iter().map(|s| s.info().universe_size);
         let n = sizes.max().unwrap_or(0);
-        let stats = QueryStats::from_sources(sources.iter().map(|s| lock(s)));
+        let stats = QueryStats::from_sources(sources.iter().map(|s| &**s));
         let combiner = crate::planner::classify_combiner(request.scoring().as_ref(), m.max(1));
         let query = PlanQuery::fuzzy(n, m, request.k()).combiner(combiner);
         crate::planner::choose_plan(&query, stats.as_ref(), request.policy())
@@ -373,9 +360,10 @@ impl Engine {
     /// merge strategy. The algorithm's code path is unchanged — it
     /// consumes engine-buffered proxies instead of raw sources — so the
     /// result (answers *and* charged `sorted`/`random` counts) is
-    /// bit-identical to the scalar run; the engine only adds the page
-    /// traffic of paged sources ([`AccessStats::page_reads`] and
-    /// friends).
+    /// bit-identical to the scalar run over the same sources, read from
+    /// where their cursors stand (every algorithm here rewinds first);
+    /// the engine only adds the page traffic of paged sources
+    /// ([`AccessStats::page_reads`] and friends).
     ///
     /// TA, the one algorithm with a shard kernel, takes the sharded
     /// path when the request's [`crate::policy::ExecPolicy::shards`]
@@ -385,29 +373,37 @@ impl Engine {
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
     ) -> Result<TopKResult, EngineError> {
-        let (mut result, page_before) = if algorithm.shard_kernel() && request.policy().shards > 1 {
-            // Partitioning reads pages: count from before it, even
-            // when the request falls back to the serial path.
-            let before = request
-                .sources()
-                .iter()
-                .map(|s| lock(s).page_io())
-                .collect();
-            let result = match try_sharded(request)? {
-                Some(result) => result,
-                None => self.run_serial(algorithm, request)?.0,
-            };
-            (result, before)
+        self.execute(algorithm, request, &mut lock_all(request.sources()))
+    }
+
+    /// Runs `algorithm` over the request's held `sources` — sharded when
+    /// it may and the policy asks, serial otherwise — and folds the
+    /// sources' page traffic into the result.
+    fn execute(
+        &self,
+        algorithm: &dyn TopKAlgorithm,
+        request: &TopKRequest,
+        sources: &mut [SourceGuard<'_>],
+    ) -> Result<TopKResult, EngineError> {
+        // Partitioning reads pages: count from before it, even when the
+        // request falls back to the serial path.
+        let page_before: Vec<Option<PageIoStats>> = sources.iter().map(|s| s.page_io()).collect();
+        let sharded = if algorithm.shard_kernel() && request.policy().shards > 1 {
+            try_sharded(request, sources)?
         } else {
-            self.run_serial(algorithm, request)?
+            None
+        };
+        let mut result = match sharded {
+            Some(result) => result,
+            None => self.run_serial(algorithm, request, sources)?,
         };
 
         // Fold the page-traffic delta of every paged source into the
         // request's stats. Sources sharing one store's pool would be
         // double counted — each query source is expected to map to its
         // own store file.
-        for (source, before) in request.sources().iter().zip(page_before) {
-            if let (Some(now), Some(before)) = (lock(source).page_io(), before) {
+        for (source, before) in sources.iter().zip(page_before) {
+            if let (Some(now), Some(before)) = (source.page_io(), before) {
                 let delta = now - before;
                 result.stats.page_reads += delta.reads;
                 result.stats.page_hits += delta.hits;
@@ -420,38 +416,25 @@ impl Engine {
     }
 
     /// The one non-sharded path: the kernel runs on the caller's thread
-    /// over batch-refilled proxies. No thread is spawned, so
-    /// `stats.worker_spawns` stays 0. Returns each source's page
-    /// counters from before the run (`None` for in-memory sources)
-    /// beside the result.
+    /// over batch-refilled proxies of the held sources. No thread is
+    /// spawned, so `stats.worker_spawns` stays 0.
     fn run_serial(
         &self,
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
-    ) -> Result<(TopKResult, Vec<Option<PageIoStats>>), EngineError> {
+        sources: &mut [SourceGuard<'_>],
+    ) -> Result<TopKResult, EngineError> {
         let scoring = request.scoring();
         let batch = self.config.batch_size.max(1);
-        let mut page_before = Vec::with_capacity(request.sources().len());
-        let mut proxies: Vec<EngineSource> = request
-            .sources()
-            .iter()
-            .map(|underlying| {
-                // Rewind before the kernel pulls, so every stream
-                // begins at the top grade, and snapshot the metadata
-                // and page counters under the same lock.
-                let mut guard = lock(underlying);
-                guard.rewind();
-                page_before.push(guard.page_io());
-                EngineSource {
-                    underlying,
-                    info: guard.info(),
-                    batch,
-                    buffer: Vec::new().into_iter(),
-                    drained: false,
-                    fetched: false,
-                    noted: Score::ZERO,
-                    in_flight: false,
-                }
+        let mut proxies: Vec<EngineSource> = sources
+            .iter_mut()
+            .map(|source| EngineSource {
+                info: source.info(),
+                source: &mut **source,
+                batch,
+                buffer: Vec::new().into_iter(),
+                drained: false,
+                in_flight: false,
             })
             .collect();
 
@@ -467,7 +450,7 @@ impl Engine {
             }))
         };
         match outcome {
-            Ok(result) => Ok((result?, page_before)),
+            Ok(result) => result.map_err(EngineError::Algo),
             Err(payload) => {
                 let stream = proxies
                     .iter()
@@ -484,7 +467,8 @@ impl Engine {
     /// Evaluates several requests concurrently on a scoped worker
     /// *pool*. Results are returned in request order. A request that panics on a pool thread yields
     /// [`EngineError::WorkerPanicked`] in its slot — one bad request
-    /// never takes down its batch.
+    /// never takes down its batch. Requests sharing a source handle
+    /// take turns on it, each answering as it would alone.
     ///
     /// The pool spawns `min(available_parallelism, requests.len())`
     /// workers that claim request slots from a shared counter, instead
@@ -567,19 +551,21 @@ impl Engine {
 }
 
 /// The sharded execution path (see [`crate::sharded`]): partitions
-/// every source with one consistent partitioner and fans TA out over
-/// `min(shards, universe)` shard workers. Returns `Ok(None)` — "use the
-/// serial path" — when that is fewer than two or any source cannot be
-/// partitioned.
-fn try_sharded(request: &TopKRequest) -> Result<Option<TopKResult>, EngineError> {
+/// every held source with one consistent partitioner and fans TA out
+/// over `min(shards, universe)` shard workers. Returns `Ok(None)` —
+/// "use the serial path" — when that is fewer than two or any source
+/// cannot be partitioned.
+fn try_sharded(
+    request: &TopKRequest,
+    sources: &[SourceGuard<'_>],
+) -> Result<Option<TopKResult>, EngineError> {
     // The shard kernel skips the scalar entry point, so reject bad
     // requests here with the same checks (same errors, same order).
     let scoring = request.scoring();
-    crate::algorithms::validate(request.sources(), &*scoring, request.k())?;
-    let universe = request
-        .sources()
+    crate::algorithms::validate(sources, &*scoring, request.k())?;
+    let universe = sources
         .iter()
-        .map(|s| lock(s).info().universe_size)
+        .map(|s| s.info().universe_size)
         .min()
         .unwrap_or(0);
     let shards = request.policy().shards.min(universe);
@@ -587,7 +573,7 @@ fn try_sharded(request: &TopKRequest) -> Result<Option<TopKResult>, EngineError>
         return Ok(None);
     }
     let Some(partitioned) = crate::sharded::partition_aligned(
-        request.sources(),
+        sources,
         crate::source::SourcePartitioner::Modulo,
         shards,
     ) else {
@@ -1163,7 +1149,8 @@ mod tests {
                 assert_eq!(plan.name(), want, "{policy:?}");
                 assert_eq!(policy.algorithm().unwrap().name(), want, "{policy:?}");
                 assert_eq!(engine.explain(&req).unwrap().chosen, plan, "{policy:?}");
-                assert_eq!(engine.resolve(&req).unwrap().name(), want, "{policy:?}");
+                let resolved = engine.resolve(&req, &lock_all(req.sources())).unwrap();
+                assert_eq!(resolved.name(), want, "{policy:?}");
             }
         }
     }

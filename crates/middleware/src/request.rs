@@ -34,11 +34,16 @@
 //! Sources are held as [`SharedSource`] (`Arc<Mutex<…>>`) so that
 //! [`crate::engine::Engine::run_many`]'s pool can hand requests to its
 //! workers by reference and requests may share a handle
-//! ([`TopKQueryBuilder::shared_source`]). Within one request the kernel
-//! drives every source from a single thread; TA's shard workers read
-//! partitions of the sources, not the handles.
+//! ([`TopKQueryBuilder::shared_source`]). A run holds every handle of
+//! its request from start to end: the engine and
+//! [`TopKQuery::with_sources`] lock them once, in one order, and the
+//! kernel drives the locked sources from a single thread (TA's shard
+//! workers read partitions of them, not the handles). So a handle may
+//! appear once per query, and concurrent requests that share a handle
+//! run one after the other — the only correct schedule for a single
+//! cursor.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fmdb_core::scoring::ScoringFunction;
 use fmdb_core::weights::{Weighted, Weighting};
@@ -52,6 +57,27 @@ pub type SharedSource = Arc<Mutex<dyn GradedSource + Send>>;
 
 /// A shareable scoring function.
 pub type SharedScoring = Arc<dyn ScoringFunction + Send + Sync>;
+
+/// One locked [`SharedSource`], held for the length of a run.
+pub(crate) type SourceGuard<'a> = MutexGuard<'a, dyn GradedSource + Send + 'static>;
+
+/// Locks every handle of one request and returns the guards in
+/// conjunct order — the one place a [`SharedSource`] is locked. Handles
+/// are locked in address order, so two runs over overlapping handles
+/// cannot deadlock; a handle named twice would deadlock on itself,
+/// which is why [`TopKQueryBuilder::build`] refuses one. A handle
+/// poisoned by an earlier run's panic is taken as it stands: that run
+/// failed, the source did not.
+pub(crate) fn lock_all(sources: &[SharedSource]) -> Vec<SourceGuard<'_>> {
+    let mut by_address: Vec<(usize, &SharedSource)> = sources.iter().enumerate().collect();
+    by_address.sort_unstable_by_key(|(_, handle)| Arc::as_ptr(handle).cast::<()>());
+    let mut guards: Vec<(usize, SourceGuard<'_>)> = by_address
+        .into_iter()
+        .map(|(i, handle)| (i, handle.lock().unwrap_or_else(PoisonError::into_inner)))
+        .collect();
+    guards.sort_unstable_by_key(|(i, _)| *i);
+    guards.into_iter().map(|(_, guard)| guard).collect()
+}
 
 /// Wraps a concrete source into a [`SharedSource`] handle.
 pub fn shared_source(source: impl GradedSource + Send + 'static) -> SharedSource {
@@ -118,15 +144,12 @@ impl TopKQuery {
         Arc::clone(&self.scoring)
     }
 
-    /// Locks every source and hands the scalar view `&mut [&mut dyn
-    /// GradedSource]` to `f` — the bridge from the shared, thread-safe
-    /// representation to the paper's sequential access model.
+    /// Locks every source for the length of `f` and hands it the scalar
+    /// view `&mut [&mut dyn GradedSource]` — the bridge from the shared,
+    /// thread-safe representation to the paper's sequential access
+    /// model.
     pub fn with_sources<R>(&self, f: impl FnOnce(&mut [&mut dyn GradedSource]) -> R) -> R {
-        let mut guards: Vec<_> = self
-            .sources
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner))
-            .collect();
+        let mut guards = lock_all(&self.sources);
         let mut refs: Vec<&mut dyn GradedSource> = guards
             .iter_mut()
             .map(|g| &mut **g as &mut dyn GradedSource)
@@ -251,7 +274,10 @@ impl TopKQueryBuilder {
     }
 
     /// Appends an already-shared source handle (e.g. one also held by
-    /// another concurrent request).
+    /// another concurrent request). A handle may appear once per query
+    /// — [`TopKQueryBuilder::build`] refuses a second conjunct on it —
+    /// and requests sharing one run one after the other, since each run
+    /// holds its handles from start to end.
     pub fn shared_source(mut self, source: SharedSource) -> Self {
         self.sources.push(source);
         self
@@ -323,6 +349,14 @@ impl TopKQueryBuilder {
                 w.arity(),
                 self.sources.len()
             )));
+        }
+        // Two conjuncts on one handle would share one cursor, and a run
+        // locking both would wait on itself.
+        let sources = &self.sources;
+        if (1..sources.len()).any(|i| sources[..i].iter().any(|s| Arc::ptr_eq(s, &sources[i]))) {
+            return Err(AlgoError::InvalidRequest(
+                "a source handle is named by two conjuncts".to_owned(),
+            ));
         }
         let base = self
             .scoring
@@ -505,6 +539,46 @@ mod tests {
         // The cursor advanced inside the shared handle.
         let second = query.with_sources(|refs| refs[0].sorted_next().unwrap());
         assert_eq!(second.id, 0);
+    }
+
+    #[test]
+    fn a_handle_named_twice_is_refused() {
+        let handle = shared_source(src(&[0.4, 0.6]));
+        let twice = TopKQuery::compose()
+            .shared_source(Arc::clone(&handle))
+            .source(src(&[0.5, 0.5]))
+            .shared_source(Arc::clone(&handle))
+            .scoring(Min)
+            .k(1)
+            .build();
+        assert!(
+            matches!(&twice, Err(AlgoError::InvalidRequest(why)) if why.contains("two conjuncts")),
+            "{twice:?}"
+        );
+        // Two handles on equal data are two sources.
+        let once = TopKQuery::compose()
+            .shared_source(handle)
+            .source(src(&[0.4, 0.6]))
+            .scoring(Min)
+            .k(1)
+            .build();
+        assert!(once.is_ok());
+    }
+
+    #[test]
+    fn lock_all_returns_the_guards_in_conjunct_order() {
+        let handles: Vec<SharedSource> = (0..5)
+            .map(|i| shared_source(VecSource::from_dense(format!("s{i}"), &[s(0.5)])))
+            .collect();
+        // Whatever order the handles' addresses fall in, the guards come
+        // back in the order the conjuncts name them.
+        for order in [[4, 3, 2, 1, 0], [2, 4, 0, 3, 1]] {
+            let sources: Vec<SharedSource> =
+                order.iter().map(|&i| Arc::clone(&handles[i])).collect();
+            let labels: Vec<String> = lock_all(&sources).iter().map(|g| g.info().label).collect();
+            let want: Vec<String> = order.iter().map(|i| format!("s{i}")).collect();
+            assert_eq!(labels, want);
+        }
     }
 
     #[test]

@@ -52,8 +52,8 @@ use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::threshold::{Family, Probe, Report};
 use crate::algorithms::TopKResult;
-use crate::engine::{lock, panic_message, EngineError};
-use crate::request::SharedScoring;
+use crate::engine::{panic_message, EngineError};
+use crate::request::{SharedScoring, SourceGuard};
 use crate::source::{GradedSource, Oid, ShardedSource, SourcePartitioner};
 use crate::stats::AccessStats;
 
@@ -174,17 +174,17 @@ pub(crate) fn run_shards(
     Ok(crate::algorithms::finalize(answers, k, stats))
 }
 
-/// Partitions every source of a request consistently and runs the
-/// sharded path, or returns `None` when any source cannot be
-/// partitioned (the caller falls back to the serial path).
+/// Partitions every held source of a request consistently, or returns
+/// `None` when any source cannot be partitioned (the caller falls back
+/// to the serial path).
 pub(crate) fn partition_aligned(
-    sources: &[crate::request::SharedSource],
+    sources: &[SourceGuard<'_>],
     partitioner: SourcePartitioner,
     shards: usize,
 ) -> Option<Vec<Vec<ShardedSource>>> {
     let mut per_shard: Vec<Vec<ShardedSource>> = (0..shards).map(|_| Vec::new()).collect();
     for source in sources {
-        let parts = lock(source).partition(partitioner, shards)?;
+        let parts = source.partition(partitioner, shards)?;
         if parts.len() != shards {
             return None;
         }
@@ -341,16 +341,17 @@ mod tests {
 
     #[test]
     fn partition_aligned_falls_back_on_unpartitionable_sources() {
-        use crate::request::shared_source;
+        use crate::request::{lock_all, shared_source};
         use crate::source::CountingSource;
         let ok = shared_source(VecSource::from_dense("a", &[s(0.2), s(0.8)]));
         let no = shared_source(CountingSource::new(VecSource::from_dense(
             "b",
             &[s(0.5), s(0.5)],
         )));
-        assert!(
-            partition_aligned(std::slice::from_ref(&ok), SourcePartitioner::Modulo, 2).is_some()
-        );
-        assert!(partition_aligned(&[ok, no], SourcePartitioner::Modulo, 2).is_none());
+        let aligned = |sources: &[_]| {
+            partition_aligned(&lock_all(sources), SourcePartitioner::Modulo, 2).is_some()
+        };
+        assert!(aligned(std::slice::from_ref(&ok)));
+        assert!(!aligned(&[ok, no]));
     }
 }

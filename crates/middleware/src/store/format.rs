@@ -1,7 +1,7 @@
 //! On-disk format of the paged column store: page layout, checksums,
 //! and the crash-safe one-shot writer.
 //!
-//! A version-2 store file is a sequence of fixed-size pages:
+//! A store file is a sequence of fixed-size pages:
 //!
 //! ```text
 //! page 0                      header (magic, version, geometry, label)
@@ -17,8 +17,9 @@
 //! and powers the zone-map pruning layer: a drain holding a live
 //! threshold stops at the first sorted page whose persisted `max`
 //! falls below it, and bounded probes skip pages entirely outside the
-//! requested grade range. Version-1 files (no bounds section,
-//! `B = 0`) still open fine — pruning is simply disabled.
+//! requested grade range. The format has one version, [`VERSION`]; a
+//! file declaring any other is refused with
+//! [`StoreError::UnsupportedVersion`].
 //!
 //! Every page carries a CRC32 over its post-checksum bytes, so a torn
 //! or bit-flipped page surfaces as [`StoreError::ChecksumMismatch`],
@@ -44,12 +45,9 @@ use crate::source::{Oid, OidIndex};
 /// Magic bytes opening every store file (version baked into the name).
 pub const MAGIC: [u8; 8] = *b"FMDBPGS1";
 
-/// Format version written into the header (2: per-page grade bounds).
+/// Format version written into the header (2: per-page grade bounds),
+/// and the only one this build reads.
 pub const VERSION: u32 = 2;
-
-/// The previous format version: no bounds section. Still readable —
-/// opening a v1 store disables page pruning instead of erroring.
-pub const VERSION_1: u32 = 1;
 
 /// Smallest supported page size: the header (with a bounded label)
 /// and a useful number of entries must fit on one page.
@@ -67,11 +65,8 @@ pub const ENTRY_BYTES: usize = 16;
 /// Longest label a store can persist.
 pub const MAX_LABEL_BYTES: usize = 128;
 
-/// Fixed version-1 header fields before the variable-length label.
-const HEADER_FIXED_BYTES_V1: usize = 60;
-
-/// Fixed version-2 header fields: v1's plus the `u32` bounds-page
-/// count at offset 60.
+/// Fixed header fields before the variable-length label; the last is
+/// the `u32` bounds-page count at offset 60.
 const HEADER_FIXED_BYTES: usize = 64;
 
 /// Everything that can go wrong opening, reading, or building a store.
@@ -85,7 +80,8 @@ pub enum StoreError {
     Io(std::io::Error),
     /// The file does not start with the store magic.
     BadMagic,
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not [`VERSION`], the one this build
+    /// reads.
     UnsupportedVersion(u32),
     /// The file is shorter than its header claims it should be.
     Truncated {
@@ -115,6 +111,15 @@ pub enum StoreError {
     /// An open-time knob is self-contradictory (e.g. `Some(0)` frames —
     /// use `None` to disable a feature explicitly).
     InvalidOptions(&'static str),
+    /// The source a store was to be built from streamed a different
+    /// number of objects than its `info().universe_size` declares — a
+    /// failed read ended its sorted stream early. No file is written.
+    ShortSource {
+        /// Objects the source declares.
+        expected: u64,
+        /// Objects its sorted stream delivered.
+        drained: u64,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -148,6 +153,10 @@ impl std::fmt::Display for StoreError {
             StoreError::InvalidOptions(what) => {
                 write!(f, "invalid store options: {what}")
             }
+            StoreError::ShortSource { expected, drained } => write!(
+                f,
+                "source streamed {drained} of the {expected} objects it declares"
+            ),
         }
     }
 }
@@ -286,8 +295,7 @@ pub(crate) fn verify_page(page: &[u8], index: u64) -> Result<(), StoreError> {
 /// The decoded header page: file geometry and identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {
-    /// Format version the file was written with ([`VERSION_1`] or
-    /// [`VERSION`]).
+    /// Format version the file was written with ([`VERSION`]).
     pub version: u32,
     /// Fixed page size in bytes.
     pub page_size: usize,
@@ -301,8 +309,7 @@ pub struct Header {
     pub sorted_pages: u64,
     /// Pages of the oid-ascending random table.
     pub random_pages: u64,
-    /// Pages of the per-data-page grade-bounds section (0 for a
-    /// version-1 file: pruning disabled).
+    /// Pages of the per-data-page grade-bounds section.
     pub bounds_pages: u64,
     /// Bucket count of the persisted histogram (0 for an empty store).
     pub hist_bins: u32,
@@ -318,7 +325,7 @@ impl Header {
         2
     }
 
-    /// First page of the grade-bounds section (empty for version 1).
+    /// First page of the grade-bounds section.
     pub fn bounds_start(&self) -> u64 {
         2 + self.dir_pages
     }
@@ -412,19 +419,6 @@ pub fn build_store(
     pairs: Vec<(Oid, Score)>,
     cfg: &BuildConfig,
 ) -> Result<(), StoreError> {
-    build_store_versioned(path, label, pairs, cfg, VERSION)
-}
-
-/// [`build_store`] at an explicit format version — version 1 writes no
-/// bounds section. Kept for the backward-compatibility tests; new
-/// stores are always current-version.
-pub(crate) fn build_store_versioned(
-    path: &Path,
-    label: &str,
-    pairs: Vec<(Oid, Score)>,
-    cfg: &BuildConfig,
-    version: u32,
-) -> Result<(), StoreError> {
     if cfg.page_size < MIN_PAGE_SIZE {
         return Err(StoreError::PageSizeTooSmall(cfg.page_size));
     }
@@ -451,13 +445,8 @@ pub(crate) fn build_store_versioned(
     let random_pages = pages_for(n);
     let dir_pages = random_pages.div_ceil(dir_entries_per_page as u64);
     // One (min, max) pair per data page; pairs are entry-sized, so the
-    // bounds section packs at the data-page entry rate. Version 1 has
-    // no bounds section at all.
-    let bounds_pages = if version == VERSION_1 {
-        0
-    } else {
-        (sorted_pages + random_pages).div_ceil(entries_per_page as u64)
-    };
+    // bounds section packs at the data-page entry rate.
+    let bounds_pages = (sorted_pages + random_pages).div_ceil(entries_per_page as u64);
 
     // The histogram must fit the single stats page.
     let max_bounds = (page_size - PAGE_HEADER_BYTES) / 8;
@@ -470,7 +459,7 @@ pub(crate) fn build_store_versioned(
     });
 
     let header = Header {
-        version,
+        version: VERSION,
         page_size,
         n,
         entries_per_page,
@@ -550,32 +539,29 @@ fn write_all_pages(
     // to pad.
 
     // Bounds pages: one (min, max) grade pair per data page, sorted
-    // run first then random table, entry-sized pairs. Version-1 files
-    // carry no bounds section.
-    if header.version != VERSION_1 {
-        let mut page_bounds: Vec<(Score, Score)> = Vec::new();
-        for section in [sorted, by_id] {
-            for chunk in section.chunks(epp.max(1)) {
-                let mut lo = Score::ONE;
-                let mut hi = Score::ZERO;
-                for so in chunk {
-                    lo = lo.min(so.grade);
-                    hi = hi.max(so.grade);
-                }
-                page_bounds.push((lo, hi));
+    // run first then random table, entry-sized pairs.
+    let mut page_bounds: Vec<(Score, Score)> = Vec::new();
+    for section in [sorted, by_id] {
+        for chunk in section.chunks(epp.max(1)) {
+            let mut lo = Score::ONE;
+            let mut hi = Score::ZERO;
+            for so in chunk {
+                lo = lo.min(so.grade);
+                hi = hi.max(so.grade);
             }
+            page_bounds.push((lo, hi));
         }
-        for chunk in page_bounds.chunks(epp.max(1)) {
-            page.iter_mut().for_each(|b| *b = 0);
-            write_u32(&mut page, 4, chunk.len() as u32);
-            for (i, &(lo, hi)) in chunk.iter().enumerate() {
-                let off = PAGE_HEADER_BYTES + i * ENTRY_BYTES;
-                write_u64(&mut page, off, lo.value().to_bits());
-                write_u64(&mut page, off + 8, hi.value().to_bits());
-            }
-            seal_page(&mut page);
-            file.write_all(&page)?;
+    }
+    for chunk in page_bounds.chunks(epp.max(1)) {
+        page.iter_mut().for_each(|b| *b = 0);
+        write_u32(&mut page, 4, chunk.len() as u32);
+        for (i, &(lo, hi)) in chunk.iter().enumerate() {
+            let off = PAGE_HEADER_BYTES + i * ENTRY_BYTES;
+            write_u64(&mut page, off, lo.value().to_bits());
+            write_u64(&mut page, off + 8, hi.value().to_bits());
         }
+        seal_page(&mut page);
+        file.write_all(&page)?;
     }
 
     // Sorted run, then random table: identical entry encoding.
@@ -597,17 +583,11 @@ fn write_all_pages(
     Ok(())
 }
 
-/// Encodes the header page (checksummed like every other page) in the
-/// layout `header.version` dictates — the version-1 writer survives
-/// for the backward-compatibility tests.
+/// Encodes the header page, checksummed like every other page.
 fn write_header(page: &mut [u8], header: &Header) -> Result<(), StoreError> {
     page.iter_mut().for_each(|b| *b = 0);
     let label = header.label.as_bytes();
-    let label_off = if header.version == VERSION_1 {
-        HEADER_FIXED_BYTES_V1
-    } else {
-        HEADER_FIXED_BYTES
-    };
+    let label_off = HEADER_FIXED_BYTES;
     if label_off + label.len() > page.len() {
         return Err(StoreError::LabelTooLong(label.len()));
     }
@@ -622,9 +602,7 @@ fn write_header(page: &mut [u8], header: &Header) -> Result<(), StoreError> {
     write_u32(page, 44, header.hist_bins);
     write_u64(page, 48, header.hist_universe);
     write_u32(page, 56, label.len() as u32);
-    if header.version != VERSION_1 {
-        write_u32(page, 60, header.bounds_pages as u32);
-    }
+    write_u32(page, 60, header.bounds_pages as u32);
     page[label_off..label_off + label.len()].copy_from_slice(label);
     seal_page(page);
     Ok(())
@@ -642,7 +620,7 @@ pub(crate) fn decode_header(page: &[u8]) -> Result<Header, StoreError> {
     // store", not "corrupt store".
     verify_page(page, 0)?;
     let version = read_u32(page, 12);
-    if version != VERSION_1 && version != VERSION {
+    if version != VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
     let page_size = read_u32(page, 16) as usize;
@@ -664,18 +642,13 @@ pub(crate) fn decode_header(page: &[u8]) -> Result<Header, StoreError> {
     let hist_bins = read_u32(page, 44);
     let hist_universe = read_u64(page, 48);
     let label_len = read_u32(page, 56) as usize;
-    let (bounds_pages, label_off) = if version == VERSION_1 {
-        (0u64, HEADER_FIXED_BYTES_V1)
-    } else {
-        let bounds_pages = read_u32(page, 60) as u64;
-        let expected_bounds = (sorted_pages + random_pages).div_ceil(entries_per_page as u64);
-        if bounds_pages != expected_bounds {
-            return Err(StoreError::InvalidHeader(
-                "bounds page count disagrees with data pages",
-            ));
-        }
-        (bounds_pages, HEADER_FIXED_BYTES)
-    };
+    let bounds_pages = read_u32(page, 60) as u64;
+    if bounds_pages != (sorted_pages + random_pages).div_ceil(entries_per_page as u64) {
+        return Err(StoreError::InvalidHeader(
+            "bounds page count disagrees with data pages",
+        ));
+    }
+    let label_off = HEADER_FIXED_BYTES;
     if label_len > MAX_LABEL_BYTES || label_off + label_len > page_size {
         return Err(StoreError::InvalidHeader("label length out of range"));
     }
@@ -837,33 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_header_roundtrips_with_pruning_disabled() {
-        let header = Header {
-            version: VERSION_1,
-            page_size: 4096,
-            n: 1000,
-            entries_per_page: (4096 - PAGE_HEADER_BYTES) / ENTRY_BYTES,
-            dir_pages: 1,
-            sorted_pages: 4,
-            random_pages: 4,
-            bounds_pages: 0,
-            hist_bins: 16,
-            hist_universe: 1000,
-            label: "color".into(),
-        };
-        let mut page = vec![0u8; 4096];
-        write_header(&mut page, &header).unwrap();
-        let decoded = decode_header(&page).unwrap();
-        assert_eq!(decoded, header);
-        assert_eq!(decoded.bounds_pages, 0, "v1 has no bounds section");
-        assert_eq!(
-            decoded.sorted_start(),
-            3,
-            "v1 sorted run follows the directory"
-        );
-    }
-
-    #[test]
     fn bounds_pairs_roundtrip_and_reject_corruption() {
         let mut page = vec![0u8; 512];
         write_u32(&mut page, 4, 2);
@@ -917,12 +863,16 @@ mod tests {
             Err(StoreError::ChecksumMismatch { page: 0 })
         ));
 
-        page[12] = 99; // unsupported version (re-seal so checksum passes)
-        seal_page(&mut page);
-        assert!(matches!(
-            decode_header(&page),
-            Err(StoreError::UnsupportedVersion(99))
-        ));
+        // Unsupported versions, re-sealed so the checksum passes: the
+        // one before bounds were persisted, and one from the future.
+        for version in [1, 99] {
+            write_u32(&mut page, 12, version);
+            seal_page(&mut page);
+            assert!(matches!(
+                decode_header(&page),
+                Err(StoreError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     /// Under the test profile's overflow checks, a geometry field at

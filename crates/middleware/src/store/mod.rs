@@ -31,8 +31,10 @@
 //! the infallible
 //! [`GradedSource`] methods, so the source degrades — the sorted
 //! stream appears drained, random access grades to zero — and the
-//! first error is parked where [`PagedSource::take_error`] /
-//! [`PagedStore::take_error`] retrieve it.
+//! first error is parked where [`PagedStore::take_error`] retrieves it.
+//! A store built from such a source would be short, so
+//! [`build_store_from_source`] refuses one whose stream ends before its
+//! universe does ([`StoreError::ShortSource`]).
 
 pub mod format;
 mod pool;
@@ -106,13 +108,18 @@ impl Default for StoreOptions {
 /// `VecSource`, an embedded-corpus adapter, …). The source is rewound
 /// before and after. See [`build_store`] for the persisted layout and
 /// crash-safety protocol.
+///
+/// Every object of the source's `info().universe_size` streams (the
+/// trait's contract), so a drain of any other length means a read
+/// failed under it: that is [`StoreError::ShortSource`], and no file is
+/// written.
 pub fn build_store_from_source(
     path: &Path,
     source: &mut dyn GradedSource,
     cfg: &BuildConfig,
 ) -> Result<(), StoreError> {
     source.rewind();
-    let label = source.info().label;
+    let info = source.info();
     let mut pairs = Vec::new();
     loop {
         let batch = source.sorted_batch(1024);
@@ -123,7 +130,13 @@ pub fn build_store_from_source(
         }
     }
     source.rewind();
-    build_store(path, &label, pairs, cfg)
+    if pairs.len() != info.universe_size {
+        return Err(StoreError::ShortSource {
+            expected: info.universe_size as u64,
+            drained: pairs.len() as u64,
+        });
+    }
+    build_store(path, &info.label, pairs, cfg)
 }
 
 /// Shared innards of a store: the file, its decoded geometry, the
@@ -140,8 +153,8 @@ struct StoreInner {
     histogram: GradeHistogram,
     /// Per-data-page `(min, max)` grade bounds loaded from the bounds
     /// section: sorted-run pages first (indices `0..sorted_pages`),
-    /// then random-table pages. Empty for version-1 stores — pruning
-    /// is simply disabled, never an error.
+    /// then random-table pages — one per data page, which `open`
+    /// checks.
     bounds: Vec<(Score, Score)>,
     pool: PagePool,
     /// Pages bounded drains/probes proved unnecessary and never
@@ -258,16 +271,14 @@ impl StoreInner {
     }
 
     /// Persisted `(min, max)` grade bounds of sorted-run page `p`
-    /// (0-based within the run); `None` when the store has none
-    /// (version 1) — callers must then visit the page.
-    fn sorted_page_bounds(&self, p: u64) -> Option<(Score, Score)> {
-        self.bounds.get(p as usize).copied()
+    /// (0-based within the run).
+    fn sorted_page_bounds(&self, p: u64) -> (Score, Score) {
+        self.bounds[p as usize]
     }
 
     /// Bounds of random-table page `p` (0-based within the table).
-    fn random_page_bounds(&self, p: u64) -> Option<(Score, Score)> {
-        let idx = self.header.sorted_pages.saturating_add(p);
-        self.bounds.get(idx as usize).copied()
+    fn random_page_bounds(&self, p: u64) -> (Score, Score) {
+        self.bounds[(self.header.sorted_pages + p) as usize]
     }
 
     /// Records `pages` pages proved unnecessary by a bounded access.
@@ -384,10 +395,9 @@ impl PagedStore {
             ));
         }
 
-        // Bounds pages (version 2): one `(min, max)` grade pair per
-        // data page, validated eagerly like the directory — corrupt
-        // bounds must never silently mis-prune. Version-1 stores have
-        // none; `bounds` stays empty and pruning is disabled.
+        // Bounds pages: one `(min, max)` grade pair per data page,
+        // validated eagerly like the directory — corrupt bounds must
+        // never silently mis-prune.
         let data_pages = header.sorted_pages.saturating_add(header.random_pages);
         let mut bounds: Vec<(Score, Score)> = Vec::with_capacity(data_pages as usize);
         for b in 0..header.bounds_pages {
@@ -400,7 +410,7 @@ impl PagedStore {
                 }
             }
         }
-        if header.bounds_pages > 0 && bounds.len() as u64 != data_pages {
+        if bounds.len() as u64 != data_pages {
             return Err(StoreError::InvalidHeader(
                 "bounds section disagrees with page counts",
             ));
@@ -425,19 +435,6 @@ impl PagedStore {
         PagedSource::new(Arc::clone(&self.inner))
     }
 
-    /// True when the store persists per-page grade bounds (format
-    /// version 2) — i.e. bounded drains and probes can actually skip
-    /// pages. Version-1 stores open fine but never skip.
-    pub fn has_page_bounds(&self) -> bool {
-        !self.inner.bounds.is_empty()
-    }
-
-    /// Pages bounded drains/probes proved unnecessary so far (also in
-    /// [`PageIoStats::skipped`] via [`PagedStore::page_io`]).
-    pub fn pages_skipped(&self) -> u64 {
-        self.inner.page_io().skipped
-    }
-
     /// The decoded header: geometry and identity.
     pub fn header(&self) -> &Header {
         &self.inner.header
@@ -454,7 +451,8 @@ impl PagedStore {
     }
 
     /// Cumulative buffer-pool counters (reads/hits/evictions) plus the
-    /// store-level skipped-page counter.
+    /// store-level counter of pages bounded drains and probes proved
+    /// unnecessary ([`PageIoStats::skipped`]).
     pub fn page_io(&self) -> PageIoStats {
         self.inner.page_io()
     }
@@ -553,17 +551,6 @@ impl PagedSource {
         }
         self.cached.get((self.pos % epp) as usize..).unwrap_or(&[])
     }
-
-    /// Cumulative buffer-pool counters of the shared store.
-    pub fn pool_stats(&self) -> PageIoStats {
-        self.inner.page_io()
-    }
-
-    /// Retrieves (and clears) the first runtime I/O error — same slot
-    /// as [`PagedStore::take_error`].
-    pub fn take_error(&self) -> Option<StoreError> {
-        self.inner.take_error()
-    }
 }
 
 impl GradedSource for PagedSource {
@@ -654,12 +641,10 @@ impl GradedSource for PagedSource {
             }
             let epp = header.entries_per_page as u64;
             let run_page = self.pos / epp;
-            if let Some((_, hi)) = self.inner.sorted_page_bounds(run_page) {
-                if hi < bound {
-                    let remaining = header.sorted_pages.saturating_sub(run_page);
-                    self.inner.note_skipped(remaining);
-                    break;
-                }
+            if self.inner.sorted_page_bounds(run_page).1 < bound {
+                let remaining = header.sorted_pages.saturating_sub(run_page);
+                self.inner.note_skipped(remaining);
+                break;
             }
             let tail = self.sorted_tail();
             if tail.is_empty() {
@@ -670,19 +655,16 @@ impl GradedSource for PagedSource {
             out.extend_from_slice(&tail[..take]);
             self.pos += take as u64;
             if boundary_inside {
-                // The boundary fell inside this page. When the store
-                // carries bounds, every later page is individually
-                // provable useless (its persisted max is ≤ the
-                // boundary grade, which is < bound) — count them all
-                // as skipped; they are never visited.
-                if !self.inner.bounds.is_empty() {
-                    let after = self
-                        .inner
-                        .header
-                        .sorted_pages
-                        .saturating_sub(run_page.saturating_add(1));
-                    self.inner.note_skipped(after);
-                }
+                // The boundary fell inside this page. Every later page
+                // is individually provable useless (its persisted max
+                // is ≤ the boundary grade, which is < bound) — count
+                // them all as skipped; they are never visited.
+                let after = self
+                    .inner
+                    .header
+                    .sorted_pages
+                    .saturating_sub(run_page.saturating_add(1));
+                self.inner.note_skipped(after);
                 break;
             }
         }
@@ -697,11 +679,9 @@ impl GradedSource for PagedSource {
         let Some(idx) = self.inner.locate(oid) else {
             return Score::ZERO;
         };
-        if let Some((_, hi)) = self.inner.random_page_bounds(idx) {
-            if hi < bound {
-                self.inner.note_skipped(1);
-                return Score::ZERO;
-            }
+        if self.inner.random_page_bounds(idx).1 < bound {
+            self.inner.note_skipped(1);
+            return Score::ZERO;
         }
         let grade = self.inner.probe(idx, oid);
         if grade >= bound {
@@ -798,23 +778,14 @@ mod tests {
     #[test]
     fn built_files_are_byte_identical_to_the_pinned_format() {
         let pairs = sample_pairs(1000, 17);
-        for (page_size, version, want) in [
-            (
-                512,
-                format::VERSION,
-                (36_864usize, 0x6CB3_5A69_6155_D676u64),
-            ),
-            (4096, format::VERSION, (49_152, 0x8D83_93EE_2B29_B898)),
-            (512, format::VERSION_1, (35_328, 0xE768_7A29_71DF_1477)),
+        for (page_size, want) in [
+            (512, (36_864usize, 0x6CB3_5A69_6155_D676u64)),
+            (4096, (49_152, 0x8D83_93EE_2B29_B898)),
         ] {
-            let path = scratch(&format!("golden-{page_size}-v{version}.fmdb"));
+            let path = scratch(&format!("golden-{page_size}-v{}.fmdb", format::VERSION));
             let cfg = BuildConfig::with_page_size(page_size);
-            format::build_store_versioned(&path, "golden", pairs.clone(), &cfg, version).unwrap();
-            assert_eq!(
-                file_digest(&path),
-                want,
-                "page size {page_size}, version {version}"
-            );
+            build_store(&path, "golden", pairs.clone(), &cfg).unwrap();
+            assert_eq!(file_digest(&path), want, "page size {page_size}");
         }
     }
 
@@ -1069,6 +1040,45 @@ mod tests {
         assert!(store.take_error().is_none());
     }
 
+    /// A source whose stream a failed read cut short builds no store:
+    /// the drain is checked against the universe the source declares,
+    /// and the error a caller of the copy would never see is returned.
+    #[test]
+    fn a_short_drain_builds_no_store() {
+        let path = scratch("short-original.fmdb");
+        let copy = scratch("short-copy.fmdb");
+        let cfg = BuildConfig::with_page_size(512);
+        build_store(&path, "s", sample_pairs(1000, 8), &cfg).unwrap();
+        let third_sorted_page = {
+            let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+            store.header().sorted_start() + 2
+        };
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[512 * third_sorted_page as usize + 100] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        if copy.exists() {
+            std::fs::remove_file(&copy).unwrap();
+        }
+
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).expect("open is page-local");
+        let built = build_store_from_source(&copy, &mut store.source(), &cfg);
+        assert!(
+            matches!(
+                built,
+                Err(StoreError::ShortSource {
+                    expected: 1000,
+                    drained: 62
+                })
+            ),
+            "{built:?}"
+        );
+        assert!(!copy.exists(), "no file is written");
+        assert!(matches!(
+            store.take_error(),
+            Some(StoreError::ChecksumMismatch { page }) if page == third_sorted_page
+        ));
+    }
+
     #[test]
     fn non_store_file_is_bad_magic() {
         let path = scratch("not-a-store.fmdb");
@@ -1187,48 +1197,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_stores_open_with_pruning_disabled() {
-        let pairs = sample_pairs(400, 13);
-        let v1 = scratch("compat-v1.fmdb");
-        let v2 = scratch("compat-v2.fmdb");
-        let cfg = BuildConfig::with_page_size(512);
-        format::build_store_versioned(&v1, "compat", pairs.clone(), &cfg, format::VERSION_1)
-            .unwrap();
-        build_store(&v2, "compat", pairs.clone(), &cfg).unwrap();
-
-        let old = PagedStore::open(&v1, StoreOptions::DEFAULT).unwrap();
-        let new = PagedStore::open(&v2, StoreOptions::DEFAULT).unwrap();
-        assert!(!old.has_page_bounds(), "v1 carries no bounds");
-        assert!(new.has_page_bounds(), "v2 persists bounds");
-
-        // Both versions stream and probe identically to the reference.
-        let mut vec = VecSource::new("compat", pairs);
-        let mut old_src = old.source();
-        let mut new_src = new.source();
-        loop {
-            let want = vec.sorted_next();
-            assert_eq!(old_src.sorted_next(), want);
-            assert_eq!(new_src.sorted_next(), want);
-            if want.is_none() {
-                break;
-            }
-        }
-
-        // Bounded drains still answer exactly on v1 — they just cannot
-        // skip, so the skip counter stays zero.
-        for src in [&mut old_src, &mut new_src] {
-            src.rewind();
-        }
-        vec.rewind();
-        let bound = Score::clamped(0.8);
-        let want = vec.sorted_drain_bounded(bound).unwrap();
-        assert_eq!(old_src.sorted_drain_bounded(bound).unwrap(), want);
-        assert_eq!(new_src.sorted_drain_bounded(bound).unwrap(), want);
-        assert_eq!(old.page_io().skipped, 0, "v1 cannot skip");
-        assert!(new.page_io().skipped > 0, "v2 skips the low tail");
-    }
-
-    #[test]
     fn bounded_drain_matches_vecsource_and_skips_pages() {
         let pairs = sample_pairs(2000, 21);
         let path = scratch("bounded-drain.fmdb");
@@ -1318,23 +1286,17 @@ mod tests {
         oids.extend((0..900u64).map(|i| i * 7919 % (last + 40)));
         let want = VecSource::new("b", pairs.clone()).random_batch(&oids);
         let cfg = BuildConfig::with_page_size(256);
-        for version in [format::VERSION_1, format::VERSION] {
-            let path = scratch(&format!("batch-v{version}.fmdb"));
-            format::build_store_versioned(&path, "b", pairs.clone(), &cfg, version).unwrap();
-            for pool_pages in [None, Some(1), Some(8), Some(256)] {
-                let store = PagedStore::open(&path, StoreOptions { pool_pages }).unwrap();
-                let mut src = store.source();
-                let scalar: Vec<Score> = oids.iter().map(|&oid| src.random_access(oid)).collect();
-                assert_eq!(scalar, want, "scalar, v{version}, pool {pool_pages:?}");
-                store.clear_pool();
-                assert_eq!(
-                    src.random_batch(&oids),
-                    want,
-                    "batch, v{version}, pool {pool_pages:?}"
-                );
-                assert!(src.random_batch(&[]).is_empty());
-                assert!(store.take_error().is_none());
-            }
+        let path = scratch("batch.fmdb");
+        build_store(&path, "b", pairs.clone(), &cfg).unwrap();
+        for pool_pages in [None, Some(1), Some(8), Some(256)] {
+            let store = PagedStore::open(&path, StoreOptions { pool_pages }).unwrap();
+            let mut src = store.source();
+            let scalar: Vec<Score> = oids.iter().map(|&oid| src.random_access(oid)).collect();
+            assert_eq!(scalar, want, "scalar, pool {pool_pages:?}");
+            store.clear_pool();
+            assert_eq!(src.random_batch(&oids), want, "batch, pool {pool_pages:?}");
+            assert!(src.random_batch(&[]).is_empty());
+            assert!(store.take_error().is_none());
         }
 
         let empty = scratch("batch-empty.fmdb");
@@ -1415,7 +1377,7 @@ mod tests {
         .unwrap();
         let bounds_start = {
             let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
-            assert!(store.has_page_bounds());
+            assert!(store.header().bounds_pages > 0);
             store.header().bounds_start()
         };
         let mut bytes = std::fs::read(&path).unwrap();

@@ -19,9 +19,10 @@ use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::nra::NraLowerBound;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
-use fmdb_middleware::engine::{Engine, EngineConfig};
+use fmdb_middleware::engine::{Engine, EngineConfig, EngineError};
 use fmdb_middleware::oracle::{all_grades, verify_top_k};
-use fmdb_middleware::request::TopKQuery;
+use fmdb_middleware::policy::{Algo, ExecPolicy};
+use fmdb_middleware::request::{shared_source, SharedSource, TopKQuery, TopKRequest};
 use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, VecSource};
 use fmdb_middleware::workload::independent_uniform;
 
@@ -256,4 +257,186 @@ fn engine_fa_phase_two_is_one_batch_per_list() {
     }
     assert!(batched > 0, "the fixture leaves holes to probe");
     assert_eq!(result.stats.random, batched as u64);
+}
+
+/// One request over shared handles: which handles, in what conjunct
+/// order, under which algorithm, for how many answers — or a clone of
+/// the request before it.
+#[derive(Debug, Clone, Copy)]
+struct SharedSpec {
+    conjuncts: usize,
+    algo: usize,
+    k: usize,
+    clone: bool,
+}
+
+/// A batch of requests over 2–3 source handles that they share.
+#[derive(Debug, Clone)]
+struct SharedBatch {
+    seed: u64,
+    handles: usize,
+    specs: Vec<SharedSpec>,
+}
+
+/// Conjunct orders over two and over three handles. The first two
+/// requests of a batch take the first two rows: both orders of one pair.
+const OVER_TWO: [&[usize]; 2] = [&[0, 1], &[1, 0]];
+const OVER_THREE: [&[usize]; 6] = [&[0, 1], &[1, 0], &[1, 2], &[2, 0], &[0, 1, 2], &[2, 1, 0]];
+
+/// Lists long enough that a request streams many batches, so requests
+/// sharing a cursor overlap whenever the engine lets them.
+const SHARED_N: usize = 20_000;
+
+fn shared_batch() -> impl Strategy<Value = SharedBatch> {
+    let spec = (0usize..6, 0usize..3, 0usize..3, 0usize..4).prop_map(|(conjuncts, algo, k, c)| {
+        SharedSpec {
+            conjuncts,
+            algo,
+            k,
+            clone: c == 0,
+        }
+    });
+    (
+        0u64..1_000_000,
+        2usize..=3,
+        proptest::collection::vec(spec, 4..=8),
+    )
+        .prop_map(|(seed, handles, specs)| SharedBatch {
+            seed,
+            handles,
+            specs,
+        })
+}
+
+/// The algorithm a forced policy resolves to, for the scalar run.
+fn forced(algo: usize) -> (Algo, &'static dyn TopKAlgorithm) {
+    match algo {
+        0 => (Algo::Ta, &ThresholdAlgorithm),
+        1 => (Algo::Fa, &FaginsAlgorithm),
+        _ => (Algo::Nra, &NraLowerBound),
+    }
+}
+
+/// Every request of the batch, and the scalar run of each over fresh
+/// copies of its lists in its conjunct order.
+fn shared_requests(batch: &SharedBatch) -> Vec<(TopKRequest, TopKResult)> {
+    let lists = independent_uniform(SHARED_N, batch.handles, batch.seed);
+    let handles: Vec<SharedSource> = lists.iter().map(|l| shared_source(l.clone())).collect();
+    let orders: &[&[usize]] = if batch.handles == 2 {
+        &OVER_TWO
+    } else {
+        &OVER_THREE
+    };
+    let mut out: Vec<(TopKRequest, TopKResult)> = Vec::new();
+    for (i, spec) in batch.specs.iter().enumerate() {
+        if let (true, Some(last)) = (spec.clone && i >= 2, out.last()) {
+            out.push(last.clone());
+            continue;
+        }
+        let order = orders[if i < 2 {
+            i
+        } else {
+            spec.conjuncts % orders.len()
+        }];
+        let (algo, algorithm) = forced(spec.algo);
+        let k = [1, 10, 50][spec.k];
+        let mut query = TopKQuery::compose();
+        for &h in order {
+            query = query.shared_source(Arc::clone(&handles[h]));
+        }
+        let request = query
+            .scoring(Min)
+            .k(k)
+            .policy(ExecPolicy::new().algo(algo))
+            .request()
+            .expect("request must validate");
+        let mut copies: Vec<VecSource> = order.iter().map(|&h| lists[h].clone()).collect();
+        let mut refs: Vec<&mut dyn GradedSource> = copies
+            .iter_mut()
+            .map(|src| src as &mut dyn GradedSource)
+            .collect();
+        let scalar = algorithm
+            .top_k(&mut refs, &Min, k)
+            .expect("scalar reference run must succeed");
+        out.push((request, scalar));
+    }
+    out
+}
+
+/// One engine answer against its request's scalar run: same answers,
+/// same charged `sorted` and `random` counts.
+fn assert_as_scalar(
+    how: &str,
+    i: usize,
+    got: &Result<TopKResult, EngineError>,
+    scalar: &TopKResult,
+) -> Result<(), TestCaseError> {
+    let Ok(got) = got else {
+        return Err(TestCaseError::fail(format!(
+            "{how}: request {i} failed: {got:?}"
+        )));
+    };
+    prop_assert_eq!(
+        &got.answers,
+        &scalar.answers,
+        "{}: request {} answers",
+        how,
+        i
+    );
+    prop_assert_eq!(
+        got.stats.sorted,
+        scalar.stats.sorted,
+        "{}: request {}",
+        how,
+        i
+    );
+    prop_assert_eq!(
+        got.stats.random,
+        scalar.stats.random,
+        "{}: request {}",
+        how,
+        i
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Requests sharing source handles — both conjunct orders, clones
+    /// of one request — answer and charge exactly as each would alone,
+    /// whether `run_many`'s pool or two client threads race them.
+    #[test]
+    fn requests_sharing_handles_answer_as_if_alone(batch in shared_batch()) {
+        let runs = shared_requests(&batch);
+        let requests: Vec<TopKRequest> = runs.iter().map(|(r, _)| r.clone()).collect();
+        let engine = Engine::default();
+        for (i, got) in engine.run_many(&requests).iter().enumerate() {
+            assert_as_scalar("run_many", i, got, &runs[i].1)?;
+        }
+        // The clients start together, one from each end of the batch.
+        let start = std::sync::Barrier::new(2);
+        let client = |order: &mut dyn Iterator<Item = &TopKRequest>| {
+            start.wait();
+            order.map(|r| engine.run(r)).collect::<Vec<_>>()
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "two client threads racing over shared handles are what this test is about"
+        )]
+        let (forward, backward) = std::thread::scope(|scope| {
+            let forward = scope.spawn(|| client(&mut requests.iter()));
+            let backward = scope.spawn(|| client(&mut requests.iter().rev()));
+            (
+                forward.join().expect("client thread"),
+                backward.join().expect("client thread"),
+            )
+        });
+        for (i, got) in forward.iter().enumerate() {
+            assert_as_scalar("thread A", i, got, &runs[i].1)?;
+        }
+        for (i, got) in backward.iter().rev().enumerate() {
+            assert_as_scalar("thread B", i, got, &runs[i].1)?;
+        }
+    }
 }

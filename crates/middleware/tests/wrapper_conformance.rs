@@ -97,7 +97,7 @@ const ALLOWED: [(&str, &str, &str); 12] = [
     (
         "engine",
         "info",
-        "snapshotted once before the run, under the same lock as the rewind",
+        "snapshotted once when the proxy is built: the kernel reads the copy, a panic report its label",
     ),
     (
         "engine",
