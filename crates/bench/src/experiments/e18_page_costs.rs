@@ -76,17 +76,55 @@ fn ta_over_stores(
     (wall, pool_totals(stores) - before, result.answers)
 }
 
-/// Drains every store's sorted run through fresh cursors; returns
-/// wall-clock ms. `black_box` keeps the loop from being folded away.
-fn drain_stores(stores: &[PagedStore]) -> f64 {
+/// Rewinds every source and drains its sorted run; returns wall-clock
+/// ms. `black_box` keeps the loop from being folded away.
+fn drain(sources: &mut [impl GradedSource]) -> f64 {
     let start = Instant::now();
-    for store in stores {
-        let mut src = store.source();
+    for src in sources {
+        src.rewind();
         while let Some(pair) = src.sorted_next() {
             std::hint::black_box(pair);
         }
     }
     start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Probes every source once per oid, one scalar `random_access` at a
+/// time; returns wall-clock ms.
+fn probe(sources: &mut [impl GradedSource], oids: &[u64]) -> f64 {
+    let start = Instant::now();
+    for src in sources {
+        for &oid in oids {
+            std::hint::black_box(src.random_access(oid));
+        }
+    }
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Rounds behind each warm-vs-memory ratio.
+const REPEATS: usize = 7;
+
+/// Ceiling on `warm_ta_vs_mem` (release builds). Inside the whole quick
+/// suite the ratio read 3.85–5.10 while a probe searched the directory
+/// and then the page, and reads 2.58–2.94 since it tries the page and
+/// the slot its oid names first.
+const MAX_WARM_TA_VS_MEM: f64 = 3.0;
+
+/// `(paged, memory, paged ÷ memory)`, each the median over [`REPEATS`]
+/// rounds. A round times the paged side and the memory side back to
+/// back and takes their ratio, so a burst on the host lands on both
+/// halves of one ratio rather than on one side of the comparison.
+fn warm_vs_mem(mut paged: impl FnMut() -> f64, mut mem: impl FnMut() -> f64) -> (f64, f64, f64) {
+    let rounds: Vec<(f64, f64)> = (0..REPEATS).map(|_| (paged(), mem())).collect();
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[REPEATS / 2]
+    };
+    (
+        median(rounds.iter().map(|r| r.0).collect()),
+        median(rounds.iter().map(|r| r.1).collect()),
+        median(rounds.iter().map(|r| r.0 / r.1).collect()),
+    )
 }
 
 /// Wall-clock µs per page read of a full cold sorted drain: one
@@ -133,8 +171,11 @@ pub fn run(cfg: &RunCfg) -> Report {
 
     let mut sources = independent_uniform(n, m, 7);
 
-    // Reference answers from memory, for the equivalence check below.
-    let (mem_answers, mem_ta_ms) = {
+    // TA from memory: its answers are what every paged run must return.
+    let mem_ta = |sources: &mut [VecSource]| {
+        for s in sources.iter_mut() {
+            s.rewind();
+        }
         let mut refs: Vec<&mut dyn GradedSource> = sources
             .iter_mut()
             .map(|s| s as &mut dyn GradedSource)
@@ -143,11 +184,9 @@ pub fn run(cfg: &RunCfg) -> Report {
         let result = ThresholdAlgorithm
             .top_k(&mut refs, &Min, k)
             .expect("valid run");
-        (result.answers, start.elapsed().as_secs_f64() * 1e3)
+        (start.elapsed().as_secs_f64() * 1e3, result.answers)
     };
-    for s in &mut sources {
-        s.rewind();
-    }
+    let mem_answers = mem_ta(&mut sources).1;
 
     let mut t = Table::new(
         format!("TA over the paged store, N = {n}, m = {m}, k = {k}, pool = {pool_pages} pages"),
@@ -203,55 +242,47 @@ pub fn run(cfg: &RunCfg) -> Report {
     }
     report.table(t);
 
-    // Warm sorted drain vs the same drain from memory — the "in-memory
-    // speed" claim. The pool is already warm from the TA runs above;
+    // Warm paged vs the same work from memory — the "in-memory speed"
+    // claim: a sorted drain, TA, and scalar probes of every object in a
+    // scattered order. The pool is already warm from the TA runs above;
     // drain once more to be sure every sorted page is resident.
     let stores = default_stores.expect("4096 is in the sweep");
-    drain_stores(&stores);
-    let warm_scan_ms = drain_stores(&stores);
-    let mem_scan_ms = {
-        for s in &mut sources {
-            s.rewind();
-        }
-        let start = Instant::now();
-        for s in &mut sources {
-            while let Some(pair) = s.sorted_next() {
-                std::hint::black_box(pair);
-            }
-        }
-        start.elapsed().as_secs_f64() * 1e3
-    };
-    // Guards against timer noise on tiny quick-mode runs.
-    let warm_scan_vs_mem = if mem_scan_ms > 1e-3 {
-        warm_scan_ms / mem_scan_ms
-    } else {
-        1.0
-    };
-    let warm_ta_vs_mem = if mem_ta_ms > 1e-3 {
-        warm_wall_ms / mem_ta_ms
-    } else {
-        1.0
-    };
+    let cursors = || stores.iter().map(PagedStore::source).collect::<Vec<_>>();
+    drain(&mut cursors());
+    let scan = warm_vs_mem(|| drain(&mut cursors()), || drain(&mut sources));
+    let ta = warm_vs_mem(
+        || {
+            let (ms, _, answers) = ta_over_stores(&stores, k);
+            assert_eq!(answers, mem_answers);
+            ms
+        },
+        || mem_ta(&mut sources).0,
+    );
+    // `n` is a power of two and the stride odd: a permutation of 0..n.
+    let oids: Vec<u64> = (0..n as u64).map(|i| i * 7919 % n as u64).collect();
+    let probes = warm_vs_mem(
+        || probe(&mut cursors(), &oids),
+        || probe(&mut sources, &oids),
+    );
+    let (warm_scan_vs_mem, warm_ta_vs_mem, warm_probe_vs_mem) = (scan.2, ta.2, probes.2);
+    let ns_per_probe = 1e6 / (m * n) as f64;
 
     let mut s = Table::new(
-        "warm paged vs in-memory (page size 4096)".to_string(),
-        &[
-            "warm scan ms",
-            "mem scan ms",
-            "scan ratio",
-            "warm TA ms",
-            "mem TA ms",
-            "TA ratio",
-        ],
+        format!("warm paged vs in-memory (page size 4096), medians of {REPEATS} rounds"),
+        &["work", "warm paged", "in memory", "ratio"],
     );
-    s.row(vec![
-        f3(warm_scan_ms),
-        f3(mem_scan_ms),
-        f3(warm_scan_vs_mem),
-        f3(warm_wall_ms),
-        f3(mem_ta_ms),
-        f3(warm_ta_vs_mem),
-    ]);
+    for (work, (paged, mem, ratio), unit) in [
+        ("sorted drain, ms", scan, 1.0),
+        ("TA, ms", ta, 1.0),
+        ("scalar probe, ns", probes, ns_per_probe),
+    ] {
+        s.row(vec![
+            work.to_string(),
+            f3(paged * unit),
+            f3(mem * unit),
+            f3(ratio),
+        ]);
+    }
     report.table(s);
 
     let wall_clock = "a negative wall-clock means the timer broke";
@@ -283,9 +314,12 @@ pub fn run(cfg: &RunCfg) -> Report {
     report.gated(
         "warm_ta_vs_mem",
         warm_ta_vs_mem,
-        Bound::Positive,
-        "the warm-paged vs in-memory TA ratio must be a positive number",
+        Bound::PositiveAtMost(MAX_WARM_TA_VS_MEM),
+        "warm paged TA is back above 3× TA from memory, where it sat while every probe \
+         paid a binary search over the directory and another over the page; look at \
+         `StoreInner::{locate, find_in_page}` in `middleware::store` first",
     );
+    report.metric("warm_probe_vs_mem", warm_probe_vs_mem);
     let cold_page_us = cold_us_per_page_read();
     report.gated(
         "cold_us_per_page_read",

@@ -684,6 +684,43 @@ pub(crate) fn decode_entry(
     Ok(ScoredObject::new(oid, grade))
 }
 
+/// Checks the grade of each of a data page's first `count` entries as
+/// [`decode_entry`] does (`Score::new`'s range, which no NaN is in), in
+/// one pass over the page, so that [`read_entries`] may read any of
+/// them afterwards.
+pub(crate) fn validate_entries(
+    page: &[u8],
+    count: usize,
+    page_index: u64,
+) -> Result<(), StoreError> {
+    let valid = page[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + count * ENTRY_BYTES]
+        .chunks_exact(ENTRY_BYTES)
+        .all(|entry| (0.0..=1.0).contains(&f64::from_bits(read_u64(entry, 8))));
+    if valid {
+        Ok(())
+    } else {
+        Err(StoreError::InvalidGrade { page: page_index })
+    }
+}
+
+/// Slots `from..to` of a data page whose entries [`validate_entries`]
+/// accepted: what [`decode_entry`] returns for each, bit for bit,
+/// without the `Result` (`Score::clamped` is the identity on a grade
+/// `Score::new` accepts, `-0.0` folding included).
+pub(crate) fn read_entries(
+    page: &[u8],
+    from: usize,
+    to: usize,
+) -> impl Iterator<Item = ScoredObject<Oid>> + '_ {
+    let off = |i: usize| PAGE_HEADER_BYTES + i * ENTRY_BYTES;
+    page[off(from)..off(to)]
+        .chunks_exact(ENTRY_BYTES)
+        .map(|entry| {
+            let grade = Score::clamped(f64::from_bits(read_u64(entry, 8)));
+            ScoredObject::new(read_u64(entry, 0), grade)
+        })
+}
+
 /// The entry count a data page declares (bounded by what fits).
 pub(crate) fn page_entry_count(page: &[u8], entries_per_page: usize) -> usize {
     (read_u32(page, 4) as usize).min(entries_per_page)

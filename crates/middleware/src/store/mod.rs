@@ -24,6 +24,15 @@
 //!   answers, grades, and charged [`crate::stats::AccessStats`] —
 //!   which the `paged_equivalence` proptest suite proves.
 //!
+//! A warm read costs arithmetic, not searches. A probe finds its page
+//! and its slot the way `VecSource` finds an oid (DESIGN §17): over the
+//! dense universe `0..n` oid `o` lives on random-table page
+//! `o / entries_per_page` at slot `o − first oid of the page`, and each
+//! guess is taken only when the directory range or the stored oid
+//! proves it, else a binary search decides. The sorted cursor holds
+//! the frame of the page it stands on, pinned in the pool, and decodes
+//! each entry from it in place.
+//!
 //! Failure model: *opening* and *building* return typed
 //! [`StoreError`]s. A runtime failure after a successful open (disk
 //! yanked mid-query, a data page failing its checksum or declaring an
@@ -53,7 +62,10 @@ use crate::source::{
 use crate::stats::PageIoStats;
 
 pub use format::{build_store, BuildConfig, Header, StoreError};
-use format::{decode_entry, decode_header, page_entry_count, read_u32, read_u64, verify_page};
+use format::{
+    decode_entry, decode_header, page_entry_count, read_entries, read_u32, read_u64,
+    validate_entries, verify_page,
+};
 use pool::PagePool;
 
 /// The open-time knob: buffer-pool capacity.
@@ -200,8 +212,24 @@ impl StoreInner {
     /// hold `oid` — the greatest directory entry ≤ `oid` — or `None`
     /// when `oid` sorts before every entry (or the store is empty).
     /// Every probe path starts here.
+    ///
+    /// The lookup rule of `OidIndex::grade` (DESIGN §17), one level up:
+    /// a table over the dense universe `0..n` holds `oid` on page
+    /// `oid / entries_per_page`, so that page is tried first and taken
+    /// when its directory range `[directory[g], directory[g + 1])`
+    /// holds `oid` — which is the definition of the answer, so a guess
+    /// that passes is right however the table is laid out. Any other
+    /// table misses the test and pays the binary search. The directory
+    /// is in memory: a wrong guess reads no page.
     fn locate(&self, oid: Oid) -> Option<u64> {
-        match self.directory.binary_search(&oid) {
+        let dir = &self.directory;
+        let g = (oid / self.header.entries_per_page as u64) as usize;
+        if let Some(&first) = dir.get(g) {
+            if first <= oid && dir.get(g + 1).is_none_or(|&next| oid < next) {
+                return Some(g as u64);
+            }
+        }
+        match dir.binary_search(&oid) {
             Ok(i) => Some(i as u64),
             Err(0) => None,
             Err(i) => Some(i as u64 - 1),
@@ -221,31 +249,82 @@ impl StoreInner {
         }
     }
 
-    /// The grade of `oid` on the pinned random-table page `frame`:
-    /// binary search over the page's raw entries (no full-page decode
-    /// for a probe), zero when absent. The one in-page search scalar,
-    /// batched and bounded probes share.
+    /// The grade of `oid` on the pinned random-table page `frame`, zero
+    /// when absent. The one in-page search scalar, batched and bounded
+    /// probes share; no probe decodes more than the entry it answers.
+    ///
+    /// Slot first, then search, as in [`StoreInner::locate`]: on a page
+    /// of consecutive oids `oid` sits at slot `oid − first oid of the
+    /// page`, taken only when it is below the entry count and the oid
+    /// stored there *equals* `oid`; otherwise a binary search over the
+    /// page's raw entries. Either way the entry found goes through the
+    /// validated `decode_entry`.
     fn find_in_page(&self, frame: &[u8], page: u64, oid: Oid) -> Score {
         let count = page_entry_count(frame, self.header.entries_per_page);
-        let (mut lo, mut hi) = (0usize, count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let mid_oid = read_u64(frame, format::PAGE_HEADER_BYTES + mid * format::ENTRY_BYTES);
-            match mid_oid.cmp(&oid) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    return match decode_entry(frame, mid, page) {
-                        Ok(so) => so.grade,
-                        Err(e) => {
-                            self.record_error(e);
-                            Score::ZERO
-                        }
-                    }
+        let oid_at = |slot: usize| {
+            read_u64(
+                frame,
+                format::PAGE_HEADER_BYTES + slot * format::ENTRY_BYTES,
+            )
+        };
+        let guess = oid.wrapping_sub(oid_at(0));
+        let slot = if guess < count as u64 && oid_at(guess as usize) == oid {
+            Some(guess as usize)
+        } else {
+            // The first slot whose oid is not below `oid`, taken only
+            // when it holds `oid`.
+            let (mut lo, mut hi) = (0usize, count);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if oid_at(mid) < oid {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
                 }
             }
+            (lo < count && oid_at(lo) == oid).then_some(lo)
+        };
+        let Some(slot) = slot else {
+            return Score::ZERO;
+        };
+        match decode_entry(frame, slot, page) {
+            Ok(so) => so.grade,
+            Err(e) => {
+                self.record_error(e);
+                Score::ZERO
+            }
         }
-        Score::ZERO
+    }
+
+    /// Pins the sorted-run page that holds run position `pos` and
+    /// validates every entry on it, so the cursor can read any of them
+    /// without a `Result`. A page that cannot be read, or that carries
+    /// a bad grade anywhere, is refused whole and its error parked;
+    /// `None` past the end of the run.
+    fn sorted_page(&self, pos: u64) -> Option<SortedPage> {
+        if pos >= self.header.n {
+            return None;
+        }
+        let epp = self.header.entries_per_page as u64;
+        let run_page = pos / epp;
+        let page = self.header.sorted_start() + run_page;
+        let pinned = self.load_page(page).and_then(|frame| {
+            let count = page_entry_count(&frame, self.header.entries_per_page);
+            validate_entries(&frame, count, page)?;
+            let start = run_page * epp;
+            Ok(SortedPage {
+                frame,
+                start,
+                end: start + count as u64,
+            })
+        });
+        match pinned {
+            Ok(sorted) => Some(sorted),
+            Err(e) => {
+                self.record_error(e);
+                None
+            }
+        }
     }
 
     /// One probe of located page `idx`: a page fetch and the in-page
@@ -495,16 +574,59 @@ impl PagedStore {
 /// charged access counts are untouched by paging (pool hits and
 /// misses are physical telemetry, surfaced via
 /// [`GradedSource::page_io`]).
+///
+/// The cursor pins the sorted page it stands on — one frame, held
+/// until the cursor moves past the page, rewinds or drops — and
+/// validates every grade on it when it pins it; every sorted access
+/// then decodes straight from that frame.
 #[derive(Debug)]
 pub struct PagedSource {
     inner: Arc<StoreInner>,
     /// Sorted-run cursor: global entry index.
     pos: u64,
-    /// Which sorted page `cached` holds (`u64::MAX` = none).
-    cached_page: u64,
-    /// Decoded entries of `cached_page` — one decode per page visit,
-    /// so a sequential drain is slice copies, not per-entry reads.
-    cached: Vec<ScoredObject<Oid>>,
+    /// The sorted page the cursor stands on, while it holds one (not
+    /// before its first read, after a rewind, nor while the page under
+    /// it cannot be read). Sorted reads decode straight from its frame.
+    page: Option<SortedPage>,
+}
+
+/// A sorted-run page held by a cursor: its frame, pinned in the pool
+/// while held and validated whole when pinned, and the run positions
+/// `start..end` its entries hold.
+#[derive(Debug)]
+struct SortedPage {
+    frame: pool::Frame,
+    start: u64,
+    end: u64,
+}
+
+impl SortedPage {
+    /// The entries at run positions `from..to`, within `start..end`.
+    fn entries(&self, from: u64, to: u64) -> impl Iterator<Item = ScoredObject<Oid>> + '_ {
+        let slot = |pos: u64| (pos - self.start) as usize;
+        read_entries(&self.frame, slot(from), slot(to))
+    }
+
+    /// The entry at run position `pos`, `start ≤ pos < end`.
+    fn entry(&self, pos: u64) -> Option<ScoredObject<Oid>> {
+        self.entries(pos, pos + 1).next()
+    }
+
+    /// The first run position in `from..end` whose grade is below
+    /// `bound` (`end` when there is none): grades descend along the
+    /// run, so the ones at or above `bound` are a prefix.
+    fn first_below(&self, from: u64, bound: Score) -> u64 {
+        let (mut lo, mut hi) = (from, self.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.entry(mid).is_some_and(|so| so.grade >= bound) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
 }
 
 impl PagedSource {
@@ -513,53 +635,31 @@ impl PagedSource {
         PagedSource {
             inner,
             pos: 0,
-            cached_page: u64::MAX,
-            cached: Vec::new(),
+            page: None,
         }
     }
 
-    /// The undelivered tail of the current sorted page — the entries
-    /// from the cursor to the page's end — decoding the next page into
-    /// the cursor cache when the cached one is spent. Empty when the
-    /// run is drained or the page could not be read (error parked).
-    /// Every sorted access is a prefix of this slice.
-    fn sorted_tail(&mut self) -> &[ScoredObject<Oid>] {
-        let header = &self.inner.header;
-        if self.pos >= header.n {
-            return &[];
+    /// The page the cursor stands on, pinning the next one once the
+    /// held one is spent. `None` when the run is drained or the page
+    /// cannot be read (error parked). Every sorted access reads the
+    /// entries from `pos` to the returned page's `end`, or a prefix of
+    /// them.
+    fn current(&mut self) -> Option<&SortedPage> {
+        if self.page.as_ref().is_none_or(|p| self.pos >= p.end) {
+            // Unpin the spent page before the next one is fetched.
+            self.page = None;
+            self.page = self.inner.sorted_page(self.pos);
         }
-        let epp = header.entries_per_page as u64;
-        let page = header.sorted_start() + self.pos / epp;
-        if page != self.cached_page {
-            // The cache names no page until this one has decoded whole.
-            self.cached_page = u64::MAX;
-            self.cached.clear();
-            let decoded = self.inner.load_page(page).and_then(|frame| {
-                let count = page_entry_count(&frame, header.entries_per_page);
-                self.cached.reserve(count);
-                for i in 0..count {
-                    self.cached.push(decode_entry(&frame, i, page)?);
-                }
-                Ok(())
-            });
-            if let Err(e) = decoded {
-                self.inner.record_error(e);
-                self.cached.clear();
-                return &[];
-            }
-            self.cached_page = page;
-        }
-        self.cached.get((self.pos % epp) as usize..).unwrap_or(&[])
+        self.page.as_ref()
     }
 }
 
 impl GradedSource for PagedSource {
     fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        let item = self.sorted_tail().first().copied();
-        if item.is_some() {
-            self.pos += 1;
-        }
-        item
+        let pos = self.pos;
+        let item = self.current()?.entry(pos)?;
+        self.pos += 1;
+        Some(item)
     }
 
     fn random_access(&mut self, oid: Oid) -> Score {
@@ -571,8 +671,7 @@ impl GradedSource for PagedSource {
 
     fn rewind(&mut self) {
         self.pos = 0;
-        self.cached_page = u64::MAX;
-        self.cached.clear();
+        self.page = None;
     }
 
     fn info(&self) -> SourceInfo {
@@ -585,13 +684,13 @@ impl GradedSource for PagedSource {
     fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
         let mut out = Vec::with_capacity(n.min(self.inner.header.n as usize));
         while out.len() < n {
-            let tail = self.sorted_tail();
-            let take = tail.len().min(n - out.len());
-            if take == 0 {
+            let pos = self.pos;
+            let Some(page) = self.current() else {
                 break;
-            }
-            out.extend_from_slice(&tail[..take]);
-            self.pos += take as u64;
+            };
+            let end = page.end.min(pos.saturating_add((n - out.len()) as u64));
+            out.extend(page.entries(pos, end));
+            self.pos = end;
         }
         out
     }
@@ -631,40 +730,40 @@ impl GradedSource for PagedSource {
     // `bound` proves the whole remaining run is too, and the drain
     // stops without reading it. Entries returned (and the cursor
     // position reached) are bit-identical to `VecSource`'s reference
-    // semantics; only `PageIoStats::skipped` records the saved work.
+    // semantics; only `PageIoStats::skipped` records the saved work:
+    // the pages the drain proved useless and never visited, so never
+    // the page the cursor already stands inside.
     fn sorted_drain_bounded(&mut self, bound: Score) -> Option<Vec<ScoredObject<Oid>>> {
         let mut out = Vec::new();
-        loop {
-            let header = &self.inner.header;
-            if self.pos >= header.n {
-                break;
-            }
-            let epp = header.entries_per_page as u64;
+        let (n, epp) = (
+            self.inner.header.n,
+            self.inner.header.entries_per_page as u64,
+        );
+        let sorted_pages = self.inner.header.sorted_pages;
+        while self.pos < n {
             let run_page = self.pos / epp;
             if self.inner.sorted_page_bounds(run_page).1 < bound {
-                let remaining = header.sorted_pages.saturating_sub(run_page);
-                self.inner.note_skipped(remaining);
+                // Every page that starts at or after the cursor: a page
+                // the cursor stands inside has been read.
+                let unvisited = sorted_pages.saturating_sub(self.pos.div_ceil(epp));
+                self.inner.note_skipped(unvisited);
                 break;
             }
-            let tail = self.sorted_tail();
-            if tail.is_empty() {
+            let pos = self.pos;
+            let Some(page) = self.current() else {
                 break;
-            }
-            let take = tail.partition_point(|so| so.grade >= bound);
-            let boundary_inside = take < tail.len();
-            out.extend_from_slice(&tail[..take]);
-            self.pos += take as u64;
+            };
+            let end = page.first_below(pos, bound);
+            let boundary_inside = end < page.end;
+            out.extend(page.entries(pos, end));
+            self.pos = end;
             if boundary_inside {
                 // The boundary fell inside this page. Every later page
                 // is individually provable useless (its persisted max
                 // is ≤ the boundary grade, which is < bound) — count
                 // them all as skipped; they are never visited.
-                let after = self
-                    .inner
-                    .header
-                    .sorted_pages
-                    .saturating_sub(run_page.saturating_add(1));
-                self.inner.note_skipped(after);
+                self.inner
+                    .note_skipped(sorted_pages.saturating_sub(run_page.saturating_add(1)));
                 break;
             }
         }
@@ -759,6 +858,27 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// `sample_pairs`' grades on the consecutive oids `first..first + n`.
+    fn dense_pairs(first: u64, n: u64, seed: u64) -> Vec<(Oid, Score)> {
+        sample_pairs(n, seed)
+            .into_iter()
+            .map(|(oid, grade)| (first + oid / 3, grade))
+            .collect()
+    }
+
+    /// Rewrites file page `page` of the store at `path` (page size
+    /// `page_size`) through `edit` and re-seals its checksum, so only
+    /// what `edit` changed can be refused.
+    fn rewrite_page(path: &Path, page_size: usize, page: u64, edit: impl FnOnce(&mut [u8])) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let at = page_size * page as usize;
+        let frame = &mut bytes[at..at + page_size];
+        edit(frame);
+        let crc = format::crc32(&frame[4..]);
+        frame[..4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
     }
 
     /// FNV-1a 64 over a whole file — a digest that shares no code with
@@ -1002,16 +1122,12 @@ mod tests {
             .header()
             .clone();
         assert_eq!(header.entries_per_page, 31);
-        let mut bytes = std::fs::read(&path).unwrap();
         for page in [header.sorted_start() + 2, header.random_start() + 3] {
-            let at = 512 * page as usize;
-            let frame = &mut bytes[at..at + 512];
-            assert_eq!(read_u32(frame, 4), 31);
-            frame[4..8].copy_from_slice(&3u32.to_le_bytes());
-            let crc = format::crc32(&frame[4..]);
-            frame[..4].copy_from_slice(&crc.to_le_bytes());
+            rewrite_page(&path, 512, page, |frame| {
+                assert_eq!(read_u32(frame, 4), 31);
+                frame[4..8].copy_from_slice(&3u32.to_le_bytes());
+            });
         }
-        std::fs::write(&path, &bytes).unwrap();
 
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).expect("open is page-local");
         let mut src = store.source();
@@ -1388,6 +1504,225 @@ mod tests {
         assert!(matches!(
             PagedStore::open(&path, StoreOptions::DEFAULT),
             Err(StoreError::ChecksumMismatch { .. })
+        ));
+    }
+
+    /// A bounded drain counts as skipped only the pages it never
+    /// visits: not the one the cursor already stands inside.
+    #[test]
+    fn a_drain_from_inside_a_page_skips_only_the_pages_after_it() {
+        let pairs = dense_pairs(0, 1000, 31);
+        let path = scratch("drain-mid-page.fmdb");
+        build_store(&path, "m", pairs.clone(), &BuildConfig::with_page_size(512)).unwrap();
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+        let sorted_pages = store.header().sorted_pages;
+        assert_eq!(sorted_pages, 33);
+
+        let (mut paged, mut vec) = (store.source(), VecSource::new("m", pairs));
+        for _ in 0..5 {
+            assert_eq!(paged.sorted_next(), vec.sorted_next());
+        }
+        assert_eq!(
+            paged.sorted_drain_bounded(Score::ONE),
+            vec.sorted_drain_bounded(Score::ONE)
+        );
+        let io = store.page_io();
+        assert!(io.reads + io.skipped <= sorted_pages, "{io:?}");
+        assert_eq!((io.reads, io.skipped), (1, 32));
+        assert_eq!(paged.sorted_next(), vec.sorted_next(), "the cursor stayed");
+
+        // From a page boundary every page is skipped, as before.
+        store.clear_pool();
+        let mut fresh = store.source();
+        assert_eq!(fresh.sorted_drain_bounded(Score::ONE), Some(Vec::new()));
+        let io = store.page_io();
+        assert_eq!((io.reads, io.skipped), (0, sorted_pages));
+        assert!(store.take_error().is_none());
+    }
+
+    /// Every store the unit tests above build has oids `i * 3`, which
+    /// never take the slot the page and in-page guesses try first. These
+    /// do, fall back from it, or both, and every probe form still
+    /// answers what `VecSource` answers.
+    #[test]
+    fn probes_take_the_slot_or_the_search() {
+        let n = 2000;
+        for page_size in [256usize, 4096] {
+            let epp = ((page_size - format::PAGE_HEADER_BYTES) / format::ENTRY_BYTES) as u64;
+            // One oid missing in the middle of random page 3: the page
+            // guesses for the oids after it miss and fall back.
+            let gap = 3 * epp + epp / 2;
+            let stores = [
+                ("dense", dense_pairs(0, n, 41)),
+                ("shifted", dense_pairs(1000, n, 42)),
+                (
+                    "gap",
+                    dense_pairs(0, n + 1, 43)
+                        .into_iter()
+                        .filter(|&(oid, _)| oid != gap)
+                        .collect(),
+                ),
+                ("every third", sample_pairs(n, 44)),
+            ];
+            for (name, pairs) in stores {
+                let path = scratch(&format!("slot-{name}-{page_size}.fmdb"));
+                let cfg = BuildConfig::with_page_size(page_size);
+                build_store(&path, name, pairs.clone(), &cfg).unwrap();
+                let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+                let mut paged = store.source();
+                let mut vec = VecSource::new(name, pairs.clone());
+                let max = pairs.iter().map(|&(oid, _)| oid).max().unwrap();
+                let mut oids: Vec<Oid> = (0..=max + 2).collect();
+                oids.push(u64::MAX);
+                let at = format!("{name}, page size {page_size}");
+                for &oid in &oids {
+                    assert_eq!(
+                        paged.random_access(oid),
+                        vec.random_access(oid),
+                        "{at}: oid {oid}"
+                    );
+                    for bound in [Score::ZERO, Score::HALF] {
+                        assert_eq!(
+                            paged.random_access_bounded(oid, bound),
+                            vec.random_access_bounded(oid, bound),
+                            "{at}: oid {oid} bounded by {bound:?}"
+                        );
+                    }
+                }
+                assert_eq!(paged.random_batch(&oids), vec.random_batch(&oids), "{at}");
+                assert!(store.take_error().is_none(), "{at}");
+            }
+        }
+
+        // A page guess is taken only when it is the directory's answer,
+        // even on a directory its pages do not bear out: page 4 claimed
+        // to start seven oids after page 3 does.
+        let path = scratch("slot-directory.fmdb");
+        build_store(
+            &path,
+            "d",
+            dense_pairs(0, 1000, 46),
+            &BuildConfig::with_page_size(512),
+        )
+        .unwrap();
+        rewrite_page(&path, 512, 2, |frame| {
+            let fourth = format::PAGE_HEADER_BYTES + 4 * 8;
+            frame[fourth..fourth + 8].copy_from_slice(&(3 * 31 + 7u64).to_le_bytes());
+        });
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+        let dir = &store.inner.directory;
+        for oid in (0..1100).chain([u64::MAX]) {
+            let searched = dir.partition_point(|&first| first <= oid).checked_sub(1);
+            assert_eq!(
+                store.inner.locate(oid),
+                searched.map(|i| i as u64),
+                "oid {oid}"
+            );
+        }
+
+        // A dense page with two entries swapped still passes its
+        // checksum, so only the equality test stands between a slot
+        // guess and the other oid's grade.
+        let pairs = dense_pairs(0, 1000, 45);
+        let path = scratch("slot-swapped.fmdb");
+        build_store(&path, "w", pairs.clone(), &BuildConfig::with_page_size(512)).unwrap();
+        let header = PagedStore::open(&path, StoreOptions::DEFAULT)
+            .unwrap()
+            .header()
+            .clone();
+        let epp = header.entries_per_page as u64;
+        let first = 3 * epp;
+        let (a, b) = (first + 5, first + 9);
+        rewrite_page(&path, 512, header.random_start() + 3, |frame| {
+            let slot = |i: usize| format::PAGE_HEADER_BYTES + i * format::ENTRY_BYTES;
+            let fifth = frame[slot(5)..slot(6)].to_vec();
+            frame.copy_within(slot(9)..slot(10), slot(5));
+            frame[slot(9)..slot(10)].copy_from_slice(&fifth);
+        });
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+        let mut paged = store.source();
+        let mut vec = VecSource::new("w", pairs);
+        assert_ne!(vec.random_access(a), vec.random_access(b));
+        let page_oids: Vec<Oid> = (first..first + epp).collect();
+        let batch = paged.random_batch(&page_oids);
+        for (&oid, &batched) in page_oids.iter().zip(&batch) {
+            let own = vec.random_access(oid);
+            for grade in [
+                paged.random_access(oid),
+                paged.random_access_bounded(oid, Score::ZERO),
+                batched,
+            ] {
+                assert!(grade == own || grade == Score::ZERO, "oid {oid}: {grade:?}");
+            }
+            if oid != a && oid != b {
+                assert_eq!(paged.random_access(oid), own, "oid {oid} was not moved");
+            }
+        }
+    }
+
+    /// The cursor reads entries in place from the pinned frame, and
+    /// still refuses a page with a bad grade whole on its first visit.
+    #[test]
+    fn in_place_sorted_reads_keep_the_failure_model() {
+        let pairs = sample_pairs(1000, 47);
+        let path = scratch("in-place.fmdb");
+        build_store(&path, "i", pairs.clone(), &BuildConfig::with_page_size(512)).unwrap();
+
+        // Clean: any mix of the sorted forms equals `VecSource` step by
+        // step, page turns and rewinds included.
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+        let (mut paged, mut vec) = (store.source(), VecSource::new("i", pairs));
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..2000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            match (state >> 33) % 32 {
+                0..=11 => assert_eq!(paged.sorted_next(), vec.sorted_next(), "step {step}"),
+                12..=27 => assert_eq!(paged.sorted_batch(7), vec.sorted_batch(7), "step {step}"),
+                28..=30 => {
+                    let bound = Score::clamped(((state >> 40) % 1000) as f64 / 1000.0);
+                    assert_eq!(
+                        paged.sorted_drain_bounded(bound),
+                        vec.sorted_drain_bounded(bound),
+                        "step {step}"
+                    );
+                }
+                _ => {
+                    paged.rewind();
+                    vec.rewind();
+                }
+            }
+        }
+        assert!(store.take_error().is_none());
+        drop((paged, store));
+
+        // A NaN grade at slot 20 of sorted page 2, under a valid checksum.
+        let bad_page = {
+            let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+            store.header().sorted_start() + 2
+        };
+        rewrite_page(&path, 512, bad_page, |frame| {
+            let grade = format::PAGE_HEADER_BYTES + 20 * format::ENTRY_BYTES + 8;
+            frame[grade..grade + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        });
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).expect("open is page-local");
+        let mut src = store.source();
+        let mut drained = 0;
+        while src.sorted_next().is_some() {
+            drained += 1;
+        }
+        // Pages 0 and 1 deliver; page 2 is refused whole, slots 0–19
+        // included.
+        assert_eq!(drained, 62);
+        assert!(matches!(
+            store.take_error(),
+            Some(StoreError::InvalidGrade { page }) if page == bad_page
+        ));
+        assert_eq!(store.source().sorted_batch(usize::MAX).len(), 62);
+        assert!(matches!(
+            store.take_error(),
+            Some(StoreError::InvalidGrade { page }) if page == bad_page
         ));
     }
 }
