@@ -16,11 +16,17 @@
 //! to that price on memory-speed lists (`engine_vs_scalar_many8`, gated
 //! too).
 //!
-//! The third table is the paper's own setting (§4): lists behind
+//! The third table is the naive scan's steady state: minor page faults
+//! per scan over lists of 65 536 while other queries run between two
+//! scans (`naive_minor_faults_per_run`, gated) — what the thread's
+//! spare table in `algorithms/book.rs` saves.
+//!
+//! The fourth table is the paper's own setting (§4): lists behind
 //! autonomous subsystems that charge a round trip per call. It counts
 //! sorted-access calls instead of sleeping through them, so the
-//! engine's batching is priced deterministically
-//! (`engine_vs_scalar_sorted_calls`, gated).
+//! engine's batching and the naive scan's drain are priced
+//! deterministically (`engine_vs_scalar_sorted_calls` and
+//! `naive_sorted_calls_per_access`, gated).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,6 +71,16 @@ const MAX_ENGINE_VS_SCALAR: f64 = 1.3;
 /// A₀ asks for one, so the ratio sits near 1/64; 1/16 leaves room for
 /// the last, partial batch of each list.
 const MAX_ENGINE_VS_SCALAR_CALLS: f64 = 1.0 / 16.0;
+
+/// Ceiling on `naive_sorted_calls_per_access`: 1 while the scan pulled
+/// one entry a call, ≈ 1/256 since it drains each list 256 entries a
+/// call; 1/64 leaves room for the last, partial batch of each list.
+const MAX_NAIVE_CALLS_PER_ACCESS: f64 = 1.0 / 64.0;
+
+/// Ceiling on `naive_minor_faults_per_run`: ≈ 880 a scan while every
+/// run allocated its book and the allocator gave it back at the end,
+/// 0 since a thread keeps its table.
+const MAX_NAIVE_FAULTS: f64 = 64.0;
 use crate::runners::{fastest_us, RunCfg};
 
 /// Charged accesses and wall-clock nanoseconds per charged access of
@@ -178,8 +194,8 @@ impl GradedSource for PerCall {
 
 /// Scalar A₀ and `Engine::run` with `Algo::Fa` over the same `n`-object
 /// lists (m = 4, min, k = 10), each list behind a [`PerCall`]
-/// subsystem: the charged accesses (asserted equal, with equal
-/// answers) and the sorted-access calls of each side.
+/// subsystem: the charged sorted accesses (the charges asserted equal,
+/// with equal answers) and the sorted-access calls of each side.
 fn sorted_calls(n: usize) -> (u64, u64, u64) {
     let calls = Arc::new(AtomicU64::new(0));
     let lists = || {
@@ -219,11 +235,76 @@ fn sorted_calls(n: usize) -> (u64, u64, u64) {
         (scalar.stats.sorted, scalar.stats.random),
         "batching changed A0's charge"
     );
-    (
-        scalar.stats.database_access_cost(),
-        scalar_calls,
-        engine_calls,
-    )
+    (scalar.stats.sorted, scalar_calls, engine_calls)
+}
+
+/// Scalar naive scan over the same `n`-object lists (m = 4, min,
+/// k = 10), each behind a [`PerCall`] subsystem: the charged sorted
+/// accesses and the sorted-access calls.
+fn naive_sorted_calls(n: usize) -> (u64, u64) {
+    let calls = Arc::new(AtomicU64::new(0));
+    let mut sources: Vec<PerCall> = independent_uniform(n, 4, 7)
+        .into_iter()
+        .map(|inner| PerCall {
+            inner,
+            calls: Arc::clone(&calls),
+        })
+        .collect();
+    let mut refs: Vec<&mut dyn GradedSource> = sources
+        .iter_mut()
+        .map(|s| s as &mut dyn GradedSource)
+        .collect();
+    let naive = Naive.top_k(&mut refs, &Min, 10).expect("valid run");
+    // ordering(Relaxed): single-threaded tally; see `PerCall::round_trip`.
+    (naive.stats.sorted, calls.load(Ordering::Relaxed))
+}
+
+/// Minor page faults the calling thread has taken so far: `minflt`,
+/// field 10 of `/proc/thread-self/stat` (per thread, so what other
+/// threads of the process fault in is not counted). `None` where there
+/// is no such file.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // Field 2, the command, is parenthesised and may hold spaces.
+    let after_command = stat.get(stat.rfind(')')? + 1..)?;
+    after_command.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// `scans` naive scans over two lists of 65 536 (min, k = 10), with
+/// scalar TA and A₀ over three such lists before each, as perfbench's
+/// op mix interleaves them: each scan's minor page faults (NaN where
+/// they cannot be read) and the fastest scan in microseconds.
+fn naive_scan_faults(scans: usize) -> (Vec<f64>, f64) {
+    let n = 1 << 16;
+    let mut pair = independent_uniform(n, 2, 17);
+    let mut three = independent_uniform(n, 3, 19);
+    let mut faults = Vec::with_capacity(scans);
+    let mut floor = f64::INFINITY;
+    for _ in 0..scans {
+        let mut refs: Vec<&mut dyn GradedSource> = three
+            .iter_mut()
+            .map(|s| s as &mut dyn GradedSource)
+            .collect();
+        ThresholdAlgorithm
+            .top_k(&mut refs, &Min, 10)
+            .expect("valid run");
+        FaginsAlgorithm
+            .top_k(&mut refs, &Min, 10)
+            .expect("valid run");
+        let mut refs: Vec<&mut dyn GradedSource> = pair
+            .iter_mut()
+            .map(|s| s as &mut dyn GradedSource)
+            .collect();
+        let before = minor_faults();
+        let start = Instant::now();
+        Naive.top_k(&mut refs, &Min, 10).expect("valid run");
+        floor = floor.min(start.elapsed().as_secs_f64() * 1e6);
+        let taken = before
+            .zip(minor_faults())
+            .map_or(f64::NAN, |(before, after)| (after - before) as f64);
+        faults.push(taken);
+    }
+    (faults, floor)
 }
 
 /// Runs the experiment.
@@ -296,10 +377,9 @@ pub fn run(cfg: &RunCfg) -> Report {
     }
     report.table(t);
 
-    // The same N in quick and full mode. At 16 384 a naive scan grows a
-    // book of ≈ 1 MiB per run, and first-touch page faults (≈ 10 ns per
-    // access there, run to run as the allocator's state goes) would
-    // decide its gate instead of the bookkeeping.
+    // The same N in quick and full mode: a ratio of two floors, kept
+    // small enough to run best-of-5 in the quick suite. The naive scan's
+    // page faults have a table of their own below.
     let n = 1 << 12;
     let mut t = Table::new(
         format!("bookkeeping per charged access, N = {n}, m = 3, min, k = 10 (scalar, best of 5)"),
@@ -331,24 +411,57 @@ pub fn run(cfg: &RunCfg) -> Report {
     ]);
     report.table(t);
 
-    let n = cfg.pick(1 << 16, 1 << 14);
-    let (charged, scalar_calls, engine_calls) = sorted_calls(n);
-    let calls_ratio = engine_calls as f64 / scalar_calls.max(1) as f64;
+    let scans = cfg.pick(15, 9);
+    let (faults, scan_floor) = naive_scan_faults(scans);
+    let mut sorted_faults = faults.clone();
+    sorted_faults.sort_by(f64::total_cmp);
+    let median_faults = sorted_faults[scans / 2];
     let mut t = Table::new(
-        format!("sorted-access calls to per-call subsystems, N = {n}, m = 4, min, k = 10 (A0)"),
+        format!(
+            "naive scan's steady state, N = 65536, m = 2, min, k = 10, {scans} scans \
+             (scalar TA and A0 over three lists before each)"
+        ),
         &[
-            "charged accesses (both)",
-            "scalar A0 calls",
-            "Engine::run calls",
-            "engine / scalar",
+            "minor faults, first scan",
+            "median",
+            "max after the first",
+            "fastest scan (us)",
         ],
     );
     t.row(vec![
-        int(charged),
-        int(scalar_calls),
-        int(engine_calls),
-        format!("{calls_ratio:.4}"),
+        format!("{:.0}", faults[0]),
+        format!("{median_faults:.0}"),
+        format!("{:.0}", faults[1..].iter().copied().fold(0.0, f64::max)),
+        format!("{scan_floor:.0}"),
     ]);
+    report.table(t);
+
+    let n = cfg.pick(1 << 16, 1 << 14);
+    let (fa_sorted, scalar_calls, engine_calls) = sorted_calls(n);
+    let calls_ratio = engine_calls as f64 / scalar_calls.max(1) as f64;
+    let (naive_sorted, naive_calls) = naive_sorted_calls(n);
+    let naive_calls_per_access = naive_calls as f64 / naive_sorted.max(1) as f64;
+    let mut t = Table::new(
+        format!("sorted-access calls to per-call subsystems, N = {n}, m = 4, min, k = 10"),
+        &[
+            "run",
+            "charged sorted accesses",
+            "sorted-access calls",
+            "calls / charged sorted access",
+        ],
+    );
+    for (name, sorted, calls) in [
+        ("scalar A0", fa_sorted, scalar_calls),
+        ("A0 via Engine::run", fa_sorted, engine_calls),
+        ("scalar naive scan", naive_sorted, naive_calls),
+    ] {
+        t.row(vec![
+            name.to_owned(),
+            int(sorted),
+            int(calls),
+            format!("{:.4}", calls as f64 / sorted.max(1) as f64),
+        ]);
+    }
     report.table(t);
     let timed = "a kernel run that takes no time means the timer broke";
     report
@@ -388,7 +501,23 @@ pub fn run(cfg: &RunCfg) -> Report {
             Bound::PositiveAtMost(MAX_ENGINE_VS_SCALAR_CALLS),
             "the engine no longer fetches `EngineConfig::batch_size` objects per sorted-access \
              call; look at `engine::EngineSource::sorted_next` first",
-        );
+        )
+        .gated(
+            "naive_sorted_calls_per_access",
+            naive_calls_per_access,
+            Bound::PositiveAtMost(MAX_NAIVE_CALLS_PER_ACCESS),
+            "the naive scan no longer reads a list a batch at a time; look at `Book::drain` \
+             in `algorithms/book.rs` and at `Naive::top_k` (it should drain, not pull) first",
+        )
+        .gated(
+            "naive_minor_faults_per_run",
+            median_faults,
+            Bound::Within(0.0, MAX_NAIVE_FAULTS),
+            "a steady-state naive scan faults its book in again: the thread's spare table in \
+             `algorithms/book.rs` (`Book::open` takes it, a dropped `Table` gives it back \
+             cleared) is no longer kept, or a scan outgrew `SPARE_BYTES`; look there first",
+        )
+        .metric("naive_scan_floor_us", scan_floor);
 
     report.note(
         "NRA's sorted streams run only slightly deeper than A0's, and since it never pays \
@@ -423,12 +552,23 @@ pub fn run(cfg: &RunCfg) -> Report {
          1.4-1.6x while every subsystem call locked its source.",
     ));
     report.note(format!(
+        "Steady state: a naive scan of 65536 objects over two lists writes a book of \
+         ~3.3 MiB. While every run allocated it and freed it at the end, the allocator gave \
+         the memory back and the next scan faulted all of it in again: ~880 minor faults, \
+         ~1.6 ms of a ~4.7 ms scan. A thread now keeps its table, cleared, between runs. \
+         Faults are read per thread from /proc/thread-self/stat; the first scan of a thread \
+         still grows its table. The run fails if the median scan takes more than \
+         {MAX_NAIVE_FAULTS} faults.",
+    ));
+    report.note(format!(
         "Per-call subsystems: the paper's middleware pays a round trip per call to QBIC and \
-         its peers, not per object. Both sides charge the same accesses and return the same \
-         answers; scalar A0 makes one call per sorted access, the engine one per batch of \
-         64. The run fails above {MAX_ENGINE_VS_SCALAR_CALLS}x. The table counts calls \
-         instead of timing them, so it repeats exactly; a wall-clock price for them waits \
-         for a virtual-clock workload.",
+         its peers, not per object. Both A0 sides charge the same accesses and return the \
+         same answers; scalar A0 makes one call per sorted access, the engine one per batch \
+         of 64. The run fails above {MAX_ENGINE_VS_SCALAR_CALLS}x. The naive scan reads every \
+         list to its end, so it asks for 256 entries a call; the run fails above \
+         {MAX_NAIVE_CALLS_PER_ACCESS} calls per charged sorted access. The table counts \
+         calls instead of timing them, so it repeats exactly; a wall-clock price for them \
+         waits for a virtual-clock workload.",
     ));
     report
 }

@@ -103,6 +103,8 @@ mod tests {
                 "naive_vs_ta_ns_per_access",
                 "engine_vs_scalar_many8",
                 "engine_vs_scalar_sorted_calls",
+                "naive_sorted_calls_per_access",
+                "naive_minor_faults_per_run",
             ],
         ),
         ("E20", &["kernel_us", "bind_us", "bind_vs_kernel"]),

@@ -30,11 +30,12 @@
 //! Every row of both tables keeps the same book — the crate-private
 //! `book` module: per seen object the `m` fields revealed so far, per
 //! list its bottom grade and whether it is drained, and the charges.
-//! Its `pull` is the only sorted access in this directory and opening
-//! one the only rewind; a strategy is what it does between pulls. A₀ is
-//! a user of the book, not a row of the second table: it halts
-//! mid-round, probes everything afterwards, and resumes (`DESIGN.md`
-//! §10).
+//! Its `pull` (one entry) and `drain` (a list to its end, which only the
+//! naive scan asks for) are the only sorted accesses in this directory
+//! and opening one the only rewind; a strategy is what it does between
+//! pulls. A₀ is a user of the book, not a row of the second table: it
+//! halts mid-round, probes everything afterwards, and resumes
+//! (`DESIGN.md` §10).
 //!
 //! All algorithms consume [`GradedSource`]s, meter every access into an
 //! [`AccessStats`], and return answers with **exact** grades — returning

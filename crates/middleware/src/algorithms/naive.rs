@@ -6,6 +6,11 @@
 //! grade, and keep the best `k`. Its database access cost is `m·N`
 //! (the paper quotes `2N` for the two-conjunct example), which
 //! Theorem 4.1 shows A₀ beats by a polynomial factor.
+//!
+//! The scan is the one strategy that reads every list to its end, so
+//! it asks for each list a batch at a time (`Book::drain`) where the
+//! others pull one entry per call: the charge is the same `m·N`, the
+//! calls to a subsystem a 256th of it.
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
@@ -32,7 +37,7 @@ impl TopKAlgorithm for Naive {
         validate(sources, scoring, k)?;
         let mut book = Book::open(sources);
         for i in 0..sources.len() {
-            while book.pull(i, sources).is_some() {}
+            book.drain(i, sources);
         }
         let table = &mut book.table;
         let combined = (0..table.len())
@@ -49,7 +54,8 @@ impl TopKAlgorithm for Naive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::VecSource;
+    use crate::source::{CountingSource, Oid, SourceInfo, VecSource};
+    use crate::workload::independent_uniform;
     use fmdb_core::scoring::tnorms::Min;
 
     fn s(v: f64) -> Score {
@@ -108,5 +114,71 @@ mod tests {
         let r = Naive.top_k(&mut sources, &Min, 2).unwrap();
         assert_eq!(r.answers[0], ScoredObject::new(0, s(0.7)));
         assert_eq!(r.answers[1], ScoredObject::new(1, Score::ZERO));
+    }
+
+    /// A list that records which sorted-access entry point is called.
+    struct Recording {
+        inner: VecSource,
+        nexts: usize,
+        batches: usize,
+    }
+
+    impl GradedSource for Recording {
+        fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
+            self.nexts += 1;
+            self.inner.sorted_next()
+        }
+        fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
+            self.batches += 1;
+            self.inner.sorted_batch(n)
+        }
+        fn random_access(&mut self, oid: Oid) -> Score {
+            self.inner.random_access(oid)
+        }
+        fn rewind(&mut self) {
+            self.inner.rewind();
+        }
+        fn info(&self) -> SourceInfo {
+            self.inner.info()
+        }
+    }
+
+    #[test]
+    fn the_scan_charges_m_n_in_a_call_per_256_entries() {
+        for n in [0usize, 1, 255, 256, 257, 1_000] {
+            let mut counted: Vec<CountingSource<VecSource>> = independent_uniform(n, 3, 9)
+                .into_iter()
+                .map(CountingSource::new)
+                .collect();
+            let mut sources: Vec<&mut dyn GradedSource> = counted
+                .iter_mut()
+                .map(|s| s as &mut dyn GradedSource)
+                .collect();
+            let r = Naive.top_k(&mut sources, &Min, 5).unwrap();
+            assert_eq!((r.stats.sorted, r.stats.random), (3 * n as u64, 0));
+            assert!(counted.iter().all(|s| s.sorted_accesses() == n as u64));
+
+            let mut recorded: Vec<Recording> = independent_uniform(n, 3, 9)
+                .into_iter()
+                .map(|inner| Recording {
+                    inner,
+                    nexts: 0,
+                    batches: 0,
+                })
+                .collect();
+            let mut sources: Vec<&mut dyn GradedSource> = recorded
+                .iter_mut()
+                .map(|s| s as &mut dyn GradedSource)
+                .collect();
+            assert_eq!(Naive.top_k(&mut sources, &Min, 5).unwrap(), r, "n = {n}");
+            for list in &recorded {
+                // A full batch may end the list: one more call finds it empty.
+                assert_eq!(
+                    (list.nexts, list.batches),
+                    (0, (n + 1).div_ceil(256)),
+                    "n = {n}"
+                );
+            }
+        }
     }
 }

@@ -66,6 +66,14 @@
 //! assert!(result.stats.database_access_cost() < 10_000);
 //! ```
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "one per-thread site, the book's spare table in `algorithms/book.rs`: scratch \
+              space a run clears when its table drops, so nothing but capacity outlives the \
+              run (clippy reads this lint's level at the crate root only; \
+              `the_spare_is_the_crates_only_thread_local` keeps the site the only one)"
+)]
+
 pub mod algorithms;
 pub mod engine;
 mod lru;

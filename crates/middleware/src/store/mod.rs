@@ -834,7 +834,7 @@ impl GradedSource for PagedSource {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::source::VecSource;
     use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
@@ -842,13 +842,13 @@ mod tests {
 
     /// A scratch path under the workspace `target/` dir (tests must
     /// not write outside the repository).
-    fn scratch(name: &str) -> PathBuf {
+    pub(crate) fn scratch(name: &str) -> PathBuf {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/store-tests");
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         dir.join(name)
     }
 
-    fn sample_pairs(n: u64, seed: u64) -> Vec<(Oid, Score)> {
+    pub(crate) fn sample_pairs(n: u64, seed: u64) -> Vec<(Oid, Score)> {
         (0..n)
             .map(|i| {
                 let h = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -871,7 +871,12 @@ mod tests {
     /// Rewrites file page `page` of the store at `path` (page size
     /// `page_size`) through `edit` and re-seals its checksum, so only
     /// what `edit` changed can be refused.
-    fn rewrite_page(path: &Path, page_size: usize, page: u64, edit: impl FnOnce(&mut [u8])) {
+    pub(crate) fn rewrite_page(
+        path: &Path,
+        page_size: usize,
+        page: u64,
+        edit: impl FnOnce(&mut [u8]),
+    ) {
         let mut bytes = std::fs::read(path).unwrap();
         let at = page_size * page as usize;
         let frame = &mut bytes[at..at + page_size];

@@ -41,6 +41,11 @@ fn reasonless() {}
 #[expect(clippy::unwrap_used, reason = "the violation under it was fixed")]
 pub fn stale_expectation() {}
 
+thread_local! {
+    /// `disallowed_macros`.
+    pub static PER_THREAD: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
 /// Everything else.
 pub fn violations(x: Option<f64>, y: Result<f64, String>, which: u8) -> bool {
     let a = x.unwrap();
@@ -77,6 +82,7 @@ const EXPECTED: &[(&str, &str)] = &[
     ("clippy::disallowed_methods", "std::thread::spawn"),
     ("clippy::disallowed_methods", "std::sync::mpsc::channel"),
     ("clippy::disallowed_methods", "std::thread::scope"),
+    ("clippy::disallowed_macros", "std::thread_local"),
     ("unsafe_code", ""),
     ("missing_debug_implementations", ""),
     ("missing_docs", ""),

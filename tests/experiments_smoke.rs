@@ -113,12 +113,17 @@ fn e19_nra_never_random_accesses_and_stays_close_to_a0() {
     }
     // Per-call subsystems: the engine asks a list for a batch per call,
     // scalar A0 for one object, at the same charge (the run asserts the
-    // charges and answers equal).
-    let row = &report.tables[2].rows[0];
-    let count = |i: usize| -> u64 { row[i].parse().expect("a count") };
-    let (charged, scalar_calls, engine_calls) = (count(0), count(1), count(2));
-    assert!(charged > 0 && scalar_calls > 0, "{row:?}");
-    assert!(16 * engine_calls <= scalar_calls, "batching lost: {row:?}");
+    // charges and answers equal); the naive scan drains 256 a call.
+    let rows = &report.tables[3].rows;
+    let count = |row: usize, col: usize| -> u64 { rows[row][col].parse().expect("a count") };
+    let (charged, scalar_calls, engine_calls) = (count(0, 1), count(0, 2), count(1, 2));
+    assert!(charged > 0 && scalar_calls > 0, "{rows:?}");
+    assert!(16 * engine_calls <= scalar_calls, "batching lost: {rows:?}");
+    let (naive_sorted, naive_calls) = (count(2, 1), count(2, 2));
+    assert!(
+        naive_calls > 0 && 64 * naive_calls <= naive_sorted,
+        "draining lost: {rows:?}"
+    );
 }
 
 #[test]
