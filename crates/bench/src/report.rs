@@ -426,7 +426,7 @@ mod tests {
                 },
             },
             BenchEntry {
-                report: Report::new("E21", "sharding", ""),
+                report: Report::new("E23", "block pruning", ""),
                 wall_ms: 0.0,
                 stats: AccessStats::ZERO,
             },
@@ -446,7 +446,7 @@ mod tests {
         assert!(j.contains("\"blocks_skipped\":9"));
         assert!(j.contains("\"metrics\":{\"opt_ratio_ta\":1.250000}"));
         assert!(j.contains("\"metrics\":{}"));
-        assert!(j.contains("\"id\":\"E21\""));
+        assert!(j.contains("\"id\":\"E23\""));
         let empty = bench_engine_json(&[], false);
         assert!(empty.contains("\"quick\":false"));
         assert!(empty.contains("\"experiments\":[]"));

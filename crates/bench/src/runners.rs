@@ -101,7 +101,7 @@ pub fn run_algo(
 
 /// Runs a request under an explicit [`ExecPolicy`] through the shared
 /// [`engine`] — the policy resolves the algorithm (CA, θ-approximate
-/// TA, …), the charged cost model, and per-request sharding.
+/// TA, …) and the charged cost model.
 ///
 /// # Panics
 /// Panics if the policy or query is rejected — experiments only pass

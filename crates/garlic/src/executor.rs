@@ -229,7 +229,7 @@ impl Garlic {
     /// every atom is graded once ([`bind`]), [`optimize`] picks the
     /// strategy the policy names — or, for [`Algo::Auto`], prices the
     /// candidates under the policy's cost model and θ on those lists —
-    /// and the winner runs on them with the policy's shard settings.
+    /// and the winner runs on them.
     /// Full scans (negation, nesting, non-monotone scoring) run with
     /// reference semantics whatever the policy says.
     pub fn top_k_policy(
@@ -573,29 +573,42 @@ mod tests {
         }
     }
 
+    /// `sharded_over` is an inert shim (`fmdb_middleware::frozen`): a
+    /// policy with it is the policy without it, and runs as that policy
+    /// does, on the caller's thread, through the engine and the facade.
     #[test]
-    fn shard_policy_preserves_ta_answers() {
-        use fmdb_middleware::policy::Algo;
+    fn sharded_over_changes_nothing() {
+        use fmdb_core::scoring::tnorms::Min;
+        use fmdb_middleware::workload::independent_uniform;
 
-        // One facade, the same query serial and sharded. TA advertises
-        // the sharded TA kernel, so a `sharded_over` policy takes the
-        // partition-parallel path — answers must not change.
+        let request = |policy| {
+            TopKQuery::compose()
+                .sources(independent_uniform(400, 3, 77))
+                .scoring(Min)
+                .k(7)
+                .policy(policy)
+                .request()
+                .unwrap()
+        };
         let q = Query::and(vec![
             Query::atomic("Color", Target::Similar("red".into())),
             Query::atomic("Shape", Target::Similar("round".into())),
         ]);
         let g = small_qbic_garlic();
-        let want = g.top_k_with(&q, 6, AlgoChoice::Ta).unwrap();
-        assert_eq!(want.stats.worker_spawns, 0, "forced TA runs serial");
-        for shards in [2usize, 4] {
-            let policy = ExecPolicy::new().algo(Algo::Ta).sharded_over(shards);
+        let engine = Engine::default();
+        let serial = ExecPolicy::new().algo(Algo::Ta);
+        let want = engine.run(&request(serial)).unwrap();
+        let want_facade = g.top_k_policy(&q, 6, serial).unwrap();
+        for p in [0usize, 1, 2, 8] {
+            let policy = ExecPolicy::new().algo(Algo::Ta).sharded_over(p);
+            assert_eq!(policy, serial, "p={p}");
+            let got = engine.run(&request(policy)).unwrap();
+            assert_eq!(got, want, "engine, p={p}");
+            assert_eq!(got.stats.worker_spawns, 0, "engine, p={p}");
             let got = g.top_k_policy(&q, 6, policy).unwrap();
-            assert_eq!(got.answers, want.answers, "shards={shards}");
-            assert!(
-                got.stats.worker_spawns >= shards as u64,
-                "sharded path did not run (shards={shards}, spawns={})",
-                got.stats.worker_spawns
-            );
+            assert_eq!(got.answers, want_facade.answers, "facade, p={p}");
+            assert_eq!(got.stats, want_facade.stats, "facade, p={p}");
+            assert_eq!(got.stats.worker_spawns, 0, "facade, p={p}");
         }
     }
 

@@ -17,7 +17,7 @@
 //! `from_dense` or the store builds grades the dense universe `0..N`
 //! (DESIGN §17), so `oid → row` is one load for each oid below the
 //! query's largest `universe_size` (capped at [`DENSE_OIDS`]). Any
-//! other oid — a sparse list's, a shard's, one past what its source
+//! other oid — a sparse list's, one past what its source
 //! reports — is numbered through a map.
 //!
 //! Each thread keeps one spare table. [`Book::open`] takes it, and a

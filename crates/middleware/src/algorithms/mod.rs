@@ -15,17 +15,16 @@
 //!
 //! The extension rows are one loop — the crate-private `threshold`
 //! module — and each public name is a thin constructor choosing when
-//! it probes, its slack θ, whether shard workers share a bound, and
-//! how grades are reported (`DESIGN.md` §10):
+//! it probes, its slack θ, and how grades are reported (`DESIGN.md`
+//! §10):
 //!
-//! | Name | Probes | θ | Shared bound | Grades reported |
-//! |------|--------|---|--------------|-----------------|
-//! | [`ta::ThresholdAlgorithm`] | on sight | 0 | — | as halted (exact: no interval is ever open) |
-//! | [`approx::ApproxTa`] | on sight | θ | — | as halted (exact) |
-//! | [`nra::Nra`], [`nra::NraLowerBound`] | never | 0 | — | as halted (intervals / lower bounds) |
-//! | [`approx::ApproxNra`] | never | θ | — | as halted (lower bounds) |
-//! | [`ca::CombinedAlgorithm`] | every `h` rounds | θ | — | closed at the halt (exact) |
-//! | TA's shard kernel ([`crate::sharded`]) | on sight | 0 | yes | as halted (exact) |
+//! | Name | Probes | θ | Grades reported |
+//! |------|--------|---|-----------------|
+//! | [`ta::ThresholdAlgorithm`] | on sight | 0 | as halted (exact: no interval is ever open) |
+//! | [`approx::ApproxTa`] | on sight | θ | as halted (exact) |
+//! | [`nra::Nra`], [`nra::NraLowerBound`] | never | 0 | as halted (intervals / lower bounds) |
+//! | [`approx::ApproxNra`] | never | θ | as halted (lower bounds) |
+//! | [`ca::CombinedAlgorithm`] | every `h` rounds | θ | closed at the halt (exact) |
 //!
 //! Every row of both tables keeps the same book — the crate-private
 //! `book` module: per seen object the `m` fields revealed so far, per
@@ -151,20 +150,11 @@ pub trait TopKAlgorithm {
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError>;
-
-    /// Whether the sharded engine path ([`crate::sharded`]) may run
-    /// TA's shard kernel in place of this algorithm. Only
-    /// [`ta::ThresholdAlgorithm`] says yes; every other algorithm runs
-    /// serially under any shard count.
-    fn shard_kernel(&self) -> bool {
-        false
-    }
 }
 
-/// Shared argument validation for the A₀ family (and the engine's
-/// sharded path, whose kernels skip the scalar entry points).
-pub(crate) fn validate<S>(
-    sources: &[S],
+/// Shared argument validation for the A₀ family.
+pub(crate) fn validate(
+    sources: &[&mut dyn GradedSource],
     scoring: &dyn ScoringFunction,
     k: usize,
 ) -> Result<(), AlgoError> {

@@ -35,13 +35,6 @@ impl TopKAlgorithm for ThresholdAlgorithm {
         "threshold-ta"
     }
 
-    /// TA reports its local top-k with exact grades in output order, so
-    /// merging per-shard TA answers is a valid top-k — the serial
-    /// answer list itself on tie-free lists ([`crate::sharded`]).
-    fn shard_kernel(&self) -> bool {
-        true
-    }
-
     /// The threshold kernel probing on sight: every seen object is
     /// resolved at once, so the intervals it reports are exact grades.
     fn top_k(

@@ -1,5 +1,5 @@
-//! The threshold kernel: the one loop behind TA, NRA, CA, their
-//! θ-approximations and the shard kernel.
+//! The threshold kernel: the one loop behind TA, NRA, CA and their
+//! θ-approximations.
 //!
 //! Fagin–Lotem–Naor ("Optimal Aggregation Algorithms for Middleware")
 //! present the family as a single algorithm. Every round does one
@@ -9,8 +9,8 @@
 //! *bottom*) above. Unseen objects are bounded by `t(bottoms)`. The run
 //! halts once the k-th best lower bound `Mₖ` dismisses every other
 //! upper bound, `upper ≤ (1 + θ)·Mₖ`. Members differ only in the
-//! quantities of [`Family`] and in whether shard workers share a bound;
-//! the table in [`crate::algorithms`] maps each public name to them.
+//! quantities of [`Family`]; the table in [`crate::algorithms`] maps
+//! each public name to them.
 //!
 //! # Bookkeeping
 //!
@@ -26,12 +26,12 @@
 //!   key, and one comparison against that key rejects a newcomer.
 //! * **Upper bounds are looked at only when they block the halt.** Open
 //!   objects not yet dismissed wait in a plain list. The halting test
-//!   walks it and stops at the first object `Mₖ` (or the shared bound)
-//!   cannot dismiss — the *witness* — which moves to the front, so the
-//!   next round asks it first. What the walk does dismiss leaves the
-//!   list **for good**: `t` is monotone and the streams non-increasing,
-//!   so an upper bound only sinks while `Mₖ` and the shared bound only
-//!   rise. Debug builds check both facts on every run.
+//!   walks it and stops at the first object `Mₖ` cannot dismiss — the
+//!   *witness* — which moves to the front, so the next round asks it
+//!   first. What the walk does dismiss leaves the list **for good**: `t`
+//!   is monotone and the streams non-increasing, so an upper bound only
+//!   sinks while `Mₖ` only rises. Debug builds check both facts on every
+//!   run.
 //! * **Dismissed is not dead.** A dismissed object keeps its lower
 //!   bound current and may still enter the top k — under θ > 0 because
 //!   `upper ≤ (1 + θ)·Mₖ` leaves room for `lower > Mₖ`, under θ = 0 on
@@ -59,7 +59,6 @@ use crate::algorithms::book::Book;
 use crate::algorithms::nra::{BoundedAnswer, NraResult};
 use crate::algorithms::{validate, AlgoError};
 use crate::planner::bounded_by_min;
-use crate::sharded::AtomicThreshold;
 use crate::source::{GradedSource, Oid};
 
 /// When the loop spends random accesses.
@@ -301,8 +300,7 @@ impl Family {
         }
     }
 
-    /// Validates the arguments, then runs the loop on its own (no
-    /// cooperative bound).
+    /// Validates the arguments, then runs the loop.
     pub(crate) fn top_k(
         &self,
         sources: &mut [&mut dyn GradedSource],
@@ -311,31 +309,22 @@ impl Family {
     ) -> Result<NraResult, AlgoError> {
         validate_theta(self.theta)?;
         validate(sources, scoring, k)?;
-        Ok(self.run(None, sources, scoring, k))
+        Ok(self.run(sources, scoring, k))
     }
 
-    /// The loop. `shared` is the cooperative lower bound on the global
-    /// k-th grade that shard workers exchange (see [`crate::sharded`]).
-    /// Arguments must already be valid (`k ≥ 1`, at least one source,
-    /// monotone scoring).
-    pub(crate) fn run(
+    /// The loop. Arguments must already be valid (`k ≥ 1`, at least one
+    /// source, monotone scoring).
+    fn run(
         &self,
-        shared: Option<&AtomicThreshold>,
         sources: &mut [&mut dyn GradedSource],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> NraResult {
-        debug_assert!(
-            shared.is_none() || self.probe == Probe::OnSight,
-            "a shared bound is the TA shard kernel's alone: the cross-shard merge selects by \
-             grade, and only on-sight probing reports exact ones"
-        );
         let m = sources.len();
         let mut book = Book::open(sources);
         // Threshold feeding: where `t ≤ min` (t-norms), a sorted entry
-        // graded below the k-th best lower bound — or below the shared
-        // bound on the global k-th grade — cannot reach the top k, so
-        // that grade is a valid per-source
+        // graded below the k-th best lower bound cannot reach the top k,
+        // so that grade is a valid per-source
         // [`GradedSource::note_threshold`] hint, fed when it rises (it
         // never falls within a run). Purely physical (a streaming source
         // may stop grading below it; no shipped source listens yet):
@@ -397,14 +386,7 @@ impl Family {
                 scoring.name()
             );
             last_kth = kth;
-            if let (Some(shared), Some(kth)) = (shared, kth) {
-                // k objects of this shard have true grade ≥ their lower
-                // bounds ≥ Mₖ, so the global k-th grade is ≥ Mₖ: a
-                // certified bound to share.
-                shared.observe(kth);
-            }
-            let floor = shared.map(AtomicThreshold::get);
-            if let Some(bound) = floor.or(kth).filter(|&bound| feed && bound > noted) {
+            if let Some(bound) = kth.filter(|&bound| feed && bound > noted) {
                 noted = bound;
                 for source in sources.iter_mut() {
                     source.note_threshold(bound);
@@ -412,28 +394,18 @@ impl Family {
             }
 
             // An upper bound is dismissed once it cannot beat Mₖ (θ ≤ 0
-            // compares `Score`s directly, see `upper_excluded`) — or
-            // falls strictly below the shared bound. Strict <: such an
-            // object grades below the global k-th answer, so it loses
-            // to all k global answers even under tie-breaks, whereas a
-            // tie at the boundary might have been admitted.
-            let below_floor = |upper: Score| floor.is_some_and(|g| upper < g);
-            let dismissed = |upper: Score, tau: Score| {
-                upper_excluded(upper, tau, self.theta) || below_floor(upper)
-            };
+            // compares `Score`s directly, see `upper_excluded`).
+            let dismissed = |upper: Score, tau: Score| upper_excluded(upper, tau, self.theta);
             let unseen = scoring.combine(&book.frontier.bottoms);
-            // Nothing unseen can still matter: all streamed, or pruned.
-            let idle = !progressed || below_floor(unseen);
+            // Nothing is left unseen: every list has streamed.
+            let idle = !progressed;
             // The seen are asked only once the unseen are out of the
             // way: until then the candidates just queue up.
             let settled = kth.is_some_and(|tau| {
                 (idle || upper_excluded(unseen, tau, self.theta))
                     && seen.rest_dismissed(&mut book, scoring, |upper| dismissed(upper, tau))
             });
-            // Idle, everything has streamed and the bounds are exact —
-            // or the shared bound rules out the rest of a shard, which
-            // probes on sight and so has no open object to wait for,
-            // even short of k answers.
+            // Idle, everything has streamed and the bounds are exact.
             if settled || idle {
                 // Dismissals were permanent on the strength of two
                 // monotonicity facts; Mₖ's is checked above, this is
@@ -492,7 +464,6 @@ mod tests {
         use crate::algorithms::approx::upper_excluded;
         use crate::algorithms::nra::{BoundedAnswer, NraResult};
         use crate::planner::bounded_by_min;
-        use crate::sharded::AtomicThreshold;
         use crate::source::{GradedSource, Oid};
         use crate::stats::AccessStats;
 
@@ -654,7 +625,6 @@ mod tests {
             /// incremental.
             pub(super) fn run_full_re_rank(
                 &self,
-                shared: Option<&AtomicThreshold>,
                 sources: &mut [&mut dyn GradedSource],
                 scoring: &dyn ScoringFunction,
                 k: usize,
@@ -719,33 +689,19 @@ mod tests {
                         seen.rank(&bottoms, scoring);
                         seen.ranked.get(k - 1).map(|r| r.answer.lower)
                     };
-                    if let (Some(shared), Some(kth)) = (shared, kth) {
-                        // k objects of this shard have true grade ≥ their lower
-                        // bounds ≥ Mₖ, so the global k-th grade is ≥ Mₖ: a
-                        // certified bound to share.
-                        shared.observe(kth);
-                    }
-                    let floor = shared.map(AtomicThreshold::get);
-                    if let (true, Some(bound)) = (feed, floor.or(kth)) {
+                    if let (true, Some(bound)) = (feed, kth) {
                         for source in sources.iter_mut() {
                             source.note_threshold(bound);
                         }
                     }
 
                     // An upper bound is dismissed once it cannot beat Mₖ (θ ≤ 0
-                    // compares `Score`s directly, see `upper_excluded`) — or
-                    // falls strictly below the shared bound. Strict <: such an
-                    // object grades below the global k-th answer, so it loses
-                    // to all k global answers even under tie-breaks, whereas a
-                    // tie at the boundary might have been admitted.
-                    let below_floor = |upper: Score| floor.is_some_and(|g| upper < g);
-                    let dismissed = |r: &Ranked, tau: Score| {
-                        upper_excluded(r.answer.upper, tau, self.theta)
-                            || below_floor(r.answer.upper)
-                    };
+                    // compares `Score`s directly, see `upper_excluded`).
+                    let dismissed =
+                        |r: &Ranked, tau: Score| upper_excluded(r.answer.upper, tau, self.theta);
                     let unseen = scoring.combine(&bottoms);
-                    // Nothing unseen can still matter: all streamed, or pruned.
-                    let idle = !progressed || below_floor(unseen);
+                    // Nothing is left unseen: every list has streamed.
+                    let idle = !progressed;
                     let settled = kth.is_some_and(|tau| {
                         let rest = || seen.ranked[k..].iter().all(|r| dismissed(r, tau));
                         (idle || upper_excluded(unseen, tau, self.theta)) && (tight || rest())
@@ -810,62 +766,43 @@ mod tests {
             .collect()
     }
 
-    /// The members `algorithms/mod.rs` tabulates, the shard kernel with
-    /// its bound preheated — and CA *as halted*, which has no public
-    /// name but shows which objects the schedule probed: the closing
-    /// pass of `Report::Closed` probes whatever it skipped. Only on-sight
-    /// probing takes a shared bound — see the assertion at the top of
-    /// [`Family::run`].
-    fn members() -> Vec<(Family, Option<f64>)> {
+    /// The members `algorithms/mod.rs` tabulates — and CA *as halted*,
+    /// which has no public name but shows which objects the schedule
+    /// probed: the closing pass of `Report::Closed` probes whatever it
+    /// skipped.
+    fn members() -> Vec<Family> {
         let mut members = Vec::new();
         for theta in [0.0, 0.1, 0.5] {
             // θ = 0: TA, NRA, exact CA; θ > 0: their approximations.
-            members.push((Family::new(Probe::OnSight, theta, Report::AsHalted), None));
-            members.push((Family::new(Probe::Never, theta, Report::AsHalted), None));
+            members.push(Family::new(Probe::OnSight, theta, Report::AsHalted));
+            members.push(Family::new(Probe::Never, theta, Report::AsHalted));
             for h in [1, 3, 10] {
                 for report in [Report::Closed, Report::AsHalted] {
-                    members.push((Family::new(Probe::Every(h), theta, report), None));
+                    members.push(Family::new(Probe::Every(h), theta, report));
                 }
             }
-        }
-        for preheat in [0.0, 0.3, 0.7, 1.0] {
-            let shard_ta = Family::new(Probe::OnSight, 0.0, Report::AsHalted);
-            members.push((shard_ta, Some(preheat)));
         }
         members
     }
 
-    /// A member's shared bound, standing where its row of [`members`]
-    /// says.
-    fn preheated(preheat: Option<f64>) -> Option<AtomicThreshold> {
-        preheat.map(|bound| {
-            let shared = AtomicThreshold::new();
-            shared.observe(Score::clamped(bound));
-            shared
-        })
-    }
-
-    /// One kernel's whole observable outcome: the result and the value
-    /// left in the shared bound.
+    /// One kernel's whole observable outcome.
     fn outcome(
         lazy: bool,
-        (family, preheat): (Family, Option<f64>),
+        family: Family,
         lists: &[VecSource],
         scoring: &dyn ScoringFunction,
         k: usize,
-    ) -> (NraResult, Option<Score>) {
+    ) -> NraResult {
         let mut lists = lists.to_vec();
         let mut refs: Vec<&mut dyn GradedSource> = lists
             .iter_mut()
             .map(|s| s as &mut dyn GradedSource)
             .collect();
-        let shared = preheated(preheat);
-        let result = if lazy {
-            family.run(shared.as_ref(), &mut refs, scoring, k)
+        if lazy {
+            family.run(&mut refs, scoring, k)
         } else {
-            family.run_full_re_rank(shared.as_ref(), &mut refs, scoring, k)
-        };
-        (result, shared.map(|shared| shared.get()))
+            family.run_full_re_rank(&mut refs, scoring, k)
+        }
     }
 
     const SHAPES: [Shape; 5] = [
@@ -877,7 +814,7 @@ mod tests {
     ];
 
     fn assert_same_outcome(
-        member: (Family, Option<f64>),
+        member: Family,
         shape: Shape,
         lists: &[VecSource],
         scoring: &dyn ScoringFunction,
@@ -897,7 +834,7 @@ mod tests {
     fn lazy_bookkeeping_matches_the_full_re_rank() {
         let scorings: [&dyn ScoringFunction; 3] = [&Min, &ArithmeticMean, &Product];
         let members = members();
-        // The full grid is 33 600 cases; every STRIDE-th runs. STRIDE is
+        // The full grid is 28 800 cases; every STRIDE-th runs. STRIDE is
         // coprime to every axis length, so each value of each axis — and
         // each pair of values of two axes — still meets the others.
         const STRIDE: usize = 11;
@@ -919,7 +856,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(case, 33_600);
+        assert_eq!(case, 28_800);
     }
 
     /// A list that counts probes for a grade it had already revealed,
@@ -948,9 +885,9 @@ mod tests {
         }
     }
 
-    /// `tests/no_kernel_asks_a_list_twice.rs` for the members it cannot
-    /// name — the shard kernel under a preheated bound, CA as halted —
-    /// and, since they come with [`members`], the public ones again.
+    /// `tests/no_kernel_asks_a_list_twice.rs` for the member it cannot
+    /// name — CA as halted — and, since they come with [`members`], the
+    /// public ones again.
     #[test]
     fn no_member_asks_a_list_twice() {
         let scorings: [&dyn ScoringFunction; 2] = [&Min, &ArithmeticMean];
@@ -959,7 +896,7 @@ mod tests {
                 let lists = lists(shape, 300, m, 7);
                 for scoring in scorings {
                     for k in [1, 10] {
-                        for (family, preheat) in members() {
+                        for family in members() {
                             let mut recording: Vec<Recording> = lists
                                 .iter()
                                 .map(|inner| Recording {
@@ -972,12 +909,12 @@ mod tests {
                                 .iter_mut()
                                 .map(|s| s as &mut dyn GradedSource)
                                 .collect();
-                            family.run(preheated(preheat).as_ref(), &mut refs, scoring, k);
+                            family.run(&mut refs, scoring, k);
                             let repeated: usize = recording.iter().map(|r| r.repeated).sum();
                             assert_eq!(
                                 repeated,
                                 0,
-                                "{shape:?} m={m} {} k={k} {family:?} {preheat:?}",
+                                "{shape:?} m={m} {} k={k} {family:?}",
                                 scoring.name()
                             );
                         }
@@ -1034,9 +971,7 @@ mod tests {
         for scoring in scorings {
             for m in 2..=3 {
                 let lists = lists(Shape::AntiCorrelated, 300, m, 7);
-                // A preheated bound stands for answers of *other* shards:
-                // it is theirs to justify, so those rows sit this out.
-                for (family, _) in members().into_iter().filter(|(_, heat)| heat.is_none()) {
+                for family in members() {
                     let mut listening: Vec<Listening> = lists
                         .iter()
                         .map(|inner| Listening {
@@ -1048,7 +983,7 @@ mod tests {
                         .iter_mut()
                         .map(|s| s as &mut dyn GradedSource)
                         .collect();
-                    let result = family.run(None, &mut refs, scoring, 10);
+                    let result = family.run(&mut refs, scoring, 10);
                     for list in &mut listening {
                         fed += usize::from(list.noted > Score::ZERO);
                         for answer in &result.answers {
@@ -1081,7 +1016,7 @@ mod tests {
                     for k in [1, 3, 10] {
                         for h in [1, 2, 3] {
                             let ca = Family::new(Probe::Every(h), 0.5, Report::AsHalted);
-                            assert_same_outcome((ca, None), shape, &lists, &ArithmeticMean, k);
+                            assert_same_outcome(ca, shape, &lists, &ArithmeticMean, k);
                         }
                     }
                 }
@@ -1115,12 +1050,6 @@ mod tests {
     #[should_panic(expected = "'liar' is not monotone")]
     fn a_scoring_function_that_lies_about_monotonicity_fails_loudly() {
         let nra = Family::new(Probe::Never, 0.0, Report::AsHalted);
-        outcome(
-            true,
-            (nra, None),
-            &lists(Shape::AntiCorrelated, 60, 4, 1),
-            &Liar,
-            3,
-        );
+        outcome(true, nra, &lists(Shape::AntiCorrelated, 60, 4, 1), &Liar, 3);
     }
 }

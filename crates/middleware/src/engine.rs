@@ -23,15 +23,12 @@
 //!
 //! There is one execution path. A request first locks every source
 //! handle it names, once and in one order, and holds them to its end:
-//! planning, the page-counter snapshot, partitioning and the kernel all
-//! read cursors no other request can move, and requests sharing a
-//! handle run one after the other. It then runs its kernel — the
-//! existing scalar algorithm, so correctness is inherited — on the
-//! calling thread over one proxy per source. The engine spawns threads
-//! in two places only: [`Engine::run_many`]'s request pool, and the
-//! shard workers of a TA request whose
-//! [`crate::policy::ExecPolicy::shards`] asks for them
-//! ([`crate::sharded`]). A source is in memory or reads
+//! planning, the page-counter snapshot and the kernel all read cursors
+//! no other request can move, and requests sharing a handle run one
+//! after the other. It then runs its kernel — the existing scalar
+//! algorithm, so correctness is inherited — on the calling thread over
+//! one proxy per source. The engine spawns threads in one place only,
+//! [`Engine::run_many`]'s request pool. A source is in memory or reads
 //! its pages on demand ([`crate::store`]); against a subsystem that
 //! charges per call it is batching that pays: one call per
 //! [`EngineConfig::batch_size`] objects instead of one per object (E19,
@@ -66,10 +63,10 @@ use crate::stats::{AccessStats, PageIoStats};
 ///
 /// The engine must never take down a whole process mid-query: a
 /// subsystem panicking under the kernel (or a request thread dying
-/// under [`Engine::run_many`], or a shard worker) is reported as a
-/// value, so the caller can fail that one request and keep serving
-/// others. This is the error path `clippy::unwrap_used`, `expect_used`
-/// and `panic` point library code at.
+/// under [`Engine::run_many`]) is reported as a value, so the caller
+/// can fail that one request and keep serving others. This is the
+/// error path `clippy::unwrap_used`, `expect_used` and `panic` point
+/// library code at.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// Algorithm-level validation or execution error, unchanged from
@@ -78,11 +75,11 @@ pub enum EngineError {
     /// A subsystem, the kernel or a worker thread panicked while
     /// serving the request. `stream` names the source whose subsystem
     /// was being called (its [`SourceInfo::label`]), the algorithm when
-    /// no subsystem call was in flight, the shard, or the request slot
-    /// under [`Engine::run_many`]; `message` is the panic payload when
-    /// it was a string.
+    /// no subsystem call was in flight, or the request slot under
+    /// [`Engine::run_many`]; `message` is the panic payload when it was
+    /// a string.
     WorkerPanicked {
-        /// Which stream, shard or request died.
+        /// Which stream or request died.
         stream: String,
         /// The panic message, best effort.
         message: String,
@@ -125,7 +122,7 @@ impl From<EngineError> for AlgoError {
 }
 
 /// Renders a caught panic payload as text, best effort.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -136,7 +133,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The one size an [`Engine`] is built with. How a *request* runs —
-/// algorithm, cost model, θ, intra-query sharding — is the request's
+/// algorithm, cost model, θ — is the request's
 /// [`crate::policy::ExecPolicy`], not engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -364,10 +361,6 @@ impl Engine {
     /// where their cursors stand (every algorithm here rewinds first);
     /// the engine only adds the page traffic of paged sources
     /// ([`AccessStats::page_reads`] and friends).
-    ///
-    /// TA, the one algorithm with a shard kernel, takes the sharded
-    /// path when the request's [`crate::policy::ExecPolicy::shards`]
-    /// asks for two or more.
     pub fn run_algorithm(
         &self,
         algorithm: &dyn TopKAlgorithm,
@@ -376,8 +369,7 @@ impl Engine {
         self.execute(algorithm, request, &mut lock_all(request.sources()))
     }
 
-    /// Runs `algorithm` over the request's held `sources` — sharded when
-    /// it may and the policy asks, serial otherwise — and folds the
+    /// Runs `algorithm` over the request's held `sources` and folds the
     /// sources' page traffic into the result.
     fn execute(
         &self,
@@ -385,18 +377,8 @@ impl Engine {
         request: &TopKRequest,
         sources: &mut [SourceGuard<'_>],
     ) -> Result<TopKResult, EngineError> {
-        // Partitioning reads pages: count from before it, even when the
-        // request falls back to the serial path.
         let page_before: Vec<Option<PageIoStats>> = sources.iter().map(|s| s.page_io()).collect();
-        let sharded = if algorithm.shard_kernel() && request.policy().shards > 1 {
-            try_sharded(request, sources)?
-        } else {
-            None
-        };
-        let mut result = match sharded {
-            Some(result) => result,
-            None => self.run_serial(algorithm, request, sources)?,
-        };
+        let mut result = self.run_kernel(algorithm, request, sources)?;
 
         // Fold the page-traffic delta of every paged source into the
         // request's stats. Sources sharing one store's pool would be
@@ -415,10 +397,10 @@ impl Engine {
         Ok(result)
     }
 
-    /// The one non-sharded path: the kernel runs on the caller's thread
+    /// The one execution path: the kernel runs on the caller's thread
     /// over batch-refilled proxies of the held sources. No thread is
     /// spawned, so `stats.worker_spawns` stays 0.
-    fn run_serial(
+    fn run_kernel(
         &self,
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
@@ -476,8 +458,7 @@ impl Engine {
     /// handful of spawns, not 10 000. The pool's spawns are charged as
     /// [`AccessStats::worker_spawns`] to the batch's first successful
     /// result — every spawned worker, including one that found the
-    /// queue already drained (shard workers are charged to their own
-    /// requests as usual).
+    /// queue already drained.
     pub fn run_many(&self, requests: &[TopKRequest]) -> Vec<Result<TopKResult, EngineError>> {
         if requests.is_empty() {
             return Vec::new();
@@ -491,7 +472,7 @@ impl Engine {
             requests.iter().map(|_| Mutex::new(None)).collect();
         #[expect(
             clippy::disallowed_methods,
-            reason = "the request pool: one of the two library thread sites, joined before the results are read"
+            reason = "the request pool: the library's one thread site, joined before the results are read"
         )]
         thread::scope(|scope| {
             for _ in 0..workers {
@@ -550,38 +531,6 @@ impl Engine {
     }
 }
 
-/// The sharded execution path (see [`crate::sharded`]): partitions
-/// every held source with one consistent partitioner and fans TA out
-/// over `min(shards, universe)` shard workers. Returns `Ok(None)` —
-/// "use the serial path" — when that is fewer than two or any source
-/// cannot be partitioned.
-fn try_sharded(
-    request: &TopKRequest,
-    sources: &[SourceGuard<'_>],
-) -> Result<Option<TopKResult>, EngineError> {
-    // The shard kernel skips the scalar entry point, so reject bad
-    // requests here with the same checks (same errors, same order).
-    let scoring = request.scoring();
-    crate::algorithms::validate(sources, &*scoring, request.k())?;
-    let universe = sources
-        .iter()
-        .map(|s| s.info().universe_size)
-        .min()
-        .unwrap_or(0);
-    let shards = request.policy().shards.min(universe);
-    if shards < 2 {
-        return Ok(None);
-    }
-    let Some(partitioned) = crate::sharded::partition_aligned(
-        sources,
-        crate::source::SourcePartitioner::Modulo,
-        shards,
-    ) else {
-        return Ok(None);
-    };
-    crate::sharded::run_shards(partitioned, &scoring, request.k()).map(Some)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,12 +564,6 @@ mod tests {
             .policy(ExecPolicy::new().algo(Algo::Fa))
             .request()
             .unwrap()
-    }
-
-    /// The same query as [`request`] under another policy (the TA
-    /// tests name their algorithm through `run_algorithm`).
-    fn request_under(policy: ExecPolicy, n: usize, m: usize, seed: u64, k: usize) -> TopKRequest {
-        request(n, m, seed, k).query().clone().into_request(policy)
     }
 
     /// The default policy (`Algo::Auto`) routes through the unified
@@ -989,11 +932,10 @@ mod tests {
     }
 
     #[test]
-    fn non_sharded_runs_spawn_no_threads() {
+    fn a_single_request_runs_on_the_callers_thread() {
         let engine = Engine::default();
         let result = engine.run(&request(200, 3, 9, 5)).unwrap();
         assert_eq!(result.stats.worker_spawns, 0);
-        // TA has a shard kernel, but the default policy never asks.
         let result = engine
             .run_algorithm(&ThresholdAlgorithm, &request(200, 3, 9, 5))
             .unwrap();
@@ -1017,76 +959,6 @@ mod tests {
             .min(requests.len()) as u64;
         assert_eq!(spawns, pool, "one charge per pool worker, not per request");
         assert_eq!(engine.access_totals().worker_spawns, pool);
-    }
-
-    #[test]
-    fn sharded_ta_through_the_engine_matches_serial() {
-        for &(n, m, k) in &[(400usize, 2usize, 7usize), (301, 3, 12), (64, 2, 100)] {
-            let engine = Engine::default();
-            let reference = engine
-                .run_algorithm(&ThresholdAlgorithm, &request(n, m, 77, k))
-                .unwrap();
-            for shards in [2usize, 3, 8] {
-                let sharded = request_under(ExecPolicy::new().sharded_over(shards), n, m, 77, k);
-                let got = engine.run_algorithm(&ThresholdAlgorithm, &sharded).unwrap();
-                assert_eq!(
-                    got.answers, reference.answers,
-                    "n={n} m={m} k={k} p={shards}"
-                );
-                assert!(
-                    got.stats.worker_spawns >= shards as u64,
-                    "shard workers charged"
-                );
-            }
-        }
-    }
-
-    /// Partitioning a paged source reads its pages, and those reads
-    /// are the request's: sharded TA reports what the stores read.
-    #[test]
-    fn sharded_ta_reports_the_pages_partitioning_reads() {
-        use crate::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/store-tests");
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        let stores: Vec<PagedStore> = independent_uniform(20_000, 2, 37)
-            .iter_mut()
-            .zip(0..)
-            .map(|(list, i)| {
-                let path = dir.join(format!("engine-sharded-{i}.fmdb"));
-                build_store_from_source(&path, list, &BuildConfig::DEFAULT).expect("build");
-                PagedStore::open(&path, StoreOptions::with_pool_pages(8)).expect("open")
-            })
-            .collect();
-        let reads = || stores.iter().map(|s| s.page_io().reads).sum::<u64>();
-        let mut query = TopKQuery::compose();
-        for store in &stores {
-            query = query.source(store.source());
-        }
-        let policy = ExecPolicy::new().sharded_over(2);
-        let request = query.scoring(Min).k(10).policy(policy).request().unwrap();
-        let before = reads();
-        let got = Engine::default()
-            .run_algorithm(&ThresholdAlgorithm, &request)
-            .unwrap();
-        assert_eq!(got.stats.worker_spawns, 2, "the request sharded");
-        assert!(got.stats.page_reads > 0, "cold stores read pages");
-        assert_eq!(got.stats.page_reads, reads() - before);
-    }
-
-    #[test]
-    fn sharded_path_rejects_invalid_requests_like_serial() {
-        let engine = Engine::default();
-        let bad = TopKQuery::compose()
-            .sources(independent_uniform(50, 2, 1))
-            .scoring(NotMonotone)
-            .k(3)
-            .policy(ExecPolicy::new().sharded_over(4))
-            .request()
-            .unwrap();
-        assert!(matches!(
-            engine.run_algorithm(&ThresholdAlgorithm, &bad),
-            Err(EngineError::Algo(AlgoError::NonMonotoneScoring(_)))
-        ));
     }
 
     /// One `Algo` → plan table: `explain`, `resolve` and

@@ -17,16 +17,11 @@
 //!   the executable request ([`request::TopKRequest`] = query +
 //!   policy) with shared source handles every strategy accepts;
 //! * [`policy`] — the [`policy::ExecPolicy`] execution policy:
-//!   algorithm choice, charged cost model, θ-approximation, and
-//!   per-request shard settings;
+//!   algorithm choice, charged cost model and θ-approximation;
 //! * [`engine`] — the batched execution engine: the scalar kernels
 //!   run on the caller's thread over batch-refilled sorted streams,
 //!   bit-identical to the scalar algorithms; a bounded pool serves
 //!   request batches;
-//! * [`sharded`] — partition-parallel intra-query execution: per-shard
-//!   TA kernels cooperating through a shared bound on the k-th grade,
-//!   their answers merged by the output comparator every kernel ends
-//!   in;
 //! * [`oracle`] — brute-force reference grading and top-k validity
 //!   checking (used pervasively in tests);
 //! * [`optimality`] — the per-instance optimality oracle: the cheapest
@@ -76,13 +71,14 @@
 
 pub mod algorithms;
 pub mod engine;
+#[doc(hidden)]
+pub mod frozen;
 mod lru;
 pub mod optimality;
 pub mod oracle;
 pub mod planner;
 pub mod policy;
 pub mod request;
-pub mod sharded;
 pub mod source;
 pub mod stats;
 pub mod store;
@@ -112,8 +108,7 @@ pub mod prelude {
         shared_source, SharedScoring, SharedSource, TopKQuery, TopKQueryBuilder, TopKRequest,
     };
     pub use crate::source::{
-        GradedSource, Oid, ShardedSource, SourceInfo, SourcePartitioner, SourceViolation,
-        ValidatingSource, VecSource,
+        GradedSource, Oid, SourceInfo, SourceViolation, ValidatingSource, VecSource,
     };
     pub use crate::stats::{AccessStats, CostModel, PageIoStats};
     pub use crate::store::{

@@ -7,9 +7,7 @@
 //!   ([`crate::request::TopKQuery`]): *what* to compute;
 //! * the **policy** — [`ExecPolicy`]: *how* to compute it. Algorithm
 //!   choice ([`Algo`]), the access [`CostModel`] (Fagin–Lotem–Naor's
-//!   `c_S`/`c_R`), the grade slack ([`Approximation`]), and
-//!   intra-query sharding ([`ExecPolicy::shards`]) — a per-request
-//!   setting only; the engine has no shard count of its own.
+//!   `c_S`/`c_R`) and the grade slack ([`Approximation`]).
 //!
 //! [`Algo::Auto`] defers the choice to the unified cost-based planner
 //! ([`crate::planner`]). [`crate::engine::Engine::run`] gathers
@@ -108,10 +106,6 @@ pub struct ExecPolicy {
     pub cost: CostModel,
     /// Tolerated grade slack.
     pub approximation: Approximation,
-    /// Intra-query sharding: up to this many shard workers
-    /// ([`crate::sharded`]); 0 or 1 runs the kernel on the caller's
-    /// thread. Only TA shards — every other algorithm runs serial.
-    pub shards: usize,
 }
 
 impl Default for ExecPolicy {
@@ -122,12 +116,11 @@ impl Default for ExecPolicy {
 
 impl ExecPolicy {
     /// The default policy: `Auto` under the paper's uniform cost
-    /// measure, exact answers, one shard (no intra-query sharding).
+    /// measure, exact answers.
     pub const DEFAULT: ExecPolicy = ExecPolicy {
         algo: Algo::Auto,
         cost: CostModel::UNIFORM,
         approximation: Approximation::Exact,
-        shards: 1,
     };
 
     /// Starts from the defaults; chain the setters to specialize.
@@ -156,12 +149,6 @@ impl ExecPolicy {
     /// Demands the exact answer (the default).
     pub fn exact(mut self) -> Self {
         self.approximation = Approximation::Exact;
-        self
-    }
-
-    /// Requests up to `shards` shard workers ([`ExecPolicy::shards`]).
-    pub fn sharded_over(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -332,13 +319,5 @@ mod tests {
         assert_eq!(ExecPolicy::new().cost_model(ratio(0.1)).interleave(), 1);
         assert_eq!(ExecPolicy::new().cost_model(ratio(3.0)).interleave(), 3);
         assert_eq!(ExecPolicy::new().cost_model(ratio(100.0)).interleave(), 100);
-    }
-
-    #[test]
-    fn sharding_is_per_request_only() {
-        let p = ExecPolicy::new();
-        assert_eq!(p.shards, 1);
-        assert_eq!(p.sharded_over(4).shards, 4);
-        assert_eq!(p.sharded_over(4).sharded_over(1), p);
     }
 }

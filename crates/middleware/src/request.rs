@@ -10,8 +10,8 @@
 //!
 //! * [`TopKQuery`] — graded sources, a scoring function, `k`, and
 //!   optional Fagin–Wimmers weights. Built with [`TopKQuery::compose`].
-//! * [`ExecPolicy`] — algorithm, [`crate::stats::CostModel`], θ-slack,
-//!   sharding. Built with [`ExecPolicy::new`].
+//! * [`ExecPolicy`] — algorithm, [`crate::stats::CostModel`], θ-slack.
+//!   Built with [`ExecPolicy::new`].
 //! * [`TopKRequest`] — the pair, accepted by every algorithm and by
 //!   the batched [`crate::engine::Engine`].
 //!
@@ -37,8 +37,7 @@
 //! ([`TopKQueryBuilder::shared_source`]). A run holds every handle of
 //! its request from start to end: the engine and
 //! [`TopKQuery::with_sources`] lock them once, in one order, and the
-//! kernel drives the locked sources from a single thread (TA's shard
-//! workers read partitions of them, not the handles). So a handle may
+//! kernel drives the locked sources from a single thread. So a handle may
 //! appear once per query, and concurrent requests that share a handle
 //! run one after the other — the only correct schedule for a single
 //! cursor.

@@ -15,9 +15,8 @@
 //! which is what makes the *database access cost* (sorted accesses +
 //! random accesses) a meaningful complexity measure.
 //!
-//! The materialized implementation, [`VecSource`] — a shard of a list
-//! is one too — keeps a list as two arrays, one per access mode; see
-//! DESIGN §17.
+//! The materialized implementation, [`VecSource`], keeps a list as two
+//! arrays, one per access mode; see DESIGN §17.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -25,6 +24,9 @@ use std::sync::Arc;
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::stats::GradeHistogram;
+
+#[doc(hidden)]
+pub use crate::frozen::{ShardedSource, SourcePartitioner};
 
 /// Object identity, assumed (as Garlic had to ensure, §4.2) to be a
 /// one-to-one mapping across all subsystems participating in a query.
@@ -121,18 +123,9 @@ pub trait GradedSource {
         oids.iter().map(|&oid| self.random_access(oid)).collect()
     }
 
-    /// Splits this source into `shards` disjoint [`ShardedSource`]s
-    /// under `partitioner`, or `None` when the implementation cannot
-    /// materialize shards (a truly remote subsystem streams — it cannot
-    /// be split without draining it first).
-    ///
-    /// Shard `i` streams exactly the objects with
-    /// `partitioner.shard_of(oid, shards) == i`, in the same descending
-    /// grade order as the parent stream, while random access still
-    /// answers over the parent's full universe. The engine partitions
-    /// every source of one query with the *same* partitioner, which is
-    /// what keeps the per-shard threshold bound valid (see the
-    /// `sharded` module).
+    /// A shim ([`crate::frozen`]): `SourcePartitioner` has no values,
+    /// so nothing can call this. No source in the workspace overrides it.
+    #[doc(hidden)]
     fn partition(
         &self,
         partitioner: SourcePartitioner,
@@ -231,33 +224,11 @@ impl fmt::Debug for dyn GradedSource + Send + '_ {
     }
 }
 
-/// How a query's universe of oids is split into disjoint shards.
-///
-/// All sources of one sharded query must be split by the *same*
-/// partitioner: per-shard TA bounds the grades of a shard's unseen
-/// objects by the shard's stream bottoms, and that bound only holds if
-/// "object o belongs to shard i" means the same thing in every source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourcePartitioner {
-    /// `oid % shards` — balanced for arbitrary (sparse) oid spaces.
-    Modulo,
-}
-
-impl SourcePartitioner {
-    /// The shard (in `0..shards`) that owns `oid`.
-    pub fn shard_of(&self, oid: Oid, shards: usize) -> usize {
-        match *self {
-            SourcePartitioner::Modulo => (oid % shards.max(1) as u64) as usize,
-        }
-    }
-}
-
 /// The random-access half of a materialized graded list: its
 /// `(oid, grade)` pairs in one array, ascending by oid, every oid once.
 ///
 /// [`OidIndex::new`] is the one normalisation of "pairs a caller
-/// handed us" that [`VecSource::new`], the store builder and
-/// [`crate::store::PagedSource`]'s `partition` share, and
+/// handed us" that [`VecSource::new`] and the store builder share, and
 /// [`OidIndex::sorted_stream`] is the one derivation of the sorted
 /// half from it. Cloning shares the array.
 #[derive(Debug, Clone)]
@@ -326,17 +297,6 @@ impl OidIndex {
     }
 }
 
-/// One shard of a partitioned [`GradedSource`]: a list like any other.
-///
-/// Sorted access streams only the objects the shard owns (in the
-/// parent's descending order); random access still answers over the
-/// parent's full universe, so a shard honors the source contract even
-/// if probed about out-of-shard objects. The parent's random index is
-/// one array behind an [`Arc`]: sibling shards and the parent itself
-/// all read the same one, so partitioning copies the sorted stream into
-/// its slices and nothing else.
-pub type ShardedSource = VecSource;
-
 /// An in-memory [`GradedSource`] over an explicit grade assignment.
 ///
 /// This is both the test double for the algorithms and the adapter the
@@ -352,8 +312,7 @@ pub struct VecSource {
     label: String,
     /// `(oid, grade)` sorted by descending grade, then ascending oid.
     sorted: Vec<ScoredObject<Oid>>,
-    /// Random-access index: the same pairs, ascending by oid — for a
-    /// shard, the parent's, shared with it and across siblings.
+    /// Random-access index: the same pairs, ascending by oid.
     by_oid: OidIndex,
     cursor: usize,
 }
@@ -408,37 +367,6 @@ impl VecSource {
     pub fn max_oid(&self) -> Option<Oid> {
         self.by_oid.entries().last().map(|&(oid, _)| oid)
     }
-
-    /// Splits a materialized stream into shards.
-    ///
-    /// `sorted` must be in descending-grade / ascending-oid order (the
-    /// source contract); each shard inherits that order, and reports
-    /// its own slice as its universe: that is what its sorted stream
-    /// can produce, and what per-shard algorithms should size their
-    /// work by. `by_oid` is the parent's full random-access index.
-    pub(crate) fn split(
-        label: &str,
-        sorted: &[ScoredObject<Oid>],
-        by_oid: OidIndex,
-        partitioner: SourcePartitioner,
-        shards: usize,
-    ) -> Vec<ShardedSource> {
-        let p = shards.max(1);
-        let mut parts: Vec<Vec<ScoredObject<Oid>>> = vec![Vec::new(); p];
-        for &item in sorted {
-            parts[partitioner.shard_of(item.id, p)].push(item);
-        }
-        parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, part)| VecSource {
-                label: format!("{label}[shard {i}/{p}]"),
-                sorted: part,
-                by_oid: by_oid.clone(),
-                cursor: 0,
-            })
-            .collect()
-    }
 }
 
 impl GradedSource for VecSource {
@@ -473,26 +401,6 @@ impl GradedSource for VecSource {
 
     fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
         oids.iter().map(|&oid| self.by_oid.grade(oid)).collect()
-    }
-
-    // In-memory sources are trivially partitionable: the sorted stream
-    // is already materialized and the shards read this source's own
-    // random index.
-    fn partition(
-        &self,
-        partitioner: SourcePartitioner,
-        shards: usize,
-    ) -> Option<Vec<ShardedSource>> {
-        if shards == 0 {
-            return None;
-        }
-        Some(VecSource::split(
-            &self.label,
-            &self.sorted,
-            self.by_oid.clone(),
-            partitioner,
-            shards,
-        ))
     }
 
     // The sorted vec is materialized, so quantiles are O(bins) index
@@ -1011,65 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn modulo_partitioner_spreads_sparse_oids() {
-        let part = SourcePartitioner::Modulo;
-        assert_eq!(part.shard_of(0, 3), 0);
-        assert_eq!(part.shard_of(7, 3), 1);
-        assert_eq!(part.shard_of(1_000_001, 2), 1);
-        // Degenerate shard count behaves as a single shard.
-        assert_eq!(part.shard_of(42, 0), 0);
-    }
-
-    #[test]
-    fn partition_covers_stream_and_preserves_order() {
-        let grades: Vec<Score> = (0..23).map(|i| s((i as f64 * 7.3) % 1.0)).collect();
-        let src = VecSource::from_dense("t", &grades);
-        let part = SourcePartitioner::Modulo;
-        for &p in &[1usize, 2, 3, 8] {
-            let mut shards = src.partition(part, p).unwrap();
-            assert_eq!(shards.len(), p);
-            let mut seen: Vec<Oid> = Vec::new();
-            for (i, shard) in shards.iter_mut().enumerate() {
-                let mut last: Option<Score> = None;
-                while let Some(item) = shard.sorted_next() {
-                    // Membership matches the partitioner...
-                    assert_eq!(part.shard_of(item.id, p), i);
-                    // ...stream order stays descending...
-                    if let Some(prev) = last {
-                        assert!(item.grade <= prev);
-                    }
-                    last = Some(item.grade);
-                    seen.push(item.id);
-                    // ...and random access agrees with the parent.
-                    assert_eq!(shard.random_access(item.id), item.grade);
-                }
-            }
-            seen.sort_unstable();
-            assert_eq!(seen, (0..23).collect::<Vec<Oid>>(), "shards must tile");
-        }
-    }
-
-    #[test]
-    fn sharded_source_answers_out_of_shard_probes() {
-        let src = VecSource::from_dense("t", &[s(0.1), s(0.9), s(0.5), s(0.7)]);
-        let mut shards = src.partition(SourcePartitioner::Modulo, 2).unwrap();
-        // Shard 0 owns even oids but can still grade odd ones.
-        assert_eq!(shards[0].random_access(1), s(0.9));
-        assert_eq!(shards[0].random_access(999), Score::ZERO);
-        // Rewind restarts the shard's own stream.
-        let first = shards[1].sorted_next().unwrap();
-        shards[1].rewind();
-        assert_eq!(shards[1].sorted_next(), Some(first));
-    }
-
-    #[test]
-    fn default_partition_is_none() {
-        // A wrapper without an override cannot be sharded.
-        let counted = CountingSource::new(VecSource::from_dense("t", &[s(0.5)]));
-        assert!(counted.partition(SourcePartitioner::Modulo, 2).is_none());
-    }
-
-    #[test]
     fn counting_source_meters_accesses() {
         let mut src = CountingSource::new(VecSource::from_dense("t", &[s(0.3), s(0.7)]));
         let _ = src.sorted_next();
@@ -1084,10 +933,10 @@ mod tests {
         assert_eq!(src.sorted_accesses(), 2);
     }
 
-    /// The `HashMap`-based `VecSource` / `ShardedSource` this module
-    /// shipped before lists became arrays, kept as the oracle of
-    /// [`array_index_matches_the_hash_model`]: construction, random
-    /// access and partitioning exactly as they were.
+    /// The `HashMap`-based `VecSource` this module shipped before lists
+    /// became arrays, kept as the oracle of
+    /// [`array_index_matches_the_hash_model`]: construction and random
+    /// access exactly as they were.
     mod hash_model {
         use super::super::*;
         use std::collections::HashMap;
@@ -1096,7 +945,7 @@ mod tests {
         pub struct HashSource {
             pub label: String,
             pub sorted: Vec<ScoredObject<Oid>>,
-            pub by_oid: Arc<HashMap<Oid, Score>>,
+            pub by_oid: HashMap<Oid, Score>,
             pub cursor: usize,
         }
 
@@ -1114,30 +963,9 @@ mod tests {
                 HashSource {
                     label: label.into(),
                     sorted,
-                    by_oid: Arc::new(by_oid),
+                    by_oid,
                     cursor: 0,
                 }
-            }
-
-            /// `VecSource::partition` over `VecSource::split`: a
-            /// shard is the same struct over its slice of the stream
-            /// and the parent's whole index.
-            pub fn partition(&self, partitioner: SourcePartitioner, shards: usize) -> Vec<Self> {
-                let p = shards.max(1);
-                let mut parts: Vec<Vec<ScoredObject<Oid>>> = vec![Vec::new(); p];
-                for &item in &self.sorted {
-                    parts[partitioner.shard_of(item.id, p)].push(item);
-                }
-                parts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, part)| HashSource {
-                        label: format!("{}[shard {i}/{p}]", self.label),
-                        sorted: part,
-                        by_oid: Arc::clone(&self.by_oid),
-                        cursor: 0,
-                    })
-                    .collect()
             }
         }
 
@@ -1258,17 +1086,6 @@ mod tests {
             let mut want = hash_model::HashSource::new("t", pairs);
             assert_observably_equal(&mut got, &mut want, &probes, bound)?;
             prop_assert_eq!(got.max_oid(), want.by_oid.keys().copied().max());
-
-            for shards in 1..=4 {
-                let got_shards = got.partition(SourcePartitioner::Modulo, shards).unwrap();
-                let want_shards = want.partition(SourcePartitioner::Modulo, shards);
-                prop_assert_eq!(got_shards.len(), want_shards.len());
-                // `probes` holds every oid of the parent, so each
-                // shard is probed about its siblings' objects too.
-                for (mut g, mut w) in got_shards.into_iter().zip(want_shards) {
-                    assert_observably_equal(&mut g, &mut w, &probes, bound)?;
-                }
-            }
         }
     }
 }

@@ -31,11 +31,10 @@ pub struct AccessStats {
     /// Objects obtained under random access, summed over all sources.
     pub random: u64,
     /// Worker threads the engine spawned while serving this request:
-    /// shard workers under the sharded path, and — under
-    /// `Engine::run_many` — the pooled batch workers, charged once to
-    /// the batch's first successful result. 0 for a non-sharded
-    /// `Engine::run`. Physical-execution telemetry, not part of the
-    /// paper's access cost.
+    /// under `Engine::run_many`, the pooled batch workers, charged once
+    /// to the batch's first successful result. 0 for `Engine::run`,
+    /// which runs on the caller's thread. Physical-execution telemetry,
+    /// not part of the paper's access cost.
     pub worker_spawns: u64,
     /// Pages read from storage while serving this request, summed over
     /// every paged source ([`crate::store::PagedSource`]) the request

@@ -17,9 +17,8 @@
 //!   length, and loads the page directory and the persisted stats
 //!   page.
 //! * [`PagedSource`] is a full [`GradedSource`] over the store:
-//!   batched sorted/random access, [`GradedSource::partition`] for
-//!   sharded execution, and [`GradedSource::grade_histogram`] answered
-//!   from the stats page without touching data pages. It is
+//!   batched sorted/random access, and [`GradedSource::grade_histogram`]
+//!   answered from the stats page without touching data pages. It is
 //!   bit-identical to a `VecSource` built from the same pairs —
 //!   answers, grades, and charged [`crate::stats::AccessStats`] —
 //!   which the `paged_equivalence` proptest suite proves.
@@ -56,9 +55,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::stats::GradeHistogram;
 
-use crate::source::{
-    GradedSource, Oid, OidIndex, ShardedSource, SourceInfo, SourcePartitioner, VecSource,
-};
+use crate::source::{GradedSource, Oid, SourceInfo};
 use crate::stats::PageIoStats;
 
 pub use format::{build_store, BuildConfig, Header, StoreError};
@@ -790,33 +787,6 @@ impl GradedSource for PagedSource {
         }
     }
 
-    // Partitioning materializes the sorted run once (a fresh cursor's
-    // sequential drain through the pool) and shares the random index
-    // across shards, exactly like `VecSource::partition`. A drain that
-    // comes up short hit a read error, which is parked.
-    fn partition(
-        &self,
-        partitioner: SourcePartitioner,
-        shards: usize,
-    ) -> Option<Vec<ShardedSource>> {
-        if shards == 0 {
-            return None;
-        }
-        let header = &self.inner.header;
-        let sorted = PagedSource::new(Arc::clone(&self.inner)).sorted_batch(usize::MAX);
-        if sorted.len() as u64 != header.n {
-            return None;
-        }
-        let by_oid = OidIndex::new(sorted.iter().map(|so| (so.id, so.grade)).collect());
-        Some(VecSource::split(
-            &header.label,
-            &sorted,
-            by_oid,
-            partitioner,
-            shards,
-        ))
-    }
-
     // The stats page is the whole point: the planner prices this
     // source without touching a single data page. The persisted
     // histogram was built by the same `from_sorted_by` the in-memory
@@ -1021,31 +991,6 @@ pub(crate) mod tests {
         let mut paged = store.source();
         vec.rewind();
         assert_eq!(paged.sorted_batch(300), vec.sorted_batch(300));
-    }
-
-    #[test]
-    fn partition_matches_vecsource_partition() {
-        let pairs = sample_pairs(200, 3);
-        let path = scratch("partition.fmdb");
-        build_store(&path, "p", pairs.clone(), &BuildConfig::with_page_size(256)).unwrap();
-        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
-        let paged_shards = store
-            .source()
-            .partition(SourcePartitioner::Modulo, 3)
-            .expect("paged stores partition");
-        let vec_shards = VecSource::new("p", pairs)
-            .partition(SourcePartitioner::Modulo, 3)
-            .expect("vec sources partition");
-        for (mut a, mut b) in paged_shards.into_iter().zip(vec_shards) {
-            assert_eq!(a.info().universe_size, b.info().universe_size);
-            loop {
-                let (x, y) = (a.sorted_next(), b.sorted_next());
-                assert_eq!(x, y);
-                if x.is_none() {
-                    break;
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Property suite: the batched [`Engine`] is observationally
 //! identical to the scalar reference algorithms.
 //!
-//! For seeded workloads spanning m ∈ {2, 3, 4} and k ∈ {1, 10, 50},
-//! and for *any* engine batch size, the engine must return the same
-//! answers — same objects, same grades, same order — and charge
-//! exactly the same `sorted`/`random` access counts as the scalar
-//! `FaginsAlgorithm` / `ThresholdAlgorithm` / `Nra` run. Answers are
-//! additionally checked against the exhaustive oracle, so a bug that
-//! broke engine and scalar paths identically would still be caught.
+//! For seeded workloads spanning m ∈ {2, 3, 4}, k ∈ {1, 10, 50} and
+//! k beyond the universe, uniform and tie-heavy lists (grades on 2–9
+//! levels), `min` and the arithmetic mean, and for *any* engine batch
+//! size, the engine must return the same answers — same objects, same
+//! grades, same order — and charge exactly the same `sorted`/`random`
+//! access counts as the scalar `FaginsAlgorithm` / `ThresholdAlgorithm`
+//! / `Nra` run. Answers are additionally checked against the exhaustive
+//! oracle, so a bug that broke engine and scalar paths identically
+//! would still be caught.
 
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use fmdb_core::score::{Score, ScoredObject};
+use fmdb_core::scoring::means::ArithmeticMean;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::nra::NraLowerBound;
@@ -22,16 +27,31 @@ use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
 use fmdb_middleware::engine::{Engine, EngineConfig, EngineError};
 use fmdb_middleware::oracle::{all_grades, verify_top_k};
 use fmdb_middleware::policy::{Algo, ExecPolicy};
-use fmdb_middleware::request::{shared_source, SharedSource, TopKQuery, TopKRequest};
+use fmdb_middleware::request::{
+    shared_source, SharedScoring, SharedSource, TopKQuery, TopKRequest,
+};
 use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, VecSource};
 use fmdb_middleware::workload::independent_uniform;
+
+/// The lists a scenario runs on.
+#[derive(Debug, Clone, Copy)]
+enum Lists {
+    /// `independent_uniform`: i.i.d. uniform grades.
+    Uniform,
+    /// Grades drawn uniformly from this many evenly spaced levels of
+    /// `[0, 1]`: every list is mostly ties.
+    Tied(usize),
+}
 
 /// One randomly drawn engine-vs-scalar comparison.
 #[derive(Debug, Clone, Copy)]
 struct Scenario {
+    lists: Lists,
     n: usize,
     m: usize,
     k: usize,
+    /// The arithmetic mean instead of `min`.
+    mean: bool,
     seed: u64,
     batch_size: usize,
 }
@@ -39,29 +59,59 @@ struct Scenario {
 fn scenario() -> impl Strategy<Value = Scenario> {
     (
         (
+            prop_oneof![Just(Lists::Uniform), (2usize..=9).prop_map(Lists::Tied)],
+            prop_oneof![Just(false), Just(true)],
+        ),
+        (
             60usize..400,
             2usize..=4,
-            prop_oneof![Just(1usize), Just(10usize), Just(50usize)],
+            // 400 is beyond every universe: the answer is all of it.
+            prop_oneof![Just(1usize), Just(10usize), Just(50usize), Just(400usize)],
         ),
         (0u64..1_000_000, 1usize..=130),
     )
-        .prop_map(|((n, m, k), (seed, batch_size))| Scenario {
+        .prop_map(|((lists, mean), (n, m, k), (seed, batch_size))| Scenario {
+            lists,
             n,
             m,
             k,
+            mean,
             seed,
             batch_size,
         })
 }
 
+fn sources(s: Scenario) -> Vec<VecSource> {
+    let Lists::Tied(levels) = s.lists else {
+        return independent_uniform(s.n, s.m, s.seed);
+    };
+    let mut rng = StdRng::seed_from_u64(s.seed);
+    (0..s.m)
+        .map(|i| {
+            let grades: Vec<Score> = (0..s.n)
+                .map(|_| Score::clamped(rng.gen_range(0..levels) as f64 / (levels - 1) as f64))
+                .collect();
+            VecSource::from_dense(format!("tied-{i}"), &grades)
+        })
+        .collect()
+}
+
+fn scoring(s: Scenario) -> SharedScoring {
+    if s.mean {
+        Arc::new(ArithmeticMean)
+    } else {
+        Arc::new(Min)
+    }
+}
+
 fn scalar_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
-    let mut sources = independent_uniform(s.n, s.m, s.seed);
+    let mut sources = sources(s);
     let mut refs: Vec<&mut dyn GradedSource> = sources
         .iter_mut()
         .map(|src| src as &mut dyn GradedSource)
         .collect();
     algorithm
-        .top_k(&mut refs, &Min, s.k)
+        .top_k(&mut refs, &*scoring(s), s.k)
         .expect("scalar reference run must succeed")
 }
 
@@ -70,8 +120,8 @@ fn engine_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
         batch_size: s.batch_size,
     });
     let request = TopKQuery::compose()
-        .sources(independent_uniform(s.n, s.m, s.seed))
-        .scoring(Min)
+        .sources(sources(s))
+        .shared_scoring(scoring(s))
         .k(s.k)
         .request()
         .expect("request must validate");
@@ -102,12 +152,12 @@ fn assert_equivalent(
 
 /// Oracle check for exact-grade algorithms (FA, TA).
 fn assert_oracle_exact(s: Scenario, result: &TopKResult) -> Result<(), TestCaseError> {
-    let mut sources = independent_uniform(s.n, s.m, s.seed);
+    let mut sources = sources(s);
     let mut refs: Vec<&mut dyn GradedSource> = sources
         .iter_mut()
         .map(|src| src as &mut dyn GradedSource)
         .collect();
-    let verdict = verify_top_k(&mut refs, &Min, &result.answers, s.k);
+    let verdict = verify_top_k(&mut refs, &*scoring(s), &result.answers, s.k);
     prop_assert!(
         verdict.is_ok(),
         "oracle rejected answers under {:?}: {:?}",
@@ -121,12 +171,12 @@ fn assert_oracle_exact(s: Scenario, result: &TopKResult) -> Result<(), TestCaseE
 /// so verify the answer **set** instead — every returned object's true
 /// grade must be at least the k-th best true grade (tie-tolerant).
 fn assert_oracle_set(s: Scenario, result: &TopKResult) -> Result<(), TestCaseError> {
-    let mut sources = independent_uniform(s.n, s.m, s.seed);
+    let mut sources = sources(s);
     let mut refs: Vec<&mut dyn GradedSource> = sources
         .iter_mut()
         .map(|src| src as &mut dyn GradedSource)
         .collect();
-    let truth = all_grades(&mut refs, &Min);
+    let truth = all_grades(&mut refs, &*scoring(s));
     let mut grades: Vec<_> = truth.values().copied().collect();
     grades.sort_by(|a, b| b.partial_cmp(a).expect("grades are ordered"));
     let expected = s.k.min(grades.len());
@@ -180,9 +230,11 @@ fn engine_matches_scalar_on_the_full_named_grid() {
         for k in [1usize, 10, 50] {
             for batch_size in [1, 7, 64, 1000] {
                 let s = Scenario {
+                    lists: Lists::Uniform,
                     n: 256,
                     m,
                     k,
+                    mean: false,
                     seed: 41 * m as u64 + k as u64,
                     batch_size,
                 };
