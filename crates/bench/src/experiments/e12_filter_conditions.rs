@@ -8,7 +8,7 @@ use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::cg_filter::CgFilter;
 use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::request::SharedScoring;
-use fmdb_middleware::source::GradedSource;
+use fmdb_middleware::source::Subsystem;
 use fmdb_middleware::workload::independent_uniform;
 
 use crate::report::{f3, int, Report, Table};
@@ -51,9 +51,9 @@ pub fn run(cfg: &RunCfg) -> Report {
         let mut tau_final = 0.0;
         for seed in 0..cfg.seeds {
             let mut sources = independent_uniform(n, 2, seed);
-            let mut refs: Vec<&mut dyn GradedSource> = sources
+            let mut refs: Vec<&mut dyn Subsystem> = sources
                 .iter_mut()
-                .map(|s| s as &mut dyn GradedSource)
+                .map(|s| s as &mut dyn Subsystem)
                 .collect();
             let filter = CgFilter::new(tau0, decay).expect("valid schedule");
             let run = filter.run(&mut refs, &Min, k).expect("query runs");

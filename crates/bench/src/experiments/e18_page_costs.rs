@@ -19,7 +19,7 @@ use std::time::Instant;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::TopKAlgorithm;
-use fmdb_middleware::source::{GradedSource, VecSource};
+use fmdb_middleware::source::{Subsystem, VecSource};
 use fmdb_middleware::stats::PageIoStats;
 use fmdb_middleware::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
 use fmdb_middleware::workload::independent_uniform;
@@ -64,25 +64,26 @@ fn ta_over_stores(
 ) -> (f64, PageIoStats, Vec<fmdb_core::score::ScoredObject<u64>>) {
     let before = pool_totals(stores);
     let mut cursors: Vec<_> = stores.iter().map(|s| s.source()).collect();
-    let mut refs: Vec<&mut dyn GradedSource> = cursors
+    let mut refs: Vec<&mut dyn Subsystem> = cursors
         .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
+        .map(|s| s as &mut dyn Subsystem)
         .collect();
     let start = Instant::now();
+    // A page that fails its checksum fails the run with a typed error.
     let result = ThresholdAlgorithm
-        .top_k(&mut refs, &Min, k)
-        .expect("valid run");
+        .evaluate(&mut refs, &Min, k)
+        .unwrap_or_else(|e| panic!("paged TA failed: {e}"));
     let wall = start.elapsed().as_secs_f64() * 1e3;
     (wall, pool_totals(stores) - before, result.answers)
 }
 
 /// Rewinds every source and drains its sorted run; returns wall-clock
 /// ms. `black_box` keeps the loop from being folded away.
-fn drain(sources: &mut [impl GradedSource]) -> f64 {
+fn drain(sources: &mut [impl Subsystem]) -> f64 {
     let start = Instant::now();
     for src in sources {
         src.rewind();
-        while let Some(pair) = src.sorted_next() {
+        while let Some(pair) = src.sorted_next().expect("no page fails") {
             std::hint::black_box(pair);
         }
     }
@@ -91,11 +92,11 @@ fn drain(sources: &mut [impl GradedSource]) -> f64 {
 
 /// Probes every source once per oid, one scalar `random_access` at a
 /// time; returns wall-clock ms.
-fn probe(sources: &mut [impl GradedSource], oids: &[u64]) -> f64 {
+fn probe(sources: &mut [impl Subsystem], oids: &[u64]) -> f64 {
     let start = Instant::now();
     for src in sources {
         for &oid in oids {
-            std::hint::black_box(src.random_access(oid));
+            std::hint::black_box(src.random_access(oid).expect("no page fails"));
         }
     }
     start.elapsed().as_secs_f64() * 1e3
@@ -143,7 +144,7 @@ fn cold_us_per_page_read() -> f64 {
         store.clear_pool();
         let mut src = store.source();
         let start = Instant::now();
-        while !std::hint::black_box(src.sorted_batch(256)).is_empty() {}
+        while !std::hint::black_box(src.sorted_batch(256).expect("no page fails")).is_empty() {}
         let us = start.elapsed().as_secs_f64() * 1e6;
         let reads = store.page_io().reads;
         assert!(reads >= 250, "a full drain reads every sorted page");
@@ -176,13 +177,13 @@ pub fn run(cfg: &RunCfg) -> Report {
         for s in sources.iter_mut() {
             s.rewind();
         }
-        let mut refs: Vec<&mut dyn GradedSource> = sources
+        let mut refs: Vec<&mut dyn Subsystem> = sources
             .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
+            .map(|s| s as &mut dyn Subsystem)
             .collect();
         let start = Instant::now();
         let result = ThresholdAlgorithm
-            .top_k(&mut refs, &Min, k)
+            .evaluate(&mut refs, &Min, k)
             .expect("valid run");
         (start.elapsed().as_secs_f64() * 1e3, result.answers)
     };
@@ -229,9 +230,6 @@ pub fn run(cfg: &RunCfg) -> Report {
             f3(warm_ms),
             f3(hit_rate),
         ]);
-        for err in stores_errors(&stores) {
-            report.note(format!("store error (should not happen): {err}"));
-        }
         if page_size == 4096 {
             cold_wall_ms = cold_ms;
             warm_wall_ms = warm_ms;
@@ -353,12 +351,4 @@ pub fn run(cfg: &RunCfg) -> Report {
          FA/TA/NRA/CA).",
     );
     report
-}
-
-/// Collects any parked runtime errors (expected: none).
-fn stores_errors(stores: &[PagedStore]) -> Vec<String> {
-    stores
-        .iter()
-        .filter_map(|s| s.take_error().map(|e| e.to_string()))
-        .collect()
 }

@@ -43,7 +43,7 @@ use fmdb_middleware::algorithms::TopKAlgorithm;
 use fmdb_middleware::engine::Engine;
 use fmdb_middleware::policy::{Algo, ExecPolicy};
 use fmdb_middleware::request::{TopKQuery, TopKRequest};
-use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, VecSource};
+use fmdb_middleware::source::{GradedSource, Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use fmdb_middleware::workload::{correlated_pair, independent_uniform};
 
 use crate::report::{f3, int, Bound, Report, Table};
@@ -168,27 +168,31 @@ impl PerCall {
     }
 }
 
-impl GradedSource for PerCall {
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
+impl Subsystem for PerCall {
+    fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
         self.round_trip();
-        self.inner.sorted_next()
+        Subsystem::sorted_next(&mut self.inner)
     }
 
-    fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
         self.round_trip();
-        self.inner.sorted_batch(n)
+        Subsystem::sorted_batch(&mut self.inner, n)
     }
 
-    fn random_access(&mut self, oid: Oid) -> Score {
-        self.inner.random_access(oid)
+    fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
+        Subsystem::random_access(&mut self.inner, oid)
+    }
+
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+        Subsystem::random_batch(&mut self.inner, oids)
     }
 
     fn rewind(&mut self) {
-        self.inner.rewind();
+        Subsystem::rewind(&mut self.inner);
     }
 
     fn info(&self) -> SourceInfo {
-        self.inner.info()
+        Subsystem::info(&self.inner)
     }
 }
 
@@ -354,9 +358,9 @@ pub fn run(cfg: &RunCfg) -> Report {
                 total_fa_random += fa.stats.random;
 
                 let mut b = make(seed);
-                let mut refs_b: Vec<&mut dyn GradedSource> =
-                    b.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
-                let nra = Nra.top_k(&mut refs_b, &Min, k).expect("valid run");
+                let mut refs_b: Vec<&mut dyn Subsystem> =
+                    b.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+                let nra = Nra.evaluate(&mut refs_b, &Min, k).expect("valid run");
                 assert_eq!(nra.stats.random, 0);
                 total_nra_sorted += nra.stats.sorted;
                 exact += nra.answers.iter().filter(|x| x.is_exact()).count();

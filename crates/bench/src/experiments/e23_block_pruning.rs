@@ -199,7 +199,7 @@ pub fn run(cfg: &RunCfg) -> Report {
             // reference exactly.
             let mut reference = src.clone();
             reference.rewind();
-            let want = reference.sorted_drain_bounded(bound).expect("vec drains");
+            let want = reference.sorted_drain_bounded(bound);
             assert_eq!(v, want, "bounded drain must match the in-memory source");
             v.len()
         });

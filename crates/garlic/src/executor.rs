@@ -18,7 +18,7 @@ use fmdb_middleware::engine::{Engine, EngineError};
 use fmdb_middleware::planner::plan_algorithm;
 use fmdb_middleware::policy::{Algo, ExecPolicy};
 use fmdb_middleware::request::TopKQuery;
-use fmdb_middleware::source::GradedSource;
+use fmdb_middleware::source::{SourceError, Subsystem};
 use fmdb_middleware::stats::{AccessStats, CostModel};
 
 use crate::catalog::{Catalog, CatalogError};
@@ -49,7 +49,8 @@ pub enum AlgoChoice {
 pub enum ExecError {
     /// Catalog/repository failure.
     Catalog(CatalogError),
-    /// Algorithm-level failure.
+    /// Algorithm-level failure, a subsystem's failed access included
+    /// ([`AlgoError::Source`], whichever layer read the source).
     Algo(AlgoError),
     /// Reference-semantics failure (full scans).
     Query(QueryError),
@@ -92,6 +93,14 @@ impl From<EngineError> for ExecError {
     fn from(e: EngineError) -> Self {
         ExecError::Algo(AlgoError::from(e))
     }
+}
+
+/// `source` failed an access the executor made itself.
+fn failed(source: &dyn Subsystem, cause: SourceError) -> ExecError {
+    ExecError::Algo(AlgoError::Source {
+        stream: source.info().label,
+        cause,
+    })
 }
 
 impl From<QueryError> for ExecError {
@@ -341,7 +350,10 @@ impl Garlic {
             for (grade, &at) in grades.iter_mut().zip(&bound.positions) {
                 let atom = &mut bound.atoms[at];
                 if atom.matches.is_none() {
-                    *grade = atom.source.random_access(oid);
+                    *grade = atom
+                        .source
+                        .random_access(oid)
+                        .map_err(|cause| failed(&atom.source, cause))?;
                     stats.random += 1;
                 } // else: crisp conjunct matched, grade stays 1
             }
@@ -360,7 +372,8 @@ impl Garlic {
             let src = &mut bound.atoms[first_crisp].source;
             src.rewind();
             while answers.len() < k {
-                let Some(so) = src.sorted_next() else { break };
+                let next = src.sorted_next().map_err(|cause| failed(&*src, cause))?;
+                let Some(so) = next else { break };
                 stats.sorted += 1;
                 if survivors.binary_search(&so.id).is_err() {
                     answers.push(ScoredObject::new(so.id, Score::ZERO));
@@ -392,7 +405,10 @@ impl Garlic {
         let mut universe: Vec<Oid> = Vec::new();
         for mut atom in bound.atoms {
             atom.source.rewind();
-            let mut list = atom.source.sorted_batch(usize::MAX);
+            let mut list = atom
+                .source
+                .sorted_batch(usize::MAX)
+                .map_err(|cause| failed(&atom.source, cause))?;
             stats.sorted += list.len() as u64;
             list.sort_unstable_by_key(|so| so.id);
             universe.extend(list.iter().map(|so| so.id));
@@ -447,9 +463,9 @@ impl Garlic {
                 scoring: query.to_string(),
             }));
         };
-        let boxed: Vec<Box<dyn GradedSource>> = sources
+        let boxed: Vec<Box<dyn Subsystem>> = sources
             .into_iter()
-            .map(|s| Box::new(s) as Box<dyn GradedSource>)
+            .map(|s| Box::new(s) as Box<dyn Subsystem>)
             .collect();
         let session = OwnedFaSession::new(boxed, Box::new(combiner))?;
         Ok(QueryCursor { session })

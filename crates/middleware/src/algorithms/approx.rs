@@ -23,7 +23,7 @@ use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::threshold::{Family, Probe, Report};
 use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::GradedSource;
+use crate::source::Subsystem;
 
 /// TA's relaxed certification: does grade `g` certify against the
 /// threshold `τ` under slack `θ`? The same comparison as NRA's
@@ -79,9 +79,9 @@ impl TopKAlgorithm for ApproxTa {
         "approx-ta"
     }
 
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
@@ -115,9 +115,9 @@ impl TopKAlgorithm for ApproxNra {
         "approx-nra"
     }
 
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
@@ -132,6 +132,7 @@ mod tests {
     use crate::algorithms::nra::NraLowerBound;
     use crate::algorithms::ta::ThresholdAlgorithm;
     use crate::oracle::all_grades;
+    use crate::source::GradedSource;
     use crate::source::VecSource;
     use crate::workload::independent_uniform;
     use fmdb_core::scoring::tnorms::Min;

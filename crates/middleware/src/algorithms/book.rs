@@ -9,9 +9,10 @@
 //! drained, plus the charges. [`Book::pull`] (one entry) and
 //! [`Book::drain`] (a list to its end, a batch at a time) are the only
 //! sorted accesses in this directory, and record each entry through one
-//! private step; [`Book::open`] is the only rewind. So a change to the
-//! sorted step — a fallible source, a list without sorted access, a
-//! per-source trace — is one edit.
+//! private step; [`Book::open`] is the only rewind. [`Book::probe`] is
+//! the random access every strategy but A₀'s batched phase 2 makes. A
+//! failed access ends the run with [`AlgoError::Source`], naming the
+//! list, so a strategy only passes it on with `?`.
 //!
 //! Objects are numbered through an array: every list a repository,
 //! `from_dense` or the store builds grades the dense universe `0..N`
@@ -37,7 +38,8 @@ use std::mem;
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::source::{GradedSource, Oid};
+use crate::algorithms::AlgoError;
+use crate::source::{Oid, Subsystem};
 use crate::stats::AccessStats;
 
 /// The fields revealed so far, one row of `m` slots per seen object.
@@ -273,7 +275,7 @@ pub(crate) struct Book {
 
 impl Book {
     /// Rewinds the sources and starts from nothing seen.
-    pub(crate) fn open(sources: &mut [&mut dyn GradedSource]) -> Book {
+    pub(crate) fn open(sources: &mut [&mut dyn Subsystem]) -> Book {
         let mut universe = 0;
         for source in sources.iter_mut() {
             source.rewind();
@@ -297,17 +299,19 @@ impl Book {
     pub(crate) fn pull(
         &mut self,
         i: usize,
-        sources: &mut [&mut dyn GradedSource],
-    ) -> Option<(usize, bool, bool, Score)> {
+        sources: &mut [&mut dyn Subsystem],
+    ) -> Result<Option<(usize, bool, bool, Score)>, AlgoError> {
         if self.frontier.exhausted[i] {
-            return None;
+            return Ok(None);
         }
-        match sources[i].sorted_next() {
-            Some(so) => Some(self.record(i, so)),
-            None => {
+        let source = &mut *sources[i];
+        match source.sorted_next() {
+            Ok(Some(so)) => Ok(Some(self.record(i, so))),
+            Ok(None) => {
                 self.exhaust(i);
-                None
+                Ok(None)
             }
+            Err(cause) => Err(AlgoError::source(source, cause)),
         }
     }
 
@@ -316,9 +320,16 @@ impl Book {
     /// dry leaves. Only a strategy that reads every list to its end may
     /// drain: the others halt between two entries, and a batch would
     /// move the source's cursor past what they charge.
-    pub(crate) fn drain(&mut self, i: usize, sources: &mut [&mut dyn GradedSource]) {
+    pub(crate) fn drain(
+        &mut self,
+        i: usize,
+        sources: &mut [&mut dyn Subsystem],
+    ) -> Result<(), AlgoError> {
+        let source = &mut *sources[i];
         while !self.frontier.exhausted[i] {
-            let batch = sources[i].sorted_batch(DRAIN_CHUNK);
+            let batch = source
+                .sorted_batch(DRAIN_CHUNK)
+                .map_err(|cause| AlgoError::source(source, cause))?;
             // A short batch is the end of the list.
             let end = batch.len() < DRAIN_CHUNK;
             for so in batch {
@@ -328,6 +339,7 @@ impl Book {
                 self.exhaust(i);
             }
         }
+        Ok(())
     }
 
     /// One entry streamed by list `i`, charged and recorded: its row,
@@ -355,10 +367,24 @@ impl Book {
     }
 
     /// One random access: list `j`'s grade of `row`, revealed.
-    pub(crate) fn probe(&mut self, row: usize, j: usize, sources: &mut [&mut dyn GradedSource]) {
-        let grade = sources[j].random_access(self.table.oid(row));
+    ///
+    /// Always inlined, like the threshold kernel's `resolve` around it:
+    /// with an error path the two fell out of TA's loop, and scalar TA
+    /// over 4 096 × 3 paid ≈ 10 % for it.
+    #[inline(always)]
+    pub(crate) fn probe(
+        &mut self,
+        row: usize,
+        j: usize,
+        sources: &mut [&mut dyn Subsystem],
+    ) -> Result<(), AlgoError> {
+        let source = &mut *sources[j];
+        let grade = source
+            .random_access(self.table.oid(row))
+            .map_err(|cause| AlgoError::source(source, cause))?;
         self.frontier.stats.random += 1;
         self.table.reveal(row, j, grade);
+        Ok(())
     }
 }
 
@@ -375,7 +401,8 @@ mod tests {
     use crate::algorithms::ta::ThresholdAlgorithm;
     use crate::algorithms::{TopKAlgorithm, TopKResult};
     use crate::oracle::verify_top_k;
-    use crate::source::{SourceInfo, VecSource};
+    use crate::source::GradedSource;
+    use crate::source::{SourceError, SourceInfo, VecSource};
     use crate::store::format::{ENTRY_BYTES, PAGE_HEADER_BYTES};
     use crate::store::tests::{rewrite_page, sample_pairs, scratch};
     use crate::store::{build_store, BuildConfig, PagedStore, StoreError, StoreOptions};
@@ -388,7 +415,7 @@ mod tests {
     #[test]
     fn oids_past_the_array_are_numbered_by_the_map() {
         let mut source = VecSource::from_dense("four", &[Score::ONE; 4]);
-        let mut sources: Vec<&mut dyn GradedSource> = vec![&mut source];
+        let mut sources: Vec<&mut dyn Subsystem> = vec![&mut source];
         let mut table = Book::open(&mut sources).table;
         assert_eq!(table.buf.dense.len(), 4);
         let rows: Vec<_> = [0, 2, 9, 1 << 40, 3, 9]
@@ -415,15 +442,15 @@ mod tests {
     /// A list that reports a universe no array could hold.
     struct Boastful(VecSource);
 
-    impl GradedSource for Boastful {
-        fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-            self.0.sorted_next()
+    impl Subsystem for Boastful {
+        fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+            Subsystem::sorted_batch(&mut self.0, n)
         }
-        fn random_access(&mut self, oid: Oid) -> Score {
-            self.0.random_access(oid)
+        fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+            Subsystem::random_batch(&mut self.0, oids)
         }
         fn rewind(&mut self) {
-            self.0.rewind();
+            Subsystem::rewind(&mut self.0);
         }
         fn info(&self) -> SourceInfo {
             SourceInfo::new("boastful", usize::MAX)
@@ -452,11 +479,15 @@ mod tests {
                 .into_iter()
                 .map(Boastful)
                 .collect();
-            let mut refs: Vec<&mut dyn GradedSource> = boastful
-                .iter_mut()
-                .map(|s| s as &mut dyn GradedSource)
-                .collect();
-            assert_eq!(Book::open(&mut refs).table.buf.dense.len(), DENSE_OIDS);
+            assert_eq!(
+                Book::open(&mut subsystems(&mut boastful))
+                    .table
+                    .buf
+                    .dense
+                    .len(),
+                DENSE_OIDS
+            );
+            let mut refs = shim_refs(&mut boastful);
             let result = algo.top_k(&mut refs, &Min, 5).unwrap();
             assert_eq!(result, twin, "{}", algo.name());
             verify_top_k(&mut refs, &Min, &result.answers, 5)
@@ -464,20 +495,24 @@ mod tests {
         }
     }
 
-    fn refs<S: GradedSource>(lists: &mut [S]) -> Vec<&mut dyn GradedSource> {
+    fn shim_refs<S: GradedSource>(lists: &mut [S]) -> Vec<&mut dyn GradedSource> {
         lists
             .iter_mut()
             .map(|s| s as &mut dyn GradedSource)
             .collect()
     }
 
+    fn subsystems<S: Subsystem>(lists: &mut [S]) -> Vec<&mut dyn Subsystem> {
+        lists.iter_mut().map(|s| s as &mut dyn Subsystem).collect()
+    }
+
     #[test]
     fn a_second_book_reuses_the_first_ones_buffers() {
         let mut lists = independent_uniform(300, 2, 5);
-        let mut sources = refs(&mut lists);
+        let mut sources = subsystems(&mut lists);
         let mut book = Book::open(&mut sources);
-        while book.pull(0, &mut sources).is_some() {}
-        book.pull(1, &mut sources);
+        while book.pull(0, &mut sources).unwrap().is_some() {}
+        book.pull(1, &mut sources).unwrap();
         // Past the array: the map allocates.
         book.table.number(1 << 40);
         book.table.number(5_000);
@@ -625,20 +660,30 @@ mod tests {
         at: usize,
     }
 
-    impl GradedSource for PanicsAt {
-        fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
+    impl Subsystem for PanicsAt {
+        fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+            let mut out = Vec::new();
+            while out.len() < n {
+                match Subsystem::sorted_next(self)? {
+                    Some(item) => out.push(item),
+                    None => break,
+                }
+            }
+            Ok(out)
+        }
+        fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
             self.calls += 1;
             assert!(self.calls < self.at, "sorted access {} fails", self.calls);
-            self.inner.sorted_next()
+            Subsystem::sorted_next(&mut self.inner)
         }
-        fn random_access(&mut self, oid: Oid) -> Score {
-            self.inner.random_access(oid)
+        fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+            Subsystem::random_batch(&mut self.inner, oids)
         }
         fn rewind(&mut self) {
-            self.inner.rewind();
+            Subsystem::rewind(&mut self.inner);
         }
         fn info(&self) -> SourceInfo {
-            self.inner.info()
+            Subsystem::info(&self.inner)
         }
     }
 
@@ -646,7 +691,7 @@ mod tests {
     fn a_run_that_panics_still_clears_the_table() {
         let runs = || {
             let mut lists = independent_uniform(500, 2, 13);
-            let mut sources = refs(&mut lists);
+            let mut sources = shim_refs(&mut lists);
             let naive = Naive.top_k(&mut sources, &Min, 10).unwrap();
             let ta = ThresholdAlgorithm.top_k(&mut sources, &Min, 10).unwrap();
             (naive, ta)
@@ -661,7 +706,7 @@ mod tests {
             })
             .collect();
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            Naive.top_k(&mut refs(&mut panicking), &Min, 10)
+            Naive.top_k(&mut shim_refs(&mut panicking), &Min, 10)
         }));
         assert!(unwound.is_err(), "the 300th sorted access panics");
         assert_eq!(runs(), before);
@@ -682,7 +727,7 @@ mod tests {
         assert!(!with(SPARE_BYTES / per_slot, 1).fits());
 
         let mut one = VecSource::from_dense("one", &[Score::ONE]);
-        let mut sources: Vec<&mut dyn GradedSource> = vec![&mut one];
+        let mut sources: Vec<&mut dyn Subsystem> = vec![&mut one];
         let mut book = Book::open(&mut sources);
         book.table.buf.slots.reserve(SPARE_BYTES / per_slot + 1);
         drop(book);
@@ -716,20 +761,20 @@ mod tests {
 
     /// Pulls every list of one copy dry and drains every list of
     /// another, then compares what the two books recorded.
-    fn drain_equals_pull<S: GradedSource>(mut make: impl FnMut() -> Vec<S>) -> usize {
+    fn drain_equals_pull<S: Subsystem>(mut make: impl FnMut() -> Vec<S>) -> usize {
         let mut pulled_lists = make();
-        let mut sources = refs(&mut pulled_lists);
+        let mut sources = subsystems(&mut pulled_lists);
         let mut pulled = Book::open(&mut sources);
         for i in 0..sources.len() {
-            while pulled.pull(i, &mut sources).is_some() {}
+            while pulled.pull(i, &mut sources).unwrap().is_some() {}
         }
         let mut drained_lists = make();
-        let mut sources = refs(&mut drained_lists);
+        let mut sources = subsystems(&mut drained_lists);
         let mut drained = Book::open(&mut sources);
         for i in 0..sources.len() {
-            drained.drain(i, &mut sources);
+            drained.drain(i, &mut sources).unwrap();
             assert!(
-                drained.pull(i, &mut sources).is_none(),
+                drained.pull(i, &mut sources).unwrap().is_none(),
                 "list {i} is drained"
             );
         }
@@ -764,11 +809,12 @@ mod tests {
             drain_equals_pull(|| vec![store.source(), store.source()]),
             1_000
         );
-        assert!(store.take_error().is_none());
     }
 
+    /// A page that fails under a pull or a drain fails the run with
+    /// the store's error, naming the list: never a short list.
     #[test]
-    fn a_drain_stops_where_the_stream_does_and_parks_the_error() {
+    fn a_drain_fails_where_the_stream_does() {
         let path = scratch("book-drain-nan.fmdb");
         build_store(
             &path,
@@ -787,23 +833,40 @@ mod tests {
             frame[grade..grade + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         });
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
-        let parked = || {
-            matches!(
-                store.take_error(),
-                Some(StoreError::InvalidGrade { page }) if page == bad_page
-            )
-        };
-        let mut made = 0;
-        // Pages 0 and 1 deliver; page 2 is refused whole.
-        let seen = drain_equals_pull(|| {
-            if made == 1 {
-                assert!(parked(), "the pulls parked the error");
+        let refused = |error: AlgoError| match error {
+            AlgoError::Source { stream, cause } => {
+                assert_eq!(stream, "n");
+                assert!(matches!(
+                    cause.cause().downcast_ref::<StoreError>(),
+                    Some(StoreError::InvalidGrade { page }) if *page == bad_page
+                ));
             }
-            made += 1;
-            vec![store.source()]
-        });
+            other => panic!("expected a source error, got {other:?}"),
+        };
+
+        // Pages 0 and 1 deliver; page 2 is refused whole.
+        let mut list = [store.source()];
+        let mut sources = subsystems(&mut list);
+        let mut pulled = Book::open(&mut sources);
+        let mut seen = 0;
+        let error = loop {
+            match pulled.pull(0, &mut sources) {
+                Ok(Some(_)) => seen += 1,
+                Ok(None) => panic!("the stream ended after {seen} entries"),
+                Err(error) => break error,
+            }
+        };
         assert_eq!(seen, 62);
-        assert!(parked(), "the drain parked the error");
+        refused(error);
+
+        let mut list = [store.source()];
+        let mut sources = subsystems(&mut list);
+        let mut drained = Book::open(&mut sources);
+        refused(drained.drain(0, &mut sources).unwrap_err());
+        assert!(
+            !drained.frontier.exhausted[0],
+            "a failed list is not drained"
+        );
     }
 
     /// The `#[expect(clippy::disallowed_macros)]` that names the spare

@@ -26,7 +26,7 @@ use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::threshold::{Family, Probe, Report};
 use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::GradedSource;
+use crate::source::Subsystem;
 use crate::stats::CostModel;
 
 /// The Combined Algorithm, parameterized by the interleave depth `h`
@@ -68,9 +68,9 @@ impl TopKAlgorithm for CombinedAlgorithm {
 
     /// The threshold kernel probing every `h`-th round, with the
     /// answers' open intervals closed after the halt.
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
@@ -85,6 +85,7 @@ mod tests {
     use crate::algorithms::naive::Naive;
     use crate::algorithms::ta::ThresholdAlgorithm;
     use crate::oracle::verify_top_k;
+    use crate::source::GradedSource;
     use crate::source::{Oid, VecSource};
     use crate::workload::independent_uniform;
     use fmdb_core::score::Score;

@@ -5,7 +5,7 @@
 //!
 //! Many repositories cannot stream indefinitely but can answer *filter
 //! queries*: "all objects with grade ≥ τ". We simulate such a query
-//! over a [`GradedSource`] by sorted-accessing until the stream drops
+//! over a [`Subsystem`] by sorted-accessing until the stream drops
 //! below τ (each streamed object counts as an access, including the one
 //! that reveals the stream fell below τ).
 //!
@@ -28,7 +28,7 @@ use fmdb_core::scoring::ScoringFunction;
 use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
 use crate::planner::bounded_by_min;
-use crate::source::GradedSource;
+use crate::source::Subsystem;
 use crate::stats::AccessStats;
 
 /// Filter-condition top-k evaluation with a geometric τ schedule.
@@ -74,7 +74,7 @@ impl CgFilter {
     /// Runs the filter strategy, reporting restart diagnostics.
     pub fn run(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<CgRun, AlgoError> {
@@ -98,7 +98,7 @@ impl CgFilter {
             let mut book = Book::open(sources);
             for i in 0..sources.len() {
                 while book
-                    .pull(i, sources)
+                    .pull(i, sources)?
                     .is_some_and(|(.., grade)| grade.value() >= tau)
                 {}
             }
@@ -143,9 +143,9 @@ impl TopKAlgorithm for CgFilter {
         "cg-filter"
     }
 
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
@@ -157,6 +157,7 @@ impl TopKAlgorithm for CgFilter {
 mod tests {
     use super::*;
     use crate::algorithms::naive::Naive;
+    use crate::source::GradedSource;
     use crate::source::VecSource;
     use fmdb_core::scoring::means::ArithmeticMean;
     use fmdb_core::scoring::tnorms::{Min, Product};
@@ -227,15 +228,15 @@ mod tests {
     #[test]
     fn low_initial_tau_avoids_restarts_high_tau_restarts() {
         let mut a = pseudo_random_sources(300, &[7919, 104729]);
-        let mut refs: Vec<&mut dyn GradedSource> =
-            a.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
+        let mut refs: Vec<&mut dyn Subsystem> =
+            a.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
         let greedy = CgFilter::new(0.95, 0.5).unwrap();
         let run_hi = greedy.run(&mut refs, &Min, 20).unwrap();
         assert!(run_hi.rounds > 1, "τ=0.95 should not satisfy k=20 at once");
 
         let mut b = pseudo_random_sources(300, &[7919, 104729]);
-        let mut refs_b: Vec<&mut dyn GradedSource> =
-            b.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
+        let mut refs_b: Vec<&mut dyn Subsystem> =
+            b.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
         let lax = CgFilter::new(0.05, 0.5).unwrap();
         let run_lo = lax.run(&mut refs_b, &Min, 20).unwrap();
         assert_eq!(run_lo.rounds, 1);
@@ -246,7 +247,7 @@ mod tests {
         let grades = vec![Score::ZERO; 10];
         let mut a = VecSource::from_dense("a", &grades);
         let mut b = VecSource::from_dense("b", &grades);
-        let mut refs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
+        let mut refs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
         let run = CgFilter::default().run(&mut refs, &Min, 3).unwrap();
         assert_eq!(run.result.answers.len(), 3);
         assert!(run.result.answers.iter().all(|a| a.grade == Score::ZERO));

@@ -32,7 +32,7 @@ use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::{GradedSource, Oid};
+use crate::source::{Oid, Subsystem};
 use crate::stats::AccessStats;
 
 /// Algorithm A₀.
@@ -55,7 +55,7 @@ pub(crate) struct FaState {
 
 impl FaState {
     /// Rewinds the sources and starts from nothing seen.
-    pub(crate) fn new(sources: &mut [&mut dyn GradedSource]) -> FaState {
+    pub(crate) fn new(sources: &mut [&mut dyn Subsystem]) -> FaState {
         FaState {
             book: Book::open(sources),
             matches: 0,
@@ -73,41 +73,46 @@ impl FaState {
     ///
     /// The halt is *mid-round*, the moment `|L|` reaches the target:
     /// finishing the round would charge sorted accesses A₀ never makes.
-    pub(crate) fn sorted_phase(&mut self, sources: &mut [&mut dyn GradedSource], target: usize) {
+    pub(crate) fn sorted_phase(
+        &mut self,
+        sources: &mut [&mut dyn Subsystem],
+        target: usize,
+    ) -> Result<(), AlgoError> {
         while self.matches < target {
             let mut progressed = false;
             for i in 0..sources.len() {
-                let Some((row, _, news, _)) = self.book.pull(i, sources) else {
+                let Some((row, _, news, _)) = self.book.pull(i, sources)? else {
                     continue;
                 };
                 progressed = true;
                 if news && self.book.table.missing(row) == 0 {
                     self.matches += 1;
                     if self.matches >= target {
-                        return;
+                        return Ok(());
                     }
                 }
             }
             if !progressed {
                 // Every list drained: L is as large as it will get.
-                return;
+                break;
             }
         }
+        Ok(())
     }
 
     /// Phases 2 and 3: random access for every missing slot of every
     /// seen object, then combine its grades.
     ///
     /// A₀ probes *every* hole whatever the other probes return, so the
-    /// order is free: phase 2 is one [`GradedSource::random_batch`] per
+    /// order is free: phase 2 is one [`Subsystem::random_batch`] per
     /// list — the seen objects that list has not revealed — charged at
     /// the batch's length, and a source that can serve a batch better
     /// than probe by probe (a paged store reads each page once) does.
     fn resolve_all(
         &mut self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
-    ) -> Vec<ScoredObject<Oid>> {
+    ) -> Result<Vec<ScoredObject<Oid>>, AlgoError> {
         let Book { table, frontier } = &mut self.book;
         // One walk collects every list's holes, ...
         let mut missing: Vec<Vec<Oid>> = vec![Vec::new(); sources.len()];
@@ -124,14 +129,16 @@ impl FaState {
             let grades = if oids.is_empty() {
                 Vec::new()
             } else {
-                source.random_batch(oids)
+                source
+                    .random_batch(oids)
+                    .map_err(|cause| AlgoError::source(&**source, cause))?
             };
             frontier.stats.random += oids.len() as u64;
             answers.push(grades.into_iter());
         }
         // ... and a second one, meeting the same holes in the same
         // order, fills and combines.
-        (0..table.len())
+        Ok((0..table.len())
             .map(|row| {
                 for (j, answers) in answers.iter_mut().enumerate() {
                     if table.fields(row)[j].is_none() {
@@ -145,7 +152,7 @@ impl FaState {
                 // a subsystem has no opinion about.
                 ScoredObject::new(table.oid(row), table.bound(row, |_| Score::ZERO, scoring))
             })
-            .collect()
+            .collect())
     }
 
     /// The next `k` best answers not yet emitted — the body of both
@@ -155,7 +162,7 @@ impl FaState {
     /// same correctness argument as the one-shot run.
     fn next_k(
         &mut self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
@@ -163,9 +170,9 @@ impl FaState {
             return Err(AlgoError::ZeroK);
         }
         self.requested += k;
-        self.sorted_phase(sources, self.requested);
+        self.sorted_phase(sources, self.requested)?;
         // One answer per row, in row order.
-        let combined = self.resolve_all(sources, scoring);
+        let combined = self.resolve_all(sources, scoring)?;
         self.emitted_rows.resize(combined.len(), false);
         let fresh = combined
             .into_iter()
@@ -188,9 +195,9 @@ impl TopKAlgorithm for FaginsAlgorithm {
         "fagin-a0"
     }
 
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
@@ -212,12 +219,12 @@ pub struct Session<S, F> {
 }
 
 /// A session over borrowed sources and scoring function.
-pub type FaSession<'a> = Session<&'a mut dyn GradedSource, &'a dyn ScoringFunction>;
+pub type FaSession<'a> = Session<&'a mut dyn Subsystem, &'a dyn ScoringFunction>;
 
 /// An **owning** session: it holds its sources (and scoring function)
 /// by value, so it can be stored in long-lived query cursors (the
 /// Garlic layer's "top 10, then the next 10" interaction from §4).
-pub type OwnedFaSession = Session<Box<dyn GradedSource>, Box<dyn ScoringFunction>>;
+pub type OwnedFaSession = Session<Box<dyn Subsystem>, Box<dyn ScoringFunction>>;
 
 // Sessions hold `dyn` sources/scoring with no `Debug` bound; a
 // state-level summary satisfies `missing_debug_implementations`.
@@ -232,16 +239,16 @@ impl<S, F> fmt::Debug for Session<S, F> {
 }
 
 /// Borrows held sources the way the algorithms take them.
-fn borrowed<'s, 'a: 's, S>(sources: &'s mut [S]) -> Vec<&'s mut dyn GradedSource>
+fn borrowed<'s, 'a: 's, S>(sources: &'s mut [S]) -> Vec<&'s mut dyn Subsystem>
 where
-    S: DerefMut<Target = dyn GradedSource + 'a>,
+    S: DerefMut<Target = dyn Subsystem + 'a>,
 {
     sources.iter_mut().map(|s| &mut **s as _).collect()
 }
 
 impl<'a, S, F> Session<S, F>
 where
-    S: DerefMut<Target = dyn GradedSource + 'a>,
+    S: DerefMut<Target = dyn Subsystem + 'a>,
     F: Deref<Target = dyn ScoringFunction + 'a>,
 {
     /// Starts a session. Rewinds the sources.
@@ -287,6 +294,7 @@ mod tests {
     use super::*;
     use crate::algorithms::naive::Naive;
     use crate::source::{CountingSource, VecSource};
+    use crate::source::{GradedSource, SourceError};
     use fmdb_core::scoring::tnorms::{Min, Product};
 
     fn s(v: f64) -> Score {
@@ -359,27 +367,27 @@ mod tests {
         }
     }
 
-    impl GradedSource for Recording {
-        fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-            let item = self.inner.sorted_next()?;
-            self.revealed.push(item.id);
-            Some(item)
+    impl Subsystem for Recording {
+        fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+            let items = Subsystem::sorted_batch(&mut self.inner, n)?;
+            self.revealed.extend(items.iter().map(|item| item.id));
+            Ok(items)
         }
-        fn random_access(&mut self, oid: Oid) -> Score {
+        fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
             self.scalar_probes += 1;
-            self.inner.random_access(oid)
+            Subsystem::random_access(&mut self.inner, oid)
         }
-        fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
+        fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
             self.batch_lengths.push(oids.len());
             self.repeated += oids.iter().filter(|o| self.revealed.contains(o)).count();
             self.revealed.extend_from_slice(oids);
-            self.inner.random_batch(oids)
+            Subsystem::random_batch(&mut self.inner, oids)
         }
         fn rewind(&mut self) {
-            self.inner.rewind();
+            Subsystem::rewind(&mut self.inner);
         }
         fn info(&self) -> crate::source::SourceInfo {
-            self.inner.info()
+            Subsystem::info(&self.inner)
         }
     }
 
@@ -412,10 +420,8 @@ mod tests {
     #[test]
     fn resumed_session_never_probes_a_filled_slot() {
         let mut lists = recorded(3);
-        let srcs: Vec<&mut dyn GradedSource> = lists
-            .iter_mut()
-            .map(|l| l as &mut dyn GradedSource)
-            .collect();
+        let srcs: Vec<&mut dyn Subsystem> =
+            lists.iter_mut().map(|l| l as &mut dyn Subsystem).collect();
         let mut session = FaSession::new(srcs, &Min).unwrap();
         session.next_k(5).unwrap();
         let first = session.stats().random;
@@ -496,7 +502,7 @@ mod tests {
         let all = FaginsAlgorithm.top_k(&mut srcs, &Min, 6).unwrap();
 
         let (mut a2, mut b2) = fixture();
-        let srcs2: Vec<&mut dyn GradedSource> = vec![&mut a2, &mut b2];
+        let srcs2: Vec<&mut dyn Subsystem> = vec![&mut a2, &mut b2];
         let mut session = FaSession::new(srcs2, &Min).unwrap();
         let first = session.next_k(2).unwrap();
         let second = session.next_k(2).unwrap();
@@ -523,7 +529,7 @@ mod tests {
         // Session: 5 then 5 more.
         let mut a = VecSource::from_dense("a", &g1);
         let mut b = VecSource::from_dense("b", &g2);
-        let srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
+        let srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
         let mut session = FaSession::new(srcs, &Min).unwrap();
         session.next_k(5).unwrap();
         session.next_k(5).unwrap();
@@ -548,14 +554,14 @@ mod tests {
     #[test]
     fn owned_session_matches_borrowing_session() {
         let (a, b) = fixture();
-        let boxed: Vec<Box<dyn GradedSource>> = vec![Box::new(a), Box::new(b)];
+        let boxed: Vec<Box<dyn Subsystem>> = vec![Box::new(a), Box::new(b)];
         let mut owned = OwnedFaSession::new(boxed, Box::new(Min)).unwrap();
         let batch1 = owned.next_k(2).unwrap();
         let batch2 = owned.next_k(2).unwrap();
         assert_eq!(owned.emitted(), 4);
 
         let (mut a2, mut b2) = fixture();
-        let refs: Vec<&mut dyn GradedSource> = vec![&mut a2, &mut b2];
+        let refs: Vec<&mut dyn Subsystem> = vec![&mut a2, &mut b2];
         let mut borrowed = FaSession::new(refs, &Min).unwrap();
         assert_eq!(batch1.answers, borrowed.next_k(2).unwrap().answers);
         assert_eq!(batch2.answers, borrowed.next_k(2).unwrap().answers);
@@ -565,7 +571,7 @@ mod tests {
     #[test]
     fn session_rejects_zero_k() {
         let (mut a, mut b) = fixture();
-        let srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
+        let srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
         let mut session = FaSession::new(srcs, &Min).unwrap();
         assert_eq!(session.next_k(0), Err(AlgoError::ZeroK));
     }

@@ -24,7 +24,7 @@ use fmdb_core::scoring::ScoringFunction;
 use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
 use crate::planner::behaves_like_max;
-use crate::source::GradedSource;
+use crate::source::Subsystem;
 
 /// The `m·k` disjunction (max) algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,9 +35,9 @@ impl TopKAlgorithm for MaxMerge {
         "max-merge"
     }
 
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
@@ -55,7 +55,7 @@ impl TopKAlgorithm for MaxMerge {
         let mut book = Book::open(sources);
         for i in 0..sources.len() {
             for _ in 0..k {
-                if book.pull(i, sources).is_none() {
+                if book.pull(i, sources)?.is_none() {
                     break;
                 }
             }
@@ -75,6 +75,7 @@ impl TopKAlgorithm for MaxMerge {
 mod tests {
     use super::*;
     use crate::algorithms::naive::Naive;
+    use crate::source::GradedSource;
     use crate::source::VecSource;
     use fmdb_core::scoring::conorms::Max;
     use fmdb_core::scoring::tnorms::Min;

@@ -36,13 +36,15 @@
 //! halts mid-round, probes everything afterwards, and resumes
 //! (`DESIGN.md` §10).
 //!
-//! All algorithms consume [`GradedSource`]s, meter every access into an
+//! All algorithms consume [`Subsystem`]s, meter every access into an
 //! [`AccessStats`], and return answers with **exact** grades — returning
 //! an object with an under- or over-stated grade counts as wrong, and
 //! the test suites verify results against a brute-force oracle. The two
 //! documented exceptions are NRA (certified lower bounds; no random
 //! access to close intervals with) and the θ > 0 approximations, whose
-//! relaxed *set* semantics are specified in `DESIGN.md` §10.
+//! relaxed *set* semantics are specified in `DESIGN.md` §10. An access
+//! that fails fails the run with [`AlgoError::Source`]: no algorithm
+//! answers short or from a grade it could not read.
 
 pub mod approx;
 pub(crate) mod book;
@@ -61,7 +63,7 @@ use std::fmt;
 use fmdb_core::score::ScoredObject;
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::source::{GradedSource, Oid};
+use crate::source::{GradedSource, Oid, SourceError, Subsystem};
 use crate::stats::AccessStats;
 
 /// The answers and metered cost of one top-k evaluation.
@@ -74,7 +76,8 @@ pub struct TopKResult {
     pub stats: AccessStats,
 }
 
-/// Errors a top-k algorithm can raise before touching any source.
+/// Errors a top-k algorithm can raise: invalid arguments before it
+/// touches a source, or a source failing under it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AlgoError {
     /// The query shipped no subqueries/sources.
@@ -104,6 +107,26 @@ pub enum AlgoError {
     /// of the failure; see `crate::engine::EngineError` for the
     /// structured form.
     Engine(String),
+    /// A source failed an access.
+    Source {
+        /// The failing source's [`crate::source::SourceInfo::label`].
+        stream: String,
+        /// What it reported.
+        cause: SourceError,
+    },
+}
+
+impl AlgoError {
+    /// `source` failed an access with `cause`. Off the access path:
+    /// kept out of line so the kernels' accesses stay small.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn source(source: &dyn Subsystem, cause: SourceError) -> AlgoError {
+        AlgoError::Source {
+            stream: source.info().label,
+            cause,
+        }
+    }
 }
 
 impl fmt::Display for AlgoError {
@@ -121,11 +144,19 @@ impl fmt::Display for AlgoError {
             } => write!(f, "{algorithm} requires {requirement}, but got '{scoring}'"),
             AlgoError::InvalidRequest(reason) => write!(f, "invalid request: {reason}"),
             AlgoError::Engine(reason) => write!(f, "engine failure: {reason}"),
+            AlgoError::Source { stream, cause } => write!(f, "source {stream} failed: {cause}"),
         }
     }
 }
 
-impl std::error::Error for AlgoError {}
+impl std::error::Error for AlgoError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            AlgoError::Source { cause, .. } => Some(cause),
+            _ => None,
+        }
+    }
+}
 
 /// A top-k evaluation strategy.
 ///
@@ -133,28 +164,41 @@ impl std::error::Error for AlgoError {}
 /// * all sources grade the same universe of objects;
 /// * the algorithm may consume sorted access from the sources' current
 ///   cursors — every implementation here calls
-///   [`GradedSource::rewind`] first, except explicit resumption
+///   [`Subsystem::rewind`] first, except explicit resumption
 ///   sessions ([`fa::FaSession`]);
 /// * answers carry exact grades, sorted by descending grade then
 ///   ascending oid; at most `k` answers, fewer only when the universe
-///   holds fewer objects.
+///   holds fewer objects;
+/// * a failed access fails the run with [`AlgoError::Source`].
 pub trait TopKAlgorithm {
     /// The algorithm's display name.
     fn name(&self) -> &'static str;
 
     /// Finds the top `k` answers to the query whose `i`-th conjunct is
     /// evaluated by `sources[i]`, combining grades with `scoring`.
+    fn evaluate(
+        &self,
+        sources: &mut [&mut dyn Subsystem],
+        scoring: &dyn ScoringFunction,
+        k: usize,
+    ) -> Result<TopKResult, AlgoError>;
+
+    /// [`TopKAlgorithm::evaluate`] over sources of the trait perfbench
+    /// spells ([`crate::frozen`]): a subsystem among them is evaluated
+    /// as itself, typed errors and all.
     fn top_k(
         &self,
         sources: &mut [&mut dyn GradedSource],
         scoring: &dyn ScoringFunction,
         k: usize,
-    ) -> Result<TopKResult, AlgoError>;
+    ) -> Result<TopKResult, AlgoError> {
+        crate::frozen::narrowed(sources, |sources| self.evaluate(sources, scoring, k))
+    }
 }
 
 /// Shared argument validation for the A₀ family.
 pub(crate) fn validate(
-    sources: &[&mut dyn GradedSource],
+    sources: &[&mut dyn Subsystem],
     scoring: &dyn ScoringFunction,
     k: usize,
 ) -> Result<(), AlgoError> {

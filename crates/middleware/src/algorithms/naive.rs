@@ -17,7 +17,7 @@ use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::GradedSource;
+use crate::source::Subsystem;
 
 /// The full-scan baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -28,16 +28,16 @@ impl TopKAlgorithm for Naive {
         "naive"
     }
 
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
         validate(sources, scoring, k)?;
         let mut book = Book::open(sources);
         for i in 0..sources.len() {
-            book.drain(i, sources);
+            book.drain(i, sources)?;
         }
         let table = &mut book.table;
         let combined = (0..table.len())
@@ -55,6 +55,7 @@ impl TopKAlgorithm for Naive {
 mod tests {
     use super::*;
     use crate::source::{CountingSource, Oid, SourceInfo, VecSource};
+    use crate::source::{GradedSource, SourceError};
     use crate::workload::independent_uniform;
     use fmdb_core::scoring::tnorms::Min;
 
@@ -123,23 +124,23 @@ mod tests {
         batches: usize,
     }
 
-    impl GradedSource for Recording {
-        fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
+    impl Subsystem for Recording {
+        fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
             self.nexts += 1;
-            self.inner.sorted_next()
+            Subsystem::sorted_next(&mut self.inner)
         }
-        fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
+        fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
             self.batches += 1;
-            self.inner.sorted_batch(n)
+            Subsystem::sorted_batch(&mut self.inner, n)
         }
-        fn random_access(&mut self, oid: Oid) -> Score {
-            self.inner.random_access(oid)
+        fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+            Subsystem::random_batch(&mut self.inner, oids)
         }
         fn rewind(&mut self) {
-            self.inner.rewind();
+            Subsystem::rewind(&mut self.inner);
         }
         fn info(&self) -> SourceInfo {
-            self.inner.info()
+            Subsystem::info(&self.inner)
         }
     }
 

@@ -19,7 +19,7 @@ use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::threshold::{Family, Probe, Report};
 use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::{GradedSource, Oid};
+use crate::source::{Oid, Subsystem};
 use crate::stats::AccessStats;
 
 /// An NRA answer: an object guaranteed to belong to the top k, with
@@ -80,9 +80,9 @@ impl Nra {
     /// Finds a top-`k` set using sorted access only: the threshold
     /// kernel with no probes, reporting the intervals as they stand at
     /// the halt.
-    pub fn top_k(
+    pub fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<NraResult, AlgoError> {
@@ -94,7 +94,7 @@ impl Nra {
 /// certified **lower** bound ([`NraResult::into_lower_bounds`]), so it
 /// is usable wherever a `&dyn TopKAlgorithm` is required (notably
 /// [`crate::engine::Engine::run_algorithm`]). Callers needing the
-/// intervals should use [`Nra::top_k`] directly.
+/// intervals should use [`Nra::evaluate`] directly.
 ///
 /// Grade caveat carried over from [`Nra`]: the answer *set* is a valid
 /// top-k set, but grades may understate the truth wherever the interval
@@ -107,13 +107,13 @@ impl TopKAlgorithm for NraLowerBound {
         "nra-lower-bound"
     }
 
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        Ok(Nra.top_k(sources, scoring, k)?.into_lower_bounds())
+        Ok(Nra.evaluate(sources, scoring, k)?.into_lower_bounds())
     }
 }
 
@@ -122,17 +122,18 @@ mod tests {
     use super::*;
     use crate::algorithms::naive::Naive;
     use crate::oracle::all_grades;
+    use crate::source::GradedSource;
     use crate::source::VecSource;
     use crate::workload::independent_uniform;
     use fmdb_core::scoring::means::ArithmeticMean;
     use fmdb_core::scoring::tnorms::Min;
 
     fn run_nra(sources: &mut [VecSource], scoring: &dyn ScoringFunction, k: usize) -> NraResult {
-        let mut refs: Vec<&mut dyn GradedSource> = sources
+        let mut refs: Vec<&mut dyn Subsystem> = sources
             .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
+            .map(|s| s as &mut dyn Subsystem)
             .collect();
-        Nra.top_k(&mut refs, scoring, k).unwrap()
+        Nra.evaluate(&mut refs, scoring, k).unwrap()
     }
 
     /// Checks that the returned ids form a valid top-k *set* under the
@@ -249,9 +250,9 @@ mod tests {
 
     #[test]
     fn validates_arguments() {
-        let mut none: Vec<&mut dyn GradedSource> = vec![];
+        let mut none: Vec<&mut dyn Subsystem> = vec![];
         assert!(matches!(
-            Nra.top_k(&mut none, &Min, 1),
+            Nra.evaluate(&mut none, &Min, 1),
             Err(AlgoError::NoSources)
         ));
     }

@@ -31,7 +31,7 @@ use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::fa::FaState;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::{GradedSource, Oid};
+use crate::source::{Oid, Subsystem};
 
 /// A₀ with upper-bound pruning of phase-2 random accesses.
 ///
@@ -88,16 +88,16 @@ impl TopKAlgorithm for PrunedFa {
         "pruned-fa"
     }
 
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
         validate(sources, scoring, k)?;
         // Phase 1 — A₀'s own.
         let mut state = FaState::new(sources);
-        state.sorted_phase(sources, k);
+        state.sorted_phase(sources, k)?;
         let book = &mut state.book;
 
         // Phase 2 — pruned random access.
@@ -134,7 +134,7 @@ impl TopKAlgorithm for PrunedFa {
                 if book.table.fields(row)[j].is_some() {
                     continue;
                 }
-                book.probe(row, j, sources);
+                book.probe(row, j, sources)?;
                 if self.short_circuit && tau.excludes(book.upper(row, scoring)) {
                     continue 'candidates;
                 }
@@ -153,6 +153,7 @@ mod tests {
     use super::*;
     use crate::algorithms::fa::FaginsAlgorithm;
     use crate::oracle::verify_top_k;
+    use crate::source::GradedSource;
     use crate::source::VecSource;
     use crate::workload::independent_uniform;
     use fmdb_core::scoring::means::ArithmeticMean;

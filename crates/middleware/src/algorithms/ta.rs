@@ -24,7 +24,7 @@ use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::threshold::{Family, Probe, Report};
 use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::GradedSource;
+use crate::source::Subsystem;
 
 /// The Threshold Algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,9 +37,9 @@ impl TopKAlgorithm for ThresholdAlgorithm {
 
     /// The threshold kernel probing on sight: every seen object is
     /// resolved at once, so the intervals it reports are exact grades.
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
@@ -53,6 +53,7 @@ mod tests {
     use super::*;
     use crate::algorithms::fa::FaginsAlgorithm;
     use crate::algorithms::naive::Naive;
+    use crate::source::GradedSource;
     use crate::source::VecSource;
     use fmdb_core::score::Score;
     use fmdb_core::scoring::means::ArithmeticMean;

@@ -58,8 +58,7 @@ use crate::algorithms::approx::{upper_excluded, validate_theta};
 use crate::algorithms::book::Book;
 use crate::algorithms::nra::{BoundedAnswer, NraResult};
 use crate::algorithms::{validate, AlgoError};
-use crate::planner::bounded_by_min;
-use crate::source::{GradedSource, Oid};
+use crate::source::{Oid, Subsystem};
 
 /// When the loop spends random accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,13 +136,20 @@ struct Seen {
     candidates: Vec<usize>,
 }
 
-/// Random-accesses every field `obj` still misses.
-fn resolve(book: &mut Book, obj: usize, sources: &mut [&mut dyn GradedSource]) {
+/// Random-accesses every field `obj` still misses (inlined for the
+/// reason `Book::probe` is).
+#[inline(always)]
+fn resolve(
+    book: &mut Book,
+    obj: usize,
+    sources: &mut [&mut dyn Subsystem],
+) -> Result<(), AlgoError> {
     for j in 0..sources.len() {
         if book.table.fields(obj)[j].is_none() {
-            book.probe(obj, j, sources);
+            book.probe(obj, j, sources)?;
         }
     }
+    Ok(())
 }
 
 impl Seen {
@@ -303,35 +309,25 @@ impl Family {
     /// Validates the arguments, then runs the loop.
     pub(crate) fn top_k(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<NraResult, AlgoError> {
         validate_theta(self.theta)?;
         validate(sources, scoring, k)?;
-        Ok(self.run(sources, scoring, k))
+        self.run(sources, scoring, k)
     }
 
     /// The loop. Arguments must already be valid (`k ≥ 1`, at least one
     /// source, monotone scoring).
     fn run(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
-    ) -> NraResult {
+    ) -> Result<NraResult, AlgoError> {
         let m = sources.len();
         let mut book = Book::open(sources);
-        // Threshold feeding: where `t ≤ min` (t-norms), a sorted entry
-        // graded below the k-th best lower bound cannot reach the top k,
-        // so that grade is a valid per-source
-        // [`GradedSource::note_threshold`] hint, fed when it rises (it
-        // never falls within a run). Purely physical (a streaming source
-        // may stop grading below it; no shipped source listens yet):
-        // answers and charges never change. Means never feed, the
-        // zero-absorbing ones included.
-        let feed = bounded_by_min(scoring, m);
-        let mut noted = Score::ZERO;
         let mut seen = Seen {
             k,
             ..Seen::default()
@@ -344,7 +340,7 @@ impl Family {
             // One round of sorted access on every live list.
             let mut progressed = false;
             for i in 0..m {
-                let Some((obj, new, news, _)) = book.pull(i, sources) else {
+                let Some((obj, new, news, _)) = book.pull(i, sources)? else {
                     continue;
                 };
                 progressed = true;
@@ -361,7 +357,7 @@ impl Family {
                     // in this round, and waiting for it would save the
                     // probe TA charges — a different `stats.random`.
                     // Its lower bound is not looked at before then.
-                    resolve(&mut book, obj, sources);
+                    resolve(&mut book, obj, sources)?;
                 } else if new {
                     seen.enlist(obj, &book);
                 }
@@ -373,7 +369,7 @@ impl Family {
             if let Probe::Every(h) = self.probe {
                 if round.is_multiple_of(h) {
                     if let Some(obj) = seen.most_promising(&mut book, scoring, self.theta) {
-                        resolve(&mut book, obj, sources);
+                        resolve(&mut book, obj, sources)?;
                         seen.rebound(obj, &mut book, scoring);
                     }
                 }
@@ -386,12 +382,6 @@ impl Family {
                 scoring.name()
             );
             last_kth = kth;
-            if let Some(bound) = kth.filter(|&bound| feed && bound > noted) {
-                noted = bound;
-                for source in sources.iter_mut() {
-                    source.note_threshold(bound);
-                }
-            }
 
             // An upper bound is dismissed once it cannot beat Mₖ (θ ≤ 0
             // compares `Score`s directly, see `upper_excluded`).
@@ -427,14 +417,14 @@ impl Family {
             // on exact grades.
             let members: Vec<usize> = seen.top.iter().map(|key| key.obj).collect();
             for obj in members {
-                resolve(&mut book, obj, sources);
+                resolve(&mut book, obj, sources)?;
                 seen.rebound(obj, &mut book, scoring);
             }
         }
-        NraResult {
+        Ok(NraResult {
             answers: seen.top_k(&mut book, scoring).collect(),
             stats: book.frontier.stats,
-        }
+        })
     }
 }
 
@@ -447,7 +437,7 @@ mod tests {
     use fmdb_core::scoring::tnorms::{Min, Product};
 
     use super::*;
-    use crate::source::VecSource;
+    use crate::source::{SourceError, VecSource};
 
     mod full_re_rank {
         //! The parent kernel, kept as the oracle: with any interval open it
@@ -463,8 +453,7 @@ mod tests {
         use super::super::{Family, Probe, Report};
         use crate::algorithms::approx::upper_excluded;
         use crate::algorithms::nra::{BoundedAnswer, NraResult};
-        use crate::planner::bounded_by_min;
-        use crate::source::{GradedSource, Oid};
+        use crate::source::{Oid, Subsystem};
         use crate::stats::AccessStats;
 
         /// A seen object's place in the ranking of lower bounds.
@@ -557,12 +546,12 @@ mod tests {
             fn resolve(
                 &mut self,
                 obj: usize,
-                sources: &mut [&mut dyn GradedSource],
+                sources: &mut [&mut dyn Subsystem],
                 scoring: &dyn ScoringFunction,
             ) {
                 for (j, source) in sources.iter_mut().enumerate() {
                     if self.slots[obj * self.m + j].is_none() {
-                        let grade = source.random_access(self.ids[obj]);
+                        let grade = source.random_access(self.ids[obj]).unwrap();
                         self.stats.random += 1;
                         self.reveal(obj, j, grade, scoring);
                     }
@@ -625,7 +614,7 @@ mod tests {
             /// incremental.
             pub(super) fn run_full_re_rank(
                 &self,
-                sources: &mut [&mut dyn GradedSource],
+                sources: &mut [&mut dyn Subsystem],
                 scoring: &dyn ScoringFunction,
                 k: usize,
             ) -> NraResult {
@@ -633,8 +622,6 @@ mod tests {
                 for source in sources.iter_mut() {
                     source.rewind();
                 }
-                // Threshold feeding, as in [`Family::run`].
-                let feed = bounded_by_min(scoring, m);
                 let (mut bottoms, mut exhausted) = (vec![Score::ONE; m], vec![false; m]);
                 let mut seen = Seen::default();
                 (seen.m, seen.k) = (m, k);
@@ -648,7 +635,7 @@ mod tests {
                         if exhausted[i] {
                             continue;
                         }
-                        let Some(so) = sources[i].sorted_next() else {
+                        let Some(so) = sources[i].sorted_next().unwrap() else {
                             exhausted[i] = true;
                             // A drained list bounds all unseen objects by 0.
                             bottoms[i] = Score::ZERO;
@@ -689,11 +676,6 @@ mod tests {
                         seen.rank(&bottoms, scoring);
                         seen.ranked.get(k - 1).map(|r| r.answer.lower)
                     };
-                    if let (true, Some(bound)) = (feed, kth) {
-                        for source in sources.iter_mut() {
-                            source.note_threshold(bound);
-                        }
-                    }
 
                     // An upper bound is dismissed once it cannot beat Mₖ (θ ≤ 0
                     // compares `Score`s directly, see `upper_excluded`).
@@ -794,12 +776,10 @@ mod tests {
         k: usize,
     ) -> NraResult {
         let mut lists = lists.to_vec();
-        let mut refs: Vec<&mut dyn GradedSource> = lists
-            .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
-            .collect();
+        let mut refs: Vec<&mut dyn Subsystem> =
+            lists.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
         if lazy {
-            family.run(&mut refs, scoring, k)
+            family.run(&mut refs, scoring, k).unwrap()
         } else {
             family.run_full_re_rank(&mut refs, scoring, k)
         }
@@ -867,15 +847,20 @@ mod tests {
         repeated: usize,
     }
 
-    impl GradedSource for Recording {
-        fn sorted_next(&mut self) -> Option<fmdb_core::score::ScoredObject<Oid>> {
-            let item = self.inner.sorted_next()?;
-            self.revealed.insert(item.id);
-            Some(item)
+    impl Subsystem for Recording {
+        fn sorted_batch(
+            &mut self,
+            n: usize,
+        ) -> Result<Vec<fmdb_core::score::ScoredObject<Oid>>, SourceError> {
+            let items = self.inner.sorted_batch(n)?;
+            self.revealed.extend(items.iter().map(|item| item.id));
+            Ok(items)
         }
-        fn random_access(&mut self, oid: Oid) -> Score {
-            self.repeated += usize::from(!self.revealed.insert(oid));
-            self.inner.random_access(oid)
+        fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+            for &oid in oids {
+                self.repeated += usize::from(!self.revealed.insert(oid));
+            }
+            self.inner.random_batch(oids)
         }
         fn rewind(&mut self) {
             self.inner.rewind();
@@ -905,11 +890,11 @@ mod tests {
                                     repeated: 0,
                                 })
                                 .collect();
-                            let mut refs: Vec<&mut dyn GradedSource> = recording
+                            let mut refs: Vec<&mut dyn Subsystem> = recording
                                 .iter_mut()
-                                .map(|s| s as &mut dyn GradedSource)
+                                .map(|s| s as &mut dyn Subsystem)
                                 .collect();
-                            family.run(&mut refs, scoring, k);
+                            family.run(&mut refs, scoring, k).unwrap();
                             let repeated: usize = recording.iter().map(|r| r.repeated).sum();
                             assert_eq!(
                                 repeated,
@@ -922,84 +907,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A list that listens: it remembers the highest bound it was told
-    /// entries may be dropped below, and insists that every bound it is
-    /// fed rises above the last one.
-    struct Listening {
-        inner: VecSource,
-        noted: Score,
-    }
-
-    impl GradedSource for Listening {
-        fn sorted_next(&mut self) -> Option<fmdb_core::score::ScoredObject<Oid>> {
-            self.inner.sorted_next()
-        }
-        fn random_access(&mut self, oid: Oid) -> Score {
-            self.inner.random_access(oid)
-        }
-        fn note_threshold(&mut self, bound: Score) {
-            assert!(bound > self.noted, "fed {bound} after {}", self.noted);
-            self.noted = bound;
-        }
-        fn rewind(&mut self) {
-            self.inner.rewind();
-        }
-        fn info(&self) -> crate::source::SourceInfo {
-            self.inner.info()
-        }
-    }
-
-    /// A source may stop preparing entries below the bound it is fed,
-    /// so none may be fed above the list grade of an object that ends
-    /// in the top k. Mₖ is such a bound only when `t ≤ min`; the
-    /// geometric and harmonic means absorb zeros like a t-norm and
-    /// still exceed min (√(0.1·1) > 0.1), the arithmetic mean never
-    /// fed at all.
-    #[test]
-    fn no_list_is_told_to_drop_an_answer() {
-        use fmdb_core::scoring::means::{GeometricMean, HarmonicMean};
-        let scorings: [&dyn ScoringFunction; 5] = [
-            &Min,
-            &Product,
-            &GeometricMean,
-            &HarmonicMean,
-            &ArithmeticMean,
-        ];
-        let mut fed = 0;
-        for scoring in scorings {
-            for m in 2..=3 {
-                let lists = lists(Shape::AntiCorrelated, 300, m, 7);
-                for family in members() {
-                    let mut listening: Vec<Listening> = lists
-                        .iter()
-                        .map(|inner| Listening {
-                            inner: inner.clone(),
-                            noted: Score::ZERO,
-                        })
-                        .collect();
-                    let mut refs: Vec<&mut dyn GradedSource> = listening
-                        .iter_mut()
-                        .map(|s| s as &mut dyn GradedSource)
-                        .collect();
-                    let result = family.run(&mut refs, scoring, 10);
-                    for list in &mut listening {
-                        fed += usize::from(list.noted > Score::ZERO);
-                        for answer in &result.answers {
-                            assert!(
-                                list.noted <= list.inner.random_access(answer.id),
-                                "{} m={m} {family:?}: {} was told to drop below {} and holds answer {answer:?}",
-                                scoring.name(),
-                                list.inner.info().label,
-                                list.noted
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        assert!(fed > 0, "min and product feed their lists");
     }
 
     /// Module docs, *Dismissed is not dead*: an object the walk dropped

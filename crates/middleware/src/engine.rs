@@ -8,13 +8,13 @@
 //! single answer or a single charged access**:
 //!
 //! * **Batched sorted access** — each stream is drained through
-//!   [`GradedSource::sorted_batch`] in chunks of
+//!   [`Subsystem::sorted_batch`] in chunks of
 //!   [`EngineConfig::batch_size`] instead of per-object calls, lazily,
 //!   on the caller's thread: one subsystem round-trip serves a whole
 //!   batch.
 //! * **Random access as the kernel asks for it** — a probe is one call
 //!   to the subsystem; a kernel that probes in batches (A₀'s phase 2)
-//!   reaches the subsystem's [`GradedSource::random_batch`] whole. The
+//!   reaches the subsystem's [`Subsystem::random_batch`] whole. The
 //!   engine memoizes no grades: every kernel remembers the fields it
 //!   has seen, so no list is asked for the same object twice within a
 //!   query (`tests/no_kernel_asks_a_list_twice.rs`), and across queries
@@ -44,6 +44,11 @@
 //! `run` takes `&self`, and [`Engine::run_many`] evaluates a batch of
 //! requests on a bounded thread pool. Requests share nothing through
 //! the engine but its cumulative [`Engine::access_totals`].
+//!
+//! A subsystem access that fails fails its request with
+//! [`EngineError::Source`], naming the stream; one that panics, with
+//! [`EngineError::WorkerPanicked`]. Under [`Engine::run_many`] either
+//! fails that request alone.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,10 +58,11 @@ use std::thread;
 use fmdb_core::score::{Score, ScoredObject};
 
 use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
+use crate::frozen::Narrowed;
 use crate::planner::{Explain, PhysicalPlan, PlanQuery, QueryStats};
 use crate::policy::Algo;
-use crate::request::{lock_all, SourceGuard, TopKRequest};
-use crate::source::{GradedSource, Oid, SourceInfo};
+use crate::request::{lock_all, TopKRequest};
+use crate::source::{Caps, Oid, SourceError, SourceInfo, Subsystem};
 use crate::stats::{AccessStats, PageIoStats};
 
 /// Failures the engine can surface for a request.
@@ -72,6 +78,14 @@ pub enum EngineError {
     /// Algorithm-level validation or execution error, unchanged from
     /// the scalar path.
     Algo(AlgoError),
+    /// A subsystem failed an access: `stream` is its
+    /// [`SourceInfo::label`], `cause` what it reported.
+    Source {
+        /// The failing source.
+        stream: String,
+        /// Its error.
+        cause: SourceError,
+    },
     /// A subsystem, the kernel or a worker thread panicked while
     /// serving the request. `stream` names the source whose subsystem
     /// was being called (its [`SourceInfo::label`]), the algorithm when
@@ -90,6 +104,7 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Algo(e) => write!(f, "{e}"),
+            EngineError::Source { stream, cause } => write!(f, "source {stream} failed: {cause}"),
             EngineError::WorkerPanicked { stream, message } => {
                 write!(f, "worker for {stream} panicked mid-query: {message}")
             }
@@ -101,6 +116,7 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Algo(e) => Some(e),
+            EngineError::Source { cause, .. } => Some(cause),
             EngineError::WorkerPanicked { .. } => None,
         }
     }
@@ -108,7 +124,10 @@ impl std::error::Error for EngineError {
 
 impl From<AlgoError> for EngineError {
     fn from(e: AlgoError) -> EngineError {
-        EngineError::Algo(e)
+        match e {
+            AlgoError::Source { stream, cause } => EngineError::Source { stream, cause },
+            e => EngineError::Algo(e),
+        }
     }
 }
 
@@ -116,6 +135,7 @@ impl From<EngineError> for AlgoError {
     fn from(e: EngineError) -> AlgoError {
         match e {
             EngineError::Algo(e) => e,
+            EngineError::Source { stream, cause } => AlgoError::Source { stream, cause },
             other @ EngineError::WorkerPanicked { .. } => AlgoError::Engine(other.to_string()),
         }
     }
@@ -137,7 +157,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`crate::policy::ExecPolicy`], not engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Objects fetched per [`GradedSource::sorted_batch`] call.
+    /// Objects fetched per [`Subsystem::sorted_batch`] call.
     /// Clamped to at least 1.
     pub batch_size: usize,
 }
@@ -164,15 +184,14 @@ pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The engine's view of one source, which the request holds locked:
 /// sorted access is served from lazily refilled batches; every other
-/// call goes straight to the subsystem, as the kernel makes it.
-/// Implements [`GradedSource`], so the scalar algorithms run on top of
-/// it unchanged — and charge exactly the accesses they would charge
-/// against the raw source.
+/// call goes straight to the subsystem, as the kernel makes it. The
+/// kernels run on top of it unchanged — and charge exactly the accesses
+/// they would charge against the raw source.
 struct EngineSource<'a> {
-    source: &'a mut (dyn GradedSource + Send),
-    /// Read once when the proxy is built; a panic report names the
-    /// stream by its label.
-    info: SourceInfo,
+    source: &'a mut dyn Subsystem,
+    /// Read once when the proxy is built: a panic report names the
+    /// stream by it.
+    label: String,
     batch: usize,
     buffer: std::vec::IntoIter<ScoredObject<Oid>>,
     drained: bool,
@@ -183,7 +202,7 @@ struct EngineSource<'a> {
 
 impl EngineSource<'_> {
     /// Runs `call` on the subsystem, flagged as in flight.
-    fn call<R>(&mut self, call: impl FnOnce(&mut (dyn GradedSource + Send)) -> R) -> R {
+    fn call<R>(&mut self, call: impl FnOnce(&mut dyn Subsystem) -> R) -> R {
         self.in_flight = true;
         let out = call(&mut *self.source);
         self.in_flight = false;
@@ -191,27 +210,22 @@ impl EngineSource<'_> {
     }
 }
 
-impl GradedSource for EngineSource<'_> {
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        if self.buffer.as_slice().is_empty() && !self.drained {
-            let batch = self.batch;
-            let items = self.call(|s| s.sorted_batch(batch));
-            self.drained = items.len() < batch;
-            self.buffer = items.into_iter();
+impl Subsystem for EngineSource<'_> {
+    // Entry by entry off the refilled stream: the subsystem sees the
+    // same batches whatever the kernel asks for.
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        let mut out = Vec::with_capacity(n.min(self.batch));
+        while out.len() < n {
+            match self.sorted_next()? {
+                Some(item) => out.push(item),
+                None => break,
+            }
         }
-        self.buffer.next()
+        Ok(out)
     }
 
-    fn random_access(&mut self, oid: Oid) -> Score {
-        self.call(|s| s.random_access(oid))
-    }
-
-    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
         self.call(|s| s.random_batch(oids))
-    }
-
-    fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Score {
-        self.call(|s| s.random_access_bounded(oid, bound))
     }
 
     fn rewind(&mut self) {
@@ -221,12 +235,34 @@ impl GradedSource for EngineSource<'_> {
     }
 
     fn info(&self) -> SourceInfo {
-        self.info.clone()
+        self.source.info()
     }
 
-    fn note_threshold(&mut self, bound: Score) {
-        self.call(|s| s.note_threshold(bound));
+    fn caps(&self) -> Caps<'_> {
+        self.source.caps()
     }
+
+    fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
+        if self.buffer.as_slice().is_empty() && !self.drained {
+            let batch = self.batch;
+            let items = self.call(|s| s.sorted_batch(batch))?;
+            self.drained = items.len() < batch;
+            self.buffer = items.into_iter();
+        }
+        Ok(self.buffer.next())
+    }
+
+    fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
+        self.call(|s| s.random_access(oid))
+    }
+}
+
+/// A request's locked sources, seen through [`Subsystem`].
+fn narrow<'a>(guards: &'a mut [crate::request::SourceGuard<'_>]) -> Vec<Narrowed<'a>> {
+    guards
+        .iter_mut()
+        .map(|guard| Narrowed::new(&mut **guard))
+        .collect()
 }
 
 /// The batched execution engine. See the [module docs](crate::engine)
@@ -259,18 +295,6 @@ impl Engine {
         }
     }
 
-    /// Always `(0, 0)`: the engine keeps no grade cache.
-    /// `perfbench/src/workloads/{mem_topk,garlic_sql}.rs` still read
-    /// it; the next `benchmark` PR drops both.
-    pub fn cache_counters(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// Always 0, kept for the same two readers.
-    pub fn cache_evictions(&self) -> u64 {
-        0
-    }
-
     /// Cumulative [`AccessStats`] folded over every *successful*
     /// request this engine has served. Monotone; diff two snapshots to
     /// meter a workload.
@@ -285,14 +309,15 @@ impl Engine {
     /// [`crate::policy::Algo::Auto`] routes through the unified
     /// cost-based planner ([`crate::planner::choose_plan`]): the engine
     /// gathers per-source grade histograms via
-    /// [`GradedSource::grade_histogram`], prices every applicable
+    /// [`Subsystem::caps`], prices every applicable
     /// strategy under the policy's cost model, and executes the
     /// cheapest. When any source cannot provide statistics, the
     /// planner's documented static fallback (NRA-or-TA, never A₀)
     /// applies. [`Engine::explain`] exposes the same decision without
     /// executing it.
     pub fn run(&self, request: &TopKRequest) -> Result<TopKResult, EngineError> {
-        let mut sources = lock_all(request.sources());
+        let mut guards = lock_all(request.sources());
+        let mut sources = narrow(&mut guards);
         let algorithm = self.resolve(request, &sources)?;
         self.execute(algorithm.as_ref(), request, &mut sources)
     }
@@ -305,7 +330,7 @@ impl Engine {
     pub fn explain(&self, request: &TopKRequest) -> Result<Explain, EngineError> {
         // Surface invalid-knob errors exactly like `run`.
         let forced = request.policy().plan()?;
-        let mut explain = self.plan(request, &lock_all(request.sources()));
+        let mut explain = self.plan(request, &narrow(&mut lock_all(request.sources())));
         if request.policy().algo != Algo::Auto {
             explain.chosen = forced;
         }
@@ -318,7 +343,7 @@ impl Engine {
     fn resolve(
         &self,
         request: &TopKRequest,
-        sources: &[SourceGuard<'_>],
+        sources: &[Narrowed<'_>],
     ) -> Result<Box<dyn TopKAlgorithm + Send + Sync>, EngineError> {
         let policy = request.policy();
         // Always resolve statically first: it validates the policy
@@ -343,11 +368,11 @@ impl Engine {
     /// for `request` under its policy, treating the query as a plain
     /// fuzzy top-k (the engine has no crisp-predicate structure; the
     /// Garlic layer adds that).
-    fn plan(&self, request: &TopKRequest, sources: &[SourceGuard<'_>]) -> Explain {
+    fn plan(&self, request: &TopKRequest, sources: &[Narrowed<'_>]) -> Explain {
         let m = sources.len();
-        let sizes = sources.iter().map(|s| s.info().universe_size);
+        let sizes = sources.iter().map(|s| s.get_ref().info().universe_size);
         let n = sizes.max().unwrap_or(0);
-        let stats = QueryStats::from_sources(sources.iter().map(|s| &**s));
+        let stats = QueryStats::from_sources(sources.iter().map(Narrowed::get_ref));
         let combiner = crate::planner::classify_combiner(request.scoring().as_ref(), m.max(1));
         let query = PlanQuery::fuzzy(n, m, request.k()).combiner(combiner);
         crate::planner::choose_plan(&query, stats.as_ref(), request.policy())
@@ -366,7 +391,8 @@ impl Engine {
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
     ) -> Result<TopKResult, EngineError> {
-        self.execute(algorithm, request, &mut lock_all(request.sources()))
+        let mut guards = lock_all(request.sources());
+        self.execute(algorithm, request, &mut narrow(&mut guards))
     }
 
     /// Runs `algorithm` over the request's held `sources` and folds the
@@ -375,9 +401,10 @@ impl Engine {
         &self,
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
-        sources: &mut [SourceGuard<'_>],
+        sources: &mut [Narrowed<'_>],
     ) -> Result<TopKResult, EngineError> {
-        let page_before: Vec<Option<PageIoStats>> = sources.iter().map(|s| s.page_io()).collect();
+        let page_io = |s: &Narrowed<'_>| s.get_ref().caps().page_io;
+        let page_before: Vec<Option<PageIoStats>> = sources.iter().map(page_io).collect();
         let mut result = self.run_kernel(algorithm, request, sources)?;
 
         // Fold the page-traffic delta of every paged source into the
@@ -385,7 +412,7 @@ impl Engine {
         // double counted — each query source is expected to map to its
         // own store file.
         for (source, before) in sources.iter().zip(page_before) {
-            if let (Some(now), Some(before)) = (source.page_io(), before) {
+            if let (Some(now), Some(before)) = (page_io(source), before) {
                 let delta = now - before;
                 result.stats.page_reads += delta.reads;
                 result.stats.page_hits += delta.hits;
@@ -404,40 +431,43 @@ impl Engine {
         &self,
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
-        sources: &mut [SourceGuard<'_>],
+        sources: &mut [Narrowed<'_>],
     ) -> Result<TopKResult, EngineError> {
         let scoring = request.scoring();
         let batch = self.config.batch_size.max(1);
         let mut proxies: Vec<EngineSource> = sources
             .iter_mut()
-            .map(|source| EngineSource {
-                info: source.info(),
-                source: &mut **source,
-                batch,
-                buffer: Vec::new().into_iter(),
-                drained: false,
-                in_flight: false,
+            .map(|source| {
+                let source = source.get();
+                EngineSource {
+                    label: source.info().label,
+                    source,
+                    batch,
+                    buffer: Vec::new().into_iter(),
+                    drained: false,
+                    in_flight: false,
+                }
             })
             .collect();
 
         // A subsystem (or a user scoring function) panicking under the
         // kernel fails this request, never the caller's thread.
         let outcome = {
-            let mut refs: Vec<&mut dyn GradedSource> = proxies
+            let mut refs: Vec<&mut dyn Subsystem> = proxies
                 .iter_mut()
-                .map(|p| p as &mut dyn GradedSource)
+                .map(|p| p as &mut dyn Subsystem)
                 .collect();
             catch_unwind(AssertUnwindSafe(|| {
-                algorithm.top_k(&mut refs, &*scoring, request.k())
+                algorithm.evaluate(&mut refs, &*scoring, request.k())
             }))
         };
         match outcome {
-            Ok(result) => result.map_err(EngineError::Algo),
+            Ok(result) => result.map_err(EngineError::from),
             Err(payload) => {
                 let stream = proxies
                     .iter()
                     .find(|p| p.in_flight)
-                    .map_or_else(|| algorithm.name().to_owned(), |p| p.info.label.clone());
+                    .map_or_else(|| algorithm.name().to_owned(), |p| p.label.clone());
                 Err(EngineError::WorkerPanicked {
                     stream,
                     message: panic_message(payload.as_ref()),
@@ -540,6 +570,7 @@ mod tests {
     use crate::oracle::verify_top_k;
     use crate::policy::{Algo, ExecPolicy};
     use crate::request::TopKQuery;
+    use crate::source::GradedSource;
     use crate::stats::CostModel;
     use crate::workload::independent_uniform;
     use fmdb_core::scoring::tnorms::Min;
@@ -634,19 +665,19 @@ mod tests {
         fn name(&self) -> &'static str {
             "rewind-after"
         }
-        fn top_k(
+        fn evaluate(
             &self,
-            sources: &mut [&mut dyn GradedSource],
+            sources: &mut [&mut dyn Subsystem],
             _: &dyn fmdb_core::scoring::ScoringFunction,
             _: usize,
         ) -> Result<TopKResult, AlgoError> {
             let first = &mut sources[0];
             for _ in 0..self.pulls {
-                first.sorted_next();
+                first.sorted_next().unwrap();
             }
             first.rewind();
             Ok(TopKResult {
-                answers: first.sorted_next().into_iter().collect(),
+                answers: first.sorted_next().unwrap().into_iter().collect(),
                 stats: AccessStats::default(),
             })
         }
@@ -660,7 +691,7 @@ mod tests {
     fn proxy_rewind_reaches_the_subsystem_after_an_exactly_consumed_batch() {
         let batch_size = 8;
         let engine = Engine::new(EngineConfig { batch_size });
-        let top = independent_uniform(100, 1, 5).remove(0).sorted_next();
+        let top = GradedSource::sorted_next(&mut independent_uniform(100, 1, 5).remove(0));
         for pulls in 0..=2 * batch_size {
             let got = engine
                 .run_algorithm(&RewindAfter { pulls }, &request(100, 1, 5, 1))
@@ -806,20 +837,23 @@ mod tests {
         fuse: usize,
     }
 
-    impl GradedSource for ExplodingSource {
-        fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-            assert!(self.served < self.fuse, "subsystem exploded mid-stream");
-            self.served += 1;
-            self.inner.sorted_next()
+    impl Subsystem for ExplodingSource {
+        fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+            let items = Subsystem::sorted_batch(&mut self.inner, n)?;
+            for _ in &items {
+                assert!(self.served < self.fuse, "subsystem exploded mid-stream");
+                self.served += 1;
+            }
+            Ok(items)
         }
-        fn random_access(&mut self, oid: Oid) -> Score {
-            self.inner.random_access(oid)
+        fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+            Subsystem::random_batch(&mut self.inner, oids)
         }
         fn rewind(&mut self) {
-            self.inner.rewind();
+            Subsystem::rewind(&mut self.inner);
         }
         fn info(&self) -> SourceInfo {
-            self.inner.info()
+            Subsystem::info(&self.inner)
         }
     }
 
@@ -832,7 +866,7 @@ mod tests {
             served: 0,
             fuse: 5,
         };
-        let label = exploding.info().label;
+        let label = Subsystem::info(&exploding).label;
         let bad = TopKQuery::compose()
             .source(exploding)
             .source(healthy)
@@ -1021,7 +1055,9 @@ mod tests {
                 assert_eq!(plan.name(), want, "{policy:?}");
                 assert_eq!(policy.algorithm().unwrap().name(), want, "{policy:?}");
                 assert_eq!(engine.explain(&req).unwrap().chosen, plan, "{policy:?}");
-                let resolved = engine.resolve(&req, &lock_all(req.sources())).unwrap();
+                let resolved = engine
+                    .resolve(&req, &narrow(&mut lock_all(req.sources())))
+                    .unwrap();
                 assert_eq!(resolved.name(), want, "{policy:?}");
             }
         }

@@ -5,8 +5,8 @@
 //! system is middleware over autonomous subsystems that expose grades
 //! through **sorted access** and **random access** only.
 //!
-//! * [`source`] — the [`source::GradedSource`] access model and
-//!   in-memory sources;
+//! * [`source`] — the [`source::Subsystem`] access model (sorted and
+//!   random access, each fallible) and in-memory sources;
 //! * [`stats`] — database access cost accounting and charged cost
 //!   models;
 //! * [`algorithms`] — the evaluation strategies: naive, **A₀ (Fagin's
@@ -47,15 +47,15 @@
 //! use fmdb_core::scoring::tnorms::Min;
 //! use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 //! use fmdb_middleware::algorithms::TopKAlgorithm;
-//! use fmdb_middleware::source::GradedSource;
+//! use fmdb_middleware::source::Subsystem;
 //! use fmdb_middleware::workload::independent_uniform;
 //!
 //! let mut sources = independent_uniform(10_000, 2, 42);
-//! let mut refs: Vec<&mut dyn GradedSource> = sources
+//! let mut refs: Vec<&mut dyn Subsystem> = sources
 //!     .iter_mut()
-//!     .map(|s| s as &mut dyn GradedSource)
+//!     .map(|s| s as &mut dyn Subsystem)
 //!     .collect();
-//! let result = FaginsAlgorithm.top_k(&mut refs, &Min, 10).unwrap();
+//! let result = FaginsAlgorithm.evaluate(&mut refs, &Min, 10).unwrap();
 //! assert_eq!(result.answers.len(), 10);
 //! // Far below the naive cost of 2N = 20,000 (Theorem 4.1):
 //! assert!(result.stats.database_access_cost() < 10_000);
@@ -108,7 +108,7 @@ pub mod prelude {
         shared_source, SharedScoring, SharedSource, TopKQuery, TopKQueryBuilder, TopKRequest,
     };
     pub use crate::source::{
-        GradedSource, Oid, SourceInfo, SourceViolation, ValidatingSource, VecSource,
+        Caps, Oid, SourceError, SourceInfo, SourceViolation, Subsystem, ValidatingSource, VecSource,
     };
     pub use crate::stats::{AccessStats, CostModel, PageIoStats};
     pub use crate::store::{

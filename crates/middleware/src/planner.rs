@@ -73,7 +73,7 @@ use crate::algorithms::nra::NraLowerBound;
 use crate::algorithms::ta::ThresholdAlgorithm;
 use crate::algorithms::TopKAlgorithm;
 use crate::policy::ExecPolicy;
-use crate::source::GradedSource;
+use crate::source::Subsystem;
 use crate::stats::{CostModel, SourceStats};
 
 /// NRA runs deeper than FA's phase-1 depth before its bounds certify
@@ -230,8 +230,7 @@ pub(crate) fn behaves_like_max(scoring: &dyn ScoringFunction, arity: usize) -> b
 /// false of every mean — the geometric and harmonic ones included,
 /// which absorb zeros and still exceed min (`√(0.2·1) > 0.2`). It is
 /// what lets a grade in *one* list bound the overall grade:
-/// [`crate::algorithms::cg_filter`]'s filter conditions and the
-/// threshold kernel's [`GradedSource::note_threshold`] hints rest on it.
+/// [`crate::algorithms::cg_filter`]'s filter conditions rest on it.
 pub(crate) fn bounded_by_min(scoring: &dyn ScoringFunction, arity: usize) -> bool {
     let samples = [0.0, 0.2, 0.5, 0.8, 1.0];
     // One coordinate low, the rest high — where means visibly exceed
@@ -340,7 +339,7 @@ impl QueryStats {
     }
 
     /// Gathers statistics from sources, in order, via the
-    /// [`GradedSource::grade_histogram`] hook — the one place planning
+    /// [`Subsystem::caps`] hook — the one place planning
     /// statistics are collected. Returns `None` unless *every* source
     /// can provide a histogram — partial statistics would silently
     /// skew the comparison between plans. Items are anything that
@@ -349,12 +348,13 @@ impl QueryStats {
     pub fn from_sources<S>(sources: impl IntoIterator<Item = S>) -> Option<QueryStats>
     where
         S: std::ops::Deref,
-        S::Target: GradedSource,
+        S::Target: Subsystem,
     {
         sources
             .into_iter()
             .map(|s| {
-                s.grade_histogram(DEFAULT_HISTOGRAM_BINS)
+                s.caps()
+                    .histogram(DEFAULT_HISTOGRAM_BINS)
                     .map(SourceStats::new)
             })
             .collect::<Option<Vec<_>>>()
@@ -829,7 +829,7 @@ mod tests {
         QueryStats::new(
             sources
                 .iter()
-                .map(|s| SourceStats::new(s.grade_histogram(16).expect("vec source")))
+                .map(|s| SourceStats::new(s.caps().histogram(16).expect("vec source")))
                 .collect(),
         )
     }
@@ -974,7 +974,8 @@ mod tests {
         };
         let fuzzy_hist = independent_uniform(n, 1, 7)
             .remove(0)
-            .grade_histogram(16)
+            .caps()
+            .histogram(16)
             .unwrap();
         for (sel, expect_crisp) in [(0.005, true), (0.6, false)] {
             let survivors = (n as f64 * sel) as u64;

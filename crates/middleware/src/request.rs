@@ -2,7 +2,7 @@
 //! *how* to compute it ([`ExecPolicy`]).
 //!
 //! Historically each evaluation strategy had its own ad-hoc signature
-//! (`FaginsAlgorithm::top_k`, `Nra::top_k`, `CgFilter::run`, …), so
+//! (`FaginsAlgorithm::top_k`, `Nra::evaluate`, `CgFilter::run`, …), so
 //! neither the Garlic planner nor a service layer could drive them
 //! uniformly. The first unification was a single monolithic
 //! `TopKRequest` builder; it left no room for algorithm choice, cost
@@ -49,9 +49,11 @@ use fmdb_core::weights::{Weighted, Weighting};
 
 use crate::algorithms::AlgoError;
 use crate::policy::ExecPolicy;
-use crate::source::GradedSource;
+use crate::source::{GradedSource, Subsystem};
 
-/// A shareable, lockable handle to one graded source.
+/// A shareable, lockable handle to one graded source. Its type names
+/// the trait perfbench spells ([`crate::frozen`]); every [`Subsystem`]
+/// is one, and the engine reads it as the subsystem it is.
 pub type SharedSource = Arc<Mutex<dyn GradedSource + Send>>;
 
 /// A shareable scoring function.
@@ -78,7 +80,8 @@ pub(crate) fn lock_all(sources: &[SharedSource]) -> Vec<SourceGuard<'_>> {
     guards.into_iter().map(|(_, guard)| guard).collect()
 }
 
-/// Wraps a concrete source into a [`SharedSource`] handle.
+/// Wraps a concrete source into a [`SharedSource`] handle (any
+/// [`Subsystem`] that is `Send + 'static`).
 pub fn shared_source(source: impl GradedSource + Send + 'static) -> SharedSource {
     Arc::new(Mutex::new(source))
 }
@@ -146,7 +149,8 @@ impl TopKQuery {
     /// Locks every source for the length of `f` and hands it the scalar
     /// view `&mut [&mut dyn GradedSource]` — the bridge from the shared,
     /// thread-safe representation to the paper's sequential access
-    /// model.
+    /// model, in the form [`crate::algorithms::TopKAlgorithm::top_k`]
+    /// takes.
     pub fn with_sources<R>(&self, f: impl FnOnce(&mut [&mut dyn GradedSource]) -> R) -> R {
         let mut guards = lock_all(&self.sources);
         let mut refs: Vec<&mut dyn GradedSource> = guards
@@ -267,7 +271,7 @@ impl std::fmt::Debug for TopKQueryBuilder {
 
 impl TopKQueryBuilder {
     /// Appends one owned source as the next conjunct.
-    pub fn source(mut self, source: impl GradedSource + Send + 'static) -> Self {
+    pub fn source(mut self, source: impl Subsystem + Send + 'static) -> Self {
         self.sources.push(shared_source(source));
         self
     }
@@ -283,7 +287,7 @@ impl TopKQueryBuilder {
     }
 
     /// Appends every source of an iterator.
-    pub fn sources<S: GradedSource + Send + 'static>(
+    pub fn sources<S: Subsystem + Send + 'static>(
         mut self,
         sources: impl IntoIterator<Item = S>,
     ) -> Self {

@@ -10,10 +10,15 @@
 //! * **random access** — the subsystem reports the grade of one given
 //!   object.
 //!
-//! [`GradedSource`] captures this interface. Everything the paper's
+//! [`Subsystem`] captures this interface, and nothing else: a batch of
+//! each access mode, a rewind, and what the source says about itself
+//! ([`Subsystem::info`], [`Subsystem::caps`]). Everything the paper's
 //! algorithms are allowed to learn about a subquery flows through it,
 //! which is what makes the *database access cost* (sorted accesses +
-//! random accesses) a meaningful complexity measure.
+//! random accesses) a meaningful complexity measure. An access can
+//! fail — a page fails its checksum, a remote subsystem goes away — and
+//! says so with a [`SourceError`]; a query over a failed source fails
+//! with it, it never answers short.
 //!
 //! The materialized implementation, [`VecSource`], keeps a list as two
 //! arrays, one per access mode; see DESIGN §17.
@@ -26,17 +31,14 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::stats::GradeHistogram;
 
 #[doc(hidden)]
-pub use crate::frozen::{ShardedSource, SourcePartitioner};
+pub use crate::frozen::{GradedSource, ShardedSource, SourcePartitioner};
+use crate::stats::PageIoStats;
 
 /// Object identity, assumed (as Garlic had to ensure, §4.2) to be a
 /// one-to-one mapping across all subsystems participating in a query.
 pub type Oid = u64;
 
 /// Static metadata a subsystem reports about one graded source.
-///
-/// Returned by [`GradedSource::info`]; replaces the former pair of
-/// stringly `label()` / `universe_size()` trait methods with one
-/// structured answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceInfo {
     /// A short label for diagnostics ("Color='red'", …).
@@ -62,32 +64,147 @@ impl fmt::Display for SourceInfo {
     }
 }
 
-/// A subsystem evaluating one atomic subquery, exposing sorted and
-/// random access (§4).
+/// Why a subsystem could not answer an access: the subsystem's own
+/// error (a [`crate::store::StoreError`] for a paged source), shared so
+/// the query errors that carry it stay `Clone`. One pointer wide (the
+/// box makes the shared pointer thin), so an access's `Result` is no
+/// wider than its answer needs.
+#[derive(Debug, Clone)]
+pub struct SourceError(Arc<Box<dyn std::error::Error + Send + Sync>>);
+
+impl SourceError {
+    /// Wraps the subsystem's error.
+    pub fn new(cause: impl std::error::Error + Send + Sync + 'static) -> SourceError {
+        SourceError(Arc::new(Box::new(cause)))
+    }
+
+    /// The subsystem's error; `downcast_ref` recovers its type.
+    pub fn cause(&self) -> &(dyn std::error::Error + Send + Sync + 'static) {
+        &**self.0
+    }
+}
+
+impl fmt::Display for SourceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl std::error::Error for SourceError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(self.cause())
+    }
+}
+
+/// Two failures are equal when they report the same cause.
+impl PartialEq for SourceError {
+    fn eq(&self, other: &SourceError) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.to_string() == other.to_string()
+    }
+}
+
+/// What a subsystem tells about itself without charging an access:
+/// the grade statistics the planner prices it by, and the page
+/// counters the engine folds into a request's stats.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Caps<'a> {
+    /// The source's grade distribution, or `None` when it cannot be
+    /// had for free (a truly remote stream would have to be drained;
+    /// the planner then falls back to its uniform-grade assumption).
+    pub grades: Option<Grades<'a>>,
+    /// Cumulative buffer-pool page counters, or `None` for an in-memory
+    /// source. The engine diffs snapshots around a request to fold its
+    /// page traffic into [`crate::stats::AccessStats`].
+    pub page_io: Option<PageIoStats>,
+}
+
+impl Caps<'_> {
+    /// An equi-depth histogram of the grades at `bins` bins, when the
+    /// source can give one at that resolution.
+    pub fn histogram(&self, bins: usize) -> Option<GradeHistogram> {
+        self.grades?.histogram(bins)
+    }
+}
+
+/// Where a source's grade histogram comes from.
+#[derive(Clone, Copy)]
+pub struct Grades<'a>(GradesFrom<'a>);
+
+#[derive(Clone, Copy)]
+enum GradesFrom<'a> {
+    /// The whole sorted stream, in memory: any resolution is O(bins)
+    /// index probes.
+    Stream(&'a [ScoredObject<Oid>]),
+    /// A histogram kept at one resolution (a store's stats page).
+    Kept(&'a GradeHistogram),
+    /// A source that only speaks the frozen trait.
+    Shim(&'a dyn GradedSource),
+}
+
+impl<'a> Grades<'a> {
+    /// The grades of a materialized sorted stream.
+    pub fn stream(sorted: &'a [ScoredObject<Oid>]) -> Grades<'a> {
+        Grades(GradesFrom::Stream(sorted))
+    }
+
+    /// A histogram kept at one resolution: it answers at that one, and
+    /// at any when the universe is empty.
+    pub fn kept(histogram: &'a GradeHistogram) -> Grades<'a> {
+        Grades(GradesFrom::Kept(histogram))
+    }
+
+    pub(crate) fn shim(source: &'a dyn GradedSource) -> Grades<'a> {
+        Grades(GradesFrom::Shim(source))
+    }
+
+    /// An equi-depth histogram at `bins` bins, if this source has one.
+    pub fn histogram(&self, bins: usize) -> Option<GradeHistogram> {
+        match self.0 {
+            GradesFrom::Stream(sorted) => {
+                Some(GradeHistogram::from_sorted_by(sorted.len(), bins, |i| {
+                    sorted.get(i).map_or(Score::ZERO, |s| s.grade)
+                }))
+            }
+            GradesFrom::Kept(h) => (h.universe() == 0 || h.bins() == bins).then(|| h.clone()),
+            GradesFrom::Shim(source) => source.grade_histogram(bins),
+        }
+    }
+}
+
+impl fmt::Debug for Grades<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            GradesFrom::Stream(sorted) => write!(f, "Grades::Stream({} grades)", sorted.len()),
+            GradesFrom::Kept(h) => write!(f, "Grades::Kept({h:?})"),
+            GradesFrom::Shim(source) => write!(f, "Grades::Shim({source:?})"),
+        }
+    }
+}
+
+/// A subsystem evaluating one atomic subquery: sorted and random
+/// access (§4), each of which can fail.
 ///
 /// Implementations grade a fixed universe of `info().universe_size`
 /// objects; objects the subsystem has no opinion about have grade 0 and
 /// still appear (last) in the sorted stream, exactly like a crisp
 /// predicate grading non-matching rows with 0.
 ///
-/// The batched entry points ([`GradedSource::sorted_batch`],
-/// [`GradedSource::random_batch`]) exist so engines can amortize
-/// per-call overhead; their defaults delegate to the scalar methods
-/// one-for-one, so a batch of `n` costs exactly `n` scalar accesses and
-/// implementations that override them must preserve that accounting.
-pub trait GradedSource {
-    /// Returns the next object under sorted access, or `None` when all
-    /// objects have been streamed.
-    ///
-    /// Grades are non-increasing across successive calls; ties are
-    /// broken by ascending object id so runs are deterministic.
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>>;
+/// The four required methods are the model. The scalar accesses
+/// default to a batch of one, so a wrapper that forwards the batches
+/// alone is slower but correct; a source that can serve one entry
+/// cheaper than a batch ([`VecSource`], [`crate::store::PagedSource`])
+/// overrides them. Either way a batch of `n` costs exactly `n` accesses.
+pub trait Subsystem {
+    /// Sorted access: up to `n` further objects of the sorted stream,
+    /// in stream order. Fewer than `n` (possibly none) means the stream
+    /// is exhausted. Grades are non-increasing across the stream; ties
+    /// are broken by ascending object id so runs are deterministic.
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError>;
 
-    /// Random access: the grade of `oid` under this subquery.
-    ///
-    /// An `oid` outside the universe grades 0 (the subsystem has never
-    /// heard of the object, so the query is false about it).
-    fn random_access(&mut self, oid: Oid) -> Score;
+    /// Random access: the grade of each oid in `oids`, in order. An oid
+    /// outside the universe grades 0 (the subsystem has never heard of
+    /// the object, so the query is false about it).
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError>;
 
     /// Restarts sorted access from the highest grade.
     fn rewind(&mut self);
@@ -95,132 +212,34 @@ pub trait GradedSource {
     /// Metadata about this source: label and universe size.
     fn info(&self) -> SourceInfo;
 
-    /// Batched sorted access: up to `n` further objects of the sorted
-    /// stream, in stream order. Fewer than `n` items (possibly none)
-    /// means the stream is exhausted.
-    ///
-    /// Equivalent to — and by default implemented as — `n` calls to
-    /// [`GradedSource::sorted_next`], so it costs one sorted access per
-    /// item returned.
-    fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.sorted_next() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-        out
+    /// What the source tells about itself for free: grade statistics
+    /// and page counters. Must not advance the cursor or charge an
+    /// access. The default tells nothing.
+    fn caps(&self) -> Caps<'_> {
+        Caps::default()
     }
 
-    /// Batched random access: the grade of each oid in `oids`, in
-    /// order.
-    ///
-    /// Equivalent to — and by default implemented as — one
-    /// [`GradedSource::random_access`] per oid, so it costs
-    /// `oids.len()` random accesses.
-    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-        oids.iter().map(|&oid| self.random_access(oid)).collect()
+    /// The next object under sorted access, `None` once all have been
+    /// streamed: a batch of one.
+    fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
+        Ok(self.sorted_batch(1)?.pop())
     }
 
-    /// A shim ([`crate::frozen`]): `SourcePartitioner` has no values,
-    /// so nothing can call this. No source in the workspace overrides it.
-    #[doc(hidden)]
-    fn partition(
-        &self,
-        partitioner: SourcePartitioner,
-        shards: usize,
-    ) -> Option<Vec<ShardedSource>> {
-        let _ = (partitioner, shards);
-        None
-    }
-
-    /// An equi-depth grade histogram over this source's full
-    /// distribution, or `None` when the implementation cannot produce
-    /// one without charging accesses (a truly remote stream would have
-    /// to be drained, so it answers `None` and the planner falls back
-    /// to its uniform-grade assumption).
-    ///
-    /// Implementations must not advance the sorted cursor or charge
-    /// accesses: histograms are optimizer-time metadata, like
-    /// [`GradedSource::info`].
-    fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
-        let _ = bins;
-        None
-    }
-
-    /// Cumulative buffer-pool page counters, or `None` for purely
-    /// in-memory sources (the default). A disk-backed source
-    /// ([`crate::store::PagedSource`]) reports its pool's lifetime
-    /// reads/hits/evictions here; the engine diffs snapshots around a
-    /// request to fold per-request page traffic into
-    /// [`crate::stats::AccessStats`]. Like [`GradedSource::info`],
-    /// this must not charge accesses or advance the cursor.
-    fn page_io(&self) -> Option<crate::stats::PageIoStats> {
-        None
-    }
-
-    /// Tells the source the caller's live grade threshold: entries
-    /// graded below `bound` can no longer affect the caller's answer
-    /// (TA/NRA/CA feed their running τ / k-th grade here as it rises).
-    ///
-    /// Purely a *physical* hint — a source may use it to stop
-    /// preparing entries that provably cannot matter, but every access
-    /// method keeps its exact contract: same entries, same grades, same
-    /// charged accounting. The default does nothing.
-    fn note_threshold(&mut self, bound: Score) {
-        let _ = bound;
-    }
-
-    /// Bounded sorted drain: every remaining entry of the sorted
-    /// stream with grade ≥ `bound`, in stream order, advancing the
-    /// cursor past exactly those entries (the next [`sorted_next`]
-    /// returns the first entry below `bound`, if any). Costs one
-    /// sorted access per item returned — a skipped tail is never
-    /// charged.
-    ///
-    /// Returns `None` when the implementation has no better strategy
-    /// than the scalar loop (the default); callers then fall back to
-    /// [`sorted_next`] and stop at the first below-bound grade, which
-    /// is observationally identical. [`crate::store::PagedSource`]
-    /// answers this from its persisted per-page grade bounds, skipping
-    /// whole pages.
-    ///
-    /// [`sorted_next`]: GradedSource::sorted_next
-    fn sorted_drain_bounded(&mut self, bound: Score) -> Option<Vec<ScoredObject<Oid>>> {
-        let _ = bound;
-        None
-    }
-
-    /// Random access for a caller that only consumes grades at or
-    /// above `bound`: returns the exact grade when it is ≥ `bound`,
-    /// and [`Score::ZERO`] when it is provably below. The caller must
-    /// treat any return below `bound` as "cannot affect my answer",
-    /// never as the object's true grade. Costs one random access
-    /// either way, exactly like [`GradedSource::random_access`].
-    ///
-    /// The default calls `random_access` and clamps; a paged source
-    /// can skip the page read entirely when its persisted bounds prove
-    /// every grade on the page is below `bound`.
-    fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Score {
-        let grade = self.random_access(oid);
-        if grade >= bound {
-            grade
-        } else {
-            Score::ZERO
-        }
+    /// The grade of one object: a batch of one.
+    fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
+        Ok(self.random_batch(&[oid])?.pop().unwrap_or(Score::ZERO))
     }
 }
 
-impl fmt::Debug for dyn GradedSource + '_ {
+impl fmt::Debug for dyn Subsystem + '_ {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "GradedSource({})", self.info())
+        write!(f, "Subsystem({})", self.info())
     }
 }
 
-impl fmt::Debug for dyn GradedSource + Send + '_ {
+impl fmt::Debug for dyn Subsystem + Send + '_ {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "GradedSource({})", self.info())
+        write!(f, "Subsystem({})", self.info())
     }
 }
 
@@ -297,7 +316,7 @@ impl OidIndex {
     }
 }
 
-/// An in-memory [`GradedSource`] over an explicit grade assignment.
+/// An in-memory [`Subsystem`] over an explicit grade assignment.
 ///
 /// This is both the test double for the algorithms and the adapter the
 /// Garlic layer uses to expose repository attributes.
@@ -369,17 +388,33 @@ impl VecSource {
     }
 }
 
-impl GradedSource for VecSource {
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        let item = self.sorted.get(self.cursor).copied();
-        if item.is_some() {
-            self.cursor += 1;
-        }
-        item
+impl VecSource {
+    /// Bounded sorted drain: every remaining entry of the sorted stream
+    /// with grade ≥ `bound`, in stream order, the cursor moved past
+    /// exactly those. The reference the paged store's bounded drain
+    /// ([`crate::store::PagedSource::sorted_drain_bounded`]) must equal
+    /// (the `pruned_equivalence` suite checks).
+    pub fn sorted_drain_bounded(&mut self, bound: Score) -> Vec<ScoredObject<Oid>> {
+        let tail = &self.sorted[self.cursor.min(self.sorted.len())..];
+        let take = tail.partition_point(|so| so.grade >= bound);
+        let out = tail[..take].to_vec();
+        self.cursor += take;
+        out
+    }
+}
+
+impl Subsystem for VecSource {
+    // Batched access over the in-memory representation is a slice copy
+    // / a sequence of index probes; no access can fail.
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        let end = self.cursor.saturating_add(n).min(self.sorted.len());
+        let out = self.sorted[self.cursor..end].to_vec();
+        self.cursor = end;
+        Ok(out)
     }
 
-    fn random_access(&mut self, oid: Oid) -> Score {
-        self.by_oid.grade(oid)
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+        Ok(oids.iter().map(|&oid| self.by_oid.grade(oid)).collect())
     }
 
     fn rewind(&mut self) {
@@ -390,39 +425,25 @@ impl GradedSource for VecSource {
         SourceInfo::new(self.label.clone(), self.sorted.len())
     }
 
-    // Batched access over the in-memory representation is a slice copy
-    // / a sequence of index probes — no per-item cursor bookkeeping.
-    fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
-        let end = self.cursor.saturating_add(n).min(self.sorted.len());
-        let out = self.sorted[self.cursor..end].to_vec();
-        self.cursor = end;
-        out
-    }
-
-    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-        oids.iter().map(|&oid| self.by_oid.grade(oid)).collect()
-    }
-
     // The sorted vec is materialized, so quantiles are O(bins) index
     // probes — free at optimizer time, nothing charged.
-    fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
-        Some(GradeHistogram::from_sorted_by(
-            self.sorted.len(),
-            bins,
-            |i| self.sorted.get(i).map(|s| s.grade).unwrap_or(Score::ZERO),
-        ))
+    fn caps(&self) -> Caps<'_> {
+        Caps {
+            grades: Some(Grades::stream(&self.sorted)),
+            page_io: None,
+        }
     }
 
-    // The reference semantics for bounded drains: the ≥-bound prefix
-    // of the remaining stream, found with one partition point over the
-    // materialized sorted vec. Disk-backed sources must return exactly
-    // what this returns (the `pruned_equivalence` suite checks).
-    fn sorted_drain_bounded(&mut self, bound: Score) -> Option<Vec<ScoredObject<Oid>>> {
-        let tail = &self.sorted[self.cursor.min(self.sorted.len())..];
-        let take = tail.partition_point(|so| so.grade >= bound);
-        let out = tail[..take].to_vec();
-        self.cursor += take;
-        Some(out)
+    fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
+        let item = self.sorted.get(self.cursor).copied();
+        if item.is_some() {
+            self.cursor += 1;
+        }
+        Ok(item)
+    }
+
+    fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
+        Ok(self.by_oid.grade(oid))
     }
 }
 
@@ -439,7 +460,7 @@ pub struct CountingSource<S> {
     random_accesses: u64,
 }
 
-impl<S: GradedSource> CountingSource<S> {
+impl<S: Subsystem> CountingSource<S> {
     /// Wraps `inner`.
     pub fn new(inner: S) -> CountingSource<S> {
         CountingSource {
@@ -465,18 +486,17 @@ impl<S: GradedSource> CountingSource<S> {
     }
 }
 
-impl<S: GradedSource> GradedSource for CountingSource<S> {
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        let item = self.inner.sorted_next();
-        if item.is_some() {
-            self.sorted_accesses += 1;
-        }
-        item
+impl<S: Subsystem> Subsystem for CountingSource<S> {
+    // One access per item returned; an exhausted stream charges nothing.
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        let out = self.inner.sorted_batch(n)?;
+        self.sorted_accesses += out.len() as u64;
+        Ok(out)
     }
 
-    fn random_access(&mut self, oid: Oid) -> Score {
-        self.random_accesses += 1;
-        self.inner.random_access(oid)
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+        self.random_accesses += oids.len() as u64;
+        self.inner.random_batch(oids)
     }
 
     fn rewind(&mut self) {
@@ -487,45 +507,10 @@ impl<S: GradedSource> GradedSource for CountingSource<S> {
         self.inner.info()
     }
 
-    // Forward batches to the inner source's (possibly optimized) batch
-    // entry points while metering them at the documented scalar rate.
-    fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
-        let out = self.inner.sorted_batch(n);
-        self.sorted_accesses += out.len() as u64;
-        out
-    }
-
-    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-        self.random_accesses += oids.len() as u64;
-        self.inner.random_batch(oids)
-    }
-
-    fn note_threshold(&mut self, bound: Score) {
-        // A hint, not an access: forwarded unmetered.
-        self.inner.note_threshold(bound);
-    }
-
-    fn sorted_drain_bounded(&mut self, bound: Score) -> Option<Vec<ScoredObject<Oid>>> {
-        let out = self.inner.sorted_drain_bounded(bound)?;
-        // The documented contract: one sorted access per item
-        // returned, nothing for the skipped tail.
-        self.sorted_accesses += out.len() as u64;
-        Some(out)
-    }
-
-    fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Score {
-        self.random_accesses += 1;
-        self.inner.random_access_bounded(oid, bound)
-    }
-
     // Optimizer-time metadata charges nothing: forwarded unmetered, so
     // the planner sees the same statistics with or without the wrapper.
-    fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
-        self.inner.grade_histogram(bins)
-    }
-
-    fn page_io(&self) -> Option<crate::stats::PageIoStats> {
-        self.inner.page_io()
+    fn caps(&self) -> Caps<'_> {
+        self.inner.caps()
     }
 }
 
@@ -593,7 +578,7 @@ pub struct ValidatingSource<S> {
     violations: Vec<SourceViolation>,
 }
 
-impl<S: GradedSource> ValidatingSource<S> {
+impl<S: Subsystem> ValidatingSource<S> {
     /// Wraps `inner`.
     pub fn new(inner: S) -> ValidatingSource<S> {
         ValidatingSource {
@@ -615,37 +600,40 @@ impl<S: GradedSource> ValidatingSource<S> {
     }
 }
 
-impl<S: GradedSource> GradedSource for ValidatingSource<S> {
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        let item = self.inner.sorted_next()?;
-        if let Some(prev) = self.last_grade {
-            if item.grade > prev {
+impl<S: Subsystem> Subsystem for ValidatingSource<S> {
+    // Every access is a batch here, validated item by item.
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        let items = self.inner.sorted_batch(n)?;
+        for item in &items {
+            if let Some(previous) = self.last_grade.filter(|&prev| item.grade > prev) {
                 self.violations.push(SourceViolation::OutOfOrder {
-                    previous: prev,
+                    previous,
                     current: item.grade,
                 });
             }
-        }
-        self.last_grade = Some(item.grade);
-        if self.seen.insert(item.id, item.grade).is_some() {
-            self.violations
-                .push(SourceViolation::DuplicateObject(item.id));
-        }
-        Some(item)
-    }
-
-    fn random_access(&mut self, oid: Oid) -> Score {
-        let grade = self.inner.random_access(oid);
-        if let Some(&sorted_grade) = self.seen.get(&oid) {
-            if !grade.approx_eq(sorted_grade, 1e-9) {
-                self.violations.push(SourceViolation::InconsistentGrade {
-                    oid,
-                    sorted: sorted_grade,
-                    random: grade,
-                });
+            self.last_grade = Some(item.grade);
+            if self.seen.insert(item.id, item.grade).is_some() {
+                self.violations
+                    .push(SourceViolation::DuplicateObject(item.id));
             }
         }
-        grade
+        Ok(items)
+    }
+
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+        let grades = self.inner.random_batch(oids)?;
+        for (&oid, &grade) in oids.iter().zip(&grades) {
+            if let Some(&sorted) = self.seen.get(&oid) {
+                if !grade.approx_eq(sorted, 1e-9) {
+                    self.violations.push(SourceViolation::InconsistentGrade {
+                        oid,
+                        sorted,
+                        random: grade,
+                    });
+                }
+            }
+        }
+        Ok(grades)
     }
 
     fn rewind(&mut self) {
@@ -658,35 +646,28 @@ impl<S: GradedSource> GradedSource for ValidatingSource<S> {
         self.inner.info()
     }
 
-    // The default batch implementations route through the scalar
-    // methods above, so batched access is validated item by item; no
-    // overrides here on purpose. Likewise `sorted_drain_bounded` stays
-    // at its default `None` so bounded drains fall back to validated
-    // scalar reads.
-
-    fn note_threshold(&mut self, bound: Score) {
-        // A pure hint — forwarding it costs nothing and validates
-        // nothing.
-        self.inner.note_threshold(bound);
-    }
-
     // Read-only planner statistics: nothing to validate, and dropping
     // them would silently push `choose_plan` onto its stats-free basis.
-    fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
-        self.inner.grade_histogram(bins)
-    }
-
-    fn page_io(&self) -> Option<crate::stats::PageIoStats> {
-        self.inner.page_io()
+    fn caps(&self) -> Caps<'_> {
+        self.inner.caps()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{
+        CountingSource, Oid, Score, ScoredObject, SourceError, SourceInfo, SourceViolation,
+        Subsystem, ValidatingSource, VecSource,
+    };
+    use fmdb_core::stats::GradeHistogram;
 
     fn s(v: f64) -> Score {
         Score::clamped(v)
+    }
+
+    /// The whole remaining stream, a scalar access at a time.
+    fn stream(src: &mut dyn Subsystem) -> Vec<ScoredObject<Oid>> {
+        std::iter::from_fn(|| src.sorted_next().unwrap()).collect()
     }
 
     #[test]
@@ -695,34 +676,32 @@ mod tests {
             "t",
             vec![(0, s(0.2)), (1, s(0.9)), (2, s(0.5)), (3, s(0.9))],
         );
-        let order: Vec<Oid> = std::iter::from_fn(|| src.sorted_next())
-            .map(|o| o.id)
-            .collect();
+        let order: Vec<Oid> = stream(&mut src).iter().map(|o| o.id).collect();
         // ties (oid 1 and 3 at 0.9) broken by ascending oid
         assert_eq!(order, vec![1, 3, 2, 0]);
-        assert_eq!(src.sorted_next(), None);
+        assert_eq!(src.sorted_next().unwrap(), None);
     }
 
     #[test]
     fn rewind_restarts_the_stream() {
         let mut src = VecSource::new("t", vec![(0, s(0.2)), (1, s(0.9))]);
-        assert_eq!(src.sorted_next().unwrap().id, 1);
+        assert_eq!(src.sorted_next().unwrap().unwrap().id, 1);
         src.rewind();
-        assert_eq!(src.sorted_next().unwrap().id, 1);
+        assert_eq!(src.sorted_next().unwrap().unwrap().id, 1);
     }
 
     #[test]
     fn random_access_unknown_oid_grades_zero() {
         let mut src = VecSource::new("t", vec![(0, s(0.2))]);
-        assert_eq!(src.random_access(0), s(0.2));
-        assert_eq!(src.random_access(999), Score::ZERO);
+        assert_eq!(src.random_access(0).unwrap(), s(0.2));
+        assert_eq!(src.random_access(999).unwrap(), Score::ZERO);
     }
 
     #[test]
     fn duplicate_oids_keep_last_grade() {
         let mut src = VecSource::new("t", vec![(7, s(0.1)), (7, s(0.8))]);
         assert_eq!(src.info().universe_size, 1);
-        assert_eq!(src.random_access(7), s(0.8));
+        assert_eq!(src.random_access(7).unwrap(), s(0.8));
     }
 
     /// The two zeros are one grade: they tie, and ties stream in oid
@@ -730,7 +709,12 @@ mod tests {
     #[test]
     fn signed_zeros_tie_and_stream_in_oid_order() {
         let mut src = VecSource::new("x", vec![(1, s(-0.0)), (9, s(0.0)), (5, s(0.5))]);
-        let order: Vec<Oid> = src.sorted_batch(3).iter().map(|so| so.id).collect();
+        let order: Vec<Oid> = src
+            .sorted_batch(3)
+            .unwrap()
+            .iter()
+            .map(|so| so.id)
+            .collect();
         assert_eq!(order, vec![5, 1, 9]);
     }
 
@@ -741,8 +725,8 @@ mod tests {
         set.insert(9u64, s(0.8));
         let mut src = VecSource::from_graded_set("t", &set);
         assert_eq!(src.info().universe_size, 2);
-        assert_eq!(src.sorted_next().unwrap().id, 9);
-        assert_eq!(src.random_access(3), s(0.4));
+        assert_eq!(src.sorted_next().unwrap().unwrap().id, 9);
+        assert_eq!(src.random_access(3).unwrap(), s(0.4));
     }
 
     #[test]
@@ -757,7 +741,7 @@ mod tests {
     fn from_dense_assigns_positional_oids() {
         let mut src = VecSource::from_dense("t", &[s(0.3), s(0.7)]);
         assert_eq!(src.info().universe_size, 2);
-        assert_eq!(src.random_access(1), s(0.7));
+        assert_eq!(src.random_access(1).unwrap(), s(0.7));
     }
 
     /// A deliberately broken source for validating the validator.
@@ -767,21 +751,27 @@ mod tests {
         random_lies: bool,
     }
 
-    impl GradedSource for BrokenSource {
-        fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-            let item = self.items.get(self.cursor).copied();
-            self.cursor += 1;
-            item
+    impl Subsystem for BrokenSource {
+        fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+            let end = self.items.len().min(self.cursor + n);
+            let out = self.items[self.cursor.min(end)..end].to_vec();
+            self.cursor = end;
+            Ok(out)
         }
-        fn random_access(&mut self, oid: Oid) -> Score {
-            if self.random_lies {
-                Score::clamped(0.123)
-            } else {
-                self.items
-                    .iter()
-                    .find(|i| i.id == oid)
-                    .map_or(Score::ZERO, |i| i.grade)
-            }
+        fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+            Ok(oids
+                .iter()
+                .map(|&oid| {
+                    if self.random_lies {
+                        Score::clamped(0.123)
+                    } else {
+                        self.items
+                            .iter()
+                            .find(|i| i.id == oid)
+                            .map_or(Score::ZERO, |i| i.grade)
+                    }
+                })
+                .collect())
         }
         fn rewind(&mut self) {
             self.cursor = 0;
@@ -794,8 +784,8 @@ mod tests {
     #[test]
     fn validating_source_passes_clean_streams() {
         let mut v = ValidatingSource::new(VecSource::from_dense("t", &[s(0.3), s(0.9), s(0.5)]));
-        while let Some(so) = v.sorted_next() {
-            let _ = v.random_access(so.id);
+        while let Some(so) = v.sorted_next().unwrap() {
+            v.random_access(so.id).unwrap();
         }
         assert!(v.is_clean(), "{:?}", v.violations());
     }
@@ -806,14 +796,14 @@ mod tests {
     #[test]
     fn wrappers_forward_planner_statistics() {
         let bare = VecSource::from_dense("t", &[s(0.3), s(0.9), s(0.5), s(0.1)]);
-        let want = bare.grade_histogram(4);
+        let want = bare.caps().histogram(4);
         assert!(want.is_some());
         let validating = ValidatingSource::new(bare.clone());
         let counting = CountingSource::new(bare.clone());
-        assert_eq!(validating.grade_histogram(4), want);
-        assert_eq!(counting.grade_histogram(4), want);
-        assert_eq!(validating.page_io(), bare.page_io());
-        let refs: [&dyn GradedSource; 2] = [&validating, &counting];
+        assert_eq!(validating.caps().histogram(4), want);
+        assert_eq!(counting.caps().histogram(4), want);
+        assert_eq!(validating.caps().page_io, bare.caps().page_io);
+        let refs: [&dyn Subsystem; 2] = [&validating, &counting];
         assert!(crate::planner::QueryStats::from_sources(refs).is_some());
     }
 
@@ -827,7 +817,7 @@ mod tests {
             cursor: 0,
             random_lies: false,
         });
-        while v.sorted_next().is_some() {}
+        stream(&mut v);
         assert!(matches!(
             v.violations()[0],
             SourceViolation::OutOfOrder { .. }
@@ -844,8 +834,8 @@ mod tests {
             cursor: 0,
             random_lies: true,
         });
-        while v.sorted_next().is_some() {}
-        let _ = v.random_access(7); // lies: 0.123 != 0.9
+        stream(&mut v);
+        v.random_access(7).unwrap(); // lies: 0.123 != 0.9
         assert!(v
             .violations()
             .iter()
@@ -864,13 +854,10 @@ mod tests {
         let grades: Vec<Score> = (0..17).map(|i| s(i as f64 / 17.0)).collect();
         let mut scalar = VecSource::from_dense("t", &grades);
         let mut batched = VecSource::from_dense("t", &grades);
-        let mut scalar_items = Vec::new();
-        while let Some(x) = scalar.sorted_next() {
-            scalar_items.push(x);
-        }
+        let scalar_items = stream(&mut scalar);
         let mut batched_items = Vec::new();
         loop {
-            let chunk = batched.sorted_batch(5);
+            let chunk = batched.sorted_batch(5).unwrap();
             if chunk.is_empty() {
                 break;
             }
@@ -878,34 +865,37 @@ mod tests {
         }
         assert_eq!(scalar_items, batched_items);
         // The final (partial) batch signals exhaustion by coming short.
-        assert!(batched.sorted_batch(5).is_empty());
+        assert!(batched.sorted_batch(5).unwrap().is_empty());
     }
 
     #[test]
     fn random_batch_matches_scalar_probes() {
         let mut src = VecSource::new("t", vec![(2, s(0.4)), (9, s(0.9))]);
         let oids = [9, 2, 77, 9];
-        let batch = src.random_batch(&oids);
-        let scalar: Vec<Score> = oids.iter().map(|&o| src.random_access(o)).collect();
+        let batch = src.random_batch(&oids).unwrap();
+        let scalar: Vec<Score> = oids
+            .iter()
+            .map(|&o| src.random_access(o).unwrap())
+            .collect();
         assert_eq!(batch, scalar);
         assert_eq!(batch, vec![s(0.9), s(0.4), Score::ZERO, s(0.9)]);
     }
 
+    /// The scalar accesses a wrapper does not forward are batches of
+    /// one: counted one access per item, exactly as scalar.
     #[test]
-    fn default_batch_impls_charge_scalar_counts() {
-        // A source that does NOT override the batch methods: counts
-        // must equal one access per item, exactly as scalar.
+    fn counting_charges_one_access_per_item() {
         let mut counted = CountingSource::new(VecSource::from_dense(
             "t",
             &[s(0.1), s(0.5), s(0.9), s(0.7)],
         ));
-        let got = counted.sorted_batch(3);
+        let got = counted.sorted_batch(3).unwrap();
         assert_eq!(got.len(), 3);
         assert_eq!(counted.sorted_accesses(), 3);
-        let _ = counted.random_batch(&[0, 1, 2, 3, 99]);
+        counted.random_batch(&[0, 1, 2, 3, 99]).unwrap();
         assert_eq!(counted.random_accesses(), 5);
         // Over-asking past exhaustion charges only what was produced.
-        let rest = counted.sorted_batch(10);
+        let rest = counted.sorted_batch(10).unwrap();
         assert_eq!(rest.len(), 1);
         assert_eq!(counted.sorted_accesses(), 4);
     }
@@ -921,16 +911,31 @@ mod tests {
     #[test]
     fn counting_source_meters_accesses() {
         let mut src = CountingSource::new(VecSource::from_dense("t", &[s(0.3), s(0.7)]));
-        let _ = src.sorted_next();
-        let _ = src.random_access(0);
-        let _ = src.random_access(1);
+        src.sorted_next().unwrap();
+        src.random_access(0).unwrap();
+        src.random_access(1).unwrap();
         assert_eq!(src.sorted_accesses(), 1);
         assert_eq!(src.random_accesses(), 2);
         // Exhausted stream returns don't count as accesses.
-        let _ = src.sorted_next();
-        let _ = src.sorted_next();
-        let _ = src.sorted_next();
+        for _ in 0..3 {
+            src.sorted_next().unwrap();
+        }
         assert_eq!(src.sorted_accesses(), 2);
+    }
+
+    /// A failure is equal to itself and to a failure reporting the same,
+    /// and its cause comes back typed.
+    #[test]
+    fn a_source_error_keeps_its_cause() {
+        let e = SourceError::new(SourceViolation::DuplicateObject(4));
+        assert_eq!(e, e.clone());
+        assert_eq!(e, SourceError::new(SourceViolation::DuplicateObject(4)));
+        assert_ne!(e, SourceError::new(SourceViolation::DuplicateObject(5)));
+        assert_eq!(
+            e.cause().downcast_ref::<SourceViolation>(),
+            Some(&SourceViolation::DuplicateObject(4))
+        );
+        assert_eq!(e.to_string(), "object 4 streamed twice");
     }
 
     /// The `HashMap`-based `VecSource` this module shipped before lists
@@ -967,19 +972,29 @@ mod tests {
                     cursor: 0,
                 }
             }
+
+            pub fn sorted_drain_bounded(&mut self, bound: Score) -> Vec<ScoredObject<Oid>> {
+                let tail = &self.sorted[self.cursor.min(self.sorted.len())..];
+                let take = tail.partition_point(|so| so.grade >= bound);
+                let out = tail[..take].to_vec();
+                self.cursor += take;
+                out
+            }
         }
 
-        impl GradedSource for HashSource {
-            fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-                let item = self.sorted.get(self.cursor).copied();
-                if item.is_some() {
-                    self.cursor += 1;
-                }
-                item
+        impl Subsystem for HashSource {
+            fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+                let end = self.cursor.saturating_add(n).min(self.sorted.len());
+                let out = self.sorted[self.cursor..end].to_vec();
+                self.cursor = end;
+                Ok(out)
             }
 
-            fn random_access(&mut self, oid: Oid) -> Score {
-                self.by_oid.get(&oid).copied().unwrap_or(Score::ZERO)
+            fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+                Ok(oids
+                    .iter()
+                    .map(|oid| self.by_oid.get(oid).copied().unwrap_or(Score::ZERO))
+                    .collect())
             }
 
             fn rewind(&mut self) {
@@ -990,33 +1005,11 @@ mod tests {
                 SourceInfo::new(self.label.clone(), self.sorted.len())
             }
 
-            fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
-                let end = self.cursor.saturating_add(n).min(self.sorted.len());
-                let out = self.sorted[self.cursor..end].to_vec();
-                self.cursor = end;
-                out
-            }
-
-            fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-                oids.iter()
-                    .map(|oid| self.by_oid.get(oid).copied().unwrap_or(Score::ZERO))
-                    .collect()
-            }
-
-            fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
-                Some(GradeHistogram::from_sorted_by(
-                    self.sorted.len(),
-                    bins,
-                    |i| self.sorted.get(i).map(|s| s.grade).unwrap_or(Score::ZERO),
-                ))
-            }
-
-            fn sorted_drain_bounded(&mut self, bound: Score) -> Option<Vec<ScoredObject<Oid>>> {
-                let tail = &self.sorted[self.cursor.min(self.sorted.len())..];
-                let take = tail.partition_point(|so| so.grade >= bound);
-                let out = tail[..take].to_vec();
-                self.cursor += take;
-                Some(out)
+            fn caps(&self) -> Caps<'_> {
+                Caps {
+                    grades: Some(Grades::stream(&self.sorted)),
+                    page_io: None,
+                }
             }
         }
     }
@@ -1026,17 +1019,15 @@ mod tests {
     /// cursor each), the histogram, and probes — scalar and batched —
     /// of `probes`.
     fn assert_observably_equal(
-        got: &mut dyn GradedSource,
-        want: &mut dyn GradedSource,
+        got: &mut VecSource,
+        want: &mut hash_model::HashSource,
         probes: &[Oid],
         bound: Score,
     ) -> Result<(), TestCaseError> {
+        let histogram = |caps: super::Caps<'_>| -> Option<GradeHistogram> { caps.histogram(4) };
         prop_assert_eq!(got.info(), want.info());
-        prop_assert_eq!(got.grade_histogram(4), want.grade_histogram(4));
-        prop_assert_eq!(
-            std::iter::from_fn(|| got.sorted_next()).collect::<Vec<_>>(),
-            std::iter::from_fn(|| want.sorted_next()).collect::<Vec<_>>()
-        );
+        prop_assert_eq!(histogram(got.caps()), histogram(want.caps()));
+        prop_assert_eq!(stream(got), stream(want));
         got.rewind();
         want.rewind();
         prop_assert_eq!(got.sorted_batch(3), want.sorted_batch(3));

@@ -17,6 +17,8 @@ use std::ops::{Add, AddAssign, Sub};
 
 use fmdb_core::stats::GradeHistogram;
 
+use crate::source::Subsystem;
+
 /// Counts of the two access kinds an algorithm performed, plus
 /// telemetry on how they were served.
 ///
@@ -148,7 +150,7 @@ impl fmt::Display for AccessStats {
 }
 
 /// Buffer-pool I/O counters a paged source exposes through
-/// [`crate::source::GradedSource::page_io`].
+/// [`crate::source::Subsystem::caps`].
 ///
 /// All counters are cumulative over the source's lifetime;
 /// the engine diffs two snapshots to attribute page traffic to one
@@ -264,11 +266,11 @@ impl SourceStats {
 /// [`wall_clock`] for real measurements.
 ///
 /// Returns `None` when the source yields no objects under sorted
-/// access (nothing to probe). The measured ratio is clamped to
+/// access (nothing to probe) or an access fails. The measured ratio is clamped to
 /// `[0.001, 1000]` so one scheduler hiccup cannot poison a plan
 /// choice. The source is rewound before and after probing.
 pub fn calibrate_cost_model(
-    source: &mut dyn crate::source::GradedSource,
+    source: &mut dyn Subsystem,
     probes: usize,
     clock: &mut dyn FnMut() -> u64,
 ) -> Option<CostModel> {
@@ -277,7 +279,7 @@ pub fn calibrate_cost_model(
     let t0 = clock();
     let mut ids = Vec::with_capacity(probes);
     for _ in 0..probes {
-        match source.sorted_next() {
+        match source.sorted_next().ok()? {
             Some(so) => ids.push(so.id),
             None => break,
         }
@@ -289,7 +291,7 @@ pub fn calibrate_cost_model(
     }
     for i in 0..probes {
         let id = ids[i % ids.len()];
-        let _ = source.random_access(id);
+        source.random_access(id).ok()?;
     }
     let t2 = clock();
     source.rewind();
@@ -319,26 +321,25 @@ pub fn wall_clock() -> impl FnMut() -> u64 {
 /// while a cold random probe pays a whole page for one object — which
 /// is exactly the c_R/c_S asymmetry \[WHTB98\] priced. Returns `None`
 /// when the source exposes no page counters
-/// ([`crate::source::GradedSource::page_io`]) or yields no objects.
+/// ([`crate::source::Caps::page_io`]), yields no objects or fails an
+/// access.
 /// The measured ratio is clamped to `[0.001, 1000]` like the
 /// wall-clock path. The source is rewound before and after probing.
-pub fn calibrate_cost_model_io(
-    source: &mut dyn crate::source::GradedSource,
-    probes: usize,
-) -> Option<CostModel> {
+pub fn calibrate_cost_model_io(source: &mut dyn Subsystem, probes: usize) -> Option<CostModel> {
     let probes = probes.max(1);
-    source.page_io()?;
+    let page_io = |source: &dyn Subsystem| source.caps().page_io;
+    page_io(source)?;
     let universe = source.info().universe_size as u64;
     source.rewind();
-    let before_sorted = source.page_io()?;
+    let before_sorted = page_io(source)?;
     let mut ids = Vec::with_capacity(probes);
     for _ in 0..probes {
-        match source.sorted_next() {
+        match source.sorted_next().ok()? {
             Some(so) => ids.push(so.id),
             None => break,
         }
     }
-    let before_random = source.page_io()?;
+    let before_random = page_io(source)?;
     if ids.is_empty() {
         source.rewind();
         return None;
@@ -348,9 +349,9 @@ pub fn calibrate_cost_model_io(
     // only them would measure the pool, not the access pattern.
     let stride = (universe / probes as u64).max(1);
     for i in 0..probes as u64 {
-        let _ = source.random_access((i * stride) % universe.max(1));
+        source.random_access((i * stride) % universe.max(1)).ok()?;
     }
-    let after = source.page_io()?;
+    let after = page_io(source)?;
     source.rewind();
     let sorted_pages = (before_random - before_sorted).reads.max(1) as f64;
     let random_pages = (after - before_random).reads.max(1) as f64;

@@ -112,14 +112,17 @@ pub enum StoreError {
     /// use `None` to disable a feature explicitly).
     InvalidOptions(&'static str),
     /// The source a store was to be built from streamed a different
-    /// number of objects than its `info().universe_size` declares — a
-    /// failed read ended its sorted stream early. No file is written.
+    /// number of objects than its `info().universe_size` declares: it
+    /// lies about its universe. No file is written.
     ShortSource {
         /// Objects the source declares.
         expected: u64,
         /// Objects its sorted stream delivered.
         drained: u64,
     },
+    /// A source failed an access: the source a store was to be built
+    /// from (no file is written), or a cursor of an open store.
+    Source(crate::source::SourceError),
 }
 
 impl std::fmt::Display for StoreError {
@@ -157,6 +160,7 @@ impl std::fmt::Display for StoreError {
                 f,
                 "source streamed {drained} of the {expected} objects it declares"
             ),
+            StoreError::Source(e) => write!(f, "{e}"),
         }
     }
 }
@@ -165,6 +169,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
+            StoreError::Source(e) => Some(e),
             _ => None,
         }
     }
@@ -255,6 +260,7 @@ pub(crate) fn read_u32(buf: &[u8], off: usize) -> u32 {
 }
 
 /// Reads a little-endian `u64` at `off` (same bounds contract).
+#[inline]
 pub(crate) fn read_u64(buf: &[u8], off: usize) -> u64 {
     let mut b = [0u8; 8];
     // No overflow: same within-page contract — off + 8
@@ -707,6 +713,7 @@ pub(crate) fn validate_entries(
 /// accepted: what [`decode_entry`] returns for each, bit for bit,
 /// without the `Result` (`Score::clamped` is the identity on a grade
 /// `Score::new` accepts, `-0.0` folding included).
+#[inline]
 pub(crate) fn read_entries(
     page: &[u8],
     from: usize,

@@ -16,8 +16,8 @@
 //! * [`PagedStore::open`] validates magic, version, checksums, and
 //!   length, and loads the page directory and the persisted stats
 //!   page.
-//! * [`PagedSource`] is a full [`GradedSource`] over the store:
-//!   batched sorted/random access, and [`GradedSource::grade_histogram`]
+//! * [`PagedSource`] is a [`Subsystem`] over the store: batched
+//!   sorted/random access, and a grade histogram ([`Subsystem::caps`])
 //!   answered from the stats page without touching data pages. It is
 //!   bit-identical to a `VecSource` built from the same pairs —
 //!   answers, grades, and charged [`crate::stats::AccessStats`] —
@@ -33,16 +33,15 @@
 //! each entry from it in place.
 //!
 //! Failure model: *opening* and *building* return typed
-//! [`StoreError`]s. A runtime failure after a successful open (disk
-//! yanked mid-query, a data page failing its checksum or declaring an
-//! entry count its section's geometry rules out) cannot surface through
-//! the infallible
-//! [`GradedSource`] methods, so the source degrades — the sorted
-//! stream appears drained, random access grades to zero — and the
-//! first error is parked where [`PagedStore::take_error`] retrieves it.
-//! A store built from such a source would be short, so
-//! [`build_store_from_source`] refuses one whose stream ends before its
-//! universe does ([`StoreError::ShortSource`]).
+//! [`StoreError`]s, and so does every access after a successful open
+//! that fails (disk yanked mid-query, a data page failing its checksum
+//! or declaring an entry count its section's geometry rules out): it
+//! returns a [`SourceError`] whose cause is the `StoreError`, and a
+//! query over the source fails with it. The cursor stays where the
+//! failed access found it. [`build_store_from_source`] returns a
+//! failing source's error ([`StoreError::Source`]) and refuses a
+//! source whose stream ends before the universe it declares
+//! ([`StoreError::ShortSource`]).
 
 pub mod format;
 mod pool;
@@ -55,7 +54,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::stats::GradeHistogram;
 
-use crate::source::{GradedSource, Oid, SourceInfo};
+use crate::frozen::Narrowed;
+use crate::source::{Caps, Grades, Oid, SourceError, SourceInfo, Subsystem};
 use crate::stats::PageIoStats;
 
 pub use format::{build_store, BuildConfig, Header, StoreError};
@@ -113,25 +113,27 @@ impl Default for StoreOptions {
 }
 
 /// Builds a store at `path` by draining `source`'s sorted stream —
-/// the one-shot path from any existing [`GradedSource`] (a
-/// `VecSource`, an embedded-corpus adapter, …). The source is rewound
-/// before and after. See [`build_store`] for the persisted layout and
+/// the one-shot path from any existing source (a `VecSource`, an
+/// embedded-corpus adapter, …). The source is rewound before and
+/// after. See [`build_store`] for the persisted layout and
 /// crash-safety protocol.
 ///
-/// Every object of the source's `info().universe_size` streams (the
-/// trait's contract), so a drain of any other length means a read
-/// failed under it: that is [`StoreError::ShortSource`], and no file is
-/// written.
+/// A failed access is [`StoreError::Source`]. Every object of the
+/// source's `info().universe_size` streams (the trait's contract), so a
+/// drain of any other length is [`StoreError::ShortSource`]. Either
+/// way no file is written.
 pub fn build_store_from_source(
     path: &Path,
-    source: &mut dyn GradedSource,
+    source: &mut dyn crate::source::GradedSource,
     cfg: &BuildConfig,
 ) -> Result<(), StoreError> {
+    let mut narrowed = Narrowed::new(source);
+    let source = narrowed.get();
     source.rewind();
     let info = source.info();
     let mut pairs = Vec::new();
     loop {
-        let batch = source.sorted_batch(1024);
+        let batch = source.sorted_batch(1024).map_err(StoreError::Source)?;
         let done = batch.len() < 1024;
         pairs.extend(batch.into_iter().map(|so| (so.id, so.grade)));
         if done {
@@ -169,9 +171,10 @@ struct StoreInner {
     /// Pages bounded drains/probes proved unnecessary and never
     /// visited (folded into [`PageIoStats::skipped`]).
     pages_skipped: std::sync::atomic::AtomicU64,
-    /// First runtime I/O failure after a successful open (see the
-    /// module docs' failure model).
-    error: Mutex<Option<StoreError>>,
+    /// First access failure after a successful open: each failing
+    /// access returns it, and the slot keeps the first for
+    /// `PagedStore::take_error` (`crate::frozen`).
+    error: Mutex<Option<SourceError>>,
 }
 
 impl StoreInner {
@@ -234,15 +237,12 @@ impl StoreInner {
     }
 
     /// Fetches random-table page `idx` (as [`StoreInner::locate`]
-    /// numbers them), parking the error of a failed read.
-    fn random_page(&self, idx: u64) -> Option<(u64, pool::Frame)> {
+    /// numbers them).
+    fn random_page(&self, idx: u64) -> Result<(u64, pool::Frame), SourceError> {
         let page = self.header.random_start() + idx;
         match self.load_page(page) {
-            Ok(frame) => Some((page, frame)),
-            Err(e) => {
-                self.record_error(e);
-                None
-            }
+            Ok(frame) => Ok((page, frame)),
+            Err(e) => Err(self.fail(e)),
         }
     }
 
@@ -256,7 +256,8 @@ impl StoreInner {
     /// stored there *equals* `oid`; otherwise a binary search over the
     /// page's raw entries. Either way the entry found goes through the
     /// validated `decode_entry`.
-    fn find_in_page(&self, frame: &[u8], page: u64, oid: Oid) -> Score {
+    #[inline]
+    fn find_in_page(&self, frame: &[u8], page: u64, oid: Oid) -> Result<Score, SourceError> {
         let count = page_entry_count(frame, self.header.entries_per_page);
         let oid_at = |slot: usize| {
             read_u64(
@@ -282,25 +283,22 @@ impl StoreInner {
             (lo < count && oid_at(lo) == oid).then_some(lo)
         };
         let Some(slot) = slot else {
-            return Score::ZERO;
+            return Ok(Score::ZERO);
         };
         match decode_entry(frame, slot, page) {
-            Ok(so) => so.grade,
-            Err(e) => {
-                self.record_error(e);
-                Score::ZERO
-            }
+            Ok(so) => Ok(so.grade),
+            Err(e) => Err(self.fail(e)),
         }
     }
 
     /// Pins the sorted-run page that holds run position `pos` and
     /// validates every entry on it, so the cursor can read any of them
     /// without a `Result`. A page that cannot be read, or that carries
-    /// a bad grade anywhere, is refused whole and its error parked;
-    /// `None` past the end of the run.
-    fn sorted_page(&self, pos: u64) -> Option<SortedPage> {
+    /// a bad grade anywhere, is refused whole; `None` past the end of
+    /// the run.
+    fn sorted_page(&self, pos: u64) -> Result<Option<SortedPage>, SourceError> {
         if pos >= self.header.n {
-            return None;
+            return Ok(None);
         }
         let epp = self.header.entries_per_page as u64;
         let run_page = pos / epp;
@@ -316,34 +314,27 @@ impl StoreInner {
             })
         });
         match pinned {
-            Ok(sorted) => Some(sorted),
-            Err(e) => {
-                self.record_error(e);
-                None
-            }
+            Ok(sorted) => Ok(Some(sorted)),
+            Err(e) => Err(self.fail(e)),
         }
     }
 
     /// One probe of located page `idx`: a page fetch and the in-page
-    /// search; zero when the page cannot be read.
-    fn probe(&self, idx: u64, oid: Oid) -> Score {
-        match self.random_page(idx) {
-            Some((page, frame)) => self.find_in_page(&frame, page, oid),
-            None => Score::ZERO,
-        }
+    /// search.
+    fn probe(&self, idx: u64, oid: Oid) -> Result<Score, SourceError> {
+        let (page, frame) = self.random_page(idx)?;
+        self.find_in_page(&frame, page, oid)
     }
 
-    /// Parks the first runtime error for later retrieval.
-    fn record_error(&self, e: StoreError) {
+    /// The error a failed access returns, its first one also kept in
+    /// the slot. Out of line, so the probe loops it ends stay tight.
+    #[cold]
+    #[inline(never)]
+    fn fail(&self, e: StoreError) -> SourceError {
+        let e = SourceError::new(e);
         let mut slot = self.error.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.get_or_insert(e);
-    }
-
-    fn take_error(&self) -> Option<StoreError> {
-        self.error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
+        slot.get_or_insert_with(|| e.clone());
+        e
     }
 
     /// Persisted `(min, max)` grade bounds of sorted-run page `p`
@@ -533,12 +524,6 @@ impl PagedStore {
         self.inner.page_io()
     }
 
-    /// Always 0: `perfbench/src/workloads/paged.rs` still reads it;
-    /// the next `benchmark` PR drops both.
-    pub fn readahead_loads(&self) -> u64 {
-        0
-    }
-
     /// Page frames currently resident in the buffer pool.
     pub fn resident_pages(&self) -> usize {
         self.inner.pool.resident()
@@ -556,21 +541,24 @@ impl PagedStore {
         skipped.store(0, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Retrieves (and clears) the first runtime I/O error any cursor
-    /// hit since the last call — see the module docs' failure model.
-    pub fn take_error(&self) -> Option<StoreError> {
-        self.inner.take_error()
+    /// Takes the first access failure the slot kept.
+    pub(crate) fn take_parked(&self) -> Option<StoreError> {
+        let mut slot = self
+            .inner
+            .error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.take().map(StoreError::Source)
     }
 }
 
-/// A [`GradedSource`] cursor over an open [`PagedStore`].
+/// A [`Subsystem`] cursor over an open [`PagedStore`].
 ///
 /// Bit-identical to a [`crate::source::VecSource`] built from the same
 /// pairs: the sorted run streams in descending-grade/ascending-oid
 /// order, random access answers absent oids with grade zero, and the
 /// charged access counts are untouched by paging (pool hits and
-/// misses are physical telemetry, surfaced via
-/// [`GradedSource::page_io`]).
+/// misses are physical telemetry, surfaced via [`Subsystem::caps`]).
 ///
 /// The cursor pins the sorted page it stands on — one frame, held
 /// until the cursor moves past the page, rewinds or drops — and
@@ -599,12 +587,14 @@ struct SortedPage {
 
 impl SortedPage {
     /// The entries at run positions `from..to`, within `start..end`.
+    #[inline]
     fn entries(&self, from: u64, to: u64) -> impl Iterator<Item = ScoredObject<Oid>> + '_ {
         let slot = |pos: u64| (pos - self.start) as usize;
         read_entries(&self.frame, slot(from), slot(to))
     }
 
     /// The entry at run position `pos`, `start ≤ pos < end`.
+    #[inline]
     fn entry(&self, pos: u64) -> Option<ScoredObject<Oid>> {
         self.entries(pos, pos + 1).next()
     }
@@ -637,100 +627,35 @@ impl PagedSource {
     }
 
     /// The page the cursor stands on, pinning the next one once the
-    /// held one is spent. `None` when the run is drained or the page
-    /// cannot be read (error parked). Every sorted access reads the
-    /// entries from `pos` to the returned page's `end`, or a prefix of
-    /// them.
-    fn current(&mut self) -> Option<&SortedPage> {
+    /// held one is spent; `None` when the run is drained. Every sorted
+    /// access reads the entries from `pos` to the returned page's
+    /// `end`, or a prefix of them.
+    #[inline]
+    fn current(&mut self) -> Result<Option<&SortedPage>, SourceError> {
         if self.page.as_ref().is_none_or(|p| self.pos >= p.end) {
             // Unpin the spent page before the next one is fetched.
             self.page = None;
-            self.page = self.inner.sorted_page(self.pos);
+            self.page = self.inner.sorted_page(self.pos)?;
         }
-        self.page.as_ref()
-    }
-}
-
-impl GradedSource for PagedSource {
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        let pos = self.pos;
-        let item = self.current()?.entry(pos)?;
-        self.pos += 1;
-        Some(item)
+        Ok(self.page.as_ref())
     }
 
-    fn random_access(&mut self, oid: Oid) -> Score {
-        match self.inner.locate(oid) {
-            Some(idx) => self.inner.probe(idx, oid),
-            None => Score::ZERO,
-        }
-    }
-
-    fn rewind(&mut self) {
-        self.pos = 0;
-        self.page = None;
-    }
-
-    fn info(&self) -> SourceInfo {
-        SourceInfo::new(
-            self.inner.header.label.clone(),
-            self.inner.header.n as usize,
-        )
-    }
-
-    fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
-        let mut out = Vec::with_capacity(n.min(self.inner.header.n as usize));
-        while out.len() < n {
-            let pos = self.pos;
-            let Some(page) = self.current() else {
-                break;
-            };
-            let end = page.end.min(pos.saturating_add((n - out.len()) as u64));
-            out.extend(page.entries(pos, end));
-            self.pos = end;
-        }
-        out
-    }
-
-    // Page-ordered: each oid is located through the directory once,
-    // the `(page, input position)` pairs are sorted, and every distinct
-    // page is fetched once and searched for all of its oids while
-    // pinned — a batch never re-reads a page, however small the pool.
-    // Answers go back in input order; an oid no page can hold, or one
-    // on a page that fails to read (error parked), grades zero exactly
-    // as a scalar probe would.
-    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-        let inner = &*self.inner;
-        let mut out = vec![Score::ZERO; oids.len()];
-        let mut located: Vec<(u64, usize)> = oids
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, &oid)| Some((inner.locate(oid)?, pos)))
-            .collect();
-        located.sort_unstable();
-        let mut rest = located.as_slice();
-        while let Some(&(idx, _)) = rest.first() {
-            let run = rest.partition_point(|&(p, _)| p == idx);
-            if let Some((page, frame)) = inner.random_page(idx) {
-                for &(_, pos) in &rest[..run] {
-                    out[pos] = inner.find_in_page(&frame, page, oids[pos]);
-                }
-            }
-            rest = &rest[run..];
-        }
-        out
-    }
-
-    // Bounded drain answered from the persisted per-page bounds: the
-    // sorted run is globally descending, so page max grades are
-    // non-increasing — the first page whose persisted max is below
-    // `bound` proves the whole remaining run is too, and the drain
-    // stops without reading it. Entries returned (and the cursor
-    // position reached) are bit-identical to `VecSource`'s reference
-    // semantics; only `PageIoStats::skipped` records the saved work:
-    // the pages the drain proved useless and never visited, so never
-    // the page the cursor already stands inside.
-    fn sorted_drain_bounded(&mut self, bound: Score) -> Option<Vec<ScoredObject<Oid>>> {
+    /// Bounded sorted drain: every remaining entry of the sorted stream
+    /// with grade ≥ `bound`, in stream order, the cursor moved past
+    /// exactly those — what [`crate::source::VecSource::sorted_drain_bounded`]
+    /// returns over the same pairs. One sorted access per item returned.
+    ///
+    /// Answered from the persisted per-page bounds: the sorted run is
+    /// globally descending, so page max grades are non-increasing — the
+    /// first page whose persisted max is below `bound` proves the whole
+    /// remaining run is too, and the drain stops without reading it.
+    /// Only `PageIoStats::skipped` records the saved work: the pages the
+    /// drain proved useless and never visited, so never the page the
+    /// cursor already stands inside.
+    pub fn sorted_drain_bounded(
+        &mut self,
+        bound: Score,
+    ) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
         let mut out = Vec::new();
         let (n, epp) = (
             self.inner.header.n,
@@ -747,7 +672,7 @@ impl GradedSource for PagedSource {
                 break;
             }
             let pos = self.pos;
-            let Some(page) = self.current() else {
+            let Some(page) = self.current()? else {
                 break;
             };
             let end = page.first_below(pos, bound);
@@ -764,42 +689,117 @@ impl GradedSource for PagedSource {
                 break;
             }
         }
-        Some(out)
+        Ok(out)
     }
 
-    // Bounded probe: when the random-table page that could hold `oid`
-    // has a persisted max grade below `bound`, the contract's answer
-    // (`Score::ZERO`, "cannot affect the caller") is known without
-    // reading the page.
-    fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Score {
+    /// Random access for a caller that only consumes grades at or above
+    /// `bound`: the exact grade when it is ≥ `bound`, and
+    /// [`Score::ZERO`] when it is provably below — never the object's
+    /// true grade then. One random access either way. When the
+    /// random-table page that could hold `oid` has a persisted max
+    /// grade below `bound`, the answer is known without reading it.
+    pub fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Result<Score, SourceError> {
         let Some(idx) = self.inner.locate(oid) else {
-            return Score::ZERO;
+            return Ok(Score::ZERO);
         };
         if self.inner.random_page_bounds(idx).1 < bound {
             self.inner.note_skipped(1);
-            return Score::ZERO;
+            return Ok(Score::ZERO);
         }
-        let grade = self.inner.probe(idx, oid);
-        if grade >= bound {
-            grade
-        } else {
-            Score::ZERO
+        let grade = self.inner.probe(idx, oid)?;
+        Ok(if grade >= bound { grade } else { Score::ZERO })
+    }
+}
+
+impl Subsystem for PagedSource {
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        let mut out = Vec::with_capacity(n.min(self.inner.header.n as usize));
+        while out.len() < n {
+            let pos = self.pos;
+            let Some(page) = self.current()? else {
+                break;
+            };
+            let end = page.end.min(pos.saturating_add((n - out.len()) as u64));
+            out.extend(page.entries(pos, end));
+            self.pos = end;
         }
+        Ok(out)
+    }
+
+    // Page-ordered: each oid is located through the directory once,
+    // the `(page, input position)` pairs are sorted, and every distinct
+    // page is fetched once and searched for all of its oids while
+    // pinned — a batch never re-reads a page, however small the pool.
+    // Answers go back in input order; an oid no page can hold grades
+    // zero exactly as a scalar probe would.
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+        let inner = &*self.inner;
+        let mut out = vec![Score::ZERO; oids.len()];
+        let mut located: Vec<(u64, usize)> = oids
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, &oid)| Some((inner.locate(oid)?, pos)))
+            .collect();
+        located.sort_unstable();
+        let mut rest = located.as_slice();
+        while let Some(&(idx, _)) = rest.first() {
+            let run = rest.partition_point(|&(p, _)| p == idx);
+            let (page, frame) = inner.random_page(idx)?;
+            for &(_, pos) in &rest[..run] {
+                out[pos] = inner.find_in_page(&frame, page, oids[pos])?;
+            }
+            rest = &rest[run..];
+        }
+        Ok(out)
+    }
+
+    fn rewind(&mut self) {
+        self.pos = 0;
+        self.page = None;
+    }
+
+    fn info(&self) -> SourceInfo {
+        SourceInfo::new(
+            self.inner.header.label.clone(),
+            self.inner.header.n as usize,
+        )
     }
 
     // The stats page is the whole point: the planner prices this
     // source without touching a single data page. The persisted
     // histogram was built by the same `from_sorted_by` the in-memory
     // sources use, so it is bit-identical to `VecSource`'s at the
-    // persisted resolution; other resolutions would need data pages
-    // and return `None`.
-    fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
-        let h = &self.inner.histogram;
-        (h.universe() == 0 || h.bins() == bins).then(|| h.clone())
+    // persisted resolution; other resolutions would need data pages.
+    fn caps(&self) -> Caps<'_> {
+        Caps {
+            grades: Some(Grades::kept(&self.inner.histogram)),
+            page_io: Some(self.inner.page_io()),
+        }
     }
 
-    fn page_io(&self) -> Option<PageIoStats> {
-        Some(self.inner.page_io())
+    // `#[inline]` down to the entry decode (`current`, `entry`,
+    // `entries`, `format::read_entries`, `format::read_u64`): the frozen
+    // trait's blanket impl is compiled in the crate that makes its
+    // `dyn`, and a half-inlined chain there costs more per entry than
+    // none (≈ 17 against 6 ns on a warm page).
+    #[inline]
+    fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
+        let pos = self.pos;
+        let Some(page) = self.current()? else {
+            return Ok(None);
+        };
+        let item = page.entry(pos);
+        if item.is_some() {
+            self.pos += 1;
+        }
+        Ok(item)
+    }
+
+    fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
+        match self.inner.locate(oid) {
+            Some(idx) => self.inner.probe(idx, oid),
+            None => Ok(Score::ZERO),
+        }
     }
 }
 
@@ -809,6 +809,36 @@ pub(crate) mod tests {
     use crate::source::VecSource;
     use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
     use std::path::PathBuf;
+
+    /// The store error a failed access reports.
+    fn cause(error: &SourceError) -> &StoreError {
+        error
+            .cause()
+            .downcast_ref()
+            .expect("a paged source fails with a store error")
+    }
+
+    /// Scalar sorted accesses until one fails: how many delivered, and
+    /// the failure.
+    fn drain_until_error(src: &mut PagedSource) -> (usize, SourceError) {
+        let mut drained = 0;
+        loop {
+            match src.sorted_next() {
+                Ok(Some(_)) => drained += 1,
+                Ok(None) => panic!("the stream ended after {drained} entries"),
+                Err(e) => return (drained, e),
+            }
+        }
+    }
+
+    /// The bounded-probe contract over an exact grade.
+    fn clamp(grade: Score, bound: Score) -> Score {
+        if grade >= bound {
+            grade
+        } else {
+            Score::ZERO
+        }
+    }
 
     /// A scratch path under the workspace `target/` dir (tests must
     /// not write outside the repository).
@@ -928,7 +958,7 @@ pub(crate) mod tests {
 
         // Whole sorted stream, bit for bit.
         loop {
-            let (a, b) = (paged.sorted_next(), vec.sorted_next());
+            let (a, b) = (paged.sorted_next().unwrap(), vec.sorted_next().unwrap());
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -937,28 +967,30 @@ pub(crate) mod tests {
         // Random access incl. absent oids (pairs use oids ≡ 0 mod 3).
         for oid in 0..1600 {
             assert_eq!(
-                paged.random_access(oid),
-                vec.random_access(oid),
+                paged.random_access(oid).unwrap(),
+                vec.random_access(oid).unwrap(),
                 "oid {oid}"
             );
         }
         // Batched access after rewind.
         paged.rewind();
         vec.rewind();
-        assert_eq!(paged.sorted_batch(123), vec.sorted_batch(123));
         assert_eq!(
-            paged.random_batch(&[0, 1, 3, 999]),
-            vec.random_batch(&[0, 1, 3, 999])
+            paged.sorted_batch(123).unwrap(),
+            vec.sorted_batch(123).unwrap()
+        );
+        assert_eq!(
+            paged.random_batch(&[0, 1, 3, 999]).unwrap(),
+            vec.random_batch(&[0, 1, 3, 999]).unwrap()
         );
         // Histogram off the stats page: identical to the in-memory
         // one, with zero data-page reads charged for it.
         let before = store.page_io().reads;
         assert_eq!(
-            paged.grade_histogram(DEFAULT_HISTOGRAM_BINS),
-            vec.grade_histogram(DEFAULT_HISTOGRAM_BINS)
+            paged.caps().histogram(DEFAULT_HISTOGRAM_BINS),
+            vec.caps().histogram(DEFAULT_HISTOGRAM_BINS)
         );
         assert_eq!(store.page_io().reads, before, "stats page is in memory");
-        assert!(store.take_error().is_none());
     }
 
     #[test]
@@ -968,11 +1000,11 @@ pub(crate) mod tests {
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
         assert!(store.is_empty());
         let mut src = store.source();
-        assert_eq!(src.sorted_next(), None);
-        assert_eq!(src.random_access(5), Score::ZERO);
+        assert_eq!(src.sorted_next().unwrap(), None);
+        assert_eq!(src.random_access(5).unwrap(), Score::ZERO);
         assert_eq!(
-            src.grade_histogram(4),
-            VecSource::new("empty", Vec::new()).grade_histogram(4)
+            src.caps().histogram(4),
+            VecSource::new("empty", Vec::new()).caps().histogram(4)
         );
     }
 
@@ -990,7 +1022,10 @@ pub(crate) mod tests {
         assert_eq!(store.len(), 300);
         let mut paged = store.source();
         vec.rewind();
-        assert_eq!(paged.sorted_batch(300), vec.sorted_batch(300));
+        assert_eq!(
+            paged.sorted_batch(300).unwrap(),
+            vec.sorted_batch(300).unwrap()
+        );
     }
 
     #[test]
@@ -1034,29 +1069,26 @@ pub(crate) mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).expect("open is page-local");
         let mut src = store.source();
-        // Draining hits the bad page eventually: the stream degrades
-        // (never panics) and the typed error is parked.
-        while src.sorted_next().is_some() {}
-        let hit_sorted = matches!(
-            store.take_error(),
-            Some(StoreError::ChecksumMismatch { .. })
-        );
+        // Draining hits the bad page eventually: a typed error, never a
+        // panic and never a short stream.
+        let checksum = |e: SourceError| matches!(cause(&e), StoreError::ChecksumMismatch { .. });
+        let hit_sorted = loop {
+            match src.sorted_next() {
+                Ok(Some(_)) => {}
+                Ok(None) => break false,
+                Err(e) => break checksum(e),
+            }
+        };
         // Random probes walk every random page: if the flipped page
         // was in the random section the error surfaces here instead.
-        for oid in 0..1500 {
-            let _ = src.random_access(oid);
-        }
-        let hit_random = matches!(
-            store.take_error(),
-            Some(StoreError::ChecksumMismatch { .. })
-        );
+        let hit_random = (0..1500).any(|oid| src.random_access(oid).is_err_and(checksum));
         assert!(hit_sorted || hit_random, "the corrupt page must surface");
     }
 
     /// A data page whose checksum is valid but whose entry count is
     /// short of what the header's geometry requires must not shorten
-    /// the source silently: the read degrades like a checksum failure
-    /// and the typed error is parked.
+    /// the source silently: the read fails like a checksum failure,
+    /// with a typed error.
     #[test]
     fn under_declared_entry_count_is_a_typed_error() {
         let path = scratch("under-declared.fmdb");
@@ -1081,36 +1113,26 @@ pub(crate) mod tests {
 
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).expect("open is page-local");
         let mut src = store.source();
-        let mut drained = 0;
-        while src.sorted_next().is_some() {
-            drained += 1;
-        }
+        let (drained, error) = drain_until_error(&mut src);
         // Pages 0 and 1 deliver; page 2 is refused whole.
         assert_eq!(drained, 62);
         assert!(matches!(
-            store.take_error(),
-            Some(StoreError::InvalidHeader(
-                "data page entry count disagrees with the header"
-            ))
+            cause(&error),
+            StoreError::InvalidHeader("data page entry count disagrees with the header")
         ));
         // The random table's page 3 is refused the same way.
         let first_oid_on_page_3 = 3 * 3 * 31; // pairs use oids 0, 3, 6, …
-        assert_eq!(src.random_access(first_oid_on_page_3), Score::ZERO);
-        assert!(matches!(
-            store.take_error(),
-            Some(StoreError::InvalidHeader(_))
-        ));
+        let error = src.random_access(first_oid_on_page_3).unwrap_err();
+        assert!(matches!(cause(&error), StoreError::InvalidHeader(_)));
         // A whole page left alone still answers.
         let mut vec = VecSource::new("u", sample_pairs(1000, 4));
-        assert_eq!(src.random_access(0), vec.random_access(0));
-        assert!(store.take_error().is_none());
+        assert_eq!(src.random_access(0).unwrap(), vec.random_access(0).unwrap());
     }
 
-    /// A source whose stream a failed read cut short builds no store:
-    /// the drain is checked against the universe the source declares,
-    /// and the error a caller of the copy would never see is returned.
+    /// A source whose read fails mid-drain builds no store, and the
+    /// builder returns the source's error.
     #[test]
-    fn a_short_drain_builds_no_store() {
+    fn a_failed_drain_builds_no_store() {
         let path = scratch("short-original.fmdb");
         let copy = scratch("short-copy.fmdb");
         let cfg = BuildConfig::with_page_size(512);
@@ -1128,6 +1150,38 @@ pub(crate) mod tests {
 
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).expect("open is page-local");
         let built = build_store_from_source(&copy, &mut store.source(), &cfg);
+        match &built {
+            Err(StoreError::Source(e)) => assert!(
+                matches!(cause(e), StoreError::ChecksumMismatch { page } if *page == third_sorted_page),
+                "{e}"
+            ),
+            other => panic!("expected the source's error, got {other:?}"),
+        }
+        assert!(!copy.exists(), "no file is written");
+    }
+
+    /// A source that streams fewer objects than the universe it declares
+    /// builds no store either.
+    #[test]
+    fn a_short_drain_builds_no_store() {
+        struct Liar(VecSource);
+        impl Subsystem for Liar {
+            fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+                self.0.sorted_batch(n)
+            }
+            fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+                self.0.random_batch(oids)
+            }
+            fn rewind(&mut self) {
+                self.0.rewind();
+            }
+            fn info(&self) -> SourceInfo {
+                SourceInfo::new("liar", 1000)
+            }
+        }
+        let copy = scratch("short-liar.fmdb");
+        let mut liar = Liar(VecSource::new("liar", sample_pairs(62, 8)));
+        let built = build_store_from_source(&copy, &mut liar, &BuildConfig::DEFAULT);
         assert!(
             matches!(
                 built,
@@ -1139,10 +1193,6 @@ pub(crate) mod tests {
             "{built:?}"
         );
         assert!(!copy.exists(), "no file is written");
-        assert!(matches!(
-            store.take_error(),
-            Some(StoreError::ChecksumMismatch { page }) if page == third_sorted_page
-        ));
     }
 
     #[test]
@@ -1171,7 +1221,7 @@ pub(crate) mod tests {
         let mut src = store.source();
         let mut drained = 0;
         loop {
-            let batch = src.sorted_batch(97);
+            let batch = src.sorted_batch(97).unwrap();
             drained += batch.len();
             if batch.len() < 97 {
                 break;
@@ -1180,7 +1230,6 @@ pub(crate) mod tests {
         assert_eq!(drained, 2000);
         let io = store.page_io();
         assert_eq!((io.reads, io.hits), (sorted_pages, 0));
-        assert!(store.take_error().is_none());
     }
 
     #[test]
@@ -1203,11 +1252,11 @@ pub(crate) mod tests {
         build_store(&path, "cw", pairs, &BuildConfig::with_page_size(512)).unwrap();
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
         let mut src = store.source();
-        while src.sorted_next().is_some() {}
+        while src.sorted_next().unwrap().is_some() {}
         let cold = store.page_io();
         assert!(cold.reads > 0, "cold drain reads pages");
         src.rewind();
-        while src.sorted_next().is_some() {}
+        while src.sorted_next().unwrap().is_some() {}
         let warm = store.page_io();
         assert_eq!(warm.reads, cold.reads, "warm drain reads nothing new");
         assert!(warm.hits > cold.hits, "warm drain hits the pool");
@@ -1278,12 +1327,12 @@ pub(crate) mod tests {
             let bound = Score::clamped(bound);
             let mut paged = store.source();
             let mut vec = VecSource::new("bd", pairs.clone());
-            let want = vec.sorted_drain_bounded(bound).unwrap();
+            let want = vec.sorted_drain_bounded(bound);
             assert_eq!(paged.sorted_drain_bounded(bound).unwrap(), want);
             // After the bounded drain both cursors sit at the first
             // below-bound entry; the rest of the stream still agrees.
             loop {
-                let (a, b) = (paged.sorted_next(), vec.sorted_next());
+                let (a, b) = (paged.sorted_next().unwrap(), vec.sorted_next().unwrap());
                 assert_eq!(a, b, "post-drain stream at bound {bound}");
                 if a.is_none() {
                     break;
@@ -1296,7 +1345,6 @@ pub(crate) mod tests {
         let drained = paged.sorted_drain_bounded(Score::clamped(0.95)).unwrap();
         assert!(!drained.is_empty(), "the high head still streams");
         assert!(store.page_io().skipped > 0, "the low tail is skipped");
-        assert!(store.take_error().is_none());
     }
 
     #[test]
@@ -1320,8 +1368,8 @@ pub(crate) mod tests {
         let bound = Score::clamped(0.9);
         for oid in 0..1200 {
             assert_eq!(
-                paged.random_access_bounded(oid, bound),
-                vec.random_access_bounded(oid, bound),
+                paged.random_access_bounded(oid, bound).unwrap(),
+                clamp(vec.random_access(oid).unwrap(), bound),
                 "oid {oid}"
             );
         }
@@ -1329,7 +1377,6 @@ pub(crate) mod tests {
             store.page_io().skipped > 0,
             "low-grade pages answered from bounds"
         );
-        assert!(store.take_error().is_none());
     }
 
     /// The oids of `sample_pairs(n, _)` in a scattered order.
@@ -1350,26 +1397,34 @@ pub(crate) mod tests {
         // entry, above it — then a scattered sweep with repeats.
         let mut oids: Vec<Oid> = vec![0, 29, 30, 30, 31, 33, last, last + 1, u64::MAX, 33];
         oids.extend((0..900u64).map(|i| i * 7919 % (last + 40)));
-        let want = VecSource::new("b", pairs.clone()).random_batch(&oids);
+        let want = VecSource::new("b", pairs.clone())
+            .random_batch(&oids)
+            .unwrap();
         let cfg = BuildConfig::with_page_size(256);
         let path = scratch("batch.fmdb");
         build_store(&path, "b", pairs.clone(), &cfg).unwrap();
         for pool_pages in [None, Some(1), Some(8), Some(256)] {
             let store = PagedStore::open(&path, StoreOptions { pool_pages }).unwrap();
             let mut src = store.source();
-            let scalar: Vec<Score> = oids.iter().map(|&oid| src.random_access(oid)).collect();
+            let scalar: Vec<Score> = oids
+                .iter()
+                .map(|&oid| src.random_access(oid).unwrap())
+                .collect();
             assert_eq!(scalar, want, "scalar, pool {pool_pages:?}");
             store.clear_pool();
-            assert_eq!(src.random_batch(&oids), want, "batch, pool {pool_pages:?}");
-            assert!(src.random_batch(&[]).is_empty());
-            assert!(store.take_error().is_none());
+            assert_eq!(
+                src.random_batch(&oids).unwrap(),
+                want,
+                "batch, pool {pool_pages:?}"
+            );
+            assert!(src.random_batch(&[]).unwrap().is_empty());
         }
 
         let empty = scratch("batch-empty.fmdb");
         build_store(&empty, "e", Vec::new(), &cfg).unwrap();
         let store = PagedStore::open(&empty, StoreOptions::DEFAULT).unwrap();
         assert_eq!(
-            store.source().random_batch(&[0, 7, 7, u64::MAX]),
+            store.source().random_batch(&[0, 7, 7, u64::MAX]).unwrap(),
             [Score::ZERO; 4]
         );
         assert_eq!(store.page_io().reads, 0);
@@ -1386,20 +1441,20 @@ pub(crate) mod tests {
         let oids = scattered_oids(2000);
         let mut src = store.source();
         assert_eq!(
-            src.random_batch(&oids),
-            VecSource::new("o", pairs).random_batch(&oids)
+            src.random_batch(&oids).unwrap(),
+            VecSource::new("o", pairs).random_batch(&oids).unwrap()
         );
         assert_eq!(store.page_io().reads, random_pages);
         // The same probes one by one thrash the eight frames.
         store.clear_pool();
         for &oid in &oids {
-            let _ = src.random_access(oid);
+            let _ = src.random_access(oid).unwrap();
         }
         assert!(store.page_io().reads > 4 * random_pages);
     }
 
     #[test]
-    fn corrupt_page_in_a_batch_zeroes_only_its_oids() {
+    fn corrupt_page_in_a_batch_fails_the_batch() {
         let pairs = sample_pairs(600, 29);
         let path = scratch("batch-corrupt.fmdb");
         build_store(&path, "x", pairs.clone(), &BuildConfig::with_page_size(512)).unwrap();
@@ -1414,21 +1469,18 @@ pub(crate) mod tests {
 
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
         let oids = scattered_oids(600);
-        let got = store.source().random_batch(&oids);
-        let mut vec = VecSource::new("x", pairs);
-        for (&oid, &grade) in oids.iter().zip(&got) {
-            // Entry `i` (oid `3 i`) sits on random-table page `i / epp`.
-            let want = if oid / 3 / epp == 3 {
-                Score::ZERO
-            } else {
-                vec.random_access(oid)
-            };
-            assert_eq!(grade, want, "oid {oid}");
-        }
+        let error = store.source().random_batch(&oids).unwrap_err();
         assert!(matches!(
-            store.take_error(),
-            Some(StoreError::ChecksumMismatch { page }) if page == bad_page
+            cause(&error),
+            StoreError::ChecksumMismatch { page } if *page == bad_page
         ));
+        // A batch that does not touch the page still answers.
+        // Entry `i` (oid `3 i`) sits on random-table page `i / epp`.
+        let clean: Vec<Oid> = oids.into_iter().filter(|oid| oid / 3 / epp != 3).collect();
+        assert_eq!(
+            store.source().random_batch(&clean).unwrap(),
+            VecSource::new("x", pairs).random_batch(&clean).unwrap()
+        );
     }
 
     #[test]
@@ -1470,24 +1522,27 @@ pub(crate) mod tests {
 
         let (mut paged, mut vec) = (store.source(), VecSource::new("m", pairs));
         for _ in 0..5 {
-            assert_eq!(paged.sorted_next(), vec.sorted_next());
+            assert_eq!(paged.sorted_next().unwrap(), vec.sorted_next().unwrap());
         }
         assert_eq!(
-            paged.sorted_drain_bounded(Score::ONE),
+            paged.sorted_drain_bounded(Score::ONE).unwrap(),
             vec.sorted_drain_bounded(Score::ONE)
         );
         let io = store.page_io();
         assert!(io.reads + io.skipped <= sorted_pages, "{io:?}");
         assert_eq!((io.reads, io.skipped), (1, 32));
-        assert_eq!(paged.sorted_next(), vec.sorted_next(), "the cursor stayed");
+        assert_eq!(
+            paged.sorted_next().unwrap(),
+            vec.sorted_next().unwrap(),
+            "the cursor stayed"
+        );
 
         // From a page boundary every page is skipped, as before.
         store.clear_pool();
         let mut fresh = store.source();
-        assert_eq!(fresh.sorted_drain_bounded(Score::ONE), Some(Vec::new()));
+        assert_eq!(fresh.sorted_drain_bounded(Score::ONE).unwrap(), Vec::new());
         let io = store.page_io();
         assert_eq!((io.reads, io.skipped), (0, sorted_pages));
-        assert!(store.take_error().is_none());
     }
 
     /// Every store the unit tests above build has oids `i * 3`, which
@@ -1527,20 +1582,23 @@ pub(crate) mod tests {
                 let at = format!("{name}, page size {page_size}");
                 for &oid in &oids {
                     assert_eq!(
-                        paged.random_access(oid),
-                        vec.random_access(oid),
+                        paged.random_access(oid).unwrap(),
+                        vec.random_access(oid).unwrap(),
                         "{at}: oid {oid}"
                     );
                     for bound in [Score::ZERO, Score::HALF] {
                         assert_eq!(
-                            paged.random_access_bounded(oid, bound),
-                            vec.random_access_bounded(oid, bound),
+                            paged.random_access_bounded(oid, bound).unwrap(),
+                            clamp(vec.random_access(oid).unwrap(), bound),
                             "{at}: oid {oid} bounded by {bound:?}"
                         );
                     }
                 }
-                assert_eq!(paged.random_batch(&oids), vec.random_batch(&oids), "{at}");
-                assert!(store.take_error().is_none(), "{at}");
+                assert_eq!(
+                    paged.random_batch(&oids).unwrap(),
+                    vec.random_batch(&oids).unwrap(),
+                    "{at}"
+                );
             }
         }
 
@@ -1592,20 +1650,24 @@ pub(crate) mod tests {
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
         let mut paged = store.source();
         let mut vec = VecSource::new("w", pairs);
-        assert_ne!(vec.random_access(a), vec.random_access(b));
+        assert_ne!(vec.random_access(a).unwrap(), vec.random_access(b).unwrap());
         let page_oids: Vec<Oid> = (first..first + epp).collect();
-        let batch = paged.random_batch(&page_oids);
+        let batch = paged.random_batch(&page_oids).unwrap();
         for (&oid, &batched) in page_oids.iter().zip(&batch) {
-            let own = vec.random_access(oid);
+            let own = vec.random_access(oid).unwrap();
             for grade in [
-                paged.random_access(oid),
-                paged.random_access_bounded(oid, Score::ZERO),
+                paged.random_access(oid).unwrap(),
+                paged.random_access_bounded(oid, Score::ZERO).unwrap(),
                 batched,
             ] {
                 assert!(grade == own || grade == Score::ZERO, "oid {oid}: {grade:?}");
             }
             if oid != a && oid != b {
-                assert_eq!(paged.random_access(oid), own, "oid {oid} was not moved");
+                assert_eq!(
+                    paged.random_access(oid).unwrap(),
+                    own,
+                    "oid {oid} was not moved"
+                );
             }
         }
     }
@@ -1628,12 +1690,20 @@ pub(crate) mod tests {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             match (state >> 33) % 32 {
-                0..=11 => assert_eq!(paged.sorted_next(), vec.sorted_next(), "step {step}"),
-                12..=27 => assert_eq!(paged.sorted_batch(7), vec.sorted_batch(7), "step {step}"),
+                0..=11 => assert_eq!(
+                    paged.sorted_next().unwrap(),
+                    vec.sorted_next().unwrap(),
+                    "step {step}"
+                ),
+                12..=27 => assert_eq!(
+                    paged.sorted_batch(7).unwrap(),
+                    vec.sorted_batch(7).unwrap(),
+                    "step {step}"
+                ),
                 28..=30 => {
                     let bound = Score::clamped(((state >> 40) % 1000) as f64 / 1000.0);
                     assert_eq!(
-                        paged.sorted_drain_bounded(bound),
+                        paged.sorted_drain_bounded(bound).unwrap(),
                         vec.sorted_drain_bounded(bound),
                         "step {step}"
                     );
@@ -1644,7 +1714,6 @@ pub(crate) mod tests {
                 }
             }
         }
-        assert!(store.take_error().is_none());
         drop((paged, store));
 
         // A NaN grade at slot 20 of sorted page 2, under a valid checksum.
@@ -1657,22 +1726,14 @@ pub(crate) mod tests {
             frame[grade..grade + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         });
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).expect("open is page-local");
+        let bad = |e: SourceError| matches!(cause(&e), StoreError::InvalidGrade { page } if *page == bad_page);
         let mut src = store.source();
-        let mut drained = 0;
-        while src.sorted_next().is_some() {
-            drained += 1;
-        }
+        let (drained, error) = drain_until_error(&mut src);
         // Pages 0 and 1 deliver; page 2 is refused whole, slots 0–19
-        // included.
+        // included, and the cursor stays in front of it.
         assert_eq!(drained, 62);
-        assert!(matches!(
-            store.take_error(),
-            Some(StoreError::InvalidGrade { page }) if page == bad_page
-        ));
-        assert_eq!(store.source().sorted_batch(usize::MAX).len(), 62);
-        assert!(matches!(
-            store.take_error(),
-            Some(StoreError::InvalidGrade { page }) if page == bad_page
-        ));
+        assert!(bad(error));
+        assert!(src.sorted_next().is_err_and(bad));
+        assert!(store.source().sorted_batch(usize::MAX).is_err_and(bad));
     }
 }

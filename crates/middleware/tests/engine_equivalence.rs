@@ -30,7 +30,7 @@ use fmdb_middleware::policy::{Algo, ExecPolicy};
 use fmdb_middleware::request::{
     shared_source, SharedScoring, SharedSource, TopKQuery, TopKRequest,
 };
-use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, VecSource};
+use fmdb_middleware::source::{GradedSource, Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use fmdb_middleware::workload::independent_uniform;
 
 /// The lists a scenario runs on.
@@ -262,24 +262,24 @@ struct Recording {
     probes: Arc<Mutex<Probes>>,
 }
 
-impl GradedSource for Recording {
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        self.inner.sorted_next()
+impl Subsystem for Recording {
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        Subsystem::sorted_batch(&mut self.inner, n)
     }
-    fn random_access(&mut self, oid: Oid) -> Score {
+    fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
         self.probes.lock().expect("probe log").scalar += 1;
-        self.inner.random_access(oid)
+        Subsystem::random_access(&mut self.inner, oid)
     }
-    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
         let mut probes = self.probes.lock().expect("probe log");
         probes.batch_lengths.push(oids.len());
-        self.inner.random_batch(oids)
+        Subsystem::random_batch(&mut self.inner, oids)
     }
     fn rewind(&mut self) {
-        self.inner.rewind();
+        Subsystem::rewind(&mut self.inner);
     }
     fn info(&self) -> SourceInfo {
-        self.inner.info()
+        Subsystem::info(&self.inner)
     }
 }
 

@@ -31,7 +31,7 @@ use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
 use fmdb_middleware::oracle::verify_top_k;
-use fmdb_middleware::source::{GradedSource, Oid, VecSource};
+use fmdb_middleware::source::{self, GradedSource, Oid, VecSource};
 use fmdb_middleware::workload::independent_uniform;
 
 const N: usize = 400;
@@ -175,9 +175,9 @@ fn every_family_member_reproduces_its_pinned_charges_and_answers() {
 fn the_filter_simulation_restarts_as_pinned() {
     for &(lists, m, k, name, rounds, final_tau) in CG_ROUNDS {
         let mut sources = lists.build(m);
-        let mut refs: Vec<&mut dyn GradedSource> = sources
+        let mut refs: Vec<&mut dyn source::Subsystem> = sources
             .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
+            .map(|s| s as &mut dyn source::Subsystem)
             .collect();
         let run = schedule(name).run(&mut refs, &Min, k).unwrap();
         assert_eq!(
@@ -202,9 +202,9 @@ fn a_resumed_session_reproduces_its_pinned_charges_and_answers() {
             .find(|f| (f.scoring, f.m, f.k) == (name, m, 10))
             .unwrap();
         let mut sources = lists.build(m);
-        let refs: Vec<&mut dyn GradedSource> = sources
+        let refs: Vec<&mut dyn source::Subsystem> = sources
             .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
+            .map(|s| s as &mut dyn source::Subsystem)
             .collect();
         let scoring = scoring(name);
         let mut session = FaSession::new(refs, scoring.as_ref()).unwrap();

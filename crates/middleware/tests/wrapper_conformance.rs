@@ -1,112 +1,67 @@
-//! Wrapper conformance: a wrapper around a [`GradedSource`] must pass
+//! Wrapper conformance: a wrapper around a [`Subsystem`] must pass
 //! every trait method through to the source it wraps, or say why not.
 //!
-//! `GradedSource` has default methods, so a wrapper that forgets one
-//! still compiles — and silently drops, say, the kernel's threshold
-//! feed or a paged source's page counters on the floor. This suite
-//! calls every method on each wrapper over a [`RecordingSource`] and
-//! checks that the call of the same name reached the inner source, or
-//! that the pair sits in [`ALLOWED`] with its reason. An allow-listed
-//! method that *does* reach the inner source fails too, so the list
-//! cannot go stale.
+//! `Subsystem` has provided methods, so a wrapper that forgets one
+//! still compiles — and silently drops, say, a paged source's page
+//! counters and histogram (`caps`) on the floor. This suite calls every
+//! method on each wrapper over a [`RecordingSource`] and checks that the
+//! call reached the inner source — a scalar access as itself or as the
+//! batch of one its default makes — or that the pair sits in
+//! [`ALLOWED`] with its reason. An allow-listed method that *does*
+//! reach the inner source fails too, so the list cannot go stale.
 
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::scoring::ScoringFunction;
-use fmdb_core::stats::GradeHistogram;
+use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
 use fmdb_middleware::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
 use fmdb_middleware::engine::Engine;
 use fmdb_middleware::request::TopKQuery;
 use fmdb_middleware::source::{
-    CountingSource, GradedSource, Oid, SourceInfo, ValidatingSource, VecSource,
+    Caps, CountingSource, Oid, SourceError, SourceInfo, Subsystem, ValidatingSource, VecSource,
 };
-use fmdb_middleware::stats::{AccessStats, PageIoStats};
+use fmdb_middleware::stats::AccessStats;
+use fmdb_middleware::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
 use fmdb_middleware::workload::independent_uniform;
 
 /// One call of a trait method; only the inner calls it causes matter.
-type Call = fn(&mut dyn GradedSource);
+type Call = fn(&mut dyn Subsystem);
 
 fn ignore<T>(_: T) {}
 
-fn bound() -> Score {
-    Score::clamped(0.5)
-}
-
-/// Every method of the trait with a call of it, in the order
-/// [`exercise`] makes them: the batch before the scalar pull (a
-/// buffering wrapper refills on the first), the rewind last (only a
-/// used stream has to be rewound). The hidden `partition` shim is not
-/// here: its argument type has no values, so nothing can call it.
-const METHODS: [(&str, Call); 11] = [
-    ("info", |s| ignore(s.info())),
-    ("grade_histogram", |s| ignore(s.grade_histogram(4))),
-    ("page_io", |s| ignore(s.page_io())),
-    ("sorted_batch", |s| ignore(s.sorted_batch(3))),
-    ("sorted_next", |s| ignore(s.sorted_next())),
-    ("note_threshold", |s| s.note_threshold(bound())),
-    ("sorted_drain_bounded", |s| {
-        ignore(s.sorted_drain_bounded(bound()))
+/// Every method of the trait with a call of it and the inner calls
+/// that count as reaching the source, in the order [`exercise`] makes
+/// them: the batch before the scalar pull (a buffering wrapper refills
+/// on the first), the rewind last (only a used stream has to be
+/// rewound).
+const METHODS: [(&str, &[&str], Call); 7] = [
+    ("info", &["info"], |s| ignore(s.info())),
+    ("caps", &["caps"], |s| ignore(s.caps())),
+    ("sorted_batch", &["sorted_batch"], |s| {
+        ignore(s.sorted_batch(3))
     }),
-    ("random_access", |s| ignore(s.random_access(1))),
-    ("random_batch", |s| ignore(s.random_batch(&[2, 3]))),
-    ("random_access_bounded", |s| {
-        ignore(s.random_access_bounded(4, bound()))
+    ("sorted_next", &["sorted_next", "sorted_batch"], |s| {
+        ignore(s.sorted_next())
     }),
-    ("rewind", |s| s.rewind()),
+    ("random_access", &["random_access", "random_batch"], |s| {
+        ignore(s.random_access(1))
+    }),
+    ("random_batch", &["random_batch"], |s| {
+        ignore(s.random_batch(&[2, 3]))
+    }),
+    ("rewind", &["rewind"], |s| s.rewind()),
 ];
 
-/// `(wrapper, method, why the inner method of that name is not
-/// reached)`.
-const ALLOWED: [(&str, &str, &str); 9] = [
-    (
-        "validating",
-        "sorted_batch",
-        "batches validate item by item through `sorted_next`",
-    ),
-    (
-        "validating",
-        "random_batch",
-        "batches validate item by item through `random_access`",
-    ),
-    (
-        "validating",
-        "sorted_drain_bounded",
-        "declines (`None`), so the caller's scalar loop validates item by item",
-    ),
-    (
-        "validating",
-        "random_access_bounded",
-        "validates the exact grade through `random_access`, then clamps",
-    ),
-    (
-        "engine",
-        "info",
-        "snapshotted once when the proxy is built: the kernel reads the copy, a panic report its label",
-    ),
-    (
-        "engine",
-        "grade_histogram",
-        "planner-time metadata: `Engine::explain` reads it from the source, no kernel asks a proxy",
-    ),
-    (
-        "engine",
-        "page_io",
-        "the engine diffs the source's counters around the run itself; no kernel asks a proxy",
-    ),
-    (
-        "engine",
-        "sorted_next",
-        "served from batch refills: the inner source sees `sorted_batch`",
-    ),
-    (
-        "engine",
-        "sorted_drain_bounded",
-        "declines (`None`): the read-ahead buffer has moved the inner cursor past the proxy's",
-    ),
-];
+/// `(wrapper, method, why the inner source is not reached)`.
+const ALLOWED: [(&str, &str, &str); 1] = [(
+    "engine",
+    "sorted_next",
+    "served from batch refills: the inner source sees one `sorted_batch` per batch",
+)];
 
 type Log = Arc<Mutex<Vec<&'static str>>>;
 
@@ -129,14 +84,14 @@ impl RecordingSource {
     }
 }
 
-impl GradedSource for RecordingSource {
-    fn sorted_next(&mut self) -> Option<ScoredObject<Oid>> {
-        self.note("sorted_next");
-        self.inner.sorted_next()
+impl Subsystem for RecordingSource {
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        self.note("sorted_batch");
+        self.inner.sorted_batch(n)
     }
-    fn random_access(&mut self, oid: Oid) -> Score {
-        self.note("random_access");
-        self.inner.random_access(oid)
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+        self.note("random_batch");
+        self.inner.random_batch(oids)
     }
     fn rewind(&mut self) {
         self.note("rewind");
@@ -146,33 +101,17 @@ impl GradedSource for RecordingSource {
         self.note("info");
         self.inner.info()
     }
-    fn sorted_batch(&mut self, n: usize) -> Vec<ScoredObject<Oid>> {
-        self.note("sorted_batch");
-        self.inner.sorted_batch(n)
+    fn caps(&self) -> Caps<'_> {
+        self.note("caps");
+        self.inner.caps()
     }
-    fn random_batch(&mut self, oids: &[Oid]) -> Vec<Score> {
-        self.note("random_batch");
-        self.inner.random_batch(oids)
+    fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
+        self.note("sorted_next");
+        self.inner.sorted_next()
     }
-    fn grade_histogram(&self, bins: usize) -> Option<GradeHistogram> {
-        self.note("grade_histogram");
-        self.inner.grade_histogram(bins)
-    }
-    fn page_io(&self) -> Option<PageIoStats> {
-        self.note("page_io");
-        self.inner.page_io()
-    }
-    fn note_threshold(&mut self, bound: Score) {
-        self.note("note_threshold");
-        self.inner.note_threshold(bound);
-    }
-    fn sorted_drain_bounded(&mut self, bound: Score) -> Option<Vec<ScoredObject<Oid>>> {
-        self.note("sorted_drain_bounded");
-        self.inner.sorted_drain_bounded(bound)
-    }
-    fn random_access_bounded(&mut self, oid: Oid, bound: Score) -> Score {
-        self.note("random_access_bounded");
-        self.inner.random_access_bounded(oid, bound)
+    fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
+        self.note("random_access");
+        self.inner.random_access(oid)
     }
 }
 
@@ -181,11 +120,11 @@ type Reached = BTreeMap<&'static str, Vec<&'static str>>;
 
 /// Calls every trait method on `wrapper`, in [`METHODS`] order, and
 /// returns the inner calls each one caused.
-fn exercise(wrapper: &mut dyn GradedSource, log: &Log) -> Reached {
+fn exercise(wrapper: &mut dyn Subsystem, log: &Log) -> Reached {
     log.lock().expect("log lock").clear();
     METHODS
         .into_iter()
-        .map(|(method, call)| {
+        .map(|(method, _, call)| {
             call(wrapper);
             (method, std::mem::take(&mut *log.lock().expect("log lock")))
         })
@@ -203,9 +142,9 @@ impl TopKAlgorithm for Probe {
     fn name(&self) -> &'static str {
         "conformance-probe"
     }
-    fn top_k(
+    fn evaluate(
         &self,
-        sources: &mut [&mut dyn GradedSource],
+        sources: &mut [&mut dyn Subsystem],
         _: &dyn ScoringFunction,
         _: usize,
     ) -> Result<TopKResult, AlgoError> {
@@ -252,9 +191,9 @@ fn every_wrapper_forwards_every_method_or_says_why_not() {
     ];
     let mut failures = Vec::new();
     for (wrapper, reached) in &wrappers {
-        for (method, _) in METHODS {
+        for (method, reaching, _) in METHODS {
             let inner = &reached[method];
-            let forwarded = inner.contains(&method);
+            let forwarded = reaching.iter().any(|name| inner.contains(name));
             let allowed = ALLOWED
                 .iter()
                 .find(|(w, m, _)| w == wrapper && *m == method);
@@ -270,4 +209,31 @@ fn every_wrapper_forwards_every_method_or_says_why_not() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// A paged source's histogram and page counters survive wrapping:
+/// both wrappers report the `caps()` of the bare source, before and
+/// after the counters move.
+#[test]
+fn wrappers_report_the_caps_of_a_paged_source() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("wrapper-caps.fmdb");
+    let mut list = independent_uniform(2_000, 1, 9).remove(0);
+    build_store_from_source(&path, &mut list, &BuildConfig::DEFAULT).expect("build store");
+    let store = PagedStore::open(&path, StoreOptions::with_pool_pages(4)).expect("open store");
+    let seen = |caps: Caps<'_>| (caps.histogram(DEFAULT_HISTOGRAM_BINS), caps.page_io);
+    let mut counting = CountingSource::new(store.source());
+    let validating = ValidatingSource::new(store.source());
+    for _ in 0..2 {
+        let bare = store.source();
+        let want = seen(bare.caps());
+        assert!(want.0.is_some() && want.1.is_some(), "{want:?}");
+        assert_eq!(seen(counting.caps()), want);
+        assert_eq!(seen(validating.caps()), want);
+        // Move the pool's counters for the second round.
+        counting.sorted_batch(600).expect("no page fails");
+        counting
+            .random_batch(&[1, 900, 1_999])
+            .expect("no page fails");
+    }
+    std::fs::remove_file(&path).expect("remove store");
 }

@@ -18,11 +18,11 @@ fn run(
     scoring: &dyn ScoringFunction,
     k: usize,
 ) -> AccessStats {
-    let mut refs: Vec<&mut dyn GradedSource> = sources
+    let mut refs: Vec<&mut dyn Subsystem> = sources
         .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
+        .map(|s| s as &mut dyn Subsystem)
         .collect();
-    algo.top_k(&mut refs, scoring, k)
+    algo.evaluate(&mut refs, scoring, k)
         .expect("valid query")
         .stats
 }
@@ -60,9 +60,9 @@ fn main() {
     println!("\nresumable sessions (\"continue where we left off\", §4.1):");
     let n = 1 << 16;
     let mut sources = independent_uniform(n, 2, 5);
-    let refs: Vec<&mut dyn GradedSource> = sources
+    let refs: Vec<&mut dyn Subsystem> = sources
         .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
+        .map(|s| s as &mut dyn Subsystem)
         .collect();
     let mut session = FaSession::new(refs, &Min).expect("valid session");
     for batch in 1..=3 {

@@ -36,12 +36,12 @@ fn main() {
     //    database (Theorem 4.1: O(√(kN)) for two conjuncts).
     let n = 50_000;
     let mut sources = fmdb_middleware::workload::independent_uniform(n, 2, 42);
-    let mut refs: Vec<&mut dyn GradedSource> = sources
+    let mut refs: Vec<&mut dyn Subsystem> = sources
         .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
+        .map(|s| s as &mut dyn Subsystem)
         .collect();
     let top = FaginsAlgorithm
-        .top_k(&mut refs, &Min, 5)
+        .evaluate(&mut refs, &Min, 5)
         .expect("valid query");
     println!("\ntop-5 of a {n}-object conjunction:");
     for answer in &top.answers {

@@ -11,6 +11,7 @@ use fuzzymm::middleware::algorithms::cg_filter::CgFilter;
 use fuzzymm::middleware::algorithms::nra::NraLowerBound;
 use fuzzymm::middleware::algorithms::TopKResult;
 use fuzzymm::middleware::oracle::{all_grades, verify_top_k};
+use fuzzymm::middleware::source::GradedSource;
 use fuzzymm::prelude::*;
 
 /// Strategy: m grade lists over a shared dense universe.
@@ -182,11 +183,15 @@ proptest! {
         // NRA certifies the set; its grades are lower bounds, so the
         // oracle is shown the members under their true grades.
         let mut sources = sparse();
+        let mut narrow: Vec<&mut dyn Subsystem> = sources
+            .iter_mut()
+            .map(|s| s as &mut dyn Subsystem)
+            .collect();
+        let nra = Nra.evaluate(&mut narrow, &ArithmeticMean, k).expect("valid run");
         let mut refs: Vec<&mut dyn GradedSource> = sources
             .iter_mut()
             .map(|s| s as &mut dyn GradedSource)
             .collect();
-        let nra = Nra.top_k(&mut refs, &ArithmeticMean, k).expect("valid run");
         let truth = all_grades(&mut refs, &ArithmeticMean);
         let members: Vec<ScoredObject<Oid>> = nra
             .answers
@@ -284,9 +289,9 @@ proptest! {
         k in 1usize..=4,
     ) {
         let mut sources = to_sources(&lists);
-        let refs: Vec<&mut dyn GradedSource> = sources
+        let refs: Vec<&mut dyn Subsystem> = sources
             .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
+            .map(|s| s as &mut dyn Subsystem)
             .collect();
         let mut session = FaSession::new(refs, &Min).expect("valid session");
         let first = session.next_k(k).expect("valid batch");

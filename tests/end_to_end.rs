@@ -215,11 +215,11 @@ fn qbic_sources_honor_the_access_contract() {
         let source = garlic.catalog().source_for(atom).expect("source builds");
         let mut validated = ValidatingSource::new(source);
         let mut ids = Vec::new();
-        while let Some(so) = validated.sorted_next() {
+        while let Some(so) = validated.sorted_next().unwrap() {
             ids.push(so.id);
         }
         for id in ids {
-            let _ = validated.random_access(id);
+            validated.random_access(id).unwrap();
         }
         assert!(
             validated.is_clean(),
