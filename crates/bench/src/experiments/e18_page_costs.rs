@@ -107,9 +107,16 @@ const REPEATS: usize = 7;
 
 /// Ceiling on `warm_ta_vs_mem` (release builds). Inside the whole quick
 /// suite the ratio read 3.85–5.10 while a probe searched the directory
-/// and then the page, and reads 2.58–2.94 since it tries the page and
-/// the slot its oid names first.
+/// and then the page, 2.58–2.94 once it tried the page and the slot its
+/// oid names first, and 1.94–2.52 since the pool is a page table.
 const MAX_WARM_TA_VS_MEM: f64 = 3.0;
+
+/// Ceiling on `warm_probe_vs_mem` (release builds): 1.25× the largest
+/// of eleven whole quick suites (12.9–31.6) since the buffer pool became a
+/// page table. With eight hashed LRU stripes a warm lookup took a
+/// stripe mutex, a hash and a recency-queue push, and the ratio read
+/// 19.0–34.0 in suites alternated with them.
+const MAX_WARM_PROBE_VS_MEM: f64 = 40.0;
 
 /// `(paged, memory, paged ÷ memory)`, each the median over [`REPEATS`]
 /// rounds. A round times the paged side and the memory side back to
@@ -317,7 +324,14 @@ pub fn run(cfg: &RunCfg) -> Report {
          paid a binary search over the directory and another over the page; look at \
          `StoreInner::{locate, find_in_page}` in `middleware::store` first",
     );
-    report.metric("warm_probe_vs_mem", warm_probe_vs_mem);
+    report.gated(
+        "warm_probe_vs_mem",
+        warm_probe_vs_mem,
+        Bound::PositiveAtMost(MAX_WARM_PROBE_VS_MEM),
+        "a warm scalar probe is back above 40× a probe from memory, where it sat while the \
+         buffer pool hashed each page to one of eight LRU stripes; look at `PagePool::get` \
+         in `middleware::store` first",
+    );
     let cold_page_us = cold_us_per_page_read();
     report.gated(
         "cold_us_per_page_read",

@@ -773,6 +773,99 @@ mod tests {
         assert!(scalar_reads * 2 < scalar.stats.random, "fixture must batch");
     }
 
+    /// Requests whose cursors share two stores, each with a pool of
+    /// four frames, run through `run_many` and from two client threads:
+    /// every answer and charge is the one the request gets alone.
+    #[test]
+    fn cursors_on_one_pool_answer_as_if_alone() {
+        use crate::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/store-tests");
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        let paths: Vec<_> = independent_uniform(4096, 2, 43)
+            .iter_mut()
+            .zip(0..)
+            .map(|(list, i)| {
+                let path = dir.join(format!("shared-pool-{i}.fmdb"));
+                build_store_from_source(&path, list, &BuildConfig::DEFAULT).expect("build");
+                path
+            })
+            .collect();
+        let open = |pool_pages| -> Vec<PagedStore> {
+            let options = StoreOptions::with_pool_pages(pool_pages);
+            paths
+                .iter()
+                .map(|path| PagedStore::open(path, options).expect("open"))
+                .collect()
+        };
+        let requests = |stores: &[PagedStore]| -> Vec<TopKRequest> {
+            [Algo::Fa, Algo::Ta, Algo::Nra, Algo::Ca]
+                .into_iter()
+                .flat_map(|algo| {
+                    [[0, 1], [1, 0]].map(|order| {
+                        let query = order.iter().fold(TopKQuery::compose(), |query, &i| {
+                            query.source(stores[i].source())
+                        });
+                        let policy = ExecPolicy::new().algo(algo);
+                        query.scoring(Min).k(10).policy(policy).request().unwrap()
+                    })
+                })
+                .collect()
+        };
+        let outcome = |result: Result<TopKResult, EngineError>| {
+            let result = result.unwrap();
+            (result.answers, result.stats.sorted, result.stats.random)
+        };
+        let engine = Engine::default();
+
+        // One request at a time, over pools that hold a whole file:
+        // each page the batch touches is read once.
+        let roomy = open(1 << 10);
+        let serial: Vec<_> = requests(&roomy)
+            .iter()
+            .map(|r| outcome(engine.run(r)))
+            .collect();
+
+        let stores = open(4);
+        let shared = requests(&stores);
+        let many: Vec<_> = engine.run_many(&shared).into_iter().map(outcome).collect();
+        assert_eq!(many, serial, "run_many");
+        // The clients start together, one from each end of the batch.
+        let start = std::sync::Barrier::new(2);
+        let client = |order: &mut dyn Iterator<Item = &TopKRequest>| {
+            start.wait();
+            order.map(|r| outcome(engine.run(r))).collect::<Vec<_>>()
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "two client threads sharing one pool are what this test is about"
+        )]
+        let (forward, mut backward) = std::thread::scope(|scope| {
+            let forward = scope.spawn(|| client(&mut shared.iter()));
+            let backward = scope.spawn(|| client(&mut shared.iter().rev()));
+            (
+                forward.join().expect("client thread"),
+                backward.join().expect("client thread"),
+            )
+        });
+        backward.reverse();
+        assert_eq!(forward, serial, "thread A");
+        assert_eq!(backward, serial, "thread B");
+
+        drop(shared);
+        let every_oid: Vec<Oid> = (0..4096).collect();
+        for (store, alone) in stores.iter().zip(&roomy) {
+            let (reads, touched) = (store.page_io().reads, alone.page_io().reads);
+            assert!(
+                reads >= touched,
+                "{reads} reads of {touched} distinct pages"
+            );
+            // Pins dropped with the cursors give their frames back at
+            // the next miss: probing every oid makes some.
+            Subsystem::random_batch(&mut store.source(), &every_oid).unwrap();
+            assert!(store.resident_pages() <= 4, "{}", store.resident_pages());
+        }
+    }
+
     #[test]
     fn other_merge_strategies_run_through_the_engine() {
         for algo in [&Naive as &dyn TopKAlgorithm, &ThresholdAlgorithm] {

@@ -36,8 +36,8 @@
 //!   realistic cost measure" made physical): checksummed fixed-size
 //!   pages holding a sorted run and a random-access grade table,
 //!   written crash-safely in one shot, read on demand through a
-//!   pinned lock-striped LRU buffer pool, and exposed as
-//!   [`store::PagedSource`] — bit-identical to a
+//!   page-table buffer pool with pinned frames and a CLOCK hand, and
+//!   exposed as [`store::PagedSource`] — bit-identical to a
 //!   [`source::VecSource`] over the same pairs;
 //! * [`workload`] — synthetic grade distributions: independent
 //!   (Theorem 4.1's model), correlated, and the adversarial
@@ -73,7 +73,6 @@ pub mod algorithms;
 pub mod engine;
 #[doc(hidden)]
 pub mod frozen;
-mod lru;
 pub mod optimality;
 pub mod oracle;
 pub mod planner;

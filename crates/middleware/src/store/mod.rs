@@ -6,10 +6,11 @@
 //! module makes the Fagin–Lotem–Naor cost model *physical*: a store
 //! file lays out a grade-descending **sorted run** and an
 //! oid-ascending **random table** in fixed-size checksummed pages
-//! ([`mod@format`]), read through a lock-striped LRU **buffer pool** with
-//! pin counts (`PagePool`). Every page is read on demand, on the thread
-//! that asked for it: the store starts no thread, and a sorted access
-//! is a sequential page read and nothing more.
+//! ([`mod@format`]), read through a **buffer pool** (`PagePool`): one
+//! slot per page, pinned frames and a CLOCK hand. Every page is read
+//! on demand, on the thread that asked for it: the store starts no
+//! thread, and a sorted access is a sequential page read and nothing
+//! more.
 //!
 //! * [`build_store`] / [`build_store_from_source`] write a file crash
 //!   safely in one shot (tmp + fsync + rename + parent fsync).
@@ -483,13 +484,14 @@ impl PagedStore {
             ));
         }
 
+        let pool = PagePool::new(pool_pages, header.total_pages());
         let inner = Arc::new(StoreInner {
             file,
             header,
             directory,
             histogram,
             bounds,
-            pool: PagePool::new(pool_pages),
+            pool,
             pages_skipped: std::sync::atomic::AtomicU64::new(0),
             error: Mutex::new(None),
         });
@@ -1230,6 +1232,68 @@ pub(crate) mod tests {
         assert_eq!(drained, 2000);
         let io = store.page_io();
         assert_eq!((io.reads, io.hits), (sorted_pages, 0));
+    }
+
+    #[test]
+    fn pool_pages_is_the_pools_capacity() {
+        let path = scratch("capacity.fmdb");
+        let cfg = BuildConfig::with_page_size(256);
+        build_store(&path, "c", sample_pairs(5000, 3), &cfg).unwrap();
+        for capacity in [1, 3, 9, 256] {
+            let store = PagedStore::open(&path, StoreOptions::with_pool_pages(capacity)).unwrap();
+            assert!(store.header().sorted_pages > capacity as u64);
+            let mut src = store.source();
+            while src.sorted_batch(97).unwrap().len() == 97 {}
+            drop(src);
+            let resident = store.resident_pages();
+            assert!(
+                resident <= capacity,
+                "a pool of {capacity} holds {resident}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_all_pinned_pool_overfills_and_recovers_at_the_next_miss() {
+        let path = scratch("all-pinned.fmdb");
+        build_store(
+            &path,
+            "p",
+            sample_pairs(2000, 17),
+            &BuildConfig::with_page_size(256),
+        )
+        .unwrap();
+        let store = PagedStore::open(&path, StoreOptions::with_pool_pages(4)).unwrap();
+        let per_page = store.header().entries_per_page;
+        // Cursor `i` stands on sorted page `i`, pinning it.
+        let cursors: Vec<PagedSource> = (0..6)
+            .map(|i| {
+                let mut src = store.source();
+                assert_eq!(
+                    src.sorted_batch(i * per_page + 1).unwrap().len(),
+                    i * per_page + 1
+                );
+                src
+            })
+            .collect();
+        assert_eq!(
+            store.resident_pages(),
+            6,
+            "six pinned frames over a pool of four"
+        );
+        let io = store.page_io();
+        assert_eq!(
+            (io.reads, io.evictions),
+            (6, 0),
+            "no pinned frame was evicted"
+        );
+        drop(cursors);
+        assert_eq!(store.resident_pages(), 6, "a dropped pin waits for a miss");
+        store.source().random_batch(&[0]).unwrap();
+        assert!(
+            store.resident_pages() <= 4,
+            "the next miss brings the pool back"
+        );
     }
 
     #[test]
