@@ -23,6 +23,7 @@ pub mod e19_no_random_access;
 pub mod e20_embedding;
 pub mod e22_optimality;
 pub mod e23_block_pruning;
+pub mod e25_tree_shape;
 
 use crate::report::Report;
 use crate::runners::RunCfg;
@@ -57,6 +58,7 @@ pub const EXPERIMENTS: &[(&str, Runner)] = &[
     ("E20", e20_embedding::run),
     ("E22", e22_optimality::run),
     ("E23", e23_block_pruning::run),
+    ("E25", e25_tree_shape::run),
 ];
 
 #[cfg(test)]
@@ -79,7 +81,7 @@ mod tests {
     /// Every gated metric of the suite (families of per-cell metrics by
     /// their prefix). Deleting an emit line, or turning a `gated` back
     /// into a `metric`, fails here rather than silently dropping a gate.
-    const GATED: [(&str, &[&str]); 6] = [
+    const GATED: [(&str, &[&str]); 7] = [
         ("E16", &["regret_sel*", "regret_median", "regret_max"]),
         (
             "E18",
@@ -118,6 +120,7 @@ mod tests {
                 "page_skip_rate",
             ],
         ),
+        ("E25", &["tree_vs_scan_*"]),
     ];
 
     /// Values on the bound's edges, and values just outside them.
@@ -144,15 +147,16 @@ mod tests {
 
     #[test]
     fn the_quick_suite_is_the_registry_and_every_gate_bites() {
-        // Ids are identifiers: E21 measured sharded TA and went with it.
-        let ids: Vec<String> = (1..=23)
-            .filter(|&i| i != 21)
+        // Ids are identifiers: E21 measured sharded TA and went with it,
+        // and E24 is spoken for (ROADMAP item 16 (e)).
+        let ids: Vec<String> = (1..=25)
+            .filter(|&i| i != 21 && i != 24)
             .map(|i| format!("E{i}"))
             .collect();
         let registered: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
         assert_eq!(
             registered, ids,
-            "registry ids are E1…E23 but E21, once each, in order"
+            "registry ids are E1…E25 but E21 and E24, once each, in order"
         );
 
         let cfg = RunCfg::quick();
@@ -171,7 +175,7 @@ mod tests {
                 );
 
                 let Some(gate) = metric.gate else { continue };
-                let family = ["regret_sel", "opt_ratio_"]
+                let family = ["regret_sel", "opt_ratio_", "tree_vs_scan_"]
                     .iter()
                     .find(|prefix| name.starts_with(**prefix))
                     .map_or(name.clone(), |prefix| format!("{prefix}*"));

@@ -11,10 +11,10 @@
 //! * `Not` — standard negation `1 − x`;
 //! * `Weighted` — a Fagin–Wimmers-weighted combination.
 //!
-//! The AST itself is evaluation-agnostic: the middleware decides whether
-//! to run naive evaluation, algorithm A₀, the `m·k` max-merge, or a
-//! crisp-filter plan. The [`Query::grade`] method is the *semantics* —
-//! the reference evaluator used by tests and by the brute-force oracle.
+//! The AST itself is evaluation-agnostic: [`Query::compile`] makes it
+//! one scoring function of its leaves, and the middleware decides what
+//! runs that. [`Query::grade`] is the *semantics*, the reference
+//! evaluator of tests and oracles; both take one walk of the tree.
 
 use std::fmt;
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use crate::score::Score;
 use crate::scoring::tnorms::Min;
 use crate::scoring::ScoringFunction;
-use crate::weights::{weighted_combine, Weighting};
+use crate::weights::{weighted_combine, Weighted, Weighting};
 
 /// A target value in an atomic query `X = t`.
 ///
@@ -121,44 +121,23 @@ impl fmt::Debug for Query {
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Query::Atomic(a) => write!(f, "{a}"),
-            Query::And { children, scoring } => {
-                write!(f, "AND[{}](", scoring.name())?;
-                for (i, c) in children.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∧ ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
-            Query::Or { children, scoring } => {
-                write!(f, "OR[{}](", scoring.name())?;
-                for (i, c) in children.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∨ ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
-            Query::Not(q) => write!(f, "¬({q})"),
+        let (head, separator) = match self {
+            Query::Atomic(a) => return write!(f, "{a}"),
+            Query::Not(q) => return write!(f, "¬({q})"),
+            Query::And { scoring, .. } => (format!("AND[{}]", scoring.name()), " ∧ "),
+            Query::Or { scoring, .. } => (format!("OR[{}]", scoring.name()), " ∨ "),
             Query::Weighted {
-                children,
-                scoring,
-                weighting,
-            } => {
-                write!(f, "WEIGHTED[{};{:?}](", scoring.name(), weighting.weights())?;
-                for (i, c) in children.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
+                scoring, weighting, ..
+            } => (
+                format!("WEIGHTED[{};{:?}]", scoring.name(), weighting.weights()),
+                ", ",
+            ),
+        };
+        write!(f, "{head}(")?;
+        for (i, c) in self.children().iter().enumerate() {
+            write!(f, "{}{c}", if i > 0 { separator } else { "" })?;
         }
+        write!(f, ")")
     }
 }
 
@@ -262,32 +241,51 @@ impl Query {
     }
 
     fn collect_atoms<'a>(&'a self, out: &mut Vec<&'a AtomicQuery>) {
-        match self {
-            Query::Atomic(a) => out.push(a),
-            Query::And { children, .. }
-            | Query::Or { children, .. }
-            | Query::Weighted { children, .. } => {
-                for c in children {
-                    c.collect_atoms(out);
-                }
-            }
-            Query::Not(q) => q.collect_atoms(out),
+        if let Query::Atomic(a) = self {
+            out.push(a);
+        }
+        for c in self.children() {
+            c.collect_atoms(out);
         }
     }
 
-    /// True if every combination node in the tree uses a monotone
-    /// scoring function and there is no negation — the precondition for
-    /// running algorithm A₀ (§4.1: correctness requires monotonicity).
-    pub fn is_monotone(&self) -> bool {
+    /// The node's operands: none for an atom, one for a `NOT`.
+    pub fn children(&self) -> &[Query] {
         match self {
+            Query::Atomic(_) => &[],
+            Query::Not(q) => std::slice::from_ref(&**q),
+            Query::And { children, .. }
+            | Query::Or { children, .. }
+            | Query::Weighted { children, .. } => children,
+        }
+    }
+
+    /// True if the query is monotone in its leaves: every node's scoring
+    /// function is monotone and every `NOT` applies directly to an atom
+    /// (`NOT a` is monotone in `1 − a`). The precondition for running
+    /// algorithm A₀ over the leaves' lists (§4.1: correctness requires
+    /// monotonicity; [`Query::compile`]).
+    pub fn is_monotone(&self) -> bool {
+        let node = match self {
             Query::Atomic(_) => true,
-            Query::And { children, scoring } | Query::Or { children, scoring } => {
-                scoring.is_monotone() && children.iter().all(Query::is_monotone)
-            }
-            Query::Not(_) => false,
-            Query::Weighted {
-                children, scoring, ..
-            } => scoring.is_monotone() && children.iter().all(Query::is_monotone),
+            Query::Not(_) => self.leaf(true).is_some(),
+            Query::And { scoring, .. }
+            | Query::Or { scoring, .. }
+            | Query::Weighted { scoring, .. } => scoring.is_monotone(),
+        };
+        node && self.children().iter().all(Query::is_monotone)
+    }
+
+    /// This node as a leaf `(atom, negated)`: an atom or, when
+    /// `negated_atoms`, a `NOT` applied directly to an atom.
+    fn leaf(&self, negated_atoms: bool) -> Option<(&AtomicQuery, bool)> {
+        match self {
+            Query::Atomic(a) => Some((a, false)),
+            Query::Not(q) if negated_atoms => match &**q {
+                Query::Atomic(a) => Some((a, true)),
+                _ => None,
+            },
+            _ => None,
         }
     }
 
@@ -296,30 +294,17 @@ impl Query {
     /// Theorem 4.2). Conservative: `false` when any node cannot be
     /// certified strict.
     pub fn is_strict(&self) -> bool {
-        match self {
+        let node = match self {
             Query::Atomic(_) => true,
-            Query::And { children, scoring } => {
-                scoring.is_strict() && children.iter().all(Query::is_strict)
-            }
+            Query::And { scoring, .. } => scoring.is_strict(),
             // A disjunction is 1 as soon as one branch is 1: not strict
             // (unless unary, which we don't special-case).
-            Query::Or { .. } => false,
-            Query::Not(_) => false,
+            Query::Or { .. } | Query::Not(_) => false,
             Query::Weighted {
-                children, scoring, ..
-            } => {
-                scoring.is_strict()
-                    && self.weighting_all_positive()
-                    && children.iter().all(Query::is_strict)
-            }
-        }
-    }
-
-    fn weighting_all_positive(&self) -> bool {
-        match self {
-            Query::Weighted { weighting, .. } => weighting.weights().iter().all(|&w| w > 0.0),
-            _ => true,
-        }
+                scoring, weighting, ..
+            } => scoring.is_strict() && weighting.weights().iter().all(|&w| w > 0.0),
+        };
+        node && self.children().iter().all(Query::is_strict)
     }
 
     /// The reference semantics: the grade of an object whose atomic
@@ -330,34 +315,124 @@ impl Query {
     where
         F: Fn(&AtomicQuery) -> Option<Score>,
     {
-        match self {
-            Query::Atomic(a) => atom_grade(a).ok_or_else(|| QueryError::MissingGrade(a.clone())),
-            Query::And { children, scoring } | Query::Or { children, scoring } => {
-                if children.is_empty() {
-                    return Err(QueryError::EmptyCombination);
-                }
-                let grades = children
-                    .iter()
-                    .map(|c| c.grade(atom_grade))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(scoring.combine(&grades))
-            }
-            Query::Not(q) => Ok(q.grade(atom_grade)?.negate()),
-            Query::Weighted {
-                children,
-                scoring,
-                weighting,
-            } => {
-                if children.is_empty() {
-                    return Err(QueryError::EmptyCombination);
-                }
-                let grades = children
-                    .iter()
-                    .map(|c| c.grade(atom_grade))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(weighted_combine(&**scoring, weighting, &grades))
-            }
+        self.grade_with(&mut |node| node.leaf(false).and_then(|(a, _)| atom_grade(a)))
+    }
+
+    /// The one walk every grade of a query takes: `leaf` grades the
+    /// nodes it knows, every other node combines its children by its rule.
+    fn grade_with<F>(&self, leaf: &mut F) -> Result<Score, QueryError>
+    where
+        F: FnMut(&Query) -> Option<Score>,
+    {
+        if let Some(grade) = leaf(self) {
+            return Ok(grade);
         }
+        if let Query::Atomic(a) = self {
+            return Err(QueryError::MissingGrade(a.clone()));
+        }
+        if self.children().is_empty() {
+            return Err(QueryError::EmptyCombination);
+        }
+        let grades = self
+            .children()
+            .iter()
+            .map(|c| c.grade_with(leaf))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(match self {
+            Query::And { scoring, .. } | Query::Or { scoring, .. } => scoring.combine(&grades),
+            Query::Weighted {
+                scoring, weighting, ..
+            } => weighted_combine(&**scoring, weighting, &grades),
+            // `NOT`, of its one child.
+            _ => grades[0].negate(),
+        })
+    }
+
+    /// The query as one scoring function of its distinct leaves, in
+    /// first-occurrence order (§3: every node is a scoring function, so
+    /// a tree of them is one).
+    ///
+    /// A leaf is an atom or, when the tree [`Query::is_monotone`], a
+    /// negated atom; any other tree's leaves are its atoms, and its
+    /// function is not monotone. The function takes [`Query::grade`]'s
+    /// walk, so its grades are the reference grades bit for bit. A root
+    /// whose children are the leaves themselves, in order, is its own
+    /// function object — the `And` / `Or` rule, or the weighted rule —
+    /// and a bare leaf is `min` over one argument. Fails where
+    /// [`Query::grade`] would: on an empty combination.
+    pub fn compile(&self) -> Result<(Vec<Leaf>, ScoringHandle), QueryError> {
+        let monotone = self.is_monotone();
+        let (mut leaves, mut positions) = (Vec::<Leaf>::new(), Vec::new());
+        // One walk numbers the leaf occurrences and proves the tree
+        // gradable, so the compiled function never meets an error.
+        self.grade_with(&mut |node| {
+            let (atom, negated) = node.leaf(monotone)?;
+            let leaf = Leaf {
+                atom: atom.clone(),
+                negated,
+            };
+            let at = leaves.iter().position(|l| *l == leaf);
+            positions.push(at.unwrap_or(leaves.len()));
+            if at.is_none() {
+                leaves.push(leaf);
+            }
+            Some(Score::ZERO)
+        })?;
+        let own = positions.iter().enumerate().all(|(i, &at)| i == at)
+            && self.children().iter().all(|c| c.leaf(monotone).is_some());
+        let scoring: ScoringHandle = match self {
+            _ if self.leaf(monotone).is_some() => Arc::new(Min),
+            Query::And { scoring, .. } | Query::Or { scoring, .. } if own => scoring.clone(),
+            Query::Weighted {
+                scoring, weighting, ..
+            } if own => Arc::new(Weighted::new(scoring.clone(), weighting.clone())),
+            _ => Arc::new(Tree {
+                query: self.clone(),
+                positions,
+                monotone,
+            }),
+        };
+        Ok((leaves, scoring))
+    }
+}
+
+/// An argument of a compiled query ([`Query::compile`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Leaf {
+    /// The atom.
+    pub atom: AtomicQuery,
+    /// Whether the argument is `1 −` the atom's grade.
+    pub negated: bool,
+}
+
+/// A compiled tree: [`Query::grade_with`] over the tree, its `i`-th
+/// leaf occurrence reading argument `positions[i]`. Negated atoms are
+/// leaves exactly when the tree is `monotone`.
+struct Tree {
+    query: Query,
+    positions: Vec<usize>,
+    monotone: bool,
+}
+
+impl ScoringFunction for Tree {
+    fn name(&self) -> String {
+        self.query.to_string()
+    }
+
+    fn combine(&self, scores: &[Score]) -> Score {
+        let mut args = self.positions.iter().map(|&i| scores.get(i).copied());
+        let mut leaf = |node: &Query| node.leaf(self.monotone).and_then(|_| args.next().flatten());
+        let grade = self.query.grade_with(&mut leaf);
+        // `compile` walked this tree once: it grades without error.
+        grade.unwrap_or(Score::ZERO)
+    }
+
+    fn is_strict(&self) -> bool {
+        self.query.is_strict()
+    }
+
+    fn is_monotone(&self) -> bool {
+        self.monotone
     }
 }
 
@@ -422,7 +497,9 @@ mod tests {
         let q = Query::not(red());
         let env = grades(&[("Color", 0.7)]);
         assert!(q.grade(&env).unwrap().approx_eq(Score::clamped(0.3), 1e-12));
-        assert!(!q.is_monotone());
+        // Monotone in its leaf, `NOT Color='red'`; a negated compound is not.
+        assert!(q.is_monotone());
+        assert!(!Query::not(Query::and(vec![red(), round()])).is_monotone());
     }
 
     #[test]
@@ -468,12 +545,51 @@ mod tests {
         assert!(!disj.is_strict());
 
         let neg = Query::not(red());
-        assert!(!neg.is_monotone());
+        assert!(neg.is_monotone());
         assert!(!neg.is_strict());
+        assert!(!Query::not(disj).is_monotone());
 
         let mean = Query::and_with(vec![red(), round()], Arc::new(ArithmeticMean));
         assert!(mean.is_monotone());
         assert!(mean.is_strict());
+    }
+
+    #[test]
+    fn compile_grades_its_distinct_leaves_as_the_walk_does() {
+        // Flat over distinct leaves: the root keeps its own function.
+        let flat = Query::and(vec![red(), Query::not(round())]);
+        let (leaves, f) = flat.compile().unwrap();
+        let negated: Vec<bool> = leaves.iter().map(|l| l.negated).collect();
+        assert_eq!((negated, f.name()), (vec![false, true], "min".to_owned()));
+
+        // Nested, with a repeated atom: one function of three leaves.
+        let nested = Query::or(vec![
+            Query::and_with(vec![red(), round()], Arc::new(ArithmeticMean)),
+            Query::not(red()),
+            red(),
+        ]);
+        let (leaves, f) = nested.compile().unwrap();
+        assert_eq!(leaves.len(), 3);
+        assert!(f.is_monotone());
+        for (r, s) in [(0.1, 0.7), (0.3, 0.3), (0.85, 0.15), (1.0, 0.0)] {
+            let want = nested
+                .grade(&grades(&[("Color", r), ("Shape", s)]))
+                .unwrap();
+            let (r, s) = (Score::clamped(r), Score::clamped(s));
+            assert_eq!(
+                f.combine(&[r, s, r.negate()]).value().to_bits(),
+                want.value().to_bits()
+            );
+        }
+
+        // A negated compound: its leaves are its atoms, and it is not
+        // monotone in them.
+        let (leaves, f) = Query::not(flat).compile().unwrap();
+        assert!(leaves.iter().all(|l| !l.negated) && !f.is_monotone());
+        assert_eq!(
+            Query::and(vec![]).compile().err(),
+            Some(QueryError::EmptyCombination)
+        );
     }
 
     #[test]

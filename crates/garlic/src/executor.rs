@@ -3,13 +3,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use fmdb_core::graded_set::GradedSet;
-use fmdb_core::query::{AtomicQuery, Query, QueryError, ScoringHandle};
+use fmdb_core::query::{Query, QueryError};
 use fmdb_core::score::{Score, ScoredObject};
-use fmdb_core::scoring::conorms::Max;
-use fmdb_core::scoring::{ConormScoring, ScoringFunction};
+use fmdb_core::scoring::ScoringFunction;
 use fmdb_middleware::algorithms::fa::OwnedFaSession;
 use fmdb_middleware::algorithms::naive::Naive;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
@@ -25,8 +23,8 @@ use crate::catalog::{Catalog, CatalogError};
 use crate::object::{Oid, SubObjectIndex};
 use crate::planner::{bind, optimize, plan_costed, BoundQuery, Plan, PlanKind};
 
-/// Which top-k algorithm executes flat monotone plans (the override
-/// [`Garlic::top_k_with`] takes; used by the experiments).
+/// Which top-k algorithm executes a query monotone in its leaves (the
+/// override [`Garlic::top_k_with`] takes; used by the experiments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AlgoChoice {
     /// Let the planner decide.
@@ -39,8 +37,9 @@ pub enum AlgoChoice {
     PrunedFa,
     /// Force the Threshold Algorithm ([`Algo::Ta`]).
     Ta,
-    /// Force the naive full drain — the other reference algorithm;
-    /// reported as [`PlanKind::FullScan`].
+    /// Force the naive full drain, which grades every object under the
+    /// compiled query — the other reference algorithm; reported as
+    /// [`PlanKind::FullScan`].
     Naive,
 }
 
@@ -52,7 +51,8 @@ pub enum ExecError {
     /// Algorithm-level failure, a subsystem's failed access included
     /// ([`AlgoError::Source`], whichever layer read the source).
     Algo(AlgoError),
-    /// Reference-semantics failure (full scans).
+    /// The query does not compile ([`Query::compile`]): an empty
+    /// combination.
     Query(QueryError),
     /// `k` was zero.
     ZeroK,
@@ -68,9 +68,7 @@ impl fmt::Display for ExecError {
             ExecError::Algo(e) => write!(f, "{e}"),
             ExecError::Query(e) => write!(f, "{e}"),
             ExecError::ZeroK => write!(f, "k must be at least 1"),
-            ExecError::Internal(msg) => {
-                write!(f, "internal planner invariant violated: {msg}")
-            }
+            ExecError::Internal(msg) => write!(f, "internal planner invariant violated: {msg}"),
         }
     }
 }
@@ -156,9 +154,9 @@ impl QueryCursor {
 
 /// The Garlic facade: a catalog plus query execution.
 ///
-/// Flat monotone plans are evaluated through the middleware's batched
-/// [`Engine`]; answers and charged access counts are bit-identical to
-/// the scalar algorithms.
+/// Every plan but the crisp filter runs through the middleware's
+/// batched [`Engine`]; answers and charged access counts are
+/// bit-identical to the scalar algorithms.
 pub struct Garlic {
     catalog: Catalog,
     engine: Engine,
@@ -184,7 +182,7 @@ impl Garlic {
         &self.catalog
     }
 
-    /// The execution engine serving this facade's flat plans.
+    /// The execution engine serving this facade's plans.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -204,7 +202,7 @@ impl Garlic {
     }
 
     /// Finds the top `k` answers with an explicit algorithm override
-    /// for flat monotone queries (used by the experiments).
+    /// for queries monotone in their leaves (used by the experiments).
     pub fn top_k_with(
         &self,
         query: &Query,
@@ -228,19 +226,20 @@ impl Garlic {
         let policy = ExecPolicy::new().algo(Algo::Fa);
         let p = optimize(&bound, k, &policy)?;
         if p.kind == PlanKind::FullScan {
-            return self.full_scan(query, bound, k, p.explanation);
+            return self.run(bound, k, &Naive, p, policy);
         }
         let explanation = format!("forced reference algorithm {}", reference.name());
-        self.run_flat(bound, k, reference, Plan { kind, explanation }, policy)
+        self.run(bound, k, reference, Plan { kind, explanation }, policy)
     }
 
-    /// Finds the top `k` answers under an explicit [`ExecPolicy`]:
-    /// every atom is graded once ([`bind`]), [`optimize`] picks the
-    /// strategy the policy names — or, for [`Algo::Auto`], prices the
-    /// candidates under the policy's cost model and θ on those lists —
-    /// and the winner runs on them.
-    /// Full scans (negation, nesting, non-monotone scoring) run with
-    /// reference semantics whatever the policy says.
+    /// Finds the top `k` answers under an explicit [`ExecPolicy`]: the
+    /// query is compiled and every atom graded once ([`bind`]),
+    /// [`optimize`] picks the strategy the policy names — or, for
+    /// [`Algo::Auto`], prices the candidates under the policy's cost
+    /// model and θ on those lists — and the winner runs on them.
+    /// A query that is not monotone in its leaves (a negated compound,
+    /// a non-monotone node) runs the naive scan whatever the policy
+    /// says.
     pub fn top_k_policy(
         &self,
         query: &Query,
@@ -252,21 +251,18 @@ impl Garlic {
         }
         let bound = bind(query, &self.catalog)?;
         let p = optimize(&bound, k, &policy)?;
-        match p.kind {
-            // The two strategies above the algorithm layer.
-            PlanKind::FullScan => self.full_scan(query, bound, k, p.explanation),
-            PlanKind::CrispFilter => self.run_crisp_filter(bound, k, p.explanation),
-            kind => {
-                let algorithm = plan_algorithm(kind, policy.approximation.theta())
-                    .ok_or(ExecError::Internal("plan has no middleware algorithm"))?;
-                self.run_flat(bound, k, algorithm.as_ref(), p, policy)
-            }
+        if p.kind == PlanKind::CrispFilter {
+            // The strategy above the algorithm layer.
+            return self.run_crisp_filter(bound, k, p.explanation);
         }
+        let algorithm = plan_algorithm(p.kind, policy.approximation.theta())
+            .ok_or(ExecError::Internal("plan has no middleware algorithm"))?;
+        self.run(bound, k, algorithm.as_ref(), p, policy)
     }
 
     /// Runs `algorithm` over the bound lists through the engine,
     /// reporting `p`.
-    fn run_flat(
+    fn run(
         &self,
         bound: BoundQuery,
         k: usize,
@@ -274,20 +270,9 @@ impl Garlic {
         p: Plan,
         policy: ExecPolicy,
     ) -> Result<QueryResult, ExecError> {
-        let Some((combiner, sources)) = bound.into_flat() else {
-            return Err(ExecError::Internal("non-FullScan plans carry a flat query"));
-        };
-        // The planner classified a merged combiner as max-like; run the
-        // merge under the canonical max so the algorithm's own guard
-        // accepts it too.
-        let scoring: ScoringHandle = if p.kind == PlanKind::MaxMerge {
-            Arc::new(ConormScoring(Max))
-        } else {
-            combiner
-        };
         let request = TopKQuery::compose()
-            .sources(sources)
-            .shared_scoring(scoring)
+            .sources(bound.leaves.into_iter().map(|leaf| leaf.source))
+            .shared_scoring(bound.scoring)
             .k(k)
             .policy(policy)
             .request()?;
@@ -308,25 +293,18 @@ impl Garlic {
         k: usize,
         explanation: String,
     ) -> Result<QueryResult, ExecError> {
-        let Some(combiner) = bound.flat.as_ref().map(|flat| flat.combiner.clone()) else {
-            return Err(ExecError::Internal("crisp-filter plans carry a flat query"));
-        };
         let mut stats = AccessStats::ZERO;
         // The match sets arrive ascending, and so does their
         // intersection.
         let mut survivors: Option<Vec<Oid>> = None;
         let mut first_crisp = None;
-        for &at in &bound.positions {
-            let atom = &bound.atoms[at];
-            if let Some(matches) = &atom.matches {
+        for (at, leaf) in bound.leaves.iter().enumerate() {
+            if let Some(matches) = &leaf.matches {
                 // Cost model: streaming the grade-1 prefix under sorted
                 // access costs |matches| accesses, plus one more to
                 // observe the stream dropping to grade 0.
-                let universe = self
-                    .catalog
-                    .repository_for(&atom.atom.attribute)?
-                    .universe_size() as u64;
-                stats.sorted += (matches.len() as u64 + 1).min(universe);
+                let listed = leaf.source.info().universe_size as u64;
+                stats.sorted += (matches.len() as u64 + 1).min(listed);
                 survivors = Some(match survivors {
                     None => matches.clone(),
                     Some(mut prev) => {
@@ -345,19 +323,18 @@ impl Garlic {
 
         // Random-access every fuzzy conjunct for each survivor.
         let mut answers: Vec<ScoredObject<Oid>> = Vec::with_capacity(survivors.len());
-        let mut grades = vec![Score::ONE; bound.positions.len()];
+        let mut grades = vec![Score::ONE; bound.leaves.len()];
         for &oid in &survivors {
-            for (grade, &at) in grades.iter_mut().zip(&bound.positions) {
-                let atom = &mut bound.atoms[at];
-                if atom.matches.is_none() {
-                    *grade = atom
+            for (grade, leaf) in grades.iter_mut().zip(&mut bound.leaves) {
+                if leaf.matches.is_none() {
+                    *grade = leaf
                         .source
                         .random_access(oid)
-                        .map_err(|cause| failed(&atom.source, cause))?;
+                        .map_err(|cause| failed(&leaf.source, cause))?;
                     stats.random += 1;
                 } // else: crisp conjunct matched, grade stays 1
             }
-            answers.push(ScoredObject::new(oid, combiner.combine(&grades)));
+            answers.push(ScoredObject::new(oid, bound.scoring.combine(&grades)));
         }
         answers.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
         answers.truncate(k);
@@ -369,7 +346,7 @@ impl Garlic {
         // a list streams an object once, so "outside S" is the whole
         // test.
         if answers.len() < k {
-            let src = &mut bound.atoms[first_crisp].source;
+            let src = &mut bound.leaves[first_crisp].source;
             src.rewind();
             while answers.len() < k {
                 let next = src.sorted_next().map_err(|cause| failed(&*src, cause))?;
@@ -389,85 +366,23 @@ impl Garlic {
         })
     }
 
-    /// Reference-semantics full scan: supports arbitrary Boolean
-    /// structure including negation.
-    fn full_scan(
-        &self,
-        query: &Query,
-        bound: BoundQuery,
-        k: usize,
-        explanation: String,
-    ) -> Result<QueryResult, ExecError> {
-        let mut stats = AccessStats::ZERO;
-        // Per-atom lists, drained once and kept in oid order (the
-        // binding holds each distinct atom once).
-        let mut lists: Vec<(AtomicQuery, Vec<ScoredObject<Oid>>)> = Vec::new();
-        let mut universe: Vec<Oid> = Vec::new();
-        for mut atom in bound.atoms {
-            atom.source.rewind();
-            let mut list = atom
-                .source
-                .sorted_batch(usize::MAX)
-                .map_err(|cause| failed(&atom.source, cause))?;
-            stats.sorted += list.len() as u64;
-            list.sort_unstable_by_key(|so| so.id);
-            universe.extend(list.iter().map(|so| so.id));
-            lists.push((atom.atom, list));
-        }
-        universe.sort_unstable();
-        universe.dedup();
-        // A list's own lookup rule: in a list over `0..n` object `oid`
-        // sits at position `oid`; otherwise binary search. Objects
-        // absent from a source have grade 0 there.
-        let grade_in = |list: &[ScoredObject<Oid>], oid: Oid| match list.get(oid as usize) {
-            Some(so) if so.id == oid => so.grade,
-            _ => list
-                .binary_search_by_key(&oid, |so| so.id)
-                .map_or(Score::ZERO, |at| list[at].grade),
-        };
-
-        let mut answers: Vec<ScoredObject<Oid>> = Vec::with_capacity(universe.len());
-        for &oid in &universe {
-            let grade = query.grade(&|atom: &AtomicQuery| {
-                lists
-                    .iter()
-                    .find(|(a, _)| a == atom)
-                    .map(|(_, list)| grade_in(list, oid))
-            })?;
-            answers.push(ScoredObject::new(oid, grade));
-        }
-        answers.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
-        answers.truncate(k);
-        Ok(QueryResult {
-            answers,
-            stats,
-            plan: PlanKind::FullScan,
-            explanation,
-        })
-    }
-
-    /// Opens a **resumable cursor** over a flat monotone query: each
-    /// [`QueryCursor::next_batch`] call returns the next best answers,
-    /// continuing the underlying A₀ session where it left off — the
-    /// paper's "ask the subsystem for, say, the top 10 objects …, then
-    /// request the next 10, etc." (§4), powered by A₀'s "continue where
-    /// we left off" property (§4.1).
+    /// Opens a **resumable cursor** over a query monotone in its
+    /// leaves: each [`QueryCursor::next_batch`] call returns the next
+    /// best answers, continuing the underlying A₀ session where it left
+    /// off — the paper's "ask the subsystem for, say, the top 10 objects
+    /// …, then request the next 10, etc." (§4), powered by A₀'s
+    /// "continue where we left off" property (§4.1).
     ///
-    /// Queries that cannot be flattened (negation, nesting) are
-    /// rejected; run them through [`Garlic::top_k`] instead.
+    /// A query that is not monotone in its leaves is rejected; run it
+    /// through [`Garlic::top_k`] instead.
     pub fn cursor(&self, query: &Query) -> Result<QueryCursor, ExecError> {
-        let Some((combiner, sources)) = bind(query, &self.catalog)?.into_flat() else {
-            return Err(ExecError::Algo(AlgoError::UnsupportedScoring {
-                algorithm: "cursor",
-                requirement: "a flat monotone combination of atomic queries",
-                scoring: query.to_string(),
-            }));
-        };
-        let boxed: Vec<Box<dyn Subsystem>> = sources
+        let bound = bind(query, &self.catalog)?;
+        let boxed: Vec<Box<dyn Subsystem>> = bound
+            .leaves
             .into_iter()
-            .map(|s| Box::new(s) as Box<dyn Subsystem>)
+            .map(|leaf| Box::new(leaf.source) as Box<dyn Subsystem>)
             .collect();
-        let session = OwnedFaSession::new(boxed, Box::new(combiner))?;
+        let session = OwnedFaSession::new(boxed, Box::new(bound.scoring))?;
         Ok(QueryCursor { session })
     }
 
@@ -734,17 +649,22 @@ mod tests {
     }
 
     #[test]
-    fn negated_query_full_scans_with_correct_semantics() {
+    fn negated_atom_merges_its_complement_with_correct_semantics() {
         let g = demo_garlic(30);
         let q = Query::not(Query::atomic("Color", Target::Similar("red".into())));
         let r = g.top_k(&q, 3).unwrap();
-        assert_eq!(r.plan, PlanKind::FullScan);
+        // The complement list's 3-prefix.
+        assert_eq!(r.plan, PlanKind::MaxMerge);
+        assert_eq!((r.stats.sorted, r.stats.random), (3, 0));
         // The best anti-red object has grade = 1 − (lowest red grade).
         let red = g
             .top_k(&Query::atomic("Color", Target::Similar("red".into())), 30)
             .unwrap();
         let least_red = red.answers.last().unwrap();
-        assert!(r.answers[0].grade.approx_eq(least_red.grade.negate(), 1e-9));
+        assert_eq!(
+            r.answers[0],
+            ScoredObject::new(least_red.id, least_red.grade.negate())
+        );
     }
 
     #[test]
@@ -807,10 +727,16 @@ mod tests {
     }
 
     #[test]
-    fn cursor_rejects_non_flat_queries() {
+    fn cursor_rejects_queries_not_monotone_in_their_leaves() {
         let g = demo_garlic(10);
-        let q = Query::not(Query::atomic("Color", Target::Similar("red".into())));
-        assert!(g.cursor(&q).is_err());
+        let red = Query::atomic("Color", Target::Similar("red".into()));
+        assert!(g.cursor(&Query::not(red.clone())).is_ok());
+        let round = Query::atomic("Shape", Target::Similar("round".into()));
+        let q = Query::not(Query::and(vec![red, round]));
+        assert!(matches!(
+            g.cursor(&q),
+            Err(ExecError::Algo(AlgoError::NonMonotoneScoring(_)))
+        ));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Fagin, *"Fuzzy Queries in Multimedia Database Systems"*
 //! (PODS 1998): autonomous repositories behind a catalog, a planner
 //! choosing between the crisp-filter strategy, the A₀ / threshold
-//! family, the m·k disjunction merge, and reference-semantics full
-//! scans, and an executor that meters every database access.
+//! family, the m·k disjunction merge and the naive scan for any query
+//! tree, and an executor that meters every database access.
 //!
 //! * [`object`] — global ids, values, complex objects
 //!   (Advertisement/AdPhoto) with shared sub-objects;

@@ -161,8 +161,13 @@ fn every_plan_grades_each_distinct_atom_once() {
         similar("Color", "pink"),
         Query::not(similar("Texture", "rough")),
     ]);
+    check("negated leaf", PlanKind::Ta, 2, 0, |g| g.top_k(&negated, 5));
+    let compound = Query::not(Query::and(vec![
+        similar("Color", "pink"),
+        similar("Texture", "rough"),
+    ]));
     check("full-scan", PlanKind::FullScan, 2, 0, |g| {
-        g.top_k(&negated, 5)
+        g.top_k(&compound, 5)
     });
 
     check("policy", PlanKind::Ca { h: 10 }, 2, 0, |g| {
@@ -195,7 +200,7 @@ fn a_repeated_atom_is_graded_once() {
 
     let negated = Query::and(vec![twice(), Query::not(similar("Color", "red"))]);
     calls.take();
-    assert_eq!(garlic.top_k(&negated, 5).unwrap().plan, PlanKind::FullScan);
+    assert_eq!(garlic.top_k(&negated, 5).unwrap().plan, PlanKind::Ta);
     assert_eq!(calls.take(), (1, 0));
 }
 

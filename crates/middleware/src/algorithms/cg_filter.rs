@@ -26,7 +26,7 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
-use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
+use crate::algorithms::{finalize, monotone, validate, AlgoError, TopKAlgorithm, TopKResult};
 use crate::planner::bounded_by_min;
 use crate::source::Subsystem;
 use crate::stats::AccessStats;
@@ -78,7 +78,8 @@ impl CgFilter {
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<CgRun, AlgoError> {
-        validate(sources, scoring, k)?;
+        validate(sources, k)?;
+        monotone(scoring)?;
         if !bounded_by_min(scoring, sources.len()) {
             return Err(AlgoError::UnsupportedScoring {
                 algorithm: "cg-filter",

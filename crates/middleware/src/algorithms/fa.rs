@@ -31,7 +31,7 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
-use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
+use crate::algorithms::{finalize, monotone, validate, AlgoError, TopKAlgorithm, TopKResult};
 use crate::source::{Oid, Subsystem};
 use crate::stats::AccessStats;
 
@@ -201,7 +201,8 @@ impl TopKAlgorithm for FaginsAlgorithm {
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        validate(sources, scoring, k)?;
+        validate(sources, k)?;
+        monotone(scoring)?;
         FaState::new(sources).next_k(sources, scoring, k)
     }
 }
@@ -256,9 +257,7 @@ where
         if sources.is_empty() {
             return Err(AlgoError::NoSources);
         }
-        if !scoring.is_monotone() {
-            return Err(AlgoError::NonMonotoneScoring(scoring.name()));
-        }
+        monotone(&*scoring)?;
         let state = FaState::new(&mut borrowed(&mut sources));
         Ok(Session {
             sources,

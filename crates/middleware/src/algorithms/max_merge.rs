@@ -22,7 +22,7 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
-use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
+use crate::algorithms::{finalize, monotone, validate, AlgoError, TopKAlgorithm, TopKResult};
 use crate::planner::behaves_like_max;
 use crate::source::Subsystem;
 
@@ -41,7 +41,8 @@ impl TopKAlgorithm for MaxMerge {
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        validate(sources, scoring, k)?;
+        validate(sources, k)?;
+        monotone(scoring)?;
         // Only correct for max: silently accepting min would return
         // wrong answers.
         if !behaves_like_max(scoring, sources.len()) {

@@ -196,18 +196,20 @@ pub trait TopKAlgorithm {
     }
 }
 
-/// Shared argument validation for the A₀ family.
-pub(crate) fn validate(
-    sources: &[&mut dyn Subsystem],
-    scoring: &dyn ScoringFunction,
-    k: usize,
-) -> Result<(), AlgoError> {
+/// Shared argument validation.
+pub(crate) fn validate(sources: &[&mut dyn Subsystem], k: usize) -> Result<(), AlgoError> {
     if sources.is_empty() {
         return Err(AlgoError::NoSources);
     }
     if k == 0 {
         return Err(AlgoError::ZeroK);
     }
+    Ok(())
+}
+
+/// An algorithm that halts before grading every object is correct
+/// only for a monotone function (§4.1); the naive scan takes any.
+pub(crate) fn monotone(scoring: &dyn ScoringFunction) -> Result<(), AlgoError> {
     if !scoring.is_monotone() {
         return Err(AlgoError::NonMonotoneScoring(scoring.name()));
     }

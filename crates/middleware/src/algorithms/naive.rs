@@ -34,7 +34,7 @@ impl TopKAlgorithm for Naive {
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        validate(sources, scoring, k)?;
+        validate(sources, k)?;
         let mut book = Book::open(sources);
         for i in 0..sources.len() {
             book.drain(i, sources)?;
@@ -105,6 +105,48 @@ mod tests {
         let mut sources: Vec<&mut dyn GradedSource> = vec![&mut a];
         let r = Naive.top_k(&mut sources, &Min, 10).unwrap();
         assert_eq!(r.answers.len(), 2);
+    }
+
+    /// `1 − min`: falls as an argument rises.
+    struct Nand;
+
+    impl ScoringFunction for Nand {
+        fn name(&self) -> String {
+            "nand".into()
+        }
+        fn combine(&self, scores: &[Score]) -> Score {
+            Min.combine(scores).negate()
+        }
+        fn is_strict(&self) -> bool {
+            false
+        }
+        fn is_monotone(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn any_function_is_graded_over_every_object() {
+        for seed in 0..8 {
+            let mut lists = independent_uniform(60, 3, seed);
+            let mut sources: Vec<&mut dyn GradedSource> = lists
+                .iter_mut()
+                .map(|s| s as &mut dyn GradedSource)
+                .collect();
+            let got = Naive.top_k(&mut sources, &Nand, 7).unwrap();
+            let mut want: Vec<ScoredObject<Oid>> = (0..60)
+                .map(|oid| {
+                    let grades: Vec<Score> = lists
+                        .iter_mut()
+                        .map(|l| GradedSource::random_access(l, oid))
+                        .collect();
+                    ScoredObject::new(oid, Nand.combine(&grades))
+                })
+                .collect();
+            want.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
+            want.truncate(7);
+            assert_eq!(got.answers, want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::fa::FaState;
-use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
+use crate::algorithms::{finalize, monotone, validate, AlgoError, TopKAlgorithm, TopKResult};
 use crate::source::{Oid, Subsystem};
 
 /// A₀ with upper-bound pruning of phase-2 random accesses.
@@ -94,7 +94,8 @@ impl TopKAlgorithm for PrunedFa {
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        validate(sources, scoring, k)?;
+        validate(sources, k)?;
+        monotone(scoring)?;
         // Phase 1 — A₀'s own.
         let mut state = FaState::new(sources);
         state.sorted_phase(sources, k)?;

@@ -57,7 +57,7 @@ use fmdb_core::scoring::ScoringFunction;
 use crate::algorithms::approx::{upper_excluded, validate_theta};
 use crate::algorithms::book::Book;
 use crate::algorithms::nra::{BoundedAnswer, NraResult};
-use crate::algorithms::{validate, AlgoError};
+use crate::algorithms::{monotone, validate, AlgoError};
 use crate::source::{Oid, Subsystem};
 
 /// When the loop spends random accesses.
@@ -314,7 +314,8 @@ impl Family {
         k: usize,
     ) -> Result<NraResult, AlgoError> {
         validate_theta(self.theta)?;
-        validate(sources, scoring, k)?;
+        validate(sources, k)?;
+        monotone(scoring)?;
         self.run(sources, scoring, k)
     }
 

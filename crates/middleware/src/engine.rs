@@ -59,7 +59,7 @@ use fmdb_core::score::{Score, ScoredObject};
 
 use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
 use crate::frozen::Narrowed;
-use crate::planner::{Explain, PhysicalPlan, PlanQuery, QueryStats};
+use crate::planner::{Explain, PlanQuery, QueryStats};
 use crate::policy::Algo;
 use crate::request::{lock_all, TopKRequest};
 use crate::source::{Caps, Oid, SourceError, SourceInfo, Subsystem};
@@ -355,11 +355,9 @@ impl Engine {
         let theta = policy.approximation.theta();
         Ok(match crate::planner::plan_algorithm(plan, theta) {
             Some(algorithm) => algorithm,
-            // Plans above the algorithm layer: a full scan is the naive
-            // drain; anything else falls back to the static choice
-            // (unreachable for engine-shaped queries, which have no
-            // crisp structure).
-            None if plan == PhysicalPlan::FullScan => Box::new(crate::algorithms::naive::Naive),
+            // The crisp filter, above the algorithm layer, falls back to
+            // the static choice (unreachable for engine-shaped queries,
+            // which have no crisp structure).
             None => policy.algorithm()?,
         })
     }

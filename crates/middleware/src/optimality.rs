@@ -41,7 +41,7 @@ use fmdb_core::score::Score;
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::approx::{grade_certifies, upper_excluded, validate_theta};
-use crate::algorithms::AlgoError;
+use crate::algorithms::{monotone, AlgoError};
 use crate::source::{GradedSource, Oid};
 use crate::stats::CostModel;
 
@@ -92,9 +92,7 @@ impl OptimalityOracle {
         if k == 0 {
             return Err(AlgoError::ZeroK);
         }
-        if !scoring.is_monotone() {
-            return Err(AlgoError::NonMonotoneScoring(scoring.name()));
-        }
+        monotone(scoring)?;
         validate_theta(theta)?;
 
         let m = sources.len();

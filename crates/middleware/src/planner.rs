@@ -69,6 +69,7 @@ use crate::algorithms::approx::{ApproxNra, ApproxTa};
 use crate::algorithms::ca::CombinedAlgorithm;
 use crate::algorithms::fa::FaginsAlgorithm;
 use crate::algorithms::max_merge::MaxMerge;
+use crate::algorithms::naive::Naive;
 use crate::algorithms::nra::NraLowerBound;
 use crate::algorithms::ta::ThresholdAlgorithm;
 use crate::algorithms::TopKAlgorithm;
@@ -800,9 +801,9 @@ pub fn static_plan(exact_grades: bool, approximate: bool, h: usize) -> PhysicalP
     }
 }
 
-/// Resolves a plan to the middleware algorithm executing it, or `None`
-/// for the two strategies that live above the algorithm layer
-/// (crisp-filter and full-scan, executed by the Garlic layer).
+/// Resolves a plan to the middleware algorithm executing it — a full
+/// scan is the naive drain — or `None` for the crisp filter, which
+/// lives above the algorithm layer (the Garlic layer executes it).
 pub fn plan_algorithm(
     plan: PhysicalPlan,
     theta: f64,
@@ -815,7 +816,8 @@ pub fn plan_algorithm(
         PhysicalPlan::ApproxTa => Some(Box::new(ApproxTa::new(theta))),
         PhysicalPlan::ApproxNra => Some(Box::new(ApproxNra::new(theta))),
         PhysicalPlan::MaxMerge => Some(Box::new(MaxMerge)),
-        PhysicalPlan::CrispFilter | PhysicalPlan::FullScan => None,
+        PhysicalPlan::FullScan => Some(Box::new(Naive)),
+        PhysicalPlan::CrispFilter => None,
     }
 }
 

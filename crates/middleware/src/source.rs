@@ -386,6 +386,41 @@ impl VecSource {
     pub fn max_oid(&self) -> Option<Oid> {
         self.by_oid.entries().last().map(|&(oid, _)| oid)
     }
+
+    /// The list of `NOT` this one over every oid that one of `lists`
+    /// grades: each grade negated, and grade 1 for the oids this list
+    /// lacks. O(N), not re-sorted: the sorted array read backwards is in
+    /// order but inside a run of equal complement grade (`1 − x` merges
+    /// distinct tiny grades too), which is put back in oid order; the
+    /// grade-1 run is read off the oids.
+    pub fn complement<'a>(&self, lists: impl IntoIterator<Item = &'a VecSource>) -> VecSource {
+        let others = lists.into_iter().flat_map(|list| list.by_oid.entries());
+        let all = self.by_oid.entries().iter().chain(others);
+        let mut universe: Vec<Oid> = all.map(|&(oid, _)| oid).collect();
+        universe.sort_unstable();
+        universe.dedup();
+        let pairs: Vec<(Oid, Score)> = universe
+            .into_iter()
+            .map(|oid| (oid, self.by_oid.grade(oid).negate()))
+            .collect();
+        // Grade 1 first, in oid order; then this list backwards, negated.
+        let ones = pairs.iter().filter(|&&(_, grade)| grade == Score::ONE);
+        let mut sorted: Vec<ScoredObject<Oid>> = ones
+            .map(|&(oid, grade)| ScoredObject::new(oid, grade))
+            .collect();
+        let rest = self.sorted.iter().rev();
+        let rest = rest.map(|so| ScoredObject::new(so.id, so.grade.negate()));
+        sorted.extend(rest.filter(|so| so.grade < Score::ONE));
+        for run in sorted.chunk_by_mut(|a, b| a.grade == b.grade) {
+            run.sort_unstable_by_key(|so| so.id);
+        }
+        VecSource {
+            label: format!("NOT {}", self.label),
+            sorted,
+            by_oid: OidIndex(pairs.into()),
+            cursor: 0,
+        }
+    }
 }
 
 impl VecSource {
@@ -716,6 +751,53 @@ mod tests {
             .map(|so| so.id)
             .collect();
         assert_eq!(order, vec![5, 1, 9]);
+    }
+
+    #[test]
+    fn a_complement_is_the_list_of_its_negated_pairs() {
+        // Ties, grades `1 − x` merges into one run (1e-17 and 2e-17 both
+        // give 1; 0.3 and 0.30000000000000004 give one value too), zero
+        // grades, and oids of the universe the list lacks.
+        let tiny = [
+            0.5,
+            1e-17,
+            0.3,
+            2e-17,
+            0.0,
+            0.5,
+            0.30000000000000004,
+            1.0,
+            0.7,
+        ];
+        let list = VecSource::new(
+            "a",
+            tiny.iter()
+                .enumerate()
+                .map(|(i, &g)| (3 * i as Oid + 2, s(g)))
+                .collect(),
+        );
+        let universe: Vec<Oid> = (0..30).collect();
+        let mut got = list.complement([&VecSource::new(
+            "b",
+            universe.iter().map(|&oid| (oid, s(0.5))).collect(),
+        )]);
+        let negated = |oid| {
+            (
+                oid,
+                Subsystem::random_access(&mut list.clone(), oid)
+                    .unwrap()
+                    .negate(),
+            )
+        };
+        let mut want = VecSource::new("NOT a", universe.iter().map(|&oid| negated(oid)).collect());
+        assert_eq!(stream(&mut got), stream(&mut want));
+        assert_eq!(got.info(), want.info());
+        for oid in 0..40 {
+            assert_eq!(
+                got.random_access(oid).unwrap(),
+                want.random_access(oid).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,6 @@ use proptest::prelude::*;
 
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
-use fmdb_middleware::algorithms::naive::Naive;
-use fmdb_middleware::algorithms::TopKAlgorithm;
 use fmdb_middleware::optimality::OptimalityOracle;
 use fmdb_middleware::planner::{choose_plan, plan_algorithm, PhysicalPlan, PlanQuery, QueryStats};
 use fmdb_middleware::policy::ExecPolicy;
@@ -75,12 +73,9 @@ fn stats_for(sources: &mut [VecSource]) -> QueryStats {
 
 /// Runs `plan` over a fresh copy of the instance and returns its
 /// charged cost under `model` (`None` for plans with no engine-side
-/// algorithm other than the naive scan).
+/// algorithm).
 fn executed(plan: PhysicalPlan, sources: &[VecSource], k: usize, model: &CostModel) -> Option<f64> {
-    let algorithm: Box<dyn TopKAlgorithm + Send + Sync> = match plan {
-        PhysicalPlan::FullScan => Box::new(Naive),
-        other => plan_algorithm(other, 0.0)?,
-    };
+    let algorithm = plan_algorithm(plan, 0.0)?;
     let mut copies = sources.to_vec();
     let mut refs: Vec<&mut dyn GradedSource> = copies
         .iter_mut()

@@ -25,8 +25,13 @@ fn main() {
         "SELECT TOP 5 WHERE Color~'red' OR Color~'blue'",
         // Weighted: care twice as much about color as shape (§5).
         "SELECT TOP 5 WHERE Color~'red' AND Shape~'round' WEIGHTS 2, 1",
-        // Negation falls back to a reference-semantics scan.
+        // A negated atom reads its complement list.
         "SELECT TOP 5 WHERE NOT Color~'red'",
+        // A tree is one monotone scoring function (§3): TA runs it.
+        "SELECT TOP 5 WHERE Color~'red' AND (Shape~'round' OR Color~'blue')",
+        "SELECT TOP 5 WHERE Color~'red' AND NOT Color~'blue'",
+        // A negated compound is not monotone: the naive scan.
+        "SELECT TOP 5 WHERE NOT (Color~'red' AND Shape~'round')",
     ] {
         let stmt = parse(sql).expect("well-formed demo query");
         println!("query : {sql}");
@@ -40,20 +45,24 @@ fn main() {
     }
 
     // Paging through results: "ask for the top 10 … then request the
-    // next 10" (§4) — the cursor continues A₀ where it left off.
-    let stmt =
-        parse("SELECT TOP 3 WHERE Color~'red' AND Shape~'round'").expect("well-formed demo query");
-    let mut cursor = store.cursor(&stmt.query).expect("flat monotone query");
-    for batch in 1..=3 {
-        let page = cursor.next_batch(3).expect("next batch");
-        let ids: Vec<String> = page.answers.iter().map(|a| format!("#{}", a.id)).collect();
-        println!(
-            "page {batch}: {}   (cumulative cost {})",
-            ids.join(" "),
-            page.stats.database_access_cost()
-        );
+    // next 10" (§4) — the cursor continues A₀ where it left off, over
+    // any query monotone in its leaves.
+    for sql in [
+        "SELECT TOP 3 WHERE Color~'red' AND Shape~'round'",
+        "SELECT TOP 3 WHERE Color~'red' AND (Shape~'round' OR Color~'blue')",
+        "SELECT TOP 3 WHERE Color~'red' AND NOT Color~'blue'",
+    ] {
+        let stmt = parse(sql).expect("well-formed demo query");
+        let mut cursor = store.cursor(&stmt.query).expect("monotone query");
+        println!("cursor: {sql}");
+        for batch in 1..=3 {
+            let page = cursor.next_batch(3).expect("next batch");
+            let ids: Vec<String> = page.answers.iter().map(|a| format!("#{}", a.id)).collect();
+            let (ids, cost) = (ids.join(" "), page.stats);
+            println!("page {batch}: {ids}   ({}, cumulative {cost})", page.plan);
+        }
+        println!();
     }
-    println!();
 
     // How much did the planner save? Compare against a forced naive run.
     let stmt = parse("SELECT TOP 5 WHERE Artist='Beatles' AND Color~'red'")

@@ -1,37 +1,70 @@
 //! End-to-end integration: SQL text → parser → planner → executor →
-//! answers, across every plan kind, checked against the full-scan
-//! reference semantics.
+//! answers, across every plan kind, checked against the reference
+//! semantics: `Query::grade` over every object the query's atoms grade.
 
+use fuzzymm::core::query::{AtomicQuery, Query};
 use fuzzymm::garlic::demo::{ad_database, cd_store};
 use fuzzymm::garlic::executor::{AlgoChoice, Garlic};
 use fuzzymm::garlic::planner::PlanKind;
 use fuzzymm::garlic::sql::parse;
+use fuzzymm::middleware::source::Subsystem;
 use fuzzymm::prelude::*;
 
-/// Runs a SQL query both through the planner and through the forced
-/// naive reference, asserting the grade sequences agree.
+/// `Query::grade` over every object of the query's atom lists: the top
+/// `k`, grade descending, ties by ascending oid.
+fn reference(garlic: &Garlic, query: &Query, k: usize) -> Vec<ScoredObject<u64>> {
+    let lists: Vec<(&AtomicQuery, Vec<ScoredObject<u64>>)> = query
+        .atoms()
+        .into_iter()
+        .map(|atom| {
+            let mut source = garlic.catalog().source_for(atom).expect("source builds");
+            let mut list = Subsystem::sorted_batch(&mut source, usize::MAX).expect("in memory");
+            list.sort_by_key(|so| so.id);
+            (atom, list)
+        })
+        .collect();
+    let mut objects: Vec<u64> = lists
+        .iter()
+        .flat_map(|(_, l)| l.iter().map(|so| so.id))
+        .collect();
+    objects.sort_unstable();
+    objects.dedup();
+    let mut graded: Vec<ScoredObject<u64>> = objects
+        .into_iter()
+        .map(|oid| {
+            let grade = query.grade(&|a: &AtomicQuery| {
+                let list = &lists.iter().find(|(b, _)| *b == a)?.1;
+                let at = list.binary_search_by_key(&oid, |so| so.id);
+                Some(at.map_or(Score::ZERO, |at| list[at].grade))
+            });
+            ScoredObject::new(oid, grade.expect("every atom graded"))
+        })
+        .collect();
+    graded.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
+    graded.truncate(k);
+    graded
+}
+
+/// Runs a SQL query through the planner and asserts its answers are the
+/// reference's: ids and grade bits, whatever the plan.
 fn check_against_reference(garlic: &Garlic, sql: &str) -> (PlanKind, AccessStats) {
     let stmt = parse(sql).unwrap_or_else(|e| panic!("parse '{sql}': {e}"));
     let fast = garlic
         .top_k(&stmt.query, stmt.k)
         .unwrap_or_else(|e| panic!("execute '{sql}': {e}"));
-    // FullScan *is* the reference; compare plans only when there is a
-    // faster path.
-    if fast.plan != PlanKind::FullScan {
-        let slow = garlic
-            .top_k_with(&stmt.query, stmt.k, AlgoChoice::Naive)
-            .unwrap_or_else(|e| panic!("naive '{sql}': {e}"));
-        let fast_grades: Vec<Score> = fast.answers.iter().map(|a| a.grade).collect();
-        let slow_grades: Vec<Score> = slow.answers.iter().map(|a| a.grade).collect();
-        for (f, s) in fast_grades.iter().zip(&slow_grades) {
-            assert!(
-                f.approx_eq(*s, 1e-9),
-                "'{sql}': plan {} grade {f} != reference {s}",
-                fast.plan
-            );
-        }
-        assert_eq!(fast_grades.len(), slow_grades.len(), "'{sql}'");
-    }
+    let want = reference(garlic, &stmt.query, stmt.k);
+    let bits = |answers: &[ScoredObject<u64>]| {
+        answers
+            .iter()
+            .map(|a| (a.id, a.grade.value().to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        bits(&fast.answers),
+        bits(&want),
+        "'{sql}': plan {}",
+        fast.plan
+    );
     (fast.plan, fast.stats)
 }
 
@@ -62,9 +95,15 @@ fn all_plan_kinds_agree_with_reference_semantics() {
             "SELECT TOP 10 WHERE Color~'red' AND Shape~'round' WEIGHTS 3, 1",
             PlanKind::Ta,
         ),
-        ("SELECT TOP 10 WHERE NOT Color~'red'", PlanKind::FullScan),
+        // A negated atom reads its complement list: its 10-prefix.
+        ("SELECT TOP 10 WHERE NOT Color~'red'", PlanKind::MaxMerge),
         (
             "SELECT TOP 10 WHERE Color~'red' AND (Shape~'round' OR Shape~'boxy')",
+            PlanKind::Ta,
+        ),
+        // Not monotone in its leaves: the naive scan.
+        (
+            "SELECT TOP 10 WHERE NOT (Color~'red' AND Shape~'round')",
             PlanKind::FullScan,
         ),
     ];
@@ -250,47 +289,35 @@ fn using_clause_changes_the_ranking_rule_end_to_end() {
 }
 
 #[test]
-fn full_scan_handles_repeated_atoms_and_nested_weighted_nodes() {
+fn repeated_atoms_and_nested_weighted_nodes_grade_as_the_reference() {
+    use fuzzymm::core::query::Target;
     use fuzzymm::core::weights::Weighting;
     use std::sync::Arc;
     let garlic = cd_store(60, 41);
     // The same atom appears twice; idempotence of max makes
     // (red ∨ red) ≡ red, and the executor must not double-drain it.
-    let red = || {
-        fuzzymm::core::query::Query::atomic(
-            "Color",
-            fuzzymm::core::query::Target::Similar("red".into()),
-        )
-    };
-    let round = || {
-        fuzzymm::core::query::Query::atomic(
-            "Shape",
-            fuzzymm::core::query::Target::Similar("round".into()),
-        )
-    };
-    let doubled =
-        fuzzymm::core::query::Query::not(fuzzymm::core::query::Query::or(vec![red(), red()]));
-    let single = fuzzymm::core::query::Query::not(red());
+    let red = || Query::atomic("Color", Target::Similar("red".into()));
+    let round = || Query::atomic("Shape", Target::Similar("round".into()));
+    // A negated compound is not monotone in its leaves: the naive scan.
+    let doubled = Query::not(Query::or(vec![red(), red()]));
+    let single = Query::not(red());
     let a = garlic.top_k(&doubled, 5).expect("runs");
     let b = garlic.top_k(&single, 5).expect("runs");
-    for (x, y) in a.answers.iter().zip(&b.answers) {
-        assert!(x.grade.approx_eq(y.grade, 1e-9));
-    }
-    // A weighted node *nested* under a disjunction forces the full
-    // scan; grades must follow the reference semantics.
-    let weighted = fuzzymm::core::query::Query::weighted(
+    assert_eq!((a.plan, b.plan), (PlanKind::FullScan, PlanKind::MaxMerge));
+    assert_eq!(a.answers, b.answers);
+    assert_eq!(a.answers, reference(&garlic, &single, 5));
+    // A weighted node nested under a disjunction is one monotone
+    // function of two leaves: the threshold family runs it.
+    let weighted = Query::weighted(
         vec![red(), round()],
         Arc::new(fuzzymm::core::scoring::tnorms::Min),
         Weighting::from_ratios(&[2.0, 1.0]).expect("positive ratios"),
     )
     .expect("arity matches");
-    let nested = fuzzymm::core::query::Query::or(vec![weighted, round()]);
+    let nested = Query::or(vec![weighted, round()]);
     let r = garlic.top_k(&nested, 5).expect("runs");
-    assert_eq!(r.plan, PlanKind::FullScan);
-    assert_eq!(r.answers.len(), 5);
-    for w in r.answers.windows(2) {
-        assert!(w[0].grade >= w[1].grade);
-    }
+    assert_eq!(r.plan, PlanKind::Ta);
+    assert_eq!(r.answers, reference(&garlic, &nested, 5));
 }
 
 #[test]
