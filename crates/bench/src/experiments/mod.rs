@@ -68,11 +68,12 @@ mod tests {
 
     /// Gates that read a wall-clock ceiling: an unoptimized build may
     /// sit above them, so only the release run of CI holds them to it.
-    const WALL_CLOCK_CEILINGS: [&str; 7] = [
+    const WALL_CLOCK_CEILINGS: [&str; 8] = [
         "warm_ta_vs_mem",
         "warm_probe_vs_mem",
         "cold_us_per_page_read",
         "nra_vs_ta_ns_per_access",
+        "ca_vs_ta_ns_per_access",
         "naive_vs_ta_ns_per_access",
         "engine_vs_scalar_many8",
         "bind_vs_kernel",
@@ -102,6 +103,7 @@ mod tests {
                 "nra_ns_per_access",
                 "ca_h10_ns_per_access",
                 "nra_vs_ta_ns_per_access",
+                "ca_vs_ta_ns_per_access",
                 "naive_vs_ta_ns_per_access",
                 "engine_vs_scalar_many8",
                 "engine_vs_scalar_sorted_calls",

@@ -38,26 +38,45 @@
 //!   a tie at `Mₖ` with a smaller oid. On entering it returns to the
 //!   list: it is a CA target again, and whoever it displaced is
 //!   re-examined by the next walk.
-//! * **CA scans, and only when it probes.** Every `h`-th round one pass
-//!   over the same list takes the maximum of `(upper, smaller oid)`.
-//!   A max-heap on stale uppers would not help: under `min`, every
-//!   object seen early in one list shares the upper bound
-//!   `min(other bottoms)`, all of them go stale every round, and each
-//!   pop-refresh-push cascades through the lot.
+//! * **Under `min`, CA's target is kept, not searched for.** Every
+//!   `h`-th round CA resolves the open object with the largest upper
+//!   bound (ties to the smaller oid) among the top k and the objects `Mₖ`
+//!   has not dismissed. A max-heap on stale uppers would not find it:
+//!   under `min`, every object seen early in one list shares the upper
+//!   bound `min(other bottoms)`, all of them go stale every round, and
+//!   each pop-refresh-push cascades through the lot. Grouping the open
+//!   objects by the set `S` of lists that revealed them does: an
+//!   object's upper bound is `min(key, F_S)`, its *key* the min of its
+//!   known grades — constant while its fields stay `S` — and `F_S` the
+//!   min of the bottoms outside `S`, which only falls. Once `key ≥ F_S`
+//!   the object is *saturated*: its upper bound is `F_S` for as long as
+//!   its fields stay `S`, so a class's saturated objects tie and its pick
+//!   is their smallest oid; the others rank by key. Two heaps per class
+//!   ([`MinTargets`]) give the target in `O(classes + k)` a round plus
+//!   amortised heap work, where a scan costs `O(candidates)`. The halt
+//!   still reads [`Book::upper`]: the heaps only choose which object is
+//!   probed. They are for `min` alone (certified by
+//!   [`behaves_like_min`]): under means and products the fills mix with
+//!   the known fields inside `combine`, so the order inside a class is
+//!   not stable in floating point. Any other function — and any query
+//!   over more than [`CLASSED_LISTS`] lists — takes one pass over the
+//!   candidate list, which also drops what `Mₖ` dismisses.
 //!
 //! Under on-sight probing no object is ever open: the list stays empty
 //! and a resolved grade costs the one comparison against `Mₖ`.
 
 use std::cmp::Reverse;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use fmdb_core::score::Score;
+use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::approx::{upper_excluded, validate_theta};
 use crate::algorithms::book::Book;
 use crate::algorithms::nra::{BoundedAnswer, NraResult};
 use crate::algorithms::{monotone, validate, AlgoError};
+use crate::planner::behaves_like_min;
 use crate::source::{Oid, Subsystem};
 
 /// When the loop spends random accesses.
@@ -134,6 +153,130 @@ struct Seen {
     /// order but for the halting witness at the front. Objects resolved
     /// since the last walk linger until the next one drops them.
     candidates: Vec<usize>,
+    /// CA's targets under `min`; `None` where [`Seen::most_promising`]
+    /// scans instead.
+    targets: Option<MinTargets>,
+}
+
+/// The most lists [`MinTargets`] classes objects over: its table has a
+/// cell per subset of them.
+const CLASSED_LISTS: usize = 10;
+
+/// Every open object, grouped by which lists have revealed it, so that
+/// CA's target under `min` is read off two heaps per group (module docs,
+/// *Under `min`, CA's target is kept*).
+struct MinTargets {
+    /// `1 +` the index in `classes` of each set of lists (a bit mask)
+    /// some object has had; 0 for the others.
+    by_mask: Vec<u32>,
+    classes: Vec<Class>,
+}
+
+/// The open objects whose known fields are the lists of `mask`.
+struct Class {
+    mask: usize,
+    /// Fields every member misses. Fields only ever become known, so an
+    /// entry whose object misses another number has left the class.
+    missing: usize,
+    /// Members whose upper bound is their key: best key first, ties to
+    /// the smaller oid.
+    by_key: BinaryHeap<(Score, Reverse<Oid>, usize)>,
+    /// Members whose key has reached the class's fill, each with the
+    /// fill as its upper bound: smallest oid first.
+    saturated: BinaryHeap<Reverse<(Oid, usize)>>,
+}
+
+impl Class {
+    /// The min of the bottoms outside the class's lists: every member's
+    /// upper bound is its key capped by it.
+    fn fill(&self, bottoms: &[Score]) -> Score {
+        bottoms
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| self.mask & 1 << j == 0)
+            .fold(Score::ONE, |fill, (_, &bottom)| fill.min(bottom))
+    }
+}
+
+impl MinTargets {
+    fn new(m: usize) -> MinTargets {
+        MinTargets {
+            by_mask: vec![0; 1 << m],
+            classes: Vec::new(),
+        }
+    }
+
+    /// Files an open object under the lists that have revealed it, after
+    /// sorted access revealed one more. Its entry in its old class is
+    /// left to [`MinTargets::best`] to drop. Never inlined: the loop it
+    /// is called from is TA's too.
+    #[inline(never)]
+    fn classify(&mut self, obj: usize, book: &Book) {
+        let missing = book.table.missing(obj);
+        if missing == 0 {
+            return;
+        }
+        let (mut mask, mut key) = (0, Score::ONE);
+        for (j, grade) in book.table.fields(obj).iter().enumerate() {
+            if let &Some(grade) = grade {
+                mask |= 1 << j;
+                key = key.min(grade);
+            }
+        }
+        let class = match self.by_mask[mask] {
+            0 => {
+                self.classes.push(Class {
+                    mask,
+                    missing,
+                    by_key: BinaryHeap::new(),
+                    saturated: BinaryHeap::new(),
+                });
+                self.by_mask[mask] = self.classes.len() as u32;
+                self.classes.len() - 1
+            }
+            tag => tag as usize - 1,
+        };
+        let class = &mut self.classes[class];
+        let id = book.table.oid(obj);
+        if key >= class.fill(&book.frontier.bottoms) {
+            class.saturated.push(Reverse((id, obj)));
+        } else {
+            class.by_key.push((key, Reverse(id), obj));
+        }
+    }
+
+    /// The open object with the largest upper bound under `min`, ties to
+    /// the smaller oid, with that bound.
+    fn best(&mut self, book: &Book) -> Option<(Score, Reverse<Oid>, usize)> {
+        let bottoms = &book.frontier.bottoms;
+        let mut best = None;
+        for class in &mut self.classes {
+            let fill = class.fill(bottoms);
+            let missing = class.missing;
+            let member = |obj: usize| book.table.missing(obj) == missing;
+            while let Some(&(key, Reverse(id), obj)) = class.by_key.peek() {
+                if member(obj) && key < fill {
+                    break;
+                }
+                class.by_key.pop();
+                if member(obj) {
+                    class.saturated.push(Reverse((id, obj)));
+                }
+            }
+            while let Some(&Reverse((_, obj))) = class.saturated.peek() {
+                if member(obj) {
+                    break;
+                }
+                class.saturated.pop();
+            }
+            let pick = match class.saturated.peek() {
+                Some(&Reverse((id, obj))) => Some((fill, Reverse(id), obj)),
+                None => class.by_key.peek().copied(),
+            };
+            best = best.max(pick);
+        }
+        best
+    }
 }
 
 /// Random-accesses every field `obj` still misses (inlined for the
@@ -265,6 +408,42 @@ impl Seen {
         best.map(|(_, _, obj)| obj)
     }
 
+    /// [`Seen::most_promising`]'s target, read off [`MinTargets`]: the
+    /// open object with the largest upper bound is the target unless
+    /// `Mₖ` dismisses it outside the top k — and then it dismisses every
+    /// open object outside the top k, so the target is the best open
+    /// member.
+    fn kept_target(
+        &mut self,
+        book: &mut Book,
+        scoring: &dyn ScoringFunction,
+        theta: f64,
+    ) -> Option<usize> {
+        let (_, _, best) = self.targets.as_mut()?.best(book)?;
+        let tau = self.kth();
+        let upper = book.upper(best, scoring);
+        if self.objects[best].in_top || !tau.is_some_and(|tau| upper_excluded(upper, tau, theta)) {
+            return Some(best);
+        }
+        let mut best = None;
+        for &Key { id, obj, .. } in &self.top {
+            if book.table.missing(obj) > 0 {
+                best = best.max(Some((book.upper(obj, scoring), Reverse(id), obj)));
+            }
+        }
+        best.map(|(_, _, obj)| obj)
+    }
+
+    /// Whether `scoring` is `min` on every open object's upper bound — if
+    /// not, [`Seen::kept_target`] may break a tie `scoring` sees and `min`
+    /// does not the other way. A scan of everything seen: for the debug
+    /// checks only.
+    fn min_on_every_upper(&self, book: &mut Book, scoring: &dyn ScoringFunction) -> bool {
+        (0..self.objects.len()).all(|obj| {
+            book.table.missing(obj) == 0 || book.upper(obj, scoring) == book.upper(obj, &Min)
+        })
+    }
+
     /// The top k in answer order, upper bounds fresh.
     fn top_k<'a>(
         &'a self,
@@ -329,8 +508,12 @@ impl Family {
     ) -> Result<NraResult, AlgoError> {
         let m = sources.len();
         let mut book = Book::open(sources);
+        let classed = matches!(self.probe, Probe::Every(_))
+            && m <= CLASSED_LISTS
+            && behaves_like_min(scoring, m);
         let mut seen = Seen {
             k,
+            targets: classed.then(|| MinTargets::new(m)),
             ..Seen::default()
         };
         let mut round = 0usize;
@@ -364,12 +547,29 @@ impl Family {
                 }
                 if news {
                     seen.rebound(obj, &mut book, scoring);
+                    if let Some(targets) = &mut seen.targets {
+                        targets.classify(obj, &book);
+                    }
                 }
             }
 
             if let Probe::Every(h) = self.probe {
                 if round.is_multiple_of(h) {
-                    if let Some(obj) = seen.most_promising(&mut book, scoring, self.theta) {
+                    let target = if seen.targets.is_some() {
+                        let kept = seen.kept_target(&mut book, scoring, self.theta);
+                        // The scan's side effect — dropping candidates
+                        // `Mₖ` dismisses — changes no outcome.
+                        debug_assert!(
+                            kept == seen.most_promising(&mut book, scoring, self.theta)
+                                || !seen.min_on_every_upper(&mut book, scoring),
+                            "CA's kept target is not the scan's under '{}'",
+                            scoring.name()
+                        );
+                        kept
+                    } else {
+                        seen.most_promising(&mut book, scoring, self.theta)
+                    };
+                    if let Some(obj) = target {
                         resolve(&mut book, obj, sources)?;
                         seen.rebound(obj, &mut book, scoring);
                     }
@@ -840,6 +1040,35 @@ mod tests {
         assert_eq!(case, 28_800);
     }
 
+    /// Module docs, *Under `min`, CA's target is kept*: the heaps pick
+    /// what the full re-rank's scan picks, so every CA schedule answers
+    /// and charges as it did. Unthinned, with lists that drain (9 600
+    /// cases); debug builds also compare the kept target with
+    /// [`Seen::most_promising`] in every probing round.
+    #[test]
+    fn kept_targets_match_the_full_re_rank_under_min() {
+        let mut case = 0usize;
+        for shape in SHAPES {
+            for m in 1..=5 {
+                for n in [1, 7, 60, 300] {
+                    let lists = lists(shape, n, m, (case as u64) ^ 0x313);
+                    for k in [1, 3, 10, 64] {
+                        for h in [1, 2, 3, 10] {
+                            for theta in [0.0, 0.1, 0.5] {
+                                for report in [Report::Closed, Report::AsHalted] {
+                                    let ca = Family::new(Probe::Every(h), theta, report);
+                                    assert_same_outcome(ca, shape, &lists, &Min, k);
+                                    case += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(case, 9_600);
+    }
+
     /// A list that counts probes for a grade it had already revealed,
     /// by either access kind.
     struct Recording {
@@ -926,6 +1155,78 @@ mod tests {
                             let ca = Family::new(Probe::Every(h), 0.5, Report::AsHalted);
                             assert_same_outcome(ca, shape, &lists, &ArithmeticMean, k);
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `min`, with every grade in (0.3, 0.45) read as 0.3: monotone,
+    /// and `min` on every point of [`behaves_like_min`]'s grid, so CA
+    /// keeps its targets as under `min` while the ties it breaks differ.
+    struct MinOffTheGrid;
+
+    impl ScoringFunction for MinOffTheGrid {
+        fn name(&self) -> String {
+            "min off the grid".to_owned()
+        }
+
+        fn combine(&self, scores: &[Score]) -> Score {
+            let min = Min.combine(scores);
+            if min.value() > 0.3 && min.value() < 0.45 {
+                Score::clamped(0.3)
+            } else {
+                min
+            }
+        }
+
+        fn is_strict(&self) -> bool {
+            true
+        }
+    }
+
+    /// A function that passes the grid but is not `min` only moves which
+    /// object CA probes: the answers stay exact, and no probe repeats.
+    #[test]
+    fn a_function_that_is_min_only_on_the_grid_still_answers_exactly() {
+        let grades = [0.4, 0.35].map(Score::clamped);
+        assert_ne!(MinOffTheGrid.combine(&grades), Min.combine(&grades));
+        for shape in SHAPES {
+            for m in 2..=4 {
+                assert!(behaves_like_min(&MinOffTheGrid, m));
+                let lists = lists(shape, 300, m, 11);
+                for k in [1, 10] {
+                    for h in [1, 3, 10] {
+                        let ca = Family::new(Probe::Every(h), 0.0, Report::Closed);
+                        let mut recording: Vec<Recording> = lists
+                            .iter()
+                            .map(|inner| Recording {
+                                inner: inner.clone(),
+                                revealed: Default::default(),
+                                repeated: 0,
+                            })
+                            .collect();
+                        let mut refs: Vec<&mut dyn Subsystem> = recording
+                            .iter_mut()
+                            .map(|s| s as &mut dyn Subsystem)
+                            .collect();
+                        let result = ca.run(&mut refs, &MinOffTheGrid, k).unwrap();
+                        let case = format!("{shape:?} m={m} k={k} h={h}");
+                        let repeated: usize = recording.iter().map(|r| r.repeated).sum();
+                        assert_eq!(repeated, 0, "{case}");
+                        let answers: Vec<_> = result
+                            .answers
+                            .iter()
+                            .map(|a| fmdb_core::score::ScoredObject::new(a.id, a.lower))
+                            .collect();
+                        let mut lists = lists.clone();
+                        let mut refs: Vec<&mut dyn crate::source::GradedSource> = lists
+                            .iter_mut()
+                            .map(|s| s as &mut dyn crate::source::GradedSource)
+                            .collect();
+                        let verdict =
+                            crate::oracle::verify_top_k(&mut refs, &MinOffTheGrid, &answers, k);
+                        assert_eq!(verdict, Ok(()), "{case}");
                     }
                 }
             }

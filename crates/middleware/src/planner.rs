@@ -227,6 +227,21 @@ pub(crate) fn behaves_like_max(scoring: &dyn ScoringFunction, arity: usize) -> b
     holds_on_grid(scoring, arity, points, equals_max)
 }
 
+/// Whether `scoring` is min, bit for bit, as CA's kept targets in
+/// [`crate::algorithms::threshold`] need it: every pair of grid grades,
+/// one argument against the rest. It decides only which object CA
+/// probes, never what it answers, so a function that passes here and is
+/// not min still answers exactly.
+pub(crate) fn behaves_like_min(scoring: &dyn ScoringFunction, arity: usize) -> bool {
+    let samples = [0.0, 0.2, 0.5, 0.8, 1.0];
+    let points = samples
+        .iter()
+        .flat_map(|&one| samples.iter().map(move |&rest| (one, rest)));
+    holds_on_grid(scoring, arity, points, |t, args| {
+        t == args.iter().copied().fold(Score::ONE, Score::min)
+    })
+}
+
 /// Whether `t ≤ min`: true of every t-norm (`t(x, y) ≤ t(x, 1) = x`),
 /// false of every mean — the geometric and harmonic ones included,
 /// which absorb zeros and still exceed min (`√(0.2·1) > 0.2`). It is
@@ -1070,9 +1085,11 @@ mod tests {
         assert_eq!(classify_combiner(&ArithmeticMean, 2), CombinerKind::Other);
     }
 
-    /// The two probes the algorithms gate themselves on, beside
+    /// The three probes the algorithms gate themselves on, beside
     /// `classify_combiner`'s verdict: at arity 1 every shipped function
     /// is the identity — max and its own minimum — whatever it absorbs.
+    /// Whether it is min bit for bit is not asked there: Łukasiewicz's
+    /// `1 + x − 1` rounds.
     #[test]
     fn the_gating_probes_tell_the_shipped_functions_apart() {
         use fmdb_core::scoring::conorms::Max;
@@ -1080,17 +1097,17 @@ mod tests {
         use fmdb_core::scoring::tnorms::{Lukasiewicz, Min, Product};
         use fmdb_core::scoring::ConormScoring;
         use CombinerKind::{MaxLike, Other, ZeroAbsorbing};
-        // (function, kind, max at m ≥ 2, bounded by min at m ≥ 2)
-        let shipped: [(&dyn ScoringFunction, CombinerKind, bool, bool); 7] = [
-            (&Min, ZeroAbsorbing, false, true),
-            (&Product, ZeroAbsorbing, false, true),
-            (&Lukasiewicz, ZeroAbsorbing, false, true),
-            (&ConormScoring(Max), MaxLike, true, false),
-            (&ArithmeticMean, Other, false, false),
-            (&GeometricMean, ZeroAbsorbing, false, false),
-            (&HarmonicMean, ZeroAbsorbing, false, false),
+        // (function, kind, max / bounded by min / min, at m ≥ 2)
+        let shipped: [(&dyn ScoringFunction, CombinerKind, bool, bool, bool); 7] = [
+            (&Min, ZeroAbsorbing, false, true, true),
+            (&Product, ZeroAbsorbing, false, true, false),
+            (&Lukasiewicz, ZeroAbsorbing, false, true, false),
+            (&ConormScoring(Max), MaxLike, true, false, false),
+            (&ArithmeticMean, Other, false, false, false),
+            (&GeometricMean, ZeroAbsorbing, false, false, false),
+            (&HarmonicMean, ZeroAbsorbing, false, false, false),
         ];
-        for (f, kind, max, below_min) in shipped {
+        for (f, kind, max, below_min, min) in shipped {
             assert!(
                 behaves_like_max(f, 1) && bounded_by_min(f, 1),
                 "{}",
@@ -1101,8 +1118,10 @@ mod tests {
                     classify_combiner(f, m),
                     behaves_like_max(f, m),
                     bounded_by_min(f, m),
+                    behaves_like_min(f, m),
                 );
-                assert_eq!(got, (kind, max, below_min), "{} at arity {m}", f.name());
+                let want = (kind, max, below_min, min);
+                assert_eq!(got, want, "{} at arity {m}", f.name());
             }
         }
     }

@@ -33,9 +33,9 @@ pub struct AccessStats {
     /// Objects obtained under random access, summed over all sources.
     pub random: u64,
     /// Worker threads the engine spawned while serving this request:
-    /// under `Engine::run_many`, the pooled batch workers, charged once
-    /// to the batch's first successful result. 0 for `Engine::run`,
-    /// which runs on the caller's thread. Physical-execution telemetry,
+    /// under `Engine::run_many`, the pooled batch workers besides the
+    /// calling thread, charged once to the batch's first successful
+    /// result. 0 for `Engine::run`, which runs on the caller's thread. Physical-execution telemetry,
     /// not part of the paper's access cost.
     pub worker_spawns: u64,
     /// Pages read from storage while serving this request, summed over
