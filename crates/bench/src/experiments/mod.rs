@@ -68,9 +68,10 @@ mod tests {
 
     /// Gates that read a wall-clock ceiling: an unoptimized build may
     /// sit above them, so only the release run of CI holds them to it.
-    const WALL_CLOCK_CEILINGS: [&str; 8] = [
+    const WALL_CLOCK_CEILINGS: [&str; 9] = [
         "warm_ta_vs_mem",
         "warm_probe_vs_mem",
+        "warm_batch_vs_mem",
         "cold_us_per_page_read",
         "nra_vs_ta_ns_per_access",
         "ca_vs_ta_ns_per_access",
@@ -91,8 +92,13 @@ mod tests {
                 "warm_wall_ms",
                 "warm_hit_rate",
                 "cold_page_reads",
+                "warm_scan_vs_mem_spread",
                 "warm_ta_vs_mem",
+                "warm_ta_vs_mem_spread",
                 "warm_probe_vs_mem",
+                "warm_probe_vs_mem_spread",
+                "warm_batch_vs_mem",
+                "warm_batch_vs_mem_spread",
                 "cold_us_per_page_read",
             ],
         ),

@@ -29,9 +29,12 @@
 //! dense universe `0..n` oid `o` lives on random-table page
 //! `o / entries_per_page` at slot `o − first oid of the page`, and each
 //! guess is taken only when the directory range or the stored oid
-//! proves it, else a binary search decides. The sorted cursor holds
-//! the frame of the page it stands on, pinned in the pool, and decodes
-//! each entry from it in place.
+//! proves it, else a binary search decides. A probe reads the resident
+//! page in place under its pool slot's lock, and the cursor counts the
+//! hit. The sorted cursor holds the frame of the page it stands on,
+//! pinned in the pool, and decodes each entry from it in place; every
+//! grade on a sorted-run page was validated once, when the page was
+//! read from storage.
 //!
 //! Failure model: *opening* and *building* return typed
 //! [`StoreError`]s, and so does every access after a successful open
@@ -183,7 +186,12 @@ impl StoreInner {
     /// checksummed storage read installed for the next caller once its
     /// declared entry count matches the header's geometry (a CRC-valid
     /// page that under-declares would otherwise shorten the source
-    /// silently). A frame is a single
+    /// silently) and, on a sorted-run page, once every grade on it is
+    /// valid. Frames are immutable, so a page validated on entry stays
+    /// valid while it is resident, and a page that fails never enters
+    /// the pool: each later access reads it again and fails again with
+    /// the same error. Random-table pages keep the per-entry check of
+    /// [`StoreInner::find_in_page`] instead. A frame is a single
     /// allocation, so frames allocated and freed on different threads
     /// (requests under `Engine::run_many` share a pool) recycle
     /// same-size chunks instead of fragmenting the threads' malloc
@@ -200,10 +208,14 @@ impl StoreInner {
                 .read_exact_at(buf, page * self.header.page_size as u64)?;
         }
         verify_page(&frame, page)?;
-        if u64::from(read_u32(&frame, 4)) != self.header.data_page_entries(page) {
+        let count = read_u32(&frame, 4);
+        if u64::from(count) != self.header.data_page_entries(page) {
             return Err(StoreError::InvalidHeader(
                 "data page entry count disagrees with the header",
             ));
+        }
+        if page.wrapping_sub(self.header.sorted_start()) < self.header.sorted_pages {
+            validate_entries(&frame, count as usize, page)?;
         }
         self.pool.insert(page, Arc::clone(&frame));
         Ok(frame)
@@ -237,17 +249,28 @@ impl StoreInner {
         }
     }
 
-    /// Fetches random-table page `idx` (as [`StoreInner::locate`]
-    /// numbers them).
-    fn random_page(&self, idx: u64) -> Result<(u64, pool::Frame), SourceError> {
+    /// Reads random-table page `idx` (as [`StoreInner::locate`] numbers
+    /// them) and runs `read` on it: under the slot's lock when the page
+    /// is resident, counting the hit in `hits`, else on the frame
+    /// [`StoreInner::load_page`] returns. The one page access of every
+    /// probe form.
+    #[inline]
+    fn with_random_page<R>(
+        &self,
+        idx: u64,
+        hits: &mut u64,
+        mut read: impl FnMut(&[u8], u64) -> Result<R, SourceError>,
+    ) -> Result<R, SourceError> {
         let page = self.header.random_start() + idx;
-        match self.load_page(page) {
-            Ok(frame) => Ok((page, frame)),
-            Err(e) => Err(self.fail(e)),
+        if let Some(answer) = self.pool.with_resident(page, |frame| read(frame, page)) {
+            *hits += 1;
+            return answer;
         }
+        let frame = self.load_page(page).map_err(|e| self.fail(e))?;
+        read(&frame, page)
     }
 
-    /// The grade of `oid` on the pinned random-table page `frame`, zero
+    /// The grade of `oid` on the random-table page `frame`, zero
     /// when absent. The one in-page search scalar, batched and bounded
     /// probes share; no probe decodes more than the entry it answers.
     ///
@@ -292,8 +315,9 @@ impl StoreInner {
         }
     }
 
-    /// Pins the sorted-run page that holds run position `pos` and
-    /// validates every entry on it, so the cursor can read any of them
+    /// Pins the sorted-run page that holds run position `pos`. Every
+    /// entry on it was validated when it entered the pool
+    /// ([`StoreInner::load_page`]), so the cursor can read any of them
     /// without a `Result`. A page that cannot be read, or that carries
     /// a bad grade anywhere, is refused whole; `None` past the end of
     /// the run.
@@ -304,27 +328,14 @@ impl StoreInner {
         let epp = self.header.entries_per_page as u64;
         let run_page = pos / epp;
         let page = self.header.sorted_start() + run_page;
-        let pinned = self.load_page(page).and_then(|frame| {
-            let count = page_entry_count(&frame, self.header.entries_per_page);
-            validate_entries(&frame, count, page)?;
-            let start = run_page * epp;
-            Ok(SortedPage {
-                frame,
-                start,
-                end: start + count as u64,
-            })
-        });
-        match pinned {
-            Ok(sorted) => Ok(Some(sorted)),
-            Err(e) => Err(self.fail(e)),
-        }
-    }
-
-    /// One probe of located page `idx`: a page fetch and the in-page
-    /// search.
-    fn probe(&self, idx: u64, oid: Oid) -> Result<Score, SourceError> {
-        let (page, frame) = self.random_page(idx)?;
-        self.find_in_page(&frame, page, oid)
+        let frame = self.load_page(page).map_err(|e| self.fail(e))?;
+        let count = page_entry_count(&frame, self.header.entries_per_page);
+        let start = run_page * epp;
+        Ok(Some(SortedPage {
+            frame,
+            start,
+            end: start + count as u64,
+        }))
     }
 
     /// The error a failed access returns, its first one also kept in
@@ -521,7 +532,9 @@ impl PagedStore {
 
     /// Cumulative buffer-pool counters (reads/hits/evictions) plus the
     /// store-level counter of pages bounded drains and probes proved
-    /// unnecessary ([`PageIoStats::skipped`]).
+    /// unnecessary ([`PageIoStats::skipped`]). A live cursor's probe
+    /// hits join `hits` when it rewinds or drops; its own
+    /// [`Subsystem::caps`] counts them at once.
     pub fn page_io(&self) -> PageIoStats {
         self.inner.page_io()
     }
@@ -534,7 +547,9 @@ impl PagedStore {
     /// Drops every pooled frame and resets the pool counters —
     /// benchmarks use this to measure cold-pool behaviour without
     /// reopening the file (the OS page cache stays warm; this measures
-    /// the store's own pool, not the kernel's).
+    /// the store's own pool, not the kernel's). Probe hits a live
+    /// cursor still holds join the fresh counters when it hands them
+    /// over.
     pub fn clear_pool(&self) {
         self.inner.pool.clear();
         let skipped = &self.inner.pages_skipped;
@@ -563,9 +578,14 @@ impl PagedStore {
 /// misses are physical telemetry, surfaced via [`Subsystem::caps`]).
 ///
 /// The cursor pins the sorted page it stands on — one frame, held
-/// until the cursor moves past the page, rewinds or drops — and
-/// validates every grade on it when it pins it; every sorted access
-/// then decodes straight from that frame.
+/// until the cursor moves past the page, rewinds or drops — whose
+/// grades were all validated when it entered the pool; every sorted
+/// access decodes straight from that frame. A probe reads its
+/// random-table page in place under the pool slot's lock and counts
+/// the hit on the cursor, which hands its count to the pool when it
+/// rewinds or drops; until then [`Subsystem::caps`] adds it to the
+/// pool's, so a before/after difference of `caps().page_io` over one
+/// cursor is exact.
 #[derive(Debug)]
 pub struct PagedSource {
     inner: Arc<StoreInner>,
@@ -575,11 +595,53 @@ pub struct PagedSource {
     /// before its first read, after a rewind, nor while the page under
     /// it cannot be read). Sorted reads decode straight from its frame.
     page: Option<SortedPage>,
+    /// Pool hits of this cursor's probes not yet added to the pool's
+    /// counter.
+    hits: u64,
+}
+
+/// Marks an oid no random-table page can hold.
+const NOWHERE: u64 = u64::MAX;
+
+/// The positions of `pages` that name a page (every one but
+/// [`NOWHERE`]), ordered by page and, within a page, by position.
+///
+/// A counting sort over the span of pages the batch touches: count,
+/// prefix sum, scatter — linear in the batch and the span, with no
+/// comparison. The span costs one counter per page in it, at most one
+/// per random-table page.
+fn by_page(pages: &[u64]) -> Vec<usize> {
+    let located = || pages.iter().filter(|&&p| p != NOWHERE);
+    let (lo, hi, n) = located().fold((u64::MAX, 0, 0usize), |(lo, hi, n), &p| {
+        (lo.min(p), hi.max(p), n + 1)
+    });
+    if n == 0 {
+        return Vec::new();
+    }
+    // `next[p - lo]`: how many oids page `p` holds, then, after the
+    // prefix sum, where its next position goes in `order`.
+    let mut next = vec![0usize; (hi - lo) as usize + 1];
+    for &p in located() {
+        next[(p - lo) as usize] += 1;
+    }
+    let mut at = 0;
+    for slot in &mut next {
+        (*slot, at) = (at, at + *slot);
+    }
+    let mut order = vec![0usize; n];
+    for (pos, &p) in pages.iter().enumerate() {
+        if p != NOWHERE {
+            let slot = &mut next[(p - lo) as usize];
+            order[*slot] = pos;
+            *slot += 1;
+        }
+    }
+    order
 }
 
 /// A sorted-run page held by a cursor: its frame, pinned in the pool
-/// while held and validated whole when pinned, and the run positions
-/// `start..end` its entries hold.
+/// while held and validated whole when it entered the pool, and the
+/// run positions `start..end` its entries hold.
 #[derive(Debug)]
 struct SortedPage {
     frame: pool::Frame,
@@ -625,7 +687,23 @@ impl PagedSource {
             inner,
             pos: 0,
             page: None,
+            hits: 0,
         }
+    }
+
+    /// One probe of located random-table page `idx`: the page access
+    /// and the in-page search.
+    #[inline]
+    fn probe(&mut self, idx: u64, oid: Oid) -> Result<Score, SourceError> {
+        let inner = &*self.inner;
+        inner.with_random_page(idx, &mut self.hits, |frame, page| {
+            inner.find_in_page(frame, page, oid)
+        })
+    }
+
+    /// Hands the hits this cursor counted to the pool's counter.
+    fn fold_hits(&mut self) {
+        self.inner.pool.add_hits(std::mem::take(&mut self.hits));
     }
 
     /// The page the cursor stands on, pinning the next one once the
@@ -708,7 +786,7 @@ impl PagedSource {
             self.inner.note_skipped(1);
             return Ok(Score::ZERO);
         }
-        let grade = self.inner.probe(idx, oid)?;
+        let grade = self.probe(idx, oid)?;
         Ok(if grade >= bound { grade } else { Score::ZERO })
     }
 }
@@ -729,28 +807,31 @@ impl Subsystem for PagedSource {
     }
 
     // Page-ordered: each oid is located through the directory once,
-    // the `(page, input position)` pairs are sorted, and every distinct
-    // page is fetched once and searched for all of its oids while
-    // pinned — a batch never re-reads a page, however small the pool.
-    // Answers go back in input order; an oid no page can hold grades
-    // zero exactly as a scalar probe would.
+    // the input positions are grouped by page (`by_page`), and every
+    // distinct page is read once, in ascending order, and searched for
+    // all of its oids under one slot lock (pinned, on a miss) — a batch
+    // never re-reads a page, however small the pool. Answers go back in
+    // input order; an oid no page can hold grades zero exactly as a
+    // scalar probe would.
     fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
         let inner = &*self.inner;
         let mut out = vec![Score::ZERO; oids.len()];
-        let mut located: Vec<(u64, usize)> = oids
+        let pages: Vec<u64> = oids
             .iter()
-            .enumerate()
-            .filter_map(|(pos, &oid)| Some((inner.locate(oid)?, pos)))
+            .map(|&oid| inner.locate(oid).unwrap_or(NOWHERE))
             .collect();
-        located.sort_unstable();
-        let mut rest = located.as_slice();
-        while let Some(&(idx, _)) = rest.first() {
-            let run = rest.partition_point(|&(p, _)| p == idx);
-            let (page, frame) = inner.random_page(idx)?;
-            for &(_, pos) in &rest[..run] {
-                out[pos] = inner.find_in_page(&frame, page, oids[pos])?;
-            }
-            rest = &rest[run..];
+        let order = by_page(&pages);
+        let mut rest = order.as_slice();
+        while let Some(&first) = rest.first() {
+            let idx = pages[first];
+            let (run, after) = rest.split_at(rest.partition_point(|&pos| pages[pos] == idx));
+            inner.with_random_page(idx, &mut self.hits, |frame, page| {
+                for &pos in run {
+                    out[pos] = inner.find_in_page(frame, page, oids[pos])?;
+                }
+                Ok(())
+            })?;
+            rest = after;
         }
         Ok(out)
     }
@@ -758,6 +839,7 @@ impl Subsystem for PagedSource {
     fn rewind(&mut self) {
         self.pos = 0;
         self.page = None;
+        self.fold_hits();
     }
 
     fn info(&self) -> SourceInfo {
@@ -773,9 +855,11 @@ impl Subsystem for PagedSource {
     // sources use, so it is bit-identical to `VecSource`'s at the
     // persisted resolution; other resolutions would need data pages.
     fn caps(&self) -> Caps<'_> {
+        let mut page_io = self.inner.page_io();
+        page_io.hits += self.hits;
         Caps {
             grades: Some(Grades::kept(&self.inner.histogram)),
-            page_io: Some(self.inner.page_io()),
+            page_io: Some(page_io),
         }
     }
 
@@ -799,9 +883,15 @@ impl Subsystem for PagedSource {
 
     fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
         match self.inner.locate(oid) {
-            Some(idx) => self.inner.probe(idx, oid),
+            Some(idx) => self.probe(idx, oid),
             None => Ok(Score::ZERO),
         }
+    }
+}
+
+impl Drop for PagedSource {
+    fn drop(&mut self) {
+        self.fold_hits();
     }
 }
 
@@ -1734,6 +1824,208 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// A 64-bit LCG step: the tests' deterministic draws.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *state >> 33
+    }
+
+    /// A warm probe counts its hit on the cursor: the pool's counter
+    /// sees it when the cursor rewinds or drops, and the cursor's own
+    /// `caps()` sees it at once.
+    #[test]
+    fn probe_hits_fold_into_the_pool_exactly() {
+        let pairs = dense_pairs(0, 1000, 53);
+        let path = scratch("hit-accounting.fmdb");
+        build_store(&path, "h", pairs, &BuildConfig::with_page_size(512)).unwrap();
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+        let epp = store.header().entries_per_page as u64;
+        let every_oid: Vec<Oid> = (0..1000).collect();
+        store.source().random_batch(&every_oid).unwrap();
+        let warm = store.page_io();
+        assert_eq!(
+            warm.reads,
+            store.header().random_pages,
+            "every page resident"
+        );
+
+        let hits = |src: &PagedSource| src.caps().page_io.expect("paged").hits;
+        let mut src = store.source();
+        let n = 57;
+        for i in 0..n {
+            src.random_access(i * 17 % 1000).unwrap();
+        }
+        assert_eq!(store.page_io().hits, warm.hits, "not folded yet");
+        assert_eq!(hits(&src), warm.hits + n, "the cursor sees its own hits");
+        src.rewind();
+        assert_eq!(store.page_io().hits, warm.hits + n, "a rewind folds them");
+
+        // One batch over pages 2, 5 and 9, with repeats, and over the
+        // last page, which is where every oid past the universe goes:
+        // one hit per distinct page.
+        let batch: Vec<Oid> = [2, 5, 9, 5, 2]
+            .iter()
+            .flat_map(|&page| [page * epp, page * epp + 3])
+            .chain([1000, 5000, u64::MAX])
+            .collect();
+        let p = 4;
+        src.random_batch(&batch).unwrap();
+        src.random_access_bounded(4 * epp, Score::ZERO).unwrap();
+        assert_eq!(hits(&src), warm.hits + n + p + 1);
+        assert_eq!(store.page_io().hits, warm.hits + n);
+        drop(src);
+        let io = store.page_io();
+        assert_eq!(io.hits, warm.hits + n + p + 1, "the drop folds the rest");
+        assert_eq!(io.reads, warm.reads, "nothing was read");
+    }
+
+    /// The directory's answer for `oid`, by a search of its own.
+    fn searched_page(store: &PagedStore, oid: Oid) -> Option<u64> {
+        let dir = &store.inner.directory;
+        dir.partition_point(|&first| first <= oid)
+            .checked_sub(1)
+            .map(|i| i as u64)
+    }
+
+    /// Random multisets of oids — repeats, oids no page holds, oids
+    /// past the universe — batched over pools of one to three frames
+    /// answer what `VecSource` answers, bit for bit, and read each page
+    /// they touch exactly once. The every-third store's page guesses
+    /// miss, so its oids are located by the directory's binary search.
+    #[test]
+    fn random_batches_match_the_scalar_oracle_over_tiny_pools() {
+        let stores = [
+            ("dense", dense_pairs(0, 2000, 59)),
+            ("every third", sample_pairs(2000, 61)),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for (name, pairs) in stores {
+            let path = scratch(&format!("batch-oracle-{name}.fmdb"));
+            build_store(
+                &path,
+                name,
+                pairs.clone(),
+                &BuildConfig::with_page_size(256),
+            )
+            .unwrap();
+            let mut vec = VecSource::new(name, pairs.clone());
+            let past = pairs.iter().map(|&(oid, _)| oid).max().unwrap() + 40;
+            for frames in 1..=3 {
+                let store = PagedStore::open(&path, StoreOptions::with_pool_pages(frames)).unwrap();
+                if name == "every third" {
+                    let missed = (0..past).filter(|&oid| {
+                        let g = oid / store.header().entries_per_page as u64;
+                        searched_page(&store, oid) != Some(g)
+                    });
+                    assert!(missed.count() as u64 > past / 2, "the guess mostly misses");
+                }
+                let mut src = store.source();
+                for len in [0usize, 1, 2, 3, 5, 17, 100, 700, 3000] {
+                    // Half the batches draw from a narrow range, so
+                    // repeats are common.
+                    let range = if lcg(&mut state) & 1 == 0 { past } else { 50 };
+                    let oids: Vec<Oid> = (0..len)
+                        .map(|_| match lcg(&mut state) % 64 {
+                            0 => u64::MAX,
+                            _ => lcg(&mut state) % range,
+                        })
+                        .collect();
+                    let at = format!("{name}, {frames} frames, {len} oids");
+                    let bits = |grades: Vec<Score>| -> Vec<u64> {
+                        grades.into_iter().map(|g| g.value().to_bits()).collect()
+                    };
+                    store.clear_pool();
+                    assert_eq!(
+                        bits(src.random_batch(&oids).unwrap()),
+                        bits(vec.random_batch(&oids).unwrap()),
+                        "{at}"
+                    );
+                    let touched: std::collections::BTreeSet<u64> = oids
+                        .iter()
+                        .filter_map(|&oid| searched_page(&store, oid))
+                        .collect();
+                    assert_eq!(store.page_io().reads, touched.len() as u64, "{at}");
+                }
+            }
+        }
+    }
+
+    /// `by_page` is a stable sort by page, whatever the span.
+    #[test]
+    fn by_page_is_a_stable_sort_by_page() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in [0usize, 1, 2, 7, 64, 500] {
+            for span in [1u64, 3, 40, 5000] {
+                let pages: Vec<u64> = (0..len)
+                    .map(|_| match lcg(&mut state) % 8 {
+                        0 => NOWHERE,
+                        _ => 1000 + lcg(&mut state) % span,
+                    })
+                    .collect();
+                let mut want: Vec<usize> = (0..len).filter(|&at| pages[at] != NOWHERE).collect();
+                want.sort_by_key(|&at| pages[at]);
+                assert_eq!(by_page(&pages), want, "{len} oids over {span} pages");
+            }
+        }
+    }
+
+    /// A sorted-run page is validated when it is read from storage, so a
+    /// bad one never enters the pool; a random-table page is checked
+    /// entry by entry, so one bad slot fails only the probes of it.
+    #[test]
+    fn sorted_pages_are_validated_on_entry_and_random_entries_on_use() {
+        let pairs = sample_pairs(1000, 67);
+        let path = scratch("validated-on-entry.fmdb");
+        build_store(&path, "v", pairs.clone(), &BuildConfig::with_page_size(512)).unwrap();
+        let header = PagedStore::open(&path, StoreOptions::DEFAULT)
+            .unwrap()
+            .header()
+            .clone();
+        let nan_at = |slot: usize| {
+            move |frame: &mut [u8]| {
+                let grade = format::PAGE_HEADER_BYTES + slot * format::ENTRY_BYTES + 8;
+                frame[grade..grade + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+            }
+        };
+        let (bad_sorted, bad_random) = (header.sorted_start() + 2, header.random_start() + 3);
+        rewrite_page(&path, 512, bad_sorted, nan_at(20));
+        rewrite_page(&path, 512, bad_random, nan_at(5));
+
+        let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
+        let invalid = |page: u64| move |e: SourceError| matches!(cause(&e), StoreError::InvalidGrade { page: p } if *p == page);
+        let mut src = store.source();
+        let (drained, error) = drain_until_error(&mut src);
+        assert_eq!(drained, 62);
+        assert!(invalid(bad_sorted)(error));
+        assert_eq!(
+            store.resident_pages(),
+            2,
+            "the bad page never became resident"
+        );
+        for _ in 0..2 {
+            assert!(src.sorted_next().is_err_and(invalid(bad_sorted)));
+            assert_eq!(store.resident_pages(), 2);
+        }
+
+        // Entry `i` (oid `3 i`) sits on random-table page `i / 31`.
+        let mut vec = VecSource::new("v", pairs);
+        let (first, bad_oid) = (3 * 3 * 31, 3 * (3 * 31 + 5));
+        for oid in (first..first + 3 * 31).step_by(3) {
+            let probe = src.random_access(oid);
+            if oid == bad_oid {
+                assert!(probe.is_err_and(invalid(bad_random)));
+            } else {
+                assert_eq!(probe.unwrap(), vec.random_access(oid).unwrap(), "oid {oid}");
+            }
+        }
+        assert!(src
+            .random_batch(&[first, bad_oid])
+            .is_err_and(invalid(bad_random)));
+        assert_eq!(store.resident_pages(), 3, "the random page is resident");
     }
 
     /// The cursor reads entries in place from the pinned frame, and

@@ -4,7 +4,11 @@
 //! header knows, so the pool is one slot per page: the frame while the
 //! page is resident, and a reference bit a hit sets. A lookup locks its
 //! own slot and nothing else — no hash, no shared lock — so readers of
-//! different pages never contend.
+//! different pages never contend. A reader that holds a page across
+//! calls (the sorted cursor) pins it with [`PagePool::get`], an `Arc`
+//! clone; a probe reads the frame in place under the slot's lock with
+//! [`PagePool::with_resident`] and counts its hit itself, so a warm probe
+//! touches neither the frame's refcount nor the shared hit counter.
 //!
 //! The resident pages sit on one ring, the table in page order. An
 //! insert that takes the pool past its capacity locks the CLOCK hand
@@ -18,6 +22,10 @@
 //! flag, so a sweep costs a flag per page it passes; the full two
 //! passes are paid only while readers pin more frames than the pool
 //! holds.
+//!
+//! Lock order: the hand before any slot, and never two slots at once.
+//! Under a slot's lock a reader may take the store's error slot, a leaf
+//! that takes nothing while it is held.
 //!
 //! Storage reads happen outside every lock (the caller reads, then
 //! [`PagePool::insert`]s), so a slow disk never serializes unrelated
@@ -84,8 +92,8 @@ impl PagePool {
         }
     }
 
-    /// Looks a page up, counting a hit (a miss is counted as the read
-    /// that resolves it, by [`PagePool::insert`]).
+    /// Looks a page up and pins it, counting a hit (a miss is counted
+    /// as the read that resolves it, by [`PagePool::insert`]).
     pub(crate) fn get(&self, page: u64) -> Option<Frame> {
         let slot = self.slots.get(page as usize)?;
         let frame = Arc::clone(lock(&slot.frame).as_ref()?);
@@ -96,6 +104,32 @@ impl PagePool {
         // ordering(Relaxed): telemetry-only hit counter.
         self.hits.fetch_add(1, Relaxed);
         Some(frame)
+    }
+
+    /// Runs `read` on page `page`'s frame under the slot's lock, when
+    /// the page is resident, and sets its reference bit: a lookup that
+    /// neither clones the frame nor counts the hit. The caller counts it
+    /// and hands the count back through [`PagePool::add_hits`]. `read`
+    /// runs under the slot's mutex, so it must take no lock but a leaf
+    /// (the store's error slot), and no other slot's.
+    #[inline]
+    pub(crate) fn with_resident<R>(&self, page: u64, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let slot = self.slots.get(page as usize)?;
+        let held = lock(&slot.frame);
+        let frame = held.as_deref()?;
+        // ordering(Relaxed): the reference bit is a replacement hint; the
+        // frame is read under the slot's lock.
+        slot.referenced.store(true, Relaxed);
+        Some(read(frame))
+    }
+
+    /// Adds `hits` lookups a reader served through
+    /// [`PagePool::with_resident`] and counted itself.
+    pub(crate) fn add_hits(&self, hits: u64) {
+        if hits > 0 {
+            // ordering(Relaxed): telemetry-only hit counter.
+            self.hits.fetch_add(hits, Relaxed);
+        }
     }
 
     /// Installs a freshly read page, reference bit clear, and counts
@@ -251,6 +285,27 @@ mod tests {
         assert_eq!(pool.stats().evictions, 1);
         assert!(pool.get(1).is_none(), "the unreferenced page goes");
         assert!(pool.get(0).is_some(), "the referenced page stays");
+    }
+
+    #[test]
+    fn a_read_in_place_buys_a_second_chance_and_counts_nothing() {
+        let pool = PagePool::new(2, 3);
+        pool.insert(0, Arc::from([5u8]));
+        pool.insert(1, Arc::from([]));
+        assert_eq!(pool.with_resident(0, |frame| frame.to_vec()), Some(vec![5]));
+        assert_eq!(pool.with_resident(2, <[u8]>::len), None, "not resident");
+        assert_eq!(pool.stats().hits, 0, "the reader counts its own hits");
+        pool.add_hits(1);
+        assert_eq!(pool.stats().hits, 1);
+        pool.insert(2, Arc::from([]));
+        assert!(
+            pool.with_resident(1, |_| ()).is_none(),
+            "the unread page goes"
+        );
+        assert!(
+            pool.with_resident(0, |_| ()).is_some(),
+            "the read page stays"
+        );
     }
 
     #[test]
