@@ -25,7 +25,7 @@ use fmdb_middleware::store::{build_store_from_source, BuildConfig, PagedStore, S
 use fmdb_middleware::workload::independent_uniform;
 
 use crate::report::{f3, int, Bound, Report, Table};
-use crate::runners::RunCfg;
+use crate::runners::{median, RoundRatio, RunCfg};
 
 /// Scratch directory for store files, inside the workspace `target/`
 /// dir so benchmarks never write outside the repository.
@@ -160,19 +160,15 @@ struct WarmVsMem {
 /// on one side of the comparison.
 fn warm_vs_mem(mut paged: impl FnMut() -> f64, mut mem: impl FnMut() -> f64) -> WarmVsMem {
     let rounds: Vec<(f64, f64)> = (0..REPEATS).map(|_| (paged(), mem())).collect();
-    let median = |mut xs: Vec<f64>| {
-        xs.sort_by(f64::total_cmp);
-        xs[REPEATS / 2]
-    };
-    let ratios: Vec<f64> = rounds.iter().map(|r| r.0 / r.1).collect();
-    let (lo, hi) = ratios.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| {
-        (lo.min(r), hi.max(r))
-    });
+    let RoundRatio {
+        median: ratio,
+        spread,
+    } = RoundRatio::of(rounds.iter().copied());
     WarmVsMem {
         paged: median(rounds.iter().map(|r| r.0).collect()),
         mem: median(rounds.iter().map(|r| r.1).collect()),
-        ratio: median(ratios),
-        spread: hi / lo,
+        ratio,
+        spread,
     }
 }
 

@@ -11,7 +11,11 @@
 //! whole `Catalog::source_for` of the same colour atom around it
 //! (kernel + distance → grade + building the graded list), and
 //! `bind_vs_kernel` their ratio — what the middleware spends per unit
-//! of grading.
+//! of grading. `shape_kernel_us` / `shape_bind_us` are the same pair
+//! for a `Shape` atom (`TurningCorpus::distances`, the turning kernel),
+//! and `shape_vs_color_bind` says how many colour atoms one shape atom
+//! costs. Each ratio is the median of interleaved rounds, its spread
+//! (largest ÷ smallest round) beside it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,16 +27,66 @@ use fmdb_garlic::catalog::Catalog;
 use fmdb_garlic::repository::QbicRepository;
 use fmdb_media::distance::{HistogramDistance, QuadraticFormDistance};
 use fmdb_media::embed::{EmbeddedCorpus, EmbeddedSpace};
+use fmdb_media::shape::TurningCorpus;
 use fmdb_media::synth::{SynthConfig, SyntheticDb};
 use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::source::{Oid, VecSource};
 
 use crate::report::{f3, Bound, Report, Table};
-use crate::runners::{fastest_us, run_algo, RunCfg};
+use crate::runners::{fastest_us, median, run_algo, RoundRatio, RunCfg};
 
-/// Repetitions behind each of `kernel_us` / `bind_us`.
-const BIND_REPS: usize = 100;
+/// Interleaved rounds behind each ratio: a round takes the four floors
+/// below back to back, so a burst on the host lands on one round, not on
+/// one side of a ratio.
+const ROUNDS: usize = 7;
+
+/// Repetitions behind each colour floor (`kernel_us` / `bind_us`) of a
+/// round.
+const BIND_REPS: usize = 30;
+
+/// Repetitions behind each shape floor of a round.
+const SHAPE_REPS: usize = 10;
+
+/// Turning-function samples, as `QbicRepository` resamples its shapes.
+const TURNING_SAMPLES: usize = 64;
+
+/// Ceiling on `shape_vs_color_bind` (release builds): 1.25× the
+/// largest of seven whole quick suites on a 2-core x86-64 VM (17.5–20.6)
+/// since the turning kernel computes the exact error only of the shifts
+/// its correlation pass cannot rule out. While it computed the exact
+/// error of every shift it read 39.1–51.0.
+const MAX_SHAPE_VS_COLOR_BIND: f64 = 25.8;
+
+/// One round's floors, µs: colour kernel, colour bind, shape kernel,
+/// shape bind.
+type Round = [f64; 4];
+
+/// Where one atom's time goes, at one corpus size: median floors and
+/// the two ratios.
+#[derive(Clone, Copy)]
+struct BindSplit {
+    kernel_us: f64,
+    bind_us: f64,
+    shape_kernel_us: f64,
+    shape_bind_us: f64,
+    bind_vs_kernel: RoundRatio,
+    shape_vs_color_bind: RoundRatio,
+}
+
+impl BindSplit {
+    fn of(rounds: &[Round]) -> BindSplit {
+        let column = |i: usize| median(rounds.iter().map(|r| r[i]).collect());
+        BindSplit {
+            kernel_us: column(0),
+            bind_us: column(1),
+            shape_kernel_us: column(2),
+            shape_bind_us: column(3),
+            bind_vs_kernel: RoundRatio::of(rounds.iter().map(|r| (r[1], r[0]))),
+            shape_vs_color_bind: RoundRatio::of(rounds.iter().map(|r| (r[3], r[1]))),
+        }
+    }
+}
 
 /// Distance → grade with a linear cutoff at the observed maximum (the
 /// same conversion the GARLIC repository applies).
@@ -75,10 +129,13 @@ pub fn run(cfg: &RunCfg) -> Report {
             "kernel µs",
             "bind µs",
             "bind/kernel",
+            "shape kernel µs",
+            "shape bind µs",
+            "shape/colour bind",
         ],
     );
     // Published from the last (largest) corpus of the sweep.
-    let mut bind_split = (0.0, 0.0);
+    let mut published = None;
     for &n in &sizes {
         let db = SyntheticDb::generate(&SynthConfig {
             count: n,
@@ -141,18 +198,34 @@ pub fn run(cfg: &RunCfg) -> Report {
             all_equal &= qf_ids == embed_ids;
         }
 
-        // One colour atom, by example: the kernel alone, then the
-        // bind path garlic runs around the same kernel.
-        let kernel_us = fastest_us(BIND_REPS, || {
-            corpus.distances(&hists[0]).expect("same space")
-        });
+        // One colour atom and one shape atom, by example: each kernel
+        // alone, then the bind path garlic runs around the same kernel.
+        let shapes = TurningCorpus::build(db.objects.iter().map(|o| &o.shape), TURNING_SAMPLES);
+        let shape = db.objects[0].shape.clone();
         let mut catalog = Catalog::new();
         catalog
             .register(Box::new(QbicRepository::new("qbic", db)))
             .expect("fresh catalog accepts qbic");
-        let atom = AtomicQuery::new("Color", Target::Similar("#0".into()));
-        let bind_us = fastest_us(BIND_REPS, || catalog.source_for(&atom).expect("atom binds"));
-        bind_split = (kernel_us, bind_us);
+        let color_atom = AtomicQuery::new("Color", Target::Similar("#0".into()));
+        let shape_atom = AtomicQuery::new("Shape", Target::Similar("#0".into()));
+        let rounds: Vec<Round> = (0..ROUNDS)
+            .map(|_| {
+                [
+                    fastest_us(BIND_REPS, || {
+                        corpus.distances(&hists[0]).expect("same space")
+                    }),
+                    fastest_us(BIND_REPS, || {
+                        catalog.source_for(&color_atom).expect("atom binds")
+                    }),
+                    fastest_us(SHAPE_REPS, || shapes.distances(&shape)),
+                    fastest_us(SHAPE_REPS, || {
+                        catalog.source_for(&shape_atom).expect("atom binds")
+                    }),
+                ]
+            })
+            .collect();
+        let split = BindSplit::of(&rounds);
+        published = Some(split);
 
         t.row(vec![
             n.to_string(),
@@ -161,20 +234,24 @@ pub fn run(cfg: &RunCfg) -> Report {
             f3(embed_s / queries as f64 * 1e3),
             f3(qf_s / embed_s.max(1e-12)),
             all_equal.to_string(),
-            f3(kernel_us),
-            f3(bind_us),
-            f3(bind_us / kernel_us.max(1e-9)),
+            f3(split.kernel_us),
+            f3(split.bind_us),
+            f3(split.bind_vs_kernel.median),
+            f3(split.shape_kernel_us),
+            f3(split.shape_bind_us),
+            f3(split.shape_vs_color_bind.median),
         ]);
     }
     report.table(t);
-    let (kernel_us, bind_us) = bind_split;
+    let split = published.expect("the sweep has at least one corpus size");
     let timed = "a floor over timed repetitions that reads zero means the timer broke";
+    let spread = "the largest round ratio is below the smallest; look at `RoundRatio::of` in `runners` first";
     report
-        .gated("kernel_us", kernel_us, Bound::Positive, timed)
-        .gated("bind_us", bind_us, Bound::Positive, timed)
+        .gated("kernel_us", split.kernel_us, Bound::Positive, timed)
+        .gated("bind_us", split.bind_us, Bound::Positive, timed)
         .gated(
             "bind_vs_kernel",
-            bind_us / kernel_us.max(1e-9),
+            split.bind_vs_kernel.median,
             // 6–8 while `Catalog::source_for` hashed, sorted, drained
             // and re-hashed every list, ≈ 2 since it builds one array
             // once.
@@ -183,6 +260,33 @@ pub fn run(cfg: &RunCfg) -> Report {
              again spending more on wrapping a graded list than the subsystem spends \
              grading it; look for a second build or a hash table between \
              `Repository::source_for` and `BoundAtom` first",
+        )
+        .gated(
+            "bind_vs_kernel_spread",
+            split.bind_vs_kernel.spread,
+            Bound::AtLeast(1.0),
+            spread,
+        )
+        .gated(
+            "shape_kernel_us",
+            split.shape_kernel_us,
+            Bound::Positive,
+            timed,
+        )
+        .gated("shape_bind_us", split.shape_bind_us, Bound::Positive, timed)
+        .gated(
+            "shape_vs_color_bind",
+            split.shape_vs_color_bind.median,
+            Bound::PositiveAtMost(MAX_SHAPE_VS_COLOR_BIND),
+            "a `Shape` atom costs more colour atoms than it did once the turning kernel \
+             refined only the shifts its correlation pass cannot rule out; look at \
+             `filter` and `min_shift_distance` in `media::shape` first",
+        )
+        .gated(
+            "shape_vs_color_bind_spread",
+            split.shape_vs_color_bind.spread,
+            Bound::AtLeast(1.0),
+            spread,
         );
     report.note(
         "the embedded kernel grades the color attribute ~10-12x faster end to end at k = 64 \
@@ -192,10 +296,12 @@ pub fn run(cfg: &RunCfg) -> Report {
          embedding amortizes after a single query.",
     );
     report.note(
-        "kernel / bind are floors over 100 repetitions of one `Color ~ '#0'` atom: \
-         `EmbeddedCorpus::distances` alone, and `Catalog::source_for` around it. What bind \
-         adds to the kernel is the distance→grade pass and one sort of the list — no hash \
-         table, no id translation under an identity mapping, one build (DESIGN §17).",
+        "kernel / bind are medians over 7 interleaved rounds of the floors of 30 repetitions \
+         of one `Color ~ '#0'` atom: `EmbeddedCorpus::distances` alone, and \
+         `Catalog::source_for` around it; shape kernel / shape bind the same for \
+         `Shape ~ '#0'` (`TurningCorpus::distances`, 10 repetitions a round). What bind adds \
+         to the kernel is the distance→grade pass and one sort of the list — no hash table, \
+         no id translation under an identity mapping, one build (DESIGN §17).",
     );
     report
 }

@@ -68,7 +68,7 @@ mod tests {
 
     /// Gates that read a wall-clock ceiling: an unoptimized build may
     /// sit above them, so only the release run of CI holds them to it.
-    const WALL_CLOCK_CEILINGS: [&str; 9] = [
+    const WALL_CLOCK_CEILINGS: [&str; 10] = [
         "warm_ta_vs_mem",
         "warm_probe_vs_mem",
         "warm_batch_vs_mem",
@@ -78,6 +78,7 @@ mod tests {
         "naive_vs_ta_ns_per_access",
         "engine_vs_scalar_many8",
         "bind_vs_kernel",
+        "shape_vs_color_bind",
     ];
 
     /// Every gated metric of the suite (families of per-cell metrics by
@@ -117,7 +118,19 @@ mod tests {
                 "naive_minor_faults_per_run",
             ],
         ),
-        ("E20", &["kernel_us", "bind_us", "bind_vs_kernel"]),
+        (
+            "E20",
+            &[
+                "kernel_us",
+                "bind_us",
+                "bind_vs_kernel",
+                "bind_vs_kernel_spread",
+                "shape_kernel_us",
+                "shape_bind_us",
+                "shape_vs_color_bind",
+                "shape_vs_color_bind_spread",
+            ],
+        ),
         ("E22", &["opt_ratio_*"]),
         (
             "E23",

@@ -57,6 +57,41 @@ impl RunCfg {
     }
 }
 
+/// The median of `xs`: the upper middle value of an even count.
+///
+/// # Panics
+/// Panics if `xs` is empty.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// A ratio of two timings taken over rounds, each round timing both
+/// sides back to back, so a burst on the host lands on both halves of
+/// one round's ratio rather than on one side of the comparison.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundRatio {
+    /// Median of the rounds' ratios.
+    pub median: f64,
+    /// The rounds' largest ratio ÷ their smallest: how far one round
+    /// strays from another on the host that runs them.
+    pub spread: f64,
+}
+
+impl RoundRatio {
+    /// The ratio of `(numerator, denominator)` timings, one pair a round.
+    pub fn of(rounds: impl IntoIterator<Item = (f64, f64)>) -> RoundRatio {
+        let ratios: Vec<f64> = rounds.into_iter().map(|(num, den)| num / den).collect();
+        let (lo, hi) = ratios.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| {
+            (lo.min(r), hi.max(r))
+        });
+        RoundRatio {
+            median: median(ratios),
+            spread: hi / lo,
+        }
+    }
+}
+
 /// The fastest of `reps` timed calls of `work`, in microseconds — a
 /// floor, which a host that takes the processor away in bursts cannot
 /// inflate.

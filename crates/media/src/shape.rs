@@ -255,65 +255,196 @@ pub fn turning_function(poly: &Polygon, n: usize) -> Vec<f64> {
 /// shift minimization).
 pub fn turning_distance(a: &Polygon, b: &Polygon, n: usize) -> f64 {
     let ta = turning_function(a, n);
-    min_shift_distance(&ta, &doubled(turning_function(b, n)))
+    let prototype = Prototype::new(turning_function(b, n));
+    min_shift_distance(&ta, &prototype, &mut Vec::with_capacity(n))
 }
 
-/// Starting-point shifts the kernel carries per pass over `ta`.
+/// Starting-point shifts the correlation pass carries per walk over `ta`.
 const SHIFT_LANES: usize = 8;
 
-/// `t ++ t`: position `i + shift` of the result is `t[(i + shift) % n]`
-/// for every `i, shift < n`, so the shift loop needs no modulo.
-fn doubled(mut t: Vec<f64>) -> Vec<f64> {
-    t.extend_from_within(..);
-    t
+/// The derived bound on `|approx(s) − err(s)|` between the filter's
+/// estimate and the exact error, both as computed, is
+/// `ROUNDING · γ_{n+3} · (Σa² + Σb²) / n` (DESIGN §16).
+const ROUNDING: f64 = 50.0;
+
+/// The filter's margin δ is this many times the rounding bound.
+const MARGIN: f64 = 128.0;
+
+/// A prototype's turning function, doubled, with the two sums every
+/// shift shares: each shifted window covers every sample once.
+struct Prototype {
+    /// `tb ++ tb`: position `i + shift` is `tb[(i + shift) % n]` for
+    /// every `i, shift < n`, so no shift loop needs a modulo.
+    doubled: Vec<f64>,
+    /// `Σ b` over one copy, in index order.
+    sum: f64,
+    /// `Σ b²` over one copy, in index order.
+    sum_sq: f64,
 }
 
-/// For each of `L` consecutive starting-point shifts from `shift` on:
-/// the mean squared difference between `ta` and the shifted prototype
-/// under that shift's optimal rotation offset (the mean difference).
-///
-/// Every lane has its own accumulators and adds its terms in index
-/// order, so a lane's result does not depend on `L`.
-fn shifted_errors<const L: usize>(ta: &[f64], tb2: &[f64], shift: usize) -> [f64; L] {
+impl Prototype {
+    fn new(mut tb: Vec<f64>) -> Prototype {
+        let (sum, sum_sq) = sums(&tb);
+        tb.extend_from_within(..);
+        Prototype {
+            doubled: tb,
+            sum,
+            sum_sq,
+        }
+    }
+}
+
+/// `(Σ t, Σ t²)`, each in index order.
+fn sums(t: &[f64]) -> (f64, f64) {
+    t.iter()
+        .fold((0.0, 0.0), |(sum, sum_sq), &x| (sum + x, sum_sq + x * x))
+}
+
+/// Higham's `γ_k = k·u / (1 − k·u)`, `u = 2⁻⁵³`: the relative error of
+/// `k` chained roundings; `+∞` once `k·u` reaches 1.
+fn gamma(k: usize) -> f64 {
+    let ku = k as f64 * (f64::EPSILON / 2.0);
+    if ku < 1.0 {
+        ku / (1.0 - ku)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The margin δ for `n` samples and `Σa² + Σb²`: [`MARGIN`] times the
+/// derived rounding bound on `|approx(s) − err(s)|`.
+fn margin(n: usize, sum_sq_both: f64) -> f64 {
+    MARGIN * ROUNDING * gamma(n.saturating_add(3)) * sum_sq_both / n as f64
+}
+
+/// The cross-correlations `C(s) = Σᵢ ta[i]·tb2[i + s]` of `L`
+/// consecutive shifts from `shift` on, each lane in index order.
+fn correlations<const L: usize>(ta: &[f64], tb2: &[f64], shift: usize) -> [f64; L] {
+    let mut c = [0.0_f64; L];
+    for (&a, window) in ta.iter().zip(tb2[shift..].windows(L)) {
+        for (c, &b) in c.iter_mut().zip(window) {
+            *c += a * b;
+        }
+    }
+    c
+}
+
+/// The exact error of one starting-point shift: the mean squared
+/// difference between `ta` and the shifted prototype under that shift's
+/// optimal rotation offset (the mean difference), both sums in index
+/// order — the operations of the one-shift reference loop.
+fn shift_error(ta: &[f64], tb2: &[f64], shift: usize) -> f64 {
     let n = ta.len() as f64;
     let shifted = &tb2[shift..];
-    let mut sums = [0.0_f64; L];
-    for (&a, window) in ta.iter().zip(shifted.windows(L)) {
-        for (sum, &b) in sums.iter_mut().zip(window) {
-            *sum += a - b;
-        }
+    let mut sum = 0.0_f64;
+    for (&a, &b) in ta.iter().zip(shifted) {
+        sum += a - b;
     }
-    let offsets = sums.map(|sum| sum / n);
-    let mut errs = [0.0_f64; L];
-    for (&a, window) in ta.iter().zip(shifted.windows(L)) {
-        for ((err, &offset), &b) in errs.iter_mut().zip(&offsets).zip(window) {
-            let d = a - b - offset;
-            *err += d * d;
-        }
+    let offset = sum / n;
+    let mut err = 0.0_f64;
+    for (&a, &b) in ta.iter().zip(shifted) {
+        let d = a - b - offset;
+        err += d * d;
     }
-    errs.map(|err| err / n)
+    err / n
 }
 
-/// The Arkin distance between a turning function and a prototype given
-/// doubled (`tb2 = tb ++ tb`, `tb.len() == ta.len()`): the root of the
-/// smallest per-shift error, shifts visited in ascending order.
-fn min_shift_distance(ta: &[f64], tb2: &[f64]) -> f64 {
+/// The filter: writes `approx(s) = (Σa² + Σb² − 2·C(s))/n − ((Σa − Σb)/n)²`
+/// for every shift into `approx`, from one correlation pass, and returns
+/// the cut — shift `s` is refined iff `approx(s) ≤ cut`. The cut is
+/// `min approx + 2δ`; `None` (refine every shift) when an estimate or the
+/// cut is not finite.
+fn filter(ta: &[f64], prototype: &Prototype, approx: &mut Vec<f64>) -> Option<f64> {
     let n = ta.len();
+    let tb2 = &prototype.doubled;
     debug_assert_eq!(tb2.len(), n.saturating_mul(2));
-    let mut best = f64::INFINITY;
+    let len = n as f64;
+    let (sum, sum_sq) = sums(ta);
+    let sum_sq_both = sum_sq + prototype.sum_sq;
+    let mean = (sum - prototype.sum) / len;
+    let mean_sq = mean * mean;
+    let estimate = |c: f64| (sum_sq_both - 2.0 * c) / len - mean_sq;
+    approx.clear();
     for block in (0..n).step_by(SHIFT_LANES) {
-        if n.saturating_sub(block) >= SHIFT_LANES {
-            for err in shifted_errors::<SHIFT_LANES>(ta, tb2, block) {
-                best = best.min(err);
-            }
+        if n - block >= SHIFT_LANES {
+            approx.extend(correlations::<SHIFT_LANES>(ta, tb2, block).map(estimate));
         } else {
-            for shift in block..n {
-                let [err] = shifted_errors::<1>(ta, tb2, shift);
-                best = best.min(err);
-            }
+            approx.extend((block..n).map(|shift| {
+                let [c] = correlations::<1>(ta, tb2, shift);
+                estimate(c)
+            }));
         }
     }
-    best.max(0.0).sqrt()
+    let (lowest, total) = lowest_and_total(approx);
+    let cut = lowest + 2.0 * margin(n, sum_sq_both);
+    // The total is finite only if every estimate is.
+    (cut.is_finite() && total.is_finite()).then_some(cut)
+}
+
+/// The smallest of `xs` and their sum, each over [`SHIFT_LANES`]
+/// interleaved lanes, so neither is one chain of dependent operations.
+fn lowest_and_total(xs: &[f64]) -> (f64, f64) {
+    let mut lowest = [f64::INFINITY; SHIFT_LANES];
+    let mut total = [0.0_f64; SHIFT_LANES];
+    let chunks = xs.chunks_exact(SHIFT_LANES);
+    for (j, &x) in chunks.remainder().iter().enumerate() {
+        lowest[j] = lowest[j].min(x);
+        total[j] += x;
+    }
+    for chunk in chunks {
+        for (j, &x) in chunk.iter().enumerate() {
+            lowest[j] = lowest[j].min(x);
+            total[j] += x;
+        }
+    }
+    (
+        lowest.iter().copied().fold(f64::INFINITY, f64::min),
+        total.iter().sum(),
+    )
+}
+
+/// The shifts [`filter`] leaves for the exact error, ascending: those
+/// whose estimate is at most the cut, or every shift without one.
+fn survivors(approx: &[f64], cut: Option<f64>) -> impl Iterator<Item = usize> + '_ {
+    approx
+        .iter()
+        .enumerate()
+        .filter(move |&(_, &estimate)| cut.is_none_or(|cut| estimate <= cut))
+        .map(|(shift, _)| shift)
+}
+
+/// The Arkin distance between a turning function and a prototype of the
+/// same length: the root of the smallest per-shift error.
+///
+/// Filter and refine (§2.1's distance bounding over shifts): [`filter`]
+/// estimates every shift's error from one correlation pass, and only the
+/// shifts within `2δ` of the smallest estimate get their exact error, in
+/// ascending shift order. Every estimate is within δ of its exact error,
+/// so the best shift is always refined and the result is the full
+/// scan's, bit for bit; debug builds check that on every call.
+fn min_shift_distance(ta: &[f64], prototype: &Prototype, approx: &mut Vec<f64>) -> f64 {
+    let cut = filter(ta, prototype, approx);
+    let distance = survivors(approx, cut)
+        .map(|shift| shift_error(ta, &prototype.doubled, shift))
+        .fold(f64::INFINITY, f64::min)
+        .max(0.0)
+        .sqrt();
+    debug_assert_eq!(
+        distance.to_bits(),
+        every_shift(ta, &prototype.doubled).to_bits(),
+        "the refined shifts missed the best one"
+    );
+    distance
+}
+
+/// The full scan the filter replaced: every shift's exact error, in
+/// ascending shift order: the debug check's reference and the tests'.
+fn every_shift(ta: &[f64], tb2: &[f64]) -> f64 {
+    (0..ta.len())
+        .map(|shift| shift_error(ta, tb2, shift))
+        .fold(f64::INFINITY, f64::min)
+        .max(0.0)
+        .sqrt()
 }
 
 /// The turning functions of a shape collection, resampled once.
@@ -362,10 +493,11 @@ impl TurningCorpus {
             // No samples, no shifts: `turning_distance(_, _, 0)`.
             return vec![f64::INFINITY; self.len];
         }
-        let tb2 = doubled(turning_function(prototype, self.samples));
+        let prototype = Prototype::new(turning_function(prototype, self.samples));
+        let mut approx = Vec::with_capacity(self.samples);
         self.rows
             .chunks_exact(self.samples)
-            .map(|ta| min_shift_distance(ta, &tb2))
+            .map(|ta| min_shift_distance(ta, &prototype, &mut approx))
             .collect()
     }
 }
@@ -746,6 +878,168 @@ mod tests {
         let sq = Polygon::rectangle(0.0, 0.0, 2.0, 2.0).unwrap();
         assert!(point_in_polygon(Point::new(0.0, 0.0), sq.vertices()));
         assert!(!point_in_polygon(Point::new(5.0, 0.0), sq.vertices()));
+    }
+
+    /// Sample counts around the correlation pass's lane width (8), and
+    /// ones whose divisors give regular shapes exact symmetries.
+    const SAMPLES: [usize; 10] = [1, 2, 3, 7, 8, 9, 32, 63, 64, 65];
+
+    /// Outlines the filter must stay within its margin on: the
+    /// equivalence suite's mix (ellipses, rectangles, stars, jittered
+    /// copies) at random positions and scales; regular polygons and
+    /// stars whose symmetry divides 64; a copy of one outline scaled and
+    /// moved (distance ≈ 0 to it); and outlines centred 1e6–1e7 away.
+    fn margin_shapes(seed: u64) -> Vec<Polygon> {
+        use crate::synth::jitter_shape;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut shapes = Vec::new();
+        for i in 0..6 {
+            let (cx, cy) = (rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0));
+            let outer: f64 = rng.gen_range(0.8..1.8);
+            let base = match i % 3 {
+                0 => Polygon::ellipse(cx, cy, outer, outer * rng.gen_range(0.5..1.0), 12 + i),
+                1 => Polygon::rectangle(cx, cy, outer * 2.0, rng.gen_range(0.5..1.5)),
+                _ => Polygon::star(3 + i, outer, outer * rng.gen_range(0.25..0.5), cx, cy),
+            }
+            .unwrap();
+            shapes.push(if rng.gen::<f64>() < 0.5 {
+                jitter_shape(&base, 0.05, seed ^ i as u64)
+            } else {
+                base
+            });
+        }
+        let phase = rng.gen_range(0.0..PI);
+        for sides in [4, 8, 16, 32] {
+            shapes.push(Polygon::regular(sides, 1.0, 0.0, 0.0, phase).unwrap());
+        }
+        shapes.push(Polygon::star(4, 1.0, 0.4, 0.0, 0.0).unwrap());
+        shapes.push(Polygon::star(8, 2.0, 0.7, 1.0, -1.0).unwrap());
+        shapes.push(Polygon::rectangle(0.0, 0.0, 2.0, 1.0).unwrap());
+        let scale = rng.gen_range(0.01..100.0);
+        let (dx, dy) = (rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0));
+        let copy = shapes[0]
+            .vertices()
+            .iter()
+            .map(|p| Point::new(p.x * scale + dx, p.y * scale + dy))
+            .collect();
+        shapes.push(Polygon::new(copy).unwrap());
+        let far = rng.gen_range(1e6..1e7);
+        shapes.push(Polygon::ellipse(far, -far, 1.0, 0.6, 24).unwrap());
+        shapes.push(Polygon::star(5, 2.0, 0.8, -far, far).unwrap());
+        shapes.push(Polygon::regular(8, 1.5, far, far, phase).unwrap());
+        shapes
+    }
+
+    /// The filter's estimates and the exact errors of every shift, and
+    /// the margin δ, for one pair at `n` samples.
+    fn estimates_and_errors(a: &Polygon, b: &Polygon, n: usize) -> (Vec<f64>, Vec<f64>, f64) {
+        let ta = turning_function(a, n);
+        let prototype = Prototype::new(turning_function(b, n));
+        let mut approx = Vec::new();
+        filter(&ta, &prototype, &mut approx);
+        let exact = (0..n)
+            .map(|shift| shift_error(&ta, &prototype.doubled, shift))
+            .collect();
+        let delta = margin(n, sums(&ta).1 + prototype.sum_sq);
+        (approx, exact, delta)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The margin is at least a hundred times what the estimates
+        /// stray from the exact errors: `|approx(s) − err(s)| ≤ δ/100`
+        /// for every shift of every pair. The bit-equality suites pass
+        /// even with δ = 0 on these shapes; this is what guards δ.
+        #[test]
+        fn estimates_stay_within_a_hundredth_of_the_margin(seed in 0u64..1_000_000) {
+            let shapes = margin_shapes(seed);
+            for &n in &SAMPLES {
+                for a in &shapes {
+                    for b in &shapes {
+                        let (approx, exact, delta) = estimates_and_errors(a, b, n);
+                        proptest::prop_assert!(delta.is_finite() && delta >= 0.0);
+                        for (shift, (&estimate, &err)) in approx.iter().zip(&exact).enumerate() {
+                            proptest::prop_assert!(
+                                (estimate - err).abs() <= delta / 100.0,
+                                "seed {seed}, n {n}, shift {shift}: approx {estimate} vs \\
+                                 exact {err}, δ {delta}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_cut_keeps_exact_ties_and_zero_margins() {
+        // One sample: every turning function is [0], so Σa² + Σb² = 0,
+        // δ = 0 and the one estimate sits on the cut.
+        let sq = Polygon::regular(4, 1.0, 0.0, 0.0, 0.0).unwrap();
+        let (approx, _, delta) = estimates_and_errors(&sq, &sq, 1);
+        assert_eq!((approx, delta), (vec![0.0], 0.0));
+        assert_eq!(turning_distance(&sq, &sq, 1), 0.0);
+        // A square against itself at 64 samples: the shifts by a
+        // quarter turn tie the true best, and all of them are refined.
+        let ta = turning_function(&sq, 64);
+        let prototype = Prototype::new(ta.clone());
+        let mut approx = Vec::new();
+        let cut = filter(&ta, &prototype, &mut approx);
+        let refined: Vec<usize> = survivors(&approx, cut).collect();
+        assert!(refined.contains(&0), "{refined:?}");
+        assert_eq!(turning_distance(&sq, &sq, 64), 0.0);
+    }
+
+    #[test]
+    fn non_finite_estimates_refine_every_shift() {
+        let ta = vec![0.0, f64::NAN, 1.0];
+        let prototype = Prototype::new(vec![0.0, 0.5, 1.0]);
+        let mut approx = Vec::new();
+        let cut = filter(&ta, &prototype, &mut approx);
+        assert_eq!(cut, None);
+        assert_eq!(survivors(&approx, cut).count(), 3);
+        let d = min_shift_distance(&ta, &prototype, &mut approx);
+        assert_eq!(d.to_bits(), every_shift(&ta, &prototype.doubled).to_bits());
+    }
+
+    /// On the cd-store corpus (`garlic::demo::cd_store`'s generator and
+    /// its repository's named prototypes, plus query-by-example ones),
+    /// the filter leaves about one shift per object for the exact error.
+    #[test]
+    fn the_cd_store_refines_about_one_shift_per_object() {
+        use crate::synth::{SynthConfig, SyntheticDb};
+
+        let db = SyntheticDb::generate(&SynthConfig {
+            count: 2000,
+            bins_per_channel: 4,
+            seed: 7,
+            ..SynthConfig::default()
+        });
+        let corpus = TurningCorpus::build(db.objects.iter().map(|o| &o.shape), 64);
+        let mut prototypes = vec![
+            Polygon::ellipse(0.0, 0.0, 1.0, 1.0, 40).unwrap(),
+            Polygon::rectangle(0.0, 0.0, 2.0, 1.0).unwrap(),
+            Polygon::star(6, 1.0, 0.35, 0.0, 0.0).unwrap(),
+        ];
+        prototypes.extend([0, 1, 2, 777, 1999].map(|id| db.objects[id].shape.clone()));
+        let mut approx = Vec::new();
+        for shape in &prototypes {
+            let prototype = Prototype::new(turning_function(shape, 64));
+            let refined: usize = corpus
+                .rows
+                .chunks_exact(64)
+                .map(|ta| {
+                    let cut = filter(ta, &prototype, &mut approx);
+                    survivors(&approx, cut).count()
+                })
+                .sum();
+            let per_object = refined as f64 / corpus.len() as f64;
+            assert!(per_object <= 1.1, "{per_object} shifts refined per object");
+        }
     }
 
     #[test]

@@ -168,3 +168,75 @@ fn degenerate_sample_and_corpus_sizes_agree() {
     assert!(empty.is_empty());
     assert!(empty.distances(&polys[0]).is_empty());
 }
+
+/// Regular polygons and stars whose symmetry divides the sample counts
+/// below (exact and near ties between shifts), a scaled and moved copy
+/// of one of them (distance ≈ 0), tiny triangles, and outlines centred
+/// 1e6–1e7 from the origin (resampled with little precision to spare).
+fn symmetric_and_far_off(seed: u64) -> Vec<Polygon> {
+    let mut next = uniform(seed);
+    let phase = next() * 3.0;
+    let mut polys = Vec::new();
+    for sides in [3, 4, 8, 16, 32] {
+        polys.push(Polygon::regular(sides, 0.5 + next(), next(), next(), phase));
+    }
+    for spikes in [4, 8] {
+        polys.push(Polygon::star(spikes, 1.0 + next(), 0.4, 0.0, 0.0));
+    }
+    polys.push(Polygon::rectangle(0.0, 0.0, 2.0, 1.0));
+    let mut polys: Vec<Polygon> = polys
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("positive extents");
+    let scale = 0.01 + 100.0 * next();
+    let copy = polys[1]
+        .vertices()
+        .iter()
+        .map(|p| Point::new(p.x * scale - 7.0, p.y * scale + 3.0))
+        .collect();
+    polys.push(Polygon::new(copy).expect("a scaled square"));
+    let tiny = 1e-5 * (1.0 + next());
+    polys.push(
+        Polygon::new(vec![
+            Point::new(0.0, 0.0),
+            Point::new(tiny, 0.0),
+            Point::new(0.3 * tiny, tiny),
+        ])
+        .expect("a tiny triangle"),
+    );
+    for _ in 0..3 {
+        let (cx, cy) = (1e6 + 9e6 * next(), -(1e6 + 9e6 * next()));
+        polys.extend(
+            [
+                Polygon::ellipse(cx, cy, 1.0 + next(), 0.7, 24),
+                Polygon::star(5, 2.0, 0.8, cy, cx),
+                Polygon::regular(8, 1.5, cx, cx, phase),
+            ]
+            .into_iter()
+            .map(|p| p.expect("positive extents")),
+        );
+    }
+    polys
+}
+
+/// Symmetric, identical, tiny and far-off shapes ≡ the reference loop,
+/// pair by pair and through a corpus, including sample counts that a
+/// shape's symmetry divides.
+#[test]
+fn symmetric_and_far_off_shapes_match_the_reference_loop() {
+    for seed in 0..4 {
+        let polys = symmetric_and_far_off(seed);
+        for n in [1, 2, 3, 4, 8, 16, 32, 64, 65, 128] {
+            let corpus = TurningCorpus::build(&polys, n);
+            for b in &polys {
+                let through_corpus = corpus.distances(b);
+                for (i, a) in polys.iter().enumerate() {
+                    let want = reference_turning_distance(a, b, n);
+                    let what = format!("object {i}, samples {n}, seed {seed}");
+                    assert_bits(turning_distance(a, b, n), want, &what);
+                    assert_bits(through_corpus[i], want, &what);
+                }
+            }
+        }
+    }
+}
