@@ -5,18 +5,17 @@ use std::collections::HashMap;
 use std::fmt;
 
 use fmdb_core::graded_set::GradedSet;
-use fmdb_core::query::{Query, QueryError};
+use fmdb_core::query::{Query, QueryError, ScoringHandle};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
-use fmdb_middleware::algorithms::fa::OwnedFaSession;
 use fmdb_middleware::algorithms::naive::Naive;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::{AlgoError, TopKAlgorithm};
+use fmdb_middleware::algorithms::{AlgoError, Cursor, TopKAlgorithm};
 use fmdb_middleware::engine::{Engine, EngineError};
 use fmdb_middleware::planner::plan_algorithm;
 use fmdb_middleware::policy::{Algo, ExecPolicy};
 use fmdb_middleware::request::TopKQuery;
-use fmdb_middleware::source::{SourceError, Subsystem};
+use fmdb_middleware::source::{SourceError, Subsystem, VecSource};
 use fmdb_middleware::stats::{AccessStats, CostModel};
 
 use crate::catalog::{Catalog, CatalogError};
@@ -54,8 +53,6 @@ pub enum ExecError {
     /// The query does not compile ([`Query::compile`]): an empty
     /// combination.
     Query(QueryError),
-    /// `k` was zero.
-    ZeroK,
     /// A planner invariant was violated — a bug in the planner, not
     /// the query; reported instead of panicking the caller.
     Internal(&'static str),
@@ -67,7 +64,6 @@ impl fmt::Display for ExecError {
             ExecError::Catalog(e) => write!(f, "{e}"),
             ExecError::Algo(e) => write!(f, "{e}"),
             ExecError::Query(e) => write!(f, "{e}"),
-            ExecError::ZeroK => write!(f, "k must be at least 1"),
             ExecError::Internal(msg) => write!(f, "internal planner invariant violated: {msg}"),
         }
     }
@@ -107,6 +103,10 @@ impl From<QueryError> for ExecError {
     }
 }
 
+/// The `k` [`Garlic::explain`] prices and [`Garlic::cursor`] plans
+/// for: the paper's "top 10 objects".
+const NOMINAL_K: usize = 10;
+
 /// The answers, cost, and plan of one executed query.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
@@ -128,27 +128,47 @@ impl QueryResult {
 }
 
 /// A resumable top-k cursor over one query; see [`Garlic::cursor`].
-#[derive(Debug)]
 pub struct QueryCursor {
-    session: OwnedFaSession,
+    /// The bound lists, in the scoring function's argument order.
+    sources: Vec<VecSource>,
+    scoring: ScoringHandle,
+    cursor: Cursor,
+    /// The plan every batch runs, and why.
+    plan: Plan,
+}
+
+// The scoring handle is a `dyn` function without a `Debug` bound.
+impl fmt::Debug for QueryCursor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QueryCursor")
+            .field("plan", &self.plan.kind)
+            .field("cursor", &self.cursor)
+            .finish_non_exhaustive()
+    }
 }
 
 impl QueryCursor {
     /// The next `batch` best answers (those ranked after everything
-    /// already returned), with cumulative session statistics.
+    /// already returned), with the cumulative statistics of every
+    /// batch so far.
     pub fn next_batch(&mut self, batch: usize) -> Result<QueryResult, ExecError> {
-        let result = self.session.next_k(batch)?;
+        let mut sources: Vec<&mut dyn Subsystem> = self
+            .sources
+            .iter_mut()
+            .map(|source| source as &mut dyn Subsystem)
+            .collect();
+        let result = self.cursor.next_k(&mut sources, &*self.scoring, batch)?;
         Ok(QueryResult {
             answers: result.answers,
             stats: result.stats,
-            plan: PlanKind::Fa,
-            explanation: "resumable A0 session (continue where we left off)".to_owned(),
+            plan: self.plan.kind,
+            explanation: self.plan.explanation.clone(),
         })
     }
 
     /// Answers already returned across batches.
     pub fn emitted(&self) -> usize {
-        self.session.emitted()
+        self.cursor.emitted()
     }
 }
 
@@ -189,9 +209,10 @@ impl Garlic {
 
     /// Explains how a query would be executed, without running it:
     /// the unified planner's decision record for a nominal `k` of 10
-    /// (plan chosen, per-candidate estimated costs, statistics basis).
+    /// (plan chosen, per-candidate estimated costs, statistics basis):
+    /// the plan [`Garlic::cursor`] runs, the crisp filter aside.
     pub fn explain(&self, query: &Query) -> String {
-        let p = plan_costed(query, &self.catalog, 10, &CostModel::UNIFORM);
+        let p = plan_costed(query, &self.catalog, NOMINAL_K, &CostModel::UNIFORM);
         format!("{}: {}", p.kind, p.explanation)
     }
 
@@ -219,7 +240,7 @@ impl Garlic {
             AlgoChoice::Naive => (&Naive, PlanKind::FullScan),
         };
         if k == 0 {
-            return Err(ExecError::ZeroK);
+            return Err(AlgoError::ZeroK.into());
         }
         let bound = bind(query, &self.catalog)?;
         // Where a forced algorithm may run is the planner's call.
@@ -247,7 +268,7 @@ impl Garlic {
         policy: ExecPolicy,
     ) -> Result<QueryResult, ExecError> {
         if k == 0 {
-            return Err(ExecError::ZeroK);
+            return Err(AlgoError::ZeroK.into());
         }
         let bound = bind(query, &self.catalog)?;
         let p = optimize(&bound, k, &policy)?;
@@ -368,22 +389,38 @@ impl Garlic {
 
     /// Opens a **resumable cursor** over a query monotone in its
     /// leaves: each [`QueryCursor::next_batch`] call returns the next
-    /// best answers, continuing the underlying A₀ session where it left
-    /// off — the paper's "ask the subsystem for, say, the top 10 objects
-    /// …, then request the next 10, etc." (§4), powered by A₀'s
-    /// "continue where we left off" property (§4.1).
+    /// best answers, continuing where the last batch left off — the
+    /// paper's "ask the subsystem for, say, the top 10 objects …, then
+    /// request the next 10, etc." (§4).
     ///
+    /// The query is bound once and planned under the default
+    /// [`ExecPolicy`] at the nominal `k` [`Garlic::explain`] prices, so
+    /// every batch runs the plan `explain` names — but the crisp
+    /// filter, which keeps no book to resume from: its query runs A₀.
     /// A query that is not monotone in its leaves is rejected; run it
     /// through [`Garlic::top_k`] instead.
     pub fn cursor(&self, query: &Query) -> Result<QueryCursor, ExecError> {
         let bound = bind(query, &self.catalog)?;
-        let boxed: Vec<Box<dyn Subsystem>> = bound
-            .leaves
-            .into_iter()
-            .map(|leaf| Box::new(leaf.source) as Box<dyn Subsystem>)
-            .collect();
-        let session = OwnedFaSession::new(boxed, Box::new(bound.scoring))?;
-        Ok(QueryCursor { session })
+        if !bound.scoring.is_monotone() {
+            return Err(AlgoError::NonMonotoneScoring(bound.scoring.name()).into());
+        }
+        let policy = ExecPolicy::new();
+        let mut plan = optimize(&bound, NOMINAL_K, &policy)?;
+        if plan.kind == PlanKind::CrispFilter {
+            plan = Plan {
+                kind: PlanKind::Fa,
+                explanation: format!(
+                    "{}; the crisp filter keeps no book, so A0 resumes",
+                    plan.explanation
+                ),
+            };
+        }
+        Ok(QueryCursor {
+            cursor: Cursor::new(plan.kind, policy.approximation.theta())?,
+            sources: bound.leaves.into_iter().map(|leaf| leaf.source).collect(),
+            scoring: bound.scoring,
+            plan,
+        })
     }
 
     /// Lifts a sub-object result to parent objects (§4.2's
@@ -680,7 +717,12 @@ mod tests {
         let g = demo_garlic(10);
         assert!(matches!(
             g.top_k(&beatles_and_red(), 0),
-            Err(ExecError::ZeroK)
+            Err(ExecError::Algo(AlgoError::ZeroK))
+        ));
+        let mut cursor = g.cursor(&beatles_and_red()).unwrap();
+        assert!(matches!(
+            cursor.next_batch(0),
+            Err(ExecError::Algo(AlgoError::ZeroK))
         ));
     }
 

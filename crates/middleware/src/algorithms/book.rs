@@ -12,7 +12,9 @@
 //! private step; [`Book::open`] is the only rewind. [`Book::probe`] is
 //! the random access every strategy but A₀'s batched phase 2 makes. A
 //! failed access ends the run with [`AlgoError::Source`], naming the
-//! list, so a strategy only passes it on with `?`.
+//! list, so a strategy only passes it on with `?`. What a book records
+//! stays true as a query asks for more answers, so a cursor keeps its
+//! book between batches and every batch resumes from it.
 //!
 //! Objects are numbered through an array: every list a repository,
 //! `from_dense` or the store builds grades the dense universe `0..N`
@@ -29,7 +31,7 @@
 //! is scratch space, not a cache; what it saves is the allocator's trim
 //! of a freed book and the page faults that filled the next one in again
 //! (≈ 880 a naive scan of 65 536 objects). A second live book on the
-//! same thread — an open `FaSession` — allocates a table of its own.
+//! same thread — an open cursor's — allocates a table of its own.
 
 use std::cell::Cell;
 use std::collections::HashMap;

@@ -20,12 +20,9 @@
 //! (Theorem 4.1), matching the lower bound for strict monotone queries
 //! (Theorem 4.2). Experiments E1/E3 reproduce both.
 //!
-//! [`FaSession`] additionally exposes the paper's "nice feature that
-//! after finding the top k answers, in order to find the next k best
-//! answers we can continue where we left off".
-
-use std::fmt;
-use std::ops::{Deref, DerefMut};
+//! After finding the top k answers, A₀ can "continue where we left
+//! off" to find the next k: [`crate::algorithms::Cursor`] keeps
+//! its state between batches, as it keeps every plan's.
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
@@ -33,24 +30,17 @@ use fmdb_core::scoring::ScoringFunction;
 use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, monotone, validate, AlgoError, TopKAlgorithm, TopKResult};
 use crate::source::{Oid, Subsystem};
-use crate::stats::AccessStats;
 
 /// Algorithm A₀.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaginsAlgorithm;
 
-/// What A₀, its resumable sessions and
-/// [`crate::algorithms::pruned_fa::PrunedFa`] keep beside the book.
+/// What A₀, a cursor running it and
+/// [`crate::algorithms::pruned_fa::PrunedFa`] keep: the book and `|L|`.
 pub(crate) struct FaState {
     pub(crate) book: Book,
     /// Objects every list has output under *sorted* access (the set L).
     matches: usize,
-    /// Session state: per book row, whether an earlier batch returned
-    /// it; how many it returned; and the cumulative number of answers
-    /// requested so far.
-    emitted_rows: Vec<bool>,
-    emitted: usize,
-    requested: usize,
 }
 
 impl FaState {
@@ -59,16 +49,13 @@ impl FaState {
         FaState {
             book: Book::open(sources),
             matches: 0,
-            emitted_rows: Vec::new(),
-            emitted: 0,
-            requested: 0,
         }
     }
 
     /// Phase 1: round-robin sorted access until `|L| ≥ target` or all
     /// lists are drained. A row joins L when *sorted* access reveals
     /// its last unknown field: one a probe of an earlier batch filled
-    /// never counts, so a resumed session streams on as if it had not
+    /// never counts, so a resumed run streams on as if it had not
     /// probed.
     ///
     /// The halt is *mid-round*, the moment `|L|` reaches the target:
@@ -101,14 +88,16 @@ impl FaState {
     }
 
     /// Phases 2 and 3: random access for every missing slot of every
-    /// seen object, then combine its grades.
+    /// seen object, then combine its grades — one answer per row, in
+    /// row order.
     ///
     /// A₀ probes *every* hole whatever the other probes return, so the
     /// order is free: phase 2 is one [`Subsystem::random_batch`] per
     /// list — the seen objects that list has not revealed — charged at
     /// the batch's length, and a source that can serve a batch better
     /// than probe by probe (a paged store reads each page once) does.
-    fn resolve_all(
+    /// In a resumed run the holes an earlier batch probed are filled.
+    pub(crate) fn resolve_all(
         &mut self,
         sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
@@ -154,40 +143,6 @@ impl FaState {
             })
             .collect())
     }
-
-    /// The next `k` best answers not yet emitted — the body of both
-    /// session types, and (as the first batch) of the one-shot run.
-    ///
-    /// The top `requested` answers require `|L| ≥ requested`, by the
-    /// same correctness argument as the one-shot run.
-    fn next_k(
-        &mut self,
-        sources: &mut [&mut dyn Subsystem],
-        scoring: &dyn ScoringFunction,
-        k: usize,
-    ) -> Result<TopKResult, AlgoError> {
-        if k == 0 {
-            return Err(AlgoError::ZeroK);
-        }
-        self.requested += k;
-        self.sorted_phase(sources, self.requested)?;
-        // One answer per row, in row order.
-        let combined = self.resolve_all(sources, scoring)?;
-        self.emitted_rows.resize(combined.len(), false);
-        let fresh = combined
-            .into_iter()
-            .zip(&self.emitted_rows)
-            .filter_map(|(so, &emitted)| (!emitted).then_some(so))
-            .collect();
-        let result = finalize(fresh, k, self.book.frontier.stats);
-        for answer in &result.answers {
-            if let Some(row) = self.book.table.row(answer.id) {
-                self.emitted_rows[row] = true;
-            }
-        }
-        self.emitted += result.answers.len();
-        Ok(result)
-    }
 }
 
 impl TopKAlgorithm for FaginsAlgorithm {
@@ -195,6 +150,7 @@ impl TopKAlgorithm for FaginsAlgorithm {
         "fagin-a0"
     }
 
+    /// The top `k` require `|L| ≥ k`: the correctness argument above.
     fn evaluate(
         &self,
         sources: &mut [&mut dyn Subsystem],
@@ -203,88 +159,10 @@ impl TopKAlgorithm for FaginsAlgorithm {
     ) -> Result<TopKResult, AlgoError> {
         validate(sources, k)?;
         monotone(scoring)?;
-        FaState::new(sources).next_k(sources, scoring, k)
-    }
-}
-
-/// A resumable A₀ run: each [`Session::next_k`] call returns the next
-/// best batch of answers, continuing sorted access where the previous
-/// call left off (§4.1's "continue where we left off").
-///
-/// The session holds its sources for the duration of the query, either
-/// borrowed ([`FaSession`]) or by value ([`OwnedFaSession`]).
-pub struct Session<S, F> {
-    sources: Vec<S>,
-    scoring: F,
-    state: FaState,
-}
-
-/// A session over borrowed sources and scoring function.
-pub type FaSession<'a> = Session<&'a mut dyn Subsystem, &'a dyn ScoringFunction>;
-
-/// An **owning** session: it holds its sources (and scoring function)
-/// by value, so it can be stored in long-lived query cursors (the
-/// Garlic layer's "top 10, then the next 10" interaction from §4).
-pub type OwnedFaSession = Session<Box<dyn Subsystem>, Box<dyn ScoringFunction>>;
-
-// Sessions hold `dyn` sources/scoring with no `Debug` bound; a
-// state-level summary satisfies `missing_debug_implementations`.
-impl<S, F> fmt::Debug for Session<S, F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FaSession")
-            .field("arity", &self.sources.len())
-            .field("emitted", &self.state.emitted)
-            .field("requested", &self.state.requested)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Borrows held sources the way the algorithms take them.
-fn borrowed<'s, 'a: 's, S>(sources: &'s mut [S]) -> Vec<&'s mut dyn Subsystem>
-where
-    S: DerefMut<Target = dyn Subsystem + 'a>,
-{
-    sources.iter_mut().map(|s| &mut **s as _).collect()
-}
-
-impl<'a, S, F> Session<S, F>
-where
-    S: DerefMut<Target = dyn Subsystem + 'a>,
-    F: Deref<Target = dyn ScoringFunction + 'a>,
-{
-    /// Starts a session. Rewinds the sources.
-    pub fn new(mut sources: Vec<S>, scoring: F) -> Result<Self, AlgoError> {
-        if sources.is_empty() {
-            return Err(AlgoError::NoSources);
-        }
-        monotone(&*scoring)?;
-        let state = FaState::new(&mut borrowed(&mut sources));
-        Ok(Session {
-            sources,
-            scoring,
-            state,
-        })
-    }
-
-    /// Returns the next `k` best answers (those ranked
-    /// `requested+1 ..= requested+k` overall), with exact grades.
-    ///
-    /// The cumulative access stats of the whole session so far are
-    /// reported in the result — resuming is cheaper than starting over,
-    /// which experiment E1's `resume` column quantifies.
-    pub fn next_k(&mut self, k: usize) -> Result<TopKResult, AlgoError> {
-        let mut refs = borrowed(&mut self.sources);
-        self.state.next_k(&mut refs, &*self.scoring, k)
-    }
-
-    /// Cumulative access statistics for the session.
-    pub fn stats(&self) -> AccessStats {
-        self.state.book.frontier.stats
-    }
-
-    /// Number of answers already returned.
-    pub fn emitted(&self) -> usize {
-        self.state.emitted
+        let mut state = FaState::new(sources);
+        state.sorted_phase(sources, k)?;
+        let combined = state.resolve_all(sources, scoring)?;
+        Ok(finalize(combined, k, state.book.frontier.stats))
     }
 }
 
@@ -292,6 +170,8 @@ where
 mod tests {
     use super::*;
     use crate::algorithms::naive::Naive;
+    use crate::algorithms::Cursor;
+    use crate::planner::PhysicalPlan;
     use crate::source::{CountingSource, VecSource};
     use crate::source::{GradedSource, SourceError};
     use fmdb_core::scoring::tnorms::{Min, Product};
@@ -416,16 +296,16 @@ mod tests {
         assert_eq!(result.stats.random, batched as u64);
     }
 
+    /// A₀ resumed through a cursor: the second batch probes only what
+    /// the first left unseen, one batch per list each time.
     #[test]
-    fn resumed_session_never_probes_a_filled_slot() {
+    fn a_resumed_cursor_never_probes_a_filled_slot() {
         let mut lists = recorded(3);
-        let srcs: Vec<&mut dyn Subsystem> =
+        let mut srcs: Vec<&mut dyn Subsystem> =
             lists.iter_mut().map(|l| l as &mut dyn Subsystem).collect();
-        let mut session = FaSession::new(srcs, &Min).unwrap();
-        session.next_k(5).unwrap();
-        let first = session.stats().random;
-        session.next_k(5).unwrap();
-        let stats = session.stats();
+        let mut cursor = Cursor::new(PhysicalPlan::Fa, 0.0).unwrap();
+        let first = cursor.next_k(&mut srcs, &Min, 5).unwrap().stats.random;
+        let stats = cursor.next_k(&mut srcs, &Min, 5).unwrap().stats;
         assert!(stats.random > first, "the second batch probes new objects");
         let mut batched = 0;
         for list in &lists {
@@ -435,6 +315,61 @@ mod tests {
             batched += list.batch_lengths.iter().sum::<usize>();
         }
         assert_eq!(stats.random, batched as u64);
+    }
+
+    #[test]
+    fn cursor_batches_match_one_shot_ordering() {
+        let (mut a, mut b) = fixture();
+        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
+        let all = FaginsAlgorithm.top_k(&mut srcs, &Min, 6).unwrap();
+
+        let (mut a2, mut b2) = fixture();
+        let mut srcs2: Vec<&mut dyn Subsystem> = vec![&mut a2, &mut b2];
+        let mut cursor = Cursor::new(PhysicalPlan::Fa, 0.0).unwrap();
+        let mut stitched = Vec::new();
+        for _ in 0..3 {
+            stitched.extend(cursor.next_k(&mut srcs2, &Min, 2).unwrap().answers);
+        }
+        assert_eq!(stitched, all.answers);
+        assert_eq!(cursor.emitted(), 6);
+    }
+
+    #[test]
+    fn resuming_is_cheaper_than_restarting() {
+        let n = 400u64;
+        let g1: Vec<Score> = (0..n)
+            .map(|i| s((i * 7919 % 1000) as f64 / 1000.0))
+            .collect();
+        let g2: Vec<Score> = (0..n)
+            .map(|i| s((i * 104729 % 1000) as f64 / 1000.0))
+            .collect();
+
+        // A cursor: 5 then 5 more.
+        let mut a = VecSource::from_dense("a", &g1);
+        let mut b = VecSource::from_dense("b", &g2);
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+        let mut cursor = Cursor::new(PhysicalPlan::Fa, 0.0).unwrap();
+        cursor.next_k(&mut srcs, &Min, 5).unwrap();
+        let resumed_cost = cursor
+            .next_k(&mut srcs, &Min, 5)
+            .unwrap()
+            .stats
+            .database_access_cost();
+
+        // Two independent runs: top-5 and top-10 from scratch.
+        let mut a2 = VecSource::from_dense("a", &g1);
+        let mut b2 = VecSource::from_dense("b", &g2);
+        let mut srcs2: Vec<&mut dyn GradedSource> = vec![&mut a2, &mut b2];
+        let run5 = FaginsAlgorithm.top_k(&mut srcs2, &Min, 5).unwrap();
+        let mut a3 = VecSource::from_dense("a", &g1);
+        let mut b3 = VecSource::from_dense("b", &g2);
+        let mut srcs3: Vec<&mut dyn GradedSource> = vec![&mut a3, &mut b3];
+        let run10 = FaginsAlgorithm.top_k(&mut srcs3, &Min, 10).unwrap();
+        let restart_cost = run5.stats.database_access_cost() + run10.stats.database_access_cost();
+        assert!(
+            resumed_cost < restart_cost,
+            "resumed {resumed_cost} vs restart {restart_cost}"
+        );
     }
 
     #[test]
@@ -492,86 +427,5 @@ mod tests {
         let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
         let r = FaginsAlgorithm.top_k(&mut srcs, &Min, 100).unwrap();
         assert_eq!(r.answers.len(), 6);
-    }
-
-    #[test]
-    fn session_batches_match_one_shot_ordering() {
-        let (mut a, mut b) = fixture();
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-        let all = FaginsAlgorithm.top_k(&mut srcs, &Min, 6).unwrap();
-
-        let (mut a2, mut b2) = fixture();
-        let srcs2: Vec<&mut dyn Subsystem> = vec![&mut a2, &mut b2];
-        let mut session = FaSession::new(srcs2, &Min).unwrap();
-        let first = session.next_k(2).unwrap();
-        let second = session.next_k(2).unwrap();
-        let third = session.next_k(2).unwrap();
-        let stitched: Vec<_> = first
-            .answers
-            .into_iter()
-            .chain(second.answers)
-            .chain(third.answers)
-            .collect();
-        assert_eq!(stitched, all.answers);
-    }
-
-    #[test]
-    fn session_resume_is_cheaper_than_restart() {
-        let n = 400u64;
-        let g1: Vec<Score> = (0..n)
-            .map(|i| s((i * 7919 % 1000) as f64 / 1000.0))
-            .collect();
-        let g2: Vec<Score> = (0..n)
-            .map(|i| s((i * 104729 % 1000) as f64 / 1000.0))
-            .collect();
-
-        // Session: 5 then 5 more.
-        let mut a = VecSource::from_dense("a", &g1);
-        let mut b = VecSource::from_dense("b", &g2);
-        let srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
-        let mut session = FaSession::new(srcs, &Min).unwrap();
-        session.next_k(5).unwrap();
-        session.next_k(5).unwrap();
-        let resumed_cost = session.stats().database_access_cost();
-
-        // Two independent runs: top-5 and top-10 from scratch.
-        let mut a2 = VecSource::from_dense("a", &g1);
-        let mut b2 = VecSource::from_dense("b", &g2);
-        let mut srcs2: Vec<&mut dyn GradedSource> = vec![&mut a2, &mut b2];
-        let run5 = FaginsAlgorithm.top_k(&mut srcs2, &Min, 5).unwrap();
-        let mut a3 = VecSource::from_dense("a", &g1);
-        let mut b3 = VecSource::from_dense("b", &g2);
-        let mut srcs3: Vec<&mut dyn GradedSource> = vec![&mut a3, &mut b3];
-        let run10 = FaginsAlgorithm.top_k(&mut srcs3, &Min, 10).unwrap();
-        let restart_cost = run5.stats.database_access_cost() + run10.stats.database_access_cost();
-        assert!(
-            resumed_cost < restart_cost,
-            "resumed {resumed_cost} vs restart {restart_cost}"
-        );
-    }
-
-    #[test]
-    fn owned_session_matches_borrowing_session() {
-        let (a, b) = fixture();
-        let boxed: Vec<Box<dyn Subsystem>> = vec![Box::new(a), Box::new(b)];
-        let mut owned = OwnedFaSession::new(boxed, Box::new(Min)).unwrap();
-        let batch1 = owned.next_k(2).unwrap();
-        let batch2 = owned.next_k(2).unwrap();
-        assert_eq!(owned.emitted(), 4);
-
-        let (mut a2, mut b2) = fixture();
-        let refs: Vec<&mut dyn Subsystem> = vec![&mut a2, &mut b2];
-        let mut borrowed = FaSession::new(refs, &Min).unwrap();
-        assert_eq!(batch1.answers, borrowed.next_k(2).unwrap().answers);
-        assert_eq!(batch2.answers, borrowed.next_k(2).unwrap().answers);
-        assert_eq!(owned.stats(), borrowed.stats());
-    }
-
-    #[test]
-    fn session_rejects_zero_k() {
-        let (mut a, mut b) = fixture();
-        let srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
-        let mut session = FaSession::new(srcs, &Min).unwrap();
-        assert_eq!(session.next_k(0), Err(AlgoError::ZeroK));
     }
 }

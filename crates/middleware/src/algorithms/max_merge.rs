@@ -24,7 +24,7 @@ use fmdb_core::scoring::ScoringFunction;
 use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, monotone, validate, AlgoError, TopKAlgorithm, TopKResult};
 use crate::planner::behaves_like_max;
-use crate::source::Subsystem;
+use crate::source::{Oid, Subsystem};
 
 /// The `m·k` disjunction (max) algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -42,34 +42,55 @@ impl TopKAlgorithm for MaxMerge {
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
         validate(sources, k)?;
-        monotone(scoring)?;
-        // Only correct for max: silently accepting min would return
-        // wrong answers.
-        if !behaves_like_max(scoring, sources.len()) {
-            return Err(AlgoError::UnsupportedScoring {
-                algorithm: "max-merge",
-                requirement: "max (standard disjunction) semantics",
-                scoring: scoring.name(),
-            });
-        }
-
+        max_like(scoring, sources.len())?;
         let mut book = Book::open(sources);
-        for i in 0..sources.len() {
-            for _ in 0..k {
-                if book.pull(i, sources)?.is_none() {
-                    break;
-                }
+        deepen(&mut book, sources, 0, k)?;
+        Ok(finalize(observed(&book), k, book.frontier.stats))
+    }
+}
+
+/// Refuses a function that is not max: silently accepting min would
+/// return wrong answers.
+pub(crate) fn max_like(scoring: &dyn ScoringFunction, m: usize) -> Result<(), AlgoError> {
+    monotone(scoring)?;
+    if !behaves_like_max(scoring, m) {
+        return Err(AlgoError::UnsupportedScoring {
+            algorithm: "max-merge",
+            requirement: "max (standard disjunction) semantics",
+            scoring: scoring.name(),
+        });
+    }
+    Ok(())
+}
+
+/// Sorted access on every list from depth `from` down to depth `to`, or
+/// to the list's end: a run that has read the top `from` of each list
+/// reads on to the top `to`.
+pub(crate) fn deepen(
+    book: &mut Book,
+    sources: &mut [&mut dyn Subsystem],
+    from: usize,
+    to: usize,
+) -> Result<(), AlgoError> {
+    for i in 0..sources.len() {
+        for _ in from..to {
+            if book.pull(i, sources)?.is_none() {
+                break;
             }
         }
-        let table = &book.table;
-        let combined = (0..table.len())
-            .map(|row| {
-                let observed = table.fields(row).iter().flatten();
-                ScoredObject::new(table.oid(row), observed.fold(Score::ZERO, |a, &g| a.max(g)))
-            })
-            .collect();
-        Ok(finalize(combined, k, book.frontier.stats))
     }
+    Ok(())
+}
+
+/// Every row's best observed grade, in row order.
+pub(crate) fn observed(book: &Book) -> Vec<ScoredObject<Oid>> {
+    let table = &book.table;
+    (0..table.len())
+        .map(|row| {
+            let observed = table.fields(row).iter().flatten();
+            ScoredObject::new(table.oid(row), observed.fold(Score::ZERO, |a, &g| a.max(g)))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -33,8 +33,10 @@
 //! naive scan asks for) are the only sorted accesses in this directory
 //! and opening one the only rewind; a strategy is what it does between
 //! pulls. A₀ is a user of the book, not a row of the second table: it
-//! halts mid-round, probes everything afterwards, and resumes
-//! (`DESIGN.md` §10).
+//! halts mid-round and probes everything afterwards (`DESIGN.md` §10).
+//! Because a book stays true as `k` grows, a [`Cursor`] keeps one
+//! between batches and resumes any plan that reads one: "the top 10
+//! objects …, then the next 10" (§4).
 //!
 //! All algorithms consume [`Subsystem`]s, meter every access into an
 //! [`AccessStats`], and return answers with **exact** grades — returning
@@ -50,6 +52,7 @@ pub mod approx;
 pub(crate) mod book;
 pub mod ca;
 pub mod cg_filter;
+mod cursor;
 pub mod fa;
 pub mod max_merge;
 pub mod naive;
@@ -57,6 +60,8 @@ pub mod nra;
 pub mod pruned_fa;
 pub mod ta;
 pub(crate) mod threshold;
+
+pub use cursor::Cursor;
 
 use std::fmt;
 
@@ -164,8 +169,8 @@ impl std::error::Error for AlgoError {
 /// * all sources grade the same universe of objects;
 /// * the algorithm may consume sorted access from the sources' current
 ///   cursors — every implementation here calls
-///   [`Subsystem::rewind`] first, except explicit resumption
-///   sessions ([`fa::FaSession`]);
+///   [`Subsystem::rewind`] first (a [`Cursor`], which is no
+///   implementation, rewinds only before its first batch);
 /// * answers carry exact grades, sorted by descending grade then
 ///   ascending oid; at most `k` answers, fewer only when the universe
 ///   holds fewer objects;

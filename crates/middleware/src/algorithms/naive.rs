@@ -17,7 +17,7 @@ use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
 use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
-use crate::source::Subsystem;
+use crate::source::{Oid, Subsystem};
 
 /// The full-scan baseline.
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,19 +36,27 @@ impl TopKAlgorithm for Naive {
     ) -> Result<TopKResult, AlgoError> {
         validate(sources, k)?;
         let mut book = Book::open(sources);
-        for i in 0..sources.len() {
-            book.drain(i, sources)?;
-        }
-        let table = &mut book.table;
-        let combined = (0..table.len())
-            // Objects a sparse source never streams keep grade 0 in
-            // that slot.
-            .map(|row| {
-                ScoredObject::new(table.oid(row), table.bound(row, |_| Score::ZERO, scoring))
-            })
-            .collect();
+        let combined = scan(&mut book, sources, scoring)?;
         Ok(finalize(combined, k, book.frontier.stats))
     }
+}
+
+/// Drains every list into the book and grades every row, in row order.
+/// On a book that is drained already it reads nothing.
+pub(crate) fn scan(
+    book: &mut Book,
+    sources: &mut [&mut dyn Subsystem],
+    scoring: &dyn ScoringFunction,
+) -> Result<Vec<ScoredObject<Oid>>, AlgoError> {
+    for i in 0..sources.len() {
+        book.drain(i, sources)?;
+    }
+    let table = &mut book.table;
+    Ok((0..table.len())
+        // Objects a sparse source never streams keep grade 0 in
+        // that slot.
+        .map(|row| ScoredObject::new(table.oid(row), table.bound(row, |_| Score::ZERO, scoring)))
+        .collect())
 }
 
 #[cfg(test)]

@@ -64,6 +64,17 @@
 //!
 //! Under on-sight probing no object is ever open: the list stays empty
 //! and a resolved grade costs the one comparison against `Mₖ`.
+//!
+//! # Resuming
+//!
+//! [`Family::run`] takes the book it runs on. A cursor hands it the book
+//! its earlier batches left, with the rows they returned: the run ranks
+//! every other row as if it had just been seen — each open one a
+//! candidate again, since a larger `k` may need what a smaller one
+//! dismissed — and asks the halting rule before it pulls, so a book that
+//! already holds the answer reads nothing. A returned row stays out of
+//! the ranking, the candidates and CA's targets. A fresh book has no
+//! rows, and the run is the one-shot loop.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -76,7 +87,7 @@ use crate::algorithms::approx::{upper_excluded, validate_theta};
 use crate::algorithms::book::Book;
 use crate::algorithms::nra::{BoundedAnswer, NraResult};
 use crate::algorithms::{monotone, validate, AlgoError};
-use crate::planner::behaves_like_min;
+use crate::planner::{behaves_like_min, PhysicalPlan};
 use crate::source::{Oid, Subsystem};
 
 /// When the loop spends random accesses.
@@ -135,6 +146,9 @@ struct Object {
     in_top: bool,
     /// Whether `candidates` holds the object.
     listed: bool,
+    /// Whether an earlier run on the book returned it: out of the
+    /// ranking, never a candidate, never a target.
+    returned: bool,
 }
 
 /// The ranking the kernel keeps over the book's rows: the best `k`
@@ -296,6 +310,30 @@ fn resolve(
 }
 
 impl Seen {
+    /// Ranks the rows a book already holds, as if each had just been
+    /// seen: a row of `returned` is left out, every other open row is a
+    /// candidate again — a larger `k` may need what a smaller one
+    /// dismissed — and is filed for CA's targets. A fresh book has no
+    /// rows.
+    fn rebuild(&mut self, book: &mut Book, returned: &[bool], scoring: &dyn ScoringFunction) {
+        for obj in 0..book.table.len() {
+            let returned = returned.get(obj).copied().unwrap_or(false);
+            self.objects.push(Object {
+                lower: Score::ZERO,
+                in_top: false,
+                listed: false,
+                returned,
+            });
+            if !returned {
+                self.enlist(obj, book);
+                self.rebound(obj, book, scoring);
+                if let Some(targets) = &mut self.targets {
+                    targets.classify(obj, book);
+                }
+            }
+        }
+    }
+
     /// Puts an open object (back) on the candidate list.
     fn enlist(&mut self, obj: usize, book: &Book) {
         let object = &mut self.objects[obj];
@@ -470,7 +508,7 @@ impl Seen {
         scoring: &'a dyn ScoringFunction,
     ) -> impl Iterator<Item = (bool, Score)> + 'a {
         self.objects.iter().enumerate().filter_map(move |(obj, o)| {
-            let open = book.table.missing(obj) > 0 && !o.in_top;
+            let open = book.table.missing(obj) > 0 && !o.in_top && !o.returned;
             open.then(|| (o.listed, book.upper(obj, scoring)))
         })
     }
@@ -485,7 +523,21 @@ impl Family {
         }
     }
 
-    /// Validates the arguments, then runs the loop.
+    /// The member `plan` names, with slack `theta` where the plan takes
+    /// one; `None` for a plan outside the family.
+    pub(crate) fn of_plan(plan: PhysicalPlan, theta: f64) -> Option<Family> {
+        let (probe, theta, report) = match plan {
+            PhysicalPlan::Ta => (Probe::OnSight, 0.0, Report::AsHalted),
+            PhysicalPlan::ApproxTa => (Probe::OnSight, theta, Report::AsHalted),
+            PhysicalPlan::Nra => (Probe::Never, 0.0, Report::AsHalted),
+            PhysicalPlan::ApproxNra => (Probe::Never, theta, Report::AsHalted),
+            PhysicalPlan::Ca { h } => (Probe::Every(h.max(1)), theta, Report::Closed),
+            _ => return None,
+        };
+        Some(Family::new(probe, theta, report))
+    }
+
+    /// Validates the arguments, then runs the loop on a fresh book.
     pub(crate) fn top_k(
         &self,
         sources: &mut [&mut dyn Subsystem],
@@ -495,19 +547,23 @@ impl Family {
         validate_theta(self.theta)?;
         validate(sources, k)?;
         monotone(scoring)?;
-        self.run(sources, scoring, k)
+        self.run(&mut Book::open(sources), &[], sources, scoring, k)
     }
 
-    /// The loop. Arguments must already be valid (`k ≥ 1`, at least one
-    /// source, monotone scoring).
-    fn run(
+    /// The loop, on `book` as an earlier run on these sources left it,
+    /// or fresh: the best `k` objects but the rows `returned` flags. It
+    /// asks the halting rule before every round, so a book that already
+    /// holds the answer pulls nothing. Arguments must already be valid
+    /// (`k ≥ 1`, at least one source, monotone scoring, a valid slack).
+    pub(crate) fn run(
         &self,
+        book: &mut Book,
+        returned: &[bool],
         sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<NraResult, AlgoError> {
         let m = sources.len();
-        let mut book = Book::open(sources);
         let classed = matches!(self.probe, Probe::Every(_))
             && m <= CLASSED_LISTS
             && behaves_like_min(scoring, m);
@@ -516,10 +572,45 @@ impl Family {
             targets: classed.then(|| MinTargets::new(m)),
             ..Seen::default()
         };
+        seen.rebuild(book, returned, scoring);
         let mut round = 0usize;
         let mut last_kth = None;
+        // Nothing is left unseen: every list has streamed.
+        let mut idle = book.frontier.exhausted.iter().all(|&drained| drained);
 
         loop {
+            let kth = seen.kth();
+            debug_assert!(
+                last_kth <= kth,
+                "Mₖ fell from {last_kth:?} to {kth:?}: '{}' is not monotone",
+                scoring.name()
+            );
+            last_kth = kth;
+
+            // An upper bound is dismissed once it cannot beat Mₖ (θ ≤ 0
+            // compares `Score`s directly, see `upper_excluded`).
+            let dismissed = |upper: Score, tau: Score| upper_excluded(upper, tau, self.theta);
+            // The seen are asked only once the unseen are out of the
+            // way: until then the candidates just queue up.
+            let settled = kth.is_some_and(|tau| {
+                (idle || dismissed(scoring.combine(&book.frontier.bottoms), tau))
+                    && seen.rest_dismissed(book, scoring, |upper| dismissed(upper, tau))
+            });
+            // Idle, everything has streamed and the bounds are exact.
+            if settled || idle {
+                // Dismissals were permanent on the strength of two
+                // monotonicity facts; Mₖ's is checked above, this is
+                // the uppers': no dismissed object has come back.
+                debug_assert!(
+                    seen.open_rest(book, scoring)
+                        .all(|(listed, upper)| listed
+                            || kth.is_some_and(|tau| dismissed(upper, tau))),
+                    "a dismissed upper bound rose again: '{}' is not monotone",
+                    scoring.name()
+                );
+                break;
+            }
+
             round += 1;
             // One round of sorted access on every live list.
             let mut progressed = false;
@@ -533,6 +624,7 @@ impl Family {
                         lower: Score::ZERO,
                         in_top: false,
                         listed: false,
+                        returned: false,
                     });
                 }
                 if new && self.probe == Probe::OnSight {
@@ -541,74 +633,42 @@ impl Family {
                     // in this round, and waiting for it would save the
                     // probe TA charges — a different `stats.random`.
                     // Its lower bound is not looked at before then.
-                    resolve(&mut book, obj, sources)?;
+                    resolve(book, obj, sources)?;
                 } else if new {
-                    seen.enlist(obj, &book);
+                    seen.enlist(obj, book);
                 }
-                if news {
-                    seen.rebound(obj, &mut book, scoring);
+                // Only an old row can have been returned.
+                if news && (new || !seen.objects[obj].returned) {
+                    seen.rebound(obj, book, scoring);
                     if let Some(targets) = &mut seen.targets {
-                        targets.classify(obj, &book);
+                        targets.classify(obj, book);
                     }
                 }
             }
 
+            idle = !progressed;
+
             if let Probe::Every(h) = self.probe {
                 if round.is_multiple_of(h) {
                     let target = if seen.targets.is_some() {
-                        let kept = seen.kept_target(&mut book, scoring, self.theta);
+                        let kept = seen.kept_target(book, scoring, self.theta);
                         // The scan's side effect — dropping candidates
                         // `Mₖ` dismisses — changes no outcome.
                         debug_assert!(
-                            kept == seen.most_promising(&mut book, scoring, self.theta)
-                                || !seen.min_on_every_upper(&mut book, scoring),
+                            kept == seen.most_promising(book, scoring, self.theta)
+                                || !seen.min_on_every_upper(book, scoring),
                             "CA's kept target is not the scan's under '{}'",
                             scoring.name()
                         );
                         kept
                     } else {
-                        seen.most_promising(&mut book, scoring, self.theta)
+                        seen.most_promising(book, scoring, self.theta)
                     };
                     if let Some(obj) = target {
-                        resolve(&mut book, obj, sources)?;
-                        seen.rebound(obj, &mut book, scoring);
+                        resolve(book, obj, sources)?;
+                        seen.rebound(obj, book, scoring);
                     }
                 }
-            }
-
-            let kth = seen.kth();
-            debug_assert!(
-                last_kth <= kth,
-                "Mₖ fell from {last_kth:?} to {kth:?}: '{}' is not monotone",
-                scoring.name()
-            );
-            last_kth = kth;
-
-            // An upper bound is dismissed once it cannot beat Mₖ (θ ≤ 0
-            // compares `Score`s directly, see `upper_excluded`).
-            let dismissed = |upper: Score, tau: Score| upper_excluded(upper, tau, self.theta);
-            let unseen = scoring.combine(&book.frontier.bottoms);
-            // Nothing is left unseen: every list has streamed.
-            let idle = !progressed;
-            // The seen are asked only once the unseen are out of the
-            // way: until then the candidates just queue up.
-            let settled = kth.is_some_and(|tau| {
-                (idle || upper_excluded(unseen, tau, self.theta))
-                    && seen.rest_dismissed(&mut book, scoring, |upper| dismissed(upper, tau))
-            });
-            // Idle, everything has streamed and the bounds are exact.
-            if settled || idle {
-                // Dismissals were permanent on the strength of two
-                // monotonicity facts; Mₖ's is checked above, this is
-                // the uppers': no dismissed object has come back.
-                debug_assert!(
-                    seen.open_rest(&mut book, scoring)
-                        .all(|(listed, upper)| listed
-                            || kth.is_some_and(|tau| dismissed(upper, tau))),
-                    "a dismissed upper bound rose again: '{}' is not monotone",
-                    scoring.name()
-                );
-                break;
             }
         }
 
@@ -618,12 +678,12 @@ impl Family {
             // on exact grades.
             let members: Vec<usize> = seen.top.iter().map(|key| key.obj).collect();
             for obj in members {
-                resolve(&mut book, obj, sources)?;
-                seen.rebound(obj, &mut book, scoring);
+                resolve(book, obj, sources)?;
+                seen.rebound(obj, book, scoring);
             }
         }
         Ok(NraResult {
-            answers: seen.top_k(&mut book, scoring).collect(),
+            answers: seen.top_k(book, scoring).collect(),
             stats: book.frontier.stats,
         })
     }
@@ -980,7 +1040,7 @@ mod tests {
         let mut refs: Vec<&mut dyn Subsystem> =
             lists.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
         if lazy {
-            family.run(&mut refs, scoring, k).unwrap()
+            family.top_k(&mut refs, scoring, k).unwrap()
         } else {
             family.run_full_re_rank(&mut refs, scoring, k)
         }
@@ -1124,7 +1184,7 @@ mod tests {
                                 .iter_mut()
                                 .map(|s| s as &mut dyn Subsystem)
                                 .collect();
-                            family.run(&mut refs, scoring, k).unwrap();
+                            family.top_k(&mut refs, scoring, k).unwrap();
                             let repeated: usize = recording.iter().map(|r| r.repeated).sum();
                             assert_eq!(
                                 repeated,
@@ -1210,7 +1270,7 @@ mod tests {
                             .iter_mut()
                             .map(|s| s as &mut dyn Subsystem)
                             .collect();
-                        let result = ca.run(&mut refs, &MinOffTheGrid, k).unwrap();
+                        let result = ca.top_k(&mut refs, &MinOffTheGrid, k).unwrap();
                         let case = format!("{shape:?} m={m} k={k} h={h}");
                         let repeated: usize = recording.iter().map(|r| r.repeated).sum();
                         assert_eq!(repeated, 0, "{case}");

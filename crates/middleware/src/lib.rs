@@ -10,9 +10,10 @@
 //! * [`stats`] — database access cost accounting and charged cost
 //!   models;
 //! * [`algorithms`] — the evaluation strategies: naive, **A₀ (Fagin's
-//!   Algorithm)** with resumable sessions, the `m·k` max-merge
-//!   disjunction, pruned A₀, the Threshold Algorithm (extension), and
-//!   Chaudhuri–Gravano filter-condition simulation;
+//!   Algorithm)**, the `m·k` max-merge disjunction, pruned A₀, the
+//!   Threshold Algorithm (extension), and Chaudhuri–Gravano
+//!   filter-condition simulation; a [`algorithms::Cursor`] resumes any
+//!   of them that keeps a book ("the next 10");
 //! * [`request`] — the query description ([`request::TopKQuery`]) and
 //!   the executable request ([`request::TopKRequest`] = query +
 //!   policy) with shared source handles every strategy accepts;
@@ -88,13 +89,13 @@ pub mod prelude {
     pub use crate::algorithms::approx::{ApproxNra, ApproxTa};
     pub use crate::algorithms::ca::CombinedAlgorithm;
     pub use crate::algorithms::cg_filter::CgFilter;
-    pub use crate::algorithms::fa::{FaSession, FaginsAlgorithm, OwnedFaSession};
+    pub use crate::algorithms::fa::FaginsAlgorithm;
     pub use crate::algorithms::max_merge::MaxMerge;
     pub use crate::algorithms::naive::Naive;
     pub use crate::algorithms::nra::{BoundedAnswer, Nra, NraLowerBound, NraResult};
     pub use crate::algorithms::pruned_fa::PrunedFa;
     pub use crate::algorithms::ta::ThresholdAlgorithm;
-    pub use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
+    pub use crate::algorithms::{AlgoError, Cursor, TopKAlgorithm, TopKResult};
     pub use crate::engine::{Engine, EngineConfig, EngineError};
     pub use crate::optimality::OptimalityOracle;
     pub use crate::oracle::verify_top_k;

@@ -9,11 +9,11 @@
 //! `independent_uniform(400, m, 7)`. FA and pruned-FA ride along
 //! because they share phase 1 with each other.
 //!
-//! The naive scan, the max merge, the filter simulation and a resumed
-//! A₀ session joined at commit a0b375d, when all of them still kept
-//! books of their own — together with [`SPARSE`], the same lists with
-//! holes, where "a list that never streams an object grades it 0" is
-//! part of every answer.
+//! The naive scan, the max merge, the filter simulation and A₀ resumed
+//! 5 + 5 (a [`Cursor`] over the `Fa` plan) joined at commit a0b375d,
+//! when all of them still kept books of their own — together with
+//! [`SPARSE`], the same lists with holes, where "a list that never
+//! streams an object grades it 0" is part of every answer.
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::conorms::Max;
@@ -23,14 +23,15 @@ use fmdb_core::scoring::{ConormScoring, ScoringFunction};
 use fmdb_middleware::algorithms::approx::{ApproxNra, ApproxTa};
 use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
 use fmdb_middleware::algorithms::cg_filter::CgFilter;
-use fmdb_middleware::algorithms::fa::{FaSession, FaginsAlgorithm};
+use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::max_merge::MaxMerge;
 use fmdb_middleware::algorithms::naive::Naive;
 use fmdb_middleware::algorithms::nra::NraLowerBound;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
-use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
+use fmdb_middleware::algorithms::{Cursor, TopKAlgorithm, TopKResult};
 use fmdb_middleware::oracle::verify_top_k;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::source::{self, GradedSource, Oid, VecSource};
 use fmdb_middleware::workload::independent_uniform;
 
@@ -191,7 +192,7 @@ fn the_filter_simulation_restarts_as_pinned() {
 /// §4.1's "continue where we left off": the second batch pays only for
 /// what the first left unseen, and together they are the top 10.
 #[test]
-fn a_resumed_session_reproduces_its_pinned_charges_and_answers() {
+fn a_resumed_cursor_reproduces_its_pinned_charges_and_answers() {
     for &(lists, name, m, [first, second]) in RESUMED {
         let fixtures = match lists {
             Lists::Dense => PINNED,
@@ -202,15 +203,15 @@ fn a_resumed_session_reproduces_its_pinned_charges_and_answers() {
             .find(|f| (f.scoring, f.m, f.k) == (name, m, 10))
             .unwrap();
         let mut sources = lists.build(m);
-        let refs: Vec<&mut dyn source::Subsystem> = sources
+        let mut refs: Vec<&mut dyn source::Subsystem> = sources
             .iter_mut()
             .map(|s| s as &mut dyn source::Subsystem)
             .collect();
         let scoring = scoring(name);
-        let mut session = FaSession::new(refs, scoring.as_ref()).unwrap();
+        let mut cursor = Cursor::new(PhysicalPlan::Fa, 0.0).unwrap();
         let exact = scored(fixture.exact);
         for (batch, charges) in [(&exact[..5], first), (&exact[5..], second)] {
-            let got = session.next_k(5).unwrap();
+            let got = cursor.next_k(&mut refs, scoring.as_ref(), 5).unwrap();
             let at = format!("{name} m={m} on {lists:?} lists");
             assert_eq!((got.stats.sorted, got.stats.random), charges, "{at}");
             assert_eq!(got.answers, batch, "{at}");
@@ -917,7 +918,7 @@ const CG_ROUNDS: &[(Lists, usize, usize, &str, u32, f64)] = &[
 ];
 
 /// `(lists, scoring, m, [charges after the top 5, after the next 5])` of
-/// a resumed A₀ session; the two batches are the `k = 10` fixture's
+/// a resumed A₀ run; the two batches are the `k = 10` fixture's
 /// answers.
 const RESUMED: &[(Lists, &str, usize, [Charges; 2])] = &[
     (Lists::Dense, "min", 2, [(100, 90), (195, 167)]),

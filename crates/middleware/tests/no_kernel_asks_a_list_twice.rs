@@ -10,6 +10,9 @@
 //! fixed in its own state — the access it repeats is a *charged* one —
 //! not by caching under it.
 //!
+//! A run a [`Cursor`] resumes is one query too: its second batch must
+//! not ask for what the first one read, for every plan a cursor takes.
+//!
 //! The family member with no public name (CA as halted) is held to the
 //! same rule beside the kernel, in `algorithms::threshold::tests`.
 
@@ -23,13 +26,14 @@ use fmdb_core::scoring::{ConormScoring, ScoringFunction};
 use fmdb_middleware::algorithms::approx::{ApproxNra, ApproxTa};
 use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
 use fmdb_middleware::algorithms::cg_filter::CgFilter;
-use fmdb_middleware::algorithms::fa::{FaSession, FaginsAlgorithm};
+use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::max_merge::MaxMerge;
 use fmdb_middleware::algorithms::naive::Naive;
 use fmdb_middleware::algorithms::nra::NraLowerBound;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
 use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
-use fmdb_middleware::algorithms::{AlgoError, TopKAlgorithm};
+use fmdb_middleware::algorithms::{AlgoError, Cursor, TopKAlgorithm};
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::source::{Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use fmdb_middleware::workload::{crisp_plus_fuzzy, independent_uniform};
 
@@ -133,11 +137,30 @@ fn roster() -> Vec<(&'static str, Box<dyn TopKAlgorithm>)> {
     roster
 }
 
+/// Every plan a cursor takes, under the names of [`roster`].
+fn cursors() -> Vec<(&'static str, PhysicalPlan, f64)> {
+    vec![
+        ("fa", PhysicalPlan::Fa, 0.0),
+        ("ta", PhysicalPlan::Ta, 0.0),
+        ("approx-ta(0.1)", PhysicalPlan::ApproxTa, 0.1),
+        ("nra", PhysicalPlan::Nra, 0.0),
+        ("approx-nra(0.1)", PhysicalPlan::ApproxNra, 0.1),
+        ("ca(h=1)", PhysicalPlan::Ca { h: 1 }, 0.0),
+        ("ca(h=3)", PhysicalPlan::Ca { h: 3 }, 0.0),
+        ("ca(h=10)", PhysicalPlan::Ca { h: 10 }, 0.0),
+        ("approx-ca(h=3, 0.1)", PhysicalPlan::Ca { h: 3 }, 0.1),
+        ("max-merge", PhysicalPlan::MaxMerge, 0.0),
+        ("naive", PhysicalPlan::FullScan, 0.0),
+    ]
+}
+
 #[test]
 fn no_kernel_asks_a_list_twice() {
     let scorings: [&dyn ScoringFunction; 3] = [&Min, &ArithmeticMean, &ConormScoring(Max)];
     let roster = roster();
+    let cursors = cursors();
     let mut ran = BTreeSet::new();
+    let mut resumed_ran = BTreeSet::new();
     for m in [2usize, 3] {
         for (shape, lists) in [
             ("uniform", independent_uniform(N, m, SEED)),
@@ -155,14 +178,22 @@ fn no_kernel_asks_a_list_twice() {
                             ran.insert(*name);
                         }
                     }
-                    // A₀ resumed: the second batch must not probe what
-                    // the first one filled.
-                    let resumed = repeats(&lists, |refs| {
-                        let mut session = FaSession::new(refs, scoring)?;
-                        session.next_k(k)?;
-                        session.next_k(k).map(drop)
-                    });
-                    assert_eq!(resumed, Some(Vec::new()), "fa session on {at}");
+                    // Resumed: the second batch must not probe what the
+                    // first one read.
+                    for &(name, plan, theta) in &cursors {
+                        let resumed = repeats(&lists, |mut refs| {
+                            let mut cursor = Cursor::new(plan, theta)?;
+                            cursor.next_k(&mut refs, scoring, k)?;
+                            cursor.next_k(&mut refs, scoring, k).map(drop)
+                        });
+                        if name == "fa" {
+                            assert_eq!(resumed, Some(Vec::new()), "fa cursor on {at}");
+                        }
+                        if let Some(repeated) = resumed {
+                            assert_eq!(repeated, [], "{name} cursor on {at}");
+                            resumed_ran.insert(name);
+                        }
+                    }
                 }
             }
         }
@@ -170,4 +201,6 @@ fn no_kernel_asks_a_list_twice() {
     // Refusing a scoring function is fine; never running is not.
     let names: BTreeSet<_> = roster.iter().map(|(name, _)| *name).collect();
     assert_eq!(ran, names);
+    let names: BTreeSet<_> = cursors.iter().map(|(name, ..)| *name).collect();
+    assert_eq!(resumed_ran, names);
 }

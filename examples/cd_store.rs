@@ -45,8 +45,9 @@ fn main() {
     }
 
     // Paging through results: "ask for the top 10 … then request the
-    // next 10" (§4) — the cursor continues A₀ where it left off, over
-    // any query monotone in its leaves.
+    // next 10" (§4) — the cursor runs the plan `explain` names (A₀ for
+    // a crisp filter) and continues it where it left off, over any
+    // query monotone in its leaves.
     for sql in [
         "SELECT TOP 3 WHERE Color~'red' AND Shape~'round'",
         "SELECT TOP 3 WHERE Color~'red' AND (Shape~'round' OR Color~'blue')",

@@ -1,5 +1,5 @@
 //! Watch Theorem 4.1 happen: database access cost of A₀ vs the naive
-//! algorithm as N grows, plus the resumable "next k" feature and the
+//! algorithm as N grows, plus A₀'s "next k" through a cursor and the
 //! mk disjunction merge.
 //!
 //! ```sh
@@ -7,7 +7,6 @@
 //! ```
 
 use fuzzymm::core::scoring::conorms::Max;
-use fuzzymm::middleware::algorithms::fa::FaSession;
 use fuzzymm::middleware::algorithms::max_merge::MaxMerge;
 use fuzzymm::middleware::workload::independent_uniform;
 use fuzzymm::prelude::*;
@@ -57,16 +56,16 @@ fn main() {
         println!("  N = {:>7}: {}", n, cost);
     }
 
-    println!("\nresumable sessions (\"continue where we left off\", §4.1):");
+    println!("\nA0 resumed by a cursor (\"continue where we left off\", §4.1):");
     let n = 1 << 16;
     let mut sources = independent_uniform(n, 2, 5);
-    let refs: Vec<&mut dyn Subsystem> = sources
+    let mut refs: Vec<&mut dyn Subsystem> = sources
         .iter_mut()
         .map(|s| s as &mut dyn Subsystem)
         .collect();
-    let mut session = FaSession::new(refs, &Min).expect("valid session");
+    let mut cursor = Cursor::new(PlanKind::Fa, 0.0).expect("A0 keeps a book");
     for batch in 1..=3 {
-        let result = session.next_k(5).expect("valid batch");
+        let result = cursor.next_k(&mut refs, &Min, 5).expect("valid batch");
         let ids: Vec<String> = result
             .answers
             .iter()

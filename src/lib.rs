@@ -60,10 +60,10 @@ pub mod prelude {
     };
     pub use fmdb_middleware::prelude::{
         AccessStats, Algo, AlgoError, ApproxNra, ApproxTa, Approximation, CombinedAlgorithm,
-        CostModel, Engine, EngineConfig, ExecPolicy, FaSession, FaginsAlgorithm, MaxMerge, Naive,
-        Nra, Oid, OptimalityOracle, OwnedFaSession, PagedSource, PagedStore, PrunedFa,
-        SharedScoring, SourceError, SourceInfo, StoreError, Subsystem, ThresholdAlgorithm,
-        TopKAlgorithm, TopKQuery, TopKRequest, TopKResult, ValidatingSource, VecSource,
+        CostModel, Cursor, Engine, EngineConfig, ExecPolicy, FaginsAlgorithm, MaxMerge, Naive, Nra,
+        Oid, OptimalityOracle, PagedSource, PagedStore, PrunedFa, SharedScoring, SourceError,
+        SourceInfo, StoreError, Subsystem, ThresholdAlgorithm, TopKAlgorithm, TopKQuery,
+        TopKRequest, TopKResult, ValidatingSource, VecSource,
     };
     pub use fmdb_middleware::workload::independent_uniform;
 }

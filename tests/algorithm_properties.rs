@@ -284,18 +284,18 @@ proptest! {
     }
 
     #[test]
-    fn fa_session_batches_are_disjoint_and_ordered(
+    fn fa_cursor_batches_are_disjoint_and_ordered(
         lists in grade_lists(60, 2),
         k in 1usize..=4,
     ) {
         let mut sources = to_sources(&lists);
-        let refs: Vec<&mut dyn Subsystem> = sources
+        let mut refs: Vec<&mut dyn Subsystem> = sources
             .iter_mut()
             .map(|s| s as &mut dyn Subsystem)
             .collect();
-        let mut session = FaSession::new(refs, &Min).expect("valid session");
-        let first = session.next_k(k).expect("valid batch");
-        let second = session.next_k(k).expect("valid batch");
+        let mut cursor = Cursor::new(PlanKind::Fa, 0.0).expect("A0 keeps a book");
+        let first = cursor.next_k(&mut refs, &Min, k).expect("valid batch");
+        let second = cursor.next_k(&mut refs, &Min, k).expect("valid batch");
         for a in &first.answers {
             prop_assert!(!second.answers.iter().any(|b| b.id == a.id));
         }
