@@ -52,11 +52,13 @@ const SHAPE_REPS: usize = 10;
 const TURNING_SAMPLES: usize = 64;
 
 /// Ceiling on `shape_vs_color_bind` (release builds): 1.25× the
-/// largest of seven whole quick suites on a 2-core x86-64 VM (17.5–20.6)
-/// since the turning kernel computes the exact error only of the shifts
-/// its correlation pass cannot rule out. While it computed the exact
-/// error of every shift it read 39.1–51.0.
-const MAX_SHAPE_VS_COLOR_BIND: f64 = 25.8;
+/// largest of seven whole quick suites on a 2-core x86-64 VM
+/// (10.1–12.3) since the turning kernel's shift filter correlates
+/// through spectra stored with the corpus. With one multiply-add
+/// correlation pass per row it read 17.5–20.6 (13.1–20.2 interleaved
+/// with these suites), and while it computed the exact error of every
+/// shift, 39.1–51.0.
+const MAX_SHAPE_VS_COLOR_BIND: f64 = 15.4;
 
 /// One round's floors, µs: colour kernel, colour bind, shape kernel,
 /// shape bind.
@@ -279,8 +281,8 @@ pub fn run(cfg: &RunCfg) -> Report {
             split.shape_vs_color_bind.median,
             Bound::PositiveAtMost(MAX_SHAPE_VS_COLOR_BIND),
             "a `Shape` atom costs more colour atoms than it did once the turning kernel \
-             refined only the shifts its correlation pass cannot rule out; look at \
-             `filter` and `min_shift_distance` in `media::shape` first",
+             correlated through stored spectra; look at `filter_row` in `media::shape` \
+             and `Fft::correlate` in `media::fft` first",
         )
         .gated(
             "shape_vs_color_bind_spread",

@@ -21,15 +21,16 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::OnceLock;
 
 use fmdb_core::query::{AtomicQuery, Target};
 use fmdb_core::score::Score;
 use fmdb_media::color::{ColorError, ColorHistogram, Rgb};
 use fmdb_media::distance::DistanceError;
 use fmdb_media::embed::{EmbedError, EmbeddedCorpus, EmbeddedSpace};
-use fmdb_media::shape::{Polygon, TurningCorpus};
+use fmdb_media::shape::{Polygon, Prototype, TurningCorpus};
 use fmdb_media::synth::SyntheticDb;
-use fmdb_media::texture::named_texture;
+use fmdb_media::texture::{named_texture, TextureDescriptor, TEXTURE_NAMES};
 use fmdb_middleware::source::VecSource;
 use fmdb_middleware::store::{build_store_from_source, BuildConfig, StoreError};
 
@@ -283,11 +284,17 @@ pub struct QbicRepository {
     /// query embedding plus n O(k) norms instead of n O(k²) quadratic
     /// forms.
     color_corpus: EmbeddedCorpus,
-    /// Pre-resampled turning functions: `Shape` queries cost one
-    /// resampling of the prototype plus the shift kernel per object.
+    /// Pre-resampled turning functions and their spectra: `Shape`
+    /// queries cost one resampling and transform of the prototype plus
+    /// the shift kernel per object.
     shape_corpus: TurningCorpus,
-    /// Named shape prototypes ("round", "boxy", "spiky", …).
-    shape_prototypes: HashMap<String, Polygon>,
+    /// Named shape prototypes ("round", "boxy", "spiky", …), each
+    /// resampled and transformed on its first query.
+    shape_prototypes: HashMap<String, NamedShape>,
+    /// Named texture prototypes ([`TEXTURE_NAMES`]), each analysed on its
+    /// first query: building the reference patch and its descriptor
+    /// costs far more than grading the corpus against it.
+    texture_prototypes: HashMap<&'static str, OnceLock<Option<TextureDescriptor>>>,
     /// Attribute-name prefix, so several image repositories can coexist
     /// in one catalog (`"Album"` ⇒ `AlbumColor`, `AlbumShape`,
     /// `AlbumTexture` — the paper's own attribute spelling).
@@ -307,6 +314,25 @@ impl fmt::Debug for QbicRepository {
 
 /// Resampling resolution for turning-function comparisons.
 const TURNING_SAMPLES: usize = 64;
+
+/// A named shape target: its outline, and the corpus-side prototype
+/// (turning function and spectrum) made from it on first use, so
+/// repeated queries skip that work and the repository pays nothing for
+/// names nobody asks for.
+#[derive(Debug)]
+struct NamedShape {
+    outline: Polygon,
+    prepared: OnceLock<Prototype>,
+}
+
+impl NamedShape {
+    fn new(outline: Polygon) -> NamedShape {
+        NamedShape {
+            outline,
+            prepared: OnceLock::new(),
+        }
+    }
+}
 
 /// Resolves a color name to RGB; the vocabulary a color-wheel UI would
 /// offer.
@@ -354,7 +380,9 @@ impl QbicRepository {
                 clippy::expect_used,
                 reason = "constant prototype geometry with positive radii"
             )]
-            Polygon::ellipse(0.0, 0.0, 1.0, 1.0, 40).expect("unit circle is valid"),
+            NamedShape::new(
+                Polygon::ellipse(0.0, 0.0, 1.0, 1.0, 40).expect("unit circle is valid"),
+            ),
         );
         shape_prototypes.insert(
             "boxy".to_owned(),
@@ -362,7 +390,9 @@ impl QbicRepository {
                 clippy::expect_used,
                 reason = "constant prototype geometry with positive extent"
             )]
-            Polygon::rectangle(0.0, 0.0, 2.0, 1.0).expect("2x1 rectangle is valid"),
+            NamedShape::new(
+                Polygon::rectangle(0.0, 0.0, 2.0, 1.0).expect("2x1 rectangle is valid"),
+            ),
         );
         shape_prototypes.insert(
             "spiky".to_owned(),
@@ -370,7 +400,7 @@ impl QbicRepository {
                 clippy::expect_used,
                 reason = "constant prototype geometry with positive radii"
             )]
-            Polygon::star(6, 1.0, 0.35, 0.0, 0.0).expect("6-spike star is valid"),
+            NamedShape::new(Polygon::star(6, 1.0, 0.35, 0.0, 0.0).expect("6-spike star is valid")),
         );
         QbicRepository {
             name: name.into(),
@@ -378,6 +408,10 @@ impl QbicRepository {
             color_corpus,
             shape_corpus,
             shape_prototypes,
+            texture_prototypes: TEXTURE_NAMES
+                .into_iter()
+                .map(|name| (name, OnceLock::new()))
+                .collect(),
             attribute_prefix: String::new(),
         }
     }
@@ -437,7 +471,10 @@ impl QbicRepository {
                 if let Some(example) = self.example_object(name) {
                     example?.texture
                 } else {
-                    named_texture(name).ok_or_else(|| RepoError::UnknownTarget(name.clone()))?
+                    self.texture_prototypes
+                        .get(name.to_ascii_lowercase().as_str())
+                        .and_then(|slot| *slot.get_or_init(|| named_texture(name)))
+                        .ok_or_else(|| RepoError::UnknownTarget(name.clone()))?
                 }
             }
             _ => {
@@ -457,14 +494,19 @@ impl QbicRepository {
     }
 
     fn shape_source(&self, query: &AtomicQuery) -> Result<VecSource, RepoError> {
-        let prototype = match &query.target {
+        let distances = match &query.target {
             Target::Similar(name) => {
                 if let Some(example) = self.example_object(name) {
-                    &example?.shape
+                    self.shape_corpus.distances(&example?.shape)
                 } else {
-                    self.shape_prototypes
+                    let named = self
+                        .shape_prototypes
                         .get(&name.to_ascii_lowercase())
-                        .ok_or_else(|| RepoError::UnknownTarget(name.clone()))?
+                        .ok_or_else(|| RepoError::UnknownTarget(name.clone()))?;
+                    let prototype = named
+                        .prepared
+                        .get_or_init(|| self.shape_corpus.prototype(&named.outline));
+                    self.shape_corpus.distances_to(prototype)
                 }
             }
             _ => {
@@ -474,7 +516,6 @@ impl QbicRepository {
                 })
             }
         };
-        let distances = self.shape_corpus.distances(prototype);
         Ok(self.source_from_distances(query, &distances))
     }
 
@@ -687,6 +728,45 @@ mod tests {
             let top = src.sorted_next().unwrap();
             assert_eq!(top.id, 7, "{attr}: the example must match itself best");
             assert_eq!(top.grade, Score::ONE, "{attr}");
+        }
+    }
+
+    /// A named target is prepared on its first query and kept: every
+    /// later query of it (in any case) grades as a fresh computation
+    /// would, and an unknown name is still refused.
+    #[test]
+    fn named_targets_are_prepared_once_and_grade_as_fresh() {
+        let repo = small_qbic();
+        let drained = |attr: &str, name: &str| {
+            let mut src = repo
+                .source_for(&atom(attr, Target::Similar(name.into())))
+                .unwrap();
+            std::iter::from_fn(|| src.sorted_next())
+                .map(|so| (so.id, so.grade.value().to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert!(repo.shape_prototypes["round"].prepared.get().is_none());
+        assert!(repo.texture_prototypes["coarse"].get().is_none());
+        let (round, coarse) = (drained("Shape", "round"), drained("Texture", "coarse"));
+        assert!(repo.shape_prototypes["round"].prepared.get().is_some());
+        assert!(repo.shape_prototypes["boxy"].prepared.get().is_none());
+        assert!(repo.texture_prototypes["coarse"].get().is_some());
+        assert_eq!(drained("Shape", "ROUND"), round);
+        assert_eq!(drained("Texture", "Coarse"), coarse);
+        let outline = &repo.shape_prototypes["round"].outline;
+        let fresh = repo.shape_corpus.distances(outline);
+        let cached = repo
+            .shape_corpus
+            .distances_to(repo.shape_prototypes["round"].prepared.get().unwrap());
+        assert_eq!(
+            fresh.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+            cached.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+        );
+        for (attr, name) in [("Shape", "blobby"), ("Texture", "fluffy")] {
+            assert!(matches!(
+                repo.source_for(&atom(attr, Target::Similar(name.into()))),
+                Err(RepoError::UnknownTarget(_))
+            ));
         }
     }
 

@@ -35,6 +35,7 @@ pub mod bounding;
 pub mod color;
 pub mod distance;
 pub mod embed;
+mod fft;
 pub mod linalg;
 pub mod shape;
 pub mod synth;

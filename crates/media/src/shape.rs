@@ -16,8 +16,10 @@
 //! * [`HuMoments`] — the seven moment invariants computed on a raster
 //!   fill of the polygon.
 
-use std::f64::consts::PI;
+use std::f64::consts::{PI, SQRT_2};
 use std::fmt;
+
+use crate::fft::{self, gamma, Fft};
 
 /// A 2-D point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -256,23 +258,34 @@ pub fn turning_function(poly: &Polygon, n: usize) -> Vec<f64> {
 pub fn turning_distance(a: &Polygon, b: &Polygon, n: usize) -> f64 {
     let ta = turning_function(a, n);
     let prototype = Prototype::new(turning_function(b, n));
-    min_shift_distance(&ta, &prototype, &mut Vec::with_capacity(n))
+    min_shift_distance(&ta, &prototype, &mut Vec::new())
 }
 
-/// Starting-point shifts the correlation pass carries per walk over `ta`.
-const SHIFT_LANES: usize = 8;
-
-/// The derived bound on `|approx(s) − err(s)|` between the filter's
-/// estimate and the exact error, both as computed, is
-/// `ROUNDING · γ_{n+3} · (Σa² + Σb²) / n` (DESIGN §16).
-const ROUNDING: f64 = 50.0;
-
-/// The filter's margin δ is this many times the rounding bound.
+/// The filter's margin δ is this many times the derived bound on
+/// `|approx(s) − err(s)|` ([`rounding_bound`]).
 const MARGIN: f64 = 128.0;
 
-/// A prototype's turning function, doubled, with the two sums every
-/// shift shares: each shifted window covers every sample once.
-struct Prototype {
+/// The transform length `m` for `n` samples: `n` itself when it is a
+/// power of two (at least 2), where the correlation is cyclic at `m`;
+/// otherwise the power of two at or above `2n`, where the prototype's
+/// signal is its doubled turning function, so the linear correlation at
+/// lags below `n` is the cyclic one at `n` (DESIGN §16).
+fn transform_len(n: usize) -> usize {
+    if n >= 2 && n.is_power_of_two() {
+        n
+    } else {
+        n.saturating_mul(2).next_power_of_two().max(2)
+    }
+}
+
+/// A query's shape prototype, prepared once for every row it grades:
+/// its turning function (doubled), the two sums every shift shares,
+/// and the spectrum of its correlation signal.
+///
+/// [`TurningCorpus::prototype`] builds one; a repository may keep it
+/// for a named target and grade with [`TurningCorpus::distances_to`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Prototype {
     /// `tb ++ tb`: position `i + shift` is `tb[(i + shift) % n]` for
     /// every `i, shift < n`, so no shift loop needs a modulo.
     doubled: Vec<f64>,
@@ -280,17 +293,35 @@ struct Prototype {
     sum: f64,
     /// `Σ b²` over one copy, in index order.
     sum_sq: f64,
+    /// The twiddles of the `transform_len(n)`-point transforms.
+    fft: &'static Fft,
+    /// The packed spectrum of `tb` (cyclic case) or of `tb ++ tb`.
+    spectrum: Vec<f64>,
+    /// `margin(n, 1)`: δ per unit of `Σa² + Σb²`.
+    margin_per_sum_sq: f64,
 }
 
 impl Prototype {
     fn new(mut tb: Vec<f64>) -> Prototype {
+        let n = tb.len();
         let (sum, sum_sq) = sums(&tb);
         tb.extend_from_within(..);
+        let fft = Fft::of(transform_len(n));
+        let signal = if fft.len() == n { &tb[..n] } else { &tb[..] };
+        let spectrum = fft.real_spectrum(signal);
         Prototype {
             doubled: tb,
             sum,
             sum_sq,
+            spectrum,
+            fft,
+            margin_per_sum_sq: margin(n, 1.0),
         }
+    }
+
+    /// The number of turning-function samples.
+    pub fn samples(&self) -> usize {
+        self.doubled.len() / 2
     }
 }
 
@@ -300,33 +331,40 @@ fn sums(t: &[f64]) -> (f64, f64) {
         .fold((0.0, 0.0), |(sum, sum_sq), &x| (sum + x, sum_sq + x * x))
 }
 
-/// Higham's `γ_k = k·u / (1 − k·u)`, `u = 2⁻⁵³`: the relative error of
-/// `k` chained roundings; `+∞` once `k·u` reaches 1.
-fn gamma(k: usize) -> f64 {
-    let ku = k as f64 * (f64::EPSILON / 2.0);
-    if ku < 1.0 {
-        ku / (1.0 - ku)
-    } else {
-        f64::INFINITY
-    }
+/// The roundings of the exact error and of the estimate around the
+/// correlation bound `|approx(s) − err(s)|` by
+/// `ROUNDING · γ_{n+3} · (Σa² + Σb²)/n` (DESIGN §16).
+const ROUNDING: f64 = 50.0;
+
+/// `φ_m`: the correlation the filter reads is within
+/// `φ_m · (Σa² + Σb²)` of the exact `C(s)`, through the two forward
+/// transforms, the spectra's product and the inverse transform
+/// (DESIGN §16, from Higham's Thm 24.2).
+fn correlation_error(n: usize) -> f64 {
+    let m = transform_len(n);
+    let t = m.trailing_zeros();
+    let mu = fft::TWIDDLE_ERROR;
+    // The stored spectra: Hermitian mirrors of computed transforms.
+    let e1 = SQRT_2 * fft::relative_error(t);
+    // Their product, with the complex multiplication's √2·γ₂.
+    let e2 = e1 * (1.0 + e1) + e1 + SQRT_2 * gamma(2) * (1.0 + e1) * (1.0 + e1);
+    // The half-length inverse: its pre-pass, then the transform.
+    let inverse = fft::relative_error(t.saturating_sub(1));
+    let e3 = (1.0 + e2) * (inverse + SQRT_2 * (mu + gamma(8)) * (1.0 + inverse)) + e2;
+    e3 * (m as f64 / 2.0).sqrt()
+}
+
+/// The derived bound on `|approx(s) − err(s)|` between the filter's
+/// estimate and the exact error, both as computed, in units of
+/// `(Σa² + Σb²)/n`: `ROUNDING · γ_{n+3} + 2.01 · φ_m`.
+fn rounding_bound(n: usize) -> f64 {
+    ROUNDING * gamma(n.saturating_add(3)) + 2.01 * correlation_error(n)
 }
 
 /// The margin δ for `n` samples and `Σa² + Σb²`: [`MARGIN`] times the
 /// derived rounding bound on `|approx(s) − err(s)|`.
 fn margin(n: usize, sum_sq_both: f64) -> f64 {
-    MARGIN * ROUNDING * gamma(n.saturating_add(3)) * sum_sq_both / n as f64
-}
-
-/// The cross-correlations `C(s) = Σᵢ ta[i]·tb2[i + s]` of `L`
-/// consecutive shifts from `shift` on, each lane in index order.
-fn correlations<const L: usize>(ta: &[f64], tb2: &[f64], shift: usize) -> [f64; L] {
-    let mut c = [0.0_f64; L];
-    for (&a, window) in ta.iter().zip(tb2[shift..].windows(L)) {
-        for (c, &b) in c.iter_mut().zip(window) {
-            *c += a * b;
-        }
-    }
-    c
+    MARGIN * rounding_bound(n) / n as f64 * sum_sq_both
 }
 
 /// The exact error of one starting-point shift: the mean squared
@@ -349,61 +387,80 @@ fn shift_error(ta: &[f64], tb2: &[f64], shift: usize) -> f64 {
     err / n
 }
 
-/// The filter: writes `approx(s) = (Σa² + Σb² − 2·C(s))/n − ((Σa − Σb)/n)²`
-/// for every shift into `approx`, from one correlation pass, and returns
-/// the cut — shift `s` is refined iff `approx(s) ≤ cut`. The cut is
-/// `min approx + 2δ`; `None` (refine every shift) when an estimate or the
-/// cut is not finite.
-fn filter(ta: &[f64], prototype: &Prototype, approx: &mut Vec<f64>) -> Option<f64> {
-    let n = ta.len();
-    let tb2 = &prototype.doubled;
-    debug_assert_eq!(tb2.len(), n.saturating_mul(2));
-    let len = n as f64;
-    let (sum, sum_sq) = sums(ta);
-    let sum_sq_both = sum_sq + prototype.sum_sq;
-    let mean = (sum - prototype.sum) / len;
-    let mean_sq = mean * mean;
-    let estimate = |c: f64| (sum_sq_both - 2.0 * c) / len - mean_sq;
-    approx.clear();
-    for block in (0..n).step_by(SHIFT_LANES) {
-        if n - block >= SHIFT_LANES {
-            approx.extend(correlations::<SHIFT_LANES>(ta, tb2, block).map(estimate));
-        } else {
-            approx.extend((block..n).map(|shift| {
-                let [c] = correlations::<1>(ta, tb2, shift);
-                estimate(c)
-            }));
-        }
-    }
-    let (lowest, total) = lowest_and_total(approx);
-    let cut = lowest + 2.0 * margin(n, sum_sq_both);
-    // The total is finite only if every estimate is.
-    (cut.is_finite() && total.is_finite()).then_some(cut)
+/// One row as the filter reads it: its samples, the packed spectrum of
+/// its zero-padded samples, and `(Σa, Σa²)` in index order.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    samples: &'a [f64],
+    spectrum: &'a [f64],
+    sums: (f64, f64),
 }
 
-/// The smallest of `xs` and their sum, each over [`SHIFT_LANES`]
-/// interleaved lanes, so neither is one chain of dependent operations.
-fn lowest_and_total(xs: &[f64]) -> (f64, f64) {
-    let mut lowest = [f64::INFINITY; SHIFT_LANES];
-    let mut total = [0.0_f64; SHIFT_LANES];
-    let chunks = xs.chunks_exact(SHIFT_LANES);
-    for (j, &x) in chunks.remainder().iter().enumerate() {
-        lowest[j] = lowest[j].min(x);
-        total[j] += x;
-    }
-    for chunk in chunks {
-        for (j, &x) in chunk.iter().enumerate() {
-            lowest[j] = lowest[j].min(x);
-            total[j] += x;
-        }
-    }
-    (
-        lowest.iter().copied().fold(f64::INFINITY, f64::min),
-        total.iter().sum(),
+/// [`filter_row`] on a row whose spectrum is not stored: transforms it
+/// first.
+#[cfg(test)]
+fn filter(ta: &[f64], prototype: &Prototype, approx: &mut Vec<f64>) -> Option<f64> {
+    let spectrum = prototype.fft.real_spectrum(ta);
+    filter_row(
+        Row {
+            samples: ta,
+            spectrum: &spectrum,
+            sums: sums(ta),
+        },
+        prototype,
+        approx,
     )
 }
 
-/// The shifts [`filter`] leaves for the exact error, ascending: those
+/// The filter: writes `approx(s) = (Σa² + Σb² − 2·C(s))·fl(1/n) − ((Σa − Σb)/n)²`
+/// for every shift into `approx`, with every `C(s)` from one product of
+/// the two spectra and one inverse transform, and returns the cut —
+/// shift `s` is refined iff `approx(s) ≤ cut`. The cut is
+/// `min approx + 2δ`; `None` (refine every shift) when an estimate or the
+/// cut is not finite.
+fn filter_row(row: Row<'_>, prototype: &Prototype, approx: &mut Vec<f64>) -> Option<f64> {
+    let n = row.samples.len();
+    debug_assert_eq!(prototype.doubled.len(), n.saturating_mul(2));
+    let len = n as f64;
+    let (sum, sum_sq) = row.sums;
+    let sum_sq_both = sum_sq + prototype.sum_sq;
+    let mean = (sum - prototype.sum) / len;
+    let mean_sq = mean * mean;
+    // `correlate` leaves m·C(s) in the scratch after the n estimates,
+    // C(2j) in its first half and C(2j + 1) in its second; 1/m is a
+    // power of two, so exact.
+    let m = prototype.fft.len();
+    let scale = 1.0 / m as f64;
+    approx.clear();
+    approx.resize(n + m, 0.0);
+    let (estimates, scratch) = approx.split_at_mut(n);
+    let (even, odd) = scratch.split_at_mut(m / 2);
+    prototype
+        .fft
+        .correlate(row.spectrum, &prototype.spectrum, even, odd);
+    let inv_len = 1.0 / len;
+    let estimate = |c: f64| (sum_sq_both - c * (2.0 * scale)) * inv_len - mean_sq;
+    for (pair, (&even, &odd)) in estimates.chunks_mut(2).zip(even.iter().zip(odd.iter())) {
+        for (x, c) in pair.iter_mut().zip([even, odd]) {
+            *x = estimate(c);
+        }
+    }
+    let mut lowest = f64::INFINITY;
+    let mut finite = true;
+    for &x in estimates.iter() {
+        finite &= x.is_finite();
+        // A branch, not `f64::min`: the smallest estimate rarely
+        // changes, and a compare carries no chain of latencies.
+        if x < lowest {
+            lowest = x;
+        }
+    }
+    approx.truncate(n);
+    let cut = lowest + 2.0 * prototype.margin_per_sum_sq * sum_sq_both;
+    (finite && cut.is_finite()).then_some(cut)
+}
+
+/// The shifts [`filter_row`] leaves for the exact error, ascending: those
 /// whose estimate is at most the cut, or every shift without one.
 fn survivors(approx: &[f64], cut: Option<f64>) -> impl Iterator<Item = usize> + '_ {
     approx
@@ -413,25 +470,40 @@ fn survivors(approx: &[f64], cut: Option<f64>) -> impl Iterator<Item = usize> + 
         .map(|(shift, _)| shift)
 }
 
+/// [`min_shift_distance_row`] on a row whose spectrum is not stored.
+fn min_shift_distance(ta: &[f64], prototype: &Prototype, approx: &mut Vec<f64>) -> f64 {
+    let spectrum = prototype.fft.real_spectrum(ta);
+    min_shift_distance_row(
+        Row {
+            samples: ta,
+            spectrum: &spectrum,
+            sums: sums(ta),
+        },
+        prototype,
+        approx,
+    )
+}
+
 /// The Arkin distance between a turning function and a prototype of the
 /// same length: the root of the smallest per-shift error.
 ///
-/// Filter and refine (§2.1's distance bounding over shifts): [`filter`]
-/// estimates every shift's error from one correlation pass, and only the
-/// shifts within `2δ` of the smallest estimate get their exact error, in
-/// ascending shift order. Every estimate is within δ of its exact error,
-/// so the best shift is always refined and the result is the full
-/// scan's, bit for bit; debug builds check that on every call.
-fn min_shift_distance(ta: &[f64], prototype: &Prototype, approx: &mut Vec<f64>) -> f64 {
-    let cut = filter(ta, prototype, approx);
+/// Filter and refine (§2.1's distance bounding over shifts):
+/// [`filter_row`] estimates every shift's error from the row's and the
+/// prototype's spectra, and only the shifts within `2δ` of the smallest
+/// estimate get their exact error, in ascending shift order. Every
+/// estimate is within δ of its exact error, so the best shift is always
+/// refined and the result is the full scan's, bit for bit; debug builds
+/// check that on every call.
+fn min_shift_distance_row(row: Row<'_>, prototype: &Prototype, approx: &mut Vec<f64>) -> f64 {
+    let cut = filter_row(row, prototype, approx);
     let distance = survivors(approx, cut)
-        .map(|shift| shift_error(ta, &prototype.doubled, shift))
+        .map(|shift| shift_error(row.samples, &prototype.doubled, shift))
         .fold(f64::INFINITY, f64::min)
         .max(0.0)
         .sqrt();
     debug_assert_eq!(
         distance.to_bits(),
-        every_shift(ta, &prototype.doubled).to_bits(),
+        every_shift(row.samples, &prototype.doubled).to_bits(),
         "the refined shifts missed the best one"
     );
     distance
@@ -447,33 +519,58 @@ fn every_shift(ta: &[f64], tb2: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// The turning functions of a shape collection, resampled once.
+/// The turning functions of a shape collection, resampled once, with
+/// the spectra the shift filter reads.
 ///
 /// §2.1's recipe applied to shape: everything that depends only on the
 /// database is computed when the database is loaded, so grading a
-/// query costs one resampling of the prototype plus the shift kernel
-/// per object. Row `i` is `turning_function(shape i, samples)`.
+/// query costs one resampling and one transform of the prototype plus
+/// the shift kernel per object. Row `i` is
+/// `turning_function(shape i, samples)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TurningCorpus {
     samples: usize,
     len: usize,
     /// Row-major `len × samples`.
     rows: Vec<f64>,
+    /// Row-major `len × transform_len(samples)`: each row's packed
+    /// spectrum.
+    spectra: Vec<f64>,
+    /// Each row's `(Σa, Σa²)`, in index order.
+    sums: Vec<(f64, f64)>,
 }
 
 impl TurningCorpus {
-    /// Resamples every shape to `samples` points.
+    /// Resamples every shape to `samples` points and transforms each
+    /// turning function once.
     pub fn build<'a>(
         shapes: impl IntoIterator<Item = &'a Polygon>,
         samples: usize,
     ) -> TurningCorpus {
+        let fft = Fft::of(transform_len(samples));
+        let shapes = shapes.into_iter();
+        // Sized up front where the count is known: a doubling `Vec`
+        // holds its old and new blocks at once, and the peak is what a
+        // loaded repository pays.
+        let expected = shapes.size_hint().0;
         let mut len = 0usize;
-        let mut rows = Vec::new();
+        let mut rows = Vec::with_capacity(expected.saturating_mul(samples));
+        let mut spectra = Vec::with_capacity(expected.saturating_mul(fft.len()));
+        let mut row_sums = Vec::with_capacity(expected);
         for shape in shapes {
-            rows.extend(turning_function(shape, samples));
+            let row = turning_function(shape, samples);
+            spectra.extend(fft.real_spectrum(&row));
+            row_sums.push(sums(&row));
+            rows.extend(row);
             len = len.saturating_add(1);
         }
-        TurningCorpus { samples, len, rows }
+        TurningCorpus {
+            samples,
+            len,
+            rows,
+            spectra,
+            sums: row_sums,
+        }
     }
 
     /// Number of shapes.
@@ -486,18 +583,45 @@ impl TurningCorpus {
         self.len == 0
     }
 
+    /// `prototype` resampled at the corpus's sample count and
+    /// transformed, ready for [`distances_to`](Self::distances_to).
+    pub fn prototype(&self, prototype: &Polygon) -> Prototype {
+        Prototype::new(turning_function(prototype, self.samples))
+    }
+
     /// `turning_distance(shape i, prototype, samples)` for every shape,
     /// bit for bit, in corpus order.
     pub fn distances(&self, prototype: &Polygon) -> Vec<f64> {
+        self.distances_to(&self.prototype(prototype))
+    }
+
+    /// [`distances`](Self::distances) to a prototype this corpus built.
+    ///
+    /// # Panics
+    /// Panics if the prototype was resampled at another sample count.
+    pub fn distances_to(&self, prototype: &Prototype) -> Vec<f64> {
+        assert_eq!(
+            prototype.samples(),
+            self.samples,
+            "the prototype must come from this corpus"
+        );
         if self.samples == 0 {
             // No samples, no shifts: `turning_distance(_, _, 0)`.
             return vec![f64::INFINITY; self.len];
         }
-        let prototype = Prototype::new(turning_function(prototype, self.samples));
-        let mut approx = Vec::with_capacity(self.samples);
+        let mut approx = Vec::new();
         self.rows
             .chunks_exact(self.samples)
-            .map(|ta| min_shift_distance(ta, &prototype, &mut approx))
+            .zip(self.spectra.chunks_exact(prototype.fft.len()))
+            .zip(&self.sums)
+            .map(|((samples, spectrum), &sums)| {
+                let row = Row {
+                    samples,
+                    spectrum,
+                    sums,
+                };
+                min_shift_distance_row(row, prototype, &mut approx)
+            })
             .collect()
     }
 }
@@ -1004,6 +1128,88 @@ mod tests {
         assert_eq!(survivors(&approx, cut).count(), 3);
         let d = min_shift_distance(&ta, &prototype, &mut approx);
         assert_eq!(d.to_bits(), every_shift(&ta, &prototype.doubled).to_bits());
+    }
+
+    #[test]
+    fn a_stored_row_with_a_nan_refines_every_shift() {
+        // 64 samples take the cyclic transform, 65 the padded one.
+        for n in [64, 65] {
+            let shapes = [
+                Polygon::star(5, 1.0, 0.4, 0.0, 0.0).unwrap(),
+                Polygon::rectangle(0.0, 0.0, 2.0, 1.0).unwrap(),
+            ];
+            let mut corpus = TurningCorpus::build(&shapes, n);
+            corpus.rows[n + 7] = f64::NAN;
+            let fft = Fft::of(transform_len(n));
+            let m = fft.len();
+            corpus.spectra[m..2 * m].copy_from_slice(&fft.real_spectrum(&corpus.rows[n..2 * n]));
+            corpus.sums[1] = sums(&corpus.rows[n..2 * n]);
+            let prototype = corpus.prototype(&Polygon::ellipse(0.0, 0.0, 1.0, 0.6, 30).unwrap());
+            let row = Row {
+                samples: &corpus.rows[n..2 * n],
+                spectrum: &corpus.spectra[m..2 * m],
+                sums: corpus.sums[1],
+            };
+            let mut approx = Vec::new();
+            let cut = filter_row(row, &prototype, &mut approx);
+            assert_eq!(cut, None, "n {n}");
+            assert_eq!(survivors(&approx, cut).count(), n);
+            let distances = corpus.distances_to(&prototype);
+            assert_eq!(
+                distances[1].to_bits(),
+                every_shift(row.samples, &prototype.doubled).to_bits()
+            );
+            assert!(distances[0].is_finite());
+        }
+    }
+
+    /// The correlation the filter reads is within `φ_m·(Σa² + Σb²)` of
+    /// the exact one ([`correlation_error`]).
+    #[test]
+    fn correlations_stay_within_their_derived_bound() {
+        for n in [1, 2, 3, 7, 8, 9, 63, 64, 65, 128] {
+            for (a, b) in [(0, 1), (2, 3), (4, 0)] {
+                let shapes = margin_shapes(n as u64);
+                let ta = turning_function(&shapes[a], n);
+                let prototype = Prototype::new(turning_function(&shapes[b], n));
+                let fft = &prototype.fft;
+                let m = fft.len();
+                let (mut even, mut odd) = (vec![0.0; m / 2], vec![0.0; m / 2]);
+                fft.correlate(
+                    &fft.real_spectrum(&ta),
+                    &prototype.spectrum,
+                    &mut even,
+                    &mut odd,
+                );
+                let sum_sq_both = sums(&ta).1 + prototype.sum_sq;
+                let phi = correlation_error(n);
+                for shift in 0..n {
+                    let c = if shift % 2 == 0 {
+                        even[shift / 2]
+                    } else {
+                        odd[shift / 2]
+                    };
+                    // The exact correlation, to well below the bound: a
+                    // compensated (two-product, two-sum) dot product.
+                    let (mut hi, mut lo) = (0.0_f64, 0.0_f64);
+                    for (i, &x) in ta.iter().enumerate() {
+                        let y = prototype.doubled[i + shift];
+                        let p = x * y;
+                        let e = x.mul_add(y, -p);
+                        let s = hi + p;
+                        let v = s - hi;
+                        lo += (hi - (s - v)) + (p - v) + e;
+                        hi = s;
+                    }
+                    let err = (c / m as f64 - (hi + lo)).abs();
+                    assert!(
+                        err <= phi * sum_sq_both,
+                        "n {n}, shift {shift}: |ΔC| {err:e} > φS {:e}",
+                        phi * sum_sq_both
+                    );
+                }
+            }
+        }
     }
 
     /// On the cd-store corpus (`garlic::demo::cd_store`'s generator and

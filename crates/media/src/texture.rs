@@ -283,8 +283,12 @@ fn directionality(patch: &TexturePatch) -> f64 {
     ((sum_cos * sum_cos + sum_sin * sum_sin).sqrt() / sum_mag).clamp(0.0, 1.0)
 }
 
-/// Named texture prototypes for query targets ("coarse", "fine",
-/// "smooth", "rough", "directional"), analyzed from reference patches.
+/// The names [`named_texture`] resolves, in lower case; any ASCII case
+/// resolves.
+pub const TEXTURE_NAMES: [&str; 5] = ["coarse", "fine", "smooth", "rough", "directional"];
+
+/// Named texture prototypes for query targets ([`TEXTURE_NAMES`]),
+/// analyzed from reference patches.
 pub fn named_texture(name: &str) -> Option<TextureDescriptor> {
     let patch = match name.to_ascii_lowercase().as_str() {
         "coarse" => TexturePatch::grating(32, 2.0, 0.3, 0.9, 0.02, 7),
@@ -441,6 +445,9 @@ mod tests {
         let smooth = named_texture("smooth").unwrap();
         let rough = named_texture("rough").unwrap();
         assert!(named_texture("fluffy").is_none());
+        assert!(TEXTURE_NAMES
+            .iter()
+            .all(|name| named_texture(name).is_some()));
         assert!(coarse.coarseness > fine.coarseness);
         assert!(rough.contrast > smooth.contrast);
     }

@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::algorithms::{AlgoError, Cursor, TopKAlgorithm, TopKResult};
     pub use crate::engine::{Engine, EngineConfig, EngineError};
     pub use crate::optimality::OptimalityOracle;
-    pub use crate::oracle::verify_top_k;
+    pub use crate::oracle::{verify_top_k, verify_top_k_set};
     pub use crate::planner::{
         choose_plan, classify_combiner, CombinerKind, Explain, PhysicalPlan, PlanQuery, QueryStats,
         StatsBasis,

@@ -3,9 +3,13 @@
 //! The paper defines a correct answer to a top-k query as *any* set of
 //! `k` objects (with grades) such that every returned object ties or
 //! beats every object left out; ties may be broken arbitrarily.
-//! [`verify_top_k`] checks exactly that definition, so algorithms with
-//! different (but legal) tie-breaking all pass. It drains the sources
-//! completely — it is an oracle for tests, not an algorithm.
+//! [`verify_top_k_set`] checks exactly that definition — `min(k, N)`
+//! distinct objects with their true grades, none beaten by an object
+//! left out — so algorithms with different (but legal) tie-breaking all
+//! pass; it serves the plans that certify a set (NRA, the θ plans).
+//! [`verify_top_k`] also demands the ranked order every other plan
+//! promises: grades non-increasing. Both drain the sources completely —
+//! they are oracles for tests, not algorithms.
 
 use std::collections::HashMap;
 
@@ -55,6 +59,19 @@ pub enum TopKViolation {
         /// How many were required.
         expected: usize,
     },
+    /// More answers than `min(k, N)` were returned.
+    TooManyAnswers {
+        /// How many came back.
+        got: usize,
+        /// How many were allowed.
+        expected: usize,
+    },
+    /// The answer at `position` has a higher grade than the one before
+    /// it: a ranked answer lists grades non-increasing.
+    OutOfOrder {
+        /// Index of the first answer that outranks its predecessor.
+        position: usize,
+    },
     /// The same object appeared twice.
     Duplicate(Oid),
     /// Some object outside the answer set beats an answer.
@@ -79,6 +96,14 @@ impl std::fmt::Display for TopKViolation {
             TopKViolation::TooFewAnswers { got, expected } => {
                 write!(f, "got {got} answers, expected {expected}")
             }
+            TopKViolation::TooManyAnswers { got, expected } => {
+                write!(f, "got {got} answers, at most {expected} allowed")
+            }
+            TopKViolation::OutOfOrder { position } => write!(
+                f,
+                "answer {position} has a higher grade than answer {}",
+                position.saturating_sub(1)
+            ),
             TopKViolation::Duplicate(oid) => write!(f, "object {oid} returned twice"),
             TopKViolation::NotTopK {
                 better,
@@ -92,10 +117,32 @@ impl std::fmt::Display for TopKViolation {
     }
 }
 
-/// Verifies that `answers` is a valid top-`k` result for the query.
+/// Verifies that `answers` is a valid ranked top-`k` result for the
+/// query: [`verify_top_k_set`]'s checks, and grades non-increasing.
 ///
 /// Drains the sources (they are rewound before and after).
 pub fn verify_top_k(
+    sources: &mut [&mut dyn GradedSource],
+    scoring: &dyn ScoringFunction,
+    answers: &[ScoredObject<Oid>],
+    k: usize,
+) -> Result<(), TopKViolation> {
+    verify_top_k_set(sources, scoring, answers, k)?;
+    match answers
+        .windows(2)
+        .position(|pair| pair[1].grade.value() > pair[0].grade.value())
+    {
+        Some(i) => Err(TopKViolation::OutOfOrder { position: i + 1 }),
+        None => Ok(()),
+    }
+}
+
+/// Verifies that `answers`, in any order, is a valid top-`k` set for the
+/// query: exactly `min(k, N)` distinct objects, each with its true grade,
+/// none beaten by an object left out.
+///
+/// Drains the sources (they are rewound before and after).
+pub fn verify_top_k_set(
     sources: &mut [&mut dyn GradedSource],
     scoring: &dyn ScoringFunction,
     answers: &[ScoredObject<Oid>],
@@ -105,6 +152,12 @@ pub fn verify_top_k(
     let expected = k.min(truth.len());
     if answers.len() < expected {
         return Err(TopKViolation::TooFewAnswers {
+            got: answers.len(),
+            expected,
+        });
+    }
+    if answers.len() > expected {
+        return Err(TopKViolation::TooManyAnswers {
             got: answers.len(),
             expected,
         });
@@ -210,6 +263,36 @@ mod tests {
                 expected: 2
             })
         ));
+    }
+
+    #[test]
+    fn rejects_a_too_long_answer() {
+        let (mut a, mut b) = sources();
+        let mut refs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
+        let long = vec![ScoredObject::new(2, s(0.6)), ScoredObject::new(1, s(0.2))];
+        assert!(matches!(
+            verify_top_k(&mut refs, &Min, &long, 1),
+            Err(TopKViolation::TooManyAnswers {
+                got: 2,
+                expected: 1
+            })
+        ));
+        assert!(matches!(
+            verify_top_k_set(&mut refs, &Min, &long, 1),
+            Err(TopKViolation::TooManyAnswers { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_an_unsorted_answer_but_the_set_check_takes_it() {
+        let (mut a, mut b) = sources();
+        let mut refs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
+        let unsorted = vec![ScoredObject::new(1, s(0.2)), ScoredObject::new(2, s(0.6))];
+        assert_eq!(
+            verify_top_k(&mut refs, &Min, &unsorted, 2),
+            Err(TopKViolation::OutOfOrder { position: 1 })
+        );
+        assert_eq!(verify_top_k_set(&mut refs, &Min, &unsorted, 2), Ok(()));
     }
 
     #[test]

@@ -282,6 +282,7 @@ fn check(s: &Scenario) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    #[test]
     fn every_prefix_of_a_cursor_is_a_valid_top_k(s in scenario()) {
         let verdict = check(&s);
         prop_assert!(verdict.is_ok(), "{:?}: {}", s, verdict.unwrap_err());

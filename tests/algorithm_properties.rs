@@ -10,7 +10,7 @@ use fuzzymm::core::scoring::tnorms::{Lukasiewicz, Product};
 use fuzzymm::middleware::algorithms::cg_filter::CgFilter;
 use fuzzymm::middleware::algorithms::nra::NraLowerBound;
 use fuzzymm::middleware::algorithms::TopKResult;
-use fuzzymm::middleware::oracle::{all_grades, verify_top_k};
+use fuzzymm::middleware::oracle::{all_grades, verify_top_k, verify_top_k_set};
 use fuzzymm::middleware::source::GradedSource;
 use fuzzymm::prelude::*;
 
@@ -198,7 +198,7 @@ proptest! {
             .iter()
             .map(|a| ScoredObject::new(a.id, truth[&a.id]))
             .collect();
-        verify_top_k(&mut refs, &ArithmeticMean, &members, k)
+        verify_top_k_set(&mut refs, &ArithmeticMean, &members, k)
             .unwrap_or_else(|v| panic!("nra certified an invalid set: {v}"));
     }
 
