@@ -114,8 +114,16 @@ fn probe_batch(sources: &mut [impl Subsystem], oids: &[u64]) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// Rounds behind each warm-vs-memory ratio.
+/// Rounds behind each warm-vs-memory ratio in a full run.
 const REPEATS: usize = 7;
+
+/// Rounds behind each warm-vs-memory ratio in a quick run. A quick
+/// round's memory side lasts tens of microseconds, so one burst on the
+/// host can move it several-fold; with seven rounds four such bursts
+/// moved the median, and whole quick suites read `warm_probe_vs_mem`
+/// 17.5–17.9 and `warm_batch_vs_mem` 15.3 on a loud host. All the
+/// rounds together cost a few milliseconds.
+const QUICK_REPEATS: usize = 31;
 
 /// Ceiling on `warm_ta_vs_mem` (release builds): 1.25× the largest of
 /// twelve whole quick suites on a 2-core x86-64 VM (1.49–1.81) since a probe reads its page
@@ -140,7 +148,7 @@ const MAX_WARM_PROBE_VS_MEM: f64 = 17.4;
 /// with its counting pass, each page answered under one slot lock.
 const MAX_WARM_BATCH_VS_MEM: f64 = 14.8;
 
-/// One warm-vs-memory comparison over [`REPEATS`] rounds.
+/// One warm-vs-memory comparison over its rounds.
 #[derive(Clone, Copy)]
 struct WarmVsMem {
     /// Median paged time.
@@ -154,12 +162,16 @@ struct WarmVsMem {
     spread: f64,
 }
 
-/// Times `paged` and `mem` over [`REPEATS`] rounds. A round times the
+/// Times `paged` and `mem` over `rounds` rounds. A round times the
 /// paged side and the memory side back to back and takes their ratio,
 /// so a burst on the host lands on both halves of one ratio rather than
 /// on one side of the comparison.
-fn warm_vs_mem(mut paged: impl FnMut() -> f64, mut mem: impl FnMut() -> f64) -> WarmVsMem {
-    let rounds: Vec<(f64, f64)> = (0..REPEATS).map(|_| (paged(), mem())).collect();
+fn warm_vs_mem(
+    rounds: usize,
+    mut paged: impl FnMut() -> f64,
+    mut mem: impl FnMut() -> f64,
+) -> WarmVsMem {
+    let rounds: Vec<(f64, f64)> = (0..rounds).map(|_| (paged(), mem())).collect();
     let RoundRatio {
         median: ratio,
         spread,
@@ -291,8 +303,10 @@ pub fn run(cfg: &RunCfg) -> Report {
     let stores = default_stores.expect("4096 is in the sweep");
     let cursors = || stores.iter().map(PagedStore::source).collect::<Vec<_>>();
     drain(&mut cursors());
-    let scan = warm_vs_mem(|| drain(&mut cursors()), || drain(&mut sources));
+    let rounds = cfg.pick(REPEATS, QUICK_REPEATS);
+    let scan = warm_vs_mem(rounds, || drain(&mut cursors()), || drain(&mut sources));
     let ta = warm_vs_mem(
+        rounds,
         || {
             let (ms, _, answers) = ta_over_stores(&stores, k);
             assert_eq!(answers, mem_answers);
@@ -303,10 +317,12 @@ pub fn run(cfg: &RunCfg) -> Report {
     // `n` is a power of two and the stride odd: a permutation of 0..n.
     let oids: Vec<u64> = (0..n as u64).map(|i| i * 7919 % n as u64).collect();
     let probes = warm_vs_mem(
+        rounds,
         || probe(&mut cursors(), &oids),
         || probe(&mut sources, &oids),
     );
     let batch = warm_vs_mem(
+        rounds,
         || probe_batch(&mut cursors(), &oids),
         || probe_batch(&mut sources, &oids),
     );
@@ -314,7 +330,7 @@ pub fn run(cfg: &RunCfg) -> Report {
 
     let mut s = Table::new(
         format!(
-            "warm paged vs in-memory (page size 4096), medians of {REPEATS} rounds; spread = \
+            "warm paged vs in-memory (page size 4096), medians of {rounds} rounds; spread = \
              largest ÷ smallest round ratio"
         ),
         &["work", "warm paged", "in memory", "ratio", "spread"],

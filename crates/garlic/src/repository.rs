@@ -209,8 +209,12 @@ impl TableRepository {
         }
     }
 
-    /// The rows matching a crisp query, ascending.
-    fn matches(&self, query: &AtomicQuery) -> Result<Vec<Oid>, RepoError> {
+    /// The column a crisp query reads, one cell per row, and the value
+    /// it asks for.
+    fn column_and_wanted(
+        &self,
+        query: &AtomicQuery,
+    ) -> Result<(&[Option<Value>], Value), RepoError> {
         let column =
             self.columns
                 .get(&query.attribute)
@@ -228,6 +232,12 @@ impl TableRepository {
                 })
             }
         };
+        Ok((column, wanted))
+    }
+
+    /// The rows matching a crisp query, ascending.
+    fn matches(&self, query: &AtomicQuery) -> Result<Vec<Oid>, RepoError> {
+        let (column, wanted) = self.column_and_wanted(query)?;
         Ok(column
             .iter()
             .enumerate()
@@ -254,13 +264,11 @@ impl Repository for TableRepository {
     }
 
     fn source_for(&self, query: &AtomicQuery) -> Result<VecSource, RepoError> {
-        let mut grades = vec![Score::ZERO; self.universe];
-        for row in self.matches(query)? {
-            grades[row as usize] = Score::ONE;
-        }
-        Ok(VecSource::from_dense(
+        let (column, wanted) = self.column_and_wanted(query)?;
+        Ok(VecSource::from_fn(
             format!("{}:{}", self.name, query),
-            &grades,
+            column.len(),
+            |row| Score::crisp(column[row].as_ref() == Some(&wanted)),
         ))
     }
 
@@ -523,12 +531,9 @@ impl QbicRepository {
     /// the farthest object grades 0 and identical objects grade 1.
     fn source_from_distances(&self, query: &AtomicQuery, distances: &[f64]) -> VecSource {
         let dmax = distances.iter().copied().fold(0.0_f64, f64::max).max(1e-12);
-        let grades: Vec<(Oid, Score)> = distances
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (i as Oid, Score::clamped(1.0 - d / dmax)))
-            .collect();
-        VecSource::new(format!("{}:{}", self.name, query), grades)
+        VecSource::from_fn(format!("{}:{}", self.name, query), distances.len(), |i| {
+            Score::clamped(1.0 - distances[i] / dmax)
+        })
     }
 }
 

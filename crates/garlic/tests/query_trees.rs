@@ -148,46 +148,79 @@ fn bits(answers: &[fmdb_core::score::ScoredObject<Oid>]) -> Answers {
         .collect()
 }
 
+/// The random tree of `seed` on `cd_store(300, seed % 4)`: every plan
+/// answers as the tree grades, and a cursor's two batches, joined, are
+/// such an answer.
+fn plans_answer_as_the_tree_grades(seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pool: Vec<usize> = (0..rng.gen_range(1..=3usize))
+        .map(|_| rng.gen_range(0..MENU.len()))
+        .collect();
+    let query = tree(&mut rng, 3, &pool);
+    let garlic = cd_store(300, seed % 4);
+    let monotone = query.compile().unwrap().1.is_monotone();
+    let all = reference(&garlic, &query);
+    for k in [1usize, 5, 20] {
+        for choice in [
+            AlgoChoice::Auto,
+            AlgoChoice::Fa,
+            AlgoChoice::PrunedFa,
+            AlgoChoice::Ta,
+            AlgoChoice::Naive,
+        ] {
+            let got = garlic.top_k_with(&query, k, choice).unwrap();
+            let what = format!("{query} k={k} {choice:?}: {}", got.explanation);
+            prop_assert!(is_top_k(&bits(&got.answers), &all, k), "{}", what);
+            let scanned = got.plan == PlanKind::FullScan;
+            prop_assert_eq!(
+                scanned,
+                !monotone || choice == AlgoChoice::Naive,
+                "{}",
+                what
+            );
+        }
+        let ca = garlic
+            .top_k_policy(&query, k, ExecPolicy::new().algo(Algo::Ca))
+            .unwrap();
+        prop_assert!(
+            is_top_k(&bits(&ca.answers), &all, k),
+            "{} k={} CA",
+            query,
+            k
+        );
+        if monotone {
+            let mut cursor = garlic.cursor(&query).unwrap();
+            let mut stitched = bits(&cursor.next_batch(k.div_ceil(2)).unwrap().answers);
+            if k > 1 {
+                stitched.extend(bits(&cursor.next_batch(k / 2).unwrap().answers));
+            }
+            prop_assert!(is_top_k(&stitched, &all, k), "{} k={} cursor", query, k);
+        } else {
+            prop_assert!(garlic.cursor(&query).is_err(), "{}", query);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn every_plan_answers_as_the_tree_grades(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pool: Vec<usize> = (0..rng.gen_range(1..=3usize))
-            .map(|_| rng.gen_range(0..MENU.len()))
-            .collect();
-        let query = tree(&mut rng, 3, &pool);
-        let garlic = cd_store(300, seed % 4);
-        let monotone = query.compile().unwrap().1.is_monotone();
-        let all = reference(&garlic, &query);
-        for k in [1usize, 5, 20] {
-            for choice in [
-                AlgoChoice::Auto,
-                AlgoChoice::Fa,
-                AlgoChoice::PrunedFa,
-                AlgoChoice::Ta,
-                AlgoChoice::Naive,
-            ] {
-                let got = garlic.top_k_with(&query, k, choice).unwrap();
-                let what = format!("{query} k={k} {choice:?}: {}", got.explanation);
-                prop_assert!(is_top_k(&bits(&got.answers), &all, k), "{}", what);
-                let scanned = got.plan == PlanKind::FullScan;
-                prop_assert_eq!(scanned, !monotone || choice == AlgoChoice::Naive, "{}", what);
-            }
-            let ca = garlic.top_k_policy(&query, k, ExecPolicy::new().algo(Algo::Ca)).unwrap();
-            prop_assert!(is_top_k(&bits(&ca.answers), &all, k), "{} k={} CA", query, k);
-            if monotone {
-                let mut cursor = garlic.cursor(&query).unwrap();
-                let mut stitched = bits(&cursor.next_batch(k.div_ceil(2)).unwrap().answers);
-                if k > 1 {
-                    stitched.extend(bits(&cursor.next_batch(k / 2).unwrap().answers));
-                }
-                prop_assert!(is_top_k(&stitched, &all, k), "{} k={} cursor", query, k);
-            } else {
-                prop_assert!(garlic.cursor(&query).is_err(), "{}", query);
-            }
-        }
+        plans_answer_as_the_tree_grades(seed)?;
+    }
+}
+
+/// Trees that failed under other seeds than the default, each pinned.
+/// Each is max over its leaves only to rounding — `WEIGHTED[min; 0.6,
+/// 0.4](x, x)` grades `0.2x + 0.8x`, an ulp off `x` — and max-merge
+/// answered with a list's grade instead of the tree's: over one leaf
+/// (813773, 645791, 554427, 868963), and over two, for an object one
+/// list had not revealed (987851, 140748).
+#[test]
+fn pinned_trees_answer_as_the_tree_grades() {
+    for seed in [813773, 645791, 554427, 868963, 987851, 140748] {
+        plans_answer_as_the_tree_grades(seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 

@@ -1,12 +1,14 @@
-//! Property suite: the doubled-buffer, multi-shift turning kernel is
-//! bit-identical to the loop it replaced.
+//! Property suite: the turning kernel — an FFT correlation that
+//! estimates every shift's error, then the exact error of only the
+//! shifts near the best estimate — is bit-identical to the loop it
+//! replaced.
 //!
 //! [`reference_turning_distance`] below *is* that loop, moved here
 //! verbatim from `shape.rs` (one shift at a time, `(i + shift) % n`
 //! indexing); it is the oracle, not a second implementation to keep in
 //! step. Both [`turning_distance`] and [`TurningCorpus::distances`]
 //! must match it `to_bits()` for `to_bits()`, across sample counts that
-//! exercise the kernel's full lanes, its remainder path and both.
+//! take each of the filter's two transforms.
 
 use proptest::prelude::*;
 
@@ -35,8 +37,10 @@ fn reference_turning_distance(a: &Polygon, b: &Polygon, n: usize) -> f64 {
     best.max(0.0).sqrt()
 }
 
-/// Sample counts around the kernel's lane width (8): below it, exact
-/// multiples, one over, one under.
+/// Sample counts for both of the filter's transforms: a power of two
+/// (2, 8, 64) correlates cyclically at `n` points; any other count (1,
+/// 7, 9, 63, 65) through a zero-padded transform of at least `2n`
+/// points. 8 and 64 have a neighbour on either side.
 const SAMPLES: [usize; 8] = [1, 2, 7, 8, 9, 63, 64, 65];
 
 /// A deterministic stream of uniform `[0, 1)` draws.

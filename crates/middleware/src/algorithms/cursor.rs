@@ -157,7 +157,11 @@ impl Cursor {
             }
             (Run::Book(book), None) if plan == PhysicalPlan::MaxMerge => {
                 max_merge::deepen(book, sources, depth, target)?;
-                finalize(fresh(max_merge::observed(book)), k, book.frontier.stats)
+                finalize(
+                    fresh(max_merge::observed(book, scoring)),
+                    k,
+                    book.frontier.stats,
+                )
             }
             (Run::Book(book), None) => {
                 let combined = fresh(naive::scan(book, sources, scoring)?);

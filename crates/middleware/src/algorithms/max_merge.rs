@@ -7,7 +7,10 @@
 //!
 //! The algorithm: take the top `k` of each list under sorted access
 //! (`m·k` accesses) and return the best `k` of those candidates by
-//! their best observed grade.
+//! their best observed grade — computed as `t` of the candidate's
+//! grades with 0 where a list did not reveal it, which under max is the
+//! same and under a function that is max only to rounding is that
+//! function's grade.
 //!
 //! Why the observed grades are exact for the returned objects: suppose a
 //! returned object `z` had a higher grade in some list `j` where it
@@ -45,7 +48,11 @@ impl TopKAlgorithm for MaxMerge {
         max_like(scoring, sources.len())?;
         let mut book = Book::open(sources);
         deepen(&mut book, sources, 0, k)?;
-        Ok(finalize(observed(&book), k, book.frontier.stats))
+        Ok(finalize(
+            observed(&mut book, scoring),
+            k,
+            book.frontier.stats,
+        ))
     }
 }
 
@@ -82,13 +89,19 @@ pub(crate) fn deepen(
     Ok(())
 }
 
-/// Every row's best observed grade, in row order.
-pub(crate) fn observed(book: &Book) -> Vec<ScoredObject<Oid>> {
-    let table = &book.table;
+/// Every row's grade, in row order: `scoring` of its fields, 0 in each
+/// field no list has revealed. Under max that is the best observed
+/// grade. A function that is max only to rounding (`WEIGHTED[min; 0.6,
+/// 0.4](x, x)` grades `0.2x + 0.8x`, an ulp off `x`) gets its own grade
+/// rather than a list's: exactly where every list revealed the row, and
+/// where one did not, with the fields it did not reveal — each at most
+/// the best observed grade, by the argument above — read as 0.
+pub(crate) fn observed(book: &mut Book, scoring: &dyn ScoringFunction) -> Vec<ScoredObject<Oid>> {
+    let table = &mut book.table;
     (0..table.len())
         .map(|row| {
-            let observed = table.fields(row).iter().flatten();
-            ScoredObject::new(table.oid(row), observed.fold(Score::ZERO, |a, &g| a.max(g)))
+            let grade = table.bound(row, |_| Score::ZERO, scoring);
+            ScoredObject::new(table.oid(row), grade)
         })
         .collect()
 }
@@ -162,6 +175,45 @@ mod tests {
         let r = MaxMerge.top_k(&mut srcs, &ConormScoring(Max), 2).unwrap();
         assert_eq!(r.answers[0], ScoredObject::new(2, s(0.95)));
         assert_eq!(r.answers[1], ScoredObject::new(0, s(0.9)));
+    }
+
+    /// Max at arity 1 only to rounding, as a one-leaf query tree may be:
+    /// `0.2x + 0.8x`, which is not always `x`.
+    #[derive(Debug)]
+    struct NearlyIdentity;
+
+    impl ScoringFunction for NearlyIdentity {
+        fn name(&self) -> String {
+            "0.2x + 0.8x".to_owned()
+        }
+        fn combine(&self, scores: &[Score]) -> Score {
+            let x = scores[0].value();
+            Score::clamped(0.2 * x + 0.8 * x)
+        }
+        fn is_strict(&self) -> bool {
+            true
+        }
+    }
+
+    /// One list holds every argument of every candidate, so each answer
+    /// carries the function's grade, bit for bit, not the list's.
+    #[test]
+    fn a_function_max_only_to_rounding_grades_exactly() {
+        let grades: Vec<Score> = (0..200).map(|i| s(1.0 - f64::from(i) / 199.0)).collect();
+        let want: Vec<Score> = grades
+            .iter()
+            .map(|&g| NearlyIdentity.combine(&[g]))
+            .collect();
+        assert!(
+            grades.iter().zip(&want).any(|(g, w)| g != w),
+            "some grade must round off"
+        );
+        let mut list = VecSource::from_dense("x", &grades);
+        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut list];
+        let r = MaxMerge.top_k(&mut srcs, &NearlyIdentity, 50).unwrap();
+        for answer in &r.answers {
+            assert_eq!(answer.grade, want[answer.id as usize], "oid {}", answer.id);
+        }
     }
 
     #[test]

@@ -274,6 +274,13 @@ impl OidIndex {
         OidIndex(pairs.into())
     }
 
+    /// The dense list over `0..n`, object `i` graded `grade(i)`: the
+    /// pairs are ascending by construction and written once, straight
+    /// into the shared array.
+    pub(crate) fn dense(n: usize, mut grade: impl FnMut(usize) -> Score) -> OidIndex {
+        OidIndex((0..n).map(|i| (i as Oid, grade(i))).collect())
+    }
+
     /// The pairs, ascending by oid.
     pub(crate) fn entries(&self) -> &[(Oid, Score)] {
         &self.0
@@ -302,18 +309,65 @@ impl OidIndex {
 
     /// The sorted-access half: the same pairs by descending grade,
     /// ties by ascending oid.
+    ///
+    /// A distribution sort, linear when the grades spread over their
+    /// range. Each pair goes to one of N buckets by where its grade
+    /// lies between the largest and the smallest, bucket 0 holding the
+    /// largest; then each bucket is sorted by (grade desc, oid asc). A
+    /// grade's bucket never rises as the grade falls — the subtraction,
+    /// the product and the truncation each round monotonically — so
+    /// equal grades share a bucket and the buckets, each sorted, read
+    /// in exactly that order. Grades crowded into a few buckets cost a
+    /// comparison sort of those buckets, never more than one of the
+    /// whole list; a bucket already in order (one grade, its oids
+    /// ascending as they arrived) is read once.
     pub(crate) fn sorted_stream(&self) -> Vec<ScoredObject<Oid>> {
-        let mut sorted: Vec<ScoredObject<Oid>> = self
-            .0
+        let pairs = self.entries();
+        let buckets = pairs.len().min(u32::MAX as usize);
+        let (lo, hi) = pairs.iter().fold((1.0_f64, 0.0_f64), |(lo, hi), &(_, g)| {
+            (lo.min(g.value()), hi.max(g.value()))
+        });
+        // Not finite when every grade is equal, or the grades lie so
+        // few subnormal steps apart that the reciprocal overflows: one
+        // bucket then.
+        let scale = match buckets as f64 / (hi - lo) {
+            scale if scale.is_finite() => scale,
+            _ => 0.0,
+        };
+        let mut sorted = vec![ScoredObject::new(0, Score::ZERO); pairs.len()];
+        let last = buckets.saturating_sub(1) as u32;
+        let bucket: Vec<u32> = pairs
             .iter()
-            .map(|&(oid, grade)| ScoredObject::new(oid, grade))
+            .map(|&(_, g)| (((hi - g.value()) * scale) as u32).min(last))
             .collect();
-        // Every oid occurs once, so (grade, oid) is a unique key and
-        // an unstable sort has no equal elements to reorder: it gives
-        // exactly the order a stable one would.
-        sorted.sort_unstable_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
+        let mut next = vec![0_usize; buckets];
+        for &b in &bucket {
+            next[b as usize] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            (*slot, at) = (at, at + *slot);
+        }
+        for (&(oid, grade), &b) in pairs.iter().zip(&bucket) {
+            let slot = &mut next[b as usize];
+            sorted[*slot] = ScoredObject::new(oid, grade);
+            *slot += 1;
+        }
+        // Each `next[b]` is now where bucket b ends and b + 1 begins.
+        let mut start = 0;
+        for end in next {
+            sorted[start..end].sort_unstable_by(by_grade_then_oid);
+            start = end;
+        }
         sorted
     }
+}
+
+/// The order of sorted access: descending grade, ties by ascending
+/// oid. Every oid of a list occurs once, so this is a total order on
+/// its entries and an unstable sort by it has nothing to reorder.
+fn by_grade_then_oid(a: &ScoredObject<Oid>, b: &ScoredObject<Oid>) -> std::cmp::Ordering {
+    b.grade.cmp(&a.grade).then(a.id.cmp(&b.id))
 }
 
 /// An in-memory [`Subsystem`] over an explicit grade assignment.
@@ -344,7 +398,11 @@ impl VecSource {
     /// random access but are **not** streamed by sorted access; use
     /// [`VecSource::from_dense`] when every object should be streamed.
     pub fn new(label: impl Into<String>, grades: Vec<(Oid, Score)>) -> VecSource {
-        let by_oid = OidIndex::new(grades);
+        VecSource::indexed(label, OidIndex::new(grades))
+    }
+
+    /// The source over `by_oid`, its sorted half derived from it.
+    fn indexed(label: impl Into<String>, by_oid: OidIndex) -> VecSource {
         VecSource {
             label: label.into(),
             sorted: by_oid.sorted_stream(),
@@ -356,14 +414,18 @@ impl VecSource {
     /// Builds a source grading the dense universe `0..grades.len()`,
     /// object `i` getting `grades[i]`.
     pub fn from_dense(label: impl Into<String>, grades: &[Score]) -> VecSource {
-        VecSource::new(
-            label,
-            grades
-                .iter()
-                .enumerate()
-                .map(|(i, &g)| (i as Oid, g))
-                .collect(),
-        )
+        VecSource::from_fn(label, grades.len(), |i| grades[i])
+    }
+
+    /// Builds a source grading the dense universe `0..n`, object `i`
+    /// getting `grade(i)`: the list is written once, in oid order, with
+    /// no pairs to normalise.
+    pub fn from_fn(
+        label: impl Into<String>,
+        n: usize,
+        grade: impl FnMut(usize) -> Score,
+    ) -> VecSource {
+        VecSource::indexed(label, OidIndex::dense(n, grade))
     }
 
     /// Builds a source from a [`fmdb_core::graded_set::GradedSet`] over oids — the natural
@@ -691,8 +753,8 @@ impl<S: Subsystem> Subsystem for ValidatingSource<S> {
 #[cfg(test)]
 mod tests {
     use super::{
-        CountingSource, Oid, Score, ScoredObject, SourceError, SourceInfo, SourceViolation,
-        Subsystem, ValidatingSource, VecSource,
+        CountingSource, Oid, OidIndex, Score, ScoredObject, SourceError, SourceInfo,
+        SourceViolation, Subsystem, ValidatingSource, VecSource,
     };
     use fmdb_core::stats::GradeHistogram;
 
@@ -1159,6 +1221,153 @@ mod tests {
             let mut want = hash_model::HashSource::new("t", pairs);
             assert_observably_equal(&mut got, &mut want, &probes, bound)?;
             prop_assert_eq!(got.max_oid(), want.by_oid.keys().copied().max());
+        }
+    }
+
+    /// The comparison sort [`OidIndex::sorted_stream`] replaced, kept
+    /// as the oracle of its order.
+    fn comparison_sorted(index: &OidIndex) -> Vec<ScoredObject<Oid>> {
+        let mut sorted: Vec<ScoredObject<Oid>> = index
+            .entries()
+            .iter()
+            .map(|&(oid, grade)| ScoredObject::new(oid, grade))
+            .collect();
+        sorted.sort_unstable_by(|a, b| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id)));
+        sorted
+    }
+
+    /// Each entry's oid and grade bits, so streams compare bit for bit.
+    fn bits(stream: &[ScoredObject<Oid>]) -> Vec<(Oid, u64)> {
+        stream
+            .iter()
+            .map(|so| (so.id, so.grade.value().to_bits()))
+            .collect()
+    }
+
+    /// `pairs` through the normalisation, streamed both ways.
+    fn sorts_like_the_oracle(pairs: Vec<(Oid, Score)>) -> Result<(), TestCaseError> {
+        let index = OidIndex::new(pairs);
+        let got = index.sorted_stream();
+        prop_assert_eq!(bits(&got), bits(&comparison_sorted(&index)));
+        Ok(())
+    }
+
+    /// The grade `ulps` steps below 1.
+    fn below_one(ulps: u64) -> Score {
+        Score::clamped(f64::from_bits(1.0_f64.to_bits() - ulps))
+    }
+
+    /// A subnormal grade: `ulps` steps above 0.
+    fn subnormal(ulps: u64) -> Score {
+        Score::clamped(f64::from_bits(ulps))
+    }
+
+    /// The inputs that meet the sort's edges: lengths around 0, 1 and
+    /// the standard library's insertion-sort cutoff (20) inside one
+    /// bucket; one grade throughout; crisp lists; everything within a
+    /// few ulps of 1 beside one 0; exact 0 and 1; subnormals, alone and
+    /// beside 1; sparse oids up to `u64::MAX`; and 65 536 entries.
+    #[test]
+    fn the_distribution_sort_orders_like_the_comparison_sort() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut uniform = || Score::clamped((next() >> 11) as f64 / (1_u64 << 53) as f64);
+        let dense = |grades: Vec<Score>| (0..).zip(grades).collect::<Vec<(Oid, Score)>>();
+        let mut lists: Vec<Vec<(Oid, Score)>> = Vec::new();
+        for n in [0, 1, 2, 3, 19, 20, 21, 22] {
+            lists.push(dense((0..n).map(|_| uniform()).collect()));
+            lists.push(dense(vec![Score::HALF; n]));
+            lists.push(dense((0..n).map(|i| Score::crisp(i % 3 == 1)).collect()));
+            // One grade at 0 sends every other into the first bucket.
+            let crowded = (0..n).map(|i| {
+                if i == n / 2 {
+                    Score::ZERO
+                } else {
+                    below_one(i as u64 % 5)
+                }
+            });
+            lists.push(dense(crowded.collect()));
+        }
+        lists.push(dense(
+            (0..200).map(|i| Score::crisp((i * 7919) % 5 < 2)).collect(),
+        ));
+        lists.push(dense(vec![Score::ZERO; 64]));
+        lists.push(dense(vec![Score::ONE; 64]));
+        let ends = (0..100).map(|i| [Score::ZERO, Score::ONE, Score::HALF, below_one(1)][i % 4]);
+        lists.push(dense(ends.collect()));
+        lists.push(dense((0..100).map(|i| subnormal(i % 7)).collect()));
+        lists.push(dense(
+            (0..100)
+                .map(|i| {
+                    if i % 10 == 0 {
+                        Score::ONE
+                    } else {
+                        subnormal(i % 7 + 1)
+                    }
+                })
+                .collect(),
+        ));
+        let sparse = [u64::MAX, 0, 1 << 40, u64::MAX - 1, 17, 3_000_000_000, 5];
+        lists.push(sparse.iter().map(|&oid| (oid, uniform())).collect());
+        lists.push(
+            sparse
+                .iter()
+                .map(|&oid| (oid, Score::crisp(oid % 2 == 1)))
+                .collect(),
+        );
+        lists.push(dense((0..1 << 16).map(|_| uniform()).collect()));
+        lists.push(dense(
+            (0..1 << 16).map(|i| Score::crisp(i % 3 == 0)).collect(),
+        ));
+        let squared = (0..1 << 16).map(|_| Score::clamped(uniform().value().powi(2)));
+        lists.push(dense(squared.collect()));
+        for pairs in lists {
+            let len = pairs.len();
+            sorts_like_the_oracle(pairs).unwrap_or_else(|e| panic!("{len} pairs: {e}"));
+        }
+    }
+
+    /// Grades of one kind: uniform over [0, 1], five levels, crisp,
+    /// within a few ulps of 1 (beside 0 or not), or subnormal.
+    fn grades_of(kind: u8) -> BoxedStrategy<Score> {
+        match kind {
+            0 => (0.0..=1.0_f64).prop_map(Score::clamped).boxed(),
+            1 => (0u8..5)
+                .prop_map(|l| Score::clamped(f64::from(l) / 4.0))
+                .boxed(),
+            2 => (0u8..2).prop_map(|b| Score::crisp(b == 1)).boxed(),
+            3 => (0u64..6).prop_map(below_one).boxed(),
+            4 => prop_oneof![(0u64..6).prop_map(below_one), Just(Score::ZERO)].boxed(),
+            _ => prop_oneof![(0u64..6).prop_map(subnormal), Just(Score::ONE)].boxed(),
+        }
+    }
+
+    /// Lists of one grade kind, up to 300 long, over dense or sparse
+    /// oids (`u64::MAX` among them, duplicates kept last).
+    fn sortable_pairs() -> impl Strategy<Value = Vec<(Oid, Score)>> {
+        (0u8..6, 0u8..2).prop_flat_map(|(kind, sparse)| {
+            if sparse == 0 {
+                proptest::collection::vec(grades_of(kind), 0..300)
+                    .prop_map(|grades| (0..).zip(grades).collect())
+                    .boxed()
+            } else {
+                let oid = prop_oneof![0u64..400, 0u64..4_000_000_000, Just(u64::MAX)];
+                proptest::collection::vec((oid, grades_of(kind)), 0..300).boxed()
+            }
+        })
+    }
+
+    proptest! {
+        /// The distribution sort against the comparison sort it
+        /// replaced, on lists of every grade kind.
+        #[test]
+        fn sorted_stream_matches_the_comparison_sort(pairs in sortable_pairs()) {
+            sorts_like_the_oracle(pairs)?;
         }
     }
 }
