@@ -7,15 +7,19 @@
 //! source-construction latency changes.
 //!
 //! It also says where an atom's time goes once the kernel is cheap:
-//! `kernel_us` is `EmbeddedCorpus::distances` alone, `bind_us` the
-//! whole `Catalog::source_for` of the same colour atom around it
-//! (kernel + distance → grade + building the graded list), and
-//! `bind_vs_kernel` their ratio — what the middleware spends per unit
-//! of grading. `shape_kernel_us` / `shape_bind_us` are the same pair
-//! for a `Shape` atom (`TurningCorpus::distances`, the turning kernel),
-//! and `shape_vs_color_bind` says how many colour atoms one shape atom
-//! costs. Each ratio is the median of interleaved rounds, its spread
-//! (largest ÷ smallest round) beside it.
+//! `kernel_us` is `EmbeddedCorpus::distances` alone (the tiled kernel,
+//! four objects a pass), `row_kernel_us` the per-object scan it
+//! replaced — [`euclidean`] over a row-major copy of the same
+//! coordinates — and `lanes_vs_rows` their ratio. `bind_us` is the
+//! whole `Catalog::source_for` of the same colour atom (kernel +
+//! distance → grade + building the graded list), and
+//! `shape_kernel_us` / `shape_bind_us` the same pair for a `Shape`
+//! atom (`TurningCorpus::distances`, the turning kernel). The bind
+//! ratios are taken in units of the row scan, which no kernel change
+//! moves: `bind_vs_row_kernel` is what a colour bind costs, and
+//! `shape_bind_vs_row_kernel` what a shape bind costs. Each ratio is
+//! the median of interleaved rounds, its spread (largest ÷ smallest
+//! round) beside it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,7 +30,7 @@ use fmdb_core::scoring::tnorms::Min;
 use fmdb_garlic::catalog::Catalog;
 use fmdb_garlic::repository::QbicRepository;
 use fmdb_media::distance::{HistogramDistance, QuadraticFormDistance};
-use fmdb_media::embed::{EmbeddedCorpus, EmbeddedSpace};
+use fmdb_media::embed::{euclidean, EmbeddedCorpus, EmbeddedSpace};
 use fmdb_media::shape::TurningCorpus;
 use fmdb_media::synth::{SynthConfig, SyntheticDb};
 use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
@@ -37,7 +41,7 @@ use crate::report::{f3, Bound, Report, Table};
 use crate::runners::{fastest_us, median, run_algo, RoundRatio, RunCfg};
 
 /// Interleaved rounds behind each ratio in a full run: a round takes
-/// the four floors below back to back, so a burst on the host lands on
+/// the five floors below back to back, so a burst on the host lands on
 /// one round, not on one side of a ratio.
 const ROUNDS: usize = 7;
 
@@ -46,8 +50,8 @@ const ROUNDS: usize = 7;
 /// read `shape_vs_color_bind` 17.5 where the rest read 12.7–13.9.
 const QUICK_ROUNDS: usize = 21;
 
-/// Repetitions behind each colour floor (`kernel_us` / `bind_us`) of a
-/// round.
+/// Repetitions behind each colour floor (`kernel_us` / `row_kernel_us`
+/// / `bind_us`) of a round.
 const BIND_REPS: usize = 30;
 
 /// Repetitions behind each shape floor of a round.
@@ -56,37 +60,45 @@ const SHAPE_REPS: usize = 10;
 /// Turning-function samples, as `QbicRepository` resamples its shapes.
 const TURNING_SAMPLES: usize = 64;
 
-/// Ceiling on `shape_vs_color_bind` (release builds): 1.25× the
-/// largest of seven whole quick suites on a 2-core x86-64 VM
-/// (10.1–12.3) since the turning kernel's shift filter correlates
-/// through spectra stored with the corpus. With one multiply-add
-/// correlation pass per row it read 17.5–20.6 (13.1–20.2 interleaved
-/// with these suites), and while it computed the exact error of every
-/// shift, 39.1–51.0.
-const MAX_SHAPE_VS_COLOR_BIND: f64 = 15.4;
+/// Ceiling on `lanes_vs_rows` (release builds): 1.25× the largest of
+/// seven whole quick suites on a 2-core x86-64 VM (0.605–0.669). A
+/// tile kernel that stops running its lanes side by side reads ≈ 1.
+const MAX_LANES_VS_ROWS: f64 = 0.84;
 
-/// Ceiling on `bind_vs_kernel` (release builds): 1.25× the largest of
-/// seven whole quick suites on a 2-core x86-64 VM (1.35–1.42) since a
-/// graded list is put in order by a distribution sort. In the same
-/// suites, alternated, it read 1.70–1.86 while that was a comparison
-/// sort, and 6–8 while `Catalog::source_for` hashed, sorted, drained
-/// and re-hashed every list.
-const MAX_BIND_VS_KERNEL: f64 = 1.78;
+/// Ceiling on `bind_vs_row_kernel` (release builds): 1.25× the largest
+/// of seven whole quick suites on a 2-core x86-64 VM (0.971–1.104). It
+/// succeeds `bind_vs_kernel` (colour bind ÷ colour kernel, ≤ 1.78),
+/// which read 1.35–1.42 once a graded list was put in order by a
+/// distribution sort, 1.70–1.86 while that was a comparison sort, and
+/// 6–8 while `Catalog::source_for` hashed, sorted, drained and
+/// re-hashed every list.
+const MAX_BIND_VS_ROW_KERNEL: f64 = 1.38;
+
+/// Ceiling on `shape_bind_vs_row_kernel` (release builds): 1.25× the
+/// largest of seven whole quick suites on a 2-core x86-64 VM
+/// (19.1–21.5). It succeeds `shape_vs_color_bind` (shape bind ÷
+/// colour bind, ≤ 15.4), which read 10.1–12.3 since the turning
+/// kernel's shift filter correlates through spectra stored with the
+/// corpus, 17.5–20.6 with one multiply-add correlation pass per row,
+/// and 39.1–51.0 while it computed the exact error of every shift.
+const MAX_SHAPE_BIND_VS_ROW_KERNEL: f64 = 26.9;
 
 /// One round's floors, µs: colour kernel, colour bind, shape kernel,
-/// shape bind.
-type Round = [f64; 4];
+/// shape bind, row-major colour scan.
+type Round = [f64; 5];
 
 /// Where one atom's time goes, at one corpus size: median floors and
-/// the two ratios.
+/// the three ratios.
 #[derive(Clone, Copy)]
 struct BindSplit {
     kernel_us: f64,
     bind_us: f64,
     shape_kernel_us: f64,
     shape_bind_us: f64,
-    bind_vs_kernel: RoundRatio,
-    shape_vs_color_bind: RoundRatio,
+    row_kernel_us: f64,
+    lanes_vs_rows: RoundRatio,
+    bind_vs_row_kernel: RoundRatio,
+    shape_bind_vs_row_kernel: RoundRatio,
 }
 
 impl BindSplit {
@@ -97,8 +109,10 @@ impl BindSplit {
             bind_us: column(1),
             shape_kernel_us: column(2),
             shape_bind_us: column(3),
-            bind_vs_kernel: RoundRatio::of(rounds.iter().map(|r| (r[1], r[0]))),
-            shape_vs_color_bind: RoundRatio::of(rounds.iter().map(|r| (r[3], r[1]))),
+            row_kernel_us: column(4),
+            lanes_vs_rows: RoundRatio::of(rounds.iter().map(|r| (r[0], r[4]))),
+            bind_vs_row_kernel: RoundRatio::of(rounds.iter().map(|r| (r[1], r[4]))),
+            shape_bind_vs_row_kernel: RoundRatio::of(rounds.iter().map(|r| (r[3], r[4]))),
         }
     }
 }
@@ -140,11 +154,13 @@ pub fn run(cfg: &RunCfg) -> Report {
             "grading speedup",
             "answers equal",
             "kernel µs",
+            "row kernel µs",
+            "lanes/rows",
             "bind µs",
-            "bind/kernel",
+            "bind/row kernel",
             "shape kernel µs",
             "shape bind µs",
-            "shape/colour bind",
+            "shape bind/row kernel",
         ],
     );
     // Published from the last (largest) corpus of the sweep.
@@ -219,6 +235,16 @@ pub fn run(cfg: &RunCfg) -> Report {
         catalog
             .register(Box::new(QbicRepository::new("qbic", db)))
             .expect("fresh catalog accepts qbic");
+        // The per-object scan the tiles replaced, over a row-major
+        // copy of the same coordinates.
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let mut row = vec![0.0; corpus.k()];
+                corpus.embedded_into(i, &mut row);
+                row
+            })
+            .collect();
+        let query = corpus.space().embed(&hists[0]).expect("same space");
         let color_atom = AtomicQuery::new("Color", Target::Similar("#0".into()));
         let shape_atom = AtomicQuery::new("Shape", Target::Similar("#0".into()));
         let rounds: Vec<Round> = (0..round_count)
@@ -234,6 +260,11 @@ pub fn run(cfg: &RunCfg) -> Report {
                     fastest_us(SHAPE_REPS, || {
                         catalog.source_for(&shape_atom).expect("atom binds")
                     }),
+                    fastest_us(BIND_REPS, || {
+                        rows.iter()
+                            .map(|row| euclidean(&query, row))
+                            .collect::<Vec<f64>>()
+                    }),
                 ]
             })
             .collect();
@@ -248,11 +279,13 @@ pub fn run(cfg: &RunCfg) -> Report {
             f3(qf_s / embed_s.max(1e-12)),
             all_equal.to_string(),
             f3(split.kernel_us),
+            f3(split.row_kernel_us),
+            f3(split.lanes_vs_rows.median),
             f3(split.bind_us),
-            f3(split.bind_vs_kernel.median),
+            f3(split.bind_vs_row_kernel.median),
             f3(split.shape_kernel_us),
             f3(split.shape_bind_us),
-            f3(split.shape_vs_color_bind.median),
+            f3(split.shape_bind_vs_row_kernel.median),
         ]);
     }
     report.table(t);
@@ -261,20 +294,35 @@ pub fn run(cfg: &RunCfg) -> Report {
     let spread = "the largest round ratio is below the smallest; look at `RoundRatio::of` in `runners` first";
     report
         .gated("kernel_us", split.kernel_us, Bound::Positive, timed)
-        .gated("bind_us", split.bind_us, Bound::Positive, timed)
+        .gated("row_kernel_us", split.row_kernel_us, Bound::Positive, timed)
         .gated(
-            "bind_vs_kernel",
-            split.bind_vs_kernel.median,
-            Bound::PositiveAtMost(MAX_BIND_VS_KERNEL),
-            "`Catalog::source_for` costs more colour kernels than it did once a graded \
-             list was put in order in linear time; look at `OidIndex::sorted_stream` in \
-             `middleware::source` (a comparison sort back on the bind path?) and for a \
-             second build or a hash table between `Repository::source_for` and \
-             `BoundAtom` first",
+            "lanes_vs_rows",
+            split.lanes_vs_rows.median,
+            Bound::PositiveAtMost(MAX_LANES_VS_ROWS),
+            "`EmbeddedCorpus::distances` is no longer well below the per-object scan it \
+             replaced; look at `squared_block_tile` in `media::embed` first (did its lane \
+             loop stop vectorising, or the query stop being broadcast once a scan?)",
         )
         .gated(
-            "bind_vs_kernel_spread",
-            split.bind_vs_kernel.spread,
+            "lanes_vs_rows_spread",
+            split.lanes_vs_rows.spread,
+            Bound::AtLeast(1.0),
+            spread,
+        )
+        .gated("bind_us", split.bind_us, Bound::Positive, timed)
+        .gated(
+            "bind_vs_row_kernel",
+            split.bind_vs_row_kernel.median,
+            Bound::PositiveAtMost(MAX_BIND_VS_ROW_KERNEL),
+            "`Catalog::source_for` costs more per-object colour scans than it did once a \
+             graded list was put in order in linear time and the kernel ran in tiles; look \
+             at `OidIndex::sorted_stream` in `middleware::source` (a comparison sort back \
+             on the bind path?), for a second build or a hash table between \
+             `Repository::source_for` and `BoundAtom`, and at `lanes_vs_rows` first",
+        )
+        .gated(
+            "bind_vs_row_kernel_spread",
+            split.bind_vs_row_kernel.spread,
             Bound::AtLeast(1.0),
             spread,
         )
@@ -286,16 +334,16 @@ pub fn run(cfg: &RunCfg) -> Report {
         )
         .gated("shape_bind_us", split.shape_bind_us, Bound::Positive, timed)
         .gated(
-            "shape_vs_color_bind",
-            split.shape_vs_color_bind.median,
-            Bound::PositiveAtMost(MAX_SHAPE_VS_COLOR_BIND),
-            "a `Shape` atom costs more colour atoms than it did once the turning kernel \
-             correlated through stored spectra; look at `filter_row` in `media::shape` \
-             and `Fft::correlate` in `media::fft` first",
+            "shape_bind_vs_row_kernel",
+            split.shape_bind_vs_row_kernel.median,
+            Bound::PositiveAtMost(MAX_SHAPE_BIND_VS_ROW_KERNEL),
+            "a `Shape` atom costs more per-object colour scans than it did once the turning \
+             kernel correlated through stored spectra; look at `filter_row` in \
+             `media::shape` and `Fft::correlate` in `media::fft` first",
         )
         .gated(
-            "shape_vs_color_bind_spread",
-            split.shape_vs_color_bind.spread,
+            "shape_bind_vs_row_kernel_spread",
+            split.shape_bind_vs_row_kernel.spread,
             Bound::AtLeast(1.0),
             spread,
         );
@@ -307,9 +355,11 @@ pub fn run(cfg: &RunCfg) -> Report {
          embedding amortizes after a single query.",
     );
     report.note(format!(
-        "kernel / bind are medians over {round_count} interleaved rounds of the floors of 30 \
-         repetitions of one `Color ~ '#0'` atom: `EmbeddedCorpus::distances` alone, and \
-         `Catalog::source_for` around it; shape kernel / shape bind the same for \
+        "kernel / row kernel / bind are medians over {round_count} interleaved rounds of the \
+         floors of 30 repetitions of one `Color ~ '#0'` atom: `EmbeddedCorpus::distances` \
+         alone (four objects a pass, bit-equal to the per-object kernel), `euclidean` over a \
+         row-major copy of the same coordinates (the scan the tiles replaced), and \
+         `Catalog::source_for` around the tiled kernel; shape kernel / shape bind the same for \
          `Shape ~ '#0'` (`TurningCorpus::distances`, 10 repetitions a round). What bind adds \
          to the kernel is the distance→grade pass and one distribution sort of the list — \
          no hash table, no id translation under an identity mapping, one build (DESIGN §17)."

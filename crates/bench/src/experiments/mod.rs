@@ -68,7 +68,7 @@ mod tests {
 
     /// Gates that read a wall-clock ceiling: an unoptimized build may
     /// sit above them, so only the release run of CI holds them to it.
-    const WALL_CLOCK_CEILINGS: [&str; 10] = [
+    const WALL_CLOCK_CEILINGS: [&str; 11] = [
         "warm_ta_vs_mem",
         "warm_probe_vs_mem",
         "warm_batch_vs_mem",
@@ -77,8 +77,9 @@ mod tests {
         "ca_vs_ta_ns_per_access",
         "naive_vs_ta_ns_per_access",
         "engine_vs_scalar_many8",
-        "bind_vs_kernel",
-        "shape_vs_color_bind",
+        "lanes_vs_rows",
+        "bind_vs_row_kernel",
+        "shape_bind_vs_row_kernel",
     ];
 
     /// Every gated metric of the suite (families of per-cell metrics by
@@ -122,13 +123,16 @@ mod tests {
             "E20",
             &[
                 "kernel_us",
+                "row_kernel_us",
+                "lanes_vs_rows",
+                "lanes_vs_rows_spread",
                 "bind_us",
-                "bind_vs_kernel",
-                "bind_vs_kernel_spread",
+                "bind_vs_row_kernel",
+                "bind_vs_row_kernel_spread",
                 "shape_kernel_us",
                 "shape_bind_us",
-                "shape_vs_color_bind",
-                "shape_vs_color_bind_spread",
+                "shape_bind_vs_row_kernel",
+                "shape_bind_vs_row_kernel_spread",
             ],
         ),
         ("E22", &["opt_ratio_*"]),

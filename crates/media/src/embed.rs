@@ -26,10 +26,13 @@
 //! squared distances by at most `ε·‖z‖²`.
 //!
 //! [`EmbeddedCorpus`] carries the idea to whole databases: a flat
-//! structure-of-arrays column store of pre-embedded coordinates with a
-//! batched kNN scan that (1) skips whole blocks via per-block
-//! coordinate **zone maps** (the distance from the query to a block's
-//! bounding box lower-bounds every member's distance), then
+//! structure-of-arrays column store of pre-embedded coordinates, held
+//! in tiles of four objects so that grading the whole corpus
+//! ([`EmbeddedCorpus::distances`]) runs four objects per instruction,
+//! bit-equal to the per-object kernel, with a batched kNN scan that
+//! (1) skips whole blocks via per-block coordinate **zone maps** (the
+//! distance from the query to a block's bounding box lower-bounds
+//! every member's distance), then
 //! (2) **early-abandons** the running squared sum against the current
 //! k-th best distance. The abandon invariant: the running sum of squares
 //! is monotone non-decreasing, so once a partial sum strictly exceeds
@@ -98,39 +101,114 @@ impl fmt::Display for EmbedError {
 
 impl std::error::Error for EmbedError {}
 
+/// Objects per tile of an [`EmbeddedCorpus`]'s coordinate store: the
+/// width of the all-objects kernel ([`squared_block_tile`]), which
+/// computes this many distances per pass over the query.
+const LANES: usize = 4;
+
+/// One dimension of the coordinates [`squared_block`] reads: a row's
+/// `f64` (its only lane), or a tile's `LANES` objects.
+trait Column {
+    /// The coordinate of lane `lane`.
+    fn at(&self, lane: usize) -> f64;
+}
+
+impl Column for f64 {
+    #[inline(always)]
+    fn at(&self, _lane: usize) -> f64 {
+        *self
+    }
+}
+
+impl Column for [f64; LANES] {
+    #[inline(always)]
+    fn at(&self, lane: usize) -> f64 {
+        self[lane]
+    }
+}
+
 /// One block's squared-distance contribution, manually unrolled eight
 /// lanes wide with **two independent accumulators**: each iteration
 /// folds its eight squared lane differences pairwise and adds lanes
 /// 0–3 into `s0` and lanes 4–7 into `s1`, so the loop-carried
 /// dependency is a single add per accumulator and the FPU pipelines
 /// the multiply-adds. The accumulators fold deterministically as
-/// `s0 + s1` with the scalar tail accumulated after the fold. Every
-/// distance path — the plain scan, the early-abandoning scan, the
-/// zone-map bound, and [`euclidean`] — sums through this one helper,
-/// so all of them agree bitwise.
+/// `s0 + s1` with the scalar tail accumulated after the fold.
+///
+/// Each side is read down one lane of its columns (see [`Column`]): a
+/// plain row of `f64`s, or one object's lane of its corpus tile. Every
+/// per-object distance path — the early-abandoning scan, the zone-map
+/// bound, [`EmbeddedCorpus::distance_between`] and [`euclidean`] — sums
+/// through this one helper, and [`squared_block_tile`] repeats its
+/// operations lane by lane, so all of them agree bitwise.
 #[inline(always)]
-fn squared_block(a: &[f64], b: &[f64]) -> f64 {
+fn squared_block<A: Column, B: Column>(a: &[A], a_lane: usize, b: &[B], b_lane: usize) -> f64 {
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     let mut ca = a.chunks_exact(8);
     let mut cb = b.chunks_exact(8);
     let (mut s0, mut s1) = (0.0f64, 0.0f64);
     for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        let d0 = xa[0] - xb[0];
-        let d1 = xa[1] - xb[1];
-        let d2 = xa[2] - xb[2];
-        let d3 = xa[3] - xb[3];
-        let d4 = xa[4] - xb[4];
-        let d5 = xa[5] - xb[5];
-        let d6 = xa[6] - xb[6];
-        let d7 = xa[7] - xb[7];
+        let d0 = xa[0].at(a_lane) - xb[0].at(b_lane);
+        let d1 = xa[1].at(a_lane) - xb[1].at(b_lane);
+        let d2 = xa[2].at(a_lane) - xb[2].at(b_lane);
+        let d3 = xa[3].at(a_lane) - xb[3].at(b_lane);
+        let d4 = xa[4].at(a_lane) - xb[4].at(b_lane);
+        let d5 = xa[5].at(a_lane) - xb[5].at(b_lane);
+        let d6 = xa[6].at(a_lane) - xb[6].at(b_lane);
+        let d7 = xa[7].at(a_lane) - xb[7].at(b_lane);
         s0 += (d0 * d0 + d1 * d1) + (d2 * d2 + d3 * d3);
         s1 += (d4 * d4 + d5 * d5) + (d6 * d6 + d7 * d7);
     }
     let mut sum = s0 + s1;
     for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        let d = x - y;
+        let d = x.at(a_lane) - y.at(b_lane);
         sum += d * d;
+    }
+    sum
+}
+
+/// [`squared_block`] for all `LANES` objects of one tile at once, the
+/// query `a` broadcast (`[q_d; LANES]` a dimension): lane `l` of the
+/// result is `squared_block(q, 0, cols, l)` bit for bit, because each
+/// lane runs the same operations in the same order — the eight
+/// differences, the pairwise fold into `s0` and `s1`, their sum, then
+/// the tail. Rust neither reassociates floating-point arithmetic nor
+/// contracts a multiply and an add into a fused one, so the only
+/// freedom left is to run the four lanes side by side, which LLVM does
+/// on the baseline x86-64 target (two lanes to an SSE2 register): the
+/// arithmetic is element-wise over `[f64; LANES]`, and the
+/// dimension-major tile is read in order.
+#[inline(always)]
+fn squared_block_tile(a: &[[f64; LANES]], cols: &[[f64; LANES]]) -> [f64; LANES] {
+    let n = a.len().min(cols.len());
+    let (a, cols) = (&a[..n], &cols[..n]);
+    let mut ca = a.chunks_exact(8);
+    let mut cb = cols.chunks_exact(8);
+    let (mut s0, mut s1) = ([0.0f64; LANES], [0.0f64; LANES]);
+    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
+        for l in 0..LANES {
+            let d0 = xa[0][l] - xb[0][l];
+            let d1 = xa[1][l] - xb[1][l];
+            let d2 = xa[2][l] - xb[2][l];
+            let d3 = xa[3][l] - xb[3][l];
+            let d4 = xa[4][l] - xb[4][l];
+            let d5 = xa[5][l] - xb[5][l];
+            let d6 = xa[6][l] - xb[6][l];
+            let d7 = xa[7][l] - xb[7][l];
+            s0[l] += (d0 * d0 + d1 * d1) + (d2 * d2 + d3 * d3);
+            s1[l] += (d4 * d4 + d5 * d5) + (d6 * d6 + d7 * d7);
+        }
+    }
+    let mut sum = [0.0f64; LANES];
+    for l in 0..LANES {
+        sum[l] = s0[l] + s1[l];
+    }
+    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+        for l in 0..LANES {
+            let d = x[l] - y[l];
+            sum[l] += d * d;
+        }
     }
     sum
 }
@@ -146,7 +224,7 @@ pub fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
     let mut ca = a.chunks(ABANDON_STRIDE);
     let mut cb = b.chunks(ABANDON_STRIDE);
     for (qc, cc) in ca.by_ref().zip(cb.by_ref()) {
-        sum += squared_block(qc, cc);
+        sum += squared_block(qc, 0, cc, 0);
     }
     sum
 }
@@ -333,18 +411,21 @@ impl ScanStats {
 }
 
 /// A flat column store of pre-embedded histogram coordinates
-/// (structure of arrays: one contiguous `n×k` coordinate block, one
-/// bounding box per [`EmbeddedCorpus::prune_block`] rows), with batched
-/// zone-map-pruned
+/// (structure of arrays: the coordinates in tiles of four objects, one
+/// bounding box per [`EmbeddedCorpus::prune_block`] rows), with a
+/// four-objects-at-a-time distance scan and batched zone-map-pruned
 /// early-abandoning kNN.
 #[derive(Debug, Clone)]
 pub struct EmbeddedCorpus {
     space: EmbeddedSpace,
     n: usize,
     k: usize,
-    /// Object-major embedded coordinates (`n·k` entries; object `i`
-    /// owns `coords[i·k .. (i+1)·k]`).
-    coords: Vec<f64>,
+    /// The embedded coordinates in tiles of `LANES` objects
+    /// (`⌈n/LANES⌉·k` entries): tile `t` owns `tiles[t·k .. (t+1)·k]`,
+    /// one entry per dimension, and lane `l` of each entry is object
+    /// `t·LANES + l`. The last tile's unused lanes are zero and never
+    /// reach an answer.
+    tiles: Vec<[f64; LANES]>,
     /// Zone-map block size: rows per bounding box.
     prune_block: usize,
     /// Per-block coordinate minima (`⌈n/prune_block⌉·k` entries; block
@@ -361,15 +442,22 @@ impl EmbeddedCorpus {
         hists: &[ColorHistogram],
     ) -> Result<EmbeddedCorpus, EmbedError> {
         let k = space.k();
-        let mut coords = vec![0.0; hists.len() * k];
-        for (h, chunk) in hists.iter().zip(coords.chunks_mut(k)) {
-            space.embed_into(h.bins(), chunk)?;
+        let mut tiles = vec![[0.0; LANES]; hists.len().div_ceil(LANES) * k];
+        let mut row = vec![0.0; k];
+        for (i, h) in hists.iter().enumerate() {
+            space.embed_into(h.bins(), &mut row)?;
+            // i < n, so tile i / LANES is one of the ⌈n/LANES⌉ sized
+            // above; the slice op bounds-checks regardless.
+            let tile = &mut tiles[(i / LANES) * k..(i / LANES + 1) * k];
+            for (column, &c) in tile.iter_mut().zip(&row) {
+                column[i % LANES] = c;
+            }
         }
         let mut corpus = EmbeddedCorpus {
             space,
             n: hists.len(),
             k,
-            coords,
+            tiles,
             prune_block: DEFAULT_PRUNE_BLOCK,
             block_lo: Vec::new(),
             block_hi: Vec::new(),
@@ -396,26 +484,25 @@ impl EmbeddedCorpus {
     /// stored coordinates.
     fn rebuild_zone_maps(&mut self) {
         let blocks = self.n.div_ceil(self.prune_block.max(1));
-        self.block_lo = vec![f64::INFINITY; blocks * self.k];
-        self.block_hi = vec![f64::NEG_INFINITY; blocks * self.k];
+        let mut block_lo = vec![f64::INFINITY; blocks * self.k];
+        let mut block_hi = vec![f64::NEG_INFINITY; blocks * self.k];
         for i in 0..self.n {
             let b = i / self.prune_block;
-            // i < n and n·k == coords.len(), so the products stay
-            // within the existing allocation; the slice op
-            // bounds-checks regardless.
-            let row = &self.coords[i * self.k..(i + 1) * self.k];
+            let (tile, lane) = self.lane_of(i);
             // b < ⌈n/prune_block⌉ and the zone-map vectors were sized
             // as blocks·k just above, so the product stays within
             // their length; the slice op bounds-checks regardless.
-            let lo = &mut self.block_lo[b * self.k..(b + 1) * self.k];
-            for (slot, &c) in lo.iter_mut().zip(row) {
-                *slot = slot.min(c);
+            let lo = &mut block_lo[b * self.k..(b + 1) * self.k];
+            for (slot, column) in lo.iter_mut().zip(tile) {
+                *slot = slot.min(column[lane]);
             }
-            let hi = &mut self.block_hi[b * self.k..(b + 1) * self.k];
-            for (slot, &c) in hi.iter_mut().zip(row) {
-                *slot = slot.max(c);
+            let hi = &mut block_hi[b * self.k..(b + 1) * self.k];
+            for (slot, column) in hi.iter_mut().zip(tile) {
+                *slot = slot.max(column[lane]);
             }
         }
+        self.block_lo = block_lo;
+        self.block_hi = block_hi;
     }
 
     /// A lower bound on the squared distance from `q` to **every**
@@ -467,18 +554,35 @@ impl EmbeddedCorpus {
         &self.space
     }
 
-    /// The embedded coordinates of object `i`.
-    pub fn embedded(&self, i: usize) -> &[f64] {
-        // No overflow: i < n and n·k == coords.len(),
-        // so both products stay within the existing allocation's
-        // length; the slice op bounds-checks the result regardless.
-        &self.coords[i * self.k..(i + 1) * self.k]
+    /// Object `i`'s tile and its lane in it: the object's coordinates
+    /// are `tile[d][lane]` for `d` in `0..k`.
+    fn lane_of(&self, i: usize) -> (&[[f64; LANES]], usize) {
+        let t = i / LANES;
+        // No overflow: i < n, so tile t is one of the ⌈n/LANES⌉ the
+        // store holds and (t+1)·k ≤ tiles.len(); the slice op
+        // bounds-checks regardless.
+        (&self.tiles[t * self.k..(t + 1) * self.k], i % LANES)
+    }
+
+    /// Copies the embedded coordinates of object `i` into `out`
+    /// (`k` entries).
+    pub fn embedded_into(&self, i: usize, out: &mut [f64]) {
+        let (tile, lane) = self.lane_of(i);
+        for (slot, column) in out.iter_mut().zip(tile) {
+            *slot = column[lane];
+        }
     }
 
     /// The exact quadratic-form distance between stored objects `i`
-    /// and `j` — O(k) instead of O(k²).
+    /// and `j` — O(k) instead of O(k²). Bitwise equal to [`euclidean`]
+    /// over the two objects' coordinates.
     pub fn distance_between(&self, i: usize, j: usize) -> f64 {
-        euclidean(self.embedded(i), self.embedded(j))
+        let ((a, a_lane), (b, b_lane)) = (self.lane_of(i), self.lane_of(j));
+        let mut sum = 0.0;
+        for (ac, bc) in a.chunks(ABANDON_STRIDE).zip(b.chunks(ABANDON_STRIDE)) {
+            sum += squared_block(ac, a_lane, bc, b_lane);
+        }
+        sum.sqrt()
     }
 
     /// Early-abandoning squared distance from an embedded query `q`
@@ -500,11 +604,11 @@ impl EmbeddedCorpus {
         threshold_sq: f64,
     ) -> Option<f64> {
         debug_assert_eq!(q.len(), self.k);
-        let coords = self.embedded(i);
+        let (tile, lane) = self.lane_of(i);
         let mut sum = 0.0;
         let mut offset = 0;
-        for (qc, cc) in q.chunks(ABANDON_STRIDE).zip(coords.chunks(ABANDON_STRIDE)) {
-            sum += squared_block(qc, cc);
+        for (qc, cc) in q.chunks(ABANDON_STRIDE).zip(tile.chunks(ABANDON_STRIDE)) {
+            sum += squared_block(qc, 0, cc, lane);
             offset += qc.len();
             if sum > threshold_sq && offset < self.k {
                 return None;
@@ -514,12 +618,43 @@ impl EmbeddedCorpus {
     }
 
     /// The exact distance from `query` to every stored object: one
-    /// O(k²) embedding, then n O(k) norms.
+    /// O(k²) embedding, then n O(k) norms, computed a tile of `LANES`
+    /// objects at a time. Each is bitwise equal to [`euclidean`] over
+    /// the object's coordinates (debug builds check every one against
+    /// the per-object kernel).
     pub fn distances(&self, query: &ColorHistogram) -> Result<Vec<f64>, EmbedError> {
         let q = self.embed_query(query)?;
-        Ok((0..self.n)
-            .map(|i| euclidean(&q, self.embedded(i)))
-            .collect())
+        let q_lanes: Vec<[f64; LANES]> = q.iter().map(|&c| [c; LANES]).collect();
+        let mut out = Vec::with_capacity(self.n);
+        for t in 0..self.n.div_ceil(LANES) {
+            // t < ⌈n/LANES⌉, the tile count the store was sized for.
+            let tile = &self.tiles[t * self.k..(t + 1) * self.k];
+            let mut sum = [0.0f64; LANES];
+            for (qc, cc) in q_lanes
+                .chunks(ABANDON_STRIDE)
+                .zip(tile.chunks(ABANDON_STRIDE))
+            {
+                let block = squared_block_tile(qc, cc);
+                for l in 0..LANES {
+                    sum[l] += block[l];
+                }
+            }
+            // The last tile's padded lanes are dropped here.
+            let live = (self.n - t * LANES).min(LANES);
+            out.extend(sum[..live].iter().map(|s| s.sqrt()));
+        }
+        #[cfg(debug_assertions)]
+        for (i, d) in out.iter().enumerate() {
+            let per_object = self.squared_distance_abandoning(&q, i, f64::INFINITY);
+            debug_assert_eq!(
+                Some(d.to_bits()),
+                per_object.map(|s| s.sqrt().to_bits()),
+                "lane {} of tile {} left the per-object kernel",
+                i % LANES,
+                i / LANES
+            );
+        }
+        Ok(out)
     }
 
     fn embed_query(&self, query: &ColorHistogram) -> Result<Vec<f64>, EmbedError> {
@@ -586,6 +721,44 @@ impl EmbeddedCorpus {
         Ok((finalize(heap), stats))
     }
 
+    /// Tile `t`'s running sums against a broadcast query, through
+    /// [`squared_block_tile`]: each lane's sum before its last
+    /// `ABANDON_STRIDE` block (`−∞` with one block) and its full sum —
+    /// the values [`EmbeddedCorpus::squared_distance_abandoning`] tests
+    /// and returns, bit for bit. `None` once every lane of `live` has
+    /// passed `threshold_sq` before its last block: each of them would
+    /// have abandoned against any threshold ≤ `threshold_sq`.
+    fn tile_sums(
+        &self,
+        q_lanes: &[[f64; LANES]],
+        t: usize,
+        live: std::ops::Range<usize>,
+        threshold_sq: f64,
+    ) -> Option<([f64; LANES], [f64; LANES])> {
+        // t < ⌈n/LANES⌉, the tile count the store was sized for.
+        let tile = &self.tiles[t * self.k..(t + 1) * self.k];
+        let mut sum = [0.0f64; LANES];
+        let mut before_last = [f64::NEG_INFINITY; LANES];
+        let mut offset = 0;
+        for (qc, cc) in q_lanes
+            .chunks(ABANDON_STRIDE)
+            .zip(tile.chunks(ABANDON_STRIDE))
+        {
+            let block = squared_block_tile(qc, cc);
+            for l in 0..LANES {
+                sum[l] += block[l];
+            }
+            offset += qc.len();
+            if offset < self.k {
+                before_last = sum;
+                if live.clone().all(|l| sum[l] > threshold_sq) {
+                    return None;
+                }
+            }
+        }
+        Some((before_last, sum))
+    }
+
     /// Scans the corpus, returning up to `k_nearest` best
     /// `(squared_distance, index)` candidates in ascending
     /// `(distance, index)` order plus the cost counters. While fewer
@@ -597,7 +770,11 @@ impl EmbeddedCorpus {
     /// Early-abandon invariant: the running sum of squares only grows,
     /// so `partial > kth_sq` implies the final squared distance
     /// strictly exceeds the current k-th best and the object can be
-    /// dropped without changing the result.
+    /// dropped without changing the result. The sums come a tile at a
+    /// time ([`EmbeddedCorpus::tile_sums`]) and the objects are decided
+    /// one by one in index order, each against the threshold the
+    /// per-object scan would hold there, so every decision and count is
+    /// the per-object scan's.
     ///
     /// Zone-map invariant (`prune`): a block is skipped only when its
     /// [`EmbeddedCorpus::block_lower_bound`] strictly exceeds the
@@ -622,6 +799,7 @@ impl EmbeddedCorpus {
         }
         let prune = prune && !self.block_lo.is_empty();
         let mut clamped = if prune { vec![0.0; self.k] } else { Vec::new() };
+        let q_lanes: &[[f64; LANES]] = &q.iter().map(|&c| [c; LANES]).collect::<Vec<_>>();
         let mut i = 0;
         while i < self.n {
             let block = i / self.prune_block;
@@ -643,34 +821,55 @@ impl EmbeddedCorpus {
                     continue;
                 }
             }
-            for j in i..block_end {
-                let full = best.len() == k_nearest;
-                // When full, `best.last()` is the current k-th best;
-                // otherwise the seeded bound (inclusive via the
-                // usize::MAX tie-break) gates admission.
-                let (kth_sq, kth_tie) = match best.last() {
-                    Some(&(d, tie)) if full => (d, tie),
-                    _ => (bound_sq, usize::MAX),
+            // The objects of `i..block_end`, a tile's lanes at a time.
+            let mut j = i;
+            while j < block_end {
+                let t = j / LANES;
+                // t < ⌈n/LANES⌉, so (t+1)·LANES cannot overflow.
+                let live = j - t * LANES..((t + 1) * LANES).min(block_end) - t * LANES;
+                // The threshold only falls during a scan (a short set
+                // admits only sums ≤ the seeded bound), so the first
+                // live lane's bounds every later lane's.
+                let first_threshold = match best.last() {
+                    Some(&(d, _)) if abandon && best.len() == k_nearest => d,
+                    _ if abandon => bound_sq,
+                    _ => f64::INFINITY,
                 };
-                // Running-sum early abandoning (against the seeded
-                // bound while the candidate set is short).
-                let threshold_sq = if abandon { kth_sq } else { f64::INFINITY };
-                let sum = match self.squared_distance_abandoning(q, j, threshold_sq) {
-                    Some(sum) => sum,
-                    None => {
-                        stats.abandoned += 1;
-                        continue;
+                let sums = self.tile_sums(q_lanes, t, live.clone(), first_threshold);
+                for lane in live {
+                    let j = t * LANES + lane;
+                    let full = best.len() == k_nearest;
+                    // When full, `best.last()` is the current k-th best;
+                    // otherwise the seeded bound (inclusive via the
+                    // usize::MAX tie-break) gates admission.
+                    let (kth_sq, kth_tie) = match best.last() {
+                        Some(&(d, tie)) if full => (d, tie),
+                        _ => (bound_sq, usize::MAX),
+                    };
+                    // Running-sum early abandoning (against the seeded
+                    // bound while the candidate set is short): the
+                    // running sum only grows, so it passed the
+                    // threshold before the last block exactly when the
+                    // sum before the last block did.
+                    let threshold_sq = if abandon { kth_sq } else { f64::INFINITY };
+                    let sum = match sums {
+                        Some((before_last, sum)) if before_last[lane] <= threshold_sq => sum[lane],
+                        _ => {
+                            stats.abandoned += 1;
+                            continue;
+                        }
+                    };
+                    stats.completed += 1;
+                    // The sentinel pair admits `sum ≤ bound_sq` inclusively
+                    // while the set is short (j < usize::MAX breaks the
+                    // tie); a full set demands a strict improvement.
+                    if (sum, j) < (kth_sq, kth_tie) {
+                        best.push((sum, j));
+                        sort_candidates(&mut best);
+                        best.truncate(k_nearest);
                     }
-                };
-                stats.completed += 1;
-                // The sentinel pair admits `sum ≤ bound_sq` inclusively
-                // while the set is short (j < usize::MAX breaks the
-                // tie); a full set demands a strict improvement.
-                if (sum, j) < (kth_sq, kth_tie) {
-                    best.push((sum, j));
-                    sort_candidates(&mut best);
-                    best.truncate(k_nearest);
                 }
+                j = t * LANES + LANES;
             }
             i = block_end;
         }
@@ -777,7 +976,29 @@ mod tests {
             // The block helper alone agrees with the full function on
             // sub-block inputs (the abandoning scan relies on this).
             if len <= ABANDON_STRIDE {
-                assert_eq!(unrolled.to_bits(), squared_block(&a, &b).to_bits());
+                assert_eq!(unrolled.to_bits(), squared_block(&a, 0, &b, 0).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn each_tile_lane_is_the_per_object_kernel() {
+        // Every length through one block, so every tail of the
+        // eight-wide unroll: lane l of the tile kernel must be the
+        // scalar kernel over lane l, to the bit.
+        for len in 0..=ABANDON_STRIDE {
+            let a: Vec<f64> = (0..len).map(|i| (i as f64 * 0.37).sin()).collect();
+            let tile: Vec<[f64; LANES]> = (0..len)
+                .map(|i| std::array::from_fn(|l| ((i * LANES + l) as f64 * 0.73).cos()))
+                .collect();
+            let a_lanes: Vec<[f64; LANES]> = a.iter().map(|&c| [c; LANES]).collect();
+            let lanes = squared_block_tile(&a_lanes, &tile);
+            for (l, got) in lanes.iter().enumerate() {
+                let row: Vec<f64> = tile.iter().map(|c| c[l]).collect();
+                let want = squared_block(&a, 0, &row, 0);
+                assert_eq!(got.to_bits(), want.to_bits(), "len {len} lane {l}");
+                let strided = squared_block(&a, 0, &tile, l);
+                assert_eq!(strided.to_bits(), want.to_bits(), "len {len} lane {l}");
             }
         }
     }
@@ -787,9 +1008,12 @@ mod tests {
         let sp = space();
         let hists = sample_histograms(&sp, 40, 13);
         let corpus = plain_corpus(&sp, &hists);
-        let q = corpus.embedded(0).to_vec();
+        let mut q = vec![0.0; corpus.k()];
+        corpus.embedded_into(0, &mut q);
+        let mut row = vec![0.0; corpus.k()];
         for i in 0..corpus.len() {
-            let plain = squared_euclidean(&q, corpus.embedded(i));
+            corpus.embedded_into(i, &mut row);
+            let plain = squared_euclidean(&q, &row);
             let full = corpus
                 .squared_distance_abandoning(&q, i, f64::INFINITY)
                 .expect("infinity never abandons");

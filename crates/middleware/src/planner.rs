@@ -59,6 +59,7 @@
 //! NRA-family from the candidate set entirely (the Garlic facade does
 //! this — its `QueryResult` grades are user-facing).
 
+use std::cell::OnceCell;
 use std::fmt;
 
 use fmdb_core::score::Score;
@@ -464,15 +465,32 @@ impl Accesses {
 
 /// The per-query estimation context: resolves `F̄_i`, `y_k`, depths
 /// and union sizes from histograms (or the uniform-grade assumption
-/// when a source lacks one).
+/// when a source lacks one). `y_k` and FA's depth are bisections; each
+/// runs at most once per estimator, however many plans it prices.
 struct Estimator<'a> {
     q: &'a PlanQuery,
     stats: Option<&'a QueryStats>,
+    y_k: OnceCell<f64>,
+    d_fa: OnceCell<f64>,
 }
 
 impl<'a> Estimator<'a> {
     fn new(q: &'a PlanQuery, stats: Option<&'a QueryStats>) -> Estimator<'a> {
-        Estimator { q, stats }
+        Estimator {
+            q,
+            stats,
+            y_k: OnceCell::new(),
+            d_fa: OnceCell::new(),
+        }
+    }
+
+    /// Estimated charged cost of `plan` under `cost`; see
+    /// [`estimate_cost`].
+    fn price(&self, plan: PhysicalPlan, cost: &CostModel, theta: f64) -> Option<f64> {
+        if self.stats.is_none() && matches!(plan, PhysicalPlan::Fa) {
+            return Some(fa_theorem41_cost(self.q.n, self.q.m, self.q.k, cost));
+        }
+        self.accesses(plan, theta).map(|a| a.charged(cost))
     }
 
     fn n(&self) -> f64 {
@@ -525,6 +543,10 @@ impl<'a> Estimator<'a> {
     /// The estimated k-th best overall grade: the largest `g` with
     /// `expected_count(g) ≥ k`, by bisection.
     fn y_k(&self) -> f64 {
+        *self.y_k.get_or_init(|| self.bisect_y_k())
+    }
+
+    fn bisect_y_k(&self) -> f64 {
         if self.expected_count(1.0) >= self.k() {
             return 1.0;
         }
@@ -571,6 +593,10 @@ impl<'a> Estimator<'a> {
 
     /// FA's phase-1 depth: `k` objects expected in all `m` prefixes.
     fn d_fa(&self) -> f64 {
+        *self.d_fa.get_or_init(|| self.bisect_d_fa())
+    }
+
+    fn bisect_d_fa(&self) -> f64 {
         let n = self.n();
         let in_all = |d: f64| {
             let mut p = 1.0;
@@ -712,12 +738,7 @@ pub fn estimate_cost(
     cost: &CostModel,
     theta: f64,
 ) -> Option<f64> {
-    if stats.is_none() && matches!(plan, PhysicalPlan::Fa) {
-        return Some(fa_theorem41_cost(query.n, query.m, query.k, cost));
-    }
-    Estimator::new(query, stats)
-        .accesses(plan, theta)
-        .map(|a| a.charged(cost))
+    Estimator::new(query, stats).price(plan, cost, theta)
 }
 
 /// Picks the cheapest applicable [`PhysicalPlan`] for `query` under
@@ -772,10 +793,15 @@ pub fn choose_plan(query: &PlanQuery, stats: Option<&QueryStats>, policy: &ExecP
     candidates.push(PhysicalPlan::MaxMerge);
     candidates.push(PhysicalPlan::FullScan);
 
+    // One estimator prices every candidate, so `y_k` and FA's depth
+    // are bisected once per query, not once per plan.
+    let estimator = Estimator::new(query, stats);
     let mut priced: Vec<(PhysicalPlan, f64)> = candidates
         .into_iter()
         .filter_map(|plan| {
-            estimate_cost(plan, query, stats, &policy.cost, theta).map(|c| (plan, c))
+            estimator
+                .price(plan, &policy.cost, theta)
+                .map(|c| (plan, c))
         })
         .collect();
     priced.sort_by(|a, b| {
@@ -849,6 +875,61 @@ mod tests {
                 .map(|s| SourceStats::new(s.caps().histogram(16).expect("vec source")))
                 .collect(),
         )
+    }
+
+    #[test]
+    fn one_estimator_prices_every_candidate_as_estimate_cost_does() {
+        let costs = [
+            CostModel::UNIFORM,
+            CostModel::random_to_sorted_ratio(0.5).expect("a positive ratio"),
+            CostModel::random_to_sorted_ratio(3.0).expect("a positive ratio"),
+            CostModel::random_to_sorted_ratio(100.0).expect("a positive ratio"),
+        ];
+        let combiners = [
+            CombinerKind::ZeroAbsorbing,
+            CombinerKind::MaxLike,
+            CombinerKind::Other,
+        ];
+        let mut cases = 0;
+        for n in [1usize, 7, 300, 2000] {
+            for m in [1usize, 2, 3, 5] {
+                let with_stats = uniform_stats(n, m, (n * m) as u64);
+                for k in [1usize, 10, 500] {
+                    for combiner in combiners {
+                        for shape in 0..3 {
+                            let q = PlanQuery::fuzzy(n, m, k).combiner(combiner);
+                            let q = match shape {
+                                0 => q,
+                                1 => q.exact_grades(),
+                                _ => q.crisp(1, (n / 3) as u64),
+                            };
+                            for stats in [None, Some(&with_stats)] {
+                                for cost in costs {
+                                    for theta in [0.0, 0.2] {
+                                        let policy =
+                                            ExecPolicy::new().cost_model(cost).theta(theta);
+                                        let e = choose_plan(&q, stats, &policy);
+                                        assert!(!e.candidates.is_empty());
+                                        for &(plan, priced) in &e.candidates {
+                                            let alone =
+                                                estimate_cost(plan, &q, stats, &cost, theta);
+                                            assert_eq!(
+                                                alone.map(f64::to_bits),
+                                                Some(priced.to_bits()),
+                                                "{plan:?} on {q:?}, stats: {}, {cost:?}, θ {theta}",
+                                                stats.is_some()
+                                            );
+                                        }
+                                        cases += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 4 * 4 * 3 * 3 * 3 * 2 * 4 * 2);
     }
 
     #[test]

@@ -451,19 +451,34 @@ impl VecSource {
 
     /// The list of `NOT` this one over every oid that one of `lists`
     /// grades: each grade negated, and grade 1 for the oids this list
-    /// lacks. O(N), not re-sorted: the sorted array read backwards is in
+    /// lacks. O(N), not re-sorted: the universe is a merge of the
+    /// lists' ascending oid arrays (a list whose oids equal the union so
+    /// far — this list itself, any list over the same objects — is
+    /// compared, not merged); the sorted array read backwards is in
     /// order but inside a run of equal complement grade (`1 − x` merges
     /// distinct tiny grades too), which is put back in oid order; the
     /// grade-1 run is read off the oids.
     pub fn complement<'a>(&self, lists: impl IntoIterator<Item = &'a VecSource>) -> VecSource {
-        let others = lists.into_iter().flat_map(|list| list.by_oid.entries());
-        let all = self.by_oid.entries().iter().chain(others);
-        let mut universe: Vec<Oid> = all.map(|&(oid, _)| oid).collect();
-        universe.sort_unstable();
-        universe.dedup();
+        let own = self.by_oid.entries();
+        let mut universe: Vec<Oid> = own.iter().map(|&(oid, _)| oid).collect();
+        for list in lists {
+            let oids = list.by_oid.entries();
+            let same = oids.len() == universe.len()
+                && oids.iter().zip(&universe).all(|(&(oid, _), &u)| oid == u);
+            if !same {
+                universe = union_ascending(&universe, oids);
+            }
+        }
+        // This list's oids are a subsequence of the universe: walk both.
+        let mut own = own.iter().peekable();
         let pairs: Vec<(Oid, Score)> = universe
             .into_iter()
-            .map(|oid| (oid, self.by_oid.grade(oid).negate()))
+            .map(|oid| {
+                let grade = own
+                    .next_if(|&&(at, _)| at == oid)
+                    .map_or(Score::ZERO, |&(_, g)| g);
+                (oid, grade.negate())
+            })
             .collect();
         // Grade 1 first, in oid order; then this list backwards, negated.
         let ones = pairs.iter().filter(|&&(_, grade)| grade == Score::ONE);
@@ -483,6 +498,20 @@ impl VecSource {
             cursor: 0,
         }
     }
+}
+
+/// The union of two strictly ascending oid arrays, ascending.
+fn union_ascending(a: &[Oid], b: &[(Oid, Score)]) -> Vec<Oid> {
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&(y, _))) = (a.get(i), b.get(j)) {
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend(b[j..].iter().map(|&(oid, _)| oid));
+    out
 }
 
 impl VecSource {
@@ -860,6 +889,100 @@ mod tests {
                 want.random_access(oid).unwrap()
             );
         }
+    }
+
+    /// The construction `complement` replaced — every list's oids
+    /// collected, sorted and deduplicated — kept as the oracle of its
+    /// merge.
+    fn complement_by_sort<'a>(
+        list: &VecSource,
+        lists: impl IntoIterator<Item = &'a VecSource>,
+    ) -> VecSource {
+        let others = lists.into_iter().flat_map(|l| l.by_oid.entries());
+        let all = list.by_oid.entries().iter().chain(others);
+        let mut universe: Vec<Oid> = all.map(|&(oid, _)| oid).collect();
+        universe.sort_unstable();
+        universe.dedup();
+        let pairs: Vec<(Oid, Score)> = universe
+            .into_iter()
+            .map(|oid| (oid, list.by_oid.grade(oid).negate()))
+            .collect();
+        let ones = pairs.iter().filter(|&&(_, grade)| grade == Score::ONE);
+        let mut sorted: Vec<ScoredObject<Oid>> = ones
+            .map(|&(oid, grade)| ScoredObject::new(oid, grade))
+            .collect();
+        let rest = list.sorted.iter().rev();
+        let rest = rest.map(|so| ScoredObject::new(so.id, so.grade.negate()));
+        sorted.extend(rest.filter(|so| so.grade < Score::ONE));
+        for run in sorted.chunk_by_mut(|a, b| a.grade == b.grade) {
+            run.sort_unstable_by_key(|so| so.id);
+        }
+        VecSource {
+            label: format!("NOT {}", list.label),
+            sorted,
+            by_oid: OidIndex(pairs.into()),
+            cursor: 0,
+        }
+    }
+
+    #[test]
+    fn the_merged_complement_is_the_sorted_one() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below.max(1)
+        };
+        // Grades: spread, tied on a few levels, crisp (0 / 1 runs), and
+        // tiny ones whose complements all round to 1.
+        let mut grade = |style: u64| match style {
+            0 => s(next(1_000_001) as f64 / 1e6),
+            1 => s(next(4) as f64 / 3.0),
+            2 => s(next(2) as f64),
+            _ => s(next(3) as f64 * 1e-17),
+        };
+        let mut list = |label: &str, style: u64, oids: Vec<Oid>| {
+            VecSource::new(label, oids.into_iter().map(|o| (o, grade(style))).collect())
+        };
+        let mut cases = 0;
+        for style in 0..4 {
+            for n in [0u64, 1, 5, 64, 2000] {
+                let dense = list("dense", style, (0..n).collect());
+                let sparse = list("sparse", style, (0..n).filter(|o| o % 3 == 1).collect());
+                let shifted = list("shifted", style, (n / 2..n + n / 2).collect());
+                let disjoint = list("disjoint", style, (n + 10..2 * n + 10).collect());
+                let huge = list("huge", style, vec![0, u64::MAX - 1, u64::MAX]);
+                let all = [&dense, &sparse, &shifted, &disjoint, &huge];
+                for target in all {
+                    let groups: [Vec<&VecSource>; 6] = [
+                        vec![],
+                        vec![target],
+                        vec![target, target],
+                        vec![&dense, target],
+                        all.to_vec(),
+                        vec![&disjoint, &sparse, target, &shifted],
+                    ];
+                    for lists in groups {
+                        let got = target.complement(lists.iter().copied());
+                        let want = complement_by_sort(target, lists.iter().copied());
+                        let case = format!("style {style} n {n} {}", target.label);
+                        assert_eq!(got.label, want.label, "{case}");
+                        assert_eq!(bits(&got.sorted), bits(&want.sorted), "{case}");
+                        let pair_bits = |v: &VecSource| -> Vec<(Oid, u64)> {
+                            v.by_oid
+                                .entries()
+                                .iter()
+                                .map(|&(oid, g)| (oid, g.value().to_bits()))
+                                .collect()
+                        };
+                        assert_eq!(pair_bits(&got), pair_bits(&want), "{case}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 4 * 5 * 5 * 6);
     }
 
     #[test]
