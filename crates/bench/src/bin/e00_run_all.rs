@@ -4,18 +4,40 @@
 //! finite, every gated metric inside the bound stated where it is
 //! computed. A full run with no violation writes the machine-readable
 //! `BENCH_engine.json` perf trajectory (`FMDB_BENCH_JSON` overrides
-//! the output path); a run of named experiments writes nothing.
+//! the output path) and appends one line to `BENCH_history.jsonl` in
+//! the working directory: the commit (`git rev-parse HEAD`, `unknown`
+//! without one), the mode, and each experiment's access columns and
+//! gated metrics. A run of named experiments writes nothing.
 //!
-//! Exit status: `0` clean, `1` violations (listed on stderr, artifact
-//! untouched), `2` unknown experiment id or the artifact could not be
+//! Exit status: `0` clean, `1` violations (listed on stderr, artifacts
+//! untouched), `2` unknown experiment id or an artifact could not be
 //! written.
 
-use std::process::ExitCode;
+use std::fs::OpenOptions;
+use std::io::Write;
+use std::process::{Command, ExitCode};
 use std::time::Instant;
 
 use fmdb_bench::experiments::EXPERIMENTS;
-use fmdb_bench::report::{bench_engine_json, BenchEntry};
+use fmdb_bench::report::{bench_engine_json, bench_history_line, BenchEntry};
 use fmdb_bench::runners::{engine, RunCfg};
+
+/// Where a whole-suite run appends its history line.
+const HISTORY: &str = "BENCH_history.jsonl";
+
+/// `git rev-parse HEAD` in the working directory, or `unknown` where
+/// there is no git or no repository.
+fn commit() -> String {
+    Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|sha| sha.trim().to_owned())
+        .filter(|sha| !sha.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
 
 fn main() -> ExitCode {
     let cfg = RunCfg::from_env();
@@ -71,14 +93,21 @@ fn main() -> ExitCode {
     }
     let json = bench_engine_json(&entries, cfg.quick);
     let path = std::env::var("FMDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_engine.json".to_owned());
-    match std::fs::write(&path, &json) {
-        Ok(()) => {
-            eprintln!("wrote {path}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: could not write {path}: {e}");
-            ExitCode::from(2)
-        }
+    if let Err(e) = std::fs::write(&path, &json) {
+        eprintln!("error: could not write {path}: {e}");
+        return ExitCode::from(2);
     }
+    eprintln!("wrote {path}");
+    let line = bench_history_line(&entries, cfg.quick, &commit());
+    let appended = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(HISTORY)
+        .and_then(|mut history| writeln!(history, "{line}"));
+    if let Err(e) = appended {
+        eprintln!("error: could not append to {HISTORY}: {e}");
+        return ExitCode::from(2);
+    }
+    eprintln!("appended a line to {HISTORY}");
+    ExitCode::SUCCESS
 }

@@ -75,13 +75,15 @@ const MAX_LANES_VS_ROWS: f64 = 0.84;
 const MAX_BIND_VS_ROW_KERNEL: f64 = 1.38;
 
 /// Ceiling on `shape_bind_vs_row_kernel` (release builds): 1.25× the
-/// largest of seven whole quick suites on a 2-core x86-64 VM
-/// (19.1–21.5). It succeeds `shape_vs_color_bind` (shape bind ÷
-/// colour bind, ≤ 15.4), which read 10.1–12.3 since the turning
-/// kernel's shift filter correlates through spectra stored with the
-/// corpus, 17.5–20.6 with one multiply-add correlation pass per row,
-/// and 39.1–51.0 while it computed the exact error of every shift.
-const MAX_SHAPE_BIND_VS_ROW_KERNEL: f64 = 26.9;
+/// largest of fourteen whole quick suites on a 2-core x86-64 VM
+/// (8.68–10.52; eighteen runs of E20 alone read 9.27–11.76) since the
+/// turning kernel grades four rows a pass; it read 18.4–21.5 one row a
+/// pass (ceiling 26.9). It succeeds `shape_vs_color_bind` (shape bind ÷
+/// colour bind, ≤ 15.4), which read 10.1–12.3 since the shift filter
+/// correlates through spectra stored with the corpus, 17.5–20.6 with one
+/// multiply-add correlation pass per row, and 39.1–51.0 while it
+/// computed the exact error of every shift.
+const MAX_SHAPE_BIND_VS_ROW_KERNEL: f64 = 13.2;
 
 /// One round's floors, µs: colour kernel, colour bind, shape kernel,
 /// shape bind, row-major colour scan.
@@ -338,8 +340,9 @@ pub fn run(cfg: &RunCfg) -> Report {
             split.shape_bind_vs_row_kernel.median,
             Bound::PositiveAtMost(MAX_SHAPE_BIND_VS_ROW_KERNEL),
             "a `Shape` atom costs more per-object colour scans than it did once the turning \
-             kernel correlated through stored spectra; look at `filter_row` in \
-             `media::shape` and `Fft::correlate` in `media::fft` first",
+             kernel graded four rows a pass; look at `filter` and `refine` in `media::shape` \
+             and `Fft::correlate` in `media::fft` first (did the `[f64; 4]` lanes stop \
+             vectorising, or a tile stop refining its rows side by side?)",
         )
         .gated(
             "shape_bind_vs_row_kernel_spread",

@@ -269,9 +269,9 @@ fn json_field(out: &mut String, key: &str, value: &str) {
 
 /// Emits a `{name: number}` object; the values are finite (a report
 /// with [`Report::violations`] is never written).
-fn json_metrics(out: &mut String, metrics: &[Metric]) {
+fn json_metrics<'a>(out: &mut String, metrics: impl IntoIterator<Item = &'a Metric>) {
     out.push('{');
-    for (i, Metric { name, value, .. }) in metrics.iter().enumerate() {
+    for (i, Metric { name, value, .. }) in metrics.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -299,6 +299,28 @@ pub struct BenchEntry {
     pub stats: AccessStats,
 }
 
+/// An experiment's access columns, as both artifacts name them: what it
+/// drove through the shared engine.
+fn access_columns(stats: &AccessStats) -> [(&'static str, u64); 8] {
+    [
+        ("sorted", stats.sorted),
+        ("random", stats.random),
+        ("worker_spawns", stats.worker_spawns),
+        ("page_reads", stats.page_reads),
+        ("page_hits", stats.page_hits),
+        ("page_evictions", stats.page_evictions),
+        ("pages_skipped", stats.pages_skipped),
+        ("blocks_skipped", stats.blocks_skipped),
+    ]
+}
+
+/// Emits `,"column":count` for each of [`access_columns`].
+fn json_access(out: &mut String, stats: &AccessStats) {
+    for (name, count) in access_columns(stats) {
+        out.push_str(&format!(",\"{name}\":{count}"));
+    }
+}
+
 /// Serializes the suite's per-experiment wall-clock and access counts
 /// as one JSON object — the `BENCH_engine.json` payload tracked across
 /// PRs. `quick` records whether the suite ran in quick mode, so
@@ -315,20 +337,43 @@ pub fn bench_engine_json(entries: &[BenchEntry], quick: bool) -> String {
         json_field(&mut out, "id", &e.report.id);
         out.push(',');
         json_field(&mut out, "title", &e.report.title);
-        out.push_str(&format!(
-            ",\"wall_ms\":{:.3},\"sorted\":{},\"random\":{},\"worker_spawns\":{},\"page_reads\":{},\"page_hits\":{},\"page_evictions\":{},\"pages_skipped\":{},\"blocks_skipped\":{}",
-            e.wall_ms,
-            e.stats.sorted,
-            e.stats.random,
-            e.stats.worker_spawns,
-            e.stats.page_reads,
-            e.stats.page_hits,
-            e.stats.page_evictions,
-            e.stats.pages_skipped,
-            e.stats.blocks_skipped,
-        ));
+        out.push_str(&format!(",\"wall_ms\":{:.3}", e.wall_ms));
+        json_access(&mut out, &e.stats);
         out.push_str(",\"metrics\":");
         json_metrics(&mut out, &e.report.metrics);
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
+}
+
+/// One line of `BENCH_history.jsonl`, the suite's memory across
+/// commits (`e00_run_all` appends one per whole-suite run): the commit
+/// the run was built from, its mode, and per experiment the access
+/// columns of the `BENCH_engine.json` the same entries make and the
+/// gated metrics — no wall-clock total, no ungated metric. No newline
+/// inside.
+pub fn bench_history_line(entries: &[BenchEntry], quick: bool, commit: &str) -> String {
+    let mut out = String::from("{\"schema\":\"fmdb-bench-history/v1\",");
+    json_field(&mut out, "commit", commit);
+    out.push_str(",\"quick\":");
+    out.push_str(if quick { "true" } else { "false" });
+    out.push_str(",\"experiments\":[");
+    for (i, e) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('{');
+        json_field(&mut out, "id", &e.report.id);
+        json_access(&mut out, &e.stats);
+        out.push_str(",\"gated\":");
+        json_metrics(
+            &mut out,
+            e.report
+                .metrics
+                .iter()
+                .filter(|metric| metric.gate.is_some()),
+        );
         out.push('}');
     }
     out.push_str("]}");
@@ -450,6 +495,185 @@ mod tests {
         let empty = bench_engine_json(&[], false);
         assert!(empty.contains("\"quick\":false"));
         assert!(empty.contains("\"experiments\":[]"));
+    }
+
+    /// A parsed JSON value: just enough of RFC 8259 for the artifacts.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Json {
+        Bool(bool),
+        Num(f64),
+        Str(String),
+        Arr(Vec<Json>),
+        Obj(Vec<(String, Json)>),
+    }
+
+    impl Json {
+        fn get(&self, key: &str) -> &Json {
+            let Json::Obj(fields) = self else {
+                panic!("{self:?} is not an object")
+            };
+            fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .unwrap_or_else(|| panic!("no `{key}`"))
+        }
+
+        fn items(&self) -> &[Json] {
+            let Json::Arr(items) = self else {
+                panic!("{self:?} is not an array")
+            };
+            items
+        }
+    }
+
+    /// Parses one JSON document, all of `text`; panics on anything else.
+    fn parse(text: &str) -> Json {
+        let chars: Vec<char> = text.chars().collect();
+        let mut at = 0;
+        let value = parse_value(&chars, &mut at);
+        assert_eq!(at, chars.len(), "trailing input at {at}");
+        value
+    }
+
+    fn parse_value(c: &[char], at: &mut usize) -> Json {
+        let expect = |at: &mut usize, want: char| {
+            assert_eq!(c[*at], want, "at {at}");
+            *at += 1;
+        };
+        match c[*at] {
+            '{' => {
+                *at += 1;
+                let mut fields = Vec::new();
+                while c[*at] != '}' {
+                    if !fields.is_empty() {
+                        expect(at, ',');
+                    }
+                    let Json::Str(key) = parse_value(c, at) else {
+                        panic!("a key is a string")
+                    };
+                    expect(at, ':');
+                    fields.push((key, parse_value(c, at)));
+                }
+                *at += 1;
+                Json::Obj(fields)
+            }
+            '[' => {
+                *at += 1;
+                let mut items = Vec::new();
+                while c[*at] != ']' {
+                    if !items.is_empty() {
+                        expect(at, ',');
+                    }
+                    items.push(parse_value(c, at));
+                }
+                *at += 1;
+                Json::Arr(items)
+            }
+            '"' => {
+                *at += 1;
+                let mut s = String::new();
+                while c[*at] != '"' {
+                    if c[*at] == '\\' {
+                        *at += 1;
+                        s.push(match c[*at] {
+                            'n' => '\n',
+                            'r' => '\r',
+                            't' => '\t',
+                            'u' => {
+                                let hex: String = c[*at + 1..*at + 5].iter().collect();
+                                *at += 4;
+                                char::from_u32(u32::from_str_radix(&hex, 16).unwrap()).unwrap()
+                            }
+                            other => other,
+                        });
+                    } else {
+                        s.push(c[*at]);
+                    }
+                    *at += 1;
+                }
+                *at += 1;
+                Json::Str(s)
+            }
+            't' | 'f' => {
+                let word = if c[*at] == 't' { "true" } else { "false" };
+                let got: String = c[*at..*at + word.len()].iter().collect();
+                assert_eq!(got, word);
+                *at += word.len();
+                Json::Bool(word == "true")
+            }
+            _ => {
+                let start = *at;
+                while *at < c.len() && "+-.0123456789eE".contains(c[*at]) {
+                    *at += 1;
+                }
+                let number: String = c[start..*at].iter().collect();
+                Json::Num(
+                    number
+                        .parse()
+                        .unwrap_or_else(|_| panic!("`{number}` at {start}")),
+                )
+            }
+        }
+    }
+
+    #[test]
+    fn a_history_line_parses_back_with_the_artifacts_access_columns() {
+        let mut e20 = Report::new("E20", "kernels \"and\" binds", "");
+        e20.metric("kernel_ms", 3.5)
+            .gated("lanes_vs_rows", 0.625, Bound::PositiveAtMost(0.84), "here")
+            .gated("kernel_us", 14.25, Bound::Positive, "there");
+        let entries = vec![
+            BenchEntry {
+                report: Report::new("E1", "FA scaling", ""),
+                wall_ms: 12.5,
+                stats: AccessStats {
+                    sorted: 100,
+                    random: 40,
+                    worker_spawns: 8,
+                    page_reads: 12,
+                    page_hits: 5,
+                    page_evictions: 2,
+                    pages_skipped: 6,
+                    blocks_skipped: 9,
+                },
+            },
+            BenchEntry {
+                report: e20,
+                wall_ms: 3.0,
+                stats: AccessStats {
+                    sorted: u64::MAX,
+                    ..AccessStats::ZERO
+                },
+            },
+        ];
+        let line = bench_history_line(&entries, true, "c6d80fa\tdirty");
+        assert!(!line.contains('\n'), "{line}");
+        let history = parse(&line);
+        let artifact = parse(&bench_engine_json(&entries, true));
+        assert_eq!(
+            history.get("schema"),
+            &Json::Str("fmdb-bench-history/v1".into())
+        );
+        assert_eq!(history.get("commit"), &Json::Str("c6d80fa\tdirty".into()));
+        assert_eq!(history.get("quick"), artifact.get("quick"));
+        let (lines, written) = (history.get("experiments"), artifact.get("experiments"));
+        assert_eq!(lines.items().len(), entries.len());
+        for ((line, written), entry) in lines.items().iter().zip(written.items()).zip(&entries) {
+            assert_eq!(line.get("id"), written.get("id"));
+            for (column, count) in access_columns(&entry.stats) {
+                assert_eq!(line.get(column), written.get(column), "{column}");
+                assert_eq!(line.get(column), &Json::Num(count as f64), "{column}");
+            }
+            let gated: Vec<(String, Json)> = entry
+                .report
+                .metrics
+                .iter()
+                .filter(|metric| metric.gate.is_some())
+                .map(|metric| (metric.name.clone(), Json::Num(metric.value)))
+                .collect();
+            assert_eq!(line.get("gated"), &Json::Obj(gated));
+        }
     }
 
     #[test]

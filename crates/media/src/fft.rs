@@ -13,9 +13,104 @@
 //! A real signal's spectrum is kept *packed*: `m` reals
 //! `[A₀, A_{m/2}, re A₁, im A₁, …, re A_{m/2−1}, im A_{m/2−1}]`; the
 //! other half is the conjugate mirror, and `A₀`, `A_{m/2}` are real.
+//!
+//! The butterflies and [`Fft::correlate`] are generic over a [`Lane`]:
+//! one `f64`, or `[f64; LANES]` — that many independent transforms run
+//! side by side, each lane's operations exactly a one-lane run's.
 
 use std::f64::consts::{SQRT_2, TAU};
 use std::sync::OnceLock;
+
+/// Transforms per [`Lane`] of the wide kind: the rows of one tile of a
+/// `TurningCorpus`'s spectra.
+pub(crate) const LANES: usize = 4;
+
+/// One value of a transform: a single `f64`, or `[f64; LANES]`, the same
+/// position in `LANES` independent transforms. Every operation is the
+/// `f64` one applied lane by lane, so lane `l` of a wide run computes,
+/// operation for operation, what a one-lane run on lane `l`'s input
+/// computes: IEEE-754 arithmetic is correctly rounded, and Rust neither
+/// reassociates it nor fuses a multiply and an add, so the bits agree.
+/// The wide kind is plain element-wise array arithmetic, which LLVM
+/// runs two lanes to an SSE2 register on the baseline x86-64 target.
+pub(crate) trait Lane: Copy {
+    /// `x` in every lane.
+    fn splat(x: f64) -> Self;
+    /// `f(l)` in lane `l`.
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self;
+    /// Lane `lane`'s value (an `f64` has one lane, whatever `lane` is).
+    fn at(self, lane: usize) -> f64;
+    /// `f` lane by lane.
+    fn zip(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self;
+
+    #[inline(always)]
+    fn add(self, other: Self) -> Self {
+        self.zip(other, |x, y| x + y)
+    }
+
+    #[inline(always)]
+    fn sub(self, other: Self) -> Self {
+        self.zip(other, |x, y| x - y)
+    }
+
+    #[inline(always)]
+    fn mul(self, other: Self) -> Self {
+        self.zip(other, |x, y| x * y)
+    }
+
+    #[inline(always)]
+    fn div(self, other: Self) -> Self {
+        self.zip(other, |x, y| x / y)
+    }
+}
+
+impl Lane for f64 {
+    #[inline(always)]
+    fn splat(x: f64) -> f64 {
+        x
+    }
+
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f64) -> f64 {
+        f(0)
+    }
+
+    #[inline(always)]
+    fn at(self, _lane: usize) -> f64 {
+        self
+    }
+
+    #[inline(always)]
+    fn zip(self, other: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
+        f(self, other)
+    }
+}
+
+impl Lane for [f64; LANES] {
+    #[inline(always)]
+    fn splat(x: f64) -> [f64; LANES] {
+        [x; LANES]
+    }
+
+    #[inline(always)]
+    fn from_fn(f: impl FnMut(usize) -> f64) -> [f64; LANES] {
+        std::array::from_fn(f)
+    }
+
+    #[inline(always)]
+    fn at(self, lane: usize) -> f64 {
+        self[lane]
+    }
+
+    #[inline(always)]
+    fn zip(self, other: [f64; LANES], f: impl Fn(f64, f64) -> f64) -> [f64; LANES] {
+        let mut out = self;
+        for l in 0..LANES {
+            out[l] = f(self[l], other[l]);
+        }
+        out
+    }
+}
 
 /// Unit roundoff `u = 2⁻⁵³`.
 const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
@@ -169,29 +264,33 @@ impl Fft {
     }
 
     /// The stages of a transform whose input is already in bit-reversed
-    /// order. Each butterfly is `x ± w·y`, the complex product in its
-    /// four multiplications and two additions (Higham's model), except
-    /// in the first two stages, whose twiddles make the product exact.
-    fn butterflies(&self, re: &mut [f64], im: &mut [f64], inverse: bool) {
+    /// order, over every lane of `re` and `im` at once. Each butterfly is
+    /// `x ± w·y`, the complex product in its four multiplications and
+    /// two additions (Higham's model), except in the first two stages,
+    /// whose twiddles make the product exact.
+    fn butterflies<L: Lane>(&self, re: &mut [L], im: &mut [L], inverse: bool) {
         let points = re.len();
         let sign = if inverse { -1.0 } else { 1.0 };
         // The first two stages in one pass over groups of four: their
         // twiddles are 1 and ∓i, so their products are exact, a swap and
         // a sign; the operations are the two stages' own.
         if points >= 4 {
+            let (plus, minus) = (L::splat(sign), L::splat(-sign));
             for (re, im) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
-                let (a0r, a0i) = (re[0] + re[1], im[0] + im[1]);
-                let (a1r, a1i) = (re[0] - re[1], im[0] - im[1]);
-                let (a2r, a2i) = (re[2] + re[3], im[2] + im[3]);
-                let (a3r, a3i) = (re[2] - re[3], im[2] - im[3]);
-                (re[0], im[0], re[2], im[2]) = (a0r + a2r, a0i + a2i, a0r - a2r, a0i - a2i);
+                let (a0r, a0i) = (re[0].add(re[1]), im[0].add(im[1]));
+                let (a1r, a1i) = (re[0].sub(re[1]), im[0].sub(im[1]));
+                let (a2r, a2i) = (re[2].add(re[3]), im[2].add(im[3]));
+                let (a3r, a3i) = (re[2].sub(re[3]), im[2].sub(im[3]));
+                (re[0], im[0]) = (a0r.add(a2r), a0i.add(a2i));
+                (re[2], im[2]) = (a0r.sub(a2r), a0i.sub(a2i));
                 // w·y = ∓i·(yr + i·yi) = ±yi ∓ i·yr.
-                let (tr, ti) = (sign * a3i, -sign * a3r);
-                (re[1], im[1], re[3], im[3]) = (a1r + tr, a1i + ti, a1r - tr, a1i - ti);
+                let (tr, ti) = (plus.mul(a3i), minus.mul(a3r));
+                (re[1], im[1]) = (a1r.add(tr), a1i.add(ti));
+                (re[3], im[3]) = (a1r.sub(tr), a1i.sub(ti));
             }
         } else if points == 2 {
             let (xr, xi, yr, yi) = (re[0], im[0], re[1], im[1]);
-            (re[0], im[0], re[1], im[1]) = (xr + yr, xi + yi, xr - yr, xi - yi);
+            (re[0], im[0], re[1], im[1]) = (xr.add(yr), xi.add(yi), xr.sub(yr), xi.sub(yi));
         }
         let mut h = 4;
         while h < points {
@@ -205,14 +304,14 @@ impl Fft {
                 let (xr, yr) = re.split_at_mut(h);
                 let (xi, yi) = im.split_at_mut(h);
                 for j in 0..h {
-                    let (wr, wi) = (cos[j], sin[j]);
-                    let tr = wr * yr[j] - wi * yi[j];
-                    let ti = wr * yi[j] + wi * yr[j];
+                    let (wr, wi) = (L::splat(cos[j]), L::splat(sin[j]));
+                    let tr = wr.mul(yr[j]).sub(wi.mul(yi[j]));
+                    let ti = wr.mul(yi[j]).add(wi.mul(yr[j]));
                     let (ar, ai) = (xr[j], xi[j]);
-                    xr[j] = ar + tr;
-                    xi[j] = ai + ti;
-                    yr[j] = ar - tr;
-                    yi[j] = ai - ti;
+                    xr[j] = ar.add(tr);
+                    xi[j] = ai.add(ti);
+                    yr[j] = ar.sub(tr);
+                    yi[j] = ai.sub(ti);
                 }
             }
             h *= 2;
@@ -245,7 +344,9 @@ impl Fft {
     /// `X_s = Σ_k conj(A_k)·B_k·e^{+2πiks/m}` for every `s < m`, from two
     /// packed spectra of real signals `a`, `b` (`m ≥ 2`): `m` times
     /// their cyclic cross-correlation `Σᵢ aᵢ·b₍ᵢ₊ₛ₎ mod m`. `X_{2j}` is
-    /// left in `re[j]` and `X_{2j+1}` in `im[j]`, `j < m/2`.
+    /// left in `re[j]` and `X_{2j+1}` in `im[j]`, `j < m/2`. With
+    /// `L = [f64; LANES]`, `a` is that many spectra, lane by lane, each
+    /// correlated with the one `b`.
     ///
     /// `X` is real, so it takes one complex transform of `M = m/2`
     /// points: `z_j = X_{2j} + i·X_{2j+1}` is the inverse transform of
@@ -254,37 +355,41 @@ impl Fft {
     /// `D_{M−k} = conj D_k` and `ω_m^{M−k}·E_{M−k} = conj(ω_m^k·E_k)`, one
     /// pass over `k ≤ M/2` writes both `Z_k` and `Z_{M−k}`, in
     /// bit-reversed order.
-    pub(crate) fn correlate(&self, a: &[f64], b: &[f64], re: &mut [f64], im: &mut [f64]) {
+    pub(crate) fn correlate<L: Lane>(&self, a: &[L], b: &[f64], re: &mut [L], im: &mut [L]) {
         let m = self.len;
         let half = m / 2;
         debug_assert!(m >= 2 && a.len() == m && b.len() == m);
         debug_assert!(re.len() == half && im.len() == half);
         // k = 0: P₀ = A₀B₀ and P_M = A_M·B_M are real, ω⁰ = 1.
-        let (p0, pm) = (a[0] * b[0], a[1] * b[1]);
-        re[0] = p0 + pm;
-        im[0] = p0 - pm;
-        let product = |k: usize| {
-            let (ar, ai, br, bi) = (a[2 * k], a[2 * k + 1], b[2 * k], b[2 * k + 1]);
-            (ar * br + ai * bi, ar * bi - ai * br)
-        };
+        let (p0, pm) = (a[0].mul(L::splat(b[0])), a[1].mul(L::splat(b[1])));
+        re[0] = p0.add(pm);
+        im[0] = p0.sub(pm);
         // ω_m^k is the conjugate of stage M's forward twiddle.
         let (cos, sin) = (&self.cos[half..m], &self.sin[half..m]);
         for k in 1..=half / 2 {
-            let (pr, pi) = product(k);
-            let (qr, qi) = product(half - k);
-            let (dr, di) = (pr + qr, pi - qi);
-            let (er, ei) = (pr - qr, pi + qi);
-            let (wr, wi) = (cos[k], -sin[k]);
-            let (fr, fi) = (wr * er - wi * ei, wr * ei + wi * er);
+            let (pr, pi) = product(a, b, k);
+            let (qr, qi) = product(a, b, half - k);
+            let (dr, di) = (pr.add(qr), pi.sub(qi));
+            let (er, ei) = (pr.sub(qr), pi.add(qi));
+            let (wr, wi) = (L::splat(cos[k]), L::splat(-sin[k]));
+            let (fr, fi) = (wr.mul(er).sub(wi.mul(ei)), wr.mul(ei).add(wi.mul(er)));
             let r = self.half_reversal[k];
-            re[r] = dr - fi;
-            im[r] = di + fr;
+            re[r] = dr.sub(fi);
+            im[r] = di.add(fr);
             let r = self.half_reversal[half - k];
-            re[r] = dr + fi;
-            im[r] = fr - di;
+            re[r] = dr.add(fi);
+            im[r] = fr.sub(di);
         }
         self.butterflies(re, im, true);
     }
+}
+
+/// `P_k = conj(A_k)·B_k` from two packed spectra, `0 < k < m/2`.
+#[inline(always)]
+fn product<L: Lane>(a: &[L], b: &[f64], k: usize) -> (L, L) {
+    let (ar, ai) = (a[2 * k], a[2 * k + 1]);
+    let (br, bi) = (L::splat(b[2 * k]), L::splat(b[2 * k + 1]));
+    (ar.mul(br).add(ai.mul(bi)), ar.mul(bi).sub(ai.mul(br)))
 }
 
 #[cfg(test)]
@@ -480,6 +585,32 @@ mod tests {
                 transformed(&Fft::new(m), &x, false),
                 "m {m}"
             );
+        }
+    }
+
+    /// A wide correlation is `LANES` one-lane correlations, bit for bit:
+    /// the butterflies and the pre-pass run each lane's operations in a
+    /// one-lane run's order.
+    #[test]
+    fn each_lane_of_a_wide_correlation_is_a_one_lane_correlation() {
+        for m in [2, 4, 8, 16, 64, 128] {
+            let fft = Fft::new(m);
+            let spectra: Vec<Vec<f64>> = (0..LANES)
+                .map(|lane| fft.real_spectrum(&signal(m, lane as u64)[..m]))
+                .collect();
+            let b = fft.real_spectrum(&signal(m, 99)[m..]);
+            let tile: Vec<[f64; LANES]> = (0..m)
+                .map(|k| std::array::from_fn(|lane| spectra[lane][k]))
+                .collect();
+            let (mut re, mut im) = (vec![[0.0; LANES]; m / 2], vec![[0.0; LANES]; m / 2]);
+            fft.correlate(&tile, &b, &mut re, &mut im);
+            for (lane, a) in spectra.iter().enumerate() {
+                let (mut one_re, mut one_im) = (vec![0.0; m / 2], vec![0.0; m / 2]);
+                fft.correlate(a, &b, &mut one_re, &mut one_im);
+                let wide = re.iter().chain(&im).map(|x| x[lane].to_bits());
+                let one = one_re.iter().chain(&one_im).map(|x| x.to_bits());
+                assert!(wide.eq(one), "m {m}, lane {lane}");
+            }
         }
     }
 

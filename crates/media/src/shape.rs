@@ -19,7 +19,7 @@
 use std::f64::consts::{PI, SQRT_2};
 use std::fmt;
 
-use crate::fft::{self, gamma, Fft};
+use crate::fft::{self, gamma, Fft, Lane, LANES};
 
 /// A 2-D point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -367,153 +367,180 @@ fn margin(n: usize, sum_sq_both: f64) -> f64 {
     MARGIN * rounding_bound(n) / n as f64 * sum_sq_both
 }
 
-/// The exact error of one starting-point shift: the mean squared
-/// difference between `ta` and the shifted prototype under that shift's
-/// optimal rotation offset (the mean difference), both sums in index
-/// order — the operations of the one-shift reference loop.
-fn shift_error(ta: &[f64], tb2: &[f64], shift: usize) -> f64 {
-    let n = ta.len() as f64;
-    let shifted = &tb2[shift..];
-    let mut sum = 0.0_f64;
-    for (&a, &b) in ta.iter().zip(shifted) {
-        sum += a - b;
+/// The exact error of one starting-point shift, in every lane of
+/// `samples` (one row, or a tile of `LANES` rows, `[i][lane]`) at once,
+/// lane `l` at shift `shift(l)`: the mean squared difference between
+/// the row and the shifted prototype under that shift's optimal
+/// rotation offset (the mean difference), both sums in index order —
+/// the operations of the one-shift reference loop, lane by lane.
+fn shift_error<L: Lane>(samples: &[L], tb2: &[f64], shift: impl Fn(usize) -> usize) -> L {
+    let n = samples.len();
+    let len = L::splat(n as f64);
+    let windows: [&[f64]; LANES] = std::array::from_fn(|lane| &tb2[shift(lane)..][..n]);
+    let shifted = |i: usize| L::from_fn(|lane| windows[lane][i]);
+    let mut sum = L::splat(0.0);
+    for (i, &a) in samples.iter().enumerate() {
+        sum = sum.add(a.sub(shifted(i)));
     }
-    let offset = sum / n;
-    let mut err = 0.0_f64;
-    for (&a, &b) in ta.iter().zip(shifted) {
-        let d = a - b - offset;
-        err += d * d;
+    let offset = sum.div(len);
+    let mut err = L::splat(0.0);
+    for (i, &a) in samples.iter().enumerate() {
+        let d = a.sub(shifted(i)).sub(offset);
+        err = err.add(d.mul(d));
     }
-    err / n
+    err.div(len)
 }
 
-/// One row as the filter reads it: its samples, the packed spectrum of
-/// its zero-padded samples, and `(Σa, Σa²)` in index order.
-#[derive(Clone, Copy)]
-struct Row<'a> {
-    samples: &'a [f64],
-    spectrum: &'a [f64],
-    sums: (f64, f64),
-}
-
-/// [`filter_row`] on a row whose spectrum is not stored: transforms it
-/// first.
-#[cfg(test)]
-fn filter(ta: &[f64], prototype: &Prototype, approx: &mut Vec<f64>) -> Option<f64> {
-    let spectrum = prototype.fft.real_spectrum(ta);
-    filter_row(
-        Row {
-            samples: ta,
-            spectrum: &spectrum,
-            sums: sums(ta),
-        },
-        prototype,
-        approx,
-    )
-}
-
-/// The filter: writes `approx(s) = (Σa² + Σb² − 2·C(s))·fl(1/n) − ((Σa − Σb)/n)²`
-/// for every shift into `approx`, with every `C(s)` from one product of
-/// the two spectra and one inverse transform, and returns the cut —
+/// The filter, for every lane of `spectrum` at once — one row's packed
+/// spectrum (`L = f64`) or a tile of `LANES` rows' — with each lane's
+/// `(Σa, Σa²)`: writes
+/// `approx(s) = (Σa² + Σb² − 2·C(s))·fl(1/n) − ((Σa − Σb)/n)²` for every
+/// shift into `approx[..n]`, with every `C(s)` from one product of the
+/// spectra and one inverse transform, and returns each lane's cut —
 /// shift `s` is refined iff `approx(s) ≤ cut`. The cut is
-/// `min approx + 2δ`; `None` (refine every shift) when an estimate or the
-/// cut is not finite.
-fn filter_row(row: Row<'_>, prototype: &Prototype, approx: &mut Vec<f64>) -> Option<f64> {
-    let n = row.samples.len();
-    debug_assert_eq!(prototype.doubled.len(), n.saturating_mul(2));
+/// `min approx + 2δ`; it is not finite (refine every shift) when an
+/// estimate is not. Each lane runs one row's operations in one row's
+/// order, so a tile's lane is that row's run, bit for bit.
+fn filter<L: Lane>(
+    spectrum: &[L],
+    (sum, sum_sq): (L, L),
+    prototype: &Prototype,
+    approx: &mut Vec<L>,
+) -> L {
+    let n = prototype.samples();
     let len = n as f64;
-    let (sum, sum_sq) = row.sums;
-    let sum_sq_both = sum_sq + prototype.sum_sq;
-    let mean = (sum - prototype.sum) / len;
-    let mean_sq = mean * mean;
+    let sum_sq_both = sum_sq.add(L::splat(prototype.sum_sq));
+    let mean = sum.sub(L::splat(prototype.sum)).div(L::splat(len));
+    let mean_sq = mean.mul(mean);
     // `correlate` leaves m·C(s) in the scratch after the n estimates,
     // C(2j) in its first half and C(2j + 1) in its second; 1/m is a
-    // power of two, so exact.
+    // power of two, so exact. It writes every entry it reads.
     let m = prototype.fft.len();
     let scale = 1.0 / m as f64;
-    approx.clear();
-    approx.resize(n + m, 0.0);
+    approx.resize(n + m, L::splat(0.0));
     let (estimates, scratch) = approx.split_at_mut(n);
     let (even, odd) = scratch.split_at_mut(m / 2);
     prototype
         .fft
-        .correlate(row.spectrum, &prototype.spectrum, even, odd);
-    let inv_len = 1.0 / len;
-    let estimate = |c: f64| (sum_sq_both - c * (2.0 * scale)) * inv_len - mean_sq;
+        .correlate(spectrum, &prototype.spectrum, even, odd);
+    let (twice_scale, inv_len) = (L::splat(2.0 * scale), L::splat(1.0 / len));
+    let estimate = |c: L| {
+        sum_sq_both
+            .sub(c.mul(twice_scale))
+            .mul(inv_len)
+            .sub(mean_sq)
+    };
+    // The smallest estimate, taken in shift order by a select that skips
+    // NaNs, and `e − e` summed: +0 while every estimate is finite, NaN
+    // once one is not. Both are element-wise, so the lanes run side by
+    // side.
+    let (mut lowest, mut poison) = (L::splat(f64::INFINITY), L::splat(0.0));
     for (pair, (&even, &odd)) in estimates.chunks_mut(2).zip(even.iter().zip(odd.iter())) {
         for (x, c) in pair.iter_mut().zip([even, odd]) {
-            *x = estimate(c);
+            let e = estimate(c);
+            *x = e;
+            lowest = lowest.zip(e, |lowest, e| if e < lowest { e } else { lowest });
+            poison = poison.add(e.sub(e));
         }
     }
-    let mut lowest = f64::INFINITY;
-    let mut finite = true;
-    for &x in estimates.iter() {
-        finite &= x.is_finite();
-        // A branch, not `f64::min`: the smallest estimate rarely
-        // changes, and a compare carries no chain of latencies.
-        if x < lowest {
-            lowest = x;
+    // The cut is never −0 (`lowest + 2δ` with 2δ ≥ +0), so adding a
+    // +0 poison leaves its bits; a NaN one makes it NaN: refine every
+    // shift.
+    let margin = L::splat(2.0 * prototype.margin_per_sum_sq).mul(sum_sq_both);
+    lowest.add(margin).add(poison)
+}
+
+/// The shifts [`filter`] leaves for the exact error, for the first
+/// `live` lanes at once: writes into `kept`, in ascending shift order,
+/// every shift some lane keeps, with the lanes that keep it (bit `l` for
+/// lane `l`). A lane keeps the shifts whose estimate is at most its cut,
+/// or every shift when its cut is not finite.
+fn survivors<L: Lane>(estimates: &[L], cut: L, live: usize, kept: &mut Vec<(usize, u8)>) {
+    let cuts: [f64; LANES] = std::array::from_fn(|lane| cut.at(lane));
+    let every: [bool; LANES] = std::array::from_fn(|lane| !cuts[lane].is_finite());
+    let live = (1u8 << live.min(LANES)) - 1;
+    kept.clear();
+    for (shift, x) in estimates.iter().enumerate() {
+        let lanes = (0..LANES).fold(0u8, |lanes, lane| {
+            lanes | u8::from((x.at(lane) <= cuts[lane]) | every[lane]) << lane
+        });
+        if lanes & live != 0 {
+            kept.push((shift, lanes & live));
         }
     }
-    approx.truncate(n);
-    let cut = lowest + 2.0 * prototype.margin_per_sum_sq * sum_sq_both;
-    (finite && cut.is_finite()).then_some(cut)
 }
 
-/// The shifts [`filter_row`] leaves for the exact error, ascending: those
-/// whose estimate is at most the cut, or every shift without one.
-fn survivors(approx: &[f64], cut: Option<f64>) -> impl Iterator<Item = usize> + '_ {
-    approx
-        .iter()
-        .enumerate()
-        .filter(move |&(_, &estimate)| cut.is_none_or(|cut| estimate <= cut))
-        .map(|(shift, _)| shift)
-}
-
-/// [`min_shift_distance_row`] on a row whose spectrum is not stored.
-fn min_shift_distance(ta: &[f64], prototype: &Prototype, approx: &mut Vec<f64>) -> f64 {
-    let spectrum = prototype.fft.real_spectrum(ta);
-    min_shift_distance_row(
-        Row {
-            samples: ta,
-            spectrum: &spectrum,
-            sums: sums(ta),
-        },
-        prototype,
-        approx,
-    )
+/// The refine, for the first `live` lanes of `samples` (one row, or a
+/// tile of `LANES` rows, `[i][lane]`) with [`filter`]'s `estimates` and
+/// cut: pushes each lane's root of the smallest exact error over the
+/// shifts it keeps ([`survivors`]), in ascending shift order.
+///
+/// Every estimate is within δ of its exact error, so the best shift is
+/// always refined and each result is the full scan's, bit for bit;
+/// debug builds check that on every row. The lanes refine side by
+/// side: a round takes the next kept shift of every lane that has one
+/// and computes their [`shift_error`]s at once, so four rows' dependent
+/// sums overlap; a lane's own errors still fold in its own shift order.
+fn refine<L: Lane>(
+    samples: &[L],
+    prototype: &Prototype,
+    estimates: &[L],
+    cut: L,
+    live: usize,
+    kept: &mut Vec<(usize, u8)>,
+    out: &mut Vec<f64>,
+) {
+    let tb2 = &prototype.doubled;
+    debug_assert_eq!(tb2.len(), samples.len().saturating_mul(2));
+    survivors(estimates, cut, live, kept);
+    let mut queues: [_; LANES] = std::array::from_fn(|lane| {
+        kept.iter()
+            .filter(move |&&(_, lanes)| lanes >> lane & 1 != 0)
+            .map(|&(shift, _)| shift)
+    });
+    let mut best = [f64::INFINITY; LANES];
+    loop {
+        let shifts: [Option<usize>; LANES] = std::array::from_fn(|lane| queues[lane].next());
+        if shifts.iter().all(Option::is_none) {
+            break;
+        }
+        // A lane with no shift left repeats shift 0; its error is dropped.
+        let errors = shift_error(samples, tb2, |lane| shifts[lane].unwrap_or(0));
+        for (lane, shift) in shifts.iter().enumerate() {
+            if shift.is_some() {
+                best[lane] = best[lane].min(errors.at(lane));
+            }
+        }
+    }
+    for (lane, best) in best.iter().enumerate().take(live) {
+        let distance = best.max(0.0).sqrt();
+        debug_assert_eq!(
+            distance.to_bits(),
+            every_shift(&samples.iter().map(|x| x.at(lane)).collect::<Vec<_>>(), tb2).to_bits(),
+            "lane {lane}: the refined shifts missed the best one"
+        );
+        out.push(distance);
+    }
 }
 
 /// The Arkin distance between a turning function and a prototype of the
-/// same length: the root of the smallest per-shift error.
-///
-/// Filter and refine (§2.1's distance bounding over shifts):
-/// [`filter_row`] estimates every shift's error from the row's and the
-/// prototype's spectra, and only the shifts within `2δ` of the smallest
-/// estimate get their exact error, in ascending shift order. Every
-/// estimate is within δ of its exact error, so the best shift is always
-/// refined and the result is the full scan's, bit for bit; debug builds
-/// check that on every call.
-fn min_shift_distance_row(row: Row<'_>, prototype: &Prototype, approx: &mut Vec<f64>) -> f64 {
-    let cut = filter_row(row, prototype, approx);
-    let distance = survivors(approx, cut)
-        .map(|shift| shift_error(row.samples, &prototype.doubled, shift))
-        .fold(f64::INFINITY, f64::min)
-        .max(0.0)
-        .sqrt();
-    debug_assert_eq!(
-        distance.to_bits(),
-        every_shift(row.samples, &prototype.doubled).to_bits(),
-        "the refined shifts missed the best one"
-    );
-    distance
+/// same length: the root of the smallest per-shift error, by filter and
+/// refine (§2.1's distance bounding over shifts) — [`filter`] over the
+/// row's spectrum, then [`refine`].
+fn min_shift_distance(ta: &[f64], prototype: &Prototype, approx: &mut Vec<f64>) -> f64 {
+    let spectrum = prototype.fft.real_spectrum(ta);
+    let cut = filter(&spectrum, sums(ta), prototype, approx);
+    let mut out = Vec::with_capacity(1);
+    let estimates = &approx[..ta.len()];
+    refine(ta, prototype, estimates, cut, 1, &mut Vec::new(), &mut out);
+    out.pop().unwrap_or(f64::INFINITY)
 }
 
 /// The full scan the filter replaced: every shift's exact error, in
 /// ascending shift order: the debug check's reference and the tests'.
 fn every_shift(ta: &[f64], tb2: &[f64]) -> f64 {
     (0..ta.len())
-        .map(|shift| shift_error(ta, tb2, shift))
+        .map(|shift| shift_error(ta, tb2, |_| shift))
         .fold(f64::INFINITY, f64::min)
         .max(0.0)
         .sqrt()
@@ -531,13 +558,15 @@ fn every_shift(ta: &[f64], tb2: &[f64]) -> f64 {
 pub struct TurningCorpus {
     samples: usize,
     len: usize,
-    /// Row-major `len × samples`.
-    rows: Vec<f64>,
-    /// Row-major `len × transform_len(samples)`: each row's packed
-    /// spectrum.
-    spectra: Vec<f64>,
-    /// Each row's `(Σa, Σa²)`, in index order.
-    sums: Vec<(f64, f64)>,
+    /// The rows in tiles of `LANES` (`⌈len/LANES⌉ · samples` entries):
+    /// tile `t` owns `rows[t·samples .. (t+1)·samples]`, entry `i`
+    /// holding sample `i` of row `t·LANES + l` in lane `l`.
+    rows: Vec<[f64; LANES]>,
+    /// The rows' packed spectra in the same tiles
+    /// (`⌈len/LANES⌉ · transform_len(samples)` entries).
+    spectra: Vec<[f64; LANES]>,
+    /// Each tile's `(Σa, Σa²)`, a lane a row, each in index order.
+    sums: Vec<([f64; LANES], [f64; LANES])>,
 }
 
 impl TurningCorpus {
@@ -548,20 +577,38 @@ impl TurningCorpus {
         samples: usize,
     ) -> TurningCorpus {
         let fft = Fft::of(transform_len(samples));
+        let m = fft.len();
         let shapes = shapes.into_iter();
         // Sized up front where the count is known: a doubling `Vec`
         // holds its old and new blocks at once, and the peak is what a
         // loaded repository pays.
         let expected = shapes.size_hint().0;
+        let tiles = expected.div_ceil(LANES);
         let mut len = 0usize;
-        let mut rows = Vec::with_capacity(expected.saturating_mul(samples));
-        let mut spectra = Vec::with_capacity(expected.saturating_mul(fft.len()));
-        let mut row_sums = Vec::with_capacity(expected);
+        let mut rows = Vec::with_capacity(tiles.saturating_mul(samples));
+        let mut spectra = Vec::with_capacity(tiles.saturating_mul(m));
+        let mut tile_sums = Vec::with_capacity(tiles);
         for shape in shapes {
             let row = turning_function(shape, samples);
-            spectra.extend(fft.real_spectrum(&row));
-            row_sums.push(sums(&row));
-            rows.extend(row);
+            let lane = len % LANES;
+            if lane == 0 {
+                // A new tile, zero in the lanes no row reaches; they are
+                // never refined, and never reach an output.
+                rows.resize(rows.len().saturating_add(samples), [0.0; LANES]);
+                spectra.resize(spectra.len().saturating_add(m), [0.0; LANES]);
+                tile_sums.push(([0.0; LANES], [0.0; LANES]));
+            }
+            let tile = rows.len().saturating_sub(samples);
+            for (column, &x) in rows[tile..].iter_mut().zip(&row) {
+                column[lane] = x;
+            }
+            let tile = spectra.len().saturating_sub(m);
+            for (column, x) in spectra[tile..].iter_mut().zip(fft.real_spectrum(&row)) {
+                column[lane] = x;
+            }
+            if let Some((sum, sum_sq)) = tile_sums.last_mut() {
+                (sum[lane], sum_sq[lane]) = sums(&row);
+            }
             len = len.saturating_add(1);
         }
         TurningCorpus {
@@ -569,7 +616,7 @@ impl TurningCorpus {
             len,
             rows,
             spectra,
-            sums: row_sums,
+            sums: tile_sums,
         }
     }
 
@@ -595,7 +642,9 @@ impl TurningCorpus {
         self.distances_to(&self.prototype(prototype))
     }
 
-    /// [`distances`](Self::distances) to a prototype this corpus built.
+    /// [`distances`](Self::distances) to a prototype this corpus built:
+    /// [`filter`] and [`refine`] a tile of `LANES` rows at a time, each
+    /// row in its own lane.
     ///
     /// # Panics
     /// Panics if the prototype was resampled at another sample count.
@@ -605,24 +654,33 @@ impl TurningCorpus {
             self.samples,
             "the prototype must come from this corpus"
         );
-        if self.samples == 0 {
+        let n = self.samples;
+        if n == 0 {
             // No samples, no shifts: `turning_distance(_, _, 0)`.
             return vec![f64::INFINITY; self.len];
         }
-        let mut approx = Vec::new();
-        self.rows
-            .chunks_exact(self.samples)
+        let (mut approx, mut kept) = (Vec::new(), Vec::new());
+        let mut out = Vec::with_capacity(self.len);
+        let tiles = self
+            .rows
+            .chunks_exact(n)
             .zip(self.spectra.chunks_exact(prototype.fft.len()))
-            .zip(&self.sums)
-            .map(|((samples, spectrum), &sums)| {
-                let row = Row {
-                    samples,
-                    spectrum,
-                    sums,
-                };
-                min_shift_distance_row(row, prototype, &mut approx)
-            })
-            .collect()
+            .zip(&self.sums);
+        for ((rows, spectra), &sums) in tiles {
+            let cut = filter(spectra, sums, prototype, &mut approx);
+            // The last tile's unused lanes are not live: dropped here.
+            let live = (self.len - out.len()).min(LANES);
+            refine(
+                rows,
+                prototype,
+                &approx[..n],
+                cut,
+                live,
+                &mut kept,
+                &mut out,
+            );
+        }
+        out
     }
 }
 
@@ -1057,15 +1115,31 @@ mod tests {
         shapes
     }
 
+    /// [`filter`] on one row, its spectrum transformed first: leaves the
+    /// `n` estimates in `approx` and returns the cut.
+    fn filter_row(ta: &[f64], prototype: &Prototype, approx: &mut Vec<f64>) -> f64 {
+        let spectrum = prototype.fft.real_spectrum(ta);
+        let cut = filter(&spectrum, sums(ta), prototype, approx);
+        approx.truncate(ta.len());
+        cut
+    }
+
+    /// The shifts [`survivors`] keeps for one row.
+    fn kept_shifts(estimates: &[f64], cut: f64) -> Vec<usize> {
+        let mut kept = Vec::new();
+        survivors(estimates, cut, 1, &mut kept);
+        kept.iter().map(|&(shift, _)| shift).collect()
+    }
+
     /// The filter's estimates and the exact errors of every shift, and
     /// the margin δ, for one pair at `n` samples.
     fn estimates_and_errors(a: &Polygon, b: &Polygon, n: usize) -> (Vec<f64>, Vec<f64>, f64) {
         let ta = turning_function(a, n);
         let prototype = Prototype::new(turning_function(b, n));
         let mut approx = Vec::new();
-        filter(&ta, &prototype, &mut approx);
+        filter_row(&ta, &prototype, &mut approx);
         let exact = (0..n)
-            .map(|shift| shift_error(&ta, &prototype.doubled, shift))
+            .map(|shift| shift_error(&ta, &prototype.doubled, |_| shift))
             .collect();
         let delta = margin(n, sums(&ta).1 + prototype.sum_sq);
         (approx, exact, delta)
@@ -1112,8 +1186,8 @@ mod tests {
         let ta = turning_function(&sq, 64);
         let prototype = Prototype::new(ta.clone());
         let mut approx = Vec::new();
-        let cut = filter(&ta, &prototype, &mut approx);
-        let refined: Vec<usize> = survivors(&approx, cut).collect();
+        let cut = filter_row(&ta, &prototype, &mut approx);
+        let refined = kept_shifts(&approx, cut);
         assert!(refined.contains(&0), "{refined:?}");
         assert_eq!(turning_distance(&sq, &sq, 64), 0.0);
     }
@@ -1123,43 +1197,89 @@ mod tests {
         let ta = vec![0.0, f64::NAN, 1.0];
         let prototype = Prototype::new(vec![0.0, 0.5, 1.0]);
         let mut approx = Vec::new();
-        let cut = filter(&ta, &prototype, &mut approx);
-        assert_eq!(cut, None);
-        assert_eq!(survivors(&approx, cut).count(), 3);
+        let cut = filter_row(&ta, &prototype, &mut approx);
+        assert!(!cut.is_finite(), "cut {cut}");
+        assert_eq!(kept_shifts(&approx, cut), [0, 1, 2]);
         let d = min_shift_distance(&ta, &prototype, &mut approx);
         assert_eq!(d.to_bits(), every_shift(&ta, &prototype.doubled).to_bits());
     }
 
     #[test]
     fn a_stored_row_with_a_nan_refines_every_shift() {
-        // 64 samples take the cyclic transform, 65 the padded one.
+        // 64 samples take the cyclic transform, 65 the padded one. The
+        // poisoned row is lane 1 of the only tile; its tile-mates grade
+        // as if it were not there.
         for n in [64, 65] {
             let shapes = [
                 Polygon::star(5, 1.0, 0.4, 0.0, 0.0).unwrap(),
                 Polygon::rectangle(0.0, 0.0, 2.0, 1.0).unwrap(),
+                Polygon::regular(6, 1.0, 0.0, 0.0, 0.3).unwrap(),
             ];
             let mut corpus = TurningCorpus::build(&shapes, n);
-            corpus.rows[n + 7] = f64::NAN;
+            corpus.rows[7][1] = f64::NAN;
+            let row: Vec<f64> = corpus.rows.iter().map(|x| x[1]).collect();
             let fft = Fft::of(transform_len(n));
-            let m = fft.len();
-            corpus.spectra[m..2 * m].copy_from_slice(&fft.real_spectrum(&corpus.rows[n..2 * n]));
-            corpus.sums[1] = sums(&corpus.rows[n..2 * n]);
+            for (column, x) in corpus.spectra.iter_mut().zip(fft.real_spectrum(&row)) {
+                column[1] = x;
+            }
+            (corpus.sums[0].0[1], corpus.sums[0].1[1]) = sums(&row);
             let prototype = corpus.prototype(&Polygon::ellipse(0.0, 0.0, 1.0, 0.6, 30).unwrap());
-            let row = Row {
-                samples: &corpus.rows[n..2 * n],
-                spectrum: &corpus.spectra[m..2 * m],
-                sums: corpus.sums[1],
-            };
             let mut approx = Vec::new();
-            let cut = filter_row(row, &prototype, &mut approx);
-            assert_eq!(cut, None, "n {n}");
-            assert_eq!(survivors(&approx, cut).count(), n);
+            let cut = filter(&corpus.spectra, corpus.sums[0], &prototype, &mut approx);
+            assert!(!cut[1].is_finite(), "n {n}: cut {}", cut[1]);
+            let mut kept = Vec::new();
+            survivors(&approx[..n], cut, 3, &mut kept);
+            assert_eq!(kept.len(), n);
+            assert!(kept.iter().all(|&(_, lanes)| lanes & 2 != 0), "{kept:?}");
             let distances = corpus.distances_to(&prototype);
             assert_eq!(
                 distances[1].to_bits(),
-                every_shift(row.samples, &prototype.doubled).to_bits()
+                every_shift(&row, &prototype.doubled).to_bits()
             );
-            assert!(distances[0].is_finite());
+            for i in [0, 2] {
+                assert!(cut[i].is_finite(), "n {n}, lane {i}");
+                let alone = TurningCorpus::build(&shapes[i..=i], n).distances_to(&prototype);
+                assert_eq!(
+                    distances[i].to_bits(),
+                    alone[0].to_bits(),
+                    "n {n}, lane {i}"
+                );
+            }
+        }
+    }
+
+    /// A tile's filter is its rows' one-row filters, lane by lane, bit
+    /// for bit: every estimate and the cut, at sample counts on both
+    /// transform paths and corpus sizes around the tile width. (The
+    /// distances cannot show a lane's correlation straying: the margin
+    /// absorbs it, and the refine is exact.)
+    #[test]
+    fn each_tile_lane_filters_as_its_row_alone() {
+        let shapes = margin_shapes(5);
+        let prototype_shape = Polygon::star(7, 1.0, 0.45, 0.0, 0.0).unwrap();
+        for n in [1, 2, 3, 4, 16, 20, 50, 64, 65, 128] {
+            for size in [1, 3, 4, 5, 9, shapes.len()] {
+                let corpus = TurningCorpus::build(&shapes[..size], n);
+                let prototype = corpus.prototype(&prototype_shape);
+                let m = prototype.fft.len();
+                let (mut wide, mut one) = (Vec::new(), Vec::new());
+                let tiles = corpus
+                    .rows
+                    .chunks_exact(n)
+                    .zip(corpus.spectra.chunks_exact(m));
+                for (t, ((rows, spectra), &sums)) in tiles.zip(&corpus.sums).enumerate() {
+                    let cut = filter(spectra, sums, &prototype, &mut wide);
+                    for lane in 0..LANES.min(size - t * LANES) {
+                        let row: Vec<f64> = rows.iter().map(|x| x[lane]).collect();
+                        assert_eq!(row, turning_function(&shapes[t * LANES + lane], n));
+                        let one_cut = filter_row(&row, &prototype, &mut one);
+                        let what = format!("n {n}, size {size}, tile {t}, lane {lane}");
+                        assert_eq!(cut[lane].to_bits(), one_cut.to_bits(), "{what}");
+                        let lane_bits = wide[..n].iter().map(|x| x[lane].to_bits());
+                        assert!(lane_bits.eq(one.iter().map(|x| x.to_bits())), "{what}");
+                    }
+                }
+            }
         }
     }
 
@@ -1225,7 +1345,11 @@ mod tests {
             seed: 7,
             ..SynthConfig::default()
         });
-        let corpus = TurningCorpus::build(db.objects.iter().map(|o| &o.shape), 64);
+        let rows: Vec<Vec<f64>> = db
+            .objects
+            .iter()
+            .map(|o| turning_function(&o.shape, 64))
+            .collect();
         let mut prototypes = vec![
             Polygon::ellipse(0.0, 0.0, 1.0, 1.0, 40).unwrap(),
             Polygon::rectangle(0.0, 0.0, 2.0, 1.0).unwrap(),
@@ -1235,15 +1359,14 @@ mod tests {
         let mut approx = Vec::new();
         for shape in &prototypes {
             let prototype = Prototype::new(turning_function(shape, 64));
-            let refined: usize = corpus
-                .rows
-                .chunks_exact(64)
+            let refined: usize = rows
+                .iter()
                 .map(|ta| {
-                    let cut = filter(ta, &prototype, &mut approx);
-                    survivors(&approx, cut).count()
+                    let cut = filter_row(ta, &prototype, &mut approx);
+                    kept_shifts(&approx, cut).len()
                 })
                 .sum();
-            let per_object = refined as f64 / corpus.len() as f64;
+            let per_object = refined as f64 / rows.len() as f64;
             assert!(per_object <= 1.1, "{per_object} shifts refined per object");
         }
     }
