@@ -148,6 +148,13 @@ const MAX_WARM_PROBE_VS_MEM: f64 = 17.4;
 /// with its counting pass, each page answered under one slot lock.
 const MAX_WARM_BATCH_VS_MEM: f64 = 14.8;
 
+/// Ceiling on `cold_us_per_page_read` (release builds): 1.25× the
+/// largest of eighteen whole quick suites on a 2-core x86-64 VM
+/// (2.11–4.04) since the checksum runs in four braids. Eight suites
+/// alternated with them read 3.25–4.42 under slice-by-16, and a page
+/// miss cost ≈ 24 µs under the bit-at-a-time checksum.
+const MAX_COLD_US_PER_PAGE_READ: f64 = 5.04;
+
 /// One warm-vs-memory comparison over its rounds.
 #[derive(Clone, Copy)]
 struct WarmVsMem {
@@ -420,14 +427,17 @@ pub fn run(cfg: &RunCfg) -> Report {
     report.gated(
         "cold_us_per_page_read",
         cold_page_us,
-        Bound::PositiveAtMost(12.0),
-        "a page miss (file in the OS cache) is back above half of the 24 µs it cost under \
-         the bit-at-a-time checksum; look at `store::format::crc32` first",
+        Bound::PositiveAtMost(MAX_COLD_US_PER_PAGE_READ),
+        "a page miss (file in the OS cache) costs more than the braided checksum leaves it; \
+         look at `store::format::crc32` first (do its four braids still run side by side, \
+         one `CRC_BRAID` look-up per byte?), then at `StoreInner::load_page`",
     );
     report.note(format!(
         "a cold page read costs {cold_page_us:.2} µs all in (full cold drain of 258 4 KiB \
-         pages, file in the OS cache, best of 3); the bit-at-a-time CRC32 the store \
-         shipped with put it at ≈ 24 µs, 21 of them checksum.",
+         pages, file in the OS cache, best of 3); the run fails above \
+         {MAX_COLD_US_PER_PAGE_READ} µs. The checksum is CRC32 in four braids, ≈ 1 µs a \
+         page; slice-by-16 took ≈ 2 µs and put the read at 3.3–4.4 µs, and the \
+         bit-at-a-time CRC32 the store shipped with put it at ≈ 24 µs, 21 of them checksum.",
     ));
 
     report.note(

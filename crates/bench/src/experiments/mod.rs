@@ -114,6 +114,7 @@ mod tests {
                 "ca_vs_ta_ns_per_access",
                 "naive_vs_ta_ns_per_access",
                 "engine_vs_scalar_many8",
+                "engine_vs_scalar_many8_spread",
                 "engine_vs_scalar_sorted_calls",
                 "naive_sorted_calls_per_access",
                 "naive_minor_faults_per_run",
