@@ -72,7 +72,7 @@ mod tests {
         "warm_ta_vs_mem",
         "warm_probe_vs_mem",
         "warm_batch_vs_mem",
-        "cold_us_per_page_read",
+        "cold_probe_vs_mem",
         "nra_vs_ta_ns_per_access",
         "ca_vs_ta_ns_per_access",
         "naive_vs_ta_ns_per_access",
@@ -101,7 +101,8 @@ mod tests {
                 "warm_probe_vs_mem_spread",
                 "warm_batch_vs_mem",
                 "warm_batch_vs_mem_spread",
-                "cold_us_per_page_read",
+                "cold_probe_vs_mem",
+                "cold_probe_vs_mem_spread",
             ],
         ),
         (
@@ -134,6 +135,7 @@ mod tests {
                 "shape_bind_us",
                 "shape_bind_vs_row_kernel",
                 "shape_bind_vs_row_kernel_spread",
+                "ordered_per_listed",
             ],
         ),
         ("E22", &["opt_ratio_*"]),
