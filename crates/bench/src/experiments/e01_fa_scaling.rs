@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::naive::Naive;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::workload::independent_uniform;
 
@@ -43,10 +42,10 @@ pub fn run(cfg: &RunCfg) -> Report {
             let mut fa_points = Vec::new();
             let mut naive_points = Vec::new();
             for &n in &ns {
-                let fa = mean_cost(&FaginsAlgorithm, &min, k, cfg.seeds, |seed| {
+                let fa = mean_cost(PhysicalPlan::Fa, &min, k, cfg.seeds, |seed| {
                     independent_uniform(n, m, seed)
                 });
-                let naive = mean_cost(&Naive, &min, k, cfg.seeds, |seed| {
+                let naive = mean_cost(PhysicalPlan::FullScan, &min, k, cfg.seeds, |seed| {
                     independent_uniform(n, m, seed)
                 });
                 let fc = fa.database_access_cost();

@@ -5,8 +5,7 @@ use std::sync::Arc;
 
 use fmdb_core::scoring::conorms::Max;
 use fmdb_core::scoring::ConormScoring;
-use fmdb_middleware::algorithms::max_merge::MaxMerge;
-use fmdb_middleware::algorithms::naive::Naive;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::workload::independent_uniform;
 
@@ -33,10 +32,10 @@ pub fn run(cfg: &RunCfg) -> Report {
     for &m in &[2usize, 3, 5] {
         for &k in &[5usize, 20] {
             for &n in &ns {
-                let merge = mean_cost(&MaxMerge, &scoring, k, cfg.seeds, |seed| {
+                let merge = mean_cost(PhysicalPlan::MaxMerge, &scoring, k, cfg.seeds, |seed| {
                     independent_uniform(n, m, seed)
                 });
-                let naive = mean_cost(&Naive, &scoring, k, cfg.seeds, |seed| {
+                let naive = mean_cost(PhysicalPlan::FullScan, &scoring, k, cfg.seeds, |seed| {
                     independent_uniform(n, m, seed)
                 });
                 t.row(vec![

@@ -5,13 +5,13 @@
 use std::sync::Arc;
 
 use fmdb_core::scoring::tnorms::{Lukasiewicz, Min, Product};
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::workload::independent_uniform;
 
 use crate::report::{f3, fit_exponent, int, Report, Table};
-use crate::runners::{mean_cost, RunCfg};
+use crate::runners::{mean_algo_cost, mean_cost, RunCfg};
 
 /// Runs the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
@@ -45,10 +45,10 @@ pub fn run(cfg: &RunCfg) -> Report {
         let mut fa_pts = Vec::new();
         let mut pr_pts = Vec::new();
         for &n in &ns {
-            let fa = mean_cost(&FaginsAlgorithm, norm, k, cfg.seeds, |seed| {
+            let fa = mean_cost(PhysicalPlan::Fa, norm, k, cfg.seeds, |seed| {
                 independent_uniform(n, m, seed)
             });
-            let pr = mean_cost(&PrunedFa::default(), norm, k, cfg.seeds, |seed| {
+            let pr = mean_algo_cost(&PrunedFa::default(), norm, k, cfg.seeds, |seed| {
                 independent_uniform(n, m, seed)
             });
             let scale = ((k * n) as f64).sqrt();

@@ -7,10 +7,10 @@ use fmdb_core::scoring::means::{ArithmeticMean, GeometricMean};
 use fmdb_core::scoring::tnorms::{Lukasiewicz, Min, Product};
 use fmdb_core::scoring::ScoringFunction;
 use fmdb_core::weights::{Weighted, Weighting};
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::TopKAlgorithm;
+use fmdb_middleware::algorithms::Cursor;
 use fmdb_middleware::oracle::verify_top_k;
-use fmdb_middleware::source::GradedSource;
+use fmdb_middleware::planner::PhysicalPlan;
+use fmdb_middleware::source::{GradedSource, Subsystem};
 use fmdb_middleware::workload::independent_uniform;
 
 use crate::report::{f3, int, Report, Table};
@@ -50,12 +50,11 @@ pub fn run(cfg: &RunCfg) -> Report {
         let mut verified = true;
         for seed in 0..cfg.seeds {
             let mut sources = independent_uniform(n, 2, seed);
-            let mut refs: Vec<&mut dyn GradedSource> = sources
+            let mut refs: Vec<&mut dyn Subsystem> = sources
                 .iter_mut()
-                .map(|s| s as &mut dyn GradedSource)
+                .map(|s| s as &mut dyn Subsystem)
                 .collect();
-            let result = FaginsAlgorithm
-                .top_k(&mut refs, scoring.as_ref(), k)
+            let result = Cursor::once(PhysicalPlan::Fa, 0.0, &mut refs, scoring.as_ref(), k)
                 .expect("valid configuration");
             total += result.stats.database_access_cost();
             let mut refs2: Vec<&mut dyn GradedSource> = sources

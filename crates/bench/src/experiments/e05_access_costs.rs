@@ -6,16 +6,14 @@
 use std::sync::Arc;
 
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::naive::Naive;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::stats::CostModel;
 use fmdb_middleware::workload::independent_uniform;
 
 use crate::report::{f3, Report, Table};
-use crate::runners::{mean_cost, RunCfg};
+use crate::runners::{mean_algo_cost, mean_cost, RunCfg};
 
 /// Runs the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
@@ -32,16 +30,16 @@ pub fn run(cfg: &RunCfg) -> Report {
     let ratios = [0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0];
 
     // Collect raw stats once per algorithm; prices are applied after.
-    let fa = mean_cost(&FaginsAlgorithm, &min, k, cfg.seeds, |seed| {
+    let fa = mean_cost(PhysicalPlan::Fa, &min, k, cfg.seeds, |seed| {
         independent_uniform(n, m, seed)
     });
-    let pruned = mean_cost(&PrunedFa::default(), &min, k, cfg.seeds, |seed| {
+    let pruned = mean_algo_cost(&PrunedFa::default(), &min, k, cfg.seeds, |seed| {
         independent_uniform(n, m, seed)
     });
-    let ta = mean_cost(&ThresholdAlgorithm, &min, k, cfg.seeds, |seed| {
+    let ta = mean_cost(PhysicalPlan::Ta, &min, k, cfg.seeds, |seed| {
         independent_uniform(n, m, seed)
     });
-    let naive = mean_cost(&Naive, &min, k, cfg.seeds, |seed| {
+    let naive = mean_cost(PhysicalPlan::FullScan, &min, k, cfg.seeds, |seed| {
         independent_uniform(n, m, seed)
     });
 

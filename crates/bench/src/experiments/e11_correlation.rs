@@ -6,13 +6,13 @@
 use std::sync::Arc;
 
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
+use fmdb_middleware::planner::PhysicalPlan;
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::workload::{adversarial_anti, correlated_pair};
 
 use crate::report::{f3, fit_exponent, int, Report, Table};
-use crate::runners::{mean_cost, RunCfg};
+use crate::runners::{mean_cost, run_policy, RunCfg};
 
 /// Runs the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
@@ -31,10 +31,10 @@ pub fn run(cfg: &RunCfg) -> Report {
         &["rho", "A0 cost", "TA cost", "A0 cost/√(kN)"],
     );
     for &rho in &[-1.0f64, -0.75, -0.5, 0.0, 0.5, 0.75, 1.0] {
-        let fa = mean_cost(&FaginsAlgorithm, &min, k, cfg.seeds, |seed| {
+        let fa = mean_cost(PhysicalPlan::Fa, &min, k, cfg.seeds, |seed| {
             correlated_pair(n, rho, seed)
         });
-        let ta = mean_cost(&ThresholdAlgorithm, &min, k, cfg.seeds, |seed| {
+        let ta = mean_cost(PhysicalPlan::Ta, &min, k, cfg.seeds, |seed| {
             correlated_pair(n, rho, seed)
         });
         corr.row(vec![
@@ -58,9 +58,10 @@ pub fn run(cfg: &RunCfg) -> Report {
     let mut fa_pts = Vec::new();
     for &n in &ns {
         let mut sources = adversarial_anti(n);
-        let fa = crate::runners::run_algo(&FaginsAlgorithm, &mut sources, &min, k).stats;
+        let forced = |plan| ExecPolicy::new().plan(plan);
+        let fa = run_policy(forced(PhysicalPlan::Fa), &mut sources, &min, k).stats;
         let mut sources = adversarial_anti(n);
-        let ta = crate::runners::run_algo(&ThresholdAlgorithm, &mut sources, &min, k).stats;
+        let ta = run_policy(forced(PhysicalPlan::Ta), &mut sources, &min, k).stats;
         fa_pts.push((n as f64, fa.database_access_cost() as f64));
         adv.row(vec![
             n.to_string(),

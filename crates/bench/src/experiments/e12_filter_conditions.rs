@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::cg_filter::CgFilter;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::source::Subsystem;
 use fmdb_middleware::workload::independent_uniform;
@@ -25,7 +25,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     );
     let n = cfg.pick(1 << 14, 1 << 10);
     let k = 10usize;
-    let fa_cost = mean_cost(&FaginsAlgorithm, &min, k, cfg.seeds, |seed| {
+    let fa_cost = mean_cost(PhysicalPlan::Fa, &min, k, cfg.seeds, |seed| {
         independent_uniform(n, 2, seed)
     })
     .database_access_cost();

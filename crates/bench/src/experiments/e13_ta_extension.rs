@@ -5,15 +5,14 @@
 use std::sync::Arc;
 
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::source::VecSource;
 use fmdb_middleware::workload::{adversarial_anti, correlated_pair, independent_uniform};
 
 use crate::report::{f3, int, Report, Table};
-use crate::runners::{mean_cost, RunCfg};
+use crate::runners::{mean_algo_cost, mean_cost, RunCfg};
 
 /// Runs the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
@@ -47,9 +46,9 @@ pub fn run(cfg: &RunCfg) -> Report {
         &["workload", "A0", "pruned A0", "TA", "TA/A0"],
     );
     for (name, make) in &workloads {
-        let fa = mean_cost(&FaginsAlgorithm, &min, k, cfg.seeds, &**make);
-        let pr = mean_cost(&PrunedFa::default(), &min, k, cfg.seeds, &**make);
-        let ta = mean_cost(&ThresholdAlgorithm, &min, k, cfg.seeds, &**make);
+        let fa = mean_cost(PhysicalPlan::Fa, &min, k, cfg.seeds, &**make);
+        let pr = mean_algo_cost(&PrunedFa::default(), &min, k, cfg.seeds, &**make);
+        let ta = mean_cost(PhysicalPlan::Ta, &min, k, cfg.seeds, &**make);
         t.row(vec![
             (*name).to_owned(),
             int(fa.database_access_cost()),

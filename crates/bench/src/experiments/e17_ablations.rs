@@ -13,13 +13,13 @@ use fmdb_media::bounding::DistanceBound;
 use fmdb_media::color::ColorHistogram;
 use fmdb_media::distance::{HistogramDistance, QuadraticFormDistance};
 use fmdb_media::synth::{SynthConfig, SyntheticDb};
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::workload::independent_uniform;
 
 use crate::report::{f3, int, Report, Table};
-use crate::runners::{mean_cost, RunCfg};
+use crate::runners::{mean_algo_cost, mean_cost, RunCfg};
 
 /// Runs the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
@@ -95,17 +95,17 @@ pub fn run(cfg: &RunCfg) -> Report {
         ],
     );
     for &m in &[2usize, 3, 4] {
-        let plain = mean_cost(&FaginsAlgorithm, &min, k, cfg.seeds, |seed| {
+        let plain = mean_cost(PhysicalPlan::Fa, &min, k, cfg.seeds, |seed| {
             independent_uniform(n2, m, seed)
         });
-        let skip_only = mean_cost(
+        let skip_only = mean_algo_cost(
             &PrunedFa::without_short_circuit(),
             &min,
             k,
             cfg.seeds,
             |seed| independent_uniform(n2, m, seed),
         );
-        let full = mean_cost(&PrunedFa::default(), &min, k, cfg.seeds, |seed| {
+        let full = mean_algo_cost(&PrunedFa::default(), &min, k, cfg.seeds, |seed| {
             independent_uniform(n2, m, seed)
         });
         pruning.row(vec![

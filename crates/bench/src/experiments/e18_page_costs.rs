@@ -17,8 +17,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
-use fmdb_middleware::algorithms::TopKAlgorithm;
+use fmdb_middleware::algorithms::Cursor;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::source::{Subsystem, VecSource};
 use fmdb_middleware::stats::PageIoStats;
 use fmdb_middleware::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
@@ -70,8 +70,7 @@ fn ta_over_stores(
         .collect();
     let start = Instant::now();
     // A page that fails its checksum fails the run with a typed error.
-    let result = ThresholdAlgorithm
-        .evaluate(&mut refs, &Min, k)
+    let result = Cursor::once(PhysicalPlan::Ta, 0.0, &mut refs, &Min, k)
         .unwrap_or_else(|e| panic!("paged TA failed: {e}"));
     let wall = start.elapsed().as_secs_f64() * 1e3;
     // A cursor hands its probe hits to its pool when it drops.
@@ -275,9 +274,7 @@ pub fn run(cfg: &RunCfg) -> Report {
             .map(|s| s as &mut dyn Subsystem)
             .collect();
         let start = Instant::now();
-        let result = ThresholdAlgorithm
-            .evaluate(&mut refs, &Min, k)
-            .expect("valid run");
+        let result = Cursor::once(PhysicalPlan::Ta, 0.0, &mut refs, &Min, k).expect("valid run");
         (start.elapsed().as_secs_f64() * 1e3, result.answers)
     };
     let mem_answers = mem_ta(&mut sources).1;

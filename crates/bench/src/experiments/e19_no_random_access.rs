@@ -34,16 +34,12 @@ use std::time::Instant;
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::naive::Naive;
-use fmdb_middleware::algorithms::nra::{Nra, NraLowerBound};
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
-use fmdb_middleware::algorithms::TopKAlgorithm;
+use fmdb_middleware::algorithms::{nra_intervals, Cursor};
 use fmdb_middleware::engine::Engine;
-use fmdb_middleware::policy::{Algo, ExecPolicy};
+use fmdb_middleware::planner::PhysicalPlan;
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::{TopKQuery, TopKRequest};
-use fmdb_middleware::source::{GradedSource, Oid, SourceError, SourceInfo, Subsystem, VecSource};
+use fmdb_middleware::source::{Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use fmdb_middleware::workload::{correlated_pair, independent_uniform};
 
 use crate::report::{f3, int, Bound, Report, Table};
@@ -91,16 +87,16 @@ use crate::runners::{fastest_us, RoundRatio, RunCfg};
 
 /// Charged accesses and wall-clock nanoseconds per charged access of
 /// one scalar run, the fastest of five.
-fn ns_per_access(algo: &dyn TopKAlgorithm, sources: &mut [VecSource], k: usize) -> (u64, f64) {
-    let mut refs: Vec<&mut dyn GradedSource> = sources
+fn ns_per_access(plan: PhysicalPlan, sources: &mut [VecSource], k: usize) -> (u64, f64) {
+    let mut refs: Vec<&mut dyn Subsystem> = sources
         .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
+        .map(|s| s as &mut dyn Subsystem)
         .collect();
     let mut best = f64::INFINITY;
     let mut accesses = 0;
     for _ in 0..5 {
         let start = Instant::now();
-        let result = algo.top_k(&mut refs, &Min, k).expect("valid run");
+        let result = Cursor::once(plan, 0.0, &mut refs, &Min, k).expect("valid run");
         best = best.min(start.elapsed().as_nanos() as f64);
         accesses = result.stats.database_access_cost();
     }
@@ -109,7 +105,7 @@ fn ns_per_access(algo: &dyn TopKAlgorithm, sources: &mut [VecSource], k: usize) 
 
 /// perfbench's `run_many8` — eight forced-TA requests over lists of
 /// 4 096, arities 3, 3, 3, 2, 3, 4, 3, 2 — through `Engine::run` and
-/// under scalar `ThresholdAlgorithm::top_k`: charged accesses of the
+/// under scalar TA (`Cursor::once`): charged accesses of the
 /// eight, the engine's floor in microseconds, and the engine ÷ scalar
 /// ratio over 100 turns. The engine is a private one, so the
 /// experiment's own access totals stay what they were.
@@ -126,7 +122,7 @@ fn many8(k: usize) -> (u64, f64, RoundRatio) {
                 .sources(set.iter().cloned())
                 .scoring(Min)
                 .k(k)
-                .policy(ExecPolicy::new().algo(Algo::Ta))
+                .policy(ExecPolicy::new().plan(PhysicalPlan::Ta))
                 .request()
                 .expect("valid request")
         })
@@ -148,11 +144,9 @@ fn many8(k: usize) -> (u64, f64, RoundRatio) {
             });
             let scalar = fastest_us(1, || {
                 for set in &mut sets {
-                    let mut refs: Vec<&mut dyn GradedSource> =
-                        set.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
-                    ThresholdAlgorithm
-                        .top_k(&mut refs, &Min, k)
-                        .expect("valid run");
+                    let mut refs: Vec<&mut dyn Subsystem> =
+                        set.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+                    Cursor::once(PhysicalPlan::Ta, 0.0, &mut refs, &Min, k).expect("valid run");
                 }
             });
             (through_engine, scalar)
@@ -207,7 +201,7 @@ impl Subsystem for PerCall {
     }
 }
 
-/// Scalar A₀ and `Engine::run` with `Algo::Fa` over the same `n`-object
+/// Scalar A₀ and `Engine::run` under a policy naming A₀ over the same `n`-object
 /// lists (m = 4, min, k = 10), each list behind a [`PerCall`]
 /// subsystem: the charged sorted accesses (the charges asserted equal,
 /// with equal answers) and the sorted-access calls of each side.
@@ -222,20 +216,18 @@ fn sorted_calls(n: usize) -> (u64, u64, u64) {
             })
     };
     let mut sources: Vec<PerCall> = lists().collect();
-    let mut refs: Vec<&mut dyn GradedSource> = sources
+    let mut refs: Vec<&mut dyn Subsystem> = sources
         .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
+        .map(|s| s as &mut dyn Subsystem)
         .collect();
-    let scalar = FaginsAlgorithm
-        .top_k(&mut refs, &Min, 10)
-        .expect("valid run");
+    let scalar = Cursor::once(PhysicalPlan::Fa, 0.0, &mut refs, &Min, 10).expect("valid run");
     // ordering(Relaxed): single-threaded tally; see `PerCall::round_trip`.
     let scalar_calls = calls.swap(0, Ordering::Relaxed);
     let request = TopKQuery::compose()
         .sources(lists())
         .scoring(Min)
         .k(10)
-        .policy(ExecPolicy::new().algo(Algo::Fa))
+        .policy(ExecPolicy::new().plan(PhysicalPlan::Fa))
         .request()
         .expect("valid request");
     let batched = Engine::default().run(&request).expect("valid run");
@@ -265,11 +257,11 @@ fn naive_sorted_calls(n: usize) -> (u64, u64) {
             calls: Arc::clone(&calls),
         })
         .collect();
-    let mut refs: Vec<&mut dyn GradedSource> = sources
+    let mut refs: Vec<&mut dyn Subsystem> = sources
         .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
+        .map(|s| s as &mut dyn Subsystem)
         .collect();
-    let naive = Naive.top_k(&mut refs, &Min, 10).expect("valid run");
+    let naive = Cursor::once(PhysicalPlan::FullScan, 0.0, &mut refs, &Min, 10).expect("valid run");
     // ordering(Relaxed): single-threaded tally; see `PerCall::round_trip`.
     (naive.stats.sorted, calls.load(Ordering::Relaxed))
 }
@@ -296,23 +288,15 @@ fn naive_scan_faults(scans: usize) -> (Vec<f64>, f64) {
     let mut faults = Vec::with_capacity(scans);
     let mut floor = f64::INFINITY;
     for _ in 0..scans {
-        let mut refs: Vec<&mut dyn GradedSource> = three
-            .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
-            .collect();
-        ThresholdAlgorithm
-            .top_k(&mut refs, &Min, 10)
-            .expect("valid run");
-        FaginsAlgorithm
-            .top_k(&mut refs, &Min, 10)
-            .expect("valid run");
-        let mut refs: Vec<&mut dyn GradedSource> = pair
-            .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
-            .collect();
+        let mut refs: Vec<&mut dyn Subsystem> =
+            three.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+        Cursor::once(PhysicalPlan::Ta, 0.0, &mut refs, &Min, 10).expect("valid run");
+        Cursor::once(PhysicalPlan::Fa, 0.0, &mut refs, &Min, 10).expect("valid run");
+        let mut refs: Vec<&mut dyn Subsystem> =
+            pair.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
         let before = minor_faults();
         let start = Instant::now();
-        Naive.top_k(&mut refs, &Min, 10).expect("valid run");
+        Cursor::once(PhysicalPlan::FullScan, 0.0, &mut refs, &Min, 10).expect("valid run");
         floor = floor.min(start.elapsed().as_secs_f64() * 1e6);
         let taken = before
             .zip(minor_faults())
@@ -360,18 +344,17 @@ pub fn run(cfg: &RunCfg) -> Report {
                     }
                 };
                 let mut a = make(seed);
-                let mut refs: Vec<&mut dyn GradedSource> =
-                    a.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
-                let fa = FaginsAlgorithm
-                    .top_k(&mut refs, &Min, k)
-                    .expect("valid run");
+                let mut refs: Vec<&mut dyn Subsystem> =
+                    a.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+                let fa =
+                    Cursor::once(PhysicalPlan::Fa, 0.0, &mut refs, &Min, k).expect("valid run");
                 total_fa_sorted += fa.stats.sorted;
                 total_fa_random += fa.stats.random;
 
                 let mut b = make(seed);
                 let mut refs_b: Vec<&mut dyn Subsystem> =
                     b.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
-                let nra = Nra.evaluate(&mut refs_b, &Min, k).expect("valid run");
+                let nra = nra_intervals(&mut refs_b, &Min, k).expect("valid run");
                 assert_eq!(nra.stats.random, 0);
                 total_nra_sorted += nra.stats.sorted;
                 exact += nra.answers.iter().filter(|x| x.is_exact()).count();
@@ -401,11 +384,11 @@ pub fn run(cfg: &RunCfg) -> Report {
         &["algorithm", "charged accesses", "ns / access", "vs TA"],
     );
     let mut sources = independent_uniform(n, 3, 7);
-    let (ta_accesses, ta) = ns_per_access(&ThresholdAlgorithm, &mut sources, 10);
-    let (nra_accesses, nra) = ns_per_access(&NraLowerBound, &mut sources, 10);
-    let (ca_accesses, ca) = ns_per_access(&CombinedAlgorithm::new(10, 0.0), &mut sources, 10);
-    let (fa_accesses, fa) = ns_per_access(&FaginsAlgorithm, &mut sources, 10);
-    let (naive_accesses, naive) = ns_per_access(&Naive, &mut sources, 10);
+    let (ta_accesses, ta) = ns_per_access(PhysicalPlan::Ta, &mut sources, 10);
+    let (nra_accesses, nra) = ns_per_access(PhysicalPlan::Nra, &mut sources, 10);
+    let (ca_accesses, ca) = ns_per_access(PhysicalPlan::Ca { h: 10 }, &mut sources, 10);
+    let (fa_accesses, fa) = ns_per_access(PhysicalPlan::Fa, &mut sources, 10);
+    let (naive_accesses, naive) = ns_per_access(PhysicalPlan::FullScan, &mut sources, 10);
     for (name, accesses, ns) in [
         ("TA", ta_accesses, ta),
         ("NRA", nra_accesses, nra),
@@ -538,7 +521,7 @@ pub fn run(cfg: &RunCfg) -> Report {
             naive_calls_per_access,
             Bound::PositiveAtMost(MAX_NAIVE_CALLS_PER_ACCESS),
             "the naive scan no longer reads a list a batch at a time; look at `Book::drain` \
-             in `algorithms/book.rs` and at `Naive::top_k` (it should drain, not pull) first",
+             in `algorithms/book.rs` and at the scan (it should drain, not pull) first",
         )
         .gated(
             "naive_minor_faults_per_run",

@@ -40,14 +40,14 @@ use fmdb_media::distance::{HistogramDistance, QuadraticFormDistance};
 use fmdb_media::embed::{euclidean, EmbeddedCorpus, EmbeddedSpace};
 use fmdb_media::shape::TurningCorpus;
 use fmdb_media::synth::{SynthConfig, SyntheticDb};
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
-use fmdb_middleware::algorithms::TopKAlgorithm;
+use fmdb_middleware::algorithms::Cursor;
+use fmdb_middleware::planner::PhysicalPlan;
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::source::{Oid, Subsystem, VecSource};
 
 use crate::report::{f3, Bound, Report, Table};
-use crate::runners::{fastest_us, median, run_algo, RoundRatio, RunCfg};
+use crate::runners::{fastest_us, median, run_policy, RoundRatio, RunCfg};
 
 /// Interleaved rounds behind each ratio in a full run: a round takes
 /// the five floors below back to back, so a burst on the host lands on
@@ -155,9 +155,7 @@ fn ordered_and_listed(mut lists: [VecSource; 2], k: usize) -> (usize, usize) {
         .iter_mut()
         .map(|list| list as &mut dyn Subsystem)
         .collect();
-    ThresholdAlgorithm
-        .evaluate(&mut refs, &Min, k)
-        .expect("in-memory lists never fail");
+    Cursor::once(PhysicalPlan::Ta, 0.0, &mut refs, &Min, k).expect("in-memory lists never fail");
     let ordered: usize = lists.iter().map(VecSource::entries_ordered).sum();
     let listed = lists.iter().map(|list| list.info().universe_size).sum();
     (copied + ordered, listed)
@@ -258,13 +256,9 @@ pub fn run(cfg: &RunCfg) -> Report {
             ordered += o;
             listed += l;
 
-            let qf_result = run_algo(&FaginsAlgorithm, &mut [qf_color, texture.clone()], &min, k);
-            let embed_result = run_algo(
-                &FaginsAlgorithm,
-                &mut [embed_color, texture.clone()],
-                &min,
-                k,
-            );
+            let fa = ExecPolicy::new().plan(PhysicalPlan::Fa);
+            let qf_result = run_policy(fa, &mut [qf_color, texture.clone()], &min, k);
+            let embed_result = run_policy(fa, &mut [embed_color, texture.clone()], &min, k);
             let qf_ids: Vec<Oid> = qf_result.answers.iter().map(|a| a.id).collect();
             let embed_ids: Vec<Oid> = embed_result.answers.iter().map(|a| a.id).collect();
             all_equal &= qf_ids == embed_ids;

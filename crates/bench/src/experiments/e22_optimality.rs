@@ -17,11 +17,11 @@
 //! gated where it is emitted.
 
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::approx::{ApproxNra, ApproxTa};
-use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
-use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
+use fmdb_middleware::algorithms::{Cursor, TopKResult};
 use fmdb_middleware::optimality::OptimalityOracle;
-use fmdb_middleware::source::GradedSource;
+use fmdb_middleware::planner::PhysicalPlan;
+use fmdb_middleware::policy::ExecPolicy;
+use fmdb_middleware::source::{GradedSource, Subsystem};
 use fmdb_middleware::stats::CostModel;
 use fmdb_middleware::workload::independent_uniform;
 
@@ -34,20 +34,19 @@ const RATIOS: [f64; 7] = [0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0];
 const THETAS: [f64; 4] = [0.0, 0.01, 0.1, 0.5];
 
 fn scalar_run(
-    algorithm: &dyn TopKAlgorithm,
+    plan: PhysicalPlan,
+    theta: f64,
     n: usize,
     m: usize,
     seed: u64,
     k: usize,
 ) -> TopKResult {
     let mut sources = independent_uniform(n, m, seed);
-    let mut refs: Vec<&mut dyn GradedSource> = sources
+    let mut refs: Vec<&mut dyn Subsystem> = sources
         .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
+        .map(|s| s as &mut dyn Subsystem)
         .collect();
-    algorithm
-        .top_k(&mut refs, &Min, k)
-        .expect("valid monotone run")
+    Cursor::once(plan, theta, &mut refs, &Min, k).expect("valid monotone run")
 }
 
 /// Runs the experiment.
@@ -98,17 +97,17 @@ pub fn run(cfg: &RunCfg) -> Report {
             oracles.push(
                 OptimalityOracle::build(&mut refs, &Min, k, theta).expect("valid oracle build"),
             );
-            ta_runs.push(scalar_run(&ApproxTa::new(theta), n, m, seed, k));
-            nra_runs.push(scalar_run(&ApproxNra::new(theta), n, m, seed, k));
+            ta_runs.push(scalar_run(PhysicalPlan::ApproxTa, theta, n, m, seed, k));
+            nra_runs.push(scalar_run(PhysicalPlan::ApproxNra, theta, n, m, seed, k));
         }
 
         for &ratio in &RATIOS {
             let model = CostModel::random_to_sorted_ratio(ratio).expect("valid cost ratio");
-            let ca = CombinedAlgorithm::for_cost(&model, theta);
+            let h = ExecPolicy::new().cost_model(model).interleave();
             let mut sums = [0.0f64; 3];
             for seed in 0..cfg.seeds {
                 let oracle = &oracles[seed as usize];
-                let ca_run = scalar_run(&ca, n, m, seed, k);
+                let ca_run = scalar_run(PhysicalPlan::Ca { h }, theta, n, m, seed, k);
                 sums[0] += oracle.ratio(ta_runs[seed as usize].stats.charged(&model), &model);
                 sums[1] += oracle.ratio(nra_runs[seed as usize].stats.charged(&model), &model);
                 sums[2] += oracle.ratio(ca_run.stats.charged(&model), &model);
@@ -118,7 +117,7 @@ pub fn run(cfg: &RunCfg) -> Report {
             t.row(vec![
                 f3(theta),
                 f3(ratio),
-                ca.interleave().to_string(),
+                h.to_string(),
                 f3(means[0]),
                 f3(means[1]),
                 f3(means[2]),

@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
 use fmdb_middleware::engine::Engine;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::{SharedScoring, TopKQuery};
 use fmdb_middleware::source::VecSource;
@@ -112,7 +113,8 @@ pub fn engine() -> &'static Engine {
     ENGINE.get_or_init(Engine::default)
 }
 
-/// Runs `algo` through the shared [`engine`] over copies of `sources`.
+/// Runs `algo`, a strategy no plan names, through the shared
+/// [`engine`] over copies of `sources`.
 ///
 /// # Panics
 /// Panics if the algorithm rejects the query — experiments only pass
@@ -159,19 +161,42 @@ pub fn run_policy(
         .unwrap_or_else(|e| panic!("policy run failed: {e}"))
 }
 
-/// Averages the access stats of `algo` across seeds, generating fresh
+/// Averages the access stats of `plan` across seeds, generating fresh
 /// sources per seed via `make_sources`.
 pub fn mean_cost(
+    plan: PhysicalPlan,
+    scoring: &SharedScoring,
+    k: usize,
+    seeds: u64,
+    make_sources: impl FnMut(u64) -> Vec<VecSource>,
+) -> AccessStats {
+    let policy = ExecPolicy::new().plan(plan);
+    mean_over(seeds, make_sources, |sources| {
+        run_policy(policy, sources, scoring, k)
+    })
+}
+
+/// [`mean_cost`] of `algo`, a strategy no plan names.
+pub fn mean_algo_cost(
     algo: &dyn TopKAlgorithm,
     scoring: &SharedScoring,
     k: usize,
     seeds: u64,
+    make_sources: impl FnMut(u64) -> Vec<VecSource>,
+) -> AccessStats {
+    mean_over(seeds, make_sources, |sources| {
+        run_algo(algo, sources, scoring, k)
+    })
+}
+
+fn mean_over(
+    seeds: u64,
     mut make_sources: impl FnMut(u64) -> Vec<VecSource>,
+    mut run: impl FnMut(&mut [VecSource]) -> TopKResult,
 ) -> AccessStats {
     let mut total = AccessStats::ZERO;
     for seed in 0..seeds {
-        let mut sources = make_sources(seed);
-        total += run_algo(algo, &mut sources, scoring, k).stats;
+        total += run(&mut make_sources(seed)).stats;
     }
     AccessStats::new(total.sorted / seeds, total.random / seeds)
 }
@@ -180,13 +205,15 @@ pub fn mean_cost(
 mod tests {
     use super::*;
     use fmdb_core::scoring::tnorms::Min;
-    use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
+    use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
+    use fmdb_middleware::algorithms::Cursor;
+    use fmdb_middleware::source::Subsystem;
     use fmdb_middleware::workload::independent_uniform;
 
     #[test]
     fn mean_cost_averages_over_seeds() {
         let min: SharedScoring = Arc::new(Min);
-        let stats = mean_cost(&FaginsAlgorithm, &min, 3, 3, |seed| {
+        let stats = mean_cost(PhysicalPlan::Fa, &min, 3, 3, |seed| {
             independent_uniform(200, 2, seed)
         });
         assert!(stats.database_access_cost() > 0);
@@ -195,38 +222,34 @@ mod tests {
 
     #[test]
     fn engine_routing_matches_direct_scalar_run() {
-        use fmdb_core::scoring::ScoringFunction;
-        use fmdb_middleware::source::GradedSource;
         let min: SharedScoring = Arc::new(Min);
         let mut sources = independent_uniform(300, 3, 17);
-        let engine_result = run_algo(&FaginsAlgorithm, &mut sources, &min, 7);
-        let mut refs: Vec<&mut dyn GradedSource> = sources
+        let policy = ExecPolicy::new().plan(PhysicalPlan::Fa);
+        let engine_result = run_policy(policy, &mut sources, &min, 7);
+        let mut refs: Vec<&mut dyn Subsystem> = sources
             .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
+            .map(|s| s as &mut dyn Subsystem)
             .collect();
-        let scalar = FaginsAlgorithm
-            .top_k(&mut refs, &Min as &dyn ScoringFunction, 7)
-            .unwrap();
+        let scalar = Cursor::once(PhysicalPlan::Fa, 0.0, &mut refs, &Min, 7).unwrap();
         assert_eq!(engine_result.answers, scalar.answers);
         assert_eq!(engine_result.stats.sorted, scalar.stats.sorted);
         assert_eq!(engine_result.stats.random, scalar.stats.random);
     }
 
     #[test]
-    fn policy_routing_matches_forced_algorithms() {
-        use fmdb_middleware::policy::Algo;
+    fn a_strategy_no_plan_names_runs_through_the_engine() {
         let min: SharedScoring = Arc::new(Min);
         let mut sources = independent_uniform(250, 2, 9);
-        let policy_run = run_policy(ExecPolicy::new().algo(Algo::Ta), &mut sources, &min, 6);
-        let forced = run_algo(
-            &fmdb_middleware::algorithms::ta::ThresholdAlgorithm,
-            &mut sources,
-            &min,
-            6,
-        );
-        assert_eq!(policy_run.answers, forced.answers);
-        assert_eq!(policy_run.stats.sorted, forced.stats.sorted);
-        assert_eq!(policy_run.stats.random, forced.stats.random);
+        let pruned = PrunedFa::default();
+        let engine_run = run_algo(&pruned, &mut sources, &min, 6);
+        let mut refs: Vec<&mut dyn Subsystem> = sources
+            .iter_mut()
+            .map(|s| s as &mut dyn Subsystem)
+            .collect();
+        let scalar = pruned.evaluate(&mut refs, &Min, 6).unwrap();
+        assert_eq!(engine_run, scalar);
+        let averaged = mean_algo_cost(&pruned, &min, 6, 1, |_| independent_uniform(250, 2, 9));
+        assert_eq!(averaged, scalar.stats);
     }
 
     #[test]

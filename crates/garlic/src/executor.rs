@@ -8,12 +8,10 @@ use fmdb_core::graded_set::GradedSet;
 use fmdb_core::query::{Query, QueryError, ScoringHandle};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
-use fmdb_middleware::algorithms::naive::Naive;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
 use fmdb_middleware::algorithms::{AlgoError, Cursor, TopKAlgorithm};
 use fmdb_middleware::engine::{Engine, EngineError};
-use fmdb_middleware::planner::plan_algorithm;
-use fmdb_middleware::policy::{Algo, ExecPolicy};
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::TopKQuery;
 use fmdb_middleware::source::{SourceError, Subsystem, VecSource};
 use fmdb_middleware::stats::{AccessStats, CostModel};
@@ -29,12 +27,12 @@ pub enum AlgoChoice {
     /// Let the planner decide.
     #[default]
     Auto,
-    /// Force plain A₀ ([`Algo::Fa`]).
+    /// Force plain A₀ ([`PlanKind::Fa`]).
     Fa,
     /// Force A₀ with pruned random access — a reference algorithm no
-    /// [`Algo`] names; reported as [`PlanKind::Fa`].
+    /// plan names; reported as [`PlanKind::Fa`].
     PrunedFa,
-    /// Force the Threshold Algorithm ([`Algo::Ta`]).
+    /// Force the Threshold Algorithm ([`PlanKind::Ta`]).
     Ta,
     /// Force the naive full drain, which grades every object under the
     /// compiled query — the other reference algorithm; reported as
@@ -230,34 +228,35 @@ impl Garlic {
         k: usize,
         choice: AlgoChoice,
     ) -> Result<QueryResult, ExecError> {
-        let forced = |algo| self.top_k_policy(query, k, ExecPolicy::new().algo(algo));
+        let forced = |plan| self.top_k_policy(query, k, ExecPolicy::new().plan(plan));
         let pruned = PrunedFa::default();
-        let (reference, kind): (&dyn TopKAlgorithm, _) = match choice {
+        let (kind, reference): (_, Option<&dyn TopKAlgorithm>) = match choice {
             AlgoChoice::Auto => return self.top_k(query, k),
-            AlgoChoice::Fa => return forced(Algo::Fa),
-            AlgoChoice::Ta => return forced(Algo::Ta),
-            AlgoChoice::PrunedFa => (&pruned, PlanKind::Fa),
-            AlgoChoice::Naive => (&Naive, PlanKind::FullScan),
+            AlgoChoice::Fa => return forced(PlanKind::Fa),
+            AlgoChoice::Ta => return forced(PlanKind::Ta),
+            AlgoChoice::PrunedFa => (PlanKind::Fa, Some(&pruned)),
+            AlgoChoice::Naive => (PlanKind::FullScan, None),
         };
         if k == 0 {
             return Err(AlgoError::ZeroK.into());
         }
         let bound = bind(query, &self.catalog)?;
         // Where a forced algorithm may run is the planner's call.
-        let policy = ExecPolicy::new().algo(Algo::Fa);
+        let policy = ExecPolicy::new().plan(PlanKind::Fa);
         let p = optimize(&bound, k, &policy)?;
         if p.kind == PlanKind::FullScan {
-            return self.run(bound, k, &Naive, p, policy);
+            return self.run(bound, k, p, policy, None);
         }
-        let explanation = format!("forced reference algorithm {}", reference.name());
-        self.run(bound, k, reference, Plan { kind, explanation }, policy)
+        let name = reference.map_or("naive", |algorithm| algorithm.name());
+        let explanation = format!("forced reference algorithm {name}");
+        self.run(bound, k, Plan { kind, explanation }, policy, reference)
     }
 
     /// Finds the top `k` answers under an explicit [`ExecPolicy`]: the
     /// query is compiled and every atom graded once ([`bind`]),
-    /// [`optimize`] picks the strategy the policy names — or, for
-    /// [`Algo::Auto`], prices the candidates under the policy's cost
-    /// model and θ on those lists — and the winner runs on them.
+    /// [`optimize`] picks the strategy the policy names — or, for a
+    /// policy naming none, prices the candidates under its cost model
+    /// and θ on those lists — and the winner runs on them.
     /// A query that is not monotone in its leaves (a negated compound,
     /// a non-monotone node) runs the naive scan whatever the policy
     /// says.
@@ -276,28 +275,29 @@ impl Garlic {
             // The strategy above the algorithm layer.
             return self.run_crisp_filter(bound, k, p.explanation);
         }
-        let algorithm = plan_algorithm(p.kind, policy.approximation.theta())
-            .ok_or(ExecError::Internal("plan has no middleware algorithm"))?;
-        self.run(bound, k, algorithm.as_ref(), p, policy)
+        self.run(bound, k, p, policy, None)
     }
 
-    /// Runs `algorithm` over the bound lists through the engine,
-    /// reporting `p`.
+    /// Runs `p`'s plan — or `reference`, which no plan names, reported
+    /// as `p` — over the bound lists through the engine.
     fn run(
         &self,
         bound: BoundQuery,
         k: usize,
-        algorithm: &dyn TopKAlgorithm,
         p: Plan,
         policy: ExecPolicy,
+        reference: Option<&dyn TopKAlgorithm>,
     ) -> Result<QueryResult, ExecError> {
         let request = TopKQuery::compose()
             .sources(bound.leaves.into_iter().map(|leaf| leaf.source))
             .shared_scoring(bound.scoring)
             .k(k)
-            .policy(policy)
+            .policy(policy.plan(p.kind))
             .request()?;
-        let result = self.engine.run_algorithm(algorithm, &request)?;
+        let result = match reference {
+            Some(algorithm) => self.engine.run_algorithm(algorithm, &request)?,
+            None => self.engine.run(&request)?,
+        };
         Ok(QueryResult {
             answers: result.answers,
             stats: result.stats,
@@ -416,7 +416,7 @@ impl Garlic {
             };
         }
         Ok(QueryCursor {
-            cursor: Cursor::new(plan.kind, policy.approximation.theta())?,
+            cursor: Cursor::new(plan.kind, policy.theta)?,
             sources: bound.leaves.into_iter().map(|leaf| leaf.source).collect(),
             scoring: bound.scoring,
             plan,
@@ -564,11 +564,11 @@ mod tests {
         ]);
         let g = small_qbic_garlic();
         let engine = Engine::default();
-        let serial = ExecPolicy::new().algo(Algo::Ta);
+        let serial = ExecPolicy::new().plan(PlanKind::Ta);
         let want = engine.run(&request(serial)).unwrap();
         let want_facade = g.top_k_policy(&q, 6, serial).unwrap();
         for p in [0usize, 1, 2, 8] {
-            let policy = ExecPolicy::new().algo(Algo::Ta).sharded_over(p);
+            let policy = ExecPolicy::new().plan(PlanKind::Ta).sharded_over(p);
             assert_eq!(policy, serial, "p={p}");
             let got = engine.run(&request(policy)).unwrap();
             assert_eq!(got, want, "engine, p={p}");
@@ -582,7 +582,6 @@ mod tests {
 
     #[test]
     fn exec_policy_threads_through_the_facade() {
-        use fmdb_middleware::policy::Algo;
         use fmdb_middleware::stats::CostModel;
 
         let q = Query::and(vec![
@@ -599,7 +598,7 @@ mod tests {
                 &q,
                 6,
                 ExecPolicy::new()
-                    .algo(Algo::Ca)
+                    .plan(PlanKind::Ca { h: 1 })
                     .cost_model(CostModel::random_to_sorted_ratio(10.0).unwrap()),
             )
             .unwrap();
@@ -615,8 +614,6 @@ mod tests {
 
     #[test]
     fn every_door_reports_the_plan_that_ran() {
-        use fmdb_middleware::policy::Algo;
-
         let fuzzy = Query::and(vec![
             Query::atomic("Color", Target::Similar("red".into())),
             Query::atomic("Shape", Target::Similar("round".into())),
@@ -642,13 +639,16 @@ mod tests {
         let naive = g.top_k_with(&fuzzy, 4, AlgoChoice::Naive).unwrap();
         assert_eq!((naive.stats.sorted, naive.stats.random), (120, 0));
 
-        let nra = ExecPolicy::new().algo(Algo::Nra);
+        let nra = ExecPolicy::new().plan(PlanKind::Nra);
         for (policy, ran) in [
             (ExecPolicy::new(), auto),
             (nra, PlanKind::Nra),
             (nra.theta(0.1), PlanKind::ApproxNra),
             (ExecPolicy::new().theta(0.1), PlanKind::ApproxTa),
-            (ExecPolicy::new().algo(Algo::Ca), PlanKind::Ca { h: 1 }),
+            (
+                ExecPolicy::new().plan(PlanKind::Ca { h: 1 }),
+                PlanKind::Ca { h: 1 },
+            ),
         ] {
             let flat = g.top_k_policy(&fuzzy, 4, policy).unwrap();
             assert_eq!(flat.plan, ran, "{policy:?}");

@@ -36,7 +36,7 @@ use fmdb_middleware::algorithms::AlgoError;
 use fmdb_middleware::planner::{
     choose_plan, classify_combiner, CombinerKind, PlanQuery, QueryStats,
 };
-use fmdb_middleware::policy::{Algo, ExecPolicy};
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::source::VecSource;
 use fmdb_middleware::stats::CostModel;
 
@@ -186,8 +186,8 @@ fn is_max(f: &dyn ScoringFunction, arity: usize) -> bool {
 ///
 /// * A query that is not monotone in its leaves gets the naive scan,
 ///   which grades every object — whatever the policy says.
-/// * A policy naming an algorithm gets [`ExecPolicy::plan`].
-/// * [`Algo::Auto`] is priced by [`choose_plan`] — the same decision
+/// * A policy naming a plan gets [`ExecPolicy::resolve`].
+/// * A policy naming none is priced by [`choose_plan`] — the same decision
 ///   procedure `Engine::run` uses — under the policy's cost model and
 ///   θ. The statistics are read from the bound sources themselves
 ///   (per-leaf grade histograms, exact crisp match counts), so pricing
@@ -195,17 +195,16 @@ fn is_max(f: &dyn ScoringFunction, arity: usize) -> bool {
 ///   result grades are user-facing, so the planner is asked for
 ///   **exact grades** — the NRA family is never chosen here.
 ///
-/// Fails only on a policy [`ExecPolicy::plan`] rejects (bad θ or cost
-/// units).
+/// Fails only on a policy [`ExecPolicy::resolve`] rejects.
 pub fn optimize(bound: &BoundQuery, k: usize, policy: &ExecPolicy) -> Result<Plan, AlgoError> {
     if !bound.scoring.is_monotone() {
         return Ok(Plan::full_scan(
             "query is not monotone in its leaves (A0 would be incorrect)",
         ));
     }
-    // Validates the policy's knobs even when `Auto` overrides the pick.
-    let forced = policy.plan()?;
-    if policy.algo != Algo::Auto {
+    // Validates the policy's knobs even when the planner picks.
+    let forced = policy.resolve()?;
+    if policy.plan.is_some() {
         return Ok(Plan {
             kind: forced,
             explanation: format!("execution policy names {forced}"),
@@ -400,7 +399,7 @@ mod tests {
     #[test]
     fn a_forced_policy_is_the_plan_where_an_algorithm_may_run() {
         let c = album_catalog(30, 3);
-        let forced = ExecPolicy::new().algo(Algo::Nra).theta(0.1);
+        let forced = ExecPolicy::new().plan(PlanKind::Nra).theta(0.1);
         let flat = bind(&Query::and(vec![artist(), color()]), &c).unwrap();
         assert_eq!(
             optimize(&flat, 5, &forced).unwrap().kind,

@@ -20,7 +20,7 @@ use fmdb_garlic::repository::{
     AttributeKind, QbicRepository, RepoError, Repository, TableRepository,
 };
 use fmdb_media::synth::{SynthConfig, SyntheticDb};
-use fmdb_middleware::policy::{Algo, ExecPolicy};
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::source::VecSource;
 use fmdb_middleware::stats::CostModel;
 
@@ -172,7 +172,7 @@ fn every_plan_grades_each_distinct_atom_once() {
 
     check("policy", PlanKind::Ca { h: 10 }, 2, 0, |g| {
         let policy = ExecPolicy::new()
-            .algo(Algo::Ca)
+            .plan(PlanKind::Ca { h: 1 })
             .cost_model(CostModel::random_to_sorted_ratio(10.0).unwrap());
         g.top_k_policy(&fuzzy(), 5, policy)
     });

@@ -5,7 +5,7 @@
 //! are common; nodes min, max, product, the arithmetic and geometric
 //! means and skew-weighted min; `NOT` on atoms and on compounds — run
 //! on `demo::cd_store(300, seed)` with k ∈ {1, 5, 20} under every
-//! `AlgoChoice` and under `Algo::Ca`. Every answer must equal
+//! `AlgoChoice` and under `PlanKind::Ca`. Every answer must equal
 //! `Query::grade` evaluated over every object of the atoms' lists: ids
 //! and grade bits, ties in oid order. For a tree monotone in its leaves
 //! a cursor's batches, concatenated, are those answers too.
@@ -40,7 +40,7 @@ use fmdb_garlic::planner::PlanKind;
 use fmdb_garlic::repository::{QbicRepository, TableRepository};
 use fmdb_garlic::sql::parse;
 use fmdb_media::synth::{SynthConfig, SyntheticDb};
-use fmdb_middleware::policy::{Algo, ExecPolicy};
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::source::Subsystem;
 
 /// `(oid, grade bits)`, best first.
@@ -180,7 +180,7 @@ fn plans_answer_as_the_tree_grades(seed: u64) -> Result<(), TestCaseError> {
             );
         }
         let ca = garlic
-            .top_k_policy(&query, k, ExecPolicy::new().algo(Algo::Ca))
+            .top_k_policy(&query, k, ExecPolicy::new().plan(PlanKind::Ca { h: 1 }))
             .unwrap();
         prop_assert!(
             is_top_k(&bits(&ca.answers), &all, k),

@@ -393,16 +393,12 @@ impl Book {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::ca::CombinedAlgorithm;
     use crate::algorithms::cg_filter::CgFilter;
-    use crate::algorithms::fa::FaginsAlgorithm;
-    use crate::algorithms::max_merge::MaxMerge;
-    use crate::algorithms::naive::Naive;
-    use crate::algorithms::nra::NraLowerBound;
     use crate::algorithms::pruned_fa::PrunedFa;
-    use crate::algorithms::ta::ThresholdAlgorithm;
+    use crate::algorithms::tests::Planned;
     use crate::algorithms::{TopKAlgorithm, TopKResult};
     use crate::oracle::verify_top_k;
+    use crate::planner::PhysicalPlan;
     use crate::source::GradedSource;
     use crate::source::{SourceError, SourceInfo, VecSource};
     use crate::store::format::{ENTRY_BYTES, PAGE_HEADER_BYTES};
@@ -464,10 +460,10 @@ mod tests {
         // Under min, NRA certifies only fully revealed objects, so its
         // lower bounds are the grades the oracle checks.
         let algorithms: [&dyn TopKAlgorithm; 4] = [
-            &Naive,
-            &FaginsAlgorithm,
-            &ThresholdAlgorithm,
-            &NraLowerBound,
+            &Planned(PhysicalPlan::FullScan, 0.0),
+            &Planned(PhysicalPlan::Fa, 0.0),
+            &Planned(PhysicalPlan::Ta, 0.0),
+            &Planned(PhysicalPlan::Nra, 0.0),
         ];
         for algo in algorithms {
             let mut truthful = independent_uniform(50, 3, 11);
@@ -588,17 +584,17 @@ mod tests {
     #[test]
     fn back_to_back_runs_on_one_thread_leave_nothing_behind() {
         let cg = CgFilter::new(0.9, 0.5).unwrap();
-        let ca = CombinedAlgorithm::new(3, 0.0);
+        let ca = Planned(PhysicalPlan::Ca { h: 3 }, 0.0);
         let pruned = PrunedFa::default();
         let max = ConormScoring(Max);
         let algorithms: [(&dyn TopKAlgorithm, &dyn ScoringFunction); 8] = [
-            (&Naive, &Min),
-            (&FaginsAlgorithm, &Min),
+            (&Planned(PhysicalPlan::FullScan, 0.0), &Min),
+            (&Planned(PhysicalPlan::Fa, 0.0), &Min),
             (&pruned, &Min),
-            (&ThresholdAlgorithm, &Min),
-            (&NraLowerBound, &Min),
+            (&Planned(PhysicalPlan::Ta, 0.0), &Min),
+            (&Planned(PhysicalPlan::Nra, 0.0), &Min),
             (&ca, &Min),
-            (&MaxMerge, &max),
+            (&Planned(PhysicalPlan::MaxMerge, 0.0), &max),
             (&cg, &Min),
         ];
         let kinds = [
@@ -694,8 +690,12 @@ mod tests {
         let runs = || {
             let mut lists = independent_uniform(500, 2, 13);
             let mut sources = shim_refs(&mut lists);
-            let naive = Naive.top_k(&mut sources, &Min, 10).unwrap();
-            let ta = ThresholdAlgorithm.top_k(&mut sources, &Min, 10).unwrap();
+            let naive = Planned(PhysicalPlan::FullScan, 0.0)
+                .top_k(&mut sources, &Min, 10)
+                .unwrap();
+            let ta = Planned(PhysicalPlan::Ta, 0.0)
+                .top_k(&mut sources, &Min, 10)
+                .unwrap();
             (naive, ta)
         };
         let before = runs();
@@ -708,7 +708,7 @@ mod tests {
             })
             .collect();
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            Naive.top_k(&mut shim_refs(&mut panicking), &Min, 10)
+            Planned(PhysicalPlan::FullScan, 0.0).top_k(&mut shim_refs(&mut panicking), &Min, 10)
         }));
         assert!(unwound.is_err(), "the 300th sorted access panics");
         assert_eq!(runs(), before);

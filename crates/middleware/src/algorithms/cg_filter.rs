@@ -157,7 +157,8 @@ impl TopKAlgorithm for CgFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::naive::Naive;
+    use crate::algorithms::tests::Planned;
+    use crate::planner::PhysicalPlan;
     use crate::source::GradedSource;
     use crate::source::VecSource;
     use fmdb_core::scoring::means::ArithmeticMean;
@@ -204,7 +205,12 @@ mod tests {
                 let mut a = pseudo_random_sources(300, &[7919, 104729]);
                 let cg = run_algo(&CgFilter::default(), &mut a, scoring.as_ref(), k);
                 let mut b = pseudo_random_sources(300, &[7919, 104729]);
-                let naive = run_algo(&Naive, &mut b, scoring.as_ref(), k);
+                let naive = run_algo(
+                    &Planned(PhysicalPlan::FullScan, 0.0),
+                    &mut b,
+                    scoring.as_ref(),
+                    k,
+                );
                 assert_eq!(
                     grades_of(&cg),
                     grades_of(&naive),

@@ -15,16 +15,17 @@
 //! | `MaxMerge` | every list read on to the cumulative `k` | nothing: that depth is what was asked for |
 //! | `FullScan` | the drain, on the first batch only | nothing |
 //!
-//! The crisp filter keeps no book and has no cursor; garlic's cursor
-//! runs A₀ for it.
+//! A one-shot run of a plan is its cursor's first batch
+//! ([`Cursor::once`]): that one `match` on the plan is every door to
+//! A₀, the threshold family, the max merge and the scan. The crisp
+//! filter keeps no book and has no cursor; garlic runs it, and its
+//! cursor runs A₀ for it.
 
 use std::fmt;
-use std::iter;
 
 use fmdb_core::score::ScoredObject;
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::algorithms::approx::validate_theta;
 use crate::algorithms::book::Book;
 use crate::algorithms::fa::FaState;
 use crate::algorithms::threshold::Family;
@@ -89,15 +90,15 @@ impl fmt::Debug for Cursor {
 }
 
 impl Cursor {
-    /// A cursor over `plan`, with slack `theta` where the plan takes one
-    /// (as [`crate::planner::plan_algorithm`] reads it). The crisp
-    /// filter keeps no book to resume from and is refused, as is an
-    /// invalid `theta`.
+    /// A cursor over `plan` under slack `theta`, by the plan's one rule
+    /// for θ: TA and NRA run their θ-approximations under θ > 0, and
+    /// θ-approximate A₀ is refused, as is an invalid `theta`. The
+    /// crisp filter keeps no book to resume from and is refused too.
     pub fn new(plan: PhysicalPlan, theta: f64) -> Result<Cursor, AlgoError> {
-        validate_theta(theta)?;
+        let plan = plan.under(theta)?;
         if plan == PhysicalPlan::CrispFilter {
             return Err(AlgoError::InvalidRequest(
-                "the crisp filter keeps no book, so it has no cursor".to_owned(),
+                "the crisp filter runs in garlic and keeps no book, so it has no cursor".to_owned(),
             ));
         }
         Ok(Cursor {
@@ -110,6 +111,18 @@ impl Cursor {
         })
     }
 
+    /// The top `k` under `plan` in one run: its cursor's first batch,
+    /// without the record of returned rows a second batch would need.
+    pub fn once(
+        plan: PhysicalPlan,
+        theta: f64,
+        sources: &mut [&mut dyn Subsystem],
+        scoring: &dyn ScoringFunction,
+        k: usize,
+    ) -> Result<TopKResult, AlgoError> {
+        Cursor::new(plan, theta)?.batch(sources, scoring, k)
+    }
+
     /// The next `k` best answers: those ranked after every answer the
     /// earlier batches returned, with the cumulative charges of all
     /// batches so far. Fewer than `k` only once the universe runs out.
@@ -119,13 +132,43 @@ impl Cursor {
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
+        // The request counts only once a batch is answered: a failed
+        // access leaves the book true, so the batch can be asked again.
+        let result = self.batch(sources, scoring, k)?;
+        if let Some(run) = &self.run {
+            let table = &run.book().table;
+            self.returned.resize(table.len(), false);
+            for answer in &result.answers {
+                if let Some(row) = table.row(answer.id) {
+                    self.returned[row] = true;
+                }
+            }
+        }
+        self.requested += k;
+        self.emitted += result.answers.len();
+        Ok(result)
+    }
+
+    /// Answers returned so far, across batches.
+    pub fn emitted(&self) -> usize {
+        self.emitted
+    }
+
+    /// The best `k` rows no earlier batch returned, read on from where
+    /// the earlier batches stopped: the one dispatch on the plan.
+    fn batch(
+        &mut self,
+        sources: &mut [&mut dyn Subsystem],
+        scoring: &dyn ScoringFunction,
+        k: usize,
+    ) -> Result<TopKResult, AlgoError> {
         validate(sources, k)?;
-        match self.plan {
+        let plan = self.plan;
+        match plan {
             PhysicalPlan::FullScan => {}
             PhysicalPlan::MaxMerge => max_merge::max_like(scoring, sources.len())?,
             _ => monotone(scoring)?,
         }
-        let plan = self.plan;
         let run = self.run.get_or_insert_with(|| match plan {
             PhysicalPlan::Fa => Run::Fa(FaState::new(sources)),
             _ => Run::Book(Book::open(sources)),
@@ -135,18 +178,18 @@ impl Cursor {
                 "a cursor's batches read the sources its first batch read".to_owned(),
             ));
         }
-        // The request counts only once a batch is answered: a failed
-        // access leaves the book true, so the batch can be asked again.
         let (depth, target) = (self.requested, self.requested + k);
         let returned = &self.returned;
-        // Every row no batch returned, in row order.
-        let fresh = |combined: Vec<ScoredObject<Oid>>| -> Vec<ScoredObject<Oid>> {
-            let flags = returned.iter().chain(iter::repeat(&false));
-            let rows = combined.into_iter().zip(flags);
-            rows.filter_map(|(object, &out)| (!out).then_some(object))
-                .collect()
+        // Every row no batch returned, in row order; a first batch
+        // keeps them all without a pass.
+        let fresh = |mut combined: Vec<ScoredObject<Oid>>| {
+            if !returned.is_empty() {
+                let mut flags = returned.iter();
+                combined.retain(|_| !flags.next().is_some_and(|&out| out));
+            }
+            combined
         };
-        let result = match (&mut *run, self.family) {
+        Ok(match (run, self.family) {
             (Run::Book(book), Some(family)) => family
                 .run(book, returned, sources, scoring, k)?
                 .into_lower_bounds(),
@@ -157,31 +200,13 @@ impl Cursor {
             }
             (Run::Book(book), None) if plan == PhysicalPlan::MaxMerge => {
                 max_merge::deepen(book, sources, depth, target)?;
-                finalize(
-                    fresh(max_merge::observed(book, scoring)),
-                    k,
-                    book.frontier.stats,
-                )
+                let combined = fresh(max_merge::observed(book, scoring));
+                finalize(combined, k, book.frontier.stats)
             }
             (Run::Book(book), None) => {
                 let combined = fresh(naive::scan(book, sources, scoring)?);
                 finalize(combined, k, book.frontier.stats)
             }
-        };
-        let table = &run.book().table;
-        self.returned.resize(table.len(), false);
-        for answer in &result.answers {
-            if let Some(row) = table.row(answer.id) {
-                self.returned[row] = true;
-            }
-        }
-        self.requested = target;
-        self.emitted += result.answers.len();
-        Ok(result)
-    }
-
-    /// Answers returned so far, across batches.
-    pub fn emitted(&self) -> usize {
-        self.emitted
+        })
     }
 }

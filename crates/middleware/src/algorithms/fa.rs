@@ -22,20 +22,21 @@
 //!
 //! After finding the top k answers, A₀ can "continue where we left
 //! off" to find the next k: [`crate::algorithms::Cursor`] keeps
-//! its state between batches, as it keeps every plan's.
+//! its state between batches, as it keeps every plan's. A one-shot run
+//! halts phase 1 at `|L| ≥ k` — the correctness argument above — and
+//! is the cursor's first batch.
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
-use crate::algorithms::{finalize, monotone, validate, AlgoError, TopKAlgorithm, TopKResult};
+use crate::algorithms::AlgoError;
 use crate::source::{Oid, Subsystem};
 
-/// Algorithm A₀.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaginsAlgorithm;
+#[doc(hidden)]
+pub use crate::frozen::FaginsAlgorithm;
 
-/// What A₀, a cursor running it and
+/// What a cursor running A₀ and
 /// [`crate::algorithms::pruned_fa::PrunedFa`] keep: the book and `|L|`.
 pub(crate) struct FaState {
     pub(crate) book: Book,
@@ -145,36 +146,29 @@ impl FaState {
     }
 }
 
-impl TopKAlgorithm for FaginsAlgorithm {
-    fn name(&self) -> &'static str {
-        "fagin-a0"
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algorithms::{Cursor, TopKResult};
+    use crate::planner::PhysicalPlan;
+    use crate::source::{CountingSource, SourceError, VecSource};
+    use fmdb_core::scoring::tnorms::{Min, Product};
 
-    /// The top `k` require `|L| ≥ k`: the correctness argument above.
-    fn evaluate(
-        &self,
+    fn fa(
         sources: &mut [&mut dyn Subsystem],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        validate(sources, k)?;
-        monotone(scoring)?;
-        let mut state = FaState::new(sources);
-        state.sorted_phase(sources, k)?;
-        let combined = state.resolve_all(sources, scoring)?;
-        Ok(finalize(combined, k, state.book.frontier.stats))
+        Cursor::once(PhysicalPlan::Fa, 0.0, sources, scoring, k)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::algorithms::naive::Naive;
-    use crate::algorithms::Cursor;
-    use crate::planner::PhysicalPlan;
-    use crate::source::{CountingSource, VecSource};
-    use crate::source::{GradedSource, SourceError};
-    use fmdb_core::scoring::tnorms::{Min, Product};
+    fn naive(
+        sources: &mut [&mut dyn Subsystem],
+        scoring: &dyn ScoringFunction,
+        k: usize,
+    ) -> Result<TopKResult, AlgoError> {
+        Cursor::once(PhysicalPlan::FullScan, 0.0, sources, scoring, k)
+    }
 
     fn s(v: f64) -> Score {
         Score::clamped(v)
@@ -191,12 +185,12 @@ mod tests {
     fn agrees_with_naive_on_fixture() {
         for k in 1..=6 {
             let (mut a, mut b) = fixture();
-            let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-            let fa = FaginsAlgorithm.top_k(&mut srcs, &Min, k).unwrap();
+            let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+            let fa = fa(&mut srcs, &Min, k).unwrap();
 
             let (mut a2, mut b2) = fixture();
-            let mut srcs2: Vec<&mut dyn GradedSource> = vec![&mut a2, &mut b2];
-            let naive = Naive.top_k(&mut srcs2, &Min, k).unwrap();
+            let mut srcs2: Vec<&mut dyn Subsystem> = vec![&mut a2, &mut b2];
+            let naive = naive(&mut srcs2, &Min, k).unwrap();
             assert_eq!(fa.answers, naive.answers, "k={k}");
         }
     }
@@ -204,11 +198,11 @@ mod tests {
     #[test]
     fn agrees_with_naive_under_product() {
         let (mut a, mut b) = fixture();
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-        let fa = FaginsAlgorithm.top_k(&mut srcs, &Product, 3).unwrap();
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+        let fa = fa(&mut srcs, &Product, 3).unwrap();
         let (mut a2, mut b2) = fixture();
-        let mut srcs2: Vec<&mut dyn GradedSource> = vec![&mut a2, &mut b2];
-        let naive = Naive.top_k(&mut srcs2, &Product, 3).unwrap();
+        let mut srcs2: Vec<&mut dyn Subsystem> = vec![&mut a2, &mut b2];
+        let naive = naive(&mut srcs2, &Product, 3).unwrap();
         assert_eq!(fa.answers, naive.answers);
     }
 
@@ -217,8 +211,8 @@ mod tests {
         let (a, b) = fixture();
         let mut ca = CountingSource::new(a);
         let mut cb = CountingSource::new(b);
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut ca, &mut cb];
-        let r = FaginsAlgorithm.top_k(&mut srcs, &Min, 2).unwrap();
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut ca, &mut cb];
+        let r = fa(&mut srcs, &Min, 2).unwrap();
         assert_eq!(r.stats.sorted, ca.sorted_accesses() + cb.sorted_accesses());
         assert_eq!(r.stats.random, ca.random_accesses() + cb.random_accesses());
     }
@@ -280,11 +274,9 @@ mod tests {
     #[test]
     fn phase_two_is_one_batch_per_list() {
         let mut lists = recorded(3);
-        let mut srcs: Vec<&mut dyn GradedSource> = lists
-            .iter_mut()
-            .map(|l| l as &mut dyn GradedSource)
-            .collect();
-        let result = FaginsAlgorithm.top_k(&mut srcs, &Min, 5).unwrap();
+        let mut srcs: Vec<&mut dyn Subsystem> =
+            lists.iter_mut().map(|l| l as &mut dyn Subsystem).collect();
+        let result = fa(&mut srcs, &Min, 5).unwrap();
         let mut batched = 0;
         for list in &lists {
             assert_eq!(list.scalar_probes, 0);
@@ -320,8 +312,8 @@ mod tests {
     #[test]
     fn cursor_batches_match_one_shot_ordering() {
         let (mut a, mut b) = fixture();
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-        let all = FaginsAlgorithm.top_k(&mut srcs, &Min, 6).unwrap();
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+        let all = fa(&mut srcs, &Min, 6).unwrap();
 
         let (mut a2, mut b2) = fixture();
         let mut srcs2: Vec<&mut dyn Subsystem> = vec![&mut a2, &mut b2];
@@ -359,12 +351,12 @@ mod tests {
         // Two independent runs: top-5 and top-10 from scratch.
         let mut a2 = VecSource::from_dense("a", &g1);
         let mut b2 = VecSource::from_dense("b", &g2);
-        let mut srcs2: Vec<&mut dyn GradedSource> = vec![&mut a2, &mut b2];
-        let run5 = FaginsAlgorithm.top_k(&mut srcs2, &Min, 5).unwrap();
+        let mut srcs2: Vec<&mut dyn Subsystem> = vec![&mut a2, &mut b2];
+        let run5 = fa(&mut srcs2, &Min, 5).unwrap();
         let mut a3 = VecSource::from_dense("a", &g1);
         let mut b3 = VecSource::from_dense("b", &g2);
-        let mut srcs3: Vec<&mut dyn GradedSource> = vec![&mut a3, &mut b3];
-        let run10 = FaginsAlgorithm.top_k(&mut srcs3, &Min, 10).unwrap();
+        let mut srcs3: Vec<&mut dyn Subsystem> = vec![&mut a3, &mut b3];
+        let run10 = fa(&mut srcs3, &Min, 10).unwrap();
         let restart_cost = run5.stats.database_access_cost() + run10.stats.database_access_cost();
         assert!(
             resumed_cost < restart_cost,
@@ -384,8 +376,8 @@ mod tests {
             .collect();
         let mut a = VecSource::from_dense("a", &g1);
         let mut b = VecSource::from_dense("b", &g2);
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-        let fa = FaginsAlgorithm.top_k(&mut srcs, &Min, 5).unwrap();
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+        let fa = fa(&mut srcs, &Min, 5).unwrap();
         assert!(
             fa.stats.database_access_cost() < 2 * n,
             "FA cost {} should beat naive {}",
@@ -397,23 +389,17 @@ mod tests {
     #[test]
     fn validates_arguments() {
         let (mut a, _) = fixture();
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a];
-        assert_eq!(
-            FaginsAlgorithm.top_k(&mut srcs, &Min, 0),
-            Err(AlgoError::ZeroK)
-        );
-        let mut none: Vec<&mut dyn GradedSource> = vec![];
-        assert_eq!(
-            FaginsAlgorithm.top_k(&mut none, &Min, 3),
-            Err(AlgoError::NoSources)
-        );
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a];
+        assert_eq!(fa(&mut srcs, &Min, 0), Err(AlgoError::ZeroK));
+        let mut none: Vec<&mut dyn Subsystem> = vec![];
+        assert_eq!(fa(&mut none, &Min, 3), Err(AlgoError::NoSources));
     }
 
     #[test]
     fn k_at_universe_size_degrades_to_full_scan_result() {
         let (mut a, mut b) = fixture();
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-        let r = FaginsAlgorithm.top_k(&mut srcs, &Min, 6).unwrap();
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+        let r = fa(&mut srcs, &Min, 6).unwrap();
         assert_eq!(r.answers.len(), 6);
         // Grades still exact and descending.
         for w in r.answers.windows(2) {
@@ -424,8 +410,8 @@ mod tests {
     #[test]
     fn k_beyond_universe_returns_all() {
         let (mut a, mut b) = fixture();
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-        let r = FaginsAlgorithm.top_k(&mut srcs, &Min, 100).unwrap();
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+        let r = fa(&mut srcs, &Min, 100).unwrap();
         assert_eq!(r.answers.len(), 6);
     }
 }

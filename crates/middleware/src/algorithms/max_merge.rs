@@ -25,36 +25,12 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
-use crate::algorithms::{finalize, monotone, validate, AlgoError, TopKAlgorithm, TopKResult};
+use crate::algorithms::{monotone, AlgoError};
 use crate::planner::behaves_like_max;
 use crate::source::{Oid, Subsystem};
 
-/// The `m·k` disjunction (max) algorithm.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaxMerge;
-
-impl TopKAlgorithm for MaxMerge {
-    fn name(&self) -> &'static str {
-        "max-merge"
-    }
-
-    fn evaluate(
-        &self,
-        sources: &mut [&mut dyn Subsystem],
-        scoring: &dyn ScoringFunction,
-        k: usize,
-    ) -> Result<TopKResult, AlgoError> {
-        validate(sources, k)?;
-        max_like(scoring, sources.len())?;
-        let mut book = Book::open(sources);
-        deepen(&mut book, sources, 0, k)?;
-        Ok(finalize(
-            observed(&mut book, scoring),
-            k,
-            book.frontier.stats,
-        ))
-    }
-}
+#[doc(hidden)]
+pub use crate::frozen::MaxMerge;
 
 /// Refuses a function that is not max: silently accepting min would
 /// return wrong answers.
@@ -109,8 +85,8 @@ pub(crate) fn observed(book: &mut Book, scoring: &dyn ScoringFunction) -> Vec<Sc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::naive::Naive;
-    use crate::source::GradedSource;
+    use crate::algorithms::Cursor;
+    use crate::planner::PhysicalPlan;
     use crate::source::VecSource;
     use fmdb_core::scoring::conorms::Max;
     use fmdb_core::scoring::tnorms::Min;
@@ -130,12 +106,26 @@ mod tests {
     fn agrees_with_naive_under_max() {
         for k in 1..=6 {
             let (mut a, mut b) = fixture();
-            let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-            let mm = MaxMerge.top_k(&mut srcs, &ConormScoring(Max), k).unwrap();
+            let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+            let mm = Cursor::once(
+                PhysicalPlan::MaxMerge,
+                0.0,
+                &mut srcs,
+                &ConormScoring(Max),
+                k,
+            )
+            .unwrap();
 
             let (mut a2, mut b2) = fixture();
-            let mut srcs2: Vec<&mut dyn GradedSource> = vec![&mut a2, &mut b2];
-            let naive = Naive.top_k(&mut srcs2, &ConormScoring(Max), k).unwrap();
+            let mut srcs2: Vec<&mut dyn Subsystem> = vec![&mut a2, &mut b2];
+            let naive = Cursor::once(
+                PhysicalPlan::FullScan,
+                0.0,
+                &mut srcs2,
+                &ConormScoring(Max),
+                k,
+            )
+            .unwrap();
             assert_eq!(mm.answers, naive.answers, "k={k}");
         }
     }
@@ -147,9 +137,16 @@ mod tests {
             let mut a = VecSource::from_dense("a", &grades);
             let mut b = VecSource::from_dense("b", &grades);
             let mut c = VecSource::from_dense("c", &grades);
-            let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b, &mut c];
+            let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b, &mut c];
             let k = 10;
-            let r = MaxMerge.top_k(&mut srcs, &ConormScoring(Max), k).unwrap();
+            let r = Cursor::once(
+                PhysicalPlan::MaxMerge,
+                0.0,
+                &mut srcs,
+                &ConormScoring(Max),
+                k,
+            )
+            .unwrap();
             assert_eq!(r.stats.sorted, (3 * k) as u64, "n={n}");
             assert_eq!(r.stats.random, 0);
         }
@@ -158,9 +155,9 @@ mod tests {
     #[test]
     fn rejects_min_scoring() {
         let (mut a, mut b) = fixture();
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
         assert!(matches!(
-            MaxMerge.top_k(&mut srcs, &Min, 2),
+            Cursor::once(PhysicalPlan::MaxMerge, 0.0, &mut srcs, &Min, 2),
             Err(AlgoError::UnsupportedScoring { .. })
         ));
     }
@@ -171,8 +168,15 @@ mod tests {
         // object 2 is low in a (0.3) but top of b (0.95). Max grades
         // must reflect the best of *all* lists for returned objects.
         let (mut a, mut b) = fixture();
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-        let r = MaxMerge.top_k(&mut srcs, &ConormScoring(Max), 2).unwrap();
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+        let r = Cursor::once(
+            PhysicalPlan::MaxMerge,
+            0.0,
+            &mut srcs,
+            &ConormScoring(Max),
+            2,
+        )
+        .unwrap();
         assert_eq!(r.answers[0], ScoredObject::new(2, s(0.95)));
         assert_eq!(r.answers[1], ScoredObject::new(0, s(0.9)));
     }
@@ -209,8 +213,8 @@ mod tests {
             "some grade must round off"
         );
         let mut list = VecSource::from_dense("x", &grades);
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut list];
-        let r = MaxMerge.top_k(&mut srcs, &NearlyIdentity, 50).unwrap();
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut list];
+        let r = Cursor::once(PhysicalPlan::MaxMerge, 0.0, &mut srcs, &NearlyIdentity, 50).unwrap();
         for answer in &r.answers {
             assert_eq!(answer.grade, want[answer.id as usize], "oid {}", answer.id);
         }
@@ -220,8 +224,15 @@ mod tests {
     fn short_universe_is_handled() {
         let mut a = VecSource::from_dense("a", &[s(0.4)]);
         let mut b = VecSource::from_dense("b", &[s(0.6)]);
-        let mut srcs: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-        let r = MaxMerge.top_k(&mut srcs, &ConormScoring(Max), 5).unwrap();
+        let mut srcs: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+        let r = Cursor::once(
+            PhysicalPlan::MaxMerge,
+            0.0,
+            &mut srcs,
+            &ConormScoring(Max),
+            5,
+        )
+        .unwrap();
         assert_eq!(r.answers.len(), 1);
         assert_eq!(r.answers[0].grade, s(0.6));
     }

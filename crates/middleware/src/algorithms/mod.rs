@@ -1,67 +1,88 @@
 //! Top-k query evaluation algorithms over sorted/random-access sources
 //! (§4.1).
 //!
-//! | Algorithm | Paper role | Cost (independent lists) |
-//! |-----------|------------|--------------------------|
-//! | [`naive::Naive`] | the obvious baseline: drain every list | `m·N` sorted |
-//! | [`fa::FaginsAlgorithm`] | algorithm A₀ of \[Fa96\] | `O(N^((m−1)/m)·k^(1/m))`, optimal for strict monotone queries (Thms 4.1/4.2) |
-//! | [`max_merge::MaxMerge`] | the disjunction (max) special case | `m·k`, independent of `N` |
+//! Every strategy a [`PhysicalPlan`](crate::planner::PhysicalPlan) names runs through one door, the
+//! plan's [`Cursor`]: [`Cursor::once`] is a one-shot run, the cursor's
+//! first batch, and [`Cursor::next_k`] resumes it ("the top 10 objects
+//! …, then the next 10", §4). The engine, garlic and the policy reach
+//! every plan that way. Two reference strategies no plan names are
+//! [`TopKAlgorithm`]s, run directly or by
+//! [`crate::engine::Engine::run_algorithm`].
+//!
+//! | Strategy | Paper role | Cost (independent lists) |
+//! |----------|------------|--------------------------|
+//! | `FullScan` ([`naive`]) | the obvious baseline: drain every list | `m·N` sorted |
+//! | `Fa` ([`fa`]) | algorithm A₀ of \[Fa96\] | `O(N^((m−1)/m)·k^(1/m))`, optimal for strict monotone queries (Thms 4.1/4.2) |
+//! | `MaxMerge` ([`max_merge`]) | the disjunction (max) special case | `m·k`, independent of `N` |
+//! | `Ta`, `Nra`, `Ca { h }`, `ApproxTa`, `ApproxNra` | extension: Fagin–Lotem–Naor's threshold family (open problem of §6) | TA instance optimal; NRA sorted only; CA tuned by `⌊c_R/c_S⌋`; θ buys `(1+θ)` slack |
 //! | [`pruned_fa::PrunedFa`] | A₀ + the random-access pruning improvements sketched in \[Fa96\] | ≤ A₀ |
-//! | [`ta::ThresholdAlgorithm`] | extension: the successor algorithm (open problem of §6) | instance optimal |
-//! | [`nra::Nra`] | extension: no-random-access regime (§4.2's missing id mappings) | sorted access only |
-//! | [`ca::CombinedAlgorithm`] | extension: FLN's cost-ratio interleaving of TA and NRA | tuned by `⌊c_R/c_S⌋` |
-//! | [`approx::ApproxTa`]/[`approx::ApproxNra`] | extension: FLN θ-approximation | `(1+θ)` grade slack |
 //! | [`cg_filter::CgFilter`] | Chaudhuri–Gravano \[CG96\] filter-condition simulation | τ-schedule dependent |
 //!
-//! The extension rows are one loop — the crate-private `threshold`
-//! module — and each public name is a thin constructor choosing when
-//! it probes, its slack θ, and how grades are reported (`DESIGN.md`
-//! §10):
+//! The threshold family is one loop — the crate-private `threshold`
+//! module — whose members differ in when they probe, their slack θ and
+//! how they report grades; the table of them is there (`DESIGN.md`
+//! §10). The plan's one rule for θ is [`PhysicalPlan`](crate::planner::PhysicalPlan)'s: under θ > 0
+//! TA and NRA run their θ-approximations and A₀ is refused.
 //!
-//! | Name | Probes | θ | Grades reported |
-//! |------|--------|---|-----------------|
-//! | [`ta::ThresholdAlgorithm`] | on sight | 0 | as halted (exact: no interval is ever open) |
-//! | [`approx::ApproxTa`] | on sight | θ | as halted (exact) |
-//! | [`nra::Nra`], [`nra::NraLowerBound`] | never | 0 | as halted (intervals / lower bounds) |
-//! | [`approx::ApproxNra`] | never | θ | as halted (lower bounds) |
-//! | [`ca::CombinedAlgorithm`] | every `h` rounds | θ | closed at the halt (exact) |
+//! | Plan | What a cursor keeps beside the book |
+//! |------|-------------------------------------|
+//! | `Fa` | `\|L\|`, the objects every list has shown |
+//! | the threshold family | nothing: it ranks the rows no batch returned |
+//! | `MaxMerge` | nothing: the depth read is the depth asked for |
+//! | `FullScan` | nothing: the first batch drains every list |
 //!
-//! Every row of both tables keeps the same book — the crate-private
-//! `book` module: per seen object the `m` fields revealed so far, per
-//! list its bottom grade and whether it is drained, and the charges.
-//! Its `pull` (one entry) and `drain` (a list to its end, which only the
-//! naive scan asks for) are the only sorted accesses in this directory
-//! and opening one the only rewind; a strategy is what it does between
-//! pulls. A₀ is a user of the book, not a row of the second table: it
-//! halts mid-round and probes everything afterwards (`DESIGN.md` §10).
-//! Because a book stays true as `k` grows, a [`Cursor`] keeps one
-//! between batches and resumes any plan that reads one: "the top 10
-//! objects …, then the next 10" (§4).
+//! Every strategy keeps the same book — the crate-private `book`
+//! module: per seen object the `m` fields revealed so far, per list its
+//! bottom grade and whether it is drained, and the charges. Its `pull`
+//! (one entry) and `drain` (a list to its end, which only the naive
+//! scan asks for) are the only sorted accesses in this directory and
+//! opening one the only rewind; a strategy is what it does between
+//! pulls. Because a book stays true as `k` grows, a cursor keeps one
+//! between batches.
 //!
-//! All algorithms consume [`Subsystem`]s, meter every access into an
-//! [`AccessStats`], and return answers with **exact** grades — returning
-//! an object with an under- or over-stated grade counts as wrong, and
-//! the test suites verify results against a brute-force oracle. The two
-//! documented exceptions are NRA (certified lower bounds; no random
-//! access to close intervals with) and the θ > 0 approximations, whose
-//! relaxed *set* semantics are specified in `DESIGN.md` §10. An access
-//! that fails fails the run with [`AlgoError::Source`]: no algorithm
-//! answers short or from a grade it could not read.
+//! Every strategy consumes [`Subsystem`]s, meters every access into an
+//! [`AccessStats`], and returns answers with **exact** grades —
+//! returning an object with an under- or over-stated grade counts as
+//! wrong, and the test suites verify results against a brute-force
+//! oracle. The two documented exceptions are NRA (certified lower
+//! bounds; no random access to close intervals with) and the θ > 0
+//! approximations, whose relaxed *set* semantics are specified in
+//! `DESIGN.md` §10. An access that fails fails the run with
+//! [`AlgoError::Source`]: no algorithm answers short or from a grade it
+//! could not read.
 
-pub mod approx;
 pub(crate) mod book;
-pub mod ca;
 pub mod cg_filter;
 mod cursor;
 pub mod fa;
 pub mod max_merge;
 pub mod naive;
-pub mod nra;
 pub mod pruned_fa;
-pub mod ta;
 pub(crate) mod threshold;
 
 pub use cursor::Cursor;
+pub use threshold::{nra_intervals, BoundedAnswer, NraResult};
+
+/// The old module paths `perfbench/` imports its shims from.
+#[doc(hidden)]
+pub mod approx {
+    pub use crate::frozen::ApproxTa;
+}
+
+#[doc(hidden)]
+pub mod ca {
+    pub use crate::frozen::CombinedAlgorithm;
+}
+
+#[doc(hidden)]
+pub mod nra {
+    pub use crate::frozen::NraLowerBound;
+}
+
+#[doc(hidden)]
+pub mod ta {
+    pub use crate::frozen::ThresholdAlgorithm;
+}
 
 use std::fmt;
 
@@ -94,8 +115,8 @@ pub enum AlgoError {
     /// like Garlic — the middleware refuses to run.
     NonMonotoneScoring(String),
     /// The algorithm requires a specific scoring behaviour the supplied
-    /// function does not exhibit (e.g. [`max_merge::MaxMerge`] needs
-    /// max; [`cg_filter::CgFilter`] needs `combine ≤ min`).
+    /// function does not exhibit (e.g. the max merge needs max;
+    /// [`cg_filter::CgFilter`] needs `combine ≤ min`).
     UnsupportedScoring {
         /// Algorithm name.
         algorithm: &'static str,
@@ -163,7 +184,9 @@ impl std::error::Error for AlgoError {
     }
 }
 
-/// A top-k evaluation strategy.
+/// A top-k evaluation strategy no [`PhysicalPlan`](crate::planner::PhysicalPlan) names: pruned A₀
+/// and the CG filter simulation. A plan's strategy runs through its
+/// [`Cursor`].
 ///
 /// Contract:
 /// * all sources grade the same universe of objects;
@@ -247,8 +270,28 @@ pub(crate) fn finalize(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::planner::PhysicalPlan;
+
+    /// A plan's one-shot run as a [`TopKAlgorithm`], for suites that
+    /// run plans beside the strategies no plan names.
+    pub(crate) struct Planned(pub(crate) PhysicalPlan, pub(crate) f64);
+
+    impl TopKAlgorithm for Planned {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn evaluate(
+            &self,
+            sources: &mut [&mut dyn Subsystem],
+            scoring: &dyn ScoringFunction,
+            k: usize,
+        ) -> Result<TopKResult, AlgoError> {
+            Cursor::once(self.0, self.1, sources, scoring, k)
+        }
+    }
 
     #[test]
     fn error_display() {

@@ -16,30 +16,11 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
-use crate::algorithms::{finalize, validate, AlgoError, TopKAlgorithm, TopKResult};
+use crate::algorithms::AlgoError;
 use crate::source::{Oid, Subsystem};
 
-/// The full-scan baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Naive;
-
-impl TopKAlgorithm for Naive {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
-    fn evaluate(
-        &self,
-        sources: &mut [&mut dyn Subsystem],
-        scoring: &dyn ScoringFunction,
-        k: usize,
-    ) -> Result<TopKResult, AlgoError> {
-        validate(sources, k)?;
-        let mut book = Book::open(sources);
-        let combined = scan(&mut book, sources, scoring)?;
-        Ok(finalize(combined, k, book.frontier.stats))
-    }
-}
+#[doc(hidden)]
+pub use crate::frozen::Naive;
 
 /// Drains every list into the book and grades every row, in row order.
 /// On a book that is drained already it reads nothing.
@@ -62,8 +43,9 @@ pub(crate) fn scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{CountingSource, Oid, SourceInfo, VecSource};
-    use crate::source::{GradedSource, SourceError};
+    use crate::algorithms::Cursor;
+    use crate::planner::PhysicalPlan;
+    use crate::source::{CountingSource, Oid, SourceError, SourceInfo, VecSource};
     use crate::workload::independent_uniform;
     use fmdb_core::scoring::tnorms::Min;
 
@@ -75,8 +57,8 @@ mod tests {
     fn full_scan_finds_the_exact_top_k() {
         let mut a = VecSource::from_dense("color", &[s(0.9), s(0.2), s(0.6), s(0.4)]);
         let mut b = VecSource::from_dense("shape", &[s(0.1), s(0.8), s(0.7), s(0.5)]);
-        let mut sources: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-        let r = Naive.top_k(&mut sources, &Min, 2).unwrap();
+        let mut sources: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+        let r = Cursor::once(PhysicalPlan::FullScan, 0.0, &mut sources, &Min, 2).unwrap();
         // min grades: [0.1, 0.2, 0.6, 0.4] → top-2 = oid 2 (0.6), oid 3 (0.4)
         assert_eq!(r.answers.len(), 2);
         assert_eq!(r.answers[0].id, 2);
@@ -92,8 +74,8 @@ mod tests {
         let mut a = VecSource::from_dense("a", &grades);
         let mut b = VecSource::from_dense("b", &grades);
         let mut c = VecSource::from_dense("c", &grades);
-        let mut sources: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b, &mut c];
-        let r = Naive.top_k(&mut sources, &Min, 5).unwrap();
+        let mut sources: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b, &mut c];
+        let r = Cursor::once(PhysicalPlan::FullScan, 0.0, &mut sources, &Min, 5).unwrap();
         assert_eq!(r.stats.sorted, 3 * n as u64);
         assert_eq!(r.stats.random, 0);
     }
@@ -101,17 +83,23 @@ mod tests {
     #[test]
     fn rejects_zero_k_and_empty_sources() {
         let mut a = VecSource::from_dense("a", &[s(0.5)]);
-        let mut sources: Vec<&mut dyn GradedSource> = vec![&mut a];
-        assert_eq!(Naive.top_k(&mut sources, &Min, 0), Err(AlgoError::ZeroK));
-        let mut none: Vec<&mut dyn GradedSource> = vec![];
-        assert_eq!(Naive.top_k(&mut none, &Min, 1), Err(AlgoError::NoSources));
+        let mut sources: Vec<&mut dyn Subsystem> = vec![&mut a];
+        assert_eq!(
+            Cursor::once(PhysicalPlan::FullScan, 0.0, &mut sources, &Min, 0),
+            Err(AlgoError::ZeroK)
+        );
+        let mut none: Vec<&mut dyn Subsystem> = vec![];
+        assert_eq!(
+            Cursor::once(PhysicalPlan::FullScan, 0.0, &mut none, &Min, 1),
+            Err(AlgoError::NoSources)
+        );
     }
 
     #[test]
     fn k_larger_than_universe_returns_everything() {
         let mut a = VecSource::from_dense("a", &[s(0.5), s(0.7)]);
-        let mut sources: Vec<&mut dyn GradedSource> = vec![&mut a];
-        let r = Naive.top_k(&mut sources, &Min, 10).unwrap();
+        let mut sources: Vec<&mut dyn Subsystem> = vec![&mut a];
+        let r = Cursor::once(PhysicalPlan::FullScan, 0.0, &mut sources, &Min, 10).unwrap();
         assert_eq!(r.answers.len(), 2);
     }
 
@@ -137,16 +125,14 @@ mod tests {
     fn any_function_is_graded_over_every_object() {
         for seed in 0..8 {
             let mut lists = independent_uniform(60, 3, seed);
-            let mut sources: Vec<&mut dyn GradedSource> = lists
-                .iter_mut()
-                .map(|s| s as &mut dyn GradedSource)
-                .collect();
-            let got = Naive.top_k(&mut sources, &Nand, 7).unwrap();
+            let mut sources: Vec<&mut dyn Subsystem> =
+                lists.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+            let got = Cursor::once(PhysicalPlan::FullScan, 0.0, &mut sources, &Nand, 7).unwrap();
             let mut want: Vec<ScoredObject<Oid>> = (0..60)
                 .map(|oid| {
                     let grades: Vec<Score> = lists
                         .iter_mut()
-                        .map(|l| GradedSource::random_access(l, oid))
+                        .map(|l| Subsystem::random_access(l, oid).unwrap())
                         .collect();
                     ScoredObject::new(oid, Nand.combine(&grades))
                 })
@@ -161,8 +147,8 @@ mod tests {
     fn sparse_sources_grade_missing_objects_zero() {
         let mut a = VecSource::new("a", vec![(0, s(0.9)), (1, s(0.8))]);
         let mut b = VecSource::new("b", vec![(0, s(0.7))]); // knows nothing of 1
-        let mut sources: Vec<&mut dyn GradedSource> = vec![&mut a, &mut b];
-        let r = Naive.top_k(&mut sources, &Min, 2).unwrap();
+        let mut sources: Vec<&mut dyn Subsystem> = vec![&mut a, &mut b];
+        let r = Cursor::once(PhysicalPlan::FullScan, 0.0, &mut sources, &Min, 2).unwrap();
         assert_eq!(r.answers[0], ScoredObject::new(0, s(0.7)));
         assert_eq!(r.answers[1], ScoredObject::new(1, Score::ZERO));
     }
@@ -201,11 +187,11 @@ mod tests {
                 .into_iter()
                 .map(CountingSource::new)
                 .collect();
-            let mut sources: Vec<&mut dyn GradedSource> = counted
+            let mut sources: Vec<&mut dyn Subsystem> = counted
                 .iter_mut()
-                .map(|s| s as &mut dyn GradedSource)
+                .map(|s| s as &mut dyn Subsystem)
                 .collect();
-            let r = Naive.top_k(&mut sources, &Min, 5).unwrap();
+            let r = Cursor::once(PhysicalPlan::FullScan, 0.0, &mut sources, &Min, 5).unwrap();
             assert_eq!((r.stats.sorted, r.stats.random), (3 * n as u64, 0));
             assert!(counted.iter().all(|s| s.sorted_accesses() == n as u64));
 
@@ -217,11 +203,15 @@ mod tests {
                     batches: 0,
                 })
                 .collect();
-            let mut sources: Vec<&mut dyn GradedSource> = recorded
+            let mut sources: Vec<&mut dyn Subsystem> = recorded
                 .iter_mut()
-                .map(|s| s as &mut dyn GradedSource)
+                .map(|s| s as &mut dyn Subsystem)
                 .collect();
-            assert_eq!(Naive.top_k(&mut sources, &Min, 5).unwrap(), r, "n = {n}");
+            assert_eq!(
+                Cursor::once(PhysicalPlan::FullScan, 0.0, &mut sources, &Min, 5).unwrap(),
+                r,
+                "n = {n}"
+            );
             for list in &recorded {
                 // A full batch may end the list: one more call finds it empty.
                 assert_eq!(

@@ -152,8 +152,9 @@ impl TopKAlgorithm for PrunedFa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::fa::FaginsAlgorithm;
+    use crate::algorithms::tests::Planned;
     use crate::oracle::verify_top_k;
+    use crate::planner::PhysicalPlan;
     use crate::source::GradedSource;
     use crate::source::VecSource;
     use crate::workload::independent_uniform;
@@ -201,7 +202,7 @@ mod tests {
             let pruned = run(&PrunedFa::default(), &mut a, &Min, k);
             assert_valid(&mut a, &Min, &pruned, k);
             let mut b = independent_uniform(300, 2, 11);
-            let plain = run(&FaginsAlgorithm, &mut b, &Min, k);
+            let plain = run(&Planned(PhysicalPlan::Fa, 0.0), &mut b, &Min, k);
             assert_eq!(grades_of(&pruned), grades_of(&plain), "k={k}");
         }
     }
@@ -215,7 +216,7 @@ mod tests {
             let pruned = run(&PrunedFa::default(), &mut a, scoring.as_ref(), 5);
             assert_valid(&mut a, scoring.as_ref(), &pruned, 5);
             let mut b = independent_uniform(200, 3, 23);
-            let plain = run(&FaginsAlgorithm, &mut b, scoring.as_ref(), 5);
+            let plain = run(&Planned(PhysicalPlan::Fa, 0.0), &mut b, scoring.as_ref(), 5);
             assert_eq!(grades_of(&pruned), grades_of(&plain), "{}", scoring.name());
         }
     }
@@ -226,7 +227,7 @@ mod tests {
             let mut a = independent_uniform(500, 2, seed);
             let pruned = run(&PrunedFa::default(), &mut a, &Min, 10);
             let mut b = independent_uniform(500, 2, seed);
-            let plain = run(&FaginsAlgorithm, &mut b, &Min, 10);
+            let plain = run(&Planned(PhysicalPlan::Fa, 0.0), &mut b, &Min, 10);
             assert_eq!(pruned.stats.sorted, plain.stats.sorted);
             assert!(
                 pruned.stats.random <= plain.stats.random,
@@ -248,7 +249,9 @@ mod tests {
             let mut a = independent_uniform(1000, 3, seed);
             pruned_total += run(&PrunedFa::default(), &mut a, &Min, 5).stats.random;
             let mut b = independent_uniform(1000, 3, seed);
-            plain_total += run(&FaginsAlgorithm, &mut b, &Min, 5).stats.random;
+            plain_total += run(&Planned(PhysicalPlan::Fa, 0.0), &mut b, &Min, 5)
+                .stats
+                .random;
         }
         assert!(
             pruned_total < plain_total,

@@ -9,8 +9,34 @@
 //! *bottom*) above. Unseen objects are bounded by `t(bottoms)`. The run
 //! halts once the k-th best lower bound `Mₖ` dismisses every other
 //! upper bound, `upper ≤ (1 + θ)·Mₖ`. Members differ only in the
-//! quantities of [`Family`]; the table in [`crate::algorithms`] maps
-//! each public name to them.
+//! quantities of [`Family`], and [`Family::of_plan`] maps each plan to
+//! them:
+//!
+//! | Plan | Probes | θ | Grades reported |
+//! |------|--------|---|-----------------|
+//! | `Ta` | on sight | 0 | as halted: exact, no interval is ever open |
+//! | `ApproxTa` | on sight | θ | as halted (exact) |
+//! | `Nra` | never | 0 | as halted: certified lower bounds |
+//! | `ApproxNra` | never | θ | as halted (lower bounds) |
+//! | `Ca { h }` | every `h`-th round | θ | closed after the halt (exact) |
+//!
+//! * **TA** — FLN's answer to §6's open problem — resolves each object
+//!   the moment sorted access first shows it and halts once `k` grades
+//!   reach `τ = t(bottoms)`. It is instance optimal and degrades
+//!   gracefully on correlated lists, where A₀'s analysis does not apply
+//!   (E11, E13).
+//! * **NRA** never probes: §4.2's subsystems that cannot answer point
+//!   probes. Its grades are the lower bounds of the intervals it halted
+//!   on; [`nra_intervals`] keeps the intervals.
+//! * **CA** (FLN §6) resolves the most promising open object every
+//!   `h = max(1, ⌊c_R/c_S⌋)` rounds — TA at `h = 1`, towards NRA as `h`
+//!   grows — and probes the answers' open fields after the halt, so its
+//!   grades are exact.
+//! * **θ-approximation** (FLN §9) returns a set in which every returned
+//!   grade times `(1 + θ)` is at least every other grade. At θ = 0 the
+//!   relaxed comparisons are the exact ones bit for bit, because
+//!   [`upper_excluded`] then compares [`Score`]s directly
+//!   (`tests/approx_equivalence.rs`).
 //!
 //! # Bookkeeping
 //!
@@ -83,12 +109,91 @@ use fmdb_core::score::Score;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::algorithms::approx::{upper_excluded, validate_theta};
+use fmdb_core::score::ScoredObject;
+
 use crate::algorithms::book::Book;
-use crate::algorithms::nra::{BoundedAnswer, NraResult};
-use crate::algorithms::{monotone, validate, AlgoError};
-use crate::planner::{behaves_like_min, PhysicalPlan};
+use crate::algorithms::{monotone, validate, AlgoError, TopKResult};
+use crate::planner::{behaves_like_min, validate_theta, PhysicalPlan};
 use crate::source::{Oid, Subsystem};
+use crate::stats::AccessStats;
+
+/// An NRA answer: an object guaranteed to belong to the top k, with
+/// the grade interval known when the algorithm stopped.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundedAnswer {
+    /// The object.
+    pub id: Oid,
+    /// Guaranteed lower bound on its overall grade.
+    pub lower: Score,
+    /// Guaranteed upper bound on its overall grade.
+    pub upper: Score,
+}
+
+impl BoundedAnswer {
+    /// True if the interval has collapsed (the grade is exact).
+    pub fn is_exact(&self) -> bool {
+        self.lower == self.upper
+    }
+}
+
+/// The answers of a threshold-family run, with their intervals.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NraResult {
+    /// A valid top-k *set* (every member's true grade ties or beats
+    /// every non-member's), in the one order the kernel reports in:
+    /// descending [`BoundedAnswer::lower`], ties by ascending oid.
+    /// Where the lower bounds are exact grades — under TA, and under CA
+    /// once its closing probes have run — that is the workspace's
+    /// output order (descending grade, then ascending oid).
+    pub answers: Vec<BoundedAnswer>,
+    /// The charged accesses (`random` is 0 under NRA).
+    pub stats: AccessStats,
+}
+
+impl NraResult {
+    /// Flattens each [`BoundedAnswer`] to its certified **lower**
+    /// bound. The answer *set* is a valid top-k set; reported grades
+    /// may understate the truth wherever the interval had not
+    /// collapsed — the price of the no-random-access regime.
+    pub fn into_lower_bounds(self) -> TopKResult {
+        TopKResult {
+            answers: self
+                .answers
+                .iter()
+                .map(|b| ScoredObject::new(b.id, b.lower))
+                .collect(),
+            stats: self.stats,
+        }
+    }
+}
+
+/// NRA's top `k` with the grade intervals it halted on: the `Nra`
+/// plan's run before [`NraResult::into_lower_bounds`].
+pub fn nra_intervals(
+    sources: &mut [&mut dyn Subsystem],
+    scoring: &dyn ScoringFunction,
+    k: usize,
+) -> Result<NraResult, AlgoError> {
+    Family::new(Probe::Never, 0.0, Report::AsHalted).top_k(sources, scoring, k)
+}
+
+/// TA's relaxed certification: does grade `g` certify against the
+/// threshold `τ` under slack `θ`? [`upper_excluded`] with the roles
+/// swapped — `τ` bounds the unseen, `g` must dismiss it.
+pub(crate) fn grade_certifies(g: Score, tau: Score, theta: f64) -> bool {
+    upper_excluded(tau, g, theta)
+}
+
+/// Is an `upper` bound dismissed by the k-th lower bound `tau` under
+/// slack `θ`? At θ ≤ 0 a direct [`Score`] comparison, so the exact
+/// members are the θ = 0 members bit for bit.
+pub(crate) fn upper_excluded(upper: Score, tau: Score, theta: f64) -> bool {
+    if theta <= 0.0 {
+        upper <= tau
+    } else {
+        upper.value() <= tau.value() * (1.0 + theta)
+    }
+}
 
 /// When the loop spends random accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -711,9 +816,7 @@ mod tests {
         use fmdb_core::score::Score;
         use fmdb_core::scoring::ScoringFunction;
 
-        use super::super::{Family, Probe, Report};
-        use crate::algorithms::approx::upper_excluded;
-        use crate::algorithms::nra::{BoundedAnswer, NraResult};
+        use super::super::{upper_excluded, BoundedAnswer, Family, NraResult, Probe, Report};
         use crate::source::{Oid, Subsystem};
         use crate::stats::AccessStats;
 
@@ -1320,5 +1423,67 @@ mod tests {
     fn a_scoring_function_that_lies_about_monotonicity_fails_loudly() {
         let nra = Family::new(Probe::Never, 0.0, Report::AsHalted);
         outcome(true, nra, &lists(Shape::AntiCorrelated, 60, 4, 1), &Liar, 3);
+    }
+
+    /// The members' one-shot runs through their plans' cursor.
+    fn planned(plan: PhysicalPlan, lists: &mut [VecSource], k: usize) -> TopKResult {
+        let mut refs: Vec<&mut dyn Subsystem> =
+            lists.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+        crate::algorithms::Cursor::once(plan, 0.0, &mut refs, &Min, k).unwrap()
+    }
+
+    /// The hard instance for A₀: the second list reverses the first.
+    #[test]
+    fn anti_correlated_instance_is_handled() {
+        let g1: Vec<Score> = (0..200)
+            .map(|i| Score::clamped(f64::from(i) / 200.0))
+            .collect();
+        let g2: Vec<Score> = g1.iter().map(|g| g.negate()).collect();
+        let lists = || {
+            vec![
+                VecSource::from_dense("a", &g1),
+                VecSource::from_dense("b", &g2),
+            ]
+        };
+        let ta = planned(PhysicalPlan::Ta, &mut lists(), 3);
+        let naive = planned(PhysicalPlan::FullScan, &mut lists(), 3);
+        assert_eq!(ta.answers, naive.answers);
+    }
+
+    /// On independent lists TA reads no deeper than A₀, and NRA reads
+    /// deeper than either and probes nothing.
+    #[test]
+    fn sorted_depths_order_as_the_analysis_says() {
+        let lists = || crate::workload::independent_uniform(2000, 2, 21);
+        let fa = planned(PhysicalPlan::Fa, &mut lists(), 5).stats;
+        let ta = planned(PhysicalPlan::Ta, &mut lists(), 5).stats;
+        let nra = planned(PhysicalPlan::Nra, &mut lists(), 5).stats;
+        assert!(ta.sorted <= fa.sorted, "TA {ta} vs A0 {fa}");
+        assert!(
+            nra.sorted >= fa.sorted && nra.random == 0,
+            "NRA {nra} vs A0 {fa}"
+        );
+    }
+
+    /// Drained lists leave every interval closed: NRA and CA both
+    /// return the whole universe, exactly, in answer order.
+    #[test]
+    fn a_small_universe_returns_everything_exactly() {
+        let g = [0.9, 0.4, 0.7].map(Score::clamped);
+        let h = [0.5, 0.8, 0.6].map(Score::clamped);
+        let lists = || {
+            vec![
+                VecSource::from_dense("a", &g),
+                VecSource::from_dense("b", &h),
+            ]
+        };
+        let mut refs = lists();
+        let mut refs: Vec<&mut dyn Subsystem> = refs.iter_mut().map(|s| s as _).collect();
+        let nra = nra_intervals(&mut refs, &Min, 3).unwrap();
+        assert!(nra.answers.iter().all(BoundedAnswer::is_exact));
+        let ids = |oids: Vec<Oid>| assert_eq!(oids, [2, 0, 1]);
+        ids(nra.answers.iter().map(|a| a.id).collect());
+        let ca = planned(PhysicalPlan::Ca { h: 2 }, &mut lists(), 3);
+        ids(ca.answers.iter().map(|a| a.id).collect());
     }
 }

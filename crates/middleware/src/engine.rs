@@ -56,11 +56,11 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use fmdb_core::score::{Score, ScoredObject};
+use fmdb_core::scoring::ScoringFunction;
 
-use crate::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
+use crate::algorithms::{AlgoError, Cursor, TopKAlgorithm, TopKResult};
 use crate::frozen::Narrowed;
-use crate::planner::{Explain, PlanQuery, QueryStats};
-use crate::policy::Algo;
+use crate::planner::{Explain, PhysicalPlan, PlanQuery, QueryStats};
 use crate::request::{lock_all, TopKRequest};
 use crate::source::{Caps, Oid, SourceError, SourceInfo, Subsystem};
 use crate::stats::{AccessStats, PageIoStats};
@@ -303,62 +303,60 @@ impl Engine {
     }
 
     /// Evaluates a request as its [`crate::policy::ExecPolicy`]
-    /// prescribes and runs it through [`Engine::run_algorithm`].
+    /// prescribes, running the plan through its [`Cursor`] — the one
+    /// door to every plan's kernel.
     ///
-    /// An explicit [`crate::policy::Algo`] resolves as named.
-    /// [`crate::policy::Algo::Auto`] routes through the unified
-    /// cost-based planner ([`crate::planner::choose_plan`]): the engine
-    /// gathers per-source grade histograms via
-    /// [`Subsystem::caps`], prices every applicable
-    /// strategy under the policy's cost model, and executes the
-    /// cheapest. When any source cannot provide statistics, the
-    /// planner's documented static fallback (NRA-or-TA, never A₀)
-    /// applies. [`Engine::explain`] exposes the same decision without
-    /// executing it.
+    /// A policy that names a plan runs it ([`crate::policy::ExecPolicy::resolve`]).
+    /// One that names none routes through the unified cost-based
+    /// planner ([`crate::planner::choose_plan`]): the engine gathers
+    /// per-source grade histograms via [`Subsystem::caps`], prices
+    /// every applicable strategy under the policy's cost model, and
+    /// executes the cheapest. When any source cannot provide
+    /// statistics, the planner's documented static fallback
+    /// (NRA-or-TA, never A₀) applies. [`Engine::explain`] exposes the
+    /// same decision without executing it.
     pub fn run(&self, request: &TopKRequest) -> Result<TopKResult, EngineError> {
         let mut guards = lock_all(request.sources());
         let mut sources = narrow(&mut guards);
-        let algorithm = self.resolve(request, &sources)?;
-        self.execute(algorithm.as_ref(), request, &mut sources)
+        let plan = self.resolve(request, &sources)?;
+        let theta = request.policy().theta;
+        self.execute(
+            plan.name(),
+            |refs, scoring, k| Cursor::once(plan, theta, refs, scoring, k),
+            request,
+            &mut sources,
+        )
     }
 
     /// The planner's decision record for `request` — the plan
     /// [`Engine::run`] would execute, every candidate's estimated
     /// charged cost, and the statistics it was based on — without
-    /// running the query or charging any accesses. For an explicit
-    /// (non-`Auto`) policy the record reflects that forced choice.
+    /// running the query or charging any accesses. For a policy that
+    /// names a plan the record reflects that forced choice.
     pub fn explain(&self, request: &TopKRequest) -> Result<Explain, EngineError> {
         // Surface invalid-knob errors exactly like `run`.
-        let forced = request.policy().plan()?;
+        let forced = request.policy().resolve()?;
         let mut explain = self.plan(request, &narrow(&mut lock_all(request.sources())));
-        if request.policy().algo != Algo::Auto {
+        if request.policy().plan.is_some() {
             explain.chosen = forced;
         }
         Ok(explain)
     }
 
-    /// Resolves the request's policy to the algorithm `run` executes:
-    /// explicit choices as named, `Auto` through the cost-based
-    /// planner.
+    /// The plan `run` executes: the one the policy names, or the
+    /// cost-based planner's.
     fn resolve(
         &self,
         request: &TopKRequest,
         sources: &[Narrowed<'_>],
-    ) -> Result<Box<dyn TopKAlgorithm + Send + Sync>, EngineError> {
+    ) -> Result<PhysicalPlan, EngineError> {
         let policy = request.policy();
         // Always resolve statically first: it validates the policy
         // knobs (θ, cost units) and is the documented fallback.
-        let mut plan = policy.plan()?;
-        if policy.algo == Algo::Auto {
-            plan = self.plan(request, sources).chosen;
-        }
-        let theta = policy.approximation.theta();
-        Ok(match crate::planner::plan_algorithm(plan, theta) {
-            Some(algorithm) => algorithm,
-            // The crisp filter, above the algorithm layer, falls back to
-            // the static choice (unreachable for engine-shaped queries,
-            // which have no crisp structure).
-            None => policy.algorithm()?,
+        let plan = policy.resolve()?;
+        Ok(match policy.plan {
+            None => self.plan(request, sources).chosen,
+            Some(_) => plan,
         })
     }
 
@@ -376,61 +374,46 @@ impl Engine {
         crate::planner::choose_plan(&query, stats.as_ref(), request.policy())
     }
 
-    /// Evaluates a request with any scalar [`TopKAlgorithm`] as the
-    /// merge strategy. The algorithm's code path is unchanged — it
-    /// consumes engine-buffered proxies instead of raw sources — so the
-    /// result (answers *and* charged `sorted`/`random` counts) is
-    /// bit-identical to the scalar run over the same sources, read from
-    /// where their cursors stand (every algorithm here rewinds first);
-    /// the engine only adds the page traffic of paged sources
-    /// ([`AccessStats::page_reads`] and friends).
+    /// Evaluates a request with a scalar [`TopKAlgorithm`] — a
+    /// strategy no plan names — as the merge strategy. The algorithm's
+    /// code path is unchanged — it consumes engine-buffered proxies
+    /// instead of raw sources — so the result (answers *and* charged
+    /// `sorted`/`random` counts) is bit-identical to the scalar run
+    /// over the same sources, read from where their cursors stand
+    /// (every algorithm here rewinds first); the engine only adds the
+    /// page traffic of paged sources ([`AccessStats::page_reads`] and
+    /// friends).
     pub fn run_algorithm(
         &self,
         algorithm: &dyn TopKAlgorithm,
         request: &TopKRequest,
     ) -> Result<TopKResult, EngineError> {
         let mut guards = lock_all(request.sources());
-        self.execute(algorithm, request, &mut narrow(&mut guards))
+        self.execute(
+            algorithm.name(),
+            |refs, scoring, k| algorithm.evaluate(refs, scoring, k),
+            request,
+            &mut narrow(&mut guards),
+        )
     }
 
-    /// Runs `algorithm` over the request's held `sources` and folds the
-    /// sources' page traffic into the result.
+    /// The one execution path: the kernel `name` names runs on the
+    /// caller's thread over batch-refilled proxies of the request's held
+    /// `sources` — no thread is spawned, so `stats.worker_spawns` stays
+    /// 0 — and the sources' page traffic is folded into its result.
     fn execute(
         &self,
-        algorithm: &dyn TopKAlgorithm,
+        name: &str,
+        kernel: impl FnOnce(
+            &mut [&mut dyn Subsystem],
+            &dyn ScoringFunction,
+            usize,
+        ) -> Result<TopKResult, AlgoError>,
         request: &TopKRequest,
         sources: &mut [Narrowed<'_>],
     ) -> Result<TopKResult, EngineError> {
         let page_io = |s: &Narrowed<'_>| s.get_ref().caps().page_io;
         let page_before: Vec<Option<PageIoStats>> = sources.iter().map(page_io).collect();
-        let mut result = self.run_kernel(algorithm, request, sources)?;
-
-        // Fold the page-traffic delta of every paged source into the
-        // request's stats. Sources sharing one store's pool would be
-        // double counted — each query source is expected to map to its
-        // own store file.
-        for (source, before) in sources.iter().zip(page_before) {
-            if let (Some(now), Some(before)) = (page_io(source), before) {
-                let delta = now - before;
-                result.stats.page_reads += delta.reads;
-                result.stats.page_hits += delta.hits;
-                result.stats.page_evictions += delta.evictions;
-                result.stats.pages_skipped += delta.skipped;
-            }
-        }
-        *lock(&self.totals) += result.stats;
-        Ok(result)
-    }
-
-    /// The one execution path: the kernel runs on the caller's thread
-    /// over batch-refilled proxies of the held sources. No thread is
-    /// spawned, so `stats.worker_spawns` stays 0.
-    fn run_kernel(
-        &self,
-        algorithm: &dyn TopKAlgorithm,
-        request: &TopKRequest,
-        sources: &mut [Narrowed<'_>],
-    ) -> Result<TopKResult, EngineError> {
         let scoring = request.scoring();
         let batch = self.config.batch_size.max(1);
         let mut proxies: Vec<EngineSource> = sources
@@ -456,22 +439,38 @@ impl Engine {
                 .map(|p| p as &mut dyn Subsystem)
                 .collect();
             catch_unwind(AssertUnwindSafe(|| {
-                algorithm.evaluate(&mut refs, &*scoring, request.k())
+                kernel(&mut refs, &*scoring, request.k())
             }))
         };
-        match outcome {
-            Ok(result) => result.map_err(EngineError::from),
+        let mut result = match outcome {
+            Ok(result) => result?,
             Err(payload) => {
                 let stream = proxies
                     .iter()
                     .find(|p| p.in_flight)
-                    .map_or_else(|| algorithm.name().to_owned(), |p| p.label.clone());
-                Err(EngineError::WorkerPanicked {
+                    .map_or_else(|| name.to_owned(), |p| p.label.clone());
+                return Err(EngineError::WorkerPanicked {
                     stream,
                     message: panic_message(payload.as_ref()),
-                })
+                });
+            }
+        };
+
+        // Fold the page-traffic delta of every paged source into the
+        // request's stats. Sources sharing one store's pool would be
+        // double counted — each query source is expected to map to its
+        // own store file.
+        for (source, before) in sources.iter().zip(page_before) {
+            if let (Some(now), Some(before)) = (page_io(source), before) {
+                let delta = now - before;
+                result.stats.page_reads += delta.reads;
+                result.stats.page_hits += delta.hits;
+                result.stats.page_evictions += delta.evictions;
+                result.stats.pages_skipped += delta.skipped;
             }
         }
+        *lock(&self.totals) += result.stats;
+        Ok(result)
     }
 
     /// Evaluates several requests concurrently on a scoped worker
@@ -563,11 +562,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::fa::FaginsAlgorithm;
-    use crate::algorithms::naive::Naive;
-    use crate::algorithms::ta::ThresholdAlgorithm;
+    use crate::algorithms::tests::Planned;
     use crate::oracle::verify_top_k;
-    use crate::policy::{Algo, ExecPolicy};
+    use crate::policy::ExecPolicy;
     use crate::request::TopKQuery;
     use crate::source::GradedSource;
     use crate::stats::CostModel;
@@ -591,12 +588,12 @@ mod tests {
             .sources(independent_uniform(n, m, seed))
             .scoring(Min)
             .k(k)
-            .policy(ExecPolicy::new().algo(Algo::Fa))
+            .policy(ExecPolicy::new().plan(PhysicalPlan::Fa))
             .request()
             .unwrap()
     }
 
-    /// The default policy (`Algo::Auto`) routes through the unified
+    /// The default policy (no plan named) routes through the unified
     /// cost-based planner: sources provide histograms, every strategy
     /// is priced, and the executed algorithm is the planner's choice —
     /// NRA for independent-uniform grades under uniform costs (its
@@ -639,7 +636,7 @@ mod tests {
     #[test]
     fn engine_fa_is_bit_identical_to_scalar_fa() {
         for &(n, m, k) in &[(500usize, 2usize, 5usize), (300, 3, 10), (200, 4, 7)] {
-            let reference = scalar(&FaginsAlgorithm, n, m, 99, k);
+            let reference = scalar(&Planned(PhysicalPlan::Fa, 0.0), n, m, 99, k);
             for config in [
                 EngineConfig::DEFAULT,
                 EngineConfig { batch_size: 1 },
@@ -744,7 +741,9 @@ mod tests {
             .iter_mut()
             .map(|s| s as &mut dyn GradedSource)
             .collect();
-        let scalar = FaginsAlgorithm.top_k(&mut refs, &Min, k).unwrap();
+        let scalar = Planned(PhysicalPlan::Fa, 0.0)
+            .top_k(&mut refs, &Min, k)
+            .unwrap();
         let scalar_reads: u64 = lists
             .iter()
             .map(|s| s.page_io().expect("paged").reads)
@@ -756,7 +755,7 @@ mod tests {
         }
         let request = query.scoring(Min).k(k).request().unwrap();
         let engine = Engine::default()
-            .run_algorithm(&FaginsAlgorithm, &request)
+            .run_algorithm(&Planned(PhysicalPlan::Fa, 0.0), &request)
             .unwrap();
         assert_eq!(engine.answers, scalar.answers);
         assert_eq!(engine.stats.sorted, scalar.stats.sorted);
@@ -797,18 +796,23 @@ mod tests {
                 .collect()
         };
         let requests = |stores: &[PagedStore]| -> Vec<TopKRequest> {
-            [Algo::Fa, Algo::Ta, Algo::Nra, Algo::Ca]
-                .into_iter()
-                .flat_map(|algo| {
-                    [[0, 1], [1, 0]].map(|order| {
-                        let query = order.iter().fold(TopKQuery::compose(), |query, &i| {
-                            query.source(stores[i].source())
-                        });
-                        let policy = ExecPolicy::new().algo(algo);
-                        query.scoring(Min).k(10).policy(policy).request().unwrap()
-                    })
+            [
+                PhysicalPlan::Fa,
+                PhysicalPlan::Ta,
+                PhysicalPlan::Nra,
+                PhysicalPlan::Ca { h: 1 },
+            ]
+            .into_iter()
+            .flat_map(|plan| {
+                [[0, 1], [1, 0]].map(|order| {
+                    let query = order.iter().fold(TopKQuery::compose(), |query, &i| {
+                        query.source(stores[i].source())
+                    });
+                    let policy = ExecPolicy::new().plan(plan);
+                    query.scoring(Min).k(10).policy(policy).request().unwrap()
                 })
-                .collect()
+            })
+            .collect()
         };
         let outcome = |result: Result<TopKResult, EngineError>| {
             let result = result.unwrap();
@@ -867,11 +871,14 @@ mod tests {
 
     #[test]
     fn other_merge_strategies_run_through_the_engine() {
-        for algo in [&Naive as &dyn TopKAlgorithm, &ThresholdAlgorithm] {
-            let reference = scalar(algo, 250, 3, 5, 9);
+        for plan in [PhysicalPlan::FullScan, PhysicalPlan::Ta] {
+            let reference = scalar(&Planned(plan, 0.0), 250, 3, 5, 9);
             let engine = Engine::default();
-            let got = engine.run_algorithm(algo, &request(250, 3, 5, 9)).unwrap();
-            assert_eq!(got.answers, reference.answers, "{}", algo.name());
+            let query = request(250, 3, 5, 9).query().clone();
+            let got = engine
+                .run(&query.into_request(ExecPolicy::new().plan(plan)))
+                .unwrap();
+            assert_eq!(got.answers, reference.answers, "{plan}");
             assert_eq!(got.stats.sorted, reference.stats.sorted);
             assert_eq!(got.stats.random, reference.stats.random);
         }
@@ -884,7 +891,7 @@ mod tests {
         let results = engine.run_many(&requests);
         assert_eq!(results.len(), 6);
         for (i, result) in results.into_iter().enumerate() {
-            let reference = scalar(&FaginsAlgorithm, 300, 2, i as u64, 1 + i);
+            let reference = scalar(&Planned(PhysicalPlan::Fa, 0.0), 300, 2, i as u64, 1 + i);
             assert_eq!(result.unwrap().answers, reference.answers, "request {i}");
         }
     }
@@ -1000,7 +1007,7 @@ mod tests {
             .sources(independent_uniform(50, 2, 1))
             .scoring(ExplodingScore)
             .k(3)
-            .policy(ExecPolicy::new().algo(Algo::Ta))
+            .policy(ExecPolicy::new().plan(PhysicalPlan::Ta))
             .request()
             .unwrap();
         match Engine::default().run(&bad) {
@@ -1063,7 +1070,7 @@ mod tests {
         let result = engine.run(&request(200, 3, 9, 5)).unwrap();
         assert_eq!(result.stats.worker_spawns, 0);
         let result = engine
-            .run_algorithm(&ThresholdAlgorithm, &request(200, 3, 9, 5))
+            .run_algorithm(&Planned(PhysicalPlan::Ta, 0.0), &request(200, 3, 9, 5))
             .unwrap();
         assert_eq!(result.stats.worker_spawns, 0);
         assert_eq!(engine.access_totals().worker_spawns, 0);
@@ -1092,27 +1099,27 @@ mod tests {
         assert_eq!(engine.access_totals().worker_spawns, spawned);
     }
 
-    /// One `Algo` → plan table: `explain`, `resolve` and
-    /// `ExecPolicy::algorithm` all read [`ExecPolicy::plan`]. The
-    /// sources hide their histograms, so `Auto` takes the documented
-    /// static fallback — the one case where the planner's choice and
-    /// the policy's stats-free plan must coincide.
+    /// One plan table: `explain` and `resolve` read
+    /// [`ExecPolicy::resolve`]. The sources hide their histograms, so a
+    /// policy naming no plan takes the documented static fallback — the
+    /// one case where the planner's choice and the policy's stats-free
+    /// plan must coincide.
     #[test]
     fn explain_and_resolve_follow_the_policy_plan() {
         let ratio10 = CostModel::random_to_sorted_ratio(10.0).unwrap();
-        // (algo, [exact/uniform, exact/10, θ/uniform, θ/10]); "" = rejected.
-        let names: [(Algo, [&str; 4]); 5] = [
+        // (plan, [exact/uniform, exact/10, θ/uniform, θ/10]); "" = rejected.
+        let names: [(Option<PhysicalPlan>, [&str; 4]); 5] = [
             (
-                Algo::Auto,
+                None,
                 ["threshold-ta", "nra-lower-bound", "approx-ta", "approx-nra"],
             ),
-            (Algo::Fa, ["fagin-a0", "fagin-a0", "", ""]),
+            (Some(PhysicalPlan::Fa), ["fagin-a0", "fagin-a0", "", ""]),
             (
-                Algo::Ta,
+                Some(PhysicalPlan::Ta),
                 ["threshold-ta", "threshold-ta", "approx-ta", "approx-ta"],
             ),
             (
-                Algo::Nra,
+                Some(PhysicalPlan::Nra),
                 [
                     "nra-lower-bound",
                     "nra-lower-bound",
@@ -1120,12 +1127,15 @@ mod tests {
                     "approx-nra",
                 ],
             ),
-            (Algo::Ca, ["combined-ca"; 4]),
+            (Some(PhysicalPlan::Ca { h: 1 }), ["combined-ca"; 4]),
         ];
         let engine = Engine::default();
-        for (algo, want) in names {
+        for (named, want) in names {
             for (cell, want) in want.into_iter().enumerate() {
-                let mut policy = ExecPolicy::new().algo(algo);
+                let mut policy = ExecPolicy {
+                    plan: named,
+                    ..ExecPolicy::new()
+                };
                 if cell % 2 == 1 {
                     policy = policy.cost_model(ratio10);
                 }
@@ -1142,20 +1152,85 @@ mod tests {
                 }
                 let req = query.scoring(Min).k(5).policy(policy).request().unwrap();
                 if want.is_empty() {
-                    assert!(policy.plan().is_err(), "{policy:?}");
-                    assert!(policy.algorithm().is_err(), "{policy:?}");
+                    assert!(policy.resolve().is_err(), "{policy:?}");
                     assert!(engine.explain(&req).is_err(), "{policy:?}");
                     assert!(engine.run(&req).is_err(), "{policy:?}");
                     continue;
                 }
-                let plan = policy.plan().unwrap();
+                let plan = policy.resolve().unwrap();
                 assert_eq!(plan.name(), want, "{policy:?}");
-                assert_eq!(policy.algorithm().unwrap().name(), want, "{policy:?}");
+                if let PhysicalPlan::Ca { h } = plan {
+                    assert_eq!(h, policy.interleave(), "{policy:?}");
+                }
                 assert_eq!(engine.explain(&req).unwrap().chosen, plan, "{policy:?}");
                 let resolved = engine
                     .resolve(&req, &narrow(&mut lock_all(req.sources())))
                     .unwrap();
-                assert_eq!(resolved.name(), want, "{policy:?}");
+                assert_eq!(resolved, plan, "{policy:?}");
+            }
+        }
+    }
+
+    /// One rule for a named plan under θ, at every door: the policy
+    /// resolves to what the table says runs, the engine runs it, and
+    /// the plan's cursor — whose first batch is the engine's run — is
+    /// refused exactly where the engine is.
+    #[test]
+    fn every_door_applies_the_plans_rule_for_theta() {
+        use fmdb_core::scoring::conorms::Max;
+        use fmdb_core::scoring::ConormScoring;
+        use PhysicalPlan as P;
+
+        // (named, what runs under θ = 0.25). θ = 0 runs the named plan;
+        // θ = −1 and NaN run nothing.
+        let table = [
+            (P::Fa, None),
+            (P::Ta, Some(P::ApproxTa)),
+            (P::Nra, Some(P::ApproxNra)),
+            (P::Ca { h: 1 }, Some(P::Ca { h: 1 })),
+            (P::ApproxTa, Some(P::ApproxTa)),
+            (P::ApproxNra, Some(P::ApproxNra)),
+            (P::CrispFilter, Some(P::CrispFilter)),
+            (P::MaxMerge, Some(P::MaxMerge)),
+            (P::FullScan, Some(P::FullScan)),
+        ];
+        let engine = Engine::default();
+        for (named, approximate) in table {
+            for theta in [0.0, 0.25, -1.0, f64::NAN] {
+                let want = if theta > 0.0 {
+                    approximate
+                } else {
+                    (theta == 0.0).then_some(named)
+                };
+                let at = format!("{named} under θ = {theta}");
+                let policy = ExecPolicy::new().plan(named).theta(theta);
+                assert_eq!(policy.resolve().ok(), want, "{at}");
+
+                let query = TopKQuery::compose().sources(independent_uniform(200, 2, 5));
+                let query = if named == P::MaxMerge {
+                    query.scoring(ConormScoring(Max))
+                } else {
+                    query.scoring(Min)
+                };
+                let request = query.k(5).policy(policy).request().unwrap();
+                let ran = engine.run(&request);
+                let cursor = Cursor::new(named, theta);
+                let runs = want.filter(|&plan| plan != P::CrispFilter);
+                assert_eq!(ran.is_ok(), runs.is_some(), "{at}: {ran:?}");
+                assert_eq!(cursor.is_ok(), runs.is_some(), "{at}: {cursor:?}");
+                let (Ok(ran), Ok(mut cursor)) = (ran, cursor) else {
+                    continue;
+                };
+                let mut lists = independent_uniform(200, 2, 5);
+                let mut refs: Vec<&mut dyn Subsystem> =
+                    lists.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+                let first = cursor.next_k(&mut refs, &*request.scoring(), 5).unwrap();
+                assert_eq!(ran, first, "{at}");
+                assert_eq!(
+                    engine.explain(&request).unwrap().chosen,
+                    want.unwrap(),
+                    "{at}"
+                );
             }
         }
     }
@@ -1169,7 +1244,7 @@ mod tests {
 
         let ca = query.clone().into_request(
             ExecPolicy::new()
-                .algo(Algo::Ca)
+                .plan(PhysicalPlan::Ca { h: 1 })
                 .cost_model(CostModel::random_to_sorted_ratio(10.0).unwrap()),
         );
         let exact = engine.run(&ca).unwrap();

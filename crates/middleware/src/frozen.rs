@@ -39,18 +39,121 @@
 //!   ([`crate::store::PagedSource`], [`VecSource`]'s drain).
 //! * `PagedStore::{take_error, readahead_loads}` and
 //!   `Engine::{cache_counters, cache_evictions}`, which perfbench reads.
+//!
+//! A strategy has one name, its [`PhysicalPlan`], and one door, the
+//! plan's [`Cursor`]. What is left of the other names:
+//!
+//! * the seven algorithm values perfbench runs as [`TopKAlgorithm`]s —
+//!   `FaginsAlgorithm`, `ThresholdAlgorithm`, `NraLowerBound`,
+//!   `CombinedAlgorithm::for_cost`, `ApproxTa::new`, `MaxMerge` and
+//!   `Naive` — each a plan in a `PlanShim`, which runs
+//!   [`Cursor::once`] under the old name;
+//! * [`Algo`] with [`ExecPolicy::algo`], which name a plan, and
+//!   [`ExecPolicy::algorithm`] and [`plan_algorithm`], which hand one
+//!   back as a boxed `PlanShim`.
 
 use std::any::Any;
 use std::fmt;
 
 use fmdb_core::score::{Score, ScoredObject};
+use fmdb_core::scoring::ScoringFunction;
 use fmdb_core::stats::GradeHistogram;
 
+use crate::algorithms::{AlgoError, Cursor, TopKAlgorithm, TopKResult};
 use crate::engine::Engine;
-use crate::policy::ExecPolicy;
+use crate::planner::PhysicalPlan;
+use crate::policy::{interleave_depth, ExecPolicy};
 use crate::source::{Caps, Grades, Oid, SourceError, SourceInfo, Subsystem, VecSource};
-use crate::stats::PageIoStats;
+use crate::stats::{CostModel, PageIoStats};
 use crate::store::{PagedSource, PagedStore, StoreError};
+
+use self::plans::PlanShim;
+pub use self::plans::{
+    ApproxTa, CombinedAlgorithm, FaginsAlgorithm, MaxMerge, Naive, NraLowerBound,
+    ThresholdAlgorithm,
+};
+
+#[doc(hidden)]
+#[expect(
+    non_upper_case_globals,
+    reason = "perfbench spells the unit structs these were"
+)]
+mod plans {
+    use super::PhysicalPlan;
+
+    /// A plan and its slack θ, run as a [`super::TopKAlgorithm`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct PlanShim(pub(super) PhysicalPlan, pub(super) f64);
+
+    pub const FaginsAlgorithm: PlanShim = PlanShim(PhysicalPlan::Fa, 0.0);
+    pub const ThresholdAlgorithm: PlanShim = PlanShim(PhysicalPlan::Ta, 0.0);
+    pub const NraLowerBound: PlanShim = PlanShim(PhysicalPlan::Nra, 0.0);
+    pub const MaxMerge: PlanShim = PlanShim(PhysicalPlan::MaxMerge, 0.0);
+    pub const Naive: PlanShim = PlanShim(PhysicalPlan::FullScan, 0.0);
+    /// `ApproxTa::new` is `PlanShim::new`.
+    pub type ApproxTa = PlanShim;
+    /// `CombinedAlgorithm::for_cost` is `PlanShim::for_cost`.
+    pub type CombinedAlgorithm = PlanShim;
+}
+
+impl TopKAlgorithm for PlanShim {
+    /// The old struct's name: the plan's, but the scan's.
+    fn name(&self) -> &'static str {
+        match self.0 {
+            PhysicalPlan::FullScan => "naive",
+            plan => plan.name(),
+        }
+    }
+
+    fn evaluate(
+        &self,
+        sources: &mut [&mut dyn Subsystem],
+        scoring: &dyn ScoringFunction,
+        k: usize,
+    ) -> Result<TopKResult, AlgoError> {
+        Cursor::once(self.0, self.1, sources, scoring, k)
+    }
+}
+
+impl PlanShim {
+    /// `ApproxTa::new(theta)`.
+    pub fn new(theta: f64) -> PlanShim {
+        PlanShim(PhysicalPlan::ApproxTa, theta)
+    }
+
+    /// `CombinedAlgorithm::for_cost(cost, theta)`: CA at `cost`'s depth.
+    pub fn for_cost(cost: &CostModel, theta: f64) -> PlanShim {
+        let h = interleave_depth(cost);
+        PlanShim(PhysicalPlan::Ca { h }, theta)
+    }
+}
+
+/// The algorithm a policy named before it named a plan.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Algo {
+    /// No plan: the planner chooses.
+    #[default]
+    Auto,
+    /// [`PhysicalPlan::Fa`].
+    Fa,
+    /// [`PhysicalPlan::Ta`].
+    Ta,
+    /// [`PhysicalPlan::Nra`].
+    Nra,
+    /// [`PhysicalPlan::Ca`], at the cost model's depth.
+    Ca,
+}
+
+/// The plan as a boxed [`TopKAlgorithm`]; `None` for the crisp filter,
+/// which runs above the middleware.
+#[doc(hidden)]
+pub fn plan_algorithm(
+    plan: PhysicalPlan,
+    theta: f64,
+) -> Option<Box<dyn TopKAlgorithm + Send + Sync>> {
+    (plan != PhysicalPlan::CrispFilter).then(|| Box::new(PlanShim(plan, theta)) as _)
+}
 
 /// Once the way a sharded query split its universe; has no values.
 #[doc(hidden)]
@@ -67,6 +170,29 @@ impl ExecPolicy {
     #[doc(hidden)]
     pub fn sharded_over(self, _: usize) -> Self {
         self
+    }
+
+    /// Names `algo`'s plan; [`ExecPolicy::resolve`] gives CA its depth
+    /// and the θ-variant once every setter has run.
+    #[doc(hidden)]
+    pub fn algo(mut self, algo: Algo) -> Self {
+        self.plan = match algo {
+            Algo::Auto => None,
+            Algo::Fa => Some(PhysicalPlan::Fa),
+            Algo::Ta => Some(PhysicalPlan::Ta),
+            Algo::Nra => Some(PhysicalPlan::Nra),
+            Algo::Ca => Some(PhysicalPlan::Ca { h: 1 }),
+        };
+        self
+    }
+
+    /// [`ExecPolicy::resolve`]'s plan as a boxed [`TopKAlgorithm`].
+    #[doc(hidden)]
+    pub fn algorithm(&self) -> Result<Box<dyn TopKAlgorithm + Send + Sync>, AlgoError> {
+        let plan = self.resolve()?;
+        plan_algorithm(plan, self.theta).ok_or_else(|| {
+            AlgoError::InvalidRequest(format!("plan {plan} is not a middleware algorithm"))
+        })
     }
 }
 
@@ -334,18 +460,42 @@ mod tests {
     use fmdb_core::scoring::tnorms::Min;
     use fmdb_core::stats::GradeHistogram;
 
-    use super::GradedSource;
-    use crate::algorithms::ta::ThresholdAlgorithm;
+    use super::{
+        plan_algorithm, Algo, ApproxTa, CombinedAlgorithm, GradedSource, Naive, ThresholdAlgorithm,
+    };
     use crate::algorithms::TopKAlgorithm;
     use crate::engine::Engine;
     use crate::planner::StatsBasis;
-    use crate::policy::{Algo, ExecPolicy};
+    use crate::policy::ExecPolicy;
     use crate::request::{shared_source, TopKQuery};
     use crate::source::{Oid, SourceInfo, Subsystem, VecSource};
     use crate::workload::independent_uniform;
 
     /// Every shim, and the `perfbench/src` text that uses it.
-    const SHIMS: [(&str, &str); 14] = [
+    const SHIMS: [(&str, &str); 25] = [
+        ("algorithms::fa::FaginsAlgorithm", "Some(&FaginsAlgorithm)"),
+        (
+            "algorithms::ta::ThresholdAlgorithm",
+            "Some(&ThresholdAlgorithm)",
+        ),
+        ("algorithms::nra::NraLowerBound", "Box::new(NraLowerBound)"),
+        (
+            "algorithms::ca::CombinedAlgorithm",
+            "CombinedAlgorithm::for_cost(&ca_cost, 0.0)",
+        ),
+        ("algorithms::approx::ApproxTa", "ApproxTa::new(0.1)"),
+        (
+            "algorithms::max_merge::MaxMerge",
+            ".run_algorithm(&MaxMerge",
+        ),
+        ("algorithms::naive::Naive", "Some(&Naive)"),
+        ("policy::Algo", "forced(Algo::Ca).cost_model("),
+        ("ExecPolicy::algo", "ExecPolicy::new().algo(algo)"),
+        ("ExecPolicy::algorithm", "request.policy().algorithm()"),
+        (
+            "planner::plan_algorithm",
+            "plan_algorithm(explain.chosen, 0.0)",
+        ),
         ("source::ShardedSource", "Option<Vec<ShardedSource>>"),
         (
             "source::SourcePartitioner",
@@ -495,5 +645,172 @@ mod tests {
             })
             .collect();
         assert!(found.is_empty(), "{}", found.join("\n"));
+    }
+
+    /// The strategy shims' names, as code would spell them.
+    const STRATEGY_SHIMS: [&str; 11] = [
+        "FaginsAlgorithm",
+        "ThresholdAlgorithm",
+        "NraLowerBound",
+        "CombinedAlgorithm",
+        "ApproxTa",
+        "MaxMerge",
+        "Naive",
+        "Algo",
+        "plan_algorithm",
+        ".algo(",
+        ".algorithm(",
+    ];
+
+    /// The strategy shims `text` names, line by line, its comments
+    /// cut. A name qualified by a type (`PhysicalPlan::MaxMerge`,
+    /// `AlgoChoice::Naive`) is that type's variant, and so is one that
+    /// opens a line outside a `use` list (`MaxMerge,` in an `enum`). A
+    /// re-export from this module keeps a shim's old path.
+    fn shims_named(text: &str) -> Vec<(&str, &'static str)> {
+        let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+        let mut named = Vec::new();
+        let mut in_use = false;
+        for line in text.lines() {
+            let code = line.split("//").next().unwrap_or("");
+            let first = code.trim_start();
+            let opens_use = first.starts_with("use ") || first.starts_with("pub use ");
+            in_use = (in_use || opens_use) && !code.contains(';');
+            let listed = in_use || opens_use;
+            if first.starts_with("pub use crate::frozen::") {
+                continue;
+            }
+            for shim in STRATEGY_SHIMS {
+                for (at, _) in code.match_indices(shim) {
+                    let (before, after) = (&code[..at], &code[at + shim.len()..]);
+                    if shim.starts_with('.') {
+                        named.push((line, shim));
+                        continue;
+                    }
+                    if before.ends_with(is_ident) || after.starts_with(is_ident) {
+                        continue;
+                    }
+                    let qualifier = before.strip_suffix("::").map(|path| {
+                        let start = path.rfind(|c: char| !is_ident(c)).map_or(0, |i| i + 1);
+                        &path[start..]
+                    });
+                    let declared = !listed && before.trim().is_empty();
+                    if !declared && !qualifier.is_some_and(|q| q.starts_with(char::is_uppercase)) {
+                        named.push((line, shim));
+                    }
+                }
+            }
+        }
+        named
+    }
+
+    #[test]
+    fn the_guard_tells_a_shim_from_a_variant() {
+        let shims = |text| -> Vec<&str> { shims_named(text).into_iter().map(|(_, s)| s).collect() };
+        assert_eq!(shims("use crate::algorithms::naive::Naive;"), ["Naive"]);
+        assert_eq!(shims("use crate::x::{\n    MaxMerge,\n};"), ["MaxMerge"]);
+        assert_eq!(shims("let a = [\n    &MaxMerge,\n];"), ["MaxMerge"]);
+        assert_eq!(
+            shims("ExecPolicy::new().algo(Algo::Ta)"),
+            ["Algo", ".algo("]
+        );
+        assert!(shims("PhysicalPlan::MaxMerge => AlgoChoice::Naive").is_empty());
+        assert!(shims("EngineError::Algo(e) => AlgoError::ZeroK, // Naive").is_empty());
+        assert!(shims("enum E {\n    Algo(AlgoError),\n    Naive,\n}").is_empty());
+        assert!(shims("NaiveScan, ApproxTaBound").is_empty());
+        assert!(shims("pub use crate::frozen::Naive;").is_empty());
+    }
+
+    /// A strategy has one name, its plan: the shims above are
+    /// perfbench's, and nothing else in the workspace may name them.
+    #[test]
+    fn nothing_outside_this_module_names_a_strategy_shim() {
+        let mut files = Vec::new();
+        for dir in ["crates", "src", "tests", "examples"] {
+            rust_files(&root().join(dir), &mut files);
+        }
+        let found: Vec<String> = files
+            .iter()
+            .filter(|file| !file.ends_with("middleware/src/frozen.rs"))
+            .flat_map(|file| {
+                let text = std::fs::read_to_string(file).expect("source is UTF-8");
+                shims_named(&text)
+                    .into_iter()
+                    .map(|(line, shim)| format!("{}: {shim}: {}", file.display(), line.trim()))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert!(found.is_empty(), "{}", found.join("\n"));
+    }
+
+    /// Each `Algo` shim names the plan it named before: CA at the cost
+    /// model's depth and the θ-variant, resolved after every setter.
+    #[test]
+    fn every_algo_shim_resolves_as_before() {
+        use crate::planner::PhysicalPlan as P;
+        use crate::stats::CostModel;
+
+        let ratio10 = CostModel::random_to_sorted_ratio(10.0).unwrap();
+        // (algo, [exact/uniform, exact/10, θ/uniform, θ/10]); None = rejected.
+        let rows = [
+            (
+                Algo::Auto,
+                [
+                    Some(P::Ta),
+                    Some(P::Nra),
+                    Some(P::ApproxTa),
+                    Some(P::ApproxNra),
+                ],
+            ),
+            (Algo::Fa, [Some(P::Fa), Some(P::Fa), None, None]),
+            (
+                Algo::Ta,
+                [
+                    Some(P::Ta),
+                    Some(P::Ta),
+                    Some(P::ApproxTa),
+                    Some(P::ApproxTa),
+                ],
+            ),
+            (
+                Algo::Nra,
+                [
+                    Some(P::Nra),
+                    Some(P::Nra),
+                    Some(P::ApproxNra),
+                    Some(P::ApproxNra),
+                ],
+            ),
+            (
+                Algo::Ca,
+                [
+                    Some(P::Ca { h: 1 }),
+                    Some(P::Ca { h: 10 }),
+                    Some(P::Ca { h: 1 }),
+                    Some(P::Ca { h: 10 }),
+                ],
+            ),
+        ];
+        for (algo, cells) in rows {
+            for (cell, want) in cells.into_iter().enumerate() {
+                let mut policy = ExecPolicy::new().algo(algo);
+                if cell % 2 == 1 {
+                    policy = policy.cost_model(ratio10);
+                }
+                if cell >= 2 {
+                    policy = policy.theta(0.1);
+                }
+                assert_eq!(policy.resolve().ok(), want, "{policy:?}");
+                let name = policy.algorithm().ok().map(|a| a.name());
+                assert_eq!(name, want.map(|plan| plan.name()), "{policy:?}");
+            }
+        }
+        assert_eq!(Naive.name(), "naive");
+        assert_eq!(ApproxTa::new(0.1).name(), "approx-ta");
+        assert_eq!(
+            CombinedAlgorithm::for_cost(&ratio10, 0.0).0,
+            P::Ca { h: 10 }
+        );
+        assert!(plan_algorithm(P::CrispFilter, 0.0).is_none());
     }
 }

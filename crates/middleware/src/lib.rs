@@ -10,15 +10,15 @@
 //! * [`stats`] — database access cost accounting and charged cost
 //!   models;
 //! * [`algorithms`] — the evaluation strategies: naive, **A₀ (Fagin's
-//!   Algorithm)**, the `m·k` max-merge disjunction, pruned A₀, the
-//!   Threshold Algorithm (extension), and Chaudhuri–Gravano
-//!   filter-condition simulation; a [`algorithms::Cursor`] resumes any
-//!   of them that keeps a book ("the next 10");
+//!   Algorithm)**, the `m·k` max-merge disjunction, the threshold
+//!   family (TA, NRA, CA, θ; extension), each run by its plan's
+//!   [`algorithms::Cursor`], which also resumes it ("the next 10");
+//!   and pruned A₀ and Chaudhuri–Gravano filter-condition simulation;
 //! * [`request`] — the query description ([`request::TopKQuery`]) and
 //!   the executable request ([`request::TopKRequest`] = query +
 //!   policy) with shared source handles every strategy accepts;
-//! * [`policy`] — the [`policy::ExecPolicy`] execution policy:
-//!   algorithm choice, charged cost model and θ-approximation;
+//! * [`policy`] — the [`policy::ExecPolicy`] execution policy: the
+//!   plan, charged cost model and θ-approximation;
 //! * [`engine`] — the batched execution engine: the scalar kernels
 //!   run on the caller's thread over batch-refilled sorted streams,
 //!   bit-identical to the scalar algorithms; a bounded pool serves
@@ -31,7 +31,7 @@
 //! * [`planner`] — the unified statistics-driven cost-based planner:
 //!   per-source grade histograms price every physical strategy through
 //!   the policy's cost model, and both auto-selection entry points
-//!   (`Algo::Auto` and the Garlic planner) route through
+//!   (a policy naming no plan, and the Garlic planner) route through
 //!   [`planner::choose_plan`];
 //! * [`store`] — the persistent paged column store (§6's "more
 //!   realistic cost measure" made physical): checksummed fixed-size
@@ -46,8 +46,8 @@
 //!
 //! ```
 //! use fmdb_core::scoring::tnorms::Min;
-//! use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-//! use fmdb_middleware::algorithms::TopKAlgorithm;
+//! use fmdb_middleware::algorithms::Cursor;
+//! use fmdb_middleware::planner::PhysicalPlan;
 //! use fmdb_middleware::source::Subsystem;
 //! use fmdb_middleware::workload::independent_uniform;
 //!
@@ -56,7 +56,7 @@
 //!     .iter_mut()
 //!     .map(|s| s as &mut dyn Subsystem)
 //!     .collect();
-//! let result = FaginsAlgorithm.evaluate(&mut refs, &Min, 10).unwrap();
+//! let result = Cursor::once(PhysicalPlan::Fa, 0.0, &mut refs, &Min, 10).unwrap();
 //! assert_eq!(result.answers.len(), 10);
 //! // Far below the naive cost of 2N = 20,000 (Theorem 4.1):
 //! assert!(result.stats.database_access_cost() < 10_000);
@@ -86,16 +86,11 @@ pub mod workload;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::algorithms::approx::{ApproxNra, ApproxTa};
-    pub use crate::algorithms::ca::CombinedAlgorithm;
     pub use crate::algorithms::cg_filter::CgFilter;
-    pub use crate::algorithms::fa::FaginsAlgorithm;
-    pub use crate::algorithms::max_merge::MaxMerge;
-    pub use crate::algorithms::naive::Naive;
-    pub use crate::algorithms::nra::{BoundedAnswer, Nra, NraLowerBound, NraResult};
     pub use crate::algorithms::pruned_fa::PrunedFa;
-    pub use crate::algorithms::ta::ThresholdAlgorithm;
-    pub use crate::algorithms::{AlgoError, Cursor, TopKAlgorithm, TopKResult};
+    pub use crate::algorithms::{
+        AlgoError, BoundedAnswer, Cursor, NraResult, TopKAlgorithm, TopKResult,
+    };
     pub use crate::engine::{Engine, EngineConfig, EngineError};
     pub use crate::optimality::OptimalityOracle;
     pub use crate::oracle::{verify_top_k, verify_top_k_set};
@@ -103,7 +98,7 @@ pub mod prelude {
         choose_plan, classify_combiner, CombinerKind, Explain, PhysicalPlan, PlanQuery, QueryStats,
         StatsBasis,
     };
-    pub use crate::policy::{Algo, Approximation, ExecPolicy};
+    pub use crate::policy::ExecPolicy;
     pub use crate::request::{
         shared_source, SharedScoring, SharedSource, TopKQuery, TopKQueryBuilder, TopKRequest,
     };

@@ -40,8 +40,9 @@ use std::collections::HashMap;
 use fmdb_core::score::Score;
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::algorithms::approx::{grade_certifies, upper_excluded, validate_theta};
+use crate::algorithms::threshold::{grade_certifies, upper_excluded};
 use crate::algorithms::{monotone, AlgoError};
+use crate::planner::validate_theta;
 use crate::source::{GradedSource, Oid};
 use crate::stats::CostModel;
 
@@ -269,20 +270,25 @@ impl OptimalityOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::approx::{ApproxNra, ApproxTa};
-    use crate::algorithms::ca::CombinedAlgorithm;
-    use crate::algorithms::fa::FaginsAlgorithm;
-    use crate::algorithms::nra::NraLowerBound;
-    use crate::algorithms::ta::ThresholdAlgorithm;
-    use crate::algorithms::TopKAlgorithm;
+    use crate::algorithms::{Cursor, TopKResult};
+    use crate::planner::PhysicalPlan;
+    use crate::source::{Subsystem, VecSource};
     use crate::workload::independent_uniform;
     use fmdb_core::scoring::tnorms::Min;
 
-    fn refs(sources: &mut [crate::source::VecSource]) -> Vec<&mut dyn GradedSource> {
+    fn refs(sources: &mut [VecSource]) -> Vec<&mut dyn GradedSource> {
         sources
             .iter_mut()
             .map(|s| s as &mut dyn GradedSource)
             .collect()
+    }
+
+    fn run(plan: PhysicalPlan, theta: f64, sources: &mut [VecSource], k: usize) -> TopKResult {
+        let mut refs: Vec<&mut dyn Subsystem> = sources
+            .iter_mut()
+            .map(|s| s as &mut dyn Subsystem)
+            .collect();
+        Cursor::once(plan, theta, &mut refs, &Min, k).unwrap()
     }
 
     fn models() -> Vec<CostModel> {
@@ -298,21 +304,20 @@ mod tests {
             let mut sources = independent_uniform(200, 2, seed);
             let k = 10;
             let oracle = OptimalityOracle::build(&mut refs(&mut sources), &Min, k, 0.0).unwrap();
-            let algorithms: Vec<Box<dyn TopKAlgorithm>> = vec![
-                Box::new(ThresholdAlgorithm),
-                Box::new(NraLowerBound),
-                Box::new(FaginsAlgorithm),
-                Box::new(CombinedAlgorithm::new(4, 0.0)),
+            let plans = [
+                PhysicalPlan::Ta,
+                PhysicalPlan::Nra,
+                PhysicalPlan::Fa,
+                PhysicalPlan::Ca { h: 4 },
             ];
-            for algorithm in &algorithms {
-                let result = algorithm.top_k(&mut refs(&mut sources), &Min, k).unwrap();
+            for plan in plans {
+                let result = run(plan, 0.0, &mut sources, k);
                 for model in models() {
                     let charged = result.stats.charged(&model);
                     let bound = oracle.cheapest(&model);
                     assert!(
                         charged + 1e-9 >= bound,
-                        "{} charged {charged} under {model:?}, below certificate {bound}",
-                        algorithm.name()
+                        "{plan} charged {charged} under {model:?}, below certificate {bound}"
                     );
                     assert!(oracle.ratio(charged, &model) >= 1.0 - 1e-9);
                 }
@@ -326,19 +331,18 @@ mod tests {
             let mut sources = independent_uniform(200, 2, 7);
             let k = 10;
             let oracle = OptimalityOracle::build(&mut refs(&mut sources), &Min, k, theta).unwrap();
-            let algorithms: Vec<Box<dyn TopKAlgorithm>> = vec![
-                Box::new(ApproxTa::new(theta)),
-                Box::new(ApproxNra::new(theta)),
-                Box::new(CombinedAlgorithm::new(4, theta)),
+            let plans = [
+                PhysicalPlan::ApproxTa,
+                PhysicalPlan::ApproxNra,
+                PhysicalPlan::Ca { h: 4 },
             ];
-            for algorithm in &algorithms {
-                let result = algorithm.top_k(&mut refs(&mut sources), &Min, k).unwrap();
+            for plan in plans {
+                let result = run(plan, theta, &mut sources, k);
                 for model in models() {
                     let charged = result.stats.charged(&model);
                     assert!(
                         charged + 1e-9 >= oracle.cheapest(&model),
-                        "{} (θ={theta}) beat the certificate under {model:?}",
-                        algorithm.name()
+                        "{plan} (θ={theta}) beat the certificate under {model:?}"
                     );
                 }
             }

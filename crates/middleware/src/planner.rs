@@ -6,7 +6,7 @@
 //! a [`PhysicalPlan`] enum naming every strategy the workspace can
 //! execute, cost formulas pricing each of them through the caller's
 //! [`CostModel`], and one [`choose_plan`] entry point with exactly two
-//! callers — `Engine::run` resolving `ExecPolicy::Algo::Auto`, and the
+//! callers — `Engine::run` resolving a policy that names no plan, and the
 //! Garlic planner's `optimize`, which adds the crisp structure — so
 //! the Garlic layer plans, classifies, prices and labels in this
 //! module's terms and owns no planning noun of its own.
@@ -66,17 +66,13 @@ use fmdb_core::score::Score;
 use fmdb_core::scoring::ScoringFunction;
 use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
 
-use crate::algorithms::approx::{ApproxNra, ApproxTa};
-use crate::algorithms::ca::CombinedAlgorithm;
-use crate::algorithms::fa::FaginsAlgorithm;
-use crate::algorithms::max_merge::MaxMerge;
-use crate::algorithms::naive::Naive;
-use crate::algorithms::nra::NraLowerBound;
-use crate::algorithms::ta::ThresholdAlgorithm;
-use crate::algorithms::TopKAlgorithm;
+use crate::algorithms::AlgoError;
 use crate::policy::ExecPolicy;
 use crate::source::Subsystem;
 use crate::stats::{CostModel, SourceStats};
+
+#[doc(hidden)]
+pub use crate::frozen::plan_algorithm;
 
 /// NRA runs deeper than FA's phase-1 depth before its bounds certify
 /// the answer; fitted against measured NRA sorted counts (1.03–1.4×
@@ -131,6 +127,29 @@ impl PhysicalPlan {
         }
     }
 
+    /// The plan that runs when a caller names this one under slack
+    /// `theta` — the one rule the policy, the engine and the cursor
+    /// apply. θ must be finite and ≥ 0. At θ = 0 every plan is itself.
+    /// Under θ > 0, TA and NRA run their θ-approximations, and A₀ —
+    /// which has none — is refused. Every other plan runs as named: CA
+    /// and the approximations take θ themselves, and the max merge,
+    /// the scan and the crisp filter return exact answers anyway.
+    pub(crate) fn under(self, theta: f64) -> Result<PhysicalPlan, AlgoError> {
+        validate_theta(theta)?;
+        Ok(match self {
+            plan if theta <= 0.0 => plan,
+            PhysicalPlan::Fa => {
+                return Err(AlgoError::InvalidRequest(
+                    "θ-approximation is not defined for Fagin's A₀; name TA, NRA, CA or no plan"
+                        .to_owned(),
+                ));
+            }
+            PhysicalPlan::Ta => PhysicalPlan::ApproxTa,
+            PhysicalPlan::Nra => PhysicalPlan::ApproxNra,
+            plan => plan,
+        })
+    }
+
     /// Position in the deterministic tie-break order (lower wins).
     fn preference(&self) -> u8 {
         match self {
@@ -144,6 +163,17 @@ impl PhysicalPlan {
             PhysicalPlan::ApproxNra => 7,
             PhysicalPlan::FullScan => 8,
         }
+    }
+}
+
+/// Rejects a negative or non-finite slack θ: the one check of θ.
+pub(crate) fn validate_theta(theta: f64) -> Result<(), AlgoError> {
+    if theta.is_finite() && theta >= 0.0 {
+        Ok(())
+    } else {
+        Err(AlgoError::InvalidRequest(format!(
+            "approximation slack θ must be finite and ≥ 0, got {theta}"
+        )))
     }
 }
 
@@ -765,8 +795,8 @@ pub fn estimate_cost(
 /// histograms, so a selective crisp conjunct or a max-like combiner
 /// beats the fallback algorithm whenever its closed form is cheaper.
 pub fn choose_plan(query: &PlanQuery, stats: Option<&QueryStats>, policy: &ExecPolicy) -> Explain {
-    let theta = policy.approximation.theta().max(0.0);
-    let approximate = policy.approximation.is_approximate();
+    let theta = policy.theta.max(0.0);
+    let approximate = policy.theta > 0.0;
     let h = policy.interleave();
 
     let mut candidates: Vec<PhysicalPlan> = Vec::new();
@@ -829,7 +859,7 @@ pub fn choose_plan(query: &PlanQuery, stats: Option<&QueryStats>, policy: &ExecP
 }
 
 /// The documented stats-free fallback (see [`choose_plan`]): the plan
-/// [`crate::policy::ExecPolicy::plan`] resolves `Algo::Auto` to
+/// [`crate::policy::ExecPolicy::resolve`] gives a policy naming no plan
 /// when no statistics are in reach.
 pub fn static_plan(exact_grades: bool, approximate: bool, h: usize) -> PhysicalPlan {
     let sorted_only_ok = !exact_grades;
@@ -839,26 +869,6 @@ pub fn static_plan(exact_grades: bool, approximate: bool, h: usize) -> PhysicalP
         (false, true, true) => PhysicalPlan::Nra,
         (false, true, false) => PhysicalPlan::Ca { h },
         (false, false, _) => PhysicalPlan::Ta,
-    }
-}
-
-/// Resolves a plan to the middleware algorithm executing it — a full
-/// scan is the naive drain — or `None` for the crisp filter, which
-/// lives above the algorithm layer (the Garlic layer executes it).
-pub fn plan_algorithm(
-    plan: PhysicalPlan,
-    theta: f64,
-) -> Option<Box<dyn TopKAlgorithm + Send + Sync>> {
-    match plan {
-        PhysicalPlan::Fa => Some(Box::new(FaginsAlgorithm)),
-        PhysicalPlan::Ta => Some(Box::new(ThresholdAlgorithm)),
-        PhysicalPlan::Nra => Some(Box::new(NraLowerBound)),
-        PhysicalPlan::Ca { h } => Some(Box::new(CombinedAlgorithm::new(h, theta))),
-        PhysicalPlan::ApproxTa => Some(Box::new(ApproxTa::new(theta))),
-        PhysicalPlan::ApproxNra => Some(Box::new(ApproxNra::new(theta))),
-        PhysicalPlan::MaxMerge => Some(Box::new(MaxMerge)),
-        PhysicalPlan::FullScan => Some(Box::new(Naive)),
-        PhysicalPlan::CrispFilter => None,
     }
 }
 

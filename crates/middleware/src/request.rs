@@ -2,7 +2,7 @@
 //! *how* to compute it ([`ExecPolicy`]).
 //!
 //! Historically each evaluation strategy had its own ad-hoc signature
-//! (`FaginsAlgorithm::top_k`, `Nra::evaluate`, `CgFilter::run`, …), so
+//! (one `top_k` per algorithm struct, NRA's own `evaluate`, …), so
 //! neither the Garlic planner nor a service layer could drive them
 //! uniformly. The first unification was a single monolithic
 //! `TopKRequest` builder; it left no room for algorithm choice, cost
@@ -10,14 +10,15 @@
 //!
 //! * [`TopKQuery`] — graded sources, a scoring function, `k`, and
 //!   optional Fagin–Wimmers weights. Built with [`TopKQuery::compose`].
-//! * [`ExecPolicy`] — algorithm, [`crate::stats::CostModel`], θ-slack.
+//! * [`ExecPolicy`] — the plan, [`crate::stats::CostModel`], θ-slack.
 //!   Built with [`ExecPolicy::new`].
 //! * [`TopKRequest`] — the pair, accepted by every algorithm and by
 //!   the batched [`crate::engine::Engine`].
 //!
 //! ```
 //! use fmdb_core::scoring::tnorms::Min;
-//! use fmdb_middleware::policy::{Algo, ExecPolicy};
+//! use fmdb_middleware::planner::PhysicalPlan;
+//! use fmdb_middleware::policy::ExecPolicy;
 //! use fmdb_middleware::request::TopKQuery;
 //! use fmdb_middleware::workload::independent_uniform;
 //!
@@ -25,7 +26,7 @@
 //!     .sources(independent_uniform(100, 2, 7))
 //!     .scoring(Min)
 //!     .k(5)
-//!     .policy(ExecPolicy::new().algo(Algo::Ta))
+//!     .policy(ExecPolicy::new().plan(PhysicalPlan::Ta))
 //!     .request()
 //!     .unwrap();
 //! assert_eq!(request.k(), 5);
@@ -390,7 +391,7 @@ impl TopKQueryBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Algo;
+    use crate::planner::PhysicalPlan;
     use crate::source::VecSource;
     use fmdb_core::score::Score;
     use fmdb_core::scoring::tnorms::Min;
@@ -425,11 +426,11 @@ mod tests {
             .source(src(&[0.1, 0.9]))
             .scoring(Min)
             .k(1)
-            .policy(ExecPolicy::new().algo(Algo::Ta).theta(0.25))
+            .policy(ExecPolicy::new().plan(PhysicalPlan::Ta).theta(0.25))
             .request()
             .unwrap();
-        assert_eq!(req.policy().algo, Algo::Ta);
-        assert!(req.policy().approximation.is_approximate());
+        assert_eq!(req.policy().plan, Some(PhysicalPlan::Ta));
+        assert_eq!(req.policy().theta, 0.25);
         assert_eq!(req.query().k(), 1);
         // Without an explicit policy the default rides along.
         let plain: TopKRequest = TopKQuery::compose()

@@ -562,7 +562,7 @@ impl VecSource {
             }
             let (span, grades) = &mut *last.borrow_mut();
             if !span.contains(&rank) {
-                *span = self.bucket_start(rank)..self.bucket_end(rank);
+                *span = self.bucket_start(rank)..self.bucket_end(rank, self.bucket_of(rank)).0;
                 let bucket = &self.sorted[span.clone()];
                 grades.clear();
                 if bucket.iter().any(|so| so.grade != bucket[0].grade) {
@@ -579,28 +579,35 @@ impl VecSource {
         (histogram, copied.get())
     }
 
+    /// The bucket of entry `at` of `sorted`; 0 past its end.
+    fn bucket_of(&self, at: usize) -> u32 {
+        let grade = self.sorted.get(at).map(|so| so.grade);
+        grade.map_or(0, |grade| self.buckets.of_grade(grade))
+    }
+
     /// Where the bucket holding entry `at` of `sorted` starts: `at`
     /// itself in the ordered prefix, where every entry stands alone.
     fn bucket_start(&self, at: usize) -> usize {
         if at < self.ordered {
             return at;
         }
-        let b = self.buckets.of_grade(self.sorted[at].grade);
+        let b = self.bucket_of(at);
         let before = self.sorted[self.ordered..at].iter().rev();
         at - before
             .take_while(|so| self.buckets.of_grade(so.grade) == b)
             .count()
     }
 
-    /// Where the bucket holding entry `at` of `sorted`'s unordered tail
-    /// ends. A linear walk, like the sort of the bucket it bounds.
-    fn bucket_end(&self, at: usize) -> usize {
-        let b = self.buckets.of_grade(self.sorted[at].grade);
+    /// Where bucket `b`, which holds entry `at` of `sorted`'s unordered
+    /// tail, ends, and the bucket of the entry there: a walk that finds
+    /// each entry's bucket once, like the sort of the bucket it bounds.
+    fn bucket_end(&self, at: usize, b: u32) -> (usize, u32) {
         let after = self.sorted[at + 1..].iter();
-        at + 1
-            + after
-                .take_while(|so| self.buckets.of_grade(so.grade) == b)
-                .count()
+        let mut buckets = after.map(|so| self.buckets.of_grade(so.grade)).enumerate();
+        match buckets.find(|&(_, next)| next != b) {
+            Some((i, next)) => (at + 1 + i, next),
+            None => (self.sorted.len(), b),
+        }
     }
 
     /// Sorts buckets until the first `end` entries (at most all) are in
@@ -608,11 +615,11 @@ impl VecSource {
     /// prefix stays a load, a compare and a copy in a caller's loop.
     #[inline(never)]
     fn order_through(&mut self, end: usize) {
-        let end = end.min(self.sorted.len());
-        while self.ordered < end {
-            let next = self.bucket_end(self.ordered);
+        let mut bucket = self.bucket_of(self.ordered);
+        while self.ordered < end.min(self.sorted.len()) {
+            let (next, after) = self.bucket_end(self.ordered, bucket);
             self.sorted[self.ordered..next].sort_unstable_by(by_grade_then_oid);
-            self.ordered = next;
+            (self.ordered, bucket) = (next, after);
         }
     }
 

@@ -2,7 +2,7 @@
 //! contracts on random corpora (DESIGN.md §10).
 //!
 //! * **θ = 0 collapse** — `ApproxTa`/`ApproxNra` with zero slack are
-//!   **bit-identical** to the exact `ThresholdAlgorithm`/`NraLowerBound`:
+//!   **bit-identical** to exact TA / NRA:
 //!   same answers, same grades, same charged `sorted`/`random` counts.
 //!   The θ ≤ 0 comparison path uses the exact `Score` ordering, so this
 //!   is equality, not approximate equality.
@@ -11,22 +11,23 @@
 //!   the reported grades are additionally exact (TA only returns fully
 //!   probed objects); `ApproxNra` reports certified lower bounds, so the
 //!   guarantee is checked against the brute-force truth, not the report.
-//! * **CA exactness** — `CombinedAlgorithm` with θ = 0 returns an
+//! * **CA exactness** — CA with θ = 0 returns an
 //!   oracle-valid exact top-k for every interleave depth the E5 cost
 //!   ratios produce: the c_R/c_S knob tunes cost, never correctness.
 
 use proptest::prelude::*;
 
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::approx::{ApproxNra, ApproxTa};
-use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
-use fmdb_middleware::algorithms::nra::NraLowerBound;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
 use fmdb_middleware::oracle::{all_grades, verify_top_k};
+use fmdb_middleware::planner::PhysicalPlan;
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::source::GradedSource;
 use fmdb_middleware::stats::CostModel;
 use fmdb_middleware::workload::independent_uniform;
+
+mod support;
+use support::Planned;
 
 /// One randomly drawn approximate-vs-exact comparison.
 #[derive(Debug, Clone, Copy)]
@@ -89,13 +90,13 @@ proptest! {
     /// bit — answers and charged access counts alike.
     #[test]
     fn zero_theta_is_bit_identical(s in scenario()) {
-        let exact_ta = run(&ThresholdAlgorithm, s);
-        let approx_ta = run(&ApproxTa::new(0.0), s);
+        let exact_ta = run(&Planned(PhysicalPlan::Ta, 0.0), s);
+        let approx_ta = run(&Planned(PhysicalPlan::ApproxTa, 0.0), s);
         prop_assert_eq!(&exact_ta.answers, &approx_ta.answers);
         prop_assert_eq!(exact_ta.stats, approx_ta.stats);
 
-        let exact_nra = run(&NraLowerBound, s);
-        let approx_nra = run(&ApproxNra::new(0.0), s);
+        let exact_nra = run(&Planned(PhysicalPlan::Nra, 0.0), s);
+        let approx_nra = run(&Planned(PhysicalPlan::ApproxNra, 0.0), s);
         prop_assert_eq!(&exact_nra.answers, &approx_nra.answers);
         prop_assert_eq!(exact_nra.stats, approx_nra.stats);
     }
@@ -110,8 +111,8 @@ proptest! {
         let kth = ranked[expected.saturating_sub(1)].1;
 
         for (name, result, reported_exact) in [
-            ("approx-ta", run(&ApproxTa::new(s.theta), s), true),
-            ("approx-nra", run(&ApproxNra::new(s.theta), s), false),
+            ("approx-ta", run(&Planned(PhysicalPlan::ApproxTa, s.theta), s), true),
+            ("approx-nra", run(&Planned(PhysicalPlan::ApproxNra, s.theta), s), false),
         ] {
             prop_assert_eq!(result.answers.len(), expected, "{} answer count", name);
             for answer in &result.answers {
@@ -142,8 +143,8 @@ proptest! {
         for ratio in [0.1, 1.0, 10.0, 100.0] {
             let model = CostModel::random_to_sorted_ratio(ratio)
                 .expect("test ratio is positive and finite");
-            let ca = CombinedAlgorithm::for_cost(&model, 0.0);
-            let result = run(&ca, s);
+            let h = ExecPolicy::new().cost_model(model).interleave();
+            let result = run(&Planned(PhysicalPlan::Ca { h }, 0.0), s);
             let mut sources = independent_uniform(s.n, s.m, s.seed);
             let mut refs: Vec<&mut dyn GradedSource> = sources
                 .iter_mut()
@@ -152,7 +153,7 @@ proptest! {
             prop_assert!(
                 verify_top_k(&mut refs, &Min, &result.answers, s.k).is_ok(),
                 "CA (h = {}) returned an invalid top-k at ratio {}",
-                ca.interleave(),
+                h,
                 ratio
             );
         }
@@ -164,7 +165,7 @@ proptest! {
         let ranked = truth_ranked(s);
         let expected = s.k.min(ranked.len());
         let kth = ranked[expected.saturating_sub(1)].1;
-        let result = run(&CombinedAlgorithm::new(4, s.theta), s);
+        let result = run(&Planned(PhysicalPlan::Ca { h: 4 }, s.theta), s);
         prop_assert_eq!(result.answers.len(), expected);
         for answer in &result.answers {
             let true_grade = ranked

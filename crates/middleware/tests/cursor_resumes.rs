@@ -23,7 +23,7 @@ use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::scoring::{ConormScoring, ScoringFunction};
 use fmdb_middleware::algorithms::{Cursor, TopKResult};
 use fmdb_middleware::oracle::{all_grades, verify_top_k};
-use fmdb_middleware::planner::{plan_algorithm, PhysicalPlan};
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::source::{GradedSource, Oid, Subsystem, VecSource};
 use fmdb_middleware::workload::independent_uniform;
 
@@ -174,9 +174,7 @@ fn one_shot(
     k: usize,
 ) -> TopKResult {
     let mut lists = sources(s);
-    plan_algorithm(plan, theta)
-        .expect("every cursor plan has an algorithm")
-        .top_k(&mut old_trait(&mut lists), scoring, k)
+    Cursor::once(plan, theta, &mut subsystems(&mut lists), scoring, k)
         .expect("a one-shot run succeeds")
 }
 

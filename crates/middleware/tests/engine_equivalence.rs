@@ -6,8 +6,7 @@
 //! levels), `min` and the arithmetic mean, and for *any* engine batch
 //! size, the engine must return the same answers — same objects, same
 //! grades, same order — and charge exactly the same `sorted`/`random`
-//! access counts as the scalar `FaginsAlgorithm` / `ThresholdAlgorithm`
-//! / `Nra` run. Answers are additionally checked against the exhaustive
+//! access counts as the scalar A₀ / TA / NRA runs. Answers are additionally checked against the exhaustive
 //! oracle, so a bug that broke engine and scalar paths identically
 //! would still be caught.
 
@@ -20,18 +19,19 @@ use rand::{Rng, SeedableRng};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::means::ArithmeticMean;
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::nra::NraLowerBound;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
 use fmdb_middleware::engine::{Engine, EngineConfig, EngineError};
 use fmdb_middleware::oracle::{all_grades, verify_top_k};
-use fmdb_middleware::policy::{Algo, ExecPolicy};
+use fmdb_middleware::planner::PhysicalPlan;
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::{
     shared_source, SharedScoring, SharedSource, TopKQuery, TopKRequest,
 };
 use fmdb_middleware::source::{GradedSource, Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use fmdb_middleware::workload::independent_uniform;
+
+mod support;
+use support::Planned;
 
 /// The lists a scenario runs on.
 #[derive(Debug, Clone, Copy)]
@@ -204,19 +204,19 @@ proptest! {
 
     #[test]
     fn engine_fa_matches_scalar_fa_and_the_oracle(s in scenario()) {
-        let (_, engine) = assert_equivalent(&FaginsAlgorithm, s)?;
+        let (_, engine) = assert_equivalent(&Planned(PhysicalPlan::Fa, 0.0), s)?;
         assert_oracle_exact(s, &engine)?;
     }
 
     #[test]
     fn engine_ta_matches_scalar_ta_and_the_oracle(s in scenario()) {
-        let (_, engine) = assert_equivalent(&ThresholdAlgorithm, s)?;
+        let (_, engine) = assert_equivalent(&Planned(PhysicalPlan::Ta, 0.0), s)?;
         assert_oracle_exact(s, &engine)?;
     }
 
     #[test]
     fn engine_nra_matches_scalar_nra_and_the_oracle(s in scenario()) {
-        let (_, engine) = assert_equivalent(&NraLowerBound, s)?;
+        let (_, engine) = assert_equivalent(&Planned(PhysicalPlan::Nra, 0.0), s)?;
         assert_oracle_set(s, &engine)?;
     }
 }
@@ -238,8 +238,8 @@ fn engine_matches_scalar_on_the_full_named_grid() {
                     seed: 41 * m as u64 + k as u64,
                     batch_size,
                 };
-                let scalar = scalar_run(&FaginsAlgorithm, s);
-                let engine = engine_run(&FaginsAlgorithm, s);
+                let scalar = scalar_run(&Planned(PhysicalPlan::Fa, 0.0), s);
+                let engine = engine_run(&Planned(PhysicalPlan::Fa, 0.0), s);
                 assert_eq!(engine.answers, scalar.answers, "m={m} k={k}");
                 assert_eq!(engine.stats.sorted, scalar.stats.sorted, "m={m} k={k}");
                 assert_eq!(engine.stats.random, scalar.stats.random, "m={m} k={k}");
@@ -298,7 +298,7 @@ fn engine_fa_phase_two_is_one_batch_per_list() {
     }
     let request = query.scoring(Min).k(5).request().expect("valid request");
     let result = Engine::default()
-        .run_algorithm(&FaginsAlgorithm, &request)
+        .run_algorithm(&Planned(PhysicalPlan::Fa, 0.0), &request)
         .expect("engine run must succeed");
     let mut batched = 0;
     for log in &logs {
@@ -361,11 +361,11 @@ fn shared_batch() -> impl Strategy<Value = SharedBatch> {
 }
 
 /// The algorithm a forced policy resolves to, for the scalar run.
-fn forced(algo: usize) -> (Algo, &'static dyn TopKAlgorithm) {
+fn forced(algo: usize) -> (PhysicalPlan, &'static dyn TopKAlgorithm) {
     match algo {
-        0 => (Algo::Ta, &ThresholdAlgorithm),
-        1 => (Algo::Fa, &FaginsAlgorithm),
-        _ => (Algo::Nra, &NraLowerBound),
+        0 => (PhysicalPlan::Ta, &Planned(PhysicalPlan::Ta, 0.0)),
+        1 => (PhysicalPlan::Fa, &Planned(PhysicalPlan::Fa, 0.0)),
+        _ => (PhysicalPlan::Nra, &Planned(PhysicalPlan::Nra, 0.0)),
     }
 }
 
@@ -399,7 +399,7 @@ fn shared_requests(batch: &SharedBatch) -> Vec<(TopKRequest, TopKResult)> {
         let request = query
             .scoring(Min)
             .k(k)
-            .policy(ExecPolicy::new().algo(algo))
+            .policy(ExecPolicy::new().plan(algo))
             .request()
             .expect("request must validate");
         let mut copies: Vec<VecSource> = order.iter().map(|&h| lists[h].clone()).collect();

@@ -20,20 +20,16 @@ use fmdb_core::scoring::conorms::Max;
 use fmdb_core::scoring::means::ArithmeticMean;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::scoring::{ConormScoring, ScoringFunction};
-use fmdb_middleware::algorithms::approx::{ApproxNra, ApproxTa};
-use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
 use fmdb_middleware::algorithms::cg_filter::CgFilter;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::max_merge::MaxMerge;
-use fmdb_middleware::algorithms::naive::Naive;
-use fmdb_middleware::algorithms::nra::NraLowerBound;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{Cursor, TopKAlgorithm, TopKResult};
 use fmdb_middleware::oracle::verify_top_k;
 use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::source::{self, GradedSource, Oid, VecSource};
 use fmdb_middleware::workload::independent_uniform;
+
+mod support;
+use support::Planned;
 
 const N: usize = 400;
 const SEED: u64 = 7;
@@ -66,18 +62,18 @@ struct Fixture {
 
 fn algorithm(name: &str) -> Box<dyn TopKAlgorithm> {
     match name {
-        "ta" => Box::new(ThresholdAlgorithm),
-        "approx-ta(0.1)" => Box::new(ApproxTa::new(0.1)),
-        "nra" => Box::new(NraLowerBound),
-        "approx-nra(0.1)" => Box::new(ApproxNra::new(0.1)),
-        "ca(h=1)" => Box::new(CombinedAlgorithm::new(1, 0.0)),
-        "ca(h=3)" => Box::new(CombinedAlgorithm::new(3, 0.0)),
-        "ca(h=10)" => Box::new(CombinedAlgorithm::new(10, 0.0)),
-        "fa" => Box::new(FaginsAlgorithm),
+        "ta" => Box::new(Planned(PhysicalPlan::Ta, 0.0)),
+        "approx-ta(0.1)" => Box::new(Planned(PhysicalPlan::ApproxTa, 0.1)),
+        "nra" => Box::new(Planned(PhysicalPlan::Nra, 0.0)),
+        "approx-nra(0.1)" => Box::new(Planned(PhysicalPlan::ApproxNra, 0.1)),
+        "ca(h=1)" => Box::new(Planned(PhysicalPlan::Ca { h: 1 }, 0.0)),
+        "ca(h=3)" => Box::new(Planned(PhysicalPlan::Ca { h: 3 }, 0.0)),
+        "ca(h=10)" => Box::new(Planned(PhysicalPlan::Ca { h: 10 }, 0.0)),
+        "fa" => Box::new(Planned(PhysicalPlan::Fa, 0.0)),
         "pruned-fa" => Box::new(PrunedFa::default()),
         "pruned-fa(no-short-circuit)" => Box::new(PrunedFa::without_short_circuit()),
-        "naive" => Box::new(Naive),
-        "max-merge" => Box::new(MaxMerge),
+        "naive" => Box::new(Planned(PhysicalPlan::FullScan, 0.0)),
+        "max-merge" => Box::new(Planned(PhysicalPlan::MaxMerge, 0.0)),
         name if name.starts_with("cg-filter") => Box::new(schedule(name)),
         other => panic!("unknown roster entry {other}"),
     }
@@ -225,8 +221,8 @@ fn a_resumed_cursor_reproduces_its_pinned_charges_and_answers() {
 #[test]
 fn ca_with_unreachable_interleave_streams_exactly_like_nra() {
     for fixture in PINNED {
-        let ca = run(&CombinedAlgorithm::new(usize::MAX, 0.0), fixture);
-        let nra = run(&NraLowerBound, fixture);
+        let ca = run(&Planned(PhysicalPlan::Ca { h: usize::MAX }, 0.0), fixture);
+        let nra = run(&Planned(PhysicalPlan::Nra, 0.0), fixture);
         assert_eq!(ca.stats.sorted, nra.stats.sorted);
         let mut sources = independent_uniform(N, fixture.m, SEED);
         let mut refs: Vec<&mut dyn GradedSource> = sources
@@ -246,8 +242,8 @@ fn ca_with_unreachable_interleave_streams_exactly_like_nra() {
 #[test]
 fn zero_slack_nra_is_nra() {
     for fixture in PINNED {
-        let approx = run(&ApproxNra::new(0.0), fixture);
-        let exact = run(&NraLowerBound, fixture);
+        let approx = run(&Planned(PhysicalPlan::ApproxNra, 0.0), fixture);
+        let exact = run(&Planned(PhysicalPlan::Nra, 0.0), fixture);
         assert_eq!(approx.answers, exact.answers);
         assert_eq!(approx.stats, exact.stats);
     }

@@ -23,19 +23,15 @@ use fmdb_core::scoring::conorms::Max;
 use fmdb_core::scoring::means::ArithmeticMean;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::scoring::{ConormScoring, ScoringFunction};
-use fmdb_middleware::algorithms::approx::{ApproxNra, ApproxTa};
-use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
 use fmdb_middleware::algorithms::cg_filter::CgFilter;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::max_merge::MaxMerge;
-use fmdb_middleware::algorithms::naive::Naive;
-use fmdb_middleware::algorithms::nra::NraLowerBound;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{AlgoError, Cursor, TopKAlgorithm};
 use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::source::{Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use fmdb_middleware::workload::{crisp_plus_fuzzy, independent_uniform};
+
+mod support;
+use support::Planned;
 
 const N: usize = 400;
 const SEED: u64 = 7;
@@ -112,19 +108,25 @@ fn repeats(
 
 fn roster() -> Vec<(&'static str, Box<dyn TopKAlgorithm>)> {
     let mut roster: Vec<(&'static str, Box<dyn TopKAlgorithm>)> = vec![
-        ("fa", Box::new(FaginsAlgorithm)),
+        ("fa", Box::new(Planned(PhysicalPlan::Fa, 0.0))),
         ("pruned-fa", Box::new(PrunedFa::default())),
         (
             "pruned-fa(no-short-circuit)",
             Box::new(PrunedFa::without_short_circuit()),
         ),
-        ("ta", Box::new(ThresholdAlgorithm)),
-        ("approx-ta(0.1)", Box::new(ApproxTa::new(0.1))),
-        ("nra", Box::new(NraLowerBound)),
-        ("approx-nra(0.1)", Box::new(ApproxNra::new(0.1))),
-        ("max-merge", Box::new(MaxMerge)),
+        ("ta", Box::new(Planned(PhysicalPlan::Ta, 0.0))),
+        (
+            "approx-ta(0.1)",
+            Box::new(Planned(PhysicalPlan::ApproxTa, 0.1)),
+        ),
+        ("nra", Box::new(Planned(PhysicalPlan::Nra, 0.0))),
+        (
+            "approx-nra(0.1)",
+            Box::new(Planned(PhysicalPlan::ApproxNra, 0.1)),
+        ),
+        ("max-merge", Box::new(Planned(PhysicalPlan::MaxMerge, 0.0))),
         ("cg-filter", Box::new(CgFilter::default())),
-        ("naive", Box::new(Naive)),
+        ("naive", Box::new(Planned(PhysicalPlan::FullScan, 0.0))),
     ];
     for (name, h, theta) in [
         ("ca(h=1)", 1, 0.0),
@@ -132,7 +134,7 @@ fn roster() -> Vec<(&'static str, Box<dyn TopKAlgorithm>)> {
         ("ca(h=10)", 10, 0.0),
         ("approx-ca(h=3, 0.1)", 3, 0.1),
     ] {
-        roster.push((name, Box::new(CombinedAlgorithm::new(h, theta))));
+        roster.push((name, Box::new(Planned(PhysicalPlan::Ca { h }, theta))));
     }
     roster
 }

@@ -17,10 +17,6 @@ use proptest::prelude::*;
 
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
-use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::nra::NraLowerBound;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::TopKAlgorithm;
 use fmdb_middleware::planner::{choose_plan, PhysicalPlan, PlanQuery};
 use fmdb_middleware::policy::ExecPolicy;
@@ -32,6 +28,9 @@ use fmdb_middleware::store::{
 use fmdb_middleware::workload::independent_uniform;
 
 use fmdb_core::score::Score;
+
+mod support;
+use support::Planned;
 
 /// Unique scratch path under `target/tmp` (cargo provides the dir for
 /// integration tests; tests must not write outside the repository).
@@ -139,22 +138,22 @@ proptest! {
 
     #[test]
     fn paged_matches_vec_under_fa(s in scenario()) {
-        assert_backings_agree(&FaginsAlgorithm, s)?;
+        assert_backings_agree(&Planned(PhysicalPlan::Fa, 0.0), s)?;
     }
 
     #[test]
     fn paged_matches_vec_under_ta(s in scenario()) {
-        assert_backings_agree(&ThresholdAlgorithm, s)?;
+        assert_backings_agree(&Planned(PhysicalPlan::Ta, 0.0), s)?;
     }
 
     #[test]
     fn paged_matches_vec_under_nra(s in scenario()) {
-        assert_backings_agree(&NraLowerBound, s)?;
+        assert_backings_agree(&Planned(PhysicalPlan::Nra, 0.0), s)?;
     }
 
     #[test]
     fn paged_matches_vec_under_ca(s in scenario()) {
-        assert_backings_agree(&CombinedAlgorithm::new(3, 0.0), s)?;
+        assert_backings_agree(&Planned(PhysicalPlan::Ca { h: 3 }, 0.0), s)?;
     }
 
     /// Raw-pair semantics: duplicate oids (keep-last), sparse oid

@@ -18,10 +18,11 @@ use proptest::prelude::*;
 
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
+use fmdb_middleware::algorithms::Cursor;
 use fmdb_middleware::optimality::OptimalityOracle;
-use fmdb_middleware::planner::{choose_plan, plan_algorithm, PhysicalPlan, PlanQuery, QueryStats};
+use fmdb_middleware::planner::{choose_plan, PhysicalPlan, PlanQuery, QueryStats};
 use fmdb_middleware::policy::ExecPolicy;
-use fmdb_middleware::source::{GradedSource, VecSource};
+use fmdb_middleware::source::{GradedSource, Subsystem, VecSource};
 use fmdb_middleware::stats::{CostModel, SourceStats};
 use fmdb_middleware::workload::independent_uniform;
 
@@ -72,16 +73,13 @@ fn stats_for(sources: &mut [VecSource]) -> QueryStats {
 }
 
 /// Runs `plan` over a fresh copy of the instance and returns its
-/// charged cost under `model` (`None` for plans with no engine-side
-/// algorithm).
+/// charged cost under `model` (`None` for plans the middleware does
+/// not run, or that refuse the query).
 fn executed(plan: PhysicalPlan, sources: &[VecSource], k: usize, model: &CostModel) -> Option<f64> {
-    let algorithm = plan_algorithm(plan, 0.0)?;
     let mut copies = sources.to_vec();
-    let mut refs: Vec<&mut dyn GradedSource> = copies
-        .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
-        .collect();
-    let result = algorithm.top_k(&mut refs, &Min, k).ok()?;
+    let mut refs: Vec<&mut dyn Subsystem> =
+        copies.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+    let result = Cursor::once(plan, 0.0, &mut refs, &Min, k).ok()?;
     Some(result.stats.charged(model))
 }
 

@@ -20,13 +20,16 @@ use proptest::prelude::*;
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::TopKAlgorithm;
+use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::source::{GradedSource, Oid, Subsystem, VecSource};
 use fmdb_middleware::store::{
     build_store_from_source, BuildConfig, PagedSource, PagedStore, StoreOptions,
 };
 use fmdb_middleware::workload::independent_uniform;
+
+mod support;
+use support::Planned;
 
 /// Unique scratch path under `target/tmp` (cargo provides the dir for
 /// integration tests; tests must not write outside the repository).
@@ -171,7 +174,7 @@ proptest! {
             .iter_mut()
             .map(|x| x as &mut dyn GradedSource)
             .collect();
-        let want = ThresholdAlgorithm
+        let want = Planned(PhysicalPlan::Ta, 0.0)
             .top_k(&mut mem_refs, &Min, s.k)
             .expect("valid run");
 
@@ -180,7 +183,7 @@ proptest! {
         let mut refs: Vec<&mut dyn GradedSource> = Vec::new();
         refs.push(&mut paged[0]);
         refs.push(&mut mixed[0]);
-        let got = ThresholdAlgorithm
+        let got = Planned(PhysicalPlan::Ta, 0.0)
             .top_k(&mut refs, &Min, s.k)
             .expect("valid run");
 

@@ -12,29 +12,27 @@
 //! touches it answers exactly what the in-memory lists answer. No run
 //! may answer short or mis-ranked.
 
+use fmdb_middleware::planner::PhysicalPlan;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use fmdb_core::scoring::conorms::Max;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::scoring::{ConormScoring, ScoringFunction};
-use fmdb_middleware::algorithms::ca::CombinedAlgorithm;
 use fmdb_middleware::algorithms::cg_filter::CgFilter;
-use fmdb_middleware::algorithms::fa::FaginsAlgorithm;
-use fmdb_middleware::algorithms::max_merge::MaxMerge;
-use fmdb_middleware::algorithms::naive::Naive;
-use fmdb_middleware::algorithms::nra::NraLowerBound;
 use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::ta::ThresholdAlgorithm;
 use fmdb_middleware::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
 use fmdb_middleware::engine::{Engine, EngineError};
-use fmdb_middleware::policy::{Algo, ExecPolicy};
+use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::{SharedScoring, TopKQuery, TopKRequest};
 use fmdb_middleware::source::{GradedSource, SourceError, Subsystem, VecSource};
 use fmdb_middleware::store::{
     build_store_from_source, BuildConfig, PagedSource, PagedStore, StoreError, StoreOptions,
 };
 use fmdb_middleware::workload::independent_uniform;
+
+mod support;
+use support::Planned;
 
 const N: usize = 600;
 const K: usize = 10;
@@ -85,42 +83,52 @@ fn stores(damage: Damage, tag: &str) -> Vec<PagedStore> {
         .collect()
 }
 
-/// A strategy, its scoring, the policy that names it (if one does) and
+/// A strategy, its scoring, the plan that names it (if one does) and
 /// whether it makes random accesses.
-type Strategy = (Box<dyn TopKAlgorithm>, SharedScoring, Option<Algo>, bool);
+type Strategy = (
+    Box<dyn TopKAlgorithm>,
+    SharedScoring,
+    Option<PhysicalPlan>,
+    bool,
+);
 
 fn strategies() -> Vec<Strategy> {
     vec![
-        (Box::new(Naive), Arc::new(Min), None, false),
         (
-            Box::new(FaginsAlgorithm),
+            Box::new(Planned(PhysicalPlan::FullScan, 0.0)),
             Arc::new(Min),
-            Some(Algo::Fa),
+            Some(PhysicalPlan::FullScan),
+            false,
+        ),
+        (
+            Box::new(Planned(PhysicalPlan::Fa, 0.0)),
+            Arc::new(Min),
+            Some(PhysicalPlan::Fa),
             true,
         ),
         (Box::new(PrunedFa::default()), Arc::new(Min), None, true),
         (
-            Box::new(ThresholdAlgorithm),
+            Box::new(Planned(PhysicalPlan::Ta, 0.0)),
             Arc::new(Min),
-            Some(Algo::Ta),
+            Some(PhysicalPlan::Ta),
             true,
         ),
         (
-            Box::new(NraLowerBound),
+            Box::new(Planned(PhysicalPlan::Nra, 0.0)),
             Arc::new(Min),
-            Some(Algo::Nra),
+            Some(PhysicalPlan::Nra),
             false,
         ),
         (
-            Box::new(CombinedAlgorithm::new(1, 0.0)),
+            Box::new(Planned(PhysicalPlan::Ca { h: 1 }, 0.0)),
             Arc::new(Min),
-            Some(Algo::Ca),
+            Some(PhysicalPlan::Ca { h: 1 }),
             true,
         ),
         (
-            Box::new(MaxMerge),
+            Box::new(Planned(PhysicalPlan::MaxMerge, 0.0)),
             Arc::new(ConormScoring(Max)),
-            None,
+            Some(PhysicalPlan::MaxMerge),
             false,
         ),
         (Box::new(CgFilter::default()), Arc::new(Min), None, false),
@@ -137,7 +145,11 @@ fn in_memory(algorithm: &dyn TopKAlgorithm, scoring: &dyn ScoringFunction) -> To
 }
 
 /// The request over fresh cursors of `stores`.
-fn request(stores: &[PagedStore], scoring: &SharedScoring, algo: Algo) -> TopKRequest {
+fn request(
+    stores: &[PagedStore],
+    scoring: &SharedScoring,
+    plan: Option<PhysicalPlan>,
+) -> TopKRequest {
     let mut query = TopKQuery::compose();
     for store in stores {
         query = query.source(store.source());
@@ -145,7 +157,10 @@ fn request(stores: &[PagedStore], scoring: &SharedScoring, algo: Algo) -> TopKRe
     query
         .shared_scoring(Arc::clone(scoring))
         .k(K)
-        .policy(ExecPolicy::new().algo(algo))
+        .policy(ExecPolicy {
+            plan,
+            ..ExecPolicy::new()
+        })
         .request()
         .expect("valid request")
 }
@@ -164,7 +179,7 @@ fn a_damaged_page_fails_every_strategy_that_reads_it() {
     let engine = Engine::default();
     for damage in [Damage::SortedHead, Damage::RandomTable] {
         let stores = stores(damage, "each");
-        for (algorithm, scoring, algo, probes) in strategies() {
+        for (algorithm, scoring, plan, probes) in strategies() {
             let name = algorithm.name();
             let at = format!("{name} over {damage:?}");
             let reads_damage = damage == Damage::SortedHead || probes;
@@ -181,10 +196,9 @@ fn a_damaged_page_fails_every_strategy_that_reads_it() {
             }
 
             let mut runs =
-                vec![engine
-                    .run_algorithm(algorithm.as_ref(), &request(&stores, &scoring, Algo::Auto))];
-            if let Some(algo) = algo {
-                runs.push(engine.run(&request(&stores, &scoring, algo)));
+                vec![engine.run_algorithm(algorithm.as_ref(), &request(&stores, &scoring, None))];
+            if plan.is_some() {
+                runs.push(engine.run(&request(&stores, &scoring, plan)));
             }
             for run in runs {
                 match run {
@@ -216,7 +230,7 @@ fn a_failing_request_fails_alone_under_run_many() {
                 .sources(independent_uniform(N, 2, seed))
                 .scoring(Min)
                 .k(K)
-                .policy(ExecPolicy::new().algo(Algo::Ta))
+                .policy(ExecPolicy::new().plan(PhysicalPlan::Ta))
                 .request()
                 .expect("valid request")
         })
@@ -224,7 +238,11 @@ fn a_failing_request_fails_alone_under_run_many() {
     let mut requests = healthy.clone();
     requests.insert(
         2,
-        request(&damaged, &(Arc::new(Min) as SharedScoring), Algo::Ta),
+        request(
+            &damaged,
+            &(Arc::new(Min) as SharedScoring),
+            Some(PhysicalPlan::Ta),
+        ),
     );
     let engine = Engine::default();
     let results = engine.run_many(&requests);

@@ -7,12 +7,11 @@
 //! ```
 
 use fuzzymm::core::scoring::conorms::Max;
-use fuzzymm::middleware::algorithms::max_merge::MaxMerge;
 use fuzzymm::middleware::workload::independent_uniform;
 use fuzzymm::prelude::*;
 
 fn run(
-    algo: &dyn TopKAlgorithm,
+    plan: PlanKind,
     sources: &mut [VecSource],
     scoring: &dyn ScoringFunction,
     k: usize,
@@ -21,7 +20,7 @@ fn run(
         .iter_mut()
         .map(|s| s as &mut dyn Subsystem)
         .collect();
-    algo.evaluate(&mut refs, scoring, k)
+    Cursor::once(plan, 0.0, &mut refs, scoring, k)
         .expect("valid query")
         .stats
 }
@@ -36,9 +35,9 @@ fn main() {
     for exp in [10u32, 12, 14, 16, 18] {
         let n = 1usize << exp;
         let mut s1 = independent_uniform(n, 2, 5);
-        let fa = run(&FaginsAlgorithm, &mut s1, &Min, k);
+        let fa = run(PlanKind::Fa, &mut s1, &Min, k);
         let mut s2 = independent_uniform(n, 2, 5);
-        let naive = run(&Naive, &mut s2, &Min, k);
+        let naive = run(PlanKind::FullScan, &mut s2, &Min, k);
         println!(
             "{:>9} {:>12} {:>12} {:>9.1}%",
             n,
@@ -52,7 +51,7 @@ fn main() {
     for exp in [10u32, 14, 18] {
         let n = 1usize << exp;
         let mut s = independent_uniform(n, 2, 5);
-        let cost = run(&MaxMerge, &mut s, &ConormScoring(Max), k);
+        let cost = run(PlanKind::MaxMerge, &mut s, &ConormScoring(Max), k);
         println!("  N = {:>7}: {}", n, cost);
     }
 

@@ -40,9 +40,7 @@ fn main() {
         .iter_mut()
         .map(|s| s as &mut dyn Subsystem)
         .collect();
-    let top = FaginsAlgorithm
-        .evaluate(&mut refs, &Min, 5)
-        .expect("valid query");
+    let top = Cursor::once(PlanKind::Fa, 0.0, &mut refs, &Min, 5).expect("valid query");
     println!("\ntop-5 of a {n}-object conjunction:");
     for answer in &top.answers {
         println!("  object {:>6}  grade {}", answer.id, answer.grade);

@@ -12,7 +12,8 @@
 //!
 //! * [`core`] — scores, graded sets, scoring functions, weights, query AST;
 //! * [`middleware`] — the access model, cost accounting, and top-k
-//!   algorithms (naive, A₀, max-merge, pruned A₀, TA, CG filters);
+//!   algorithms (naive, A₀, max-merge, the TA / NRA / CA family, pruned
+//!   A₀, CG filters);
 //! * [`media`] — color histograms, quadratic-form distance, distance
 //!   bounding, shape descriptors, synthetic data;
 //! * [`index`] — R-tree, grid file, linear scan, precomputed
@@ -59,11 +60,10 @@ pub mod prelude {
         SynthConfig, SyntheticDb,
     };
     pub use fmdb_middleware::prelude::{
-        AccessStats, Algo, AlgoError, ApproxNra, ApproxTa, Approximation, CombinedAlgorithm,
-        CostModel, Cursor, Engine, EngineConfig, ExecPolicy, FaginsAlgorithm, MaxMerge, Naive, Nra,
-        Oid, OptimalityOracle, PagedSource, PagedStore, PrunedFa, SharedScoring, SourceError,
-        SourceInfo, StoreError, Subsystem, ThresholdAlgorithm, TopKAlgorithm, TopKQuery,
-        TopKRequest, TopKResult, ValidatingSource, VecSource,
+        AccessStats, AlgoError, CostModel, Cursor, Engine, EngineConfig, ExecPolicy, Oid,
+        OptimalityOracle, PagedSource, PagedStore, PrunedFa, SharedScoring, SourceError,
+        SourceInfo, StoreError, Subsystem, TopKAlgorithm, TopKQuery, TopKRequest, TopKResult,
+        ValidatingSource, VecSource,
     };
     pub use fmdb_middleware::workload::independent_uniform;
 }

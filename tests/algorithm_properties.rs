@@ -8,11 +8,13 @@ use fuzzymm::core::scoring::conorms::Max;
 use fuzzymm::core::scoring::means::ArithmeticMean;
 use fuzzymm::core::scoring::tnorms::{Lukasiewicz, Product};
 use fuzzymm::middleware::algorithms::cg_filter::CgFilter;
-use fuzzymm::middleware::algorithms::nra::NraLowerBound;
-use fuzzymm::middleware::algorithms::TopKResult;
+use fuzzymm::middleware::algorithms::{nra_intervals, TopKResult};
 use fuzzymm::middleware::oracle::{all_grades, verify_top_k, verify_top_k_set};
 use fuzzymm::middleware::source::GradedSource;
 use fuzzymm::prelude::*;
+
+mod support;
+use support::Planned;
 
 /// Strategy: m grade lists over a shared dense universe.
 fn grade_lists(max_n: usize, max_m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -129,12 +131,12 @@ proptest! {
 
     #[test]
     fn fa_is_always_valid_under_min(lists in grade_lists(60, 4), k in 1usize..=8) {
-        check_valid(&FaginsAlgorithm, &lists, &Min, k);
+        check_valid(&Planned(PlanKind::Fa, 0.0), &lists, &Min, k);
     }
 
     #[test]
     fn fa_is_always_valid_under_product(lists in grade_lists(40, 3), k in 1usize..=5) {
-        check_valid(&FaginsAlgorithm, &lists, &Product, k);
+        check_valid(&Planned(PlanKind::Fa, 0.0), &lists, &Product, k);
     }
 
     #[test]
@@ -145,13 +147,13 @@ proptest! {
 
     #[test]
     fn ta_is_always_valid(lists in grade_lists(60, 4), k in 1usize..=8) {
-        check_valid(&ThresholdAlgorithm, &lists, &Min, k);
-        check_valid(&ThresholdAlgorithm, &lists, &ArithmeticMean, k);
+        check_valid(&Planned(PlanKind::Ta, 0.0), &lists, &Min, k);
+        check_valid(&Planned(PlanKind::Ta, 0.0), &lists, &ArithmeticMean, k);
     }
 
     #[test]
     fn naive_is_always_valid(lists in grade_lists(60, 4), k in 1usize..=8) {
-        check_valid(&Naive, &lists, &Lukasiewicz, k);
+        check_valid(&Planned(PlanKind::FullScan, 0.0), &lists, &Lukasiewicz, k);
     }
 
     #[test]
@@ -164,13 +166,13 @@ proptest! {
     fn every_algorithm_is_valid_on_sparse_lists(lists in sparse_lists(60, 4), k in 1usize..=8) {
         let sparse = || to_sparse_sources(&lists);
         let exact: [&dyn TopKAlgorithm; 7] = [
-            &Naive,
-            &FaginsAlgorithm,
+            &Planned(PlanKind::FullScan, 0.0),
+            &Planned(PlanKind::Fa, 0.0),
             &PrunedFa::default(),
             &PrunedFa::without_short_circuit(),
-            &ThresholdAlgorithm,
-            &CombinedAlgorithm::new(2, 0.0),
-            &ApproxTa::new(0.0),
+            &Planned(PlanKind::Ta, 0.0),
+            &Planned(PlanKind::Ca { h: 2 }, 0.0),
+            &Planned(PlanKind::ApproxTa, 0.0),
         ];
         for algo in exact {
             check_valid_on(sparse(), algo, &Min, k);
@@ -178,7 +180,7 @@ proptest! {
         }
         check_valid_on(sparse(), &CgFilter::default(), &Min, k);
         check_valid_on(sparse(), &CgFilter::default(), &Product, k);
-        check_valid_on(sparse(), &MaxMerge, &ConormScoring(Max), k);
+        check_valid_on(sparse(), &Planned(PlanKind::MaxMerge, 0.0), &ConormScoring(Max), k);
 
         // NRA certifies the set; its grades are lower bounds, so the
         // oracle is shown the members under their true grades.
@@ -187,7 +189,7 @@ proptest! {
             .iter_mut()
             .map(|s| s as &mut dyn Subsystem)
             .collect();
-        let nra = Nra.evaluate(&mut narrow, &ArithmeticMean, k).expect("valid run");
+        let nra = nra_intervals(&mut narrow, &ArithmeticMean, k).expect("valid run");
         let mut refs: Vec<&mut dyn GradedSource> = sources
             .iter_mut()
             .map(|s| s as &mut dyn GradedSource)
@@ -216,14 +218,14 @@ proptest! {
         let label = |oid: Oid| if wide == 1 { oid + (1 << 33) } else { 3 * oid + c };
         let max = ConormScoring(Max);
         let runs: [(&dyn TopKAlgorithm, &dyn ScoringFunction); 8] = [
-            (&Naive, &Min),
-            (&FaginsAlgorithm, &Min),
+            (&Planned(PlanKind::FullScan, 0.0), &Min),
+            (&Planned(PlanKind::Fa, 0.0), &Min),
             (&PrunedFa::default(), &Min),
-            (&MaxMerge, &max),
-            (&ThresholdAlgorithm, &Min),
-            (&ThresholdAlgorithm, &ArithmeticMean),
-            (&NraLowerBound, &ArithmeticMean),
-            (&CombinedAlgorithm::new(2, 0.0), &Min),
+            (&Planned(PlanKind::MaxMerge, 0.0), &max),
+            (&Planned(PlanKind::Ta, 0.0), &Min),
+            (&Planned(PlanKind::Ta, 0.0), &ArithmeticMean),
+            (&Planned(PlanKind::Nra, 0.0), &ArithmeticMean),
+            (&Planned(PlanKind::Ca { h: 2 }, 0.0), &Min),
         ];
         for (algo, scoring) in runs {
             let dense = run_on(to_labelled_sources(&lists, |oid| oid), algo, scoring, k);
@@ -247,7 +249,7 @@ proptest! {
             .iter_mut()
             .map(|s| s as &mut dyn GradedSource)
             .collect();
-        let fa = FaginsAlgorithm.top_k(&mut refs, &Min, k).expect("valid run");
+        let fa = Planned(PlanKind::Fa, 0.0).top_k(&mut refs, &Min, k).expect("valid run");
         // A0's sorted phase can touch at most every list fully, and the
         // random phase at most fills every hole: cost ≤ 2·m·N.
         prop_assert!(fa.stats.database_access_cost() <= 2 * m * n);
@@ -258,7 +260,7 @@ proptest! {
         let mut s1 = to_sources(&lists);
         let mut r1: Vec<&mut dyn GradedSource> =
             s1.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
-        let fa = FaginsAlgorithm.top_k(&mut r1, &Min, k).expect("valid run");
+        let fa = Planned(PlanKind::Fa, 0.0).top_k(&mut r1, &Min, k).expect("valid run");
         let mut s2 = to_sources(&lists);
         let mut r2: Vec<&mut dyn GradedSource> =
             s2.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
@@ -273,7 +275,7 @@ proptest! {
         let mut s1 = to_sources(&lists);
         let mut r1: Vec<&mut dyn GradedSource> =
             s1.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
-        let merge = MaxMerge.top_k(&mut r1, &scoring, k).expect("valid run");
+        let merge = Planned(PlanKind::MaxMerge, 0.0).top_k(&mut r1, &scoring, k).expect("valid run");
         let mut r2: Vec<&mut dyn GradedSource> =
             s1.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
         verify_top_k(&mut r2, &scoring, &merge.answers, k)

@@ -5,6 +5,7 @@
 //! fault — and that the set check lets through exactly what it should.
 
 use fuzzymm::core::scoring::means::ArithmeticMean;
+use fuzzymm::middleware::algorithms::nra_intervals;
 use fuzzymm::middleware::oracle::{all_grades, verify_top_k, verify_top_k_set, TopKViolation};
 use fuzzymm::middleware::source::GradedSource;
 use fuzzymm::prelude::*;
@@ -39,8 +40,11 @@ fn ranking(seed: u64) -> Vec<ScoredObject<Oid>> {
 /// TA's answer for the mean over `lists(seed)`.
 fn ta_answer(seed: u64, k: usize) -> Vec<ScoredObject<Oid>> {
     let mut sources = lists(seed);
-    ThresholdAlgorithm
-        .top_k(&mut refs(&mut sources), &ArithmeticMean, k)
+    let mut narrow: Vec<&mut dyn Subsystem> = sources
+        .iter_mut()
+        .map(|s| s as &mut dyn Subsystem)
+        .collect();
+    Cursor::once(PlanKind::Ta, 0.0, &mut narrow, &ArithmeticMean, k)
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
         .answers
 }
@@ -224,8 +228,7 @@ fn nra_members_pass_the_set_check_in_any_order() {
             .iter_mut()
             .map(|s| s as &mut dyn Subsystem)
             .collect();
-        let nra = Nra
-            .evaluate(&mut narrow, &ArithmeticMean, k)
+        let nra = nra_intervals(&mut narrow, &ArithmeticMean, k)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let truth = all_grades(&mut refs(&mut sources), &ArithmeticMean);
         let mut members: Vec<ScoredObject<Oid>> = nra
