@@ -21,13 +21,23 @@
 //! the median of interleaved rounds, its spread (largest ÷ smallest
 //! round) beside it.
 //!
+//! `stream_bind_us` is `Catalog::bind_source` of the same shape atom:
+//! the `ShapeStream` garlic's plans read, which grades the pivots' rows
+//! and certifies `dmax` and no more, and `stream_bind_vs_row_kernel` its
+//! ratio to the row scan.
+//!
 //! And it counts what a graded list orders: `ordered_per_listed` is the
 //! entries the colour and texture lists put in stream order under TA at
 //! k = 10 — the planner's histogram copies included — per entry they
 //! list. A list orders itself a bucket at a time as sorted access
-//! reaches it, so this is the depth TA reads, not 1.
+//! reaches it, so this is the depth TA reads, not 1. What a shape
+//! stream grades is counted too: `shape_graded_per_listed` is the rows
+//! its streams graded exactly, per row of the corpus, over
+//! colour ∧ shape conjunctions at k = 10 under TA through an engine
+//! (their bind included); `shape_rows_graded` is the same count, not
+//! divided.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use fmdb_core::query::{AtomicQuery, Target};
@@ -35,15 +45,16 @@ use fmdb_core::score::Score;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
 use fmdb_garlic::catalog::Catalog;
-use fmdb_garlic::repository::QbicRepository;
+use fmdb_garlic::repository::{QbicRepository, Repository};
 use fmdb_media::distance::{HistogramDistance, QuadraticFormDistance};
 use fmdb_media::embed::{euclidean, EmbeddedCorpus, EmbeddedSpace};
 use fmdb_media::shape::TurningCorpus;
 use fmdb_media::synth::{SynthConfig, SyntheticDb};
 use fmdb_middleware::algorithms::Cursor;
+use fmdb_middleware::engine::Engine;
 use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::policy::ExecPolicy;
-use fmdb_middleware::request::SharedScoring;
+use fmdb_middleware::request::{SharedScoring, SharedSource, TopKQuery};
 use fmdb_middleware::source::{Oid, Subsystem, VecSource};
 
 use crate::report::{f3, Bound, Report, Table};
@@ -94,14 +105,25 @@ const MAX_BIND_VS_ROW_KERNEL: f64 = 1.38;
 /// computed the exact error of every shift.
 const MAX_SHAPE_BIND_VS_ROW_KERNEL: f64 = 13.2;
 
+/// Ceiling on `stream_bind_vs_row_kernel` (release builds): 1.25× the
+/// largest of seven whole quick suites on a 2-core x86-64 VM
+/// (1.79–2.18). A stream whose bounds bind nothing (`[0, ∞)`) grades
+/// half the rows alone and the rest in tiles at bind: it read 18.7.
+const MAX_STREAM_BIND_VS_ROW_KERNEL: f64 = 2.72;
+
+/// Ceiling on `shape_graded_per_listed`, a count that repeats exactly in
+/// any build: 1.25× the quick run's 0.383 (N = 600). A stream that
+/// grades every row reads 1.
+const MAX_SHAPE_GRADED_PER_LISTED: f64 = 0.48;
+
 /// Ceiling on `ordered_per_listed`, a count that repeats exactly in any
 /// build: 1.25× the quick run's 0.176 (N = 600; the full run reads
 /// 0.062 at N = 4 000). A list sorted whole at construction reads 1.
 const MAX_ORDERED_PER_LISTED: f64 = 0.22;
 
 /// One round's floors, µs: colour kernel, colour bind, shape kernel,
-/// shape bind, row-major colour scan.
-type Round = [f64; 5];
+/// shape bind, row-major colour scan, shape stream bind.
+type Round = [f64; 6];
 
 /// Where one atom's time goes, at one corpus size: median floors and
 /// the three ratios.
@@ -112,9 +134,11 @@ struct BindSplit {
     shape_kernel_us: f64,
     shape_bind_us: f64,
     row_kernel_us: f64,
+    stream_bind_us: f64,
     lanes_vs_rows: RoundRatio,
     bind_vs_row_kernel: RoundRatio,
     shape_bind_vs_row_kernel: RoundRatio,
+    stream_bind_vs_row_kernel: RoundRatio,
 }
 
 impl BindSplit {
@@ -126,9 +150,11 @@ impl BindSplit {
             shape_kernel_us: column(2),
             shape_bind_us: column(3),
             row_kernel_us: column(4),
+            stream_bind_us: column(5),
             lanes_vs_rows: RoundRatio::of(rounds.iter().map(|r| (r[0], r[4]))),
             bind_vs_row_kernel: RoundRatio::of(rounds.iter().map(|r| (r[1], r[4]))),
             shape_bind_vs_row_kernel: RoundRatio::of(rounds.iter().map(|r| (r[3], r[4]))),
+            stream_bind_vs_row_kernel: RoundRatio::of(rounds.iter().map(|r| (r[5], r[4]))),
         }
     }
 }
@@ -159,6 +185,41 @@ fn ordered_and_listed(mut lists: [VecSource; 2], k: usize) -> (usize, usize) {
     let ordered: usize = lists.iter().map(VecSource::entries_ordered).sum();
     let listed = lists.iter().map(|list| list.info().universe_size).sum();
     (copied + ordered, listed)
+}
+
+/// Rows the shape streams of `repo` grade, and rows they list, over
+/// colour ∧ shape conjunctions under TA at `k` through a private engine
+/// (its batches, as garlic's; the shared engine's access columns stay
+/// those of the runs above): named and `#id` shape targets against
+/// named colours.
+fn shape_graded_and_listed(repo: &QbicRepository, k: usize) -> (usize, usize) {
+    let n = repo.universe_size();
+    let mut shapes: Vec<String> = ["round", "boxy", "spiky"].map(str::to_owned).into();
+    shapes.extend([0, n / 3, n - 1].map(|id| format!("#{id}")));
+    let engine = Engine::default();
+    let (mut graded, mut listed) = (0, 0);
+    for colour in ["red", "green", "blue", "white"] {
+        let colour = AtomicQuery::new("Color", Target::Similar(colour.into()));
+        let colour = repo.source_for(&colour).expect("a named colour binds");
+        for shape in &shapes {
+            let atom = AtomicQuery::new("Shape", Target::Similar(shape.clone()));
+            let stream = Arc::new(Mutex::new(
+                repo.shape_stream(&atom).expect("a shape streams"),
+            ));
+            let request = TopKQuery::compose()
+                .source(colour.clone())
+                .shared_source(Arc::clone(&stream) as SharedSource)
+                .scoring(Min)
+                .k(k)
+                .policy(ExecPolicy::new().plan(PhysicalPlan::Ta))
+                .request()
+                .expect("two lists, a scoring function and k");
+            engine.run(&request).expect("in-memory sources never fail");
+            graded += stream.lock().map_or(0, |stream| stream.graded());
+            listed += n;
+        }
+    }
+    (graded, listed)
 }
 
 /// Runs the experiment.
@@ -196,11 +257,15 @@ pub fn run(cfg: &RunCfg) -> Report {
             "shape kernel µs",
             "shape bind µs",
             "shape bind/row kernel",
+            "stream bind µs",
+            "stream bind/row kernel",
+            "shape graded/listed",
             "ordered/listed",
         ],
     );
     // Published from the last (largest) corpus of the sweep.
     let mut published = None;
+    let mut shape_rows_graded = 0;
     for &n in &sizes {
         let db = SyntheticDb::generate(&SynthConfig {
             count: n,
@@ -268,9 +333,15 @@ pub fn run(cfg: &RunCfg) -> Report {
         // alone, then the bind path garlic runs around the same kernel.
         let shapes = TurningCorpus::build(db.objects.iter().map(|o| &o.shape), TURNING_SAMPLES);
         let shape = db.objects[0].shape.clone();
+        // The count's streams build the corpus's pivot table, which the
+        // timed stream binds below then read.
+        let repo = QbicRepository::new("qbic", db);
+        let (graded, rows) = shape_graded_and_listed(&repo, k);
+        shape_rows_graded += graded as u64;
+        let shape_graded_per_listed = graded as f64 / rows as f64;
         let mut catalog = Catalog::new();
         catalog
-            .register(Box::new(QbicRepository::new("qbic", db)))
+            .register(Box::new(repo))
             .expect("fresh catalog accepts qbic");
         // The per-object scan the tiles replaced, over a row-major
         // copy of the same coordinates.
@@ -302,12 +373,15 @@ pub fn run(cfg: &RunCfg) -> Report {
                             .map(|row| euclidean(&query, row))
                             .collect::<Vec<f64>>()
                     }),
+                    fastest_us(SHAPE_REPS, || {
+                        catalog.bind_source(&shape_atom).expect("atom binds")
+                    }),
                 ]
             })
             .collect();
         let split = BindSplit::of(&rounds);
         let ordered_per_listed = ordered as f64 / listed as f64;
-        published = Some((split, ordered_per_listed));
+        published = Some((split, ordered_per_listed, shape_graded_per_listed));
 
         t.row(vec![
             n.to_string(),
@@ -324,11 +398,16 @@ pub fn run(cfg: &RunCfg) -> Report {
             f3(split.shape_kernel_us),
             f3(split.shape_bind_us),
             f3(split.shape_bind_vs_row_kernel.median),
+            f3(split.stream_bind_us),
+            f3(split.stream_bind_vs_row_kernel.median),
+            f3(shape_graded_per_listed),
             f3(ordered_per_listed),
         ]);
     }
     report.table(t);
-    let (split, ordered_per_listed) = published.expect("the sweep has at least one corpus size");
+    report.shape_rows_graded = shape_rows_graded;
+    let (split, ordered_per_listed, shape_graded_per_listed) =
+        published.expect("the sweep has at least one corpus size");
     let timed = "a floor over timed repetitions that reads zero means the timer broke";
     let spread = "the largest round ratio is below the smallest; look at `RoundRatio::of` in `runners` first";
     report
@@ -388,6 +467,37 @@ pub fn run(cfg: &RunCfg) -> Report {
             spread,
         )
         .gated(
+            "stream_bind_us",
+            split.stream_bind_us,
+            Bound::Positive,
+            timed,
+        )
+        .gated(
+            "stream_bind_vs_row_kernel",
+            split.stream_bind_vs_row_kernel.median,
+            Bound::PositiveAtMost(MAX_STREAM_BIND_VS_ROW_KERNEL),
+            "binding a `Shape` atom as a stream costs more per-object colour scans than \
+             grading the pivots' rows and certifying `dmax` did; look at \
+             `TurningCorpus::pivot_bounds` in `media::shape` (do the bounds still bind, and \
+             does the column pass still run its rows side by side?) and at `ShapeStream::new` \
+             in `garlic::shape_stream` first",
+        )
+        .gated(
+            "stream_bind_vs_row_kernel_spread",
+            split.stream_bind_vs_row_kernel.spread,
+            Bound::AtLeast(1.0),
+            spread,
+        )
+        .gated(
+            "shape_graded_per_listed",
+            shape_graded_per_listed,
+            Bound::PositiveAtMost(MAX_SHAPE_GRADED_PER_LISTED),
+            "a shape stream grades more rows than TA's reads, the pivots and `dmax` need; \
+             look at `ShapeStream::advance` and `ShapeStream::new` in `garlic::shape_stream` \
+             and `TurningCorpus::pivot_bounds` in `media::shape` first (did a bound loosen, \
+             or the switch to whole tiles fire early?)",
+        )
+        .gated(
             "ordered_per_listed",
             ordered_per_listed,
             Bound::PositiveAtMost(MAX_ORDERED_PER_LISTED),
@@ -408,7 +518,8 @@ pub fn run(cfg: &RunCfg) -> Report {
          alone (four objects a pass, bit-equal to the per-object kernel), `euclidean` over a \
          row-major copy of the same coordinates (the scan the tiles replaced), and \
          `Catalog::source_for` around the tiled kernel; shape kernel / shape bind the same for \
-         `Shape ~ '#0'` (`TurningCorpus::distances`, 10 repetitions a round). What bind adds \
+         `Shape ~ '#0'` (`TurningCorpus::distances`, 10 repetitions a round), and stream bind \
+         `Catalog::bind_source` of that atom (the `ShapeStream` plans read). What bind adds \
          to the kernel is the distance→grade pass and the bucket pass of a distribution sort, \
          each bucket sorted when sorted access reaches it — no hash table, no id translation \
          under an identity mapping, one build (DESIGN §17)."

@@ -68,7 +68,7 @@ mod tests {
 
     /// Gates that read a wall-clock ceiling: an unoptimized build may
     /// sit above them, so only the release run of CI holds them to it.
-    const WALL_CLOCK_CEILINGS: [&str; 11] = [
+    const WALL_CLOCK_CEILINGS: [&str; 12] = [
         "warm_ta_vs_mem",
         "warm_probe_vs_mem",
         "warm_batch_vs_mem",
@@ -80,6 +80,7 @@ mod tests {
         "lanes_vs_rows",
         "bind_vs_row_kernel",
         "shape_bind_vs_row_kernel",
+        "stream_bind_vs_row_kernel",
     ];
 
     /// Every gated metric of the suite (families of per-cell metrics by
@@ -135,6 +136,10 @@ mod tests {
                 "shape_bind_us",
                 "shape_bind_vs_row_kernel",
                 "shape_bind_vs_row_kernel_spread",
+                "stream_bind_us",
+                "stream_bind_vs_row_kernel",
+                "stream_bind_vs_row_kernel_spread",
+                "shape_graded_per_listed",
                 "ordered_per_listed",
             ],
         ),

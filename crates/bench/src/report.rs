@@ -92,6 +92,9 @@ pub struct Report {
     /// Named numeric results the perf trajectory tracks: folded into
     /// the experiment's `BENCH_engine.json` entry by `e00_run_all`.
     pub metrics: Vec<Metric>,
+    /// Turning-corpus rows the experiment's shape streams graded
+    /// exactly: a count column beside the engine's access columns.
+    pub shape_rows_graded: u64,
 }
 
 /// One named numeric result of an experiment.
@@ -163,6 +166,7 @@ impl Report {
             tables: Vec::new(),
             notes: Vec::new(),
             metrics: Vec::new(),
+            shape_rows_graded: 0,
         }
     }
 
@@ -299,9 +303,10 @@ pub struct BenchEntry {
     pub stats: AccessStats,
 }
 
-/// An experiment's access columns, as both artifacts name them: what it
-/// drove through the shared engine.
-fn access_columns(stats: &AccessStats) -> [(&'static str, u64); 8] {
+/// An experiment's count columns, as both artifacts name them: what it
+/// drove through the shared engine, and the shape rows it graded.
+fn count_columns(entry: &BenchEntry) -> [(&'static str, u64); 9] {
+    let stats = &entry.stats;
     [
         ("sorted", stats.sorted),
         ("random", stats.random),
@@ -311,12 +316,13 @@ fn access_columns(stats: &AccessStats) -> [(&'static str, u64); 8] {
         ("page_evictions", stats.page_evictions),
         ("pages_skipped", stats.pages_skipped),
         ("blocks_skipped", stats.blocks_skipped),
+        ("shape_rows_graded", entry.report.shape_rows_graded),
     ]
 }
 
-/// Emits `,"column":count` for each of [`access_columns`].
-fn json_access(out: &mut String, stats: &AccessStats) {
-    for (name, count) in access_columns(stats) {
+/// Emits `,"column":count` for each of [`count_columns`].
+fn json_counts(out: &mut String, entry: &BenchEntry) {
+    for (name, count) in count_columns(entry) {
         out.push_str(&format!(",\"{name}\":{count}"));
     }
 }
@@ -338,7 +344,7 @@ pub fn bench_engine_json(entries: &[BenchEntry], quick: bool) -> String {
         out.push(',');
         json_field(&mut out, "title", &e.report.title);
         out.push_str(&format!(",\"wall_ms\":{:.3}", e.wall_ms));
-        json_access(&mut out, &e.stats);
+        json_counts(&mut out, e);
         out.push_str(",\"metrics\":");
         json_metrics(&mut out, &e.report.metrics);
         out.push('}');
@@ -350,7 +356,7 @@ pub fn bench_engine_json(entries: &[BenchEntry], quick: bool) -> String {
 /// One line of `BENCH_history.jsonl`, the suite's memory across
 /// commits (`e00_run_all` appends one per whole-suite run): the commit
 /// the run was built from, its mode, and per experiment the access
-/// columns of the `BENCH_engine.json` the same entries make and the
+/// count columns of the `BENCH_engine.json` the same entries make and the
 /// gated metrics — no wall-clock total, no ungated metric. No newline
 /// inside.
 pub fn bench_history_line(entries: &[BenchEntry], quick: bool, commit: &str) -> String {
@@ -365,7 +371,7 @@ pub fn bench_history_line(entries: &[BenchEntry], quick: bool, commit: &str) -> 
         }
         out.push('{');
         json_field(&mut out, "id", &e.report.id);
-        json_access(&mut out, &e.stats);
+        json_counts(&mut out, e);
         out.push_str(",\"gated\":");
         json_metrics(
             &mut out,
@@ -455,6 +461,7 @@ mod tests {
     fn bench_engine_json_is_well_formed() {
         let mut e1 = Report::new("E1", "FA \"scaling\"", "");
         e1.metric("opt_ratio_ta", 1.25);
+        e1.shape_rows_graded = 7;
         let entries = vec![
             BenchEntry {
                 report: e1,
@@ -488,7 +495,7 @@ mod tests {
         assert!(j.contains("\"page_hits\":5"));
         assert!(j.contains("\"page_evictions\":2"));
         assert!(j.contains("\"pages_skipped\":6"));
-        assert!(j.contains("\"blocks_skipped\":9"));
+        assert!(j.contains("\"blocks_skipped\":9,\"shape_rows_graded\":7"));
         assert!(j.contains("\"metrics\":{\"opt_ratio_ta\":1.250000}"));
         assert!(j.contains("\"metrics\":{}"));
         assert!(j.contains("\"id\":\"E23\""));
@@ -620,6 +627,7 @@ mod tests {
     #[test]
     fn a_history_line_parses_back_with_the_artifacts_access_columns() {
         let mut e20 = Report::new("E20", "kernels \"and\" binds", "");
+        e20.shape_rows_graded = 1234;
         e20.metric("kernel_ms", 3.5)
             .gated("lanes_vs_rows", 0.625, Bound::PositiveAtMost(0.84), "here")
             .gated("kernel_us", 14.25, Bound::Positive, "there");
@@ -661,7 +669,7 @@ mod tests {
         assert_eq!(lines.items().len(), entries.len());
         for ((line, written), entry) in lines.items().iter().zip(written.items()).zip(&entries) {
             assert_eq!(line.get("id"), written.get("id"));
-            for (column, count) in access_columns(&entry.stats) {
+            for (column, count) in count_columns(entry) {
                 assert_eq!(line.get(column), written.get(column), "{column}");
                 assert_eq!(line.get(column), &Json::Num(count as f64), "{column}");
             }

@@ -9,7 +9,10 @@
 //! records that as a range, and [`Catalog::source_for`] then returns
 //! the repository's list as built — an atom is bound with one list
 //! construction. Only a custom mapping pays a translation pass and a
-//! second construction.
+//! second construction. [`Catalog::bind_source`] is the door a plan's
+//! sources come through: under the identity mapping it is the
+//! repository's own [`Repository::bind_source`], which may answer
+//! without grading every object first.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -20,7 +23,7 @@ use fmdb_middleware::source::{GradedSource, VecSource};
 
 use crate::idmap::{IdMapError, IdMapper};
 use crate::object::Oid;
-use crate::repository::{AttributeKind, RepoError, Repository};
+use crate::repository::{AttributeKind, BoundSource, RepoError, Repository};
 
 /// Error raised by catalog operations.
 #[derive(Debug)]
@@ -179,6 +182,26 @@ impl Catalog {
             .map(|so| Ok((to_global(so.id)?, so.grade)))
             .collect::<Result<Vec<(Oid, Score)>, IdMapError>>()?;
         Ok(VecSource::new(local.info().label, grades))
+    }
+
+    /// The source a plan reads for an atomic query, in global ids. When
+    /// the mapper says the repository's whole universe maps to itself,
+    /// it is the repository's [`Repository::bind_source`] as bound (by
+    /// default its [`Repository::source_for`] list, boxed), which, as
+    /// every list a repository builds, grades ids below its universe
+    /// size only. Otherwise it is [`Catalog::source_for`]'s translated
+    /// list.
+    pub fn bind_source(&self, query: &AtomicQuery) -> Result<BoundSource, CatalogError> {
+        let repo = self.repository_for(&query.attribute)?;
+        let universe = repo.universe_size() as u64;
+        if self
+            .mapper
+            .identity_range(repo.name())
+            .is_some_and(|n| n >= universe)
+        {
+            return Ok(repo.bind_source(query)?);
+        }
+        Ok(Box::new(self.source_for(query)?))
     }
 
     /// The crisp match set (global ids) for a crisp atomic query, or

@@ -13,12 +13,13 @@ use fmdb_middleware::algorithms::{AlgoError, Cursor, TopKAlgorithm};
 use fmdb_middleware::engine::{Engine, EngineError};
 use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::TopKQuery;
-use fmdb_middleware::source::{SourceError, Subsystem, VecSource};
+use fmdb_middleware::source::{SourceError, Subsystem};
 use fmdb_middleware::stats::{AccessStats, CostModel};
 
 use crate::catalog::{Catalog, CatalogError};
 use crate::object::{Oid, SubObjectIndex};
 use crate::planner::{bind, optimize, plan_costed, BoundQuery, Plan, PlanKind};
+use crate::repository::BoundSource;
 
 /// Which top-k algorithm executes a query monotone in its leaves (the
 /// override [`Garlic::top_k_with`] takes; used by the experiments).
@@ -127,8 +128,8 @@ impl QueryResult {
 
 /// A resumable top-k cursor over one query; see [`Garlic::cursor`].
 pub struct QueryCursor {
-    /// The bound lists, in the scoring function's argument order.
-    sources: Vec<VecSource>,
+    /// The bound sources, in the scoring function's argument order.
+    sources: Vec<BoundSource>,
     scoring: ScoringHandle,
     cursor: Cursor,
     /// The plan every batch runs, and why.
@@ -153,7 +154,7 @@ impl QueryCursor {
         let mut sources: Vec<&mut dyn Subsystem> = self
             .sources
             .iter_mut()
-            .map(|source| source as &mut dyn Subsystem)
+            .map(|source| &mut **source as &mut dyn Subsystem)
             .collect();
         let result = self.cursor.next_k(&mut sources, &*self.scoring, batch)?;
         Ok(QueryResult {
@@ -351,7 +352,7 @@ impl Garlic {
                     *grade = leaf
                         .source
                         .random_access(oid)
-                        .map_err(|cause| failed(&leaf.source, cause))?;
+                        .map_err(|cause| failed(&*leaf.source, cause))?;
                     stats.random += 1;
                 } // else: crisp conjunct matched, grade stays 1
             }

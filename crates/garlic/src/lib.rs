@@ -12,6 +12,8 @@
 //! * [`idmap`] — enforced one-to-one id mappings across subsystems;
 //! * [`repository`] — the relational table and QBIC-style image
 //!   repositories;
+//! * [`shape_stream`] — a `Shape ~` atom served from the turning
+//!   corpus's pivot table as it is read;
 //! * [`catalog`] — attribute routing + id translation;
 //! * [`planner`] — `bind` (grade each distinct atom once) then
 //!   `optimize` (§4.2's optimizer: the bound lists described to
@@ -42,6 +44,7 @@ pub mod idmap;
 pub mod object;
 pub mod planner;
 pub mod repository;
+pub mod shape_stream;
 pub mod sql;
 
 /// Convenient re-exports of the most commonly used items.

@@ -18,18 +18,18 @@
 //!
 //! Planning is two steps. [`bind`] compiles the query into one scoring
 //! function over its distinct leaves ([`Query::compile`]), hands every
-//! distinct atom to its subsystem once and keeps the graded lists — a
-//! negated leaf reads the complement of its atom's list. [`optimize`]
+//! distinct atom to its subsystem once and keeps the sources it binds —
+//! a negated leaf reads the complement of its atom's list. [`optimize`]
 //! describes the bound query in [`fmdb_middleware::planner`]'s terms —
-//! a [`PlanQuery`], [`QueryStats`] read off the lists, the function as
+//! a [`PlanQuery`], [`QueryStats`] read off the sources, the function as
 //! classified by [`classify_combiner`] — and lets [`choose_plan`] price
 //! the strategies under the caller's [`ExecPolicy`]. The executor runs
-//! the winner on the same lists. This module owns no plan enum, cost
+//! the winner on the same sources. This module owns no plan enum, cost
 //! formula or property probe of its own.
 
 use std::fmt;
 
-use fmdb_core::query::{Query, ScoringHandle};
+use fmdb_core::query::{Leaf, Query, ScoringHandle};
 use fmdb_core::score::Score;
 use fmdb_core::scoring::ScoringFunction;
 use fmdb_middleware::algorithms::AlgoError;
@@ -43,7 +43,7 @@ use fmdb_middleware::stats::CostModel;
 use crate::catalog::Catalog;
 use crate::executor::ExecError;
 use crate::object::Oid;
-use crate::repository::AttributeKind;
+use crate::repository::{AttributeKind, BoundSource};
 
 /// The physical strategies: the unified planner's own enum.
 pub use fmdb_middleware::planner::PhysicalPlan as PlanKind;
@@ -66,12 +66,13 @@ impl Plan {
     }
 }
 
-/// One argument of a bound query, graded: its list in global ids.
+/// One argument of a bound query: its source in global ids.
 #[derive(Debug)]
 pub struct BoundLeaf {
-    /// The atom's graded list, or that list's complement for a negated
-    /// leaf — the only materialisation of this leaf the query pays for.
-    pub(crate) source: VecSource,
+    /// The atom's source ([`Catalog::bind_source`]), or its list's
+    /// complement for a negated leaf — the only grading of this leaf the
+    /// query pays for.
+    pub(crate) source: BoundSource,
     /// The exact match set, for the crisp atoms of a flat query.
     pub(crate) matches: Option<Vec<Oid>>,
 }
@@ -101,18 +102,51 @@ impl fmt::Debug for BoundQuery {
     }
 }
 
-/// Compiles `query` ([`Query::compile`]) and grades every distinct atom
-/// exactly once: one `Repository::source_for` per atom and, for the
-/// crisp atoms of a flat query (one node over atoms), one
-/// `crisp_matches`. A negated leaf's list is the complement of its
+/// Compiles `query` ([`Query::compile`]) and binds every distinct atom
+/// exactly once: one `Repository::bind_source` (or `source_for`) per
+/// atom and, for the crisp atoms of a flat query (one node over atoms),
+/// one `crisp_matches`. A negated leaf's list is the complement of its
 /// atom's over every object a bound list streams: an object the atom's
-/// list lacks grades 1 there. A repository's refusal (`UnknownTarget`,
+/// list lacks grades 1 there. That universe is read off materialised
+/// lists, so a query with a negated leaf binds each atom as its list
+/// ([`Catalog::source_for`]); any other binds each through
+/// [`Catalog::bind_source`]. A repository's refusal (`UnknownTarget`,
 /// `TargetMismatch`, an unmapped id, …) surfaces here, before any plan
 /// is priced.
 pub fn bind(query: &Query, catalog: &Catalog) -> Result<BoundQuery, ExecError> {
     let (leaves, scoring) = query.compile()?;
     let atomic = |c: &Query| matches!(c, Query::Atomic(_));
     let flat = query.children().iter().all(atomic);
+    let sources: Vec<BoundSource> = if leaves.iter().any(|leaf| leaf.negated) {
+        bind_lists(&leaves, catalog)?
+    } else {
+        // No negation: the leaves are distinct atoms.
+        let bound = leaves.iter().map(|leaf| catalog.bind_source(&leaf.atom));
+        bound.collect::<Result<_, _>>()?
+    };
+    let mut bound = Vec::with_capacity(leaves.len());
+    for (leaf, source) in leaves.iter().zip(sources) {
+        let crisp = catalog.attribute_kind(&leaf.atom.attribute) == Some(AttributeKind::Crisp);
+        bound.push(BoundLeaf {
+            source,
+            matches: if crisp && flat && !leaf.negated {
+                catalog.crisp_matches(&leaf.atom)?
+            } else {
+                None
+            },
+        });
+    }
+    Ok(BoundQuery {
+        scoring,
+        leaves: bound,
+        universe: catalog.universe_size(),
+    })
+}
+
+/// Every leaf's list, materialised: each distinct atom graded once
+/// ([`Catalog::source_for`]), a negated leaf given its atom's
+/// complement over every list.
+fn bind_lists(leaves: &[Leaf], catalog: &Catalog) -> Result<Vec<BoundSource>, ExecError> {
     // Leaf `i`'s atom is graded into `lists[first(i)]`: at its first leaf.
     let first = |i: usize| {
         leaves
@@ -133,23 +167,12 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<BoundQuery, ExecError> {
         })
         .collect();
     let mut bound = Vec::with_capacity(leaves.len());
-    for (i, (leaf, complement)) in leaves.iter().zip(complements).enumerate() {
-        let crisp = catalog.attribute_kind(&leaf.atom.attribute) == Some(AttributeKind::Crisp);
+    for (i, complement) in complements.into_iter().enumerate() {
         let source = complement.or_else(|| lists[first(i)].take());
-        bound.push(BoundLeaf {
-            source: source.ok_or(ExecError::Internal("an atom has one plain leaf"))?,
-            matches: if crisp && flat && !leaf.negated {
-                catalog.crisp_matches(&leaf.atom)?
-            } else {
-                None
-            },
-        });
+        let source = source.ok_or(ExecError::Internal("an atom has one plain leaf"))?;
+        bound.push(Box::new(source) as BoundSource);
     }
-    Ok(BoundQuery {
-        scoring,
-        leaves: bound,
-        universe: catalog.universe_size(),
-    })
+    Ok(bound)
 }
 
 /// How `combiner` behaves over `arity` lists, for the cost model. The
@@ -191,7 +214,9 @@ fn is_max(f: &dyn ScoringFunction, arity: usize) -> bool {
 ///   procedure `Engine::run` uses — under the policy's cost model and
 ///   θ. The statistics are read from the bound sources themselves
 ///   (per-leaf grade histograms, exact crisp match counts), so pricing
-///   costs no grading beyond what execution needs anyway. Garlic's
+///   costs no grading beyond what execution needs anyway; a source
+///   that keeps no histogram (a shape stream) leaves the algorithm to
+///   the static fallback. Garlic's
 ///   result grades are user-facing, so the planner is asked for
 ///   **exact grades** — the NRA family is never chosen here.
 ///

@@ -7,10 +7,13 @@
 //! `Shape='round'`, graded by the feature distances of `fmdb-media`).
 //!
 //! Each repository turns an atomic query into a [`VecSource`] exposing
-//! exactly the paper's two access modes. Grades are computed eagerly
-//! when the source is built — the middleware's cost model deliberately
-//! meters only the accesses the *algorithm* performs against the
-//! source, matching the paper's black-box view of subsystems.
+//! exactly the paper's two access modes, its grades computed when the
+//! source is built — the middleware's cost model deliberately meters
+//! only the accesses the *algorithm* performs against the source,
+//! matching the paper's black-box view of subsystems. A plan reads what
+//! [`Repository::bind_source`] serves: that list, or for a QBIC `Shape`
+//! atom a [`ShapeStream`] with the same grades, each computed when an
+//! access first needs it.
 //!
 //! Both repositories grade the dense local universe `0..n` and hand
 //! [`VecSource::new`] / [`VecSource::from_dense`] their pairs in oid
@@ -21,7 +24,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use fmdb_core::query::{AtomicQuery, Target};
 use fmdb_core::score::Score;
@@ -35,6 +38,7 @@ use fmdb_middleware::source::VecSource;
 use fmdb_middleware::store::{build_store_from_source, BuildConfig, StoreError};
 
 use crate::object::{Oid, Value};
+use crate::shape_stream::ShapeStream;
 
 /// Whether an attribute grades crisply (0/1) or fuzzily.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,6 +119,10 @@ impl From<EmbedError> for RepoError {
     }
 }
 
+/// What a plan reads for one atom: any subsystem, boxed
+/// ([`Repository::bind_source`]).
+pub type BoundSource = Box<dyn fmdb_middleware::source::Subsystem + Send>;
+
 /// A subsystem that can grade its universe against atomic queries.
 pub trait Repository {
     /// The subsystem's name (also its id-mapping namespace).
@@ -128,6 +136,16 @@ pub trait Repository {
 
     /// Builds the graded source for `query` (ids are repository-local).
     fn source_for(&self, query: &AtomicQuery) -> Result<VecSource, RepoError>;
+
+    /// The source a plan reads for `query` (ids are repository-local,
+    /// below [`Repository::universe_size`]): by default the list of
+    /// [`Repository::source_for`], boxed. A repository that can answer
+    /// sorted and random access without grading every object first
+    /// serves that instead; its accesses must answer as the list would,
+    /// bit for bit.
+    fn bind_source(&self, query: &AtomicQuery) -> Result<BoundSource, RepoError> {
+        Ok(Box::new(self.source_for(query)?))
+    }
 
     /// For crisp attributes: the exact match set (repository-local
     /// ids), used by the crisp-filter plan. `Ok(None)` means the
@@ -294,8 +312,9 @@ pub struct QbicRepository {
     color_corpus: EmbeddedCorpus,
     /// Pre-resampled turning functions and their spectra: `Shape`
     /// queries cost one resampling and transform of the prototype plus
-    /// the shift kernel per object.
-    shape_corpus: TurningCorpus,
+    /// the shift kernel per object graded. Shared with the
+    /// [`ShapeStream`]s it serves.
+    shape_corpus: Arc<TurningCorpus>,
     /// Named shape prototypes ("round", "boxy", "spiky", …), each
     /// resampled and transformed on its first query.
     shape_prototypes: HashMap<String, NamedShape>,
@@ -330,7 +349,7 @@ const TURNING_SAMPLES: usize = 64;
 #[derive(Debug)]
 struct NamedShape {
     outline: Polygon,
-    prepared: OnceLock<Prototype>,
+    prepared: OnceLock<Arc<Prototype>>,
 }
 
 impl NamedShape {
@@ -379,8 +398,10 @@ impl QbicRepository {
         )]
         let color_corpus = EmbeddedCorpus::build(space, &histograms)
             .expect("database histograms share the space's dimension");
-        let shape_corpus =
-            TurningCorpus::build(db.objects.iter().map(|o| &o.shape), TURNING_SAMPLES);
+        let shape_corpus = Arc::new(TurningCorpus::build(
+            db.objects.iter().map(|o| &o.shape),
+            TURNING_SAMPLES,
+        ));
         let mut shape_prototypes = HashMap::new();
         shape_prototypes.insert(
             "round".to_owned(),
@@ -501,37 +522,75 @@ impl QbicRepository {
         Ok(self.source_from_distances(query, &distances))
     }
 
-    fn shape_source(&self, query: &AtomicQuery) -> Result<VecSource, RepoError> {
-        let distances = match &query.target {
+    /// The prepared prototype a `Shape` query's target names: a named
+    /// shape's, kept from its first query, or a `#id` example's.
+    fn shape_prototype(&self, query: &AtomicQuery) -> Result<Arc<Prototype>, RepoError> {
+        match &query.target {
             Target::Similar(name) => {
                 if let Some(example) = self.example_object(name) {
-                    self.shape_corpus.distances(&example?.shape)
-                } else {
-                    let named = self
-                        .shape_prototypes
-                        .get(&name.to_ascii_lowercase())
-                        .ok_or_else(|| RepoError::UnknownTarget(name.clone()))?;
-                    let prototype = named
-                        .prepared
-                        .get_or_init(|| self.shape_corpus.prototype(&named.outline));
-                    self.shape_corpus.distances_to(prototype)
+                    return Ok(Arc::new(self.shape_corpus.prototype(&example?.shape)));
                 }
+                let named = self
+                    .shape_prototypes
+                    .get(&name.to_ascii_lowercase())
+                    .ok_or_else(|| RepoError::UnknownTarget(name.clone()))?;
+                let prototype = named
+                    .prepared
+                    .get_or_init(|| Arc::new(self.shape_corpus.prototype(&named.outline)));
+                Ok(Arc::clone(prototype))
             }
-            _ => {
-                return Err(RepoError::TargetMismatch {
-                    attribute: query.attribute.clone(),
-                    expected: "a named shape target (round/boxy/spiky)",
-                })
-            }
-        };
+            _ => Err(RepoError::TargetMismatch {
+                attribute: query.attribute.clone(),
+                expected: "a named shape target (round/boxy/spiky)",
+            }),
+        }
+    }
+
+    fn shape_source(&self, query: &AtomicQuery) -> Result<VecSource, RepoError> {
+        let prototype = self.shape_prototype(query)?;
+        let distances = self.shape_corpus.distances_to(&prototype);
         Ok(self.source_from_distances(query, &distances))
+    }
+
+    /// A `Shape` query's list as a [`ShapeStream`]: the grades
+    /// [`Repository::source_for`] lists, each computed when an access
+    /// first needs it. [`Repository::bind_source`] serves every `Shape`
+    /// atom this way; this door hands back the stream itself, so a
+    /// caller can read [`ShapeStream::graded`].
+    pub fn shape_stream(&self, query: &AtomicQuery) -> Result<ShapeStream, RepoError> {
+        if self.unprefixed(query) != "Shape" {
+            return Err(RepoError::UnknownAttribute {
+                repository: self.name.clone(),
+                attribute: query.attribute.clone(),
+            });
+        }
+        let prototype = self.shape_prototype(query)?;
+        Ok(ShapeStream::new(
+            self.label(query),
+            Arc::clone(&self.shape_corpus),
+            prototype,
+        ))
+    }
+
+    /// The attribute a query names, without this repository's prefix
+    /// (`""` for another repository's attribute).
+    fn unprefixed<'q>(&self, query: &'q AtomicQuery) -> &'q str {
+        query
+            .attribute
+            .strip_prefix(&self.attribute_prefix)
+            .unwrap_or("")
+    }
+
+    /// A list's label: the repository's name and the query.
+    fn label(&self, query: &AtomicQuery) -> String {
+        format!("{}:{}", self.name, query)
     }
 
     /// Distance → grade via linear cutoff at the observed maximum, so
     /// the farthest object grades 0 and identical objects grade 1.
     fn source_from_distances(&self, query: &AtomicQuery, distances: &[f64]) -> VecSource {
         let dmax = distances.iter().copied().fold(0.0_f64, f64::max).max(1e-12);
-        VecSource::from_fn(format!("{}:{}", self.name, query), distances.len(), |i| {
+        VecSource::from_fn(self.label(query), distances.len(), |i| {
             Score::clamped(1.0 - distances[i] / dmax)
         })
     }
@@ -559,11 +618,7 @@ impl Repository for QbicRepository {
     }
 
     fn source_for(&self, query: &AtomicQuery) -> Result<VecSource, RepoError> {
-        let unprefixed = query
-            .attribute
-            .strip_prefix(&self.attribute_prefix)
-            .unwrap_or("");
-        match unprefixed {
+        match self.unprefixed(query) {
             "Color" => self.color_source(query),
             "Shape" => self.shape_source(query),
             "Texture" => self.texture_source(query),
@@ -572,6 +627,15 @@ impl Repository for QbicRepository {
                 attribute: query.attribute.clone(),
             }),
         }
+    }
+
+    /// A `Shape` atom is served as a [`ShapeStream`]; any other as its
+    /// list.
+    fn bind_source(&self, query: &AtomicQuery) -> Result<BoundSource, RepoError> {
+        if self.unprefixed(query) == "Shape" {
+            return Ok(Box::new(self.shape_stream(query)?));
+        }
+        Ok(Box::new(self.source_for(query)?))
     }
 
     fn crisp_matches(&self, _query: &AtomicQuery) -> Result<Option<Vec<Oid>>, RepoError> {

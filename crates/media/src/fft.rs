@@ -113,7 +113,7 @@ impl Lane for [f64; LANES] {
 }
 
 /// Unit roundoff `u = 2⁻⁵³`.
-const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+pub(crate) const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
 
 /// `μ`, the bound on every twiddle's error `|ŵ − ω|` (Higham's (24.4)):
 /// `4u`. [`Fft::new`] reduces each angle to `[0, π/4]` by exact

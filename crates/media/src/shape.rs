@@ -19,7 +19,9 @@
 use std::f64::consts::{PI, SQRT_2};
 use std::fmt;
 
-use crate::fft::{self, gamma, Fft, Lane, LANES};
+use std::sync::OnceLock;
+
+use crate::fft::{self, gamma, Fft, Lane, LANES, UNIT_ROUNDOFF};
 
 /// A 2-D point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -567,6 +569,8 @@ pub struct TurningCorpus {
     spectra: Vec<[f64; LANES]>,
     /// Each tile's `(Σa, Σa²)`, a lane a row, each in index order.
     sums: Vec<([f64; LANES], [f64; LANES])>,
+    /// The pivot table, built on first use ([`TurningCorpus::pivots`]).
+    pivots: OnceLock<PivotTable>,
 }
 
 impl TurningCorpus {
@@ -617,6 +621,7 @@ impl TurningCorpus {
             rows,
             spectra,
             sums: tile_sums,
+            pivots: OnceLock::new(),
         }
     }
 
@@ -643,12 +648,30 @@ impl TurningCorpus {
     }
 
     /// [`distances`](Self::distances) to a prototype this corpus built:
-    /// [`filter`] and [`refine`] a tile of `LANES` rows at a time, each
-    /// row in its own lane.
+    /// the shift filter and its refine run a tile of `LANES` rows at a
+    /// time, each row in its own lane.
     ///
     /// # Panics
     /// Panics if the prototype was resampled at another sample count.
     pub fn distances_to(&self, prototype: &Prototype) -> Vec<f64> {
+        let mut out = vec![f64::INFINITY; self.len];
+        self.distances_where(prototype, |_| true, |row, d| out[row] = d);
+        out
+    }
+
+    /// [`distances_to`](Self::distances_to) for the rows `wanted` names:
+    /// every tile holding one is graded, and `put(row, distance)` is
+    /// called for each wanted row, in row order. Bit for bit the
+    /// distances `distances_to` returns.
+    ///
+    /// # Panics
+    /// Panics if the prototype was resampled at another sample count.
+    pub fn distances_where(
+        &self,
+        prototype: &Prototype,
+        wanted: impl Fn(usize) -> bool,
+        mut put: impl FnMut(usize, f64),
+    ) {
         assert_eq!(
             prototype.samples(),
             self.samples,
@@ -657,19 +680,26 @@ impl TurningCorpus {
         let n = self.samples;
         if n == 0 {
             // No samples, no shifts: `turning_distance(_, _, 0)`.
-            return vec![f64::INFINITY; self.len];
+            (0..self.len)
+                .filter(|&row| wanted(row))
+                .for_each(|row| put(row, f64::INFINITY));
+            return;
         }
-        let (mut approx, mut kept) = (Vec::new(), Vec::new());
-        let mut out = Vec::with_capacity(self.len);
+        let (mut approx, mut kept, mut out) = (Vec::new(), Vec::new(), Vec::new());
         let tiles = self
             .rows
             .chunks_exact(n)
             .zip(self.spectra.chunks_exact(prototype.fft.len()))
             .zip(&self.sums);
-        for ((rows, spectra), &sums) in tiles {
+        for (t, ((rows, spectra), &sums)) in tiles.enumerate() {
+            let first = t * LANES;
+            // The last tile's unused lanes are not live: never refined.
+            let live = (self.len - first).min(LANES);
+            if !(first..first + live).any(&wanted) {
+                continue;
+            }
             let cut = filter(spectra, sums, prototype, &mut approx);
-            // The last tile's unused lanes are not live: dropped here.
-            let live = (self.len - out.len()).min(LANES);
+            out.clear();
             refine(
                 rows,
                 prototype,
@@ -679,9 +709,284 @@ impl TurningCorpus {
                 &mut kept,
                 &mut out,
             );
+            for (row, &d) in (first..).zip(&out) {
+                if wanted(row) {
+                    put(row, d);
+                }
+            }
         }
-        out
     }
+
+    /// The distances of up to [`TILE_ROWS`] rows to `prototype`, pushed
+    /// onto `out` in the order of `rows`, as
+    /// [`distances_to`](Self::distances_to) grades them, bit for bit. One
+    /// row runs the tile code at one lane over the row's samples,
+    /// spectrum and sums, gathered out of its tile into `scratch`; more
+    /// are gathered into one tile of `scratch`, a lane a row, which grades
+    /// as their own tiles would (a lane's run is its row's alone).
+    ///
+    /// # Panics
+    /// Panics if `rows` holds more than [`TILE_ROWS`] rows or one that is
+    /// not a row of the corpus, or the prototype was resampled at another
+    /// sample count.
+    pub fn distances_of(
+        &self,
+        rows: &[usize],
+        prototype: &Prototype,
+        scratch: &mut RowScratch,
+        out: &mut Vec<f64>,
+    ) {
+        assert!(rows.len() <= LANES, "{} rows to a tile", rows.len());
+        match rows {
+            [_] => self.gathered(rows, prototype, &mut scratch.one, out),
+            _ => self.gathered(rows, prototype, &mut scratch.wide, out),
+        }
+    }
+
+    /// Grades `rows`, gathered a lane a row into `buffers`' one tile
+    /// (`L = f64`: one row), pushing their distances onto `out`.
+    fn gathered<L: Lane>(
+        &self,
+        rows: &[usize],
+        prototype: &Prototype,
+        buffers: &mut Buffers<L>,
+        out: &mut Vec<f64>,
+    ) {
+        assert!(
+            rows.iter().all(|&row| row < self.len),
+            "rows {rows:?} of {}",
+            self.len
+        );
+        assert_eq!(
+            prototype.samples(),
+            self.samples,
+            "the prototype must come from this corpus"
+        );
+        let n = self.samples;
+        if n == 0 {
+            out.extend(rows.iter().map(|_| f64::INFINITY));
+            return;
+        }
+        let m = prototype.fft.len();
+        // Lane `l` reads row `rows[l]`; lanes past them read zeros, as
+        // the last tile's unused lanes do.
+        let at = |l: usize| rows.get(l).map(|&row| (row / LANES, row % LANES));
+        let lane = |column: &[[f64; LANES]], len: usize, k: usize| {
+            L::from_fn(|l| at(l).map_or(0.0, |(tile, lane)| column[tile * len + k][lane]))
+        };
+        let Buffers {
+            samples,
+            spectrum,
+            approx,
+            kept,
+        } = buffers;
+        samples.clear();
+        samples.extend((0..n).map(|k| lane(&self.rows, n, k)));
+        spectrum.clear();
+        spectrum.extend((0..m).map(|k| lane(&self.spectra, m, k)));
+        let sums = (
+            L::from_fn(|l| at(l).map_or(0.0, |(tile, lane)| self.sums[tile].0[lane])),
+            L::from_fn(|l| at(l).map_or(0.0, |(tile, lane)| self.sums[tile].1[lane])),
+        );
+        let cut = filter(spectrum, sums, prototype, approx);
+        refine(samples, prototype, &approx[..n], cut, rows.len(), kept, out);
+    }
+
+    /// The corpus's pivot table, built on first use: [`PIVOTS`] rows
+    /// (fewer in a smaller corpus, or where every row lies on a pivot)
+    /// chosen farthest-first, and every row's distance to each,
+    /// a pivot's column graded by [`distances_to`](Self::distances_to)
+    /// with the pivot's row as the prototype.
+    pub fn pivots(&self) -> &PivotTable {
+        self.pivots.get_or_init(|| self.pivot_table(PIVOTS))
+    }
+
+    /// The farthest-first table of at most `count` pivots: row 0 first,
+    /// then each time the row farthest from every pivot so far (the
+    /// lowest such row on a tie), until `count` or no row lies off the
+    /// pivots.
+    fn pivot_table(&self, count: usize) -> PivotTable {
+        let mut rows = Vec::with_capacity(count.min(self.len));
+        // Each distance to the nearest `f32`: within `2⁻²⁴` of it,
+        // relative, which the margin takes in; half the bytes a bind
+        // reads. Sized up front, so the table is the build's peak.
+        let mut distances: Vec<f32> = Vec::with_capacity(rows.capacity() * self.len);
+        let mut nearest = vec![f64::INFINITY; self.len];
+        let mut next = Some(0).filter(|_| self.len > 0 && count > 0);
+        while let Some(pivot) = next {
+            let column = self.distances_to(&Prototype::new(self.row(pivot)));
+            for (near, &d) in nearest.iter_mut().zip(&column) {
+                *near = near.min(d);
+            }
+            rows.push(pivot);
+            distances.extend(column.iter().map(|&d| d as f32));
+            let (far, gap) =
+                nearest.iter().enumerate().fold(
+                    (0, 0.0),
+                    |best, (row, &d)| if d > best.1 { (row, d) } else { best },
+                );
+            next = Some(far).filter(|_| gap > 0.0 && rows.len() < count);
+        }
+        let sum_sq = self
+            .sums
+            .iter()
+            .flat_map(|(_, sum_sq)| sum_sq.iter().copied())
+            .fold(0.0, f64::max);
+        // `+∞` past a NaN: a table that holds one bounds nothing.
+        let largest = distances.iter().fold(0.0, |top: f64, &d| {
+            if d.is_nan() {
+                f64::INFINITY
+            } else {
+                top.max(f64::from(d))
+            }
+        });
+        PivotTable {
+            rows,
+            distances,
+            sum_sq,
+            largest,
+        }
+    }
+
+    /// Row `row`'s turning function, out of its tile.
+    fn row(&self, row: usize) -> Vec<f64> {
+        let n = self.samples;
+        let (tile, lane) = (row / LANES, row % LANES);
+        self.rows[tile * n..][..n].iter().map(|x| x[lane]).collect()
+    }
+
+    /// The pivot bounds of every row's distance to `prototype`, given
+    /// the distances of the pivots' rows to it (`to_pivots`, in pivot
+    /// order — [`distances_of`](Self::distances_of)): with
+    /// `q_p = to_pivots[p]` and `D[x][p]` the table's,
+    /// `lower[x] = max(0, max_p |q_p − D[x][p]| − η)` and
+    /// `upper[x] = min_p (q_p + D[x][p]) + η`, so that
+    /// `lower[x] ≤ distances_to(prototype)[x] ≤ upper[x]`, `η` the
+    /// derived rounding margin (DESIGN §16). Returns `false`, the bounds
+    /// unwritten, when a distance in the table or in `to_pivots` is not
+    /// finite: then nothing is bounded.
+    ///
+    /// # Panics
+    /// Panics unless `to_pivots` holds one distance per pivot.
+    pub fn pivot_bounds(
+        &self,
+        prototype: &Prototype,
+        to_pivots: &[f64],
+        lower: &mut Vec<f64>,
+        upper: &mut Vec<f64>,
+    ) -> bool {
+        let table = self.pivots();
+        assert_eq!(to_pivots.len(), table.rows.len(), "one distance per pivot");
+        lower.clear();
+        upper.clear();
+        let largest = to_pivots.iter().copied().fold(table.largest, f64::max);
+        if !largest.is_finite() || to_pivots.iter().any(|q| q.is_nan()) {
+            return false;
+        }
+        if self.len == 0 {
+            return true;
+        }
+        let eta = pivot_margin(self.samples, table.sum_sq, prototype.sum_sq, largest);
+        lower.resize(self.len, 0.0);
+        upper.resize(self.len, f64::INFINITY);
+        // A column a pass, row-wise: every step is element-wise, so the
+        // rows run side by side. The selects are `max` / `min` on the
+        // finite values this sees.
+        for (&q, column) in to_pivots.iter().zip(table.distances.chunks_exact(self.len)) {
+            for ((lo, hi), &d) in lower.iter_mut().zip(upper.iter_mut()).zip(column) {
+                let d = f64::from(d);
+                let gap = (q - d).abs();
+                let reach = q + d;
+                *lo = if gap > *lo { gap } else { *lo };
+                *hi = if reach < *hi { reach } else { *hi };
+            }
+        }
+        for (lo, hi) in lower.iter_mut().zip(upper.iter_mut()) {
+            // `+0` for anything at or below it: a bound's bits order as
+            // the bound.
+            let widened = *lo - eta;
+            *lo = if widened > 0.0 { widened } else { 0.0 };
+            *hi += eta;
+        }
+        true
+    }
+}
+
+/// The rows a tile grades side by side ([`TurningCorpus::distances_of`]).
+pub const TILE_ROWS: usize = LANES;
+
+/// Pivots in a corpus's table ([`TurningCorpus::pivots`]), chosen by
+/// measurement on the cd-store corpus (DESIGN §16).
+pub const PIVOTS: usize = 32;
+
+/// A corpus's pivot table ([`TurningCorpus::pivots`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PivotTable {
+    /// The pivots' rows, in the order farthest-first chose them.
+    rows: Vec<usize>,
+    /// `D[x][p]`, a pivot's column at a time: row `x`'s distance to
+    /// pivot `p` at `p·N + x`, rounded to `f32`.
+    distances: Vec<f32>,
+    /// The largest `Σa²` of a row: the margin's `S`.
+    sum_sq: f64,
+    /// The largest entry of `distances`; `+∞` if one is not a number.
+    largest: f64,
+}
+
+impl PivotTable {
+    /// The pivots' rows, in the order they were chosen.
+    pub fn rows(&self) -> &[usize] {
+        &self.rows
+    }
+}
+
+/// Buffers [`TurningCorpus::distances_of`] reuses from call to call:
+/// one row's, and a gathered tile's.
+#[derive(Debug, Default)]
+pub struct RowScratch {
+    one: Buffers<f64>,
+    wide: Buffers<[f64; LANES]>,
+}
+
+/// One gathered tile's samples, spectrum, estimates and kept shifts.
+#[derive(Debug)]
+struct Buffers<L> {
+    samples: Vec<L>,
+    spectrum: Vec<L>,
+    approx: Vec<L>,
+    kept: Vec<(usize, u8)>,
+}
+
+impl<L> Default for Buffers<L> {
+    fn default() -> Self {
+        Buffers {
+            samples: Vec::new(),
+            spectrum: Vec::new(),
+            approx: Vec::new(),
+            kept: Vec::new(),
+        }
+    }
+}
+
+/// The margin `η` a pivot bound is widened by, for `n` samples, rows of
+/// `Σa² ≤ row_sum_sq`, a prototype of `Σb² = prototype_sum_sq` and
+/// distances at most `largest` (DESIGN §16). A computed distance is the
+/// rounded root of a computed squared error within
+/// `ε = ROUNDING·γ_{n+3}·S/n` of the exact one (the bound
+/// [`rounding_bound`] takes for the exact error), so it lies within
+/// `√ε + u·d` of the exact distance, and a bound combines three
+/// distances: the row's and the pivot's to the prototype
+/// (`S ≤ row_sum_sq + prototype_sum_sq`) and the row's to the pivot
+/// (`S ≤ 2·row_sum_sq`). `η` takes each root of [`MARGIN`]`·ε`,
+/// `8u·largest` for the roots' roundings and the bound's own sum or
+/// difference, and `2⁻²³·largest` for the table's `f32` rounding.
+fn pivot_margin(n: usize, row_sum_sq: f64, prototype_sum_sq: f64, largest: f64) -> f64 {
+    let root = |sum_sq_both: f64| {
+        (MARGIN * ROUNDING * gamma(n.saturating_add(3)) * sum_sq_both / n as f64).sqrt()
+    };
+    let to_prototype = root(row_sum_sq + prototype_sum_sq);
+    let rounding = 8.0 * UNIT_ROUNDOFF + f64::from(f32::EPSILON);
+    2.0 * to_prototype + root(2.0 * row_sum_sq) + rounding * largest
 }
 
 /// Fourier shape descriptor: magnitudes of DFT coefficients 1..=h of
@@ -1246,6 +1551,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A NaN in a stored row reaches its distance to every pivot, so
+    /// the table bounds nothing; a NaN or infinite distance to a pivot
+    /// does the same.
+    #[test]
+    fn a_non_finite_distance_bounds_nothing() {
+        let shapes = margin_shapes(3);
+        let prototype = Polygon::ellipse(0.0, 0.0, 1.0, 0.6, 30).unwrap();
+        let (mut lower, mut upper) = (Vec::new(), Vec::new());
+        let corpus = TurningCorpus::build(&shapes, 64);
+        let prototype = corpus.prototype(&prototype);
+        let finite: Vec<f64> = corpus
+            .pivots()
+            .rows()
+            .iter()
+            .map(|&row| corpus.distances_to(&prototype)[row])
+            .collect();
+        assert!(corpus.pivot_bounds(&prototype, &finite, &mut lower, &mut upper));
+        for poison in [f64::NAN, f64::INFINITY] {
+            let mut to_pivots = finite.clone();
+            to_pivots[1] = poison;
+            assert!(!corpus.pivot_bounds(&prototype, &to_pivots, &mut lower, &mut upper));
+            assert!(lower.is_empty() && upper.is_empty(), "{poison}");
+        }
+        let mut poisoned = TurningCorpus::build(&shapes, 64);
+        poisoned.rows[7][1] = f64::NAN;
+        let ones = vec![1.0; poisoned.pivots().rows().len()];
+        assert!(!poisoned.pivot_bounds(&prototype, &ones, &mut lower, &mut upper));
     }
 
     /// A tile's filter is its rows' one-row filters, lane by lane, bit

@@ -250,6 +250,39 @@ impl fmt::Debug for dyn Subsystem + Send + '_ {
     }
 }
 
+/// A boxed subsystem is the subsystem it holds: every call forwarded,
+/// the single-item ones too, so a source's own `sorted_next` /
+/// `random_access` still run behind the box.
+impl<S: Subsystem + ?Sized> Subsystem for Box<S> {
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        (**self).sorted_batch(n)
+    }
+
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+        (**self).random_batch(oids)
+    }
+
+    fn rewind(&mut self) {
+        (**self).rewind();
+    }
+
+    fn info(&self) -> SourceInfo {
+        (**self).info()
+    }
+
+    fn caps(&self) -> Caps<'_> {
+        (**self).caps()
+    }
+
+    fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
+        (**self).sorted_next()
+    }
+
+    fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
+        (**self).random_access(oid)
+    }
+}
+
 /// The random-access half of a materialized graded list: its
 /// `(oid, grade)` pairs in one array, ascending by oid, every oid once.
 ///

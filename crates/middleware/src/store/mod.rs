@@ -867,8 +867,11 @@ impl Subsystem for PagedSource {
     // `entries`, `format::read_entries`, `format::read_u64`): the frozen
     // trait's blanket impl is compiled in the crate that makes its
     // `dyn`, and a half-inlined chain there costs more per entry than
-    // none (≈ 17 against 6 ns on a warm page).
-    #[inline]
+    // none (≈ 17 against 6 ns on a warm page). The head is
+    // `#[inline(always)]`: with a plain hint the blanket impl in
+    // perfbench called it out of line once that crate's dependencies
+    // grew, and its `drain_next` ran ≈ 3× slower.
+    #[inline(always)]
     fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
         let pos = self.pos;
         let Some(page) = self.current()? else {

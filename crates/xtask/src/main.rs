@@ -9,7 +9,7 @@
 //!
 //! `cargo xtask atomic-ordering` (the alias lives in
 //! `.cargo/config.toml`) requires a written reason beside every memory
-//! ordering in library source (see [`mod@atomic_ordering`]).
+//! ordering in library source (see the `atomic_ordering` module).
 //!
 //! Exit status: `0` clean, `1` violations found, `2` usage or I/O
 //! error.
