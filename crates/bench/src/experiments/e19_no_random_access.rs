@@ -19,7 +19,10 @@
 //! The third table is the naive scan's steady state: minor page faults
 //! per scan over lists of 65 536 while other queries run between two
 //! scans (`naive_minor_faults_per_run`, gated) — what the thread's
-//! spare table in `algorithms/book.rs` saves.
+//! spare table in `algorithms/book.rs` saves — and the scan against a
+//! bare drain of the same lists in the same rounds
+//! (`naive_scan_vs_drain`, gated): what the book costs beyond reading
+//! the lists.
 //!
 //! The fourth table is the paper's own setting (§4): lists behind
 //! autonomous subsystems that charge a round trip per call. It counts
@@ -53,8 +56,10 @@ const MAX_NRA_VS_TA: f64 = 10.0;
 
 /// Ceiling on `naive_vs_ta_ns_per_access`: 1.5–1.8 while the book
 /// hashed every sighting and the answer was a sort of everything seen,
-/// 0.85–1.05 since objects are numbered through an array and the top k
-/// selected.
+/// 0.85–1.05 once objects were numbered through an array and the top k
+/// selected, 0.31–0.44 since a drain lays the table out by oid and the
+/// scan keeps its best k as it grades. The scan's own in-round gate is
+/// `naive_scan_vs_drain`.
 const MAX_NAIVE_VS_TA: f64 = 1.4;
 
 /// Ceiling on `engine_vs_scalar_many8`: 3.7–4.6 while the engine put a
@@ -83,6 +88,24 @@ const MAX_NAIVE_CALLS_PER_ACCESS: f64 = 1.0 / 64.0;
 /// run allocated its book and the allocator gave it back at the end,
 /// 0 since a thread keeps its table.
 const MAX_NAIVE_FAULTS: f64 = 64.0;
+
+/// Ceiling on `naive_scan_vs_drain` (release builds): 1.25× the
+/// largest of twenty whole quick suites on a 2-core x86-64 VM
+/// (10.4–13.2) since a drain lays the table out by oid and the scan
+/// keeps only its best k. While every entry was numbered through the
+/// array and every object handed to `finalize`, ten whole quick suites
+/// read 22.5–32.2.
+const MAX_NAIVE_SCAN_VS_DRAIN: f64 = 16.6;
+
+/// Rounds behind `naive_scan_vs_drain`, quick and full alike.
+const SCAN_VS_DRAIN_ROUNDS: usize = 15;
+
+/// Scans and drains alternated in one round of `naive_scan_vs_drain`,
+/// the fastest of each kept.
+const SCAN_VS_DRAIN_REPS: usize = 3;
+
+/// Entries the bare drain asks for per call: the scan's batch.
+const DRAIN_BATCH: usize = 256;
 use crate::runners::{fastest_us, RoundRatio, RunCfg};
 
 /// Charged accesses and wall-clock nanoseconds per charged access of
@@ -277,14 +300,13 @@ fn minor_faults() -> Option<u64> {
     after_command.split_whitespace().nth(7)?.parse().ok()
 }
 
-/// `scans` naive scans over two lists of 65 536 (min, k = 10), with
-/// scalar TA and A₀ over three such lists before each, as perfbench's
-/// op mix interleaves them: each scan's minor page faults (NaN where
-/// they cannot be read) and the fastest scan in microseconds.
-fn naive_scan_faults(scans: usize) -> (Vec<f64>, f64) {
-    let n = 1 << 16;
-    let mut pair = independent_uniform(n, 2, 17);
-    let mut three = independent_uniform(n, 3, 19);
+/// `scans` naive scans over `pair`, two lists of 65 536 (min, k = 10),
+/// with scalar TA and A₀ over three such lists before each, as
+/// perfbench's op mix interleaves them: each scan's minor page faults
+/// (NaN where they cannot be read) and the fastest scan in
+/// microseconds.
+fn naive_scan_faults(pair: &mut [VecSource], scans: usize) -> (Vec<f64>, f64) {
+    let mut three = independent_uniform(1 << 16, 3, 19);
     let mut faults = Vec::with_capacity(scans);
     let mut floor = f64::INFINITY;
     for _ in 0..scans {
@@ -304,6 +326,45 @@ fn naive_scan_faults(scans: usize) -> (Vec<f64>, f64) {
         faults.push(taken);
     }
     (faults, floor)
+}
+
+/// Sorted access to the end of every list, [`DRAIN_BATCH`] entries a
+/// call, recording nothing: the floor under the naive scan's drain.
+fn bare_drain(lists: &mut [VecSource]) {
+    for list in lists {
+        Subsystem::rewind(list);
+        loop {
+            let batch = Subsystem::sorted_batch(list, DRAIN_BATCH).expect("in-memory lists");
+            let end = batch.len() < DRAIN_BATCH;
+            std::hint::black_box(batch);
+            if end {
+                break;
+            }
+        }
+    }
+}
+
+/// The naive scan over `pair` (min, k = 10) against a bare drain of
+/// the same lists, over `rounds` rounds. A round alternates one scan
+/// and one drain [`SCAN_VS_DRAIN_REPS`] times and keeps the fastest of
+/// each.
+fn naive_scan_vs_drain(pair: &mut [VecSource], rounds: usize) -> RoundRatio {
+    let timed = |work: &mut dyn FnMut()| {
+        let start = Instant::now();
+        work();
+        start.elapsed().as_secs_f64()
+    };
+    RoundRatio::of((0..rounds).map(|_| {
+        (0..SCAN_VS_DRAIN_REPS).fold((f64::INFINITY, f64::INFINITY), |(scan, drain), _| {
+            let once = timed(&mut || {
+                let mut refs: Vec<&mut dyn Subsystem> =
+                    pair.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+                let result = Cursor::once(PhysicalPlan::FullScan, 0.0, &mut refs, &Min, 10);
+                std::hint::black_box(result.expect("valid run"));
+            });
+            (scan.min(once), drain.min(timed(&mut || bare_drain(pair))))
+        })
+    }))
 }
 
 /// Runs the experiment.
@@ -410,7 +471,9 @@ pub fn run(cfg: &RunCfg) -> Report {
     report.table(t);
 
     let scans = cfg.pick(15, 9);
-    let (faults, scan_floor) = naive_scan_faults(scans);
+    let mut pair = independent_uniform(1 << 16, 2, 17);
+    let (faults, scan_floor) = naive_scan_faults(&mut pair, scans);
+    let scan_vs_drain = naive_scan_vs_drain(&mut pair, SCAN_VS_DRAIN_ROUNDS);
     let mut sorted_faults = faults.clone();
     sorted_faults.sort_by(f64::total_cmp);
     let median_faults = sorted_faults[scans / 2];
@@ -424,6 +487,8 @@ pub fn run(cfg: &RunCfg) -> Report {
             "median",
             "max after the first",
             "fastest scan (us)",
+            "scan / bare drain",
+            "spread",
         ],
     );
     t.row(vec![
@@ -431,6 +496,8 @@ pub fn run(cfg: &RunCfg) -> Report {
         format!("{median_faults:.0}"),
         format!("{:.0}", faults[1..].iter().copied().fold(0.0, f64::max)),
         format!("{scan_floor:.0}"),
+        f3(scan_vs_drain.median),
+        f3(scan_vs_drain.spread),
     ]);
     report.table(t);
 
@@ -488,10 +555,10 @@ pub fn run(cfg: &RunCfg) -> Report {
             naive / ta,
             Bound::PositiveAtMost(MAX_NAIVE_VS_TA),
             "an access of the naive scan costs that many times one under TA, though it does \
-             less per access (number the object, record the grade; no probe, no bound until \
-             the end); look at `Table::number` in `algorithms/book.rs` (one array load per \
-             dense oid) and `algorithms::finalize` (a selection of k, not a sort of everything \
-             seen) first",
+             less per access (store the grade at its oid's row; no probe, no bound until the \
+             end); look at `Table::place` and `Table::each_lower` in `algorithms/book.rs` \
+             and at `algorithms::Best` (the best k kept while grading, not everything seen) \
+             first",
         )
         .gated(
             "engine_vs_scalar_many8",
@@ -531,6 +598,22 @@ pub fn run(cfg: &RunCfg) -> Report {
              `algorithms/book.rs` (`Book::open` takes it, a dropped `Table` gives it back \
              cleared) is no longer kept, or a scan outgrew `SPARE_BYTES`; look there first",
         )
+        .gated(
+            "naive_scan_vs_drain",
+            scan_vs_drain.median,
+            Bound::PositiveAtMost(MAX_NAIVE_SCAN_VS_DRAIN),
+            "the naive scan costs that many bare drains of its lists again; look at \
+             `Table::place` in `algorithms/book.rs` (a drained entry is one store at its \
+             oid's row, no lookup) and at `naive::scan` (one pass over the rows keeping the \
+             best k, no vector of every object) first",
+        )
+        .gated(
+            "naive_scan_vs_drain_spread",
+            scan_vs_drain.spread,
+            Bound::AtLeast(1.0),
+            "the largest round ratio is below the smallest; look at `RoundRatio::of` in \
+             `runners` first",
+        )
         .metric("naive_scan_floor_us", scan_floor);
 
     report.note(
@@ -551,11 +634,12 @@ pub fn run(cfg: &RunCfg) -> Report {
          was ~70x while every open object was re-ranked every round), and so does a CA \
          access: under min CA reads its target off heaps kept per set of lists that revealed \
          an object (it was ~28x while it scanned every candidate every h-th round). A0 and \
-         the naive scan keep the same book: an object is numbered by one array load, and \
-         the answer is a selection of the best k, so a \
-         naive access, which probes nothing, costs about what a TA access does. The run \
+         the naive scan keep the same book. The scan's drain lays it out by oid (a grade \
+         is one store at its object's row) and the scan keeps its best k as it grades, so \
+         a naive access, which probes nothing, costs well under a TA access. The run \
          fails above {MAX_NAIVE_VS_TA}x (it was 1.5-1.8x while every sighting was hashed \
-         and everything seen was sorted to keep ten). This table uses N = 4096 in quick and \
+         and everything seen was sorted to keep ten, 0.85-1.05x while every object was \
+         numbered through an array and handed to the selection). This table uses N = 4096 in quick and \
          full mode alike.",
     ));
     report.note(format!(
@@ -571,13 +655,17 @@ pub fn run(cfg: &RunCfg) -> Report {
          source.",
     ));
     report.note(format!(
-        "Steady state: a naive scan of 65536 objects over two lists writes a book of \
-         ~3.3 MiB. While every run allocated it and freed it at the end, the allocator gave \
-         the memory back and the next scan faulted all of it in again: ~880 minor faults, \
-         ~1.6 ms of a ~4.7 ms scan. A thread now keeps its table, cleared, between runs. \
-         Faults are read per thread from /proc/thread-self/stat; the first scan of a thread \
-         still grows its table. The run fails if the median scan takes more than \
-         {MAX_NAIVE_FAULTS} faults.",
+        "Steady state: a naive scan of 65536 objects over two lists wrote a book of \
+         ~3.3 MiB (1 MiB since a drain lays it out by oid). While every run allocated it \
+         and freed it at the end, the allocator gave the memory back and the next scan \
+         faulted all of it in again: ~880 minor faults, ~1.6 ms of a ~4.7 ms scan. A \
+         thread now keeps its table, cleared, between runs. Faults are read per thread \
+         from /proc/thread-self/stat; the first scan of a thread still grows its table. \
+         The run fails if the median scan takes more than {MAX_NAIVE_FAULTS} faults. The \
+         last two columns time the scan against a bare drain of the same lists, \
+         {DRAIN_BATCH} entries a call, in {SCAN_VS_DRAIN_ROUNDS} rounds of \
+         {SCAN_VS_DRAIN_REPS} alternations each (the fastest of each side kept); the run \
+         fails above {MAX_NAIVE_SCAN_VS_DRAIN}x.",
     ));
     report.note(format!(
         "Per-call subsystems: the paper's middleware pays a round trip per call to QBIC and \

@@ -68,7 +68,7 @@ mod tests {
 
     /// Gates that read a wall-clock ceiling: an unoptimized build may
     /// sit above them, so only the release run of CI holds them to it.
-    const WALL_CLOCK_CEILINGS: [&str; 12] = [
+    const WALL_CLOCK_CEILINGS: [&str; 13] = [
         "warm_ta_vs_mem",
         "warm_probe_vs_mem",
         "warm_batch_vs_mem",
@@ -76,6 +76,7 @@ mod tests {
         "nra_vs_ta_ns_per_access",
         "ca_vs_ta_ns_per_access",
         "naive_vs_ta_ns_per_access",
+        "naive_scan_vs_drain",
         "engine_vs_scalar_many8",
         "lanes_vs_rows",
         "bind_vs_row_kernel",
@@ -120,6 +121,8 @@ mod tests {
                 "engine_vs_scalar_sorted_calls",
                 "naive_sorted_calls_per_access",
                 "naive_minor_faults_per_run",
+                "naive_scan_vs_drain",
+                "naive_scan_vs_drain_spread",
             ],
         ),
         (

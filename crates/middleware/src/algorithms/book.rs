@@ -8,13 +8,13 @@
 //! [`Frontier`] holds, per list, its bottom grade and whether it is
 //! drained, plus the charges. [`Book::pull`] (one entry) and
 //! [`Book::drain`] (a list to its end, a batch at a time) are the only
-//! sorted accesses in this directory, and record each entry through one
-//! private step; [`Book::open`] is the only rewind. [`Book::probe`] is
-//! the random access every strategy but A₀'s batched phase 2 makes. A
-//! failed access ends the run with [`AlgoError::Source`], naming the
-//! list, so a strategy only passes it on with `?`. What a book records
-//! stays true as a query asks for more answers, so a cursor keeps its
-//! book between batches and every batch resumes from it.
+//! sorted accesses in this directory; [`Book::open`] is the only
+//! rewind. [`Book::probe`] is the random access every strategy but
+//! A₀'s batched phase 2 makes. A failed access ends the run with
+//! [`AlgoError::Source`], naming the list, so a strategy only passes it
+//! on with `?`. What a book records stays true as a query asks for
+//! more answers, so a cursor keeps its book between batches and every
+//! batch resumes from it.
 //!
 //! Objects are numbered through an array: every list a repository,
 //! `from_dense` or the store builds grades the dense universe `0..N`
@@ -23,15 +23,23 @@
 //! other oid — a sparse list's, one past what its source
 //! reports — is numbered through a map.
 //!
+//! A drain lays its table out by oid instead ([`Table::place`]): the
+//! objects of the dense universe are rows `0..N` themselves, and a
+//! row's fields are `m` grade values, so a drained entry costs one
+//! store and no lookup, and the lists meet in one compact array. Only
+//! the naive scan drains, and only it reads such a table
+//! ([`Table::each_lower`]).
+//!
 //! Each thread keeps one spare table. [`Book::open`] takes it, and a
 //! dropped table goes back cleared, not freed: the array cells its run
-//! set are zeroed (O(rows), not O(universe)), rows, slots and map are
-//! emptied, and every buffer keeps its capacity, while the whole stays
-//! under [`SPARE_BYTES`]. Nothing a run wrote survives its drop, so this
-//! is scratch space, not a cache; what it saves is the allocator's trim
-//! of a freed book and the page faults that filled the next one in again
-//! (≈ 880 a naive scan of 65 536 objects). A second live book on the
-//! same thread — an open cursor's — allocates a table of its own.
+//! set are zeroed (O(rows), not O(universe)), rows, slots, cells and
+//! map are emptied, and every buffer keeps its capacity, while the
+//! whole stays under [`SPARE_BYTES`]. Nothing a run wrote survives its
+//! drop, so this is scratch space, not a cache; what it saves is the
+//! allocator's trim of a freed book and the page faults that filled the
+//! next one in again (≈ 880 a naive scan of 65 536 objects). A second
+//! live book on the same thread — an open cursor's — allocates a table
+//! of its own.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -46,10 +54,17 @@ use crate::stats::AccessStats;
 
 /// The fields revealed so far, one row of `m` slots per seen object.
 ///
-/// Rows are numbered in first-sighting order, so a walk over `0..len()`
-/// repeats from run to run, and all rows share one allocation.
+/// Rows are numbered in first-sighting order, or — in a table a drain
+/// laid out by oid — are the oids of the block and then, numbered, the
+/// oids past it. Either way a walk over `0..len()` repeats from run to
+/// run, and all rows share one allocation.
 pub(crate) struct Table {
     m: usize,
+    /// Whether a drain laid the table out by oid: its fields are then
+    /// in `cells`, and `rows` and `slots` stay empty.
+    by_oid: bool,
+    /// In a table laid out by oid, the rows that are their own oids.
+    block: usize,
     buf: Buffers,
 }
 
@@ -60,20 +75,28 @@ struct Row {
 }
 
 /// A table's buffers. On a thread's spare they are cleared: every
-/// `dense` cell 0, no rows, no slots, an empty map, each with the
+/// `dense` cell 0, no rows, slots or cells, an empty map, each with the
 /// capacity its runs gave it.
 #[derive(Default)]
 struct Buffers {
-    /// `row + 1` of each seen oid below `dense.len()`; 0 while unseen.
+    /// `row + 1` of each numbered oid below `dense.len()`; 0 otherwise.
     dense: Vec<u32>,
-    /// The row of every other seen oid.
+    /// The row of every other numbered oid.
     sparse: HashMap<Oid, usize>,
     rows: Vec<Row>,
     /// `Some(grade)` once list `j` has revealed it, by either access
     /// kind.
     slots: Vec<Option<Score>>,
+    /// A table laid out by oid: `m` cells a row, each the revealed
+    /// grade's value or [`UNREVEALED`].
+    cells: Vec<f64>,
+    /// A table laid out by oid: the oid of each row past the block.
+    past: Vec<Oid>,
     scratch: Vec<Score>,
 }
+
+/// A cell no list has revealed: no grade is negative.
+const UNREVEALED: f64 = -1.0;
 
 impl Buffers {
     /// What the buffers hold allocated, in bytes (the map's control
@@ -83,6 +106,8 @@ impl Buffers {
             + self.sparse.capacity() * mem::size_of::<(Oid, usize)>()
             + self.rows.capacity() * mem::size_of::<Row>()
             + self.slots.capacity() * mem::size_of::<Option<Score>>()
+            + self.cells.capacity() * mem::size_of::<f64>()
+            + self.past.capacity() * mem::size_of::<Oid>()
             + self.scratch.capacity() * mem::size_of::<Score>()
     }
 
@@ -91,11 +116,38 @@ impl Buffers {
         self.bytes() <= SPARE_BYTES
     }
 
+    /// The row `oid` is numbered by, numbering it `next` if it has none:
+    /// through the array below its length, else through the map.
+    #[inline]
+    fn number(&mut self, oid: Oid, next: usize) -> usize {
+        let cell = usize::try_from(oid)
+            .ok()
+            .and_then(|i| self.dense.get_mut(i));
+        match (cell, u32::try_from(next + 1)) {
+            (Some(cell), _) if *cell != 0 => *cell as usize - 1,
+            (Some(cell), Ok(tag)) => {
+                *cell = tag;
+                next
+            }
+            // Past the array, or more rows than a cell can name.
+            _ => *self.sparse.entry(oid).or_insert(next),
+        }
+    }
+
+    /// The row `oid` is numbered by, if any.
+    fn numbered(&self, oid: Oid) -> Option<usize> {
+        match usize::try_from(oid).ok().and_then(|i| self.dense.get(i)) {
+            Some(&tag) if tag != 0 => Some(tag as usize - 1),
+            _ => self.sparse.get(&oid).copied(),
+        }
+    }
+
     /// Empties every buffer and keeps its capacity. Only the `dense`
-    /// cells a row names were set, so zeroing costs O(rows).
+    /// cells a numbered row names were set, so zeroing costs O(rows).
     fn clear(&mut self) {
-        for row in &self.rows {
-            if let Some(cell) = usize::try_from(row.oid)
+        let numbered = self.rows.iter().map(|row| row.oid);
+        for oid in numbered.chain(self.past.iter().copied()) {
+            if let Some(cell) = usize::try_from(oid)
                 .ok()
                 .and_then(|i| self.dense.get_mut(i))
             {
@@ -105,6 +157,8 @@ impl Buffers {
         self.sparse.clear();
         self.rows.clear();
         self.slots.clear();
+        self.cells.clear();
+        self.past.clear();
         self.scratch.clear();
     }
 }
@@ -152,24 +206,19 @@ impl Table {
         buf.rows.reserve(FIRST_ROWS);
         buf.slots.reserve(FIRST_ROWS * m);
         buf.scratch.reserve(m);
-        Table { m, buf }
+        Table {
+            m,
+            by_oid: false,
+            block: 0,
+            buf,
+        }
     }
 
     /// The object's row and whether this is its first sighting.
     fn number(&mut self, oid: Oid) -> (usize, bool) {
+        debug_assert!(!self.by_oid, "a table laid out by oid is not numbered");
         let next = self.buf.rows.len();
-        let cell = usize::try_from(oid)
-            .ok()
-            .and_then(|i| self.buf.dense.get_mut(i));
-        let row = match (cell, u32::try_from(next + 1)) {
-            (Some(cell), _) if *cell != 0 => *cell as usize - 1,
-            (Some(cell), Ok(tag)) => {
-                *cell = tag;
-                next
-            }
-            // Past the array, or more rows than a cell can name.
-            _ => *self.buf.sparse.entry(oid).or_insert(next),
-        };
+        let row = self.buf.number(oid, next);
         if row == next {
             let missing = self.m;
             self.buf.rows.push(Row { oid, missing });
@@ -178,19 +227,111 @@ impl Table {
         (row, row == next)
     }
 
+    /// Lays the table out by oid; a table with a numbered row cannot
+    /// be.
+    fn lay_out_by_oid(&mut self) {
+        debug_assert!(
+            self.buf.rows.is_empty(),
+            "a numbered table is not laid out by oid"
+        );
+        self.by_oid = true;
+    }
+
+    /// Records list `j`'s grade of `oid` in a table laid out by oid. An
+    /// oid below the query's dense universe is its own row while no row
+    /// past the block exists: the block grows to it. Any other oid is
+    /// numbered, as in first-sighting order, after the block, which
+    /// then stops growing. A field already revealed keeps its grade, as
+    /// under [`Table::reveal`].
+    fn place(&mut self, oid: Oid, j: usize, grade: Score) {
+        let m = self.m;
+        let buf = &mut self.buf;
+        let row = match usize::try_from(oid) {
+            Ok(at) if at < self.block => at,
+            Ok(at) if buf.past.is_empty() && at < buf.dense.len() => {
+                buf.cells.resize((at + 1) * m, UNREVEALED);
+                self.block = at + 1;
+                at
+            }
+            _ => {
+                let next = self.block + buf.past.len();
+                let row = buf.number(oid, next);
+                if row == next {
+                    buf.past.push(oid);
+                    buf.cells.resize((next + 1) * m, UNREVEALED);
+                }
+                row
+            }
+        };
+        let cell = &mut buf.cells[row * m + j];
+        if *cell < 0.0 {
+            *cell = grade.value();
+        }
+    }
+
+    /// The fields of a row of a table laid out by oid.
+    fn cells(&self, row: usize) -> impl Iterator<Item = Option<Score>> + '_ {
+        self.buf.cells[row * self.m..(row + 1) * self.m]
+            .iter()
+            .map(|&cell| Score::new(cell).ok())
+    }
+
+    /// Every object of a table laid out by oid, in row order, with `t`
+    /// over its fields, an unknown one read as 0: `visit(row, object)`.
+    /// A row of the block no list has shown is no object seen and is
+    /// skipped.
+    pub(crate) fn each_lower(
+        &mut self,
+        scoring: &dyn ScoringFunction,
+        mut visit: impl FnMut(usize, ScoredObject<Oid>),
+    ) {
+        debug_assert!(self.by_oid, "only a table laid out by oid has cells");
+        let Buffers {
+            cells,
+            past,
+            scratch,
+            ..
+        } = &mut self.buf;
+        let block = self.block;
+        for (row, fields) in cells.chunks_exact(self.m).enumerate() {
+            let mut shown = false;
+            scratch.clear();
+            // An unrevealed cell clamps to 0; a grade's value to itself.
+            scratch.extend(fields.iter().map(|&cell| {
+                shown |= cell >= 0.0;
+                Score::clamped(cell)
+            }));
+            if shown {
+                let oid = match row.checked_sub(block) {
+                    None => row as Oid,
+                    Some(past_row) => past[past_row],
+                };
+                visit(row, ScoredObject::new(oid, scoring.combine(scratch)));
+            }
+        }
+    }
+
+    /// The oid of a row of a table laid out by oid.
+    #[cfg(test)]
+    fn oid_laid_out(&self, row: usize) -> Oid {
+        match row.checked_sub(self.block) {
+            None => row as Oid,
+            Some(past) => self.buf.past[past],
+        }
+    }
+
     /// The row of an object seen so far.
     pub(crate) fn row(&self, oid: Oid) -> Option<usize> {
-        let cell = usize::try_from(oid)
-            .ok()
-            .and_then(|i| self.buf.dense.get(i));
-        match cell {
-            Some(&tag) if tag != 0 => Some(tag as usize - 1),
-            _ => self.buf.sparse.get(&oid).copied(),
+        match usize::try_from(oid) {
+            // A row of the block is an object seen once a list showed it.
+            Ok(at) if at < self.block => self.cells(at).any(|field| field.is_some()).then_some(at),
+            _ => self.buf.numbered(oid),
         }
     }
 
     /// Records list `j`'s grade for `row`; false if it was known.
     pub(crate) fn reveal(&mut self, row: usize, j: usize, grade: Score) -> bool {
+        debug_assert!(!self.by_oid, "a table laid out by oid is only placed in");
         let slot = &mut self.buf.slots[row * self.m + j];
         let news = slot.is_none();
         if news {
@@ -200,9 +341,14 @@ impl Table {
         news
     }
 
-    /// Objects seen so far.
+    /// Objects seen so far; in a table laid out by oid, rows, some of
+    /// which the block holds for objects no list has shown.
     pub(crate) fn len(&self) -> usize {
-        self.buf.rows.len()
+        if self.by_oid {
+            self.block + self.buf.past.len()
+        } else {
+            self.buf.rows.len()
+        }
     }
 
     pub(crate) fn oid(&self, row: usize) -> Oid {
@@ -318,15 +464,18 @@ impl Book {
     }
 
     /// Sorted access on list `i` to its end, [`DRAIN_CHUNK`] entries a
-    /// call: the rows, bottoms, charges and exhaustion that pulling it
-    /// dry leaves. Only a strategy that reads every list to its end may
-    /// drain: the others halt between two entries, and a batch would
+    /// call: the fields, bottoms, charges and exhaustion that pulling it
+    /// dry leaves, charged and bottomed once a batch, each entry placed
+    /// by oid ([`Table::place`]). Only a strategy that reads every list
+    /// to its end may drain, and only into a book nothing has pulled
+    /// into: the others halt between two entries, and a batch would
     /// move the source's cursor past what they charge.
     pub(crate) fn drain(
         &mut self,
         i: usize,
         sources: &mut [&mut dyn Subsystem],
     ) -> Result<(), AlgoError> {
+        self.table.lay_out_by_oid();
         let source = &mut *sources[i];
         while !self.frontier.exhausted[i] {
             let batch = source
@@ -334,8 +483,12 @@ impl Book {
                 .map_err(|cause| AlgoError::source(source, cause))?;
             // A short batch is the end of the list.
             let end = batch.len() < DRAIN_CHUNK;
+            self.frontier.stats.sorted += batch.len() as u64;
+            if let Some(last) = batch.last() {
+                self.frontier.bottoms[i] = last.grade;
+            }
             for so in batch {
-                self.record(i, so);
+                self.table.place(so.id, i, so.grade);
             }
             if end {
                 self.exhaust(i);
@@ -408,6 +561,7 @@ mod tests {
     use fmdb_core::scoring::conorms::Max;
     use fmdb_core::scoring::tnorms::Min;
     use fmdb_core::scoring::ConormScoring;
+    use std::collections::BTreeMap;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
@@ -738,11 +892,13 @@ mod tests {
         assert!(SPARE.with(Cell::take).is_some(), "a small one is kept");
     }
 
-    /// What a book has recorded: every row's oid, fields and missing
-    /// count in row order, then the frontier.
+    /// What a book has recorded: every seen object's fields and
+    /// missing count by oid, then the frontier. By oid, not by row: a
+    /// drain lays its table out by oid, a pull numbers rows in
+    /// first-sighting order.
     #[derive(Debug, PartialEq)]
     struct Recorded {
-        rows: Vec<(Oid, Vec<Option<Score>>, usize)>,
+        objects: BTreeMap<Oid, (Vec<Option<Score>>, usize)>,
         bottoms: Vec<Score>,
         exhausted: Vec<bool>,
         stats: AccessStats,
@@ -751,10 +907,30 @@ mod tests {
     fn recorded(book: &Book) -> Recorded {
         let t = &book.table;
         let f = &book.frontier;
+        let object = |row: usize| -> (Oid, Vec<Option<Score>>) {
+            if t.by_oid {
+                (t.oid_laid_out(row), t.cells(row).collect())
+            } else {
+                (t.oid(row), t.fields(row).to_vec())
+            }
+        };
+        let mut objects = BTreeMap::new();
+        for row in 0..t.len() {
+            let (oid, fields) = object(row);
+            let missing = fields.iter().filter(|field| field.is_none()).count();
+            if missing < t.m {
+                assert_eq!(t.row(oid), Some(row), "oid {oid}");
+                if !t.by_oid {
+                    assert_eq!(t.missing(row), missing, "oid {oid}");
+                }
+                assert!(objects.insert(oid, (fields, missing)).is_none());
+            } else {
+                assert!(t.by_oid && row < t.block, "row {row} shows nothing");
+                assert_eq!(t.row(oid), None, "oid {oid}");
+            }
+        }
         Recorded {
-            rows: (0..t.len())
-                .map(|row| (t.oid(row), t.fields(row).to_vec(), t.missing(row)))
-                .collect(),
+            objects,
             bottoms: f.bottoms.clone(),
             exhausted: f.exhausted.clone(),
             stats: f.stats,
@@ -780,8 +956,10 @@ mod tests {
                 "list {i} is drained"
             );
         }
-        assert_eq!(recorded(&drained), recorded(&pulled));
-        drained.table.len()
+        assert!(drained.table.by_oid && !pulled.table.by_oid);
+        let drained = recorded(&drained);
+        assert_eq!(drained, recorded(&pulled));
+        drained.objects.len()
     }
 
     #[test]
@@ -811,6 +989,64 @@ mod tests {
             drain_equals_pull(|| vec![store.source(), store.source()]),
             1_000
         );
+    }
+
+    #[test]
+    fn a_drain_lays_the_dense_universe_out_by_oid() {
+        let make = || {
+            let mut lists = independent_uniform(300, 2, 5);
+            // Oids 0..150 and 500, past the 300-object universe.
+            let pairs = (0..150).chain([500]).map(|oid| (oid, grade(1, 2, oid)));
+            lists.push(VecSource::new("part", pairs.collect()));
+            lists
+        };
+        // The dense lists first: the block covers the universe, and
+        // 500 is numbered after it.
+        let mut lists = make();
+        let mut sources = subsystems(&mut lists);
+        let mut book = Book::open(&mut sources);
+        for i in 0..3 {
+            book.drain(i, &mut sources).unwrap();
+        }
+        let t = &book.table;
+        assert!(t.by_oid);
+        assert!(t.buf.rows.is_empty() && t.buf.slots.is_empty());
+        assert_eq!(
+            (t.block, t.buf.past.as_slice(), t.len()),
+            (300, &[500][..], 301)
+        );
+        assert_eq!((t.row(500), t.oid_laid_out(300)), (Some(300), 500));
+        for oid in 0..300 {
+            let revealed = t.cells(oid as usize).filter(Option::is_some).count();
+            assert_eq!(t.row(oid), Some(oid as usize));
+            assert_eq!(revealed, if oid < 150 { 3 } else { 2 }, "oid {oid}");
+        }
+        let cells = (t.buf.cells.as_ptr(), t.buf.cells.capacity());
+        drop(book);
+
+        // The partial list first: the block stops growing at the first
+        // numbered row, 500, and every oid past it is numbered too.
+        let mut book = Book::open(&mut sources);
+        assert!(!book.table.by_oid && book.table.buf.cells.is_empty());
+        for i in [2, 0, 1] {
+            book.drain(i, &mut sources).unwrap();
+        }
+        let t = &book.table;
+        assert_eq!((t.buf.cells.as_ptr(), t.buf.cells.capacity()), cells);
+        assert!(t.block <= 150, "block {}", t.block);
+        assert_eq!(t.len(), 301);
+        assert_eq!(t.buf.past.len(), 301 - t.block);
+        for oid in (0..300).chain([500]) {
+            let row = t.row(oid).unwrap();
+            assert_eq!(t.oid_laid_out(row), oid);
+            assert_eq!(row < t.block, (oid as usize) < t.block, "oid {oid}");
+        }
+        // The oids past the block were numbered through the array: a
+        // dropped table zeroes those cells too.
+        assert!(t.buf.dense.iter().any(|&cell| cell != 0));
+        drop(book);
+        let book = Book::open(&mut sources);
+        assert!(book.table.buf.dense.iter().all(|&cell| cell == 0));
     }
 
     /// A page that fails under a pull or a drain fails the run with

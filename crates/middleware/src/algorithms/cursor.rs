@@ -203,10 +203,7 @@ impl Cursor {
                 let combined = fresh(max_merge::observed(book, scoring));
                 finalize(combined, k, book.frontier.stats)
             }
-            (Run::Book(book), None) => {
-                let combined = fresh(naive::scan(book, sources, scoring)?);
-                finalize(combined, k, book.frontier.stats)
-            }
+            (Run::Book(book), None) => naive::scan(book, sources, scoring, returned, k)?,
         })
     }
 }

@@ -84,6 +84,7 @@ pub mod ta {
     pub use crate::frozen::ThresholdAlgorithm;
 }
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use fmdb_core::score::ScoredObject;
@@ -247,25 +248,73 @@ pub(crate) fn monotone(scoring: &dyn ScoringFunction) -> Result<(), AlgoError> {
 /// The best `k` of the combined `(oid, grade)` pairs, in output order.
 ///
 /// A selection moves the best `k` to the front and only they are
-/// sorted: a naive scan hands over every object of the universe to
-/// keep ten. Output order — grade descending, then oid ascending — is total
-/// over distinct oids, so the unstable selection and sort return
-/// exactly what a stable sort of everything and a truncation would.
+/// sorted: A₀ hands over every object it has seen to keep ten. Output
+/// order — grade descending, then oid ascending — is total over
+/// distinct oids, so the unstable selection and sort return exactly
+/// what a stable sort of everything and a truncation would.
 pub(crate) fn finalize(
     mut combined: Vec<ScoredObject<Oid>>,
     k: usize,
     stats: AccessStats,
 ) -> TopKResult {
-    let order =
-        |a: &ScoredObject<Oid>, b: &ScoredObject<Oid>| b.grade.cmp(&a.grade).then(a.id.cmp(&b.id));
     if 0 < k && k < combined.len() {
-        combined.select_nth_unstable_by(k - 1, order);
+        combined.select_nth_unstable_by(k - 1, output_order);
     }
     combined.truncate(k);
-    combined.sort_unstable_by(order);
+    combined.sort_unstable_by(output_order);
     TopKResult {
         answers: combined,
         stats,
+    }
+}
+
+/// Output order: grade descending, then oid ascending.
+fn output_order(a: &ScoredObject<Oid>, b: &ScoredObject<Oid>) -> Ordering {
+    b.grade.cmp(&a.grade).then(a.id.cmp(&b.id))
+}
+
+/// The best `k` of the objects offered so far, kept as they come: what
+/// [`finalize`] returns over all of them, without holding them all.
+///
+/// Offers gather until `2k` are held; a selection then keeps the best
+/// `k`, and the `k`-th of them becomes the floor no later offer below
+/// it passes. Output order is total, so an object left out ranks after
+/// `k` others and is in no top `k` of a larger set.
+pub(crate) struct Best {
+    k: usize,
+    kept: Vec<ScoredObject<Oid>>,
+    floor: Option<ScoredObject<Oid>>,
+}
+
+impl Best {
+    pub(crate) fn new(k: usize) -> Best {
+        Best {
+            k,
+            kept: Vec::new(),
+            floor: None,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn offer(&mut self, object: ScoredObject<Oid>) {
+        if self
+            .floor
+            .is_some_and(|floor| output_order(&object, &floor) != Ordering::Less)
+        {
+            return;
+        }
+        self.kept.push(object);
+        if self.kept.len() == self.k.saturating_mul(2) {
+            let k = self.k;
+            self.kept.select_nth_unstable_by(k - 1, output_order);
+            self.kept.truncate(k);
+            self.floor = Some(self.kept[k - 1]);
+        }
+    }
+
+    /// The best `k` in output order, with the run's charges.
+    pub(crate) fn finish(self, stats: AccessStats) -> TopKResult {
+        finalize(self.kept, self.k, stats)
     }
 }
 
@@ -328,6 +377,33 @@ pub(crate) mod tests {
                 sorted,
                 "k = {k}"
             );
+        }
+    }
+
+    #[test]
+    fn the_bounded_selection_keeps_what_finalize_keeps() {
+        use fmdb_core::score::Score;
+
+        let stats = AccessStats::ZERO;
+        // Three visiting orders of 1 000 oids over five grade levels:
+        // ascending, scattered, descending.
+        for stride in [1u64, 337, 999] {
+            let objects: Vec<ScoredObject<Oid>> = (0..1_000u64)
+                .map(|i| i * stride % 1_000)
+                .map(|oid| ScoredObject::new(oid, Score::clamped((oid % 5) as f64 / 4.0)))
+                .collect();
+            for k in [1, 2, 7, 200, 499, 500, 999, 1_000, 1_500] {
+                let mut best = Best::new(k);
+                for &object in &objects {
+                    best.offer(object);
+                }
+                assert!(best.kept.len() < 2 * k, "k = {k}: kept {}", best.kept.len());
+                assert_eq!(
+                    best.finish(stats),
+                    finalize(objects.clone(), k, stats),
+                    "stride {stride}, k = {k}"
+                );
+            }
         }
     }
 }

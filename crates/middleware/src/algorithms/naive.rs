@@ -10,34 +10,41 @@
 //! The scan is the one strategy that reads every list to its end, so
 //! it asks for each list a batch at a time (`Book::drain`) where the
 //! others pull one entry per call: the charge is the same `m·N`, the
-//! calls to a subsystem a 256th of it.
+//! calls to a subsystem a 256th of it. A drain lays the dense universe
+//! out by oid, so the lists meet in the table without a lookup, and
+//! the scan grades the rows in one pass that keeps only the best `k`.
 
-use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
-use crate::algorithms::AlgoError;
-use crate::source::{Oid, Subsystem};
+use crate::algorithms::{AlgoError, Best, TopKResult};
+use crate::source::Subsystem;
 
 #[doc(hidden)]
 pub use crate::frozen::Naive;
 
-/// Drains every list into the book and grades every row, in row order.
-/// On a book that is drained already it reads nothing.
+/// Drains every list into the book, grades every row no earlier batch
+/// `returned` (a flag per row; rows past its end were not returned),
+/// and keeps the best `k`. On a book that is drained already it reads
+/// nothing.
 pub(crate) fn scan(
     book: &mut Book,
     sources: &mut [&mut dyn Subsystem],
     scoring: &dyn ScoringFunction,
-) -> Result<Vec<ScoredObject<Oid>>, AlgoError> {
+    returned: &[bool],
+    k: usize,
+) -> Result<TopKResult, AlgoError> {
     for i in 0..sources.len() {
         book.drain(i, sources)?;
     }
-    let table = &mut book.table;
-    Ok((0..table.len())
-        // Objects a sparse source never streams keep grade 0 in
-        // that slot.
-        .map(|row| ScoredObject::new(table.oid(row), table.bound(row, |_| Score::ZERO, scoring)))
-        .collect())
+    let mut best = Best::new(k);
+    // Objects a sparse source never streams keep grade 0 in that slot.
+    book.table.each_lower(scoring, |row, object| {
+        if !returned.get(row).is_some_and(|&out| out) {
+            best.offer(object);
+        }
+    });
+    Ok(best.finish(book.frontier.stats))
 }
 
 #[cfg(test)]
@@ -47,6 +54,7 @@ mod tests {
     use crate::planner::PhysicalPlan;
     use crate::source::{CountingSource, Oid, SourceError, SourceInfo, VecSource};
     use crate::workload::independent_uniform;
+    use fmdb_core::score::{Score, ScoredObject};
     use fmdb_core::scoring::tnorms::Min;
 
     fn s(v: f64) -> Score {

@@ -1,8 +1,9 @@
 //! Property suite: a [`PagedSource`] served from a store file is
 //! observationally identical to a [`VecSource`] built from the same
 //! pairs — same answers, same grades, same charged access counts —
-//! under every exact algorithm family (FA, TA, NRA, CA). Paging is
-//! physical telemetry, never a semantic change.
+//! under every exact algorithm family (FA, TA, NRA, CA) and under the
+//! naive scan, one-shot and resumed by a cursor. Paging is physical
+//! telemetry, never a semantic change.
 //!
 //! The suite also proves the failure model: a truncated store file
 //! and a store file with any flipped bit must surface a typed
@@ -17,7 +18,7 @@ use proptest::prelude::*;
 
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
-use fmdb_middleware::algorithms::TopKAlgorithm;
+use fmdb_middleware::algorithms::{Cursor, TopKAlgorithm, TopKResult};
 use fmdb_middleware::planner::{choose_plan, PhysicalPlan, PlanQuery};
 use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::source::{self, GradedSource, VecSource};
@@ -133,8 +134,43 @@ fn assert_backings_agree(algorithm: &dyn TopKAlgorithm, s: Scenario) -> Result<(
     Ok(())
 }
 
+/// The naive scan over one backing: a one-shot run at `k`, then a
+/// cursor's batches of `k` to the cumulative `k`, `2k` and `3k`.
+fn scan_runs(sources: &mut [&mut dyn source::Subsystem], k: usize) -> Vec<TopKResult> {
+    let once = Cursor::once(PhysicalPlan::FullScan, 0.0, sources, &Min, k).expect("one-shot scan");
+    let mut cursor = Cursor::new(PhysicalPlan::FullScan, 0.0).expect("the scan has a cursor");
+    let mut runs = vec![once];
+    for _ in 0..3 {
+        runs.push(cursor.next_k(sources, &Min, k).expect("scan batch"));
+    }
+    runs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn paged_matches_vec_under_the_scan(s in scenario()) {
+        let mut mem_sources = independent_uniform(s.n, s.m, s.seed);
+        let mut mem_refs: Vec<&mut dyn source::Subsystem> = mem_sources
+            .iter_mut()
+            .map(|src| src as &mut dyn source::Subsystem)
+            .collect();
+        let mem = scan_runs(&mut mem_refs, s.k);
+
+        let stores = paged_copies(s);
+        let mut cursors: Vec<_> = stores.iter().map(|st| st.source()).collect();
+        let mut paged_refs: Vec<&mut dyn source::Subsystem> = cursors
+            .iter_mut()
+            .map(|src| src as &mut dyn source::Subsystem)
+            .collect();
+        let paged = scan_runs(&mut paged_refs, s.k);
+
+        for (run, (paged, mem)) in paged.iter().zip(&mem).enumerate() {
+            prop_assert_eq!(&paged.answers, &mem.answers, "run {} under {:?}", run, s);
+            prop_assert_eq!(paged.stats, mem.stats, "run {} stats under {:?}", run, s);
+        }
+    }
 
     #[test]
     fn paged_matches_vec_under_fa(s in scenario()) {
