@@ -2,23 +2,26 @@
 //! or only the experiments named (`E18 E20`), timing each and metering
 //! its shared-engine accesses, and gates what it ran: every metric
 //! finite, every gated metric inside the bound stated where it is
-//! computed. A full run with no violation writes the machine-readable
-//! `BENCH_engine.json` perf trajectory (`FMDB_BENCH_JSON` overrides
-//! the output path) and appends one line to `BENCH_history.jsonl` in
-//! the working directory: the commit (`git rev-parse HEAD`, `unknown`
-//! without one), the mode, and each experiment's access columns and
-//! gated metrics. A run of named experiments writes nothing.
+//! computed, and every gate biting (`experiments::audit`: each admits
+//! its edges and rejects NaN and the values just past them, and the
+//! experiments gate what `experiments::GATED` lists). A full run with
+//! no violation writes the machine-readable `BENCH_engine.json` perf
+//! trajectory (`FMDB_BENCH_JSON` overrides the output path) and appends
+//! one line to `BENCH_history.jsonl` in the working directory: the
+//! commit (`git rev-parse HEAD`, `unknown` without one), the mode, and
+//! each experiment's access columns and gated metrics. A run of named
+//! experiments writes nothing.
 //!
-//! Exit status: `0` clean, `1` violations (listed on stderr, artifacts
-//! untouched), `2` unknown experiment id or an artifact could not be
-//! written.
+//! Exit status: `0` clean, `1` violations or a gate that does not bite
+//! (listed on stderr, artifacts untouched), `2` unknown experiment id
+//! or an artifact could not be written.
 
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-use fmdb_bench::experiments::EXPERIMENTS;
+use fmdb_bench::experiments::{audit, EXPERIMENTS};
 use fmdb_bench::report::{bench_engine_json, bench_history_line, BenchEntry};
 use fmdb_bench::runners::{engine, RunCfg};
 
@@ -57,6 +60,7 @@ fn main() -> ExitCode {
     }
 
     let mut entries = Vec::new();
+    let mut ran: Vec<&str> = Vec::new();
     let mut violations = Vec::new();
     let mut before = engine().access_totals();
     for (id, run) in EXPERIMENTS {
@@ -70,6 +74,7 @@ fn main() -> ExitCode {
         println!("{}", report.render());
         println!("{}", "=".repeat(72));
         violations.extend(report.violations());
+        ran.push(id);
         entries.push(BenchEntry {
             report,
             wall_ms,
@@ -81,6 +86,13 @@ fn main() -> ExitCode {
         before = after;
     }
 
+    // The gates themselves: each must bite, and the suite must gate
+    // what `GATED` lists.
+    violations.extend(
+        audit(ran.iter().copied().zip(entries.iter().map(|e| &e.report)))
+            .into_iter()
+            .map(|fault| format!("gate: {fault}")),
+    );
     if !violations.is_empty() {
         for violation in &violations {
             eprintln!("error: {violation}");

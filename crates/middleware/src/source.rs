@@ -23,6 +23,7 @@
 //! The materialized implementation, [`VecSource`], keeps a list as two
 //! arrays, one per access mode; see DESIGN §17.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -286,34 +287,19 @@ impl<S: Subsystem + ?Sized> Subsystem for Box<S> {
 /// The random-access half of a materialized graded list: its
 /// `(oid, grade)` pairs in one array, ascending by oid, every oid once.
 ///
-/// [`OidIndex::new`] is the one normalisation of "pairs a caller
-/// handed us" that [`VecSource::new`] and the store builder share, and
-/// [`OidIndex::scatter`] is the one derivation of the sorted half from
-/// it: [`OidIndex::sorted_stream`] sorts every bucket at once (the
-/// store builder, a complement), a [`VecSource`] a bucket at a time as
-/// sorted access reaches it. Cloning shares the array.
+/// [`by_oid`] is the one normalisation of "pairs a caller handed us"
+/// that [`VecSource::new`] and the store builder share, and [`scatter`]
+/// is the one derivation of the sorted half from it: [`stream_order`]
+/// sorts every bucket at once (the store builder, a complement), a
+/// [`VecSource`] a bucket at a time as sorted access reaches it.
+/// Cloning shares the array.
 #[derive(Debug, Clone)]
 pub(crate) struct OidIndex(Arc<[(Oid, Score)]>);
 
 impl OidIndex {
-    /// Normalises `pairs`: ascending by oid, duplicate oids keeping the
-    /// *last* grade given. Pairs that already arrive strictly
-    /// increasing — every dense list, every repository list — are
-    /// taken as they are.
-    pub(crate) fn new(mut pairs: Vec<(Oid, Score)>) -> OidIndex {
-        if !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
-            // Stable: equal oids stay in input order, so the last one
-            // given ends its run and is the one kept.
-            pairs.sort_by_key(|&(oid, _)| oid);
-            pairs.dedup_by(|later, kept| {
-                let same = later.0 == kept.0;
-                if same {
-                    *kept = *later;
-                }
-                same
-            });
-        }
-        OidIndex(pairs.into())
+    /// The index of `pairs`, normalised by [`by_oid`].
+    pub(crate) fn new(pairs: Vec<(Oid, Score)>) -> OidIndex {
+        OidIndex(by_oid(Cow::Owned(pairs)).into())
     }
 
     /// The dense list over `0..n`, object `i` graded `grade(i)`: the
@@ -349,53 +335,158 @@ impl OidIndex {
         }
     }
 
-    /// The sorted-access half: the same pairs by descending grade,
-    /// ties by ascending oid — [`OidIndex::scatter`] with every bucket
-    /// sorted at once, by the bucket ends the scatter pass counted.
-    /// Grades crowded into a few buckets cost a comparison sort of
-    /// those buckets, never more than one of the whole list; a bucket
-    /// already in order (one grade, its oids ascending as they arrived)
-    /// is read once.
+    /// The sorted-access half: [`stream_order`] of the pairs.
     pub(crate) fn sorted_stream(&self) -> Vec<ScoredObject<Oid>> {
-        let (mut sorted, _, ends) = self.scatter();
-        let mut start = 0;
-        for end in ends {
-            sorted[start..end].sort_unstable_by(by_grade_then_oid);
-            start = end;
-        }
-        sorted
+        stream_order(self.entries())
     }
+}
 
-    /// The distribution pass of a bucket sort, linear: each pair goes
-    /// to one of N buckets by where its grade lies between the largest
-    /// and the smallest ([`Buckets`]), bucket 0 holding the largest,
-    /// each bucket in oid order. Returns the pairs bucket by bucket,
-    /// the bucketing, and where each bucket ends. A grade's bucket
-    /// never rises as the grade falls — the subtraction, the product
-    /// and the truncation each round monotonically — so equal grades
-    /// share a bucket and the buckets, each sorted by (grade desc, oid
-    /// asc), read in exactly that order.
-    fn scatter(&self) -> (Vec<ScoredObject<Oid>>, Buckets, Vec<usize>) {
-        let pairs = self.entries();
-        let buckets = Buckets::of(pairs);
-        let mut scattered = vec![ScoredObject::new(0, Score::ZERO); pairs.len()];
-        let bucket: Vec<u32> = pairs.iter().map(|&(_, g)| buckets.of_grade(g)).collect();
-        let mut next = vec![0_usize; pairs.len().min(u32::MAX as usize)];
-        for &b in &bucket {
-            next[b as usize] += 1;
-        }
-        let mut at = 0;
-        for slot in &mut next {
-            (*slot, at) = (at, at + *slot);
-        }
-        for (&(oid, grade), &b) in pairs.iter().zip(&bucket) {
-            let slot = &mut next[b as usize];
-            scattered[*slot] = ScoredObject::new(oid, grade);
-            *slot += 1;
-        }
-        // Each `next[b]` is now where bucket b ends and b + 1 begins.
-        (scattered, buckets, next)
+/// Normalises `pairs`: ascending by oid, duplicate oids keeping the
+/// *last* grade given. Pairs that already arrive strictly increasing —
+/// every dense list, every repository list — are taken as they are;
+/// any other order costs [`radix_by_oid`], linear in the pairs, and one
+/// pass that keeps the last of each run of equal oids. Borrowed pairs
+/// are left as they are (the store builder keeps its drained stream);
+/// owned ones lend their array to the sort.
+pub(crate) fn by_oid(pairs: Cow<'_, [(Oid, Score)]>) -> Vec<(Oid, Score)> {
+    if pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+        return pairs.into_owned();
     }
+    let mut sorted = radix_by_oid(pairs);
+    // Stable: equal oids stay in input order, so the last one given
+    // ends its run and is the one kept.
+    sorted.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            *kept = *later;
+        }
+        same
+    });
+    sorted
+}
+
+/// The widest digit [`radix_by_oid`] places by: 2^16 counters, half a
+/// MiB, stay in a core's cache.
+const MAX_DIGIT_BITS: u32 = 16;
+
+/// `pairs` in ascending oid order, equal oids in input order: a stable
+/// least-significant-digit radix sort over the bits where the oids
+/// differ — bits every oid shares cannot order them, so a dense list
+/// of 32 768 oids spans 15 bits and a sparse one up to `u64::MAX` all
+/// 64. A digit is at most as wide as the list is long (and
+/// [`MAX_DIGIT_BITS`]), so the counters never outnumber the pairs
+/// twice over, and the span is cut into equal digits: one pass, a
+/// placement by oid, for a dense list of up to 2^16; four for 64 bits
+/// over 65 536 pairs. Each pass counts its digit, takes the prefix sums
+/// and places every pair, so the work is linear in the pairs for any
+/// oids. The first pass reads `pairs` in place; an owned array is the
+/// second buffer of the passes after it.
+fn radix_by_oid(pairs: Cow<'_, [(Oid, Score)]>) -> Vec<(Oid, Score)> {
+    let first = pairs.first().map_or(0, |&(oid, _)| oid);
+    let differ = pairs.iter().fold(0, |bits, &(oid, _)| bits | (oid ^ first));
+    if differ == 0 {
+        // One oid throughout (or no pairs): already in order.
+        return pairs.into_owned();
+    }
+    let low = differ.trailing_zeros();
+    let span = Oid::BITS - differ.leading_zeros() - low;
+    let widest = (usize::BITS - pairs.len().leading_zeros()).min(MAX_DIGIT_BITS);
+    let passes = span.div_ceil(widest);
+    let width = span.div_ceil(passes);
+    let mut counts = vec![0_usize; 1 << width];
+    let mut out = vec![(0, Score::ZERO); pairs.len()];
+    place_by_digit(&pairs, low, width, &mut counts, &mut out);
+    let mut spare = match pairs {
+        Cow::Owned(pairs) => pairs,
+        Cow::Borrowed(_) => Vec::new(),
+    };
+    for pass in 1..passes {
+        spare.resize(out.len(), (0, Score::ZERO));
+        place_by_digit(&out, low + pass * width, width, &mut counts, &mut spare);
+        std::mem::swap(&mut out, &mut spare);
+    }
+    out
+}
+
+/// One pass of [`radix_by_oid`]: `from` into `to` by the `width` bits
+/// of each oid from bit `shift` up, stably.
+fn place_by_digit(
+    from: &[(Oid, Score)],
+    shift: u32,
+    width: u32,
+    counts: &mut [usize],
+    to: &mut [(Oid, Score)],
+) {
+    let mask = (1 << width) - 1;
+    let digit = |oid: Oid| ((oid >> shift) & mask) as usize;
+    counts.fill(0);
+    for &(oid, _) in from {
+        counts[digit(oid)] += 1;
+    }
+    let mut at = 0;
+    for slot in counts.iter_mut() {
+        (*slot, at) = (at, at + *slot);
+    }
+    for &pair in from {
+        let slot = &mut counts[digit(pair.0)];
+        to[*slot] = pair;
+        *slot += 1;
+    }
+}
+
+/// Whether `stream` is in the order of sorted access, each entry
+/// strictly before the next: descending grade, ties by ascending oid,
+/// no entry twice in a row.
+pub(crate) fn in_stream_order(stream: &[(Oid, Score)]) -> bool {
+    stream
+        .windows(2)
+        .all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0))
+}
+
+/// The sorted-access half of pairs ascending by oid, each oid once: the
+/// same pairs by descending grade, ties by ascending oid — [`scatter`]
+/// with every bucket sorted at once, by the bucket ends the scatter
+/// pass counted. Grades crowded into a few buckets cost a comparison
+/// sort of those buckets, never more than one of the whole list; a
+/// bucket already in order (one grade, its oids ascending as they
+/// arrived) is read once.
+pub(crate) fn stream_order(by_oid: &[(Oid, Score)]) -> Vec<ScoredObject<Oid>> {
+    let (mut sorted, _, ends) = scatter(by_oid);
+    let mut start = 0;
+    for end in ends {
+        sorted[start..end].sort_unstable_by(by_grade_then_oid);
+        start = end;
+    }
+    sorted
+}
+
+/// The distribution pass of a bucket sort, linear: each pair goes to
+/// one of N buckets by where its grade lies between the largest and the
+/// smallest ([`Buckets`]), bucket 0 holding the largest, each bucket in
+/// oid order. Returns the pairs bucket by bucket, the bucketing, and
+/// where each bucket ends. A grade's bucket never rises as the grade
+/// falls — the subtraction, the product and the truncation each round
+/// monotonically — so equal grades share a bucket and the buckets, each
+/// sorted by (grade desc, oid asc), read in exactly that order.
+fn scatter(pairs: &[(Oid, Score)]) -> (Vec<ScoredObject<Oid>>, Buckets, Vec<usize>) {
+    let buckets = Buckets::of(pairs);
+    let mut scattered = vec![ScoredObject::new(0, Score::ZERO); pairs.len()];
+    let bucket: Vec<u32> = pairs.iter().map(|&(_, g)| buckets.of_grade(g)).collect();
+    let mut next = vec![0_usize; pairs.len().min(u32::MAX as usize)];
+    for &b in &bucket {
+        next[b as usize] += 1;
+    }
+    let mut at = 0;
+    for slot in &mut next {
+        (*slot, at) = (at, at + *slot);
+    }
+    for (&(oid, grade), &b) in pairs.iter().zip(&bucket) {
+        let slot = &mut next[b as usize];
+        scattered[*slot] = ScoredObject::new(oid, grade);
+        *slot += 1;
+    }
+    // Each `next[b]` is now where bucket b ends and b + 1 begins.
+    (scattered, buckets, next)
 }
 
 /// Where a list's grades fall among its N buckets: the distribution
@@ -476,7 +567,7 @@ fn by_grade_then_oid(a: &ScoredObject<Oid>, b: &ScoredObject<Oid>) -> std::cmp::
 #[derive(Debug, Clone)]
 pub struct VecSource {
     label: String,
-    /// The pairs bucket by bucket ([`OidIndex::scatter`]): the first
+    /// The pairs bucket by bucket ([`scatter`]): the first
     /// `ordered` sorted by descending grade, then ascending oid; the
     /// rest each bucket in oid order, the buckets in stream order.
     sorted: Vec<ScoredObject<Oid>>,
@@ -504,7 +595,7 @@ impl VecSource {
     /// The source over `by_oid`, its sorted half scattered into buckets
     /// and left for sorted access to order.
     fn indexed(label: impl Into<String>, by_oid: OidIndex) -> VecSource {
-        let (sorted, buckets, _) = by_oid.scatter();
+        let (sorted, buckets, _) = scatter(by_oid.entries());
         VecSource {
             label: label.into(),
             sorted,
@@ -1015,10 +1106,11 @@ impl<S: Subsystem> Subsystem for ValidatingSource<S> {
 #[cfg(test)]
 mod tests {
     use super::{
-        CountingSource, Oid, OidIndex, Score, ScoredObject, SourceError, SourceInfo,
+        by_oid, CountingSource, Oid, OidIndex, Score, ScoredObject, SourceError, SourceInfo,
         SourceViolation, Subsystem, ValidatingSource, VecSource,
     };
     use fmdb_core::stats::GradeHistogram;
+    use std::borrow::Cow;
 
     fn s(v: f64) -> Score {
         Score::clamped(v)
@@ -1724,6 +1816,104 @@ mod tests {
         #[test]
         fn sorted_stream_matches_the_comparison_sort(pairs in sortable_pairs()) {
             sorts_like_the_oracle(pairs)?;
+        }
+    }
+
+    /// The normalisation [`by_oid`] replaced, kept as its oracle: a
+    /// stable comparison sort by oid, then keep the last of each run of
+    /// equal oids.
+    fn stable_sort_keep_last(mut pairs: Vec<(Oid, Score)>) -> Vec<(Oid, Score)> {
+        pairs.sort_by_key(|&(oid, _)| oid);
+        pairs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        pairs
+    }
+
+    /// Each pair's oid and grade bits, so orders compare bit for bit.
+    fn pair_bits(pairs: &[(Oid, Score)]) -> Vec<(Oid, u64)> {
+        pairs
+            .iter()
+            .map(|&(oid, grade)| (oid, grade.value().to_bits()))
+            .collect()
+    }
+
+    /// `pairs` normalised both ways, owned and borrowed.
+    fn orders_like_the_oracle(pairs: Vec<(Oid, Score)>) -> Result<(), TestCaseError> {
+        let want = pair_bits(&stable_sort_keep_last(pairs.clone()));
+        prop_assert_eq!(pair_bits(&by_oid(Cow::Borrowed(&pairs))), want.clone());
+        prop_assert_eq!(pair_bits(&by_oid(Cow::Owned(pairs))), want);
+        Ok(())
+    }
+
+    /// `pairs` permuted by `seed` (Fisher–Yates over a xorshift).
+    fn shuffle(mut pairs: Vec<(Oid, Score)>, seed: u64) -> Vec<(Oid, Score)> {
+        let mut state = seed | 1;
+        for i in (1..pairs.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            pairs.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        pairs
+    }
+
+    proptest! {
+        /// The linear normalisation against the stable sort it
+        /// replaced: lists of every grade kind over dense or sparse
+        /// oids, shuffled, with stale grades for some oids given before
+        /// or after the real ones.
+        #[test]
+        fn by_oid_matches_the_stable_sort_keeping_the_last(
+            pairs in sortable_pairs(),
+            stale in proptest::collection::vec((0usize..300, 0.0..=1.0_f64), 0..20),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut messy = pairs.clone();
+            for &(at, grade) in &stale {
+                if let Some(&(oid, _)) = pairs.get(at % pairs.len().max(1)) {
+                    messy.push((oid, Score::clamped(grade)));
+                }
+            }
+            orders_like_the_oracle(pairs)?;
+            orders_like_the_oracle(shuffle(messy, seed))?;
+        }
+    }
+
+    /// The orders the property draws only by chance: one oid
+    /// throughout; shuffled dense lists, among them 2^16 pairs (one
+    /// pass) and 2^16 + 1 (the first that takes two); oids that differ
+    /// only in their top or their lowest bits; and keep-last across
+    /// every pass.
+    #[test]
+    fn by_oid_orders_every_digit_like_the_stable_sort() {
+        let grade = |i: u64| Score::clamped((i * 7919 % 1000) as f64 / 999.0);
+        let dense = |n: u64| (0..n).map(|i| (i, grade(i))).collect::<Vec<_>>();
+        let mut lists = vec![
+            vec![(5, Score::ONE), (5, Score::ZERO), (5, Score::HALF)],
+            shuffle(dense(1 << 16), 3),
+            shuffle(dense((1 << 16) + 1), 4),
+            shuffle(dense(300), 5),
+            shuffle(dense(257), 6),
+            (0..64).map(|i| (u64::MAX - (i << 58), grade(i))).collect(),
+            (0..64).map(|i| ((1 << 63) | (i % 2), grade(i))).collect(),
+            (0..64).map(|i| (i << 40 | 7, grade(i))).collect(),
+        ];
+        // Every oid three times, each pass's digits mixed: keep-last
+        // must survive every pass's stability.
+        let thrice: Vec<(Oid, Score)> = [1_u64, 2, 3]
+            .iter()
+            .flat_map(|&round| (0..500).map(move |i| (i * 0x1_0001_0001, grade(i * round))))
+            .collect();
+        lists.push(shuffle(thrice.clone(), 7));
+        lists.push(thrice);
+        for pairs in lists {
+            let len = pairs.len();
+            orders_like_the_oracle(pairs).unwrap_or_else(|e| panic!("{len} pairs: {e}"));
         }
     }
 

@@ -33,6 +33,7 @@
 //! directory fsynced — a crash at any point leaves either the old
 //! file or the new one, never a half-written store.
 
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -40,7 +41,7 @@ use std::path::{Path, PathBuf};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::stats::{GradeHistogram, DEFAULT_HISTOGRAM_BINS};
 
-use crate::source::{Oid, OidIndex};
+use crate::source::{by_oid, stream_order, Oid};
 
 /// Magic bytes opening every store file (version baked into the name).
 pub const MAGIC: [u8; 8] = *b"FMDBPGS1";
@@ -473,6 +474,27 @@ pub fn build_store(
     pairs: Vec<(Oid, Score)>,
     cfg: &BuildConfig,
 ) -> Result<(), StoreError> {
+    let by_id = by_oid(Cow::Owned(pairs));
+    let sorted = run_of(stream_order(&by_id));
+    write_store(path, label, &sorted, &by_id, cfg)
+}
+
+/// A stream's entries as the pairs the writer lays out.
+pub(crate) fn run_of(stream: Vec<ScoredObject<Oid>>) -> Vec<(Oid, Score)> {
+    // Same size and alignment: collected in place.
+    stream.into_iter().map(|so| (so.id, so.grade)).collect()
+}
+
+/// Writes the store of one normalised list crash-safely: `sorted`, its
+/// pairs in the order of sorted access, and `by_id`, the same pairs
+/// ascending by oid, each oid once.
+pub(crate) fn write_store(
+    path: &Path,
+    label: &str,
+    sorted: &[(Oid, Score)],
+    by_id: &[(Oid, Score)],
+    cfg: &BuildConfig,
+) -> Result<(), StoreError> {
     if cfg.page_size < MIN_PAGE_SIZE {
         return Err(StoreError::PageSizeTooSmall(cfg.page_size));
     }
@@ -482,16 +504,6 @@ pub fn build_store(
     let page_size = cfg.page_size;
     let entries_per_page = (page_size - PAGE_HEADER_BYTES) / ENTRY_BYTES;
     let dir_entries_per_page = (page_size - PAGE_HEADER_BYTES) / 8;
-
-    // Normalize exactly like VecSource::new: dedupe keep-last, then
-    // sort by (grade desc, oid asc).
-    let index = OidIndex::new(pairs);
-    let sorted = index.sorted_stream();
-    let by_id: Vec<ScoredObject<Oid>> = index
-        .entries()
-        .iter()
-        .map(|&(oid, grade)| ScoredObject::new(oid, grade))
-        .collect();
 
     let n = sorted.len() as u64;
     let pages_for = |count: u64| count.div_ceil(entries_per_page as u64);
@@ -509,7 +521,7 @@ pub fn build_store(
         .max(1)
         .min(max_bounds.saturating_sub(1).max(1));
     let histogram = GradeHistogram::from_sorted_by(sorted.len(), bins, |i| {
-        sorted.get(i).map(|s| s.grade).unwrap_or(Score::ZERO)
+        sorted.get(i).map_or(Score::ZERO, |&(_, grade)| grade)
     });
 
     let header = Header {
@@ -527,7 +539,7 @@ pub fn build_store(
     };
 
     let staging = staging_path(path);
-    let result = write_all_pages(&staging, &header, &sorted, &by_id, &histogram);
+    let result = write_all_pages(&staging, &header, sorted, by_id, &histogram);
     if result.is_err() {
         #[expect(
             clippy::let_underscore_must_use,
@@ -551,8 +563,8 @@ pub fn build_store(
 fn write_all_pages(
     staging: &Path,
     header: &Header,
-    sorted: &[ScoredObject<Oid>],
-    by_id: &[ScoredObject<Oid>],
+    sorted: &[(Oid, Score)],
+    by_id: &[(Oid, Score)],
     histogram: &GradeHistogram,
 ) -> Result<(), StoreError> {
     let page_size = header.page_size;
@@ -584,7 +596,7 @@ fn write_all_pages(
     // Directory pages: first oid of each random page.
     let epp = header.entries_per_page;
     let dir_entries_per_page = (page_size - PAGE_HEADER_BYTES) / 8;
-    let first_oids: Vec<Oid> = by_id.chunks(epp).map(|c| c[0].id).collect();
+    let first_oids: Vec<Oid> = by_id.chunks(epp).map(|c| c[0].0).collect();
     for chunk in first_oids.chunks(dir_entries_per_page.max(1)) {
         page.iter_mut().for_each(|b| *b = 0);
         write_u32(&mut page, 4, chunk.len() as u32);
@@ -604,9 +616,9 @@ fn write_all_pages(
         for chunk in section.chunks(epp.max(1)) {
             let mut lo = Score::ONE;
             let mut hi = Score::ZERO;
-            for so in chunk {
-                lo = lo.min(so.grade);
-                hi = hi.max(so.grade);
+            for &(_, grade) in chunk {
+                lo = lo.min(grade);
+                hi = hi.max(grade);
             }
             page_bounds.push((lo, hi));
         }
@@ -628,10 +640,10 @@ fn write_all_pages(
         for chunk in section.chunks(epp.max(1)) {
             page.iter_mut().for_each(|b| *b = 0);
             write_u32(&mut page, 4, chunk.len() as u32);
-            for (i, so) in chunk.iter().enumerate() {
+            for (i, &(oid, grade)) in chunk.iter().enumerate() {
                 let off = PAGE_HEADER_BYTES + i * ENTRY_BYTES;
-                write_u64(&mut page, off, so.id);
-                write_u64(&mut page, off + 8, so.grade.value().to_bits());
+                write_u64(&mut page, off, oid);
+                write_u64(&mut page, off + 8, grade.value().to_bits());
             }
             seal_page(&mut page);
             file.write_all(&page)?;

@@ -50,6 +50,7 @@
 pub mod format;
 mod pool;
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
@@ -59,7 +60,9 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::stats::GradeHistogram;
 
 use crate::frozen::Narrowed;
-use crate::source::{Caps, Grades, Oid, SourceError, SourceInfo, Subsystem};
+use crate::source::{
+    by_oid, in_stream_order, stream_order, Caps, Grades, Oid, SourceError, SourceInfo, Subsystem,
+};
 use crate::stats::PageIoStats;
 
 pub use format::{build_store, BuildConfig, Header, StoreError};
@@ -126,6 +129,13 @@ impl Default for StoreOptions {
 /// source's `info().universe_size` streams (the trait's contract), so a
 /// drain of any other length is [`StoreError::ShortSource`]. Either
 /// way no file is written.
+///
+/// Linear in the entries: the drain is the sorted run whenever it
+/// arrives in stream order, each oid once — what every honest source
+/// streams — and the random table is placed from it by oid
+/// (`source::by_oid`). A source that streams out of order or
+/// repeats an oid gets the bytes [`build_store`] writes for the pairs
+/// it streamed.
 pub fn build_store_from_source(
     path: &Path,
     source: &mut dyn crate::source::GradedSource,
@@ -135,23 +145,30 @@ pub fn build_store_from_source(
     let source = narrowed.get();
     source.rewind();
     let info = source.info();
-    let mut pairs = Vec::new();
+    let mut run = Vec::new();
     loop {
         let batch = source.sorted_batch(1024).map_err(StoreError::Source)?;
         let done = batch.len() < 1024;
-        pairs.extend(batch.into_iter().map(|so| (so.id, so.grade)));
+        run.extend(batch.into_iter().map(|so| (so.id, so.grade)));
         if done {
             break;
         }
     }
     source.rewind();
-    if pairs.len() != info.universe_size {
+    if run.len() != info.universe_size {
         return Err(StoreError::ShortSource {
             expected: info.universe_size as u64,
-            drained: pairs.len() as u64,
+            drained: run.len() as u64,
         });
     }
-    build_store(path, &info.label, pairs, cfg)
+    let by_id = by_oid(Cow::Borrowed(&run));
+    if by_id.len() != run.len() || !in_stream_order(&run) {
+        // Freed before the run is derived again, so the build never
+        // holds three copies of the entries.
+        drop(run);
+        run = format::run_of(stream_order(&by_id));
+    }
+    format::write_store(path, &info.label, &run, &by_id, cfg)
 }
 
 /// Shared innards of a store: the file, its decoded geometry, the
