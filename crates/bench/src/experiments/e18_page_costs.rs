@@ -13,15 +13,20 @@
 //! store's claim is that a warm pool keeps out-of-core sources within
 //! a small constant factor of in-memory speed.
 
+use std::collections::BTreeSet;
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
+use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_middleware::algorithms::Cursor;
 use fmdb_middleware::planner::PhysicalPlan;
-use fmdb_middleware::source::{Subsystem, VecSource};
+use fmdb_middleware::source::{Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use fmdb_middleware::stats::PageIoStats;
+use fmdb_middleware::store::format::crc32;
 use fmdb_middleware::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
 use fmdb_middleware::workload::independent_uniform;
 
@@ -173,20 +178,34 @@ const MAX_WARM_PROBE_VS_MEM: f64 = 2.31;
 /// with its counting pass, each page answered under one slot lock.
 const MAX_WARM_BATCH_VS_MEM: f64 = 14.8;
 
-/// Ceiling on `cold_probe_vs_mem` (release builds), midway between
-/// twenty whole quick suites on a 2-core x86-64 VM with the checksum in
-/// four braids (4.34–5.89) and twenty alternated with them with
-/// slice-by-16 put back (6.23–9.10), which the µs ceiling this replaced
-/// (5.04 µs a 4 KiB page read, the best of three drains) let through:
-/// there slice-by-16 read 3.9–4.2 µs and the braids 2.3–4.2.
-const MAX_COLD_PROBE_VS_MEM: f64 = 6.05;
+/// Ceiling on `cold_probe_vs_read` (release builds): a cold probe pass
+/// ÷ the bench reading and checking the same pages itself. Twenty whole
+/// quick suites on a 2-core x86-64 VM read 1.09–1.21. The ratio it
+/// replaced, a cold probe pass ÷ a drain of an in-memory list (ceiling
+/// 6.05), read 4.15–5.55 in the same suites and failed 2 of 20 at its
+/// parent: the drain does not slow with the host as a page read does,
+/// while the bench's own read of the same pages does.
+const MAX_COLD_PROBE_VS_READ: f64 = 1.30;
+
+/// Ceiling on `cold_checksum_vs_bench` (release builds): the store's
+/// CRC32 of the cold pages, in memory, ÷ the bench's own braided CRC32
+/// of them. The twenty clean suites read 0.991–1.004; twenty alternated
+/// with them with slice-by-16 put back into `store::format::crc32`
+/// read 1.17–2.26 and failed every one. Slice-by-16 is bimodal here, so
+/// `cold_probe_vs_read` alone let one of them through (1.262).
+const MAX_COLD_CHECKSUM_VS_BENCH: f64 = 1.12;
 
 /// The page size of the cold probes: the largest of the sweep, where
-/// the checksum is the largest share of a miss (≈ 4.6 µs of ≈ 10).
+/// the checksum is the largest share of a miss.
 const COLD_PAGE_SIZE: usize = 16 << 10;
 
-/// Cold probe passes and in-memory drains alternated in one round of
-/// `cold_probe_vs_mem`, the fastest of each kept.
+/// Cold probes a pass makes, one on each of the first random-table
+/// pages, and the list they probe: 2¹⁷ grades fill 65 pages of 2 047.
+const COLD_PROBES: u64 = 64;
+const COLD_LIST: usize = 1 << 17;
+
+/// Cold probe passes, reference reads and in-memory drains alternated
+/// in one round of `cold_probe_vs_read`, the fastest of each kept.
 const COLD_REPS: usize = 5;
 
 /// One warm-vs-memory comparison over its rounds.
@@ -232,50 +251,332 @@ fn warm_vs_mem(
     }
 }
 
-/// Cold page reads against a drain of the same list from memory:
-/// 65 536 entries in 16 KiB pages, over `rounds` rounds. A round
-/// alternates `COLD_REPS` times a pass of 64 probes, one on each of the
-/// first 64 random-table pages with the pool cleared, with a
-/// `sorted_next` drain of the in-memory list the store was built from,
-/// and keeps the fastest of each. Every probe is a demand read on the
-/// measuring thread, so the paged side is the whole price of a miss —
-/// `pread` from the OS cache, checksum, frame install, slot lookup —
-/// and the memory side moves with the host as the paged side does. The
-/// list is drained once before the rounds, so the memory side never
-/// times the list putting itself in order. Returns the ratio over the
-/// rounds and the median µs per page read.
-fn cold_probe_vs_mem(rounds: usize) -> (RoundRatio, f64) {
+/// The CRC32 tables of the reference read, built by the bench itself:
+/// `word[k][b]` is the register after byte `b` at position `k` of an
+/// 8-byte word, carried across the rest of the word; `braid[k][b]` is
+/// carried 24 bytes further, across the other three braids' words.
+struct CrcTables {
+    word: [[u32; 256]; 8],
+    braid: [[u32; 256]; 8],
+}
+
+impl CrcTables {
+    fn new() -> CrcTables {
+        // One zero byte moves a register `r` to `(r >> 8) ^ byte[r & 0xFF]`.
+        let mut byte = [0u32; 256];
+        for (b, entry) in (0u32..).zip(&mut byte) {
+            *entry = (0..8).fold(b, |crc, _| {
+                (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg())
+            });
+        }
+        let zero = |crc: u32| (crc >> 8) ^ byte[(crc & 0xFF) as usize];
+        let carried = |skip: usize| {
+            let mut rows = [[0u32; 256]; 8];
+            for (b, &first) in byte.iter().enumerate() {
+                let mut crc = (0..skip).fold(first, |crc, _| zero(crc));
+                for row in rows.iter_mut().rev() {
+                    row[b] = crc;
+                    crc = zero(crc);
+                }
+            }
+            rows
+        };
+        CrcTables {
+            word: carried(0),
+            braid: carried(24),
+        }
+    }
+
+    /// The register `x` (a word already folded into it) carried across.
+    fn step(rows: &[[u32; 256]; 8], x: u64) -> u32 {
+        rows.iter()
+            .zip(x.to_le_bytes())
+            .fold(0, |crc, (row, b)| crc ^ row[usize::from(b)])
+    }
+
+    /// CRC32 of `bytes`, in four braids of words as zlib computes it —
+    /// the work `store::format::crc32` does, in code of the bench's own.
+    fn crc32(&self, bytes: &[u8]) -> u32 {
+        let (words, tail) = bytes.as_chunks::<8>();
+        let (blocks, rest) = words.as_chunks::<4>();
+        let mut crc = !0u32;
+        if let Some((last, braided)) = blocks.split_last() {
+            let mut braids = [crc, 0, 0, 0];
+            for block in braided {
+                for (reg, word) in braids.iter_mut().zip(block) {
+                    *reg = Self::step(&self.braid, u64::from_le_bytes(*word) ^ u64::from(*reg));
+                }
+            }
+            crc = braids.iter().zip(last).fold(0, |crc, (reg, word)| {
+                Self::step(&self.word, u64::from_le_bytes(*word) ^ u64::from(reg ^ crc))
+            });
+        }
+        for word in rest {
+            crc = Self::step(&self.word, u64::from_le_bytes(*word) ^ u64::from(crc));
+        }
+        for &b in tail {
+            crc = (crc >> 8) ^ self.word[7][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+}
+
+/// The reference of a cold probe pass, by the bench's own code: each of
+/// `pages` read whole from `file` into a fresh buffer and its stored
+/// checksum checked. Returns wall-clock ms.
+fn read_and_check(file: &File, pages: &[u64], crc: &CrcTables) -> f64 {
+    let start = Instant::now();
+    for &page in pages {
+        // A fresh frame made as the pool makes one.
+        let mut frame: std::sync::Arc<[u8]> = std::iter::repeat_n(0u8, COLD_PAGE_SIZE).collect();
+        let buf = std::sync::Arc::get_mut(&mut frame).expect("a fresh frame is unshared");
+        file.read_exact_at(buf, page * COLD_PAGE_SIZE as u64)
+            .expect("read a page");
+        check(&frame, |bytes| crc.crc32(bytes));
+        std::hint::black_box(frame);
+    }
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Checks a page's stored checksum by `crc32`.
+fn check(frame: &[u8], crc32: impl Fn(&[u8]) -> u32) {
+    let stored = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
+    assert_eq!(crc32(&frame[4..]), stored, "a page of the cold store");
+}
+
+/// Checks every page of `frames`, already in memory, by `crc32`.
+/// Returns wall-clock ms.
+fn check_all(frames: &[Vec<u8>], crc32: impl Fn(&[u8]) -> u32) -> f64 {
+    let start = Instant::now();
+    for frame in frames {
+        check(frame, &crc32);
+    }
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// What the cold probes measure: the in-round ratios the gates read,
+/// the ratio against an in-memory drain they replaced, and µs a page
+/// read.
+struct ColdProbes {
+    /// Cold probe pass ÷ [`read_and_check`] of the same pages.
+    vs_read: RoundRatio,
+    /// The store's checksum of those pages, in memory, ÷ the bench's.
+    checksum: WarmVsMem,
+    /// Cold probe pass ÷ a `sorted_next` drain of 65 536 grades.
+    vs_mem: RoundRatio,
+    /// Median µs per cold page read.
+    us_per_read: f64,
+}
+
+/// Cold page reads, over `rounds` rounds, against two references: the
+/// bench reading and checking the same pages itself, and a drain of an
+/// in-memory list of 65 536. A round alternates `COLD_REPS` times a
+/// pass of `COLD_PROBES` probes, one on each of the first random-table
+/// pages of a 16 KiB-page store with the pool cleared, a
+/// [`read_and_check`] of those pages and the drain, and keeps the
+/// fastest of each. Every probe is a demand read on the measuring
+/// thread, so the paged side is the whole price of a miss — `pread`
+/// from the OS cache, checksum, frame install, slot lookup — and the
+/// first reference pays the same `pread`, allocation and pass over
+/// every byte through a table, so it moves with the host as the probes
+/// do. The list is drained once before the rounds, so the memory side
+/// never times the list putting itself in order. After the rounds, the
+/// same pages in memory time the store's checksum against the bench's,
+/// in rounds of their own: interleaved with the probes, they moved
+/// `cold_probe_vs_read` by ≈ 4 %.
+fn cold_probes(rounds: usize) -> ColdProbes {
     let path = store_dir().join("e18-cold-probe.fmdb");
-    let mut list = independent_uniform(1 << 16, 1, 18);
+    let mut list = independent_uniform(COLD_LIST, 1, 18);
     let config = BuildConfig::with_page_size(COLD_PAGE_SIZE);
     build_store_from_source(&path, &mut list[0], &config).expect("build store");
     let store = PagedStore::open(&path, StoreOptions::with_pool_pages(1024)).expect("open store");
-    drain(&mut list);
-    // A 16 KiB page holds 1 023 entries, so oid 1 024·i is on page i.
-    let oids: Vec<u64> = (0..64).map(|i| i << 10).collect();
-    let rounds: Vec<(f64, f64, u64)> = (0..rounds)
+    let header = store.header();
+    assert!(header.random_pages >= COLD_PROBES, "{header:?}");
+    let slots = header.random_slots_per_page() as u64;
+    let oids: Vec<u64> = (0..COLD_PROBES).map(|i| i * slots).collect();
+    let pages: Vec<u64> = (0..COLD_PROBES)
+        .map(|i| header.random_start() + i)
+        .collect();
+    let file = File::open(&path).expect("open the store file");
+    let crc = CrcTables::new();
+    let mut mem_list = independent_uniform(1 << 16, 1, 18);
+    drain(&mut mem_list);
+    let ratios: Vec<[f64; 3]> = (0..rounds)
         .map(|_| {
-            let (mut cold, mut mem) = (f64::INFINITY, f64::INFINITY);
+            let mut fastest = [f64::INFINITY; 3];
             for _ in 0..COLD_REPS {
                 store.clear_pool();
-                cold = cold.min(probe(&mut [store.source()], &oids) * 1e3);
-                mem = mem.min(drain(&mut list) * 1e3);
+                let pass = [
+                    probe(&mut [store.source()], &oids),
+                    read_and_check(&file, &pages, &crc),
+                    drain(&mut mem_list),
+                ];
+                for (best, ms) in fastest.iter_mut().zip(pass) {
+                    *best = best.min(ms * 1e3);
+                }
             }
             let reads = store.page_io().reads;
-            assert_eq!(reads, 64, "every cold probe reads its own page");
-            (cold, mem, reads)
+            assert_eq!(reads, COLD_PROBES, "every cold probe reads its own page");
+            fastest
         })
         .collect();
-    let us_per_read = median(
-        rounds
-            .iter()
-            .map(|&(cold, _, reads)| cold / reads as f64)
-            .collect(),
+    // The same pages once more, in memory, for the checksums alone.
+    let frames: Vec<Vec<u8>> = pages
+        .iter()
+        .map(|&page| {
+            let mut frame = vec![0u8; COLD_PAGE_SIZE];
+            file.read_exact_at(&mut frame, page * COLD_PAGE_SIZE as u64)
+                .expect("read a page");
+            frame
+        })
+        .collect();
+    let checksum = warm_vs_mem(
+        rounds,
+        || check_all(&frames, crc32),
+        || check_all(&frames, |bytes| crc.crc32(bytes)),
     );
-    (
-        RoundRatio::of(rounds.iter().map(|&(cold, mem, _)| (cold, mem))),
-        us_per_read,
-    )
+    ColdProbes {
+        vs_read: RoundRatio::of(ratios.iter().map(|r| (r[0], r[1]))),
+        checksum,
+        vs_mem: RoundRatio::of(ratios.iter().map(|r| (r[0], r[2]))),
+        us_per_read: median(ratios.iter().map(|r| r[0] / COLD_PROBES as f64).collect()),
+    }
+}
+
+/// Objects, lists and k of the cold A₀ count: `paged_cold`'s `fa_min`.
+const A0_N: usize = 1 << 16;
+const A0_M: usize = 2;
+const A0_K: usize = 10;
+
+/// The page size of the cold A₀ count, and the oids a page of it holds:
+/// `(oid, grade)` entries of 16 bytes, or grades alone of 8, after the
+/// page's 8-byte header.
+const A0_PAGE_SIZE: usize = 4096;
+const ENTRIES_PER_PAGE: u64 = (A0_PAGE_SIZE as u64 - 8) / 16;
+const GRADES_PER_PAGE: u64 = (A0_PAGE_SIZE as u64 - 8) / 8;
+
+/// A list that records what is asked of it: entries under sorted
+/// access, and the oids of each random batch.
+struct Recorded {
+    list: VecSource,
+    sorted: u64,
+    batches: Vec<Vec<Oid>>,
+}
+
+impl Subsystem for Recorded {
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        let batch = self.list.sorted_batch(n)?;
+        self.sorted += batch.len() as u64;
+        Ok(batch)
+    }
+
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+        self.batches.push(oids.to_vec());
+        self.list.random_batch(oids)
+    }
+
+    fn rewind(&mut self) {
+        self.list.rewind();
+    }
+
+    fn info(&self) -> SourceInfo {
+        self.list.info()
+    }
+}
+
+/// Pages a cold A₀ run reads from stores of the recorded lists (oids
+/// `0..n`) whose random table holds `slots` oids a page: a list's `s`
+/// sorted entries fill ⌈s / 255⌉ sorted pages, its cursor pinning the
+/// one it stands on, and its one random batch (phase 2 of A₀) reads
+/// each page it names once.
+fn predicted_reads(recorded: &[Recorded], slots: u64) -> u64 {
+    recorded
+        .iter()
+        .map(|r| {
+            assert!(r.batches.len() <= 1, "A₀ probes a list in one batch");
+            let pages: BTreeSet<u64> = r.batches.iter().flatten().map(|oid| oid / slots).collect();
+            r.sorted.div_ceil(ENTRIES_PER_PAGE) + pages.len() as u64
+        })
+        .sum()
+}
+
+/// Pages of a store of `n` consecutive oids at 4 KiB whose random table
+/// holds `slots` oids a page: header, stats, a directory page per 511
+/// random pages unless the table is grades alone, one bounds pair per
+/// data page at 255 to a page, the sorted run and the random table.
+fn predicted_pages(n: u64, slots: u64) -> u64 {
+    let (sorted, random) = (n.div_ceil(ENTRIES_PER_PAGE), n.div_ceil(slots));
+    let directory = if slots == GRADES_PER_PAGE {
+        0
+    } else {
+        random.div_ceil(GRADES_PER_PAGE)
+    };
+    2 + directory + (sorted + random).div_ceil(ENTRIES_PER_PAGE) + sorted + random
+}
+
+/// The cold A₀ count: pages read, and what the two table forms predict.
+struct A0Cold {
+    reads: u64,
+    grades: u64,
+    entries: u64,
+    /// Bytes of one list's file.
+    file_bytes: u64,
+}
+
+/// A₀ over `A0_M` lists of `A0_N` at 4 KiB pages, each store's pool
+/// `paged_cold`'s (a sixteenth of an entry-table file: 32 frames),
+/// cleared before the run: the pages it reads, beside what each table
+/// form predicts from the accesses the same run makes over the lists
+/// in memory. The answers and charges must agree.
+fn a0_cold(seed: u64) -> A0Cold {
+    let mut lists = independent_uniform(A0_N, A0_M, seed);
+    let pool = (2 * A0_N.div_ceil(ENTRIES_PER_PAGE as usize) / 16).max(2);
+    let stores: Vec<PagedStore> = lists
+        .iter_mut()
+        .enumerate()
+        .map(|(i, list)| {
+            let path = store_dir().join(format!("e18-a0-s{i}.fmdb"));
+            build_store_from_source(&path, list, &BuildConfig::with_page_size(A0_PAGE_SIZE))
+                .expect("build store");
+            PagedStore::open(&path, StoreOptions::with_pool_pages(pool)).expect("open store")
+        })
+        .collect();
+    let file_bytes = stores[0].header().total_bytes();
+
+    let mut recorded: Vec<Recorded> = lists
+        .into_iter()
+        .map(|list| Recorded {
+            list,
+            sorted: 0,
+            batches: Vec::new(),
+        })
+        .collect();
+    let mut refs: Vec<&mut dyn Subsystem> = recorded
+        .iter_mut()
+        .map(|r| r as &mut dyn Subsystem)
+        .collect();
+    let mem = Cursor::once(PhysicalPlan::Fa, 0.0, &mut refs, &Min, A0_K).expect("valid run");
+
+    let before = pool_totals(&stores);
+    let mut cursors: Vec<_> = stores.iter().map(PagedStore::source).collect();
+    let mut refs: Vec<&mut dyn Subsystem> = cursors
+        .iter_mut()
+        .map(|s| s as &mut dyn Subsystem)
+        .collect();
+    let paged = Cursor::once(PhysicalPlan::Fa, 0.0, &mut refs, &Min, A0_K)
+        .unwrap_or_else(|e| panic!("paged A₀ failed: {e}"));
+    drop(cursors);
+    assert_eq!(
+        (&paged.answers, paged.stats.sorted, paged.stats.random),
+        (&mem.answers, mem.stats.sorted, mem.stats.random),
+        "paged A₀ must answer and charge as A₀ from memory"
+    );
+    A0Cold {
+        reads: (pool_totals(&stores) - before).reads,
+        grades: predicted_reads(&recorded, GRADES_PER_PAGE),
+        entries: predicted_reads(&recorded, ENTRIES_PER_PAGE),
+        file_bytes,
+    }
 }
 
 /// Runs the experiment.
@@ -493,33 +794,97 @@ pub fn run(cfg: &RunCfg) -> Report {
          and `PagedSource::random_batch` in `middleware::store` first",
     );
     spread(&mut report, "warm_batch_vs_mem", batch);
-    let (cold, cold_page_us) = cold_probe_vs_mem(cfg.pick(REPEATS, QUICK_REPEATS));
-    report.metric("cold_us_per_page_read", cold_page_us);
+    let cold = cold_probes(cfg.pick(REPEATS, QUICK_REPEATS));
+    report.metric("cold_us_per_page_read", cold.us_per_read);
+    report.metric("cold_probe_vs_mem", cold.vs_mem.median);
     report.gated(
-        "cold_probe_vs_mem",
-        cold.median,
-        Bound::PositiveAtMost(MAX_COLD_PROBE_VS_MEM),
-        "a page miss (file in the OS cache) costs more in-memory drains than the braided \
-         checksum leaves it; look at `store::format::crc32` first (do its four braids still \
-         run side by side, one `CRC_BRAID` look-up per byte?), then at \
-         `StoreInner::load_page`",
+        "cold_probe_vs_read",
+        cold.vs_read.median,
+        Bound::PositiveAtMost(MAX_COLD_PROBE_VS_READ),
+        "a page miss (file in the OS cache) costs more against the bench reading and \
+         checking the same page byte by byte than the braided checksum leaves it; look at \
+         `store::format::crc32` first (do its four braids still run side by side, one \
+         `CRC_BRAID` look-up per byte?), then at `StoreInner::load_page`",
     );
     report.gated(
-        "cold_probe_vs_mem_spread",
-        cold.spread,
+        "cold_probe_vs_read_spread",
+        cold.vs_read.spread,
         Bound::AtLeast(1.0),
-        "the largest round ratio is below the smallest; look at `cold_probe_vs_mem` in E18 \
-         first",
+        "the largest round ratio is below the smallest; look at `cold_probes` in E18 first",
+    );
+    report.gated(
+        "cold_checksum_vs_bench",
+        cold.checksum.ratio,
+        Bound::PositiveAtMost(MAX_COLD_CHECKSUM_VS_BENCH),
+        "the store's checksum of a page in memory is slower than the bench's own braided \
+         CRC32 of it; look at `store::format::crc32` first (do its four braids still run \
+         side by side, one `CRC_BRAID` look-up per byte?)",
+    );
+    report.gated(
+        "cold_checksum_vs_bench_spread",
+        cold.checksum.spread,
+        Bound::AtLeast(1.0),
+        "the largest round ratio is below the smallest; look at `cold_probes` in E18 first",
     );
     report.note(format!(
-        "a cold 16 KiB page read costs {cold_page_us:.2} µs all in (file in the OS cache), \
-         and 64 of them, one probe each, {:.2}× a drain of the same 65 536-entry list from \
-         memory (medians of {rounds} rounds); the run fails above {MAX_COLD_PROBE_VS_MEM}×. \
-         The checksum is CRC32 in four braids, ≈ 4.6 µs a 16 KiB page; slice-by-16 takes \
-         ≈ 9.7 µs and put the ratio at 6.2–9.1, and the bit-at-a-time CRC32 the store \
-         shipped with cost ≈ 21 µs a 4 KiB page.",
-        cold.median,
+        "a cold 16 KiB page read costs {:.2} µs all in (file in the OS cache); {COLD_PROBES} \
+         of them, one probe each, cost {:.3}× the bench reading the same pages and checking \
+         them (the store's checksum of them {:.3}× the bench's), and {:.2}× a drain of a \
+         65 536-entry list from memory (medians of {rounds} rounds); the run fails above {MAX_COLD_PROBE_VS_READ}× the first, or \
+         above {MAX_COLD_CHECKSUM_VS_BENCH}× the bench's checksum. The checksum is CRC32 in \
+         four braids.",
+        cold.us_per_read, cold.vs_read.median, cold.checksum.ratio, cold.vs_mem.median,
     ));
+
+    let a0 = a0_cold(18);
+    let n = A0_N as u64;
+    let user_bytes = (16 * n) as f64;
+    let mut c = Table::new(
+        format!(
+            "cold A₀ over {A0_M} stores of {A0_N} at 4 KiB pages, k = {A0_K}, pools of a \
+             sixteenth of an entry-table file: pages read, and what each random table predicts"
+        ),
+        &["", "page reads", "file pages", "bytes per user byte"],
+    );
+    for (what, reads, pages) in [
+        ("measured", a0.reads, a0.file_bytes / A0_PAGE_SIZE as u64),
+        (
+            "grades alone (511 a page)",
+            a0.grades,
+            predicted_pages(n, GRADES_PER_PAGE),
+        ),
+        (
+            "(oid, grade) entries (255 a page)",
+            a0.entries,
+            predicted_pages(n, ENTRIES_PER_PAGE),
+        ),
+    ] {
+        c.row(vec![
+            what.to_string(),
+            int(reads),
+            int(pages),
+            f3((pages * A0_PAGE_SIZE as u64) as f64 / user_bytes),
+        ]);
+    }
+    report.table(c);
+    let predicted = a0.grades as f64;
+    report.gated(
+        "a0_cold_page_reads",
+        a0.reads as f64,
+        Bound::Within(predicted, predicted),
+        "cold A₀ does not read what a dense list's grade table predicts: one page per 255 \
+         sorted entries and one per distinct 511-oid page each list's random batch names; \
+         look at `RandomTable::of` in `store::format` first (is the dense list written as \
+         grades alone?), then at `StoreInner::locate` and `PagedSource::random_batch`",
+    );
+    let predicted = (predicted_pages(n, GRADES_PER_PAGE) * A0_PAGE_SIZE as u64) as f64 / user_bytes;
+    report.gated(
+        "dense_bytes_per_user_byte",
+        a0.file_bytes as f64 / user_bytes,
+        Bound::Within(predicted, predicted),
+        "a dense list's file is not the size a grade table predicts; look at `write_store` \
+         and `RandomTable::of` in `store::format` first",
+    );
 
     report.note(
         "cold queries pay one read per distinct page touched (sorted pages are read \

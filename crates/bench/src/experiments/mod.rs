@@ -80,8 +80,12 @@ pub const GATED: [(&str, &[&str]); 7] = [
             "warm_probe_vs_mem_spread",
             "warm_batch_vs_mem",
             "warm_batch_vs_mem_spread",
-            "cold_probe_vs_mem",
-            "cold_probe_vs_mem_spread",
+            "cold_probe_vs_read",
+            "cold_probe_vs_read_spread",
+            "cold_checksum_vs_bench",
+            "cold_checksum_vs_bench_spread",
+            "a0_cold_page_reads",
+            "dense_bytes_per_user_byte",
         ],
     ),
     (

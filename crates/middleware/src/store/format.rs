@@ -4,13 +4,22 @@
 //! A store file is a sequence of fixed-size pages:
 //!
 //! ```text
-//! page 0                      header (magic, version, geometry, label)
+//! page 0                      header (magic, version, geometry, label, table kind)
 //! page 1                      stats  (persisted equi-depth histogram)
-//! pages 2 .. 2+D              directory (first oid of each random page)
+//! pages 2 .. 2+D              directory (first oid of each random page; D = 0 for a grade table)
 //! pages 2+D .. 2+D+B          page bounds ((min, max) grade per data page)
 //! pages 2+D+B .. 2+D+B+S      sorted run   (grade-desc, oid-asc entries)
-//! pages 2+D+B+S .. 2+D+B+S+R  random table (oid-asc entries)
+//! pages 2+D+B+S .. 2+D+B+S+R  random table (oid-asc: entries, or grades alone)
 //! ```
+//!
+//! The random table takes one of two forms ([`RandomTable`]), chosen
+//! once per file from its oids. A list whose oids are one consecutive
+//! run `first..first + n` — every list over a dense universe (DESIGN
+//! §17) — stores its grades alone, 8 bytes a slot, and the oid of slot
+//! `s` on random page `p` is `first + p · slots_per_page + s`: no
+//! directory, twice the slots of an entry page (511 against 255 at
+//! 4 KiB), so about half the pages behind every random read. Any other
+//! list keeps `(oid, grade)` entries found through the directory.
 //!
 //! The bounds section holds one `(min_grade, max_grade)` f64-bit pair
 //! per data page — sorted-run pages first, then random-table pages —
@@ -19,14 +28,16 @@
 //! falls below it, and bounded probes skip pages entirely outside the
 //! requested grade range. The format has one version, [`VERSION`]; a
 //! file declaring any other is refused with
-//! [`StoreError::UnsupportedVersion`].
+//! [`StoreError::UnsupportedVersion`]. The table kind sits past the
+//! longest label, where every earlier file has zeros: an entry table.
 //!
 //! Every page carries a CRC32 over its post-checksum bytes, so a torn
 //! or bit-flipped page surfaces as [`StoreError::ChecksumMismatch`],
 //! never as silent bad grades. Entries are 16 bytes — little-endian
-//! `oid: u64` followed by the grade's `f64` bit pattern — so grades
-//! round-trip bit-exactly ([`fmdb_core::score::Score::value`] →
-//! `to_bits` → `from_bits`).
+//! `oid: u64` followed by the grade's `f64` bit pattern — and a grade
+//! table's slots are the bit pattern alone, so grades round-trip
+//! bit-exactly ([`fmdb_core::score::Score::value`] → `to_bits` →
+//! `from_bits`).
 //!
 //! The writer is one-shot and crash-safe: everything is written to
 //! `<path>.tmp`, fsynced, renamed over `<path>`, and the parent
@@ -63,12 +74,27 @@ pub const PAGE_HEADER_BYTES: usize = 8;
 /// Bytes per `(oid, grade)` entry.
 pub const ENTRY_BYTES: usize = 16;
 
+/// Bytes per slot of a grade table: the grade's `f64` bit pattern.
+pub const GRADE_BYTES: usize = 8;
+
 /// Longest label a store can persist.
 pub const MAX_LABEL_BYTES: usize = 128;
 
 /// Fixed header fields before the variable-length label; the last is
 /// the `u32` bounds-page count at offset 60.
 const HEADER_FIXED_BYTES: usize = 64;
+
+/// Header offset of the random table's kind (`u32`: 0 entries, 1
+/// grades), then of a grade table's first oid (`u64`, at `+ 8`): past
+/// the longest label and inside the smallest page, where a file
+/// written before grade tables holds zeros.
+const TABLE_KIND_OFFSET: usize = HEADER_FIXED_BYTES + MAX_LABEL_BYTES;
+
+/// Write buffer of the builder, in bytes: sixteen 4 KiB pages a
+/// `write` call. With 8 KiB, creating, writing and fsyncing a 262-page
+/// file took 908–1 069 µs, with 64 KiB 685–799 µs (best of 40, three
+/// runs, 2-core x86-64 VM).
+const WRITE_BUFFER_BYTES: usize = 64 << 10;
 
 /// Everything that can go wrong opening, reading, or building a store.
 ///
@@ -347,6 +373,43 @@ pub(crate) fn verify_page(page: &[u8], index: u64) -> Result<(), StoreError> {
     Ok(())
 }
 
+/// How a store's random table finds an oid's grade.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RandomTable {
+    /// `(oid, grade)` entries ascending by oid, `entries_per_page` to a
+    /// page, each page's first oid in the directory: any set of oids.
+    Entries,
+    /// Grades alone for the consecutive oids `first..first + n`,
+    /// [`Header::random_slots_per_page`] to a page: slot `s` of random
+    /// page `p` holds oid `first + p · slots + s`.
+    Grades {
+        /// The smallest oid of the list.
+        first: Oid,
+    },
+}
+
+impl RandomTable {
+    /// The table [`write_store`] writes for `by_id` (ascending, each
+    /// oid once): grades alone iff the oids are one consecutive run.
+    fn of(by_id: &[(Oid, Score)]) -> RandomTable {
+        match (by_id.first(), by_id.last()) {
+            (Some(&(first, _)), Some(&(last, _))) if last - first == by_id.len() as u64 - 1 => {
+                RandomTable::Grades { first }
+            }
+            _ => RandomTable::Entries,
+        }
+    }
+
+    /// Oids a random-table page of `page_size` bytes holds.
+    fn slots_per_page(self, page_size: usize) -> usize {
+        let slot_bytes = match self {
+            RandomTable::Entries => ENTRY_BYTES,
+            RandomTable::Grades { .. } => GRADE_BYTES,
+        };
+        (page_size - PAGE_HEADER_BYTES) / slot_bytes
+    }
+}
+
 /// The decoded header page: file geometry and identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {
@@ -356,9 +419,11 @@ pub struct Header {
     pub page_size: usize,
     /// Number of `(oid, grade)` entries the store holds.
     pub n: u64,
-    /// Entries per data page: `(page_size - 8) / 16`.
+    /// Entries per sorted-run page (and per page of an entry table):
+    /// `(page_size - 8) / 16`.
     pub entries_per_page: usize,
-    /// Directory pages (one `u64` first-oid per random page).
+    /// Directory pages (one `u64` first-oid per random page; none for a
+    /// grade table).
     pub dir_pages: u64,
     /// Pages of the grade-descending sorted run.
     pub sorted_pages: u64,
@@ -372,6 +437,8 @@ pub struct Header {
     pub hist_universe: u64,
     /// The source label ([`crate::source::SourceInfo::label`]).
     pub label: String,
+    /// The random table's form.
+    pub random_table: RandomTable,
 }
 
 impl Header {
@@ -395,18 +462,24 @@ impl Header {
         self.sorted_start() + self.sorted_pages
     }
 
+    /// Oids per random-table page: `entries_per_page` for an entry
+    /// table, `(page_size - 8) / 8` for a grade table.
+    pub fn random_slots_per_page(&self) -> usize {
+        self.random_table.slots_per_page(self.page_size)
+    }
+
     /// Entries data page `page` (a file page of the sorted run or the
     /// random table) must declare: a full page, except that the last
     /// page of each section holds the remainder.
     pub(crate) fn data_page_entries(&self, page: u64) -> u64 {
-        let section = if page >= self.random_start() {
-            self.random_start()
+        let (section, per_page) = if page >= self.random_start() {
+            (self.random_start(), self.random_slots_per_page())
         } else {
-            self.sorted_start()
+            (self.sorted_start(), self.entries_per_page)
         };
-        let epp = self.entries_per_page as u64;
-        let before = page.saturating_sub(section).saturating_mul(epp);
-        self.n.saturating_sub(before).min(epp)
+        let per_page = per_page as u64;
+        let before = page.saturating_sub(section).saturating_mul(per_page);
+        self.n.saturating_sub(before).min(per_page)
     }
 
     /// Total pages in the file.
@@ -506,10 +579,13 @@ pub(crate) fn write_store(
     let dir_entries_per_page = (page_size - PAGE_HEADER_BYTES) / 8;
 
     let n = sorted.len() as u64;
-    let pages_for = |count: u64| count.div_ceil(entries_per_page as u64);
-    let sorted_pages = pages_for(n);
-    let random_pages = pages_for(n);
-    let dir_pages = random_pages.div_ceil(dir_entries_per_page as u64);
+    let random_table = RandomTable::of(by_id);
+    let sorted_pages = n.div_ceil(entries_per_page as u64);
+    let random_pages = n.div_ceil(random_table.slots_per_page(page_size) as u64);
+    let dir_pages = match random_table {
+        RandomTable::Entries => random_pages.div_ceil(dir_entries_per_page as u64),
+        RandomTable::Grades { .. } => 0,
+    };
     // One (min, max) pair per data page; pairs are entry-sized, so the
     // bounds section packs at the data-page entry rate.
     let bounds_pages = (sorted_pages + random_pages).div_ceil(entries_per_page as u64);
@@ -536,6 +612,7 @@ pub(crate) fn write_store(
         hist_bins: histogram.bins() as u32,
         hist_universe: histogram.universe() as u64,
         label: label.to_owned(),
+        random_table,
     };
 
     let staging = staging_path(path);
@@ -570,7 +647,8 @@ fn write_all_pages(
     let page_size = header.page_size;
     // One write call per buffer, not per page: a 512-byte-page store
     // of 32 768 entries has 2 120 pages.
-    let mut file = BufWriter::new(
+    let mut file = BufWriter::with_capacity(
+        WRITE_BUFFER_BYTES,
         OpenOptions::new()
             .write(true)
             .create(true)
@@ -593,10 +671,14 @@ fn write_all_pages(
     seal_page(&mut page);
     file.write_all(&page)?;
 
-    // Directory pages: first oid of each random page.
+    // Directory pages: first oid of each page of an entry table.
     let epp = header.entries_per_page;
+    let slots = header.random_slots_per_page();
     let dir_entries_per_page = (page_size - PAGE_HEADER_BYTES) / 8;
-    let first_oids: Vec<Oid> = by_id.chunks(epp).map(|c| c[0].0).collect();
+    let first_oids: Vec<Oid> = match header.random_table {
+        RandomTable::Entries => by_id.chunks(epp).map(|c| c[0].0).collect(),
+        RandomTable::Grades { .. } => Vec::new(),
+    };
     for chunk in first_oids.chunks(dir_entries_per_page.max(1)) {
         page.iter_mut().for_each(|b| *b = 0);
         write_u32(&mut page, 4, chunk.len() as u32);
@@ -612,8 +694,8 @@ fn write_all_pages(
     // Bounds pages: one (min, max) grade pair per data page, sorted
     // run first then random table, entry-sized pairs.
     let mut page_bounds: Vec<(Score, Score)> = Vec::new();
-    for section in [sorted, by_id] {
-        for chunk in section.chunks(epp.max(1)) {
+    for (section, per_page) in [(sorted, epp), (by_id, slots)] {
+        for chunk in section.chunks(per_page) {
             let mut lo = Score::ONE;
             let mut hi = Score::ZERO;
             for &(_, grade) in chunk {
@@ -635,15 +717,22 @@ fn write_all_pages(
         file.write_all(&page)?;
     }
 
-    // Sorted run, then random table: identical entry encoding.
-    for section in [sorted, by_id] {
-        for chunk in section.chunks(epp.max(1)) {
+    // Sorted run, then random table: entries, or a grade table's
+    // grades alone.
+    let grades_alone = matches!(header.random_table, RandomTable::Grades { .. });
+    for (section, per_page, oids) in [(sorted, epp, true), (by_id, slots, !grades_alone)] {
+        for chunk in section.chunks(per_page) {
             page.iter_mut().for_each(|b| *b = 0);
             write_u32(&mut page, 4, chunk.len() as u32);
             for (i, &(oid, grade)) in chunk.iter().enumerate() {
-                let off = PAGE_HEADER_BYTES + i * ENTRY_BYTES;
-                write_u64(&mut page, off, oid);
-                write_u64(&mut page, off + 8, grade.value().to_bits());
+                let bits = grade.value().to_bits();
+                if oids {
+                    let off = PAGE_HEADER_BYTES + i * ENTRY_BYTES;
+                    write_u64(&mut page, off, oid);
+                    write_u64(&mut page, off + 8, bits);
+                } else {
+                    write_u64(&mut page, PAGE_HEADER_BYTES + i * GRADE_BYTES, bits);
+                }
             }
             seal_page(&mut page);
             file.write_all(&page)?;
@@ -677,6 +766,10 @@ fn write_header(page: &mut [u8], header: &Header) -> Result<(), StoreError> {
     write_u32(page, 56, label.len() as u32);
     write_u32(page, 60, header.bounds_pages as u32);
     page[label_off..label_off + label.len()].copy_from_slice(label);
+    if let RandomTable::Grades { first } = header.random_table {
+        write_u32(page, TABLE_KIND_OFFSET, 1);
+        write_u64(page, TABLE_KIND_OFFSET + 8, first);
+    }
     seal_page(page);
     Ok(())
 }
@@ -708,8 +801,23 @@ pub(crate) fn decode_header(page: &[u8]) -> Result<Header, StoreError> {
     let dir_pages = read_u32(page, 32) as u64;
     let sorted_pages = read_u32(page, 36) as u64;
     let random_pages = read_u32(page, 40) as u64;
-    let expected_pages = n.div_ceil(entries_per_page as u64);
-    if sorted_pages != expected_pages || random_pages != expected_pages {
+    let random_table = match read_u32(page, TABLE_KIND_OFFSET) {
+        0 => RandomTable::Entries,
+        1 => {
+            let first = read_u64(page, TABLE_KIND_OFFSET + 8);
+            // A grade table holds the oids `first..=first + n − 1`.
+            if n == 0 || first.checked_add(n - 1).is_none() || dir_pages != 0 {
+                return Err(StoreError::InvalidHeader(
+                    "grade table disagrees with its oids",
+                ));
+            }
+            RandomTable::Grades { first }
+        }
+        _ => return Err(StoreError::InvalidHeader("unknown random table kind")),
+    };
+    if sorted_pages != n.div_ceil(entries_per_page as u64)
+        || random_pages != n.div_ceil(random_table.slots_per_page(page_size) as u64)
+    {
         return Err(StoreError::InvalidHeader("page counts disagree with n"));
     }
     let hist_bins = read_u32(page, 44);
@@ -740,6 +848,7 @@ pub(crate) fn decode_header(page: &[u8]) -> Result<Header, StoreError> {
         hist_bins,
         hist_universe,
         label,
+        random_table,
     })
 }
 
@@ -755,6 +864,13 @@ pub(crate) fn decode_entry(
     let grade = Score::new(f64::from_bits(bits))
         .map_err(|_| StoreError::InvalidGrade { page: page_index })?;
     Ok(ScoredObject::new(oid, grade))
+}
+
+/// Decodes the grade at slot `i` of a grade-table page, validated as
+/// [`decode_entry`] validates an entry's.
+pub(crate) fn decode_grade(page: &[u8], i: usize, page_index: u64) -> Result<Score, StoreError> {
+    let bits = read_u64(page, PAGE_HEADER_BYTES + i * GRADE_BYTES);
+    Score::new(f64::from_bits(bits)).map_err(|_| StoreError::InvalidGrade { page: page_index })
 }
 
 /// Checks the grade of each of a data page's first `count` entries as
@@ -936,7 +1052,7 @@ mod tests {
 
     #[test]
     fn header_roundtrips() {
-        let header = Header {
+        let entries = Header {
             version: VERSION,
             page_size: 4096,
             n: 1000,
@@ -948,10 +1064,20 @@ mod tests {
             hist_bins: 16,
             hist_universe: 1000,
             label: "color".into(),
+            random_table: RandomTable::Entries,
         };
-        let mut page = vec![0u8; 4096];
-        write_header(&mut page, &header).unwrap();
-        assert_eq!(decode_header(&page).unwrap(), header);
+        let grades = Header {
+            dir_pages: 0,
+            random_pages: 2,
+            random_table: RandomTable::Grades { first: 7 },
+            label: "x".repeat(MAX_LABEL_BYTES),
+            ..entries.clone()
+        };
+        for header in [entries, grades] {
+            let mut page = vec![0u8; 4096];
+            write_header(&mut page, &header).unwrap();
+            assert_eq!(decode_header(&page).unwrap(), header);
+        }
     }
 
     #[test]
@@ -990,6 +1116,7 @@ mod tests {
             hist_bins: 0,
             hist_universe: 0,
             label: String::new(),
+            random_table: RandomTable::Entries,
         };
         let mut page = vec![0u8; 4096];
         write_header(&mut page, &header).unwrap();
@@ -1021,44 +1148,64 @@ mod tests {
     }
 
     /// Under the test profile's overflow checks, a geometry field at
-    /// either extreme never wraps, never panics and never opens.
+    /// either extreme never wraps, never panics and never opens: the
+    /// fields of an entry table's file (every third oid), and the table
+    /// kind and first oid of a grade table's (oids `2..1002`).
     #[test]
     fn hostile_header_fields_are_typed_errors() {
-        use crate::store::{PagedStore, StoreOptions};
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/store-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("hostile-header.fmdb");
-        let pairs = (0..1000u64)
-            .map(|i| (i, Score::clamped(i as f64 / 1000.0)))
-            .collect();
-        build_store(&path, "color", pairs, &BuildConfig::with_page_size(256)).unwrap();
-        let honest = std::fs::read(&path).unwrap();
-        let header = decode_header(&honest[..256]).unwrap();
-        assert!(
-            header.dir_pages > 1 && header.bounds_pages > 1 && !header.label.is_empty(),
-            "every field below is non-zero in the honest file: {header:?}"
-        );
-
+        let grade = |i: u64| Score::clamped(i as f64 / 1000.0);
+        let entries: Vec<(Oid, Score)> = (0..1000u64).map(|i| (3 * i, grade(i))).collect();
+        let grades: Vec<(Oid, Score)> = (0..1000u64).map(|i| (2 + i, grade(i))).collect();
+        let kind = TABLE_KIND_OFFSET;
         // (field, offset in the header page, width in bytes)
-        let fields = [
-            ("n", 20, 8),
-            ("entries_per_page", 28, 4),
-            ("dir_pages", 32, 4),
-            ("sorted_pages", 36, 4),
-            ("random_pages", 40, 4),
-            ("label_len", 56, 4),
-            ("bounds_pages", 60, 4),
+        let files = [
+            (
+                entries,
+                vec![
+                    ("n", 20, 8),
+                    ("entries_per_page", 28, 4),
+                    ("dir_pages", 32, 4),
+                    ("sorted_pages", 36, 4),
+                    ("random_pages", 40, 4),
+                    ("label_len", 56, 4),
+                    ("bounds_pages", 60, 4),
+                ],
+            ),
+            (
+                grades,
+                vec![("table_kind", kind, 4), ("first_oid", kind + 8, 8)],
+            ),
         ];
-        for (field, off, width) in fields {
+        for (pairs, fields) in files {
+            build_store(&path, "color", pairs, &BuildConfig::with_page_size(256)).unwrap();
+            let honest = std::fs::read(&path).unwrap();
+            let header = decode_header(&honest[..256]).unwrap();
+            assert!(
+                header.dir_pages > 1 && header.bounds_pages > 1 && !header.label.is_empty()
+                    || header.random_table == RandomTable::Grades { first: 2 },
+                "every field below is non-zero in the honest file: {header:?}"
+            );
+            hostile_fields_fail_open(&path, &honest, &fields);
+        }
+    }
+
+    /// Sets each of `fields` of the `honest` file at `path` to 0 and to
+    /// all ones, re-sealed, and checks the open fails typed.
+    fn hostile_fields_fail_open(path: &Path, honest: &[u8], fields: &[(&str, usize, usize)]) {
+        use crate::store::{PagedStore, StoreOptions};
+        for &(field, off, width) in fields {
             for hostile in [0u64, u64::MAX] {
-                if field == "label_len" && hostile == 0 {
-                    continue; // the empty label is a valid label
+                if hostile == 0 && (field == "label_len" || field == "first_oid") {
+                    continue; // the empty label and oid 0 are valid
                 }
-                let mut bytes = honest.clone();
+                let mut bytes = honest.to_vec();
                 bytes[off..off + width].copy_from_slice(&hostile.to_le_bytes()[..width]);
                 seal_page(&mut bytes[..256]);
-                std::fs::write(&path, &bytes).unwrap();
-                let opened = PagedStore::open(&path, StoreOptions::DEFAULT).map(|_| ());
+                std::fs::write(path, &bytes).unwrap();
+                let opened = PagedStore::open(path, StoreOptions::DEFAULT).map(|_| ());
                 let typed = match field {
                     // Nothing else in the header fixes the directory's
                     // size, so a wrong one is a wrong file length.

@@ -24,9 +24,11 @@
 //!   answers, grades, and charged [`crate::stats::AccessStats`] —
 //!   which the `paged_equivalence` proptest suite proves.
 //!
-//! A warm read costs arithmetic, not searches. A probe finds its page
-//! and its slot the way `VecSource` finds an oid (DESIGN §17): over the
-//! dense universe `0..n` oid `o` lives on random-table page
+//! A warm read costs arithmetic, not searches. A list whose oids are
+//! consecutive keeps a grade table ([`RandomTable::Grades`]): oid `o`
+//! is slot `(o − first) mod slots` of page `(o − first) / slots`, no
+//! search at all. Any other list keeps an entry table, probed the way
+//! `VecSource` finds an oid (DESIGN §17): oid `o` is tried on page
 //! `o / entries_per_page` at slot `o − first oid of the page`, and each
 //! guess is taken only when the directory range or the stored oid
 //! proves it, else a binary search decides. A probe reads the resident
@@ -65,9 +67,9 @@ use crate::source::{
 };
 use crate::stats::PageIoStats;
 
-pub use format::{build_store, BuildConfig, Header, StoreError};
+pub use format::{build_store, BuildConfig, Header, RandomTable, StoreError};
 use format::{
-    decode_entry, decode_header, page_entry_count, read_entries, read_u32, read_u64,
+    decode_entry, decode_grade, decode_header, page_entry_count, read_entries, read_u32, read_u64,
     validate_entries, verify_page,
 };
 use pool::PagePool;
@@ -177,9 +179,10 @@ pub fn build_store_from_source(
 struct StoreInner {
     file: File,
     header: Header,
-    /// First oid of each random-table page (loaded from the directory
-    /// pages at open; one u64 per page, so a multi-GB store's
-    /// directory is a few KiB).
+    /// First oid of each page of an entry table (loaded from the
+    /// directory pages at open; one u64 per page, so a multi-GB store's
+    /// directory is a few KiB). Empty for a grade table, whose pages
+    /// start at multiples of the slots per page.
     directory: Vec<Oid>,
     /// The persisted stats-page histogram.
     histogram: GradeHistogram,
@@ -239,11 +242,13 @@ impl StoreInner {
     }
 
     /// The random-table page (0-based within the table) that alone can
-    /// hold `oid` — the greatest directory entry ≤ `oid` — or `None`
-    /// when `oid` sorts before every entry (or the store is empty).
-    /// Every probe path starts here.
+    /// hold `oid` — the greatest page whose first oid is ≤ `oid` — or
+    /// `None` when `oid` sorts before every entry (or the store is
+    /// empty). Every probe path starts here.
     ///
-    /// The lookup rule of `OidIndex::grade` (DESIGN §17), one level up:
+    /// A grade table's pages start at `first + p · slots`, so the page
+    /// is a division, clamped to the last page. An entry table follows
+    /// the lookup rule of `OidIndex::grade` (DESIGN §17), one level up:
     /// a table over the dense universe `0..n` holds `oid` on page
     /// `oid / entries_per_page`, so that page is tried first and taken
     /// when its directory range `[directory[g], directory[g + 1])`
@@ -251,7 +256,14 @@ impl StoreInner {
     /// that passes is right however the table is laid out. Any other
     /// table misses the test and pays the binary search. The directory
     /// is in memory: a wrong guess reads no page.
+    #[inline]
     fn locate(&self, oid: Oid) -> Option<u64> {
+        if let RandomTable::Grades { first } = self.header.random_table {
+            let slot = oid.checked_sub(first)?;
+            let page = slot / self.header.random_slots_per_page() as u64;
+            // `decode_header` refuses a grade table of no page.
+            return Some(page.min(self.header.random_pages - 1));
+        }
         let dir = &self.directory;
         let g = (oid / self.header.entries_per_page as u64) as usize;
         if let Some(&first) = dir.get(g) {
@@ -287,19 +299,31 @@ impl StoreInner {
         read(&frame, page)
     }
 
-    /// The grade of `oid` on the random-table page `frame`, zero
-    /// when absent. The one in-page search scalar, batched and bounded
-    /// probes share; no probe decodes more than the entry it answers.
+    /// The grade of `oid` on the random-table page `frame`, which
+    /// [`StoreInner::locate`] named for it; zero when absent. The one
+    /// in-page search scalar, batched and bounded probes share; no
+    /// probe decodes more than the grade it answers.
     ///
-    /// Slot first, then search, as in [`StoreInner::locate`]: on a page
-    /// of consecutive oids `oid` sits at slot `oid − first oid of the
+    /// On a grade table the slot is `oid` less the page's first oid,
+    /// and past the page's count the oid is past the list. On an entry
+    /// table, slot first, then search, as in `locate`: on a page of
+    /// consecutive oids `oid` sits at slot `oid − first oid of the
     /// page`, taken only when it is below the entry count and the oid
     /// stored there *equals* `oid`; otherwise a binary search over the
-    /// page's raw entries. Either way the entry found goes through the
-    /// validated `decode_entry`.
+    /// page's raw entries. Either way the grade found is validated
+    /// (`decode_grade`, `decode_entry`).
     #[inline]
     fn find_in_page(&self, frame: &[u8], page: u64, oid: Oid) -> Result<Score, SourceError> {
-        let count = page_entry_count(frame, self.header.entries_per_page);
+        let header = &self.header;
+        let count = page_entry_count(frame, header.random_slots_per_page());
+        if let RandomTable::Grades { first } = header.random_table {
+            let page_first = (page - header.random_start()) * header.random_slots_per_page() as u64;
+            let slot = oid.wrapping_sub(first).wrapping_sub(page_first);
+            if slot >= count as u64 {
+                return Ok(Score::ZERO);
+            }
+            return decode_grade(frame, slot as usize, page).map_err(|e| self.fail(e));
+        }
         let oid_at = |slot: usize| {
             read_u64(
                 frame,
@@ -472,9 +496,10 @@ impl PagedStore {
         let histogram = GradeHistogram::from_parts(header.hist_universe as usize, bounds)
             .ok_or(StoreError::InvalidStats)?;
 
-        // Directory pages.
+        // Directory pages: an entry table's, none for a grade table
+        // (`decode_header` checks).
         let dir_entries_per_page = (page_size - format::PAGE_HEADER_BYTES) / 8;
-        let mut directory: Vec<Oid> = Vec::with_capacity(header.random_pages as usize);
+        let mut directory: Vec<Oid> = Vec::new();
         for d in 0..header.dir_pages {
             let buf = read_page(header.dir_start() + d)?;
             let count = (read_u32(&buf, 4) as usize).min(dir_entries_per_page);
@@ -482,7 +507,11 @@ impl PagedStore {
                 directory.push(read_u64(&buf, format::PAGE_HEADER_BYTES + i * 8));
             }
         }
-        if directory.len() != header.random_pages as usize {
+        let listed = match header.random_table {
+            RandomTable::Entries => header.random_pages,
+            RandomTable::Grades { .. } => 0,
+        };
+        if directory.len() as u64 != listed {
             return Err(StoreError::InvalidHeader("directory disagrees with header"));
         }
         if directory.windows(2).any(|w| w[0] >= w[1]) {
@@ -980,6 +1009,11 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// `pairs` without `oid`.
+    fn all_but(oid: Oid, pairs: Vec<(Oid, Score)>) -> Vec<(Oid, Score)> {
+        pairs.into_iter().filter(|&(o, _)| o != oid).collect()
+    }
+
     /// Rewrites file page `page` of the store at `path` (page size
     /// `page_size`) through `edit` and re-seals its checksum, so only
     /// what `edit` changed can be refused.
@@ -1023,6 +1057,55 @@ pub(crate) mod tests {
             let cfg = BuildConfig::with_page_size(page_size);
             build_store(&path, "golden", pairs.clone(), &cfg).unwrap();
             assert_eq!(file_digest(&path), want, "page size {page_size}");
+        }
+    }
+
+    /// A grade table is pinned the same way: consecutive oids from 5,
+    /// `sample_pairs`' grades, at both page sizes. The same list missing
+    /// oid 505 keeps the entry table, pinned at the bytes the builder
+    /// wrote before grade tables existed.
+    #[test]
+    fn built_grade_tables_are_byte_identical_to_the_pinned_format() {
+        let dense = dense_pairs(5, 1000, 17);
+        let holed = all_but(505, dense_pairs(5, 1001, 17));
+        for (pairs, table, page_size, want) in [
+            (
+                &dense,
+                RandomTable::Grades { first: 5 },
+                512,
+                (27_136usize, 0x3AE3_A705_1DE7_68D5u64),
+            ),
+            (
+                &dense,
+                RandomTable::Grades { first: 5 },
+                4096,
+                (36_864, 0x6BEC_34A7_1410_A5EA),
+            ),
+            (
+                &holed,
+                RandomTable::Entries,
+                512,
+                (36_864, 0x7F25_4ED3_4087_B874),
+            ),
+            (
+                &holed,
+                RandomTable::Entries,
+                4096,
+                (49_152, 0xBAB8_11BD_D36A_A5C5),
+            ),
+        ] {
+            let path = scratch(&format!(
+                "golden-grades-{page_size}-v{}.fmdb",
+                format::VERSION
+            ));
+            let cfg = BuildConfig::with_page_size(page_size);
+            build_store(&path, "golden", pairs.clone(), &cfg).unwrap();
+            let header = PagedStore::open(&path, StoreOptions::DEFAULT)
+                .unwrap()
+                .header()
+                .clone();
+            assert_eq!(header.random_table, table);
+            assert_eq!(file_digest(&path), want, "page size {page_size}, {table:?}");
         }
     }
 
@@ -1734,13 +1817,7 @@ pub(crate) mod tests {
             let stores = [
                 ("dense", dense_pairs(0, n, 41)),
                 ("shifted", dense_pairs(1000, n, 42)),
-                (
-                    "gap",
-                    dense_pairs(0, n + 1, 43)
-                        .into_iter()
-                        .filter(|&(oid, _)| oid != gap)
-                        .collect(),
-                ),
+                ("gap", all_but(gap, dense_pairs(0, n + 1, 43))),
                 ("every third", sample_pairs(n, 44)),
             ];
             for (name, pairs) in stores {
@@ -1778,12 +1855,13 @@ pub(crate) mod tests {
 
         // A page guess is taken only when it is the directory's answer,
         // even on a directory its pages do not bear out: page 4 claimed
-        // to start seven oids after page 3 does.
+        // to start seven oids after page 3 does. The list misses oid 999
+        // so that it keeps an entry table.
         let path = scratch("slot-directory.fmdb");
         build_store(
             &path,
             "d",
-            dense_pairs(0, 1000, 46),
+            all_but(999, dense_pairs(0, 1001, 46)),
             &BuildConfig::with_page_size(512),
         )
         .unwrap();
@@ -1802,10 +1880,10 @@ pub(crate) mod tests {
             );
         }
 
-        // A dense page with two entries swapped still passes its
-        // checksum, so only the equality test stands between a slot
-        // guess and the other oid's grade.
-        let pairs = dense_pairs(0, 1000, 45);
+        // A page of consecutive oids with two entries swapped still
+        // passes its checksum, so only the equality test stands between
+        // a slot guess and the other oid's grade.
+        let pairs = all_but(999, dense_pairs(0, 1001, 45));
         let path = scratch("slot-swapped.fmdb");
         build_store(&path, "w", pairs.clone(), &BuildConfig::with_page_size(512)).unwrap();
         let header = PagedStore::open(&path, StoreOptions::DEFAULT)
@@ -1863,7 +1941,7 @@ pub(crate) mod tests {
         let path = scratch("hit-accounting.fmdb");
         build_store(&path, "h", pairs, &BuildConfig::with_page_size(512)).unwrap();
         let store = PagedStore::open(&path, StoreOptions::DEFAULT).unwrap();
-        let epp = store.header().entries_per_page as u64;
+        let epp = store.header().random_slots_per_page() as u64;
         let every_oid: Vec<Oid> = (0..1000).collect();
         store.source().random_batch(&every_oid).unwrap();
         let warm = store.page_io();
@@ -1903,10 +1981,19 @@ pub(crate) mod tests {
         assert_eq!(io.reads, warm.reads, "nothing was read");
     }
 
-    /// The directory's answer for `oid`, by a search of its own.
+    /// The page that alone can hold `oid`, by a search of its own over
+    /// the first oid of every random page: the directory's, or a grade
+    /// table's `first + p · slots`.
     fn searched_page(store: &PagedStore, oid: Oid) -> Option<u64> {
-        let dir = &store.inner.directory;
-        dir.partition_point(|&first| first <= oid)
+        let header = store.header();
+        let firsts: Vec<Oid> = match header.random_table {
+            RandomTable::Entries => store.inner.directory.clone(),
+            RandomTable::Grades { first } => (0..header.random_pages)
+                .map(|p| first + p * header.random_slots_per_page() as u64)
+                .collect(),
+        };
+        firsts
+            .partition_point(|&first| first <= oid)
             .checked_sub(1)
             .map(|i| i as u64)
     }
@@ -1938,7 +2025,7 @@ pub(crate) mod tests {
                 let store = PagedStore::open(&path, StoreOptions::with_pool_pages(frames)).unwrap();
                 if name == "every third" {
                     let missed = (0..past).filter(|&oid| {
-                        let g = oid / store.header().entries_per_page as u64;
+                        let g = oid / store.header().random_slots_per_page() as u64;
                         searched_page(&store, oid) != Some(g)
                     });
                     assert!(missed.count() as u64 > past / 2, "the guess mostly misses");

@@ -6,7 +6,8 @@
 //! The drain of an honest source is the sorted run as it arrives, and
 //! the builder only places the random table from it; every other
 //! stream is normalised as `build_store` normalises its pairs. The
-//! sources cover both: dense and sparse lists (oids up to `u64::MAX`),
+//! sources cover both: dense lists from any first oid, the same missing
+//! one oid, and sparse lists (oids up to `u64::MAX`),
 //! runs of tied grades, crisp lists, subnormal grades, the empty list,
 //! a store rebuilt from a `PagedSource`, and sources that lie — that
 //! stream out of order, repeat an oid, or grade oids past the universe
@@ -143,24 +144,43 @@ fn grades_of(kind: u8) -> BoxedStrategy<Score> {
     }
 }
 
-/// Lists of one grade kind, up to 400 long: dense over `0..n`, or
-/// sparse (`u64::MAX` among the oids, repeats kept last).
+/// Lists of one grade kind, up to 400 long: dense over `first..first +
+/// n` (a grade table), the same missing one oid, or sparse (`u64::MAX`
+/// among the oids, repeats kept last).
 fn lists() -> impl Strategy<Value = Vec<(Oid, Score)>> {
-    (0u8..4, 0u8..2).prop_flat_map(|(kind, sparse)| {
-        if sparse == 0 {
-            proptest::collection::vec(grades_of(kind), 0..400)
-                .prop_map(|grades| (0..).zip(grades).collect())
-                .boxed()
-        } else {
-            let oid = prop_oneof![0u64..500, 0u64..u64::MAX, Just(u64::MAX)];
-            proptest::collection::vec((oid, grades_of(kind)), 0..400).boxed()
+    (0u8..4, 0u8..3).prop_flat_map(|(kind, shape)| {
+        let grades = proptest::collection::vec(grades_of(kind), 0..400);
+        let first = prop_oneof![Just(0u64), 1u64..1_000, Just(u64::MAX - 400)];
+        match shape {
+            0 => (grades, first)
+                .prop_map(|(grades, first)| (first..).zip(grades).collect())
+                .boxed(),
+            1 => (grades, first, 0usize..400)
+                .prop_map(|(grades, first, hole)| {
+                    let mut pairs: Vec<(Oid, Score)> = (first..).zip(grades).collect();
+                    if !pairs.is_empty() {
+                        pairs.remove(hole % pairs.len());
+                    }
+                    pairs
+                })
+                .boxed(),
+            _ => {
+                let oid = prop_oneof![0u64..500, 0u64..u64::MAX, Just(u64::MAX)];
+                proptest::collection::vec((oid, grades_of(kind)), 0..400).boxed()
+            }
         }
     })
 }
 
 fn page_sizes() -> impl Strategy<Value = BuildConfig> {
-    prop_oneof![Just(256usize), Just(512usize), Just(4096usize)]
-        .prop_map(BuildConfig::with_page_size)
+    prop_oneof![
+        Just(256usize),
+        Just(512usize),
+        Just(1024usize),
+        Just(4096usize),
+        Just(16384usize)
+    ]
+    .prop_map(BuildConfig::with_page_size)
 }
 
 /// `stream` with its entries permuted by `seed` (Fisher–Yates over a
@@ -259,31 +279,45 @@ fn a_drain_past_its_universe_builds_the_bytes_of_its_pairs() {
 }
 
 /// Lists the strategies draw only by chance: empty, one entry, one
-/// grade throughout, crisp, subnormal runs, and dense lists of 2^16 and
-/// 2^16 + 1 (one radix pass, and the first list that needs two),
-/// in order and shuffled.
+/// grade throughout, crisp, subnormal runs, dense lists of 2^16 and
+/// 2^16 + 1 (one radix pass, and the first list that needs two), and
+/// dense runs from oid 7 either side of 511 (a 4 KiB page of grades),
+/// whole and missing their middle oid, in order and shuffled.
 #[test]
 fn edge_lists_build_the_bytes_of_their_pairs() {
-    let dense = |n: u64, grade: &dyn Fn(u64) -> f64| -> Vec<(Oid, Score)> {
-        (0..n).map(|i| (i, Score::clamped(grade(i)))).collect()
+    let grade = |i: u64| (i * 7919 % 1000) as f64 / 999.0;
+    let run = |first: u64, n: u64, grade: &dyn Fn(u64) -> f64| -> Vec<(Oid, Score)> {
+        (first..first + n)
+            .map(|i| (i, Score::clamped(grade(i))))
+            .collect()
     };
-    let lists = [
+    let mut lists = vec![
         Vec::new(),
         vec![(u64::MAX, Score::HALF)],
-        dense(300, &|_| 0.5),
-        dense(300, &|i| f64::from(u8::from(i % 3 == 0))),
-        dense(300, &|i| f64::from_bits(i % 4)),
-        dense(1 << 16, &|i| (i * 7919 % 1000) as f64 / 999.0),
-        dense((1 << 16) + 1, &|i| (i * 7919 % 1000) as f64 / 999.0),
+        run(0, 300, &|_| 0.5),
+        run(0, 300, &|i| f64::from(u8::from(i % 3 == 0))),
+        run(0, 300, &|i| f64::from_bits(i % 4)),
+        run(0, 1 << 16, &grade),
+        run(0, (1 << 16) + 1, &grade),
     ];
-    let cfg = BuildConfig::DEFAULT;
-    for pairs in lists {
-        let len = pairs.len();
-        let want = built_from_pairs(pairs.clone(), &cfg);
-        let mut list = VecSource::new("scripted", pairs);
-        assert!(built_from_source(&mut list, &cfg) == want, "{len} pairs");
-        let stream = stream_of(&mut list);
-        builds_like_the_pairs(shuffled(stream, 11), &cfg).unwrap();
+    for n in [1, 511, 512, 513] {
+        let whole = run(7, n, &grade);
+        let holed = whole
+            .iter()
+            .copied()
+            .filter(|&(oid, _)| oid != 7 + n / 2)
+            .collect();
+        lists.extend([whole, holed]);
+    }
+    for cfg in [BuildConfig::with_page_size(256), BuildConfig::DEFAULT] {
+        for pairs in &lists {
+            let len = pairs.len();
+            let want = built_from_pairs(pairs.clone(), &cfg);
+            let mut list = VecSource::new("scripted", pairs.clone());
+            assert!(built_from_source(&mut list, &cfg) == want, "{len} pairs");
+            let stream = stream_of(&mut list);
+            builds_like_the_pairs(shuffled(stream, 11), &cfg).unwrap();
+        }
     }
 }
 

@@ -63,7 +63,12 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         ),
         (
             0u64..1_000_000,
-            prop_oneof![Just(256usize), Just(512usize), Just(2048usize)],
+            prop_oneof![
+                Just(256usize),
+                Just(512usize),
+                Just(2048usize),
+                Just(16384usize)
+            ],
             prop_oneof![Just(2usize), Just(16usize), Just(256usize)],
         ),
     )
@@ -254,14 +259,16 @@ proptest! {
     /// when the flip hits the header/stats/directory, or from the read
     /// that meets it when it hits a data page. CRC32 detects every
     /// single-bit flip, so nothing may slip through, and nothing may
-    /// panic.
+    /// panic. Every fifth oid makes an entry table, consecutive oids a
+    /// grade table.
     #[test]
     fn any_flipped_bit_surfaces_a_typed_error(
         seed in 0u64..100_000,
         pos_frac in 0.0f64..1.0,
         bit in 0u8..8,
+        stride in prop_oneof![Just(1u64), Just(5u64)],
     ) {
-        let oids: Vec<u64> = (0..200u64).map(|i| i * 5).collect();
+        let oids: Vec<u64> = (0..200u64).map(|i| 7 + i * stride).collect();
         let pairs: Vec<(u64, Score)> = oids
             .iter()
             .map(|&i| (i, Score::clamped(((i ^ seed) % 991) as f64 / 991.0)))
@@ -305,6 +312,84 @@ proptest! {
             bit,
             failures
         );
+    }
+}
+
+/// `VecSource`'s answers to every access of a store built from `pairs`
+/// at `page_size`: the whole sorted stream, a probe of every oid from
+/// below the smallest to past the largest (and `u64::MAX`), one batch of
+/// them all, and the histogram.
+fn answers_as_the_list(pairs: Vec<(u64, Score)>, page_size: usize, at: &str) {
+    let path = scratch("run");
+    build_store(
+        &path,
+        "run",
+        pairs.clone(),
+        &BuildConfig::with_page_size(page_size),
+    )
+    .expect("build store");
+    let store = PagedStore::open(&path, StoreOptions::with_pool_pages(2)).expect("open store");
+    let mut paged = store.source();
+    let mut vec = VecSource::new("run", pairs.clone());
+    loop {
+        let (a, b) = (paged.sorted_next(), vec.sorted_next());
+        assert_eq!(a, b, "{at}");
+        if a.is_none() {
+            break;
+        }
+    }
+    let lo = pairs.iter().map(|&(oid, _)| oid).min().unwrap_or(0);
+    let hi = pairs.iter().map(|&(oid, _)| oid).max().unwrap_or(0);
+    let mut oids: Vec<u64> = (lo.saturating_sub(2)..=hi.saturating_add(2)).collect();
+    oids.push(u64::MAX);
+    for &oid in &oids {
+        assert_eq!(
+            paged.random_access(oid),
+            vec.random_access(oid),
+            "{at}: oid {oid}"
+        );
+    }
+    let bits = |grades: Vec<Score>| {
+        grades
+            .iter()
+            .map(|g| g.value().to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        bits(source::Subsystem::random_batch(&mut paged, &oids).expect("batch")),
+        bits(source::Subsystem::random_batch(&mut vec, &oids).expect("batch")),
+        "{at}"
+    );
+    assert_eq!(
+        paged.grade_histogram(DEFAULT_HISTOGRAM_BINS),
+        vec.grade_histogram(DEFAULT_HISTOGRAM_BINS),
+        "{at}"
+    );
+    drop((paged, store));
+    std::fs::remove_file(&path).expect("remove the store");
+}
+
+/// Consecutive oids from 0, 7 and 2⁴⁰ — n = 0, 1 and either side of
+/// 511, a 4 KiB grade page — and the same lists missing one oid, at
+/// every page size from 256 B to 16 KiB, answer as `VecSource` does.
+#[test]
+fn dense_runs_and_lists_missing_one_oid_answer_as_the_list() {
+    for n in [0u64, 1, 511, 512, 513] {
+        for first in [0u64, 7, 1 << 40] {
+            let dense: Vec<(u64, Score)> = (0..n)
+                .map(|i| (first + i, Score::clamped((i * 7919 % 1000) as f64 / 999.0)))
+                .collect();
+            let holed: Vec<(u64, Score)> = dense
+                .iter()
+                .copied()
+                .filter(|&(oid, _)| oid != first + n / 2)
+                .collect();
+            for page_size in [256, 512, 1024, 4096, 16384] {
+                let at = format!("n = {n} from {first} at {page_size} B");
+                answers_as_the_list(dense.clone(), page_size, &at);
+                answers_as_the_list(holed.clone(), page_size, &format!("{at}, one missing"));
+            }
+        }
     }
 }
 

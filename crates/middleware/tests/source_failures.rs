@@ -1,16 +1,18 @@
 //! A source that fails an access fails the query with a typed error.
 //!
-//! Two lists are persisted to paged stores with small pages and a small
-//! pool, and one of them is damaged: either its first sorted-run page,
-//! which every strategy reads, or every page of its random table, which
-//! every strategy that probes reads. Each strategy then runs through
-//! the engine ([`Engine::run`] where a policy names it,
-//! [`Engine::run_algorithm`] otherwise) and through scalar
-//! [`TopKAlgorithm::top_k`]. A run that meets the damage returns
-//! [`EngineError::Source`] / [`AlgoError::Source`], naming the damaged
-//! list, with the store's checksum error as the cause; a run that never
-//! touches it answers exactly what the in-memory lists answer. No run
-//! may answer short or mis-ranked.
+//! Two dense lists are persisted to paged stores with small pages and a
+//! small pool, and one of them is damaged: its first sorted-run page,
+//! which every strategy reads, gets a flipped bit, or every page of its
+//! random table (grades alone) gets a flipped bit or, under a valid
+//! checksum, a NaN in every slot; every strategy that probes reads
+//! those. Each strategy then runs through the engine ([`Engine::run`]
+//! where a policy names it, [`Engine::run_algorithm`] otherwise) and
+//! through scalar [`TopKAlgorithm::top_k`]. A run that meets the damage
+//! returns [`EngineError::Source`] / [`AlgoError::Source`], naming the
+//! damaged list, with the store's typed error as the cause
+//! ([`StoreError::ChecksumMismatch`], [`StoreError::InvalidGrade`] for
+//! the NaN); a run that never touches it answers exactly what the
+//! in-memory lists answer. No run may answer short or mis-ranked.
 
 use fmdb_middleware::planner::PhysicalPlan;
 use std::path::PathBuf;
@@ -26,8 +28,10 @@ use fmdb_middleware::engine::{Engine, EngineError};
 use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::{SharedScoring, TopKQuery, TopKRequest};
 use fmdb_middleware::source::{GradedSource, SourceError, Subsystem, VecSource};
+use fmdb_middleware::store::format::{crc32, GRADE_BYTES, PAGE_HEADER_BYTES};
 use fmdb_middleware::store::{
-    build_store_from_source, BuildConfig, PagedSource, PagedStore, StoreError, StoreOptions,
+    build_store_from_source, BuildConfig, PagedSource, PagedStore, RandomTable, StoreError,
+    StoreOptions,
 };
 use fmdb_middleware::workload::independent_uniform;
 
@@ -42,8 +46,15 @@ const PAGE_SIZE: usize = 256;
 enum Damage {
     /// The first page of list 0's sorted run.
     SortedHead,
-    /// Every page of list 0's random table.
+    /// A flipped bit in every page of list 0's random table.
     RandomTable,
+    /// A NaN in every slot of every page of list 0's random table,
+    /// each page re-sealed so that its checksum holds.
+    RandomNan,
+}
+
+impl Damage {
+    const ALL: [Damage; 3] = [Damage::SortedHead, Damage::RandomTable, Damage::RandomNan];
 }
 
 fn lists() -> Vec<VecSource> {
@@ -66,15 +77,28 @@ fn stores(damage: Damage, tag: &str) -> Vec<PagedStore> {
                     .expect("open store")
                     .header()
                     .clone();
+                assert!(matches!(
+                    header.random_table,
+                    RandomTable::Grades { first: 0 }
+                ));
                 let pages = match damage {
                     Damage::SortedHead => header.sorted_start()..header.sorted_start() + 1,
-                    Damage::RandomTable => {
-                        header.random_start()..header.random_start() + header.random_pages
-                    }
+                    _ => header.random_start()..header.random_start() + header.random_pages,
                 };
                 let mut bytes = std::fs::read(&path).expect("read store");
                 for page in pages {
-                    bytes[page as usize * PAGE_SIZE + 100] ^= 0x20;
+                    let frame = &mut bytes[page as usize * PAGE_SIZE..][..PAGE_SIZE];
+                    if damage == Damage::RandomNan {
+                        let count = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
+                        for slot in 0..count as usize {
+                            let at = PAGE_HEADER_BYTES + slot * GRADE_BYTES;
+                            frame[at..at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+                        }
+                        let crc = crc32(&frame[4..]);
+                        frame[..4].copy_from_slice(&crc.to_le_bytes());
+                    } else {
+                        frame[100] ^= 0x20;
+                    }
                 }
                 std::fs::write(&path, bytes).expect("damage store");
             }
@@ -165,19 +189,25 @@ fn request(
         .expect("valid request")
 }
 
-/// The label of list 0 and whether `cause` is its checksum failure.
-fn is_damage(stream: &str, cause: &SourceError) -> bool {
-    stream == Subsystem::info(&lists()[0]).label
-        && matches!(
-            cause.cause().downcast_ref(),
-            Some(StoreError::ChecksumMismatch { .. })
-        )
+/// Whether `cause` is the typed error `damage` is read as: a failed
+/// checksum, or an invalid grade for the NaN.
+fn is_cause(damage: Damage, cause: &SourceError) -> bool {
+    match cause.cause().downcast_ref() {
+        Some(StoreError::InvalidGrade { .. }) => damage == Damage::RandomNan,
+        Some(StoreError::ChecksumMismatch { .. }) => damage != Damage::RandomNan,
+        _ => false,
+    }
+}
+
+/// Whether `stream` is list 0 and `cause` the typed error of `damage`.
+fn is_damage(damage: Damage, stream: &str, cause: &SourceError) -> bool {
+    stream == Subsystem::info(&lists()[0]).label && is_cause(damage, cause)
 }
 
 #[test]
 fn a_damaged_page_fails_every_strategy_that_reads_it() {
     let engine = Engine::default();
-    for damage in [Damage::SortedHead, Damage::RandomTable] {
+    for damage in Damage::ALL {
         let stores = stores(damage, "each");
         for (algorithm, scoring, plan, probes) in strategies() {
             let name = algorithm.name();
@@ -189,7 +219,10 @@ fn a_damaged_page_fails_every_strategy_that_reads_it() {
             let mut refs: Vec<&mut dyn GradedSource> = cursors.iter_mut().map(|c| c as _).collect();
             match algorithm.top_k(&mut refs, scoring.as_ref(), K) {
                 Err(AlgoError::Source { stream, cause }) if reads_damage => {
-                    assert!(is_damage(&stream, &cause), "{at}: {stream}: {cause}");
+                    assert!(
+                        is_damage(damage, &stream, &cause),
+                        "{at}: {stream}: {cause}"
+                    );
                 }
                 Ok(got) if !reads_damage => assert_eq!(got, want, "{at}"),
                 other => panic!("{at}: scalar top_k returned {other:?}"),
@@ -203,7 +236,10 @@ fn a_damaged_page_fails_every_strategy_that_reads_it() {
             for run in runs {
                 match run {
                     Err(EngineError::Source { stream, cause }) if reads_damage => {
-                        assert!(is_damage(&stream, &cause), "{at}: {stream}: {cause}");
+                        assert!(
+                            is_damage(damage, &stream, &cause),
+                            "{at}: {stream}: {cause}"
+                        );
                     }
                     Ok(got) if !reads_damage => {
                         assert_eq!(
@@ -216,6 +252,32 @@ fn a_damaged_page_fails_every_strategy_that_reads_it() {
                 }
             }
         }
+    }
+}
+
+/// Every probe form of the damaged list — scalar, batch and bounded —
+/// fails with the typed error of a damaged random page, on every oid.
+#[test]
+fn every_probe_of_a_damaged_random_page_fails_typed() {
+    for damage in [Damage::RandomTable, Damage::RandomNan] {
+        let stores = stores(damage, "probes");
+        let oids: Vec<u64> = (0..N as u64).step_by(37).collect();
+        let mut src = stores[0].source();
+        for &oid in &oids {
+            let scalar = Subsystem::random_access(&mut src, oid);
+            let bounded = src.random_access_bounded(oid, fmdb_core::score::Score::ZERO);
+            for (form, probe) in [("scalar", scalar), ("bounded", bounded)] {
+                assert!(
+                    probe.as_ref().is_err_and(|e| is_cause(damage, e)),
+                    "{damage:?}: {form} probe of {oid} returned {probe:?}"
+                );
+            }
+        }
+        let batch = Subsystem::random_batch(&mut src, &oids);
+        assert!(
+            batch.as_ref().is_err_and(|e| is_cause(damage, e)),
+            "{damage:?}: {batch:?}"
+        );
     }
 }
 
@@ -250,7 +312,7 @@ fn a_failing_request_fails_alone_under_run_many() {
     for (i, result) in results.into_iter().enumerate() {
         if i == 2 {
             assert!(
-                matches!(&result, Err(EngineError::Source { stream, cause }) if is_damage(stream, cause)),
+                matches!(&result, Err(EngineError::Source { stream, cause }) if is_damage(Damage::SortedHead, stream, cause)),
                 "{result:?}"
             );
             continue;
