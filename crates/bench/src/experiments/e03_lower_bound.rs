@@ -5,13 +5,12 @@
 use std::sync::Arc;
 
 use fmdb_core::scoring::tnorms::{Lukasiewicz, Min, Product};
-use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
 use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::workload::independent_uniform;
 
 use crate::report::{f3, fit_exponent, int, Report, Table};
-use crate::runners::{mean_algo_cost, mean_cost, RunCfg};
+use crate::runners::{mean_cost, RunCfg};
 
 /// Runs the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
@@ -48,9 +47,15 @@ pub fn run(cfg: &RunCfg) -> Report {
             let fa = mean_cost(PhysicalPlan::Fa, norm, k, cfg.seeds, |seed| {
                 independent_uniform(n, m, seed)
             });
-            let pr = mean_algo_cost(&PrunedFa::default(), norm, k, cfg.seeds, |seed| {
-                independent_uniform(n, m, seed)
-            });
+            let pr = mean_cost(
+                PhysicalPlan::PrunedFa {
+                    short_circuit: true,
+                },
+                norm,
+                k,
+                cfg.seeds,
+                |seed| independent_uniform(n, m, seed),
+            );
             let scale = ((k * n) as f64).sqrt();
             let (fc, pc) = (fa.database_access_cost(), pr.database_access_cost());
             fa_pts.push((n as f64, fc as f64));

@@ -6,14 +6,13 @@
 use std::sync::Arc;
 
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
 use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::stats::CostModel;
 use fmdb_middleware::workload::independent_uniform;
 
 use crate::report::{f3, Report, Table};
-use crate::runners::{mean_algo_cost, mean_cost, RunCfg};
+use crate::runners::{mean_cost, RunCfg};
 
 /// Runs the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
@@ -33,9 +32,15 @@ pub fn run(cfg: &RunCfg) -> Report {
     let fa = mean_cost(PhysicalPlan::Fa, &min, k, cfg.seeds, |seed| {
         independent_uniform(n, m, seed)
     });
-    let pruned = mean_algo_cost(&PrunedFa::default(), &min, k, cfg.seeds, |seed| {
-        independent_uniform(n, m, seed)
-    });
+    let pruned = mean_cost(
+        PhysicalPlan::PrunedFa {
+            short_circuit: true,
+        },
+        &min,
+        k,
+        cfg.seeds,
+        |seed| independent_uniform(n, m, seed),
+    );
     let ta = mean_cost(PhysicalPlan::Ta, &min, k, cfg.seeds, |seed| {
         independent_uniform(n, m, seed)
     });

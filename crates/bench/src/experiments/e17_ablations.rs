@@ -13,13 +13,12 @@ use fmdb_media::bounding::DistanceBound;
 use fmdb_media::color::ColorHistogram;
 use fmdb_media::distance::{HistogramDistance, QuadraticFormDistance};
 use fmdb_media::synth::{SynthConfig, SyntheticDb};
-use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
 use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::request::SharedScoring;
 use fmdb_middleware::workload::independent_uniform;
 
 use crate::report::{f3, int, Report, Table};
-use crate::runners::{mean_algo_cost, mean_cost, RunCfg};
+use crate::runners::{mean_cost, RunCfg};
 
 /// Runs the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
@@ -98,16 +97,24 @@ pub fn run(cfg: &RunCfg) -> Report {
         let plain = mean_cost(PhysicalPlan::Fa, &min, k, cfg.seeds, |seed| {
             independent_uniform(n2, m, seed)
         });
-        let skip_only = mean_algo_cost(
-            &PrunedFa::without_short_circuit(),
+        let skip_only = mean_cost(
+            PhysicalPlan::PrunedFa {
+                short_circuit: false,
+            },
             &min,
             k,
             cfg.seeds,
             |seed| independent_uniform(n2, m, seed),
         );
-        let full = mean_algo_cost(&PrunedFa::default(), &min, k, cfg.seeds, |seed| {
-            independent_uniform(n2, m, seed)
-        });
+        let full = mean_cost(
+            PhysicalPlan::PrunedFa {
+                short_circuit: true,
+            },
+            &min,
+            k,
+            cfg.seeds,
+            |seed| independent_uniform(n2, m, seed),
+        );
         pruning.row(vec![
             m.to_string(),
             int(plain.random),

@@ -11,7 +11,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
+use fmdb_middleware::algorithms::TopKResult;
 use fmdb_middleware::engine::Engine;
 use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::policy::ExecPolicy;
@@ -113,29 +113,6 @@ pub fn engine() -> &'static Engine {
     ENGINE.get_or_init(Engine::default)
 }
 
-/// Runs `algo`, a strategy no plan names, through the shared
-/// [`engine`] over copies of `sources`.
-///
-/// # Panics
-/// Panics if the algorithm rejects the query — experiments only pass
-/// valid (monotone, non-empty) configurations.
-pub fn run_algo(
-    algo: &dyn TopKAlgorithm,
-    sources: &mut [VecSource],
-    scoring: &SharedScoring,
-    k: usize,
-) -> TopKResult {
-    let request = TopKQuery::compose()
-        .sources(sources.iter().cloned())
-        .shared_scoring(Arc::clone(scoring))
-        .k(k)
-        .request()
-        .unwrap_or_else(|e| panic!("{} rejected request: {e}", algo.name()));
-    engine()
-        .run_algorithm(algo, &request)
-        .unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()))
-}
-
 /// Runs a request under an explicit [`ExecPolicy`] through the shared
 /// [`engine`] — the policy resolves the algorithm (CA, θ-approximate
 /// TA, …) and the charged cost model.
@@ -168,35 +145,12 @@ pub fn mean_cost(
     scoring: &SharedScoring,
     k: usize,
     seeds: u64,
-    make_sources: impl FnMut(u64) -> Vec<VecSource>,
+    mut make_sources: impl FnMut(u64) -> Vec<VecSource>,
 ) -> AccessStats {
     let policy = ExecPolicy::new().plan(plan);
-    mean_over(seeds, make_sources, |sources| {
-        run_policy(policy, sources, scoring, k)
-    })
-}
-
-/// [`mean_cost`] of `algo`, a strategy no plan names.
-pub fn mean_algo_cost(
-    algo: &dyn TopKAlgorithm,
-    scoring: &SharedScoring,
-    k: usize,
-    seeds: u64,
-    make_sources: impl FnMut(u64) -> Vec<VecSource>,
-) -> AccessStats {
-    mean_over(seeds, make_sources, |sources| {
-        run_algo(algo, sources, scoring, k)
-    })
-}
-
-fn mean_over(
-    seeds: u64,
-    mut make_sources: impl FnMut(u64) -> Vec<VecSource>,
-    mut run: impl FnMut(&mut [VecSource]) -> TopKResult,
-) -> AccessStats {
     let mut total = AccessStats::ZERO;
     for seed in 0..seeds {
-        total += run(&mut make_sources(seed)).stats;
+        total += run_policy(policy, &mut make_sources(seed), scoring, k).stats;
     }
     AccessStats::new(total.sorted / seeds, total.random / seeds)
 }
@@ -205,7 +159,6 @@ fn mean_over(
 mod tests {
     use super::*;
     use fmdb_core::scoring::tnorms::Min;
-    use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
     use fmdb_middleware::algorithms::Cursor;
     use fmdb_middleware::source::Subsystem;
     use fmdb_middleware::workload::independent_uniform;
@@ -237,18 +190,20 @@ mod tests {
     }
 
     #[test]
-    fn a_strategy_no_plan_names_runs_through_the_engine() {
+    fn pruned_a0_runs_through_the_engine_as_a_plan() {
         let min: SharedScoring = Arc::new(Min);
+        let plan = PhysicalPlan::PrunedFa {
+            short_circuit: true,
+        };
         let mut sources = independent_uniform(250, 2, 9);
-        let pruned = PrunedFa::default();
-        let engine_run = run_algo(&pruned, &mut sources, &min, 6);
+        let engine_run = run_policy(ExecPolicy::new().plan(plan), &mut sources, &min, 6);
         let mut refs: Vec<&mut dyn Subsystem> = sources
             .iter_mut()
             .map(|s| s as &mut dyn Subsystem)
             .collect();
-        let scalar = pruned.evaluate(&mut refs, &Min, 6).unwrap();
+        let scalar = Cursor::once(plan, 0.0, &mut refs, &Min, 6).unwrap();
         assert_eq!(engine_run, scalar);
-        let averaged = mean_algo_cost(&pruned, &min, 6, 1, |_| independent_uniform(250, 2, 9));
+        let averaged = mean_cost(plan, &min, 6, 1, |_| independent_uniform(250, 2, 9));
         assert_eq!(averaged, scalar.stats);
     }
 

@@ -8,8 +8,7 @@ use fmdb_core::graded_set::GradedSet;
 use fmdb_core::query::{Query, QueryError, ScoringHandle};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
-use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::{AlgoError, Cursor, TopKAlgorithm};
+use fmdb_middleware::algorithms::{AlgoError, Cursor};
 use fmdb_middleware::engine::{Engine, EngineError};
 use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::TopKQuery;
@@ -30,15 +29,29 @@ pub enum AlgoChoice {
     Auto,
     /// Force plain A₀ ([`PlanKind::Fa`]).
     Fa,
-    /// Force A₀ with pruned random access — a reference algorithm no
-    /// plan names; reported as [`PlanKind::Fa`].
+    /// Force A₀ with pruned random access
+    /// ([`PlanKind::PrunedFa`], short circuit on).
     PrunedFa,
     /// Force the Threshold Algorithm ([`PlanKind::Ta`]).
     Ta,
     /// Force the naive full drain, which grades every object under the
-    /// compiled query — the other reference algorithm; reported as
-    /// [`PlanKind::FullScan`].
+    /// compiled query ([`PlanKind::FullScan`]).
     Naive,
+}
+
+impl AlgoChoice {
+    /// The plan the choice forces; `None` lets the planner choose.
+    fn plan(self) -> Option<PlanKind> {
+        match self {
+            AlgoChoice::Auto => None,
+            AlgoChoice::Fa => Some(PlanKind::Fa),
+            AlgoChoice::PrunedFa => Some(PlanKind::PrunedFa {
+                short_circuit: true,
+            }),
+            AlgoChoice::Ta => Some(PlanKind::Ta),
+            AlgoChoice::Naive => Some(PlanKind::FullScan),
+        }
+    }
 }
 
 /// Error raised during execution.
@@ -222,35 +235,17 @@ impl Garlic {
     }
 
     /// Finds the top `k` answers with an explicit algorithm override
-    /// for queries monotone in their leaves (used by the experiments).
+    /// (used by the experiments): [`Garlic::top_k_policy`] under a
+    /// policy naming the choice's plan.
     pub fn top_k_with(
         &self,
         query: &Query,
         k: usize,
         choice: AlgoChoice,
     ) -> Result<QueryResult, ExecError> {
-        let forced = |plan| self.top_k_policy(query, k, ExecPolicy::new().plan(plan));
-        let pruned = PrunedFa::default();
-        let (kind, reference): (_, Option<&dyn TopKAlgorithm>) = match choice {
-            AlgoChoice::Auto => return self.top_k(query, k),
-            AlgoChoice::Fa => return forced(PlanKind::Fa),
-            AlgoChoice::Ta => return forced(PlanKind::Ta),
-            AlgoChoice::PrunedFa => (PlanKind::Fa, Some(&pruned)),
-            AlgoChoice::Naive => (PlanKind::FullScan, None),
-        };
-        if k == 0 {
-            return Err(AlgoError::ZeroK.into());
-        }
-        let bound = bind(query, &self.catalog)?;
-        // Where a forced algorithm may run is the planner's call.
-        let policy = ExecPolicy::new().plan(PlanKind::Fa);
-        let p = optimize(&bound, k, &policy)?;
-        if p.kind == PlanKind::FullScan {
-            return self.run(bound, k, p, policy, None);
-        }
-        let name = reference.map_or("naive", |algorithm| algorithm.name());
-        let explanation = format!("forced reference algorithm {name}");
-        self.run(bound, k, Plan { kind, explanation }, policy, reference)
+        let policy = ExecPolicy::new();
+        let policy = choice.plan().map_or(policy, |plan| policy.plan(plan));
+        self.top_k_policy(query, k, policy)
     }
 
     /// Finds the top `k` answers under an explicit [`ExecPolicy`]: the
@@ -276,18 +271,16 @@ impl Garlic {
             // The strategy above the algorithm layer.
             return self.run_crisp_filter(bound, k, p.explanation);
         }
-        self.run(bound, k, p, policy, None)
+        self.run(bound, k, p, policy)
     }
 
-    /// Runs `p`'s plan — or `reference`, which no plan names, reported
-    /// as `p` — over the bound lists through the engine.
+    /// Runs `p`'s plan over the bound lists through the engine.
     fn run(
         &self,
         bound: BoundQuery,
         k: usize,
         p: Plan,
         policy: ExecPolicy,
-        reference: Option<&dyn TopKAlgorithm>,
     ) -> Result<QueryResult, ExecError> {
         let request = TopKQuery::compose()
             .sources(bound.leaves.into_iter().map(|leaf| leaf.source))
@@ -295,10 +288,7 @@ impl Garlic {
             .k(k)
             .policy(policy.plan(p.kind))
             .request()?;
-        let result = match reference {
-            Some(algorithm) => self.engine.run_algorithm(algorithm, &request)?,
-            None => self.engine.run(&request)?,
-        };
+        let result = self.engine.run(&request)?;
         Ok(QueryResult {
             answers: result.answers,
             stats: result.stats,
@@ -628,7 +618,12 @@ mod tests {
             (AlgoChoice::Auto, auto),
             (AlgoChoice::Fa, PlanKind::Fa),
             (AlgoChoice::Ta, PlanKind::Ta),
-            (AlgoChoice::PrunedFa, PlanKind::Fa),
+            (
+                AlgoChoice::PrunedFa,
+                PlanKind::PrunedFa {
+                    short_circuit: true,
+                },
+            ),
             (AlgoChoice::Naive, PlanKind::FullScan),
         ] {
             let flat = g.top_k_with(&fuzzy, 4, choice).unwrap();

@@ -547,9 +547,8 @@ impl Book {
 mod tests {
     use super::*;
     use crate::algorithms::cg_filter::CgFilter;
-    use crate::algorithms::pruned_fa::PrunedFa;
-    use crate::algorithms::tests::Planned;
-    use crate::algorithms::{TopKAlgorithm, TopKResult};
+    use crate::algorithms::{Cursor, TopKResult};
+    use crate::frozen::narrowed;
     use crate::oracle::verify_top_k;
     use crate::planner::PhysicalPlan;
     use crate::source::GradedSource;
@@ -613,19 +612,19 @@ mod tests {
     fn a_huge_reported_universe_does_not_size_the_array() {
         // Under min, NRA certifies only fully revealed objects, so its
         // lower bounds are the grades the oracle checks.
-        let algorithms: [&dyn TopKAlgorithm; 4] = [
-            &Planned(PhysicalPlan::FullScan, 0.0),
-            &Planned(PhysicalPlan::Fa, 0.0),
-            &Planned(PhysicalPlan::Ta, 0.0),
-            &Planned(PhysicalPlan::Nra, 0.0),
+        let plans = [
+            PhysicalPlan::FullScan,
+            PhysicalPlan::Fa,
+            PhysicalPlan::Ta,
+            PhysicalPlan::Nra,
         ];
-        for algo in algorithms {
+        for plan in plans {
             let mut truthful = independent_uniform(50, 3, 11);
             let mut refs: Vec<&mut dyn GradedSource> = truthful
                 .iter_mut()
                 .map(|s| s as &mut dyn GradedSource)
                 .collect();
-            let twin = algo.top_k(&mut refs, &Min, 5).unwrap();
+            let twin = once(plan, &mut refs, &Min, 5).unwrap();
 
             let mut boastful: Vec<Boastful> = independent_uniform(50, 3, 11)
                 .into_iter()
@@ -640,11 +639,23 @@ mod tests {
                 DENSE_OIDS
             );
             let mut refs = shim_refs(&mut boastful);
-            let result = algo.top_k(&mut refs, &Min, 5).unwrap();
-            assert_eq!(result, twin, "{}", algo.name());
+            let result = once(plan, &mut refs, &Min, 5).unwrap();
+            assert_eq!(result, twin, "{plan}");
             verify_top_k(&mut refs, &Min, &result.answers, 5)
-                .unwrap_or_else(|v| panic!("{}: {v}", algo.name()));
+                .unwrap_or_else(|v| panic!("{plan}: {v}"));
         }
+    }
+
+    /// `plan`'s one-shot run over sources of the old trait.
+    fn once(
+        plan: PhysicalPlan,
+        sources: &mut [&mut dyn GradedSource],
+        scoring: &dyn ScoringFunction,
+        k: usize,
+    ) -> Result<TopKResult, AlgoError> {
+        narrowed(sources, |sources| {
+            Cursor::once(plan, 0.0, sources, scoring, k)
+        })
     }
 
     fn shim_refs<S: GradedSource>(lists: &mut [S]) -> Vec<&mut dyn GradedSource> {
@@ -738,19 +749,24 @@ mod tests {
     #[test]
     fn back_to_back_runs_on_one_thread_leave_nothing_behind() {
         let cg = CgFilter::new(0.9, 0.5).unwrap();
-        let ca = Planned(PhysicalPlan::Ca { h: 3 }, 0.0);
-        let pruned = PrunedFa::default();
         let max = ConormScoring(Max);
-        let algorithms: [(&dyn TopKAlgorithm, &dyn ScoringFunction); 8] = [
-            (&Planned(PhysicalPlan::FullScan, 0.0), &Min),
-            (&Planned(PhysicalPlan::Fa, 0.0), &Min),
-            (&pruned, &Min),
-            (&Planned(PhysicalPlan::Ta, 0.0), &Min),
-            (&Planned(PhysicalPlan::Nra, 0.0), &Min),
-            (&ca, &Min),
-            (&Planned(PhysicalPlan::MaxMerge, 0.0), &max),
-            (&cg, &Min),
+        // A plan, or `None` for the CG filter, which no plan names.
+        let algorithms: [(Option<PhysicalPlan>, &dyn ScoringFunction); 8] = [
+            (Some(PhysicalPlan::FullScan), &Min),
+            (Some(PhysicalPlan::Fa), &Min),
+            (
+                Some(PhysicalPlan::PrunedFa {
+                    short_circuit: true,
+                }),
+                &Min,
+            ),
+            (Some(PhysicalPlan::Ta), &Min),
+            (Some(PhysicalPlan::Nra), &Min),
+            (Some(PhysicalPlan::Ca { h: 3 }), &Min),
+            (Some(PhysicalPlan::MaxMerge), &max),
+            (None, &Min),
         ];
+        let name = |plan: Option<PhysicalPlan>| plan.map_or("cg-filter", |plan| plan.name());
         let kinds = [
             Lists::Dense,
             Lists::Holes,
@@ -760,7 +776,7 @@ mod tests {
         struct Case<'a> {
             m: usize,
             kind: Lists,
-            algo: &'a dyn TopKAlgorithm,
+            algo: Option<PhysicalPlan>,
             scoring: &'a dyn ScoringFunction,
             seed: u64,
         }
@@ -792,16 +808,21 @@ mod tests {
                 .iter_mut()
                 .map(|s| &mut **s as &mut dyn GradedSource)
                 .collect();
-            let result = algo.top_k(&mut sources, scoring, 5).unwrap();
+            let result = match algo {
+                Some(plan) => once(plan, &mut sources, scoring, 5),
+                None => narrowed(&mut sources, |sources| cg.run(sources, scoring, 5))
+                    .map(|run| run.result),
+            };
+            let result = result.unwrap();
             verify_top_k(&mut sources, scoring, &result.answers, 5)
-                .unwrap_or_else(|v| panic!("{}, m = {m}, {kind:?}: {v}", algo.name()));
+                .unwrap_or_else(|v| panic!("{}, m = {m}, {kind:?}: {v}", name(algo)));
             result
         };
         let forward: Vec<TopKResult> = cases.iter().map(run).collect();
         let backward: Vec<TopKResult> = cases.iter().rev().map(run).collect();
         for ((case, ahead), behind) in cases.iter().zip(&forward).zip(backward.iter().rev()) {
             let (m, kind) = (case.m, case.kind);
-            assert_eq!(ahead, behind, "{}, m = {m}, {kind:?}", case.algo.name());
+            assert_eq!(ahead, behind, "{}, m = {m}, {kind:?}", name(case.algo));
         }
     }
 
@@ -844,12 +865,8 @@ mod tests {
         let runs = || {
             let mut lists = independent_uniform(500, 2, 13);
             let mut sources = shim_refs(&mut lists);
-            let naive = Planned(PhysicalPlan::FullScan, 0.0)
-                .top_k(&mut sources, &Min, 10)
-                .unwrap();
-            let ta = Planned(PhysicalPlan::Ta, 0.0)
-                .top_k(&mut sources, &Min, 10)
-                .unwrap();
+            let naive = once(PhysicalPlan::FullScan, &mut sources, &Min, 10).unwrap();
+            let ta = once(PhysicalPlan::Ta, &mut sources, &Min, 10).unwrap();
             (naive, ta)
         };
         let before = runs();
@@ -862,7 +879,12 @@ mod tests {
             })
             .collect();
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            Planned(PhysicalPlan::FullScan, 0.0).top_k(&mut shim_refs(&mut panicking), &Min, 10)
+            once(
+                PhysicalPlan::FullScan,
+                &mut shim_refs(&mut panicking),
+                &Min,
+                10,
+            )
         }));
         assert!(unwound.is_err(), "the 300th sorted access panics");
         assert_eq!(runs(), before);

@@ -19,14 +19,17 @@
 //! Soundness requires `combine(x₁…x_m) ≤ min(x₁…x_m)` — true for every
 //! t-norm (`t(x,y) ≤ t(x,1) = x`), false for means. Then an object
 //! missing from some τ-filter has a conjunct grade < τ, hence an overall
-//! grade < τ, and cannot displace the `k` found answers. The
-//! constructor probes this property and refuses means and co-norms.
+//! grade < τ, and cannot displace the `k` found answers. A run probes
+//! this property and refuses means and co-norms.
+//!
+//! No plan names the filter and no door but [`CgFilter::run`] runs it:
+//! its τ schedule is two reals, and E12 reads its round count.
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
-use crate::algorithms::{finalize, monotone, validate, AlgoError, TopKAlgorithm, TopKResult};
+use crate::algorithms::{finalize, monotone, validate, AlgoError, TopKResult};
 use crate::planner::bounded_by_min;
 use crate::source::Subsystem;
 use crate::stats::AccessStats;
@@ -64,14 +67,19 @@ impl CgFilter {
     /// Creates a filter strategy. Returns `None` unless
     /// `0 < initial_tau < 1` and `0 < decay < 1`.
     pub fn new(initial_tau: f64, decay: f64) -> Option<CgFilter> {
-        ((0.0..1.0).contains(&initial_tau)
-            && initial_tau > 0.0
-            && (0.0..1.0).contains(&decay)
-            && decay > 0.0)
-            .then_some(CgFilter { initial_tau, decay })
+        let filter = CgFilter { initial_tau, decay };
+        filter.schedule_ok().then_some(filter)
     }
 
-    /// Runs the filter strategy, reporting restart diagnostics.
+    /// Whether τ₀ and the decay both lie in `(0, 1)`: a decay of 1 or
+    /// NaN never lowers τ, so a run would repeat one round forever.
+    fn schedule_ok(&self) -> bool {
+        let unit = |x: f64| x > 0.0 && x < 1.0;
+        unit(self.initial_tau) && unit(self.decay)
+    }
+
+    /// Runs the filter strategy, reporting restart diagnostics. A
+    /// schedule outside `(0, 1)` is [`AlgoError::InvalidRequest`].
     pub fn run(
         &self,
         sources: &mut [&mut dyn Subsystem],
@@ -79,6 +87,12 @@ impl CgFilter {
         k: usize,
     ) -> Result<CgRun, AlgoError> {
         validate(sources, k)?;
+        if !self.schedule_ok() {
+            return Err(AlgoError::InvalidRequest(format!(
+                "a CG filter needs τ₀ and decay in (0, 1), got {} and {}",
+                self.initial_tau, self.decay
+            )));
+        }
         monotone(scoring)?;
         if !bounded_by_min(scoring, sources.len()) {
             return Err(AlgoError::UnsupportedScoring {
@@ -139,28 +153,13 @@ impl CgFilter {
     }
 }
 
-impl TopKAlgorithm for CgFilter {
-    fn name(&self) -> &'static str {
-        "cg-filter"
-    }
-
-    fn evaluate(
-        &self,
-        sources: &mut [&mut dyn Subsystem],
-        scoring: &dyn ScoringFunction,
-        k: usize,
-    ) -> Result<TopKResult, AlgoError> {
-        self.run(sources, scoring, k).map(|r| r.result)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::tests::Planned;
+    use crate::algorithms::Cursor;
     use crate::planner::PhysicalPlan;
-    use crate::source::GradedSource;
     use crate::source::VecSource;
+    use crate::workload::independent_uniform;
     use fmdb_core::scoring::means::ArithmeticMean;
     use fmdb_core::scoring::tnorms::{Min, Product};
 
@@ -180,17 +179,11 @@ mod tests {
             .collect()
     }
 
-    fn run_algo(
-        algo: &dyn TopKAlgorithm,
-        sources: &mut [VecSource],
-        scoring: &dyn ScoringFunction,
-        k: usize,
-    ) -> TopKResult {
-        let mut refs: Vec<&mut dyn GradedSource> = sources
+    fn refs(sources: &mut [VecSource]) -> Vec<&mut dyn Subsystem> {
+        sources
             .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
-            .collect();
-        algo.top_k(&mut refs, scoring, k).unwrap()
+            .map(|s| s as &mut dyn Subsystem)
+            .collect()
     }
 
     fn grades_of(r: &TopKResult) -> Vec<Score> {
@@ -203,14 +196,19 @@ mod tests {
         for scoring in &scorings {
             for k in [1, 5, 12] {
                 let mut a = pseudo_random_sources(300, &[7919, 104729]);
-                let cg = run_algo(&CgFilter::default(), &mut a, scoring.as_ref(), k);
+                let cg = CgFilter::default()
+                    .run(&mut refs(&mut a), scoring.as_ref(), k)
+                    .unwrap()
+                    .result;
                 let mut b = pseudo_random_sources(300, &[7919, 104729]);
-                let naive = run_algo(
-                    &Planned(PhysicalPlan::FullScan, 0.0),
-                    &mut b,
+                let naive = Cursor::once(
+                    PhysicalPlan::FullScan,
+                    0.0,
+                    &mut refs(&mut b),
                     scoring.as_ref(),
                     k,
-                );
+                )
+                .unwrap();
                 assert_eq!(
                     grades_of(&cg),
                     grades_of(&naive),
@@ -224,10 +222,8 @@ mod tests {
     #[test]
     fn rejects_means() {
         let mut a = pseudo_random_sources(50, &[7919, 104729]);
-        let mut refs: Vec<&mut dyn GradedSource> =
-            a.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
         assert!(matches!(
-            CgFilter::default().top_k(&mut refs, &ArithmeticMean, 3),
+            CgFilter::default().run(&mut refs(&mut a), &ArithmeticMean, 3),
             Err(AlgoError::UnsupportedScoring { .. })
         ));
     }
@@ -235,17 +231,13 @@ mod tests {
     #[test]
     fn low_initial_tau_avoids_restarts_high_tau_restarts() {
         let mut a = pseudo_random_sources(300, &[7919, 104729]);
-        let mut refs: Vec<&mut dyn Subsystem> =
-            a.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
         let greedy = CgFilter::new(0.95, 0.5).unwrap();
-        let run_hi = greedy.run(&mut refs, &Min, 20).unwrap();
+        let run_hi = greedy.run(&mut refs(&mut a), &Min, 20).unwrap();
         assert!(run_hi.rounds > 1, "τ=0.95 should not satisfy k=20 at once");
 
         let mut b = pseudo_random_sources(300, &[7919, 104729]);
-        let mut refs_b: Vec<&mut dyn Subsystem> =
-            b.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
         let lax = CgFilter::new(0.05, 0.5).unwrap();
-        let run_lo = lax.run(&mut refs_b, &Min, 20).unwrap();
+        let run_lo = lax.run(&mut refs(&mut b), &Min, 20).unwrap();
         assert_eq!(run_lo.rounds, 1);
     }
 
@@ -266,6 +258,38 @@ mod tests {
         assert!(CgFilter::new(1.0, 0.5).is_none());
         assert!(CgFilter::new(0.5, 0.0).is_none());
         assert!(CgFilter::new(0.5, 1.0).is_none());
+        assert!(CgFilter::new(f64::NAN, 0.5).is_none());
         assert!(CgFilter::new(0.5, 0.5).is_some());
+    }
+
+    /// A schedule that skips `new` through the public fields: a decay of
+    /// 1 never lowers τ, and would repeat its first round forever.
+    #[test]
+    fn a_decay_of_one_is_refused_not_looped() {
+        let mut lists = independent_uniform(300, 2, 1);
+        let stuck = CgFilter {
+            initial_tau: 0.9,
+            decay: 1.0,
+        };
+        assert!(matches!(
+            stuck.run(&mut refs(&mut lists), &Min, 20),
+            Err(AlgoError::InvalidRequest(_))
+        ));
+    }
+
+    /// A NaN τ₀ or decay fails every comparison and loops the same way.
+    #[test]
+    fn a_nan_schedule_is_refused_not_looped() {
+        for (initial_tau, decay) in [(f64::NAN, 0.5), (0.9, f64::NAN)] {
+            let mut lists = independent_uniform(300, 2, 1);
+            let stuck = CgFilter { initial_tau, decay };
+            assert!(
+                matches!(
+                    stuck.run(&mut refs(&mut lists), &Min, 20),
+                    Err(AlgoError::InvalidRequest(_))
+                ),
+                "τ₀ = {initial_tau}, decay = {decay}"
+            );
+        }
     }
 }

@@ -11,13 +11,15 @@
 //! | Plan | A batch | Kept beside the book |
 //! |------|---------|----------------------|
 //! | `Fa` | phase 1 on to `\|L\| ≥` the cumulative `k`, then the holes probed | `\|L\|` |
+//! | `PrunedFa` | A₀'s phase 1, then the pruned probes of the rows no batch returned | `\|L\|` |
 //! | the threshold family | the loop, halting rule first, over the rows no batch returned | nothing |
 //! | `MaxMerge` | every list read on to the cumulative `k` | nothing: that depth is what was asked for |
 //! | `FullScan` | the drain, on the first batch only | nothing |
 //!
 //! A one-shot run of a plan is its cursor's first batch
 //! ([`Cursor::once`]): that one `match` on the plan is every door to
-//! A₀, the threshold family, the max merge and the scan. The crisp
+//! A₀ and pruned A₀, the threshold family, the max merge and the scan.
+//! The crisp
 //! filter keeps no book and has no cursor; garlic runs it, and its
 //! cursor runs A₀ for it.
 
@@ -40,8 +42,8 @@ use crate::source::{Oid, Subsystem};
 ///
 /// A batch is the best `k` objects no earlier batch returned. Appended
 /// to the earlier batches it is a valid top set of the cumulative `k`
-/// under the plan's own guarantee: exact grades for `Fa`, `Ta`, `Ca`,
-/// `MaxMerge` and `FullScan` (a one-shot run's grades at the cumulative
+/// under the plan's own guarantee: exact grades for `Fa`, `PrunedFa`,
+/// `Ta`, `Ca`, `MaxMerge` and `FullScan` (a one-shot run's grades at the cumulative
 /// `k`, bit for bit), the `(1 + θ)` slack for the approximations,
 /// certified lower bounds for NRA. The threshold family ranks only the
 /// rows no batch returned, so a batch never undoes an earlier one; for
@@ -170,7 +172,7 @@ impl Cursor {
             _ => monotone(scoring)?,
         }
         let run = self.run.get_or_insert_with(|| match plan {
-            PhysicalPlan::Fa => Run::Fa(FaState::new(sources)),
+            PhysicalPlan::Fa | PhysicalPlan::PrunedFa { .. } => Run::Fa(FaState::new(sources)),
             _ => Run::Book(Book::open(sources)),
         });
         if run.book().frontier.bottoms.len() != sources.len() {
@@ -195,7 +197,12 @@ impl Cursor {
                 .into_lower_bounds(),
             (Run::Fa(state), _) => {
                 state.sorted_phase(sources, target)?;
-                let combined = fresh(state.resolve_all(sources, scoring)?);
+                let combined = match plan {
+                    PhysicalPlan::PrunedFa { short_circuit } => {
+                        state.resolve_pruned(sources, scoring, returned, k, short_circuit)?
+                    }
+                    _ => fresh(state.resolve_all(sources, scoring)?),
+                };
                 finalize(combined, k, state.book.frontier.stats)
             }
             (Run::Book(book), None) if plan == PhysicalPlan::MaxMerge => {

@@ -25,6 +25,28 @@
 //! its state between batches, as it keeps every plan's. A one-shot run
 //! halts phase 1 at `|L| ≥ k` — the correctness argument above — and
 //! is the cursor's first batch.
+//!
+//! **Pruned A₀** (`PhysicalPlan::PrunedFa`) is the "various
+//! improvements … that can be made to algorithm A₀" of §4.1 (detailed
+//! in \[Fa96\], particularly for `t = min`). Phase 1 is A₀'s; phase 2
+//! (`FaState::resolve_pruned`) uses what sorted access revealed:
+//! every object list `i` has not shown grades at most that list's
+//! bottom, so a row's **upper bound** is `t` with each unknown field
+//! read as its list's bottom. Two prunes follow:
+//!
+//! * **skip** — once `k` objects are fully known with `k`-th best grade
+//!   `τ`, an object whose upper bound is ≤ τ is dropped without any
+//!   random access (ties may be broken arbitrarily, §4.1);
+//! * **short-circuit** — while probing an object's missing grades one
+//!   list at a time, the upper bound is recomputed after every probe,
+//!   and the remaining probes are abandoned the moment it falls to
+//!   ≤ τ. For `t = min` one low grade settles the object's fate.
+//!
+//! The answers have A₀'s exact *grades*, though objects tied at `τ`
+//! may differ; only the random accesses shrink (E3, E17).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
@@ -36,8 +58,7 @@ use crate::source::{Oid, Subsystem};
 #[doc(hidden)]
 pub use crate::frozen::FaginsAlgorithm;
 
-/// What a cursor running A₀ and
-/// [`crate::algorithms::pruned_fa::PrunedFa`] keep: the book and `|L|`.
+/// What a cursor running A₀ or pruned A₀ keeps: the book and `|L|`.
 pub(crate) struct FaState {
     pub(crate) book: Book,
     /// Objects every list has output under *sorted* access (the set L).
@@ -144,6 +165,86 @@ impl FaState {
             })
             .collect())
     }
+
+    /// Phases 2 and 3 pruned: the rows no earlier batch returned
+    /// (`returned` flags the others), each known or probed list by
+    /// list until its upper bound falls to the `k`-th best grade known
+    /// so far. Returns every row resolved, in no particular order.
+    ///
+    /// Fully known rows come first and set τ; the rest are probed in
+    /// descending upper bound, ties by oid, so τ tightens as fast as it
+    /// can. `short_circuit` off keeps only the skip prune (E17).
+    pub(crate) fn resolve_pruned(
+        &mut self,
+        sources: &mut [&mut dyn Subsystem],
+        scoring: &dyn ScoringFunction,
+        returned: &[bool],
+        k: usize,
+        short_circuit: bool,
+    ) -> Result<Vec<ScoredObject<Oid>>, AlgoError> {
+        let book = &mut self.book;
+        let mut known = Vec::new();
+        let mut tau = KthBest {
+            k,
+            best: BinaryHeap::new(),
+        };
+        let mut candidates: Vec<(Score, Oid, usize)> = Vec::new();
+        for row in 0..book.table.len() {
+            if returned.get(row).is_some_and(|&out| out) {
+                continue;
+            }
+            // With no unknown slot the upper bound is the exact grade.
+            let upper = book.upper(row, scoring);
+            let oid = book.table.oid(row);
+            if book.table.missing(row) == 0 {
+                known.push(ScoredObject::new(oid, upper));
+                tau.push(upper);
+            } else {
+                candidates.push((upper, oid, row));
+            }
+        }
+        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        'candidates: for (upper, oid, row) in candidates {
+            // Skip: μ(oid) ≤ upper ≤ τ, so k known objects tie or beat it.
+            if tau.excludes(upper) {
+                continue;
+            }
+            for j in 0..sources.len() {
+                if book.table.fields(row)[j].is_some() {
+                    continue;
+                }
+                book.probe(row, j, sources)?;
+                if short_circuit && tau.excludes(book.upper(row, scoring)) {
+                    continue 'candidates;
+                }
+            }
+            let grade = book.upper(row, scoring);
+            known.push(ScoredObject::new(oid, grade));
+            tau.push(grade);
+        }
+        Ok(known)
+    }
+}
+
+/// The `k` best fully known grades, the smallest on top: τ once there
+/// are `k` of them.
+struct KthBest {
+    k: usize,
+    best: BinaryHeap<Reverse<Score>>,
+}
+
+impl KthBest {
+    fn push(&mut self, grade: Score) {
+        self.best.push(Reverse(grade));
+        if self.best.len() > self.k {
+            self.best.pop();
+        }
+    }
+
+    /// Whether `k` objects are known to tie or beat `upper`.
+    fn excludes(&self, upper: Score) -> bool {
+        self.best.len() >= self.k && self.best.peek().is_some_and(|kth| upper <= kth.0)
+    }
 }
 
 #[cfg(test)]
@@ -152,6 +253,7 @@ mod tests {
     use crate::algorithms::{Cursor, TopKResult};
     use crate::planner::PhysicalPlan;
     use crate::source::{CountingSource, SourceError, VecSource};
+    use crate::workload::independent_uniform;
     use fmdb_core::scoring::tnorms::{Min, Product};
 
     fn fa(
@@ -265,7 +367,7 @@ mod tests {
     }
 
     fn recorded(m: usize) -> Vec<Recording> {
-        crate::workload::independent_uniform(400, m, 7)
+        independent_uniform(400, m, 7)
             .into_iter()
             .map(Recording::new)
             .collect()
@@ -404,6 +506,102 @@ mod tests {
         // Grades still exact and descending.
         for w in r.answers.windows(2) {
             assert!(w[0].grade >= w[1].grade);
+        }
+    }
+
+    const PRUNED: PhysicalPlan = PhysicalPlan::PrunedFa {
+        short_circuit: true,
+    };
+
+    fn once(
+        plan: PhysicalPlan,
+        lists: &mut [VecSource],
+        t: &dyn ScoringFunction,
+        k: usize,
+    ) -> TopKResult {
+        let mut refs: Vec<&mut dyn Subsystem> = lists.iter_mut().map(|s| s as _).collect();
+        Cursor::once(plan, 0.0, &mut refs, t, k).unwrap()
+    }
+
+    fn grades_of(r: &TopKResult) -> Vec<Score> {
+        r.answers.iter().map(|a| a.grade).collect()
+    }
+
+    /// Pruned A₀ returns a valid top k with A₀'s grades, at A₀'s sorted
+    /// charge and no more probes; for m = 3 under min the short
+    /// circuit alone saves some.
+    #[test]
+    fn pruning_keeps_the_grades_and_only_drops_probes() {
+        use crate::oracle::verify_top_k;
+        use crate::source::GradedSource;
+        use fmdb_core::scoring::means::ArithmeticMean;
+
+        let scorings: [&dyn ScoringFunction; 3] = [&Min, &Product, &ArithmeticMean];
+        let (mut pruned_total, mut plain_total) = (0, 0);
+        for (n, m, seed, k) in [
+            (300, 2, 11, 1),
+            (300, 2, 11, 10),
+            (500, 2, 3, 10),
+            (1000, 3, 4, 5),
+        ] {
+            for t in scorings {
+                let mut lists = independent_uniform(n, m, seed);
+                let pruned = once(PRUNED, &mut lists, t, k);
+                let mut refs: Vec<&mut dyn GradedSource> =
+                    lists.iter_mut().map(|s| s as _).collect();
+                verify_top_k(&mut refs, t, &pruned.answers, k).expect("a valid top k");
+                let plain = once(PhysicalPlan::Fa, &mut independent_uniform(n, m, seed), t, k);
+                assert_eq!(grades_of(&pruned), grades_of(&plain), "{} k={k}", t.name());
+                assert_eq!(pruned.stats.sorted, plain.stats.sorted);
+                assert!(pruned.stats.random <= plain.stats.random);
+                pruned_total += pruned.stats.random;
+                plain_total += plain.stats.random;
+            }
+        }
+        assert!(
+            pruned_total < plain_total,
+            "pruned {pruned_total} vs plain {plain_total}"
+        );
+    }
+
+    #[test]
+    fn pruning_bounds_what_a_drained_list_never_shows_by_zero() {
+        let mut lists = [
+            VecSource::new("a", vec![(0, s(0.9)), (1, s(0.8)), (2, s(0.7))]),
+            VecSource::new("b", vec![(0, s(0.6))]),
+        ];
+        let r = once(PRUNED, &mut lists, &Min, 1);
+        assert_eq!(r.answers, [ScoredObject::new(0, s(0.6))]);
+        let (a, b) = fixture();
+        assert_eq!(once(PRUNED, &mut [a, b], &Min, 10).answers.len(), 6);
+        assert!(Cursor::new(PRUNED, 0.1).is_err(), "no θ-approximation");
+    }
+
+    /// Through the engine, pruned A₀ answers and charges what its
+    /// one-shot run does: `family_charges` pins both at what the
+    /// strategy charged before it was a plan (383 sorted; 119 probes,
+    /// 182 without the short circuit).
+    #[test]
+    fn pruned_a0_through_the_engine_is_its_one_shot_run() {
+        use crate::engine::Engine;
+        use crate::policy::ExecPolicy;
+        use crate::request::TopKQuery;
+
+        for (short_circuit, random) in [(true, 119), (false, 182)] {
+            let plan = PhysicalPlan::PrunedFa { short_circuit };
+            let scalar = once(plan, &mut independent_uniform(400, 3, 7), &Min, 10);
+            let request = TopKQuery::compose()
+                .sources(independent_uniform(400, 3, 7))
+                .scoring(Min)
+                .k(10)
+                .policy(ExecPolicy::new().plan(plan))
+                .request()
+                .unwrap();
+            let engine = Engine::default().run(&request).unwrap();
+            assert_eq!(engine.answers, scalar.answers, "{plan:?}");
+            let charges = (engine.stats.sorted, engine.stats.random);
+            assert_eq!(charges, (383, random), "{plan:?}");
+            assert_eq!(charges, (scalar.stats.sorted, scalar.stats.random));
         }
     }
 

@@ -5,9 +5,8 @@
 //! plan's [`Cursor`]: [`Cursor::once`] is a one-shot run, the cursor's
 //! first batch, and [`Cursor::next_k`] resumes it ("the top 10 objects
 //! …, then the next 10", §4). The engine, garlic and the policy reach
-//! every plan that way. Two reference strategies no plan names are
-//! [`TopKAlgorithm`]s, run directly or by
-//! [`crate::engine::Engine::run_algorithm`].
+//! every plan that way. The CG filter simulation, which no plan names,
+//! runs by [`cg_filter::CgFilter::run`].
 //!
 //! | Strategy | Paper role | Cost (independent lists) |
 //! |----------|------------|--------------------------|
@@ -15,18 +14,19 @@
 //! | `Fa` ([`fa`]) | algorithm A₀ of \[Fa96\] | `O(N^((m−1)/m)·k^(1/m))`, optimal for strict monotone queries (Thms 4.1/4.2) |
 //! | `MaxMerge` ([`max_merge`]) | the disjunction (max) special case | `m·k`, independent of `N` |
 //! | `Ta`, `Nra`, `Ca { h }`, `ApproxTa`, `ApproxNra` | extension: Fagin–Lotem–Naor's threshold family (open problem of §6) | TA instance optimal; NRA sorted only; CA tuned by `⌊c_R/c_S⌋`; θ buys `(1+θ)` slack |
-//! | [`pruned_fa::PrunedFa`] | A₀ + the random-access pruning improvements sketched in \[Fa96\] | ≤ A₀ |
+//! | `PrunedFa { short_circuit }` ([`fa`]) | A₀ + the random-access pruning improvements sketched in \[Fa96\] | ≤ A₀ |
 //! | [`cg_filter::CgFilter`] | Chaudhuri–Gravano \[CG96\] filter-condition simulation | τ-schedule dependent |
 //!
 //! The threshold family is one loop — the crate-private `threshold`
 //! module — whose members differ in when they probe, their slack θ and
 //! how they report grades; the table of them is there (`DESIGN.md`
 //! §10). The plan's one rule for θ is [`PhysicalPlan`](crate::planner::PhysicalPlan)'s: under θ > 0
-//! TA and NRA run their θ-approximations and A₀ is refused.
+//! TA and NRA run their θ-approximations and A₀, pruned or not, is
+//! refused.
 //!
 //! | Plan | What a cursor keeps beside the book |
 //! |------|-------------------------------------|
-//! | `Fa` | `\|L\|`, the objects every list has shown |
+//! | `Fa`, `PrunedFa` | `\|L\|`, the objects every list has shown |
 //! | the threshold family | nothing: it ranks the rows no batch returned |
 //! | `MaxMerge` | nothing: the depth read is the depth asked for |
 //! | `FullScan` | nothing: the first batch drains every list |
@@ -57,11 +57,13 @@ mod cursor;
 pub mod fa;
 pub mod max_merge;
 pub mod naive;
-pub mod pruned_fa;
 pub(crate) mod threshold;
 
 pub use cursor::Cursor;
 pub use threshold::{nra_intervals, BoundedAnswer, NraResult};
+
+#[doc(hidden)]
+pub use crate::frozen::at_algorithms::*;
 
 /// The old module paths `perfbench/` imports its shims from.
 #[doc(hidden)]
@@ -90,7 +92,7 @@ use std::fmt;
 use fmdb_core::score::ScoredObject;
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::source::{GradedSource, Oid, SourceError, Subsystem};
+use crate::source::{Oid, SourceError, Subsystem};
 use crate::stats::AccessStats;
 
 /// The answers and metered cost of one top-k evaluation.
@@ -182,46 +184,6 @@ impl std::error::Error for AlgoError {
             AlgoError::Source { cause, .. } => Some(cause),
             _ => None,
         }
-    }
-}
-
-/// A top-k evaluation strategy no [`PhysicalPlan`](crate::planner::PhysicalPlan) names: pruned A₀
-/// and the CG filter simulation. A plan's strategy runs through its
-/// [`Cursor`].
-///
-/// Contract:
-/// * all sources grade the same universe of objects;
-/// * the algorithm may consume sorted access from the sources' current
-///   cursors — every implementation here calls
-///   [`Subsystem::rewind`] first (a [`Cursor`], which is no
-///   implementation, rewinds only before its first batch);
-/// * answers carry exact grades, sorted by descending grade then
-///   ascending oid; at most `k` answers, fewer only when the universe
-///   holds fewer objects;
-/// * a failed access fails the run with [`AlgoError::Source`].
-pub trait TopKAlgorithm {
-    /// The algorithm's display name.
-    fn name(&self) -> &'static str;
-
-    /// Finds the top `k` answers to the query whose `i`-th conjunct is
-    /// evaluated by `sources[i]`, combining grades with `scoring`.
-    fn evaluate(
-        &self,
-        sources: &mut [&mut dyn Subsystem],
-        scoring: &dyn ScoringFunction,
-        k: usize,
-    ) -> Result<TopKResult, AlgoError>;
-
-    /// [`TopKAlgorithm::evaluate`] over sources of the trait perfbench
-    /// spells ([`crate::frozen`]): a subsystem among them is evaluated
-    /// as itself, typed errors and all.
-    fn top_k(
-        &self,
-        sources: &mut [&mut dyn GradedSource],
-        scoring: &dyn ScoringFunction,
-        k: usize,
-    ) -> Result<TopKResult, AlgoError> {
-        crate::frozen::narrowed(sources, |sources| self.evaluate(sources, scoring, k))
     }
 }
 
@@ -321,26 +283,6 @@ impl Best {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::planner::PhysicalPlan;
-
-    /// A plan's one-shot run as a [`TopKAlgorithm`], for suites that
-    /// run plans beside the strategies no plan names.
-    pub(crate) struct Planned(pub(crate) PhysicalPlan, pub(crate) f64);
-
-    impl TopKAlgorithm for Planned {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-
-        fn evaluate(
-            &self,
-            sources: &mut [&mut dyn Subsystem],
-            scoring: &dyn ScoringFunction,
-            k: usize,
-        ) -> Result<TopKResult, AlgoError> {
-            Cursor::once(self.0, self.1, sources, scoring, k)
-        }
-    }
 
     #[test]
     fn error_display() {

@@ -58,7 +58,7 @@ use std::thread;
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
-use crate::algorithms::{AlgoError, Cursor, TopKAlgorithm, TopKResult};
+use crate::algorithms::{AlgoError, Cursor, TopKResult};
 use crate::frozen::Narrowed;
 use crate::planner::{Explain, PhysicalPlan, PlanQuery, QueryStats};
 use crate::request::{lock_all, TopKRequest};
@@ -258,7 +258,7 @@ impl Subsystem for EngineSource<'_> {
 }
 
 /// A request's locked sources, seen through [`Subsystem`].
-fn narrow<'a>(guards: &'a mut [crate::request::SourceGuard<'_>]) -> Vec<Narrowed<'a>> {
+pub(crate) fn narrow<'a>(guards: &'a mut [crate::request::SourceGuard<'_>]) -> Vec<Narrowed<'a>> {
     guards
         .iter_mut()
         .map(|guard| Narrowed::new(&mut **guard))
@@ -374,34 +374,11 @@ impl Engine {
         crate::planner::choose_plan(&query, stats.as_ref(), request.policy())
     }
 
-    /// Evaluates a request with a scalar [`TopKAlgorithm`] — a
-    /// strategy no plan names — as the merge strategy. The algorithm's
-    /// code path is unchanged — it consumes engine-buffered proxies
-    /// instead of raw sources — so the result (answers *and* charged
-    /// `sorted`/`random` counts) is bit-identical to the scalar run
-    /// over the same sources, read from where their cursors stand
-    /// (every algorithm here rewinds first); the engine only adds the
-    /// page traffic of paged sources ([`AccessStats::page_reads`] and
-    /// friends).
-    pub fn run_algorithm(
-        &self,
-        algorithm: &dyn TopKAlgorithm,
-        request: &TopKRequest,
-    ) -> Result<TopKResult, EngineError> {
-        let mut guards = lock_all(request.sources());
-        self.execute(
-            algorithm.name(),
-            |refs, scoring, k| algorithm.evaluate(refs, scoring, k),
-            request,
-            &mut narrow(&mut guards),
-        )
-    }
-
     /// The one execution path: the kernel `name` names runs on the
     /// caller's thread over batch-refilled proxies of the request's held
     /// `sources` — no thread is spawned, so `stats.worker_spawns` stays
     /// 0 — and the sources' page traffic is folded into its result.
-    fn execute(
+    pub(crate) fn execute(
         &self,
         name: &str,
         kernel: impl FnOnce(
@@ -562,23 +539,42 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::tests::Planned;
     use crate::oracle::verify_top_k;
     use crate::policy::ExecPolicy;
     use crate::request::TopKQuery;
-    use crate::source::GradedSource;
+    use crate::source::{GradedSource, VecSource};
     use crate::stats::CostModel;
     use crate::workload::independent_uniform;
     use fmdb_core::scoring::tnorms::Min;
+    use std::sync::Arc;
 
     /// Scalar reference run over a fresh copy of the same workload.
-    fn scalar(algo: &dyn TopKAlgorithm, n: usize, m: usize, seed: u64, k: usize) -> TopKResult {
+    fn scalar(plan: PhysicalPlan, n: usize, m: usize, seed: u64, k: usize) -> TopKResult {
         let mut sources = independent_uniform(n, m, seed);
-        let mut refs: Vec<&mut dyn GradedSource> = sources
+        let mut refs: Vec<&mut dyn Subsystem> = sources
             .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
+            .map(|s| s as &mut dyn Subsystem)
             .collect();
-        algo.top_k(&mut refs, &Min, k).unwrap()
+        Cursor::once(plan, 0.0, &mut refs, &Min, k).unwrap()
+    }
+
+    /// Runs `kernel` on the engine's proxies of `request`'s sources,
+    /// down the path [`Engine::run`] takes.
+    fn on_proxies(
+        engine: &Engine,
+        request: &TopKRequest,
+        kernel: impl FnOnce(&mut [&mut dyn Subsystem]) -> Vec<ScoredObject<Oid>>,
+    ) -> TopKResult {
+        let mut guards = lock_all(request.sources());
+        let kernel = |sources: &mut [&mut dyn Subsystem], _: &dyn ScoringFunction, _| {
+            Ok(TopKResult {
+                answers: kernel(sources),
+                stats: AccessStats::ZERO,
+            })
+        };
+        engine
+            .execute("test-kernel", kernel, request, &mut narrow(&mut guards))
+            .unwrap()
     }
 
     /// A request pinned to Fagin's A₀ — the bit-identity tests compare
@@ -636,7 +632,7 @@ mod tests {
     #[test]
     fn engine_fa_is_bit_identical_to_scalar_fa() {
         for &(n, m, k) in &[(500usize, 2usize, 5usize), (300, 3, 10), (200, 4, 7)] {
-            let reference = scalar(&Planned(PhysicalPlan::Fa, 0.0), n, m, 99, k);
+            let reference = scalar(PhysicalPlan::Fa, n, m, 99, k);
             for config in [
                 EngineConfig::DEFAULT,
                 EngineConfig { batch_size: 1 },
@@ -651,48 +647,121 @@ mod tests {
         }
     }
 
-    /// A probe algorithm: pulls `pulls` items from the first stream,
-    /// rewinds it, and answers with the item that comes next.
-    struct RewindAfter {
-        pulls: usize,
-    }
-
-    impl TopKAlgorithm for RewindAfter {
-        fn name(&self) -> &'static str {
-            "rewind-after"
-        }
-        fn evaluate(
-            &self,
-            sources: &mut [&mut dyn Subsystem],
-            _: &dyn fmdb_core::scoring::ScoringFunction,
-            _: usize,
-        ) -> Result<TopKResult, AlgoError> {
-            let first = &mut sources[0];
-            for _ in 0..self.pulls {
-                first.sorted_next().unwrap();
-            }
-            first.rewind();
-            Ok(TopKResult {
-                answers: first.sorted_next().unwrap().into_iter().collect(),
-                stats: AccessStats::default(),
-            })
-        }
-    }
-
     /// A mid-run rewind must reach the subsystem wherever the proxy's
     /// buffer stands — also right after a batch was consumed to its
     /// last item, when the buffer is empty but the subsystem's cursor
-    /// sits one batch down the list.
+    /// sits one batch down the list. The kernel pulls `pulls` items from
+    /// the first stream, rewinds it, and answers with the item that
+    /// comes next.
     #[test]
     fn proxy_rewind_reaches_the_subsystem_after_an_exactly_consumed_batch() {
         let batch_size = 8;
         let engine = Engine::new(EngineConfig { batch_size });
         let top = GradedSource::sorted_next(&mut independent_uniform(100, 1, 5).remove(0));
         for pulls in 0..=2 * batch_size {
-            let got = engine
-                .run_algorithm(&RewindAfter { pulls }, &request(100, 1, 5, 1))
-                .unwrap();
+            let got = on_proxies(&engine, &request(100, 1, 5, 1), |sources| {
+                let first = &mut sources[0];
+                for _ in 0..pulls {
+                    first.sorted_next().unwrap();
+                }
+                first.rewind();
+                first.sorted_next().unwrap().into_iter().collect()
+            });
             assert_eq!(got.answers.first().copied(), top, "after {pulls} pulls");
+        }
+    }
+
+    /// A list that logs the name of every method called on it.
+    struct Logging {
+        inner: VecSource,
+        log: Arc<Mutex<Vec<&'static str>>>,
+    }
+
+    impl Logging {
+        fn note(&self, method: &'static str) {
+            lock(&self.log).push(method);
+        }
+    }
+
+    impl Subsystem for Logging {
+        fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+            self.note("sorted_batch");
+            Subsystem::sorted_batch(&mut self.inner, n)
+        }
+        fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+            self.note("random_batch");
+            Subsystem::random_batch(&mut self.inner, oids)
+        }
+        fn rewind(&mut self) {
+            self.note("rewind");
+            Subsystem::rewind(&mut self.inner);
+        }
+        fn info(&self) -> SourceInfo {
+            self.note("info");
+            Subsystem::info(&self.inner)
+        }
+        fn caps(&self) -> Caps<'_> {
+            self.note("caps");
+            Subsystem::caps(&self.inner)
+        }
+        fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
+            self.note("sorted_next");
+            Subsystem::sorted_next(&mut self.inner)
+        }
+        fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
+            self.note("random_access");
+            Subsystem::random_access(&mut self.inner, oid)
+        }
+    }
+
+    /// The proxy passes every `Subsystem` method through to the source
+    /// it wraps — a scalar access as itself or as a batch of one — but
+    /// `sorted_next`, which it serves from batch refills. The public
+    /// wrappers pass the same check in `tests/wrapper_conformance.rs`.
+    #[test]
+    fn the_proxy_forwards_every_method_but_the_buffered_pull() {
+        type Call = fn(&mut dyn Subsystem);
+        // In an order a buffering wrapper passes: the batch before the
+        // pull it refills, the rewind last.
+        let methods: [(&str, &[&str], Call); 7] = [
+            ("info", &["info"], |s| drop(s.info())),
+            ("caps", &["caps"], |s| _ = s.caps()),
+            ("sorted_batch", &["sorted_batch"], |s| {
+                drop(s.sorted_batch(3))
+            }),
+            ("sorted_next", &["sorted_next", "sorted_batch"], |s| {
+                drop(s.sorted_next())
+            }),
+            ("random_access", &["random_access", "random_batch"], |s| {
+                drop(s.random_access(1))
+            }),
+            ("random_batch", &["random_batch"], |s| {
+                drop(s.random_batch(&[2, 3]))
+            }),
+            ("rewind", &["rewind"], |s| s.rewind()),
+        ];
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let request = TopKQuery::compose()
+            .source(Logging {
+                inner: independent_uniform(64, 1, 5).remove(0),
+                log: Arc::clone(&log),
+            })
+            .scoring(Min)
+            .k(1)
+            .request()
+            .unwrap();
+        let mut reached = Vec::new();
+        on_proxies(&Engine::default(), &request, |sources| {
+            for (method, reaching, call) in methods {
+                lock(&log).clear();
+                call(&mut *sources[0]);
+                let inner = std::mem::take(&mut *lock(&log));
+                reached.push((method, reaching.iter().any(|name| inner.contains(name))));
+            }
+            Vec::new()
+        });
+        for (method, forwarded) in reached {
+            assert_eq!(forwarded, method != "sorted_next", "{method}");
         }
     }
 
@@ -737,26 +806,25 @@ mod tests {
         };
 
         let mut lists: Vec<_> = cold().collect();
-        let mut refs: Vec<&mut dyn GradedSource> = lists
-            .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
-            .collect();
-        let scalar = Planned(PhysicalPlan::Fa, 0.0)
-            .top_k(&mut refs, &Min, k)
-            .unwrap();
+        let mut refs: Vec<&mut dyn Subsystem> =
+            lists.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+        let scalar = Cursor::once(PhysicalPlan::Fa, 0.0, &mut refs, &Min, k).unwrap();
         let scalar_reads: u64 = lists
             .iter()
-            .map(|s| s.page_io().expect("paged").reads)
+            .map(|s| s.caps().page_io.expect("paged").reads)
             .sum();
 
         let mut query = TopKQuery::compose();
         for list in cold() {
             query = query.source(list);
         }
-        let request = query.scoring(Min).k(k).request().unwrap();
-        let engine = Engine::default()
-            .run_algorithm(&Planned(PhysicalPlan::Fa, 0.0), &request)
+        let request = query
+            .scoring(Min)
+            .k(k)
+            .policy(ExecPolicy::new().plan(PhysicalPlan::Fa))
+            .request()
             .unwrap();
+        let engine = Engine::default().run(&request).unwrap();
         assert_eq!(engine.answers, scalar.answers);
         assert_eq!(engine.stats.sorted, scalar.stats.sorted);
         assert_eq!(engine.stats.random, scalar.stats.random);
@@ -872,7 +940,7 @@ mod tests {
     #[test]
     fn other_merge_strategies_run_through_the_engine() {
         for plan in [PhysicalPlan::FullScan, PhysicalPlan::Ta] {
-            let reference = scalar(&Planned(plan, 0.0), 250, 3, 5, 9);
+            let reference = scalar(plan, 250, 3, 5, 9);
             let engine = Engine::default();
             let query = request(250, 3, 5, 9).query().clone();
             let got = engine
@@ -891,7 +959,7 @@ mod tests {
         let results = engine.run_many(&requests);
         assert_eq!(results.len(), 6);
         for (i, result) in results.into_iter().enumerate() {
-            let reference = scalar(&Planned(PhysicalPlan::Fa, 0.0), 300, 2, i as u64, 1 + i);
+            let reference = scalar(PhysicalPlan::Fa, 300, 2, i as u64, 1 + i);
             assert_eq!(result.unwrap().answers, reference.answers, "request {i}");
         }
     }
@@ -1069,8 +1137,9 @@ mod tests {
         let engine = Engine::default();
         let result = engine.run(&request(200, 3, 9, 5)).unwrap();
         assert_eq!(result.stats.worker_spawns, 0);
+        let query = request(200, 3, 9, 5).query().clone();
         let result = engine
-            .run_algorithm(&Planned(PhysicalPlan::Ta, 0.0), &request(200, 3, 9, 5))
+            .run(&query.into_request(ExecPolicy::new().plan(PhysicalPlan::Ta)))
             .unwrap();
         assert_eq!(result.stats.worker_spawns, 0);
         assert_eq!(engine.access_totals().worker_spawns, 0);

@@ -23,7 +23,7 @@
 //!
 //! * [`GradedSource`], the old trait, which perfbench's `TimedSource`
 //!   implements and whose `dyn` perfbench hands to
-//!   [`crate::algorithms::TopKAlgorithm::top_k`], to
+//!   [`TopKAlgorithm::top_k`], to
 //!   [`crate::request::SharedSource`] and to the oracle. Every
 //!   [`Subsystem`] is one, by the blanket impl below: an access that
 //!   fails answers what the old trait answered on failure (an empty
@@ -41,8 +41,10 @@
 //!   `Engine::{cache_counters, cache_evictions}`, which perfbench reads.
 //!
 //! A strategy has one name, its [`PhysicalPlan`], and one door, the
-//! plan's [`Cursor`]. What is left of the other names:
+//! plan's [`Cursor`]. What is left of the other names and doors:
 //!
+//! * [`TopKAlgorithm`], whose only implementation is `PlanShim`, and
+//!   [`Engine::run_algorithm`], which runs one through the engine;
 //! * the seven algorithm values perfbench runs as [`TopKAlgorithm`]s —
 //!   `FaginsAlgorithm`, `ThresholdAlgorithm`, `NraLowerBound`,
 //!   `CombinedAlgorithm::for_cost`, `ApproxTa::new`, `MaxMerge` and
@@ -59,10 +61,11 @@ use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 use fmdb_core::stats::GradeHistogram;
 
-use crate::algorithms::{AlgoError, Cursor, TopKAlgorithm, TopKResult};
-use crate::engine::Engine;
+use crate::algorithms::{AlgoError, Cursor, TopKResult};
+use crate::engine::{narrow, Engine, EngineError};
 use crate::planner::PhysicalPlan;
 use crate::policy::{interleave_depth, ExecPolicy};
+use crate::request::{lock_all, TopKRequest};
 use crate::source::{Caps, Grades, Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use crate::stats::{CostModel, PageIoStats};
 use crate::store::{PagedSource, PagedStore, StoreError};
@@ -96,6 +99,29 @@ mod plans {
     pub type CombinedAlgorithm = PlanShim;
 }
 
+/// What perfbench imports from `crate::algorithms` by name.
+pub(crate) mod at_algorithms {
+    pub use super::TopKAlgorithm;
+}
+
+/// The algorithm trait perfbench spells: a plan's one-shot run over
+/// sources of the old trait. `PlanShim` is its only implementation.
+#[doc(hidden)]
+pub trait TopKAlgorithm {
+    /// The old struct's name.
+    fn name(&self) -> &'static str;
+
+    /// The top `k` of the query whose `i`-th conjunct `sources[i]`
+    /// grades: a subsystem among them is read as itself, typed errors
+    /// and all.
+    fn top_k(
+        &self,
+        sources: &mut [&mut dyn GradedSource],
+        scoring: &dyn ScoringFunction,
+        k: usize,
+    ) -> Result<TopKResult, AlgoError>;
+}
+
 impl TopKAlgorithm for PlanShim {
     /// The old struct's name: the plan's, but the scan's.
     fn name(&self) -> &'static str {
@@ -105,13 +131,15 @@ impl TopKAlgorithm for PlanShim {
         }
     }
 
-    fn evaluate(
+    fn top_k(
         &self,
-        sources: &mut [&mut dyn Subsystem],
+        sources: &mut [&mut dyn GradedSource],
         scoring: &dyn ScoringFunction,
         k: usize,
     ) -> Result<TopKResult, AlgoError> {
-        Cursor::once(self.0, self.1, sources, scoring, k)
+        narrowed(sources, |sources| {
+            Cursor::once(self.0, self.1, sources, scoring, k)
+        })
     }
 }
 
@@ -439,6 +467,23 @@ impl PagedStore {
 }
 
 impl Engine {
+    /// [`Engine::run`] with `shim`'s plan in place of the one the
+    /// request's policy names.
+    #[doc(hidden)]
+    pub fn run_algorithm(
+        &self,
+        shim: &PlanShim,
+        request: &TopKRequest,
+    ) -> Result<TopKResult, EngineError> {
+        let mut guards = lock_all(request.sources());
+        self.execute(
+            shim.name(),
+            |refs, scoring, k| Cursor::once(shim.0, shim.1, refs, scoring, k),
+            request,
+            &mut narrow(&mut guards),
+        )
+    }
+
     /// Always `(0, 0)`: the engine keeps no grade cache.
     #[doc(hidden)]
     pub fn cache_counters(&self) -> (u64, u64) {
@@ -462,17 +507,20 @@ mod tests {
 
     use super::{
         plan_algorithm, Algo, ApproxTa, CombinedAlgorithm, GradedSource, Naive, ThresholdAlgorithm,
+        TopKAlgorithm,
     };
-    use crate::algorithms::TopKAlgorithm;
+    use crate::algorithms::Cursor;
     use crate::engine::Engine;
-    use crate::planner::StatsBasis;
+    use crate::planner::{PhysicalPlan, StatsBasis};
     use crate::policy::ExecPolicy;
     use crate::request::{shared_source, TopKQuery};
     use crate::source::{Oid, SourceInfo, Subsystem, VecSource};
     use crate::workload::independent_uniform;
 
     /// Every shim, and the `perfbench/src` text that uses it.
-    const SHIMS: [(&str, &str); 25] = [
+    const SHIMS: [(&str, &str); 27] = [
+        ("algorithms::TopKAlgorithm", "Box<dyn TopKAlgorithm>"),
+        ("Engine::run_algorithm", ".run_algorithm(&MaxMerge"),
         ("algorithms::fa::FaginsAlgorithm", "Some(&FaginsAlgorithm)"),
         (
             "algorithms::ta::ThresholdAlgorithm",
@@ -578,7 +626,7 @@ mod tests {
         let lists = || independent_uniform(300, 2, 9);
         let mut bare = lists();
         let mut refs: Vec<&mut dyn Subsystem> = bare.iter_mut().map(|s| s as _).collect();
-        let want = ThresholdAlgorithm.evaluate(&mut refs, &Min, 5).unwrap();
+        let want = Cursor::once(PhysicalPlan::Ta, 0.0, &mut refs, &Min, 5).unwrap();
 
         let mut old: Vec<OldOnly> = lists().into_iter().map(OldOnly).collect();
         let mut refs: Vec<&mut dyn GradedSource> = old.iter_mut().map(|s| s as _).collect();
@@ -648,7 +696,9 @@ mod tests {
     }
 
     /// The strategy shims' names, as code would spell them.
-    const STRATEGY_SHIMS: [&str; 11] = [
+    const STRATEGY_SHIMS: [&str; 13] = [
+        "TopKAlgorithm",
+        ".run_algorithm(",
         "FaginsAlgorithm",
         "ThresholdAlgorithm",
         "NraLowerBound",
@@ -713,6 +763,11 @@ mod tests {
         assert_eq!(
             shims("ExecPolicy::new().algo(Algo::Ta)"),
             ["Algo", ".algo("]
+        );
+        assert_eq!(shims("impl TopKAlgorithm for Probe {"), ["TopKAlgorithm"]);
+        assert_eq!(
+            shims("engine.run_algorithm(&probe, &request)"),
+            [".run_algorithm("]
         );
         assert!(shims("PhysicalPlan::MaxMerge => AlgoChoice::Naive").is_empty());
         assert!(shims("EngineError::Algo(e) => AlgoError::ZeroK, // Naive").is_empty());

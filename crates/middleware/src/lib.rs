@@ -87,10 +87,7 @@ pub mod workload;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::algorithms::cg_filter::CgFilter;
-    pub use crate::algorithms::pruned_fa::PrunedFa;
-    pub use crate::algorithms::{
-        AlgoError, BoundedAnswer, Cursor, NraResult, TopKAlgorithm, TopKResult,
-    };
+    pub use crate::algorithms::{AlgoError, BoundedAnswer, Cursor, NraResult, TopKResult};
     pub use crate::engine::{Engine, EngineConfig, EngineError};
     pub use crate::optimality::OptimalityOracle;
     pub use crate::oracle::{verify_top_k, verify_top_k_set};

@@ -88,6 +88,15 @@ const CA_RANDOM_FACTOR: f64 = 0.75;
 pub enum PhysicalPlan {
     /// Fagin's A₀ (§4.1).
     Fa,
+    /// A₀ with pruned random access (§4.1's "various improvements",
+    /// \[Fa96\]): phase 2 skips a row whose upper bound `k` known
+    /// grades already tie or beat. Never the planner's choice: a
+    /// caller names it.
+    PrunedFa {
+        /// Also abandon a row's remaining probes once its upper bound
+        /// falls that low; off isolates the skip prune (E17).
+        short_circuit: bool,
+    },
     /// The Threshold Algorithm.
     Ta,
     /// No-random-access; reported grades are certified lower bounds.
@@ -116,6 +125,7 @@ impl PhysicalPlan {
     pub fn name(&self) -> &'static str {
         match self {
             PhysicalPlan::Fa => "fagin-a0",
+            PhysicalPlan::PrunedFa { .. } => "pruned-fa",
             PhysicalPlan::Ta => "threshold-ta",
             PhysicalPlan::Nra => "nra-lower-bound",
             PhysicalPlan::Ca { .. } => "combined-ca",
@@ -131,14 +141,15 @@ impl PhysicalPlan {
     /// `theta` — the one rule the policy, the engine and the cursor
     /// apply. θ must be finite and ≥ 0. At θ = 0 every plan is itself.
     /// Under θ > 0, TA and NRA run their θ-approximations, and A₀ —
-    /// which has none — is refused. Every other plan runs as named: CA
+    /// which has none, pruned or not — is refused. Every other plan
+    /// runs as named: CA
     /// and the approximations take θ themselves, and the max merge,
     /// the scan and the crisp filter return exact answers anyway.
     pub(crate) fn under(self, theta: f64) -> Result<PhysicalPlan, AlgoError> {
         validate_theta(theta)?;
         Ok(match self {
             plan if theta <= 0.0 => plan,
-            PhysicalPlan::Fa => {
+            PhysicalPlan::Fa | PhysicalPlan::PrunedFa { .. } => {
                 return Err(AlgoError::InvalidRequest(
                     "θ-approximation is not defined for Fagin's A₀; name TA, NRA, CA or no plan"
                         .to_owned(),
@@ -158,7 +169,7 @@ impl PhysicalPlan {
             PhysicalPlan::Ta => 2,
             PhysicalPlan::Nra => 3,
             PhysicalPlan::Ca { .. } => 4,
-            PhysicalPlan::Fa => 5,
+            PhysicalPlan::Fa | PhysicalPlan::PrunedFa { .. } => 5,
             PhysicalPlan::ApproxTa => 6,
             PhysicalPlan::ApproxNra => 7,
             PhysicalPlan::FullScan => 8,
@@ -675,7 +686,8 @@ impl<'a> Estimator<'a> {
             y_exact
         };
         match plan {
-            PhysicalPlan::Fa => {
+            // Pruning only drops probes: A₀'s price bounds its own.
+            PhysicalPlan::Fa | PhysicalPlan::PrunedFa { .. } => {
                 let d = self.d_fa();
                 let seen = self.union_seen(d);
                 Some(Accesses {

@@ -150,8 +150,7 @@ impl TopKQuery {
     /// Locks every source for the length of `f` and hands it the scalar
     /// view `&mut [&mut dyn GradedSource]` — the bridge from the shared,
     /// thread-safe representation to the paper's sequential access
-    /// model, in the form [`crate::algorithms::TopKAlgorithm::top_k`]
-    /// takes.
+    /// model, in the old trait's form ([`crate::frozen`]).
     pub fn with_sources<R>(&self, f: impl FnOnce(&mut [&mut dyn GradedSource]) -> R) -> R {
         let mut guards = lock_all(&self.sources);
         let mut refs: Vec<&mut dyn GradedSource> = guards

@@ -18,16 +18,13 @@
 use proptest::prelude::*;
 
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
+use fmdb_middleware::algorithms::{Cursor, TopKResult};
 use fmdb_middleware::oracle::{all_grades, verify_top_k};
 use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::policy::ExecPolicy;
-use fmdb_middleware::source::GradedSource;
+use fmdb_middleware::source::{GradedSource, Subsystem};
 use fmdb_middleware::stats::CostModel;
 use fmdb_middleware::workload::independent_uniform;
-
-mod support;
-use support::Planned;
 
 /// One randomly drawn approximate-vs-exact comparison.
 #[derive(Debug, Clone, Copy)]
@@ -60,15 +57,13 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
-fn run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
+fn run((plan, theta): (PhysicalPlan, f64), s: Scenario) -> TopKResult {
     let mut sources = independent_uniform(s.n, s.m, s.seed);
-    let mut refs: Vec<&mut dyn GradedSource> = sources
+    let mut refs: Vec<&mut dyn Subsystem> = sources
         .iter_mut()
-        .map(|src| src as &mut dyn GradedSource)
+        .map(|src| src as &mut dyn Subsystem)
         .collect();
-    algorithm
-        .top_k(&mut refs, &Min, s.k)
-        .expect("algorithm run must succeed")
+    Cursor::once(plan, theta, &mut refs, &Min, s.k).expect("algorithm run must succeed")
 }
 
 /// The instance's true grades, descending.
@@ -90,13 +85,13 @@ proptest! {
     /// bit — answers and charged access counts alike.
     #[test]
     fn zero_theta_is_bit_identical(s in scenario()) {
-        let exact_ta = run(&Planned(PhysicalPlan::Ta, 0.0), s);
-        let approx_ta = run(&Planned(PhysicalPlan::ApproxTa, 0.0), s);
+        let exact_ta = run((PhysicalPlan::Ta, 0.0), s);
+        let approx_ta = run((PhysicalPlan::ApproxTa, 0.0), s);
         prop_assert_eq!(&exact_ta.answers, &approx_ta.answers);
         prop_assert_eq!(exact_ta.stats, approx_ta.stats);
 
-        let exact_nra = run(&Planned(PhysicalPlan::Nra, 0.0), s);
-        let approx_nra = run(&Planned(PhysicalPlan::ApproxNra, 0.0), s);
+        let exact_nra = run((PhysicalPlan::Nra, 0.0), s);
+        let approx_nra = run((PhysicalPlan::ApproxNra, 0.0), s);
         prop_assert_eq!(&exact_nra.answers, &approx_nra.answers);
         prop_assert_eq!(exact_nra.stats, approx_nra.stats);
     }
@@ -111,8 +106,8 @@ proptest! {
         let kth = ranked[expected.saturating_sub(1)].1;
 
         for (name, result, reported_exact) in [
-            ("approx-ta", run(&Planned(PhysicalPlan::ApproxTa, s.theta), s), true),
-            ("approx-nra", run(&Planned(PhysicalPlan::ApproxNra, s.theta), s), false),
+            ("approx-ta", run((PhysicalPlan::ApproxTa, s.theta), s), true),
+            ("approx-nra", run((PhysicalPlan::ApproxNra, s.theta), s), false),
         ] {
             prop_assert_eq!(result.answers.len(), expected, "{} answer count", name);
             for answer in &result.answers {
@@ -144,7 +139,7 @@ proptest! {
             let model = CostModel::random_to_sorted_ratio(ratio)
                 .expect("test ratio is positive and finite");
             let h = ExecPolicy::new().cost_model(model).interleave();
-            let result = run(&Planned(PhysicalPlan::Ca { h }, 0.0), s);
+            let result = run((PhysicalPlan::Ca { h }, 0.0), s);
             let mut sources = independent_uniform(s.n, s.m, s.seed);
             let mut refs: Vec<&mut dyn GradedSource> = sources
                 .iter_mut()
@@ -165,7 +160,7 @@ proptest! {
         let ranked = truth_ranked(s);
         let expected = s.k.min(ranked.len());
         let kth = ranked[expected.saturating_sub(1)].1;
-        let result = run(&Planned(PhysicalPlan::Ca { h: 4 }, s.theta), s);
+        let result = run((PhysicalPlan::Ca { h: 4 }, s.theta), s);
         prop_assert_eq!(result.answers.len(), expected);
         for answer in &result.answers {
             let true_grade = ranked

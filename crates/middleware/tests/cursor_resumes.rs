@@ -135,6 +135,20 @@ fn plans(s: &Scenario) -> Vec<(PhysicalPlan, f64, Promise)> {
     let h = s.h;
     vec![
         (PhysicalPlan::Fa, 0.0, Promise::Exact),
+        (
+            PhysicalPlan::PrunedFa {
+                short_circuit: true,
+            },
+            0.0,
+            Promise::Exact,
+        ),
+        (
+            PhysicalPlan::PrunedFa {
+                short_circuit: false,
+            },
+            0.0,
+            Promise::Exact,
+        ),
         (PhysicalPlan::Ta, 0.0, Promise::Exact),
         (PhysicalPlan::Ca { h }, 0.0, Promise::Exact),
         (PhysicalPlan::MaxMerge, 0.0, Promise::Exact),

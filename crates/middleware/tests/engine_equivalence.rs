@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::means::ArithmeticMean;
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::{TopKAlgorithm, TopKResult};
+use fmdb_middleware::algorithms::{Cursor, TopKResult};
 use fmdb_middleware::engine::{Engine, EngineConfig, EngineError};
 use fmdb_middleware::oracle::{all_grades, verify_top_k};
 use fmdb_middleware::planner::PhysicalPlan;
@@ -29,9 +29,6 @@ use fmdb_middleware::request::{
 };
 use fmdb_middleware::source::{GradedSource, Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use fmdb_middleware::workload::independent_uniform;
-
-mod support;
-use support::Planned;
 
 /// The lists a scenario runs on.
 #[derive(Debug, Clone, Copy)]
@@ -104,18 +101,17 @@ fn scoring(s: Scenario) -> SharedScoring {
     }
 }
 
-fn scalar_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
+fn scalar_run(plan: PhysicalPlan, s: Scenario) -> TopKResult {
     let mut sources = sources(s);
-    let mut refs: Vec<&mut dyn GradedSource> = sources
+    let mut refs: Vec<&mut dyn Subsystem> = sources
         .iter_mut()
-        .map(|src| src as &mut dyn GradedSource)
+        .map(|src| src as &mut dyn Subsystem)
         .collect();
-    algorithm
-        .top_k(&mut refs, &*scoring(s), s.k)
+    Cursor::once(plan, 0.0, &mut refs, &*scoring(s), s.k)
         .expect("scalar reference run must succeed")
 }
 
-fn engine_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
+fn engine_run(plan: PhysicalPlan, s: Scenario) -> TopKResult {
     let engine = Engine::new(EngineConfig {
         batch_size: s.batch_size,
     });
@@ -123,26 +119,25 @@ fn engine_run(algorithm: &dyn TopKAlgorithm, s: Scenario) -> TopKResult {
         .sources(sources(s))
         .shared_scoring(scoring(s))
         .k(s.k)
+        .policy(ExecPolicy::new().plan(plan))
         .request()
         .expect("request must validate");
-    engine
-        .run_algorithm(algorithm, &request)
-        .expect("engine run must succeed")
+    engine.run(&request).expect("engine run must succeed")
 }
 
 /// Engine answers and charged counts must match the scalar reference
 /// bit for bit.
 fn assert_equivalent(
-    algorithm: &dyn TopKAlgorithm,
+    plan: PhysicalPlan,
     s: Scenario,
 ) -> Result<(TopKResult, TopKResult), TestCaseError> {
-    let scalar = scalar_run(algorithm, s);
-    let engine = engine_run(algorithm, s);
+    let scalar = scalar_run(plan, s);
+    let engine = engine_run(plan, s);
     prop_assert_eq!(
         &engine.answers,
         &scalar.answers,
         "{} answers diverged under {:?}",
-        algorithm.name(),
+        plan,
         s
     );
     prop_assert_eq!(engine.stats.sorted, scalar.stats.sorted);
@@ -204,19 +199,26 @@ proptest! {
 
     #[test]
     fn engine_fa_matches_scalar_fa_and_the_oracle(s in scenario()) {
-        let (_, engine) = assert_equivalent(&Planned(PhysicalPlan::Fa, 0.0), s)?;
+        let (_, engine) = assert_equivalent(PhysicalPlan::Fa, s)?;
+        assert_oracle_exact(s, &engine)?;
+    }
+
+    #[test]
+    fn engine_pruned_fa_matches_scalar_pruned_fa_and_the_oracle(s in scenario()) {
+        let plan = PhysicalPlan::PrunedFa { short_circuit: true };
+        let (_, engine) = assert_equivalent(plan, s)?;
         assert_oracle_exact(s, &engine)?;
     }
 
     #[test]
     fn engine_ta_matches_scalar_ta_and_the_oracle(s in scenario()) {
-        let (_, engine) = assert_equivalent(&Planned(PhysicalPlan::Ta, 0.0), s)?;
+        let (_, engine) = assert_equivalent(PhysicalPlan::Ta, s)?;
         assert_oracle_exact(s, &engine)?;
     }
 
     #[test]
     fn engine_nra_matches_scalar_nra_and_the_oracle(s in scenario()) {
-        let (_, engine) = assert_equivalent(&Planned(PhysicalPlan::Nra, 0.0), s)?;
+        let (_, engine) = assert_equivalent(PhysicalPlan::Nra, s)?;
         assert_oracle_set(s, &engine)?;
     }
 }
@@ -238,8 +240,8 @@ fn engine_matches_scalar_on_the_full_named_grid() {
                     seed: 41 * m as u64 + k as u64,
                     batch_size,
                 };
-                let scalar = scalar_run(&Planned(PhysicalPlan::Fa, 0.0), s);
-                let engine = engine_run(&Planned(PhysicalPlan::Fa, 0.0), s);
+                let scalar = scalar_run(PhysicalPlan::Fa, s);
+                let engine = engine_run(PhysicalPlan::Fa, s);
                 assert_eq!(engine.answers, scalar.answers, "m={m} k={k}");
                 assert_eq!(engine.stats.sorted, scalar.stats.sorted, "m={m} k={k}");
                 assert_eq!(engine.stats.random, scalar.stats.random, "m={m} k={k}");
@@ -296,9 +298,14 @@ fn engine_fa_phase_two_is_one_batch_per_list() {
             probes: Arc::clone(probes),
         });
     }
-    let request = query.scoring(Min).k(5).request().expect("valid request");
+    let request = query
+        .scoring(Min)
+        .k(5)
+        .policy(ExecPolicy::new().plan(PhysicalPlan::Fa))
+        .request()
+        .expect("valid request");
     let result = Engine::default()
-        .run_algorithm(&Planned(PhysicalPlan::Fa, 0.0), &request)
+        .run(&request)
         .expect("engine run must succeed");
     let mut batched = 0;
     for log in &logs {
@@ -360,12 +367,12 @@ fn shared_batch() -> impl Strategy<Value = SharedBatch> {
         })
 }
 
-/// The algorithm a forced policy resolves to, for the scalar run.
-fn forced(algo: usize) -> (PhysicalPlan, &'static dyn TopKAlgorithm) {
+/// The plan a forced policy names.
+fn forced(algo: usize) -> PhysicalPlan {
     match algo {
-        0 => (PhysicalPlan::Ta, &Planned(PhysicalPlan::Ta, 0.0)),
-        1 => (PhysicalPlan::Fa, &Planned(PhysicalPlan::Fa, 0.0)),
-        _ => (PhysicalPlan::Nra, &Planned(PhysicalPlan::Nra, 0.0)),
+        0 => PhysicalPlan::Ta,
+        1 => PhysicalPlan::Fa,
+        _ => PhysicalPlan::Nra,
     }
 }
 
@@ -390,7 +397,7 @@ fn shared_requests(batch: &SharedBatch) -> Vec<(TopKRequest, TopKResult)> {
         } else {
             spec.conjuncts % orders.len()
         }];
-        let (algo, algorithm) = forced(spec.algo);
+        let algo = forced(spec.algo);
         let k = [1, 10, 50][spec.k];
         let mut query = TopKQuery::compose();
         for &h in order {
@@ -403,13 +410,12 @@ fn shared_requests(batch: &SharedBatch) -> Vec<(TopKRequest, TopKResult)> {
             .request()
             .expect("request must validate");
         let mut copies: Vec<VecSource> = order.iter().map(|&h| lists[h].clone()).collect();
-        let mut refs: Vec<&mut dyn GradedSource> = copies
+        let mut refs: Vec<&mut dyn Subsystem> = copies
             .iter_mut()
-            .map(|src| src as &mut dyn GradedSource)
+            .map(|src| src as &mut dyn Subsystem)
             .collect();
-        let scalar = algorithm
-            .top_k(&mut refs, &Min, k)
-            .expect("scalar reference run must succeed");
+        let scalar =
+            Cursor::once(algo, 0.0, &mut refs, &Min, k).expect("scalar reference run must succeed");
         out.push((request, scalar));
     }
     out

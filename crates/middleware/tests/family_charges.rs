@@ -21,15 +21,11 @@ use fmdb_core::scoring::means::ArithmeticMean;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::scoring::{ConormScoring, ScoringFunction};
 use fmdb_middleware::algorithms::cg_filter::CgFilter;
-use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::{Cursor, TopKAlgorithm, TopKResult};
+use fmdb_middleware::algorithms::{Cursor, TopKResult};
 use fmdb_middleware::oracle::verify_top_k;
 use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::source::{self, GradedSource, Oid, VecSource};
 use fmdb_middleware::workload::independent_uniform;
-
-mod support;
-use support::Planned;
 
 const N: usize = 400;
 const SEED: u64 = 7;
@@ -60,21 +56,34 @@ struct Fixture {
     rows: &'static [Row],
 }
 
-fn algorithm(name: &str) -> Box<dyn TopKAlgorithm> {
+/// A roster entry: a plan under its slack θ, or a τ schedule of the
+/// CG filter, which no plan names.
+#[derive(Debug, Clone, Copy)]
+enum Strategy {
+    Plan(PhysicalPlan, f64),
+    Cg(CgFilter),
+}
+
+fn algorithm(name: &str) -> Strategy {
+    let plan = |plan| Strategy::Plan(plan, 0.0);
     match name {
-        "ta" => Box::new(Planned(PhysicalPlan::Ta, 0.0)),
-        "approx-ta(0.1)" => Box::new(Planned(PhysicalPlan::ApproxTa, 0.1)),
-        "nra" => Box::new(Planned(PhysicalPlan::Nra, 0.0)),
-        "approx-nra(0.1)" => Box::new(Planned(PhysicalPlan::ApproxNra, 0.1)),
-        "ca(h=1)" => Box::new(Planned(PhysicalPlan::Ca { h: 1 }, 0.0)),
-        "ca(h=3)" => Box::new(Planned(PhysicalPlan::Ca { h: 3 }, 0.0)),
-        "ca(h=10)" => Box::new(Planned(PhysicalPlan::Ca { h: 10 }, 0.0)),
-        "fa" => Box::new(Planned(PhysicalPlan::Fa, 0.0)),
-        "pruned-fa" => Box::new(PrunedFa::default()),
-        "pruned-fa(no-short-circuit)" => Box::new(PrunedFa::without_short_circuit()),
-        "naive" => Box::new(Planned(PhysicalPlan::FullScan, 0.0)),
-        "max-merge" => Box::new(Planned(PhysicalPlan::MaxMerge, 0.0)),
-        name if name.starts_with("cg-filter") => Box::new(schedule(name)),
+        "ta" => plan(PhysicalPlan::Ta),
+        "approx-ta(0.1)" => Strategy::Plan(PhysicalPlan::ApproxTa, 0.1),
+        "nra" => plan(PhysicalPlan::Nra),
+        "approx-nra(0.1)" => Strategy::Plan(PhysicalPlan::ApproxNra, 0.1),
+        "ca(h=1)" => plan(PhysicalPlan::Ca { h: 1 }),
+        "ca(h=3)" => plan(PhysicalPlan::Ca { h: 3 }),
+        "ca(h=10)" => plan(PhysicalPlan::Ca { h: 10 }),
+        "fa" => plan(PhysicalPlan::Fa),
+        "pruned-fa" => plan(PhysicalPlan::PrunedFa {
+            short_circuit: true,
+        }),
+        "pruned-fa(no-short-circuit)" => plan(PhysicalPlan::PrunedFa {
+            short_circuit: false,
+        }),
+        "naive" => plan(PhysicalPlan::FullScan),
+        "max-merge" => plan(PhysicalPlan::MaxMerge),
+        name if name.starts_with("cg-filter") => Strategy::Cg(schedule(name)),
         other => panic!("unknown roster entry {other}"),
     }
 }
@@ -126,17 +135,23 @@ impl Lists {
     }
 }
 
-fn run_on(lists: Lists, algo: &dyn TopKAlgorithm, fixture: &Fixture) -> TopKResult {
+fn run_on(lists: Lists, algo: Strategy, fixture: &Fixture) -> TopKResult {
     let mut sources = lists.build(fixture.m);
-    let mut refs: Vec<&mut dyn GradedSource> = sources
+    let mut refs: Vec<&mut dyn source::Subsystem> = sources
         .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
+        .map(|s| s as &mut dyn source::Subsystem)
         .collect();
-    algo.top_k(&mut refs, scoring(fixture.scoring).as_ref(), fixture.k)
-        .unwrap()
+    let (scoring, k) = (scoring(fixture.scoring), fixture.k);
+    match algo {
+        Strategy::Plan(plan, theta) => Cursor::once(plan, theta, &mut refs, scoring.as_ref(), k),
+        Strategy::Cg(filter) => filter
+            .run(&mut refs, scoring.as_ref(), k)
+            .map(|run| run.result),
+    }
+    .unwrap()
 }
 
-fn run(algo: &dyn TopKAlgorithm, fixture: &Fixture) -> TopKResult {
+fn run(algo: Strategy, fixture: &Fixture) -> TopKResult {
     run_on(Lists::Dense, algo, fixture)
 }
 
@@ -152,7 +167,7 @@ fn every_family_member_reproduces_its_pinned_charges_and_answers() {
     for (lists, fixtures) in [(Lists::Dense, PINNED), (Lists::Sparse, SPARSE)] {
         for fixture in fixtures {
             for &(name, sorted, random, own) in fixture.rows {
-                let got = run_on(lists, algorithm(name).as_ref(), fixture);
+                let got = run_on(lists, algorithm(name), fixture);
                 let at = format!(
                     "{name} under {} m={} k={} on {lists:?} lists",
                     fixture.scoring, fixture.m, fixture.k
@@ -221,8 +236,11 @@ fn a_resumed_cursor_reproduces_its_pinned_charges_and_answers() {
 #[test]
 fn ca_with_unreachable_interleave_streams_exactly_like_nra() {
     for fixture in PINNED {
-        let ca = run(&Planned(PhysicalPlan::Ca { h: usize::MAX }, 0.0), fixture);
-        let nra = run(&Planned(PhysicalPlan::Nra, 0.0), fixture);
+        let ca = run(
+            Strategy::Plan(PhysicalPlan::Ca { h: usize::MAX }, 0.0),
+            fixture,
+        );
+        let nra = run(Strategy::Plan(PhysicalPlan::Nra, 0.0), fixture);
         assert_eq!(ca.stats.sorted, nra.stats.sorted);
         let mut sources = independent_uniform(N, fixture.m, SEED);
         let mut refs: Vec<&mut dyn GradedSource> = sources
@@ -242,8 +260,8 @@ fn ca_with_unreachable_interleave_streams_exactly_like_nra() {
 #[test]
 fn zero_slack_nra_is_nra() {
     for fixture in PINNED {
-        let approx = run(&Planned(PhysicalPlan::ApproxNra, 0.0), fixture);
-        let exact = run(&Planned(PhysicalPlan::Nra, 0.0), fixture);
+        let approx = run(Strategy::Plan(PhysicalPlan::ApproxNra, 0.0), fixture);
+        let exact = run(Strategy::Plan(PhysicalPlan::Nra, 0.0), fixture);
         assert_eq!(approx.answers, exact.answers);
         assert_eq!(approx.stats, exact.stats);
     }

@@ -4,7 +4,7 @@
 //! long as every kernel remembers the fields it has seen, so within a
 //! query no `(list, object)` is random-accessed twice and none is
 //! probed after that list's own sorted access revealed it. This suite
-//! makes that a gate: every `TopKAlgorithm` the workspace ships runs
+//! makes that a gate: every plan and the CG filter run
 //! over recording lists, on the scorings × arities × k grid of
 //! `family_charges.rs` over two list shapes. A member that fails is
 //! fixed in its own state — the access it repeats is a *charged* one —
@@ -24,14 +24,10 @@ use fmdb_core::scoring::means::ArithmeticMean;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::scoring::{ConormScoring, ScoringFunction};
 use fmdb_middleware::algorithms::cg_filter::CgFilter;
-use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::{AlgoError, Cursor, TopKAlgorithm};
+use fmdb_middleware::algorithms::{AlgoError, Cursor};
 use fmdb_middleware::planner::PhysicalPlan;
 use fmdb_middleware::source::{Oid, SourceError, SourceInfo, Subsystem, VecSource};
 use fmdb_middleware::workload::{crisp_plus_fuzzy, independent_uniform};
-
-mod support;
-use support::Planned;
 
 const N: usize = 400;
 const SEED: u64 = 7;
@@ -106,43 +102,24 @@ fn repeats(
     )
 }
 
-fn roster() -> Vec<(&'static str, Box<dyn TopKAlgorithm>)> {
-    let mut roster: Vec<(&'static str, Box<dyn TopKAlgorithm>)> = vec![
-        ("fa", Box::new(Planned(PhysicalPlan::Fa, 0.0))),
-        ("pruned-fa", Box::new(PrunedFa::default())),
-        (
-            "pruned-fa(no-short-circuit)",
-            Box::new(PrunedFa::without_short_circuit()),
-        ),
-        ("ta", Box::new(Planned(PhysicalPlan::Ta, 0.0))),
-        (
-            "approx-ta(0.1)",
-            Box::new(Planned(PhysicalPlan::ApproxTa, 0.1)),
-        ),
-        ("nra", Box::new(Planned(PhysicalPlan::Nra, 0.0))),
-        (
-            "approx-nra(0.1)",
-            Box::new(Planned(PhysicalPlan::ApproxNra, 0.1)),
-        ),
-        ("max-merge", Box::new(Planned(PhysicalPlan::MaxMerge, 0.0))),
-        ("cg-filter", Box::new(CgFilter::default())),
-        ("naive", Box::new(Planned(PhysicalPlan::FullScan, 0.0))),
-    ];
-    for (name, h, theta) in [
-        ("ca(h=1)", 1, 0.0),
-        ("ca(h=3)", 3, 0.0),
-        ("ca(h=10)", 10, 0.0),
-        ("approx-ca(h=3, 0.1)", 3, 0.1),
-    ] {
-        roster.push((name, Box::new(Planned(PhysicalPlan::Ca { h }, theta))));
-    }
-    roster
-}
-
-/// Every plan a cursor takes, under the names of [`roster`].
-fn cursors() -> Vec<(&'static str, PhysicalPlan, f64)> {
+/// Every plan a cursor takes, under the names of `family_charges.rs`.
+fn plans() -> Vec<(&'static str, PhysicalPlan, f64)> {
     vec![
         ("fa", PhysicalPlan::Fa, 0.0),
+        (
+            "pruned-fa",
+            PhysicalPlan::PrunedFa {
+                short_circuit: true,
+            },
+            0.0,
+        ),
+        (
+            "pruned-fa(no-short-circuit)",
+            PhysicalPlan::PrunedFa {
+                short_circuit: false,
+            },
+            0.0,
+        ),
         ("ta", PhysicalPlan::Ta, 0.0),
         ("approx-ta(0.1)", PhysicalPlan::ApproxTa, 0.1),
         ("nra", PhysicalPlan::Nra, 0.0),
@@ -159,8 +136,7 @@ fn cursors() -> Vec<(&'static str, PhysicalPlan, f64)> {
 #[test]
 fn no_kernel_asks_a_list_twice() {
     let scorings: [&dyn ScoringFunction; 3] = [&Min, &ArithmeticMean, &ConormScoring(Max)];
-    let roster = roster();
-    let cursors = cursors();
+    let plans = plans();
     let mut ran = BTreeSet::new();
     let mut resumed_ran = BTreeSet::new();
     for m in [2usize, 3] {
@@ -171,18 +147,25 @@ fn no_kernel_asks_a_list_twice() {
             for scoring in scorings {
                 for k in [1usize, 10] {
                     let at = format!("{shape} m={m} {} k={k}", scoring.name());
-                    for (name, algorithm) in &roster {
+                    for &(name, plan, theta) in &plans {
                         let got = repeats(&lists, |mut refs| {
-                            algorithm.evaluate(&mut refs, scoring, k).map(drop)
+                            Cursor::once(plan, theta, &mut refs, scoring, k).map(drop)
                         });
                         if let Some(repeated) = got {
                             assert_eq!(repeated, [], "{name} on {at}");
-                            ran.insert(*name);
+                            ran.insert(name);
                         }
+                    }
+                    let cg = repeats(&lists, |mut refs| {
+                        CgFilter::default().run(&mut refs, scoring, k).map(drop)
+                    });
+                    if let Some(repeated) = cg {
+                        assert_eq!(repeated, [], "cg-filter on {at}");
+                        ran.insert("cg-filter");
                     }
                     // Resumed: the second batch must not probe what the
                     // first one read.
-                    for &(name, plan, theta) in &cursors {
+                    for &(name, plan, theta) in &plans {
                         let resumed = repeats(&lists, |mut refs| {
                             let mut cursor = Cursor::new(plan, theta)?;
                             cursor.next_k(&mut refs, scoring, k)?;
@@ -201,8 +184,8 @@ fn no_kernel_asks_a_list_twice() {
         }
     }
     // Refusing a scoring function is fine; never running is not.
-    let names: BTreeSet<_> = roster.iter().map(|(name, _)| *name).collect();
-    assert_eq!(ran, names);
-    let names: BTreeSet<_> = cursors.iter().map(|(name, ..)| *name).collect();
+    let mut names: BTreeSet<_> = plans.iter().map(|(name, ..)| *name).collect();
     assert_eq!(resumed_ran, names);
+    names.insert("cg-filter");
+    assert_eq!(ran, names);
 }

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
-use fmdb_middleware::algorithms::{Cursor, TopKAlgorithm, TopKResult};
+use fmdb_middleware::algorithms::{Cursor, TopKResult};
 use fmdb_middleware::planner::{choose_plan, PhysicalPlan, PlanQuery};
 use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::source::{self, GradedSource, VecSource};
@@ -29,9 +29,6 @@ use fmdb_middleware::store::{
 use fmdb_middleware::workload::independent_uniform;
 
 use fmdb_core::score::Score;
-
-mod support;
-use support::Planned;
 
 /// Unique scratch path under `target/tmp` (cargo provides the dir for
 /// integration tests; tests must not write outside the repository).
@@ -106,36 +103,33 @@ fn paged_copies(s: Scenario) -> Vec<PagedStore> {
 
 /// Runs `algorithm` over both backings and asserts bit-identical
 /// answers and charged statistics.
-fn assert_backings_agree(algorithm: &dyn TopKAlgorithm, s: Scenario) -> Result<(), TestCaseError> {
+fn assert_backings_agree(plan: PhysicalPlan, s: Scenario) -> Result<(), TestCaseError> {
     let mut mem_sources = independent_uniform(s.n, s.m, s.seed);
-    let mut mem_refs: Vec<&mut dyn GradedSource> = mem_sources
+    let mut mem_refs: Vec<&mut dyn source::Subsystem> = mem_sources
         .iter_mut()
-        .map(|src| src as &mut dyn GradedSource)
+        .map(|src| src as &mut dyn source::Subsystem)
         .collect();
-    let mem = algorithm
-        .top_k(&mut mem_refs, &Min, s.k)
-        .expect("memory run must succeed");
+    let mem = Cursor::once(plan, 0.0, &mut mem_refs, &Min, s.k).expect("memory run must succeed");
 
     let stores = paged_copies(s);
     let mut cursors: Vec<_> = stores.iter().map(|st| st.source()).collect();
-    let mut paged_refs: Vec<&mut dyn GradedSource> = cursors
+    let mut paged_refs: Vec<&mut dyn source::Subsystem> = cursors
         .iter_mut()
-        .map(|src| src as &mut dyn GradedSource)
+        .map(|src| src as &mut dyn source::Subsystem)
         .collect();
-    let paged = algorithm
-        .top_k(&mut paged_refs, &Min, s.k)
-        .expect("paged run must succeed");
+    let paged =
+        Cursor::once(plan, 0.0, &mut paged_refs, &Min, s.k).expect("paged run must succeed");
 
     prop_assert_eq!(
         &paged.answers,
         &mem.answers,
         "{} answers diverged under {:?}",
-        algorithm.name(),
+        plan,
         s
     );
     // The whole charged AccessStats must agree — paging may not leak
     // into the logical cost accounting.
-    prop_assert_eq!(paged.stats, mem.stats, "{} stats", algorithm.name());
+    prop_assert_eq!(paged.stats, mem.stats, "{} stats", plan);
     Ok(())
 }
 
@@ -179,22 +173,23 @@ proptest! {
 
     #[test]
     fn paged_matches_vec_under_fa(s in scenario()) {
-        assert_backings_agree(&Planned(PhysicalPlan::Fa, 0.0), s)?;
+        assert_backings_agree(PhysicalPlan::Fa, s)?;
+        assert_backings_agree(PhysicalPlan::PrunedFa { short_circuit: true }, s)?;
     }
 
     #[test]
     fn paged_matches_vec_under_ta(s in scenario()) {
-        assert_backings_agree(&Planned(PhysicalPlan::Ta, 0.0), s)?;
+        assert_backings_agree(PhysicalPlan::Ta, s)?;
     }
 
     #[test]
     fn paged_matches_vec_under_nra(s in scenario()) {
-        assert_backings_agree(&Planned(PhysicalPlan::Nra, 0.0), s)?;
+        assert_backings_agree(PhysicalPlan::Nra, s)?;
     }
 
     #[test]
     fn paged_matches_vec_under_ca(s in scenario()) {
-        assert_backings_agree(&Planned(PhysicalPlan::Ca { h: 3 }, 0.0), s)?;
+        assert_backings_agree(PhysicalPlan::Ca { h: 3 }, s)?;
     }
 
     /// Raw-pair semantics: duplicate oids (keep-last), sparse oid

@@ -20,16 +20,13 @@ use proptest::prelude::*;
 
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::tnorms::Min;
-use fmdb_middleware::algorithms::TopKAlgorithm;
+use fmdb_middleware::algorithms::Cursor;
 use fmdb_middleware::planner::PhysicalPlan;
-use fmdb_middleware::source::{GradedSource, Oid, Subsystem, VecSource};
+use fmdb_middleware::source::{Oid, Subsystem, VecSource};
 use fmdb_middleware::store::{
     build_store_from_source, BuildConfig, PagedSource, PagedStore, StoreOptions,
 };
 use fmdb_middleware::workload::independent_uniform;
-
-mod support;
-use support::Planned;
 
 /// Unique scratch path under `target/tmp` (cargo provides the dir for
 /// integration tests; tests must not write outside the repository).
@@ -170,22 +167,18 @@ proptest! {
     fn ta_over_the_paged_store_matches_in_memory(s in scenario()) {
         let (vec_src, store) = build_pair(s, "ta");
         let mut mem = [vec_src.clone(), vec_src.clone()];
-        let mut mem_refs: Vec<&mut dyn GradedSource> = mem
+        let mut mem_refs: Vec<&mut dyn Subsystem> = mem
             .iter_mut()
-            .map(|x| x as &mut dyn GradedSource)
+            .map(|x| x as &mut dyn Subsystem)
             .collect();
-        let want = Planned(PhysicalPlan::Ta, 0.0)
-            .top_k(&mut mem_refs, &Min, s.k)
-            .expect("valid run");
+        let want = Cursor::once(PhysicalPlan::Ta, 0.0, &mut mem_refs, &Min, s.k).expect("valid run");
 
         let mut paged = [store.source()];
         let mut mixed = [vec_src.clone()];
-        let mut refs: Vec<&mut dyn GradedSource> = Vec::new();
+        let mut refs: Vec<&mut dyn Subsystem> = Vec::new();
         refs.push(&mut paged[0]);
         refs.push(&mut mixed[0]);
-        let got = Planned(PhysicalPlan::Ta, 0.0)
-            .top_k(&mut refs, &Min, s.k)
-            .expect("valid run");
+        let got = Cursor::once(PhysicalPlan::Ta, 0.0, &mut refs, &Min, s.k).expect("valid run");
 
         prop_assert_eq!(&want.answers, &got.answers);
         prop_assert_eq!(want.stats.sorted, got.stats.sorted);

@@ -5,9 +5,9 @@
 //! which every strategy reads, gets a flipped bit, or every page of its
 //! random table (grades alone) gets a flipped bit or, under a valid
 //! checksum, a NaN in every slot; every strategy that probes reads
-//! those. Each strategy then runs through the engine ([`Engine::run`]
-//! where a policy names it, [`Engine::run_algorithm`] otherwise) and
-//! through scalar [`TopKAlgorithm::top_k`]. A run that meets the damage
+//! those. Each plan then runs through the engine ([`Engine::run`]) and
+//! through its scalar [`Cursor::once`], and the CG filter, which no
+//! plan names, through [`CgFilter::run`]. A run that meets the damage
 //! returns [`EngineError::Source`] / [`AlgoError::Source`], naming the
 //! damaged list, with the store's typed error as the cause
 //! ([`StoreError::ChecksumMismatch`], [`StoreError::InvalidGrade`] for
@@ -22,21 +22,17 @@ use fmdb_core::scoring::conorms::Max;
 use fmdb_core::scoring::tnorms::Min;
 use fmdb_core::scoring::{ConormScoring, ScoringFunction};
 use fmdb_middleware::algorithms::cg_filter::CgFilter;
-use fmdb_middleware::algorithms::pruned_fa::PrunedFa;
-use fmdb_middleware::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
+use fmdb_middleware::algorithms::{AlgoError, Cursor, TopKResult};
 use fmdb_middleware::engine::{Engine, EngineError};
 use fmdb_middleware::policy::ExecPolicy;
 use fmdb_middleware::request::{SharedScoring, TopKQuery, TopKRequest};
-use fmdb_middleware::source::{GradedSource, SourceError, Subsystem, VecSource};
+use fmdb_middleware::source::{SourceError, Subsystem, VecSource};
 use fmdb_middleware::store::format::{crc32, GRADE_BYTES, PAGE_HEADER_BYTES};
 use fmdb_middleware::store::{
     build_store_from_source, BuildConfig, PagedSource, PagedStore, RandomTable, StoreError,
     StoreOptions,
 };
 use fmdb_middleware::workload::independent_uniform;
-
-mod support;
-use support::Planned;
 
 const N: usize = 600;
 const K: usize = 10;
@@ -107,65 +103,52 @@ fn stores(damage: Damage, tag: &str) -> Vec<PagedStore> {
         .collect()
 }
 
-/// A strategy, its scoring, the plan that names it (if one does) and
-/// whether it makes random accesses.
-type Strategy = (
-    Box<dyn TopKAlgorithm>,
-    SharedScoring,
-    Option<PhysicalPlan>,
-    bool,
-);
+/// A plan (`None` for the CG filter, which no plan names), its
+/// scoring and whether it makes random accesses.
+type Strategy = (Option<PhysicalPlan>, SharedScoring, bool);
 
 fn strategies() -> Vec<Strategy> {
     vec![
+        (Some(PhysicalPlan::FullScan), Arc::new(Min), false),
+        (Some(PhysicalPlan::Fa), Arc::new(Min), true),
         (
-            Box::new(Planned(PhysicalPlan::FullScan, 0.0)),
+            Some(PhysicalPlan::PrunedFa {
+                short_circuit: true,
+            }),
             Arc::new(Min),
-            Some(PhysicalPlan::FullScan),
-            false,
-        ),
-        (
-            Box::new(Planned(PhysicalPlan::Fa, 0.0)),
-            Arc::new(Min),
-            Some(PhysicalPlan::Fa),
             true,
         ),
-        (Box::new(PrunedFa::default()), Arc::new(Min), None, true),
+        (Some(PhysicalPlan::Ta), Arc::new(Min), true),
+        (Some(PhysicalPlan::Nra), Arc::new(Min), false),
+        (Some(PhysicalPlan::Ca { h: 1 }), Arc::new(Min), true),
         (
-            Box::new(Planned(PhysicalPlan::Ta, 0.0)),
-            Arc::new(Min),
-            Some(PhysicalPlan::Ta),
-            true,
-        ),
-        (
-            Box::new(Planned(PhysicalPlan::Nra, 0.0)),
-            Arc::new(Min),
-            Some(PhysicalPlan::Nra),
-            false,
-        ),
-        (
-            Box::new(Planned(PhysicalPlan::Ca { h: 1 }, 0.0)),
-            Arc::new(Min),
-            Some(PhysicalPlan::Ca { h: 1 }),
-            true,
-        ),
-        (
-            Box::new(Planned(PhysicalPlan::MaxMerge, 0.0)),
-            Arc::new(ConormScoring(Max)),
             Some(PhysicalPlan::MaxMerge),
+            Arc::new(ConormScoring(Max)),
             false,
         ),
-        (Box::new(CgFilter::default()), Arc::new(Min), None, false),
+        (None, Arc::new(Min), false),
     ]
 }
 
+/// The strategy's scalar run over `sources`.
+fn scalar(
+    plan: Option<PhysicalPlan>,
+    sources: &mut [&mut dyn Subsystem],
+    scoring: &dyn ScoringFunction,
+) -> Result<TopKResult, AlgoError> {
+    match plan {
+        Some(plan) => Cursor::once(plan, 0.0, sources, scoring, K),
+        None => CgFilter::default()
+            .run(sources, scoring, K)
+            .map(|run| run.result),
+    }
+}
+
 /// The answer over the undamaged in-memory lists.
-fn in_memory(algorithm: &dyn TopKAlgorithm, scoring: &dyn ScoringFunction) -> TopKResult {
+fn in_memory(plan: Option<PhysicalPlan>, scoring: &dyn ScoringFunction) -> TopKResult {
     let mut lists = lists();
     let mut refs: Vec<&mut dyn Subsystem> = lists.iter_mut().map(|l| l as _).collect();
-    algorithm
-        .evaluate(&mut refs, scoring, K)
-        .expect("in-memory lists never fail")
+    scalar(plan, &mut refs, scoring).expect("in-memory lists never fail")
 }
 
 /// The request over fresh cursors of `stores`.
@@ -209,15 +192,15 @@ fn a_damaged_page_fails_every_strategy_that_reads_it() {
     let engine = Engine::default();
     for damage in Damage::ALL {
         let stores = stores(damage, "each");
-        for (algorithm, scoring, plan, probes) in strategies() {
-            let name = algorithm.name();
+        for (plan, scoring, probes) in strategies() {
+            let name = plan.map_or("cg-filter", |plan| plan.name());
             let at = format!("{name} over {damage:?}");
             let reads_damage = damage == Damage::SortedHead || probes;
-            let want = in_memory(algorithm.as_ref(), scoring.as_ref());
+            let want = in_memory(plan, scoring.as_ref());
 
             let mut cursors: Vec<PagedSource> = stores.iter().map(PagedStore::source).collect();
-            let mut refs: Vec<&mut dyn GradedSource> = cursors.iter_mut().map(|c| c as _).collect();
-            match algorithm.top_k(&mut refs, scoring.as_ref(), K) {
+            let mut refs: Vec<&mut dyn Subsystem> = cursors.iter_mut().map(|c| c as _).collect();
+            match scalar(plan, &mut refs, scoring.as_ref()) {
                 Err(AlgoError::Source { stream, cause }) if reads_damage => {
                     assert!(
                         is_damage(damage, &stream, &cause),
@@ -225,16 +208,11 @@ fn a_damaged_page_fails_every_strategy_that_reads_it() {
                     );
                 }
                 Ok(got) if !reads_damage => assert_eq!(got, want, "{at}"),
-                other => panic!("{at}: scalar top_k returned {other:?}"),
+                other => panic!("{at}: the scalar run returned {other:?}"),
             }
 
-            let mut runs =
-                vec![engine.run_algorithm(algorithm.as_ref(), &request(&stores, &scoring, None))];
             if plan.is_some() {
-                runs.push(engine.run(&request(&stores, &scoring, plan)));
-            }
-            for run in runs {
-                match run {
+                match engine.run(&request(&stores, &scoring, plan)) {
                     Err(EngineError::Source { stream, cause }) if reads_damage => {
                         assert!(
                             is_damage(damage, &stream, &cause),

@@ -1,30 +1,27 @@
 //! Wrapper conformance: a wrapper around a [`Subsystem`] must pass
-//! every trait method through to the source it wraps, or say why not.
+//! every trait method through to the source it wraps.
 //!
 //! `Subsystem` has provided methods, so a wrapper that forgets one
 //! still compiles — and silently drops, say, a paged source's page
 //! counters and histogram (`caps`) on the floor. This suite calls every
 //! method on each wrapper over a [`RecordingSource`] and checks that the
 //! call reached the inner source — a scalar access as itself or as the
-//! batch of one its default makes — or that the pair sits in
-//! [`ALLOWED`] with its reason. An allow-listed method that *does*
-//! reach the inner source fails too, so the list cannot go stale.
+//! batch of one its default makes.
+//!
+//! The engine's private proxy passes the same check, but for
+//! `sorted_next`, which it serves from batch refills, in the engine's
+//! own unit tests
+//! (`engine::tests::the_proxy_forwards_every_method_but_the_buffered_pull`).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use fmdb_core::score::{Score, ScoredObject};
-use fmdb_core::scoring::tnorms::Min;
-use fmdb_core::scoring::ScoringFunction;
 use fmdb_core::stats::DEFAULT_HISTOGRAM_BINS;
-use fmdb_middleware::algorithms::{AlgoError, TopKAlgorithm, TopKResult};
-use fmdb_middleware::engine::Engine;
-use fmdb_middleware::request::TopKQuery;
 use fmdb_middleware::source::{
     Caps, CountingSource, Oid, SourceError, SourceInfo, Subsystem, ValidatingSource, VecSource,
 };
-use fmdb_middleware::stats::AccessStats;
 use fmdb_middleware::store::{build_store_from_source, BuildConfig, PagedStore, StoreOptions};
 use fmdb_middleware::workload::independent_uniform;
 
@@ -55,13 +52,6 @@ const METHODS: [(&str, &[&str], Call); 7] = [
     }),
     ("rewind", &["rewind"], |s| s.rewind()),
 ];
-
-/// `(wrapper, method, why the inner source is not reached)`.
-const ALLOWED: [(&str, &str, &str); 1] = [(
-    "engine",
-    "sorted_next",
-    "served from batch refills: the inner source sees one `sorted_batch` per batch",
-)];
 
 type Log = Arc<Mutex<Vec<&'static str>>>;
 
@@ -131,54 +121,10 @@ fn exercise(wrapper: &mut dyn Subsystem, log: &Log) -> Reached {
         .collect()
 }
 
-/// A "kernel" that exercises its first source and keeps what it saw —
-/// the only way to reach the engine's private proxy.
-struct Probe {
-    log: Log,
-    reached: Mutex<Option<Reached>>,
-}
-
-impl TopKAlgorithm for Probe {
-    fn name(&self) -> &'static str {
-        "conformance-probe"
-    }
-    fn evaluate(
-        &self,
-        sources: &mut [&mut dyn Subsystem],
-        _: &dyn ScoringFunction,
-        _: usize,
-    ) -> Result<TopKResult, AlgoError> {
-        let reached = exercise(&mut *sources[0], &self.log);
-        *self.reached.lock().expect("probe lock") = Some(reached);
-        Ok(TopKResult {
-            answers: Vec::new(),
-            stats: AccessStats::ZERO,
-        })
-    }
-}
-
-fn through_engine(log: &Log) -> Reached {
-    let probe = Probe {
-        log: Arc::clone(log),
-        reached: Mutex::new(None),
-    };
-    let request = TopKQuery::compose()
-        .source(RecordingSource::new(log))
-        .scoring(Min)
-        .k(1)
-        .request()
-        .expect("request must validate");
-    Engine::default()
-        .run_algorithm(&probe, &request)
-        .expect("probe run must succeed");
-    let reached = probe.reached.lock().expect("probe lock").take();
-    reached.expect("the engine ran the probe")
-}
-
 #[test]
 fn every_wrapper_forwards_every_method_or_says_why_not() {
     let log: Log = Arc::default();
-    let wrappers: [(&str, Reached); 3] = [
+    let wrappers: [(&str, Reached); 2] = [
         (
             "counting",
             exercise(&mut CountingSource::new(RecordingSource::new(&log)), &log),
@@ -187,24 +133,15 @@ fn every_wrapper_forwards_every_method_or_says_why_not() {
             "validating",
             exercise(&mut ValidatingSource::new(RecordingSource::new(&log)), &log),
         ),
-        ("engine", through_engine(&log)),
     ];
     let mut failures = Vec::new();
     for (wrapper, reached) in &wrappers {
         for (method, reaching, _) in METHODS {
             let inner = &reached[method];
-            let forwarded = reaching.iter().any(|name| inner.contains(name));
-            let allowed = ALLOWED
-                .iter()
-                .find(|(w, m, _)| w == wrapper && *m == method);
-            match (forwarded, allowed) {
-                (true, None) | (false, Some(_)) => {}
-                (false, None) => failures.push(format!(
+            if !reaching.iter().any(|name| inner.contains(name)) {
+                failures.push(format!(
                     "{wrapper}: `{method}` never reached the inner source (it saw {inner:?})"
-                )),
-                (true, Some((_, _, why))) => failures.push(format!(
-                    "{wrapper}: `{method}` is allow-listed ({why}) but is forwarded"
-                )),
+                ));
             }
         }
     }

@@ -61,9 +61,8 @@ pub mod prelude {
     };
     pub use fmdb_middleware::prelude::{
         AccessStats, AlgoError, CostModel, Cursor, Engine, EngineConfig, ExecPolicy, Oid,
-        OptimalityOracle, PagedSource, PagedStore, PrunedFa, SharedScoring, SourceError,
-        SourceInfo, StoreError, Subsystem, TopKAlgorithm, TopKQuery, TopKRequest, TopKResult,
-        ValidatingSource, VecSource,
+        OptimalityOracle, PagedSource, PagedStore, SharedScoring, SourceError, SourceInfo,
+        StoreError, Subsystem, TopKQuery, TopKRequest, TopKResult, ValidatingSource, VecSource,
     };
     pub use fmdb_middleware::workload::independent_uniform;
 }

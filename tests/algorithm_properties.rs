@@ -13,9 +13,6 @@ use fuzzymm::middleware::oracle::{all_grades, verify_top_k, verify_top_k_set};
 use fuzzymm::middleware::source::GradedSource;
 use fuzzymm::prelude::*;
 
-mod support;
-use support::Planned;
-
 /// Strategy: m grade lists over a shared dense universe.
 fn grade_lists(max_n: usize, max_m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     (2usize..=max_m, 1usize..=max_n).prop_flat_map(|(m, n)| {
@@ -82,105 +79,126 @@ fn to_labelled_sources(lists: &[Vec<u8>], label: impl Fn(Oid) -> Oid) -> Vec<Vec
         .collect()
 }
 
-fn run_on(
-    mut sources: Vec<VecSource>,
-    algo: &dyn TopKAlgorithm,
+fn subsystems(sources: &mut [VecSource]) -> Vec<&mut dyn Subsystem> {
+    sources
+        .iter_mut()
+        .map(|s| s as &mut dyn Subsystem)
+        .collect()
+}
+
+/// `plan`'s one-shot run.
+fn once(
+    plan: PlanKind,
+    sources: &mut [VecSource],
     scoring: &dyn ScoringFunction,
     k: usize,
 ) -> TopKResult {
-    let mut refs: Vec<&mut dyn GradedSource> = sources
-        .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
-        .collect();
-    algo.top_k(&mut refs, scoring, k)
-        .unwrap_or_else(|e| panic!("{}: {e}", algo.name()))
+    Cursor::once(plan, 0.0, &mut subsystems(sources), scoring, k)
+        .unwrap_or_else(|e| panic!("{plan}: {e}"))
 }
 
-fn check_valid(
-    algo: &dyn TopKAlgorithm,
-    lists: &[Vec<f64>],
-    scoring: &dyn ScoringFunction,
-    k: usize,
-) {
-    check_valid_on(to_sources(lists), algo, scoring, k);
+/// The CG filter's run under its default schedule.
+fn cg(sources: &mut [VecSource], scoring: &dyn ScoringFunction, k: usize) -> TopKResult {
+    CgFilter::default()
+        .run(&mut subsystems(sources), scoring, k)
+        .unwrap_or_else(|e| panic!("cg-filter: {e}"))
+        .result
+}
+
+fn check_valid(plan: PlanKind, lists: &[Vec<f64>], scoring: &dyn ScoringFunction, k: usize) {
+    check_valid_on(to_sources(lists), plan, scoring, k);
 }
 
 fn check_valid_on(
     mut sources: Vec<VecSource>,
-    algo: &dyn TopKAlgorithm,
+    plan: PlanKind,
     scoring: &dyn ScoringFunction,
     k: usize,
+) {
+    let result = once(plan, &mut sources, scoring, k);
+    verify(&mut sources, scoring, &result, k, plan.name());
+}
+
+/// `result` is a valid top `k` of `sources` under `scoring`.
+fn verify(
+    sources: &mut [VecSource],
+    scoring: &dyn ScoringFunction,
+    result: &TopKResult,
+    k: usize,
+    name: &str,
 ) {
     let mut refs: Vec<&mut dyn GradedSource> = sources
         .iter_mut()
         .map(|s| s as &mut dyn GradedSource)
         .collect();
-    let result = algo
-        .top_k(&mut refs, scoring, k)
-        .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
-    let mut refs2: Vec<&mut dyn GradedSource> = sources
-        .iter_mut()
-        .map(|s| s as &mut dyn GradedSource)
-        .collect();
-    verify_top_k(&mut refs2, scoring, &result.answers, k)
-        .unwrap_or_else(|v| panic!("{} returned an invalid top-k: {v}", algo.name()));
+    verify_top_k(&mut refs, scoring, &result.answers, k)
+        .unwrap_or_else(|v| panic!("{name} returned an invalid top-k: {v}"));
 }
+
+fn check_cg_valid_on(mut sources: Vec<VecSource>, scoring: &dyn ScoringFunction, k: usize) {
+    let result = cg(&mut sources, scoring, k);
+    verify(&mut sources, scoring, &result, k, "cg-filter");
+}
+
+const PRUNED: PlanKind = PlanKind::PrunedFa {
+    short_circuit: true,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn fa_is_always_valid_under_min(lists in grade_lists(60, 4), k in 1usize..=8) {
-        check_valid(&Planned(PlanKind::Fa, 0.0), &lists, &Min, k);
+        check_valid(PlanKind::Fa, &lists, &Min, k);
     }
 
     #[test]
     fn fa_is_always_valid_under_product(lists in grade_lists(40, 3), k in 1usize..=5) {
-        check_valid(&Planned(PlanKind::Fa, 0.0), &lists, &Product, k);
+        check_valid(PlanKind::Fa, &lists, &Product, k);
     }
 
     #[test]
     fn pruned_fa_is_always_valid(lists in grade_lists(60, 4), k in 1usize..=8) {
-        check_valid(&PrunedFa::default(), &lists, &Min, k);
-        check_valid(&PrunedFa::default(), &lists, &ArithmeticMean, k);
+        check_valid(PRUNED, &lists, &Min, k);
+        check_valid(PRUNED, &lists, &ArithmeticMean, k);
     }
 
     #[test]
     fn ta_is_always_valid(lists in grade_lists(60, 4), k in 1usize..=8) {
-        check_valid(&Planned(PlanKind::Ta, 0.0), &lists, &Min, k);
-        check_valid(&Planned(PlanKind::Ta, 0.0), &lists, &ArithmeticMean, k);
+        check_valid(PlanKind::Ta, &lists, &Min, k);
+        check_valid(PlanKind::Ta, &lists, &ArithmeticMean, k);
     }
 
     #[test]
     fn naive_is_always_valid(lists in grade_lists(60, 4), k in 1usize..=8) {
-        check_valid(&Planned(PlanKind::FullScan, 0.0), &lists, &Lukasiewicz, k);
+        check_valid(PlanKind::FullScan, &lists, &Lukasiewicz, k);
     }
 
     #[test]
     fn cg_filter_is_always_valid_for_tnorms(lists in grade_lists(40, 3), k in 1usize..=5) {
-        check_valid(&CgFilter::default(), &lists, &Min, k);
-        check_valid(&CgFilter::default(), &lists, &Product, k);
+        check_cg_valid_on(to_sources(&lists), &Min, k);
+        check_cg_valid_on(to_sources(&lists), &Product, k);
     }
 
     #[test]
     fn every_algorithm_is_valid_on_sparse_lists(lists in sparse_lists(60, 4), k in 1usize..=8) {
         let sparse = || to_sparse_sources(&lists);
-        let exact: [&dyn TopKAlgorithm; 7] = [
-            &Planned(PlanKind::FullScan, 0.0),
-            &Planned(PlanKind::Fa, 0.0),
-            &PrunedFa::default(),
-            &PrunedFa::without_short_circuit(),
-            &Planned(PlanKind::Ta, 0.0),
-            &Planned(PlanKind::Ca { h: 2 }, 0.0),
-            &Planned(PlanKind::ApproxTa, 0.0),
+        let exact = [
+            PlanKind::FullScan,
+            PlanKind::Fa,
+            PRUNED,
+            PlanKind::PrunedFa { short_circuit: false },
+            PlanKind::Ta,
+            PlanKind::Ca { h: 2 },
+            PlanKind::ApproxTa,
         ];
-        for algo in exact {
-            check_valid_on(sparse(), algo, &Min, k);
-            check_valid_on(sparse(), algo, &ArithmeticMean, k);
+        for plan in exact {
+            check_valid_on(sparse(), plan, &Min, k);
+            check_valid_on(sparse(), plan, &ArithmeticMean, k);
         }
-        check_valid_on(sparse(), &CgFilter::default(), &Min, k);
-        check_valid_on(sparse(), &CgFilter::default(), &Product, k);
-        check_valid_on(sparse(), &Planned(PlanKind::MaxMerge, 0.0), &ConormScoring(Max), k);
+        check_cg_valid_on(sparse(), &Min, k);
+        check_cg_valid_on(sparse(), &Product, k);
+        check_valid_on(sparse(), PlanKind::MaxMerge, &ConormScoring(Max), k);
 
         // NRA certifies the set; its grades are lower bounds, so the
         // oracle is shown the members under their true grades.
@@ -217,26 +235,26 @@ proptest! {
     ) {
         let label = |oid: Oid| if wide == 1 { oid + (1 << 33) } else { 3 * oid + c };
         let max = ConormScoring(Max);
-        let runs: [(&dyn TopKAlgorithm, &dyn ScoringFunction); 8] = [
-            (&Planned(PlanKind::FullScan, 0.0), &Min),
-            (&Planned(PlanKind::Fa, 0.0), &Min),
-            (&PrunedFa::default(), &Min),
-            (&Planned(PlanKind::MaxMerge, 0.0), &max),
-            (&Planned(PlanKind::Ta, 0.0), &Min),
-            (&Planned(PlanKind::Ta, 0.0), &ArithmeticMean),
-            (&Planned(PlanKind::Nra, 0.0), &ArithmeticMean),
-            (&Planned(PlanKind::Ca { h: 2 }, 0.0), &Min),
+        let runs: [(PlanKind, &dyn ScoringFunction); 8] = [
+            (PlanKind::FullScan, &Min),
+            (PlanKind::Fa, &Min),
+            (PRUNED, &Min),
+            (PlanKind::MaxMerge, &max),
+            (PlanKind::Ta, &Min),
+            (PlanKind::Ta, &ArithmeticMean),
+            (PlanKind::Nra, &ArithmeticMean),
+            (PlanKind::Ca { h: 2 }, &Min),
         ];
-        for (algo, scoring) in runs {
-            let dense = run_on(to_labelled_sources(&lists, |oid| oid), algo, scoring, k);
-            let moved = run_on(to_labelled_sources(&lists, label), algo, scoring, k);
+        for (plan, scoring) in runs {
+            let dense = once(plan, &mut to_labelled_sources(&lists, |oid| oid), scoring, k);
+            let moved = once(plan, &mut to_labelled_sources(&lists, label), scoring, k);
             let renamed: Vec<ScoredObject<Oid>> = dense
                 .answers
                 .iter()
                 .map(|a| ScoredObject::new(label(a.id), a.grade))
                 .collect();
-            prop_assert_eq!(&moved.answers, &renamed, "{} under {}", algo.name(), scoring.name());
-            prop_assert_eq!(moved.stats, dense.stats, "{} under {}", algo.name(), scoring.name());
+            prop_assert_eq!(&moved.answers, &renamed, "{} under {}", plan, scoring.name());
+            prop_assert_eq!(moved.stats, dense.stats, "{} under {}", plan, scoring.name());
         }
     }
 
@@ -244,12 +262,7 @@ proptest! {
     fn fa_cost_never_exceeds_naive(lists in grade_lists(60, 3), k in 1usize..=5) {
         let m = lists.len() as u64;
         let n = lists[0].len() as u64;
-        let mut sources = to_sources(&lists);
-        let mut refs: Vec<&mut dyn GradedSource> = sources
-            .iter_mut()
-            .map(|s| s as &mut dyn GradedSource)
-            .collect();
-        let fa = Planned(PlanKind::Fa, 0.0).top_k(&mut refs, &Min, k).expect("valid run");
+        let fa = once(PlanKind::Fa, &mut to_sources(&lists), &Min, k);
         // A0's sorted phase can touch at most every list fully, and the
         // random phase at most fills every hole: cost ≤ 2·m·N.
         prop_assert!(fa.stats.database_access_cost() <= 2 * m * n);
@@ -257,14 +270,8 @@ proptest! {
 
     #[test]
     fn pruned_fa_never_costs_more_than_fa(lists in grade_lists(60, 3), k in 1usize..=5) {
-        let mut s1 = to_sources(&lists);
-        let mut r1: Vec<&mut dyn GradedSource> =
-            s1.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
-        let fa = Planned(PlanKind::Fa, 0.0).top_k(&mut r1, &Min, k).expect("valid run");
-        let mut s2 = to_sources(&lists);
-        let mut r2: Vec<&mut dyn GradedSource> =
-            s2.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
-        let pruned = PrunedFa::default().top_k(&mut r2, &Min, k).expect("valid run");
+        let fa = once(PlanKind::Fa, &mut to_sources(&lists), &Min, k);
+        let pruned = once(PRUNED, &mut to_sources(&lists), &Min, k);
         prop_assert_eq!(pruned.stats.sorted, fa.stats.sorted);
         prop_assert!(pruned.stats.random <= fa.stats.random);
     }
@@ -273,13 +280,8 @@ proptest! {
     fn max_merge_matches_naive_grades(lists in grade_lists(60, 4), k in 1usize..=8) {
         let scoring = ConormScoring(fuzzymm::core::scoring::conorms::Max);
         let mut s1 = to_sources(&lists);
-        let mut r1: Vec<&mut dyn GradedSource> =
-            s1.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
-        let merge = Planned(PlanKind::MaxMerge, 0.0).top_k(&mut r1, &scoring, k).expect("valid run");
-        let mut r2: Vec<&mut dyn GradedSource> =
-            s1.iter_mut().map(|s| s as &mut dyn GradedSource).collect();
-        verify_top_k(&mut r2, &scoring, &merge.answers, k)
-            .unwrap_or_else(|v| panic!("max-merge invalid: {v}"));
+        let merge = once(PlanKind::MaxMerge, &mut s1, &scoring, k);
+        verify(&mut s1, &scoring, &merge, k, "max-merge");
         // And its cost promise: at most m·k sorted accesses.
         prop_assert!(merge.stats.sorted <= (lists.len() * k) as u64);
         prop_assert_eq!(merge.stats.random, 0);
