@@ -12,7 +12,10 @@
 //! The planner prices accesses only (`DESIGN.md` §11), which is honest
 //! as long as these stay within a small factor of each other —
 //! `nra_vs_ta_ns_per_access` and `naive_vs_ta_ns_per_access` are gated
-//! where they are emitted. Its last row is what the engine adds
+//! where they are emitted. A row below them is TA's own reference: a
+//! bare loop making TA's accesses of the same lists, in TA's order, in
+//! the same rounds (`ta_vs_access_loop`, gated): what TA's book costs
+//! beyond the accesses it records. Its last row is what the engine adds
 //! to that price on memory-speed lists (`engine_vs_scalar_many8`, gated
 //! too).
 //!
@@ -106,6 +109,25 @@ const SCAN_VS_DRAIN_REPS: usize = 3;
 
 /// Entries the bare drain asks for per call: the scan's batch.
 const DRAIN_BATCH: usize = 256;
+
+/// Ceiling on `ta_vs_access_loop` (release builds): 1.25× the largest
+/// of twenty whole quick suites on a 2-core x86-64 VM (2.60–3.11; the
+/// host has a slow mode, 7 of the 20, that lifts TA more than the loop)
+/// since a row TA resolves at sight is graded as its probes return and
+/// ranked with one comparison against a cached `Mₖ`. With the book and
+/// ranking this kernel replaced (a 16-byte `Option<Score>` slot a field,
+/// the lower bound copied into a buffer on every rebound, `Mₖ` read off
+/// a `BTreeSet` every round, a record per row) the same suites read
+/// 3.49–5.10, and ten with only `Table` and `Seen` put back 3.46–4.52:
+/// the ceiling catches those in the host's slow mode only.
+const MAX_TA_VS_ACCESS_LOOP: f64 = 3.89;
+
+/// Rounds behind `ta_vs_access_loop`, quick and full alike.
+const TA_VS_LOOP_ROUNDS: usize = 31;
+
+/// TA runs and access loops alternated in one round of
+/// `ta_vs_access_loop`, the fastest of each kept.
+const TA_VS_LOOP_REPS: usize = 5;
 use crate::runners::{fastest_us, RoundRatio, RunCfg};
 
 /// Charged accesses and wall-clock nanoseconds per charged access of
@@ -367,6 +389,141 @@ fn naive_scan_vs_drain(pair: &mut [VecSource], rounds: usize) -> RoundRatio {
     }))
 }
 
+/// One access a run made of one of its lists, in the order it made it.
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    /// `sorted_next` on list `i`.
+    Sorted(usize),
+    /// `random_access(oid)` on list `j`.
+    Random(usize, Oid),
+}
+
+/// A list that writes down every access made of it on a trace shared
+/// with its siblings.
+struct Traced {
+    inner: VecSource,
+    list: usize,
+    trace: Arc<std::sync::Mutex<Vec<Access>>>,
+}
+
+impl Traced {
+    fn record(&self, access: Access) {
+        self.trace
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(access);
+    }
+}
+
+impl Subsystem for Traced {
+    fn sorted_next(&mut self) -> Result<Option<ScoredObject<Oid>>, SourceError> {
+        self.record(Access::Sorted(self.list));
+        Subsystem::sorted_next(&mut self.inner)
+    }
+
+    fn sorted_batch(&mut self, n: usize) -> Result<Vec<ScoredObject<Oid>>, SourceError> {
+        (0..n)
+            .map_while(|_| Subsystem::sorted_next(self).transpose())
+            .collect()
+    }
+
+    fn random_access(&mut self, oid: Oid) -> Result<Score, SourceError> {
+        self.record(Access::Random(self.list, oid));
+        Subsystem::random_access(&mut self.inner, oid)
+    }
+
+    fn random_batch(&mut self, oids: &[Oid]) -> Result<Vec<Score>, SourceError> {
+        oids.iter()
+            .map(|&oid| Subsystem::random_access(self, oid))
+            .collect()
+    }
+
+    fn rewind(&mut self) {
+        Subsystem::rewind(&mut self.inner);
+    }
+
+    fn info(&self) -> SourceInfo {
+        Subsystem::info(&self.inner)
+    }
+}
+
+/// Every access scalar TA (min, k = 10) makes of `lists`, in order,
+/// checked against the accesses it charges.
+fn ta_accesses(lists: &[VecSource]) -> Vec<Access> {
+    let trace = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut traced: Vec<Traced> = lists
+        .iter()
+        .enumerate()
+        .map(|(list, inner)| Traced {
+            inner: inner.clone(),
+            list,
+            trace: Arc::clone(&trace),
+        })
+        .collect();
+    let mut refs: Vec<&mut dyn Subsystem> =
+        traced.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+    let ta = Cursor::once(PhysicalPlan::Ta, 0.0, &mut refs, &Min, 10).expect("valid run");
+    drop(refs);
+    drop(traced);
+    let trace = Arc::try_unwrap(trace)
+        .expect("the lists are dropped")
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let sorted = trace
+        .iter()
+        .filter(|access| matches!(access, Access::Sorted(_)))
+        .count();
+    assert_eq!(
+        (sorted as u64, (trace.len() - sorted) as u64),
+        (ta.stats.sorted, ta.stats.random),
+        "TA's calls are not its charges"
+    );
+    trace
+}
+
+/// The accesses of `trace` on `lists`, in order, after rewinding them,
+/// recording nothing: the floor under the run that made them.
+fn access_loop(lists: &mut [&mut dyn Subsystem], trace: &[Access]) {
+    for list in lists.iter_mut() {
+        list.rewind();
+    }
+    for &access in trace {
+        match access {
+            Access::Sorted(i) => {
+                std::hint::black_box(lists[i].sorted_next().expect("in-memory lists"));
+            }
+            Access::Random(j, oid) => {
+                std::hint::black_box(lists[j].random_access(oid).expect("in-memory lists"));
+            }
+        }
+    }
+}
+
+/// Scalar TA over `lists` (min, k = 10) against a bare loop making the
+/// same accesses of the same lists, over `rounds` rounds. A round
+/// alternates one of each [`TA_VS_LOOP_REPS`] times and keeps the
+/// fastest of each.
+fn ta_vs_access_loop(lists: &mut [VecSource], rounds: usize) -> RoundRatio {
+    let trace = ta_accesses(lists);
+    let mut refs: Vec<&mut dyn Subsystem> =
+        lists.iter_mut().map(|s| s as &mut dyn Subsystem).collect();
+    let mut timed = |work: &mut dyn FnMut(&mut [&mut dyn Subsystem])| {
+        let start = Instant::now();
+        work(&mut refs);
+        start.elapsed().as_secs_f64()
+    };
+    RoundRatio::of((0..rounds).map(|_| {
+        (0..TA_VS_LOOP_REPS).fold((f64::INFINITY, f64::INFINITY), |(ta, bare), _| {
+            let once = timed(&mut |refs| {
+                let result = Cursor::once(PhysicalPlan::Ta, 0.0, refs, &Min, 10);
+                std::hint::black_box(result.expect("valid run"));
+            });
+            let replayed = timed(&mut |refs| access_loop(refs, &trace));
+            (ta.min(once), bare.min(replayed))
+        })
+    }))
+}
+
 /// Runs the experiment.
 pub fn run(cfg: &RunCfg) -> Report {
     let mut report = Report::new(
@@ -450,6 +607,7 @@ pub fn run(cfg: &RunCfg) -> Report {
     let (ca_accesses, ca) = ns_per_access(PhysicalPlan::Ca { h: 10 }, &mut sources, 10);
     let (fa_accesses, fa) = ns_per_access(PhysicalPlan::Fa, &mut sources, 10);
     let (naive_accesses, naive) = ns_per_access(PhysicalPlan::FullScan, &mut sources, 10);
+    let ta_vs_loop = ta_vs_access_loop(&mut sources, TA_VS_LOOP_ROUNDS);
     for (name, accesses, ns) in [
         ("TA", ta_accesses, ta),
         ("NRA", nra_accesses, nra),
@@ -459,6 +617,13 @@ pub fn run(cfg: &RunCfg) -> Report {
     ] {
         t.row(vec![name.to_owned(), int(accesses), f3(ns), f3(ns / ta)]);
     }
+    // The same accesses with no book: TA's own in-round reference.
+    t.row(vec![
+        "TA's accesses, bare loop".to_owned(),
+        int(ta_accesses),
+        f3(ta / ta_vs_loop.median),
+        f3(1.0 / ta_vs_loop.median),
+    ]);
     // Not the list above: its own eight queries, against scalar TA on
     // the same eight.
     let (many8_accesses, through_engine, many8_ratio) = many8(10);
@@ -561,6 +726,23 @@ pub fn run(cfg: &RunCfg) -> Report {
              first",
         )
         .gated(
+            "ta_vs_access_loop",
+            ta_vs_loop.median,
+            Bound::PositiveAtMost(MAX_TA_VS_ACCESS_LOOP),
+            "scalar TA costs that many bare loops making its accesses again: its book costs \
+             more than the accesses it records; look at `Book::pull`, `Book::resolve` and \
+             `Table` in `algorithms/book.rs` (one f64 cell a field, a row graded as its \
+             probes return) and at `Seen::offer` in `algorithms/threshold.rs` (one \
+             comparison against the cached `Mₖ`, no record for a row resolved at sight) first",
+        )
+        .gated(
+            "ta_vs_access_loop_spread",
+            ta_vs_loop.spread,
+            Bound::AtLeast(1.0),
+            "the largest round ratio is below the smallest; look at `RoundRatio::of` in \
+             `runners` first",
+        )
+        .gated(
             "engine_vs_scalar_many8",
             many8_ratio.median,
             Bound::PositiveAtMost(MAX_ENGINE_VS_SCALAR),
@@ -641,6 +823,17 @@ pub fn run(cfg: &RunCfg) -> Report {
          and everything seen was sorted to keep ten, 0.85-1.05x while every object was \
          numbered through an array and handed to the selection). This table uses N = 4096 in quick and \
          full mode alike.",
+    ));
+    report.note(format!(
+        "TA against its own accesses: the row `TA's accesses, bare loop` replays, in TA's \
+         order, every sorted and random access one scalar TA made of the same lists, \
+         recording nothing; {TA_VS_LOOP_ROUNDS} rounds alternate {TA_VS_LOOP_REPS} TA runs \
+         with {TA_VS_LOOP_REPS} replays and keep the fastest of each, and \
+         `ta_vs_access_loop` is the median of the rounds' TA / loop ratios. A row TA \
+         resolves at sight is graded as its probes return, ranked with one comparison \
+         against the cached k-th key and given no record; the book keeps a field in one \
+         f64 cell. The run fails above {MAX_TA_VS_ACCESS_LOOP}x (3.5-5.1x with the \
+         kernel's earlier book and ranking).",
     ));
     report.note(format!(
         "The last row is the engine's own price on memory-speed lists — proxies, batch \

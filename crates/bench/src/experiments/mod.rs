@@ -97,6 +97,8 @@ pub const GATED: [(&str, &[&str]); 7] = [
             "nra_vs_ta_ns_per_access",
             "ca_vs_ta_ns_per_access",
             "naive_vs_ta_ns_per_access",
+            "ta_vs_access_loop",
+            "ta_vs_access_loop_spread",
             "engine_vs_scalar_many8",
             "engine_vs_scalar_many8_spread",
             "engine_vs_scalar_sorted_calls",

@@ -152,24 +152,29 @@ impl Score {
     }
 
     /// The smaller of two grades (Zadeh conjunction).
+    ///
+    /// Spelled `other < self` so that it is one `minsd` on x86-64:
+    /// `self <= other` differs from it only on a NaN, which no grade
+    /// holds, and compiles to a compare and three masks.
     #[inline]
     #[must_use]
     pub fn min(self, other: Score) -> Score {
-        if self.0 <= other.0 {
-            self
-        } else {
+        if other.0 < self.0 {
             other
+        } else {
+            self
         }
     }
 
-    /// The larger of two grades (Zadeh disjunction).
+    /// The larger of two grades (Zadeh disjunction); one `maxsd`, as
+    /// [`Score::min`] is one `minsd`.
     #[inline]
     #[must_use]
     pub fn max(self, other: Score) -> Score {
-        if self.0 >= other.0 {
-            self
-        } else {
+        if other.0 > self.0 {
             other
+        } else {
+            self
         }
     }
 
@@ -194,10 +199,12 @@ impl PartialOrd for Score {
 impl Ord for Score {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // Scores are finite and in [0, 1] by construction, where IEEE
-        // total order coincides with the numeric order — so this is
-        // total without any panicking fallback.
-        self.0.total_cmp(&other.0)
+        // Scores are finite and in [0, 1] by construction, with -0.0
+        // folded into +0.0: there the numeric order is the order of
+        // the bits as unsigned integers (IEEE total order on
+        // non-negative values), so this is total without any
+        // panicking fallback, and one integer comparison.
+        self.0.to_bits().cmp(&other.0.to_bits())
     }
 }
 

@@ -469,6 +469,16 @@ mod tests {
         Garlic::new(catalog)
     }
 
+    /// A catalog and the middleware over it can be shared between
+    /// threads: every repository is `Send + Sync`. Checked when the
+    /// test compiles.
+    #[test]
+    fn a_garlic_and_its_catalog_are_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<Catalog>();
+        shareable::<Garlic>();
+    }
+
     fn beatles_and_red() -> Query {
         Query::and(vec![
             Query::atomic("Artist", Target::Text("Beatles".into())),

@@ -124,7 +124,10 @@ impl From<EmbedError> for RepoError {
 pub type BoundSource = Box<dyn fmdb_middleware::source::Subsystem + Send>;
 
 /// A subsystem that can grade its universe against atomic queries.
-pub trait Repository {
+///
+/// `Send + Sync`, so a [`crate::catalog::Catalog`] and a
+/// [`crate::executor::Garlic`] over it can be shared between threads.
+pub trait Repository: Send + Sync {
     /// The subsystem's name (also its id-mapping namespace).
     fn name(&self) -> &str;
 

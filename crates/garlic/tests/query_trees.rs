@@ -18,15 +18,8 @@
 //! answers must still carry the reference grades bit for bit, each its
 //! own object's grade, in oid order within a grade.
 
-#![expect(
-    clippy::disallowed_macros,
-    reason = "one per-thread site, `STORES`: the four catalogs every random tree runs on, \
-              built once per test thread because a catalog is not `Sync`"
-)]
-
-use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -155,22 +148,18 @@ fn bits(answers: &[fmdb_core::score::ScoredObject<Oid>]) -> Answers {
         .collect()
 }
 
-thread_local! {
-    /// `cd_store(300, s)` for `s` in `0..4`, each built on first use and
-    /// shared by every case the thread runs: a debug build takes
-    /// ≈ 0.16 s to make one.
-    static STORES: [OnceCell<Garlic>; 4] = Default::default();
-}
+/// `cd_store(300, s)` for `s` in `0..4`, each built on first use and
+/// shared by every case of every test thread: a debug build takes
+/// ≈ 0.16 s to make one.
+static STORES: [OnceLock<Garlic>; 4] = [const { OnceLock::new() }; 4];
 
 /// The random tree of `seed` on `cd_store(300, seed % 4)`: every plan
 /// answers as the tree grades, and a cursor's two batches, joined, are
 /// such an answer.
 fn plans_answer_as_the_tree_grades(seed: u64) -> Result<(), TestCaseError> {
     let variant = seed % 4;
-    STORES.with(|stores| {
-        let garlic = stores[variant as usize].get_or_init(|| cd_store(300, variant));
-        plans_answer_on(garlic, seed)
-    })
+    let garlic = STORES[variant as usize].get_or_init(|| cd_store(300, variant));
+    plans_answer_on(garlic, seed)
 }
 
 fn plans_answer_on(garlic: &Garlic, seed: u64) -> Result<(), TestCaseError> {

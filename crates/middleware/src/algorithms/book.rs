@@ -21,19 +21,21 @@
 //! (DESIGN §17), so `oid → row` is one load for each oid below the
 //! query's largest `universe_size` (capped at [`DENSE_OIDS`]). Any
 //! other oid — a sparse list's, one past what its source
-//! reports — is numbered through a map.
+//! reports — is numbered through a map. A row's fields are `m` cells of
+//! one `f64` array, each the revealed grade's value or −1: 8 bytes a
+//! field, and "revealed" is a sign test on the cell itself, in the cache
+//! line the grade is read from or written to.
 //!
 //! A drain lays its table out by oid instead ([`Table::place`]): the
-//! objects of the dense universe are rows `0..N` themselves, and a
-//! row's fields are `m` grade values, so a drained entry costs one
-//! store and no lookup, and the lists meet in one compact array. Only
-//! the naive scan drains, and only it reads such a table
-//! ([`Table::each_lower`]).
+//! objects of the dense universe are rows `0..N` themselves, so a
+//! drained entry costs one store and no lookup, and the lists meet in
+//! the same compact array. Only the naive scan drains, and only it
+//! reads such a table ([`Table::each_lower`]).
 //!
 //! Each thread keeps one spare table. [`Book::open`] takes it, and a
 //! dropped table goes back cleared, not freed: the array cells its run
-//! set are zeroed (O(rows), not O(universe)), rows, slots, cells and
-//! map are emptied, and every buffer keeps its capacity, while the
+//! set are zeroed (O(rows), not O(universe)), rows, cells and map are
+//! emptied, and every buffer keeps its capacity, while the
 //! whole stays under [`SPARE_BYTES`]. Nothing a run wrote survives its
 //! drop, so this is scratch space, not a cache; what it saves is the
 //! allocator's trim of a freed book and the page faults that filled the
@@ -48,20 +50,22 @@ use std::mem;
 use fmdb_core::score::{Score, ScoredObject};
 use fmdb_core::scoring::ScoringFunction;
 
+use crate::algorithms::threshold::Seen;
 use crate::algorithms::AlgoError;
 use crate::source::{Oid, Subsystem};
 use crate::stats::AccessStats;
 
-/// The fields revealed so far, one row of `m` slots per seen object.
+/// The fields revealed so far, one row of `m` cells per seen object.
 ///
 /// Rows are numbered in first-sighting order, or — in a table a drain
 /// laid out by oid — are the oids of the block and then, numbered, the
 /// oids past it. Either way a walk over `0..len()` repeats from run to
-/// run, and all rows share one allocation.
+/// run, and all rows share one allocation: `m` cells a row, each the
+/// revealed grade's value or [`UNREVEALED`].
 pub(crate) struct Table {
     m: usize,
-    /// Whether a drain laid the table out by oid: its fields are then
-    /// in `cells`, and `rows` and `slots` stay empty.
+    /// Whether a drain laid the table out by oid: `rows` then stays
+    /// empty.
     by_oid: bool,
     /// In a table laid out by oid, the rows that are their own oids.
     block: usize,
@@ -75,7 +79,7 @@ struct Row {
 }
 
 /// A table's buffers. On a thread's spare they are cleared: every
-/// `dense` cell 0, no rows, slots or cells, an empty map, each with the
+/// `dense` cell 0, no rows or cells, an empty map, each with the
 /// capacity its runs gave it.
 #[derive(Default)]
 struct Buffers {
@@ -83,12 +87,10 @@ struct Buffers {
     dense: Vec<u32>,
     /// The row of every other numbered oid.
     sparse: HashMap<Oid, usize>,
+    /// A numbered table: each row's oid and missing count.
     rows: Vec<Row>,
-    /// `Some(grade)` once list `j` has revealed it, by either access
-    /// kind.
-    slots: Vec<Option<Score>>,
-    /// A table laid out by oid: `m` cells a row, each the revealed
-    /// grade's value or [`UNREVEALED`].
+    /// `m` cells a row: the value of the grade list `j` revealed, by
+    /// either access kind, or [`UNREVEALED`].
     cells: Vec<f64>,
     /// A table laid out by oid: the oid of each row past the block.
     past: Vec<Oid>,
@@ -98,14 +100,35 @@ struct Buffers {
 /// A cell no list has revealed: no grade is negative.
 const UNREVEALED: f64 = -1.0;
 
+/// The grade a cell holds, if a list revealed it.
+#[inline]
+fn revealed(cell: f64) -> Option<Score> {
+    (cell >= 0.0).then(|| Score::clamped(cell))
+}
+
 impl Buffers {
+    /// Makes room for cells up to `end`. The cells past the rows in use
+    /// are always unrevealed, so a new row finds its cells ready, and
+    /// they grow by doubling: a new row costs no fill of its own.
+    #[inline]
+    fn room(&mut self, end: usize) {
+        if self.cells.len() < end {
+            self.grow(end);
+        }
+    }
+
+    #[inline(never)]
+    fn grow(&mut self, end: usize) {
+        let len = end.max(2 * self.cells.len());
+        self.cells.resize(len, UNREVEALED);
+    }
+
     /// What the buffers hold allocated, in bytes (the map's control
     /// bytes aside).
     fn bytes(&self) -> usize {
         self.dense.capacity() * mem::size_of::<u32>()
             + self.sparse.capacity() * mem::size_of::<(Oid, usize)>()
             + self.rows.capacity() * mem::size_of::<Row>()
-            + self.slots.capacity() * mem::size_of::<Option<Score>>()
             + self.cells.capacity() * mem::size_of::<f64>()
             + self.past.capacity() * mem::size_of::<Oid>()
             + self.scratch.capacity() * mem::size_of::<Score>()
@@ -143,24 +166,37 @@ impl Buffers {
     }
 
     /// Empties every buffer and keeps its capacity. Only the `dense`
-    /// cells a numbered row names were set, so zeroing costs O(rows).
+    /// cells a numbered row names were set, so zeroing costs O(rows):
+    /// one store a row, or one pass over the array once there are
+    /// more rows than a sixteenth of its cells.
     fn clear(&mut self) {
-        let numbered = self.rows.iter().map(|row| row.oid);
-        for oid in numbered.chain(self.past.iter().copied()) {
-            if let Some(cell) = usize::try_from(oid)
-                .ok()
-                .and_then(|i| self.dense.get_mut(i))
-            {
-                *cell = 0;
+        let numbered = self.rows.len() + self.past.len();
+        if numbered > self.dense.len() / 16 {
+            self.dense.fill(0);
+        } else {
+            let numbered = self.rows.iter().map(|row| row.oid);
+            for oid in numbered.chain(self.past.iter().copied()) {
+                if let Some(cell) = usize::try_from(oid)
+                    .ok()
+                    .and_then(|i| self.dense.get_mut(i))
+                {
+                    *cell = 0;
+                }
             }
         }
         self.sparse.clear();
         self.rows.clear();
-        self.slots.clear();
         self.cells.clear();
         self.past.clear();
         self.scratch.clear();
     }
+}
+
+/// What a thread keeps between runs, each while no run holds it: a
+/// table's buffers, and the threshold kernel's ranking.
+struct Spare {
+    table: Cell<Option<Buffers>>,
+    ranking: Cell<Option<Seen>>,
 }
 
 // The crate's one per-thread site. The `#[expect]` that names it sits
@@ -168,8 +204,29 @@ impl Buffers {
 // inside this crate `tests::the_spare_is_the_crates_only_thread_local`
 // is what keeps it the only one.
 thread_local! {
-    /// The calling thread's spare table, while no book holds it.
-    static SPARE: Cell<Option<Buffers>> = const { Cell::new(None) };
+    /// The calling thread's spares.
+    static SPARE: Spare = const {
+        Spare {
+            table: Cell::new(None),
+            ranking: Cell::new(None),
+        }
+    };
+}
+
+/// The thread's spare ranking, if no run holds it.
+pub(crate) fn take_spare_ranking() -> Option<Seen> {
+    SPARE.try_with(|spare| spare.ranking.take()).ok().flatten()
+}
+
+/// Gives a cleared ranking back to the thread; the first one back is
+/// kept. Past the thread's end it is freed.
+pub(crate) fn keep_spare_ranking(seen: Seen) {
+    SPARE
+        .try_with(move |spare| {
+            let kept = spare.ranking.take().unwrap_or(seen);
+            spare.ranking.set(Some(kept));
+        })
+        .ok();
 }
 
 impl Drop for Table {
@@ -182,9 +239,9 @@ impl Drop for Table {
         // The first table back is kept. Past the thread's end the slot
         // is gone, and the buffers are freed with the closure.
         SPARE
-            .try_with(move |slot| {
-                let kept = slot.take().unwrap_or(buf);
-                slot.set(Some(kept));
+            .try_with(move |spare| {
+                let kept = spare.table.take().unwrap_or(buf);
+                spare.table.set(Some(kept));
             })
             .ok();
     }
@@ -196,7 +253,7 @@ impl Table {
     /// they are free.
     fn new(m: usize, dense: usize) -> Table {
         let mut buf = SPARE
-            .try_with(Cell::take)
+            .try_with(|spare| spare.table.take())
             .ok()
             .flatten()
             .unwrap_or_default();
@@ -204,7 +261,7 @@ impl Table {
         // written.
         buf.dense.resize(dense, 0);
         buf.rows.reserve(FIRST_ROWS);
-        buf.slots.reserve(FIRST_ROWS * m);
+        buf.cells.reserve(FIRST_ROWS * m);
         buf.scratch.reserve(m);
         Table {
             m,
@@ -215,6 +272,7 @@ impl Table {
     }
 
     /// The object's row and whether this is its first sighting.
+    #[inline(always)]
     fn number(&mut self, oid: Oid) -> (usize, bool) {
         debug_assert!(!self.by_oid, "a table laid out by oid is not numbered");
         let next = self.buf.rows.len();
@@ -222,9 +280,24 @@ impl Table {
         if row == next {
             let missing = self.m;
             self.buf.rows.push(Row { oid, missing });
-            self.buf.slots.resize(self.buf.slots.len() + self.m, None);
+            self.buf.room((next + 1) * self.m);
         }
         (row, row == next)
+    }
+
+    /// Records list `j`'s grade of `oid` as sorted access streamed it:
+    /// its row, whether this is its first sighting, and whether the
+    /// grade is news. A first sighting's cell is unrevealed by
+    /// construction, so it is written without being read.
+    #[inline(always)]
+    fn sight(&mut self, oid: Oid, j: usize, grade: Score) -> (usize, bool, bool) {
+        let (row, first) = self.number(oid);
+        if !first {
+            return (row, false, self.reveal(row, j, grade));
+        }
+        self.buf.cells[row * self.m + j] = grade.value();
+        self.buf.rows[row].missing -= 1;
+        (row, true, true)
     }
 
     /// Lays the table out by oid; a table with a numbered row cannot
@@ -249,7 +322,7 @@ impl Table {
         let row = match usize::try_from(oid) {
             Ok(at) if at < self.block => at,
             Ok(at) if buf.past.is_empty() && at < buf.dense.len() => {
-                buf.cells.resize((at + 1) * m, UNREVEALED);
+                buf.room((at + 1) * m);
                 self.block = at + 1;
                 at
             }
@@ -258,7 +331,7 @@ impl Table {
                 let row = buf.number(oid, next);
                 if row == next {
                     buf.past.push(oid);
-                    buf.cells.resize((next + 1) * m, UNREVEALED);
+                    buf.room((next + 1) * m);
                 }
                 row
             }
@@ -269,11 +342,10 @@ impl Table {
         }
     }
 
-    /// The fields of a row of a table laid out by oid.
-    fn cells(&self, row: usize) -> impl Iterator<Item = Option<Score>> + '_ {
-        self.buf.cells[row * self.m..(row + 1) * self.m]
-            .iter()
-            .map(|&cell| Score::new(cell).ok())
+    /// The cells of `row`.
+    #[inline]
+    fn row_cells(&self, row: usize) -> &[f64] {
+        &self.buf.cells[row * self.m..(row + 1) * self.m]
     }
 
     /// Every object of a table laid out by oid, in row order, with `t`
@@ -285,15 +357,15 @@ impl Table {
         scoring: &dyn ScoringFunction,
         mut visit: impl FnMut(usize, ScoredObject<Oid>),
     ) {
-        debug_assert!(self.by_oid, "only a table laid out by oid has cells");
+        debug_assert!(self.by_oid, "only a table laid out by oid is walked whole");
+        let (block, len) = (self.block, self.len());
         let Buffers {
             cells,
             past,
             scratch,
             ..
         } = &mut self.buf;
-        let block = self.block;
-        for (row, fields) in cells.chunks_exact(self.m).enumerate() {
+        for (row, fields) in cells.chunks_exact(self.m).enumerate().take(len) {
             let mut shown = false;
             scratch.clear();
             // An unrevealed cell clamps to 0; a grade's value to itself.
@@ -324,18 +396,19 @@ impl Table {
     pub(crate) fn row(&self, oid: Oid) -> Option<usize> {
         match usize::try_from(oid) {
             // A row of the block is an object seen once a list showed it.
-            Ok(at) if at < self.block => self.cells(at).any(|field| field.is_some()).then_some(at),
+            Ok(at) if at < self.block => self.row_cells(at).iter().any(|&c| c >= 0.0).then_some(at),
             _ => self.buf.numbered(oid),
         }
     }
 
     /// Records list `j`'s grade for `row`; false if it was known.
+    #[inline]
     pub(crate) fn reveal(&mut self, row: usize, j: usize, grade: Score) -> bool {
         debug_assert!(!self.by_oid, "a table laid out by oid is only placed in");
-        let slot = &mut self.buf.slots[row * self.m + j];
-        let news = slot.is_none();
+        let cell = &mut self.buf.cells[row * self.m + j];
+        let news = *cell < 0.0;
         if news {
-            *slot = Some(grade);
+            *cell = grade.value();
             self.buf.rows[row].missing -= 1;
         }
         news
@@ -351,37 +424,49 @@ impl Table {
         }
     }
 
+    #[inline]
     pub(crate) fn oid(&self, row: usize) -> Oid {
         self.buf.rows[row].oid
     }
 
     /// Fields of `row` no access has revealed yet.
+    #[inline]
     pub(crate) fn missing(&self, row: usize) -> usize {
         self.buf.rows[row].missing
     }
 
-    pub(crate) fn fields(&self, row: usize) -> &[Option<Score>] {
-        &self.buf.slots[row * self.m..(row + 1) * self.m]
+    /// Whether list `j` has revealed `row`'s field.
+    #[inline]
+    pub(crate) fn known(&self, row: usize, j: usize) -> bool {
+        self.buf.cells[row * self.m + j] >= 0.0
+    }
+
+    /// The fields of `row`: `Some(grade)` once a list has revealed it.
+    pub(crate) fn fields(&self, row: usize) -> impl Iterator<Item = Option<Score>> + '_ {
+        self.row_cells(row).iter().map(|&cell| revealed(cell))
+    }
+
+    /// `t` over the row's fields, an unknown one read as 0: the row's
+    /// lower bound, and its grade when a list never streams the object.
+    pub(crate) fn lower(&mut self, row: usize, scoring: &dyn ScoringFunction) -> Score {
+        self.bound(row, |_| Score::ZERO, scoring)
     }
 
     /// `t` over the row's fields, an unknown field `j` read as
-    /// `fill(j)`: 0 for a lower bound (and for a list that never
-    /// streams the object), the list's bottom for an upper bound.
+    /// `fill(j)`: the list's bottom for an upper bound.
     pub(crate) fn bound(
         &mut self,
         row: usize,
         fill: impl Fn(usize) -> Score,
         scoring: &dyn ScoringFunction,
     ) -> Score {
-        let fields = &self.buf.slots[row * self.m..(row + 1) * self.m];
-        self.buf.scratch.clear();
-        self.buf.scratch.extend(
-            fields
-                .iter()
-                .enumerate()
-                .map(|(j, g)| g.unwrap_or_else(|| fill(j))),
+        let Buffers { cells, scratch, .. } = &mut self.buf;
+        scratch.clear();
+        let fields = &cells[row * self.m..(row + 1) * self.m];
+        scratch.extend(
+            (fields.iter().enumerate()).map(|(j, &cell)| revealed(cell).unwrap_or_else(|| fill(j))),
         );
-        scoring.combine(&self.buf.scratch)
+        scoring.combine(scratch)
     }
 }
 
@@ -409,7 +494,7 @@ const DENSE_OIDS: usize = 1 << 20;
 
 /// The most a thread's spare table may hold allocated: a naive scan of
 /// 2^18 objects over two lists (≈ 13 MiB) is kept, a larger book freed.
-const SPARE_BYTES: usize = 16 << 20;
+pub(crate) const SPARE_BYTES: usize = 16 << 20;
 
 /// Entries [`Book::drain`] asks a list for per call: one 4 KiB store
 /// page holds 255.
@@ -444,6 +529,10 @@ impl Book {
     /// whether this is its first sighting, whether the grade is news
     /// (no earlier access had revealed it), and the grade. `None` once
     /// the list is drained — a drained list is not asked again.
+    ///
+    /// Always inlined, as [`Book::probe`] is: called out of line, its
+    /// result travelled through memory on every access of TA's loop.
+    #[inline(always)]
     pub(crate) fn pull(
         &mut self,
         i: usize,
@@ -500,11 +589,12 @@ impl Book {
     /// One entry streamed by list `i`, charged and recorded: its row,
     /// whether this is the object's first sighting, whether the grade
     /// is news, and the grade.
+    #[inline(always)]
     fn record(&mut self, i: usize, so: ScoredObject<Oid>) -> (usize, bool, bool, Score) {
         self.frontier.stats.sorted += 1;
         self.frontier.bottoms[i] = so.grade;
-        let (row, first) = self.table.number(so.id);
-        (row, first, self.table.reveal(row, i, so.grade), so.grade)
+        let (row, first, news) = self.table.sight(so.id, i, so.grade);
+        (row, first, news, so.grade)
     }
 
     /// List `i` has nothing left to stream.
@@ -521,11 +611,62 @@ impl Book {
         table.bound(row, |j| frontier.bottoms[j], scoring)
     }
 
+    /// Random access for every field of `row` no list has revealed, in
+    /// list order — what TA does at a sighting and CA to its target —
+    /// and the row's exact grade, `t` over its fields as the probes
+    /// come back: [`Table::lower`] of the resolved row, bit for bit,
+    /// without reading the row again. Inlined for the reason
+    /// [`Book::probe`] is.
+    #[inline(always)]
+    pub(crate) fn resolve(
+        &mut self,
+        row: usize,
+        sources: &mut [&mut dyn Subsystem],
+        scoring: &dyn ScoringFunction,
+    ) -> Result<Score, AlgoError> {
+        let Book { table, frontier } = self;
+        let m = table.m;
+        let oid = table.oid(row);
+        let Buffers {
+            rows,
+            cells,
+            scratch,
+            ..
+        } = &mut table.buf;
+        scratch.clear();
+        // The probes are counted once the row is done, or failed.
+        let mut probed = 0;
+        let mut failed = None;
+        for (source, cell) in sources.iter_mut().zip(&mut cells[row * m..(row + 1) * m]) {
+            if *cell >= 0.0 {
+                scratch.push(Score::clamped(*cell));
+                continue;
+            }
+            match source.random_access(oid) {
+                Ok(grade) => {
+                    *cell = grade.value();
+                    probed += 1;
+                    scratch.push(grade);
+                }
+                Err(cause) => {
+                    failed = Some(AlgoError::source(&**source, cause));
+                    break;
+                }
+            }
+        }
+        frontier.stats.random += probed;
+        rows[row].missing -= probed as usize;
+        match failed {
+            None => Ok(scoring.combine(scratch)),
+            Some(error) => Err(error),
+        }
+    }
+
     /// One random access: list `j`'s grade of `row`, revealed.
     ///
-    /// Always inlined, like the threshold kernel's `resolve` around it:
-    /// with an error path the two fell out of TA's loop, and scalar TA
-    /// over 4 096 × 3 paid ≈ 10 % for it.
+    /// Always inlined, like [`Book::resolve`]: with an error path the
+    /// probe and the threshold kernel's resolve around it fell out of
+    /// TA's loop, and scalar TA over 4 096 × 3 paid ≈ 10 % for it.
     #[inline(always)]
     pub(crate) fn probe(
         &mut self,
@@ -683,7 +824,7 @@ mod tests {
             (
                 (t.buf.dense.as_ptr(), t.buf.dense.capacity()),
                 (t.buf.rows.as_ptr(), t.buf.rows.capacity()),
-                (t.buf.slots.as_ptr(), t.buf.slots.capacity()),
+                (t.buf.cells.as_ptr(), t.buf.cells.capacity()),
                 (t.buf.scratch.as_ptr(), t.buf.scratch.capacity()),
                 t.buf.sparse.capacity(),
             )
@@ -697,7 +838,7 @@ mod tests {
         assert_eq!(buffers(table), first);
         assert_eq!(table.buf.dense.len(), 300);
         assert!(table.buf.dense.iter().all(|&cell| cell == 0));
-        assert_eq!((table.len(), table.buf.slots.len()), (0, 0));
+        assert_eq!((table.len(), table.buf.cells.len()), (0, 0));
         assert!(table.buf.sparse.is_empty());
         assert_eq!(table.row(1 << 40), None);
     }
@@ -892,12 +1033,12 @@ mod tests {
 
     #[test]
     fn a_table_over_the_cap_is_freed_not_kept() {
-        let with = |slots: usize, dense: usize| Buffers {
-            slots: Vec::with_capacity(slots),
+        let with = |cells: usize, dense: usize| Buffers {
+            cells: Vec::with_capacity(cells),
             dense: Vec::with_capacity(dense),
             ..Buffers::default()
         };
-        let per_slot = mem::size_of::<Option<Score>>();
+        let per_slot = mem::size_of::<f64>();
         assert!(with(0, 0).fits());
         let at_cap = with(SPARE_BYTES / per_slot - 1, per_slot / 4);
         assert_eq!(at_cap.bytes(), SPARE_BYTES);
@@ -907,11 +1048,17 @@ mod tests {
         let mut one = VecSource::from_dense("one", &[Score::ONE]);
         let mut sources: Vec<&mut dyn Subsystem> = vec![&mut one];
         let mut book = Book::open(&mut sources);
-        book.table.buf.slots.reserve(SPARE_BYTES / per_slot + 1);
+        book.table.buf.cells.reserve(SPARE_BYTES / per_slot + 1);
         drop(book);
-        assert!(SPARE.with(Cell::take).is_none(), "freed, not kept");
+        assert!(
+            SPARE.with(|spare| spare.table.take()).is_none(),
+            "freed, not kept"
+        );
         drop(Book::open(&mut sources));
-        assert!(SPARE.with(Cell::take).is_some(), "a small one is kept");
+        assert!(
+            SPARE.with(|spare| spare.table.take()).is_some(),
+            "a small one is kept"
+        );
     }
 
     /// What a book has recorded: every seen object's fields and
@@ -930,11 +1077,12 @@ mod tests {
         let t = &book.table;
         let f = &book.frontier;
         let object = |row: usize| -> (Oid, Vec<Option<Score>>) {
-            if t.by_oid {
-                (t.oid_laid_out(row), t.cells(row).collect())
+            let oid = if t.by_oid {
+                t.oid_laid_out(row)
             } else {
-                (t.oid(row), t.fields(row).to_vec())
-            }
+                t.oid(row)
+            };
+            (oid, t.fields(row).collect())
         };
         let mut objects = BTreeMap::new();
         for row in 0..t.len() {
@@ -1032,14 +1180,14 @@ mod tests {
         }
         let t = &book.table;
         assert!(t.by_oid);
-        assert!(t.buf.rows.is_empty() && t.buf.slots.is_empty());
+        assert!(t.buf.rows.is_empty());
         assert_eq!(
             (t.block, t.buf.past.as_slice(), t.len()),
             (300, &[500][..], 301)
         );
         assert_eq!((t.row(500), t.oid_laid_out(300)), (Some(300), 500));
         for oid in 0..300 {
-            let revealed = t.cells(oid as usize).filter(Option::is_some).count();
+            let revealed = t.fields(oid as usize).filter(Option::is_some).count();
             assert_eq!(t.row(oid), Some(oid as usize));
             assert_eq!(revealed, if oid < 150 { 3 } else { 2 }, "oid {oid}");
         }

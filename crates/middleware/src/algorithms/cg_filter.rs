@@ -125,11 +125,11 @@ impl CgFilter {
             // is in none). Once every list is fully drained, a missing
             // slot definitively means "not in that list" — grade 0.
             let table = &mut book.table;
-            let passed = |g: &Option<Score>| g.is_some_and(|g| g.value() >= tau);
+            let passed = |g: Option<Score>| g.is_some_and(|g| g.value() >= tau);
             let mut answers = Vec::new();
             for row in 0..table.len() {
-                if all_exhausted || table.fields(row).iter().all(passed) {
-                    let grade = table.bound(row, |_| Score::ZERO, scoring);
+                if all_exhausted || table.fields(row).all(passed) {
+                    let grade = table.lower(row, scoring);
                     answers.push(ScoredObject::new(table.oid(row), grade));
                 }
             }

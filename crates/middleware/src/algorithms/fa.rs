@@ -128,7 +128,7 @@ impl FaState {
         // One walk collects every list's holes, ...
         let mut missing: Vec<Vec<Oid>> = vec![Vec::new(); sources.len()];
         for row in 0..table.len() {
-            for (slot, holes) in table.fields(row).iter().zip(&mut missing) {
+            for (slot, holes) in table.fields(row).zip(&mut missing) {
                 if slot.is_none() {
                     holes.push(table.oid(row));
                 }
@@ -152,7 +152,7 @@ impl FaState {
         Ok((0..table.len())
             .map(|row| {
                 for (j, answers) in answers.iter_mut().enumerate() {
-                    if table.fields(row)[j].is_none() {
+                    if !table.known(row, j) {
                         if let Some(grade) = answers.next() {
                             table.reveal(row, j, grade);
                         }
@@ -161,7 +161,7 @@ impl FaState {
                 // Still a hole only if the source answered its batch
                 // short: what it withheld grades zero, like any object
                 // a subsystem has no opinion about.
-                ScoredObject::new(table.oid(row), table.bound(row, |_| Score::ZERO, scoring))
+                ScoredObject::new(table.oid(row), table.lower(row, scoring))
             })
             .collect())
     }
@@ -210,7 +210,7 @@ impl FaState {
                 continue;
             }
             for j in 0..sources.len() {
-                if book.table.fields(row)[j].is_some() {
+                if book.table.known(row, j) {
                     continue;
                 }
                 book.probe(row, j, sources)?;

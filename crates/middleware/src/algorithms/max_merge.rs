@@ -21,7 +21,7 @@
 //! Contradiction; hence observed = true for everything returned, and by
 //! the same argument the returned set is a valid top-k.
 
-use fmdb_core::score::{Score, ScoredObject};
+use fmdb_core::score::ScoredObject;
 use fmdb_core::scoring::ScoringFunction;
 
 use crate::algorithms::book::Book;
@@ -76,7 +76,7 @@ pub(crate) fn observed(book: &mut Book, scoring: &dyn ScoringFunction) -> Vec<Sc
     let table = &mut book.table;
     (0..table.len())
         .map(|row| {
-            let grade = table.bound(row, |_| Score::ZERO, scoring);
+            let grade = table.lower(row, scoring);
             ScoredObject::new(table.oid(row), grade)
         })
         .collect()
@@ -88,6 +88,7 @@ mod tests {
     use crate::algorithms::Cursor;
     use crate::planner::PhysicalPlan;
     use crate::source::VecSource;
+    use fmdb_core::score::Score;
     use fmdb_core::scoring::conorms::Max;
     use fmdb_core::scoring::tnorms::Min;
     use fmdb_core::scoring::ConormScoring;

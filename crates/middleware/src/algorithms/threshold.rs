@@ -49,7 +49,10 @@
 //!   one of the object's own fields is revealed — at most `m` objects a
 //!   round. The best `k` of *all* seen objects, open and resolved
 //!   alike, sit in one ordered set in answer order; `Mₖ` is its last
-//!   key, and one comparison against that key rejects a newcomer.
+//!   key, kept beside the set, and one comparison against that key
+//!   rejects a newcomer without a walk down the tree. A row TA resolves
+//!   at sight is graded as its probes come back ([`Book::resolve`]),
+//!   and leaves no record in the ranking, in the top k or not.
 //! * **Upper bounds are looked at only when they block the halt.** Open
 //!   objects not yet dismissed wait in a plain list. The halting test
 //!   walks it and stops at the first object `Mₖ` cannot dismiss — the
@@ -91,6 +94,10 @@
 //! Under on-sight probing no object is ever open: the list stays empty
 //! and a resolved grade costs the one comparison against `Mₖ`.
 //!
+//! A thread keeps the ranking's buffers between runs — its records, the
+//! candidate list, CA's heaps — as it keeps the book's table, cleared
+//! (`book::take_spare_ranking`); a run that fails frees its own.
+//!
 //! # Resuming
 //!
 //! [`Family::run`] takes the book it runs on. A cursor hands it the book
@@ -104,6 +111,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
+use std::mem;
 
 use fmdb_core::score::Score;
 use fmdb_core::scoring::tnorms::Min;
@@ -111,7 +119,7 @@ use fmdb_core::scoring::ScoringFunction;
 
 use fmdb_core::score::ScoredObject;
 
-use crate::algorithms::book::Book;
+use crate::algorithms::book::{self, Book};
 use crate::algorithms::{monotone, validate, AlgoError, TopKResult};
 use crate::planner::{behaves_like_min, validate_theta, PhysicalPlan};
 use crate::source::{Oid, Subsystem};
@@ -242,39 +250,52 @@ struct Key {
     obj: usize,
 }
 
-/// What the kernel remembers of one seen object besides its row in the
-/// book.
-struct Object {
-    /// The lower bound as of the last [`Seen::rebound`] — the object's
-    /// key while it sits in the top k.
+/// What the ranking remembers of one row besides the book's record of
+/// it. Only a row that has entered the candidate list, or the top k
+/// while open, has one: no row TA sees does, since each is resolved at
+/// sight ([`Seen::enter`]).
+#[derive(Debug, Clone, Copy)]
+struct Rank {
+    /// The lower bound the row is keyed by while it is in the top k.
     lower: Score,
     in_top: bool,
-    /// Whether `candidates` holds the object.
+    /// Whether `candidates` holds the row.
     listed: bool,
-    /// Whether an earlier run on the book returned it: out of the
-    /// ranking, never a candidate, never a target.
-    returned: bool,
 }
+
+/// A row the ranking has not met: outside the top k and the list.
+const UNRANKED: Rank = Rank {
+    lower: Score::ZERO,
+    in_top: false,
+    listed: false,
+};
 
 /// The ranking the kernel keeps over the book's rows: the best `k`
 /// lower bounds, and the open objects still in the way of the halt
-/// (module docs, *Bookkeeping*).
+/// (module docs, *Bookkeeping*). A thread keeps one between runs, as it
+/// keeps a table ([`Seen::open`]).
 #[derive(Default)]
-struct Seen {
+pub(crate) struct Seen {
     k: usize,
-    /// Parallel to the book's rows.
-    objects: Vec<Object>,
+    /// Parallel to the book's rows up to the last one ranked; a row
+    /// past the end is [`UNRANKED`].
+    ranks: Vec<Rank>,
     /// The best `k` seen objects, open or resolved, in answer order. A
     /// resolved object that fails to enter, or is evicted, is below
     /// `Mₖ` for good and is forgotten.
     top: BTreeSet<Key>,
+    /// The last key of `top` once it holds `k`: `Mₖ`, and the one key a
+    /// newcomer must beat, read without a walk down the tree.
+    kth: Option<Key>,
     /// Open objects that are in the top k or not yet dismissed, in no
     /// order but for the halting witness at the front. Objects resolved
     /// since the last walk linger until the next one drops them.
     candidates: Vec<usize>,
-    /// CA's targets under `min`; `None` where [`Seen::most_promising`]
-    /// scans instead.
-    targets: Option<MinTargets>,
+    /// Whether CA reads its targets off `targets`; where it does not,
+    /// [`Seen::most_promising`] scans instead.
+    classed: bool,
+    /// CA's targets under `min`, with the buffers of earlier runs.
+    targets: MinTargets,
 }
 
 /// The most lists [`MinTargets`] classes objects over: its table has a
@@ -284,11 +305,15 @@ const CLASSED_LISTS: usize = 10;
 /// Every open object, grouped by which lists have revealed it, so that
 /// CA's target under `min` is read off two heaps per group (module docs,
 /// *Under `min`, CA's target is kept*).
+#[derive(Default)]
 struct MinTargets {
     /// `1 +` the index in `classes` of each set of lists (a bit mask)
     /// some object has had; 0 for the others.
     by_mask: Vec<u32>,
+    /// The classes in use, then emptied ones an earlier run left.
     classes: Vec<Class>,
+    /// Classes in use.
+    live: usize,
 }
 
 /// The open objects whose known fields are the lists of `mask`.
@@ -318,11 +343,21 @@ impl Class {
 }
 
 impl MinTargets {
-    fn new(m: usize) -> MinTargets {
-        MinTargets {
-            by_mask: vec![0; 1 << m],
-            classes: Vec::new(),
+    /// Room for the classes of `m` lists, none of them in use yet.
+    fn open(&mut self, m: usize) {
+        debug_assert!(self.live == 0, "the targets of a run are cleared");
+        self.by_mask.resize(1 << m, 0);
+    }
+
+    /// No class in use; every class's heaps emptied, with their
+    /// capacity kept.
+    fn clear(&mut self) {
+        self.by_mask.clear();
+        for class in &mut self.classes[..self.live] {
+            class.by_key.clear();
+            class.saturated.clear();
         }
+        self.live = 0;
     }
 
     /// Files an open object under the lists that have revealed it, after
@@ -336,22 +371,27 @@ impl MinTargets {
             return;
         }
         let (mut mask, mut key) = (0, Score::ONE);
-        for (j, grade) in book.table.fields(obj).iter().enumerate() {
-            if let &Some(grade) = grade {
+        for (j, grade) in book.table.fields(obj).enumerate() {
+            if let Some(grade) = grade {
                 mask |= 1 << j;
                 key = key.min(grade);
             }
         }
         let class = match self.by_mask[mask] {
             0 => {
-                self.classes.push(Class {
-                    mask,
-                    missing,
-                    by_key: BinaryHeap::new(),
-                    saturated: BinaryHeap::new(),
-                });
-                self.by_mask[mask] = self.classes.len() as u32;
-                self.classes.len() - 1
+                let class = self.live;
+                if class == self.classes.len() {
+                    self.classes.push(Class {
+                        mask,
+                        missing,
+                        by_key: BinaryHeap::new(),
+                        saturated: BinaryHeap::new(),
+                    });
+                }
+                (self.classes[class].mask, self.classes[class].missing) = (mask, missing);
+                self.live += 1;
+                self.by_mask[mask] = self.live as u32;
+                class
             }
             tag => tag as usize - 1,
         };
@@ -369,7 +409,7 @@ impl MinTargets {
     fn best(&mut self, book: &Book) -> Option<(Score, Reverse<Oid>, usize)> {
         let bottoms = &book.frontier.bottoms;
         let mut best = None;
-        for class in &mut self.classes {
+        for class in &mut self.classes[..self.live] {
             let fill = class.fill(bottoms);
             let missing = class.missing;
             let member = |obj: usize| book.table.missing(obj) == missing;
@@ -398,23 +438,55 @@ impl MinTargets {
     }
 }
 
-/// Random-accesses every field `obj` still misses (inlined for the
-/// reason `Book::probe` is).
-#[inline(always)]
-fn resolve(
-    book: &mut Book,
-    obj: usize,
-    sources: &mut [&mut dyn Subsystem],
-) -> Result<(), AlgoError> {
-    for j in 0..sources.len() {
-        if book.table.fields(obj)[j].is_none() {
-            book.probe(obj, j, sources)?;
-        }
-    }
-    Ok(())
+/// Whether an earlier run on the book returned `obj`: out of the
+/// ranking, never a candidate, never a target.
+#[inline]
+fn was_returned(returned: &[bool], obj: usize) -> bool {
+    returned.get(obj).copied().unwrap_or(false)
 }
 
 impl Seen {
+    /// A ranking of the best `k` over `m` lists, keeping CA's targets
+    /// if `classed`, on the thread's spare ranking when it is free.
+    fn open(k: usize, classed: bool, m: usize) -> Seen {
+        let mut seen = book::take_spare_ranking().unwrap_or_default();
+        (seen.k, seen.classed) = (k, classed);
+        if classed {
+            seen.targets.open(m);
+        }
+        seen
+    }
+
+    /// What the ranking holds allocated, in bytes (the tree's nodes
+    /// aside: it frees them as it empties).
+    fn bytes(&self) -> usize {
+        let heaps: usize = (self.targets.classes.iter())
+            .map(|class| {
+                class.by_key.capacity() * mem::size_of::<(Score, Reverse<Oid>, usize)>()
+                    + class.saturated.capacity() * mem::size_of::<Reverse<(Oid, usize)>>()
+            })
+            .sum();
+        self.ranks.capacity() * mem::size_of::<Rank>()
+            + self.candidates.capacity() * mem::size_of::<usize>()
+            + self.targets.by_mask.capacity() * mem::size_of::<u32>()
+            + heaps
+    }
+
+    /// Gives the ranking back to the thread cleared, as a dropped table
+    /// goes back, unless it grew past [`book::SPARE_BYTES`]. A run that
+    /// fails drops its ranking instead.
+    fn keep(mut self) {
+        if self.bytes() > book::SPARE_BYTES {
+            return;
+        }
+        self.ranks.clear();
+        self.top.clear();
+        self.kth = None;
+        self.candidates.clear();
+        self.targets.clear();
+        book::keep_spare_ranking(self);
+    }
+
     /// Ranks the rows a book already holds, as if each had just been
     /// seen: a row of `returned` is left out, every other open row is a
     /// candidate again — a larger `k` may need what a smaller one
@@ -422,28 +494,33 @@ impl Seen {
     /// rows.
     fn rebuild(&mut self, book: &mut Book, returned: &[bool], scoring: &dyn ScoringFunction) {
         for obj in 0..book.table.len() {
-            let returned = returned.get(obj).copied().unwrap_or(false);
-            self.objects.push(Object {
-                lower: Score::ZERO,
-                in_top: false,
-                listed: false,
-                returned,
-            });
-            if !returned {
+            if !was_returned(returned, obj) {
                 self.enlist(obj, book);
-                self.rebound(obj, book, scoring);
-                if let Some(targets) = &mut self.targets {
-                    targets.classify(obj, book);
+                let lower = book.table.lower(obj, scoring);
+                self.rebound(obj, lower, book);
+                if self.classed {
+                    self.targets.classify(obj, book);
                 }
             }
         }
     }
 
+    #[inline]
+    fn rank(&self, obj: usize) -> Rank {
+        self.ranks.get(obj).copied().unwrap_or(UNRANKED)
+    }
+
+    fn rank_mut(&mut self, obj: usize) -> &mut Rank {
+        if obj >= self.ranks.len() {
+            self.ranks.resize(obj + 1, UNRANKED);
+        }
+        &mut self.ranks[obj]
+    }
+
     /// Puts an open object (back) on the candidate list.
     fn enlist(&mut self, obj: usize, book: &Book) {
-        let object = &mut self.objects[obj];
-        if book.table.missing(obj) > 0 && !object.listed {
-            object.listed = true;
+        if book.table.missing(obj) > 0 && !self.rank(obj).listed {
+            self.rank_mut(obj).listed = true;
             self.candidates.push(obj);
         }
     }
@@ -452,45 +529,85 @@ impl Seen {
     /// the top k later.
     fn drop_candidate(&mut self, at: usize) {
         let obj = self.candidates.swap_remove(at);
-        self.objects[obj].listed = false;
+        self.rank_mut(obj).listed = false;
     }
 
-    /// Recomputes `obj`'s lower bound after a reveal and re-seats it in
-    /// the top k: one comparison against the k-th key rejects it,
+    /// Reads `Mₖ`'s key off the top k after it changed.
+    fn reseat_kth(&mut self) {
+        self.kth = self
+            .top
+            .last()
+            .copied()
+            .filter(|_| self.top.len() >= self.k);
+    }
+
+    /// Re-seats `obj` in the top k at `lower`, its lower bound after a
+    /// reveal: one comparison against the k-th key rejects it,
     /// otherwise it enters (evicting the k-th) or moves up.
-    fn rebound(&mut self, obj: usize, book: &mut Book, scoring: &dyn ScoringFunction) {
-        let lower = book.table.bound(obj, |_| Score::ZERO, scoring);
-        let was = std::mem::replace(&mut self.objects[obj].lower, lower);
-        let id = book.table.oid(obj);
-        let key = |lower| Key {
+    fn rebound(&mut self, obj: usize, lower: Score, book: &Book) {
+        let rank = self.rank(obj);
+        if !rank.in_top {
+            return self.offer(obj, lower, book);
+        }
+        if lower != rank.lower {
+            let key = |lower| Key {
+                lower: Reverse(lower),
+                id: book.table.oid(obj),
+                obj,
+            };
+            self.top.remove(&key(rank.lower));
+            self.top.insert(key(lower));
+            self.rank_mut(obj).lower = lower;
+            self.reseat_kth();
+        }
+    }
+
+    /// [`Seen::rebound`] for a row outside the top k — a row seen for
+    /// the first time always is: one comparison against the k-th key
+    /// rejects it, otherwise it enters.
+    #[inline(always)]
+    fn offer(&mut self, obj: usize, lower: Score, book: &Book) {
+        debug_assert!(!self.rank(obj).in_top, "a member is re-seated, not offered");
+        let key = Key {
             lower: Reverse(lower),
-            id,
+            id: book.table.oid(obj),
             obj,
         };
-        if self.objects[obj].in_top {
-            if lower != was {
-                self.top.remove(&key(was));
-                self.top.insert(key(lower));
-            }
-            return;
+        if self.kth.is_none_or(|kth| key < kth) {
+            self.enter(key, book);
         }
-        if self.top.len() >= self.k {
-            if self.top.last().is_some_and(|kth| *kth < key(lower)) {
-                return;
-            }
+    }
+
+    /// Seats a key that beats `Mₖ`'s, or fills the top k, evicting the
+    /// k-th once it is full. Out of line: most rebounds end at the
+    /// comparison before it.
+    ///
+    /// A row that enters resolved gets no record: its rank is never read
+    /// again (no reveal is news to it, it is no candidate, no target, and
+    /// [`Report::Closed`] passes it by), so TA, whose every row enters
+    /// resolved, keeps none.
+    #[inline(never)]
+    fn enter(&mut self, key: Key, book: &Book) {
+        if self.kth.is_some() {
             if let Some(out) = self.top.pop_last() {
-                self.objects[out.obj].in_top = false;
+                if let Some(rank) = self.ranks.get_mut(out.obj) {
+                    rank.in_top = false;
+                }
             }
         }
-        self.top.insert(key(lower));
-        self.objects[obj].in_top = true;
-        self.enlist(obj, book);
+        self.top.insert(key);
+        if book.table.missing(key.obj) > 0 {
+            let rank = self.rank_mut(key.obj);
+            rank.lower = key.lower.0;
+            rank.in_top = true;
+            self.enlist(key.obj, book);
+        }
+        self.reseat_kth();
     }
 
     /// `Mₖ`: the k-th best lower bound, once `k` objects are seen.
     fn kth(&self) -> Option<Score> {
-        let kth = self.top.last().filter(|_| self.top.len() >= self.k)?;
-        Some(kth.lower.0)
+        self.kth.map(|kth| kth.lower.0)
     }
 
     /// Whether every open object outside the top k is `dismissed`.
@@ -507,7 +624,7 @@ impl Seen {
         while let Some(&obj) = self.candidates.get(at) {
             if book.table.missing(obj) == 0 {
                 self.drop_candidate(at);
-            } else if self.objects[obj].in_top {
+            } else if self.rank(obj).in_top {
                 at += 1;
             } else if dismissed(book.upper(obj, scoring)) {
                 self.drop_candidate(at);
@@ -539,8 +656,8 @@ impl Seen {
                 continue;
             }
             let upper = book.upper(obj, scoring);
-            let live = self.objects[obj].in_top
-                || !tau.is_some_and(|tau| upper_excluded(upper, tau, theta));
+            let live =
+                self.rank(obj).in_top || !tau.is_some_and(|tau| upper_excluded(upper, tau, theta));
             if live {
                 best = best.max(Some((upper, Reverse(book.table.oid(obj)), obj)));
                 at += 1;
@@ -562,10 +679,10 @@ impl Seen {
         scoring: &dyn ScoringFunction,
         theta: f64,
     ) -> Option<usize> {
-        let (_, _, best) = self.targets.as_mut()?.best(book)?;
+        let (_, _, best) = self.targets.best(book)?;
         let tau = self.kth();
         let upper = book.upper(best, scoring);
-        if self.objects[best].in_top || !tau.is_some_and(|tau| upper_excluded(upper, tau, theta)) {
+        if self.rank(best).in_top || !tau.is_some_and(|tau| upper_excluded(upper, tau, theta)) {
             return Some(best);
         }
         let mut best = None;
@@ -582,7 +699,7 @@ impl Seen {
     /// does not the other way. A scan of everything seen: for the debug
     /// checks only.
     fn min_on_every_upper(&self, book: &mut Book, scoring: &dyn ScoringFunction) -> bool {
-        (0..self.objects.len()).all(|obj| {
+        (0..book.table.len()).all(|obj| {
             book.table.missing(obj) == 0 || book.upper(obj, scoring) == book.upper(obj, &Min)
         })
     }
@@ -610,11 +727,13 @@ impl Seen {
     fn open_rest<'a>(
         &'a self,
         book: &'a mut Book,
+        returned: &'a [bool],
         scoring: &'a dyn ScoringFunction,
     ) -> impl Iterator<Item = (bool, Score)> + 'a {
-        self.objects.iter().enumerate().filter_map(move |(obj, o)| {
-            let open = book.table.missing(obj) > 0 && !o.in_top && !o.returned;
-            open.then(|| (o.listed, book.upper(obj, scoring)))
+        (0..book.table.len()).filter_map(move |obj| {
+            let rank = self.rank(obj);
+            let open = book.table.missing(obj) > 0 && !rank.in_top && !was_returned(returned, obj);
+            open.then(|| (rank.listed, book.upper(obj, scoring)))
         })
     }
 }
@@ -672,11 +791,7 @@ impl Family {
         let classed = matches!(self.probe, Probe::Every(_))
             && m <= CLASSED_LISTS
             && behaves_like_min(scoring, m);
-        let mut seen = Seen {
-            k,
-            targets: classed.then(|| MinTargets::new(m)),
-            ..Seen::default()
-        };
+        let mut seen = Seen::open(k, classed, m);
         seen.rebuild(book, returned, scoring);
         let mut round = 0usize;
         let mut last_kth = None;
@@ -707,7 +822,7 @@ impl Family {
                 // monotonicity facts; Mₖ's is checked above, this is
                 // the uppers': no dismissed object has come back.
                 debug_assert!(
-                    seen.open_rest(book, scoring)
+                    seen.open_rest(book, returned, scoring)
                         .all(|(listed, upper)| listed
                             || kth.is_some_and(|tau| dismissed(upper, tau))),
                     "a dismissed upper bound rose again: '{}' is not monotone",
@@ -725,29 +840,28 @@ impl Family {
                 };
                 progressed = true;
                 if new {
-                    seen.objects.push(Object {
-                        lower: Score::ZERO,
-                        in_top: false,
-                        listed: false,
-                        returned: false,
-                    });
+                    let lower = if self.probe == Probe::OnSight {
+                        // TA probes at the sighting, not at the end of
+                        // the round: a later list may stream this same
+                        // object in this round, and waiting for it
+                        // would save the probe TA charges — a different
+                        // `stats.random`. Its grade is computed once,
+                        // as the probes come back.
+                        book.resolve(obj, sources, scoring)?
+                    } else {
+                        seen.enlist(obj, book);
+                        book.table.lower(obj, scoring)
+                    };
+                    seen.offer(obj, lower, book);
+                } else if news && !was_returned(returned, obj) {
+                    // Only an old row can have been returned.
+                    let lower = book.table.lower(obj, scoring);
+                    seen.rebound(obj, lower, book);
+                } else {
+                    continue;
                 }
-                if new && self.probe == Probe::OnSight {
-                    // TA probes at the sighting, not at the end of the
-                    // round: a later list may stream this same object
-                    // in this round, and waiting for it would save the
-                    // probe TA charges — a different `stats.random`.
-                    // Its lower bound is not looked at before then.
-                    resolve(book, obj, sources)?;
-                } else if new {
-                    seen.enlist(obj, book);
-                }
-                // Only an old row can have been returned.
-                if news && (new || !seen.objects[obj].returned) {
-                    seen.rebound(obj, book, scoring);
-                    if let Some(targets) = &mut seen.targets {
-                        targets.classify(obj, book);
-                    }
+                if seen.classed {
+                    seen.targets.classify(obj, book);
                 }
             }
 
@@ -755,7 +869,7 @@ impl Family {
 
             if let Probe::Every(h) = self.probe {
                 if round.is_multiple_of(h) {
-                    let target = if seen.targets.is_some() {
+                    let target = if seen.classed {
                         let kept = seen.kept_target(book, scoring, self.theta);
                         // The scan's side effect — dropping candidates
                         // `Mₖ` dismisses — changes no outcome.
@@ -770,8 +884,8 @@ impl Family {
                         seen.most_promising(book, scoring, self.theta)
                     };
                     if let Some(obj) = target {
-                        resolve(book, obj, sources)?;
-                        seen.rebound(obj, book, scoring);
+                        let grade = book.resolve(obj, sources, scoring)?;
+                        seen.rebound(obj, grade, book);
                     }
                 }
             }
@@ -781,14 +895,19 @@ impl Family {
             // Members only move up within the set as they resolve, so
             // it still holds the same k objects afterwards, re-ranked
             // on exact grades.
+            // A member that entered resolved has nothing to probe.
             let members: Vec<usize> = seen.top.iter().map(|key| key.obj).collect();
             for obj in members {
-                resolve(book, obj, sources)?;
-                seen.rebound(obj, book, scoring);
+                if book.table.missing(obj) > 0 {
+                    let grade = book.resolve(obj, sources, scoring)?;
+                    seen.rebound(obj, grade, book);
+                }
             }
         }
+        let answers = seen.top_k(book, scoring).collect();
+        seen.keep();
         Ok(NraResult {
-            answers: seen.top_k(book, scoring).collect(),
+            answers,
             stats: book.frontier.stats,
         })
     }

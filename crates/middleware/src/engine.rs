@@ -278,6 +278,10 @@ pub struct Engine {
     /// Cumulative stats over every successful request, for cross-run
     /// telemetry (`BENCH_engine.json`).
     totals: Mutex<AccessStats>,
+    /// The cores [`Engine::run_many`]'s pool may use, read once: the
+    /// query reads the affinity mask and the cgroup's quota files, tens
+    /// of microseconds a call.
+    cores: usize,
 }
 
 impl Default for Engine {
@@ -292,6 +296,7 @@ impl Engine {
         Engine {
             config,
             totals: Mutex::new(AccessStats::ZERO),
+            cores: thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -457,8 +462,9 @@ impl Engine {
     /// handle take turns on it, each answering as it would alone.
     ///
     /// The pool has `min(available_parallelism, requests.len())`
-    /// workers that claim request slots from a shared counter, instead
-    /// of one thread per request: the calling thread, whose book table
+    /// workers (the core count as read when the engine was made) that
+    /// claim request slots from a shared counter, instead of one thread
+    /// per request: the calling thread, whose book table
     /// is already warm, and one spawned thread for each of the others —
     /// a batch of 10 000 requests costs a handful of spawns, not 10 000,
     /// and a batch on one core none. The spawns are charged as
@@ -469,10 +475,7 @@ impl Engine {
         if requests.is_empty() {
             return Vec::new();
         }
-        let workers = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(requests.len());
+        let workers = self.cores.min(requests.len());
         let next = std::sync::atomic::AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<TopKResult, EngineError>>>> =
             requests.iter().map(|_| Mutex::new(None)).collect();
